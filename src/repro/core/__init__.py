@@ -4,7 +4,7 @@
   before ancestors) with incremental moves;
 - :mod:`repro.core.reachability` — the reachability matrix ``M`` and
   Algorithm **Reach** (Fig. 4);
-- :mod:`repro.core.dag_eval` — the two-pass XPath evaluator on DAGs with
+- :mod:`repro.core.dag_eval` — the demand-driven XPath evaluator on DAGs with
   side-effect detection (Section 3.2);
 - :mod:`repro.core.translate` — Algorithms **Xinsert** / **Xdelete**
   (Figs. 5–6), translating ``ΔX`` to ``ΔV``;

@@ -1,4 +1,4 @@
-"""Two-pass XPath evaluation on DAGs with side-effect detection (§3.2).
+"""Demand-driven XPath evaluation on DAGs with side-effect detection (§3.2).
 
 Given an XPath ``p``, the relational DAG view ``V`` (a
 :class:`~repro.views.store.ViewStore`), the topological order ``L`` and
@@ -11,32 +11,54 @@ the reachability matrix ``M``, the evaluator computes:
   occurrence of an affected node is reachable.  ``S ≠ ∅`` iff the update
   has XML side effects under the paper's revised semantics.
 
-**Bottom-up pass.**  Every filter sub-expression of ``p`` is evaluated at
-every node by dynamic programming over ``L`` (children before parents):
-``val(q, v)`` — does ``q`` hold at ``v`` — and, for path suffixes behind
-a ``//``, ``desc(q, v)`` — does ``q`` hold at some descendant-or-self of
-``v``.  Each node is visited once per sub-expression, giving the paper's
-``O(|p|·|V|)`` bound without recursion over the (possibly deep) data.
+Every entry point runs one pipeline, and the top-down pass drives it:
+
+**Compile.**  ``p`` is compiled once into integer-indexed plans — op
+codes for its steps, one plan per filter sub-expression — and cached per
+path (the AST is immutable), so a repeated query pays for a dictionary
+lookup.
 
 **Top-down pass.**  The step contexts ``C0 ⊇ root, C1, ..., Cn`` are
-computed left to right; child steps record their arrival edges, ``//``
-steps their *region* (descendant-or-self closure of the previous
-context, fetched from ``M``).
+computed left to right.  A ``//`` step records its *region*
+(descendant-or-self closure of the previous context): all of ``L`` when
+the previous context is the root and ``M`` is at rest, otherwise fetched
+from ``M`` (or walked from the store while ``M`` is stale).  Nothing
+else is recorded: the parents through which a node entered ``Ci`` are
+its parents inside ``C(i-1)`` (child step) or inside the region (``//``
+step), and are derived from the contexts at the few nodes ``Ep`` and the
+side-effect walk visit.
+
+**Filters, on demand.**  The paper evaluates every filter
+sub-expression ``q`` at every node by dynamic programming over ``L``
+(children before parents): ``val(q, v)`` — does ``q`` hold at ``v`` —
+and, behind a ``//``, ``desc(q, v)`` — does ``q`` hold at some
+descendant-or-self of ``v``.  Here ``val`` is memoised per call and
+computed only at the nodes the top-down pass asks about, recursing over
+the *plan* (bounded by ``|q|``), never over the data; only filters with
+a ``//`` inside them, whose ``desc`` tables would recurse over the
+possibly deep DAG, keep the paper's sweep — over ``L``, or over the
+descendant cone of the start context of a suffix evaluation.  Each
+``(q, v)`` pair is still computed at most once from its children's
+values, so the paper's ``O(|p|·|V|)`` bound holds as the worst case (a
+path whose contexts cover the view); a path anchored by selective steps
+costs what its contexts touch.
 
 **Side-effect detection.**  The update affects node ``w`` (the selected
 node for insertions; the modified parent for deletions).  There is a side
 effect iff some root-to-``w`` path is not matched by the relevant prefix
 of ``p``.  The detector walks *backwards* from the affected nodes through
-the recorded arrival structure; any incoming edge from outside the
-matched structure witnesses an unmatched occurrence and its source node
-is added to ``S``.  This refines the paper's per-step rule (which flags
-parents of every intermediate context) to the nodes actually affected,
-while keeping the same single-pass complexity.
+the matched structure; any incoming edge from outside it witnesses an
+unmatched occurrence and its source node is added to ``S``.  This refines
+the paper's per-step rule (which flags parents of every intermediate
+context) to the nodes actually affected, while keeping the same
+single-pass complexity.  It reads contexts and regions only, never
+filter values, so how the filters were evaluated cannot change ``S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.topo import TopoOrder
 from repro.index import ReachabilityIndex
@@ -56,10 +78,17 @@ from repro.xpath.ast import (
     XPath,
 )
 
-# An arrival level: the step index at which a node sits in the matched
-# structure.  Level i means "member of context C_i"; for a ``//`` step i,
-# region members that are not in C_{i-1} also live at level i.
 _PathKey = tuple[XPath, str | None]
+
+# Step op codes, shared by the query's own steps and its filter paths.
+_LABEL, _WILDCARD, _FILTER, _DESCENDANT = range(4)
+
+_MODES = ("insert", "delete")
+
+#: Compiled programs kept per process (the subscription engine also
+#: compiles the step suffixes it re-evaluates).  Bounded so a long-lived
+#: service that sees ever-new paths cannot grow without limit.
+_PROGRAM_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -88,6 +117,16 @@ class DagXPathEvaluator:
     absent (batched update sessions defer its repair): descendant
     regions are then computed by walking the store's edges instead of
     reading ``M`` rows — same results, higher per-query cost.
+
+    Passing a ``reach`` asserts the triple is *at rest*: ``M`` and ``L``
+    are repaired and every node in ``L`` is reachable from the root (no
+    deleted subtree is waiting for garbage collection).  A ``//`` from
+    the root then ranges over ``L`` itself.  While collection is
+    pending — ``XMLViewUpdater._evaluator`` knows — pass ``None``, or
+    the orphans still listed in ``L`` would be selected.
+
+    An evaluation keeps its state in per-call objects, so one evaluator
+    can serve concurrent readers of an unchanging view.
     """
 
     def __init__(
@@ -108,11 +147,17 @@ class DagXPathEvaluator:
         """Evaluate ``path``; ``mode`` selects whose occurrences the
         side-effect check protects ('insert': the selected nodes;
         'delete': the modified parents from ``Ep``)."""
-        if self.store.root_id is None:
+        if mode not in _MODES:
+            raise ValueError(f"unknown side-effect mode {mode!r}")
+        root = self.store.root_id
+        if root is None:
             raise ValueError("store has no root")
-        filter_values = self._bottom_up(path)
-        result = self._top_down(path, filter_values)
-        self._detect_side_effects(path, result, filter_values, mode)
+        program = _compile(path)
+        match = self._top_down(program, self._filter_values(program), [root])
+        result = match.result(path)
+        if result.targets:
+            result.ep = self._compute_ep(path, match, result.targets)
+            self._detect_side_effects(result, match, mode)
         return result
 
     def evaluate_from(
@@ -123,67 +168,61 @@ class DagXPathEvaluator:
 
         The subscription engine's entry point: ``path`` may be a step
         *suffix* of a subscribed query and ``start`` the cached context
-        the suffix re-evaluates from.  Filters without ``//`` inside
-        them are evaluated lazily (memoized, on demand at the nodes the
-        top-down pass actually consults) so the cost tracks the
-        contexts, not ``|V|``; filters containing ``//`` fall back to
-        the bottom-up sweep, restricted to the descendant cone of
-        ``start`` when one is given.  ``Ep`` and side-effect detection
-        need the full root-anchored arrival structure, so neither is
-        computed — ``result.ep`` / ``result.side_effects`` stay empty.
+        the suffix re-evaluates from.  ``Ep`` and side-effect detection
+        need the root-anchored matched structure, so neither is computed
+        — ``result.ep`` / ``result.side_effects`` stay empty.
         """
-        if start is None and self.store.root_id is None:
+        root = self.store.root_id
+        if start is None and root is None:
             raise ValueError("store has no root")
+        context = [root] if start is None else list(start)
         program = _compile(path)
-        filter_values: _FilterValues | _LazyFilterValues
-        if not program.units:
-            filter_values = _FilterValues(program)
-        elif not any(
-            op[0] == 3
-            for ops, _ in program.path_plans
-            for op in ops
-        ):
-            filter_values = _LazyFilterValues(program, self.store)
-        else:
-            sweep: list[int] | None = None
-            if start is not None:
-                reach = self.reach
-                if reach is not None and reach.native_masks:
-                    # The cone stays in mask space: one big-int OR of
-                    # descendant rows, no per-node set materialization.
-                    cone = reach.desc_mask_of_set(start).with_nodes(start)
-                elif reach is not None:
-                    cone = set(start) | reach.desc_of_set(start)
-                else:
-                    cone = set(start) | self.store.descendants_of(start)
-                sweep = self.topo.sort_nodes(cone)  # children first
-            filter_values = self._bottom_up(path, sweep, program)
-        return self._top_down(
-            path, filter_values, start=start, with_ep=False
-        )
+        values = self._filter_values(program, start)
+        return self._top_down(program, values, context).result(path)
 
     # ------------------------------------------------------------------
-    # Bottom-up pass: filters
+    # Filters: on demand, or the bottom-up sweep
     # ------------------------------------------------------------------
+
+    def _filter_values(
+        self, program: "_Program", start: list[int] | None = None
+    ) -> "_FilterValues | _LazyFilterValues":
+        """Filter truth for one evaluation, chosen from the plan alone.
+
+        Filters without ``//`` inside them are answered on demand at the
+        nodes the top-down pass consults; a plan with a descendant op
+        takes the bottom-up sweep — over the descendant cone of
+        ``start`` when one is given, else over all of ``L``.
+        """
+        if program.lazy:
+            return _LazyFilterValues(program, self.store)
+        sweep = None
+        if start is not None:
+            sweep = self.topo.sort_nodes(self._closure(start))
+        return self._bottom_up(program, sweep)
+
+    def _closure(self, nodes: list[int]):
+        """``nodes ∪ desc(nodes)``: a set, or a MaskView on mask-native
+        backends (one big-int OR of descendant rows, no per-node set) —
+        consumers only need membership and iteration."""
+        reach = self.reach
+        if reach is None:
+            return set(nodes) | self.store.descendants_of(nodes)
+        if reach.native_masks:
+            return reach.desc_mask_of_set(nodes).with_nodes(nodes)
+        return set(nodes) | reach.desc_of_set(nodes)
 
     def _bottom_up(
-        self,
-        path: XPath,
-        sweep: list[int] | None = None,
-        program: "_Program | None" = None,
+        self, program: "_Program", sweep: list[int] | None = None
     ) -> "_FilterValues":
-        """Evaluate every filter sub-expression at every node.
+        """Evaluate every filter sub-expression at every swept node.
 
-        The expression set is compiled once into integer-indexed plans
-        (hashing an ``XPath`` per memo access would dominate the pass),
-        then a single sweep over ``L`` (children before parents) fills
-        per-expression truth tables.  ``sweep`` restricts the pass to a
-        descendant-closed node subset in children-first order (suffix
-        re-evaluation); ``None`` sweeps the whole order.  Callers that
-        already compiled the path pass its ``program``.
+        A single pass over ``L`` (children before parents) fills
+        per-expression truth tables from the integer-indexed plans.
+        ``sweep`` restricts the pass to a descendant-closed node subset
+        in children-first order (suffix re-evaluation); ``None`` sweeps
+        the whole order.
         """
-        if program is None:
-            program = _compile(path)
         values = _FilterValues(program)
         if not program.units:
             return values
@@ -210,22 +249,22 @@ class DagXPathEvaluator:
                         else:
                             op = ops[i]
                             code = op[0]
-                            if code == 0:  # label step
+                            if code == _LABEL:
                                 nxt = ex_rows[i + 1]
                                 label = op[1]
                                 ex = any(
                                     type_of(c) == label and nxt[c]
                                     for c in children
                                 )
-                            elif code == 1:  # wildcard
+                            elif code == _WILDCARD:
                                 nxt = ex_rows[i + 1]
                                 ex = any(nxt[c] for c in children)
-                            elif code == 2:  # filter step
+                            elif code == _FILTER:
                                 ex = (
                                     f_tables[op[1]][node]
                                     and ex_rows[i + 1][node]
                                 )
-                            else:  # code == 3: descendant-or-self
+                            else:  # descendant-or-self
                                 ex = dsc_rows[i + 1][node]
                         ex_rows[i][node] = ex
                         row = dsc_rows[i]
@@ -247,166 +286,108 @@ class DagXPathEvaluator:
         return values
 
     # ------------------------------------------------------------------
-    # Top-down pass: contexts, targets, Ep
+    # Top-down pass: contexts and regions
     # ------------------------------------------------------------------
 
     def _top_down(
         self,
-        path: XPath,
-        memo: "_FilterValues",
-        start: list[int] | None = None,
-        with_ep: bool = True,
-    ) -> EvalResult:
+        program: "_Program",
+        values: "_FilterValues | _LazyFilterValues",
+        start: list[int],
+    ) -> "_Match":
         store = self.store
-        result = EvalResult(path)
-        if start is None:
-            root = store.root_id
-            assert root is not None
-            current: list[int] = [root]
-        else:
-            current = list(start)
-        result.contexts.append(list(current))
-        # Arrival structure per step: for child steps a dict node -> set
-        # of parents in the previous context; for // steps the region.
-        self._arrivals: list[dict[int, set[int]]] = [
-            {node: set() for node in current}
-        ]
-        # Region per // step: a plain set, or a MaskView on mask-native
-        # backends — consumers only need membership and iteration.
-        self._regions: dict[int, object] = {}
-
-        for index, step in enumerate(path.steps, start=1):
-            previous = current
-            prev_set = set(previous)
-            arrivals: dict[int, set[int]] = {}
-            if isinstance(step, (LabelStep, WildcardStep)):
-                nxt: list[int] = []
-                for u in previous:
-                    for c in store.children_of(u):
-                        if isinstance(step, LabelStep) and store.type_of(
-                            c
-                        ) != step.label:
-                            continue
-                        bucket = arrivals.get(c)
-                        if bucket is None:
-                            arrivals[c] = {u}
-                            nxt.append(c)
-                        else:
-                            bucket.add(u)
-                current = nxt
-            elif isinstance(step, FilterStep):
-                kept = [u for u in previous if memo.filter_holds(step.filter, u)]
-                prev_arrivals = self._arrivals[index - 1]
-                arrivals = {u: set(prev_arrivals.get(u, set())) for u in kept}
-                current = kept
-                # Mark pass-through so side-effect walk can skip the level.
-                self._regions.pop(index, None)
-            elif isinstance(step, DescendantStep):
-                reach = self.reach
-                if reach is not None and reach.native_masks:
-                    # One big-int OR over descendant rows; the region
-                    # never becomes a Python set on the fast backends.
-                    region = reach.desc_mask_of_set(previous).with_nodes(
-                        previous
-                    )
-                elif reach is not None:
-                    region = prev_set | reach.desc_of_set(previous)
+        children_of = store.children_of
+        type_of = store.type_of
+        match = _Match(program.steps, start)
+        current = start
+        for level, op in enumerate(program.steps, start=1):
+            code = op[0]
+            if code == _FILTER:
+                holds, index = values.holds, op[1]
+                current = [u for u in current if holds(index, u)]
+            elif code == _DESCENDANT:
+                if self.reach is not None and current == [store.root_id]:
+                    # At rest (the constructor's contract) L lists
+                    # exactly the root's descendants-or-self: no row
+                    # read, no sort.
+                    region = self.topo
+                    current = list(self.topo.backward())
                 else:
-                    region = prev_set | self.store.descendants_of(previous)
-                self._regions[index] = region
-                ordered = self.topo.sort_nodes(region)
-                ordered.reverse()  # ancestors first: document-like order
-                for d in ordered:
-                    parents_in = {
-                        par for par in store.parents_of(d) if par in region
-                    }
-                    arrivals[d] = parents_in
-                current = ordered
-            else:  # pragma: no cover - exhaustive
-                raise TypeError(f"unknown step {step!r}")
-            self._arrivals.append(arrivals)
-            result.contexts.append(list(current))
+                    region = self._closure(current)
+                    current = self.topo.sort_nodes(region)
+                    current.reverse()  # ancestors first: document-like
+                match.regions[level] = region
+            else:
+                label = op[1] if code == _LABEL else None
+                seen: set[int] = set()
+                reached: list[int] = []
+                for u in current:
+                    for c in children_of(u):
+                        if c not in seen and (
+                            label is None or type_of(c) == label
+                        ):
+                            seen.add(c)
+                            reached.append(c)
+                current = reached
+            match.contexts.append(current)
             if not current:
                 break
+        return match
 
-        result.targets = list(current) if result.contexts[-1] else []
-        if with_ep:
-            result.ep = self._compute_ep(path, result)
-        return result
-
-    def _compute_ep(self, path: XPath, result: EvalResult) -> list[
-        tuple[int, int, int]
-    ]:
+    def _compute_ep(
+        self, path: XPath, match: "_Match", targets: list[int]
+    ) -> list[tuple[int, int, int]]:
         """``Ep(r)``: parent edges through which ``p`` reaches the targets.
 
         The relevant step is the last non-filter step ``k``:
-        - child step: the recorded arrival edges, parents at level k-1;
+        - child step: the parents inside the previous context, at level
+          k-1;
         - ``//`` step: every in-region parent (level k, still inside the
-          descendant segment) plus, for self-matches, the arrivals of the
-          previous level;
+          descendant segment) plus, for self-matches, the parents
+          through which the previous level was entered;
         - no such step (pure filter path): the targets have no parent
           edge (root selection), ``Ep = ∅``.
         Filters after ``k`` only narrow the target set.
         """
-        if not result.targets:
-            return []
         k = path.last_child_step_index
         if k is None:
             return []
-        step = path.steps[k]
-        level = k + 1  # contexts/arrivals are 1-based w.r.t. steps
+        level = k + 1  # contexts are 1-based w.r.t. steps
+        parents_of = self.store.parents_of
         ep: list[tuple[int, int, int]] = []
-        if isinstance(step, (LabelStep, WildcardStep)):
-            arrivals = self._arrivals[level]
-            for v in result.targets:
-                for u in sorted(arrivals.get(v, ())):
+        # Parents reached by a // step are still inside its segment.
+        inside = match.steps[k][0] == _DESCENDANT
+        prev_context = match.members(level - 1) if inside else ()
+        for v in targets:
+            for u in match.entry_parents(level, v, parents_of):
+                ep.append((u, v, level if inside else level - 1))
+            if v in prev_context:  # self-match of the // step
+                for u in match.entry_parents(level - 1, v, parents_of):
                     ep.append((u, v, level - 1))
-            return ep
-        if isinstance(step, DescendantStep):
-            region = self._regions[level]
-            prev_arrivals = self._arrivals[level - 1]
-            prev_context = set(result.contexts[level - 1])
-            for v in result.targets:
-                for u in sorted(
-                    par for par in self.store.parents_of(v) if par in region
-                ):
-                    ep.append((u, v, level))
-                if v in prev_context:
-                    for u in sorted(prev_arrivals.get(v, ())):
-                        ep.append((u, v, level - 1))
-            return ep
-        raise TypeError(f"unexpected step {step!r}")  # pragma: no cover
+        return ep
 
     # ------------------------------------------------------------------
     # Side-effect detection
     # ------------------------------------------------------------------
 
     def _detect_side_effects(
-        self, path: XPath, result: EvalResult, memo: dict, mode: str
+        self, result: EvalResult, match: "_Match", mode: str
     ) -> None:
         """Populate ``result.side_effects`` (the set ``S``).
 
         Walk backwards from the affected nodes through the matched
-        arrival structure; every incoming DAG edge that leaves the
-        matched structure witnesses an occurrence the path did not
-        select, and its source node joins ``S``.
+        structure; every incoming DAG edge that leaves the matched
+        structure witnesses an occurrence the path did not select, and
+        its source node joins ``S``.
         """
-        if not result.targets:
-            return
-        starts: list[tuple[int, int]] = []
         if mode == "insert":
-            last_level = len(result.contexts) - 1
-            starts = [(v, last_level) for v in result.targets]
-        elif mode == "delete":
-            starts = [(u, lvl) for u, _, lvl in result.ep]
-            if not starts:
-                return
+            last_level = len(match.contexts) - 1
+            stack = [(v, last_level) for v in result.targets]
         else:
-            raise ValueError(f"unknown side-effect mode {mode!r}")
-
-        store = self.store
+            stack = list(dict.fromkeys((u, lvl) for u, _, lvl in result.ep))
+        parents_of = self.store.parents_of
+        steps = match.steps
         seen: set[tuple[int, int]] = set()
-        stack = list(dict.fromkeys(starts))
         S = result.side_effects
         while stack:
             node, level = stack.pop()
@@ -415,60 +396,115 @@ class DagXPathEvaluator:
             seen.add((node, level))
             if level <= 0:
                 continue  # root level: no incoming edges to classify
-            step = path.steps[level - 1]
-            if isinstance(step, FilterStep):
+            code = steps[level - 1][0]
+            if code == _FILTER:
                 # Pass-through level: same node one level down.
                 stack.append((node, level - 1))
-                continue
-            if isinstance(step, (LabelStep, WildcardStep)):
-                matched_parents = self._arrivals[level].get(node, set())
-                for parent in store.parents_of(node):
-                    if parent in matched_parents:
-                        stack.append((parent, level - 1))
-                    else:
-                        S.add(parent)
-                continue
-            if isinstance(step, DescendantStep):
-                region = self._regions[level]
-                prev_context = set(result.contexts[level - 1])
-                in_prev = node in prev_context
-                for parent in store.parents_of(node):
+            elif code == _DESCENDANT:
+                region = match.regions[level]
+                in_prev = node in match.members(level - 1)
+                for parent in parents_of(node):
                     if parent in region:
                         stack.append((parent, level))
                     elif not in_prev:
                         S.add(parent)
                 if in_prev:
                     stack.append((node, level - 1))
-                continue
-            raise TypeError(f"unknown step {step!r}")  # pragma: no cover
+            else:
+                # A node the walk placed at this level without the step
+                # having reached it has no matched parent at all.
+                matched = (
+                    match.members(level - 1)
+                    if node in match.members(level)
+                    else ()
+                )
+                for parent in parents_of(node):
+                    if parent in matched:
+                        stack.append((parent, level - 1))
+                    else:
+                        S.add(parent)
+
+
+class _Match:
+    """The matched structure of one evaluation, owned by the call.
+
+    ``contexts[i]`` is ``C_i`` in document-like order; ``regions[i]`` is
+    the descendant-or-self closure a ``//`` step ``i`` ranges over (a
+    set, a MaskView or ``L`` itself — only membership is used).  Level
+    ``i`` means "member of ``C_i``"; for a ``//`` step the whole region
+    lives at level ``i``.
+    """
+
+    __slots__ = ("steps", "contexts", "regions", "_members")
+
+    def __init__(self, steps: list[tuple], start: list[int]):
+        self.steps = steps
+        self.contexts: list[list[int]] = [start]
+        self.regions: dict[int, object] = {}
+        self._members: dict[int, object] = {}
+
+    def result(self, path: XPath) -> EvalResult:
+        return EvalResult(
+            path, targets=list(self.contexts[-1]), contexts=self.contexts
+        )
+
+    def members(self, level: int):
+        """``C_level`` as a membership container, built on first use."""
+        members = self._members.get(level)
+        if members is None:
+            members = self.regions.get(level)  # a // context is its region
+            if members is None:
+                members = set(self.contexts[level])
+            self._members[level] = members
+        return members
+
+    def entry_parents(self, level: int, node: int, parents_of) -> list[int]:
+        """Sorted parents through which ``node ∈ C_level`` entered it:
+        its parents in the previous context (child step) or in the
+        region (``//`` step); filter levels pass the question down, and
+        the start context was entered through no edge."""
+        steps = self.steps
+        while level and steps[level - 1][0] == _FILTER:
+            level -= 1
+        if not level:
+            return []
+        if steps[level - 1][0] == _DESCENDANT:
+            inside = self.regions[level]
+        else:
+            inside = self.members(level - 1)
+        return sorted(p for p in parents_of(node) if p in inside)
 
 
 class _Program:
-    """Compiled filter expressions of one query (integer-indexed plans).
+    """One compiled query (integer-indexed plans).
 
-    - ``path_plans[j] = (ops, value)``: a filter path with an optional
-      terminal value test; each op is ``(0, label)`` / ``(1,)`` wildcard /
-      ``(2, filter_index)`` / ``(3,)`` descendant-or-self.
+    - ``steps``: the query's own steps as ops — ``(_LABEL, label)`` /
+      ``(_WILDCARD,)`` / ``(_FILTER, filter_index)`` / ``(_DESCENDANT,)``.
+    - ``path_plans[j] = (ops, value)``: a filter path (same ops) with an
+      optional terminal value test.
     - ``filter_plans[k]``: ``(0, label)`` label test, ``(1, path_index)``
       path existence (incl. value tests), ``(2, (k...))`` and,
       ``(3, (k...))`` or, ``(4, k)`` not.
     - ``units``: the evaluation order — inner expressions first, so the
       per-node sweep can run plans in list order.
+    - ``lazy``: no filter path has a descendant op, so filter truth can
+      be computed on demand by recursion over the plans.
     """
 
     def __init__(self) -> None:
+        self.steps: list[tuple] = []
         self.units: list[tuple[str, int]] = []
         self.path_plans: list[tuple[list[tuple], str | None]] = []
         self.filter_plans: list[tuple] = []
         self.path_index: dict[_PathKey, int] = {}
         self.filter_index: dict[Filter, int] = {}
+        self.lazy = True
 
 
 class _FilterValues:
     """Per-node truth tables for every compiled expression."""
 
     def __init__(self, program: _Program):
-        self.program = program
         self.ex_tables = [
             [dict() for _ in range(len(ops) + 1)]
             for ops, _ in program.path_plans
@@ -479,26 +515,23 @@ class _FilterValues:
         ]
         self.f_tables = [dict() for _ in program.filter_plans]
 
-    def filter_holds(self, filt: Filter, node: int) -> bool:
-        index = self.program.filter_index.get(filt)
-        if index is None:  # pragma: no cover - compiler registers all
-            return False
+    def holds(self, index: int, node: int) -> bool:
+        """Truth of filter plan ``index`` at ``node`` (unswept: False)."""
         return self.f_tables[index].get(node, False)
 
 
 class _LazyFilterValues:
     """On-demand, memoized filter truth — for filters without ``//``.
 
-    Presents the same ``filter_holds`` interface as
-    :class:`_FilterValues` but evaluates each (expression, node) pair
-    only when the top-down pass asks for it, recursing over the *plan*
-    (bounded by the filter's step count) rather than the data.  Plans
-    containing descendant-or-self ops (code 3) would recurse over the
-    possibly deep DAG, so the compiler keeps those on the bottom-up
-    sweep instead.
+    Presents the same ``holds`` interface as :class:`_FilterValues` but
+    evaluates each (expression, node) pair only when the top-down pass
+    asks for it, recursing over the *plan* (bounded by the filter's step
+    count) rather than the data.  Plans containing descendant-or-self
+    ops would recurse over the possibly deep DAG, so those stay on the
+    bottom-up sweep (``_Program.lazy``).
     """
 
-    def __init__(self, program: _Program, store):
+    def __init__(self, program: _Program, store: ViewStore):
         self.program = program
         self.store = store
         self._f_memo: list[dict[int, bool]] = [
@@ -509,13 +542,7 @@ class _LazyFilterValues:
             for ops, _ in program.path_plans
         ]
 
-    def filter_holds(self, filt: Filter, node: int) -> bool:
-        index = self.program.filter_index.get(filt)
-        if index is None:  # pragma: no cover - compiler registers all
-            return False
-        return self._filter(index, node)
-
-    def _filter(self, index: int, node: int) -> bool:
+    def holds(self, index: int, node: int) -> bool:
         memo = self._f_memo[index]
         cached = memo.get(node)
         if cached is not None:
@@ -527,11 +554,11 @@ class _LazyFilterValues:
         elif code == 1:  # exists/value path
             result = self._ex(plan[1], 0, node)
         elif code == 2:  # and
-            result = all(self._filter(k, node) for k in plan[1])
+            result = all(self.holds(k, node) for k in plan[1])
         elif code == 3:  # or
-            result = any(self._filter(k, node) for k in plan[1])
+            result = any(self.holds(k, node) for k in plan[1])
         else:  # code == 4: not
-            result = not self._filter(plan[1], node)
+            result = not self.holds(plan[1], node)
         memo[node] = result
         return result
 
@@ -541,45 +568,54 @@ class _LazyFilterValues:
         if cached is not None:
             return cached
         ops, value = self.program.path_plans[pindex]
+        store = self.store
         if i == len(ops):
-            result = (
-                True if value is None
-                else self.store.value_of(node) == value
+            result = value is None or store.value_of(node) == value
+        elif ops[i][0] == _FILTER:
+            result = self.holds(ops[i][1], node) and self._ex(
+                pindex, i + 1, node
             )
+        elif ops[i][0] == _DESCENDANT:  # pragma: no cover - _Program.lazy
+            raise AssertionError("descendant plans require the bottom-up sweep")
         else:
-            op = ops[i]
-            code = op[0]
-            if code == 0:  # label step
-                label = op[1]
-                type_of = self.store.type_of
-                result = any(
-                    type_of(c) == label and self._ex(pindex, i + 1, c)
-                    for c in self.store.children_of(node)
-                )
-            elif code == 1:  # wildcard
-                result = any(
-                    self._ex(pindex, i + 1, c)
-                    for c in self.store.children_of(node)
-                )
-            elif code == 2:  # filter step
-                result = (
-                    self._filter(op[1], node)
-                    and self._ex(pindex, i + 1, node)
-                )
-            else:  # pragma: no cover - excluded by the caller
-                raise AssertionError(
-                    "descendant plans require the bottom-up sweep"
-                )
+            label = ops[i][1] if ops[i][0] == _LABEL else None
+            type_of = store.type_of
+            result = False
+            for c in store.children_of(node):
+                if (label is None or type_of(c) == label) and self._ex(
+                    pindex, i + 1, c
+                ):
+                    result = True
+                    break
         memo[node] = result
         return result
 
 
+@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _compile(path: XPath) -> _Program:
+    """The compiled program of ``path`` — shared, never mutated after."""
     program = _Program()
-    for step in path.steps:
-        if isinstance(step, FilterStep):
-            _compile_filter(step.filter, program)
+    program.steps = _compile_steps(path, program)
+    program.lazy = not any(
+        op[0] == _DESCENDANT for ops, _ in program.path_plans for op in ops
+    )
     return program
+
+
+def _compile_steps(path: XPath, program: _Program) -> list[tuple]:
+    ops: list[tuple] = []
+    for step in path.steps:
+        if isinstance(step, LabelStep):
+            ops.append((_LABEL, step.label))
+        elif isinstance(step, WildcardStep):
+            ops.append((_WILDCARD,))
+        elif isinstance(step, FilterStep):
+            ops.append((_FILTER, _compile_filter(step.filter, program)))
+        elif isinstance(step, DescendantStep):
+            ops.append((_DESCENDANT,))
+        else:  # pragma: no cover - exhaustive
+            raise TypeError(f"unknown step {step!r}")
+    return ops
 
 
 def _compile_path(path: XPath, value: str | None, program: _Program) -> int:
@@ -587,18 +623,7 @@ def _compile_path(path: XPath, value: str | None, program: _Program) -> int:
     existing = program.path_index.get(key)
     if existing is not None:
         return existing
-    ops: list[tuple] = []
-    for step in path.steps:
-        if isinstance(step, LabelStep):
-            ops.append((0, step.label))
-        elif isinstance(step, WildcardStep):
-            ops.append((1,))
-        elif isinstance(step, FilterStep):
-            ops.append((2, _compile_filter(step.filter, program)))
-        elif isinstance(step, DescendantStep):
-            ops.append((3,))
-        else:  # pragma: no cover - exhaustive
-            raise TypeError(f"unknown step {step!r}")
+    ops = _compile_steps(path, program)
     index = len(program.path_plans)
     program.path_plans.append((ops, value))
     program.path_index[key] = index

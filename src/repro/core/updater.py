@@ -7,7 +7,7 @@ through the paper's phases, each timed individually (the evaluation
 section reports them separately):
 
 1. **validate** — static DTD validation (Section 2.4);
-2. **xpath** — two-pass evaluation on the DAG: ``r[[p]]``, ``Ep(r)``,
+2. **xpath** — demand-driven evaluation on the DAG: ``r[[p]]``, ``Ep(r)``,
    side effects (Section 3.2);
 3. **translate_v** — ``ΔX → ΔV`` via Xinsert/Xdelete (Section 3.3);
 4. **translate_r** — ``ΔV → ΔR`` via Algorithm delete / Algorithm insert

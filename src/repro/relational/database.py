@@ -29,6 +29,10 @@ class Table:
         self._rows: dict[tuple, tuple] = {}
         # index attrs -> value-tuple -> set of primary keys
         self._indexes: dict[tuple[str, ...], dict[tuple, set[tuple]]] = {}
+        # primary key -> insertion rank (monotone, never reused): lets an
+        # index probe hand its rows back in ``rows()`` order.
+        self._rank: dict[tuple, int] = {}
+        self._next_rank = 0
 
     # -- size / membership ----------------------------------------------------
 
@@ -64,6 +68,8 @@ class Table:
                 f"duplicate key {key} in relation {self.schema.name!r}"
             )
         self._rows[key] = row
+        self._rank[key] = self._next_rank
+        self._next_rank += 1
         for attrs, index in self._indexes.items():
             index.setdefault(self.schema.project(row, attrs), set()).add(key)
         return row
@@ -77,6 +83,7 @@ class Table:
             raise KeyConstraintError(
                 f"no row with key {key} in relation {self.schema.name!r}"
             ) from None
+        del self._rank[key]
         for attrs, index in self._indexes.items():
             value = self.schema.project(row, attrs)
             bucket = index.get(value)
@@ -129,10 +136,46 @@ class Table:
             if self.schema.project(row, attrs) == tuple(values)
         ]
 
+    def prober(self, attrs: Sequence[str]):
+        """A point-lookup function for joins, or ``None`` without an index.
+
+        The returned ``probe(values)`` lists the rows whose ``attrs``
+        projection equals ``values`` **in** :meth:`rows` **order**, read
+        through the most selective single-attribute index among
+        ``attrs`` (most distinct values) and filtered on the rest — what
+        hashing the whole table on ``attrs`` and looking ``values`` up
+        would return, at the cost of one bucket instead of ``|table|``.
+        """
+        indexed = [
+            (len(self._indexes[(attr,)]), i)
+            for i, attr in enumerate(attrs)
+            if (attr,) in self._indexes
+        ]
+        if not indexed:
+            return None
+        _, lead = max(indexed)
+        index = self._indexes[(attrs[lead],)]
+        positions = [self.schema.index_of(attr) for attr in attrs]
+        rows, rank, key_of = self._rows, self._rank, self.schema.key_of
+
+        def probe(values: tuple) -> list[tuple]:
+            found = [
+                row
+                for row in map(rows.__getitem__, index.get((values[lead],), ()))
+                if all(row[p] == v for p, v in zip(positions, values))
+            ]
+            if len(found) > 1:
+                found.sort(key=lambda row: rank[key_of(row)])
+            return found
+
+        return probe
+
     def copy(self) -> "Table":
         """Deep-enough copy (rows are immutable tuples)."""
         clone = Table(self.schema)
         clone._rows = dict(self._rows)
+        clone._rank = dict(self._rank)
+        clone._next_rank = self._next_rank
         for attrs in self._indexes:
             clone.create_index(attrs)
         return clone
@@ -307,6 +350,7 @@ class Database:
         for name, table in self._tables.items():
             rows = tables.get(name, [])
             table._rows.clear()
+            table._rank.clear()
             for index in table._indexes.values():
                 index.clear()
             for row in rows:

@@ -17,7 +17,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.relational.conditions import (
@@ -174,8 +174,13 @@ class SPJQuery:
         if always_false:
             return QueryResult()
 
+        # An alias without filters of its own ranges over its whole
+        # table: ``None``, so the join can probe an index instead of
+        # listing (and hashing) every row.
         candidates = {
-            alias: self._candidate_rows(db, alias, alias_filters.get(alias, []))
+            alias: self._candidate_rows(db, alias, alias_filters[alias])
+            if alias in alias_filters
+            else None
             for alias in self.aliases
         }
 
@@ -336,27 +341,47 @@ def _term_on_row(term, row: tuple, schema: RelationSchema):
 
 _NEVER = object()
 
+#: A join probes an index per assignment (instead of hashing the joined
+#: table once) when the table is at least this many times larger than
+#: the assignment list: a probe walks one bucket and re-checks the other
+#: join columns, a hash build touches every row once.
+_PROBE_ADVANTAGE = 4
+
 
 def _join(
     query: SPJQuery,
     db: Database,
-    candidates: dict[str, list[tuple]],
+    candidates: dict[str, list[tuple] | None],
     join_edges: list[tuple[Col, Col]],
 ) -> list[Assignment]:
     """Greedy hash-join over the equi-join edges.
 
     Starts from the smallest candidate set, repeatedly joins in the alias
     with the most join edges into the bound set (falling back to a
-    cartesian product for disconnected aliases).
+    cartesian product for disconnected aliases).  ``None`` candidates
+    mean the alias's whole table; when few assignments meet such a table
+    and one of the join columns is indexed, the join probes the index
+    per assignment instead of hashing the table — same rows, same order.
     """
     aliases = list(query.aliases)
     if not aliases:
         return []
 
+    def table_of(alias: str):
+        return db.table(query.relation_of(alias))
+
+    def size(alias: str) -> int:
+        rows = candidates[alias]
+        return len(table_of(alias)) if rows is None else len(rows)
+
+    def rows_of(alias: str) -> Iterable[tuple]:
+        rows = candidates[alias]
+        return table_of(alias).rows() if rows is None else rows
+
     remaining = set(aliases)
-    start = min(remaining, key=lambda a: (len(candidates[a]), aliases.index(a)))
+    start = min(remaining, key=lambda a: (size(a), aliases.index(a)))
     remaining.discard(start)
-    assignments: list[Assignment] = [{start: row} for row in candidates[start]]
+    assignments: list[Assignment] = [{start: row} for row in rows_of(start)]
     bound = {start}
 
     while remaining:
@@ -369,9 +394,7 @@ def _join(
                 or (r.alias == alias and l.alias in bound)
             )
 
-        next_alias = max(
-            remaining, key=lambda a: (edge_count(a), -len(candidates[a]))
-        )
+        next_alias = max(remaining, key=lambda a: (edge_count(a), -size(a)))
         edges = [
             (l, r) if r.alias == next_alias else (r, l)
             for l, r in join_edges
@@ -380,23 +403,35 @@ def _join(
         ]
         # edges: list of (bound_col, new_col)
         schema = db.schema(query.relation_of(next_alias))
-        new_rows = candidates[next_alias]
         if edges:
-            new_idx = [schema.index_of(col.attr) for _, col in edges]
-            hashed: dict[tuple, list[tuple]] = {}
-            for row in new_rows:
-                hashed.setdefault(tuple(row[i] for i in new_idx), []).append(row)
+            matches = None
+            if (
+                candidates[next_alias] is None
+                and len(assignments) * _PROBE_ADVANTAGE <= size(next_alias)
+            ):
+                matches = table_of(next_alias).prober(
+                    [col.attr for _, col in edges]
+                )
+            if matches is None:
+                new_idx = [schema.index_of(col.attr) for _, col in edges]
+                hashed: dict[tuple, list[tuple]] = {}
+                for row in rows_of(next_alias):
+                    hashed.setdefault(
+                        tuple(row[i] for i in new_idx), []
+                    ).append(row)
+                matches = hashed.get
             out: list[Assignment] = []
             for assignment in assignments:
                 probe = tuple(
                     _column_value(col, assignment, query, db) for col, _ in edges
                 )
-                for row in hashed.get(probe, ()):
+                for row in matches(probe) or ():
                     extended = dict(assignment)
                     extended[next_alias] = row
                     out.append(extended)
             assignments = out
         else:
+            new_rows = list(rows_of(next_alias))
             assignments = [
                 {**assignment, next_alias: row}
                 for assignment in assignments

@@ -12,7 +12,12 @@ registry picks the cheapest sound action:
   only the generation tag advances;
 - **suffix re-evaluation** — the earliest affected step is ``k > 0``:
   contexts ``C_0 .. C_k`` are intact, so only ``steps[k:]`` re-runs
-  from the cached ``C_k`` (:meth:`DagXPathEvaluator.evaluate_from`);
+  from the cached ``C_k`` (:meth:`DagXPathEvaluator.evaluate_from`) —
+  or, when no filter of the suffix can have changed its truth and the
+  event's *cone* (the changed edges' children and their descendants) is
+  smaller than ``C_k``, memberships are re-derived inside the cone only
+  (:meth:`SubscriptionRegistry._refresh_cone`): a ``//`` query whose
+  ``C_k`` is every node then costs what the event touched;
 - **full re-evaluation** — the event is coarse (store rebuilds, or the
   cost-based fallback coarsened an oversized edge list — see
   :data:`DEFAULT_COARSE_THRESHOLD`), step 0 is affected, or no contexts
@@ -46,7 +51,12 @@ from repro.subscribe.deps import (
     first_affected_step,
     profile_query,
 )
-from repro.xpath.ast import DescendantStep, XPath
+from repro.xpath.ast import (
+    DescendantStep,
+    FilterStep,
+    LabelStep,
+    XPath,
+)
 from repro.xpath.parser import parse_xpath
 
 _STAT_KEYS = (
@@ -57,6 +67,10 @@ _STAT_KEYS = (
     "coarse_fallbacks",
     "closure_patches",
 )
+
+#: ``//`` as a one-step path: the descendant-or-self closure of a start
+#: context, ancestors first (:meth:`SubscriptionRegistry._refresh_cone`).
+_DESCENDANTS = XPath((DescendantStep(),))
 
 #: Above this many edges in one event, scanning every subscription's
 #: per-step patterns against every edge costs more than simply
@@ -102,8 +116,9 @@ class Subscription:
         type-level candidate pass must always consider it."""
         self._nodes: tuple[int, ...] = ()
         self._delta: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-        self._contexts: list[list[int]] | None = None
-        self._context_sets: list[frozenset] | None = None
+        self._contexts: list[set[int]] | None = None
+        """Membership of ``C_0 .. C_n`` as of ``_generation`` — what
+        events are pruned against and patched in place."""
         self._closure_consumer = False
         """True while this (leading-``//``) subscription holds a slot in
         ``updater.closure_consumers``."""
@@ -305,6 +320,8 @@ class SubscriptionRegistry:
         self._ledger_gen = -1
         """Generation of the last batched event (what a lazy skip
         fast-forwards ``_generation`` to)."""
+        self._cone: tuple[ViewEvent, list[int], set[int]] | None = None
+        """The last maintained event's cone (see :meth:`_cone_of`)."""
         self._watchers: dict[int, set[Subscription]] = {}
         """Node-level inverted watch index: node id → the
         fully-sharpenable subscriptions with that node in a watched
@@ -562,7 +579,7 @@ class SubscriptionRegistry:
         ``None``: the subscription must stay a candidate whenever its
         type/value buckets match.
         """
-        context_sets = sub._context_sets
+        context_sets = sub._contexts
         if context_sets is None:
             return None
         watched: set = set()
@@ -614,7 +631,7 @@ class SubscriptionRegistry:
         action (re)built cached contexts — the caller must then refresh
         the subscription's watch-index entries."""
         old = sub._nodes
-        k = first_affected_step(sub.profile, event, sub._context_sets)
+        k = first_affected_step(sub.profile, event, sub._contexts)
         if k is None:
             sub._stats["skips"] += 1
             sub._delta = ((), ())
@@ -628,7 +645,7 @@ class SubscriptionRegistry:
             self._refresh_full(sub)
             sub._stats["full_refreshes"] += 1
         else:
-            self._refresh_suffix(sub, k)
+            self._refresh_suffix(sub, k, event)
             sub._stats["suffix_refreshes"] += 1
         sub._delta = _diff(old, sub._nodes)
         sub._generation = event.generation
@@ -665,8 +682,8 @@ class SubscriptionRegistry:
         steps = sub.query.steps
         if not steps or not isinstance(steps[0], DescendantStep):
             return None
-        contexts, context_sets = sub._contexts, sub._context_sets
-        if contexts is None or context_sets is None or len(contexts) < 2:
+        contexts = sub._contexts
+        if contexts is None or len(contexts) < 2:
             return None
         root = self.updater.store.root_id
         if root is None:
@@ -674,24 +691,19 @@ class SubscriptionRegistry:
         added_pairs, removed_pairs = event.closure
         entered = {d for a, d in added_pairs if a == root}
         left = {d for a, d in removed_pairs if a == root}
-        k2 = first_affected_step(
-            sub.profile, event, context_sets, start=1
-        )
+        k2 = first_affected_step(sub.profile, event, contexts, start=1)
         if k2 is not None and entered:
             # New chains and damage beyond the ``//`` at once: merging
             # both soundly equals a full pass, so just run one.
             return None
         if left:
-            for i in range(1, len(contexts)):
-                if left & context_sets[i]:
-                    contexts[i] = [n for n in contexts[i] if n not in left]
-                    context_sets[i] = frozenset(contexts[i])
+            for context in contexts[1:]:
+                context -= left
             sub._nodes = tuple(n for n in sub._nodes if n not in left)
         if entered:
-            contexts[1] = [*contexts[1], *sorted(entered)]
-            context_sets[1] = frozenset(contexts[1])
+            contexts[1] |= entered
         if k2 is not None:
-            self._refresh_suffix(sub, k2)
+            self._refresh_suffix(sub, k2, event)
             return "suffix_refreshes"
         if entered:
             suffix = XPath(steps[1:])
@@ -699,10 +711,7 @@ class SubscriptionRegistry:
                 suffix, start=sorted(entered)
             )
             for j, partial in enumerate(result.contexts[1:], start=2):
-                fresh = [n for n in partial if n not in context_sets[j]]
-                if fresh:
-                    contexts[j] = [*contexts[j], *fresh]
-                    context_sets[j] = frozenset(contexts[j])
+                contexts[j].update(partial)
             if result.targets:
                 sub._nodes = tuple(
                     sorted(set(sub._nodes) | set(result.targets))
@@ -711,26 +720,117 @@ class SubscriptionRegistry:
 
     def _refresh_full(self, sub: Subscription) -> None:
         result = self.updater.evaluator().evaluate_from(sub.query)
-        sub._contexts = [list(c) for c in result.contexts]
-        sub._context_sets = [frozenset(c) for c in sub._contexts]
+        sub._contexts = [set(c) for c in result.contexts]
         sub._nodes = tuple(sorted(result.targets))
 
-    def _refresh_suffix(self, sub: Subscription, k: int) -> None:
+    def _refresh_suffix(self, sub: Subscription, k: int, event: ViewEvent) -> None:
+        """Re-derive ``C_{k+1} ..`` from the intact ``C_k`` — only below
+        ``event``'s changed edges when that is sound and cheaper."""
         assert sub._contexts is not None and len(sub._contexts) > k
+        if self._refresh_cone(sub, k, event):
+            return
         suffix = XPath(sub.query.steps[k:])
         result = self.updater.evaluator().evaluate_from(
             suffix, start=list(sub._contexts[k])
         )
-        sub._contexts = [
-            *sub._contexts[: k + 1],
-            *[list(c) for c in result.contexts[1:]],
-        ]
-        assert sub._context_sets is not None
-        sub._context_sets = [
-            *sub._context_sets[: k + 1],
-            *[frozenset(c) for c in result.contexts[1:]],
-        ]
+        sub._contexts[k + 1 :] = [set(c) for c in result.contexts[1:]]
         sub._nodes = tuple(sorted(result.targets))
+
+    def _refresh_cone(self, sub: Subscription, k: int, event: ViewEvent) -> bool:
+        """A suffix refresh restricted to the event's *cone*.
+
+        Whether a node belongs to a step context depends on the
+        root-to-node paths and on filter truth along them.  Every path
+        an event edge creates or destroys ends in the cone — the changed
+        edges' children and their descendants — so as long as no filter
+        of the suffix can have changed its truth, a node outside the
+        cone keeps its membership in every context.  Inside the cone,
+        membership is re-derived node by node from the parents,
+        ancestors first: in ``C_{j+1}`` iff a parent is in ``C_j``
+        (child step), iff the node is in ``C_j`` or a parent is in
+        ``C_{j+1}`` (``//``), iff in ``C_j`` and the filter holds there.
+        A leading-``//`` subscription's refresh then costs what the
+        event touched instead of one pass over every node.
+
+        Returns ``False`` — nothing modified — when the restriction does
+        not apply: an event edge matches a pattern of one of the
+        suffix's filter steps (truth may have changed outside the cone),
+        a cached context is missing, or the cone is no smaller than the
+        context an ordinary suffix refresh would restart from.
+        """
+        steps = sub.query.steps
+        contexts = sub._contexts
+        if len(contexts) != len(steps) + 1:
+            return False  # evaluation stopped at an empty context
+        for j in range(k, len(steps)):
+            if isinstance(steps[j], FilterStep) and any(
+                pattern.matches(rec)
+                for pattern in sub.profile.per_step[j]
+                for rec in event.edges
+            ):
+                return False
+        cone, stale = self._cone_of(event)
+        if len(cone) >= len(contexts[k]):
+            return False
+        store = self.updater.store
+        evaluator = self.updater.evaluator()
+        parents_of, type_of = store.parents_of, store.type_of
+        current = contexts[k]
+        for j in range(k, len(steps)):
+            step, old = steps[j], contexts[j + 1]
+            if isinstance(step, FilterStep):
+                inside = [node for node in cone if node in current]
+                if inside:
+                    inside = evaluator.evaluate_from(
+                        XPath((step,)), start=inside
+                    ).targets
+                members = set(inside)
+            elif isinstance(step, DescendantStep):
+                members = set()
+                for node in cone:
+                    if node in current or any(
+                        p in members or (p in old and p not in stale)
+                        for p in parents_of(node)
+                    ):
+                        members.add(node)
+            else:
+                label = step.label if isinstance(step, LabelStep) else None
+                members = {
+                    node
+                    for node in cone
+                    if (label is None or type_of(node) == label)
+                    and any(p in current for p in parents_of(node))
+                }
+            if j + 1 == len(steps) and old & stale != members:
+                sub._nodes = tuple(sorted((old - stale) | members))
+            old -= stale
+            old |= members
+            if not old:
+                # Like the evaluator: nothing follows an empty context.
+                del contexts[j + 2 :]
+                sub._nodes = ()
+                break
+            current = old
+        return True
+
+    def _cone_of(self, event: ViewEvent) -> tuple[list[int], set[int]]:
+        """``event``'s cone, ancestors first like every ``//`` context,
+        and the nodes whose memberships it leaves open: the cone plus
+        the changed edges' children that were collected (members of
+        nothing now).  Computed once per event, for all subscriptions."""
+        if self._cone is None or self._cone[0] is not event:
+            store = self.updater.store
+            touched = {rec.child for rec in event.edges}
+            live = [node for node in touched if store.has_node(node)]
+            cone = (
+                self.updater.evaluator()
+                .evaluate_from(_DESCENDANTS, start=live)
+                .targets
+                if live
+                else []
+            )
+            self._cone = (event, cone, touched.union(cone))
+        return self._cone[1], self._cone[2]
 
     # -- the read path --------------------------------------------------------------
 

@@ -19,6 +19,7 @@ delimiting quote itself may appear doubled — 'it''s' denotes the string
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
@@ -108,8 +109,13 @@ class _Tokens:
         return self.index >= len(self.items)
 
 
+@lru_cache(maxsize=1024)
 def parse_xpath(text: str) -> XPath:
-    """Parse an XPath expression of the supported fragment."""
+    """Parse an XPath expression of the supported fragment.
+
+    Memoised (bounded): services re-parse the same few path strings per
+    op, and the AST is immutable, so callers may share the result.
+    """
     tokens = _Tokens(text)
     path = _parse_path(tokens)
     if not tokens.done():

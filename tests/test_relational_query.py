@@ -272,3 +272,127 @@ class TestIndexUsage:
             And(Eq(Col("r", "b"), Const("x")), Eq(Col("r", "a"), Const(3))),
         )
         assert query.evaluate(db).rows == [(3,)]
+
+
+class TestIndexProbeJoin:
+    """The join probes an index instead of hashing a large table; the
+    rows — and their order, which publishing and ΔR depend on — must be
+    what the hash join returns."""
+
+    @staticmethod
+    def _database(seed):
+        import random
+
+        rng = random.Random(seed)
+        database = Database()
+        database.create_table(
+            RelationSchema(
+                "big",
+                [("k", AttrType.INT), ("g", AttrType.INT), ("h", AttrType.INT)],
+                ["k"],
+            )
+        )
+        database.create_table(
+            RelationSchema(
+                "link", [("p", AttrType.INT), ("k", AttrType.INT)], ["p", "k"]
+            )
+        )
+        big, link = database.table("big"), database.table("link")
+        big.create_index(("g",))
+        big.create_index(("k",))
+        link.create_index(("k",))
+        keys = list(range(60))
+        rng.shuffle(keys)
+        for k in keys:
+            big.insert((k, rng.randrange(5), rng.randrange(3)))
+        for _ in range(150):
+            row = (rng.randrange(8), rng.randrange(60))
+            if not link.has_key(row):
+                link.insert(row)
+        # Deletes and re-inserts move rows to the end of rows() order.
+        for k in rng.sample(keys, 15):
+            row = big.delete_by_key((k,))
+            if rng.random() < 0.7:
+                big.insert(row)
+        for key in rng.sample(list(link.keys()), 20):
+            link.delete_by_key(key)
+            if rng.random() < 0.5:
+                link.insert(key)
+        return database
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_rows_same_order_as_hash_join(self, seed, monkeypatch):
+        from repro.relational import query as query_module
+
+        database = self._database(seed)
+        queries = [
+            # few big rows (indexed g, unindexed h) meet all of link on k
+            q(
+                [("big", "b"), ("link", "l")],
+                [("p", Col("l", "p")), ("k", Col("b", "k"))],
+                And(Eq(Col("b", "g"), Const(2)), Eq(Col("b", "k"), Col("l", "k"))),
+            ),
+            # one link row meets all of big on its key
+            q(
+                [("link", "l"), ("big", "b")],
+                [("g", Col("b", "g")), ("p", Col("l", "p"))],
+                And(
+                    Eq(Col("l", "p"), Const(3)),
+                    Eq(Col("l", "k"), Const(7)),
+                    Eq(Col("l", "k"), Col("b", "k")),
+                ),
+            ),
+            # two join columns, only one of them indexed
+            q(
+                [("big", "x"), ("big", "y")],
+                [("x", Col("x", "k")), ("y", Col("y", "k"))],
+                And(
+                    Eq(Col("x", "k"), Const(11)),
+                    Eq(Col("x", "g"), Col("y", "g")),
+                    Eq(Col("x", "h"), Col("y", "h")),
+                ),
+            ),
+        ]
+        for query in queries:
+            monkeypatch.setattr(query_module, "_PROBE_ADVANTAGE", 10**9)
+            hashed = query.evaluate(database, with_derivations=True)
+            monkeypatch.setattr(query_module, "_PROBE_ADVANTAGE", 0)
+            probed = query.evaluate(database, with_derivations=True)
+            assert probed.rows == hashed.rows
+            assert probed.derivations == hashed.derivations
+
+    def test_point_query_does_not_list_the_joined_table(self, monkeypatch):
+        database = self._database(0)
+        big = database.table("big")
+        listed = []
+        monkeypatch.setattr(
+            big, "rows", lambda: listed.append(1) or iter(big._rows.values())
+        )
+        p, k = next(
+            key for key in database.table("link").keys() if big.has_key(key[1:])
+        )
+        query = q(
+            [("link", "l"), ("big", "b")],
+            [("k", Col("b", "k"))],
+            And(
+                Eq(Col("l", "p"), Const(p)),
+                Eq(Col("l", "k"), Const(k)),
+                Eq(Col("l", "k"), Col("b", "k")),
+            ),
+        )
+        assert query.evaluate(database).rows == [(k,)]
+        assert not listed
+
+    def test_copy_and_load_state_keep_probe_order(self):
+        database = self._database(1)
+        clone = database.copy()
+        restored = self._database(2)
+        restored.load_state(database.export_state())
+        for other in (clone, restored):
+            for name in ("big", "link"):
+                attrs = ["g"] if name == "big" else ["k"]
+                ours = database.table(name).prober(attrs)
+                theirs = other.table(name).prober(attrs)
+                for value in range(60):
+                    assert ours((value,)) == theirs((value,))
+        assert database.table("link").prober(["p"]) is None  # no index

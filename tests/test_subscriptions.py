@@ -442,6 +442,165 @@ def test_synthetic_batched_sessions_equivalence():
 
 
 # ---------------------------------------------------------------------------
+# Cone-restricted suffix refresh (``//`` subscriptions cost what changed)
+# ---------------------------------------------------------------------------
+
+
+def assert_contexts_current(service, subs, tag=""):
+    """The *cached contexts* — what the next event is pruned and patched
+    against — equal a fresh evaluation's, not just the result."""
+    evaluator = service.updater.evaluator()
+    for sub in subs:
+        fresh = evaluator.evaluate_from(sub.query)
+        assert sub.result() == tuple(sorted(fresh.targets)), (tag, sub.path)
+        assert sub._contexts == [set(c) for c in fresh.contexts], (
+            f"{tag}: cached contexts of {sub.path!r} drifted"
+        )
+
+
+def cone_refreshes(registry):
+    """Instrument ``registry``: count cone refreshes that applied."""
+    applied = []
+    original = registry._refresh_cone
+
+    def counting(sub, k, event):
+        done = original(sub, k, event)
+        if done:
+            applied.append(sub.path)
+        return done
+
+    registry._refresh_cone = counting
+    return applied
+
+
+def descendant_queries(dataset):
+    """``//`` in every position, over keys the synthetic view has."""
+    desc = make_query_set(dataset, count=8, descendant_fraction=1.0)[:4]
+    a, b = desc[0].split("key=")[1].split("]")[0], 7
+    return desc + [
+        "//cnode",
+        f"//cnode[key={a}]",
+        f"//sub/cnode[key={b}]",
+        f"cnode[key={b}]//cnode",
+        f"//cnode[key={a}]/sub//cnode",
+        f"//*[key={a}]//sub/*",
+        f"//cnode[not(key={a})]/sub/cnode[key={b}]",
+    ]
+
+
+class TestConeRefresh:
+    def test_descendant_subscriptions_track_a_mixed_stream(self):
+        service, dataset = synthetic_service(n_c=120, seed=3)
+        subs = [service.subscribe(q) for q in descendant_queries(dataset)]
+        applied = cone_refreshes(service.subscriptions)
+        ops = []
+        for cls in ("W1", "W2", "W3"):
+            ops.extend(make_workload(dataset, "delete", cls, count=3))
+            ops.extend(make_workload(dataset, "insert", cls, count=3))
+        ops.extend(make_workload(dataset, "replace", "W2", count=3))
+        ops.extend(make_workload(
+            dataset, "insert", "W2", count=3, seed=9, new_key_fraction=1.0
+        ))
+        accepted = []
+        for op in ops:
+            outcome = service.apply(op)
+            if outcome.accepted:
+                accepted.append(outcome)
+            assert_contexts_current(service, subs, f"after {op.kind} {op.path}")
+        service.undo(accepted[-1])
+        assert_contexts_current(service, subs, "after undo")
+        assert service.check_consistency() == []
+        assert len(applied) > len(accepted)  # most events, most queries
+
+    def test_batched_session_is_patched_from_the_coalesced_event(self):
+        service, dataset = synthetic_service(n_c=120, seed=3)
+        subs = [service.subscribe(q) for q in descendant_queries(dataset)]
+        applied = cone_refreshes(service.subscriptions)
+        deletes = make_workload(dataset, "delete", "W2", count=3)
+        inserts = make_workload(
+            dataset, "insert", "W2", count=3, new_key_fraction=0.0
+        )
+        with service.batch() as batch:
+            for delete_op, insert_op in zip(deletes, inserts):
+                batch.apply(delete_op)
+                batch.apply(insert_op)
+        assert_contexts_current(service, subs, "after batch")
+        assert applied
+
+    def test_refresh_costs_the_cone_not_the_view(self):
+        """One shared-edge delete under a ``//a[..]//b[..]`` subscription:
+        the refresh looks at the nodes below the deleted edge, where a
+        suffix re-evaluation from ``C_1`` visits every node."""
+        service, dataset = synthetic_service(n_c=360, seed=42)
+        query = make_query_set(dataset, count=4)[0]
+        assert query.startswith("//")
+        sub = service.subscribe(query)
+        applied = cone_refreshes(service.subscriptions)
+        store = service.updater.store
+        (op,) = make_workload(dataset, "delete", "W2", count=1)
+        assert query.split("key=")[2].rstrip("]") not in op.path
+        visited = []
+        children_of = store.children_of
+        store.children_of = lambda node: visited.append(node) or children_of(node)
+        try:
+            assert service.apply(op).accepted
+        finally:
+            del store.children_of
+        assert applied == [sub.path]
+        assert sub.stats["suffix_refreshes"] == 1
+        assert len(visited) < len(store.node_type) // 4
+        assert_contexts_current(service, [sub], "after cone refresh")
+
+    def test_emptied_context_truncates_like_a_fresh_evaluation(self):
+        """Deleting the one edge a query passes through (its child stays
+        alive under another parent, so no filter edge is collected)
+        empties a mid-path context; the cache must end there, exactly
+        as the evaluator's contexts do."""
+        service, dataset = synthetic_service(n_c=120, seed=3)
+        store = service.updater.store
+        for op in make_workload(dataset, "delete", "W2", count=12):
+            (target,) = service.xpath(op.path).targets
+            if len(store.parents_of(target)) > 1:
+                break
+        else:  # pragma: no cover - dataset invariant
+            pytest.fail("no shared W2 target in the synthetic view")
+        sub = service.subscribe(f"//{op.path}/key")
+        before = sub.result()
+        assert before
+        applied = cone_refreshes(service.subscriptions)
+        outcome = service.apply(op)
+        assert outcome.accepted
+        assert applied == [sub.path]
+        assert sub.result() == ()
+        assert len(sub._contexts) < len(sub.query.steps) + 1
+        assert_contexts_current(service, [sub], "after emptying")
+        # The shortened cache is refilled by an ordinary refresh.
+        service.undo(outcome)
+        assert sub.result() == before
+        assert_contexts_current(service, [sub], "after undo")
+
+    def test_filter_hit_falls_back_to_the_ordinary_refresh(self):
+        """An event edge that can flip a suffix filter (here: the
+        collected node's ``key`` edge carries the compared value) may
+        change memberships outside the cone, so the restriction must
+        not be used."""
+        service, dataset = synthetic_service(n_c=120, seed=3)
+        (insert,) = make_workload(
+            dataset, "insert", "W2", count=1, new_key_fraction=1.0
+        )
+        assert service.apply(insert).accepted
+        key = insert.sem[0]
+        sub = service.subscribe(f"//cnode[key={key}]/sub/cnode")
+        applied = cone_refreshes(service.subscriptions)
+        assert service.apply(
+            DeleteOp(f"{insert.path}/cnode[key={key}]")
+        ).accepted
+        assert sub.stats["suffix_refreshes"] == 1
+        assert not applied
+        assert_contexts_current(service, [sub], "after fallback")
+
+
+# ---------------------------------------------------------------------------
 # Property-based: random op streams never desynchronize a subscription
 # ---------------------------------------------------------------------------
 
