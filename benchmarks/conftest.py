@@ -6,8 +6,8 @@ who wins, orderings), not absolute times.
 
 Benchmarks that compare reachability-index backends additionally record
 per-phase timings via :func:`record_bench`; at session end the records
-are written to ``benchmarks/BENCH_index.json`` so later PRs have a
-machine-readable perf trajectory to diff against.
+are written to ``benchmarks/BENCH_index.json``, an untracked output
+(the gated ledger is ``BENCHMARK.json`` / ``benchmarks/e2e/``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def record_bench(
 def pytest_sessionfinish(session, exitstatus):
     if not BENCH_RECORDS or exitstatus != 0:
         return  # never let a failed/partial run clobber good data
-    # Merge with the committed file so running a benchmark subset only
-    # refreshes its own (experiment, backend, phase) records.
+    # Merge with the previous run's file so running a benchmark subset
+    # only refreshes its own (experiment, backend, phase) records.
     merged: dict[tuple, dict] = {}
     if BENCH_INDEX_PATH.exists():
         try:
@@ -76,8 +76,7 @@ def pytest_sessionfinish(session, exitstatus):
 def fresh_updater(
     n_c: int,
     seed: int = 42,
-    index_backend: str = "auto",
-    capture_closure_deltas: "bool | str" = "auto",
+    index_backend: str = "bitset",
 ):
     """A pristine dataset + updater (mutating benchmarks rebuild per round)."""
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
@@ -88,7 +87,6 @@ def fresh_updater(
         strict=False,
         sat_solver="auto",
         index_backend=index_backend,
-        capture_closure_deltas=capture_closure_deltas,
     )
     return updater, dataset
 

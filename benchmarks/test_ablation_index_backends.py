@@ -1,25 +1,10 @@
 """Ablation: reachability-index backends on the Fig. 11 workloads.
 
-Compares the reference ``sets`` backend against the ``bitset`` and
-NumPy ``matrix`` backends on (a) Algorithm Reach (``compute_reach``)
-over the paper's largest Fig. 11 configuration and (b) the Δ(M,L)
-maintenance phase across the W1–W3 deletion and insertion classes.
-
-Two combined metrics are asserted and persisted, deliberately distinct:
-
-- **capture off** (plain Δ(M,L) repairs): the bitset backend must be
-  ≥3× faster than ``sets``.  At this scale (|C| = 3000, M rows span
-  ~82 machine words) Python's bignum rows and NumPy rows are within a
-  small factor of each other — per-repair regions are small, so NumPy
-  per-call overhead eats the vectorization win.  Both ratios are
-  recorded so the trade-off stays visible.
-- **capture on** (``capture_closure_deltas=True``: every repair also
-  snapshots M and extracts the exact closure pair-delta via the bulk
-  ``diff`` primitive — the feed for the subscription engine's ``//``
-  closure patches): the matrix backend must be ≥10× faster than
-  ``sets``.  This is where the word-packed representation structurally
-  wins: ``copy`` is a memcpy and ``diff`` a bulk XOR, while ``sets``
-  must deep-copy and pairwise-compare every row per repair.
+Compares the reference ``sets`` backend against ``bitset`` on (a)
+Algorithm Reach (``compute_reach``) over the paper's largest Fig. 11
+configuration and (b) the Δ(M,L) maintenance phase across the W1–W3
+deletion and insertion classes: the bitset backend must be ≥3× faster
+than ``sets`` on the combined metric.
 
 Also measures batched update sessions (one deferred maintenance pass
 for N updates) against sequential per-update maintenance.
@@ -46,21 +31,10 @@ LARGEST_FIG11_NC = FIG11_SIZES[-1]
 ALL_BACKENDS = sorted(BACKENDS)
 
 
-def _measure_backend(
-    backend: str, capture: bool = False, n_c: int = LARGEST_FIG11_NC
-) -> dict:
-    """Build + maintenance timings for one backend on one Fig. 11 config.
-
-    With ``capture`` every repair additionally extracts its closure
-    pair-delta (snapshot + bulk ``diff``), i.e. the cost of feeding the
-    subscription engine's ``//`` closure-patch path.
-    """
+def _measure_backend(backend: str, n_c: int = LARGEST_FIG11_NC) -> dict:
+    """Build + maintenance timings for one backend on one Fig. 11 config."""
     reset_fresh_counter()  # identical fresh constants per backend run
-    updater, dataset = fresh_updater(
-        n_c,
-        index_backend=backend,
-        capture_closure_deltas=capture,
-    )
+    updater, dataset = fresh_updater(n_c, index_backend=backend)
     store, topo = updater.store, updater.topo
 
     build_seconds = min(
@@ -112,7 +86,7 @@ def _check_lockstep(results: dict) -> None:
 
 @pytest.mark.perf
 def test_bitset_speedup_on_largest_fig11_config():
-    """Capture-off combined metric: plain build + Δ(M,L) repairs."""
+    """Combined metric: build + Δ(M,L) repairs."""
     results = {b: _measure_backend(b) for b in ALL_BACKENDS}
     for backend, res in results.items():
         record_bench(
@@ -162,62 +136,7 @@ def test_bitset_speedup_on_largest_fig11_config():
 
 
 @pytest.mark.perf
-def test_matrix_speedup_with_closure_deltas_on_largest_fig11_config():
-    """Capture-on combined metric: build + Δ(M,L) repairs where every
-    repair also extracts its exact closure pair-delta (snapshot ``copy``
-    + bulk ``diff``), the feed for ``//`` subscription patches.  The
-    word-packed NumPy matrix turns both into array primitives; ``sets``
-    must deep-copy and pairwise-compare every row, so the gap here is
-    structural, not constant-factor (measured ~50x; asserted ≥10x with
-    ample noise margin).
-    """
-    pytest.importorskip("numpy")
-    results = {
-        b: _measure_backend(b, capture=True) for b in ALL_BACKENDS
-    }
-    for backend, res in results.items():
-        record_bench(
-            "fig11_largest_closure_capture",
-            backend,
-            "compute_reach",
-            res["build"],
-            n_c=LARGEST_FIG11_NC,
-        )
-        record_bench(
-            "fig11_largest_closure_capture",
-            backend,
-            "maintain",
-            res["maintain"],
-            n_c=LARGEST_FIG11_NC,
-            ops=res["ops"],
-        )
-    _check_lockstep(results)
-
-    sets_total = results["sets"]["build"] + results["sets"]["maintain"]
-    for backend in ALL_BACKENDS:
-        if backend == "sets":
-            continue
-        total = results[backend]["build"] + results[backend]["maintain"]
-        record_bench(
-            "fig11_largest_closure_capture",
-            backend,
-            "speedup_vs_sets",
-            0.0,
-            ratio=round(sets_total / total, 2),
-        )
-
-    mat = results["matrix"]
-    matrix_total = mat["build"] + mat["maintain"]
-    ratio = sets_total / matrix_total
-    assert ratio >= 10.0, (
-        f"matrix combined compute+maintenance with closure-delta capture "
-        f"only {ratio:.2f}x faster (sets {sets_total:.4f}s vs matrix "
-        f"{matrix_total:.4f}s)"
-    )
-
-
-@pytest.mark.perf
-def test_three_way_ablation_across_fig11_sizes():
+def test_two_way_ablation_across_fig11_sizes():
     """Per-backend build + maintenance rows at every Fig. 11 size.
 
     No ratio assertions at the smaller sizes (constant factors dominate

@@ -93,11 +93,11 @@ def test_crossover_measured_and_recorded():
         fine = _measure_regime(service, n_edges, coarse=False)
         coarse = _measure_regime(service, n_edges, coarse=True)
         record_bench(
-            "coarse_fallback", "auto", f"fine_scan:{n_edges}", fine,
+            "coarse_fallback", "bitset", f"fine_scan:{n_edges}", fine,
             queries=N_QUERIES,
         )
         record_bench(
-            "coarse_fallback", "auto", f"coarse_reeval:{n_edges}", coarse,
+            "coarse_fallback", "bitset", f"coarse_reeval:{n_edges}", coarse,
             queries=N_QUERIES,
         )
         if crossover is None and fine > coarse:
@@ -108,7 +108,7 @@ def test_crossover_measured_and_recorded():
         f"fine scan never crossed coarse re-eval up to {SIZES[-1]} edges"
     )
     record_bench(
-        "coarse_fallback", "auto", "crossover_edges", 0.0,
+        "coarse_fallback", "bitset", "crossover_edges", 0.0,
         crossover=crossover, default_threshold=DEFAULT_COARSE_THRESHOLD,
         queries=N_QUERIES,
     )

@@ -117,11 +117,11 @@ def test_subscriptions_agree_and_record(n_c):
         "ops", "queries", "skips", "suffix_refreshes", "full_refreshes",
     )}
     record_bench(
-        experiment, "auto", "evaluate_per_op",
+        experiment, "bitset", "evaluate_per_op",
         measured["evaluate_per_op"], **extra,
     )
     record_bench(
-        experiment, "auto", "subscriptions",
+        experiment, "bitset", "subscriptions",
         measured["subscriptions"], **extra,
     )
     # The engine must actually prune: a silent degradation to
@@ -158,7 +158,7 @@ def test_registrar_subscriptions_agree():
             assert sub.result() == fresh, sub.path
     stats = service.subscriptions.stats()
     record_bench(
-        "fig_subscriptions:registrar", "auto", "publish",
+        "fig_subscriptions:registrar", "bitset", "publish",
         stats["publish_seconds"],
         ops=len(stream), queries=len(subs), skips=stats["skips"],
         suffix_refreshes=stats["suffix_refreshes"],
@@ -175,7 +175,7 @@ def test_subscriptions_beat_evaluate_per_op_3x():
         measured["subscriptions"], 1e-9
     )
     record_bench(
-        f"fig_subscriptions:n{LARGEST}", "auto", "speedup_vs_eval_per_op",
+        f"fig_subscriptions:n{LARGEST}", "bitset", "speedup_vs_eval_per_op",
         0.0, ratio=round(ratio, 2),
     )
     assert ratio >= 3.0, (

@@ -60,7 +60,7 @@ def test_fsync_policy_commit_throughput(tmp_path):
         elapsed = time.perf_counter() - start
         stats = service.stats()["wal"]
         record_bench(
-            "wal", "auto", f"commit_fsync_{policy}", elapsed,
+            "wal", "bitset", f"commit_fsync_{policy}", elapsed,
             commits=COMMITS, records=stats["records"],
             fsyncs=stats["fsyncs"],
             commits_per_s=round(COMMITS / max(elapsed, 1e-9), 1),
@@ -97,7 +97,7 @@ def test_recovery_time_vs_log_length(tmp_path):
         )
         elapsed = time.perf_counter() - start
         record_bench(
-            "wal", "auto", f"recover_{records}_records", elapsed,
+            "wal", "bitset", f"recover_{records}_records", elapsed,
             records=records,
         )
         assert recovered.store.digest() == service.store.digest()

@@ -15,8 +15,7 @@ The crash-safety loop from ``docs/durability.md``, end to end:
    ``write(2)``), that the consistency check passes, and that the
    recovered service keeps committing.
 
-Exits nonzero on any violation — CI runs this on both the NumPy and
-pure-Python legs.
+Exits nonzero on any violation — CI runs this.
 
 Run:  python examples/crash_recovery_demo.py
 """

@@ -18,22 +18,19 @@ from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 
-def fresh_service(index_backend: str):
+def fresh_service():
     dataset = build_synthetic(SyntheticConfig(n_c=300, seed=7))
     service = open_view(
         dataset.atg,
         dataset.db,
-        config=ViewConfig(
-            side_effects="propagate", strict=False,
-            index_backend=index_backend,
-        ),
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
     return service, dataset
 
 
 def main() -> None:
     # -- 1. backend ablation ---------------------------------------------------
-    service, dataset = fresh_service("auto")
+    service, dataset = fresh_service()
     store, topo = service.store, service.topo
     print(f"store: {store.num_nodes} nodes, {store.num_edges} edges")
     indexes = {}
@@ -53,7 +50,7 @@ def main() -> None:
         for op in make_workload(dataset, "delete", cls, count=4)
     ]
 
-    sequential, _ = fresh_service("auto")
+    sequential, _ = fresh_service()
     maintain = 0.0
     for op in ops:
         maintain += sequential.apply(op).timings.get("maintain", 0.0)
@@ -61,7 +58,7 @@ def main() -> None:
           f"{sequential.maintenance_runs} maintenance passes, "
           f"{maintain * 1e3:.2f} ms background repair")
 
-    batched, _ = fresh_service("auto")
+    batched, _ = fresh_service()
     with batched.batch() as batch:
         for op in ops:
             batch.apply(op)

@@ -14,8 +14,7 @@ The full replication loop from ``docs/replication.md``, end to end:
    ``wait_for(final_generation)`` before comparing digests.
 
 The parent process asserts byte-identical convergence (equal digests,
-nonzero events folded) and exits nonzero otherwise — CI runs this on
-both the NumPy and pure-Python legs.
+nonzero events folded) and exits nonzero otherwise — CI runs this.
 
 Run:  python examples/replication_demo.py
 """

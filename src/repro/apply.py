@@ -75,7 +75,7 @@ def run(
     lines: Iterable[str],
     workload: str | None = None,
     policy: str = "abort",
-    index_backend: str = "auto",
+    index_backend: str = "bitset",
     plan_only: bool = False,
     as_json: bool = False,
     stop_on_error: bool = True,
@@ -197,12 +197,11 @@ def run(
             file=out,
         )
     if show_stats:
-        # Provenance line for benchmark records: which engine actually
-        # ran (``auto`` resolves per environment) and how big ``M`` is.
+        # Provenance line for benchmark records: which engine ran and
+        # how big ``M`` is.
         stats = service.stats()
         print(
-            f"index backend: {stats['index_backend']} "
-            f"(requested {index_backend!r}); "
+            f"index backend: {stats['index_backend']}; "
             f"|M| = {stats['reach_pairs']} reachability pairs",
             file=out,
         )
@@ -284,14 +283,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         dest="index_backend",
-        default="auto",
-        help="reachability-index backend (auto | matrix | bitset | sets)",
+        choices=("bitset", "sets"),
+        default="bitset",
+        help="reachability-index backend (default: bitset)",
     )
     parser.add_argument(
         "--stats",
         dest="show_stats",
         action="store_true",
-        help="after the run, print the resolved index backend and |M| "
+        help="after the run, print the index backend and |M| "
         "(benchmark provenance)",
     )
     parser.add_argument(

@@ -31,7 +31,7 @@ CLASSES = ("W1", "W2", "W3")
 
 
 def _updater_for(
-    n_c: int, seed: int = 42, index_backend: str = "auto"
+    n_c: int, seed: int = 42, index_backend: str = "bitset"
 ) -> tuple[ViewService, object]:
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     service = open_view(

@@ -236,7 +236,7 @@ class ChangefeedHub:
     def handle(self, event: ViewEvent) -> None:
         """Commit observer: coalesce batches, retain, fan out inline.
 
-        The legacy single-phase path (no staged pipeline, or direct
+        The path of events emitted outside a pipeline scope (direct
         updater use): staging and delivery both run inside the writer's
         critical section.
         """
@@ -285,7 +285,7 @@ class ChangefeedHub:
 
         Runs *outside* the write lock on the staged pipeline (in commit
         order — the pipeline's ticket fence serializes concurrent
-        publishers), inline under the lock on the legacy path.
+        publishers), inline under the lock from :meth:`handle`.
         """
         if staged is None:
             return

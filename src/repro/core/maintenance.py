@@ -46,34 +46,6 @@ from repro.index import ReachabilityIndex
 from repro.views.store import ViewDelta, ViewStore
 
 
-#: A closure pair-delta: (added pairs, removed pairs) of ``M``.
-PairDelta = tuple[list[tuple[int, int]], list[tuple[int, int]]]
-
-
-def net_pair_deltas(deltas: list[PairDelta]) -> PairDelta:
-    """Replay a sequence of pair-deltas into one net ``(added, removed)``.
-
-    A composite update runs several repairs (insert repairs, then the
-    closing delete pass); a pair added by one and removed by the next
-    cancels out, so the net delta describes exactly the start-to-end
-    closure change.  Both output lists are sorted.
-    """
-    added: set[tuple[int, int]] = set()
-    removed: set[tuple[int, int]] = set()
-    for step_added, step_removed in deltas:
-        for pair in step_added:
-            if pair in removed:
-                removed.discard(pair)
-            else:
-                added.add(pair)
-        for pair in step_removed:
-            if pair in added:
-                added.discard(pair)
-            else:
-                removed.add(pair)
-    return sorted(added), sorted(removed)
-
-
 @dataclass
 class InsertMaintenance:
     """Report of a Δ(M,L)insert run."""
@@ -86,10 +58,6 @@ class InsertMaintenance:
     repair) — the ``L`` placement and swap repairs are backend-invariant
     and excluded, so backend ablations compare exactly the component
     they vary."""
-    pair_delta: PairDelta | None = None
-    """The exact (added, removed) closure pairs of this repair, captured
-    only when requested (``capture_pairs=True``) — subscription engines
-    patch ``//`` regions from it instead of re-evaluating."""
 
 
 @dataclass
@@ -109,9 +77,6 @@ class DeleteMaintenance:
     """Wall time of the ``ΔM`` steps alone (region query + retain sweep
     + node drops); store/topo surgery is backend-invariant and
     excluded."""
-    pair_delta: PairDelta | None = None
-    """The exact (added, removed) closure pairs of this repair, captured
-    only when requested (``capture_pairs=True``)."""
 
 
 def place_new_nodes(
@@ -207,15 +172,9 @@ def maintain_insert(
     reach: ReachabilityIndex,
     subtree: SubtreeResult,
     targets: list[int],
-    capture_pairs: bool = False,
 ) -> InsertMaintenance:
-    """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``.
-
-    With ``capture_pairs`` the report carries the exact closure
-    pair-delta of the repair (snapshot + bulk :meth:`diff`).
-    """
+    """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``."""
     report = InsertMaintenance()
-    snapshot = reach.copy() if capture_pairs else None
     report.placed_nodes = place_new_nodes(store, topo, subtree)
     t0 = time.perf_counter()
     report.added_pairs = insert_pairs(store, topo, reach, subtree, targets)
@@ -223,8 +182,6 @@ def maintain_insert(
     report.moved_nodes = repair_topo_after_insert(
         topo, subtree, targets, reach.desc_view(subtree.root)
     )
-    if snapshot is not None:
-        report.pair_delta = reach.diff(snapshot)
     return report
 
 
@@ -233,7 +190,6 @@ def maintain_delete(
     topo: TopoOrder,
     reach: ReachabilityIndex,
     result: "EvalResult | list[int]",
-    capture_pairs: bool = False,
 ) -> DeleteMaintenance:
     """Algorithm Δ(M,L)delete.  Call *after* ``store.apply(ΔV)``.
 
@@ -241,8 +197,7 @@ def maintain_delete(
     deleted child nodes (``r[[p]]``) — the algorithm only needs the
     targets.  Returns the garbage-collection feed ``Δ'V`` (already
     applied to the store) together with the removed reachability pairs
-    and nodes.  With ``capture_pairs`` the report carries the exact
-    closure pair-delta of the repair.
+    and nodes.
 
     The ancestor-recomputation walk over ``LR = desc-or-self(r[[p]])``
     is delegated to :meth:`ReachabilityIndex.retain_sweep`, so bulk
@@ -250,7 +205,6 @@ def maintain_delete(
     after the sweep returns.
     """
     report = DeleteMaintenance()
-    snapshot = reach.copy() if capture_pairs else None
     targets = result if isinstance(result, list) else result.targets
     t0 = time.perf_counter()
     affected = set(targets) | reach.desc_of_set(targets)
@@ -279,6 +233,4 @@ def maintain_delete(
         report.m_seconds += time.perf_counter() - t0
         for node in condemned:
             store.remove_node(node)
-    if snapshot is not None:
-        report.pair_delta = reach.diff(snapshot)
     return report

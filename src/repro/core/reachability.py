@@ -7,8 +7,8 @@ The implementation lives in the pluggable index subsystem
   :class:`repro.index.SetReachabilityIndex` (the reference backend);
 - :func:`compute_reach` — Algorithm Reach, with an optional ``backend``
   argument selecting the physical representation (``"sets"`` by default
-  for drop-in compatibility; pass ``"bitset"`` or ``"auto"`` for the
-  integer-bitmask engine).
+  for drop-in compatibility; pass ``"bitset"`` for the integer-bitmask
+  engine).
 
 New code should program against :class:`repro.index.ReachabilityIndex`
 and :func:`repro.index.build_index` directly.

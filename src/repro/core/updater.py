@@ -22,9 +22,7 @@ foreground phases 1–4 *without mutating any state* and returns an
 :class:`UpdatePlan` (targets, side effects, ΔV, ΔR, phase timings), and
 ``plan.commit()`` / ``plan.abort()`` complete or discard it.
 :meth:`XMLViewUpdater.apply_op` is literally ``plan(op).commit()``, so a
-committed plan produces byte-identical ΔV/ΔR to a direct apply.  The
-historical ``insert()``/``delete()`` methods remain as
-deprecation-warning shims over the op dispatch.
+committed plan produces byte-identical ΔV/ΔR to a direct apply.
 
 Side effects are governed by :class:`SideEffectPolicy`: ``ABORT``
 rejects the update (the user said no), ``PROPAGATE`` carries on under
@@ -37,7 +35,6 @@ import enum
 import random
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -52,9 +49,7 @@ from repro.core.dag_eval import DagXPathEvaluator, EvalResult
 from repro.core.maintenance import (
     DeleteMaintenance,
     InsertMaintenance,
-    PairDelta,
     insert_pairs,
-    net_pair_deltas,
     maintain_delete,
     maintain_insert,
     place_new_nodes,
@@ -366,7 +361,6 @@ class UpdatePlan:
                     nodes=node_records,
                     deferred=updater._session is not None,
                     reason=self.op.kind,
-                    closure=updater._last_pair_delta,
                     delta_r=outcome.delta_r,
                 ))
         return outcome
@@ -408,17 +402,9 @@ class XMLViewUpdater:
         When True, rejections raise; when False they return an
         unaccepted :class:`UpdateOutcome` (benchmarks use False).
     index_backend:
-        Reachability-index engine for ``M``: ``'matrix'`` (NumPy bit
-        matrix), ``'bitset'`` (int bitmask rows), ``'sets'`` (the
-        reference dict-of-set matrix) or ``'auto'`` (default; resolves
-        to the fastest available backend, see :mod:`repro.index`).
-    capture_closure_deltas:
-        Whether each Δ(M,L) repair also captures its exact closure
-        pair-delta (snapshot + bulk :meth:`~repro.index.ReachabilityIndex.diff`)
-        and attaches it to the commit event — ``True``, ``False``, or
-        ``'auto'`` (default: capture only while a registered consumer —
-        a leading-``//`` subscription — can use it, tracked by
-        :attr:`closure_consumers`).
+        Reachability-index engine for ``M``: ``'bitset'`` (default;
+        int bitmask rows) or ``'sets'`` (the reference dict-of-set
+        matrix the lockstep tests substitute), see :mod:`repro.index`.
     store:
         Adopt this :class:`~repro.views.store.ViewStore` instead of
         publishing a fresh one from ``db``.  Used by WAL crash recovery
@@ -436,8 +422,7 @@ class XMLViewUpdater:
         strict: bool = True,
         verify_each_update: bool = False,
         rng: random.Random | None = None,
-        index_backend: str = "auto",
-        capture_closure_deltas: bool | str = "auto",
+        index_backend: str = "bitset",
         store: ViewStore | None = None,
     ):
         self.atg = atg
@@ -468,15 +453,6 @@ class XMLViewUpdater:
         of maintenance — the backend-ablation benchmarks read this to
         compare index engines without the backend-invariant ``L``/store
         surgery diluting the signal."""
-        self.capture_closure_deltas = capture_closure_deltas
-        self.closure_consumers = 0
-        """Number of registered consumers of closure pair-deltas
-        (leading-``//`` subscriptions bump this via the registry); under
-        ``capture_closure_deltas='auto'`` capture runs iff positive."""
-        self._last_pair_delta: PairDelta | None = None
-        """The netted closure pair-delta of the most recent
-        :meth:`_maintain` run (``None`` when capture was off); the plan
-        commit attaches it to the emitted :class:`ViewEvent`."""
         self._session: UpdateSession | None = None
         self._outstanding_plan: UpdatePlan | None = None
         self._version = 0
@@ -636,32 +612,6 @@ class XMLViewUpdater:
         plan.state = PlanState.PLANNED
         self._outstanding_plan = plan
         return plan
-
-    # -- legacy shims ---------------------------------------------------------
-
-    def insert(
-        self, path: str | XPath, element: str, sem: tuple
-    ) -> UpdateOutcome:
-        """Deprecated: use ``apply_op(InsertOp(path, element, sem))``."""
-        warnings.warn(
-            "XMLViewUpdater.insert() is deprecated; construct an "
-            "InsertOp and use apply_op() (or repro.open_view().apply())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_op(
-            InsertOp(path=_path_str(path), element=element, sem=tuple(sem))
-        )
-
-    def delete(self, path: str | XPath) -> UpdateOutcome:
-        """Deprecated: use ``apply_op(DeleteOp(path))``."""
-        warnings.warn(
-            "XMLViewUpdater.delete() is deprecated; construct a "
-            "DeleteOp and use apply_op() (or repro.open_view().apply())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_op(DeleteOp(path=_path_str(path)))
 
     def batch(self) -> "UpdateSession":
         """Open a batched update session (the paper's "background" mode).
@@ -889,7 +839,6 @@ class XMLViewUpdater:
         to a session.
         """
         if self._session is not None:
-            self._last_pair_delta = None  # M untouched until the flush
             for subtree, targets in inserts:
                 self._session.defer_insert(subtree, targets)
             if delete_feed is not None:
@@ -900,35 +849,20 @@ class XMLViewUpdater:
                 )
                 self._session.defer_delete(list(targets))
             return []
-        capture = self._capturing_pairs()
-        deltas: list[PairDelta] = []
         delete_reports: list[DeleteMaintenance] = []
         for subtree, targets in inserts:
             self.last_maintenance = maintain_insert(
-                self.store, self.topo, self.reach, subtree, targets,
-                capture_pairs=capture,
+                self.store, self.topo, self.reach, subtree, targets
             )
             self.m_repair_seconds += self.last_maintenance.m_seconds
-            if self.last_maintenance.pair_delta is not None:
-                deltas.append(self.last_maintenance.pair_delta)
         if delete_feed is not None:
             self.last_maintenance = maintain_delete(
-                self.store, self.topo, self.reach, delete_feed,
-                capture_pairs=capture,
+                self.store, self.topo, self.reach, delete_feed
             )
             self.m_repair_seconds += self.last_maintenance.m_seconds
-            if self.last_maintenance.pair_delta is not None:
-                deltas.append(self.last_maintenance.pair_delta)
             delete_reports.append(self.last_maintenance)
         self.maintenance_runs += 1
-        self._last_pair_delta = net_pair_deltas(deltas) if capture else None
         return delete_reports
-
-    def _capturing_pairs(self) -> bool:
-        """Whether Δ(M,L) repairs should capture closure pair-deltas."""
-        if self.capture_closure_deltas == "auto":
-            return self.closure_consumers > 0
-        return bool(self.capture_closure_deltas)
 
     def _evaluator(self) -> DagXPathEvaluator:
         """An evaluator for the current state.
@@ -1119,13 +1053,6 @@ class XMLViewUpdater:
         return problems
 
 
-def _path_str(path: str | XPath) -> str:
-    """Normalize a path argument to its string form (ops are wire values)."""
-    if isinstance(path, str):
-        return path
-    return str(path) or "."
-
-
 @dataclass
 class BatchReport:
     """What one deferred maintenance pass (session flush) did."""
@@ -1217,9 +1144,6 @@ class UpdateSession:
         )
         self.report = report
         updater = self.updater
-        snapshot = (
-            updater.reach.copy() if updater._capturing_pairs() else None
-        )
         start = time.perf_counter()
         dm: DeleteMaintenance | None = None
         for subtree, targets in self._pending_inserts:
@@ -1244,9 +1168,6 @@ class UpdateSession:
         updater.maintenance_runs += 1
         updater._version += 1
         report.seconds = time.perf_counter() - start
-        updater._last_pair_delta = (
-            updater.reach.diff(snapshot) if snapshot is not None else None
-        )
         updater._post_verify()
         if updater._observers:
             # The flush event releases the per-op events buffered during
@@ -1262,6 +1183,5 @@ class UpdateSession:
                 generation=updater._version,
                 edges=records,
                 reason="batch_flush",
-                closure=updater._last_pair_delta,
             ))
         return report

@@ -29,15 +29,6 @@ class QueryError(ReproError):
     """An SPJ query was malformed (unknown alias/attribute, bad predicate)."""
 
 
-class MissingDependencyError(ReproError):
-    """An optional dependency required by the requested feature is absent.
-
-    Raised e.g. when ``index_backend="matrix"`` is requested but NumPy is
-    not importable.  The message names the missing package and the extra
-    that provides it (``pip install repro[fast]``).
-    """
-
-
 class DTDError(ReproError):
     """A DTD was malformed or could not be parsed."""
 

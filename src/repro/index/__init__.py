@@ -1,36 +1,30 @@
-"""Pluggable reachability-index engine (the paper's matrix ``M``).
+"""The reachability index (the paper's matrix ``M``).
 
 The index subsystem decouples *what* ``M`` answers (ancestor /
 descendant queries, Algorithm Reach, the Δ(M,L) bulk maintenance steps)
-from *how* it is stored.  Three interchangeable backends ship:
+from *how* it is stored.  Two backends ship:
 
 ==========  ==================================================  =========
 name        representation                                      role
 ==========  ==================================================  =========
+``bitset``  dict of ``int`` bitmask rows over dense node ids    the index
 ``sets``    dict of ``set[int]`` rows (the original matrix)     oracle
-``bitset``  dict of ``int`` bitmask rows over dense node ids    fast path
-``matrix``  dense NumPy ``uint64`` bit matrix                   fastest
 ==========  ==================================================  =========
 
-``matrix`` needs NumPy, which is an optional extra (``pip install
-repro[fast]``); it is registered only when NumPy imports.  ``"auto"``
-resolves to the fastest available backend — ``matrix`` when NumPy is
-importable, else ``bitset`` — and can be overridden with the
-``REPRO_INDEX_BACKEND`` environment variable.  Asking for ``matrix``
-explicitly without NumPy raises
-:class:`~repro.errors.MissingDependencyError`.
+``bitset`` is the default and the only production value; ``sets`` is the
+reference the lockstep tests substitute for it.  See
+``docs/index-backends.md`` for why there is no third.
 
 Use :func:`make_index` for an empty index, :func:`build_index` to run
-Algorithm Reach over a store, and :data:`BACKENDS` to enumerate what is
-available (the cross-backend equivalence tests iterate it).
+Algorithm Reach over a store, and :data:`BACKENDS` to enumerate both
+(the cross-backend equivalence tests iterate it).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
-from repro.errors import MissingDependencyError, ReproError
+from repro.errors import ReproError
 from repro.index.base import ReachabilityIndex
 from repro.index.bitset import BitsetReachabilityIndex
 from repro.index.sets import SetReachabilityIndex
@@ -41,67 +35,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Concrete backends by registry name.
 BACKENDS: dict[str, type[ReachabilityIndex]] = {
-    SetReachabilityIndex.backend: SetReachabilityIndex,
     BitsetReachabilityIndex.backend: BitsetReachabilityIndex,
+    SetReachabilityIndex.backend: SetReachabilityIndex,
 }
-
-try:  # NumPy is optional: register the matrix backend only if it imports.
-    from repro.index.matrix import MatrixReachabilityIndex
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    MatrixReachabilityIndex = None  # type: ignore[assignment, misc]
-else:
-    BACKENDS[MatrixReachabilityIndex.backend] = MatrixReachabilityIndex
-
-#: Environment variable that overrides what ``"auto"`` resolves to.
-ENV_BACKEND = "REPRO_INDEX_BACKEND"
-
-#: What ``"auto"`` resolves to (absent an environment override): the
-#: dense NumPy matrix when available, else the big-int bitset — node ids
-#: are dense integers, so both beat the sets oracle on every workload we
-#: measure (see ``benchmarks/test_ablation_index_backends.py``).
-AUTO_BACKEND = (
-    "matrix" if "matrix" in BACKENDS else BitsetReachabilityIndex.backend
-)
 
 
 def resolve_backend(backend: str) -> str:
-    """Normalize a backend name; ``"auto"`` picks the default fast path.
-
-    ``"auto"`` honors the ``REPRO_INDEX_BACKEND`` environment variable
-    when it is set (and not itself ``auto``); explicit names always win
-    over the environment.
-    """
-    source = ""
-    if backend == "auto":
-        env = os.environ.get(ENV_BACKEND, "").strip()
-        if env and env != "auto":
-            backend = env
-            source = f" (from ${ENV_BACKEND})"
-        else:
-            return AUTO_BACKEND
+    """Validate a backend name (``ReproError`` on anything unknown)."""
     if backend not in BACKENDS:
-        if backend == "matrix":
-            raise MissingDependencyError(
-                f"reachability-index backend 'matrix'{source} requires "
-                "NumPy, which is not installed; install the optional "
-                "extra (pip install repro[fast]) or use "
-                "index_backend='auto' to fall back to 'bitset'"
-            )
-        known = ", ".join(sorted(BACKENDS) + ["auto"])
+        known = ", ".join(sorted(BACKENDS))
         raise ReproError(
-            f"unknown reachability-index backend {backend!r}{source} "
+            f"unknown reachability-index backend {backend!r} "
             f"(known: {known})"
         )
     return backend
 
 
-def make_index(backend: str = "auto") -> ReachabilityIndex:
+def make_index(backend: str = "bitset") -> ReachabilityIndex:
     """An empty reachability index of the given backend."""
     return BACKENDS[resolve_backend(backend)]()
 
 
 def build_index(
-    store: "ViewStore", topo: "TopoOrder", backend: str = "auto"
+    store: "ViewStore", topo: "TopoOrder", backend: str = "bitset"
 ) -> ReachabilityIndex:
     """Algorithm Reach: compute ``M`` for ``store`` in ``O(n·|V|)``."""
     index = make_index(backend)
@@ -110,11 +66,8 @@ def build_index(
 
 
 __all__ = [
-    "AUTO_BACKEND",
     "BACKENDS",
     "BitsetReachabilityIndex",
-    "ENV_BACKEND",
-    "MatrixReachabilityIndex",
     "ReachabilityIndex",
     "SetReachabilityIndex",
     "build_index",

@@ -1,10 +1,10 @@
-"""Bitmask helpers shared by the ``bitset`` and ``matrix`` backends.
+"""Bitmask helpers of the ``bitset`` backend and the ``MaskView`` type.
 
-Both fast backends speak the same bit language — bit ``k`` of a row
-means "node ``k`` is in the row" — they just store the rows differently
-(arbitrary-precision ``int`` vs. NumPy ``uint64`` words).  The helpers
-that translate between bits and Python-level node sets live here so the
-two backends cannot drift apart.
+Bit ``k`` of a row means "node ``k`` is in the row".  The helpers that
+translate between bits and Python-level node sets live here, apart from
+the backend, because :meth:`ReachabilityIndex.desc_mask_of_set` returns
+a :class:`MaskView` on every backend (``sets`` builds one from its set
+form).
 """
 
 from __future__ import annotations

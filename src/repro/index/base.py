@@ -226,21 +226,6 @@ class ReachabilityIndex(ABC):
             other.pairs()
         )
 
-    def diff(
-        self, other: "ReachabilityIndex"
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Pair delta ``self − other`` as ``(added, removed)``.
-
-        ``other`` is typically a :meth:`copy` snapshot taken before a
-        repair, so ``added`` are the pairs the repair set and
-        ``removed`` the pairs it cleared.  Both lists are sorted for
-        determinism.  Backends with a physical bit representation
-        override this with a bulk XOR.
-        """
-        mine = set(self.pairs())
-        theirs = set(other.pairs())
-        return sorted(mine - theirs), sorted(theirs - mine)
-
     def check_invariants(self) -> list[str]:
         """Internal-consistency report (empty list = healthy).
 

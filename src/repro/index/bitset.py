@@ -31,12 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.topo import TopoOrder
     from repro.views.store import ViewStore
 
-# Shared with the matrix backend (see repro.index._bits); the old private
-# names are kept for in-module readability.
-_iter_bits = iter_bits
-_mask_of = mask_of
-_MaskView = MaskView
-
 
 class BitsetReachabilityIndex(ReachabilityIndex):
     """Reachability matrix with one ``int`` bitmask per row."""
@@ -55,24 +49,24 @@ class BitsetReachabilityIndex(ReachabilityIndex):
 
     def anc(self, node: int) -> set[int]:
         """Proper ancestors of ``node`` (excludes the node itself)."""
-        return set(_iter_bits(self._anc.get(node, 0)))
+        return set(iter_bits(self._anc.get(node, 0)))
 
     def desc(self, node: int) -> set[int]:
         """Proper descendants of ``node`` (excludes the node itself)."""
-        return set(_iter_bits(self._desc.get(node, 0)))
+        return set(iter_bits(self._desc.get(node, 0)))
 
     def is_ancestor(self, a: int, d: int) -> bool:
         return bool(self._desc.get(a, 0) >> d & 1)
 
-    def desc_view(self, node: int) -> _MaskView:
-        return _MaskView(self._desc.get(node, 0))
+    def desc_view(self, node: int) -> MaskView:
+        return MaskView(self._desc.get(node, 0))
 
     def __len__(self) -> int:
         return self._pairs
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for desc_node, mask in self._anc.items():
-            for anc_node in _iter_bits(mask):
+            for anc_node in iter_bits(mask):
                 yield (anc_node, desc_node)
 
     def anc_of_set(self, nodes: Iterable[int]) -> set[int]:
@@ -80,21 +74,21 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         mask = 0
         for node in nodes:
             mask |= rows.get(node, 0)
-        return set(_iter_bits(mask))
+        return set(iter_bits(mask))
 
     def desc_of_set(self, nodes: Iterable[int]) -> set[int]:
         rows = self._desc
         mask = 0
         for node in nodes:
             mask |= rows.get(node, 0)
-        return set(_iter_bits(mask))
+        return set(iter_bits(mask))
 
-    def desc_mask_of_set(self, nodes: Iterable[int]) -> _MaskView:
+    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
         rows = self._desc
         mask = 0
         for node in nodes:
             mask |= rows.get(node, 0)
-        return _MaskView(mask)
+        return MaskView(mask)
 
     # -- point mutation -----------------------------------------------------------
 
@@ -119,16 +113,16 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         return True
 
     def set_ancestors(self, node: int, ancestors: set[int]) -> None:
-        new = _mask_of(ancestors)
+        new = mask_of(ancestors)
         old = self._anc.get(node, 0)
         added = new & ~old
         removed = old & ~new
         if added or removed:
             mirror = self._desc
             bit = 1 << node
-            for anc in _iter_bits(added):
+            for anc in iter_bits(added):
                 mirror[anc] = mirror.get(anc, 0) | bit
-            for anc in _iter_bits(removed):
+            for anc in iter_bits(removed):
                 self._set_row(mirror, anc, mirror.get(anc, 0) & ~bit)
             self._pairs += added.bit_count() - removed.bit_count()
         self._set_row(self._anc, node, new)
@@ -136,10 +130,10 @@ class BitsetReachabilityIndex(ReachabilityIndex):
     def drop_node(self, node: int) -> None:
         bit = 1 << node
         anc_row = self._anc.pop(node, 0)
-        for anc in _iter_bits(anc_row):
+        for anc in iter_bits(anc_row):
             self._set_row(self._desc, anc, self._desc.get(anc, 0) & ~bit)
         desc_row = self._desc.pop(node, 0)
-        for desc in _iter_bits(desc_row):
+        for desc in iter_bits(desc_row):
             self._set_row(self._anc, desc, self._anc.get(desc, 0) & ~bit)
         self._pairs -= anc_row.bit_count() + desc_row.bit_count()
 
@@ -207,7 +201,7 @@ class BitsetReachabilityIndex(ReachabilityIndex):
     def add_cross_pairs(
         self, upper: Iterable[int], lower: Iterable[int]
     ) -> int:
-        return self._add_cross_mask(_mask_of(upper), lower)
+        return self._add_cross_mask(mask_of(upper), lower)
 
     def add_anc_closure_pairs(
         self, targets: Iterable[int], lower: Iterable[int]
@@ -236,7 +230,7 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             # mirror-consistent before, so blanket-ORing the lower mask
             # into every upper row lands exactly on the new state.
             mirror = self._desc
-            for anc in _iter_bits(upper_mask):
+            for anc in iter_bits(upper_mask):
                 mirror[anc] = mirror.get(anc, 0) | lower_mask
             self._pairs += added
         return added
@@ -286,29 +280,6 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             # are canonical.
             return self._anc == other._anc
         return super().equals(other)
-
-    def diff(
-        self, other: ReachabilityIndex
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        if not isinstance(other, BitsetReachabilityIndex):
-            return super().diff(other)
-        added: list[tuple[int, int]] = []
-        removed: list[tuple[int, int]] = []
-        mine_rows = self._anc
-        their_rows = other._anc
-        for node in mine_rows.keys() | their_rows.keys():
-            mine = mine_rows.get(node, 0)
-            theirs = their_rows.get(node, 0)
-            changed = mine ^ theirs
-            if not changed:
-                continue
-            for anc in _iter_bits(changed & mine):
-                added.append((anc, node))
-            for anc in _iter_bits(changed & theirs):
-                removed.append((anc, node))
-        added.sort()
-        removed.sort()
-        return added, removed
 
     def _desc_keys(self) -> set[int]:
         return set(self._desc)

@@ -110,7 +110,6 @@ class ViewService:
             verify_each_update=self.config.verify_each_update,
             rng=self.config.make_rng(),
             index_backend=self.config.index_backend,
-            capture_closure_deltas=self.config.capture_closure_deltas,
             store=recovered_store,
         )
         if recovered_generation is not None:
@@ -142,15 +141,12 @@ class ViewService:
         # publish): writes open a pipeline scope instead of a bare write
         # lock, registry maintenance runs as one batched pass, and
         # changefeed delivery happens after the lock is released (see
-        # docs/architecture.md).  ``commit_pipeline=False`` keeps the
-        # legacy single-phase critical section.
-        self.pipeline: CommitPipeline | None = None
-        if self.config.commit_pipeline:
-            self.pipeline = CommitPipeline(
-                self._lock, self.updater, self.subscriptions,
-                self.changefeeds, metrics=self.metrics_registry,
-            )
-            self.updater._sink = self.pipeline
+        # docs/architecture.md).
+        self.pipeline = CommitPipeline(
+            self._lock, self.updater, self.subscriptions,
+            self.changefeeds, metrics=self.metrics_registry,
+        )
+        self.updater._sink = self.pipeline
         if self.wal is not None:
             # A durable service attaches the hub at construction (not
             # lazily on the first changefeed() call) so every commit
@@ -215,21 +211,6 @@ class ViewService:
         self.close()
         return False
 
-    @contextmanager
-    def _write_scope(self):
-        """One write section: a pipeline scope, or the bare write lock.
-
-        Yields the open :class:`~repro.service.pipeline.CommitRecord`
-        (or ``None`` on the legacy path) so callers can mark the
-        ``plan`` phase for timing.
-        """
-        if self.pipeline is None:
-            with self._lock.write():
-                yield None
-        else:
-            with self.pipeline.scope() as record:
-                yield record
-
     # -- write path ---------------------------------------------------------------
 
     def apply(
@@ -252,9 +233,7 @@ class ViewService:
         """
         if isinstance(op, (UpdateOperation, dict)):
             decoded = self._decode(op)
-            with self._write_scope() as record:
-                if record is None:
-                    return self._count_op(self.updater.apply_op(decoded))
+            with self.pipeline.scope() as record:
                 # The same dispatch as updater.apply_op, with the two
                 # foreground phases marked on the commit record.
                 with record.phase("plan"):
@@ -272,7 +251,7 @@ class ViewService:
                 "apply them individually"
             )
         outcomes: list[UpdateOutcome] = []
-        with self._write_scope():
+        with self.pipeline.scope():
             try:
                 with self.updater.batch():
                     for decoded in ops:
@@ -298,30 +277,26 @@ class ViewService:
     def plan(self, op: UpdateOperation | dict) -> UpdatePlan:
         """Run the foreground phases; commit/abort later.
 
-        The returned plan's ``commit()``/``abort()`` open a full write
-        section (a pipeline scope when the staged pipeline is on), so a
-        held plan can be completed from any thread and its commit
-        publishes through the same maintain/publish phases as
+        The returned plan's ``commit()``/``abort()`` open a pipeline
+        scope, so a held plan can be completed from any thread and its
+        commit publishes through the same maintain/publish phases as
         :meth:`apply`.
         """
         decoded = self._decode(op)
         with self._lock.write():
             plan = self.updater.plan(decoded)
-        plan._write_lock = (
-            self.pipeline.scope if self.pipeline is not None
-            else self._lock.write
-        )
+        plan._write_lock = self.pipeline.scope
         return plan
 
     def undo(self, outcome: UpdateOutcome):
         """Invert an accepted update's ΔR and re-synchronize the view."""
-        with self._write_scope():
+        with self.pipeline.scope():
             return self.updater.undo(outcome)
 
     @contextmanager
     def batch(self):
         """Exclusive batched session: N applies, one Δ(M,L) repair."""
-        with self._write_scope():
+        with self.pipeline.scope():
             with self.updater.batch() as session:
                 yield _BatchHandle(self.updater, session)
 
@@ -370,10 +345,10 @@ class ViewService:
         ``on_event=fn`` selects callback mode: ``fn(event)`` runs
         synchronously on the committing thread during the pipeline's
         *publish* phase — after subscription maintenance for the event's
-        generation completed, and (with the staged pipeline) after the
-        write lock was released, so the callback never extends the
-        critical section (so ``sub.result()``/``sub.delta()`` read
-        consistently with the event).  Writing back into the service
+        generation completed and after the write lock was released, so
+        the callback never extends the critical section (and
+        ``sub.result()``/``sub.delta()`` read consistently with the
+        event).  Writing back into the service
         from the callback raises :class:`~repro.errors.PlanError`; a
         callback that raises is detached (``consumer.error``) rather
         than failing the commit.
@@ -461,11 +436,7 @@ class ViewService:
                 "index_backend": self.updater.index_backend,
                 "subscriptions": self.subscriptions.stats(),
                 "changefeed": self.changefeeds.stats(),
-                "pipeline": (
-                    self.pipeline.stats()
-                    if self.pipeline is not None
-                    else None
-                ),
+                "pipeline": self.pipeline.stats(),
                 "wal": self.wal.stats() if self.wal is not None else None,
                 "config": self.config.to_dict(),
             }

@@ -24,10 +24,8 @@ with per-phase wall-clock accounting:
   (``backpressure='block_writer'``) delays the *publisher*, not the
   whole critical section.
 
-The pipeline is installed by the service façade when
-``ViewConfig(commit_pipeline=True)`` (the default); ``False`` restores
-the legacy single-phase critical section (the pre-refactor baseline the
-``pipeline`` benchmark experiment measures against).
+The service façade installs one pipeline per view; every write goes
+through it.
 """
 
 from __future__ import annotations
@@ -79,11 +77,6 @@ class CommitRecord:
         """Node-interning records of the sealed event (wire side channel)."""
         return self.event.nodes if self.event is not None else ()
 
-    @property
-    def closure(self):
-        """Closure pair-delta of the sealed event (``None`` = not captured)."""
-        return self.event.closure if self.event is not None else None
-
     @contextmanager
     def phase(self, name: str):
         """Time a code block into ``timings[name]`` (accumulating)."""
@@ -99,7 +92,7 @@ class CommitRecord:
         """Fold the collected events into one at-rest event.
 
         A single non-deferred event passes through untouched (byte
-        identical to the legacy inline dispatch); a batch's deferred
+        identical to the inline dispatch); a batch's deferred
         events coalesce with the flush event.  Returns the sealed event,
         or ``None`` when the scope emitted nothing (aborted plans,
         observer-less services).
@@ -191,7 +184,7 @@ class CommitPipeline:
         Returns True when a scope is active on the calling thread (the
         updater then skips the registry/hub observers — maintenance and
         fan-out run from the sealed record instead); False routes the
-        event through the legacy inline dispatch (direct updater use:
+        event through the inline dispatch (direct updater use:
         ``rebuild()``, bare ``apply_base_update``, engine tests).
         """
         record = getattr(self._local, "record", None)

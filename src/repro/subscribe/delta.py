@@ -217,24 +217,14 @@ class ViewEvent:
 
     reason: str = ""
 
-    closure: "tuple[list, list] | None" = None
-    """The reachability-closure pair-delta ``(added, removed)`` of this
-    commit's Δ(M,L) repair — lists of ``(ancestor, descendant)`` node
-    ids, captured via :meth:`~repro.index.ReachabilityIndex.diff` when
-    a consumer asked for it (``capture_closure_deltas``).  Lets the
-    engine patch leading-``//`` regions instead of re-walking the whole
-    descendant closure.  Engine-internal and advisory: ``None`` means
-    "not captured, fall back to re-evaluation", and the field is
-    deliberately absent from the wire format (:meth:`to_dict`)."""
-
     delta_r: RelationalDelta | None = None
     """The base-table group update ``ΔR`` this commit applied (``None``
     when the commit touched no relations — e.g. a batch flush's GC-only
-    event).  Engine-internal like :attr:`closure` and deliberately
-    absent from the wire format (:meth:`to_dict`): consumers see only
-    the view-side ΔV, but the durable changefeed log (:mod:`repro.wal`)
-    persists it alongside each event so crash recovery can restore the
-    base database ``I`` in lockstep with the view."""
+    event).  Engine-internal and deliberately absent from the wire
+    format (:meth:`to_dict`): consumers see only the view-side ΔV, but
+    the durable changefeed log (:mod:`repro.wal`) persists it alongside
+    each event so crash recovery can restore the base database ``I`` in
+    lockstep with the view."""
 
     # -- the frozen public wire format (docs/event-schema.md) -------------------
 
@@ -340,7 +330,6 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
     conservative.
     """
     merged = ViewEvent(generation=0)
-    last = None
     seen_nodes: set[int] = set()
     delta_ops: list = []
     for event in events:
@@ -359,12 +348,6 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
             delta_ops.extend(event.delta_r.ops)
         if event.reason:
             merged.reason = event.reason
-        last = event
     if delta_ops:
         merged.delta_r = RelationalDelta(delta_ops)
-    # ``M`` is untouched while repairs are deferred, so the flush event
-    # (always last in the buffer) carries the batch's entire closure
-    # delta; mid-batch events have ``closure=None`` by construction.
-    if last is not None:
-        merged.closure = last.closure
     return merged

@@ -203,18 +203,14 @@ def first_affected_step(
     profile: QueryProfile,
     event: ViewEvent,
     context_sets: list | None = None,
-    start: int = 0,
 ) -> int | None:
-    """Earliest step index ``>= start`` whose context the event may change.
+    """Earliest step index whose context the event may change.
 
     ``None`` means the subscription's result is provably unchanged;
     ``0`` means nothing can be salvaged (re-evaluate from the root);
     ``k`` means contexts ``C_0 .. C_k`` are intact and evaluation may
     restart with the suffix ``steps[k:]`` from the cached ``C_k``.
-    Coarse events always invalidate everything.  ``start`` skips the
-    leading steps — the closure-patch path uses it to ask "does the
-    event touch anything *beyond* the leading ``//`` step it can patch
-    from the closure pair-delta?".
+    Coarse events always invalidate everything.
 
     ``context_sets`` — the cached per-step context membership of the
     subscription's last evaluation (``context_sets[i]`` = members of
@@ -229,8 +225,6 @@ def first_affected_step(
     if not event.edges:
         return None
     for index, deps in enumerate(profile.per_step):
-        if index < start:
-            continue
         if context_sets is not None and index < len(context_sets):
             if not context_sets[index]:
                 # The (intact) context before this step is empty: this

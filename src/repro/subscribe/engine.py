@@ -10,20 +10,23 @@ registry picks the cheapest sound action:
 - **skip** — no event edge intersects any step's dependency map
   (:mod:`repro.subscribe.deps`): the cached result is provably current,
   only the generation tag advances;
-- **suffix re-evaluation** — the earliest affected step is ``k > 0``:
-  contexts ``C_0 .. C_k`` are intact, so only ``steps[k:]`` re-runs
-  from the cached ``C_k`` (:meth:`DagXPathEvaluator.evaluate_from`) —
-  or, when no filter of the suffix can have changed its truth and the
-  event's *cone* (the changed edges' children and their descendants) is
-  smaller than ``C_k``, memberships are re-derived inside the cone only
-  (:meth:`SubscriptionRegistry._refresh_cone`): a ``//`` query whose
-  ``C_k`` is every node then costs what the event touched;
+- **suffix re-evaluation** — the earliest affected step is ``k``:
+  contexts ``C_0 .. C_k`` are intact.  When no filter of the suffix can
+  have changed its truth and the event's *cone* (the changed edges'
+  children and their descendants) is smaller than what re-running
+  ``steps[k:]`` would restart over, memberships are re-derived inside
+  the cone only (:meth:`SubscriptionRegistry._refresh_cone`): a
+  leading-``//`` query, whose step 0 every structural event affects,
+  then costs what the event touched.  Otherwise, for ``k > 0``,
+  ``steps[k:]`` re-runs from the cached ``C_k``
+  (:meth:`DagXPathEvaluator.evaluate_from`);
 - **full re-evaluation** — the event is coarse (store rebuilds, or the
   cost-based fallback coarsened an oversized edge list — see
-  :data:`DEFAULT_COARSE_THRESHOLD`), step 0 is affected, or no contexts
-  are cached.  Base-update propagation emits *fine-grained* events
-  (typed :class:`~repro.atg.incremental.PropagationReport` records), so
-  the same pruning applies to the reverse pipeline.
+  :data:`DEFAULT_COARSE_THRESHOLD`), step 0 is affected and the cone
+  restriction does not apply, or no contexts are cached.  Base-update
+  propagation emits *fine-grained* events (typed
+  :class:`~repro.atg.incremental.PropagationReport` records), so the
+  same pruning applies to the reverse pipeline.
 
 Alongside the full result set, each maintenance action derives the
 per-commit **result delta** from the old/new tuples the registry
@@ -65,7 +68,6 @@ _STAT_KEYS = (
     "full_refreshes",
     "fallback_refreshes",
     "coarse_fallbacks",
-    "closure_patches",
 )
 
 #: ``//`` as a one-step path: the descendant-or-self closure of a start
@@ -76,9 +78,9 @@ _DESCENDANTS = XPath((DescendantStep(),))
 #: per-step patterns against every edge costs more than simply
 #: re-evaluating, so the registry degrades the event to coarse.  The
 #: default is calibrated by ``benchmarks/test_coarse_fallback.py``
-#: (measured crossover ≈ 512 worst-case edges at 16 standing queries,
-#: recorded in ``BENCH_index.json``; the default sits below it because
-#: real events match patterns and re-evaluate some queries either way).
+#: (measured crossover ≈ 512 worst-case edges at 16 standing queries;
+#: the default sits below it because real events match patterns and
+#: re-evaluate some queries either way).
 #: Override per service via ``ViewConfig(coarse_event_threshold=...)``.
 DEFAULT_COARSE_THRESHOLD = 256
 
@@ -119,9 +121,6 @@ class Subscription:
         self._contexts: list[set[int]] | None = None
         """Membership of ``C_0 .. C_n`` as of ``_generation`` — what
         events are pruned against and patched in place."""
-        self._closure_consumer = False
-        """True while this (leading-``//``) subscription holds a slot in
-        ``updater.closure_consumers``."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -369,12 +368,6 @@ class SubscriptionRegistry:
             next(self._ids), str(parsed) or ".", parsed,
             profile_query(parsed, root_label), self,
         )
-        if parsed.steps and isinstance(parsed.steps[0], DescendantStep):
-            # A leading-``//`` query can be maintained from closure
-            # pair-deltas; tell the updater someone wants them captured
-            # (``capture_closure_deltas='auto'`` keys off this count).
-            sub._closure_consumer = True
-            self.updater.closure_consumers += 1
         with sub._mutex:
             self._refresh_full(sub)
             sub._generation = self.updater._version
@@ -402,9 +395,6 @@ class SubscriptionRegistry:
             watched, sub._watched = sub._watched, None
         with self._members:
             sub.active = False
-            if sub._closure_consumer:
-                sub._closure_consumer = False
-                self.updater.closure_consumers -= 1
             self._patterns.discard(sub)
             if watched:
                 self._drop_watchers(sub, watched)
@@ -637,86 +627,22 @@ class SubscriptionRegistry:
             sub._delta = ((), ())
             sub._generation = event.generation
             return False
-        action = self._closure_patch(sub, event) if k == 0 else None
-        if action is not None:
-            sub._stats[action] += 1
-        elif k == 0 or sub._contexts is None or len(sub._contexts) <= k:
-            # (coarse events arrive as k == 0.)
-            self._refresh_full(sub)
-            sub._stats["full_refreshes"] += 1
-        else:
+        cached = sub._contexts is not None and len(sub._contexts) > k
+        if cached and k > 0:
             self._refresh_suffix(sub, k, event)
             sub._stats["suffix_refreshes"] += 1
+        elif (
+            cached and not event.coarse and self._refresh_cone(sub, 0, event)
+        ):
+            # Step 0 is affected — a leading ``//`` sees every
+            # structural event — but the change is confined to the cone.
+            sub._stats["suffix_refreshes"] += 1
+        else:
+            self._refresh_full(sub)
+            sub._stats["full_refreshes"] += 1
         sub._delta = _diff(old, sub._nodes)
         sub._generation = event.generation
         return True
-
-    def _closure_patch(self, sub: Subscription, event: ViewEvent) -> str | None:
-        """Maintain a leading-``//`` subscription from the closure delta.
-
-        A structural event always intersects the ``//`` step's region
-        (its context is *every* node), so without help these queries
-        re-evaluate fully on each commit — including the descendant
-        closure walk the ``//`` step pays.  When the event carries the
-        repair's exact closure pair-delta (``event.closure``, see
-        ``capture_closure_deltas``), the region change is knowable
-        instead: nodes whose ``(root, n)`` pair was added *entered* the
-        view (and the region), nodes whose pair was removed *left* (they
-        were garbage-collected — a live node is always below the root).
-        The patch then
-
-        - drops the departed nodes from every cached context,
-        - re-evaluates the remaining steps **only from the entered
-          nodes** and merges the partial result in (``closure_patches``),
-        - or, when the event also touches a step beyond the ``//``
-          (``first_affected_step(start=1)``), falls back to a suffix
-          re-evaluation from the deepest intact context — still never
-          re-walking the closure (``suffix_refreshes``).
-
-        Returns the stat key of the action taken, or ``None`` when the
-        event has no closure delta (or the query does not qualify) and
-        the ordinary full re-evaluation must run.
-        """
-        if event.closure is None:
-            return None
-        steps = sub.query.steps
-        if not steps or not isinstance(steps[0], DescendantStep):
-            return None
-        contexts = sub._contexts
-        if contexts is None or len(contexts) < 2:
-            return None
-        root = self.updater.store.root_id
-        if root is None:
-            return None
-        added_pairs, removed_pairs = event.closure
-        entered = {d for a, d in added_pairs if a == root}
-        left = {d for a, d in removed_pairs if a == root}
-        k2 = first_affected_step(sub.profile, event, contexts, start=1)
-        if k2 is not None and entered:
-            # New chains and damage beyond the ``//`` at once: merging
-            # both soundly equals a full pass, so just run one.
-            return None
-        if left:
-            for context in contexts[1:]:
-                context -= left
-            sub._nodes = tuple(n for n in sub._nodes if n not in left)
-        if entered:
-            contexts[1] |= entered
-        if k2 is not None:
-            self._refresh_suffix(sub, k2, event)
-            return "suffix_refreshes"
-        if entered:
-            suffix = XPath(steps[1:])
-            result = self.updater.evaluator().evaluate_from(
-                suffix, start=sorted(entered)
-            )
-            for j, partial in enumerate(result.contexts[1:], start=2):
-                contexts[j].update(partial)
-            if result.targets:
-                sub._nodes = tuple(
-                    sorted(set(sub._nodes) | set(result.targets))
-                )
-        return "closure_patches"
 
     def _refresh_full(self, sub: Subscription) -> None:
         result = self.updater.evaluator().evaluate_from(sub.query)
@@ -770,7 +696,10 @@ class SubscriptionRegistry:
             ):
                 return False
         cone, stale = self._cone_of(event)
-        if len(cone) >= len(contexts[k]):
+        # What the ordinary refresh would restart over: a ``//`` step
+        # expands ``C_k`` to its closure ``C_{k+1}`` before anything else.
+        restart = k + 1 if isinstance(steps[k], DescendantStep) else k
+        if len(cone) >= len(contexts[restart]):
             return False
         store = self.updater.store
         evaluator = self.updater.evaluator()

@@ -76,12 +76,12 @@ def store_from_database(atg: ATG, db: Database) -> ViewStore:
 
 
 def load_structures(
-    store: ViewStore, index_backend: str = "auto"
+    store: ViewStore, index_backend: str = "bitset"
 ) -> "tuple[TopoOrder, ReachabilityIndex]":
     """Build the auxiliary structures ``(L, M)`` for a (re)loaded store.
 
     ``index_backend`` selects the reachability-index engine
-    (``"auto"`` | ``"matrix"`` | ``"bitset"`` | ``"sets"``, see
+    (``"bitset"`` | ``"sets"``, see
     :mod:`repro.index` and ``docs/index-backends.md``).
     """
     from repro.core.topo import TopoOrder

@@ -4,10 +4,6 @@ What the phase split must and must not change:
 
 - ``service.stats()['pipeline']`` surfaces per-phase timings and lock
   wait/hold accounting; batches commit through one pipeline scope;
-- ``commit_pipeline=False`` restores the legacy single-phase critical
-  section with **byte-identical** observable behavior (events,
-  subscription results, deltas) — it exists as the measured pre-refactor
-  baseline of the ``pipeline`` benchmark experiment;
 - pull-consumer backpressure: ``block_writer`` parks the publisher until
   the consumer drains (then detaches on timeout), ``drop_oldest``
   sacrifices the oldest queued event and stays attached;
@@ -23,7 +19,7 @@ import time
 
 import pytest
 
-from repro.errors import ChangefeedError, ReproError
+from repro.errors import ChangefeedError
 from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, open_view
 from repro.service.pipeline import PHASES
@@ -107,33 +103,6 @@ class TestCommitPipeline:
         assert stats["commits"] == 1
         assert stats["records_sealed"] == 0
         assert service.changefeeds.stats()["events_published"] == 0
-
-    def test_disabled_pipeline_reports_none(self):
-        service = registrar_service(commit_pipeline=False)
-        assert service.pipeline is None
-        assert service.stats()["pipeline"] is None
-
-    def test_config_rejects_non_bool(self):
-        with pytest.raises(ReproError):
-            ViewConfig(commit_pipeline="yes")
-
-    @pytest.mark.parametrize("commits", [4])
-    def test_legacy_mode_is_observably_identical(self, commits):
-        def run(commit_pipeline):
-            service = registrar_service(commit_pipeline=commit_pipeline)
-            subs = [
-                service.subscribe(q)
-                for q in ("//course", "course[cno=CS650]//course")
-            ]
-            feed = service.changefeed()
-            toggle(service, commits)
-            events = [e.to_dict() for e in feed.events()]
-            return events, [
-                (sub.result(), sub.delta(), dict(sub.stats))
-                for sub in subs
-            ]
-
-        assert run(True) == run(False)
 
 
 # ---------------------------------------------------------------------------

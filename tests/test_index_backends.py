@@ -14,12 +14,9 @@ from repro.atg.publisher import publish_store
 from repro.core.reachability import ReachabilityMatrix, compute_reach
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
-import repro.index as index_module
-from repro.errors import MissingDependencyError, ReproError
+from repro.errors import ReproError
 from repro.index import (
-    AUTO_BACKEND,
     BACKENDS,
-    ENV_BACKEND,
     BitsetReachabilityIndex,
     SetReachabilityIndex,
     build_index,
@@ -32,13 +29,6 @@ from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.ops import DeleteOp, InsertOp
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - no-NumPy CI leg
-    _HAVE_NUMPY = False
-
 ALL_BACKENDS = sorted(BACKENDS)
 
 
@@ -49,42 +39,20 @@ ALL_BACKENDS = sorted(BACKENDS)
 
 class TestFactory:
     def test_backends_registered(self):
-        assert {"sets", "bitset"} <= set(ALL_BACKENDS)
-        # The matrix backend registers exactly when NumPy imports.
-        assert ("matrix" in BACKENDS) == _HAVE_NUMPY
+        assert set(ALL_BACKENDS) == {"bitset", "sets"}
 
-    def test_auto_resolves_to_fastest_available(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        expected = "matrix" if _HAVE_NUMPY else "bitset"
-        assert resolve_backend("auto") == AUTO_BACKEND == expected
-        assert make_index("auto").backend == expected
-
-    def test_auto_honors_environment_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "bitset")
-        assert resolve_backend("auto") == "bitset"
-        assert isinstance(make_index("auto"), BitsetReachabilityIndex)
-        # Explicit names always win over the environment.
+    def test_retired_names_rejected(self):
+        # ``auto`` and the NumPy ``matrix`` backend are gone: bitset is
+        # the default and the only other name is the reference.
+        assert isinstance(make_index(), BitsetReachabilityIndex)
         assert resolve_backend("sets") == "sets"
-        monkeypatch.setenv(ENV_BACKEND, "auto")
-        assert resolve_backend("auto") == AUTO_BACKEND
-        monkeypatch.setenv(ENV_BACKEND, "roaring")
-        with pytest.raises(ReproError, match="REPRO_INDEX_BACKEND"):
-            resolve_backend("auto")
+        for retired in ("auto", "matrix"):
+            with pytest.raises(ReproError, match="unknown reachability-index"):
+                resolve_backend(retired)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="unknown reachability-index"):
             make_index("roaring")
-
-    def test_matrix_without_numpy_raises_typed_error(self, monkeypatch):
-        # Simulate a NumPy-less install by hiding the registry entry.
-        monkeypatch.delitem(index_module.BACKENDS, "matrix", raising=False)
-        monkeypatch.setattr(index_module, "AUTO_BACKEND", "bitset")
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert index_module.resolve_backend("auto") == "bitset"
-        with pytest.raises(
-            MissingDependencyError, match=r"repro\[fast\]"
-        ):
-            index_module.resolve_backend("matrix")
 
     def test_legacy_names_preserved(self):
         # The historical entry points stay importable and set-backed.

@@ -9,8 +9,7 @@ Three layers:
   (the ``NULL_METRICS`` null object);
 - **cross-surface exactness** — every counter must equal the ground
   truth already exposed elsewhere (``UpdateOutcome`` payloads,
-  ``stats()["pipeline"]``, ``stats()["wal"]``, hub/registry counters),
-  on the bitset backend and (when NumPy is present) the matrix backend.
+  ``stats()["pipeline"]``, ``stats()["wal"]``, hub/registry counters).
 """
 
 import math
@@ -29,14 +28,7 @@ from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
-
-BACKENDS = ["bitset"] + (["matrix"] if _HAVE_NUMPY else [])
+BACKENDS = ["bitset"]
 
 
 # -- registry primitives -----------------------------------------------------------

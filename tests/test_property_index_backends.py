@@ -3,15 +3,11 @@
 Hypothesis drives random streams of the full mutating ABC surface —
 ``insert`` / ``remove`` / ``set_ancestors`` / ``extend_ancestors`` /
 ``add_cross_pairs`` / ``add_anc_closure_pairs`` / ``retain_ancestors``
-/ ``drop_node`` — against every registered backend in lockstep, with
-the reference ``sets`` backend as the oracle.  After every operation
-each backend must return the same value as the oracle and answer every
-query the same way; ``copy``/``diff`` snapshots taken mid-stream must
-produce identical pair-deltas at the end.
-
-The registry is iterated as-is: with NumPy installed this differentials
-``sets`` vs ``bitset`` vs ``matrix``; without it, ``sets`` vs
-``bitset`` (the no-NumPy CI leg still exercises the lockstep).
+/ ``drop_node`` — against ``bitset`` in lockstep with the reference
+``sets`` backend as the oracle.  After every operation the backend must
+return the same value as the oracle and answer every query the same
+way; ``copy`` snapshots taken mid-stream must stay untouched by the
+rest of the stream.
 """
 
 from __future__ import annotations
@@ -91,8 +87,8 @@ def test_backends_agree_on_random_op_streams(ops, probe):
 
     for i, op in enumerate(ops):
         if snapshots is None and i >= len(ops) // 2:
-            # Mid-stream snapshot: diff() must reconstruct the exact
-            # (added, removed) tail of the stream on every backend.
+            # Mid-stream snapshot: a deep copy the tail of the stream
+            # must not disturb.
             snapshots = {"sets": oracle.copy()} | {
                 b: idx.copy() for b, idx in others.items()
             }
@@ -115,11 +111,7 @@ def test_backends_agree_on_random_op_streams(ops, probe):
                 assert index.is_ancestor(a, d) == oracle.is_ancestor(a, d)
 
     if snapshots is not None:
-        expected_delta = oracle.diff(snapshots["sets"])
-        for backend, index in others.items():
-            assert index.diff(snapshots[backend]) == expected_delta, backend
-            # The snapshot was a deep copy: the live index moved on
-            # without disturbing it.
+        for backend in others:
             assert snapshots[backend].equals(snapshots["sets"]), backend
 
 
@@ -136,7 +128,6 @@ def test_copy_round_trips_across_backends(ops):
         clone = index.copy()
         assert type(clone) is type(index)
         assert clone.equals(index)
-        assert clone.diff(index) == ([], [])
         # Mutating the clone leaves the original untouched.
         clone.insert(NODES[0], NODES[-1])
         clone.drop_node(NODES[1])

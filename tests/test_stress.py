@@ -30,22 +30,7 @@ from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - no-NumPy CI leg
-    _HAVE_NUMPY = False
-
-BACKENDS = [
-    "bitset",
-    pytest.param(
-        "matrix",
-        marks=pytest.mark.skipif(
-            not _HAVE_NUMPY, reason="NumPy not installed"
-        ),
-    ),
-]
+BACKENDS = ["bitset"]
 
 QUERIES = (
     "course[cno=CS650]//course",

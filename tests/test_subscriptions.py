@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workload_gen import WorkloadSpec, generate_ops
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, open_view
 from repro.subscribe import (
@@ -23,7 +24,12 @@ from repro.subscribe import (
     profile_query,
 )
 from repro.subscribe.deps import ANY_EDGE
-from repro.workloads import REGISTRAR_QUERIES, make_query_set, make_workload
+from repro.workloads import (
+    REGISTRAR_QUERIES,
+    make_query_set,
+    make_workload,
+    named_workload,
+)
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
@@ -280,62 +286,46 @@ class TestRegistrarEquivalence:
         stats = service.stats()["subscriptions"]
         assert stats["subscriptions"] == 1
         assert stats["events_processed"] == 1
-        # Leading-// queries consume the closure pair-delta now, so a
-        # structural delete no longer costs a full re-eval; this event
-        # also touches the course label step, so it lands in the
-        # suffix branch of the patch path.
+        # A structural delete under a leading-// query is refreshed
+        # inside the event's cone, not re-evaluated from the root.
         assert stats["full_refreshes"] == 0
         assert stats["suffix_refreshes"] == 1
 
-    def test_closure_consumer_counting(self):
-        """Only leading-``//`` subscriptions turn on auto pair capture."""
-        service = registrar_service()
-        updater = service.updater
-        assert updater.closure_consumers == 0
-        anchored = service.subscribe("course[cno=CS240]")
-        assert updater.closure_consumers == 0
-        assert not updater._capturing_pairs()
-        rooted = service.subscribe("//student")
-        assert updater.closure_consumers == 1
-        assert updater._capturing_pairs()
-        rooted.close()
-        assert updater.closure_consumers == 0
-        assert not updater._capturing_pairs()
-        anchored.close()
-
     def test_unmatched_insert_is_patched_not_reevaluated(self):
-        """A structural insert that cannot produce result nodes is
-        absorbed by the closure pair-delta: no re-evaluation at all.
-        (Before closure patches, every structural op forced a full
-        re-eval of leading-``//`` queries — their region depends on
-        every edge under the root.)"""
+        """A structural insert that cannot produce result nodes touches
+        step 0 of a leading-``//`` query (its region is every node), but
+        the refresh looks only at the inserted subtree — no
+        from-the-root re-evaluation."""
         service = registrar_service()
         sub = service.subscribe("//student")
+        applied = cone_refreshes(service.subscriptions)
         baseline = sub.result()
         service.apply(InsertOp(".", "course", ("CS700", "Theory")))
-        assert sub.stats["closure_patches"] == 1
+        assert applied == [sub.path]
+        assert sub.stats["suffix_refreshes"] == 1
         assert sub.stats["full_refreshes"] == 0
-        assert sub.stats["suffix_refreshes"] == 0
         assert sub.result() == baseline
-        assert_current(service, [sub], "after non-student insert")
+        assert_contexts_current(service, [sub], "after non-student insert")
 
     def test_gc_delete_is_patched_not_reevaluated(self):
-        """Garbage-collected nodes are shed from the cached contexts
-        straight from the closure delta's removed pairs."""
+        """Garbage-collected nodes are shed from the cached contexts as
+        the stale part of the event's cone."""
         service = registrar_service()
         service.apply(InsertOp(".", "course", ("CS700", "Theory")))
         sub = service.subscribe("//student")
+        applied = cone_refreshes(service.subscriptions)
         service.apply(DeleteOp("course[cno=CS700]"))
-        assert sub.stats["closure_patches"] == 1
+        assert applied == [sub.path]
+        assert sub.stats["suffix_refreshes"] == 1
         assert sub.stats["full_refreshes"] == 0
-        assert_current(service, [sub], "after GC delete")
+        assert_contexts_current(service, [sub], "after GC delete")
 
     def test_structural_stream_never_fully_reevaluates(self):
         """Re-evaluation count over a mixed structural stream: every
-        event is either skipped, patched from the closure delta, or at
-        worst suffix-refreshed — never a from-the-root re-eval."""
+        event is a cone refresh — never a from-the-root re-eval."""
         service = registrar_service()
         sub = service.subscribe("//student")
+        applied = cone_refreshes(service.subscriptions)
         stream = [
             InsertOp(".", "course", ("CS700", "Theory")),
             InsertOp("course[cno=CS650]/prereq", "course",
@@ -347,32 +337,28 @@ class TestRegistrarEquivalence:
         for op in stream:
             outcome = service.apply(op)
             assert outcome.accepted
-            assert_current(service, [sub], f"after {op.kind}")
+            assert_contexts_current(service, [sub], f"after {op.kind}")
         assert sub.stats["full_refreshes"] == 0
-        assert sub.stats["closure_patches"] >= 2
-        handled = (
-            sub.stats["skips"]
-            + sub.stats["closure_patches"]
-            + sub.stats["suffix_refreshes"]
-        )
-        assert handled == len(stream)
+        assert sub.stats["suffix_refreshes"] == len(applied) == len(stream)
         assert service.stats()["subscriptions"]["events_processed"] == len(
             stream
         )
 
     def test_student_insert_stays_current(self):
-        """Ops that add result nodes via a matching deeper step leave
-        the patch path (the new nodes' own edges hit step >= 1) and
-        fall back to a sound full re-eval."""
+        """An op that adds result nodes via a matching deeper step is a
+        cone refresh too: the new student enters ``C_1`` and the result
+        from inside the cone."""
         service = registrar_service()
         sub = service.subscribe("//student")
+        applied = cone_refreshes(service.subscriptions)
         before = sub.result()
         service.apply(
             InsertOp("course[cno=CS240]/takenBy", "student", ("999", "Zed"))
         )
         assert sub.result() != before
-        assert sub.stats["full_refreshes"] == 1
-        assert_current(service, [sub], "after student insert")
+        assert applied == [sub.path]
+        assert sub.stats["full_refreshes"] == 0
+        assert_contexts_current(service, [sub], "after student insert")
 
     def test_stats_stay_monotonic_after_close(self):
         """Regression: closing a subscription used to subtract its
@@ -579,11 +565,34 @@ class TestConeRefresh:
         assert sub.result() == before
         assert_contexts_current(service, [sub], "after undo")
 
+    def test_leading_descendant_queries_never_reevaluate_on_churn(self):
+        """The benchmark's ``subscribed_durable`` traffic in small: every
+        event of a generated churn stream affects step 0 of a
+        leading-``//`` subscription, and every one is a cone refresh."""
+        spec = WorkloadSpec(
+            workload="synthetic:200", ops=120, seed=5,
+            pattern="churn", key_skew=0.8,
+        )
+        atg, db = named_workload(spec.workload)
+        service = open_view(atg, db, config=ViewConfig(strict=False))
+        subs = [
+            service.subscribe(path)
+            for path in (
+                "//cnode", "//cnode/sub/cnode", "//cnode[key=7]/sub/cnode"
+            )
+        ]
+        for op in generate_ops(spec):
+            assert service.apply(op).accepted
+            assert_current(service, subs, f"after {op}")
+        for sub in subs:
+            assert sub.stats["full_refreshes"] == 0, sub.path
+
     def test_filter_hit_falls_back_to_the_ordinary_refresh(self):
         """An event edge that can flip a suffix filter (here: the
         collected node's ``key`` edge carries the compared value) may
         change memberships outside the cone, so the restriction must
-        not be used."""
+        not be used; with step 0 (the ``//``) affected, the ordinary
+        refresh is a full re-evaluation."""
         service, dataset = synthetic_service(n_c=120, seed=3)
         (insert,) = make_workload(
             dataset, "insert", "W2", count=1, new_key_fraction=1.0
@@ -595,7 +604,7 @@ class TestConeRefresh:
         assert service.apply(
             DeleteOp(f"{insert.path}/cnode[key={key}]")
         ).accepted
-        assert sub.stats["suffix_refreshes"] == 1
+        assert sub.stats["full_refreshes"] == 1
         assert not applied
         assert_contexts_current(service, [sub], "after fallback")
 

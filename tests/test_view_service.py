@@ -469,56 +469,6 @@ class TestViewConfig:
         assert service.updater.verify_each_update is True
 
 
-class TestLegacyShims:
-    def test_insert_shim_warns_and_works(self):
-        service = registrar_service()
-        with pytest.deprecated_call():
-            out = service.updater.insert(
-                "course[cno=CS650]/prereq", "course",
-                ("CS500", "Operating Systems"),
-            )
-        assert out.accepted
-        assert service.check_consistency() == []
-
-    def test_delete_shim_warns_and_works(self):
-        service = registrar_service()
-        with pytest.deprecated_call():
-            out = service.updater.delete(
-                "course[cno=CS650]/prereq/course[cno=CS320]"
-            )
-        assert out.accepted
-
-    def test_shim_accepts_parsed_paths(self):
-        from repro.xpath.parser import parse_xpath
-
-        service = registrar_service()
-        parsed = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]")
-        with pytest.deprecated_call():
-            out = service.updater.delete(parsed)
-        assert out.accepted
-
-    def test_repro_internal_callers_fail_the_build(self):
-        """The CI gate: a shim call *from inside repro* is an error.
-
-        The filterwarnings config escalates DeprecationWarning to an
-        error when the warning originates in a ``repro.*`` module.
-        Simulate an unmigrated internal caller by executing the shim
-        call under a ``repro.``-named module.
-        """
-        service = registrar_service()
-        code = compile(
-            "service.updater.delete("
-            "'course[cno=CS650]/prereq/course[cno=CS320]')",
-            "<repro-internal>",
-            "exec",
-        )
-        with pytest.raises(DeprecationWarning):
-            exec(
-                code,
-                {"__name__": "repro._unmigrated_caller", "service": service},
-            )
-
-
 class TestReadWriteUpgrade:
     """Regression: a reader calling a write API used to deadlock forever
     in ``acquire_write`` (the writer waits for readers — including the

@@ -147,7 +147,7 @@ class TestLogLifecycle:
         assert [e.generation for e in wal.events_since(3)] == [4, 5, 6, 7]
         # Replayed events are wire-form: engine-internal fields gone.
         replayed = wal.events_since(0)[0]
-        assert replayed.delta_r is None and replayed.closure is None
+        assert replayed.delta_r is None
         # ...but the raw records still carry the ΔR for recovery.
         assert wal.records_since(0)[0][1]["delta_r"] is not None
         wal.close()

@@ -34,6 +34,7 @@ from faults import (
 )
 from repro.errors import WalError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
+from repro.replica import ReplicaView, Snapshot
 from repro.replica.fold import fold_event
 from repro.service import ViewConfig, open_view
 from repro.subscribe.delta import ViewEvent
@@ -398,3 +399,60 @@ class TestKillNine:
         assert again.stats()["generation"] == service.stats()["generation"]
         assert again.store.digest() == service.store.digest()
         again.close()
+
+
+# ---------------------------------------------------------------------------
+# Artifacts written before the config lost two fields and ``M`` a backend
+# ---------------------------------------------------------------------------
+
+
+def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
+    """A snapshot / WAL checkpoint as releases up to 0.10 wrote it —
+    ``config`` carrying ``commit_pipeline`` and
+    ``capture_closure_deltas``, ``index_backend: "auto"`` resolved to
+    ``"matrix"`` in the provenance — recovers and bootstraps a replica:
+    both fields are carried as data, never decoded."""
+    wal_dir = str(tmp_path / "wal")
+    atg, db = build_registrar()
+    writer = open_view(atg, db, config=ViewConfig(strict=False))
+    assert writer.apply(
+        DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+    ).accepted
+    old_config = {
+        **ViewConfig(strict=False, wal_dir=wal_dir).to_dict(),
+        "index_backend": "auto",
+        "capture_closure_deltas": "auto",
+        "commit_pipeline": True,
+    }
+    snapshot = Snapshot.capture(
+        writer.store, generation=1, config=old_config, index_backend="matrix"
+    )
+    wal = WriteAheadLog(wal_dir)
+    wal.write_checkpoint(
+        {"snapshot": snapshot.to_dict(), "db": db.export_state()}, 1
+    )
+    wal.close()
+    snapshot.save(str(tmp_path / "snap.pkl.gz"))
+
+    loaded = Snapshot.load(str(tmp_path / "snap.pkl.gz"))
+    assert loaded.config == old_config
+    assert loaded.provenance["index_backend"] == "matrix"
+    for replica in (
+        ReplicaView.from_snapshot(atg, loaded),
+        ReplicaView.from_wal(atg, wal_dir),
+    ):
+        assert replica.generation == 1
+        assert replica.store.digest() == writer.store.digest()
+
+    atg2, db2 = build_registrar()
+    recovered = open_view(
+        atg2, db2, config=ViewConfig(strict=False, wal_dir=wal_dir)
+    )
+    assert recovered.stats()["generation"] == 1
+    assert recovered.index_backend == "bitset"
+    assert recovered.store.digest() == writer.store.digest()
+    assert recovered.apply(
+        InsertOp("course[cno=CS650]/prereq", "course", ("CS320", "Databases"))
+    ).accepted
+    assert recovered.check_consistency() == []
+    recovered.close()
