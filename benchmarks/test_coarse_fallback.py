@@ -2,9 +2,10 @@
 
 Per event the registry has two regimes:
 
-- **fine** — scan every edge record against every subscription's
-  per-step patterns (cost ∝ |edges| × |patterns|, rewarded with skips
-  and suffix restarts);
+- **fine** — probe the pattern index with every edge record, then scan
+  the edges against the per-step patterns of each candidate
+  subscription (cost ∝ |edges| × |candidate patterns|, rewarded with
+  skips and suffix restarts);
 - **coarse** — skip the scan and fully re-evaluate every subscription
   (cost independent of |edges|).
 
@@ -55,13 +56,14 @@ def _service():
 def _event(service, n_edges: int) -> ViewEvent:
     """A fine event of ``n_edges`` worst-case (never-matching) edges.
 
-    Unmatched edge types force the scan to visit every pattern of every
-    subscription for every edge — exactly the regime the threshold
-    guards against.  The generation matches the current version so the
-    handled subscriptions stay consistent for the next measurement.
+    Unmatched edge types never short-circuit: every edge probes the
+    pattern index and is scanned against every pattern of the
+    always-candidate (``//``) subscriptions — the regime the threshold
+    guards against.  The generation matches the current one so the
+    maintained subscriptions stay consistent for the next measurement.
     """
     return ViewEvent(
-        generation=service.updater._version,
+        generation=service.updater.generation,
         edges=[
             EdgeRecord("insert", "zz_parent", "zz_child", 0, i)
             for i in range(n_edges)
@@ -77,7 +79,7 @@ def _measure_regime(service, n_edges: int, coarse: bool) -> float:
     for _ in range(REPEATS):
         event = _event(service, n_edges)
         start = time.perf_counter()
-        registry.handle(event)
+        registry.apply_batched(event)
         best = min(best, time.perf_counter() - start)
     return best
 

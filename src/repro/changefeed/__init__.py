@@ -1,12 +1,13 @@
 """The public, versioned changefeed over one view's ΔV event stream.
 
-Where :meth:`repro.core.updater.XMLViewUpdater.add_observer` is an
-engine-internal hook with no stability contract, this package is the
-supported way for external consumers — caches, materialized replicas,
-audit logs — to follow a published view:
+This package is the way for external consumers — caches, materialized
+replicas, audit logs — to follow a published view; the commit pipeline
+(:mod:`repro.service.pipeline`) drives it, one sealed event per write
+scope:
 
 - :mod:`repro.changefeed.hub` — the per-view publisher
-  (:class:`ChangefeedHub`): batch coalescing, the replay buffer, fan-out;
+  (:class:`ChangefeedHub`): the replay buffer, the durable log append,
+  fan-out;
 - :mod:`repro.changefeed.consumer` — the handle
   (:class:`ChangefeedConsumer`): callback contract or blocking/pull
   iterator, resume bookkeeping;

@@ -1,21 +1,22 @@
 """The publisher side of the changefeed: one hub per published view.
 
-The :class:`ChangefeedHub` turns the engine-internal commit observer
-stream (:meth:`repro.core.updater.XMLViewUpdater.add_observer`, no
-stability contract) into the stable public feed:
+The :class:`ChangefeedHub` turns the commit pipeline's sealed events
+into the stable public feed.  It registers nowhere: the pipeline calls
+:meth:`ChangefeedHub.stage` under the write lock and
+:meth:`ChangefeedHub.deliver` after releasing it, once per write scope.
 
-- it attaches to the updater **once**, on the first
-  :meth:`ChangefeedHub.open`, and stays attached for the life of the
-  service — retention must be continuous for replay to be trustworthy;
-- mid-batch ``deferred`` events are buffered and **coalesced** with the
-  session's flush event, so consumers see exactly one event per
-  committed generation that was observable at rest (the same batch
-  semantics the subscription registry uses);
+- retention starts **once**, on the first :meth:`ChangefeedHub.open`
+  (or at construction of a durable service), and lasts for the life of
+  the service — it must be continuous for replay to be trustworthy, and
+  until then nobody consumes events, so none are built;
+- consumers see exactly one event per committed generation that was
+  observable at rest: a batch arrives as the one coalesced event its
+  session emitted at flush;
 - every published event lands in the generation-indexed
   :class:`~repro.changefeed.buffer.ReplayBuffer` *before* fan-out, so a
   consumer attached with ``since=`` can never miss an event between its
-  replay and its first live delivery (both happen under the writer's
-  critical section).
+  replay and its first live delivery (staging and attach both happen
+  under the writer's critical section).
 
 Generations are the updater's version counter: strictly increasing,
 not necessarily dense (failed commits bump without publishing; batches
@@ -32,7 +33,7 @@ import threading
 from repro.changefeed.buffer import ReplayBuffer
 from repro.changefeed.consumer import ChangefeedConsumer
 from repro.errors import ChangefeedError, ReplayGapError
-from repro.subscribe.delta import ViewEvent, coalesce
+from repro.subscribe.delta import ViewEvent
 
 #: Default number of published events retained for replay.
 DEFAULT_RETENTION = 256
@@ -73,7 +74,6 @@ class ChangefeedHub:
         self._members = threading.Lock()
         self._consumers: list[ChangefeedConsumer] = []
         self._buffer: ReplayBuffer | None = None
-        self._pending: list[ViewEvent] = []
         self.events_published = 0
         """Events published since the hub attached (coalesced batches
         count once)."""
@@ -122,7 +122,8 @@ class ChangefeedHub:
 
     @property
     def attached(self) -> bool:
-        """Whether the hub observes commits (true after the first open)."""
+        """Whether the hub retains events (true from the first open on;
+        from then on the pipeline counts it as a consumer)."""
         return self._buffer is not None
 
     @property
@@ -131,7 +132,7 @@ class ChangefeedHub:
         replay buffer evicts; with a WAL, the log's compaction floor —
         whichever reaches further back)."""
         if self._buffer is None:
-            base = self.updater._version
+            base = self.updater.generation
         else:
             base = self._buffer.floor
         if self.wal is not None:
@@ -144,23 +145,21 @@ class ChangefeedHub:
             # trustworthy while retention is continuous.  Events before
             # the first open are unobservable (floor = attach version).
             self._buffer = ReplayBuffer(
-                self.retention, floor=self.updater._version
+                self.retention, floor=self.updater.generation
             )
-            self.updater.add_observer(self.handle)
 
     # -- the consumer-facing API -----------------------------------------------------
 
     def validate_since(self, since: int | None) -> None:
         """Raise exactly what :meth:`open` would for this resume point.
 
-        Side-effect free, so callers (the façade) can reject a bad
-        ``since`` *before* attach/pin side effects stick — a failed
-        ``changefeed()`` call must not switch on per-commit event
-        construction for the life of the service.
+        Side-effect free: a failed ``changefeed()`` call must not
+        switch on per-commit event construction for the life of the
+        service.
         """
         if since is None:
             return
-        current = self.updater._version
+        current = self.updater.generation
         if since > current:
             raise ChangefeedError(
                 f"since={since} is ahead of the feed (current "
@@ -191,7 +190,7 @@ class ChangefeedHub:
         assert self._buffer is not None
         if since is None:
             replayed: list[ViewEvent] = []
-            start = self.updater._version
+            start = self.updater.generation
         elif self.wal is not None and since < self._buffer.floor:
             # The buffer has evicted this range but the durable log
             # still covers it (validate_since checked the WAL floor):
@@ -233,24 +232,11 @@ class ChangefeedHub:
 
     # -- the publish path (writer's critical section) ---------------------------------
 
-    def handle(self, event: ViewEvent) -> None:
-        """Commit observer: coalesce batches, retain, fan out inline.
-
-        The path of events emitted outside a pipeline scope (direct
-        updater use): staging and delivery both run inside the writer's
-        critical section.
-        """
-        if event.deferred:
-            self._pending.append(event)
-            return
-        self.deliver(self.stage(event))
-
     def stage(self, event: ViewEvent):
         """Retain ``event`` and snapshot its fan-out list (under the lock).
 
-        The staged pipeline's half of publication that *must* stay in
-        the writer's critical section: coalescing with any buffered
-        mid-batch events, the replay-buffer append (so a consumer
+        The half of publication that *must* stay in the writer's
+        critical section: the replay-buffer append (so a consumer
         attaching right after the lock is released replays this event
         instead of missing it) and the consumer-list snapshot (so that
         same late consumer is not *also* delivered to live — no gaps, no
@@ -259,10 +245,6 @@ class ChangefeedHub:
         """
         if self._buffer is None:
             return None
-        if self._pending:
-            self._pending.append(event)
-            event = coalesce(self._pending)
-            self._pending.clear()
         self._buffer.append(event)
         if self.wal is not None:
             self.wal.append(event)
@@ -283,9 +265,8 @@ class ChangefeedHub:
     def deliver(self, staged) -> None:
         """Fan a staged event out to its snapshot of consumers.
 
-        Runs *outside* the write lock on the staged pipeline (in commit
-        order — the pipeline's ticket fence serializes concurrent
-        publishers), inline under the lock from :meth:`handle`.
+        Runs *outside* the write lock, in commit order — the pipeline's
+        ticket fence serializes concurrent publishers.
         """
         if staged is None:
             return

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import enum
 import random
-import threading
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.atg.model import ATG
@@ -79,6 +78,7 @@ from repro.relview.delete import expand_view_deletions, translate_deletions
 from repro.relview.insert import translate_insertions
 from repro.subscribe.delta import (
     ViewEvent,
+    coalesce,
     edge_records_from_delta,
     node_records_for,
 )
@@ -218,8 +218,6 @@ class UpdatePlan:
         self._delete_feed: EvalResult | list[int] | None = None
         self._base_delta: RelationalDelta | None = None
         self._version = updater._version
-        #: Optional lock context factory (set by the service façade).
-        self._write_lock = None
 
     # -- previews -----------------------------------------------------------------
 
@@ -262,16 +260,9 @@ class UpdatePlan:
 
     # -- completion ---------------------------------------------------------------
 
-    def _locked(self):
-        if self._write_lock is None:
-            import contextlib
-
-            return contextlib.nullcontext()
-        return self._write_lock()
-
     def commit(self) -> UpdateOutcome:
         """Apply ΔR/ΔV and run the background Δ(M,L) maintenance."""
-        with self._locked():
+        with self.updater._sink.scope():
             return self._commit_inner()
 
     def _commit_inner(self) -> UpdateOutcome:
@@ -291,7 +282,7 @@ class UpdatePlan:
         # up front so a commit failure never wedges the updater (and so
         # a base-update commit can pass apply_base_update's plan guard).
         updater._outstanding_plan = None
-        notify = bool(updater._observers)
+        notify = updater._sink.consuming
         edge_records = []
         node_records = []
         try:
@@ -347,7 +338,7 @@ class UpdatePlan:
                 # Propagation reports every edge change typed+valued, so
                 # base updates are fine-grained events too (subscription
                 # pruning extends to the reverse pipeline).
-                updater._emit(ViewEvent(
+                updater._sink.emit(ViewEvent(
                     generation=updater._version,
                     edges=report.edge_records,
                     nodes=report.node_records,
@@ -355,14 +346,20 @@ class UpdatePlan:
                     delta_r=self._base_delta,
                 ))
             else:
-                updater._emit(ViewEvent(
+                event = ViewEvent(
                     generation=updater._version,
                     edges=edge_records,
                     nodes=node_records,
-                    deferred=updater._session is not None,
                     reason=self.op.kind,
                     delta_r=outcome.delta_r,
-                ))
+                )
+                if updater._session is not None:
+                    # Mid-batch the store's edges are current but ``M``
+                    # is not: the session releases its ops' events as
+                    # one, at rest, when it flushes.
+                    updater._session.events.append(event)
+                else:
+                    updater._sink.emit(event)
         return outcome
 
     def abort(self) -> None:
@@ -370,7 +367,7 @@ class UpdatePlan:
 
         Aborting is idempotent, and a no-op on a rejected plan (which
         keeps its REJECTED state — the rejection stays on record)."""
-        with self._locked():
+        with self.updater._sink.scope():
             if self.state in (PlanState.ABORTED, PlanState.REJECTED):
                 return
             if self.state is not PlanState.PLANNED:
@@ -382,6 +379,17 @@ class UpdatePlan:
             self.state = PlanState.ABORTED
             if self.updater._outstanding_plan is self:
                 self.updater._outstanding_plan = None
+
+
+class _NoSink:
+    """The sink of a bare updater: nobody consumes, nothing to lock."""
+
+    consuming = False
+    delivering = False
+    scope = staticmethod(nullcontext)
+
+
+_NO_SINK = _NoSink()
 
 
 class XMLViewUpdater:
@@ -411,6 +419,9 @@ class XMLViewUpdater:
         (:mod:`repro.wal.recover`): the restored store's node ids must
         match the logged event stream, and republishing would allocate
         different ones.
+    generation:
+        Where the generation counter starts (recovery resumes the
+        logged sequence; 0 for a fresh view).
     """
 
     def __init__(
@@ -424,6 +435,7 @@ class XMLViewUpdater:
         rng: random.Random | None = None,
         index_backend: str = "bitset",
         store: ViewStore | None = None,
+        generation: int = 0,
     ):
         self.atg = atg
         self.db = db
@@ -455,30 +467,13 @@ class XMLViewUpdater:
         surgery diluting the signal."""
         self._session: UpdateSession | None = None
         self._outstanding_plan: UpdatePlan | None = None
-        self._version = 0
+        self._version = generation
         """Bumped on every committed mutation; guards stale plans."""
-        self._observers: list = []
-        """Commit observers: called with one ΔV :class:`ViewEvent` per
-        committed mutation (the subscription engine registers here).
-        Empty list = zero event-construction overhead."""
         self._in_plan_commit = False
         """True while a plan commit drives ``apply_base_update`` (the
         commit emits the final event itself)."""
-        self._emitting_depth: dict[int, int] = {}
-        """Per-thread nesting depth of observer/consumer delivery.  The
-        service write lock is reentrant for its owner, so without this
-        guard an observer (subscription maintenance, a changefeed
-        callback) could start a *nested* commit and publish events out
-        of order mid-fan-out.  Per *thread* because the staged commit
-        pipeline delivers after the lock is released — a callback
-        writing back would otherwise simply acquire the free lock."""
-        self._sink = None
-        """The installed :class:`~repro.service.pipeline.CommitPipeline`
-        (or None).  While a pipeline scope is open on the emitting
-        thread, events are collected into its ``CommitRecord`` and the
-        registry/hub observers are skipped (maintenance and fan-out run
-        as explicit pipeline phases instead); raw observers always run
-        inline."""
+        self._sink = _NO_SINK
+        """Where commit events go (see :meth:`attach_sink`)."""
 
     # -- public API -----------------------------------------------------------
 
@@ -499,65 +494,42 @@ class XMLViewUpdater:
         """
         return self._evaluator()
 
-    # -- commit observers -------------------------------------------------------
+    # -- the commit-event seam -----------------------------------------------------
 
-    def add_observer(self, observer) -> None:
-        """Register ``observer(event: ViewEvent)`` to run after every
-        committed mutation, inside the writer's critical section.
+    @property
+    def generation(self) -> int:
+        """The version counter: bumped on every committed mutation,
+        strictly increasing, stamped on every emitted event."""
+        return self._version
 
-        Engine-internal hook (no stability contract): observers receive
-        raw events, including ``deferred`` mid-batch ones, in attach
-        order.  External consumers should use the public changefeed —
-        :meth:`repro.service.ViewService.changefeed` — which coalesces
-        batches, supports replay, and freezes the event schema
-        (``docs/event-schema.md``).
+    def attach_sink(self, sink) -> None:
+        """Install the one consumer of this updater's commit events.
+
+        The updater's whole interface to the layers above it
+        (:class:`~repro.service.pipeline.CommitPipeline` in a service;
+        a bare updater has none and builds no events):
+
+        - ``sink.consuming`` — whether anyone reads events right now;
+          when false no :class:`ViewEvent` (and none of the typed
+          records that feed one) is constructed;
+        - ``sink.emit(event)`` — receives each at-rest event, one per
+          committed generation observable at rest (a batch session
+          emits one, at flush);
+        - ``sink.scope()`` — the context a plan's ``commit()`` /
+          ``abort()`` runs in (the service's write section);
+        - ``sink.delivering`` — true on a thread that is handing events
+          to consumers; mutating from there is rejected.
         """
-        self._observers.append(observer)
+        self._sink = sink
 
-    def remove_observer(self, observer) -> None:
-        """Unregister a previously added observer (ValueError if absent)."""
-        self._observers.remove(observer)
-
-    @contextmanager
-    def _observer_section(self):
-        """Mark the calling thread as delivering commit events.
-
-        Raised around inline observer dispatch *and* around the staged
-        pipeline's off-lock publish phase, so
-        :meth:`_check_not_emitting` rejects write-backs from either.
-        """
-        ident = threading.get_ident()
-        depth = self._emitting_depth
-        depth[ident] = depth.get(ident, 0) + 1
-        try:
-            yield
-        finally:
-            remaining = depth.get(ident, 1) - 1
-            if remaining <= 0:
-                depth.pop(ident, None)
-            else:
-                depth[ident] = remaining
-
-    def _emit(self, event: ViewEvent) -> None:
-        sink = self._sink
-        collected = sink is not None and sink.collect(event)
-        with self._observer_section():
-            for observer in list(self._observers):
-                if collected and sink.owns(observer):
-                    # A pipeline scope buffered the event; registry
-                    # maintenance and hub fan-out run as the maintain /
-                    # publish phases on the sealed record instead.
-                    continue
-                observer(event)
-
-    def _check_not_emitting(self) -> None:
-        if threading.get_ident() in self._emitting_depth:
+    def _check_not_delivering(self) -> None:
+        if self._sink.delivering:
             raise PlanError(
-                "cannot mutate the view from inside a commit observer "
-                "(a subscription or changefeed callback): the write "
-                "lock is reentrant, so the nested commit would publish "
-                "events out of order mid-delivery; hand the work to "
-                "another thread or use a pull-mode changefeed consumer"
+                "cannot mutate the view from inside a changefeed "
+                "callback: delivery runs after the write lock is "
+                "released, so the nested commit would publish its event "
+                "out of order mid-delivery; hand the work to another "
+                "thread or use a pull-mode changefeed consumer"
             )
 
     def apply_op(self, op: UpdateOperation) -> UpdateOutcome:
@@ -585,7 +557,7 @@ class XMLViewUpdater:
             raise TypeError(
                 f"expected an update operation from repro.ops, got {op!r}"
             )
-        self._check_not_emitting()
+        self._check_not_delivering()
         if self._outstanding_plan is not None:
             raise PlanError(
                 "another plan is outstanding; commit or abort it first"
@@ -910,7 +882,7 @@ class XMLViewUpdater:
         """
         from repro.atg.incremental import propagate_base_update
 
-        self._check_not_emitting()
+        self._check_not_delivering()
         if self._outstanding_plan is not None:
             # Propagation would trip over the plan's pre-interned
             # (edge-less) nodes and corrupt the store irrecoverably.
@@ -923,6 +895,9 @@ class XMLViewUpdater:
                 "cannot propagate a base update while a batch session has "
                 "pending maintenance; flush the session first"
             )
+        # Typed per-edge records cost lookups per change; only pay when
+        # someone consumes the resulting event.
+        notify = self._sink.consuming
         report = propagate_base_update(
             self.atg,
             self.registry,
@@ -931,19 +906,17 @@ class XMLViewUpdater:
             self.topo,
             self.reach,
             delta_r,
-            # Typed per-edge records cost lookups per change; only pay
-            # when someone consumes the resulting event.
-            want_records=bool(self._observers),
+            want_records=notify,
         )
         self._version += 1
         self._post_verify()
-        if self._observers and not self._in_plan_commit:
+        if notify and not self._in_plan_commit:
             # The report types every edge change (losses, gains, GC), so
             # the event is fine-grained: subscriptions skip or
             # suffix-restart on base updates exactly as on foreground
             # ops.  A plan-driven base commit emits its own event with
             # the final generation instead.
-            self._emit(ViewEvent(
+            self._sink.emit(ViewEvent(
                 generation=self._version,
                 edges=report.edge_records,
                 nodes=report.node_records,
@@ -970,7 +943,7 @@ class XMLViewUpdater:
 
     def rebuild(self) -> None:
         """Recompute the store, ``L`` and ``M`` from scratch (baseline)."""
-        self._check_not_emitting()
+        self._check_not_delivering()
         self.store = publish_store(self.atg, self.db)
         self.rebuild_structures_only()
 
@@ -982,13 +955,13 @@ class XMLViewUpdater:
         """
         from repro.views.loader import load_structures
 
-        self._check_not_emitting()
+        self._check_not_delivering()
         self.topo, self.reach = load_structures(
             self.store, self.index_backend
         )
         self._version += 1
-        if self._observers:
-            self._emit(ViewEvent(
+        if self._sink.consuming:
+            self._sink.emit(ViewEvent(
                 generation=self._version, coarse=True, reason="rebuild"
             ))
 
@@ -1094,6 +1067,9 @@ class UpdateSession:
         self.updater = updater
         self._pending_inserts: list[tuple[SubtreeResult, list[int]]] = []
         self._pending_deletes: list[int] = []
+        self.events: list[ViewEvent] = []
+        """The batch's per-op events, held until :meth:`flush` emits
+        them coalesced with its own (``M`` is stale until then)."""
         self.report: BatchReport | None = None
         self._closed = False
 
@@ -1169,9 +1145,9 @@ class UpdateSession:
         updater._version += 1
         report.seconds = time.perf_counter() - start
         updater._post_verify()
-        if updater._observers:
-            # The flush event releases the per-op events buffered during
-            # the session (even when the only new information is GC).
+        if updater._sink.consuming:
+            # One event for the whole batch (even when the only new
+            # information is GC), at the flush generation.
             records = (
                 edge_records_from_delta(
                     updater.store, dm.gc_delta, dm.removed_info
@@ -1179,9 +1155,10 @@ class UpdateSession:
                 if dm is not None
                 else []
             )
-            updater._emit(ViewEvent(
+            updater._sink.emit(coalesce([*self.events, ViewEvent(
                 generation=updater._version,
                 edges=records,
                 reason="batch_flush",
-            ))
+            )]))
+        self.events.clear()
         return report

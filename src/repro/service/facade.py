@@ -84,7 +84,7 @@ class ViewService:
         # ids would not match the logged event stream).
         self.wal = None
         recovered_store = None
-        recovered_generation: int | None = None
+        recovered_generation = 0
         if self.config.wal_dir is not None:
             from repro.wal.log import WriteAheadLog
             from repro.wal.recover import recover_state
@@ -111,25 +111,17 @@ class ViewService:
             rng=self.config.make_rng(),
             index_backend=self.config.index_backend,
             store=recovered_store,
+            # New commits extend the logged generation sequence.
+            generation=recovered_generation,
         )
-        if recovered_generation is not None:
-            # Resume the version counter where the log left off so new
-            # commits extend the logged generation sequence.
-            self.updater._version = recovered_generation
-        # The registry attaches itself as a commit observer on first
-        # subscribe(), so services that never subscribe pay nothing on
-        # the write path.
         self.subscriptions = SubscriptionRegistry(
             self.updater,
             self._lock,
             coarse_threshold=self.config.coarse_event_threshold,
             metrics=self.metrics_registry,
         )
-        # Likewise the changefeed hub attaches on the first changefeed()
-        # call; from then on it stays attached so replay retention is
-        # continuous.
         # (The hub does not lock internally: changefeed() holds the
-        # service write lock across attach, and publication runs inside
+        # service write lock across attach, and staging runs inside
         # the writer's critical section.)
         self.changefeeds = ChangefeedHub(
             self.updater,
@@ -138,24 +130,21 @@ class ViewService:
             metrics=self.metrics_registry,
         )
         # The staged commit pipeline (plan → mutate → maintain →
-        # publish): writes open a pipeline scope instead of a bare write
-        # lock, registry maintenance runs as one batched pass, and
-        # changefeed delivery happens after the lock is released (see
-        # docs/architecture.md).
+        # publish) installs itself as the updater's sink: the one
+        # dispatcher of commit events.  It builds them only while a
+        # subscription stands or the hub retains; registry maintenance
+        # runs before changefeed staging, and delivery happens after
+        # the lock is released (see docs/architecture.md).
         self.pipeline = CommitPipeline(
             self._lock, self.updater, self.subscriptions,
             self.changefeeds, metrics=self.metrics_registry,
         )
-        self.updater._sink = self.pipeline
         if self.wal is not None:
-            # A durable service attaches the hub at construction (not
-            # lazily on the first changefeed() call) so every commit
-            # from here on is logged.  The registry pins itself first,
-            # preserving the registry-before-hub observer ordering the
-            # lazy path establishes.  The initial checkpoint makes the
-            # replay floor point at a live checkpoint from generation 0.
+            # A durable service starts retention at construction (not
+            # on the first changefeed() call) so every commit from here
+            # on is logged.  The initial checkpoint makes the replay
+            # floor point at a live checkpoint from generation 0.
             self.changefeeds.checkpoint_fn = self._wal_checkpoint
-            self.subscriptions.ensure_registered(pin=True)
             self.changefeeds._ensure_attached()
             if not self.wal.has_checkpoint:
                 self._wal_checkpoint()
@@ -177,7 +166,7 @@ class ViewService:
 
         snapshot = Snapshot.capture(
             self.updater.store,
-            generation=self.updater._version,
+            generation=self.updater.generation,
             config=self.config.to_dict(),
             index_backend=self.updater.index_backend,
         )
@@ -186,7 +175,7 @@ class ViewService:
                 "snapshot": snapshot.to_dict(),
                 "db": self.updater.db.export_state(),
             },
-            self.updater._version,
+            self.updater.generation,
         )
 
     def close(self) -> None:
@@ -194,9 +183,11 @@ class ViewService:
 
         A service without ``wal_dir`` has nothing to release; with one,
         ``close()`` fsyncs the active segment per the fsync policy and
-        drops cached descriptors.  The service object itself remains
-        readable — only the log is detached, and further *writes* would
-        fail on the closed log, so treat the service as done.
+        drops cached descriptors.  The log has no closed state: the
+        service stays readable, and a write after ``close()`` reopens
+        the segment, is logged under the same fsync policy and is
+        recovered like any other — it only lacks a final flush until
+        ``close()`` is called again, so treat the service as done.
         """
         if self.wal is not None:
             with self._lock.write():
@@ -284,9 +275,7 @@ class ViewService:
         """
         decoded = self._decode(op)
         with self._lock.write():
-            plan = self.updater.plan(decoded)
-        plan._write_lock = self.pipeline.scope
-        return plan
+            return self.updater.plan(decoded)
 
     def undo(self, outcome: UpdateOutcome):
         """Invert an accepted update's ΔR and re-synchronize the view."""
@@ -327,8 +316,7 @@ class ViewService:
     ) -> ChangefeedConsumer:
         """Attach a consumer to this view's published event stream.
 
-        The stable, versioned successor of ``updater.add_observer``: one
-        JSON-serializable :class:`~repro.subscribe.delta.ViewEvent` per
+        One JSON-serializable :class:`~repro.subscribe.delta.ViewEvent` per
         committed generation observable at rest (batches arrive as one
         coalesced event), specified in ``docs/event-schema.md``.
 
@@ -365,12 +353,6 @@ class ViewService:
         ``drops`` stat).
         """
         with self._lock.write():
-            # Reject a bad resume point before any side effect sticks,
-            # then pin the registry ahead of the hub in the observer
-            # list so changefeed callbacks always see post-maintenance
-            # subscription state.
-            self.changefeeds.validate_since(since)
-            self.subscriptions.ensure_registered(pin=True)
             return self.changefeeds.open(
                 since=since, on_event=on_event,
                 backpressure=backpressure, block_timeout=block_timeout,
@@ -409,7 +391,7 @@ class ViewService:
         with self._lock.read():
             return Snapshot.capture(
                 self.updater.store,
-                generation=self.updater._version,
+                generation=self.updater.generation,
                 config=self.config.to_dict(),
                 index_backend=self.updater.index_backend,
             )
@@ -427,7 +409,7 @@ class ViewService:
         with self._lock.read():
             store = self.updater.store
             return {
-                "generation": self.updater._version,
+                "generation": self.updater.generation,
                 "nodes": store.num_nodes,
                 "edges": store.num_edges,
                 "reach_pairs": len(self.updater.reach),
@@ -448,7 +430,7 @@ class ViewService:
         store = self.updater.store
         reg.gauge(
             "repro_generation", "Current committed view generation."
-        ).set(self.updater._version)
+        ).set(self.updater.generation)
         reg.gauge("repro_view_nodes", "Nodes in the view store.").set(
             store.num_nodes
         )

@@ -1,19 +1,19 @@
 """The staged commit pipeline: plan → mutate → maintain → publish.
 
-Historically every commit ran mutation, subscription maintenance and
-changefeed fan-out serially inside the writer's critical section.  The
-:class:`CommitPipeline` splits that monolith into four explicit phases
-with per-phase wall-clock accounting:
+The :class:`CommitPipeline` is the one dispatcher of commit events: the
+updater hands it every event it emits (it is the updater's *sink*, see
+:meth:`~repro.core.updater.XMLViewUpdater.attach_sink`), and the
+subscription registry and the changefeed hub are driven from here and
+nowhere else.  A commit runs in four phases with per-phase wall-clock
+accounting:
 
 - **plan** — the foreground phases (validate → ΔR), still under the
   write lock so the plan cannot go stale before its commit;
 - **mutate** — ΔR/ΔV application plus the Δ(M,L) repair; the emitted
-  :class:`~repro.subscribe.delta.ViewEvent` stream is *collected* into a
-  :class:`CommitRecord` instead of dispatched to the registry/hub inline
-  (raw ``updater.add_observer`` observers still run inline — they are an
-  engine-internal hook with mid-batch ``deferred`` semantics);
-- **maintain** — the record is sealed (one coalesced, generation-stamped
-  event per at-rest generation) and the subscription registry runs its
+  :class:`~repro.subscribe.delta.ViewEvent` stream is collected into the
+  scope's :class:`CommitRecord`;
+- **maintain** — the record is sealed (one generation-stamped event per
+  write scope) and the subscription registry runs its
   *batched* decision pass (:meth:`SubscriptionRegistry.apply_batched`)
   — still under the lock, so readers can never observe generation ``g``
   with stale subscriptions;
@@ -25,7 +25,10 @@ with per-phase wall-clock accounting:
   whole critical section.
 
 The service façade installs one pipeline per view; every write goes
-through it.
+through it.  An event emitted with no scope open on the thread — the
+updater driven around the façade (``service.updater.rebuild()``, a bare
+``apply_base_update``) — gets a scope of its own, so it takes the same
+seal → maintain → publish tail.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ class CommitRecord:
 
     While a pipeline scope is open on the writer thread, every event the
     updater emits is collected here.  :meth:`seal` folds them into a
-    single generation-stamped event (mid-batch ``deferred`` events
-    coalesce with their session's flush event, exactly as the registry
-    and hub used to do internally), after which the record is immutable
+    single generation-stamped event, after which the record is immutable
     in spirit: ``event`` is what maintenance consumed and fan-out
     delivered.
     """
@@ -58,8 +59,8 @@ class CommitRecord:
         self.generation = -1
         """Generation of the sealed event (-1 until sealed non-empty)."""
         self.events: list[ViewEvent] = []
-        """Raw events collected while the scope was open (in emit order,
-        ``deferred`` mid-batch events included)."""
+        """Events collected while the scope was open, in emit order
+        (usually one; a scope spanning several flushes has more)."""
         self.event: ViewEvent | None = None
         """The sealed, coalesced event (``None`` = nothing published)."""
         self.timings: dict[str, float] = {}
@@ -91,18 +92,16 @@ class CommitRecord:
     def seal(self) -> ViewEvent | None:
         """Fold the collected events into one at-rest event.
 
-        A single non-deferred event passes through untouched (byte
-        identical to the inline dispatch); a batch's deferred
-        events coalesce with the flush event.  Returns the sealed event,
-        or ``None`` when the scope emitted nothing (aborted plans,
-        observer-less services).
+        A single event passes through untouched; several coalesce.
+        Returns the sealed event, or ``None`` when the scope emitted
+        nothing (aborted plans, services nobody consumes).
         """
         if self._sealed:
             return self.event
         self._sealed = True
         if not self.events:
             return None
-        if len(self.events) == 1 and not self.events[0].deferred:
+        if len(self.events) == 1:
             self.event = self.events[0]
         else:
             self.event = coalesce(self.events)
@@ -120,11 +119,10 @@ class CommitRecord:
 class CommitPipeline:
     """Owns phase ordering, generation fencing and per-phase timings.
 
-    One instance per :class:`~repro.service.facade.ViewService`.  The
-    façade routes every write through :meth:`scope`; the updater routes
-    emitted events into the open scope's :class:`CommitRecord` via the
-    sink protocol (:meth:`collect`/:meth:`owns`) instead of dispatching
-    to the registry/hub observers inline.
+    One instance per :class:`~repro.service.facade.ViewService`,
+    attached to the updater as its sink.  The façade routes every write
+    through :meth:`scope`; the updater hands emitted events to
+    :meth:`emit`.
     """
 
     def __init__(self, lock, updater, registry, hub, metrics=None):
@@ -132,7 +130,6 @@ class CommitPipeline:
 
         metrics = metrics if metrics is not None else NULL_METRICS
         self._lock = lock
-        self.updater = updater
         self.registry = registry
         self.hub = hub
         self._m_commits = metrics.counter(
@@ -175,33 +172,33 @@ class CommitPipeline:
         """Cumulative per-phase wall-clock seconds."""
         self.last: dict = {}
         """The most recent scope's timings (debug/benchmark aid)."""
+        updater.attach_sink(self)
 
     # -- the sink protocol (called by the updater) ---------------------------------
 
-    def collect(self, event: ViewEvent) -> bool:
-        """Buffer ``event`` into the open scope's record, if any.
-
-        Returns True when a scope is active on the calling thread (the
-        updater then skips the registry/hub observers — maintenance and
-        fan-out run from the sealed record instead); False routes the
-        event through the inline dispatch (direct updater use:
-        ``rebuild()``, bare ``apply_base_update``, engine tests).
-        """
-        record = getattr(self._local, "record", None)
-        if record is None:
-            return False
-        record.events.append(event)
-        return True
-
-    def owns(self, observer) -> bool:
-        """Whether ``observer`` is the registry's or hub's commit hook
-        (those are replaced by the maintain/publish phases in scope)."""
-        return observer == self.registry.handle or observer == self.hub.handle
+    @property
+    def consuming(self) -> bool:
+        """Whether anyone reads commit events: a standing subscription
+        or a changefeed that has ever been opened.  While false the
+        updater builds no events at all."""
+        return len(self.registry) > 0 or self.hub.attached
 
     @property
-    def active(self) -> bool:
-        """Whether a pipeline scope is open on the calling thread."""
-        return getattr(self._local, "record", None) is not None
+    def delivering(self) -> bool:
+        """Whether the calling thread is inside the publish phase (a
+        changefeed callback): the updater rejects mutations from there."""
+        return getattr(self._local, "delivering", False)
+
+    def emit(self, event: ViewEvent) -> None:
+        """Take one at-rest event from the updater.
+
+        Collected into the scope open on the calling thread (scopes
+        nest); with none open (the updater driven around the façade)
+        the event gets a scope of its own and so the same
+        maintain/publish tail.
+        """
+        with self.scope() as record:
+            record.events.append(event)
 
     # -- the write scope -----------------------------------------------------------
 
@@ -218,7 +215,8 @@ class CommitPipeline:
         emitted the flush event before the exception propagates).
 
         Reentrant per thread: a nested scope (``service.apply`` inside
-        ``service.batch()``) joins the outer record.
+        ``service.batch()``, a plan's ``commit()`` inside either) joins
+        the outer record.
         """
         local = self._local
         if getattr(local, "depth", 0):
@@ -269,17 +267,18 @@ class CommitPipeline:
         """Deliver in commit order, outside the writer's critical section.
 
         The ticket fence keeps concurrent writers' deliveries ordered;
-        the updater's observer guard stays raised on this thread so a
-        consumer callback writing back into the service still raises
+        :attr:`delivering` is raised on this thread so a consumer
+        callback writing back into the service raises
         :class:`~repro.errors.PlanError` (the lock is free by now — the
         guard, not the lock, enforces the no-reentrancy contract).
         """
         with self._turn_cond:
             self._turn_cond.wait_for(lambda: self._turn == ticket)
+        self._local.delivering = True
         try:
-            with self.updater._observer_section():
-                self.hub.deliver(staged)
+            self.hub.deliver(staged)
         finally:
+            self._local.delivering = False
             with self._turn_cond:
                 self._turn += 1
                 self._turn_cond.notify_all()

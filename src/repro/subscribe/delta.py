@@ -208,13 +208,6 @@ class ViewEvent:
     update propagation, store rebuilds): every subscription must fully
     re-evaluate."""
 
-    deferred: bool = False
-    """Emitted mid-batch while the Δ(M,L) repair is still pending; the
-    registry buffers deferred events and processes them, coalesced,
-    when the session's flush event arrives.  Deferred events are
-    engine-internal: the public changefeed coalesces them before
-    publication, so they never appear on the wire."""
-
     reason: str = ""
 
     delta_r: RelationalDelta | None = None
@@ -231,8 +224,6 @@ class ViewEvent:
     def to_dict(self) -> dict:
         """The JSON-safe wire form of this event.
 
-        ``deferred`` is deliberately absent: published events are always
-        batch-coalesced, so the flag is meaningless to consumers.
         ``nodes`` is an additive optional key (not a version bump — see
         the compatibility rules in ``docs/event-schema.md``).
         """
@@ -320,9 +311,9 @@ def edge_records_from_delta(
 
 
 def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
-    """Merge a buffered event sequence into one (latest generation wins).
+    """Merge an event sequence into one (latest generation wins).
 
-    Used when a batch session flushes: the per-op deferred events plus
+    Used when a batch session flushes: the per-op events it held plus
     the flush's own GC event collapse into a single event carrying the
     union of the edge changes.  Membership pruning only needs the set of
     touched (label, value) coordinates, so concatenation — without
@@ -342,8 +333,8 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
                 merged.nodes.append(rec)
         if event.delta_r is not None:
             # ΔR ops concatenate in commit order (a batch's per-op
-            # deferred events each carry their own ΔR; the flush event
-            # carries none), so replaying the merged delta reproduces
+            # events each carry their own ΔR; the flush event carries
+            # none), so replaying the merged delta reproduces
             # the batch's base-table effect exactly.
             delta_ops.extend(event.delta_r.ops)
         if event.reason:

@@ -1,11 +1,13 @@
 """Incrementally maintained XPath subscriptions over one published view.
 
 ``service.subscribe(path)`` evaluates ``path`` once, eagerly, and from
-then on the :class:`SubscriptionRegistry` — registered as a commit
-observer on the updater — keeps the result current by consuming the
-structured ΔV events every committed operation emits
-(:mod:`repro.subscribe.delta`).  Per event and per subscription the
-registry picks the cheapest sound action:
+then on the :class:`SubscriptionRegistry` keeps the result current from
+the structured ΔV events every committed operation emits
+(:mod:`repro.subscribe.delta`): the commit pipeline's maintain phase
+hands it one sealed event per write scope
+(:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
+entry point).  Per event and per subscription the registry picks the
+cheapest sound action:
 
 - **skip** — no event edge intersects any step's dependency map
   (:mod:`repro.subscribe.deps`): the cached result is provably current,
@@ -36,9 +38,10 @@ node ids at near-zero cost.
 Every subscription is generation-tagged with the updater's version
 counter.  :meth:`Subscription.result` compares tags before answering
 and falls back to a full re-evaluation on any mismatch — a missed or
-deferred event (e.g. reading mid-batch) degrades to correct-but-slower,
-never to stale data.  Maintenance runs inside the writer's critical
-section (the service write lock); ``result()`` takes the read side.
+not-yet-emitted event (e.g. reading mid-batch) degrades to
+correct-but-slower, never to stale data.  Maintenance runs inside the
+writer's critical section (the service write lock); ``result()`` takes
+the read side.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import threading
 import time
 from contextlib import nullcontext
 
-from repro.subscribe.delta import ViewEvent, coalesce
+from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
     QueryProfile,
     first_affected_step,
@@ -294,10 +297,7 @@ class SubscriptionRegistry:
         self._subs: list[Subscription] = []
         self._patterns = _PatternIndex()
         self._members = threading.Lock()
-        self._buffer: list[ViewEvent] = []
         self._ids = itertools.count(1)
-        self._registered = False
-        self._pinned = False
         self._closed_totals: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
         self.coarse_threshold = (
             DEFAULT_COARSE_THRESHOLD
@@ -308,7 +308,6 @@ class SubscriptionRegistry:
         handled as coarse (one full re-evaluation per subscription)
         instead of being scanned edge-by-edge against every pattern."""
         self.events_processed = 0
-        self.events_buffered = 0
         self.publish_seconds = 0.0
         self._ledger_events = 0
         """Events accounted through :meth:`apply_batched`.  A
@@ -330,26 +329,6 @@ class SubscriptionRegistry:
 
     # -- registration ------------------------------------------------------------
 
-    def ensure_registered(self, pin: bool = False) -> None:
-        """Hook the registry onto the updater's commit observer list.
-
-        Normally lazy (the first :meth:`subscribe` does it); the service
-        façade calls this with ``pin=True`` before attaching the
-        changefeed hub, so that registry maintenance always runs *before*
-        changefeed delivery — a changefeed callback then observes
-        subscriptions already consistent with the event it receives.  A
-        pinned registry never unhooks, keeping that ordering stable.
-        """
-        with self._members:
-            self._ensure_registered_locked(pin)
-
-    def _ensure_registered_locked(self, pin: bool) -> None:
-        """The hookup itself; callers hold ``self._members``."""
-        self._pinned = self._pinned or pin
-        if not self._registered:
-            self.updater.add_observer(self.handle)
-            self._registered = True
-
     def subscribe(self, path: str | XPath) -> Subscription:
         """Register ``path`` and evaluate it eagerly.
 
@@ -370,17 +349,13 @@ class SubscriptionRegistry:
         )
         with sub._mutex:
             self._refresh_full(sub)
-            sub._generation = self.updater._version
+            sub._generation = self.updater.generation
             # Events before registration are not this sub's skips.
             sub._ledger_mark = self._ledger_events
             self._reindex_watch(sub)
         with self._members:
-            # Lazy observer hookup: commits only pay the event
-            # construction cost once someone actually subscribes (or a
-            # changefeed pins).  One critical section for hookup +
-            # append, so a concurrent close() of the last other
-            # subscription cannot unhook between the two.
-            self._ensure_registered_locked(pin=False)
+            # From here on commits build events: the pipeline derives
+            # "someone consumes" from this list being non-empty.
             self._subs.append(sub)
             self._patterns.add(sub)
         return sub
@@ -404,13 +379,6 @@ class SubscriptionRegistry:
                 # closed subscription's tallies into the totals.
                 for key in _STAT_KEYS:
                     self._closed_totals[key] += sub._stats[key]
-            if not self._subs and self._registered and not self._pinned:
-                # Last subscription gone: unhook so commits stop paying
-                # the event-construction cost.  (A registry pinned by a
-                # changefeed stays hooked to keep observer order stable.)
-                self.updater.remove_observer(self.handle)
-                self._registered = False
-                self._buffer.clear()
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -420,68 +388,26 @@ class SubscriptionRegistry:
 
     # -- the maintenance path (writer's critical section) --------------------------
 
-    def handle(self, event: ViewEvent) -> None:
-        """Commit observer: maintain every subscription against ``event``.
-
-        Deferred (mid-batch) events are buffered and coalesced with the
-        session's flush event — the store's edges are already current
-        mid-batch, but ``M`` is not, so refreshing once per batch is
-        both cheaper and reads the repaired index.
-        """
-        if event.deferred:
-            if self._subs:
-                self._buffer.append(event)
-                self.events_buffered += 1
-            return
-        if self._buffer:
-            self._buffer.append(event)
-            event = coalesce(self._buffer)
-            self._buffer.clear()
-        if not self._subs:
-            return
-        if not event.coarse and len(event.edges) > self.coarse_threshold:
-            # Cost-based fallback: scanning a huge edge list (bulk
-            # batches, wide base propagations) against every pattern of
-            # every subscription costs more than one re-evaluation each.
-            event = ViewEvent(
-                generation=event.generation,
-                coarse=True,
-                reason=f"cost_fallback({event.reason})",
-            )
-            for sub in list(self._subs):
-                sub._stats["coarse_fallbacks"] += 1
-        start = time.perf_counter()
-        for sub in list(self._subs):
-            with sub._mutex:
-                self._sync_locked(sub)
-                if self._apply_event(sub, event):
-                    self._reindex_watch(sub)
-        self.publish_seconds += time.perf_counter() - start
-        self.events_processed += 1
-        self._m_events.inc()
-
     def apply_batched(self, event: ViewEvent) -> None:
-        """The staged pipeline's maintain phase: one batched decision pass.
+        """The pipeline's maintain phase: one batched decision pass.
 
-        Semantically identical to :meth:`handle` on an at-rest event —
-        every subscription ends at the same generation with the same
-        result, delta and stats — but the per-subscription decision is
-        batched: the :class:`_PatternIndex` maps the event's edges to
-        the candidate subscriptions in one probe per typed edge, and
-        the non-candidates — however many — are accounted with **one**
-        ledger bump (a *lazy skip*): their ``skips`` counter, empty
-        delta and generation tag materialize on the next read via
-        :meth:`sync`.  Candidates run the ordinary per-subscription
+        Every subscription ends at the event's generation with a
+        current result, delta and stats, and the per-subscription
+        decision is batched: the :class:`_PatternIndex` maps the event's
+        edges to the candidate subscriptions in one probe per typed
+        edge, and the non-candidates — however many — are accounted
+        with **one** ledger bump (a *lazy skip*): their ``skips``
+        counter, empty delta and generation tag materialize on the next
+        read via :meth:`sync`.  Candidates run the per-subscription
         action (:meth:`_apply_event` — which may still conclude "skip"
         after membership sharpening).  Coarse events (and the
-        cost-based fallback) touch every subscription, exactly as
-        before.  Cost per event: O(edges + candidates), independent of
-        the total subscription count.
+        cost-based fallback) touch every subscription.  Cost per event:
+        O(edges + candidates), independent of the total subscription
+        count.
 
         The caller (:class:`~repro.service.pipeline.CommitPipeline`)
-        holds the write lock and passes the *sealed* event — batches
-        arrive already coalesced, so the deferred-event buffer is not
-        consulted.
+        holds the write lock and passes the *sealed* event — one per
+        write scope, batches already coalesced.
         """
         with self._members:
             subs = list(self._subs)
@@ -533,6 +459,10 @@ class SubscriptionRegistry:
         self.publish_seconds += time.perf_counter() - start
         self.events_processed += 1
         self._m_events.inc()
+
+    # ``benchmarks/e2e/trace.py`` resolves ``SubscriptionRegistry.handle``
+    # by name in the class dict; the alias goes when that table is edited.
+    handle = apply_batched
 
     # -- the lazy skip ledger -------------------------------------------------------
 
@@ -767,15 +697,15 @@ class SubscriptionRegistry:
         return self._lock.read() if self._lock is not None else nullcontext()
 
     def _refresh_if_stale(self, sub: Subscription) -> None:
-        """Generation-tagged fallback: a missed/deferred event (mid-batch
-        reads, observer-less direct use) costs a full re-evaluation,
-        never staleness.  The delta then spans everything since the last
-        generation this subscription reflected."""
-        if sub._generation != self.updater._version:
+        """Generation-tagged fallback: a missed or not-yet-emitted event
+        (mid-batch reads, a failed commit's bump) costs a full
+        re-evaluation, never staleness.  The delta then spans everything
+        since the last generation this subscription reflected."""
+        if sub._generation != self.updater.generation:
             old = sub._nodes
             self._refresh_full(sub)
             sub._delta = _diff(old, sub._nodes)
-            sub._generation = self.updater._version
+            sub._generation = self.updater.generation
             sub._stats["fallback_refreshes"] += 1
             self._reindex_watch(sub)
 
@@ -809,7 +739,6 @@ class SubscriptionRegistry:
         return {
             "subscriptions": len(self._subs),
             "events_processed": self.events_processed,
-            "events_buffered": self.events_buffered,
             "publish_seconds": self.publish_seconds,
             "coarse_threshold": self.coarse_threshold,
             **totals,

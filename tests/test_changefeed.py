@@ -108,12 +108,11 @@ class TestEventWireFormat:
         assert ViewEvent.from_dict(event.to_dict()) == event
 
     def test_deferred_flag_never_serialized(self):
-        # Published events are batch-coalesced; the wire format has no
-        # 'deferred' key, and decoding always yields deferred=False.
-        event = ViewEvent(generation=2, deferred=True, reason="insert")
-        payload = event.to_dict()
-        assert "deferred" not in payload
-        assert ViewEvent.from_dict(payload).deferred is False
+        # Published events are batch-coalesced: the wire format never
+        # had a 'deferred' key, and the in-memory event lost the flag.
+        event = ViewEvent(generation=2, reason="insert")
+        assert "deferred" not in event.to_dict()
+        assert not hasattr(event, "deferred")
 
     @pytest.mark.parametrize("mutate", [
         lambda p: p.pop("schema"),
@@ -183,8 +182,35 @@ class TestConsumerProtocol:
         ])
         events = feed.events()
         assert len(events) == 1
-        assert events[0].generation == service.updater._version
+        assert events[0].generation == service.updater.generation
         assert events[0].reason == "batch_flush"
+
+    def test_updater_batch_around_the_facade_publishes_one_event(self):
+        # No pipeline scope spans the session: its per-op events are
+        # held by the session and leave as one, at the flush.
+        service = registrar_service()
+        sub = service.subscribe("course[cno=CS650]/prereq/course")
+        events = []
+        service.changefeed(on_event=events.append)
+        with service.updater.batch():
+            service.updater.apply_op(
+                DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+            )
+            outcome = service.updater.apply_op(InsertOp(
+                "course[cno=CS650]/prereq", "course", ("CS320", "Databases")
+            ))
+            assert outcome.accepted, outcome.reason
+            assert events == []
+        [event] = events
+        assert event.generation == service.updater.generation
+        assert event.reason == "batch_flush"
+        assert {rec.kind for rec in event.edges} == {"insert", "delete"}
+        assert len(event.delta_r.ops) > 1  # both ops' ΔR, in order
+        assert sub.generation == event.generation
+        assert sub.stats["fallback_refreshes"] == 0
+        assert sub.result() == tuple(
+            sorted(service.xpath(sub.path).targets)
+        )
 
     def test_callback_runs_after_subscription_maintenance(self):
         service = registrar_service()
@@ -369,7 +395,7 @@ class TestReplay:
         service.changefeed()
         for op in self._ops():
             service.apply(op)
-        head = service.updater._version
+        head = service.updater.generation
         feed = service.changefeed(since=head)
         assert feed.events() == []
 
@@ -383,7 +409,7 @@ class TestReplay:
             service.apply(op)
         generations = [e.generation for e in feed.events()]
         assert generations == sorted(set(generations))
-        assert generations[-1] == service.updater._version
+        assert generations[-1] == service.updater.generation
 
     def test_resume_mid_stream_gets_exact_suffix(self):
         service = registrar_service()
@@ -406,20 +432,25 @@ class TestReplay:
 
     def test_failed_changefeed_call_leaves_no_side_effects(self):
         # A rejected since= must not switch on per-commit event
-        # construction (hub attach + registry pin) for the service's
-        # lifetime.
+        # construction for the service's lifetime.
         service = registrar_service()
+
+        def sealed():
+            return service.stats()["pipeline"]["records_sealed"]
+
         with pytest.raises(ChangefeedError):
             service.changefeed(since=99)
         service.apply(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         with pytest.raises(ReplayGapError):
             service.changefeed(since=0)  # floor is already 1: unattached
-        assert service.updater._observers == []
         assert service.stats()["changefeed"]["attached"] is False
+        service.apply(DeleteOp("course[cno=CS240]/prereq/course[cno=CS120]"))
+        assert sealed() == 0  # still nobody consuming: no event built
         # A successful call is what attaches.
         service.changefeed()
         assert service.stats()["changefeed"]["attached"] is True
-        assert len(service.updater._observers) == 2  # registry pin + hub
+        service.apply(InsertOp(".", "course", ("CS805", "Five")))
+        assert sealed() == 1
 
     def test_rebuild_from_callback_is_rejected(self):
         from repro.errors import PlanError
@@ -502,7 +533,7 @@ class TestReplay:
             DeleteOp("course[cno=CS240]/prereq/course[cno=CS120]"),
         ])
         service.apply(DeleteOp("course[cno=NOPE]"))  # rejected: nothing
-        flush_generation = service.updater._version
+        flush_generation = service.updater.generation
         feed = service.changefeed(since=0)
         assert [(e.generation, e.reason) for e in feed.events()] == [
             (1, "delete"),

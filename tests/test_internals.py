@@ -1,5 +1,9 @@
 """Focused tests for smaller internals: the XPath compiler, predicate
-rendering/binding, the bench CSV writer, and report truncation."""
+rendering/binding, the bench CSV writer, report truncation, and the
+engine seam (no package reaches into the updater's private state)."""
+
+import re
+from pathlib import Path
 
 from repro.bench.__main__ import _write_csv
 from repro.core.dag_eval import _compile
@@ -117,3 +121,22 @@ class TestExplainTruncation:
         out2 = u.apply_op(DeleteOp("//course"))
         text2 = explain_outcome(out2, u.store)
         assert "ACCEPTED" in text2 or "REJECTED" in text2
+
+
+class TestEngineSeam:
+    def test_no_private_updater_or_plan_access_outside_core(self):
+        """``repro/core/`` owns the updater's and the plan's private
+        state; every other package goes through public names
+        (``generation``, ``attach_sink``, the sink protocol)."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        reach_in = re.compile(r"\b(?:updater|plan)\._[a-z]\w*")
+        hits = [
+            f"{path.relative_to(src)}:{number}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            if path.relative_to(src).parts[0] != "core"
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1
+            )
+            if reach_in.search(line)
+        ]
+        assert hits == []

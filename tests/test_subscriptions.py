@@ -260,19 +260,28 @@ class TestRegistrarEquivalence:
         """Services that never subscribe (or no longer have subscribers)
         must not pay the commit-event construction cost."""
         service = registrar_service()
-        assert service.updater._observers == []
+
+        def sealed():
+            return service.stats()["pipeline"]["records_sealed"]
+
+        service.apply(InsertOp(".", "course", ("CS801", "One")))
+        assert sealed() == 0  # nobody consumes: no event was built
         first = service.subscribe("//course")
         second = service.subscribe("course[cno=CS240]")
-        assert len(service.updater._observers) == 1  # one registry hook
+        service.apply(InsertOp(".", "course", ("CS802", "Two")))
+        assert sealed() == 1
         first.close()
-        assert len(service.updater._observers) == 1
+        service.apply(InsertOp(".", "course", ("CS803", "Three")))
+        assert sealed() == 2  # one subscription still stands
         second.close()
-        assert service.updater._observers == []
-        # Re-subscribing re-hooks and stays correct.
+        service.apply(InsertOp(".", "course", ("CS804", "Four")))
+        assert sealed() == 2  # the last close() switched events off
+        # Re-subscribing switches them on again and stays correct.
         again = service.subscribe("//course")
         service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         )
+        assert sealed() == 3
         assert again.result() == tuple(
             sorted(service.xpath(again.path).targets)
         )
@@ -825,11 +834,11 @@ class TestFineGrainedBaseEvents:
         assert_current(service, [sub], "after relevant base update")
 
     def test_direct_apply_base_update_also_fine_grained(self):
-        # The unlocked-core path (no plan/commit) emits the same event.
+        # Driven around the façade (no plan/commit), the same event.
         service = registrar_service()
         sub = service.subscribe("course[cno=CS650]/prereq/course")
         events = []
-        service.updater.add_observer(events.append)
+        service.changefeed(on_event=events.append)
         from repro.relational.database import RelationalDelta
 
         delta = RelationalDelta()

@@ -276,7 +276,7 @@ class TestPlanProtocol:
         service.apply([InsertOp(".", "course", ("CS888", "Logic"))])
         # ...so a plan prepared before it must refuse to commit.
         stale = service.plan(REGISTRAR_OPS[1])
-        service.updater._version += 1  # simulate any later mutation
+        service.updater.rebuild()  # any later mutation
         with pytest.raises(StalePlanError):
             stale.commit()
 
