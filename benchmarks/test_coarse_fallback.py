@@ -131,10 +131,9 @@ def test_fallback_keeps_results_correct_at_scale():
     service = open_view(
         dataset.atg,
         dataset.db,
-        config=ViewConfig(
-            side_effects="propagate", strict=False, coarse_event_threshold=8
-        ),
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
+    service.subscriptions.coarse_threshold = 8
     subs = [service.subscribe(q) for q in make_query_set(dataset, count=8)]
     ops = make_workload(dataset, "delete", "W2", count=6)
     service.apply(ops)  # one batch: a wide coalesced flush event

@@ -33,6 +33,7 @@ import threading
 from repro.changefeed.buffer import ReplayBuffer
 from repro.changefeed.consumer import ChangefeedConsumer
 from repro.errors import ChangefeedError, ReplayGapError
+from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent
 
 #: Default number of published events retained for replay.
@@ -54,11 +55,9 @@ class ChangefeedHub:
 
     def __init__(self, updater, retention: int = DEFAULT_RETENTION, wal=None,
                  metrics=None):
-        from repro.metrics import NULL_METRICS
-
         if retention < 1:
             raise ValueError(f"retention must be >= 1, got {retention}")
-        metrics = metrics if metrics is not None else NULL_METRICS
+        metrics = metrics or MetricsRegistry()
         self.updater = updater
         self.retention = retention
         self.wal = wal
@@ -74,49 +73,30 @@ class ChangefeedHub:
         self._members = threading.Lock()
         self._consumers: list[ChangefeedConsumer] = []
         self._buffer: ReplayBuffer | None = None
-        self.events_published = 0
-        """Events published since the hub attached (coalesced batches
-        count once)."""
-        self.callback_errors = 0
-        """Live deliveries that raised; each detached its consumer (the
-        exception is kept on ``consumer.error``)."""
-        self.overflows = 0
-        """Pull consumers detached for falling further behind than the
-        queue bound (twice the retention window)."""
-        self.drops = 0
-        """Events discarded by ``backpressure='drop_oldest'`` consumers
-        (summed across all of them, detached ones included)."""
-        self.parks = 0
-        """Deliveries that had to wait (``backpressure='block_writer'``)
-        for a full pull queue to drain a slot — each park delayed the
-        publisher by up to ``block_timeout`` seconds."""
+        # Series handles (``labels()`` materializes each at 0 in the
+        # exposition); ``stats()`` reads them back.
         self._m_published = metrics.counter(
             "repro_events_published_total",
             "Events published to the changefeed (coalesced batches "
             "count once).",
-        )
+        ).labels()
         self._m_overflows = metrics.counter(
             "repro_consumer_overflows_total",
             "Pull consumers detached for exceeding their queue bound.",
-        )
+        ).labels()
         self._m_drops = metrics.counter(
             "repro_consumer_drops_total",
             "Events discarded by drop_oldest backpressure consumers.",
-        )
+        ).labels()
         self._m_parks = metrics.counter(
             "repro_consumer_parks_total",
             "Deliveries parked waiting for a full pull queue to drain "
             "(block_writer backpressure).",
-        )
+        ).labels()
         self._m_callback_errors = metrics.counter(
             "repro_consumer_callback_errors_total",
             "Live deliveries that raised and detached their consumer.",
-        )
-        for instrument in (
-            self._m_published, self._m_overflows, self._m_drops,
-            self._m_parks, self._m_callback_errors,
-        ):
-            instrument.inc(0)  # materialize at 0 in the exposition
+        ).labels()
 
     # -- attachment -----------------------------------------------------------------
 
@@ -256,7 +236,6 @@ class ChangefeedHub:
                 # and base database are at rest at this generation.
                 if self.checkpoint_fn is not None:
                     self.checkpoint_fn()
-        self.events_published += 1
         self._m_published.inc()
         with self._members:
             consumers = list(self._consumers)
@@ -274,14 +253,12 @@ class ChangefeedHub:
         for consumer in staged.consumers:
             try:
                 if not consumer._deliver(event):
-                    self.overflows += 1
                     self._m_overflows.inc()
             except Exception as exc:
                 # The commit already happened; letting a consumer bug
                 # propagate here would tell the writer its (successful)
                 # update failed.  Record and detach the consumer instead.
                 consumer.error = exc
-                self.callback_errors += 1
                 self._m_callback_errors.inc()
                 consumer.close()
 
@@ -289,12 +266,10 @@ class ChangefeedHub:
 
     def _on_drop(self) -> None:
         """One event discarded by a ``drop_oldest`` consumer."""
-        self.drops += 1
         self._m_drops.inc()
 
     def _on_park(self) -> None:
         """One ``block_writer`` delivery parked on a full queue."""
-        self.parks += 1
         self._m_parks.inc()
 
     # -- diagnostics ------------------------------------------------------------------
@@ -304,11 +279,11 @@ class ChangefeedHub:
         return {
             "attached": self.attached,
             "consumers": len(self._consumers),
-            "events_published": self.events_published,
-            "callback_errors": self.callback_errors,
-            "overflows": self.overflows,
-            "drops": self.drops,
-            "parks": self.parks,
+            "events_published": int(self._m_published.value),
+            "callback_errors": int(self._m_callback_errors.value),
+            "overflows": int(self._m_overflows.value),
+            "drops": int(self._m_drops.value),
+            "parks": int(self._m_parks.value),
             "retention": self.retention,
             "retained": len(self._buffer) if self._buffer else 0,
             "floor": self.floor,

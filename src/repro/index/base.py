@@ -216,10 +216,6 @@ class ReachabilityIndex(ABC):
 
     # -- management -----------------------------------------------------------------
 
-    @abstractmethod
-    def copy(self) -> "ReachabilityIndex":
-        """An independent deep copy (same backend)."""
-
     def equals(self, other: "ReachabilityIndex") -> bool:
         """Same set of (anc, desc) pairs — works across backends."""
         return len(self) == len(other) and set(self.pairs()) == set(

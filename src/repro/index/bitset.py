@@ -267,13 +267,6 @@ class BitsetReachabilityIndex(ReachabilityIndex):
 
     # -- management -----------------------------------------------------------------
 
-    def copy(self) -> "BitsetReachabilityIndex":
-        clone = BitsetReachabilityIndex()
-        clone._anc = dict(self._anc)  # int values are immutable
-        clone._desc = dict(self._desc)
-        clone._pairs = self._pairs
-        return clone
-
     def equals(self, other: ReachabilityIndex) -> bool:
         if isinstance(other, BitsetReachabilityIndex):
             # Both sides keep the no-empty-rows invariant, so the dicts

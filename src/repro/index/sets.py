@@ -199,13 +199,6 @@ class SetReachabilityIndex(ReachabilityIndex):
 
     # -- management -----------------------------------------------------------------
 
-    def copy(self) -> "SetReachabilityIndex":
-        clone = SetReachabilityIndex()
-        clone._anc = {n: set(s) for n, s in self._anc.items()}
-        clone._desc = {n: set(s) for n, s in self._desc.items()}
-        clone._pairs = self._pairs
-        return clone
-
     def equals(self, other: ReachabilityIndex) -> bool:
         if isinstance(other, SetReachabilityIndex):
             mine = {(a, d) for d, ancs in self._anc.items() for a in ancs}

@@ -28,7 +28,6 @@ from repro.metrics.registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    NULL_METRICS,
 )
 from repro.metrics.render import render_prometheus
 from repro.metrics.validate import parse_exposition, validate_exposition
@@ -39,7 +38,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
     "render_prometheus",
     "parse_exposition",

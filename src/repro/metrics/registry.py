@@ -25,10 +25,10 @@ Three instrument types, chosen for the write path they instrument:
   with no allocation.
 
 Instrument handles are cheap to hold: components resolve them once in
-``__init__`` and call ``inc()``/``observe()`` on the hot path.  A
-component constructed without a registry gets :data:`NULL_METRICS`,
-whose instruments are no-ops — direct engine use (benchmarks, the bare
-``XMLViewUpdater``) pays one attribute call per site and nothing else.
+``__init__`` and call ``inc()``/``observe()`` on the hot path.  The
+registry is the only store of what it counts: each component's
+``stats()`` reads its handles back.  A component constructed without a
+registry counts into a private one.
 """
 
 from __future__ import annotations
@@ -304,50 +304,3 @@ class MetricsRegistry:
                 else:
                     out["histograms"][label] = series.snapshot()
         return out
-
-
-class _NullInstrument:
-    """A no-op counter/gauge/histogram (the disabled-metrics path)."""
-
-    __slots__ = ()
-
-    def labels(self, **labels):
-        """Return self (no-op)."""
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        """No-op."""
-
-    def dec(self, amount: float = 1.0) -> None:
-        """No-op."""
-
-    def set(self, value: float) -> None:
-        """No-op."""
-
-    def observe(self, value: float) -> None:
-        """No-op."""
-
-
-class _NullRegistry:
-    """Hands out no-op instruments; components default to this when no
-    real registry is threaded in (direct engine use, benchmarks)."""
-
-    _instrument = _NullInstrument()
-
-    def counter(self, name: str, help_text: str) -> _NullInstrument:
-        """A no-op counter."""
-        return self._instrument
-
-    def gauge(self, name: str, help_text: str) -> _NullInstrument:
-        """A no-op gauge."""
-        return self._instrument
-
-    def histogram(self, name: str, help_text: str,
-                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-                  ) -> _NullInstrument:
-        """A no-op histogram."""
-        return self._instrument
-
-
-#: The shared no-op registry (``metrics = metrics or NULL_METRICS``).
-NULL_METRICS = _NullRegistry()

@@ -51,12 +51,6 @@ class ViewConfig:
         (``service.changefeed(since=...)`` can resume from any retained
         generation; older resume points raise
         :class:`~repro.errors.ReplayGapError`).
-    coarse_event_threshold:
-        Cost-based fallback for subscription maintenance: events whose
-        edge list exceeds this are handled as coarse (full
-        re-evaluation) instead of scanned pattern-by-pattern.  ``None``
-        uses the measured default
-        (:data:`repro.subscribe.engine.DEFAULT_COARSE_THRESHOLD`).
     wal_dir:
         Directory of the durable changefeed log (:mod:`repro.wal`), or
         ``None`` (default) for a purely in-memory service.  When set,
@@ -87,7 +81,6 @@ class ViewConfig:
     verify_each_update: bool = False
     seed: int = DEFAULT_SEED
     changefeed_retention: int = DEFAULT_RETENTION
-    coarse_event_threshold: int | None = None
     wal_dir: str | None = None
     wal_fsync: str = "batch"
     wal_segment_bytes: int = 1 << 20
@@ -110,14 +103,6 @@ class ViewConfig:
             raise ReproError(
                 f"changefeed_retention must be >= 1, "
                 f"got {self.changefeed_retention!r}"
-            )
-        if (
-            self.coarse_event_threshold is not None
-            and self.coarse_event_threshold < 0
-        ):
-            raise ReproError(
-                f"coarse_event_threshold must be >= 0 or None, "
-                f"got {self.coarse_event_threshold!r}"
             )
         if self.wal_dir is not None and not isinstance(self.wal_dir, str):
             raise ReproError(

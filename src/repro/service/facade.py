@@ -46,6 +46,17 @@ from repro.subscribe.engine import Subscription, SubscriptionRegistry
 from repro.xmltree.tree import XMLNode
 from repro.xpath.ast import XPath
 
+#: The façade's live levels: ``_levels()`` key → gauge (name, help).
+_LEVEL_GAUGES = {
+    "generation": ("repro_generation", "Current committed view generation."),
+    "nodes": ("repro_view_nodes", "Nodes in the view store."),
+    "edges": ("repro_view_edges", "Edges in the view store."),
+    "subscriptions": ("repro_subscriptions_active", "Standing subscriptions."),
+    "consumers": (
+        "repro_changefeed_consumers", "Attached changefeed consumers."
+    ),
+}
+
 
 class ViewService:
     """Thread-safe plan/commit façade over one :class:`XMLViewUpdater`.
@@ -115,10 +126,7 @@ class ViewService:
             generation=recovered_generation,
         )
         self.subscriptions = SubscriptionRegistry(
-            self.updater,
-            self._lock,
-            coarse_threshold=self.config.coarse_event_threshold,
-            metrics=self.metrics_registry,
+            self.updater, self._lock, metrics=self.metrics_registry
         )
         # (The hub does not lock internally: changefeed() holds the
         # service write lock across attach, and staging runs inside
@@ -404,14 +412,32 @@ class ViewService:
         with self._lock.read():
             return self.updater.check_consistency()
 
+    def _levels(self) -> dict[str, int]:
+        """The point-in-time levels, the one read both ``stats()`` and a
+        scrape start from (caller holds the read lock, so either
+        describes one generation)."""
+        store = self.updater.store
+        return {
+            "generation": self.updater.generation,
+            "nodes": store.num_nodes,
+            "edges": store.num_edges,
+            "subscriptions": len(self.subscriptions),
+            "consumers": len(self.changefeeds),
+        }
+
+    def _refresh_gauges(self) -> None:
+        """Set each level's gauge (under the read lock)."""
+        for key, value in self._levels().items():
+            self.metrics_registry.gauge(*_LEVEL_GAUGES[key]).set(value)
+
     def stats(self) -> dict:
         """JSON-safe service statistics (store/M/L sizes, config)."""
         with self._lock.read():
-            store = self.updater.store
+            levels = self._levels()
             return {
-                "generation": self.updater.generation,
-                "nodes": store.num_nodes,
-                "edges": store.num_edges,
+                "generation": levels["generation"],
+                "nodes": levels["nodes"],
+                "edges": levels["edges"],
                 "reach_pairs": len(self.updater.reach),
                 "topo_len": len(self.updater.topo),
                 "maintenance_runs": self.updater.maintenance_runs,
@@ -422,27 +448,6 @@ class ViewService:
                 "wal": self.wal.stats() if self.wal is not None else None,
                 "config": self.config.to_dict(),
             }
-
-    def _refresh_gauges(self) -> None:
-        """Set the point-in-time gauges from live state (under the
-        read lock, so one scrape describes one generation)."""
-        reg = self.metrics_registry
-        store = self.updater.store
-        reg.gauge(
-            "repro_generation", "Current committed view generation."
-        ).set(self.updater.generation)
-        reg.gauge("repro_view_nodes", "Nodes in the view store.").set(
-            store.num_nodes
-        )
-        reg.gauge("repro_view_edges", "Edges in the view store.").set(
-            store.num_edges
-        )
-        reg.gauge(
-            "repro_subscriptions_active", "Standing subscriptions."
-        ).set(len(list(self.subscriptions)))
-        reg.gauge(
-            "repro_changefeed_consumers", "Attached changefeed consumers."
-        ).set(len(self.changefeeds))
 
     def metrics(self) -> dict:
         """The metrics surface as a JSON-safe dict.

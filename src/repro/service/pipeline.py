@@ -37,6 +37,7 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent, coalesce
 
 #: The four pipeline phases, in commit order.
@@ -126,50 +127,37 @@ class CommitPipeline:
     """
 
     def __init__(self, lock, updater, registry, hub, metrics=None):
-        from repro.metrics import NULL_METRICS
-
-        metrics = metrics if metrics is not None else NULL_METRICS
+        metrics = metrics or MetricsRegistry()
         self._lock = lock
         self.registry = registry
         self.hub = hub
+        # Series handles, resolved here: every series exists (at 0)
+        # from construction on, so a ``stats()`` read adds none.
         self._m_commits = metrics.counter(
             "repro_commits_total",
             "Completed write scopes (aborted plans included).",
-        )
+        ).labels()
         self._m_sealed = metrics.counter(
             "repro_commit_records_sealed_total",
             "Write scopes that sealed and published a non-empty event.",
-        )
-        self._m_commits.inc(0)  # materialize at 0 (empty families
-        self._m_sealed.inc(0)   # are omitted from the exposition)
-        self._m_phase = metrics.histogram(
+        ).labels()
+        phase = metrics.histogram(
             "repro_commit_phase_seconds",
             "Per-phase commit latency (plan/mutate/maintain/publish).",
         )
+        self._m_phase = {name: phase.labels(phase=name) for name in PHASES}
         self._m_lock_wait = metrics.histogram(
             "repro_lock_wait_seconds",
             "Time writers waited to acquire the write lock.",
-        )
+        ).labels()
         self._m_lock_hold = metrics.histogram(
             "repro_lock_hold_seconds",
             "Time the write lock was held per commit (publish excluded).",
-        )
+        ).labels()
         self._local = threading.local()
         self._turn_cond = threading.Condition()
         self._next_ticket = 0
         self._turn = 0
-        self._stats_mutex = threading.Lock()
-        self.commits = 0
-        """Completed top-level scopes (aborted plans included)."""
-        self.records_sealed = 0
-        """Scopes that sealed a non-empty event (i.e. published)."""
-        self.lock_wait_seconds = 0.0
-        """Cumulative time writers waited to acquire the write lock."""
-        self.lock_hold_seconds = 0.0
-        """Cumulative time the write lock was held (plan + mutate +
-        maintain; publish runs off the lock)."""
-        self.phase_seconds: dict[str, float] = dict.fromkeys(PHASES, 0.0)
-        """Cumulative per-phase wall-clock seconds."""
         self.last: dict = {}
         """The most recent scope's timings (debug/benchmark aid)."""
         updater.attach_sink(self)
@@ -297,15 +285,7 @@ class CommitPipeline:
                 - timings.get("maintain", 0.0),
             ),
         )
-        with self._stats_mutex:
-            self.commits += 1
-            if record.event is not None:
-                self.records_sealed += 1
-            self.lock_wait_seconds += timings.get("lock_wait", 0.0)
-            self.lock_hold_seconds += hold
-            for name in PHASES:
-                self.phase_seconds[name] += timings.get(name, 0.0)
-            self.last = {"generation": record.generation, **timings}
+        self.last = {"generation": record.generation, **timings}
         self._m_commits.inc()
         if record.event is not None:
             self._m_sealed.inc()
@@ -313,16 +293,19 @@ class CommitPipeline:
         self._m_lock_hold.observe(hold)
         for name in PHASES:
             if name in timings:
-                self._m_phase.labels(phase=name).observe(timings[name])
+                self._m_phase[name].observe(timings[name])
 
     def stats(self) -> dict:
-        """JSON-safe pipeline counters (for ``service.stats()``)."""
-        with self._stats_mutex:
-            return {
-                "commits": self.commits,
-                "records_sealed": self.records_sealed,
-                "lock_wait_seconds": self.lock_wait_seconds,
-                "lock_hold_seconds": self.lock_hold_seconds,
-                "phase_seconds": dict(self.phase_seconds),
-                "last": dict(self.last),
-            }
+        """JSON-safe pipeline counters (for ``service.stats()``), read
+        from the metrics registry: counts are the counters' values,
+        seconds the histograms' sums."""
+        return {
+            "commits": int(self._m_commits.value),
+            "records_sealed": int(self._m_sealed.value),
+            "lock_wait_seconds": self._m_lock_wait.sum,
+            "lock_hold_seconds": self._m_lock_hold.sum,
+            "phase_seconds": {
+                name: series.sum for name, series in self._m_phase.items()
+            },
+            "last": dict(self.last),
+        }

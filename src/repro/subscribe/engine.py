@@ -51,6 +51,7 @@ import threading
 import time
 from contextlib import nullcontext
 
+from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
     QueryProfile,
@@ -81,10 +82,10 @@ _DESCENDANTS = XPath((DescendantStep(),))
 #: per-step patterns against every edge costs more than simply
 #: re-evaluating, so the registry degrades the event to coarse.  The
 #: default is calibrated by ``benchmarks/test_coarse_fallback.py``
-#: (measured crossover ≈ 512 worst-case edges at 16 standing queries;
-#: the default sits below it because real events match patterns and
-#: re-evaluate some queries either way).
-#: Override per service via ``ViewConfig(coarse_event_threshold=...)``.
+#: (measured crossover ≈ 1024 worst-case edges at 16 standing queries:
+#: fine 4.3 vs coarse 4.9 ms at 256, 5.1 vs 4.8 ms at 1024; the default
+#: sits below it because real events match patterns and re-evaluate
+#: some queries either way).
 DEFAULT_COARSE_THRESHOLD = 256
 
 
@@ -281,33 +282,26 @@ class _PatternIndex:
 class SubscriptionRegistry:
     """All subscriptions of one view; consumes the commit event stream."""
 
-    def __init__(self, updater, lock=None, coarse_threshold: int | None = None,
-                 metrics=None):
-        from repro.metrics import NULL_METRICS
-
-        metrics = metrics if metrics is not None else NULL_METRICS
+    def __init__(self, updater, lock=None, metrics=None):
+        metrics = metrics or MetricsRegistry()
         self.updater = updater
+        # The series handle (``labels()`` materializes it at 0 in the
+        # exposition); ``stats()["events_processed"]`` reads it back.
         self._m_events = metrics.counter(
             "repro_subscription_events_total",
             "Commit events processed by the subscription registry "
             "(coalesced batches count once).",
-        )
-        self._m_events.inc(0)  # materialize at 0 in the exposition
+        ).labels()
         self._lock = lock
         self._subs: list[Subscription] = []
         self._patterns = _PatternIndex()
         self._members = threading.Lock()
         self._ids = itertools.count(1)
         self._closed_totals: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
-        self.coarse_threshold = (
-            DEFAULT_COARSE_THRESHOLD
-            if coarse_threshold is None
-            else coarse_threshold
-        )
+        self.coarse_threshold = DEFAULT_COARSE_THRESHOLD
         """Cost-based fallback: events carrying more edges than this are
         handled as coarse (one full re-evaluation per subscription)
         instead of being scanned edge-by-edge against every pattern."""
-        self.events_processed = 0
         self.publish_seconds = 0.0
         self._ledger_events = 0
         """Events accounted through :meth:`apply_batched`.  A
@@ -457,7 +451,6 @@ class SubscriptionRegistry:
         self._ledger_events += 1
         self._ledger_gen = event.generation
         self.publish_seconds += time.perf_counter() - start
-        self.events_processed += 1
         self._m_events.inc()
 
     # ``benchmarks/e2e/trace.py`` resolves ``SubscriptionRegistry.handle``
@@ -738,7 +731,7 @@ class SubscriptionRegistry:
                 totals[key] += sub._stats[key]
         return {
             "subscriptions": len(self._subs),
-            "events_processed": self.events_processed,
+            "events_processed": int(self._m_events.value),
             "publish_seconds": self.publish_seconds,
             "coarse_threshold": self.coarse_threshold,
             **totals,

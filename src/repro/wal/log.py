@@ -47,6 +47,7 @@ from repro.errors import (
     WalCorruptionError,
     WalError,
 )
+from repro.metrics.registry import MetricsRegistry
 from repro.relational.database import DeltaOp, RelationalDelta
 from repro.subscribe.delta import ViewEvent
 from repro.wal.fs import OsFileSystem
@@ -129,34 +130,30 @@ class WriteAheadLog:
         readonly: bool = False,
         metrics=None,
     ):
-        from repro.metrics import NULL_METRICS
-
-        metrics = metrics if metrics is not None else NULL_METRICS
+        metrics = metrics or MetricsRegistry()
+        # Series handles (``labels()`` materializes each at 0 in the
+        # exposition); ``stats()`` reads them back.  All five count what
+        # *this* process did, not what it replayed at open.
         self._m_records = metrics.counter(
             "repro_wal_records_total",
             "Event records appended to the write-ahead log.",
-        )
+        ).labels()
         self._m_bytes = metrics.counter(
             "repro_wal_bytes_total",
             "Framed bytes appended to the write-ahead log.",
-        )
+        ).labels()
         self._m_fsyncs = metrics.counter(
             "repro_wal_fsyncs_total",
             "Explicit segment fsyncs issued (policy-dependent).",
-        )
+        ).labels()
         self._m_rotations = metrics.counter(
             "repro_wal_rotations_total",
             "Log segments sealed by rotation.",
-        )
+        ).labels()
         self._m_checkpoints = metrics.counter(
             "repro_wal_checkpoints_total",
             "Checkpoints cut into the log.",
-        )
-        for instrument in (
-            self._m_records, self._m_bytes, self._m_fsyncs,
-            self._m_rotations, self._m_checkpoints,
-        ):
-            instrument.inc(0)  # materialize at 0 in the exposition
+        ).labels()
         if fsync not in FSYNC_POLICIES:
             raise WalError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -189,14 +186,6 @@ class WriteAheadLog:
         self._records: list[tuple[int, dict]] = []
         self._since_checkpoint = 0
         self._unsynced = 0
-        self.records_appended = 0
-        """Records appended by *this* process (not counting replay)."""
-        self.fsyncs = 0
-        """Explicit segment fsyncs issued (policy-dependent)."""
-        self.rotations = 0
-        """Segments sealed by this process."""
-        self.checkpoints_written = 0
-        """Checkpoints cut by this process."""
         self.torn_dropped = 0
         """Torn tail records dropped (truncated) at open."""
         self._open()
@@ -376,7 +365,6 @@ class WriteAheadLog:
         self._active_size += len(data)
         self._records.append((event.generation, payload))
         self._last_generation = event.generation
-        self.records_appended += 1
         self._m_records.inc()
         self._m_bytes.inc(len(data))
         self._since_checkpoint += 1
@@ -393,7 +381,6 @@ class WriteAheadLog:
         path = self._path(self._active)
         if self._unsynced and self.fs.exists(path):
             self.fs.fsync(path)
-            self.fsyncs += 1
             self._m_fsyncs.inc()
         self._unsynced = 0
 
@@ -414,7 +401,6 @@ class WriteAheadLog:
         self._active = self._segment_name(seq + 1)
         self._active_size = 0
         self._unsynced = 0
-        self.rotations += 1
         self._m_rotations.inc()
         self._write_manifest()
 
@@ -490,7 +476,6 @@ class WriteAheadLog:
         self._since_checkpoint = sum(
             1 for gen, _ in self._records if gen > generation
         )
-        self.checkpoints_written += 1
         self._m_checkpoints.inc()
 
     def _covered(self, generation: int) -> bool:
@@ -589,13 +574,13 @@ class WriteAheadLog:
             "active_segment": self._active,
             "active_bytes": self._active_size,
             "records": len(self._records),
-            "records_appended": self.records_appended,
-            "fsyncs": self.fsyncs,
-            "rotations": self.rotations,
+            "records_appended": int(self._m_records.value),
+            "fsyncs": int(self._m_fsyncs.value),
+            "rotations": int(self._m_rotations.value),
             "checkpoints": [
                 dict(entry) for entry in self._checkpoints
             ],
-            "checkpoints_written": self.checkpoints_written,
+            "checkpoints_written": int(self._m_checkpoints.value),
             "floor": self._floor,
             "last_generation": self._last_generation,
             "torn_dropped": self.torn_dropped,

@@ -86,6 +86,13 @@ class CrashPointFS:
     def _rel(self, path: str) -> str:
         return os.path.relpath(path, self.root)
 
+    def count(self, name: str, prefix: str) -> int:
+        """Counted ``name`` operations on files starting with ``prefix``."""
+        return sum(
+            1 for op, path in self.ops_seen
+            if op == name and path.startswith(prefix)
+        )
+
     def _gate(self, name: str, path: str) -> None:
         if name not in self.counted:
             return

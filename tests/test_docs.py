@@ -85,3 +85,30 @@ def test_event_schema_examples_exist():
     for needle in ("to_dict", "to_json", "from_json", "from_dict",
                    "SCHEMA_VERSION", "delta()"):
         assert needle in sources, f"spec lost its {needle} example"
+
+
+#: A metric-catalog row: ``| `repro_name` | type | ...``.
+CATALOG_ROW = re.compile(r"^\| `(repro_\w+)` \| (\w+) \|", re.MULTILINE)
+
+
+def test_metric_catalog_matches_the_registry(tmp_path):
+    """The catalog in ``docs/observability.md`` lists exactly the
+    families (name, type) a WAL-backed service exposes — a metric added,
+    renamed or retyped without its row fails here."""
+    from repro import ViewConfig, open_view
+    from repro.workloads.registrar import build_registrar
+
+    doc = (REPO / "docs" / "observability.md").read_text(encoding="utf-8")
+    documented = set(CATALOG_ROW.findall(doc))
+    service = open_view(
+        *build_registrar(), config=ViewConfig(wal_dir=str(tmp_path / "wal"))
+    )
+    try:
+        service.metrics()  # gauges register at the first scrape
+        live = {
+            (family.name, family.type)
+            for family in service.metrics_registry.families()
+        }
+    finally:
+        service.close()
+    assert documented == live

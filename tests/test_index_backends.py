@@ -216,16 +216,13 @@ def test_random_interleavings_agree(seed):
     first, *rest = (indexes[n] for n in ALL_BACKENDS)
     for other in rest:
         assert first.equals(other) and other.equals(first)
-    # copies are independent (of every backend)
-    for index in indexes.values():
-        clone = index.copy()
-        assert clone.equals(index)
-        if (38, 39) in clone:
-            clone.remove(38, 39)
-        else:
-            clone.insert(38, 39)
-        assert not clone.equals(index)
-        assert index.equals(first)  # the original is untouched
+    # ... and one pair of difference is seen from either side
+    if (38, 39) in first:
+        first.remove(38, 39)
+    else:
+        first.insert(38, 39)
+    for other in rest:
+        assert not first.equals(other) and not other.equals(first)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -4,21 +4,27 @@ Three layers:
 
 - unit tests of :mod:`repro.metrics` primitives (counters, gauges,
   fixed-bucket histograms, family labeling, the Prometheus renderer);
-- wiring tests — ``service.metrics()`` / ``metrics_text()`` exist, are
-  validator-clean, and cost nothing when components run unthreaded
-  (the ``NULL_METRICS`` null object);
-- **cross-surface exactness** — every counter must equal the ground
-  truth already exposed elsewhere (``UpdateOutcome`` payloads,
-  ``stats()["pipeline"]``, ``stats()["wal"]``, hub/registry counters).
+- wiring tests — ``service.metrics()`` / ``metrics_text()`` exist and
+  are validator-clean, and a component built without a service counts
+  into a registry of its own;
+- **exactness** — the registry is the only store of what it counts
+  (``stats()`` reads it back), so every number is pinned to a fact
+  observed from outside: the write scopes the test opened, the
+  ``UpdateOutcome`` payloads, the events a callback changefeed
+  received, and the operations seen at the WAL's file-system seam.
 """
 
+import json
 import math
+import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from faults import CrashPointFS
 from repro.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_METRICS,
     MetricsRegistry,
     render_prometheus,
     validate_exposition,
@@ -100,16 +106,6 @@ class TestRegistry:
         reg.counter("repro_test_total", "help")
         with pytest.raises(ValueError):
             reg.gauge("repro_test_total", "help")
-
-    def test_null_registry_is_inert(self):
-        c = NULL_METRICS.counter("x", "y")
-        c.inc()
-        c.labels(kind="a").inc(5)
-        h = NULL_METRICS.histogram("z", "y")
-        h.observe(1.0)
-        g = NULL_METRICS.gauge("g", "y")
-        g.set(3)
-        g.dec()
 
 
 # -- renderer ----------------------------------------------------------------------
@@ -203,143 +199,212 @@ class TestServiceSurface:
         second = service.metrics_text()
         assert validate_exposition(second, previous=first) == []
 
-    def test_unthreaded_components_stay_silent(self):
-        # A bare updater-backed hub/registry/WAL constructed without
-        # metrics= must not blow up and must not register anything.
+    def test_bare_components_count_into_their_own_registry(self, tmp_path):
+        # A hub / registry / WAL built without metrics= (no service
+        # around it) counts into a private registry; stats() reports it
+        # and two bare components share nothing.
         from repro.changefeed.hub import ChangefeedHub
         from repro.core.updater import XMLViewUpdater
+        from repro.subscribe.delta import ViewEvent
         from repro.subscribe.engine import SubscriptionRegistry
+        from repro.wal.log import WriteAheadLog
 
         atg, db = build_registrar()
         updater = XMLViewUpdater(atg, db)
-        hub = ChangefeedHub(updater)
+        event = ViewEvent(generation=1, coarse=True, reason="test")
+        hub, idle_hub = ChangefeedHub(updater), ChangefeedHub(updater)
+        hub.open()
+        assert hub.stage(event) is not None
+        assert hub.stats()["events_published"] == 1
+        assert idle_hub.stats()["events_published"] == 0
         registry = SubscriptionRegistry(updater)
-        assert hub.stats()["events_published"] == 0
-        assert registry.stats()["events_processed"] == 0
+        registry.subscribe("//course")
+        registry.apply_batched(event)
+        assert registry.stats()["events_processed"] == 1
+        assert SubscriptionRegistry(updater).stats()["events_processed"] == 0
+        wal = WriteAheadLog(str(tmp_path / "wal"), fsync="always")
+        wal.append(event)
+        wal.close()
+        stats = wal.stats()
+        assert (stats["records_appended"], stats["fsyncs"]) == (1, 1)
+        reopened = WriteAheadLog(str(tmp_path / "wal"), readonly=True)
+        assert reopened.stats()["records"] == 1
+        assert reopened.stats()["records_appended"] == 0  # this handle's
+        reopened.close()
 
 
-# -- cross-surface exactness -------------------------------------------------------
+# -- exactness against facts observed from outside -------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestExactness:
     def _loaded_service(self, backend, tmp_path):
+        """A WAL-backed, subscribed service after four write scopes
+        (three accepted ops, one rejected) and two reads, plus what the
+        test saw from outside while driving it."""
+        wal_dir = str(tmp_path / "wal")
         dataset = build_synthetic(SyntheticConfig(n_c=80, seed=5))
+        fs = CrashPointFS(wal_dir, count_fsync=True)  # counts, never crashes
         service = open_view(
             dataset.atg,
             dataset.db,
             config=ViewConfig(
                 index_backend=backend,
                 strict=False,
-                wal_dir=str(tmp_path / "wal"),
+                wal_dir=wal_dir,
+                wal_fsync="always",
             ),
+            wal_fs=fs,
         )
-        sub = service.subscribe("//cnode")
-        consumer = service.changefeed()
+        service.subscribe("//cnode")
+        pulled = service.changefeed()
+        pushed = []
+        service.changefeed(on_event=pushed.append)
         keys = sorted(
             service.store.node_sem[n][0]
             for n in service.xpath("//cnode").targets
         )
-        outcomes = []
-        outcomes.append(
-            service.apply(
-                InsertOp(
-                    f"//cnode[key={keys[0]}]/sub", "cnode", (9001, "w1")
-                )
-            )
-        )
-        outcomes.append(
-            service.apply(DeleteOp(f"//cnode[key={keys[1]}]"))
-        )
-        outcomes.append(
-            service.apply(
-                ReplaceOp(f"//cnode[key={keys[2]}]", "cnode", (9002, "w2"))
-            )
-        )
-        # One rejected op: path selects nothing.
-        outcomes.append(service.apply(DeleteOp("//cnode[key=123456]")))
+        ops = [
+            InsertOp(f"//cnode[key={keys[0]}]/sub", "cnode", (9001, "w1")),
+            DeleteOp(f"//cnode[key={keys[1]}]"),
+            ReplaceOp(f"//cnode[key={keys[2]}]", "cnode", (9002, "w2")),
+            DeleteOp("//cnode[key=123456]"),  # rejected: selects nothing
+        ]
+        start = time.perf_counter()
+        outcomes = [service.apply(op) for op in ops]  # one scope each
+        elapsed = time.perf_counter() - start
         service.xpath("//cnode")
         service.xpath("//cnode/sub")
-        return service, sub, consumer, outcomes
-
-    def test_commits_match_pipeline_stats(self, backend, tmp_path):
-        service, _, _, outcomes = self._loaded_service(backend, tmp_path)
-        m = service.metrics()
-        pipeline = service.stats()["pipeline"]
-        assert m["counters"]["repro_commits_total"] == pipeline["commits"]
-        assert (
-            m["counters"]["repro_commit_records_sealed_total"]
-            == pipeline["records_sealed"]
+        return SimpleNamespace(
+            service=service, scopes=len(ops), outcomes=outcomes,
+            pulled=pulled, pushed=pushed, elapsed=elapsed,
+            wal_dir=wal_dir, fs=fs,
         )
 
+    def test_commits_match_pipeline_stats(self, backend, tmp_path):
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["counters"]
+        pipeline = run.service.stats()["pipeline"]
+        accepted = sum(1 for o in run.outcomes if o.accepted)
+        assert len(run.pushed) == accepted == 3
+        assert m["repro_commits_total"] == pipeline["commits"] == run.scopes
+        assert (
+            m["repro_commit_records_sealed_total"]
+            == pipeline["records_sealed"]
+            == len(run.pushed)
+        )
+        assert type(pipeline["commits"]) is int
+        assert type(pipeline["records_sealed"]) is int
+
     def test_ops_counter_matches_outcomes(self, backend, tmp_path):
-        service, _, _, outcomes = self._loaded_service(backend, tmp_path)
-        m = service.metrics()["counters"]
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["counters"]
         for kind in ("insert", "delete", "replace"):
             for accepted in ("true", "false"):
                 series = f'repro_ops_total{{accepted="{accepted}",kind="{kind}"}}'
                 expected = sum(
                     1
-                    for o in outcomes
+                    for o in run.outcomes
                     if o.kind == kind
                     and o.accepted == (accepted == "true")
                 )
                 assert m.get(series, 0.0) == expected, series
 
     def test_phase_histogram_counts(self, backend, tmp_path):
-        service, _, _, _ = self._loaded_service(backend, tmp_path)
-        m = service.metrics()["histograms"]
-        pipeline = service.stats()["pipeline"]
-        mutate = m['repro_commit_phase_seconds{phase="mutate"}']
-        assert mutate["count"] == pipeline["commits"]
-        maintain = m['repro_commit_phase_seconds{phase="maintain"}']
-        assert maintain["count"] == pipeline["records_sealed"]
-        # The histogram sums accumulate the identical float sequence the
-        # pipeline's own phase_seconds totals do — exact equality.
-        assert mutate["sum"] == pipeline["phase_seconds"]["mutate"]
-        assert maintain["sum"] == pipeline["phase_seconds"]["maintain"]
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["histograms"]
+        seconds = run.service.stats()["pipeline"]["phase_seconds"]
+        # plan and mutate are timed in every scope, maintain only where
+        # an event was sealed, publish only where a consumer was staged.
+        for phase, count in (
+            ("plan", run.scopes),
+            ("mutate", run.scopes),
+            ("maintain", len(run.pushed)),
+            ("publish", len(run.pushed)),
+        ):
+            series = m[f'repro_commit_phase_seconds{{phase="{phase}"}}']
+            assert series["count"] == count, phase
+            assert 0.0 < series["sum"] == seconds[phase], phase
+        # The phases are disjoint slices of the wall clock the test
+        # measured around its four applies.
+        assert sum(seconds.values()) <= run.elapsed
 
     def test_lock_histograms_match_pipeline_totals(self, backend, tmp_path):
-        service, _, _, _ = self._loaded_service(backend, tmp_path)
-        m = service.metrics()["histograms"]
-        pipeline = service.stats()["pipeline"]
-        assert m["repro_lock_wait_seconds"]["sum"] == pipeline[
-            "lock_wait_seconds"
-        ]
-        assert m["repro_lock_hold_seconds"]["sum"] == pipeline[
-            "lock_hold_seconds"
-        ]
-        assert m["repro_lock_hold_seconds"]["count"] == pipeline["commits"]
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["histograms"]
+        pipeline = run.service.stats()["pipeline"]
+        assert m["repro_lock_wait_seconds"]["count"] == run.scopes
+        assert m["repro_lock_hold_seconds"]["count"] == run.scopes
+        wait, hold = pipeline["lock_wait_seconds"], pipeline["lock_hold_seconds"]
+        assert m["repro_lock_wait_seconds"]["sum"] == wait
+        assert m["repro_lock_hold_seconds"]["sum"] == hold
+        # One uncontended writer: the lock was held for most of the
+        # four applies and never longer than they took.
+        assert 0.0 < hold <= run.elapsed
+        assert 0.0 <= wait <= run.elapsed - hold
+        seconds = pipeline["phase_seconds"]
+        assert hold == pytest.approx(
+            seconds["plan"] + seconds["mutate"] + seconds["maintain"]
+        )
 
     def test_event_counters_match_hub_and_registry(self, backend, tmp_path):
-        service, _, consumer, _ = self._loaded_service(backend, tmp_path)
-        m = service.metrics()["counters"]
-        stats = service.stats()
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["counters"]
+        stats = run.service.stats()
+        events = len(run.pushed)
+        assert run.pulled.delivered == events
+        assert [e.generation for e in run.pulled.events()] == [
+            e.generation for e in run.pushed
+        ]
         assert (
             m["repro_events_published_total"]
             == stats["changefeed"]["events_published"]
+            == events
         )
         assert (
             m["repro_subscription_events_total"]
             == stats["subscriptions"]["events_processed"]
+            == events
         )
-        assert consumer.delivered == stats["changefeed"]["events_published"]
+        for key in ("overflows", "drops", "parks", "callback_errors"):
+            assert stats["changefeed"][key] == 0
+            assert m[f"repro_consumer_{key}_total"] == 0.0
 
     def test_wal_counters_match_stats(self, backend, tmp_path):
-        service, _, _, _ = self._loaded_service(backend, tmp_path)
-        m = service.metrics()["counters"]
-        wal = service.stats()["wal"]
-        assert m["repro_wal_records_total"] == wal["records_appended"]
-        assert m["repro_wal_fsyncs_total"] == wal["fsyncs"]
+        run = self._loaded_service(backend, tmp_path)
+        m = run.service.metrics()["counters"]
+        wal = run.service.stats()["wal"]
+        count = run.fs.count  # operations seen at the WAL's fs seam
+        appends = count("append", "seg-")
+        assert appends == len(run.pushed)  # one record per published event
+        assert appends == len(run.service.wal.records_since(0))
+        assert m["repro_wal_records_total"] == wal["records_appended"] == appends
+        # wal_fsync="always": one segment fsync per append.
+        assert m["repro_wal_fsyncs_total"] == wal["fsyncs"] == appends
+        assert count("fsync", "seg-") == appends
+        # Checkpoints land by renaming tmp-ckpt-* into place (here only
+        # the initial one); segments are what the directory holds.
+        cuts = count("rename", "tmp-ckpt-")
         assert m["repro_wal_checkpoints_total"] == wal["checkpoints_written"]
+        assert wal["checkpoints_written"] == cuts == 1
+        files = os.listdir(run.wal_dir)
+        segments = [f for f in files if f.startswith("seg-")]
+        assert len([f for f in files if f.startswith("ckpt-")]) == cuts
+        assert wal["segments"] == len(segments) == 1
+        with open(os.path.join(run.wal_dir, "manifest.json")) as fh:
+            active = json.load(fh)["active"]
         assert m["repro_wal_rotations_total"] == wal["rotations"]
-        assert m["repro_wal_bytes_total"] > 0
+        assert wal["rotations"] == int(active[4:12]) - 1 == 0
+        assert m["repro_wal_bytes_total"] == sum(
+            os.path.getsize(os.path.join(run.wal_dir, f)) for f in segments
+        )
 
     def test_xpath_histogram_counts_reads(self, backend, tmp_path):
-        service, _, _, _ = self._loaded_service(backend, tmp_path)
+        service = self._loaded_service(backend, tmp_path).service
         before = service.metrics()["histograms"]["repro_xpath_seconds"][
             "count"
         ]
+        assert before == 3  # the key lookup + the two reads
         service.xpath("//cnode")
         after = service.metrics()["histograms"]["repro_xpath_seconds"][
             "count"
@@ -350,5 +415,15 @@ class TestExactness:
         )
 
     def test_exposition_valid_under_load(self, backend, tmp_path):
-        service, _, _, _ = self._loaded_service(backend, tmp_path)
+        service = self._loaded_service(backend, tmp_path).service
         assert validate_exposition(service.metrics_text()) == []
+
+    def test_stats_read_adds_no_series(self, backend, tmp_path):
+        fresh = registrar_service()
+        idle = fresh.metrics_text()
+        fresh.stats()
+        assert fresh.metrics_text() == idle
+        service = self._loaded_service(backend, tmp_path).service
+        before = service.metrics_text()
+        service.stats()
+        assert service.metrics_text() == before

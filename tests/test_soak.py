@@ -12,19 +12,24 @@ observability surface claims to measure:
 - **consistency** — ``check_consistency()`` against a full republish
   returns no problems;
 - **metrics exactness** — the counters are not approximations: every
-  total equals the ground truth the service exposes elsewhere
-  (``UpdateOutcome`` payloads, ``stats()["pipeline"]``,
-  ``stats()["wal"]``, delivered-event counts).
+  total (on ``metrics()`` and on the ``stats()`` that reads the same
+  registry) equals a fact the harness observed from outside — the write
+  scopes it opened, the ``UpdateOutcome`` payloads, the events its
+  consumers received, the operations seen at the WAL's file-system
+  seam.
 
 CI runs ``pytest -m soak`` as a timeout-wrapped smoke leg on both the
 NumPy and no-NumPy jobs (see ``.github/workflows/ci.yml``); the full
 suite includes these tests too, sized to stay cheap.
 """
 
+import json
+import os
 import threading
 
 import pytest
 
+from faults import CrashPointFS
 from repro.bench.workload_gen import WorkloadSpec, generate_records
 from repro.metrics import validate_exposition
 from repro.service import ViewConfig, open_view
@@ -36,13 +41,19 @@ pytestmark = pytest.mark.soak
 class SoakRun:
     """One finished soak run: the service plus everything to check."""
 
-    def __init__(self, service, header, outcomes, subs, pulled, pushed):
+    def __init__(self, service, header, outcomes, subs, pulled, pushed,
+                 scopes, wal_dir, fs):
         self.service = service
         self.header = header
         self.outcomes = outcomes
         self.subs = subs
         self.pulled = pulled
         self.pushed = pushed
+        self.scopes = scopes
+        """Write scopes the writer opened (one per ``apply`` call)."""
+        self.wal_dir = wal_dir
+        self.fs = fs
+        """The counting wrapper at the WAL's file-system seam."""
 
 
 def run_soak(tmp_path, spec: WorkloadSpec, readers: int = 2) -> SoakRun:
@@ -57,10 +68,16 @@ def run_soak(tmp_path, spec: WorkloadSpec, readers: int = 2) -> SoakRun:
     records = list(generate_records(spec))
     header, ops = records[0], records[1:]
     atg, db = named_workload(spec.workload)
+    wal_dir = str(tmp_path / "wal")
+    fs = CrashPointFS(wal_dir, count_fsync=True)  # counts, never crashes
     service = open_view(
         atg,
         db,
-        config=ViewConfig(strict=False, wal_dir=str(tmp_path / "wal")),
+        # Small segments, so the run rotates the log a few times.
+        config=ViewConfig(
+            strict=False, wal_dir=wal_dir, wal_segment_bytes=16384
+        ),
+        wal_fs=fs,
     )
     subs = {
         path: service.subscribe(path) for path in header["subscriptions"]
@@ -94,9 +111,11 @@ def run_soak(tmp_path, spec: WorkloadSpec, readers: int = 2) -> SoakRun:
         thread.start()
     try:
         outcomes = []
+        scopes = 0
         batch = max(1, spec.batch_size)
         for start in range(0, len(ops), batch):
             chunk = ops[start:start + batch]
+            scopes += 1
             if len(chunk) == 1:
                 outcomes.append(service.apply(chunk[0]))
             else:
@@ -108,7 +127,10 @@ def run_soak(tmp_path, spec: WorkloadSpec, readers: int = 2) -> SoakRun:
     assert not failures, failures
     assert not any(thread.is_alive() for thread in threads)
     callback.close()
-    return SoakRun(service, header, outcomes, subs, pulled, pushed)
+    return SoakRun(
+        service, header, outcomes, subs, pulled, pushed,
+        scopes, wal_dir, fs,
+    )
 
 
 MIXED = WorkloadSpec(
@@ -190,46 +212,64 @@ class TestSoak:
     def test_pipeline_counters_are_exact(self, soak):
         m = soak.service.metrics()
         pipeline = soak.service.stats()["pipeline"]
-        assert m["counters"]["repro_commits_total"] == pipeline["commits"]
-        assert (
-            m["counters"]["repro_commit_records_sealed_total"]
-            == pipeline["records_sealed"]
-        )
+        commits, sealed = soak.scopes, len(soak.pushed)
+        assert 0 < sealed <= commits
+        assert m["counters"]["repro_commits_total"] == commits
+        assert pipeline["commits"] == commits
+        assert m["counters"]["repro_commit_records_sealed_total"] == sealed
+        assert pipeline["records_sealed"] == sealed
         phases = m["histograms"]
-        assert (
-            phases['repro_commit_phase_seconds{phase="mutate"}']["count"]
-            == pipeline["commits"]
-        )
-        assert (
-            phases['repro_commit_phase_seconds{phase="maintain"}']["count"]
-            == pipeline["records_sealed"]
-        )
+        for phase, count in (("mutate", commits), ("maintain", sealed)):
+            series = phases[f'repro_commit_phase_seconds{{phase="{phase}"}}']
+            assert series["count"] == count, phase
+            assert series["sum"] == pipeline["phase_seconds"][phase] > 0.0
 
     def test_event_delivery_is_exact(self, soak):
-        stats = soak.service.stats()
-        published = stats["changefeed"]["events_published"]
+        stats = soak.service.stats()["changefeed"]
         counters = soak.service.metrics()["counters"]
-        assert counters["repro_events_published_total"] == published
         # Both consumers attached before the first write and the run
         # used the default block_writer backpressure: nothing dropped.
-        assert soak.pulled.delivered == published
-        assert len(soak.pushed) == published
+        events = len(soak.pushed)
+        assert soak.pulled.delivered == events
+        assert counters["repro_events_published_total"] == events
+        assert stats["events_published"] == events
         assert [e.generation for e in soak.pushed] == sorted(
             e.generation for e in soak.pushed
         )
-        assert counters.get("repro_consumer_drops_total", 0.0) == 0.0
-        assert counters.get("repro_consumer_overflows_total", 0.0) == 0.0
+        for key in ("drops", "overflows"):
+            assert counters[f"repro_consumer_{key}_total"] == 0.0
+            assert stats[key] == 0
 
     def test_wal_counters_are_exact(self, soak):
         wal = soak.service.stats()["wal"]
         counters = soak.service.metrics()["counters"]
-        assert counters["repro_wal_records_total"] == wal["records_appended"]
-        assert counters["repro_wal_fsyncs_total"] == wal["fsyncs"]
-        assert (
-            counters["repro_wal_checkpoints_total"]
-            == wal["checkpoints_written"]
-        )
-        assert counters["repro_wal_rotations_total"] == wal["rotations"]
+        seen = soak.fs.count  # operations at the WAL's fs seam
+
+        def both(metric, key):
+            assert counters[metric] == wal[key], key
+            return wal[key]
+
+        # One record per published event, one fs append per record.
+        appends = both("repro_wal_records_total", "records_appended")
+        assert appends == len(soak.pushed) == seen("append", "seg-")
+        if wal["floor"] == 0:  # nothing compacted away yet
+            assert appends == len(soak.service.wal.records_since(0))
+        assert both("repro_wal_fsyncs_total", "fsyncs") == seen("fsync", "seg-")
+        assert both(
+            "repro_wal_checkpoints_total", "checkpoints_written"
+        ) == seen("rename", "tmp-ckpt-")
+        # Rotation names the next segment in sequence; the manifest on
+        # disk and the directory listing say how far that got.
+        with open(os.path.join(soak.wal_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        rotations = both("repro_wal_rotations_total", "rotations")
+        assert rotations == int(manifest["active"][4:12]) - 1 > 0
+        on_disk = {
+            f for f in os.listdir(soak.wal_dir) if f.startswith("seg-")
+        }
+        sealed = {entry["name"] for entry in manifest["sealed"]}
+        assert sealed <= on_disk <= sealed | {manifest["active"]}
+        assert wal["segments"] == len(sealed) + 1
 
     def test_reader_traffic_reached_the_histogram(self, soak):
         histograms = soak.service.metrics()["histograms"]

@@ -884,7 +884,8 @@ class TestFineGrainedBaseEvents:
 
 class TestCoarseFallback:
     def test_threshold_zero_coarsens_every_fine_event(self):
-        service = registrar_service(coarse_event_threshold=0)
+        service = registrar_service()
+        service.subscriptions.coarse_threshold = 0
         subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
         service.apply(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         stats = service.subscriptions.stats()
@@ -902,17 +903,19 @@ class TestCoarseFallback:
         assert stats["skips"] == 1
 
     def test_threshold_surfaces_in_stats_and_config(self):
-        service = registrar_service(coarse_event_threshold=7)
-        assert service.subscriptions.stats()["coarse_threshold"] == 7
         from repro.subscribe.engine import DEFAULT_COARSE_THRESHOLD
 
-        default = registrar_service()
-        assert default.subscriptions.stats()["coarse_threshold"] == (
+        service = registrar_service()
+        assert service.subscriptions.stats()["coarse_threshold"] == (
             DEFAULT_COARSE_THRESHOLD
         )
+        service.subscriptions.coarse_threshold = 7
+        assert service.subscriptions.stats()["coarse_threshold"] == 7
+        assert "coarse_event_threshold" not in service.config.to_dict()
 
     def test_equivalence_preserved_under_tiny_threshold(self):
-        service = registrar_service(coarse_event_threshold=1)
+        service = registrar_service()
+        service.subscriptions.coarse_threshold = 1
         subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
         for op in (
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),

@@ -159,14 +159,6 @@ class TestReachabilityMatrix:
         assert m.anc_of_set([2, 4]) == {1, 3}
         assert m.desc_of_set([1, 3]) == {2, 4}
 
-    def test_copy_and_equals(self):
-        m = ReachabilityMatrix()
-        m.insert(1, 2)
-        clone = m.copy()
-        assert m.equals(clone)
-        clone.insert(2, 3)
-        assert not m.equals(clone)
-
     def test_pairs(self):
         m = ReachabilityMatrix()
         m.insert(1, 2)

@@ -402,16 +402,17 @@ class TestKillNine:
 
 
 # ---------------------------------------------------------------------------
-# Artifacts written before the config lost two fields and ``M`` a backend
+# Artifacts written before the config lost three fields and ``M`` a backend
 # ---------------------------------------------------------------------------
 
 
 def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
     """A snapshot / WAL checkpoint as releases up to 0.10 wrote it —
-    ``config`` carrying ``commit_pipeline`` and
-    ``capture_closure_deltas``, ``index_backend: "auto"`` resolved to
-    ``"matrix"`` in the provenance — recovers and bootstraps a replica:
-    both fields are carried as data, never decoded."""
+    ``config`` carrying ``commit_pipeline``,
+    ``capture_closure_deltas`` and ``coarse_event_threshold``,
+    ``index_backend: "auto"`` resolved to ``"matrix"`` in the
+    provenance — recovers and bootstraps a replica: the fields are
+    carried as data, never decoded."""
     wal_dir = str(tmp_path / "wal")
     atg, db = build_registrar()
     writer = open_view(atg, db, config=ViewConfig(strict=False))
@@ -423,6 +424,7 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
         "index_backend": "auto",
         "capture_closure_deltas": "auto",
         "commit_pipeline": True,
+        "coarse_event_threshold": None,
     }
     snapshot = Snapshot.capture(
         writer.store, generation=1, config=old_config, index_backend="matrix"
