@@ -10,7 +10,7 @@ evaluation, and a deep update.
 import pytest
 
 from repro.atg.publisher import publish_store
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.workloads.chains import build_chain
@@ -31,7 +31,7 @@ def test_reach_on_chain(benchmark, depth):
     atg, db = build_chain(depth=depth)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    matrix = benchmark(compute_reach, store, topo)
+    matrix = benchmark(build_index, store, topo, "sets")
     # Quadratic |M|: every level is an ancestor of every deeper level.
     assert len(matrix) > depth * depth / 2
 
@@ -70,7 +70,7 @@ def test_m_quadratic_in_depth():
         atg, db = build_chain(depth=depth)
         store = publish_store(atg, db)
         topo = TopoOrder.from_store(store)
-        sizes[depth] = len(compute_reach(store, topo))
+        sizes[depth] = len(build_index(store, topo, "sets"))
     # 6x depth should give ~36x pairs (quadratic); allow slack.
     growth = sizes[DEPTHS[-1]] / sizes[DEPTHS[0]]
     ratio = DEPTHS[-1] / DEPTHS[0]

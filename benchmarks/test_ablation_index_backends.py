@@ -1,7 +1,7 @@
 """Ablation: reachability-index backends on the Fig. 11 workloads.
 
 Compares the reference ``sets`` backend against ``bitset`` on (a)
-Algorithm Reach (``compute_reach``) over the paper's largest Fig. 11
+Algorithm Reach (``build_index``) over the paper's largest Fig. 11
 configuration and (b) the Δ(M,L) maintenance phase across the W1–W3
 deletion and insertion classes: the bitset backend must be ≥3× faster
 than ``sets`` on the combined metric.

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SIZES
 from repro.baselines.naive_reach import naive_reachability, squaring_reachability
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 
 
@@ -17,7 +17,7 @@ def test_algorithm_reach(benchmark, readonly_updaters, n_c):
     updater, _ = readonly_updaters[n_c]
     store = updater.store
     topo = TopoOrder.from_store(store)
-    matrix = benchmark(compute_reach, store, topo)
+    matrix = benchmark(build_index, store, topo, "sets")
     assert len(matrix) == len(updater.reach)
 
 
@@ -42,7 +42,7 @@ def test_reach_beats_semi_naive(readonly_updaters):
     store = updater.store
     topo = TopoOrder.from_store(store)
     t0 = time.perf_counter()
-    compute_reach(store, topo)
+    build_index(store, topo, "sets")
     reach_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     squaring_reachability(store)

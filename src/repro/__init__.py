@@ -42,14 +42,12 @@ from repro.atg import ATG, ProjectionRule, QueryRule, publish_store, publish_tre
 from repro.core import (
     DagXPathEvaluator,
     PlanState,
-    ReachabilityMatrix,
     SideEffectPolicy,
     TopoOrder,
     UpdateOutcome,
     UpdatePlan,
     UpdateSession,
     XMLViewUpdater,
-    compute_reach,
 )
 from repro.ops import (
     BaseUpdateOp,
@@ -120,7 +118,6 @@ __all__ = [
     "publish_store",
     "publish_tree",
     "DagXPathEvaluator",
-    "ReachabilityMatrix",
     "SideEffectPolicy",
     "TopoOrder",
     "UpdateOutcome",
@@ -128,7 +125,6 @@ __all__ = [
     "PlanState",
     "UpdateSession",
     "XMLViewUpdater",
-    "compute_reach",
     "UpdateOperation",
     "InsertOp",
     "DeleteOp",

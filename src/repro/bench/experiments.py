@@ -16,7 +16,6 @@ from repro.baselines.naive_reach import squaring_reachability
 from repro.baselines.recompute import recompute_structures
 from repro.baselines.tree_updater import TreeUpdater
 from repro.bench.harness import PhaseAccumulator, format_table
-from repro.core.reachability import compute_reach
 from repro.core.topo import TopoOrder
 from repro.index import BACKENDS, build_index
 from repro.ops import DeleteOp, InsertOp
@@ -396,7 +395,7 @@ def ablation_reach(
         store = updater.store
         t0 = time.perf_counter()
         topo = TopoOrder.from_store(store)
-        reach = compute_reach(store, topo)
+        reach = build_index(store, topo, "sets")
         t1 = time.perf_counter()
         squared = squaring_reachability(store)
         t2 = time.perf_counter()

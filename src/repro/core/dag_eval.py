@@ -122,7 +122,7 @@ class DagXPathEvaluator:
     are repaired and every node in ``L`` is reachable from the root (no
     deleted subtree is waiting for garbage collection).  A ``//`` from
     the root then ranges over ``L`` itself.  While collection is
-    pending — ``XMLViewUpdater._evaluator`` knows — pass ``None``, or
+    pending — ``XMLViewUpdater.evaluator`` knows — pass ``None``, or
     the orphans still listed in ``L`` would be selected.
 
     An evaluation keeps its state in per-call objects, so one evaluator

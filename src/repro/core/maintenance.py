@@ -5,9 +5,9 @@ not gate the user-visible update, but the structures must be consistent
 before the next update is processed.  The updater invokes them right
 after applying ``ΔV`` and times them separately (the benchmarks report
 this phase on its own, as the paper's plots do).  Batched update
-sessions (:meth:`repro.core.updater.XMLViewUpdater.batch`) call the
-split-out pieces instead: ``L`` placement eagerly per update, one
-deferred ``M`` repair for the whole batch.
+sessions (:meth:`repro.core.updater.XMLViewUpdater.batch`) split the
+insert side: the ``L`` steps eagerly per update, the ``ΔM`` steps
+(``placed=True``) in one deferred repair for the whole batch.
 
 **Δ(M,L)insert** (after ``insert (A, t) into p``):
 
@@ -119,33 +119,6 @@ def place_new_nodes(
     return len(placed_order)
 
 
-def insert_pairs(
-    store: ViewStore,
-    topo: TopoOrder,
-    reach: ReachabilityIndex,
-    subtree: SubtreeResult,
-    targets: list[int],
-) -> int:
-    """The ``ΔM`` steps of Δ(M,L)insert; returns pairs added.
-
-    Precondition: the subtree's nodes are already placed in ``topo``
-    (:func:`place_new_nodes`).
-    """
-    st_nodes = subtree.all_nodes
-    added = 0
-
-    # -- part 1: reachability inside ST(A, t) -----------------------------------
-    # Localized Reach over the subtree DAG: ancestors-first order.
-    for node in reversed(topo.sort_nodes(st_nodes)):
-        added += reach.extend_ancestors(
-            node, (p for p in store.parents_of(node) if p in st_nodes)
-        )
-
-    # -- part 2: anc*(r[[p]]) × ST nodes ------------------------------------------
-    added += reach.add_anc_closure_pairs(targets, st_nodes)
-    return added
-
-
 def repair_topo_after_insert(
     topo: TopoOrder,
     subtree: SubtreeResult,
@@ -172,16 +145,33 @@ def maintain_insert(
     reach: ReachabilityIndex,
     subtree: SubtreeResult,
     targets: list[int],
+    placed: bool = False,
 ) -> InsertMaintenance:
-    """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``."""
+    """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``.
+
+    ``placed`` says the ``L`` steps already ran (a batch session does
+    them when it defers the repair: :func:`place_new_nodes`, then
+    :func:`repair_topo_after_insert` against a store walk), which
+    leaves the ``ΔM`` steps.
+    """
     report = InsertMaintenance()
-    report.placed_nodes = place_new_nodes(store, topo, subtree)
+    if not placed:
+        report.placed_nodes = place_new_nodes(store, topo, subtree)
     t0 = time.perf_counter()
-    report.added_pairs = insert_pairs(store, topo, reach, subtree, targets)
+    st_nodes = subtree.all_nodes
+    # ΔM part 1: reachability inside ST(A, t) — a localized Reach over
+    # the subtree DAG, ancestors first.
+    for node in reversed(topo.sort_nodes(st_nodes)):
+        report.added_pairs += reach.extend_ancestors(
+            node, (p for p in store.parents_of(node) if p in st_nodes)
+        )
+    # ΔM part 2: anc*(r[[p]]) × ST nodes.
+    report.added_pairs += reach.add_anc_closure_pairs(targets, st_nodes)
     report.m_seconds = time.perf_counter() - t0
-    report.moved_nodes = repair_topo_after_insert(
-        topo, subtree, targets, reach.desc_view(subtree.root)
-    )
+    if not placed:
+        report.moved_nodes = repair_topo_after_insert(
+            topo, subtree, targets, reach.desc_view(subtree.root)
+        )
     return report
 
 

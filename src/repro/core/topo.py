@@ -86,10 +86,6 @@ class TopoOrder:
         self._list.insert(0, node)
         self._reindex(0)
 
-    def insert_before(self, node: int, target: int) -> None:
-        """Insert a new node immediately before ``target``."""
-        self.insert_at(node, self.position(target))
-
     def insert_at(self, node: int, index: int) -> None:
         """Insert a new node at position ``index``."""
         if node in self._pos:

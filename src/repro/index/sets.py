@@ -1,7 +1,6 @@
 """The reference reachability backend: two mirrored dict-of-``set`` maps.
 
-This is the original :class:`ReachabilityMatrix` of
-``repro.core.reachability``, moved behind the
+The paper's matrix as first written, behind the
 :class:`~repro.index.base.ReachabilityIndex` interface and kept as the
 oracle the bitset backend is validated against.  ``M`` is "physically
 stored" as the set of its set bits — two mutually consistent adjacency

@@ -370,18 +370,11 @@ def _build_templates(
         # Symbolic full view row of the target.
         target.row = tuple(
             alias_values[col.alias][
-                db.schema(_relation_of(query, col.alias)).index_of(col.attr)
+                db.schema(query.relation_of(col.alias)).index_of(col.attr)
             ]
             for _, col in query.project
         )
     return templates, assertions
-
-
-def _relation_of(query, alias: str) -> str:
-    for relation, a in query.tables:
-        if a == alias:
-            return relation
-    raise KeyError(alias)
 
 
 def _is_placeholder(cell) -> bool:
@@ -464,7 +457,6 @@ def _sweep_view(
                     seed_pos,
                     partial,
                     frozenset(atoms),
-                    skip={alias},
                 )
             )
     return out
@@ -479,7 +471,6 @@ def _extend(
     seed_pos: int,
     partial: dict[str, tuple],
     atoms: frozenset[Atom],
-    skip: set[str],
 ) -> list[Derivation]:
     """Nested-loop extension of a partial symbolic assignment."""
     remaining = [
@@ -490,21 +481,22 @@ def _extend(
     if not remaining:
         row = tuple(
             partial[col.alias][
-                db.schema(_relation_of_t(tables, col.alias)).index_of(col.attr)
+                db.schema(view.query.relation_of(col.alias)).index_of(col.attr)
             ]
             for _, col in view.query.project
         )
         return [Derivation(view.name, row, atoms)]
     index, relation, alias = remaining[0]
     out: list[Derivation] = []
-    candidates: list[tuple[tuple, bool]] = []
-    for row in _concrete_candidates(db, view.query, relation, alias, conjuncts, partial):
-        candidates.append((row, False))
+    candidates: list[tuple] = list(
+        _concrete_candidates(db, view.query, relation, alias, conjuncts, partial)
+    )
     if index > seed_pos:
-        # Positions after the seed may also take new templates.
-        for template in new_by_relation.get(relation, ()):  # U again
-            candidates.append((template.values, True))
-    for values, _is_template in candidates:
+        # Positions after the seed may also take new templates (U again).
+        candidates.extend(
+            template.values for template in new_by_relation.get(relation, ())
+        )
+    for values in candidates:
         trial = dict(partial)
         trial[alias] = values
         extra = _alias_atoms(db, view.query, conjuncts, alias, trial)
@@ -520,17 +512,9 @@ def _extend(
                 seed_pos,
                 trial,
                 atoms | frozenset(extra),
-                skip,
             )
         )
     return out
-
-
-def _relation_of_t(tables: list[tuple[str, str]], alias: str) -> str:
-    for relation, a in tables:
-        if a == alias:
-            return relation
-    raise KeyError(alias)
 
 
 def _concrete_candidates(
@@ -615,7 +599,7 @@ def _term_cell(db: Database, query, partial: dict[str, tuple], term):
     if isinstance(term, Const):
         return term.value
     if isinstance(term, Col):
-        relation = _relation_of(query, term.alias)
+        relation = query.relation_of(term.alias)
         return partial[term.alias][db.schema(relation).index_of(term.attr)]
     raise UpdateRejectedError(f"unsupported term {term!r} in insertion sweep")
 

@@ -78,9 +78,11 @@ class TestRun:
         assert "index backend:" in out  # benchmark provenance preserved
         # Snapshot-freshness line: the feed attaches lazily, so nothing
         # is retained yet and the replay floor sits at the head.
-        assert "generation: 4; changefeed buffer: 0/256 event(s) retained" \
+        # Three ops, three generations (a typed base update advances
+        # the generation by one, like any other op).
+        assert "generation: 3; changefeed buffer: 0/256 event(s) retained" \
             in out
-        assert "replay floor 4" in out
+        assert "replay floor 3" in out
 
     def test_snapshot_flag_writes_loadable_artifact(self, tmp_path, capsys):
         from repro.replica import Snapshot
@@ -89,10 +91,10 @@ class TestRun:
         code = run(iter(OPS), workload="registrar", snapshot_path=str(path))
         out = capsys.readouterr().out
         assert code == 0
-        assert "snapshot: generation 4," in out
+        assert "snapshot: generation 3," in out
         assert str(path) in out
         snapshot = Snapshot.load(path)
-        assert snapshot.generation == 4
+        assert snapshot.generation == 3
         assert snapshot.num_nodes > 0
 
 

@@ -400,9 +400,8 @@ class TestReplay:
         assert feed.events() == []
 
     def test_base_update_generations_are_increasing_not_dense(self):
-        # A plan-committed base update burns two generations (the
-        # propagation's own bump plus the commit's); the spec promises
-        # strictly increasing generations, not dense ones.
+        # The spec promises strictly increasing generations, not dense
+        # ones (a failed commit burns one without publishing).
         service = registrar_service()
         feed = service.changefeed()
         for op in self._ops():

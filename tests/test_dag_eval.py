@@ -9,7 +9,7 @@ import pytest
 
 from repro.atg.publisher import publish_store, unfold_to_tree
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
@@ -22,7 +22,7 @@ def env():
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     return store, DagXPathEvaluator(store, topo, reach)
 
 
@@ -90,7 +90,7 @@ class TestAgainstTreeOracle:
         dataset = build_synthetic(SyntheticConfig(n_c=60, seed=4))
         store = publish_store(dataset.atg, dataset.db)
         topo = TopoOrder.from_store(store)
-        reach = compute_reach(store, topo)
+        reach = build_index(store, topo, "sets")
         evaluator = DagXPathEvaluator(store, topo, reach)
         path = parse_xpath(text)
         dag = dag_identities(store, evaluator.evaluate(path))

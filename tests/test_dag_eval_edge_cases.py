@@ -4,7 +4,7 @@ import pytest
 
 from repro.atg.publisher import publish_store, unfold_to_tree
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.workloads.registrar import build_registrar
@@ -18,7 +18,7 @@ def env():
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     return store, DagXPathEvaluator(store, topo, reach)
 
 

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.atg.publisher import publish_store
-from repro.core.reachability import ReachabilityMatrix, compute_reach
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import ReproError
@@ -54,13 +53,23 @@ class TestFactory:
         with pytest.raises(ReproError, match="unknown reachability-index"):
             make_index("roaring")
 
-    def test_legacy_names_preserved(self):
-        # The historical entry points stay importable and set-backed.
-        assert ReachabilityMatrix is SetReachabilityIndex
+    def test_legacy_shim_is_gone(self):
+        # ``repro.core.reachability`` (ReachabilityMatrix / compute_reach)
+        # was deleted: the index package is the only entry point.
+        import repro
+        import repro.core
+
+        with pytest.raises(ImportError):
+            import repro.core.reachability  # noqa: F401
+        for package in (repro, repro.core):
+            assert not hasattr(package, "ReachabilityMatrix")
+            assert not hasattr(package, "compute_reach")
         atg, db = build_registrar()
         store = publish_store(atg, db)
         topo = TopoOrder.from_store(store)
-        assert isinstance(compute_reach(store, topo), SetReachabilityIndex)
+        assert isinstance(
+            build_index(store, topo, "sets"), SetReachabilityIndex
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +277,7 @@ def test_build_index_matches_oracle(backend):
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    oracle = compute_reach(store, topo)  # sets backend
+    oracle = build_index(store, topo, "sets")
     index = build_index(store, topo, backend)
     assert index.check_invariants() == []
     assert index.equals(oracle) and oracle.equals(index)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.atg.publisher import publish_store, unfold_to_tree
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.sat.cnf import CNF
@@ -77,7 +77,7 @@ def test_reach_matches_networkx_on_random_dags(dag):
     n, edges = dag
     store = store_from_dag(n, edges)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     graph = nx.DiGraph()
     graph.add_nodes_from(store.nodes())
     for node in store.nodes():
@@ -116,7 +116,7 @@ def test_dag_eval_matches_tree_eval(dag, path_text):
     n, edges = dag
     store = store_from_dag(n, edges)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     evaluator = DagXPathEvaluator(store, topo, reach)
     path = parse_xpath(path_text)
     dag_ids = sorted(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.atg.publisher import publish_store
 from repro.baselines.recompute import recompute_structures
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xdelete
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
@@ -80,7 +80,7 @@ def test_delete_translation_loses_exactly_delta_v(spec, edge_index):
     registry = build_registry(atg, db)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     evaluator = DagXPathEvaluator(store, topo, reach)
     path = parse_xpath(f"//course[cno=C{p:02d}]/prereq/course[cno=C{c:02d}]")
     result = evaluator.evaluate(path, mode="delete")

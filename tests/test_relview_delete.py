@@ -4,7 +4,7 @@ import pytest
 
 from repro.atg.publisher import publish_store
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xdelete
 from repro.errors import UpdateRejectedError
@@ -24,7 +24,7 @@ def env():
     registry = build_registry(atg, db)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, registry, store, evaluator
 

@@ -6,7 +6,7 @@ from repro.atg.publisher import publish_store, publish_subtree
 from repro.baselines.recompute import recompute_structures
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.core.maintenance import maintain_delete, maintain_insert
-from repro.core.reachability import compute_reach
+from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xdelete, xinsert
 from repro.workloads.registrar import build_registrar
@@ -18,7 +18,7 @@ def env():
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = compute_reach(store, topo)
+    reach = build_index(store, topo, "sets")
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, store, topo, reach, evaluator
 

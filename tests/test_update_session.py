@@ -144,10 +144,30 @@ def test_nested_batch_rejected():
     updater = _registrar_updater()
     with updater.batch():
         with pytest.raises(ReproError, match="already active"):
-            updater.batch()
+            with updater.batch():
+                pass
     # After a clean exit a new batch opens fine.
     with updater.batch():
         pass
+
+
+def test_two_sessions_cannot_both_be_entered():
+    """Regression: the "already active" guard sat in ``batch()`` only,
+    so two sessions built up front could both be entered, and the inner
+    exit un-registered the outer one mid-batch."""
+    updater = _registrar_updater(strict=True)
+    first, second = updater.batch(), updater.batch()
+    before = updater.maintenance_runs
+    with first:
+        with pytest.raises(ReproError, match="already active"):
+            with second:
+                pass
+        # ``first`` is still the open session: its ops stay batched.
+        updater.apply_op(DeleteOp("course[cno='CS650']/prereq/course[cno='CS320']"))
+        assert first.pending
+        assert updater.maintenance_runs == before
+    assert updater.maintenance_runs - before == 1
+    assert updater.check_consistency() == []
 
 
 def test_base_update_blocked_while_pending():

@@ -311,6 +311,27 @@ class TestPlanProtocol:
         assert out.accepted
         assert service.check_consistency() == []
 
+    def test_stale_plan_commit_does_not_wedge_the_updater(self):
+        """Regression: a commit that found its plan stale raised before
+        releasing the plan slot, so every later write failed with
+        "another plan is outstanding" until someone aborted a plan that
+        could never commit."""
+        service = registrar_service(side_effects="propagate")
+        stale = service.plan(InsertOp(".", "course", ("CS700", "Theory")))
+        service.updater.rebuild()  # the view moved on under the plan
+        with pytest.raises(StalePlanError):
+            stale.commit()
+        # Rolled back exactly as abort() would have.
+        assert stale.state is PlanState.ABORTED
+        stale.abort()  # idempotent
+        with pytest.raises(PlanError):
+            stale.commit()
+        # The writer is free: plan and apply work again.
+        service.plan(REGISTRAR_OPS[0]).abort()
+        out = service.apply(InsertOp(".", "course", ("CS700", "Theory")))
+        assert out.accepted
+        assert service.check_consistency() == []
+
     def test_failed_plan_cannot_be_aborted(self):
         service = registrar_service(side_effects="propagate")
         with service.batch() as batch:
