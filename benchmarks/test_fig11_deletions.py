@@ -33,6 +33,7 @@ def test_deletion_workload(benchmark, cls, n_c):
     assert acc.accepted > 0
 
 
+@pytest.mark.perf
 def test_deletion_dominated_by_xpath():
     """Paper: 'deletion time is dominated by XPath evaluation'.
 
@@ -50,6 +51,7 @@ def test_deletion_dominated_by_xpath():
     assert acc.xpath > 0.5 * acc.translate
 
 
+@pytest.mark.perf
 def test_deletion_scales_linearly():
     totals = {}
     for n_c in SIZES:

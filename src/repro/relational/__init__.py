@@ -6,7 +6,8 @@ view.  This package implements the part of such a DBMS the paper's
 algorithms rely on:
 
 - typed relation schemas with primary keys (:mod:`repro.relational.schema`),
-- keyed tables with secondary indexes (:mod:`repro.relational.database`),
+- keyed tables with one equality probe over self-building hash indexes
+  (:mod:`repro.relational.database`),
 - select-project-join (SPJ) queries with equi-join planning, parameters and
   provenance-tracking evaluation (:mod:`repro.relational.query`),
 - SQL text generation and a SQLite bridge for on-disk storage

@@ -1,11 +1,11 @@
-"""Keyed tables, secondary indexes and the database container.
+"""Keyed tables, their one equality probe and the database container.
 
 A :class:`Table` stores rows keyed by their primary key and enforces the
 key constraint on insertion — the paper's insertion translation relies on
 this ("a unique tuple ... needs to be inserted into the base relation R for
-each i due to the key constraint on R", proof of Theorem 2).  Secondary
-hash indexes accelerate the point lookups performed by the SPJ evaluator
-and the view-update translators.
+each i due to the key constraint on R", proof of Theorem 2).
+:meth:`Table.lookup` is the one equality probe the SPJ evaluator and the
+view-update translators use; its hash indexes build themselves.
 
 A :class:`Database` is a named collection of tables plus the
 :class:`RelationalDelta` machinery for applying/undoing group updates
@@ -22,17 +22,16 @@ from repro.relational.schema import RelationSchema
 
 
 class Table:
-    """One relation instance: keyed rows plus secondary hash indexes."""
+    """One relation instance: keyed rows plus self-building hash indexes."""
 
     def __init__(self, schema: RelationSchema):
         self.schema = schema
         self._rows: dict[tuple, tuple] = {}
-        # index attrs -> value-tuple -> set of primary keys
-        self._indexes: dict[tuple[str, ...], dict[tuple, set[tuple]]] = {}
-        # primary key -> insertion rank (monotone, never reused): lets an
-        # index probe hand its rows back in ``rows()`` order.
-        self._rank: dict[tuple, int] = {}
-        self._next_rank = 0
+        # attr -> value -> {primary key: row}.  A bucket is a dict, not a
+        # set, because a dict keeps insertion order: built from ``rows()``
+        # and appended to / deleted from together with ``_rows``, every
+        # bucket is a subsequence of ``rows()`` order with no sorting.
+        self._indexes: dict[str, dict[object, dict[tuple, tuple]]] = {}
 
     # -- size / membership ----------------------------------------------------
 
@@ -68,10 +67,8 @@ class Table:
                 f"duplicate key {key} in relation {self.schema.name!r}"
             )
         self._rows[key] = row
-        self._rank[key] = self._next_rank
-        self._next_rank += 1
-        for attrs, index in self._indexes.items():
-            index.setdefault(self.schema.project(row, attrs), set()).add(key)
+        for attr, index in self._indexes.items():
+            index.setdefault(row[self.schema.index_of(attr)], {})[key] = row
         return row
 
     def delete_by_key(self, key: tuple) -> tuple:
@@ -83,14 +80,12 @@ class Table:
             raise KeyConstraintError(
                 f"no row with key {key} in relation {self.schema.name!r}"
             ) from None
-        del self._rank[key]
-        for attrs, index in self._indexes.items():
-            value = self.schema.project(row, attrs)
-            bucket = index.get(value)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del index[value]
+        for attr, index in self._indexes.items():
+            value = row[self.schema.index_of(attr)]
+            bucket = index[value]
+            del bucket[key]
+            if not bucket:
+                del index[value]
         return row
 
     def delete(self, row: tuple) -> tuple:
@@ -103,81 +98,63 @@ class Table:
             )
         return self.delete_by_key(key)
 
-    # -- secondary indexes --------------------------------------------------------
+    # -- the equality probe -------------------------------------------------------
+
+    def _index(self, attr: str) -> dict[object, dict[tuple, tuple]]:
+        """The hash index on ``attr``, built from :meth:`rows` when missing.
+
+        Published with one dict assignment once complete.  Callers hold
+        at least the read side of the service lock and every mutation
+        holds the write side, so two readers that both find the index
+        missing build equal ones and the later assignment wins — a
+        benign race (``tests/test_stress.py`` is the guard).
+        """
+        index = self._indexes.get(attr)
+        if index is None:
+            position = self.schema.index_of(attr)  # validates
+            key_of = self.schema.key_of
+            index = {}
+            for row in self.rows():
+                index.setdefault(row[position], {})[key_of(row)] = row
+            self._indexes[attr] = index
+        return index
 
     def create_index(self, attrs: Sequence[str]) -> None:
-        """Create (or no-op if present) a hash index on ``attrs``."""
-        attrs = tuple(attrs)
+        """Build now the indexes :meth:`lookup` would build on first use."""
         for attr in attrs:
-            self.schema.index_of(attr)  # validates
-        if attrs in self._indexes:
-            return
-        index: dict[tuple, set[tuple]] = {}
-        for key, row in self._rows.items():
-            index.setdefault(self.schema.project(row, attrs), set()).add(key)
-        self._indexes[attrs] = index
+            self._index(attr)
 
-    def has_index(self, attrs: Sequence[str]) -> bool:
-        return tuple(attrs) in self._indexes
+    def lookup(self, attrs: Sequence[str], values: Sequence) -> list[tuple]:
+        """Rows whose ``attrs`` equal ``values``, in :meth:`rows` order.
 
-    def lookup(self, attrs: Sequence[str], values: tuple) -> list[tuple]:
-        """Rows whose ``attrs`` projection equals ``values``.
-
-        Uses a secondary index when one exists, otherwise scans.
+        The one equality probe of the relational layer: it reads the
+        smallest single-attribute bucket among ``attrs`` (at least one)
+        and filters it on the rest.  Which columns are indexed is thus
+        worked out from the probes issued; there is no scan to fall back
+        to — a caller with no equality iterates :meth:`rows` and says so.
         """
-        attrs = tuple(attrs)
-        index = self._indexes.get(attrs)
-        if index is not None:
-            keys = index.get(tuple(values), ())
-            return [self._rows[k] for k in keys]
+        lead: dict[tuple, tuple] | None = None
+        for attr, value in zip(attrs, values, strict=True):
+            bucket = self._index(attr).get(value)
+            if bucket is None:
+                return []
+            if lead is None or len(bucket) < len(lead):
+                lead = bucket
+        if lead is None:
+            raise ValueError("lookup needs at least one attribute")
+        if len(attrs) == 1:
+            return list(lead.values())
+        checks = [(self.schema.index_of(a), v) for a, v in zip(attrs, values)]
         return [
             row
-            for row in self._rows.values()
-            if self.schema.project(row, attrs) == tuple(values)
+            for row in lead.values()
+            if all(row[position] == value for position, value in checks)
         ]
-
-    def prober(self, attrs: Sequence[str]):
-        """A point-lookup function for joins, or ``None`` without an index.
-
-        The returned ``probe(values)`` lists the rows whose ``attrs``
-        projection equals ``values`` **in** :meth:`rows` **order**, read
-        through the most selective single-attribute index among
-        ``attrs`` (most distinct values) and filtered on the rest — what
-        hashing the whole table on ``attrs`` and looking ``values`` up
-        would return, at the cost of one bucket instead of ``|table|``.
-        """
-        indexed = [
-            (len(self._indexes[(attr,)]), i)
-            for i, attr in enumerate(attrs)
-            if (attr,) in self._indexes
-        ]
-        if not indexed:
-            return None
-        _, lead = max(indexed)
-        index = self._indexes[(attrs[lead],)]
-        positions = [self.schema.index_of(attr) for attr in attrs]
-        rows, rank, key_of = self._rows, self._rank, self.schema.key_of
-
-        def probe(values: tuple) -> list[tuple]:
-            found = [
-                row
-                for row in map(rows.__getitem__, index.get((values[lead],), ()))
-                if all(row[p] == v for p, v in zip(positions, values))
-            ]
-            if len(found) > 1:
-                found.sort(key=lambda row: rank[key_of(row)])
-            return found
-
-        return probe
 
     def copy(self) -> "Table":
-        """Deep-enough copy (rows are immutable tuples)."""
+        """Deep-enough copy (rows are immutable tuples); indexes rebuild."""
         clone = Table(self.schema)
         clone._rows = dict(self._rows)
-        clone._rank = dict(self._rank)
-        clone._next_rank = self._next_rank
-        for attrs in self._indexes:
-            clone.create_index(attrs)
         return clone
 
 
@@ -329,10 +306,10 @@ class Database:
     def load_state(self, state: dict) -> None:
         """Replace every table's rows with :meth:`export_state` output.
 
-        The schemas (and secondary indexes) of the *existing* tables are
-        kept — like a replica's ATG, the schema is constructed by code
-        and only the data is restored.  A state naming a relation this
-        database does not define raises
+        The schemas of the *existing* tables are kept (their indexes are
+        dropped and rebuild on the next probe) — like a replica's ATG,
+        the schema is constructed by code and only the data is restored.
+        A state naming a relation this database does not define raises
         :class:`~repro.errors.SchemaError`; rows are validated against
         each table's schema as they are inserted.
         """
@@ -350,9 +327,7 @@ class Database:
         for name, table in self._tables.items():
             rows = tables.get(name, [])
             table._rows.clear()
-            table._rank.clear()
-            for index in table._indexes.values():
-                index.clear()
+            table._indexes.clear()
             for row in rows:
                 table.insert(tuple(row))
 

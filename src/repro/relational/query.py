@@ -7,8 +7,8 @@ module provides:
 
 - :class:`SPJQuery` — a named query over a list of table occurrences
   (relation, alias), a selection predicate and a projection list;
-- an evaluator with greedy equi-join planning (hash joins over the
-  equality conjuncts, residual predicate afterwards);
+- an evaluator with greedy equi-join planning (every equality is a
+  :meth:`Table.lookup` probe; residual predicate afterwards);
 - *provenance-tracking* evaluation: for every output row, the base row
   each alias contributed.  The deletable sources ``Sr(Q, t)`` of
   Algorithm delete (Fig. 9) are read directly off this provenance.
@@ -17,6 +17,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
@@ -175,8 +176,7 @@ class SPJQuery:
             return QueryResult()
 
         # An alias without filters of its own ranges over its whole
-        # table: ``None``, so the join can probe an index instead of
-        # listing (and hashing) every row.
+        # table: ``None``, so the join probes it instead of listing it.
         candidates = {
             alias: self._candidate_rows(db, alias, alias_filters[alias])
             if alias in alias_filters
@@ -206,8 +206,6 @@ class SPJQuery:
         self, db: Database, alias: str, filters: list[_Comparison]
     ) -> list[tuple]:
         table = db.table(self.relation_of(alias))
-        schema = table.schema
-        # Try an indexed point lookup on the eq-const attributes.
         eq_attrs: list[str] = []
         eq_values: list[object] = []
         rest: list[_Comparison] = []
@@ -219,41 +217,11 @@ class SPJQuery:
             else:
                 rest.append(pred)
         if eq_attrs:
-            order = sorted(range(len(eq_attrs)), key=lambda i: eq_attrs[i])
-            attrs = tuple(eq_attrs[i] for i in order)
-            values = tuple(eq_values[i] for i in order)
-            if table.has_index(attrs) or len(attrs) == 1:
-                rows = table.lookup(attrs, values)
-            else:
-                # Use any single-attribute index, filter the rest.
-                hit = next(
-                    (
-                        i
-                        for i, attr in enumerate(attrs)
-                        if table.has_index((attr,))
-                    ),
-                    None,
-                )
-                if hit is not None:
-                    rows = table.lookup((attrs[hit],), (values[hit],))
-                    residual_idx = [
-                        schema.index_of(a) for j, a in enumerate(attrs) if j != hit
-                    ]
-                    residual_val = [v for j, v in enumerate(values) if j != hit]
-                    rows = [
-                        row
-                        for row in rows
-                        if all(
-                            row[idx] == val
-                            for idx, val in zip(residual_idx, residual_val)
-                        )
-                    ]
-                else:
-                    rows = table.lookup(attrs, values)
-        else:
+            rows = table.lookup(eq_attrs, eq_values)
+        else:  # non-equality filters only: nothing to probe
             rows = list(table.rows())
         if rest:
-            rows = [row for row in rows if _row_satisfies(rest, row, schema)]
+            rows = [row for row in rows if _row_satisfies(rest, row, table.schema)]
         return rows
 
 
@@ -341,12 +309,6 @@ def _term_on_row(term, row: tuple, schema: RelationSchema):
 
 _NEVER = object()
 
-#: A join probes an index per assignment (instead of hashing the joined
-#: table once) when the table is at least this many times larger than
-#: the assignment list: a probe walks one bucket and re-checks the other
-#: join columns, a hash build touches every row once.
-_PROBE_ADVANTAGE = 4
-
 
 def _join(
     query: SPJQuery,
@@ -354,14 +316,15 @@ def _join(
     candidates: dict[str, list[tuple] | None],
     join_edges: list[tuple[Col, Col]],
 ) -> list[Assignment]:
-    """Greedy hash-join over the equi-join edges.
+    """Greedy equi-join over the join edges.
 
-    Starts from the smallest candidate set, repeatedly joins in the alias
-    with the most join edges into the bound set (falling back to a
-    cartesian product for disconnected aliases).  ``None`` candidates
-    mean the alias's whole table; when few assignments meet such a table
-    and one of the join columns is indexed, the join probes the index
-    per assignment instead of hashing the table — same rows, same order.
+    Starts from the smallest candidate set and repeatedly joins in the
+    alias with the most join edges into the bound set.  ``None``
+    candidates mean the alias's whole table: it is never listed, each
+    assignment probes it through :meth:`Table.lookup` on the join
+    columns; an alias already filtered down to a candidate list is
+    hashed on them instead.  Both hand rows back in ``rows()`` order.
+    Only a disconnected alias (a cross product) is iterated whole.
     """
     aliases = list(query.aliases)
     if not aliases:
@@ -402,20 +365,15 @@ def _join(
             or (r.alias == next_alias and l.alias in bound)
         ]
         # edges: list of (bound_col, new_col)
-        schema = db.schema(query.relation_of(next_alias))
         if edges:
-            matches = None
-            if (
-                candidates[next_alias] is None
-                and len(assignments) * _PROBE_ADVANTAGE <= size(next_alias)
-            ):
-                matches = table_of(next_alias).prober(
-                    [col.attr for _, col in edges]
-                )
-            if matches is None:
-                new_idx = [schema.index_of(col.attr) for _, col in edges]
+            table = table_of(next_alias)
+            attrs = [col.attr for _, col in edges]
+            if candidates[next_alias] is None:
+                matches = partial(table.lookup, attrs)
+            else:
+                new_idx = [table.schema.index_of(attr) for attr in attrs]
                 hashed: dict[tuple, list[tuple]] = {}
-                for row in rows_of(next_alias):
+                for row in candidates[next_alias]:
                     hashed.setdefault(
                         tuple(row[i] for i in new_idx), []
                     ).append(row)

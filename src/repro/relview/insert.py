@@ -17,12 +17,15 @@ insertions ``ΔR`` via SAT, in five stages:
 
 3. **Side-effect sweep.**  Every edge view is evaluated symbolically
    over ``I ∪ X`` restricted to derivations using at least one new
-   template (seed-position enumeration avoids duplicates).  Because view
-   rows project every base key and new templates carry keys absent from
-   ``I``, such a derivation can never equal an existing view row; it is
-   benign iff it *is* one of the targets (per-position symbolic
-   identity), otherwise its condition is negated — an unconditional
-   side effect rejects the update outright (case (a) in the paper).
+   template (seed-position enumeration avoids duplicates; each seed is
+   extended along the join graph, one ``Table.lookup`` probe per alias,
+   and the derivations and their atoms are put in a canonical order).
+   Because view rows project every base key and new templates carry keys
+   absent from ``I``, such a derivation can never equal an existing view
+   row; it is benign iff it *is* one of the targets (per-position
+   symbolic identity), otherwise its condition is negated — an
+   unconditional side effect rejects the update outright (case (a) in
+   the paper).
 
 4. **SAT.**  Variables get finite domains (their type's domain for BOOL;
    the constants of their connected component plus fresh "distinct"
@@ -426,6 +429,12 @@ def _sweep_side_effects(
     derivations: list[Derivation] = []
     for view in registry.views():
         derivations.extend(_sweep_view(view, db, new_by_relation))
+    # The set is order-free; the list (like each derivation's atoms)
+    # feeds CNF clause order, hence the seeded WalkSAT run — its flip
+    # count, its model and the fresh values in ΔR.  Make it canonical.
+    derivations.sort(
+        key=lambda d: (d.view_name, repr(d.row), list(map(repr, d.atoms)))
+    )
     return derivations
 
 
@@ -485,20 +494,29 @@ def _extend(
             ]
             for _, col in view.query.project
         )
-        return [Derivation(view.name, row, atoms)]
+        return [Derivation(view.name, row, tuple(sorted(atoms, key=repr)))]
+    # Bind next an alias some equality ties to a concrete bound cell (or
+    # a constant): its candidates are one probe.  Only a genuine cross
+    # product is left to declaration order and a pass over its table.
     index, relation, alias = remaining[0]
-    out: list[Derivation] = []
-    candidates: list[tuple] = list(
-        _concrete_candidates(db, view.query, relation, alias, conjuncts, partial)
-    )
+    for entry in remaining:
+        attrs, values = _concrete_equalities(
+            db, view.query, entry[2], conjuncts, partial
+        )
+        if attrs:
+            index, relation, alias = entry
+            break
+    table = db.table(relation)
+    candidates = table.lookup(attrs, values) if attrs else list(table.rows())
     if index > seed_pos:
         # Positions after the seed may also take new templates (U again).
         candidates.extend(
             template.values for template in new_by_relation.get(relation, ())
         )
-    for values in candidates:
+    out: list[Derivation] = []
+    for cells in candidates:
         trial = dict(partial)
-        trial[alias] = values
+        trial[alias] = cells
         extra = _alias_atoms(db, view.query, conjuncts, alias, trial)
         if extra is None:
             continue
@@ -517,22 +535,20 @@ def _extend(
     return out
 
 
-def _concrete_candidates(
+def _concrete_equalities(
     db: Database,
     query,
-    relation: str,
     alias: str,
     conjuncts: list[Predicate],
     partial: dict[str, tuple],
-) -> list[tuple]:
-    """Base rows for ``alias`` compatible with concrete bound values.
+) -> tuple[list[str], list[object]]:
+    """``alias``'s columns an equality fixes to a *concrete* value.
 
-    Uses indexed point lookups on equality conjuncts whose other side is
-    already bound to a *concrete* value.
+    The other side is a constant or a bound cell that is not a variable;
+    together they are the :meth:`Table.lookup` probe for ``alias``.
     """
-    table = db.table(relation)
-    eq_attrs: list[str] = []
-    eq_values: list[object] = []
+    attrs: list[str] = []
+    values: list[object] = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, Eq):
             continue
@@ -544,24 +560,15 @@ def _concrete_candidates(
             if not (isinstance(this, Col) and this.alias == alias):
                 continue
             if isinstance(other, Const):
-                eq_attrs.append(this.attr)
-                eq_values.append(other.value)
+                attrs.append(this.attr)
+                values.append(other.value)
             elif isinstance(other, Col) and other.alias in partial:
                 cell = _term_cell(db, query, partial, other)
                 if not isinstance(cell, SymVar):
-                    eq_attrs.append(this.attr)
-                    eq_values.append(cell)
+                    attrs.append(this.attr)
+                    values.append(cell)
             break
-    if eq_attrs:
-        order = sorted(range(len(eq_attrs)), key=lambda i: eq_attrs[i])
-        attrs = tuple(eq_attrs[i] for i in order)
-        values = tuple(eq_values[i] for i in order)
-        if not table.has_index(attrs) and len(attrs) > 1:
-            # Fall back to the first single attribute.
-            attrs = (attrs[0],)
-            values = (values[0],)
-        return table.lookup(attrs, values)
-    return list(table.rows())
+    return attrs, values
 
 
 def _alias_atoms(

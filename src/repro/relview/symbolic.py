@@ -116,11 +116,13 @@ class Derivation:
     """One symbolic derivation of a view row.
 
     ``row`` may contain variables; ``atoms`` is the conjunction of
-    equality atoms under which the derivation actually produces the row.
+    equality atoms under which the derivation actually produces the row,
+    without duplicates and in ``repr`` order (a set would hand the CNF
+    encoder a hash-seed-dependent literal order).
     """
 
     view_name: str
     row: tuple
-    atoms: frozenset[Atom]
+    atoms: tuple[Atom, ...]
     uses_new: bool = True
     meta: dict = field(default_factory=dict)

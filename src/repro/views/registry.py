@@ -176,36 +176,12 @@ class EdgeViewRegistry:
         return out
 
 
-def build_registry(
-    atg: ATG, db: Database, create_indexes: bool = True
-) -> EdgeViewRegistry:
-    """Derive the closed-form edge view for every starred ATG rule.
-
-    With ``create_indexes`` (the default), secondary hash indexes are
-    created on every base column used in an equality condition and on
-    every primary key, so the point queries issued by the translation
-    algorithms (``matching_rows``, ``rows_referencing``) avoid scans.
-    """
+def build_registry(atg: ATG, db: Database) -> EdgeViewRegistry:
+    """Derive the closed-form edge view for every starred ATG rule."""
     views: dict[tuple[str, str], EdgeView] = {}
     for rule in atg.query_rules():
         views[(rule.parent, rule.child)] = _close_rule(atg, db, rule)
-    registry = EdgeViewRegistry(atg, views)
-    if create_indexes:
-        _create_indexes(registry, db)
-    return registry
-
-
-def _create_indexes(registry: EdgeViewRegistry, db: Database) -> None:
-    for view in registry.views():
-        alias_to_rel = {alias: rel for rel, alias in view.query.tables}
-        for conjunct in view.query.where.conjuncts():
-            for col in conjunct.columns():
-                db.table(alias_to_rel[col.alias]).create_index((col.attr,))
-        for _, col in view.query.project:
-            db.table(alias_to_rel[col.alias]).create_index((col.attr,))
-        for relation, _ in view.query.tables:
-            schema = db.schema(relation)
-            db.table(relation).create_index(tuple(sorted(schema.key)))
+    return EdgeViewRegistry(atg, views)
 
 
 def _close_rule(atg: ATG, db: Database, rule: QueryRule) -> EdgeView:

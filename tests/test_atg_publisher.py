@@ -223,3 +223,35 @@ class TestPublishSubtree:
             node = stack.pop()
             assert node in result.all_nodes
             stack.extend(store.children_of(node))
+
+
+class TestPublishOverAnUnindexedDatabase:
+    """Nobody prepares a database for publishing: ``publish_store(atg,
+    db)`` alone is how ``rebuild``, ``check_consistency`` and most tests
+    get a view, and opening an updater must not depend on whether
+    publishing or the registry comes first."""
+
+    def test_table_passes_are_bounded_by_probed_columns(self, monkeypatch):
+        from repro.core.updater import XMLViewUpdater
+        from repro.relational.database import Table
+        from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+        passes = []
+        rows = Table.rows
+        monkeypatch.setattr(
+            Table, "rows", lambda self: passes.append(self.schema.name) or rows(self)
+        )
+        dataset = build_synthetic(SyntheticConfig(n_c=300, seed=3))
+        tables = [dataset.db.table(name) for name in dataset.db.table_names()]
+
+        store = publish_store(dataset.atg, dataset.db)
+        assert store.num_nodes > 200
+        probed = sum(len(table._indexes) for table in tables)
+        columns = sum(len(table.schema.attribute_names) for table in tables)
+        assert 0 < len(passes) <= probed <= columns
+
+        del passes[:]
+        updater = XMLViewUpdater(dataset.atg, dataset.db)
+        assert updater.check_consistency() == []
+        # Two more publishes found every index they needed already built.
+        assert len(passes) <= sum(len(t._indexes) for t in tables) - probed

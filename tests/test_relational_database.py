@@ -56,14 +56,22 @@ class TestTable:
     def test_rows_deterministic_order(self, table):
         assert list(table.rows()) == [(1, "cs"), (2, "cs"), (3, "math")]
 
-    def test_lookup_without_index_scans(self, table):
-        assert sorted(table.lookup(("dept",), ("cs",))) == [(1, "cs"), (2, "cs")]
+    def test_lookup_builds_its_index(self, table, monkeypatch):
+        passes = []
+        rows = table.rows
+        monkeypatch.setattr(table, "rows", lambda: passes.append(1) or rows())
+        for _ in range(3):
+            assert table.lookup(("dept",), ("cs",)) == [(1, "cs"), (2, "cs")]
+        assert len(passes) == 1  # the first probe built it; no scan after
 
     def test_lookup_with_index(self, table):
         table.create_index(("dept",))
-        assert table.has_index(("dept",))
-        assert sorted(table.lookup(("dept",), ("cs",))) == [(1, "cs"), (2, "cs")]
+        assert table.lookup(("dept",), ("cs",)) == [(1, "cs"), (2, "cs")]
         assert table.lookup(("dept",), ("nope",)) == []
+        assert table.lookup(("dept", "id"), ("cs", 2)) == [(2, "cs")]
+        assert table.lookup(("dept", "id"), ("math", 2)) == []
+        with pytest.raises(ValueError):
+            table.lookup(("dept", "id"), ("cs",))
 
     def test_index_maintained_on_mutation(self, table):
         table.create_index(("dept",))
@@ -73,8 +81,9 @@ class TestTable:
 
     def test_create_index_idempotent(self, table):
         table.create_index(("dept",))
+        index = table._indexes["dept"]
         table.create_index(("dept",))
-        assert table.has_index(("dept",))
+        assert table._indexes["dept"] is index
 
     def test_create_index_unknown_attr(self, table):
         with pytest.raises(SchemaError):

@@ -274,10 +274,53 @@ class TestIndexUsage:
         assert query.evaluate(db).rows == [(3,)]
 
 
+def _brute_lookup(table, attrs, values):
+    """What ``Table.lookup`` must return: ``rows()`` filtered, in order."""
+    return [
+        row
+        for row in table.rows()
+        if table.schema.project(row, tuple(attrs)) == tuple(values)
+    ]
+
+
+_HASHSEED_SCRIPT = """
+import json, random
+from repro.relational.database import Database
+from repro.relational.schema import AttrType, RelationSchema
+
+rng = random.Random(5)
+db = Database()
+table = db.create_table(RelationSchema(
+    "t", [("k", AttrType.STR), ("g", AttrType.STR), ("h", AttrType.STR)], ["k"]
+))
+groups = ["alpha", "beta", "gamma"]
+table.create_index(["g"])   # kept through the history; "h" is built after it
+for i in rng.sample(range(40), 40):
+    table.insert((f"key{i}", rng.choice(groups), rng.choice(groups)))
+for key in rng.sample(list(table.keys()), 15):
+    row = table.delete_by_key(key)
+    if rng.random() < 0.7:
+        table.insert(row)
+restored = Database()
+restored.create_table(table.schema)
+restored.load_state(db.export_state())
+out = []
+for t in (table, db.copy().table("t"), restored.table("t")):
+    for attrs, values in [(["g"], [g]) for g in groups] + [
+        (["g", "h"], [g, h]) for g in groups for h in groups
+    ]:
+        found = t.lookup(attrs, values)
+        brute = [r for r in t.rows() if t.schema.project(r, tuple(attrs)) == tuple(values)]
+        assert found == brute, (attrs, values, found, brute)
+        out.append(found)
+print(json.dumps(out))
+"""
+
+
 class TestIndexProbeJoin:
-    """The join probes an index instead of hashing a large table; the
-    rows — and their order, which publishing and ΔR depend on — must be
-    what the hash join returns."""
+    """``Table.lookup`` is the one equality probe: whatever the table's
+    history, it returns what filtering ``rows()`` returns, in that order
+    — which publishing and ΔR depend on."""
 
     @staticmethod
     def _database(seed):
@@ -298,8 +341,7 @@ class TestIndexProbeJoin:
             )
         )
         big, link = database.table("big"), database.table("link")
-        big.create_index(("g",))
-        big.create_index(("k",))
+        big.create_index(("g", "k"))
         link.create_index(("k",))
         keys = list(range(60))
         rng.shuffle(keys)
@@ -322,11 +364,11 @@ class TestIndexProbeJoin:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_rows_same_order_as_hash_join(self, seed, monkeypatch):
-        from repro.relational import query as query_module
+        from repro.relational.database import Table
 
         database = self._database(seed)
         queries = [
-            # few big rows (indexed g, unindexed h) meet all of link on k
+            # few big rows (g and h filtered) meet all of link on k
             q(
                 [("big", "b"), ("link", "l")],
                 [("p", Col("l", "p")), ("k", Col("b", "k"))],
@@ -342,7 +384,7 @@ class TestIndexProbeJoin:
                     Eq(Col("l", "k"), Col("b", "k")),
                 ),
             ),
-            # two join columns, only one of them indexed
+            # two join columns, one index built before the history, one after
             q(
                 [("big", "x"), ("big", "y")],
                 [("x", Col("x", "k")), ("y", Col("y", "k"))],
@@ -354,12 +396,12 @@ class TestIndexProbeJoin:
             ),
         ]
         for query in queries:
-            monkeypatch.setattr(query_module, "_PROBE_ADVANTAGE", 10**9)
-            hashed = query.evaluate(database, with_derivations=True)
-            monkeypatch.setattr(query_module, "_PROBE_ADVANTAGE", 0)
             probed = query.evaluate(database, with_derivations=True)
-            assert probed.rows == hashed.rows
-            assert probed.derivations == hashed.derivations
+            with monkeypatch.context() as patch:
+                patch.setattr(Table, "lookup", _brute_lookup)
+                scanned = query.evaluate(database, with_derivations=True)
+            assert probed.rows == scanned.rows
+            assert probed.derivations == scanned.derivations
 
     def test_point_query_does_not_list_the_joined_table(self, monkeypatch):
         database = self._database(0)
@@ -388,11 +430,29 @@ class TestIndexProbeJoin:
         clone = database.copy()
         restored = self._database(2)
         restored.load_state(database.export_state())
-        for other in (clone, restored):
-            for name in ("big", "link"):
-                attrs = ["g"] if name == "big" else ["k"]
-                ours = database.table(name).prober(attrs)
-                theirs = other.table(name).prober(attrs)
+        for other in (database, clone, restored):
+            for name, attrs in (("big", ["g"]), ("link", ["k"]), ("link", ["p"])):
+                ours, theirs = database.table(name), other.table(name)
                 for value in range(60):
-                    assert ours((value,)) == theirs((value,))
-        assert database.table("link").prober(["p"]) is None  # no index
+                    found = theirs.lookup(attrs, [value])
+                    assert found == ours.lookup(attrs, [value])
+                    assert found == _brute_lookup(theirs, attrs, [value])
+
+    def test_lookup_order_does_not_depend_on_the_hash_seed(self):
+        """String keys: set iteration order varies with PYTHONHASHSEED;
+        ``rows()`` order must not."""
+        import os
+        import subprocess
+        import sys
+
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            done = subprocess.run(
+                [sys.executable, "-c", _HASHSEED_SCRIPT],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1

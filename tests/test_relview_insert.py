@@ -166,3 +166,112 @@ class TestNewSubtree:
         _, db, registry, store, _ = env
         plan = translate_insertions(registry, store, db, ViewDelta())
         assert len(plan.delta_r) == 0
+
+
+class TestSweepFollowsTheJoinGraph:
+    """The side-effect sweep binds next the alias an equality ties to a
+    concrete bound cell, so a seed costs probes along the join graph —
+    not a pass over a table it shares no equality with."""
+
+    @staticmethod
+    def _new_key_insert(n_c=600, tables=None):
+        from repro import InsertOp
+        from repro.core.updater import XMLViewUpdater
+        from repro.relational.query import SPJQuery
+        from repro.relview.insert import reset_fresh_counter
+        from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+        dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=1))
+        reset_fresh_counter()
+        updater = XMLViewUpdater(dataset.atg, dataset.db)
+        if tables is not None:  # same view, another table-declaration order
+            view = updater.registry.view("sub", "cnode")
+            query = view.query
+            view.query = SPJQuery(query.name, tables, query.project, query.where)
+        parent = min(dataset.top_level)
+        op = InsertOp(
+            f"//cnode[key={parent}]/sub", element="cnode", sem=(n_c + 7, "fresh")
+        )
+        return dataset, updater, updater.plan(op)
+
+    def test_new_key_sweep_work_is_bounded_by_its_output(self, monkeypatch):
+        from repro.relview import insert as insert_module
+
+        examined = []
+        alias_atoms = insert_module._alias_atoms
+        monkeypatch.setattr(
+            insert_module,
+            "_alias_atoms",
+            lambda *args: examined.append(1) or alias_atoms(*args),
+        )
+        captured = []
+        sweep = insert_module._sweep_side_effects
+        monkeypatch.setattr(
+            insert_module,
+            "_sweep_side_effects",
+            lambda *args: captured.append(sweep(*args)) or captured[-1],
+        )
+        dataset, updater, plan = self._new_key_insert()
+        assert len(dataset.db.table("H")) > 1000
+        assert sorted(op.relation for op in plan.delta_r) == ["C", "F", "H"]
+        (derivations,) = captured
+        # One candidate row per seed, per probe hit and per template tried.
+        assert len(examined) <= 4 * (len(derivations) + len(plan.delta_r))
+        plan.abort()
+
+    def test_table_declaration_order_does_not_change_delta_r(self):
+        import itertools
+
+        deltas = set()
+        for tables in itertools.permutations([("H", "h"), ("C", "c"), ("F", "f")]):
+            _, updater, plan = self._new_key_insert(n_c=120, tables=list(tables))
+            # Templates (stage 1) follow declaration order, so ΔR's op order
+            # does; its rows, fresh values included, must not.
+            deltas.add(tuple(sorted((op.relation, op.row) for op in plan.delta_r)))
+            plan.abort()
+        assert len(deltas) == 1
+
+
+_CNF_SCRIPT = """
+from repro import InsertOp
+from repro.core.updater import XMLViewUpdater
+from repro.relview import insert as insert_module
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+solve = insert_module.walksat_solve
+
+def spy(cnf, **kwargs):
+    print(cnf.num_vars, [tuple(clause) for clause in cnf.clauses])
+    return solve(cnf, **kwargs)
+
+insert_module.walksat_solve = spy
+dataset = build_synthetic(SyntheticConfig(n_c=120, seed=1))
+updater = XMLViewUpdater(dataset.atg, dataset.db)
+op = InsertOp(
+    f"//cnode[key={min(dataset.top_level)}]/sub", element="cnode", sem=(127, "fresh")
+)
+updater.plan(op).abort()
+"""
+
+
+def test_cnf_does_not_depend_on_the_hash_seed():
+    """A derivation's atoms are a set of dataclasses over strings; in set
+    order the clause order — and with it the seeded WalkSAT run's flip
+    count (8 ms to 4 s for one op of the e2e ``mixed`` pool) — varied
+    with PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-c", _CNF_SCRIPT],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip()
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
