@@ -2,10 +2,9 @@
 
 Per event the registry has two regimes:
 
-- **fine** — probe the pattern index with every edge record, then scan
-  the edges against the per-step patterns of each candidate
-  subscription (cost ∝ |edges| × |candidate patterns|, rewarded with
-  skips and suffix restarts);
+- **fine** — scan the edges against the per-step patterns of every
+  standing subscription (``first_affected_step``: cost ∝ |edges| ×
+  |patterns|, rewarded with skips, cone refreshes and suffix restarts);
 - **coarse** — skip the scan and fully re-evaluate every subscription
   (cost independent of |edges|).
 
@@ -56,10 +55,11 @@ def _service():
 def _event(service, n_edges: int) -> ViewEvent:
     """A fine event of ``n_edges`` worst-case (never-matching) edges.
 
-    Unmatched edge types never short-circuit: every edge probes the
-    pattern index and is scanned against every pattern of the
-    always-candidate (``//``) subscriptions — the regime the threshold
-    guards against.  The generation matches the current one so the
+    Unmatched edge types never short-circuit: every edge is scanned
+    against every pattern of every anchored subscription — the regime
+    the threshold guards against.  (The ``//`` subscriptions' region
+    pattern matches any edge type below the root, so they re-evaluate
+    in both regimes.)  The generation matches the current one so the
     maintained subscriptions stay consistent for the next measurement.
     """
     return ViewEvent(

@@ -6,9 +6,10 @@ updates has two strategies:
 - **evaluate-per-op** — after every committed op, re-run every query
   with ``service.xpath`` (what clients did before subscriptions);
 - **subscriptions** — register each query once; the engine consumes the
-  ΔV event of every commit and, per query, *skips* (dependency
-  disjoint), re-evaluates a *suffix* from a cached context, or falls
-  back to a full evaluation (``//`` queries, coarse events).
+  ΔV event of every commit and decides, once per query, the earliest
+  affected step ``k``: none — *skip*; else re-derive memberships inside
+  the event's cone or re-evaluate the *suffix* ``steps[k:]`` from the
+  cached ``C_k`` (``k = 0``, coarse events: a full evaluation).
 
 Both strategies run the identical op stream over identically built
 views; the benchmark times only the query-maintenance side (the

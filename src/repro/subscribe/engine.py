@@ -6,42 +6,63 @@ the structured ΔV events every committed operation emits
 (:mod:`repro.subscribe.delta`): the commit pipeline's maintain phase
 hands it one sealed event per write scope
 (:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
-entry point).  Per event and per subscription the registry picks the
-cheapest sound action:
+entry point).  Per event, every standing subscription gets **one
+decision** — ``k = first_affected_step(profile, event, contexts)``
+(:mod:`repro.subscribe.deps`), the earliest step whose context the
+event's edges can change — and one of **three actions**:
 
-- **skip** — no event edge intersects any step's dependency map
-  (:mod:`repro.subscribe.deps`): the cached result is provably current,
-  only the generation tag advances;
-- **suffix re-evaluation** — the earliest affected step is ``k``:
-  contexts ``C_0 .. C_k`` are intact.  When no filter of the suffix can
-  have changed its truth and the event's *cone* (the changed edges'
-  children and their descendants) is smaller than what re-running
-  ``steps[k:]`` would restart over, memberships are re-derived inside
-  the cone only (:meth:`SubscriptionRegistry._refresh_cone`): a
-  leading-``//`` query, whose step 0 every structural event affects,
-  then costs what the event touched.  Otherwise, for ``k > 0``,
+- **skip** (``k is None``) — no event edge intersects any step's
+  dependency map: the cached result is provably current; the ``skips``
+  counter, an empty delta and the generation tag are set on the spot;
+- **cone refresh** — contexts ``C_0 .. C_k`` are intact.  When no
+  filter of ``steps[k:]`` can have changed its truth and the event's
+  *cone* (the changed edges' children and their descendants) is smaller
+  than what re-running ``steps[k:]`` would restart over, memberships
+  are re-derived inside the cone only
+  (:meth:`SubscriptionRegistry._refresh_cone`): a leading-``//`` query,
+  whose step 0 every structural event affects, then costs what the
+  event touched;
+- **re-evaluation from** ``C_k`` — where the cone declines,
   ``steps[k:]`` re-runs from the cached ``C_k``
-  (:meth:`DagXPathEvaluator.evaluate_from`);
-- **full re-evaluation** — the event is coarse (store rebuilds, or the
-  cost-based fallback coarsened an oversized edge list — see
-  :data:`DEFAULT_COARSE_THRESHOLD`), step 0 is affected and the cone
-  restriction does not apply, or no contexts are cached.  Base-update
-  propagation emits *fine-grained* events (typed
-  :class:`~repro.atg.incremental.PropagationReport` records), so the
-  same pruning applies to the reverse pipeline.
+  (:meth:`SubscriptionRegistry._reevaluate`, the one caller of
+  :meth:`DagXPathEvaluator.evaluate_from` for a refresh).  ``k = 0`` is
+  the whole query from the root: coarse events (store rebuilds, or an
+  edge list past :data:`DEFAULT_COARSE_THRESHOLD`), an affected step 0,
+  or no cached contexts.  Counted as ``suffix_refreshes`` for ``k > 0``
+  (as every cone refresh is) and ``full_refreshes`` for ``k = 0``.
 
-Alongside the full result set, each maintenance action derives the
-per-commit **result delta** from the old/new tuples the registry
-already holds: :meth:`Subscription.delta` returns ``(added, removed)``
-node ids at near-zero cost.
+That is all there is, and each piece is there because switching it off
+was measured (``benchmarks/measurements/pr22/``, the ``BENCHMARK.json``
+workload ``subscribed_durable``: 32 subscriptions, ~365 ``ops_per_s``,
+``op_p50_ms`` ~3.2).  Without the cone refresh the workload runs 2.0x
+slower (~183 ``ops_per_s``, 8 full re-evaluations per commit).  Without
+the node-membership sharpening of ``first_affected_step``
+(``in_context`` / ``in_region`` in :mod:`~repro.subscribe.deps`) no
+event is ever skipped — ``skip_ratio`` 0.56 → 0, evaluations per op
+double — which the cone refresh absorbs down to 5% of ``op_p50_ms``,
+but every decision changes.  Restarting from ``C_k`` rather than from
+the root is what keeps an anchored query's downstream change a
+``suffix_refresh``.  What a type/value pattern index, a node-level
+watch index and a lazy skip ledger used to add in front of this
+decision bought nothing measurable at 32 or at 256 subscriptions once
+an evaluation cost 0.07 ms, so the decision is made once, per
+subscription, in the open.
+
+Alongside the full result set, each action derives the per-commit
+**result delta** from the old/new tuples the registry already holds:
+:meth:`Subscription.delta` returns ``(added, removed)`` node ids at
+near-zero cost.  Base-update propagation emits *fine-grained* events
+(typed :class:`~repro.atg.incremental.PropagationReport` records), so
+the same pruning applies to the reverse pipeline.
 
 Every subscription is generation-tagged with the updater's version
 counter.  :meth:`Subscription.result` compares tags before answering
 and falls back to a full re-evaluation on any mismatch — a missed or
 not-yet-emitted event (e.g. reading mid-batch) degrades to
 correct-but-slower, never to stale data.  Maintenance runs inside the
-writer's critical section (the service write lock); ``result()`` takes
-the read side.
+writer's critical section (the service write lock) and takes each
+subscription's mutex around its action; ``result()`` takes the read
+side and the same mutex; ``_members`` guards the subscription list.
 """
 
 from __future__ import annotations
@@ -80,12 +101,14 @@ _DESCENDANTS = XPath((DescendantStep(),))
 
 #: Above this many edges in one event, scanning every subscription's
 #: per-step patterns against every edge costs more than simply
-#: re-evaluating, so the registry degrades the event to coarse.  The
-#: default is calibrated by ``benchmarks/test_coarse_fallback.py``
-#: (measured crossover ≈ 1024 worst-case edges at 16 standing queries:
-#: fine 4.3 vs coarse 4.9 ms at 256, 5.1 vs 4.8 ms at 1024; the default
-#: sits below it because real events match patterns and re-evaluate
-#: some queries either way).
+#: re-evaluating, so the registry degrades the event to coarse — a
+#: selection on the observable input size.  The default is calibrated
+#: by ``benchmarks/test_coarse_fallback.py`` and sits at the measured
+#: crossover: 256 worst-case (never-matching) edges at 16 standing
+#: queries — fine 1.9–2.0 vs coarse 2.1–2.3 ms at 64, 2.5–2.7 vs
+#: 2.2–2.4 ms at 256, 4.9–5.6 vs 2.2–2.3 ms at 1024
+#: (``benchmarks/measurements/pr22/``).  Real events match patterns and
+#: re-evaluate some queries either way, which only lowers the crossover.
 DEFAULT_COARSE_THRESHOLD = 256
 
 
@@ -109,17 +132,6 @@ class Subscription:
         self._registry = registry
         self._mutex = threading.Lock()
         self._generation = -1
-        self._ledger_mark = 0
-        """Registry skip-ledger position this subscription has folded
-        in; events past the mark were lazy skips (see
-        :meth:`SubscriptionRegistry.apply_batched`)."""
-        self._watched: frozenset | None = None
-        """Nodes whose outgoing-edge changes could affect this
-        subscription (the union of the cached contexts its in-context
-        patterns are sharpened against), or ``None`` when membership
-        sharpening cannot cover every pattern (``//``/wildcard
-        dependencies, deep filter chains, no cached contexts) and the
-        type-level candidate pass must always consider it."""
         self._nodes: tuple[int, ...] = ()
         self._delta: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self._contexts: list[set[int]] | None = None
@@ -130,17 +142,15 @@ class Subscription:
     def stats(self) -> dict[str, int]:
         """Maintenance-action counters (one key per :data:`_STAT_KEYS`).
 
-        Reading folds in any skips the batched maintenance pass
-        accounted lazily, so the counters are always exact at the
-        caller's read.
+        A copy: the registry totals and the monotonic fold
+        :meth:`close` makes are summed from the live counters, which a
+        caller must not be able to edit.
         """
-        self._registry.sync(self)
-        return self._stats
+        return dict(self._stats)
 
     @property
     def generation(self) -> int:
         """The updater generation this subscription's cache reflects."""
-        self._registry.sync(self)
         return self._generation
 
     def result(self) -> tuple[int, ...]:
@@ -177,108 +187,6 @@ class Subscription:
         )
 
 
-class _PatternIndex:
-    """Inverted index over subscription edge patterns.
-
-    Maps a typed event edge to the subscriptions whose
-    :class:`~repro.subscribe.deps.QueryProfile` could possibly be
-    affected by it, so one event probes a handful of hash buckets
-    instead of scanning every pattern of every subscription
-    (:meth:`SubscriptionRegistry.apply_batched`).  The candidate set is
-    a strict superset of the subscriptions whose
-    :func:`~repro.subscribe.deps.first_affected_step` is non-``None``:
-    it reproduces the type/value tests of
-    :meth:`~repro.subscribe.deps.EdgePattern.matches` exactly and
-    ignores only the (purely narrowing) node-membership sharpening, so
-    skipping a non-candidate is always sound.
-
-    Buckets are keyed by ``(parent label, child label)`` with ``None``
-    components for wildcards; a subscription with a fully wildcard
-    pattern anywhere (``*``/``//`` steps, ``//`` inside a filter) is an
-    always-candidate.  Value-constrained patterns index per value; an
-    event edge with an *unknown* child value conservatively matches all
-    of them (same rule as ``EdgePattern.matches``).
-    """
-
-    def __init__(self):
-        self._always: set[Subscription] = set()
-        self._buckets: dict[tuple, dict] = {}
-        self._entries: dict[Subscription, list[tuple]] = {}
-
-    def add(self, sub: Subscription) -> None:
-        """Index every per-step pattern of ``sub``."""
-        entries: list[tuple] = []
-        always = False
-        for deps in sub.profile.per_step:
-            for pat in deps:
-                if pat.parent is None and pat.child is None:
-                    always = True
-                elif pat.values is None:
-                    entries.append(((pat.parent, pat.child), None))
-                else:
-                    entries.extend(
-                        ((pat.parent, pat.child), value)
-                        for value in pat.values
-                    )
-        if always:
-            # Any fine event can touch it; typed entries are redundant.
-            self._always.add(sub)
-            self._entries[sub] = []
-            return
-        self._entries[sub] = entries
-        for key, value in entries:
-            bucket = self._buckets.setdefault(
-                key, {"any": set(), "valued": set(), "by_value": {}}
-            )
-            if value is None:
-                bucket["any"].add(sub)
-            else:
-                bucket["valued"].add(sub)
-                bucket["by_value"].setdefault(value, set()).add(sub)
-
-    def discard(self, sub: Subscription) -> None:
-        """Remove ``sub``'s entries (idempotent)."""
-        entries = self._entries.pop(sub, None)
-        self._always.discard(sub)
-        if not entries:
-            return
-        for key, value in entries:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            if value is None:
-                bucket["any"].discard(sub)
-            else:
-                bucket["valued"].discard(sub)
-                values = bucket["by_value"].get(value)
-                if values is not None:
-                    values.discard(sub)
-                    if not values:
-                        del bucket["by_value"][value]
-            if not (bucket["any"] or bucket["valued"]):
-                del self._buckets[key]
-
-    def candidates(self, event: ViewEvent) -> set[Subscription]:
-        """Subscriptions that may be affected by ``event``'s edges."""
-        found: set[Subscription] = set(self._always)
-        buckets = self._buckets
-        for rec in event.edges:
-            for key in (
-                (rec.parent_type, rec.child_type),
-                (rec.parent_type, None),
-                (None, rec.child_type),
-            ):
-                bucket = buckets.get(key)
-                if bucket is None:
-                    continue
-                found |= bucket["any"]
-                if rec.child_value is None:
-                    found |= bucket["valued"]
-                else:
-                    found |= bucket["by_value"].get(rec.child_value, set())
-        return found
-
-
 class SubscriptionRegistry:
     """All subscriptions of one view; consumes the commit event stream."""
 
@@ -294,8 +202,9 @@ class SubscriptionRegistry:
         ).labels()
         self._lock = lock
         self._subs: list[Subscription] = []
-        self._patterns = _PatternIndex()
         self._members = threading.Lock()
+        """Guards ``_subs``; taken after a subscription mutex, never
+        around one."""
         self._ids = itertools.count(1)
         self._closed_totals: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
         self.coarse_threshold = DEFAULT_COARSE_THRESHOLD
@@ -303,23 +212,8 @@ class SubscriptionRegistry:
         handled as coarse (one full re-evaluation per subscription)
         instead of being scanned edge-by-edge against every pattern."""
         self.publish_seconds = 0.0
-        self._ledger_events = 0
-        """Events accounted through :meth:`apply_batched`.  A
-        subscription whose ``_ledger_mark`` trails this count was a
-        non-candidate for every event in between — each one a *lazy
-        skip*, folded into its visible state on the next read (or the
-        next time it is a candidate)."""
-        self._ledger_gen = -1
-        """Generation of the last batched event (what a lazy skip
-        fast-forwards ``_generation`` to)."""
         self._cone: tuple[ViewEvent, list[int], set[int]] | None = None
         """The last maintained event's cone (see :meth:`_cone_of`)."""
-        self._watchers: dict[int, set[Subscription]] = {}
-        """Node-level inverted watch index: node id → the
-        fully-sharpenable subscriptions with that node in a watched
-        context (see :attr:`Subscription._watched`).  Guarded by
-        ``self._members``; rebuilt per subscription whenever a
-        maintenance action refreshes its contexts."""
 
     # -- registration ------------------------------------------------------------
 
@@ -342,31 +236,18 @@ class SubscriptionRegistry:
             profile_query(parsed, root_label), self,
         )
         with sub._mutex:
-            self._refresh_full(sub)
+            self._reevaluate(sub)
             sub._generation = self.updater.generation
-            # Events before registration are not this sub's skips.
-            sub._ledger_mark = self._ledger_events
-            self._reindex_watch(sub)
         with self._members:
             # From here on commits build events: the pipeline derives
             # "someone consumes" from this list being non-empty.
             self._subs.append(sub)
-            self._patterns.add(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Drop ``sub`` from maintenance (idempotent; folds its stats)."""
-        # Fold pending lazy skips before touching membership state —
-        # and outside ``_members``, which is only ever taken *after* a
-        # subscription mutex, never around one.
-        with sub._mutex:
-            self._sync_locked(sub)
-            watched, sub._watched = sub._watched, None
-        with self._members:
+        with sub._mutex, self._members:
             sub.active = False
-            self._patterns.discard(sub)
-            if watched:
-                self._drop_watchers(sub, watched)
             if sub in self._subs:
                 self._subs.remove(sub)
                 # Keep the registry-level counters monotonic: fold the
@@ -383,21 +264,14 @@ class SubscriptionRegistry:
     # -- the maintenance path (writer's critical section) --------------------------
 
     def apply_batched(self, event: ViewEvent) -> None:
-        """The pipeline's maintain phase: one batched decision pass.
+        """The pipeline's maintain phase: every subscription, one action.
 
-        Every subscription ends at the event's generation with a
-        current result, delta and stats, and the per-subscription
-        decision is batched: the :class:`_PatternIndex` maps the event's
-        edges to the candidate subscriptions in one probe per typed
-        edge, and the non-candidates — however many — are accounted
-        with **one** ledger bump (a *lazy skip*): their ``skips``
-        counter, empty delta and generation tag materialize on the next
-        read via :meth:`sync`.  Candidates run the per-subscription
-        action (:meth:`_apply_event` — which may still conclude "skip"
-        after membership sharpening).  Coarse events (and the
-        cost-based fallback) touch every subscription.  Cost per event:
-        O(edges + candidates), independent of the total subscription
-        count.
+        An event with more edges than :attr:`coarse_threshold` is
+        coarsened first; then each standing subscription, under its
+        mutex, takes the action :meth:`_apply_event` decides and ends at
+        the event's generation with a current result, delta and stats.
+        Cost per event: O(subscriptions × patterns × edges) for the
+        decisions — bounded by the threshold — plus the refreshes.
 
         The caller (:class:`~repro.service.pipeline.CommitPipeline`)
         holds the write lock and passes the *sealed* event — one per
@@ -416,40 +290,9 @@ class SubscriptionRegistry:
             )
             for sub in subs:
                 sub._stats["coarse_fallbacks"] += 1
-        if event.coarse:
-            touched = subs
-        else:
-            with self._members:
-                candidates = self._patterns.candidates(event)
-                if candidates:
-                    # Node-level sharpening on top of the type/value
-                    # buckets: a fully-sharpenable subscription is only
-                    # a candidate when some edge hangs off a node it
-                    # actually watches (exactly the membership test
-                    # first_affected_step would apply per edge).
-                    watchers = self._watchers
-                    hit: set[Subscription] = set()
-                    for rec in event.edges:
-                        bucket = watchers.get(rec.parent)
-                        if bucket:
-                            hit |= bucket
-                    candidates = {
-                        sub for sub in candidates
-                        if sub._watched is None or sub in hit
-                    }
-            touched = [sub for sub in subs if sub in candidates]
-        for sub in touched:
+        for sub in subs:
             with sub._mutex:
-                self._sync_locked(sub)
-                if self._apply_event(sub, event):
-                    self._reindex_watch(sub)
-                # Current through this event; the ledger bump below
-                # must not read as a pending skip.
-                sub._ledger_mark = self._ledger_events + 1
-        # Every untouched subscription skipped this event; account all
-        # of them in O(1) — their counters/generation catch up on read.
-        self._ledger_events += 1
-        self._ledger_gen = event.generation
+                self._apply_event(sub, event)
         self.publish_seconds += time.perf_counter() - start
         self._m_events.inc()
 
@@ -457,132 +300,39 @@ class SubscriptionRegistry:
     # by name in the class dict; the alias goes when that table is edited.
     handle = apply_batched
 
-    # -- the lazy skip ledger -------------------------------------------------------
-
-    def sync(self, sub: Subscription) -> None:
-        """Fold ``sub``'s pending lazy skips into its visible state."""
-        if sub._ledger_mark == self._ledger_events:
-            return
-        with sub._mutex:
-            self._sync_locked(sub)
-
-    def _sync_locked(self, sub: Subscription) -> None:
-        """:meth:`sync` body; callers hold ``sub._mutex``."""
-        pending = self._ledger_events - sub._ledger_mark
-        if pending > 0:
-            sub._stats["skips"] += pending
-            sub._delta = ((), ())
-            sub._generation = self._ledger_gen
-        sub._ledger_mark = self._ledger_events
-
-    # -- the node-level watch index ---------------------------------------------------
-
-    def _watch_nodes(self, sub: Subscription) -> frozenset | None:
-        """Nodes ``sub``'s candidacy can be sharpened to, or ``None``.
-
-        Mirrors :func:`~repro.subscribe.deps.first_affected_step`'s
-        membership test exactly: an ``in_context`` pattern at step ``k``
-        only fires through an edge whose parent is in the cached
-        ``context_sets[k]``.  When *every* pattern of every step is
-        sharpened that way, the union of those context sets is the
-        complete set of nodes whose outgoing edges can matter.  Any
-        unsharpened pattern (``in_region`` — the region can be huge,
-        ``in_context=False`` — deep filter-chain edges, a pattern index
-        beyond the cached contexts, or no cache at all) returns
-        ``None``: the subscription must stay a candidate whenever its
-        type/value buckets match.
-        """
-        context_sets = sub._contexts
-        if context_sets is None:
-            return None
-        watched: set = set()
-        for index, deps in enumerate(sub.profile.per_step):
-            for pattern in deps:
-                if not pattern.in_context or pattern.in_region:
-                    return None
-                if index >= len(context_sets):
-                    return None
-                watched |= context_sets[index]
-        return frozenset(watched)
-
-    def _reindex_watch(self, sub: Subscription) -> None:
-        """Re-derive ``sub``'s watch set after a context refresh.
-
-        Callers hold ``sub._mutex``; the shared index itself is guarded
-        by ``_members`` (taken inside the mutex — the registry-wide
-        lock order).
-        """
-        new = self._watch_nodes(sub)
-        old = sub._watched
-        if new == old:
-            return
-        with self._members:
-            if old:
-                self._drop_watchers(sub, old)
-            if new:
-                watchers = self._watchers
-                for node in new:
-                    bucket = watchers.get(node)
-                    if bucket is None:
-                        watchers[node] = {sub}
-                    else:
-                        bucket.add(sub)
-        sub._watched = new
-
-    def _drop_watchers(self, sub: Subscription, watched: frozenset) -> None:
-        """Remove ``sub``'s entries; callers hold ``_members``."""
-        watchers = self._watchers
-        for node in watched:
-            bucket = watchers.get(node)
-            if bucket is not None:
-                bucket.discard(sub)
-                if not bucket:
-                    del watchers[node]
-
-    def _apply_event(self, sub: Subscription, event: ViewEvent) -> bool:
-        """One subscription's maintenance action; ``True`` when the
-        action (re)built cached contexts — the caller must then refresh
-        the subscription's watch-index entries."""
-        old = sub._nodes
+    def _apply_event(self, sub: Subscription, event: ViewEvent) -> None:
+        """The decision and its action; callers hold ``sub._mutex``."""
         k = first_affected_step(sub.profile, event, sub._contexts)
         if k is None:
             sub._stats["skips"] += 1
             sub._delta = ((), ())
-            sub._generation = event.generation
-            return False
-        cached = sub._contexts is not None and len(sub._contexts) > k
-        if cached and k > 0:
-            self._refresh_suffix(sub, k, event)
-            sub._stats["suffix_refreshes"] += 1
-        elif (
-            cached and not event.coarse and self._refresh_cone(sub, 0, event)
-        ):
-            # Step 0 is affected — a leading ``//`` sees every
-            # structural event — but the change is confined to the cone.
-            sub._stats["suffix_refreshes"] += 1
         else:
-            self._refresh_full(sub)
-            sub._stats["full_refreshes"] += 1
-        sub._delta = _diff(old, sub._nodes)
+            old = sub._nodes
+            cached = sub._contexts is not None and len(sub._contexts) > k
+            if cached and not event.coarse and self._refresh_cone(sub, k, event):
+                # ``k = 0`` too: a leading ``//`` sees every structural
+                # event, but the change is confined to the cone.
+                sub._stats["suffix_refreshes"] += 1
+            else:
+                k = k if cached else 0
+                self._reevaluate(sub, k)
+                sub._stats["suffix_refreshes" if k else "full_refreshes"] += 1
+            sub._delta = _diff(old, sub._nodes)
         sub._generation = event.generation
-        return True
 
-    def _refresh_full(self, sub: Subscription) -> None:
-        result = self.updater.evaluator().evaluate_from(sub.query)
-        sub._contexts = [set(c) for c in result.contexts]
-        sub._nodes = tuple(sorted(result.targets))
-
-    def _refresh_suffix(self, sub: Subscription, k: int, event: ViewEvent) -> None:
-        """Re-derive ``C_{k+1} ..`` from the intact ``C_k`` — only below
-        ``event``'s changed edges when that is sound and cheaper."""
-        assert sub._contexts is not None and len(sub._contexts) > k
-        if self._refresh_cone(sub, k, event):
-            return
-        suffix = XPath(sub.query.steps[k:])
-        result = self.updater.evaluator().evaluate_from(
-            suffix, start=list(sub._contexts[k])
-        )
-        sub._contexts[k + 1 :] = [set(c) for c in result.contexts[1:]]
+    def _reevaluate(self, sub: Subscription, k: int = 0) -> None:
+        """Re-run ``steps[k:]`` from the intact ``C_k``; ``k = 0`` is
+        the whole query from the root and needs no cached context."""
+        if k:
+            intact = sub._contexts[: k + 1]
+            path, start = XPath(sub.query.steps[k:]), list(intact[k])
+        else:
+            intact, path, start = [], sub.query, None
+        result = self.updater.evaluator().evaluate_from(path, start=start)
+        # ``result.contexts[0]`` is the start context: for a suffix that
+        # is ``C_k``, kept as it is.
+        fresh = result.contexts[1:] if k else result.contexts
+        sub._contexts = intact + [set(c) for c in fresh]
         sub._nodes = tuple(sorted(result.targets))
 
     def _refresh_cone(self, sub: Subscription, k: int, event: ViewEvent) -> bool:
@@ -696,17 +446,15 @@ class SubscriptionRegistry:
         since the last generation this subscription reflected."""
         if sub._generation != self.updater.generation:
             old = sub._nodes
-            self._refresh_full(sub)
+            self._reevaluate(sub)
             sub._delta = _diff(old, sub._nodes)
             sub._generation = self.updater.generation
             sub._stats["fallback_refreshes"] += 1
-            self._reindex_watch(sub)
 
     def result_of(self, sub: Subscription) -> tuple[int, ...]:
         """Current result of ``sub`` (see :meth:`Subscription.result`)."""
         with self._read():
             with sub._mutex:
-                self._sync_locked(sub)
                 self._refresh_if_stale(sub)
                 return sub._nodes
 
@@ -716,7 +464,6 @@ class SubscriptionRegistry:
         """Last-commit ``(added, removed)`` (see :meth:`Subscription.delta`)."""
         with self._read():
             with sub._mutex:
-                self._sync_locked(sub)
                 self._refresh_if_stale(sub)
                 return sub._delta
 
@@ -726,7 +473,6 @@ class SubscriptionRegistry:
         """JSON-safe registry counters (monotonic across closes)."""
         totals = dict(self._closed_totals)
         for sub in list(self._subs):
-            self.sync(sub)  # fold pending lazy skips first
             for key in _STAT_KEYS:
                 totals[key] += sub._stats[key]
         return {

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workload_gen import WorkloadSpec, generate_ops
+from repro.bench.workload_gen import WorkloadSpec, generate_ops, make_header
+from repro.core.dag_eval import DagXPathEvaluator
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, open_view
 from repro.subscribe import (
@@ -382,6 +383,24 @@ class TestRegistrarEquivalence:
         sub.close()
         assert service.subscriptions.stats()["suffix_refreshes"] == before
 
+    def test_stats_property_hands_out_a_copy(self):
+        """Regression: ``sub.stats`` used to be the registry's live
+        counter dict, so a caller's edit showed up in the service totals
+        (and in the monotonic fold ``close()`` makes)."""
+        service = registrar_service()
+        sub = service.subscribe("course[cno=CS240]/takenBy/student")
+        service.apply(
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+        )
+        before = service.stats()["subscriptions"]
+        handed_out = sub.stats
+        handed_out["skips"] += 1000
+        handed_out.clear()
+        assert service.stats()["subscriptions"] == before
+        assert sub.stats["skips"] == 1
+        sub.close()
+        assert service.subscriptions.stats()["skips"] == before["skips"]
+
 
 # ---------------------------------------------------------------------------
 # Synthetic DAG: workload streams of every kind, both backends
@@ -616,6 +635,95 @@ class TestConeRefresh:
         assert sub.stats["full_refreshes"] == 1
         assert not applied
         assert_contexts_current(service, [sub], "after fallback")
+
+
+# ---------------------------------------------------------------------------
+# Pinned decisions: which action each subscription takes per commit
+# ---------------------------------------------------------------------------
+
+#: ``(skips, suffix_refreshes, full_refreshes, fallback_refreshes)`` per
+#: header subscription of the stream below, recorded at ``3126a11`` (the
+#: engine with the pattern index, the watch index and the lazy skip
+#: ledger).  The engine must keep taking exactly these actions.
+PINNED_CHURN_DECISIONS = (
+    [(0, 60, 0, 0)] * 8
+    + [(60, 0, 0, 0), (0, 60, 0, 0), (58, 2, 0, 0), (60, 0, 0, 0)]
+    + [(0, 60, 0, 0), (58, 2, 0, 0), (43, 17, 0, 0), (0, 60, 0, 0)]
+    + [(58, 2, 0, 0), (58, 2, 0, 0), (0, 60, 0, 0), (60, 0, 0, 0)]
+    + [(60, 0, 0, 0), (56, 4, 0, 0)]
+    + [(60, 0, 0, 0)] * 4
+    + [(58, 2, 0, 0)]
+    + [(60, 0, 0, 0)] * 5
+)
+
+#: Of the 751 suffix refreshes above, the ones the cone restriction
+#: served; the other 256 re-ran ``steps[k:]`` from the cached ``C_k``.
+PINNED_CHURN_CONE_REFRESHES = 495
+
+
+class TestPinnedDecisions:
+    def test_churn_stream_decisions_are_pinned(self):
+        """The ``subscribed_durable`` shape in small: 32 header
+        subscriptions over one generated churn stream.  Results stay
+        current after every op, and the per-subscription action counts
+        and the number of cone refreshes equal the recorded literals."""
+        spec = WorkloadSpec(
+            workload="synthetic:120", ops=60, seed=7,
+            pattern="churn", key_skew=0.8, subscriptions=32,
+        )
+        atg, db = named_workload(spec.workload)
+        service = open_view(atg, db, config=ViewConfig(strict=False))
+        subs = [
+            service.subscribe(path)
+            for path in make_header(spec)["subscriptions"]
+        ]
+        applied = cone_refreshes(service.subscriptions)
+        for op in generate_ops(spec):
+            assert service.apply(op).accepted
+            assert_current(service, subs, f"after {op}")
+        keys = (
+            "skips", "suffix_refreshes", "full_refreshes",
+            "fallback_refreshes",
+        )
+        decisions = [tuple(sub.stats[key] for key in keys) for sub in subs]
+        assert decisions == PINNED_CHURN_DECISIONS
+        assert len(applied) == PINNED_CHURN_CONE_REFRESHES
+
+    def test_unaffected_subscriptions_cost_no_evaluation(self, monkeypatch):
+        """256 standing subscriptions, none of which the op can affect:
+        the commit decides 256 skips without one evaluator call."""
+        service, dataset = synthetic_service(n_c=120, seed=3)
+        (op,) = make_workload(dataset, "delete", "W2", count=1)
+        store = service.updater.store
+        (target,) = service.xpath(op.path).targets
+        # ``cnode[key=K]/sub/cnode`` feels only edges below the one
+        # top-level node with key K: anchor away from the op's parents.
+        near = {
+            store.value_of(key)
+            for sub_node in store.parents_of(target)
+            for parent in store.parents_of(sub_node)
+            for key in store.children_of(parent)
+            if store.type_of(key) == "key"
+        }
+        keys = [k for k in range(1, 121) if str(k) not in near]
+        subs = [
+            service.subscribe(f"cnode[key={keys[i % len(keys)]}]/sub/cnode")
+            for i in range(256)
+        ]
+        calls = []
+        original = DagXPathEvaluator.evaluate_from
+
+        def counting(self, path, start=None):
+            calls.append(path)
+            return original(self, path, start)
+
+        monkeypatch.setattr(DagXPathEvaluator, "evaluate_from", counting)
+        assert service.apply(op).accepted
+        monkeypatch.undo()
+        assert calls == []
+        assert [sub.stats["skips"] for sub in subs] == [1] * 256
+        assert service.subscriptions.stats()["skips"] == 256
+        assert_current(service, subs, "after 256 skips")
 
 
 # ---------------------------------------------------------------------------
