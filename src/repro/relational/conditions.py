@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from repro.errors import QueryError
 
@@ -68,15 +68,6 @@ class Param:
 Term = Col | Const | Param
 
 
-def resolve_term(term: Term, bindings: Mapping[str, object] | None) -> Term:
-    """Replace a :class:`Param` by the :class:`Const` it is bound to."""
-    if isinstance(term, Param):
-        if bindings is None or term.name not in bindings:
-            raise QueryError(f"unbound query parameter {term.name!r}")
-        return Const(bindings[term.name])
-    return term
-
-
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -87,10 +78,6 @@ class Predicate:
 
     def columns(self) -> Iterator[Col]:
         """Yield every column reference appearing in the predicate."""
-        raise NotImplementedError
-
-    def bind(self, bindings: Mapping[str, object]) -> "Predicate":
-        """Return a copy with all :class:`Param` terms substituted."""
         raise NotImplementedError
 
     def conjuncts(self) -> Iterator["Predicate"]:
@@ -110,11 +97,6 @@ class _Comparison(Predicate):
         for term in (self.left, self.right):
             if isinstance(term, Col):
                 yield term
-
-    def bind(self, bindings: Mapping[str, object]) -> "Predicate":
-        return type(self)(
-            resolve_term(self.left, bindings), resolve_term(self.right, bindings)
-        )
 
     def evaluate(self, left_value: object, right_value: object) -> bool:
         return self.op(left_value, right_value)
@@ -172,9 +154,6 @@ class And(Predicate):
         for part in self.parts:
             yield from part.columns()
 
-    def bind(self, bindings: Mapping[str, object]) -> "Predicate":
-        return And(*(part.bind(bindings) for part in self.parts))
-
     def conjuncts(self) -> Iterator[Predicate]:
         for part in self.parts:
             yield from part.conjuncts()
@@ -200,9 +179,6 @@ class Or(Predicate):
         for part in self.parts:
             yield from part.columns()
 
-    def bind(self, bindings: Mapping[str, object]) -> "Predicate":
-        return Or(*(part.bind(bindings) for part in self.parts))
-
     def __str__(self) -> str:
         return " OR ".join(f"({part})" for part in self.parts)
 
@@ -215,9 +191,6 @@ class Not(Predicate):
 
     def columns(self) -> Iterator[Col]:
         yield from self.part.columns()
-
-    def bind(self, bindings: Mapping[str, object]) -> "Predicate":
-        return Not(self.part.bind(bindings))
 
     def __str__(self) -> str:
         return f"NOT ({self.part})"

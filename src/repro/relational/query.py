@@ -6,9 +6,16 @@ that the view-update translation reasons over (Sections 2.3 and 4).  This
 module provides:
 
 - :class:`SPJQuery` — a named query over a list of table occurrences
-  (relation, alias), a selection predicate and a projection list;
-- an evaluator with greedy equi-join planning (every equality is a
-  :meth:`Table.lookup` probe; residual predicate afterwards);
+  (relation, alias), a selection predicate and a projection list; its
+  condition is analysed once, at construction (``equalities``,
+  ``conjunct_aliases``);
+- one join: bind next the first unbound alias that an equality ties to
+  a value of the call (a :class:`Param`, a ``fixed`` column) or to a cell
+  of a bound alias, else the first tied to a constant — one
+  :meth:`Table.lookup` probe per partial assignment — and check each
+  conjunct the moment its aliases are bound.  A table is iterated whole
+  only when no equality reaches any unbound alias, i.e. for a genuine
+  cross product: under this rule every other alias has a probe;
 - *provenance-tracking* evaluation: for every output row, the base row
   each alias contributed.  The deletable sources ``Sr(Q, t)`` of
   Algorithm delete (Fig. 9) are read directly off this provenance.
@@ -17,7 +24,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
@@ -31,10 +38,10 @@ from repro.relational.conditions import (
     Param,
     Predicate,
     TRUE,
+    Term,
     _Comparison,
 )
 from repro.relational.database import Database
-from repro.relational.schema import RelationSchema
 
 Assignment = dict[str, tuple]
 """A partial join result: alias → base row."""
@@ -81,6 +88,17 @@ class SPJQuery:
         Output columns as ``(output_name, Col)`` pairs.
     where:
         Selection predicate; defaults to ``TRUE``.
+
+    Attributes
+    ----------
+    equalities:
+        Read-only.  Per alias, the ``(attr, other term)`` of every
+        top-level equality on one of its columns, in conjunct order:
+        what the alias can be probed on once ``other`` is known.
+    conjunct_aliases:
+        Read-only.  Every top-level conjunct of ``where``, in order, with
+        the set of aliases that must be bound before it can be decided
+        (empty for a column-free conjunct).
     """
 
     def __init__(
@@ -103,6 +121,7 @@ class SPJQuery:
 
         self.name = name
         self.tables: tuple[tuple[str, str], ...] = tuple(tables)
+        self.aliases: tuple[str, ...] = tuple(aliases)
         self.project: tuple[tuple[str, Col], ...] = tuple(project)
         self.where = where
         self._alias_to_relation = {alias: rel for rel, alias in tables}
@@ -113,11 +132,26 @@ class SPJQuery:
                     f"in query {name!r}"
                 )
 
-    # -- introspection ---------------------------------------------------------
+        # The condition is immutable, so is what the join reads off it.
+        self._params = frozenset(_param_names(where))
+        self.conjunct_aliases: tuple[tuple[Predicate, frozenset[str]], ...] = tuple(
+            (conjunct, frozenset(col.alias for col in conjunct.columns()))
+            for conjunct in where.conjuncts()
+        )
+        self.equalities: dict[str, list[tuple[str, Term]]] = {a: [] for a in aliases}
+        for conjunct, needs in self.conjunct_aliases:
+            if not needs <= self.equalities.keys():
+                raise QueryError(
+                    f"selection {conjunct} references an unknown alias "
+                    f"in query {name!r}"
+                )
+            if isinstance(conjunct, Eq):
+                left, right = conjunct.left, conjunct.right
+                for this, other in ((left, right), (right, left)):
+                    if isinstance(this, Col):
+                        self.equalities[this.alias].append((this.attr, other))
 
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        return tuple(alias for _, alias in self.tables)
+    # -- introspection ---------------------------------------------------------
 
     def relation_of(self, alias: str) -> str:
         try:
@@ -137,21 +171,7 @@ class SPJQuery:
 
     def params(self) -> set[str]:
         """Names of all :class:`Param` terms in the selection predicate."""
-        names: set[str] = set()
-
-        def walk(pred: Predicate) -> None:
-            if isinstance(pred, _Comparison):
-                for term in (pred.left, pred.right):
-                    if isinstance(term, Param):
-                        names.add(term.name)
-            elif isinstance(pred, (And, Or)):
-                for part in pred.parts:
-                    walk(part)
-            elif isinstance(pred, Not):
-                walk(pred.part)
-
-        walk(self.where)
-        return names
+        return set(self._params)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -160,278 +180,121 @@ class SPJQuery:
         db: Database,
         bindings: Mapping[str, object] | None = None,
         *,
+        fixed: Iterable[tuple[Col, object]] = (),
         with_derivations: bool = False,
     ) -> QueryResult:
         """Evaluate the query against ``db``.
 
-        ``bindings`` supplies values for :class:`Param` terms.  When
-        ``with_derivations`` is set the result carries, for every output
-        row, each base-row combination that derives it.
+        ``bindings`` supplies values for :class:`Param` terms.  ``fixed``
+        narrows the result to the rows whose ``(Col, value)`` columns
+        hold those values — ``where AND col = value ...`` without
+        building that query; like a parameter's, each value is one more
+        probe on its alias.  When ``with_derivations`` is set the result
+        carries, for every output row, each base-row combination that
+        derives it.
         """
-        where = self.where.bind(bindings or {}) if self.params() else self.where
-        alias_filters, join_edges, residual, always_false = _classify(
-            where, self.aliases
-        )
-        if always_false:
-            return QueryResult()
+        bindings = bindings or {}
+        missing = self._params - bindings.keys()
+        if missing:
+            raise QueryError(
+                f"unbound query parameter(s) {sorted(missing)} in query {self.name!r}"
+            )
+        given: dict[str, list[tuple[str, Term]]] = {}
+        for col, value in fixed:
+            if col.alias not in self.equalities:
+                raise QueryError(
+                    f"fixed column {col} names an unknown alias in query {self.name!r}"
+                )
+            given.setdefault(col.alias, []).append((col.attr, Const(value)))
+        schemas = {alias: db.schema(rel) for rel, alias in self.tables}
 
-        # An alias without filters of its own ranges over its whole
-        # table: ``None``, so the join probes it instead of listing it.
-        candidates = {
-            alias: self._candidate_rows(db, alias, alias_filters[alias])
-            if alias in alias_filters
-            else None
-            for alias in self.aliases
-        }
+        def value_of(term: Term, assignment: Assignment) -> object:
+            if isinstance(term, Col):
+                row = assignment[term.alias]
+                return row[schemas[term.alias].index_of(term.attr)]
+            if isinstance(term, Param):
+                return bindings[term.name]
+            return term.value
 
-        assignments = _join(self, db, candidates, join_edges)
+        def holds(pred: Predicate, assignment: Assignment) -> bool:
+            if isinstance(pred, _Comparison):
+                left = value_of(pred.left, assignment)
+                right = value_of(pred.right, assignment)
+                try:
+                    return pred.evaluate(left, right)
+                except TypeError:
+                    return False
+            if isinstance(pred, And):
+                return all(holds(part, assignment) for part in pred.parts)
+            if isinstance(pred, Or):
+                return any(holds(part, assignment) for part in pred.parts)
+            if isinstance(pred, Not):
+                return not holds(pred.part, assignment)
+            raise QueryError(f"cannot evaluate predicate {pred!r}")
 
         result = QueryResult()
-        for assignment in assignments:
-            if residual and not all(
-                _eval_pred(pred, assignment, self, db) for pred in residual
-            ):
-                continue
-            out = tuple(
-                _column_value(col, assignment, self, db) for _, col in self.project
+        # Column-free conjuncts are decided before any row is read.
+        if not all(holds(p, {}) for p, needs in self.conjunct_aliases if not needs):
+            return result
+        assignments: list[Assignment] = [{}]
+        unbound = list(self.aliases)
+
+        def probe(alias: str) -> tuple[int, str, list[tuple[str, Term]]]:
+            """(rank, alias, the equalities it can be probed on now).
+
+            A value of this call or a bound cell is a point probe: rank 0.
+            The query's own constants select a category (``c6 = 1``: every
+            top-level node), so an alias tied to nothing else waits: 1.
+            """
+            terms = given.get(alias, []) + [
+                (attr, other)
+                for attr, other in self.equalities[alias]
+                if not (isinstance(other, Col) and other.alias in unbound)
+            ]
+            point = alias in given or any(not isinstance(o, Const) for _, o in terms)
+            return (0 if point else 1 if terms else 2), alias, terms
+
+        while unbound and assignments:
+            _, alias, terms = min(map(probe, unbound), key=lambda ranked: ranked[0])
+            table = db.table(self.relation_of(alias))
+            if terms:  # one probe per partial assignment
+                attrs = [attr for attr, _ in terms]
+                found: Iterable[list[tuple]] = (
+                    table.lookup(attrs, [value_of(o, a) for _, o in terms])
+                    for a in assignments
+                )
+            else:  # no equality reaches it: a cross product
+                found = repeat(list(table.rows()))
+            unbound.remove(alias)
+            decided = [
+                pred
+                for pred, needs in self.conjunct_aliases
+                if alias in needs and needs.isdisjoint(unbound)
+            ]
+            extended = (
+                {**assignment, alias: row}
+                for assignment, rows in zip(assignments, found)
+                for row in rows
             )
+            assignments = [a for a in extended if all(holds(p, a) for p in decided)]
+
+        for assignment in assignments:
+            out = tuple(value_of(col, assignment) for _, col in self.project)
             if out not in result.derivations:
                 result.rows.append(out)
                 result.derivations[out] = []
             if with_derivations:
-                result.derivations[out].append(dict(assignment))
+                result.derivations[out].append(assignment)
         return result
 
-    def _candidate_rows(
-        self, db: Database, alias: str, filters: list[_Comparison]
-    ) -> list[tuple]:
-        table = db.table(self.relation_of(alias))
-        eq_attrs: list[str] = []
-        eq_values: list[object] = []
-        rest: list[_Comparison] = []
-        for pred in filters:
-            col, const = _as_col_const(pred)
-            if isinstance(pred, Eq) and col is not None:
-                eq_attrs.append(col.attr)
-                eq_values.append(const.value)
-            else:
-                rest.append(pred)
-        if eq_attrs:
-            rows = table.lookup(eq_attrs, eq_values)
-        else:  # non-equality filters only: nothing to probe
-            rows = list(table.rows())
-        if rest:
-            rows = [row for row in rows if _row_satisfies(rest, row, table.schema)]
-        return rows
 
-
-# ---------------------------------------------------------------------------
-# Predicate classification and join planning
-# ---------------------------------------------------------------------------
-
-
-def _as_col_const(pred: _Comparison) -> tuple[Col | None, Const | None]:
-    """Normalize a comparison to (Col, Const) when it has that shape."""
-    if isinstance(pred.left, Col) and isinstance(pred.right, Const):
-        return pred.left, pred.right
-    if isinstance(pred.left, Const) and isinstance(pred.right, Col):
-        if isinstance(pred, Eq):
-            return pred.right, pred.left
-    return None, None
-
-
-def _classify(
-    where: Predicate, aliases: Sequence[str]
-) -> tuple[
-    dict[str, list[_Comparison]],
-    list[tuple[Col, Col]],
-    list[Predicate],
-    bool,
-]:
-    """Split a predicate into per-alias filters, equi-join edges, residual.
-
-    The fourth component is True when a constant conjunct is false (the
-    whole query is empty).
-    """
-    alias_filters: dict[str, list[_Comparison]] = {}
-    join_edges: list[tuple[Col, Col]] = []
-    residual: list[Predicate] = []
-    always_false = False
-    for conjunct in where.conjuncts():
-        if isinstance(conjunct, _Comparison):
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, Param) or isinstance(right, Param):
-                raise QueryError("unbound parameter at evaluation time")
-            if isinstance(left, Col) and isinstance(right, Col):
-                if left.alias == right.alias:
-                    alias_filters.setdefault(left.alias, []).append(conjunct)
-                elif isinstance(conjunct, Eq):
-                    join_edges.append((left, right))
-                else:
-                    residual.append(conjunct)
-                continue
-            col, _ = _as_col_const(conjunct)
-            if col is None and isinstance(left, Col):
-                col = left
-            if col is None and isinstance(right, Col):
-                col = right
-            if col is not None:
-                alias_filters.setdefault(col.alias, []).append(conjunct)
-            elif isinstance(left, Const) and isinstance(right, Const):
-                if not conjunct.evaluate(left.value, right.value):
-                    always_false = True
-            continue
-        residual.append(conjunct)
-    return alias_filters, join_edges, residual, always_false
-
-
-def _row_satisfies(
-    preds: Sequence[_Comparison], row: tuple, schema: RelationSchema
-) -> bool:
-    for pred in preds:
-        left = _term_on_row(pred.left, row, schema)
-        right = _term_on_row(pred.right, row, schema)
-        try:
-            if not pred.evaluate(left, right):
-                return False
-        except TypeError:
-            return False
-    return True
-
-
-def _term_on_row(term, row: tuple, schema: RelationSchema):
-    if isinstance(term, Col):
-        if term.attr not in schema:
-            return _NEVER
-        return row[schema.index_of(term.attr)]
-    return term.value
-
-
-_NEVER = object()
-
-
-def _join(
-    query: SPJQuery,
-    db: Database,
-    candidates: dict[str, list[tuple] | None],
-    join_edges: list[tuple[Col, Col]],
-) -> list[Assignment]:
-    """Greedy equi-join over the join edges.
-
-    Starts from the smallest candidate set and repeatedly joins in the
-    alias with the most join edges into the bound set.  ``None``
-    candidates mean the alias's whole table: it is never listed, each
-    assignment probes it through :meth:`Table.lookup` on the join
-    columns; an alias already filtered down to a candidate list is
-    hashed on them instead.  Both hand rows back in ``rows()`` order.
-    Only a disconnected alias (a cross product) is iterated whole.
-    """
-    aliases = list(query.aliases)
-    if not aliases:
-        return []
-
-    def table_of(alias: str):
-        return db.table(query.relation_of(alias))
-
-    def size(alias: str) -> int:
-        rows = candidates[alias]
-        return len(table_of(alias)) if rows is None else len(rows)
-
-    def rows_of(alias: str) -> Iterable[tuple]:
-        rows = candidates[alias]
-        return table_of(alias).rows() if rows is None else rows
-
-    remaining = set(aliases)
-    start = min(remaining, key=lambda a: (size(a), aliases.index(a)))
-    remaining.discard(start)
-    assignments: list[Assignment] = [{start: row} for row in rows_of(start)]
-    bound = {start}
-
-    while remaining:
-        # Pick the alias with the most edges into the bound set.
-        def edge_count(alias: str) -> int:
-            return sum(
-                1
-                for l, r in join_edges
-                if (l.alias == alias and r.alias in bound)
-                or (r.alias == alias and l.alias in bound)
-            )
-
-        next_alias = max(remaining, key=lambda a: (edge_count(a), -size(a)))
-        edges = [
-            (l, r) if r.alias == next_alias else (r, l)
-            for l, r in join_edges
-            if (l.alias == next_alias and r.alias in bound)
-            or (r.alias == next_alias and l.alias in bound)
-        ]
-        # edges: list of (bound_col, new_col)
-        if edges:
-            table = table_of(next_alias)
-            attrs = [col.attr for _, col in edges]
-            if candidates[next_alias] is None:
-                matches = partial(table.lookup, attrs)
-            else:
-                new_idx = [table.schema.index_of(attr) for attr in attrs]
-                hashed: dict[tuple, list[tuple]] = {}
-                for row in candidates[next_alias]:
-                    hashed.setdefault(
-                        tuple(row[i] for i in new_idx), []
-                    ).append(row)
-                matches = hashed.get
-            out: list[Assignment] = []
-            for assignment in assignments:
-                probe = tuple(
-                    _column_value(col, assignment, query, db) for col, _ in edges
-                )
-                for row in matches(probe) or ():
-                    extended = dict(assignment)
-                    extended[next_alias] = row
-                    out.append(extended)
-            assignments = out
-        else:
-            new_rows = list(rows_of(next_alias))
-            assignments = [
-                {**assignment, next_alias: row}
-                for assignment in assignments
-                for row in new_rows
-            ]
-        bound.add(next_alias)
-        remaining.discard(next_alias)
-        if not assignments:
-            return []
-    return assignments
-
-
-def _column_value(
-    col: Col, assignment: Assignment, query: SPJQuery, db: Database
-) -> object:
-    row = assignment[col.alias]
-    schema = db.schema(query.relation_of(col.alias))
-    return row[schema.index_of(col.attr)]
-
-
-def _eval_pred(
-    pred: Predicate, assignment: Assignment, query: SPJQuery, db: Database
-) -> bool:
+def _param_names(pred: Predicate) -> Iterator[str]:
     if isinstance(pred, _Comparison):
-        left = _term_value(pred.left, assignment, query, db)
-        right = _term_value(pred.right, assignment, query, db)
-        try:
-            return pred.evaluate(left, right)
-        except TypeError:
-            return False
-    if isinstance(pred, And):
-        return all(_eval_pred(p, assignment, query, db) for p in pred.parts)
-    if isinstance(pred, Or):
-        return any(_eval_pred(p, assignment, query, db) for p in pred.parts)
-    if isinstance(pred, Not):
-        return not _eval_pred(pred.part, assignment, query, db)
-    raise QueryError(f"cannot evaluate predicate {pred!r}")
-
-
-def _term_value(term, assignment: Assignment, query: SPJQuery, db: Database):
-    if isinstance(term, Col):
-        return _column_value(term, assignment, query, db)
-    if isinstance(term, Const):
-        return term.value
-    raise QueryError(f"unbound term {term!r} at evaluation time")
+        for term in (pred.left, pred.right):
+            if isinstance(term, Param):
+                yield term.name
+    elif isinstance(pred, (And, Or)):
+        for part in pred.parts:
+            yield from _param_names(part)
+    elif isinstance(pred, Not):
+        yield from _param_names(pred.part)

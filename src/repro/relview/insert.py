@@ -18,8 +18,11 @@ insertions ``ΔR`` via SAT, in five stages:
 3. **Side-effect sweep.**  Every edge view is evaluated symbolically
    over ``I ∪ X`` restricted to derivations using at least one new
    template (seed-position enumeration avoids duplicates; each seed is
-   extended along the join graph, one ``Table.lookup`` probe per alias,
-   and the derivations and their atoms are put in a canonical order).
+   extended along the join graph the view's ``SPJQuery`` worked out at
+   construction — ``equalities`` says what to probe an alias on,
+   ``conjunct_aliases`` which conditions a new binding completes — one
+   ``Table.lookup`` probe per alias, and the derivations and their atoms
+   are put in a canonical order).
    Because view rows project every base key and new templates carry keys
    absent from ``I``, such a derivation can never equal an existing view
    row; it is benign iff it *is* one of the targets (per-position
@@ -43,9 +46,11 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import UpdateRejectedError
-from repro.relational.conditions import Col, Const, Eq, Predicate
+from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
+from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType
+from repro.relview.keypres import _UnionFind
 from repro.relview.symbolic import (
     Atom,
     AtomVC,
@@ -206,24 +211,6 @@ def _resolve_targets(
             continue  # already derivable: set semantics, nothing to insert
         targets.append(_TargetEdge(view, parent_params, child_sem))
     return targets
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict = {}
-
-    def find(self, item):
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
 
 
 def _build_templates(
@@ -444,29 +431,17 @@ def _sweep_view(
     new_by_relation: dict[str, list[Template]],
 ) -> list[Derivation]:
     query = view.query
-    tables = list(query.tables)
-    relations = [relation for relation, _ in tables]
-    if not any(rel in new_by_relation for rel in relations):
+    if not any(relation in new_by_relation for relation, _ in query.tables):
         return []
-    conjuncts = list(query.where.conjuncts())
     out: list[Derivation] = []
-    for seed_pos, (relation, alias) in enumerate(tables):
+    for seed_pos, (relation, alias) in enumerate(query.tables):
         for seed in new_by_relation.get(relation, ()):  # U at seed position
             partial: dict[str, tuple] = {alias: seed.values}
-            atoms = _alias_atoms(db, query, conjuncts, alias, partial)
+            atoms = _alias_atoms(db, query, alias, partial)
             if atoms is None:
                 continue
             out.extend(
-                _extend(
-                    view,
-                    db,
-                    new_by_relation,
-                    tables,
-                    conjuncts,
-                    seed_pos,
-                    partial,
-                    frozenset(atoms),
-                )
+                _extend(view, db, new_by_relation, seed_pos, partial, frozenset(atoms))
             )
     return out
 
@@ -475,34 +450,37 @@ def _extend(
     view: EdgeView,
     db: Database,
     new_by_relation: dict[str, list[Template]],
-    tables: list[tuple[str, str]],
-    conjuncts: list[Predicate],
     seed_pos: int,
     partial: dict[str, tuple],
     atoms: frozenset[Atom],
 ) -> list[Derivation]:
     """Nested-loop extension of a partial symbolic assignment."""
+    query = view.query
     remaining = [
         (i, rel, alias)
-        for i, (rel, alias) in enumerate(tables)
+        for i, (rel, alias) in enumerate(query.tables)
         if alias not in partial
     ]
     if not remaining:
-        row = tuple(
-            partial[col.alias][
-                db.schema(view.query.relation_of(col.alias)).index_of(col.attr)
-            ]
-            for _, col in view.query.project
-        )
+        row = tuple(_term_cell(db, query, partial, col) for _, col in query.project)
         return [Derivation(view.name, row, tuple(sorted(atoms, key=repr)))]
     # Bind next an alias some equality ties to a concrete bound cell (or
     # a constant): its candidates are one probe.  Only a genuine cross
     # product is left to declaration order and a pass over its table.
+    # The join of SPJQuery.evaluate over the same ``query.equalities``,
+    # except that a variable cell is no probe.
     index, relation, alias = remaining[0]
+    attrs: list[str] = []
+    values: list[object] = []
     for entry in remaining:
-        attrs, values = _concrete_equalities(
-            db, view.query, entry[2], conjuncts, partial
-        )
+        for attr, other in query.equalities[entry[2]]:
+            if isinstance(other, Const) or (
+                isinstance(other, Col) and other.alias in partial
+            ):
+                cell = _term_cell(db, query, partial, other)
+                if not isinstance(cell, SymVar):
+                    attrs.append(attr)
+                    values.append(cell)
         if attrs:
             index, relation, alias = entry
             break
@@ -517,80 +495,33 @@ def _extend(
     for cells in candidates:
         trial = dict(partial)
         trial[alias] = cells
-        extra = _alias_atoms(db, view.query, conjuncts, alias, trial)
+        extra = _alias_atoms(db, query, alias, trial)
         if extra is None:
             continue
         out.extend(
             _extend(
-                view,
-                db,
-                new_by_relation,
-                tables,
-                conjuncts,
-                seed_pos,
-                trial,
-                atoms | frozenset(extra),
+                view, db, new_by_relation, seed_pos, trial, atoms | frozenset(extra)
             )
         )
     return out
 
 
-def _concrete_equalities(
-    db: Database,
-    query,
-    alias: str,
-    conjuncts: list[Predicate],
-    partial: dict[str, tuple],
-) -> tuple[list[str], list[object]]:
-    """``alias``'s columns an equality fixes to a *concrete* value.
-
-    The other side is a constant or a bound cell that is not a variable;
-    together they are the :meth:`Table.lookup` probe for ``alias``.
-    """
-    attrs: list[str] = []
-    values: list[object] = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Eq):
-            continue
-        pairs = [
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ]
-        for this, other in pairs:
-            if not (isinstance(this, Col) and this.alias == alias):
-                continue
-            if isinstance(other, Const):
-                attrs.append(this.attr)
-                values.append(other.value)
-            elif isinstance(other, Col) and other.alias in partial:
-                cell = _term_cell(db, query, partial, other)
-                if not isinstance(cell, SymVar):
-                    attrs.append(this.attr)
-                    values.append(cell)
-            break
-    return attrs, values
-
-
 def _alias_atoms(
     db: Database,
-    query,
-    conjuncts: list[Predicate],
+    query: SPJQuery,
     alias: str,
     partial: dict[str, tuple],
 ) -> list[Atom] | None:
     """Check/collect conditions that became fully bound by adding ``alias``.
 
     Returns ``None`` when a concrete condition fails; otherwise the atoms
-    contributed by symbolic comparisons.
+    contributed by symbolic comparisons, in conjunct order.
     """
     atoms: list[Atom] = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Eq):
+    for conjunct, needs in query.conjunct_aliases:
+        if not isinstance(conjunct, Eq) or alias not in needs:
             continue
-        cols = list(conjunct.columns())
-        if not any(c.alias == alias for c in cols):
-            continue
-        if any(c.alias not in partial for c in cols):
+        if not needs <= partial.keys():
             continue
         left = _term_cell(db, query, partial, conjunct.left)
         right = _term_cell(db, query, partial, conjunct.right)
@@ -602,7 +533,7 @@ def _alias_atoms(
     return atoms
 
 
-def _term_cell(db: Database, query, partial: dict[str, tuple], term):
+def _term_cell(db: Database, query: SPJQuery, partial: dict[str, tuple], term):
     if isinstance(term, Const):
         return term.value
     if isinstance(term, Col):

@@ -12,7 +12,10 @@ The closed form answers two questions the Section-4 translation needs:
   ``Sr(Q, t)`` of Algorithm delete) — read directly off the projected
   keys;
 - which view tuples reference a given base tuple (the side-effect test) —
-  evaluated with the key pushed down as a selection.
+  the same query evaluated with the key columns ``fixed``.
+
+Each view's :class:`SPJQuery` is built once, in :func:`_close_rule`; every
+later question is ``view.query.evaluate(db, fixed=[...])``.
 
 The paper's own formulation joins the derived ``gen_A`` table to restrict
 parents to published ones; we instead close over *all* potential parents
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.atg.model import ATG, QueryRule
 from repro.errors import ATGError
-from repro.relational.conditions import And, Col, Const, Eq, Param, Predicate
+from repro.relational.conditions import And, Col, Eq, Param, Predicate
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery, QueryResult
 
@@ -112,38 +115,21 @@ class EdgeView:
         self, db: Database, parent_params: tuple, child_sem: tuple
     ) -> list[tuple]:
         """View rows whose visible part equals the given edge."""
-        extra: list[Predicate] = []
-        for i, value in enumerate(parent_params):
-            extra.append(Eq(self.query.project[i][1], Const(value)))
-        for i, value in enumerate(child_sem):
-            extra.append(
-                Eq(self.query.project[self.n_params + i][1], Const(value))
-            )
-        narrowed = SPJQuery(
-            f"{self.query.name}__point",
-            self.query.tables,
-            self.query.project,
-            And(self.query.where, *extra),
-        )
-        return narrowed.evaluate(db).rows
+        project = self.query.project
+        fixed = [(project[i][1], value) for i, value in enumerate(parent_params)]
+        fixed += [
+            (project[self.n_params + i][1], value)
+            for i, value in enumerate(child_sem)
+        ]
+        return self.query.evaluate(db, fixed=fixed).rows
 
     def rows_referencing(
         self, db: Database, alias: str, key: tuple
     ) -> list[tuple]:
         """View rows whose ``alias`` occurrence is the base tuple ``key``."""
-        relation, slots = self.key_layout[alias]
-        schema_key_attrs = [attr for _, attr in slots]
-        extra = [
-            Eq(Col(alias, attr), Const(value))
-            for attr, value in zip(schema_key_attrs, key)
-        ]
-        narrowed = SPJQuery(
-            f"{self.query.name}__ref",
-            self.query.tables,
-            self.query.project,
-            And(self.query.where, *extra),
-        )
-        return narrowed.evaluate(db).rows
+        _, slots = self.key_layout[alias]
+        fixed = [(Col(alias, attr), value) for (_, attr), value in zip(slots, key)]
+        return self.query.evaluate(db, fixed=fixed).rows
 
 
 class EdgeViewRegistry:

@@ -1,5 +1,5 @@
 """Focused tests for smaller internals: the XPath compiler, predicate
-rendering/binding, the bench CSV writer, report truncation, and the
+rendering, the bench CSV writer, report truncation, and the
 engine seam (no package reaches into the updater's private state)."""
 
 import re
@@ -15,7 +15,6 @@ from repro.relational.conditions import (
     Lt,
     Not,
     Or,
-    Param,
     TRUE,
 )
 from repro.xpath.parser import parse_xpath
@@ -74,12 +73,6 @@ class TestPredicates:
         assert "a.y < 2" in text
         assert "NOT" in text
         assert str(TRUE) == "TRUE"
-
-    def test_bind_substitutes_params(self):
-        pred = And(Eq(Col("a", "x"), Param("p")), Not(Eq(Param("p"), Const(1))))
-        bound = pred.bind({"p": 7})
-        assert "7" in str(bound)
-        assert ":p" not in str(bound)
 
     def test_conjuncts_flatten(self):
         pred = And(And(Eq(Col("a", "x"), Const(1))), Eq(Col("a", "y"), Const(2)))

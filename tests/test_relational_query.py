@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.relational.conditions import (
     And,
     Col,
@@ -223,6 +223,72 @@ class TestParams:
         assert query.evaluate(db, {"p": "zzz"}).rows == []
 
 
+class TestFixedColumns:
+    """``fixed=`` is ``where AND col = value`` without building a query."""
+
+    def test_fixed_narrows_like_a_constant_equality(self, db):
+        query = q(
+            [("r", "r"), ("s", "s")],
+            [("a", Col("r", "a")), ("d", Col("s", "d"))],
+            Eq(Col("r", "a"), Col("s", "c")),
+        )
+        assert query.evaluate(db, fixed=[(Col("s", "d"), "v")]).rows == [(2, "v")]
+        assert query.evaluate(db, fixed=[(Col("r", "b"), "nope")]).rows == []
+        # A cross product with one side fixed lists only the other side.
+        cross = q(
+            [("r", "r"), ("s", "s")], [("a", Col("r", "a")), ("c", Col("s", "c"))]
+        )
+        rows = cross.evaluate(db, fixed=[(Col("s", "c"), 4)]).rows
+        assert rows == [(1, 4), (2, 4), (3, 4)]
+
+    def test_fixed_on_an_unknown_alias_raises(self, db):
+        query = q([("r", "r")], [("a", Col("r", "a"))])
+        with pytest.raises(QueryError, match="unknown alias"):
+            query.evaluate(db, fixed=[(Col("zz", "a"), 1)])
+
+    def test_unbound_param_raises_before_any_row_is_read(self, db, monkeypatch):
+        query = q(
+            [("r", "r"), ("s", "s")],
+            [("a", Col("r", "a"))],
+            And(
+                Lt(Col("r", "a"), Col("s", "c")),
+                Or(Eq(Col("s", "d"), Param("p")), Eq(Col("s", "d"), Param("q"))),
+            ),
+        )
+        for name in ("r", "s"):
+            table = db.table(name)
+            monkeypatch.setattr(table, "rows", lambda: pytest.fail("row read"))
+            monkeypatch.setattr(table, "lookup", lambda *a: pytest.fail("row read"))
+        with pytest.raises(QueryError, match=r"unbound query parameter\(s\) \['q'\]"):
+            query.evaluate(db, {"p": "u"})
+
+
+class TestOnePredicateEvaluator:
+    """A misspelt column raises whatever predicate it sits in (an
+    alias-local non-equality filter used to swallow it: ``Ne`` selected
+    every row, ``Lt`` none)."""
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            Eq(Col("x", "nosuch"), Const(5)),
+            Ne(Col("x", "nosuch"), Const(5)),
+            Lt(Col("x", "nosuch"), Const(5)),
+            Or(Ne(Col("x", "nosuch"), Const(5)), Eq(Col("x", "cno"), Const("CS650"))),
+        ],
+        ids=["Eq", "Ne", "Lt", "Or"],
+    )
+    def test_misspelt_column_raises_in_every_predicate_kind(self, where):
+        from repro.workloads.registrar import build_registrar
+
+        _, registrar = build_registrar()
+        query = q([("course", "x")], [("cno", Col("x", "cno"))], where)
+        with pytest.raises(
+            SchemaError, match="relation 'course' has no attribute 'nosuch'"
+        ):
+            query.evaluate(registrar)
+
+
 class TestProvenance:
     def test_derivations_track_base_rows(self, db):
         query = q(
@@ -423,6 +489,20 @@ class TestIndexProbeJoin:
             ),
         )
         assert query.evaluate(database).rows == [(k,)]
+        assert not listed
+        # The same point query, spelt with ``fixed=`` on the open join.
+        join = q(
+            [("link", "l"), ("big", "b")],
+            [("k", Col("b", "k"))],
+            Eq(Col("l", "k"), Col("b", "k")),
+        )
+        fixed = [(Col("l", "p"), p), (Col("l", "k"), k)]
+        link = database.table("link")
+        link.create_index(("p",))  # an index build is a pass over rows()
+        monkeypatch.setattr(
+            link, "rows", lambda: listed.append(1) or iter(link._rows.values())
+        )
+        assert join.evaluate(database, fixed=fixed).rows == [(k,)]
         assert not listed
 
     def test_copy_and_load_state_keep_probe_order(self):

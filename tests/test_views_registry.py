@@ -110,3 +110,80 @@ class TestEvaluation:
         children = {view.visible(r)[1][0] for r in view.evaluate(db).rows}
         assert "MA100" not in children
         assert children == {"CS650", "CS500", "CS320", "CS240"}
+
+
+class TestAnalysedOnce:
+    """Every question asked of an edge view is its one ``SPJQuery`` with
+    some columns fixed: work bounds, not timings."""
+
+    @pytest.mark.parametrize("workload", ["registrar", "bom", "synthetic:120"])
+    def test_fixed_probes_never_list_an_indexed_table(self, workload, monkeypatch):
+        from repro.relational.database import Table
+        from repro.workloads import named_workload
+
+        atg, db = named_workload(workload)
+        registry = build_registry(atg, db)
+
+        sample = {view.name: view.evaluate(db).rows[:40] for view in registry.views()}
+
+        def ask_everything():
+            answers = []
+            for view in registry.views():
+                for row in sample[view.name]:
+                    answers.append(view.matching_rows(db, *view.visible(row)))
+                    assert row in answers[-1]
+                    for alias in view.key_layout:
+                        key = view.source_key(row, alias)
+                        answers.append(view.rows_referencing(db, alias, key))
+                        assert row in answers[-1]
+            return answers
+
+        first = ask_everything()  # index builds are passes over rows()
+        monkeypatch.setattr(Table, "rows", lambda self: pytest.fail("table listed"))
+        assert ask_everything() == first
+
+    def test_a_stream_builds_no_query_and_relists_no_condition(self, monkeypatch):
+        from repro.bench.workload_gen import WorkloadSpec, generate_ops
+        from repro.relational.conditions import And, Predicate
+        from repro.relational.query import SPJQuery
+        from repro.relview import insert as insert_module
+        from repro.service import ViewConfig, open_view
+        from repro.workloads import named_workload
+
+        spec = WorkloadSpec(workload="synthetic:120", ops=60, seed=7, pattern="mixed")
+        ops = list(generate_ops(spec))
+        atg, db = named_workload(spec.workload)
+        service = open_view(atg, db, config=ViewConfig(strict=False))
+
+        seen = {"built": 0, "relisted": 0, "evaluations": 0, "sweeps": 0}
+        inside = [0]  # depth of SPJQuery.evaluate / _sweep_side_effects frames
+
+        def counted(function, key, frame=False, only_inside=False):
+            def wrapper(*args, **kwargs):
+                if inside[0] or not only_inside:
+                    seen[key] += 1
+                inside[0] += frame
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    inside[0] -= frame
+            return wrapper
+
+        monkeypatch.setattr(SPJQuery, "__init__", counted(SPJQuery.__init__, "built"))
+        monkeypatch.setattr(
+            SPJQuery, "evaluate", counted(SPJQuery.evaluate, "evaluations", frame=True)
+        )
+        monkeypatch.setattr(
+            insert_module,
+            "_sweep_side_effects",
+            counted(insert_module._sweep_side_effects, "sweeps", frame=True),
+        )
+        for cls in (Predicate, And):
+            monkeypatch.setattr(
+                cls, "conjuncts", counted(cls.conjuncts, "relisted", only_inside=True)
+            )
+        for op in ops:
+            assert service.apply(op).accepted
+        assert seen["evaluations"] > len(ops) and seen["sweeps"] > 0
+        assert seen["built"] == 0  # about 3 per op when each call built its query
+        assert seen["relisted"] == 0
