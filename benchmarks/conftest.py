@@ -4,10 +4,11 @@ Every benchmark mirrors one paper artifact (see DESIGN.md §3).  Sizes are
 laptop-scale; the assertions check the *shape* of the results (linearity,
 who wins, orderings), not absolute times.
 
-Benchmarks that compare reachability-index backends additionally record
-per-phase timings via :func:`record_bench`; at session end the records
-are written to ``benchmarks/BENCH_index.json``, an untracked output
-(the gated ledger is ``BENCHMARK.json`` / ``benchmarks/e2e/``).
+Some benchmarks (the index ablation A-5, the service and subscription
+figures) additionally record per-phase timings via
+:func:`record_bench`; at session end the records are written to
+``benchmarks/BENCH_index.json``, an untracked output (the gated ledger
+is ``BENCHMARK.json`` / ``benchmarks/e2e/``).
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ def pytest_sessionfinish(session, exitstatus):
     )
 
 
-def fresh_updater(
-    n_c: int,
-    seed: int = 42,
-    index_backend: str = "bitset",
-):
+def fresh_updater(n_c: int, seed: int = 42):
     """A pristine dataset + updater (mutating benchmarks rebuild per round)."""
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     updater = XMLViewUpdater(
@@ -86,7 +83,6 @@ def fresh_updater(
         side_effect_policy=SideEffectPolicy.PROPAGATE,
         strict=False,
         sat_solver="auto",
-        index_backend=index_backend,
     )
     return updater, dataset
 

@@ -31,7 +31,7 @@ def test_reach_on_chain(benchmark, depth):
     atg, db = build_chain(depth=depth)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    matrix = benchmark(build_index, store, topo, "sets")
+    matrix = benchmark(build_index, store, topo)
     # Quadratic |M|: every level is an ancestor of every deeper level.
     assert len(matrix) > depth * depth / 2
 
@@ -70,7 +70,7 @@ def test_m_quadratic_in_depth():
         atg, db = build_chain(depth=depth)
         store = publish_store(atg, db)
         topo = TopoOrder.from_store(store)
-        sizes[depth] = len(build_index(store, topo, "sets"))
+        sizes[depth] = len(build_index(store, topo))
     # 6x depth should give ~36x pairs (quadratic); allow slack.
     growth = sizes[DEPTHS[-1]] / sizes[DEPTHS[0]]
     ratio = DEPTHS[-1] / DEPTHS[0]

@@ -17,7 +17,7 @@ def test_algorithm_reach(benchmark, readonly_updaters, n_c):
     updater, _ = readonly_updaters[n_c]
     store = updater.store
     topo = TopoOrder.from_store(store)
-    matrix = benchmark(build_index, store, topo, "sets")
+    matrix = benchmark(build_index, store, topo)
     assert len(matrix) == len(updater.reach)
 
 
@@ -42,7 +42,7 @@ def test_reach_beats_semi_naive(readonly_updaters):
     store = updater.store
     topo = TopoOrder.from_store(store)
     t0 = time.perf_counter()
-    build_index(store, topo, "sets")
+    build_index(store, topo)
     reach_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     squaring_reachability(store)

@@ -71,10 +71,9 @@ def test_plan_commit_equals_apply_and_records_outcomes():
         assert _rows(out_apply.delta_r) == _rows(out_commit.delta_r)
         assert applier.reach.equals(planner.reach)
 
-        backend = planner.index_backend
         record_bench(
             "service_plan_commit",
-            backend,
+            "bitset",
             f"apply:{op.kind}",
             out_apply.total_time,
             n_c=n_c,
@@ -82,7 +81,7 @@ def test_plan_commit_equals_apply_and_records_outcomes():
         )
         record_bench(
             "service_plan_commit",
-            backend,
+            "bitset",
             f"plan_commit:{op.kind}",
             out_commit.total_time,
             n_c=n_c,

@@ -1,19 +1,22 @@
-"""Demo: pluggable reachability-index backends + batched update sessions.
+"""Demo: the reachability index against its reference + batched sessions.
 
-1. Build the same synthetic view with the ``sets`` (reference) and
-   ``bitset`` (int-bitmask) backends and time Algorithm Reach on each —
-   the matrices are equals()-identical, the bitset build is much faster.
+1. Run Algorithm Reach over the same synthetic view on
+   ``BitsetReachabilityIndex`` (the index every view is built with) and
+   on ``repro.baselines.SetReachabilityIndex`` (the paper's matrix as a
+   dict of sets, the reference the tests check the index against) — the
+   matrices are equals()-identical, the bitset build is much faster.
 2. Run a burst of deletions once sequentially (one Δ(M,L) repair per
    update) and once inside ``with updater.batch():`` (one deferred
    repair for the whole burst) and compare the background-maintenance
    cost; the final states are identical.
 
-Run:  python examples/index_backends_and_batching.py
+Run:  python examples/index_reference_and_batching.py
 """
 
 import time
 
-from repro import ViewConfig, build_index, open_view
+from repro import BitsetReachabilityIndex, ViewConfig, open_view
+from repro.baselines import SetReachabilityIndex
 from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -29,19 +32,19 @@ def fresh_service():
 
 
 def main() -> None:
-    # -- 1. backend ablation ---------------------------------------------------
+    # -- 1. the index and its reference ----------------------------------------
     service, dataset = fresh_service()
     store, topo = service.store, service.topo
     print(f"store: {store.num_nodes} nodes, {store.num_edges} edges")
-    indexes = {}
-    for backend in ("sets", "bitset"):
+    index, reference = BitsetReachabilityIndex(), SetReachabilityIndex()
+    for reach in (reference, index):
         start = time.perf_counter()
-        indexes[backend] = build_index(store, topo, backend)
+        reach.recompute(store, topo)
         elapsed = time.perf_counter() - start
-        print(f"  Algorithm Reach [{backend:6s}]: {elapsed * 1e3:7.2f} ms, "
-              f"|M| = {len(indexes[backend])}")
-    assert indexes["sets"].equals(indexes["bitset"])
-    print("  backends agree: M is equals()-identical\n")
+        print(f"  Algorithm Reach [{type(reach).__name__:23s}]: "
+              f"{elapsed * 1e3:7.2f} ms, |M| = {len(reach)}")
+    assert index.equals(reference) and index.equals(service.reach)
+    print("  the index agrees with its reference: M is equals()-identical\n")
 
     # -- 2. batched update session ---------------------------------------------
     ops = [

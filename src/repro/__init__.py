@@ -81,9 +81,7 @@ from repro.dtd import DTD, parse_dtd
 from repro.index import (
     BitsetReachabilityIndex,
     ReachabilityIndex,
-    SetReachabilityIndex,
     build_index,
-    make_index,
 )
 from repro.errors import (
     ChangefeedError,
@@ -162,10 +160,8 @@ __all__ = [
     "SnapshotSchemaError",
     "SnapshotMismatchError",
     "ReachabilityIndex",
-    "SetReachabilityIndex",
     "BitsetReachabilityIndex",
     "build_index",
-    "make_index",
     "DTD",
     "parse_dtd",
     "ReproError",

@@ -75,7 +75,6 @@ def run(
     lines: Iterable[str],
     workload: str | None = None,
     policy: str = "abort",
-    index_backend: str = "bitset",
     plan_only: bool = False,
     as_json: bool = False,
     stop_on_error: bool = True,
@@ -128,7 +127,6 @@ def run(
     atg, db = named_workload(workload)
     config = ViewConfig(
         side_effects=policy,
-        index_backend=index_backend,
         strict=False,
         wal_dir=wal_dir,
         wal_fsync=wal_fsync,
@@ -281,13 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         help="side-effect policy (default: abort)",
     )
     parser.add_argument(
-        "--backend",
-        dest="index_backend",
-        choices=("bitset", "sets"),
-        default="bitset",
-        help="reachability-index backend (default: bitset)",
-    )
-    parser.add_argument(
         "--stats",
         dest="show_stats",
         action="store_true",
@@ -372,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     kwargs = dict(
         workload=args.workload,
         policy=args.policy,
-        index_backend=args.index_backend,
         plan_only=args.plan_only,
         as_json=args.as_json,
         stop_on_error=args.stop_on_error,

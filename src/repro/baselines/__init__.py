@@ -5,6 +5,8 @@
 - :mod:`repro.baselines.naive_reach` — transitive closure without the
   topological-order dynamic programming (the ``O(|V|² log |V|)``
   approach Algorithm Reach improves on, Section 3.1);
+- :mod:`repro.baselines.set_index` — the paper's ``M`` as a dict of
+  ``set`` rows, the reference the bitset index is tested against;
 - :mod:`repro.baselines.tree_updater` — uncompressed-tree processing:
   publish the full tree, evaluate XPath node-at-a-time, re-publish after
   updates (what a system without DAG compression would do).
@@ -12,6 +14,7 @@
 
 from repro.baselines.recompute import recompute_structures, RecomputeTimings
 from repro.baselines.naive_reach import naive_reachability, squaring_reachability
+from repro.baselines.set_index import SetReachabilityIndex
 from repro.baselines.tree_updater import TreeUpdater
 
 __all__ = [
@@ -19,5 +22,6 @@ __all__ = [
     "RecomputeTimings",
     "naive_reachability",
     "squaring_reachability",
+    "SetReachabilityIndex",
     "TreeUpdater",
 ]

@@ -12,15 +12,13 @@ Two comparators for the A-1 ablation:
 
 from __future__ import annotations
 
-from repro.index import ReachabilityIndex, make_index
+from repro.baselines.set_index import SetReachabilityIndex
 from repro.views.store import ViewStore
 
 
-def naive_reachability(
-    store: ViewStore, backend: str = "sets"
-) -> ReachabilityIndex:
+def naive_reachability(store: ViewStore) -> SetReachabilityIndex:
     """Per-node DFS: recomputes each descendant set from scratch."""
-    matrix = make_index(backend)
+    matrix = SetReachabilityIndex()
     for start in sorted(store.nodes()):
         seen: set[int] = set()
         stack = list(store.children_of(start))
@@ -35,9 +33,7 @@ def naive_reachability(
     return matrix
 
 
-def squaring_reachability(
-    store: ViewStore, backend: str = "sets"
-) -> ReachabilityIndex:
+def squaring_reachability(store: ViewStore) -> SetReachabilityIndex:
     """Semi-naive closure: compose the frontier with the edge relation."""
     desc: dict[int, set[int]] = {
         node: set(store.children_of(node)) for node in store.nodes()
@@ -56,7 +52,7 @@ def squaring_reachability(
         if not new_frontier:
             break
         frontier = new_frontier
-    matrix = make_index(backend)
+    matrix = SetReachabilityIndex()
     for node, reached in desc.items():
         for target in reached:
             matrix.insert(node, target)

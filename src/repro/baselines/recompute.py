@@ -24,13 +24,11 @@ class RecomputeTimings:
         return self.topo_seconds + self.reach_seconds
 
 
-def recompute_structures(
-    store: ViewStore, index_backend: str = "sets"
-) -> RecomputeTimings:
+def recompute_structures(store: ViewStore) -> RecomputeTimings:
     """Rebuild ``L`` then ``M`` from the current store, timing each."""
     t0 = time.perf_counter()
     topo = TopoOrder.from_store(store)
     t1 = time.perf_counter()
-    reach = build_index(store, topo, index_backend)
+    reach = build_index(store, topo)
     t2 = time.perf_counter()
     return RecomputeTimings(t1 - t0, t2 - t1, topo, reach)

@@ -1,17 +1,20 @@
-"""The reference reachability backend: two mirrored dict-of-``set`` maps.
+"""The reference reachability index: two mirrored dict-of-``set`` maps.
 
 The paper's matrix as first written, behind the
 :class:`~repro.index.base.ReachabilityIndex` interface and kept as the
-oracle the bitset backend is validated against.  ``M`` is "physically
-stored" as the set of its set bits — two mutually consistent adjacency
-maps (node → ancestors, node → descendants), the in-memory equivalent of
-the paper's ``M(anc, desc)`` relation.
+oracle :class:`~repro.index.bitset.BitsetReachabilityIndex` is validated
+against (the lockstep tests drive both; the product never constructs
+this one).  ``M`` is "physically stored" as the set of its set bits —
+two mutually consistent adjacency maps (node → ancestors, node →
+descendants), the in-memory equivalent of the paper's ``M(anc, desc)``
+relation.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.index._bits import MaskView, mask_of
 from repro.index.base import ReachabilityIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,8 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class SetReachabilityIndex(ReachabilityIndex):
     """Sparse reachability matrix with both-direction access."""
-
-    backend = "sets"
 
     __slots__ = ("_anc", "_desc", "_pairs")
 
@@ -72,6 +73,9 @@ class SetReachabilityIndex(ReachabilityIndex):
             if row:
                 out |= row
         return out
+
+    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
+        return MaskView(mask_of(self.desc_of_set(nodes)))
 
     # -- point mutation -----------------------------------------------------------
 
@@ -174,6 +178,14 @@ class SetReachabilityIndex(ReachabilityIndex):
                 mirror.setdefault(anc, set()).add(node)
         self._pairs += added
         return added
+
+    def add_anc_closure_pairs(
+        self, targets: Iterable[int], lower: Iterable[int]
+    ) -> int:
+        targets = list(targets)
+        return self.add_cross_pairs(
+            set(targets) | self.anc_of_set(targets), lower
+        )
 
     def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
         rows = self._anc

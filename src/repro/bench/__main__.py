@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     _write_csv(
         csv_dir,
         "ablation_index_backends",
-        ablation_index_backends(sizes=sizes[:2], ops=max(3, ops // 2)),
+        ablation_index_backends(sizes=sizes[:2]),
     )
     print()
     _write_csv(

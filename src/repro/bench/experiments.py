@@ -14,10 +14,11 @@ from typing import Sequence
 
 from repro.baselines.naive_reach import squaring_reachability
 from repro.baselines.recompute import recompute_structures
+from repro.baselines.set_index import SetReachabilityIndex
 from repro.baselines.tree_updater import TreeUpdater
 from repro.bench.harness import PhaseAccumulator, format_table
 from repro.core.topo import TopoOrder
-from repro.index import BACKENDS, build_index
+from repro.index import BitsetReachabilityIndex, build_index
 from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, ViewService, open_view
 from repro.relview.delete import expand_view_deletions, translate_deletions
@@ -29,9 +30,7 @@ DEFAULT_SIZES = (300, 1000, 3000)
 CLASSES = ("W1", "W2", "W3")
 
 
-def _updater_for(
-    n_c: int, seed: int = 42, index_backend: str = "bitset"
-) -> tuple[ViewService, object]:
+def _updater_for(n_c: int, seed: int = 42) -> tuple[ViewService, object]:
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     service = open_view(
         dataset.atg,
@@ -40,7 +39,6 @@ def _updater_for(
             side_effects="propagate",
             strict=False,
             sat_solver="auto",
-            index_backend=index_backend,
         ),
     )
     return service, dataset
@@ -395,7 +393,7 @@ def ablation_reach(
         store = updater.store
         t0 = time.perf_counter()
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         t1 = time.perf_counter()
         squared = squaring_reachability(store)
         t2 = time.perf_counter()
@@ -420,47 +418,36 @@ def ablation_reach(
 
 
 def ablation_index_backends(
-    sizes: Sequence[int] = (300, 1000),
-    ops: int = 5,
-    print_report: bool = True,
+    sizes: Sequence[int] = (300, 1000), print_report: bool = True
 ) -> list[dict]:
-    """A-5: reachability-index backends (sets vs bitset rows).
+    """A-5: Algorithm Reach on the index and on its set-based reference.
 
-    Per |C| and backend: Algorithm Reach build time, maintenance time
-    over a W1–W3 deletion workload, and the resulting |M| (identical by
-    construction — the cross-backend tests enforce it).
+    Per |C| and class: build time and the resulting |M| (identical by
+    construction — the lockstep tests enforce it).  The end-to-end
+    comparison that settled the choice is in ``docs/index-backends.md``.
     """
     rows = []
     for n_c in sizes:
-        for backend in sorted(BACKENDS):
-            updater, dataset = _updater_for(n_c, index_backend=backend)
+        updater, _ = _updater_for(n_c)
+        for cls in (BitsetReachabilityIndex, SetReachabilityIndex):
+            reach = cls()
             t0 = time.perf_counter()
-            reach = build_index(updater.store, updater.topo, backend)
+            reach.recompute(updater.store, updater.topo)
             t1 = time.perf_counter()
-            maintain = 0.0
-            for cls in CLASSES:
-                for op in make_workload(dataset, "delete", cls, count=ops):
-                    outcome = updater.apply(op)
-                    maintain += outcome.timings.get("maintain", 0.0)
             rows.append(
                 {
                     "C": n_c,
-                    "backend": backend,
+                    "index": cls.__name__,
                     "reach_s": t1 - t0,
-                    "maintain_s": maintain,
                     "pairs": len(reach),
                 }
             )
     if print_report:
         print(
             format_table(
-                ["|C|", "backend", "Reach (s)", "maintain (s)", "|M|"],
-                [
-                    [r["C"], r["backend"], r["reach_s"], r["maintain_s"],
-                     r["pairs"]]
-                    for r in rows
-                ],
-                title="A-5: reachability-index backends",
+                ["|C|", "index", "Reach (s)", "|M|"],
+                [[r["C"], r["index"], r["reach_s"], r["pairs"]] for r in rows],
+                title="A-5: the reachability index and its reference",
             )
         )
     return rows

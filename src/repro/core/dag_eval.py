@@ -202,15 +202,14 @@ class DagXPathEvaluator:
         return self._bottom_up(program, sweep)
 
     def _closure(self, nodes: list[int]):
-        """``nodes ∪ desc(nodes)``: a set, or a MaskView on mask-native
-        backends (one big-int OR of descendant rows, no per-node set) —
-        consumers only need membership and iteration."""
+        """``nodes ∪ desc(nodes)``: a MaskView from ``M`` (one union of
+        descendant rows, no per-node set), or a set from a store walk
+        when there is no ``M`` — consumers only need membership and
+        iteration."""
         reach = self.reach
         if reach is None:
             return set(nodes) | self.store.descendants_of(nodes)
-        if reach.native_masks:
-            return reach.desc_mask_of_set(nodes).with_nodes(nodes)
-        return set(nodes) | reach.desc_of_set(nodes)
+        return reach.desc_mask_of_set(nodes).with_nodes(nodes)
 
     def _bottom_up(
         self, program: "_Program", sweep: list[int] | None = None

@@ -20,10 +20,10 @@ insert side: the ``L`` steps eagerly per update, the ``ΔM`` steps
    connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as in
    the paper (lines 12–13).
 
-All ``M`` writes go through the bulk operations of the pluggable
+All ``M`` writes go through the bulk operations of
 :class:`~repro.index.ReachabilityIndex` (``extend_ancestors``,
-``add_cross_pairs``, ``retain_ancestors``), so each backend executes
-them natively — the bitset backend does whole rows per machine word.
+``add_anc_closure_pairs``, ``retain_ancestors``), which the bitset
+index does whole rows per machine word.
 
 **Δ(M,L)delete** (after ``delete p``, with ``ΔV`` already applied):
 
@@ -36,7 +36,6 @@ the garbage-collection feed ``Δ'V``, and they are dropped from ``L``,
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.atg.publisher import SubtreeResult
@@ -53,11 +52,6 @@ class InsertMaintenance:
     added_pairs: int = 0
     moved_nodes: int = 0
     placed_nodes: int = 0
-    m_seconds: float = 0.0
-    """Wall time of the ``ΔM`` steps alone (the reachability-index
-    repair) — the ``L`` placement and swap repairs are backend-invariant
-    and excluded, so backend ablations compare exactly the component
-    they vary."""
 
 
 @dataclass
@@ -73,10 +67,6 @@ class DeleteMaintenance:
     """(type, PCDATA value) per garbage-collected node, captured before
     removal — subscription events need child values the store no longer
     holds."""
-    m_seconds: float = 0.0
-    """Wall time of the ``ΔM`` steps alone (region query + retain sweep
-    + node drops); store/topo surgery is backend-invariant and
-    excluded."""
 
 
 def place_new_nodes(
@@ -157,7 +147,6 @@ def maintain_insert(
     report = InsertMaintenance()
     if not placed:
         report.placed_nodes = place_new_nodes(store, topo, subtree)
-    t0 = time.perf_counter()
     st_nodes = subtree.all_nodes
     # ΔM part 1: reachability inside ST(A, t) — a localized Reach over
     # the subtree DAG, ancestors first.
@@ -167,7 +156,6 @@ def maintain_insert(
         )
     # ΔM part 2: anc*(r[[p]]) × ST nodes.
     report.added_pairs += reach.add_anc_closure_pairs(targets, st_nodes)
-    report.m_seconds = time.perf_counter() - t0
     if not placed:
         report.moved_nodes = repair_topo_after_insert(
             topo, subtree, targets, reach.desc_view(subtree.root)
@@ -190,19 +178,27 @@ def maintain_delete(
     and nodes.
 
     The ancestor-recomputation walk over ``LR = desc-or-self(r[[p]])``
-    is delegated to :meth:`ReachabilityIndex.retain_sweep`, so bulk
-    backends can vectorize the whole sweep; the store is only mutated
-    after the sweep returns.
+    goes ancestors-first: each node's ancestor row is recomputed from
+    its surviving parents, and a node left with no surviving parent is
+    condemned (``keep := false``).  The store is only mutated after the
+    walk.
     """
     report = DeleteMaintenance()
     targets = result if isinstance(result, list) else result.targets
-    t0 = time.perf_counter()
     affected = set(targets) | reach.desc_of_set(targets)
-    lr = topo.sort_nodes(affected)  # descendants first
-    report.removed_pairs, condemned = reach.retain_sweep(
-        store, lr, store.root_id
-    )
-    report.m_seconds = time.perf_counter() - t0
+    removed = 0
+    condemned: list[int] = []  # ancestors first
+    doomed: set[int] = set()
+    for node in reversed(topo.sort_nodes(affected)):
+        parents = store.parents_of(node)
+        surviving = (
+            [p for p in parents if p not in doomed] if doomed else parents
+        )
+        removed += reach.retain_ancestors(node, surviving)
+        if not surviving and node != store.root_id:
+            doomed.add(node)
+            condemned.append(node)
+    report.removed_pairs = removed
     for node in condemned:  # ancestors first
         report.removed_info[node] = (
             store.type_of(node), store.value_of(node)
@@ -217,10 +213,7 @@ def maintain_delete(
     if condemned:
         report.removed_nodes = condemned
         topo.remove_many(condemned)
-        t0 = time.perf_counter()
         for node in condemned:
             reach.drop_node(node)
-        report.m_seconds += time.perf_counter() - t0
-        for node in condemned:
             store.remove_node(node)
     return report

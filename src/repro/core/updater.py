@@ -40,7 +40,7 @@ from repro.core.session import BatchReport, UpdateSession
 from repro.core.topo import TopoOrder
 from repro.dtd.validate import StaticValidator
 from repro.errors import PlanError, ReproError, UpdateRejectedError
-from repro.index import ReachabilityIndex, build_index, resolve_backend
+from repro.index import ReachabilityIndex, build_index
 from repro.ops import UpdateOperation
 from repro.relational.database import Database, RelationalDelta
 from repro.subscribe.delta import ViewEvent, coalesce, edge_records_from_delta
@@ -86,10 +86,6 @@ class XMLViewUpdater:
     strict:
         When True, rejections raise; when False they return an
         unaccepted :class:`UpdateOutcome` (benchmarks use False).
-    index_backend:
-        Reachability-index engine for ``M``: ``'bitset'`` (default;
-        int bitmask rows) or ``'sets'`` (the reference dict-of-set
-        matrix the lockstep tests substitute), see :mod:`repro.index`.
     store:
         Adopt this :class:`~repro.views.store.ViewStore` instead of
         publishing a fresh one from ``db``.  Used by WAL crash recovery
@@ -110,7 +106,6 @@ class XMLViewUpdater:
         strict: bool = True,
         verify_each_update: bool = False,
         rng: random.Random | None = None,
-        index_backend: str = "bitset",
         store: ViewStore | None = None,
         generation: int = 0,
     ):
@@ -121,21 +116,13 @@ class XMLViewUpdater:
         self.strict = strict
         self.verify_each_update = verify_each_update
         self.rng = rng or random.Random(20070415)
-        self.index_backend = resolve_backend(index_backend)
         self.validator = StaticValidator(atg.dtd)
         self.store: ViewStore = store if store is not None else publish_store(atg, db)
         self.topo: TopoOrder = TopoOrder.from_store(self.store)
-        self.reach: ReachabilityIndex = build_index(
-            self.store, self.topo, self.index_backend
-        )
+        self.reach: ReachabilityIndex = build_index(self.store, self.topo)
         self.registry: EdgeViewRegistry = build_registry(atg, db)
         self.maintenance_runs = 0
         """Number of Δ(M,L) repair passes run (batching amortizes them)."""
-        self.m_repair_seconds = 0.0
-        """Cumulative wall time of the ``ΔM`` (reachability-index) share
-        of maintenance — the backend-ablation benchmarks read this to
-        compare index engines without the backend-invariant ``L``/store
-        surgery diluting the signal."""
         self._session: UpdateSession | None = None
         self._outstanding_plan: UpdatePlan | None = None
         self._version = generation
@@ -261,7 +248,7 @@ class XMLViewUpdater:
         from repro.views.loader import load_structures
 
         self._check_not_delivering()
-        self.topo, self.reach = load_structures(self.store, self.index_backend)
+        self.topo, self.reach = load_structures(self.store)
         self.finish_generation("rebuild", coarse=True)
 
     # -- the commit-event seam (the layers above) -----------------------------------
@@ -372,17 +359,14 @@ class XMLViewUpdater:
         Returns the pairs added and the delete pass's report (commit
         events need its GC ΔV).
         """
-        added, m_seconds, gc = 0, 0.0, None
+        added, gc = 0, None
         for subtree, targets in inserts:
             done = maintain_insert(
                 self.store, self.topo, self.reach, subtree, targets, placed
             )
             added += done.added_pairs
-            m_seconds += done.m_seconds
         if delete_targets:
             gc = maintain_delete(self.store, self.topo, self.reach, delete_targets)
-            m_seconds += gc.m_seconds
-        self.m_repair_seconds += m_seconds
         self.maintenance_runs += 1
         return added, gc
 
@@ -470,7 +454,7 @@ class XMLViewUpdater:
                 f"extra={sorted(edges - fresh_edges)[:5]}"
             )
         fresh_topo = TopoOrder.from_store(self.store)
-        fresh_reach = build_index(self.store, fresh_topo, self.index_backend)
+        fresh_reach = build_index(self.store, fresh_topo)
         if not self.reach.equals(fresh_reach):
             problems.append("reachability matrix differs from recomputation")
         if not self.topo.is_valid_for(self.reach.is_ancestor):

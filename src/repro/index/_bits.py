@@ -1,10 +1,10 @@
-"""Bitmask helpers of the ``bitset`` backend and the ``MaskView`` type.
+"""Bitmask helpers of the bitset index and the ``MaskView`` type.
 
 Bit ``k`` of a row means "node ``k`` is in the row".  The helpers that
 translate between bits and Python-level node sets live here, apart from
-the backend, because :meth:`ReachabilityIndex.desc_mask_of_set` returns
-a :class:`MaskView` on every backend (``sets`` builds one from its set
-form).
+the index class, because :meth:`ReachabilityIndex.desc_mask_of_set`
+returns a :class:`MaskView` on every implementation (the set-based
+reference builds one from its set form).
 """
 
 from __future__ import annotations

@@ -1,25 +1,23 @@
-"""The pluggable reachability-index interface.
+"""The reachability-index interface.
 
 A :class:`ReachabilityIndex` is the paper's matrix ``M``: the set of
 (ancestor, descendant) pairs of the DAG view, with O(1) membership and
 row access in both directions.  Every consumer (Algorithm Reach, the
 Δ(M,L) maintenance algorithms, the DAG XPath evaluator, the updater)
-talks to this interface only, so the physical representation is a
-backend choice:
-
-- ``sets``   — :class:`~repro.index.sets.SetReachabilityIndex`, the
-  original dict-of-``set`` matrix, kept as the reference/oracle;
-- ``bitset`` — :class:`~repro.index.bitset.BitsetReachabilityIndex`,
-  one arbitrary-precision ``int`` bitmask per row keyed by the store's
-  dense node ids (union = ``|``, membership = ``>> k & 1``, cardinality
-  = ``int.bit_count()``).
+talks to this interface only.  The product has one implementation,
+:class:`~repro.index.bitset.BitsetReachabilityIndex` (one
+arbitrary-precision ``int`` bitmask per row keyed by the store's dense
+node ids); the interface is the seam through which a test substitutes
+the reference it is checked against,
+:class:`repro.baselines.SetReachabilityIndex` (the paper's matrix as a
+dict of ``set`` rows).
 
 Besides the point queries/mutations the interface carries the *bulk*
 operations the hot loops are written against — ``recompute`` (Algorithm
-Reach), ``extend_ancestors`` / ``add_cross_pairs`` (Δ(M,L)insert),
+Reach), ``extend_ancestors`` / ``add_anc_closure_pairs`` (Δ(M,L)insert),
 ``retain_ancestors`` (Δ(M,L)delete) and ``anc_of_set`` / ``desc_of_set``
-(region queries) — so each backend can implement them in its native
-representation instead of per-pair calls.
+/ ``desc_mask_of_set`` (region queries) — so an implementation does
+them in its own representation instead of per-pair calls.
 
 Row accessors (``anc``/``desc``/``anc_of_set``/``desc_of_set``) return
 **detached** sets: mutating the result never corrupts the index.
@@ -30,6 +28,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.index._bits import MaskView
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.topo import TopoOrder
     from repro.views.store import ViewStore
@@ -39,15 +39,6 @@ class ReachabilityIndex(ABC):
     """Abstract reachability matrix ``M`` over dense integer node ids."""
 
     __slots__ = ()
-
-    #: Registry name of the concrete backend ("sets", "bitset", ...).
-    backend: str = "abstract"
-
-    #: Whether :meth:`desc_mask_of_set` is backed by a physical bit
-    #: representation (no Python-set materialization).  Consumers like
-    #: the DAG evaluator branch on this to keep region unions in mask
-    #: space on the fast backends while staying set-based on ``sets``.
-    native_masks: bool = False
 
     # -- queries ------------------------------------------------------------------
 
@@ -83,30 +74,25 @@ class ReachabilityIndex(ABC):
         a, d = pair
         return self.is_ancestor(a, d)
 
+    @abstractmethod
     def desc_view(self, node: int):
         """Read-only membership view of ``desc(node)``.
 
-        Unlike :meth:`desc` this may alias backend internals (it exists
-        to avoid materializing large rows for a membership test, e.g.
-        the ``swap`` repair of ``L``) — callers must not mutate it and
-        must not hold it across index mutations.
+        Unlike :meth:`desc` this may alias internals (it exists to
+        avoid materializing large rows for a membership test, e.g. the
+        ``swap`` repair of ``L``) — callers must not mutate it and must
+        not hold it across index mutations.
         """
-        return self.desc(node)
 
-    def desc_mask_of_set(self, nodes: Iterable[int]):
+    @abstractmethod
+    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
         """Union of proper descendants over ``nodes`` as a
         :class:`~repro.index._bits.MaskView`.
 
         The mask-returning sibling of :meth:`desc_of_set` for consumers
         that only need membership/iteration (the evaluator's region
-        unions).  Backends with :attr:`native_masks` build the mask by
-        OR-ing rows directly; this default round-trips through the set
-        form, so it is only a compatibility shim for the ``sets``
-        backend.  Same detachment contract as :meth:`desc_of_set`.
+        unions).  Same detachment contract as :meth:`desc_of_set`.
         """
-        from repro.index._bits import MaskView, mask_of
-
-        return MaskView(mask_of(self.desc_of_set(nodes)))
 
     # -- point mutation -----------------------------------------------------------
 
@@ -159,18 +145,16 @@ class ReachabilityIndex(ABC):
         ST(A, t)``).  Returns the number of pairs newly added.
         """
 
+    @abstractmethod
     def add_anc_closure_pairs(
         self, targets: Iterable[int], lower: Iterable[int]
     ) -> int:
         """``add_cross_pairs(targets ∪ anc_of_set(targets), lower)``.
 
-        Fused so backends can form the upper closure natively (the
-        bitset backend never materializes it as a Python set).
+        Fused so the upper closure is formed in the implementation's
+        own representation (the bitset index never materializes it as a
+        Python set).
         """
-        targets = list(targets)
-        return self.add_cross_pairs(
-            set(targets) | self.anc_of_set(targets), lower
-        )
 
     @abstractmethod
     def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
@@ -181,43 +165,10 @@ class ReachabilityIndex(ABC):
         number of pairs removed.
         """
 
-    def retain_sweep(
-        self, store: "ViewStore", lr: list[int], root_id: int | None
-    ) -> tuple[int, list[int]]:
-        """The full ancestor-recomputation sweep of Δ(M,L)delete.
-
-        ``lr`` is the affected region in topological order (descendants
-        first); the sweep walks it ancestors-first, recomputing each
-        node's ancestor row from its surviving parents and condemning
-        nodes left with no surviving parent (``keep := false``).  The
-        store must not be mutated while the sweep runs — callers apply
-        the garbage-collection feed afterwards.
-
-        Returns ``(removed_pairs, condemned)`` with ``condemned`` in
-        ancestors-first order.  Backends may override this with a bulk
-        implementation; the default is the per-node loop over
-        :meth:`retain_ancestors`.
-        """
-        removed = 0
-        condemned: set[int] = set()
-        order: list[int] = []
-        for node in reversed(lr):  # ancestors first
-            parents = store.parents_of(node)
-            surviving = (
-                [p for p in parents if p not in condemned]
-                if condemned
-                else parents
-            )
-            removed += self.retain_ancestors(node, surviving)
-            if not surviving and node != root_id:
-                condemned.add(node)
-                order.append(node)
-        return removed, order
-
     # -- management -----------------------------------------------------------------
 
     def equals(self, other: "ReachabilityIndex") -> bool:
-        """Same set of (anc, desc) pairs — works across backends."""
+        """Same set of (anc, desc) pairs — works across implementations."""
         return len(self) == len(other) and set(self.pairs()) == set(
             other.pairs()
         )
@@ -253,4 +204,4 @@ class ReachabilityIndex(ABC):
         """Nodes with a (possibly empty) stored descendant row."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} backend={self.backend} |M|={len(self)}>"
+        return f"<{type(self).__name__} |M|={len(self)}>"

@@ -1,4 +1,4 @@
-"""The integer-bitset reachability backend.
+"""The reachability index: one integer bitmask per row of ``M``.
 
 Node ids in a :class:`~repro.views.store.ViewStore` are dense integers
 (the interner hands them out sequentially), so a row of ``M`` is an
@@ -34,9 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class BitsetReachabilityIndex(ReachabilityIndex):
     """Reachability matrix with one ``int`` bitmask per row."""
-
-    backend = "bitset"
-    native_masks = True
 
     __slots__ = ("_anc", "_desc", "_pairs")
 

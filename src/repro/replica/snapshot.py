@@ -90,8 +90,7 @@ class Snapshot:
         The writer's :meth:`~repro.service.config.ViewConfig.to_dict`.
     provenance:
         Capture metadata: ``created_at`` (UTC ISO-8601),
-        ``library_version``, ``atg_fingerprint``, ``nodes``, ``edges``,
-        ``index_backend``.
+        ``library_version``, ``atg_fingerprint``, ``nodes``, ``edges``.
     schema_version:
         The artifact envelope version (:data:`SNAPSHOT_SCHEMA_VERSION`).
     """
@@ -110,7 +109,6 @@ class Snapshot:
         store: ViewStore,
         generation: int,
         config: dict,
-        index_backend: str = "",
     ) -> "Snapshot":
         """Snapshot ``store`` as of ``generation``.
 
@@ -130,7 +128,6 @@ class Snapshot:
                 "atg_fingerprint": atg_fingerprint(store.atg),
                 "nodes": store.num_nodes,
                 "edges": store.num_edges,
-                "index_backend": index_backend,
             },
         )
 

@@ -2,7 +2,7 @@
 
 :class:`ViewConfig` consolidates the knobs that were previously
 scattered over the :class:`~repro.core.updater.XMLViewUpdater`
-constructor (index backend, side-effect policy, SAT solver, strictness,
+constructor (side-effect policy, SAT solver, strictness,
 per-update verification, RNG seed) into a single frozen, serializable
 dataclass — the shape a deployment config or a service registry wants.
 """
@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, fields
 from repro.changefeed.hub import DEFAULT_RETENTION
 from repro.core.updater import SideEffectPolicy
 from repro.errors import ReproError
-from repro.index import resolve_backend
 
 #: Default RNG seed (the paper's submission date, as in the updater).
 DEFAULT_SEED = 20070415
@@ -27,10 +26,6 @@ class ViewConfig:
 
     Attributes
     ----------
-    index_backend:
-        Reachability-index engine for ``M``: ``'bitset'`` (default)
-        or ``'sets'``, the reference the lockstep tests substitute (see
-        :mod:`repro.index` and ``docs/index-backends.md``).
     side_effects:
         ``'abort'`` (default) rejects updates with XML side effects;
         ``'propagate'`` applies them at every occurrence (the paper's
@@ -74,7 +69,6 @@ class ViewConfig:
         floor and deletes fully-covered segments.
     """
 
-    index_backend: str = "bitset"
     side_effects: str = "abort"
     sat_solver: str = "auto"
     strict: bool = True
@@ -88,7 +82,6 @@ class ViewConfig:
     wal_keep_checkpoints: int = 2
 
     def __post_init__(self):
-        resolve_backend(self.index_backend)  # raises on unknown names
         if self.side_effects not in ("abort", "propagate"):
             raise ReproError(
                 f"side_effects must be 'abort' or 'propagate', "

@@ -76,16 +76,11 @@ def store_from_database(atg: ATG, db: Database) -> ViewStore:
 
 
 def load_structures(
-    store: ViewStore, index_backend: str = "bitset"
+    store: ViewStore,
 ) -> "tuple[TopoOrder, ReachabilityIndex]":
-    """Build the auxiliary structures ``(L, M)`` for a (re)loaded store.
-
-    ``index_backend`` selects the reachability-index engine
-    (``"bitset"`` | ``"sets"``, see
-    :mod:`repro.index` and ``docs/index-backends.md``).
-    """
+    """Build the auxiliary structures ``(L, M)`` for a (re)loaded store."""
     from repro.core.topo import TopoOrder
     from repro.index import build_index
 
     topo = TopoOrder.from_store(store)
-    return topo, build_index(store, topo, index_backend)
+    return topo, build_index(store, topo)

@@ -1,0 +1,42 @@
+"""The product's ``M`` and its reference, and the seam a test swaps them at.
+
+The product constructs one class, ``BitsetReachabilityIndex``; there is
+no knob that selects another.  ``ReachabilityIndex`` is kept as the seam
+through which a test puts ``repro.baselines.SetReachabilityIndex`` — the
+paper's matrix as a dict of sets — in its place, so the oracle can sit
+under a whole updater and not only next to one index.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.baselines import SetReachabilityIndex
+from repro.index import BitsetReachabilityIndex
+
+#: ``@pytest.mark.parametrize("index_class", INDEX_CLASSES)``.
+INDEX_CLASSES = [
+    pytest.param(BitsetReachabilityIndex, id="bitset"),
+    pytest.param(SetReachabilityIndex, id="sets"),
+]
+
+
+def reference_index(store, topo) -> SetReachabilityIndex:
+    """Algorithm Reach on the reference, for the current store."""
+    reference = SetReachabilityIndex()
+    reference.recompute(store, topo)
+    return reference
+
+
+def substitute_index(updater, index_class):
+    """Make ``updater`` keep ``M`` in an ``index_class`` from here on.
+
+    Every consumer reads ``updater.reach`` through the interface at the
+    time it needs it, so swapping the attribute right after construction
+    swaps the implementation for the updater's whole life (only
+    ``rebuild_structures_only`` builds a new index).
+    """
+    if not isinstance(updater.reach, index_class):
+        updater.reach = index_class()
+        updater.reach.recompute(updater.store, updater.topo)
+    return updater

@@ -75,7 +75,7 @@ class TestRun:
         code = run(iter(OPS), workload="registrar", show_stats=True)
         out = capsys.readouterr().out
         assert code == 0
-        assert "index backend:" in out  # benchmark provenance preserved
+        assert "index backend: bitset; |M| = " in out  # benchmark provenance
         # Snapshot-freshness line: the feed attaches lazily, so nothing
         # is retained yet and the replay floor sits at the head.
         # Three ops, three generations (a typed base update advances
@@ -153,6 +153,14 @@ class TestMalformedLines:
         path.write_text(MIXED_LINES[0] + "\n")
         with pytest.raises(SystemExit):
             main([str(path), "--stop-on-error", "--keep-going"])
+
+    def test_retired_backend_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ops.jsonl"
+        path.write_text(MIXED_LINES[0] + "\n")
+        with pytest.raises(SystemExit) as usage:
+            main([str(path), "--backend", "sets"])
+        assert usage.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestMain:

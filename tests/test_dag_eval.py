@@ -22,7 +22,7 @@ def env():
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     return store, DagXPathEvaluator(store, topo, reach)
 
 
@@ -90,7 +90,7 @@ class TestAgainstTreeOracle:
         dataset = build_synthetic(SyntheticConfig(n_c=60, seed=4))
         store = publish_store(dataset.atg, dataset.db)
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         evaluator = DagXPathEvaluator(store, topo, reach)
         path = parse_xpath(text)
         dag = dag_identities(store, evaluator.evaluate(path))

@@ -54,7 +54,7 @@ def _view(n_c: int, seed: int):
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     store = publish_store(dataset.atg, dataset.db)
     topo = TopoOrder.from_store(store)
-    return store, topo, build_index(store, topo, "sets"), unfold_to_tree(store)
+    return store, topo, build_index(store, topo), unfold_to_tree(store)
 
 
 # -- generated paths over the synthetic DTD ----------------------------------------
@@ -137,7 +137,7 @@ def test_anchored_path_work_is_bounded_by_its_contexts():
     dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=1))
     store = publish_store(dataset.atg, dataset.db)
     topo = TopoOrder.from_store(store)
-    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo, "sets"))
+    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
     anchor = min(dataset.top_level)
     calls = []
     children_of = store.children_of

@@ -1,62 +1,83 @@
-"""Cross-backend tests for the pluggable reachability-index engine.
+"""The reachability index against its reference.
 
-Every mutation sequence must leave the set backend (the oracle) and the
-bitset backend ``equals()``-identical, with internally consistent
-mirrors — the contract that lets :class:`~repro.core.updater
-.XMLViewUpdater` treat the backend as a pure representation choice.
+Every mutation sequence must leave ``SetReachabilityIndex`` (the
+oracle, ``repro.baselines``) and ``BitsetReachabilityIndex`` (the one
+class the product constructs) ``equals()``-identical, with internally
+consistent mirrors; and an :class:`~repro.core.updater.XMLViewUpdater`
+must keep its ``M`` equal to the reference recomputed from its store
+after every operation.
 """
 
+import dataclasses
 import random
 
 import pytest
 
+import repro
+import repro.index
+from index_seam import INDEX_CLASSES, reference_index
 from repro.atg.publisher import publish_store
+from repro.baselines import SetReachabilityIndex, naive_reachability
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import ReproError
 from repro.index import (
-    BACKENDS,
     BitsetReachabilityIndex,
-    SetReachabilityIndex,
+    ReachabilityIndex,
     build_index,
-    make_index,
-    resolve_backend,
 )
-from repro.relview.insert import reset_fresh_counter
+from repro.service import ViewConfig
 from repro.workloads.queries import make_workload
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.ops import DeleteOp, InsertOp
 
-ALL_BACKENDS = sorted(BACKENDS)
+BOTH = (BitsetReachabilityIndex, SetReachabilityIndex)
 
 
 # ---------------------------------------------------------------------------
-# Factory / registry
+# One product class; the retired knob fails typed
 # ---------------------------------------------------------------------------
 
 
 class TestFactory:
     def test_backends_registered(self):
-        assert set(ALL_BACKENDS) == {"bitset", "sets"}
+        # One class behind the seam; the reference lives with the
+        # baselines and is a ReachabilityIndex a test can substitute.
+        assert repro.index.__all__ == [
+            "ReachabilityIndex",
+            "BitsetReachabilityIndex",
+            "build_index",
+        ]
+        assert not hasattr(repro.index, "SetReachabilityIndex")
+        assert issubclass(SetReachabilityIndex, ReachabilityIndex)
 
     def test_retired_names_rejected(self):
-        # ``auto`` and the NumPy ``matrix`` backend are gone: bitset is
-        # the default and the only other name is the reference.
-        assert isinstance(make_index(), BitsetReachabilityIndex)
-        assert resolve_backend("sets") == "sets"
-        for retired in ("auto", "matrix"):
-            with pytest.raises(ReproError, match="unknown reachability-index"):
-                resolve_backend(retired)
+        # The registry and the config field are gone, not ignored.
+        for package in (repro, repro.index):
+            for retired in ("BACKENDS", "make_index", "resolve_backend"):
+                assert not hasattr(package, retired)
+        assert len(dataclasses.fields(ViewConfig)) == 11
+        with pytest.raises(TypeError, match="index_backend"):
+            ViewConfig(index_backend="sets")
+        with pytest.raises(
+            ReproError, match=r"unknown ViewConfig field\(s\).*index_backend"
+        ):
+            ViewConfig.from_dict({"strict": False, "index_backend": "bitset"})
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown reachability-index"):
-            make_index("roaring")
+        # No string selects an implementation, anywhere.
+        atg, db = build_registrar()
+        store = publish_store(atg, db)
+        topo = TopoOrder.from_store(store)
+        with pytest.raises(TypeError):
+            build_index(store, topo, "roaring")
+        with pytest.raises(TypeError, match="index_backend"):
+            XMLViewUpdater(atg, db, index_backend="sets")
 
     def test_legacy_shim_is_gone(self):
         # ``repro.core.reachability`` (ReachabilityMatrix / compute_reach)
         # was deleted: the index package is the only entry point.
-        import repro
         import repro.core
 
         with pytest.raises(ImportError):
@@ -67,9 +88,7 @@ class TestFactory:
         atg, db = build_registrar()
         store = publish_store(atg, db)
         topo = TopoOrder.from_store(store)
-        assert isinstance(
-            build_index(store, topo, "sets"), SetReachabilityIndex
-        )
+        assert isinstance(build_index(store, topo), BitsetReachabilityIndex)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +96,10 @@ class TestFactory:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
 class TestNoAliasing:
-    def test_mutating_returned_rows_does_not_corrupt(self, backend):
-        m = make_index(backend)
+    def test_mutating_returned_rows_does_not_corrupt(self, index_class):
+        m = index_class()
         m.insert(1, 2)
         m.insert(1, 3)
         m.anc(2).add(99)
@@ -92,8 +111,8 @@ class TestNoAliasing:
         assert len(m) == 2
         assert m.check_invariants() == []
 
-    def test_missing_rows_are_detached_too(self, backend):
-        m = make_index(backend)
+    def test_missing_rows_are_detached_too(self, index_class):
+        m = index_class()
         m.anc(5).add(1)  # rowless node: must not create shared state
         m.desc(5).add(1)
         assert m.anc(5) == set()
@@ -105,10 +124,10 @@ class TestNoAliasing:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
 class TestBulkOps:
-    def test_extend_ancestors(self, backend):
-        m = make_index(backend)
+    def test_extend_ancestors(self, index_class):
+        m = index_class()
         m.insert(1, 2)  # anc(2) = {1}
         added = m.extend_ancestors(4, [2, 3])
         # gains {2} ∪ anc(2) ∪ {3} ∪ anc(3) = {1, 2, 3}
@@ -117,8 +136,8 @@ class TestBulkOps:
         assert m.extend_ancestors(4, [2, 3]) == 0  # idempotent
         assert m.check_invariants() == []
 
-    def test_add_cross_pairs(self, backend):
-        m = make_index(backend)
+    def test_add_cross_pairs(self, index_class):
+        m = index_class()
         m.insert(1, 10)
         added = m.add_cross_pairs({1, 2}, [10, 11])
         assert added == 3  # (1,10) pre-existing
@@ -128,8 +147,8 @@ class TestBulkOps:
         assert m.add_cross_pairs(set(), [10]) == 0
         assert m.check_invariants() == []
 
-    def test_add_anc_closure_pairs(self, backend):
-        m = make_index(backend)
+    def test_add_anc_closure_pairs(self, index_class):
+        m = index_class()
         m.insert(1, 2)  # anc(2) = {1}
         added = m.add_anc_closure_pairs([2], [7, 8])
         # upper = {2} ∪ anc(2) = {1, 2}
@@ -137,8 +156,8 @@ class TestBulkOps:
         assert m.anc(7) == {1, 2} and m.anc(8) == {1, 2}
         assert m.check_invariants() == []
 
-    def test_retain_ancestors(self, backend):
-        m = make_index(backend)
+    def test_retain_ancestors(self, index_class):
+        m = index_class()
         m.insert(1, 2)
         for anc in (1, 2, 3):
             m.insert(anc, 9)
@@ -151,14 +170,14 @@ class TestBulkOps:
         assert m.anc(9) == set()
         assert m.check_invariants() == []
 
-    def test_retain_never_adds(self, backend):
-        m = make_index(backend)
+    def test_retain_never_adds(self, index_class):
+        m = index_class()
         m.insert(5, 6)
         assert m.retain_ancestors(7, [6]) == 0  # rowless node untouched
         assert m.anc(7) == set()
 
-    def test_desc_view_membership(self, backend):
-        m = make_index(backend)
+    def test_desc_view_membership(self, index_class):
+        m = index_class()
         m.insert(1, 2)
         m.insert(1, 3)
         view = m.desc_view(1)
@@ -209,7 +228,7 @@ def test_random_interleavings_agree(seed):
         else:
             ops.append(("drop_node", rng.choice(nodes)))
 
-    indexes = {name: make_index(name) for name in ALL_BACKENDS}
+    indexes = {cls.__name__: cls() for cls in BOTH}
     for i, op in enumerate(ops):
         for index in indexes.values():
             getattr(index, op[0])(*op[1:])
@@ -222,7 +241,7 @@ def test_random_interleavings_agree(seed):
         assert index.check_invariants() == [], name
         assert len(index) == len(expected), name
         assert set(index.pairs()) == expected, name
-    first, *rest = (indexes[n] for n in ALL_BACKENDS)
+    first, *rest = indexes.values()
     for other in rest:
         assert first.equals(other) and other.equals(first)
     # ... and one pair of difference is seen from either side
@@ -237,7 +256,7 @@ def test_random_interleavings_agree(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_id_reuse_after_drop_agrees(seed):
     """Dense-id churn: drop a block of node ids, then rebuild rows for
-    the *same* ids (the bitset backend maps them onto the same machine
+    the *same* ids (the bitset index maps them onto the same machine
     words) — stale bits must not leak into the reused rows."""
     rng = random.Random(100 + seed)
     nodes = list(range(24))
@@ -254,7 +273,7 @@ def test_dense_id_reuse_after_drop_agrees(seed):
             ops.append(("insert", rng.choice(nodes), node))
             ops.append(("remove", rng.choice(nodes), node))
 
-    indexes = {name: make_index(name) for name in ALL_BACKENDS}
+    indexes = {cls.__name__: cls() for cls in BOTH}
     for op in ops:
         for index in indexes.values():
             getattr(index, op[0])(*op[1:])
@@ -262,23 +281,24 @@ def test_dense_id_reuse_after_drop_agrees(seed):
     for name, index in indexes.items():
         assert index.check_invariants() == [], name
         assert set(index.pairs()) == expected, name
-    first, *rest = (indexes[n] for n in ALL_BACKENDS)
+    first, *rest = indexes.values()
     for other in rest:
         assert first.equals(other)
 
 
 # ---------------------------------------------------------------------------
-# Algorithm Reach: backends agree with the oracle on real stores
+# Algorithm Reach: both classes agree with an independent closure
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_build_index_matches_oracle(backend):
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+def test_build_index_matches_oracle(index_class):
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    oracle = build_index(store, topo, "sets")
-    index = build_index(store, topo, backend)
+    oracle = naive_reachability(store)  # per-node DFS, no Reach
+    index = index_class()
+    index.recompute(store, topo)
     assert index.check_invariants() == []
     assert index.equals(oracle) and oracle.equals(index)
     assert len(index) == len(oracle)
@@ -287,90 +307,48 @@ def test_build_index_matches_oracle(backend):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the bitset updater is byte-identical to the sets updater
+# End-to-end: the updater's M equals the reference after every operation
 # ---------------------------------------------------------------------------
 
 
-def _delta_v_ops(outcome):
-    return [
-        (op.kind, op.parent_type, op.child_type, op.parent, op.child)
-        for op in (outcome.delta_v or [])
-    ]
-
-
-def _delta_r_ops(outcome):
-    return list(outcome.delta_r or [])
-
-
-def _run_registrar_workload(backend):
-    reset_fresh_counter()  # identical fresh constants across both runs
+def _registrar_script():
     atg, db = build_registrar()
-    updater = XMLViewUpdater(
-        atg,
-        db,
-        side_effect_policy=SideEffectPolicy.PROPAGATE,
-        strict=False,
-        index_backend=backend,
-    )
-    script = [
-        ("delete", "course[cno='CS650']/prereq/course[cno='CS320']"),
-        ("insert", "course[cno='CS650']/prereq", "course",
-         ("CS991", "Grown Topics")),
-        ("delete", "//course[cno='CS240']"),
-        ("insert", "course[cno='CS650']/prereq", "course",
-         ("CS992", "More Topics")),
+    ops = [
+        DeleteOp("course[cno='CS650']/prereq/course[cno='CS320']"),
+        InsertOp("course[cno='CS650']/prereq", "course",
+                 ("CS991", "Grown Topics")),
+        DeleteOp("//course[cno='CS240']"),
+        InsertOp("course[cno='CS650']/prereq", "course",
+                 ("CS992", "More Topics")),
     ]
-    outcomes = []
-    for op in script:
-        if op[0] == "delete":
-            outcomes.append(updater.apply_op(DeleteOp(op[1])))
-        else:
-            outcomes.append(updater.apply_op(InsertOp(op[1], op[2], op[3])))
-    return updater, outcomes
+    return atg, db, ops
 
 
-def test_registrar_backends_byte_identical():
-    u_sets, o_sets = _run_registrar_workload("sets")
-    u_bits, o_bits = _run_registrar_workload("bitset")
-    assert len(o_sets) == len(o_bits)
-    for a, b in zip(o_sets, o_bits):
-        assert a.accepted == b.accepted
-        assert a.targets == b.targets
-        assert _delta_v_ops(a) == _delta_v_ops(b)
-        assert _delta_r_ops(a) == _delta_r_ops(b)
-    assert u_sets.reach.equals(u_bits.reach)
-    assert u_bits.reach.check_invariants() == []
-    assert u_sets.check_consistency() == []
-    assert u_bits.check_consistency() == []
+def _synthetic_script():
+    dataset = build_synthetic(SyntheticConfig(n_c=80, seed=9))
+    ops = []
+    for cls in ("W1", "W2", "W3"):
+        ops.extend(make_workload(dataset, "delete", cls, count=3))
+        ops.extend(make_workload(dataset, "insert", cls, count=3))
+    return dataset.atg, dataset.db, ops
 
 
-def test_synthetic_backends_byte_identical():
-    runs = {}
-    for backend in ALL_BACKENDS:
-        reset_fresh_counter()
-        dataset = build_synthetic(SyntheticConfig(n_c=80, seed=9))
-        updater = XMLViewUpdater(
-            dataset.atg,
-            dataset.db,
-            side_effect_policy=SideEffectPolicy.PROPAGATE,
-            strict=False,
-            index_backend=backend,
-        )
-        outcomes = []
-        for cls in ("W1", "W2", "W3"):
-            for op in make_workload(dataset, "delete", cls, count=3):
-                outcomes.append(updater.apply_op(op))
-            for op in make_workload(dataset, "insert", cls, count=3):
-                outcomes.append(updater.apply_op(op))
-        runs[backend] = (updater, outcomes)
-
-    (u_a, o_a), *others = (runs[n] for n in ALL_BACKENDS)
-    for u_b, o_b in others:
-        for a, b in zip(o_a, o_b):
-            assert a.accepted == b.accepted
-            assert _delta_v_ops(a) == _delta_v_ops(b)
-            assert _delta_r_ops(a) == _delta_r_ops(b)
-        assert u_a.reach.equals(u_b.reach)
-    for updater, _ in runs.values():
-        assert updater.check_consistency() == []
+@pytest.mark.parametrize(
+    "script",
+    [_registrar_script, _synthetic_script],
+    ids=["registrar", "synthetic"],
+)
+def test_updater_matches_reference_after_every_op(script):
+    atg, db, ops = script()
+    updater = XMLViewUpdater(
+        atg, db, side_effect_policy=SideEffectPolicy.PROPAGATE, strict=False
+    )
+    accepted = 0
+    for op in ops:
+        accepted += updater.apply_op(op).accepted
+        reference = reference_index(updater.store, updater.topo)
+        assert updater.reach.equals(reference), op
+        assert reference.equals(updater.reach), op
         assert updater.reach.check_invariants() == []
+        assert updater.check_consistency() == [], op
+    assert accepted >= 3

@@ -77,7 +77,7 @@ def test_reach_matches_networkx_on_random_dags(dag):
     n, edges = dag
     store = store_from_dag(n, edges)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     graph = nx.DiGraph()
     graph.add_nodes_from(store.nodes())
     for node in store.nodes():
@@ -116,7 +116,7 @@ def test_dag_eval_matches_tree_eval(dag, path_text):
     n, edges = dag
     store = store_from_dag(n, edges)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     path = parse_xpath(path_text)
     dag_ids = sorted(

@@ -80,7 +80,7 @@ def test_delete_translation_loses_exactly_delta_v(spec, edge_index):
     registry = build_registry(atg, db)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     path = parse_xpath(f"//course[cno=C{p:02d}]/prereq/course[cno=C{c:02d}]")
     result = evaluator.evaluate(path, mode="delete")

@@ -24,7 +24,7 @@ def env():
     registry = build_registry(atg, db)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, registry, store, evaluator
 

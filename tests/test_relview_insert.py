@@ -21,7 +21,7 @@ def env():
     registry = build_registry(atg, db)
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, registry, store, evaluator
 
@@ -146,7 +146,7 @@ class TestNewSubtree:
             registry2 = build_registry(atg2, db2)
             store2 = publish_store(atg2, db2)
             topo2 = TopoOrder.from_store(store2)
-            reach2 = build_index(store2, topo2, "sets")
+            reach2 = build_index(store2, topo2)
             evaluator2 = DagXPathEvaluator(store2, topo2, reach2)
             result = evaluator2.evaluate(
                 parse_xpath("course[cno=CS650]/prereq"), mode="insert"

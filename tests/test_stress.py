@@ -30,6 +30,10 @@ from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 
+#: The one value ``stats()["index_backend"]`` takes — ``M`` has one
+#: implementation, the key stays for ``benchmarks/e2e/worker.py`` — and
+#: the id (``[bitset]``) the tests below have carried since there were
+#: three.
 BACKENDS = ["bitset"]
 
 QUERIES = (
@@ -50,15 +54,13 @@ PULLERS = 2
 
 def _service(backend):
     atg, db = build_registrar()
-    return open_view(
+    service = open_view(
         atg,
         db,
-        config=ViewConfig(
-            index_backend=backend,
-            side_effects="propagate",
-            strict=False,
-        ),
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
+    assert service.stats()["index_backend"] == backend
+    return service
 
 
 @pytest.mark.stress

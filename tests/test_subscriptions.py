@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from index_seam import INDEX_CLASSES, substitute_index
 from repro.bench.workload_gen import WorkloadSpec, generate_ops, make_header
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
@@ -403,13 +404,14 @@ class TestRegistrarEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic DAG: workload streams of every kind, both backends
+# Synthetic DAG: workload streams of every kind, on the index and its reference
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["bitset", "sets"])
-def test_synthetic_workload_stream_equivalence(backend):
-    service, dataset = synthetic_service(index_backend=backend)
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+def test_synthetic_workload_stream_equivalence(index_class):
+    service, dataset = synthetic_service()
+    substitute_index(service.updater, index_class)
     subs = [service.subscribe(q) for q in make_query_set(dataset, count=10)]
     assert_current(service, subs, "initial")
     ops = []

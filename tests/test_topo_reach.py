@@ -5,7 +5,7 @@ import pytest
 
 from repro.atg.publisher import publish_store
 from repro.baselines.naive_reach import naive_reachability, squaring_reachability
-from repro.index import SetReachabilityIndex, build_index
+from repro.index import BitsetReachabilityIndex, build_index
 from repro.core.topo import TopoOrder
 from repro.errors import ReproError
 from repro.workloads.registrar import build_registrar
@@ -108,7 +108,7 @@ class TestTopoOrder:
 
     def test_is_valid_for(self, store):
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         assert topo.is_valid_for(reach.is_ancestor)
         broken = TopoOrder(list(reversed(topo.as_list())))
         assert not broken.is_valid_for(reach.is_ancestor)
@@ -116,7 +116,7 @@ class TestTopoOrder:
 
 class TestReachabilityMatrix:
     def test_insert_remove(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         assert m.insert(1, 2)
         assert not m.insert(1, 2)
         assert (1, 2) in m
@@ -128,7 +128,7 @@ class TestReachabilityMatrix:
         assert len(m) == 0
 
     def test_both_directions(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         m.insert(1, 2)
         m.insert(1, 3)
         m.insert(2, 3)
@@ -136,7 +136,7 @@ class TestReachabilityMatrix:
         assert m.anc(3) == {1, 2}
 
     def test_set_ancestors(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         m.insert(1, 3)
         m.insert(2, 3)
         m.set_ancestors(3, {2, 4})
@@ -146,21 +146,21 @@ class TestReachabilityMatrix:
         assert len(m) == 2
 
     def test_drop_node(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         m.insert(1, 2)
         m.insert(2, 3)
         m.drop_node(2)
         assert len(m) == 0
 
     def test_set_helpers(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         m.insert(1, 2)
         m.insert(3, 4)
         assert m.anc_of_set([2, 4]) == {1, 3}
         assert m.desc_of_set([1, 3]) == {2, 4}
 
     def test_pairs(self):
-        m = SetReachabilityIndex()
+        m = BitsetReachabilityIndex()
         m.insert(1, 2)
         m.insert(1, 3)
         assert sorted(m.pairs()) == [(1, 2), (1, 3)]
@@ -178,23 +178,23 @@ class TestAlgorithmReach:
 
     def test_registrar_matches_networkx(self, store):
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         assert set(reach.pairs()) == self._oracle(store)
 
     def test_synthetic_matches_networkx(self):
         dataset = build_synthetic(SyntheticConfig(n_c=80, seed=9))
         store = publish_store(dataset.atg, dataset.db)
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         assert set(reach.pairs()) == self._oracle(store)
 
     def test_baselines_agree(self, store):
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         assert reach.equals(naive_reachability(store))
         assert reach.equals(squaring_reachability(store))
 
     def test_root_reaches_everything(self, store):
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo, "sets")
+        reach = build_index(store, topo)
         assert reach.desc(store.root_id) == set(store.nodes()) - {store.root_id}

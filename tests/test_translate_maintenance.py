@@ -18,7 +18,7 @@ def env():
     atg, db = build_registrar()
     store = publish_store(atg, db)
     topo = TopoOrder.from_store(store)
-    reach = build_index(store, topo, "sets")
+    reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, store, topo, reach, evaluator
 
@@ -223,6 +223,19 @@ class TestMaintainDelete:
         assert store.lookup("student", ("S02", "Grace")) is not None
         assert store.lookup("cno", ("CS320",)) is None
         assert_structures_match_recompute(store, topo, reach)
+
+    def test_removed_info_describes_collected_nodes(self, env):
+        store, _, _, report = self._do_delete(env, "//course[cno=CS240]")
+        # Every collected node is described (type + PCDATA value) even
+        # though the store no longer holds it: commit events need it.
+        assert report.removed_nodes
+        assert set(report.removed_info) == set(report.removed_nodes)
+        assert not any(store.has_node(n) for n in report.removed_nodes)
+        described = sorted(report.removed_info.values(), key=str)
+        assert ("course", None) in described
+        assert ("cno", "CS240") in described
+        # Shared student S03 was only under CS240: collected too.
+        assert ("ssn", "S03") in described
 
     def test_example7_reachability_update(self, env):
         """Paper Example 7: after deleting S02 under CS320, the

@@ -7,28 +7,31 @@ whose final state is ``equals()``-identical to sequential processing.
 
 import pytest
 
+from index_seam import INDEX_CLASSES, substitute_index
+from repro.baselines import SetReachabilityIndex
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import ReproError, UpdateRejectedError
-from repro.index import BACKENDS
+from repro.index import BitsetReachabilityIndex
 from repro.workloads.queries import make_workload
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.ops import DeleteOp, InsertOp
 
-ALL_BACKENDS = sorted(BACKENDS)
 
-
-def _registrar_updater(**kwargs):
+def _registrar_updater(index_class=BitsetReachabilityIndex, **kwargs):
     atg, db = build_registrar()
     kwargs.setdefault("side_effect_policy", SideEffectPolicy.PROPAGATE)
-    return XMLViewUpdater(atg, db, **kwargs)
+    return substitute_index(XMLViewUpdater(atg, db, **kwargs), index_class)
 
 
-def _synthetic_updater(n_c=60, seed=7, **kwargs):
+def _synthetic_updater(
+    n_c=60, seed=7, index_class=BitsetReachabilityIndex, **kwargs
+):
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     kwargs.setdefault("side_effect_policy", SideEffectPolicy.PROPAGATE)
     kwargs.setdefault("strict", False)
-    return dataset, XMLViewUpdater(dataset.atg, dataset.db, **kwargs)
+    updater = XMLViewUpdater(dataset.atg, dataset.db, **kwargs)
+    return dataset, substitute_index(updater, index_class)
 
 
 def _delete_ops(dataset, count=4):
@@ -38,11 +41,11 @@ def _delete_ops(dataset, count=4):
     return ops
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_batched_deletions_one_pass_identical_state(backend):
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+def test_batched_deletions_one_pass_identical_state(index_class):
     """Acceptance: N batched deletions = 1 maintenance pass, same state."""
-    dataset_a, sequential = _synthetic_updater(index_backend=backend)
-    dataset_b, batched = _synthetic_updater(index_backend=backend)
+    dataset_a, sequential = _synthetic_updater(index_class=index_class)
+    dataset_b, batched = _synthetic_updater(index_class=index_class)
     ops = _delete_ops(dataset_a)
     assert len(ops) >= 3
 
@@ -73,9 +76,9 @@ def test_batched_deletions_one_pass_identical_state(backend):
     assert batched.check_consistency() == []
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_batched_inserts_one_pass(backend):
-    updater = _registrar_updater(index_backend=backend, strict=True)
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+def test_batched_inserts_one_pass(index_class):
+    updater = _registrar_updater(index_class=index_class, strict=True)
     before = updater.maintenance_runs
     with updater.batch():
         updater.apply_op(InsertOp(
@@ -91,9 +94,9 @@ def test_batched_inserts_one_pass(backend):
     assert {"CS901", "CS902"} <= types
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_mixed_batch_consistent(backend):
-    updater = _registrar_updater(index_backend=backend, strict=False)
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+def test_mixed_batch_consistent(index_class):
+    updater = _registrar_updater(index_class=index_class, strict=False)
     before = updater.maintenance_runs
     with updater.batch():
         updater.apply_op(DeleteOp("course[cno='CS650']/prereq/course[cno='CS320']"))
@@ -223,19 +226,19 @@ def test_verify_each_update_defers_to_flush():
     assert updater.check_consistency() == []
 
 
-def _interleaved_batch_then_undo(backend):
+def _interleaved_batch_then_undo(index_class):
     """One batch interleaving delete+insert per anchor, then undo all.
 
     Guards dense-id reuse in the bitset rows: a delete frees node ids
     mid-batch, the following insert re-interns (or allocates past)
     them, and the undo resurrects collected subtrees — any stale row
-    aliasing shows up as a cross-backend M divergence.
+    aliasing shows up as a divergence from the reference's M.
     """
     from repro.relview.insert import reset_fresh_counter
 
     reset_fresh_counter()
     dataset, updater = _synthetic_updater(n_c=70, seed=11,
-                                          index_backend=backend)
+                                          index_class=index_class)
     deletes = make_workload(dataset, "delete", "W2", count=3)
     inserts = make_workload(
         dataset, "insert", "W2", count=3, seed=2, new_key_fraction=0.0
@@ -257,10 +260,14 @@ def _interleaved_batch_then_undo(backend):
 
 def test_interleaved_batch_then_undo_backends_byte_identical():
     """Acceptance: interleaved delete+insert inside one session followed
-    by undo leaves `sets` and `bitset` in `equals()`-identical states."""
-    runs = {b: _interleaved_batch_then_undo(b) for b in ALL_BACKENDS}
-    updaters = [u for u, _ in runs.values()]
-    outcome_lists = [o for _, o in runs.values()]
+    by undo leaves an updater on the reference and one on the bitset
+    index in `equals()`-identical states."""
+    runs = [
+        _interleaved_batch_then_undo(index_class)
+        for index_class in (SetReachabilityIndex, BitsetReachabilityIndex)
+    ]
+    updaters = [u for u, _ in runs]
+    outcome_lists = [o for _, o in runs]
     for other in outcome_lists[1:]:
         assert [o.accepted for o in other] == [
             o.accepted for o in outcome_lists[0]

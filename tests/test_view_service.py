@@ -456,17 +456,12 @@ class TestApply:
 
 class TestViewConfig:
     def test_round_trip(self):
-        config = ViewConfig(
-            index_backend="sets", side_effects="propagate", strict=False,
-            seed=7,
-        )
+        config = ViewConfig(side_effects="propagate", strict=False, seed=7)
         assert ViewConfig.from_dict(config.to_dict()) == config
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ReproError):
             ViewConfig(side_effects="maybe")
-        with pytest.raises(ReproError):
-            ViewConfig(index_backend="quantum")
         with pytest.raises(ReproError):
             ViewConfig(sat_solver="magic")
         with pytest.raises(ReproError, match="unknown ViewConfig"):
@@ -482,10 +477,7 @@ class TestViewConfig:
         )
 
     def test_config_reaches_the_updater(self):
-        service = registrar_service(
-            index_backend="sets", strict=False, verify_each_update=True
-        )
-        assert service.updater.index_backend == "sets"
+        service = registrar_service(strict=False, verify_each_update=True)
         assert service.updater.strict is False
         assert service.updater.verify_each_update is True
 

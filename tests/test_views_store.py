@@ -4,7 +4,6 @@ import pytest
 
 from repro.atg.publisher import publish_store
 from repro.errors import ReproError
-from repro.views.gc import collect_unreachable
 from repro.workloads.registrar import build_registrar
 
 
@@ -121,49 +120,3 @@ class TestMaterialization:
             len(db.rows(t)) for t in db.table_names() if t.startswith("edge_")
         )
         assert total == store.num_edges
-
-
-class TestGC:
-    def test_nothing_collected_when_connected(self, store):
-        result = collect_unreachable(store)
-        assert result.removed_node_count == 0
-
-    def test_orphan_subtree_collected(self, store):
-        root = store.root_id
-        cs240 = store.lookup("course", ("CS240", "Data Structures"))
-        # Cut CS240 from both parents (root and prereq of CS320).
-        for parent in list(store.parents_of(cs240)):
-            store.remove_edge(parent, cs240)
-        before = store.num_nodes
-        result = collect_unreachable(store)
-        assert result.removed_node_count > 0
-        assert store.num_nodes < before
-        assert store.lookup("course", ("CS240", "Data Structures")) is None
-        # Shared student S03 was only under CS240: gone too.
-        assert store.lookup("student", ("S03", "Edsger")) is None
-        # Still-reachable nodes survive.
-        assert store.lookup("course", ("CS320", "Databases")) is not None
-
-    def test_removed_info_describes_collected_nodes(self, store):
-        cs240 = store.lookup("course", ("CS240", "Data Structures"))
-        for parent in list(store.parents_of(cs240)):
-            store.remove_edge(parent, cs240)
-        result = collect_unreachable(store)
-        # Every removed node is described (type + PCDATA value) even
-        # though the store no longer holds it.
-        assert set(result.removed_info) == set(result.removed_nodes)
-        assert result.removed_info[cs240][0] == "course"
-        pcdata = [
-            value for _, (kind, value) in result.removed_info.items()
-            if kind == "cno"
-        ]
-        assert "CS240" in pcdata
-
-    def test_gc_keeps_shared_nodes(self, store):
-        # Cut CS320 from root only; it stays reachable via CS650's prereq.
-        root = store.root_id
-        cs320 = store.lookup("course", ("CS320", "Databases"))
-        store.remove_edge(root, cs320)
-        result = collect_unreachable(store)
-        assert result.removed_node_count == 0
-        assert store.lookup("course", ("CS320", "Databases")) is not None

@@ -20,6 +20,8 @@ The acceptance property, stated once and tested three ways:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -402,17 +404,17 @@ class TestKillNine:
 
 
 # ---------------------------------------------------------------------------
-# Artifacts written before the config lost three fields and ``M`` a backend
+# Artifacts written before the config lost four fields and ``M`` its backends
 # ---------------------------------------------------------------------------
 
 
 def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
     """A snapshot / WAL checkpoint as releases up to 0.10 wrote it —
     ``config`` carrying ``commit_pipeline``,
-    ``capture_closure_deltas`` and ``coarse_event_threshold``,
-    ``index_backend: "auto"`` resolved to ``"matrix"`` in the
-    provenance — recovers and bootstraps a replica: the fields are
-    carried as data, never decoded."""
+    ``capture_closure_deltas``, ``coarse_event_threshold`` and
+    ``index_backend: "sets"``, the provenance carrying ``index_backend``
+    too — recovers and bootstraps a replica: the fields are carried as
+    data, never decoded."""
     wal_dir = str(tmp_path / "wal")
     atg, db = build_registrar()
     writer = open_view(atg, db, config=ViewConfig(strict=False))
@@ -421,13 +423,15 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
     ).accepted
     old_config = {
         **ViewConfig(strict=False, wal_dir=wal_dir).to_dict(),
-        "index_backend": "auto",
+        "index_backend": "sets",
         "capture_closure_deltas": "auto",
         "commit_pipeline": True,
         "coarse_event_threshold": None,
     }
-    snapshot = Snapshot.capture(
-        writer.store, generation=1, config=old_config, index_backend="matrix"
+    snapshot = Snapshot.capture(writer.store, generation=1, config=old_config)
+    snapshot = dataclasses.replace(
+        snapshot,
+        provenance={**snapshot.provenance, "index_backend": "sets"},
     )
     wal = WriteAheadLog(wal_dir)
     wal.write_checkpoint(
@@ -438,7 +442,7 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
 
     loaded = Snapshot.load(str(tmp_path / "snap.pkl.gz"))
     assert loaded.config == old_config
-    assert loaded.provenance["index_backend"] == "matrix"
+    assert loaded.provenance["index_backend"] == "sets"
     for replica in (
         ReplicaView.from_snapshot(atg, loaded),
         ReplicaView.from_wal(atg, wal_dir),
@@ -451,7 +455,7 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
         atg2, db2, config=ViewConfig(strict=False, wal_dir=wal_dir)
     )
     assert recovered.stats()["generation"] == 1
-    assert recovered.index_backend == "bitset"
+    assert recovered.stats()["index_backend"] == "bitset"
     assert recovered.store.digest() == writer.store.digest()
     assert recovered.apply(
         InsertOp("course[cno=CS650]/prereq", "course", ("CS320", "Databases"))
