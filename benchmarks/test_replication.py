@@ -23,7 +23,7 @@ import time
 import pytest
 from conftest import SIZES, fresh_updater, record_bench
 
-from repro.replica import InProcessTransport, ReplicaView, Snapshot
+from repro.replica import ReplicaView, Snapshot
 from repro.service import ViewConfig, open_view
 from repro.workloads import make_workload
 
@@ -93,7 +93,7 @@ def test_snapshot_round_trip_cost(n_c, tmp_path):
 def test_fold_throughput_tracks_writer(n_c):
     _updater, dataset = fresh_updater(n_c)
     service = _service(dataset)
-    replica = ReplicaView(service.atg, InProcessTransport(service))
+    replica = ReplicaView(service.atg, service)
     replica.bootstrap()
     ops = _op_stream(dataset)
 
@@ -125,7 +125,7 @@ def test_folding_outruns_the_writer():
     index maintenance), so lag is transient rather than cumulative."""
     _updater, dataset = fresh_updater(LARGEST)
     service = _service(dataset)
-    replica = ReplicaView(service.atg, InProcessTransport(service))
+    replica = ReplicaView(service.atg, service)
     replica.bootstrap()
     ops = _op_stream(dataset)
 

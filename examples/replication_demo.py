@@ -1,26 +1,29 @@
-"""One writer, N out-of-process read replicas, over the socket transport.
+"""One writer, N replica processes bootstrapped from its WAL directory.
 
-The full replication loop from ``docs/replication.md``, end to end:
+The replication loop from ``docs/replication.md``, end to end, with no
+connection between the processes — the log directory is the channel:
 
-1. the writer process opens the registrar view, attaches a changefeed
-   (retention from generation 0) and starts a ``ReplicationServer`` on
-   an ephemeral TCP port;
-2. replica A bootstraps immediately (snapshot at generation 0 + the
-   whole event stream); the writer then applies half its op stream;
-3. replica B bootstraps **mid-stream** — its snapshot already contains
-   the first half, and it folds only the rest;
-4. the writer applies the remaining ops, publishes its final generation
-   and store digest, and every replica fences with
-   ``wait_for(final_generation)`` before comparing digests.
+1. the writer opens the registrar view with a ``wal_dir`` and
+   ``wal_fsync="always"`` (every commit is on disk before ``apply``
+   returns) and records its store digest at every generation;
+2. half way through its op stream it spawns replica A, which calls
+   ``ReplicaView.from_wal(atg, wal_dir)`` — the newest checkpoint plus
+   every logged event past it — and lands mid-stream; the writer waits
+   for that landing, then commits the rest;
+3. after the last op it spawns replica B the same way;
+4. once the writer is done it hands each replica its digest table, and
+   each replica checks that its own digest equals the writer's at the
+   generation it landed on.
 
-The parent process asserts byte-identical convergence (equal digests,
-nonzero events folded) and exits nonzero otherwise — CI runs this.
+The parent exits nonzero unless every replica matched and the last one
+reached the writer's final generation — CI runs this.
 
 Run:  python examples/replication_demo.py
 """
 
 import multiprocessing as mp
 import sys
+import tempfile
 
 from repro import (
     BaseUpdateOp,
@@ -28,14 +31,10 @@ from repro import (
     InsertOp,
     ReplaceOp,
     ReplicaView,
-    ReplicationServer,
-    SocketTransport,
     ViewConfig,
     open_view,
 )
 from repro.workloads.registrar import build_registrar
-
-N_REPLICAS = 2
 
 
 def op_stream():
@@ -55,90 +54,86 @@ def op_stream():
     ]
 
 
-def replica_main(name, address, attach_barrier, done_queue):
-    """Bootstrap over TCP, fold to the writer's final state, report."""
+def replica_main(name, wal_dir, landed, digests_queue, reports):
+    """Bootstrap from the WAL, then check against the writer's digests."""
     atg, _db = build_registrar()
-    replica = ReplicaView(atg, SocketTransport(*address))
-    started = replica.bootstrap()
-    replica.start()
-    attach_barrier.put((name, started))
-    final_generation, writer_digest = done_queue.get()
-    try:
-        replica.wait_for(final_generation, timeout=30.0)
-    except TimeoutError:
-        pass  # report whatever state we reached; the parent will flag it
+    replica = ReplicaView.from_wal(atg, wal_dir)
     stats = replica.stats()
-    done_queue.put({
+    landed.put((name, stats["generation"]))
+    writer_digests = digests_queue.get()  # {generation: digest}
+    reports.put({
         "name": name,
-        "started_at": started,
         "generation": stats["generation"],
         "events_folded": stats["events_folded"],
-        "lag": replica.lag(),
-        "converged": replica.digest() == writer_digest,
+        "converged": writer_digests.get(stats["generation"])
+        == replica.digest(),
     })
-    replica.close()
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="repro-replication-") as wal_dir:
+        return run(wal_dir)
+
+
+def run(wal_dir):
     ctx = mp.get_context("spawn")
     atg, db = build_registrar()
     service = open_view(atg, db, config=ViewConfig(
         side_effects="propagate", strict=False,
+        wal_dir=wal_dir, wal_fsync="always",
     ))
-    service.changefeed().close()  # start retention at generation 0
+    digests = {service.stats()["generation"]: service.store.digest()}
+    landed, report_queue = ctx.Queue(), ctx.Queue()
+    queues, procs = [], []
 
-    with ReplicationServer(service) as server:
-        print(f"writer: serving replication on {server.address}")
-        ops = op_stream()
-        midpoint = len(ops) // 2
+    def spawn(name):
+        queue = ctx.Queue()
+        proc = ctx.Process(
+            target=replica_main,
+            args=(name, wal_dir, landed, queue, report_queue),
+        )
+        proc.start()
+        queues.append(queue)
+        procs.append(proc)
+        name, generation = landed.get(timeout=60.0)
+        print(f"writer: {name} bootstrapped from the WAL at generation "
+              f"{generation}")
 
-        attach_barrier = ctx.Queue()
-        queues, procs = [], []
+    ops = op_stream()
+    for position, op in enumerate(ops):
+        if position == len(ops) // 2:
+            spawn("replica-A")  # lands mid-stream
+        service.apply(op)
+        digests[service.stats()["generation"]] = service.store.digest()
+    spawn("replica-B")  # lands at the end
+    final_generation = service.stats()["generation"]
+    print(f"writer: head at generation {final_generation}, "
+          f"digest {digests[final_generation][:12]}")
 
-        def spawn(index):
-            queue = ctx.Queue()
-            proc = ctx.Process(
-                target=replica_main,
-                args=(f"replica-{index}", server.address,
-                      attach_barrier, queue),
-            )
-            proc.start()
-            queues.append(queue)
-            procs.append(proc)
-            name, started = attach_barrier.get(timeout=30.0)
-            print(f"writer: {name} bootstrapped at generation {started}")
+    for queue in queues:
+        queue.put(digests)
+    reports = sorted(
+        (report_queue.get(timeout=60.0) for _ in procs),
+        key=lambda r: r["name"],
+    )
+    for proc in procs:
+        proc.join(timeout=30.0)
+    service.close()
 
-        spawn(0)  # replica A sees the whole stream
-        for position, op in enumerate(ops):
-            if position == midpoint and N_REPLICAS > 1:
-                spawn(1)  # replica B bootstraps mid-stream
-            service.apply(op)
-
-        final_generation = service.stats()["generation"]
-        writer_digest = service.store.digest()
-        print(f"writer: head at generation {final_generation}, "
-              f"digest {writer_digest[:12]}")
-        for queue in queues:
-            queue.put((final_generation, writer_digest))
-
-        reports = [queue.get(timeout=60.0) for queue in queues]
-        for proc in procs:
-            proc.join(timeout=30.0)
-
-    failed = False
-    for report in sorted(reports, key=lambda r: r["name"]):
-        print(f"{report['name']}: bootstrapped at gen "
-              f"{report['started_at']}, now at gen {report['generation']} "
-              f"(lag {report['lag']}), {report['events_folded']} event(s) "
-              f"folded, converged={report['converged']}")
-        if not report["converged"]:
-            failed = True
+    for report in reports:
+        print(f"{report['name']}: from_wal landed at generation "
+              f"{report['generation']}, {report['events_folded']} event(s) "
+              f"folded, digest matches the writer's: {report['converged']}")
     total_folded = sum(r["events_folded"] for r in reports)
-    if failed or total_folded == 0:
+    if (
+        not all(r["converged"] for r in reports)
+        or reports[-1]["generation"] != final_generation
+        or total_folded == 0
+    ):
         print("replication demo FAILED", file=sys.stderr)
         return 1
-    print(f"replication demo OK: {len(reports)} replica(s) byte-identical "
-          f"at generation {final_generation}, "
+    print(f"replication demo OK: {len(reports)} replica process(es) "
+          f"bootstrapped from the WAL, byte-identical to the writer, "
           f"{total_folded} event(s) folded")
     return 0
 

@@ -30,9 +30,9 @@ Quickstart::
     feed = service.changefeed()        # replayable JSON events
                                        # (see docs/event-schema.md)
 
-    # Out-of-process read replicas (see docs/replication.md):
+    # Read replicas (see docs/replication.md):
     snap = service.snapshot()          # durable artifact; snap.save(path)
-    replica = ReplicaView(atg, InProcessTransport(service))
+    replica = ReplicaView(atg, service)
     replica.bootstrap()                # snapshot + gapless changefeed attach
     replica.wait_for(snap.generation)  # read-your-generation fencing
     replica.xpath("course[cno=CS650]/prereq/course")
@@ -70,11 +70,8 @@ from repro.subscribe import (
 )
 from repro.replica import (
     SNAPSHOT_SCHEMA_VERSION,
-    InProcessTransport,
     ReplicaView,
-    ReplicationServer,
     Snapshot,
-    SocketTransport,
 )
 from repro.changefeed import ChangefeedConsumer, ChangefeedHub, ReplayBuffer
 from repro.dtd import DTD, parse_dtd
@@ -147,9 +144,6 @@ __all__ = [
     "Snapshot",
     "SNAPSHOT_SCHEMA_VERSION",
     "ReplicaView",
-    "InProcessTransport",
-    "ReplicationServer",
-    "SocketTransport",
     "ChangefeedError",
     "EventDecodeError",
     "ReplayGapError",

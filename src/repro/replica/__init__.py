@@ -1,8 +1,8 @@
-"""Out-of-process read replicas for a published XML view.
+"""Read replicas for a published XML view: a snapshot plus ΔV events.
 
 The writer stays exactly what it was — one :class:`~repro.service.facade.ViewService`
-maintaining the view incrementally — and this package adds the fan-out
-story around it, in three layers:
+maintaining the view incrementally — and a replica is its ΔV stream
+folded onto a snapshot, in two layers:
 
 - **snapshot protocol** (:mod:`repro.replica.snapshot`) —
   ``service.snapshot()`` produces a generation-stamped, schema-versioned
@@ -10,18 +10,18 @@ story around it, in three layers:
   view config and provenance metadata) with a lossless gzip-compressed
   ``save``/``load`` round-trip;
 - **bootstrap + fold** (:mod:`repro.replica.view`) — a
-  :class:`ReplicaView` loads a snapshot at generation ``g``, attaches
-  ``changefeed(since=g)`` gaplessly, folds each event's
+  :class:`ReplicaView` loads a snapshot at generation ``g`` from its
+  writer, attaches ``changefeed(since=g)`` gaplessly, folds each event's
   :class:`~repro.subscribe.delta.EdgeRecord` list (with the
   :class:`~repro.subscribe.delta.NodeRecord` interning side channel for
   nodes unseen at snapshot time) into a full mirrored
   :class:`~repro.views.store.ViewStore`, and serves ``xpath()`` locally
-  with read-your-generation fencing (``replica.wait_for(gen)``);
-- **transport** (:mod:`repro.replica.transport`) — pluggable:
-  :class:`InProcessTransport` for tests and same-process mirrors,
-  :class:`ReplicationServer`/:class:`SocketTransport` speaking
-  length-prefixed JSON frames over TCP for real out-of-process replicas
-  (see ``examples/replication_demo.py`` and ``python -m repro.replica``).
+  with read-your-generation fencing (``replica.wait_for(gen)``).
+
+A replica in another process needs no connection to the writer: it
+bootstraps from a saved snapshot file (``ReplicaView.from_snapshot``,
+``python -m repro.replica --snapshot``) or from the writer's WAL
+directory (``ReplicaView.from_wal``, see ``examples/replication_demo.py``).
 
 Semantics in one paragraph: the changefeed's event stream is *complete*
 (``docs/event-schema.md``) — node bindings are immutable once interned
@@ -37,19 +37,11 @@ from repro.replica.snapshot import (
     Snapshot,
     atg_fingerprint,
 )
-from repro.replica.transport import (
-    InProcessTransport,
-    ReplicationServer,
-    SocketTransport,
-)
 from repro.replica.view import ReplicaView
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "Snapshot",
     "atg_fingerprint",
-    "InProcessTransport",
-    "ReplicationServer",
-    "SocketTransport",
     "ReplicaView",
 ]

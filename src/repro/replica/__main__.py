@@ -1,47 +1,32 @@
-"""Run or inspect a read replica from the command line.
+"""Inspect a snapshot artifact or serve reads from it on the command line.
 
-Three modes::
+Two offline modes::
 
     # Inspect a snapshot artifact's envelope (no workload needed):
     python -m repro.replica --inspect snapshots/view.pkl.gz
 
-    # Serve reads from a local artifact (no writer connection):
+    # Serve reads from a local artifact:
     python -m repro.replica --snapshot snapshots/view.pkl.gz \\
         --workload registrar --query "course[cno=CS650]/prereq/course"
 
-    # Live replica: bootstrap over TCP and fold until generation N:
-    python -m repro.replica --connect 127.0.0.1:7007 \\
-        --workload registrar --until 40
-
 The ``--workload`` flag names the view definition the replica constructs
 for itself (view definitions are code, not data); the snapshot's
-embedded ATG fingerprint is verified against it at bootstrap.  Exit
-status: 0 on success, 2 on usage/environment errors (bad address,
-unreadable artifact, fingerprint mismatch, timeout).
+embedded ATG fingerprint is verified against it at bootstrap.  A live
+replica is a library object (``ReplicaView(atg, service)``), and one
+that follows a writer from another process bootstraps from its WAL
+directory (``ReplicaView.from_wal``).  Exit status: 0 on success, 2 on
+usage/environment errors (unreadable artifact, fingerprint mismatch).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.errors import ReproError
 from repro.replica.snapshot import Snapshot
-from repro.replica.transport import SocketTransport
 from repro.replica.view import ReplicaView
 from repro.workloads import named_workload
-
-
-def _parse_address(text: str) -> tuple[str, int]:
-    """Split ``HOST:PORT`` (IPv4/hostname) into its parts."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ReproError(f"--connect expects HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ReproError(f"bad port in --connect address {text!r}") from None
 
 
 def _serve_queries(replica: ReplicaView, queries: list[str]) -> None:
@@ -58,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.replica",
-        description="Run or inspect an out-of-process view read replica.",
+        description="Inspect a view snapshot artifact or serve reads from it.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
@@ -69,12 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--snapshot",
         metavar="PATH",
-        help="bootstrap from a local artifact (no writer connection)",
-    )
-    mode.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="bootstrap from a live ReplicationServer and fold its feed",
+        help="bootstrap a frozen replica from a local artifact",
     )
     parser.add_argument(
         "--workload",
@@ -88,59 +68,16 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         help="XPath to evaluate on the replica (repeatable)",
     )
-    parser.add_argument(
-        "--until",
-        type=int,
-        default=None,
-        metavar="GEN",
-        help="with --connect: fold until this generation, then exit "
-        "(default: fold until the writer's head at attach time)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="with --connect: seconds to wait for --until (default 30)",
-    )
     args = parser.parse_args(argv)
     try:
         if args.inspect:
             print(Snapshot.load(args.inspect).describe())
             return 0
         atg, _db = named_workload(args.workload)
-        if args.snapshot:
-            snapshot = Snapshot.load(args.snapshot)
-            replica = ReplicaView.from_snapshot(atg, snapshot)
-            print(snapshot.describe())
-            _serve_queries(replica, args.query)
-            return 0
-        host, port = _parse_address(args.connect)
-        transport = SocketTransport(host, port)
-        replica = ReplicaView(atg, transport)
-        started = replica.bootstrap()
-        target = args.until if args.until is not None else transport.head()
-        print(
-            f"bootstrapped at generation {started}; folding to {target}"
-        )
-        deadline = time.monotonic() + args.timeout
-        while replica.generation < target:
-            if time.monotonic() > deadline:
-                print(
-                    f"timeout: replica at generation {replica.generation}, "
-                    f"target {target}",
-                    file=sys.stderr,
-                )
-                return 2
-            replica.pump(timeout=0.25)
-        stats = replica.stats()
-        print(
-            f"replica at generation {stats['generation']}: "
-            f"{stats['nodes']} nodes / {stats['edges']} edges, "
-            f"{stats['events_folded']} event(s) folded, "
-            f"lag {replica.lag()}; digest {replica.digest()[:12]}"
-        )
+        snapshot = Snapshot.load(args.snapshot)
+        replica = ReplicaView.from_snapshot(atg, snapshot)
+        print(snapshot.describe())
         _serve_queries(replica, args.query)
-        replica.close()
         return 0
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,13 @@ metadata.  A replica that restores the store and then folds
 ``changefeed(since=snapshot.generation)`` is gapless by construction.
 
 The artifact is a JSON-safe dict wrapped in a versioned envelope, so the
-same payload travels equally well as a gzip-compressed pickle on disk
-(``save``/``load``, the ``snapshots/*.pkl.gz`` discipline) and as a JSON
-frame over a socket (``to_json``/``from_json``).  The view definition
-(ATG) is deliberately **not** serialized — view definitions are code,
-not data — the artifact instead embeds :func:`atg_fingerprint` so a
-loader constructing its own ATG can verify it matches the writer's.
+same payload is a gzip-compressed pickle on disk (``save``/``load``, the
+``snapshots/*.pkl.gz`` discipline), the ``snapshot`` of every WAL
+checkpoint, and one JSON document (``to_json``/``from_json``).  The
+view definition (ATG) is deliberately **not** serialized — view
+definitions are code, not data — the artifact instead embeds
+:func:`atg_fingerprint` so a loader constructing its own ATG can verify
+it matches the writer's.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class Snapshot:
         )
 
     def to_json(self) -> str:
-        """One compact JSON object (the socket transport's wire unit)."""
+        """The envelope as one JSON document (sorted keys)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod

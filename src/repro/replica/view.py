@@ -1,8 +1,12 @@
-"""The replica: bootstrap from a snapshot, fold the changefeed, serve reads.
+"""The replica: bootstrap from a snapshot, fold ΔV events, serve reads.
 
 A :class:`ReplicaView` owns a mirrored :class:`~repro.views.store.ViewStore`
 and keeps it converged with the writer by folding published
-:class:`~repro.subscribe.delta.ViewEvent` objects in generation order:
+:class:`~repro.subscribe.delta.ViewEvent` objects in generation order.
+The snapshot and the events come from the writer
+:class:`~repro.service.facade.ViewService` itself (``snapshot()``, then
+``changefeed(since=g)``) or from its WAL directory
+(:meth:`ReplicaView.from_wal`).  Folding one event:
 
 1. install every :class:`~repro.subscribe.delta.NodeRecord` (the
    interning side channel — id ↔ ``(element, sem)`` bindings for nodes
@@ -18,8 +22,9 @@ and keeps it converged with the writer by folding published
 Folding is strict — an event referencing unknown state raises
 :class:`~repro.errors.ReplicaDivergedError` rather than papering over a
 gap — and coarse events (store rebuilds) raise
-:class:`~repro.errors.ReplicaStaleError`, which the background fold loop
-answers by re-bootstrapping from a fresh snapshot.  Reads run the same
+:class:`~repro.errors.ReplicaStaleError`; :meth:`ReplicaView.pump` and
+the background fold loop answer both by re-bootstrapping from a fresh
+snapshot.  Reads run the same
 :class:`~repro.core.dag_eval.DagXPathEvaluator` as the writer, against a
 lazily rebuilt topological order (no reachability index — descendant
 regions fall back to edge walks, the writer's own mid-batch strategy).
@@ -45,6 +50,11 @@ from repro.views.store import ViewStore
 from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
 
+#: How many snapshot+attach rounds :meth:`ReplicaView.bootstrap` tries
+#: before giving up (each :class:`~repro.errors.ReplayGapError` retries
+#: with a fresh snapshot at or past ``oldest_available``).
+MAX_BOOTSTRAP_ATTEMPTS = 5
+
 
 class ReplicaView:
     """A read-only mirror of one published view, fed by the changefeed.
@@ -55,33 +65,17 @@ class ReplicaView:
         The view definition σ.  Replicas construct their own ATG (view
         definitions are code, not data); it is verified against the
         snapshot's embedded fingerprint at bootstrap.
-    transport:
-        Where snapshots and events come from: an
-        :class:`~repro.replica.transport.InProcessTransport` around a
-        local service, or a
-        :class:`~repro.replica.transport.SocketTransport` to a
-        :class:`~repro.replica.transport.ReplicationServer`.
-    auto_rebootstrap:
-        Whether the background fold loop answers staleness (a coarse
-        event, a replay gap) with a fresh bootstrap instead of stopping
-        with the error recorded on :attr:`error`.
-    max_bootstrap_attempts:
-        How many snapshot+attach rounds :meth:`bootstrap` tries before
-        giving up (each :class:`~repro.errors.ReplayGapError` retries
-        with a fresh snapshot at or past ``oldest_available``).
+    writer:
+        The :class:`~repro.service.facade.ViewService` being mirrored:
+        :meth:`bootstrap` takes its ``snapshot()`` and attaches
+        ``changefeed(since=snapshot.generation)``, :meth:`lag` reads
+        ``stats()["generation"]``.  ``None`` for a frozen mirror
+        (:meth:`from_snapshot`, :meth:`from_wal`).
     """
 
-    def __init__(
-        self,
-        atg: ATG,
-        transport,
-        auto_rebootstrap: bool = True,
-        max_bootstrap_attempts: int = 5,
-    ):
+    def __init__(self, atg: ATG, writer):
         self.atg = atg
-        self.transport = transport
-        self.auto_rebootstrap = auto_rebootstrap
-        self.max_bootstrap_attempts = max_bootstrap_attempts
+        self.writer = writer
         self._cond = threading.Condition()
         self._stop = False
         self._thread: threading.Thread | None = None
@@ -106,12 +100,12 @@ class ReplicaView:
     def from_snapshot(cls, atg: ATG, snapshot) -> "ReplicaView":
         """An offline replica serving reads from a loaded artifact.
 
-        No transport, no feed — the mirror is frozen at
+        No writer, no feed — the mirror is frozen at
         ``snapshot.generation``.  Useful for point-in-time queries over
         a saved ``snapshots/*.pkl.gz`` artifact
         (``python -m repro.replica --snapshot PATH``).
         """
-        replica = cls(atg, transport=None)
+        replica = cls(atg, writer=None)
         store = snapshot.restore_store(atg)
         with replica._cond:
             replica.store = store
@@ -127,8 +121,8 @@ class ReplicaView:
         no truncation, no cleanup), restores the newest checkpoint's
         snapshot, and folds every logged event past it — landing the
         mirror at the log's last durable generation without any writer
-        process running.  No transport, no feed; the mirror is frozen
-        until the caller supplies one.
+        process running.  No writer, no feed; the mirror is frozen
+        there (:meth:`apply_event` folds anything the caller supplies).
         """
         from repro.replica.snapshot import Snapshot
         from repro.wal.log import WriteAheadLog
@@ -162,16 +156,15 @@ class ReplicaView:
         """
         floor_needed = 0
         last_gap: ReplayGapError | None = None
-        for _ in range(self.max_bootstrap_attempts):
-            snapshot = self.transport.snapshot()
+        for _ in range(MAX_BOOTSTRAP_ATTEMPTS):
+            snapshot = self.writer.snapshot()
             if snapshot.generation < floor_needed:
-                # The transport handed back a snapshot older than the
-                # writer's replay floor (e.g. a cached artifact); an
-                # attach would only raise the same gap again.
+                # Still older than the writer's replay floor; an attach
+                # would only raise the same gap again.
                 continue
             store = snapshot.restore_store(self.atg)
             try:
-                feed = self.transport.subscribe(snapshot.generation)
+                feed = self.writer.changefeed(since=snapshot.generation)
             except ReplayGapError as exc:
                 floor_needed = exc.oldest_available
                 last_gap = exc
@@ -188,7 +181,7 @@ class ReplicaView:
                 self._cond.notify_all()
             return snapshot.generation
         raise ReplicaStaleError(
-            f"could not bootstrap within {self.max_bootstrap_attempts} "
+            f"could not bootstrap within {MAX_BOOTSTRAP_ATTEMPTS} "
             f"attempts: snapshots kept trailing the writer's replay floor "
             f"({floor_needed})"
         ) from last_gap
@@ -222,13 +215,22 @@ class ReplicaView:
             self._cond.notify_all()
             return True
 
+    def _fold(self, event: ViewEvent) -> bool:
+        """:meth:`apply_event`, answering a stale or diverged mirror with
+        a fresh :meth:`bootstrap` (which counts as advancing)."""
+        try:
+            return self.apply_event(event)
+        except (ReplicaStaleError, ReplicaDivergedError):
+            self.bootstrap()
+            return True
+
     def pump(self, timeout: float = 0.0) -> int:
         """Fold every event currently available on the feed (foreground).
 
         ``timeout`` is the per-event wait passed to the feed; ``0.0``
         drains without blocking.  Returns the number of events folded.
-        Staleness is handled like the background loop: re-bootstrap when
-        :attr:`auto_rebootstrap` is set, raise otherwise.
+        Staleness and divergence are handled like the background loop:
+        re-bootstrap from a fresh snapshot.
         """
         folded = 0
         while True:
@@ -238,21 +240,15 @@ class ReplicaView:
             event = feed.next_event(timeout=timeout)
             if event is None:
                 return folded
-            try:
-                if self.apply_event(event):
-                    folded += 1
-            except ReplicaStaleError:
-                if not self.auto_rebootstrap:
-                    raise
-                self.bootstrap()
+            if self._fold(event):
                 folded += 1
 
     def start(self) -> threading.Thread:
         """Fold the feed on a daemon thread until :meth:`close`.
 
-        Staleness (coarse events, replay gaps) triggers a re-bootstrap
-        when :attr:`auto_rebootstrap` is set; a terminal error lands on
-        :attr:`error` and stops the loop.  Returns the thread.
+        Staleness and divergence trigger a re-bootstrap; a terminal
+        error (a failed re-bootstrap included) lands on :attr:`error`
+        and stops the loop.  Returns the thread.
         """
         if self.store is None:
             self.bootstrap()
@@ -283,16 +279,10 @@ class ReplicaView:
             if event is None:
                 continue
             try:
-                self.apply_event(event)
-            except (ReplicaStaleError, ReplicaDivergedError) as exc:
-                if not self.auto_rebootstrap:
-                    self.error = exc
-                    return
-                try:
-                    self.bootstrap()
-                except Exception as boot_exc:  # noqa: BLE001
-                    self.error = boot_exc
-                    return
+                self._fold(event)
+            except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+                self.error = exc
+                return
 
     # -- reads --------------------------------------------------------------------
 
@@ -335,8 +325,8 @@ class ReplicaView:
             return self.generation
 
     def lag(self) -> int:
-        """Generations behind the writer (via the transport's head)."""
-        return max(0, self.transport.head() - self.generation)
+        """Generations behind the writer (its ``stats()["generation"]``)."""
+        return max(0, self.writer.stats()["generation"] - self.generation)
 
     # -- state --------------------------------------------------------------------
 

@@ -1,9 +1,16 @@
 """Focused tests for smaller internals: the XPath compiler, predicate
-rendering, the bench CSV writer, report truncation, and the
-engine seam (no package reaches into the updater's private state)."""
+rendering, the bench CSV writer, report truncation, the engine seam
+(no package reaches into the updater's private state) and the absence
+of any network surface."""
 
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.bench.__main__ import _write_csv
 from repro.core.dag_eval import _compile
@@ -194,3 +201,33 @@ class TestEngineSeam:
         assert seen["apply"][0] == 1
         assert seen["apply"][2], "the event must carry the edge changes"
         assert seen["apply"] == seen["plan"] == seen["direct"]
+
+
+def test_no_network_surface():
+    """A replica is a snapshot plus ΔV events from its writer or its WAL
+    directory: nothing in the package opens a socket, so importing it
+    loads no network module and the retired transport names are gone."""
+    import repro
+    import repro.replica
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.replica; "
+         "print(sorted({'socket', 'selectors'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "[]"
+    importers = [
+        str(path.relative_to(src))
+        for path in sorted((src / "repro").rglob("*.py"))
+        if re.search(r"^\s*import socket\b", path.read_text(encoding="utf-8"),
+                     re.MULTILINE)
+    ]
+    assert importers == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.replica.transport")
+    retired = {"InProcessTransport", "ReplicationServer", "SocketTransport"}
+    assert retired.isdisjoint(repro.__all__)
+    assert retired.isdisjoint(repro.replica.__all__)

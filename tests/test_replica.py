@@ -13,8 +13,8 @@ The contract under test (normative doc: ``docs/replication.md``):
 - reads are fenced (``wait_for``), strict (divergence raises), and
   recover from staleness (coarse events, replay gaps) by
   re-bootstrapping — using ``ReplayGapError.oldest_available``;
-- the socket transport carries snapshots, events and typed errors
-  end-to-end.
+- ``python -m repro.replica`` is the two offline modes over a snapshot
+  artifact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.errors import (
     ReplicaDivergedError,
     ReplicaError,
     ReplicaStaleError,
-    ReplayGapError,
     ReproError,
     SnapshotError,
     SnapshotMismatchError,
@@ -37,13 +36,11 @@ from repro.errors import (
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.replica import (
     SNAPSHOT_SCHEMA_VERSION,
-    InProcessTransport,
     ReplicaView,
-    ReplicationServer,
     Snapshot,
-    SocketTransport,
     atg_fingerprint,
 )
+from repro.replica.__main__ import main as replica_cli
 from repro.service import ViewConfig, open_view
 from repro.subscribe import NodeRecord, ViewEvent, coalesce
 from repro.subscribe.delta import EdgeRecord
@@ -237,7 +234,7 @@ class TestStoreExportImport:
 class TestReplicaFold:
     def test_bootstrap_then_fold_converges(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         assert replica.bootstrap() == 0
         for op in OPS:
             service.apply(op)
@@ -247,7 +244,7 @@ class TestReplicaFold:
 
     def test_batches_undo_and_base_updates_fold(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
         with service.batch() as batch:
             batch.apply(OPS[0])
@@ -267,7 +264,7 @@ class TestReplicaFold:
         service.changefeed().close()  # retain from generation 0
         service.apply(OPS[0])
         service.apply(OPS[1])
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         started = replica.bootstrap()
         assert started == service.stats()["generation"]
         service.apply(OPS[2])
@@ -276,7 +273,7 @@ class TestReplicaFold:
 
     def test_replay_overlap_is_ignored(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
         service.apply(OPS[0])
         event = replica._feed.next_event(timeout=1.0)
@@ -286,18 +283,19 @@ class TestReplicaFold:
 
     def test_coarse_event_raises_stale(self):
         service = registrar_service()
-        replica = ReplicaView(
-            service.atg, InProcessTransport(service), auto_rebootstrap=False
-        )
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
+        with service._lock.write():
+            service.updater.rebuild_structures_only()  # publishes coarse
+        event = replica._feed.next_event(timeout=1.0)
+        assert event.coarse
         with pytest.raises(ReplicaStaleError):
-            replica.apply_event(
-                ViewEvent(generation=99, coarse=True, reason="rebuild")
-            )
+            replica.apply_event(event)
+        assert replica.generation == 0  # nothing folded
 
     def test_unknown_endpoint_raises_diverged(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
         rogue = ViewEvent(
             generation=99,
@@ -308,7 +306,7 @@ class TestReplicaFold:
 
     def test_reads_require_bootstrap(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         with pytest.raises(ReplicaError):
             replica.xpath("course")
         with pytest.raises(ReplicaError):
@@ -333,13 +331,14 @@ class TestReplicaFold:
 
     def test_wait_for_fences_background_folding(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.start()  # bootstraps and folds on a daemon thread
         for op in OPS:
             service.apply(op)
         generation = service.stats()["generation"]
         assert replica.wait_for(generation, timeout=10.0) >= generation
         assert_converged(service, replica)
+        assert replica.lag() == 0
         with pytest.raises(TimeoutError):
             replica.wait_for(generation + 50, timeout=0.05)
         replica.close()
@@ -347,7 +346,7 @@ class TestReplicaFold:
 
     def test_stats_shape(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
         stats = replica.stats()
         assert stats["generation"] == 0
@@ -360,11 +359,11 @@ class TestReplicaFold:
 # ---------------------------------------------------------------------------
 
 
-class _StaleSnapshotTransport(InProcessTransport):
-    """Serves one pre-captured (stale) snapshot before going live."""
+class _StaleSnapshotWriter:
+    """The service, except that its first snapshot is a stale one."""
 
     def __init__(self, service, stale):
-        super().__init__(service)
+        self.service = service
         self._stale = stale
         self.snapshots_served = 0
 
@@ -373,7 +372,13 @@ class _StaleSnapshotTransport(InProcessTransport):
         if self._stale is not None:
             stale, self._stale = self._stale, None
             return stale
-        return super().snapshot()
+        return self.service.snapshot()
+
+    def changefeed(self, since):
+        return self.service.changefeed(since=since)
+
+    def stats(self):
+        return self.service.stats()
 
 
 class TestRebootstrap:
@@ -384,12 +389,12 @@ class TestRebootstrap:
         for _ in range(4):  # overflow the 2-event replay buffer
             service.apply(OPS[0])
             service.apply(OPS[1])
-        transport = _StaleSnapshotTransport(service, stale)
-        replica = ReplicaView(service.atg, transport)
+        writer = _StaleSnapshotWriter(service, stale)
+        replica = ReplicaView(service.atg, writer)
         replica.bootstrap()
         # First attempt hit the gap; the retry demanded a snapshot at or
         # past ReplayGapError.oldest_available and succeeded.
-        assert transport.snapshots_served == 2
+        assert writer.snapshots_served == 2
         assert replica.snapshots_loaded == 1
         replica.pump()
         assert_converged(service, replica)
@@ -402,19 +407,17 @@ class TestRebootstrap:
             service.apply(OPS[0])
             service.apply(OPS[1])
 
-        class AlwaysStale(InProcessTransport):
+        class AlwaysStale(_StaleSnapshotWriter):
             def snapshot(self):
                 return stale
 
-        replica = ReplicaView(
-            service.atg, AlwaysStale(service), max_bootstrap_attempts=3
-        )
+        replica = ReplicaView(service.atg, AlwaysStale(service, stale))
         with pytest.raises(ReplicaStaleError):
             replica.bootstrap()
 
     def test_coarse_event_triggers_auto_rebootstrap(self):
         service = registrar_service()
-        replica = ReplicaView(service.atg, InProcessTransport(service))
+        replica = ReplicaView(service.atg, service)
         replica.bootstrap()
         service.apply(OPS[0])
         with service._lock.write():
@@ -424,67 +427,42 @@ class TestRebootstrap:
         assert replica.snapshots_loaded == 2
         assert_converged(service, replica)
 
+    def test_divergence_triggers_rebootstrap(self):
+        service = registrar_service()
+        replica = ReplicaView(service.atg, service)
+        replica.bootstrap()
+        replica.store = ViewStore(service.atg)  # a mirror that drifted
+        service.apply(OPS[0])
+        replica.pump()
+        assert replica.snapshots_loaded == 2
+        assert_converged(service, replica)
+
 
 # ---------------------------------------------------------------------------
-# The socket transport
+# The command line: offline modes only
 # ---------------------------------------------------------------------------
 
 
-class TestSocketTransport:
-    def test_snapshot_head_subscribe_and_typed_gap(self):
-        service = registrar_service(changefeed_retention=2)
-        service.changefeed().close()
-        with ReplicationServer(service) as server:
-            transport = SocketTransport(*server.address)
-            assert transport.head() == 0
-            snapshot = transport.snapshot()
-            local = service.snapshot()
-            assert snapshot.generation == local.generation
-            assert snapshot.store_state == local.store_state
-            assert snapshot.config == local.config
-            replica = ReplicaView(service.atg, transport)
-            replica.start()
-            for op in OPS:
-                service.apply(op)
-            generation = service.stats()["generation"]
-            assert replica.wait_for(generation, timeout=10.0) >= generation
-            assert_converged(service, replica)
-            assert replica.lag() == 0
-            # Overflow retention: the gap crosses the wire typed, with
-            # oldest_available intact.
-            for _ in range(4):
-                service.apply(OPS[0])
-                service.apply(OPS[1])
-            with pytest.raises(ReplayGapError) as info:
-                transport.subscribe(0)
-            assert info.value.oldest_available == info.value.floor > 0
-            replica.close()
+class TestReplicaCli:
+    def test_inspect_and_snapshot_modes(self, tmp_path, capsys):
+        service = registrar_service()
+        service.apply(OPS[0])
+        path = str(tmp_path / "view.pkl.gz")
+        service.snapshot().save(path)
+        assert replica_cli(["--inspect", path]) == 0
+        assert "snapshot generation 1:" in capsys.readouterr().out
+        query = "course[cno=CS650]/prereq/course"
+        assert replica_cli(["--snapshot", path, "--query", query]) == 0
+        expected = sorted(service.xpath(query).targets)
+        assert f"[gen 1] {query} -> {expected}" in capsys.readouterr().out
 
-    def test_socket_replica_rebootstraps_over_the_wire(self):
-        service = registrar_service(changefeed_retention=2)
-        service.changefeed().close()
-        with ReplicationServer(service) as server:
-            stale = service.snapshot()
-            for _ in range(4):
-                service.apply(OPS[0])
-                service.apply(OPS[1])
-
-            class StaleOnce(SocketTransport):
-                def __init__(self):
-                    super().__init__(*server.address)
-                    self._stale = stale
-
-                def snapshot(self):
-                    if self._stale is not None:
-                        snap, self._stale = self._stale, None
-                        return snap
-                    return super().snapshot()
-
-            replica = ReplicaView(service.atg, StaleOnce())
-            replica.bootstrap()
-            replica.pump(timeout=0.3)
-            assert_converged(service, replica)
-            replica.close()
+    def test_connect_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            replica_cli(
+                ["--connect", "127.0.0.1:1", "--workload", "registrar"]
+            )
+        assert usage.value.code == 2
+        assert "usage: python -m repro.replica" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +519,14 @@ def test_replicas_converge_byte_identically(stream):
     final generation, and their local xpath() answers match the writer's
     for the whole query panel."""
     service = registrar_service()
-    replica_0 = ReplicaView(service.atg, InProcessTransport(service))
+    replica_0 = ReplicaView(service.atg, service)
     replica_0.bootstrap()
     replica_mid = None
 
     midpoint = len(stream) // 2
     for position, item in enumerate(stream):
         if position == midpoint:
-            replica_mid = ReplicaView(
-                service.atg, InProcessTransport(service)
-            )
+            replica_mid = ReplicaView(service.atg, service)
             replica_mid.bootstrap()
         if isinstance(item, tuple) and item[0] == "abort":
             plan = service.plan(item[1])
@@ -559,7 +535,7 @@ def test_replicas_converge_byte_identically(stream):
         else:
             service.apply(item)
     if replica_mid is None:  # single-op streams have no midpoint
-        replica_mid = ReplicaView(service.atg, InProcessTransport(service))
+        replica_mid = ReplicaView(service.atg, service)
         replica_mid.bootstrap()
 
     replica_0.pump()
