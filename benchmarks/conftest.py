@@ -82,7 +82,6 @@ def fresh_updater(n_c: int, seed: int = 42):
         dataset.db,
         side_effect_policy=SideEffectPolicy.PROPAGATE,
         strict=False,
-        sat_solver="auto",
     )
     return updater, dataset
 

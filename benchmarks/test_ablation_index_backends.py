@@ -22,7 +22,6 @@ from conftest import OPS_PER_CLASS, SIZES, fresh_updater, record_bench
 
 from repro.baselines import SetReachabilityIndex
 from repro.index import BitsetReachabilityIndex
-from repro.relview.insert import reset_fresh_counter
 from repro.workloads.queries import make_workload
 
 #: The Fig. 11 |C| configurations (bench/experiments.py DEFAULT_SIZES);
@@ -115,7 +114,6 @@ def test_batch_session_amortizes_maintenance():
     n_c = SIZES[-1]
     ops = None
 
-    reset_fresh_counter()
     sequential, dataset = fresh_updater(n_c)
     ops = [
         op
@@ -126,7 +124,6 @@ def test_batch_session_amortizes_maintenance():
     for op in ops:
         seq_maintain += sequential.apply_op(op).timings.get("maintain", 0.0)
 
-    reset_fresh_counter()
     batched, _ = fresh_updater(n_c)
     runs_before = batched.maintenance_runs
     with batched.batch() as session:

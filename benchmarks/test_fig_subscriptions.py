@@ -26,7 +26,6 @@ import time
 import pytest
 from conftest import SIZES, record_bench
 
-from repro.relview.insert import reset_fresh_counter
 from repro.service import ViewConfig, open_view
 from repro.workloads import REGISTRAR_QUERIES, make_query_set, make_workload
 from repro.workloads.registrar import build_registrar
@@ -40,7 +39,6 @@ LARGEST = max(SIZES)
 
 
 def _service(dataset):
-    reset_fresh_counter()
     return open_view(
         dataset.atg,
         dataset.db,

@@ -15,14 +15,12 @@ from __future__ import annotations
 from conftest import SIZES, record_bench
 
 from repro.ops import BaseUpdateOp
-from repro.relview.insert import reset_fresh_counter
 from repro.service import ViewConfig, open_view
 from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 
 def _fresh_service(n_c: int):
-    reset_fresh_counter()
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=42))
     service = open_view(
         dataset.atg,

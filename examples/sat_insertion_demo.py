@@ -7,8 +7,9 @@ unintended row.  The translator:
 1. builds tuple templates from the edge view's equality closure (the key
    parts are pinned by key preservation);
 2. sweeps every view for symbolic derivations that would be side effects;
-3. encodes the constraints into CNF and runs WalkSAT (the paper's solver;
-   DPLL is the complete fallback);
+3. encodes the constraints into CNF and solves it (the service runs
+   DPLL; the last step runs WalkSAT, the paper's solver, on the same
+   kind of instance);
 4. instantiates the templates from the model.
 
 The demo shows the machinery choosing ``dept ≠ 'CS'`` for a course that
@@ -18,6 +19,9 @@ Run:  python examples/sat_insertion_demo.py
 """
 
 from repro import InsertOp, open_view
+from repro.atg.publisher import publish_subtree
+from repro.core.translate import xinsert
+from repro.relview.insert import translate_insertions
 from repro.workloads.registrar import build_registrar
 
 
@@ -61,6 +65,19 @@ def main() -> None:
         )
     except Exception as exc:
         print(f"  -> rejected: {exc}")
+
+    # -- 4. the paper's solver on a fresh instance -----------------------------
+    print("\nthe same insertion as 1, translated with WalkSAT")
+    atg, db = build_registrar()
+    paper = open_view(atg, db).updater
+    result = paper.evaluate_xpath("//course[cno=CS240]/prereq")
+    subtree = publish_subtree(atg, db, paper.store, "course", ("CS101", "Intro"))
+    delta_v = xinsert(paper.store, result.targets, subtree)
+    plan = translate_insertions(
+        paper.registry, paper.store, db, delta_v, solver="walksat"
+    )
+    for op in plan.delta_r:
+        print(f"  ΔR ({plan.solver}): {op.kind} {op.relation}{op.row}")
 
     print("\nConsistency:", service.check_consistency() or "OK")
 

@@ -38,7 +38,6 @@ def _updater_for(n_c: int, seed: int = 42) -> tuple[ViewService, object]:
         config=ViewConfig(
             side_effects="propagate",
             strict=False,
-            sat_solver="auto",
         ),
     )
     return service, dataset

@@ -181,7 +181,7 @@ class UpdatePlan:
         with self.outcome.timed("translate_r"):
             return translate_insertions(
                 updater.registry, updater.store, updater.db, ins_delta,
-                solver=updater.sat_solver, rng=updater.rng,
+                fresh=updater.fresh_sequence,
             )
 
     def _plan_insert(self, op: InsertOp) -> None:

@@ -27,7 +27,7 @@ those names, ``UpdatePlan`` and ``UpdateSession``.
 
 from __future__ import annotations
 
-import random
+import itertools
 from contextlib import nullcontext
 
 from repro.atg.model import ATG
@@ -81,8 +81,6 @@ class XMLViewUpdater:
     side_effect_policy:
         ``ABORT`` (default) raises/reports on side effects; ``PROPAGATE``
         carries on under the revised semantics.
-    sat_solver:
-        ``'walksat'`` | ``'dpll'`` | ``'auto'`` for insertion translation.
     strict:
         When True, rejections raise; when False they return an
         unaccepted :class:`UpdateOutcome` (benchmarks use False).
@@ -102,20 +100,18 @@ class XMLViewUpdater:
         atg: ATG,
         db: Database,
         side_effect_policy: SideEffectPolicy = SideEffectPolicy.ABORT,
-        sat_solver: str = "auto",
         strict: bool = True,
         verify_each_update: bool = False,
-        rng: random.Random | None = None,
         store: ViewStore | None = None,
         generation: int = 0,
     ):
         self.atg = atg
         self.db = db
         self.policy = side_effect_policy
-        self.sat_solver = sat_solver
         self.strict = strict
         self.verify_each_update = verify_each_update
-        self.rng = rng or random.Random(20070415)
+        self.fresh_sequence = itertools.count(1)
+        """Numbers the fresh values insertion translation mints (from 1)."""
         self.validator = StaticValidator(atg.dtd)
         self.store: ViewStore = store if store is not None else publish_store(atg, db)
         self.topo: TopoOrder = TopoOrder.from_store(self.store)

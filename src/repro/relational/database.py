@@ -32,6 +32,8 @@ class Table:
         # and appended to / deleted from together with ``_rows``, every
         # bucket is a subsequence of ``rows()`` order with no sorting.
         self._indexes: dict[str, dict[object, dict[tuple, tuple]]] = {}
+        # attr -> the largest int the column has held (see int_ceiling).
+        self._int_ceilings: dict[str, int] = {}
 
     # -- size / membership ----------------------------------------------------
 
@@ -69,6 +71,10 @@ class Table:
         self._rows[key] = row
         for attr, index in self._indexes.items():
             index.setdefault(row[self.schema.index_of(attr)], {})[key] = row
+        for attr, ceiling in self._int_ceilings.items():
+            value = row[self.schema.index_of(attr)]
+            if isinstance(value, int) and value > ceiling:
+                self._int_ceilings[attr] = value
         return row
 
     def delete_by_key(self, key: tuple) -> tuple:
@@ -151,8 +157,28 @@ class Table:
             if all(row[position] == value for position, value in checks)
         ]
 
+    def int_ceiling(self, attr: str) -> int:
+        """An int no smaller than any int ``attr`` holds (at least 0).
+
+        The running maximum of the column: one pass over :meth:`rows` on
+        first use, raised by :meth:`insert` after that.  A delete never
+        lowers it — every value above it is still absent from the
+        column, which is all a caller minting fresh values needs.
+        """
+        ceiling = self._int_ceilings.get(attr)
+        if ceiling is None:
+            position = self.schema.index_of(attr)  # validates
+            ceiling = 0
+            for row in self.rows():
+                value = row[position]
+                if isinstance(value, int) and value > ceiling:
+                    ceiling = value
+            self._int_ceilings[attr] = ceiling
+        return ceiling
+
     def copy(self) -> "Table":
-        """Deep-enough copy (rows are immutable tuples); indexes rebuild."""
+        """Deep-enough copy (rows are immutable tuples); indexes and
+        ceilings rebuild."""
         clone = Table(self.schema)
         clone._rows = dict(self._rows)
         return clone
@@ -306,9 +332,10 @@ class Database:
     def load_state(self, state: dict) -> None:
         """Replace every table's rows with :meth:`export_state` output.
 
-        The schemas of the *existing* tables are kept (their indexes are
-        dropped and rebuild on the next probe) — like a replica's ATG,
-        the schema is constructed by code and only the data is restored.
+        The schemas of the *existing* tables are kept (their indexes and
+        int ceilings are dropped and rebuild on the next probe) — like a
+        replica's ATG, the schema is constructed by code and only the
+        data is restored.
         A state naming a relation this database does not define raises
         :class:`~repro.errors.SchemaError`; rows are validated against
         each table's schema as they are inserted.
@@ -328,6 +355,7 @@ class Database:
             rows = tables.get(name, [])
             table._rows.clear()
             table._indexes.clear()
+            table._int_ceilings.clear()
             for row in rows:
                 table.insert(tuple(row))
 

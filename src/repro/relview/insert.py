@@ -33,17 +33,23 @@ insertions ``ΔR`` via SAT, in five stages:
 4. **SAT.**  Variables get finite domains (their type's domain for BOOL;
    the constants of their connected component plus fresh "distinct"
    tokens for infinite types — a sound and complete finite abstraction
-   for equality constraints).  The formula is encoded to CNF and handed
-   to WalkSAT; optionally DPLL decides it completely.
+   for equality constraints).  The formula is encoded to CNF and decided
+   by DPLL: complete, deterministic, and cheap because the encoding's
+   size depends on ``|ΔV|`` and ``|Q|``, not on the database.  WalkSAT,
+   the paper's solver, stays selectable (``solver='walksat'``) for
+   comparison; it may give up on a satisfiable instance.
 
 5. **ΔR.**  A model instantiates the new templates; fresh tokens decode
-   to values outside the active domain.
+   to values outside the active domain, numbered by the caller's
+   sequence (the updater owns one, so a result never depends on what
+   another view in the process did before).
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.errors import UpdateRejectedError
 from repro.relational.conditions import Col, Const, Eq
@@ -108,14 +114,15 @@ def translate_insertions(
     store: ViewStore,
     db: Database,
     delta_v: ViewDelta,
-    solver: str = "walksat",
-    rng: random.Random | None = None,
+    solver: str = "dpll",
+    fresh: Iterator[int] | None = None,
 ) -> InsertionPlan:
     """Run Algorithm insert for the insertions in ``ΔV``.
 
-    ``solver`` is ``'walksat'`` (the paper's choice; may give up on
-    satisfiable instances), ``'dpll'`` (complete) or ``'auto'``
-    (WalkSAT first, DPLL on give-up).
+    ``solver`` is ``'dpll'`` (complete; what the updater runs) or
+    ``'walksat'`` (the paper's choice, kept for comparison; may give up
+    on satisfiable instances).  ``fresh`` numbers the fresh values ΔR
+    mints (default: a new sequence from 1).
 
     Raises :class:`UpdateRejectedError` on definite side effects, on an
     unsatisfiable/unsolved encoding, or on inconsistent targets.
@@ -168,13 +175,16 @@ def translate_insertions(
         )
 
     formula = fd_and(*formula_parts)
-    valuation = _solve(formula, _all_atoms(assertions, derivations), solver, rng, plan)
+    valuation = _solve(formula, _all_atoms(assertions, derivations), solver, plan)
     if valuation is None:
         raise UpdateRejectedError(
             f"no side-effect-free instantiation found (solver: {plan.solver})"
         )
 
-    concrete = _decode_valuation(db, valuation, plan.new_templates)
+    concrete = _decode_valuation(
+        db, valuation, plan.new_templates,
+        itertools.count(1) if fresh is None else fresh,
+    )
     for template in plan.new_templates:
         plan.delta_r.insert(template.relation, template.instantiate(concrete))
     return plan
@@ -417,8 +427,8 @@ def _sweep_side_effects(
     for view in registry.views():
         derivations.extend(_sweep_view(view, db, new_by_relation))
     # The set is order-free; the list (like each derivation's atoms)
-    # feeds CNF clause order, hence the seeded WalkSAT run — its flip
-    # count, its model and the fresh values in ΔR.  Make it canonical.
+    # feeds CNF clause order, hence the solver's search — its work, its
+    # model and the fresh values in ΔR.  Make it canonical.
     derivations.sort(
         key=lambda d: (d.view_name, repr(d.row), list(map(repr, d.atoms)))
     )
@@ -566,7 +576,6 @@ def _solve(
     formula,
     atoms: list[Atom],
     solver: str,
-    rng: random.Random | None,
     plan: InsertionPlan,
 ) -> dict[SymVar, object] | None:
     """Encode and solve; return a valuation of the symbolic variables."""
@@ -582,15 +591,13 @@ def _solve(
     )
     plan.num_vars = encoding.cnf.num_vars
     plan.num_clauses = len(encoding.cnf)
-    assignment = None
-    used = solver
-    if solver in ("walksat", "auto"):
-        assignment = walksat_solve(encoding.cnf, rng=rng or random.Random(7))
-        used = "walksat"
-    if assignment is None and solver in ("dpll", "auto"):
+    if solver == "dpll":
         assignment = dpll_solve(encoding.cnf)
-        used = "dpll"
-    plan.solver = used
+    elif solver == "walksat":
+        assignment = walksat_solve(encoding.cnf)
+    else:
+        raise ValueError(f"solver must be 'dpll' or 'walksat', got {solver!r}")
+    plan.solver = solver
     if assignment is None:
         return None
     decoded = encoding.decode(assignment)
@@ -659,23 +666,12 @@ def _sym_domains(
 # Stage 5: decode
 # ---------------------------------------------------------------------------
 
-_fresh_counter = [0]
-
-
-def reset_fresh_counter(value: int = 0) -> None:
-    """Reset the process-wide fresh-value sequence.
-
-    Determinism hook for tests and benchmarks that compare two identical
-    runs in one process (fresh values stay domain-safe for any counter
-    start: integers are offset by the relation's current maximum).
-    """
-    _fresh_counter[0] = value
-
 
 def _decode_valuation(
     db: Database,
     valuation: dict[SymVar, object],
     new_templates: list[Template],
+    fresh: Iterator[int],
 ) -> dict[SymVar, object]:
     """Turn fresh tokens into concrete values outside the active domain.
 
@@ -690,30 +686,34 @@ def _decode_valuation(
     for var in sorted(needed_vars, key=lambda v: v.name):
         value = valuation.get(var)
         if value is None:
-            value = _fresh_value(db, var)
+            value = _fresh_value(db, var, fresh)
         elif isinstance(value, str) and value.startswith("__fresh_"):
             token = value
             if token not in token_values:
-                token_values[token] = _fresh_value(db, var)
+                token_values[token] = _fresh_value(db, var, fresh)
             value = token_values[token]
         concrete[var] = value
     return concrete
 
 
-def _fresh_value(db: Database, var: SymVar):
-    """A value of the right type guaranteed outside the active domain."""
-    _fresh_counter[0] += 1
-    seq = _fresh_counter[0]
-    if var.attr_type is AttrType.INT:
-        table = db.table(var.relation)
-        index = table.schema.index_of(var.attr)
-        top = 0
-        for row in table.rows():
-            if isinstance(row[index], int):
-                top = max(top, row[index])
-        return top + 1_000_000 + seq
-    if var.attr_type is AttrType.FLOAT:
-        return 1e12 + seq
+def _fresh_value(db: Database, var: SymVar, fresh: Iterator[int]):
+    """A value of the right type guaranteed outside the active domain.
+
+    An INT lies above the column's :meth:`~Table.int_ceiling`.  A FLOAT
+    or STR takes the next sequence number whose value the column does
+    not hold: the sequence restarts with every updater (a recovered
+    service, a second view over the same database), the column does not.
+    """
     if var.attr_type is AttrType.BOOL:
         return False
-    return f"zz_fresh_{seq}"
+    table = db.table(var.relation)
+    if var.attr_type is AttrType.INT:
+        return table.int_ceiling(var.attr) + 1_000_000 + next(fresh)
+    while True:
+        seq = next(fresh)
+        if var.attr_type is AttrType.FLOAT:
+            value = 1e12 + seq
+        else:
+            value = f"zz_fresh_{seq}"
+        if not table.lookup([var.attr], [value]):
+            return value

@@ -2,22 +2,20 @@
 
 :class:`ViewConfig` consolidates the knobs that were previously
 scattered over the :class:`~repro.core.updater.XMLViewUpdater`
-constructor (side-effect policy, SAT solver, strictness,
-per-update verification, RNG seed) into a single frozen, serializable
-dataclass — the shape a deployment config or a service registry wants.
+constructor (side-effect policy, strictness, per-update verification)
+and the service's own (changefeed retention, the WAL) into a single
+frozen, serializable dataclass — the shape a deployment config or a
+service registry wants.  Nothing selects a SAT solver or seeds an RNG:
+insertion translation runs DPLL, which is complete and deterministic.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, fields
 
 from repro.changefeed.hub import DEFAULT_RETENTION
 from repro.core.updater import SideEffectPolicy
 from repro.errors import ReproError
-
-#: Default RNG seed (the paper's submission date, as in the updater).
-DEFAULT_SEED = 20070415
 
 
 @dataclass(frozen=True)
@@ -30,17 +28,12 @@ class ViewConfig:
         ``'abort'`` (default) rejects updates with XML side effects;
         ``'propagate'`` applies them at every occurrence (the paper's
         revised semantics).
-    sat_solver:
-        ``'auto'`` | ``'walksat'`` | ``'dpll'`` for insertion translation.
     strict:
         When True (default) rejections raise; when False they come back
         as unaccepted outcomes (the benchmark setting).
     verify_each_update:
         Re-verify against a republish after every update (tests only —
         O(|V|) per update).
-    seed:
-        Seed for the SAT translation RNG; a fixed seed makes two
-        identically configured services produce identical ΔR.
     changefeed_retention:
         How many published events the changefeed's replay buffer keeps
         (``service.changefeed(since=...)`` can resume from any retained
@@ -70,10 +63,8 @@ class ViewConfig:
     """
 
     side_effects: str = "abort"
-    sat_solver: str = "auto"
     strict: bool = True
     verify_each_update: bool = False
-    seed: int = DEFAULT_SEED
     changefeed_retention: int = DEFAULT_RETENTION
     wal_dir: str | None = None
     wal_fsync: str = "batch"
@@ -86,11 +77,6 @@ class ViewConfig:
             raise ReproError(
                 f"side_effects must be 'abort' or 'propagate', "
                 f"got {self.side_effects!r}"
-            )
-        if self.sat_solver not in ("auto", "walksat", "dpll"):
-            raise ReproError(
-                f"sat_solver must be 'auto', 'walksat' or 'dpll', "
-                f"got {self.sat_solver!r}"
             )
         if self.changefeed_retention < 1:
             raise ReproError(
@@ -131,10 +117,6 @@ class ViewConfig:
             if self.side_effects == "abort"
             else SideEffectPolicy.PROPAGATE
         )
-
-    def make_rng(self) -> random.Random:
-        """A fresh RNG seeded with :attr:`seed` (one per service)."""
-        return random.Random(self.seed)
 
     # -- wire format --------------------------------------------------------------
 

@@ -116,10 +116,8 @@ class ViewService:
             atg,
             db,
             side_effect_policy=self.config.policy,
-            sat_solver=self.config.sat_solver,
             strict=self.config.strict,
             verify_each_update=self.config.verify_each_update,
-            rng=self.config.make_rng(),
             store=recovered_store,
             # New commits extend the logged generation sequence.
             generation=recovered_generation,

@@ -22,7 +22,6 @@ from repro.core import dag_eval
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.index import build_index
 from repro.core.topo import TopoOrder
-from repro.relview.insert import reset_fresh_counter
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.ast import (
     DescendantStep,
@@ -169,7 +168,6 @@ def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
     ops = list(generate_ops(spec))
     sweeps.clear()  # generation drives a shadow view through the same code
     dataset = build_synthetic(SyntheticConfig(n_c=60, seed=1))
-    reset_fresh_counter()
     service = open_view(
         dataset.atg, dataset.db,
         config=ViewConfig(side_effects="propagate", strict=False),

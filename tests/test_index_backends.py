@@ -57,7 +57,7 @@ class TestFactory:
         for package in (repro, repro.index):
             for retired in ("BACKENDS", "make_index", "resolve_backend"):
                 assert not hasattr(package, retired)
-        assert len(dataclasses.fields(ViewConfig)) == 11
+        assert len(dataclasses.fields(ViewConfig)) == 9
         with pytest.raises(TypeError, match="index_backend"):
             ViewConfig(index_backend="sets")
         with pytest.raises(

@@ -3,6 +3,8 @@ maintenance algorithms under randomized update sequences."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +14,15 @@ from repro.core.dag_eval import DagXPathEvaluator
 from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xdelete
-from repro.core.updater import SideEffectPolicy, XMLViewUpdater
+from repro.core.updater import PlanState, SideEffectPolicy, XMLViewUpdater
 from repro.errors import UpdateRejectedError
+from repro.relview import insert as insert_module
 from repro.relview.delete import expand_view_deletions, translate_deletions
+from repro.sat.dpll import dpll_solve
+from repro.sat.walksat import walksat_solve
 from repro.views.registry import build_registry
 from repro.workloads.registrar import build_registrar
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
 from repro.ops import DeleteOp, InsertOp
 
@@ -156,3 +162,90 @@ def test_maintenance_equals_recompute_after_random_updates(spec, ops):
         for child in updater.store.children_of(node):
             assert updater.topo.position(child) < updater.topo.position(node)
     assert updater.check_consistency() == []
+
+
+def _solved_cnfs(updater, ops):
+    """Plan each op; return (cnf, DPLL model) for every solve it ran."""
+    solves = []
+
+    def spy(cnf):
+        model = dpll_solve(cnf)
+        solves.append((cnf, model))
+        return model
+
+    with mock.patch.object(insert_module, "dpll_solve", spy):
+        for op in ops:
+            plan = updater.plan(op)
+            if plan.state is PlanState.PLANNED:
+                plan.abort()
+    return solves
+
+
+def _check_solves(solves):
+    for cnf, model in solves:
+        if model is not None:
+            assert all(
+                any(model[abs(lit)] == (lit > 0) for lit in clause)
+                for clause in cnf.clauses
+            )
+        else:
+            # WalkSAT answers only with a model: where DPLL proves UNSAT,
+            # the WalkSAT-then-DPLL ladder DPLL replaced rejected too.
+            assert walksat_solve(cnf, max_flips=2_000, max_restarts=3) is None
+
+
+@given(
+    registrar_instances(),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from(["new", "existing"]),
+            st.integers(min_value=0, max_value=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_dpll_models_satisfy_registrar_insertions(spec, inserts):
+    atg, db = build_instance(spec)
+    n_courses = spec[0]
+    updater = XMLViewUpdater(atg, db, strict=False)
+    ops = []
+    for index, (parent, kind, child) in enumerate(inserts):
+        path = f"//course[cno=C{parent % n_courses:02d}]/prereq"
+        if kind == "new":
+            ops.append(InsertOp(path, "course", (f"N{index:02d}", "new")))
+        else:
+            cno = f"C{child % n_courses:02d}"
+            ops.append(InsertOp(path, "course", (cno, f"t{child % n_courses}")))
+    _check_solves(_solved_cnfs(updater, ops))
+
+
+@given(
+    st.integers(min_value=30, max_value=80),
+    st.integers(min_value=0, max_value=50),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_dpll_models_satisfy_synthetic_insertions(n_c, seed, parents):
+    """New-key inserts under ``//cnode[key=k]/sub``, the e2e write shape."""
+    dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
+    updater = XMLViewUpdater(dataset.atg, dataset.db, strict=False)
+    store = updater.store
+    keys = sorted(
+        store.sem_of(node)[0] for node in store.nodes()
+        if store.type_of(node) == "cnode"
+    )
+    ops = [
+        InsertOp(
+            f"//cnode[key={keys[parent % len(keys)]}]/sub", "cnode",
+            (n_c + 1 + i, "new"),
+        )
+        for i, parent in enumerate(parents)
+    ]
+    solves = _solved_cnfs(updater, ops)
+    assert solves, "new-key insertions reach the solver"
+    _check_solves(solves)

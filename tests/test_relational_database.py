@@ -95,6 +95,27 @@ class TestTable:
         assert len(table) == 3
         assert len(clone) == 4
 
+    def test_int_ceiling_is_a_running_maximum(self, table):
+        assert table.int_ceiling("id") == 3
+        table.insert((7, "x"))
+        assert table.int_ceiling("id") == 7
+        table.delete_by_key((7,))  # never lowered: 8 and up stay fresh
+        assert table.int_ceiling("id") == 7
+        assert table.copy().int_ceiling("id") == 3
+        with pytest.raises(SchemaError):
+            table.int_ceiling("nope")
+
+    def test_int_ceiling_of_an_empty_table_is_zero(self):
+        assert Table(emp_schema()).int_ceiling("id") == 0
+
+    def test_load_state_resets_the_int_ceiling(self):
+        db = Database()
+        db.create_table(emp_schema())
+        db.insert("emp", (50, "a"))
+        assert db.table("emp").int_ceiling("id") == 50
+        db.load_state({"tables": {"emp": [[4, "b"]]}})
+        assert db.table("emp").int_ceiling("id") == 4
+
 
 class TestDatabase:
     def test_create_and_lookup(self):

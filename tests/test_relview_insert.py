@@ -135,13 +135,13 @@ class TestNewSubtree:
             env, "course[cno=CS650]/prereq", "course", ("CS903", "Stats")
         )
         plan = translate_insertions(registry, store, db, delta_v)
-        assert plan.solver in ("walksat", "dpll", "trivial")
+        assert plan.solver in ("dpll", "trivial")
         assert plan.derivations_checked >= 1
         assert len(plan.new_templates) == 2  # course + prereq tuples
 
     def test_solver_modes_agree(self, env):
         atg, db, registry, store, _ = env
-        for solver in ("walksat", "dpll", "auto"):
+        for solver in ("walksat", "dpll"):
             atg2, db2 = build_registrar()
             registry2 = build_registry(atg2, db2)
             store2 = publish_store(atg2, db2)
@@ -178,11 +178,9 @@ class TestSweepFollowsTheJoinGraph:
         from repro import InsertOp
         from repro.core.updater import XMLViewUpdater
         from repro.relational.query import SPJQuery
-        from repro.relview.insert import reset_fresh_counter
         from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
         dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=1))
-        reset_fresh_counter()
         updater = XMLViewUpdater(dataset.atg, dataset.db)
         if tables is not None:  # same view, another table-declaration order
             view = updater.registry.view("sub", "cnode")
@@ -238,13 +236,13 @@ from repro.core.updater import XMLViewUpdater
 from repro.relview import insert as insert_module
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-solve = insert_module.walksat_solve
+solve = insert_module.dpll_solve
 
-def spy(cnf, **kwargs):
+def spy(cnf):
     print(cnf.num_vars, [tuple(clause) for clause in cnf.clauses])
-    return solve(cnf, **kwargs)
+    return solve(cnf)
 
-insert_module.walksat_solve = spy
+insert_module.dpll_solve = spy
 dataset = build_synthetic(SyntheticConfig(n_c=120, seed=1))
 updater = XMLViewUpdater(dataset.atg, dataset.db)
 op = InsertOp(
@@ -256,9 +254,9 @@ updater.plan(op).abort()
 
 def test_cnf_does_not_depend_on_the_hash_seed():
     """A derivation's atoms are a set of dataclasses over strings; in set
-    order the clause order — and with it the seeded WalkSAT run's flip
-    count (8 ms to 4 s for one op of the e2e ``mixed`` pool) — varied
-    with PYTHONHASHSEED."""
+    order the clause order — and with it the solver's search (a seeded
+    WalkSAT run once took 8 ms to 4 s for one op of the e2e ``mixed``
+    pool) — varied with PYTHONHASHSEED."""
     import os
     import subprocess
     import sys

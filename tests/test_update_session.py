@@ -234,9 +234,6 @@ def _interleaved_batch_then_undo(index_class):
     them, and the undo resurrects collected subtrees — any stale row
     aliasing shows up as a divergence from the reference's M.
     """
-    from repro.relview.insert import reset_fresh_counter
-
-    reset_fresh_counter()
     dataset, updater = _synthetic_updater(n_c=70, seed=11,
                                           index_class=index_class)
     deletes = make_workload(dataset, "delete", "W2", count=3)

@@ -19,7 +19,6 @@ import pytest
 from repro.core.updater import PlanState
 from repro.errors import PlanError, ReproError, StalePlanError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
-from repro.relview.insert import reset_fresh_counter
 from repro.service import ViewConfig, ViewService, open_view
 from repro.workloads.queries import make_workload
 from repro.workloads.registrar import build_registrar
@@ -94,10 +93,8 @@ class TestPlanCommitEquivalence:
     @pytest.mark.parametrize("index", range(len(REGISTRAR_OPS)))
     def test_registrar(self, index):
         op = REGISTRAR_OPS[index]
-        reset_fresh_counter()
         a = registrar_service()
         out_apply = a.apply(op)
-        reset_fresh_counter()
         b = registrar_service()
         plan = b.plan(op)
         assert plan.state is PlanState.PLANNED
@@ -107,11 +104,9 @@ class TestPlanCommitEquivalence:
 
     @pytest.mark.parametrize("index", range(3))
     def test_synthetic(self, index):
-        reset_fresh_counter()
         a, dataset_a = synthetic_service(side_effects="propagate")
         op = synthetic_ops(dataset_a)[index]
         out_apply = a.apply(op)
-        reset_fresh_counter()
         b, _ = synthetic_service(side_effects="propagate")
         out_commit = b.plan(op).commit()
         assert_equivalent(out_apply, out_commit, a, b)
@@ -211,7 +206,6 @@ class TestAbort:
         ],
     )
     def test_abort_leaves_state_byte_identical(self, op):
-        reset_fresh_counter()
         planned = registrar_service()
         untouched = registrar_service()
         plan = planned.plan(op)
@@ -456,16 +450,22 @@ class TestApply:
 
 class TestViewConfig:
     def test_round_trip(self):
-        config = ViewConfig(side_effects="propagate", strict=False, seed=7)
+        config = ViewConfig(side_effects="propagate", strict=False)
         assert ViewConfig.from_dict(config.to_dict()) == config
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ReproError):
             ViewConfig(side_effects="maybe")
-        with pytest.raises(ReproError):
-            ViewConfig(sat_solver="magic")
         with pytest.raises(ReproError, match="unknown ViewConfig"):
             ViewConfig.from_dict({"nope": 1})
+
+    def test_solver_and_seed_are_not_fields(self):
+        # Insertion translation runs DPLL, which needs no seed.
+        for retired in ({"sat_solver": "auto"}, {"seed": 7}):
+            with pytest.raises(ReproError, match="unknown ViewConfig"):
+                ViewConfig.from_dict(retired)
+            with pytest.raises(TypeError):
+                ViewConfig(**retired)
 
     def test_policy_mapping(self):
         from repro.core.updater import SideEffectPolicy
