@@ -135,57 +135,26 @@ class SetReachabilityIndex(ReachabilityIndex):
             if ancestors:
                 self.set_ancestors(node, ancestors)
 
-    def extend_ancestors(self, node: int, parents: Iterable[int]) -> int:
-        rows = self._anc
-        gained: set[int] = set()
-        for parent in parents:
-            gained.add(parent)
-            row = rows.get(parent)
-            if row:
-                gained |= row
-        old = rows.get(node)
-        if old is not None:
-            gained -= old
-        if not gained:
-            return 0
-        if old is None:
-            rows[node] = set(gained)
-        else:
-            old |= gained
-        mirror = self._desc
-        for anc in gained:
-            mirror.setdefault(anc, set()).add(node)
-        self._pairs += len(gained)
-        return len(gained)
-
-    def add_cross_pairs(
-        self, upper: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        uppers = set(upper)
-        if not uppers:
+    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
+        parents = list(parents)
+        missing = set(parents) | self.anc_of_set(parents)
+        missing -= self._anc.get(node, set())
+        if not missing:
             return 0
         rows = self._anc
         mirror = self._desc
         added = 0
-        for node in lower:
-            row = rows.setdefault(node, set())
-            new = uppers - row
+        for desc in {node} | self._desc.get(node, set()):
+            row = rows.setdefault(desc, set())
+            new = missing - row
             if not new:
                 continue
             row |= new
             added += len(new)
             for anc in new:
-                mirror.setdefault(anc, set()).add(node)
+                mirror.setdefault(anc, set()).add(desc)
         self._pairs += added
         return added
-
-    def add_anc_closure_pairs(
-        self, targets: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        targets = list(targets)
-        return self.add_cross_pairs(
-            set(targets) | self.anc_of_set(targets), lower
-        )
 
     def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
         rows = self._anc

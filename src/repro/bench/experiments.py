@@ -263,12 +263,20 @@ def _existing_key(dataset) -> int:
 def fig11h_vary_subtree(
     n_c: int = 1000,
     print_report: bool = True,
+    under_leaf: bool = False,
 ) -> list[dict]:
     """Runtime vs size of the inserted subtree, |r[[p]]| = |Ep(r)| = 1.
 
     Inserting an existing cnode whose subtree hangs deeper in the layer
     hierarchy yields progressively larger ``ST(A, t)`` — layer-7 nodes
     are leaves (small ST), layer-1 nodes root large subtree DAGs.
+
+    The insertion point is one fixed ``sub``.  By default it is a
+    layer-0 one, which already reaches every inserted cnode, so the
+    insert adds no pair to ``M`` (``pairs_added``, the growth of |M|, is
+    0) and Δ(M,L) has nothing to write.  ``under_leaf=True`` takes a
+    leaf-layer ``sub`` that reaches none of them instead, so the insert
+    adds ``anc*(target) × ST`` pairs.
     """
     rows = []
     updater, dataset = _updater_for(n_c)
@@ -280,25 +288,38 @@ def fig11h_vary_subtree(
             continue
         key = store.sem_of(node)[0]
         by_layer.setdefault(dataset.layer_of[key], []).append(key)
+    inserted = {
+        layer: by_layer[layer][0]
+        for layer in range(layers - 1, 0, -1)
+        if by_layer.get(layer)
+    }
+    inserted_nodes = [
+        node for node in store.nodes()
+        if store.type_of(node) == "cnode"
+        and store.sem_of(node)[0] in inserted.values()
+    ]
     target_key = None
-    # One fixed shallow insertion point (a layer-0 sub with children).
     for node in sorted(store.nodes()):
-        if store.type_of(node) == "sub" and dataset.layer_of[
-            store.sem_of(node)[0]
-        ] == 0:
-            target_key = store.sem_of(node)[0]
+        if store.type_of(node) != "sub":
+            continue
+        key = store.sem_of(node)[0]
+        if not under_leaf:
+            if dataset.layer_of[key] == 0:
+                target_key = key
+                break
+        elif dataset.layer_of[key] == layers - 1 and not any(
+            node == n or updater.reach.is_ancestor(n, node)
+            for n in inserted_nodes
+        ):
+            target_key = key
             break
     assert target_key is not None
-    for layer in range(layers - 1, 0, -1):
-        keys = by_layer.get(layer, [])
-        if not keys:
-            continue
-        key = keys[0]
+    path = f"{'//' if under_leaf else ''}cnode[key={target_key}]/sub"
+    for layer, key in inserted.items():
         row_c = dataset.db.table("C").get((key,))
         updater_fresh, dataset_fresh = _updater_for(n_c)
-        outcome = updater_fresh.apply(
-            InsertOp(f"cnode[key={target_key}]/sub", "cnode", (key, row_c[4]))
-        )
+        pairs_before = len(updater_fresh.reach)
+        outcome = updater_fresh.apply(InsertOp(path, "cnode", (key, row_c[4])))
         acc = PhaseAccumulator()
         acc.add(outcome)
         rows.append(
@@ -306,6 +327,7 @@ def fig11h_vary_subtree(
                 "layer": layer,
                 "st_nodes": outcome.stats.get("subtree_nodes", 0),
                 "st_edges": outcome.stats.get("subtree_edges", 0),
+                "pairs_added": len(updater_fresh.reach) - pairs_before,
                 "accepted": outcome.accepted,
                 **acc.as_row(),
             }
@@ -313,11 +335,12 @@ def fig11h_vary_subtree(
     if print_report:
         print(
             format_table(
-                ["layer", "|ST| nodes", "|ST| edges", "xpath", "translate",
-                 "maintain", "ok"],
+                ["layer", "|ST| nodes", "|ST| edges", "ΔM pairs", "xpath",
+                 "translate", "maintain", "ok"],
                 [
-                    [r["layer"], r["st_nodes"], r["st_edges"], r["xpath_s"],
-                     r["translate_s"], r["maintain_s"], r["accepted"]]
+                    [r["layer"], r["st_nodes"], r["st_edges"],
+                     r["pairs_added"], r["xpath_s"], r["translate_s"],
+                     r["maintain_s"], r["accepted"]]
                     for r in rows
                 ],
                 title="Fig. 11(h): varying |ST(A,t)| at |r[[p]]|=1",

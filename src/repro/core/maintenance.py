@@ -9,21 +9,34 @@ sessions (:meth:`repro.core.updater.XMLViewUpdater.batch`) split the
 insert side: the ``L`` steps eagerly per update, the ``ΔM`` steps
 (``placed=True``) in one deferred repair for the whole batch.
 
-**Δ(M,L)insert** (after ``insert (A, t) into p``):
+**Δ(M,L)insert** (after ``insert (A, t) into p``) pays for the pairs
+the insert adds, not for the size of ``ST(A, t)``.  DAG compression
+shares most of ``ST`` with the existing view, and by the invariant of
+``M`` the closure below an already-interned node is in ``M`` already.
+So ``ΔM`` is the closure update for the edges the insert adds, one
+:meth:`~repro.index.ReachabilityIndex.add_closure_below` per edge head
+(the edge-insertion update of Italiano, "Amortized efficiency of a path
+retrieval data structure", TCS 1986):
 
-1. reachability *inside* the inserted subtree DAG via a localized
-   Algorithm Reach (new pairs only — shared regions already have theirs);
-2. cross pairs: every node of ``anc*(r[[p]])`` becomes an ancestor of
-   every node of ``ST(A, t)``;
+1. reachability *inside* ``ST``: for the new nodes only, ancestors
+   first, each edge ``(n, c)`` leaving ``n`` adds ``({n} ∪ anc(n)) ×
+   ({c} ∪ desc(c))`` — a localized Algorithm Reach when ``c`` is new,
+   and the whole shared region below ``c`` when it is not;
+2. cross pairs: the connecting edges ``(u, r_A)`` add ``anc*(r[[p]]) ×
+   ({r_A} ∪ desc(r_A))``, the lower set read from the root's row of
+   ``M`` (all of ``ST`` after part 1) and only the bits missing from
+   ``anc(r_A)`` written — none missing, nothing to do, which is valid
+   because ``anc(d) ⊇ anc(r_A) ∪ {r_A}`` for every ``d`` below ``r_A``;
 3. ``L``: new nodes are placed just after their highest-positioned
    children (children-first processing makes this safe), then the new
    connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as in
    the paper (lines 12–13).
 
-All ``M`` writes go through the bulk operations of
-:class:`~repro.index.ReachabilityIndex` (``extend_ancestors``,
-``add_anc_closure_pairs``, ``retain_ancestors``), which the bitset
-index does whole rows per machine word.
+A sharing insert (no new node) is one call, and it returns at once when
+the targets already reach ``r_A``.  All ``M`` writes go through the bulk
+operations of :class:`~repro.index.ReachabilityIndex`
+(``add_closure_below``, ``retain_ancestors``), which the bitset index
+does whole rows per machine word.
 
 **Δ(M,L)delete** (after ``delete p``, with ``ΔV`` already applied):
 
@@ -147,15 +160,12 @@ def maintain_insert(
     report = InsertMaintenance()
     if not placed:
         report.placed_nodes = place_new_nodes(store, topo, subtree)
-    st_nodes = subtree.all_nodes
-    # ΔM part 1: reachability inside ST(A, t) — a localized Reach over
-    # the subtree DAG, ancestors first.
-    for node in reversed(topo.sort_nodes(st_nodes)):
-        report.added_pairs += reach.extend_ancestors(
-            node, (p for p in store.parents_of(node) if p in st_nodes)
-        )
-    # ΔM part 2: anc*(r[[p]]) × ST nodes.
-    report.added_pairs += reach.add_anc_closure_pairs(targets, st_nodes)
+    # ΔM part 1: the edges leaving the new nodes, ancestors first.
+    for node in reversed(topo.sort_nodes(subtree.new_nodes)):
+        for child in store.children_of(node):
+            report.added_pairs += reach.add_closure_below((node,), child)
+    # ΔM part 2: the connecting edges (u, r_A), below the root's row.
+    report.added_pairs += reach.add_closure_below(targets, subtree.root)
     if not placed:
         report.moved_nodes = repair_topo_after_insert(
             topo, subtree, targets, reach.desc_view(subtree.root)

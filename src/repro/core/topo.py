@@ -139,16 +139,15 @@ class TopoOrder:
         moving = [n for n in segment if n == v or n in descendants_of_v]
         staying = [n for n in segment if n != v and n not in descendants_of_v]
         self._list[pos_u : pos_v + 1] = moving + staying
-        self._reindex(pos_u)
+        self._reindex(pos_u, pos_v + 1)  # positions past v do not move
         return len(moving)
 
-    def _reindex(self, start: int) -> None:
-        if start == 0:
+    def _reindex(self, start: int, stop: int | None = None) -> None:
+        if start == 0 and stop is None:
             self._pos = dict(zip(self._list, range(len(self._list))))
         else:
-            self._pos.update(
-                zip(self._list[start:], range(start, len(self._list)))
-            )
+            stop = len(self._list) if stop is None else stop
+            self._pos.update(zip(self._list[start:stop], range(start, stop)))
 
     # -- validation (test helper) ------------------------------------------------------
 

@@ -14,8 +14,8 @@ dict of ``set`` rows).
 
 Besides the point queries/mutations the interface carries the *bulk*
 operations the hot loops are written against — ``recompute`` (Algorithm
-Reach), ``extend_ancestors`` / ``add_anc_closure_pairs`` (Δ(M,L)insert),
-``retain_ancestors`` (Δ(M,L)delete) and ``anc_of_set`` / ``desc_of_set``
+Reach), ``add_closure_below`` (Δ(M,L)insert), ``retain_ancestors``
+(Δ(M,L)delete) and ``anc_of_set`` / ``desc_of_set``
 / ``desc_mask_of_set`` (region queries) — so an implementation does
 them in its own representation instead of per-pair calls.
 
@@ -128,32 +128,18 @@ class ReachabilityIndex(ABC):
         """
 
     @abstractmethod
-    def extend_ancestors(self, node: int, parents: Iterable[int]) -> int:
-        """Add ``{p} ∪ anc(p)`` for every parent to ``node``'s ancestors.
+    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
+        """Close ``M`` over the new edges ``(p, node)``, ``p`` in parents.
 
-        The localized-Reach step of Δ(M,L)insert.  Never removes pairs;
-        returns the number of pairs newly added.
-        """
-
-    @abstractmethod
-    def add_cross_pairs(
-        self, upper: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        """Set bit (a, d) for every ``a`` in upper, ``d`` in lower.
-
-        The cross-product step of Δ(M,L)insert (``anc*(r[[p]]) ×
-        ST(A, t)``).  Returns the number of pairs newly added.
-        """
-
-    @abstractmethod
-    def add_anc_closure_pairs(
-        self, targets: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        """``add_cross_pairs(targets ∪ anc_of_set(targets), lower)``.
-
-        Fused so the upper closure is formed in the implementation's
-        own representation (the bitset index never materializes it as a
-        Python set).
+        Adds ``anc*(parents) × ({node} ∪ desc(node))``, where
+        ``anc*(parents)`` is the parents and their ancestors — the
+        edge-insertion step of Δ(M,L)insert.  Only the bits of
+        ``anc*(parents)`` missing from ``anc(node)`` are written: ``M``
+        is transitively closed, so every ``d`` in ``desc(node)`` already
+        has ``anc(node) ∪ {node}``, and when nothing is missing the call
+        returns at once.  The edges must not close a cycle (no parent in
+        ``{node} ∪ desc(node)``).  Never removes pairs; returns the
+        number of pairs newly added.
         """
 
     @abstractmethod

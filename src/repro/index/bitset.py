@@ -172,64 +172,30 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         self._desc = desc
         self._pairs = pairs
 
-    def extend_ancestors(self, node: int, parents: Iterable[int]) -> int:
+    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
         rows = self._anc
-        mask = 0
+        get = rows.get
+        upper = 0
         for parent in parents:
-            mask |= (1 << parent) | rows.get(parent, 0)
-        old = rows.get(node, 0)
-        added = mask & ~old
-        if not added:
+            upper |= (1 << parent) | get(parent, 0)
+        missing = upper & ~get(node, 0)
+        if not missing:
             return 0
-        rows[node] = old | added
-        mirror = self._desc
-        get = mirror.get
-        bit = 1 << node
-        m = added
-        while m:
-            low = m & -m
-            anc = low.bit_length() - 1
-            mirror[anc] = get(anc, 0) | bit
-            m ^= low
-        count = added.bit_count()
-        self._pairs += count
-        return count
-
-    def add_cross_pairs(
-        self, upper: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        return self._add_cross_mask(mask_of(upper), lower)
-
-    def add_anc_closure_pairs(
-        self, targets: Iterable[int], lower: Iterable[int]
-    ) -> int:
-        rows = self._anc
-        upper_mask = 0
-        for target in targets:
-            upper_mask |= (1 << target) | rows.get(target, 0)
-        return self._add_cross_mask(upper_mask, lower)
-
-    def _add_cross_mask(self, upper_mask: int, lower: Iterable[int]) -> int:
-        if not upper_mask:
-            return 0
-        rows = self._anc
+        lower = self._desc.get(node, 0) | (1 << node)
         added = 0
-        lower_mask = 0
-        for node in lower:
-            lower_mask |= 1 << node
-            old = rows.get(node, 0)
-            new = upper_mask & ~old
+        for desc in iter_bits(lower):
+            old = get(desc, 0)
+            new = missing & ~old
             if new:
-                rows[node] = old | new
+                rows[desc] = old | new
                 added += new.bit_count()
-        if added:
-            # The mirror OR is idempotent: bits already present were
-            # mirror-consistent before, so blanket-ORing the lower mask
-            # into every upper row lands exactly on the new state.
-            mirror = self._desc
-            for anc in iter_bits(upper_mask):
-                mirror[anc] = mirror.get(anc, 0) | lower_mask
-            self._pairs += added
+        # The mirror OR is idempotent: bits already present were
+        # mirror-consistent before, so blanket-ORing the lower mask into
+        # every missing ancestor's row lands exactly on the new state.
+        mirror = self._desc
+        for anc in iter_bits(missing):
+            mirror[anc] = mirror.get(anc, 0) | lower
+        self._pairs += added
         return added
 
     def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:

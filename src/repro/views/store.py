@@ -74,6 +74,9 @@ class ViewStore:
 
     def __init__(self, atg: ATG):
         self.atg = atg
+        self._pcdata = frozenset(
+            t for t in atg.dtd.types if atg.dtd.is_pcdata(t)
+        )
         self._next_id = 0
         self._intern: dict[tuple[str, tuple], int] = {}
         self.node_type: dict[int, str] = {}
@@ -184,8 +187,7 @@ class ViewStore:
 
     def value_of(self, node: int) -> str | None:
         """String value used by XPath value filters (PCDATA leaves)."""
-        element = self.node_type[node]
-        if self.atg.dtd.is_pcdata(element):
+        if self.node_type[node] in self._pcdata:
             sem = self.node_sem[node]
             if len(sem) >= 1:
                 return str(sem[0])

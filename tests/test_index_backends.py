@@ -127,33 +127,46 @@ class TestNoAliasing:
 @pytest.mark.parametrize("index_class", INDEX_CLASSES)
 class TestBulkOps:
     def test_extend_ancestors(self, index_class):
+        # A node with no descendants yet (a new node of Δ(M,L)insert
+        # part 1): its row is extended from its parents' rows.
         m = index_class()
         m.insert(1, 2)  # anc(2) = {1}
-        added = m.extend_ancestors(4, [2, 3])
+        added = m.add_closure_below([2, 3], 4)
         # gains {2} ∪ anc(2) ∪ {3} ∪ anc(3) = {1, 2, 3}
         assert added == 3
         assert m.anc(4) == {1, 2, 3}
-        assert m.extend_ancestors(4, [2, 3]) == 0  # idempotent
+        assert m.add_closure_below([2, 3], 4) == 0  # idempotent
         assert m.check_invariants() == []
 
-    def test_add_cross_pairs(self, index_class):
+    def test_add_closure_below(self, index_class):
+        # Edge (2, 10) over a closed M: anc*(2) × ({10} ∪ desc(10)).
         m = index_class()
-        m.insert(1, 10)
-        added = m.add_cross_pairs({1, 2}, [10, 11])
-        assert added == 3  # (1,10) pre-existing
-        assert m.anc(10) == {1, 2} and m.anc(11) == {1, 2}
-        assert m.desc(1) == {10, 11} and m.desc(2) == {10, 11}
-        assert m.add_cross_pairs({1, 2}, [10, 11]) == 0
-        assert m.add_cross_pairs(set(), [10]) == 0
+        m.insert(1, 2)
+        m.insert(10, 11)
+        assert m.add_closure_below([2], 10) == 4  # {1, 2} × {10, 11}
+        assert m.anc(10) == {1, 2} and m.anc(11) == {1, 2, 10}
+        assert m.desc(1) == {2, 10, 11} and m.desc(2) == {10, 11}
+        # Two parents at once: anc*(2) ∪ anc*(5) = {1, 2, 5}.
+        m.insert(1, 5)
+        assert m.add_closure_below([2, 5], 12) == 3  # {1, 2, 5} × {12}
+        assert m.add_closure_below([2, 5], 12) == 0
+        assert m.add_closure_below([], 10) == 0
         assert m.check_invariants() == []
 
-    def test_add_anc_closure_pairs(self, index_class):
+    def test_add_closure_below_early_out(self, index_class):
+        # Every parent and its ancestors already reach the node: nothing
+        # below it is read, whatever its descendant rows say.
         m = index_class()
-        m.insert(1, 2)  # anc(2) = {1}
-        added = m.add_anc_closure_pairs([2], [7, 8])
-        # upper = {2} ∪ anc(2) = {1, 2}
-        assert added == 4
-        assert m.anc(7) == {1, 2} and m.anc(8) == {1, 2}
+        for a, d in [(1, 2), (1, 7), (2, 7), (7, 8), (1, 8), (2, 8)]:
+            m.insert(a, d)
+        before = sorted(m.pairs())
+        assert m.add_closure_below([2], 7) == 0
+        assert m.add_closure_below([1, 2], 7) == 0
+        assert sorted(m.pairs()) == before
+        # One missing ancestor (3) is written below the node, and only it.
+        m.insert(3, 2)
+        assert m.add_closure_below([2], 7) == 2  # (3,7) and (3,8)
+        assert m.anc(8) == {1, 2, 3, 7}
         assert m.check_invariants() == []
 
     def test_retain_ancestors(self, index_class):

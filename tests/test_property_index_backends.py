@@ -1,10 +1,10 @@
 """Property-based differential test of the reachability index.
 
 Hypothesis drives random streams of the full mutating ABC surface —
-``insert`` / ``remove`` / ``set_ancestors`` / ``extend_ancestors`` /
-``add_cross_pairs`` / ``add_anc_closure_pairs`` / ``retain_ancestors``
-/ ``drop_node`` / ``recompute`` (Algorithm Reach over a random small
-DAG) — against ``BitsetReachabilityIndex`` in lockstep with the
+``insert`` / ``remove`` / ``set_ancestors`` / ``add_closure_below`` /
+``retain_ancestors`` / ``drop_node`` / ``recompute`` (Algorithm Reach
+over a random small DAG) — against ``BitsetReachabilityIndex`` in
+lockstep with the
 reference ``SetReachabilityIndex`` as the oracle.  After every
 operation the index must return the same value as the oracle, and after
 the stream answer every query — the set forms, ``desc_view`` and
@@ -66,9 +66,7 @@ ops = st.lists(
         st.tuples(st.just("insert"), node, node),
         st.tuples(st.just("remove"), node, node),
         st.tuples(st.just("set_ancestors"), node, nodes),
-        st.tuples(st.just("extend_ancestors"), node, nodes),
-        st.tuples(st.just("add_cross_pairs"), nodes, nodes),
-        st.tuples(st.just("add_anc_closure_pairs"), nodes, nodes),
+        st.tuples(st.just("add_closure_below"), nodes, node),
         st.tuples(st.just("retain_ancestors"), node, nodes),
         st.tuples(st.just("drop_node"), node),
         st.tuples(st.just("recompute"), dag_edges),
@@ -88,18 +86,13 @@ def _apply(index, op):
         n, ancs = rest
         index.set_ancestors(n, {a for a in ancs if a != n})
         return None
-    if kind == "extend_ancestors":
-        n, parents = rest
-        return index.extend_ancestors(n, [p for p in parents if p != n])
-    if kind == "add_cross_pairs":
-        upper, lower = rest
-        return index.add_cross_pairs(upper, set(lower) - set(upper))
-    if kind == "add_anc_closure_pairs":
-        targets, lower = rest
-        # Keep the closure loop-free: lower must not reach back into
-        # the upper closure (mirrors real Δ(M,L)insert subtrees).
-        upper = set(targets) | index.anc_of_set(targets)
-        return index.add_anc_closure_pairs(targets, set(lower) - upper)
+    if kind == "add_closure_below":
+        parents, n = rest
+        # No cycle: a parent must not lie in {n} ∪ desc(n) (mirrors
+        # real Δ(M,L)insert edges).
+        return index.add_closure_below(
+            [p for p in parents if p != n and not index.is_ancestor(n, p)], n
+        )
     if kind == "retain_ancestors":
         n, parents = rest
         return index.retain_ancestors(n, [p for p in parents if p != n])

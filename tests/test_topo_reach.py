@@ -101,6 +101,17 @@ class TestTopoOrder:
         assert moved == 2
         assert topo.as_list() == [7, 3, 1, 2]
 
+    def test_swap_positions_exact_inside_and_past_segment(self):
+        # Only [pos_u, pos_v] is reindexed; positions before and after
+        # it must still be exact.
+        topo = TopoOrder([8, 1, 7, 2, 3, 9, 4])  # u=1, v=3, desc(v)={7}
+        topo.swap(1, 3, {7})
+        assert topo.as_list() == [8, 7, 3, 1, 2, 9, 4]
+        for index, node in enumerate(topo.as_list()):
+            assert topo.position(node) == index
+        topo.insert_at(5, 2)  # and the next mutation starts from them
+        assert [topo.position(n) for n in topo.as_list()] == list(range(8))
+
     def test_swap_noop_when_already_ordered(self):
         topo = TopoOrder([3, 1])
         assert topo.swap(1, 3, set()) == 0
