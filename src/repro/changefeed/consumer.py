@@ -4,15 +4,17 @@ A :class:`ChangefeedConsumer` operates in exactly one of two modes,
 chosen at creation time:
 
 - **callback mode** (``changefeed(on_event=fn)``) — ``fn(event)`` runs
-  synchronously for every published event, *inside the writer's
-  critical section*.  The callback sees the view, the subscription
-  registry and the event in a mutually consistent state, but it must be
-  fast and must not write back into the service — a nested
+  synchronously on the committing thread for every published event,
+  during the pipeline's *publish* phase: after subscription maintenance
+  for the event's generation and after the write lock is released, so
+  the callback never extends the writer's critical section.  It must
+  not write back into the service — a nested
   ``apply``/``plan``/``apply_base_update`` raises
-  :class:`~repro.errors.PlanError` (the write lock is reentrant, so the
-  nested commit would otherwise publish events out of order
-  mid-delivery).  Replayed events are delivered through the same
-  callback during attach.  A live delivery that *raises* detaches the
+  :class:`~repro.errors.PlanError` (the pipeline's delivery guard, not
+  the lock, enforces this, so a nested commit cannot publish events out
+  of order mid-delivery).  Replayed events are delivered through the
+  same callback during attach, under the write lock that ``changefeed()``
+  holds.  A live delivery that *raises* detaches the
   consumer (the exception lands on :attr:`ChangefeedConsumer.error`)
   instead of failing the writer's already-committed update.
 - **pull mode** (the default) — events queue on the consumer;

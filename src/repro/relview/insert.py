@@ -30,14 +30,20 @@ insertions ``ΔR`` via SAT, in five stages:
    unconditional side effect rejects the update outright (case (a) in
    the paper).
 
-4. **SAT.**  Variables get finite domains (their type's domain for BOOL;
-   the constants of their connected component plus fresh "distinct"
-   tokens for infinite types — a sound and complete finite abstraction
-   for equality constraints).  The formula is encoded to CNF and decided
-   by DPLL: complete, deterministic, and cheap because the encoding's
-   size depends on ``|ΔV|`` and ``|Q|``, not on the database.  WalkSAT,
-   the paper's solver, stays selectable (``solver='walksat'``) for
-   comparison; it may give up on a satisfiable instance.
+4. **SAT.**  The constraint is already CNF over equality atoms: each
+   assertion and each atom of a target's derivation is a unit clause,
+   each side-effect derivation one clause of negated atoms.  Variables
+   get finite domains: BOOL its two values, any other type the
+   constants its ``var = var`` component is compared with plus one
+   :class:`~repro.relview.symbolic.FreshToken` per component variable
+   (the variables equal to no constant take at most that many distinct
+   values, so the abstraction is sound and complete for equality
+   constraints).  :func:`~repro.sat.encode.encode_formula` turns the
+   clauses into CNF one for one, and DPLL decides it: complete,
+   deterministic, and cheap because the encoding's size depends on
+   ``|ΔV|`` and ``|Q|``, not on the database.  WalkSAT, the paper's
+   solver, stays selectable (``solver='walksat'``) for comparison; it
+   may give up on a satisfiable instance.
 
 5. **ΔR.**  A model instantiates the new templates; fresh tokens decode
    to values outside the active domain, numbered by the caller's
@@ -62,27 +68,16 @@ from repro.relview.symbolic import (
     AtomVC,
     AtomVV,
     Derivation,
+    FreshToken,
     SymVar,
     Template,
     make_atom,
 )
 from repro.sat.dpll import dpll_solve
-from repro.sat.encode import (
-    FDVar,
-    FFalse,
-    FTrue,
-    VarConst,
-    VarVar,
-    encode_formula,
-    fd_and,
-    fd_not,
-    fd_or,
-)
+from repro.sat.encode import AtomClause, encode_formula
 from repro.sat.walksat import walksat_solve
 from repro.views.registry import EdgeView, EdgeViewRegistry
 from repro.views.store import ViewDelta, ViewStore
-
-_FRESH_POOL = 2  # distinct "anything else" values per component variable
 
 
 @dataclass
@@ -150,23 +145,20 @@ def translate_insertions(
     plan.derivations_checked = len(derivations)
 
     target_rows = {(t.view.name, t.row) for t in targets}
-    formula_parts = [_atom_formula(a) for a in assertions]
+    clauses: list[AtomClause] = [((atom, True),) for atom in assertions]
     covered_targets: set[tuple[str, tuple]] = set()
     for derivation in derivations:
         key = (derivation.view_name, derivation.row)
         if key in target_rows:
             covered_targets.add(key)
-            for atom in derivation.atoms:
-                formula_parts.append(_atom_formula(atom))
+            clauses.extend(((atom, True),) for atom in derivation.atoms)
             continue
         if not derivation.atoms:
             raise UpdateRejectedError(
                 f"insertion causes an unconditional side effect on view "
                 f"{derivation.view_name}: row {derivation.row!r}"
             )
-        formula_parts.append(
-            fd_or(*(fd_not(_atom_formula(a)) for a in derivation.atoms))
-        )
+        clauses.append(tuple((atom, False) for atom in derivation.atoms))
     missing = target_rows - covered_targets
     if missing:
         raise UpdateRejectedError(
@@ -174,8 +166,7 @@ def translate_insertions(
             "from the base data plus the new tuples"
         )
 
-    formula = fd_and(*formula_parts)
-    valuation = _solve(formula, _all_atoms(assertions, derivations), solver, plan)
+    valuation = _solve(clauses, solver, plan)
     if valuation is None:
         raise UpdateRejectedError(
             f"no side-effect-free instantiation found (solver: {plan.solver})"
@@ -557,109 +548,57 @@ def _term_cell(db: Database, query: SPJQuery, partial: dict[str, tuple], term):
 # ---------------------------------------------------------------------------
 
 
-def _atom_formula(atom: Atom):
-    if isinstance(atom, AtomVC):
-        return VarConst(FDVar(atom.var.name), atom.const)
-    return VarVar(FDVar(atom.a.name), FDVar(atom.b.name))
-
-
-def _all_atoms(
-    assertions: list[Atom], derivations: list[Derivation]
-) -> list[Atom]:
-    atoms = list(assertions)
-    for derivation in derivations:
-        atoms.extend(derivation.atoms)
-    return atoms
-
-
 def _solve(
-    formula,
-    atoms: list[Atom],
-    solver: str,
-    plan: InsertionPlan,
+    clauses: list[AtomClause], solver: str, plan: InsertionPlan
 ) -> dict[SymVar, object] | None:
     """Encode and solve; return a valuation of the symbolic variables."""
-    domains, var_index = _build_domains(atoms)
-    if formula is FTrue:
+    if not clauses:
         plan.solver = "trivial"
-        return {var: domain[0] for var, domain in _sym_domains(domains, var_index).items()}
-    if formula is FFalse:
-        plan.solver = "trivial"
-        return None
-    encoding = encode_formula(
-        formula, {FDVar(v.name): d for v, d in _sym_domains(domains, var_index).items()}
+        return {}
+    cnf, decode = encode_formula(
+        clauses, _build_domains([atom for clause in clauses for atom, _ in clause])
     )
-    plan.num_vars = encoding.cnf.num_vars
-    plan.num_clauses = len(encoding.cnf)
+    plan.num_vars = cnf.num_vars
+    plan.num_clauses = len(cnf)
     if solver == "dpll":
-        assignment = dpll_solve(encoding.cnf)
+        assignment = dpll_solve(cnf)
     elif solver == "walksat":
-        assignment = walksat_solve(encoding.cnf)
+        assignment = walksat_solve(cnf)
     else:
         raise ValueError(f"solver must be 'dpll' or 'walksat', got {solver!r}")
     plan.solver = solver
-    if assignment is None:
-        return None
-    decoded = encoding.decode(assignment)
-    valuation: dict[SymVar, object] = {}
-    for var in var_index.values():
-        valuation[var] = decoded[FDVar(var.name)]
-    return valuation
+    return None if assignment is None else decode(assignment)
 
 
-def _build_domains(
-    atoms: list[Atom],
-) -> tuple[dict[str, tuple], dict[str, SymVar]]:
-    """Finite abstraction: per-variable domains from the atom structure."""
-    var_index: dict[str, SymVar] = {}
-    neighbors: dict[str, set[str]] = {}
-    constants: dict[str, set] = {}
+def _build_domains(atoms: list[Atom]) -> dict[SymVar, tuple]:
+    """Finite abstraction: per-variable domains from the atom structure.
+
+    The ``var = var`` atoms group the variables into components.  A BOOL
+    variable ranges over its type; any other ranges over the constants
+    its component is compared with plus ``len(component)`` fresh tokens,
+    enough for every component variable to differ from every constant
+    and from each other.
+    """
+    classes = _UnionFind()
+    constants: dict[SymVar, set] = {}
     for atom in atoms:
         if isinstance(atom, AtomVC):
-            var_index[atom.var.name] = atom.var
-            constants.setdefault(atom.var.name, set()).add(atom.const)
-            neighbors.setdefault(atom.var.name, set())
+            constants.setdefault(atom.var, set()).add(atom.const)
         else:
-            var_index[atom.a.name] = atom.a
-            var_index[atom.b.name] = atom.b
-            neighbors.setdefault(atom.a.name, set()).add(atom.b.name)
-            neighbors.setdefault(atom.b.name, set()).add(atom.a.name)
-            constants.setdefault(atom.a.name, set())
-            constants.setdefault(atom.b.name, set())
-    # Connected components (equality-relevant groups).
-    domains: dict[str, tuple] = {}
-    seen: set[str] = set()
-    for name in sorted(var_index):
-        if name in seen:
-            continue
-        component = [name]
-        seen.add(name)
-        queue = [name]
-        while queue:
-            current = queue.pop()
-            for other in neighbors.get(current, ()):
-                if other not in seen:
-                    seen.add(other)
-                    component.append(other)
-                    queue.append(other)
-        pool: set = set()
-        for member in component:
-            pool |= constants.get(member, set())
-        shared = sorted(pool, key=repr)
-        fresh = [f"__fresh_{i}__{component[0]}" for i in range(len(component) + _FRESH_POOL)]
-        for member in component:
-            var = var_index[member]
-            if var.attr_type is AttrType.BOOL:
-                domains[member] = (False, True)
-            else:
-                domains[member] = tuple(shared) + tuple(fresh)
-    return domains, var_index
-
-
-def _sym_domains(
-    domains: dict[str, tuple], var_index: dict[str, SymVar]
-) -> dict[SymVar, tuple]:
-    return {var_index[name]: domain for name, domain in domains.items()}
+            classes.union(atom.a, atom.b)
+            constants.setdefault(atom.a, set())
+            constants.setdefault(atom.b, set())
+    components: dict[object, list[SymVar]] = {}
+    for var in sorted(constants, key=lambda v: v.name):
+        components.setdefault(classes.find(var), []).append(var)
+    domains: dict[SymVar, tuple] = {}
+    for component in components.values():
+        shared = sorted(set().union(*map(constants.get, component)), key=repr)
+        fresh = [FreshToken(component[0], i) for i in range(len(component))]
+        values = (*shared, *fresh)
+        for var in component:
+            domains[var] = (False, True) if var.attr_type is AttrType.BOOL else values
+    return domains
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +620,16 @@ def _decode_valuation(
     be silently broken.
     """
     concrete: dict[SymVar, object] = {}
-    token_values: dict[str, object] = {}
+    token_values: dict[FreshToken, object] = {}
     needed_vars = {v for t in new_templates for v in t.variables()}
     for var in sorted(needed_vars, key=lambda v: v.name):
         value = valuation.get(var)
         if value is None:
             value = _fresh_value(db, var, fresh)
-        elif isinstance(value, str) and value.startswith("__fresh_"):
-            token = value
-            if token not in token_values:
-                token_values[token] = _fresh_value(db, var, fresh)
-            value = token_values[token]
+        elif isinstance(value, FreshToken):
+            if value not in token_values:
+                token_values[value] = _fresh_value(db, var, fresh)
+            value = token_values[value]
         concrete[var] = value
     return concrete
 

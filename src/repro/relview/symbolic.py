@@ -6,9 +6,8 @@ attribute values are *variables*.  A variable is canonical per
 variable no matter which target edge or derivation mentions it, which
 makes cross-edge consistency automatic.
 
-Conditions are conjunctions of equality atoms between variables and
-constants; they feed the finite-domain encoder
-(:mod:`repro.sat.encode`).
+Conditions are clauses over equality atoms between variables and
+constants; they feed the CNF encoder (:mod:`repro.sat.encode`).
 """
 
 from __future__ import annotations
@@ -40,7 +39,10 @@ class SymVar:
 class FreshToken:
     """Placeholder for "any value distinct from all constants".
 
-    Decoded to a concrete unused value at ΔR extraction time.
+    The ``index``-th fresh value of the equality component whose first
+    variable (in name order) is ``var``.  It compares equal to no
+    constant, and is decoded to a concrete unused value at ΔR extraction
+    time.
     """
 
     var: SymVar

@@ -5,12 +5,13 @@ Walksat.  Walksat is a closed-source external binary, so this package
 reimplements everything from scratch:
 
 - :mod:`repro.sat.cnf` — CNF formulas, literals, assignments;
-- :mod:`repro.sat.dpll` — a complete DPLL solver with unit propagation
-  and pure-literal elimination (used as the oracle in tests, and to
-  distinguish "UNSAT" from "WalkSAT gave up");
+- :mod:`repro.sat.dpll` — a complete, deterministic DPLL solver with
+  unit propagation and pure-literal elimination: the one solver
+  insertion translation runs;
 - :mod:`repro.sat.walksat` — WalkSAT stochastic local search with the
-  classic noise parameter and restarts (the paper's solver);
-- :mod:`repro.sat.encode` — finite-domain equality logic → CNF (direct
+  classic noise parameter and restarts (the paper's solver, kept for
+  comparison);
+- :mod:`repro.sat.encode` — clauses over equality atoms → CNF (direct
   encoding with at-least-one / at-most-one clauses, the construction
   sketched at the end of Section 4.3).
 """
@@ -18,19 +19,7 @@ reimplements everything from scratch:
 from repro.sat.cnf import CNF, Clause, Lit
 from repro.sat.dpll import dpll_solve
 from repro.sat.walksat import walksat_solve
-from repro.sat.encode import (
-    EncodingResult,
-    FDVar,
-    FFalse,
-    FTrue,
-    FdAnd,
-    FdNot,
-    FdOr,
-    Formula,
-    VarConst,
-    VarVar,
-    encode_formula,
-)
+from repro.sat.encode import AtomClause, encode_formula
 
 __all__ = [
     "CNF",
@@ -38,15 +27,6 @@ __all__ = [
     "Lit",
     "dpll_solve",
     "walksat_solve",
-    "FDVar",
-    "Formula",
-    "FTrue",
-    "FFalse",
-    "VarConst",
-    "VarVar",
-    "FdAnd",
-    "FdOr",
-    "FdNot",
+    "AtomClause",
     "encode_formula",
-    "EncodingResult",
 ]

@@ -1,10 +1,11 @@
 """A complete DPLL SAT solver with unit propagation.
 
-Used as the oracle in tests and as the fallback when the caller needs a
-definite UNSAT answer (WalkSAT is incomplete: "gave up" is not "UNSAT" —
-Theorem 2 makes the underlying problem NP-complete, so a complete check
-is only feasible because the paper's encodings are small: their size
-depends on ``|ΔV|`` and ``|Q|``, not on the database).
+The one solver insertion translation runs.  It is complete, so a
+rejection means UNSAT and never "gave up" (WalkSAT's failure mode), and
+deterministic, so a ΔR depends on nothing but its input.  Theorem 2
+makes the underlying problem NP-complete; a complete search is cheap
+only because the paper's encodings are small: their size depends on
+``|ΔV|`` and ``|Q|``, not on the database.
 """
 
 from __future__ import annotations

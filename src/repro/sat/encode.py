@@ -1,265 +1,102 @@
-"""Finite-domain equality logic → CNF (direct encoding).
+"""Clauses over equality atoms → CNF (the direct encoding of §4.3).
 
-The insertion translator produces constraints over *finite-domain
-variables* (unknown attribute values): equalities between a variable and
-a constant, equalities between two variables, and Boolean combinations
-thereof.  This module encodes such a formula into CNF:
+Algorithm insert's constraint is already a conjunction of clauses over
+equality atoms between unknown attribute values and constants
+(:class:`~repro.relview.symbolic.AtomVC` ``var = const`` and
+:class:`~repro.relview.symbolic.AtomVV` ``a = b``): an assertion or a
+target's atom is a unit clause, and a side-effect derivation is one
+clause of negated atoms.  A clause is a tuple of ``(atom, positive)``
+pairs.  This module encodes such clauses as the paper does:
 
 - every variable ``v`` with domain ``{c1..ck}`` gets selector
   propositions ``p_{v=ci}`` under an exactly-one constraint (the paper's
-  "x = c1 ∨ ... ∨ x = ck" plus the pairwise "(p̄ ∨ p̄')" clauses);
-- ``v = c`` maps to the selector literal; ``v = w`` maps to a Tseitin
-  proposition tied to agreement on every common domain value;
-- arbitrary and/or/not structure is encoded by Tseitin transformation.
+  "x = c1 ∨ ... ∨ x = ck" plus the pairwise "(p̄ ∨ p̄')" clauses),
+  variables in name order;
+- every distinct atom gets one literal: ``v = c`` is the selector of
+  ``c`` (false when ``c`` is outside the domain), ``v = w`` one
+  proposition equivalent to agreement on a common domain value;
+- every input clause becomes one CNF clause over those literals.
 
-Attributes over *infinite* domains are handled upstream by finite
-abstraction: their effective domain is the set of constants they are
-compared against plus one fresh "anything else" token per variable —
-sound and complete for pure equality constraints.
+Attributes over *infinite* domains get finite domains upstream
+(``repro.relview.insert._build_domains``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
+from repro.relview.symbolic import Atom, AtomVC, SymVar
 from repro.sat.cnf import CNF
 
-
-@dataclass(frozen=True)
-class FDVar:
-    """A finite-domain variable, identified by name."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class VarConst:
-    """Atom ``var = value``."""
-
-    var: FDVar
-    value: object
-
-    def __str__(self) -> str:
-        return f"{self.var}={self.value!r}"
-
-
-@dataclass(frozen=True)
-class VarVar:
-    """Atom ``a = b`` between two variables."""
-
-    a: FDVar
-    b: FDVar
-
-    def __str__(self) -> str:
-        return f"{self.a}={self.b}"
-
-
-@dataclass(frozen=True)
-class FdAnd:
-    parts: tuple
-
-    def __str__(self) -> str:
-        return "(" + " & ".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class FdOr:
-    parts: tuple
-
-    def __str__(self) -> str:
-        return "(" + " | ".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class FdNot:
-    part: object
-
-    def __str__(self) -> str:
-        return f"~{self.part}"
-
-
-class _FTrue:
-    def __str__(self) -> str:
-        return "T"
-
-
-class _FFalse:
-    def __str__(self) -> str:
-        return "F"
-
-
-FTrue = _FTrue()
-FFalse = _FFalse()
-
-Formula = object  # union of the node types above
-
-
-def fd_and(*parts: Formula) -> Formula:
-    flat: list[Formula] = []
-    for part in parts:
-        if part is FTrue:
-            continue
-        if part is FFalse:
-            return FFalse
-        if isinstance(part, FdAnd):
-            flat.extend(part.parts)
-        else:
-            flat.append(part)
-    if not flat:
-        return FTrue
-    if len(flat) == 1:
-        return flat[0]
-    return FdAnd(tuple(flat))
-
-
-def fd_or(*parts: Formula) -> Formula:
-    flat: list[Formula] = []
-    for part in parts:
-        if part is FFalse:
-            continue
-        if part is FTrue:
-            return FTrue
-        if isinstance(part, FdOr):
-            flat.extend(part.parts)
-        else:
-            flat.append(part)
-    if not flat:
-        return FFalse
-    if len(flat) == 1:
-        return flat[0]
-    return FdOr(tuple(flat))
-
-
-def fd_not(part: Formula) -> Formula:
-    if part is FTrue:
-        return FFalse
-    if part is FFalse:
-        return FTrue
-    if isinstance(part, FdNot):
-        return part.part
-    return FdNot(part)
-
-
-@dataclass
-class EncodingResult:
-    """CNF plus the bookkeeping to decode a model back to values."""
-
-    cnf: CNF
-    domains: dict[FDVar, tuple]
-    selector: dict[tuple[FDVar, int], int]
-
-    def decode(self, assignment: Mapping[int, bool]) -> dict[FDVar, object]:
-        """Map a SAT model back to a value per finite-domain variable."""
-        values: dict[FDVar, object] = {}
-        for (var, index), prop in self.selector.items():
-            if assignment.get(prop, False):
-                values[var] = self.domains[var][index]
-        # Exactly-one guarantees presence; default defensively anyway.
-        for var, domain in self.domains.items():
-            values.setdefault(var, domain[0])
-        return values
+AtomClause = tuple[tuple[Atom, bool], ...]
 
 
 def encode_formula(
-    formula: Formula, domains: Mapping[FDVar, tuple]
-) -> EncodingResult:
-    """Encode ``formula`` over the given per-variable domains."""
+    clauses: Sequence[AtomClause], domains: Mapping[SymVar, tuple]
+) -> tuple[CNF, Callable[[Mapping[int, bool]], dict[SymVar, object]]]:
+    """Encode ``clauses`` over the given per-variable domains.
+
+    Returns the CNF and a decoder from a model of it to one domain value
+    per variable.
+    """
     cnf = CNF()
-    doms = {v: tuple(d) for v, d in domains.items()}
-    for var, domain in doms.items():
-        if not domain:
+    selectors: dict[SymVar, list[int]] = {}
+    for var in sorted(domains, key=lambda v: v.name):
+        if not domains[var]:
             raise ValueError(f"variable {var} has an empty domain")
-    selector: dict[tuple[FDVar, int], int] = {}
-    for var in sorted(doms, key=lambda v: v.name):
-        props = [cnf.new_var() for _ in doms[var]]
-        for index, prop in enumerate(props):
-            selector[(var, index)] = prop
-        cnf.add_exactly_one(props)
-    result = EncodingResult(cnf, doms, selector)
-    root = _tseitin(formula, result)
-    if root is None:  # constant formula
-        if formula is FFalse:
-            cnf.add_clause(())
-        return result
-    cnf.add_clause((root,))
-    return result
+        selectors[var] = [cnf.new_var() for _ in domains[var]]
+        cnf.add_exactly_one(selectors[var])
+    literals: dict[Atom, int | None] = {}
+    for clause in clauses:
+        lits: list[int] = []
+        for atom, positive in clause:
+            if atom not in literals:
+                literals[atom] = _atom_literal(atom, domains, selectors, cnf)
+            lit = literals[atom]
+            if lit is not None:
+                lits.append(lit if positive else -lit)
+            elif not positive:
+                break  # a false atom, negated: the clause holds
+        else:
+            cnf.add_clause(lits)
+
+    def decode(model: Mapping[int, bool]) -> dict[SymVar, object]:
+        return {
+            var: next(
+                value
+                for value, prop in zip(domains[var], props)
+                if model.get(prop, False)
+            )
+            for var, props in selectors.items()
+        }
+
+    return cnf, decode
 
 
-def _sel(result: EncodingResult, var: FDVar, value: object) -> int | None:
-    """Selector literal for var=value, or None if value not in domain."""
-    domain = result.domains.get(var)
-    if domain is None:
-        raise ValueError(f"unknown variable {var}")
-    for index, candidate in enumerate(domain):
-        if candidate == value and type(candidate) is type(value):
-            return result.selector[(var, index)]
-        if candidate == value:
-            return result.selector[(var, index)]
-    return None
-
-
-def _tseitin(formula: Formula, result: EncodingResult) -> int | None:
-    """Return a literal equivalent to ``formula`` (None for constants)."""
-    cnf = result.cnf
-    if formula is FTrue:
-        aux = cnf.new_var()
-        cnf.add_clause((aux,))
-        return aux
-    if formula is FFalse:
-        aux = cnf.new_var()
-        cnf.add_clause((-aux,))
-        return aux
-    if isinstance(formula, VarConst):
-        lit = _sel(result, formula.var, formula.value)
-        if lit is None:
-            aux = cnf.new_var()
-            cnf.add_clause((-aux,))  # value outside domain: atom is false
-            return aux
-        return lit
-    if isinstance(formula, VarVar):
-        return _encode_var_eq(formula.a, formula.b, result)
-    if isinstance(formula, FdNot):
-        inner = _tseitin(formula.part, result)
-        assert inner is not None
-        return -inner
-    if isinstance(formula, FdAnd):
-        lits = [_tseitin(p, result) for p in formula.parts]
-        aux = cnf.new_var()
-        for lit in lits:
-            assert lit is not None
-            cnf.add_clause((-aux, lit))
-        cnf.add_clause((aux, *(-lit for lit in lits if lit is not None)))
-        return aux
-    if isinstance(formula, FdOr):
-        lits = [_tseitin(p, result) for p in formula.parts]
-        aux = cnf.new_var()
-        cnf.add_clause((-aux, *(lit for lit in lits if lit is not None)))
-        for lit in lits:
-            assert lit is not None
-            cnf.add_clause((aux, -lit))
-        return aux
-    raise TypeError(f"unknown formula node {formula!r}")
-
-
-def _encode_var_eq(a: FDVar, b: FDVar, result: EncodingResult) -> int:
-    """Tseitin proposition for ``a = b`` over the two domains."""
-    cnf = result.cnf
-    dom_a = result.domains[a]
-    dom_b = result.domains[b]
+def _atom_literal(
+    atom: Atom,
+    domains: Mapping[SymVar, tuple],
+    selectors: dict[SymVar, list[int]],
+    cnf: CNF,
+) -> int | None:
+    """The literal of ``atom``; ``None`` for an atom that cannot hold."""
+    if isinstance(atom, AtomVC):
+        return next(
+            (
+                prop
+                for value, prop in zip(domains[atom.var], selectors[atom.var])
+                if value == atom.const
+            ),
+            None,
+        )
     aux = cnf.new_var()
-    index_b = {value: i for i, value in enumerate(dom_b)}
+    prop_b = dict(zip(domains[atom.b], selectors[atom.b]))
     # aux → (a=c → b=c) for every c in dom(a)
-    for i, value in enumerate(dom_a):
-        pa = result.selector[(a, i)]
-        j = index_b.get(value)
-        if j is None:
+    for value, pa in zip(domains[atom.a], selectors[atom.a]):
+        pb = prop_b.get(value)
+        if pb is None:
             cnf.add_clause((-aux, -pa))
         else:
-            pb = result.selector[(b, j)]
             cnf.add_clause((-aux, -pa, pb))
             # (a=c ∧ b=c) → aux
             cnf.add_clause((aux, -pa, -pb))

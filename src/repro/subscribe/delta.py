@@ -204,9 +204,9 @@ class ViewEvent:
     tolerates payloads without it."""
 
     coarse: bool = False
-    """True when ``edges`` does not fully describe the change (base
-    update propagation, store rebuilds): every subscription must fully
-    re-evaluate."""
+    """True when ``edges`` does not fully describe the change (a store
+    rebuild, or an event the subscription engine's cost-based fallback
+    widened): every subscription must fully re-evaluate."""
 
     reason: str = ""
 

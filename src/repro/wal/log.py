@@ -555,8 +555,8 @@ class WriteAheadLog:
 
         What the changefeed hub replays for a durable consumer whose
         resume point has dropped below the in-memory buffer's floor.
-        The decoded events carry only wire fields (no closure deltas,
-        no ΔR) — exactly what a replayed consumer would have seen live.
+        The decoded events carry only wire fields (no ΔR) — exactly what
+        a replayed consumer would have seen live.
         """
         return [
             ViewEvent.from_dict(payload["event"])

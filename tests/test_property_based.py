@@ -4,7 +4,8 @@
 - the topological order invariant holds on random DAGs and after swaps;
 - DAG XPath evaluation equals tree evaluation after unfolding;
 - DPLL agrees with brute force on small random CNFs;
-- the finite-domain encoder is sound (decoded model satisfies formula);
+- the atom-clause encoder is sound and complete over finite domains, and
+  the insertion translator's finite abstraction of INT variables is exact;
 - random update sequences keep the incremental state consistent with a
   fresh republish (the ΔX(T) = σ(ΔR(I)) invariant).
 """
@@ -22,17 +23,12 @@ from repro.core.dag_eval import DagXPathEvaluator
 from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
+from repro.relational.schema import AttrType
+from repro.relview.insert import _build_domains
+from repro.relview.symbolic import AtomVC, AtomVV, FreshToken, SymVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import dpll_solve
-from repro.sat.encode import (
-    FDVar,
-    VarConst,
-    VarVar,
-    encode_formula,
-    fd_and,
-    fd_not,
-    fd_or,
-)
+from repro.sat.encode import encode_formula
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
@@ -169,60 +165,87 @@ def test_dpll_agrees_with_bruteforce(instance):
         assert cnf.is_satisfied_by(model)
 
 
-_VARS = [FDVar("x"), FDVar("y"), FDVar("z")]
+@st.composite
+def atom_clauses(draw, variables, constants):
+    """0–5 clauses of 0–3 ``(atom, positive)`` literals."""
+
+    def atom():
+        if draw(st.booleans()):
+            return AtomVC(
+                draw(st.sampled_from(variables)), draw(st.sampled_from(constants))
+            )
+        a, b = draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2))
+        return AtomVV(a, b)
+
+    return [
+        tuple(
+            (atom(), draw(st.booleans()))
+            for _ in range(draw(st.integers(min_value=0, max_value=3)))
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+
+
+def clauses_hold(clauses, valuation):
+    def atom_holds(atom):
+        if isinstance(atom, AtomVC):
+            return valuation[atom.var] == atom.const
+        return valuation[atom.a] == valuation[atom.b]
+
+    return all(
+        any(atom_holds(atom) == positive for atom, positive in clause)
+        for clause in clauses
+    )
+
+
+_VARS = [SymVar("r", (name,), "a", AttrType.STR) for name in "xyz"]
 _DOMAINS = {v: ("a", "b", "c") for v in _VARS}
 
 
-@st.composite
-def fd_formulas(draw, depth=0):
-    if depth >= 2 or draw(st.booleans()):
-        if draw(st.booleans()):
-            return VarConst(
-                draw(st.sampled_from(_VARS)), draw(st.sampled_from(["a", "b", "c"]))
-            )
-        return VarVar(draw(st.sampled_from(_VARS)), draw(st.sampled_from(_VARS)))
-    kind = draw(st.sampled_from(["and", "or", "not"]))
-    if kind == "not":
-        return fd_not(draw(fd_formulas(depth=depth + 1)))
-    parts = [
-        draw(fd_formulas(depth=depth + 1))
-        for _ in range(draw(st.integers(min_value=1, max_value=3)))
-    ]
-    return fd_and(*parts) if kind == "and" else fd_or(*parts)
-
-
-def eval_formula(formula, valuation):
-    from repro.sat.encode import FFalse, FTrue, FdAnd, FdNot, FdOr
-
-    if formula is FTrue:
-        return True
-    if formula is FFalse:
-        return False
-    if isinstance(formula, VarConst):
-        return valuation[formula.var] == formula.value
-    if isinstance(formula, VarVar):
-        return valuation[formula.a] == valuation[formula.b]
-    if isinstance(formula, FdAnd):
-        return all(eval_formula(p, valuation) for p in formula.parts)
-    if isinstance(formula, FdOr):
-        return any(eval_formula(p, valuation) for p in formula.parts)
-    if isinstance(formula, FdNot):
-        return not eval_formula(formula.part, valuation)
-    raise TypeError(formula)
-
-
-@given(fd_formulas())
+@given(atom_clauses(_VARS, "abcd"))  # "d" lies outside every domain
 @settings(max_examples=80, deadline=None)
-def test_encoder_sound_and_complete(formula):
-    encoding = encode_formula(formula, _DOMAINS)
-    model = dpll_solve(encoding.cnf)
+def test_encoder_sound_and_complete(clauses):
+    cnf, decode = encode_formula(clauses, _DOMAINS)
+    model = dpll_solve(cnf)
     brute = any(
-        eval_formula(formula, dict(zip(_VARS, values)))
+        clauses_hold(clauses, dict(zip(_VARS, values)))
         for values in itertools.product("abc", repeat=3)
     )
     assert (model is not None) == brute
     if model is not None:
-        assert eval_formula(formula, encoding.decode(model))
+        assert clauses_hold(clauses, decode(model))
+
+
+_INT_VARS = [SymVar("r", (k,), "n", AttrType.INT) for k in range(4)]
+
+
+@given(atom_clauses(_INT_VARS, (1, 2, 3)))
+@settings(max_examples=80, deadline=None)
+def test_finite_abstraction_is_exact(clauses):
+    """Over the integers, the clauses are satisfiable iff they are over the
+    constants plus one extra integer per variable, iff DPLL finds a model
+    on ``_build_domains``' domains; a model, its fresh tokens made
+    distinct integers, satisfies every clause."""
+    atoms = [atom for clause in clauses for atom, _ in clause]
+    domains = _build_domains(atoms)
+    variables = [v for v in _INT_VARS if v in domains]
+    universe = (1, 2, 3, *range(100, 100 + len(variables)))
+    brute = any(
+        clauses_hold(clauses, dict(zip(variables, values)))
+        for values in itertools.product(universe, repeat=len(variables))
+    )
+    cnf, decode = encode_formula(clauses, domains)
+    model = dpll_solve(cnf)
+    assert (model is not None) == brute
+    if model is not None:
+        tokens: dict = {}
+        concrete = {
+            var: tokens.setdefault(value, 100 + len(tokens))
+            if isinstance(value, FreshToken)
+            else value
+            for var, value in decode(model).items()
+        }
+        assert clauses_hold(clauses, concrete)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,44 @@ updater.plan(op).abort()
 """
 
 
+def test_new_key_insert_encodes_to_a_small_cnf(monkeypatch, capsys):
+    """The paper's direct encoding: one literal per distinct atom, one CNF
+    clause per clause of Algorithm insert, and ``len(component)`` fresh
+    tokens per component.  Through a formula tree, a Tseitin pass and two
+    spare tokens per component this insert took 39 variables and 135
+    clauses."""
+    import ast
+
+    from repro.relview import insert as insert_module
+
+    # Restores the solver the script replaces with its spy.
+    monkeypatch.setattr(insert_module, "dpll_solve", insert_module.dpll_solve)
+    exec(_CNF_SCRIPT, {})
+    num_vars, clauses = capsys.readouterr().out.strip().split(" ", 1)
+    assert int(num_vars) <= 20
+    assert len(ast.literal_eval(clauses)) <= 40
+
+
+def test_decode_keeps_a_constant_that_looks_like_a_fresh_token(env):
+    """Only a FreshToken becomes a fresh value: a model value is a real
+    constant whatever its text."""
+    import itertools
+
+    from repro.relational.schema import AttrType
+    from repro.relview.insert import _decode_valuation
+    from repro.relview.symbolic import FreshToken, SymVar, Template
+
+    _, db, _, _, _ = env
+    title = SymVar("course", ("CS999",), "title", AttrType.STR)
+    dept = SymVar("course", ("CS999",), "dept", AttrType.STR)
+    template = Template("course", ("CS999",), ("CS999", title, dept), True)
+    lookalike = "__fresh_0__course.CS999.title"
+    valuation = {title: lookalike, dept: FreshToken(title, 0)}
+    concrete = _decode_valuation(db, valuation, [template], itertools.count(1))
+    assert concrete[title] == lookalike
+    assert concrete[dept] not in {row[2] for row in db.table("course").rows()}
+
+
 def test_cnf_does_not_depend_on_the_hash_seed():
     """A derivation's atoms are a set of dataclasses over strings; in set
     order the clause order — and with it the solver's search (a seeded

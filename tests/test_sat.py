@@ -5,20 +5,11 @@ import random
 
 import pytest
 
+from repro.relational.schema import AttrType
+from repro.relview.symbolic import AtomVC, AtomVV, SymVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import dpll_solve
-from repro.sat.encode import (
-    FDVar,
-    FFalse,
-    FTrue,
-    FdNot,
-    VarConst,
-    VarVar,
-    encode_formula,
-    fd_and,
-    fd_not,
-    fd_or,
-)
+from repro.sat.encode import encode_formula
 from repro.sat.walksat import walksat_solve
 
 
@@ -169,105 +160,109 @@ class TestWalkSAT:
         assert cnf.is_satisfied_by(model)
 
 
-class TestFormulaSmartConstructors:
-    def test_fd_and_simplifies(self):
-        a = VarConst(FDVar("x"), 1)
-        assert fd_and() is FTrue
-        assert fd_and(a) is a
-        assert fd_and(a, FTrue) is a
-        assert fd_and(a, FFalse) is FFalse
-
-    def test_fd_or_simplifies(self):
-        a = VarConst(FDVar("x"), 1)
-        assert fd_or() is FFalse
-        assert fd_or(a) is a
-        assert fd_or(a, FFalse) is a
-        assert fd_or(a, FTrue) is FTrue
-
-    def test_fd_not(self):
-        a = VarConst(FDVar("x"), 1)
-        assert fd_not(FTrue) is FFalse
-        assert fd_not(FFalse) is FTrue
-        assert fd_not(fd_not(a)) is a
-        assert isinstance(fd_not(a), FdNot)
+def sym(name):
+    return SymVar("r", (name,), "a", AttrType.STR)
 
 
 class TestEncoding:
-    def _solve(self, formula, domains):
-        enc = encode_formula(formula, domains)
-        model = dpll_solve(enc.cnf)
+    """Clauses are tuples of ``(atom, positive)``."""
+
+    def _solve(self, clauses, domains):
+        cnf, decode = encode_formula(clauses, domains)
+        model = dpll_solve(cnf)
         if model is None:
             return None
-        return enc.decode(model)
+        return decode(model)
 
     def test_var_const(self):
-        x = FDVar("x")
-        values = self._solve(VarConst(x, "b"), {x: ("a", "b")})
+        x = sym("x")
+        values = self._solve([((AtomVC(x, "b"), True),)], {x: ("a", "b")})
         assert values == {x: "b"}
 
     def test_var_const_outside_domain_unsat(self):
-        x = FDVar("x")
-        assert self._solve(VarConst(x, "z"), {x: ("a", "b")}) is None
+        x = sym("x")
+        assert self._solve([((AtomVC(x, "z"), True),)], {x: ("a", "b")}) is None
+
+    def test_negated_outside_domain_holds(self):
+        x = sym("x")
+        cnf, _ = encode_formula([((AtomVC(x, "z"), False),)], {x: ("a", "b")})
+        assert len(cnf) == 2  # the exactly-one pair; the clause is true
+        assert dpll_solve(cnf) is not None
 
     def test_negated_const(self):
-        x = FDVar("x")
-        values = self._solve(fd_not(VarConst(x, "a")), {x: ("a", "b")})
+        x = sym("x")
+        values = self._solve([((AtomVC(x, "a"), False),)], {x: ("a", "b")})
         assert values == {x: "b"}
 
     def test_var_var_equal(self):
-        x, y = FDVar("x"), FDVar("y")
+        x, y = sym("x"), sym("y")
         values = self._solve(
-            fd_and(VarVar(x, y), VarConst(x, "a")),
+            [((AtomVV(x, y), True),), ((AtomVC(x, "a"), True),)],
             {x: ("a", "b"), y: ("a", "b")},
         )
         assert values == {x: "a", y: "a"}
 
     def test_var_var_unequal(self):
-        x, y = FDVar("x"), FDVar("y")
+        x, y = sym("x"), sym("y")
         values = self._solve(
-            fd_and(fd_not(VarVar(x, y)), VarConst(x, "a")),
+            [((AtomVV(x, y), False),), ((AtomVC(x, "a"), True),)],
             {x: ("a",), y: ("a", "b")},
         )
         assert values == {x: "a", y: "b"}
 
     def test_var_var_disjoint_domains(self):
-        x, y = FDVar("x"), FDVar("y")
+        x, y = sym("x"), sym("y")
         assert (
-            self._solve(VarVar(x, y), {x: ("a",), y: ("b",)}) is None
+            self._solve([((AtomVV(x, y), True),)], {x: ("a",), y: ("b",)})
+            is None
         )
 
     def test_exactly_one_value_per_var(self):
-        x = FDVar("x")
-        enc = encode_formula(VarConst(x, "a"), {x: ("a", "b", "c")})
-        model = dpll_solve(enc.cnf)
-        selected = [
-            i for i in range(3) if model[enc.selector[(x, i)]]
-        ]
-        assert selected == [0]
+        # Selectors come first, one per domain value, variables in name order.
+        x = sym("x")
+        cnf, decode = encode_formula(
+            [((AtomVC(x, "a"), True),)], {x: ("a", "b", "c")}
+        )
+        model = dpll_solve(cnf)
+        assert [v for v in (1, 2, 3) if model[v]] == [1]
+        assert decode(model) == {x: "a"}
 
     def test_or_across_vars(self):
-        x, y = FDVar("x"), FDVar("y")
-        formula = fd_and(
-            fd_or(VarConst(x, "a"), VarConst(y, "b")),
-            fd_not(VarConst(x, "a")),
-        )
-        values = self._solve(formula, {x: ("a", "c"), y: ("a", "b")})
+        x, y = sym("x"), sym("y")
+        clauses = [
+            ((AtomVC(x, "a"), True), (AtomVC(y, "b"), True)),
+            ((AtomVC(x, "a"), False),),
+        ]
+        values = self._solve(clauses, {x: ("a", "c"), y: ("a", "b")})
         assert values[y] == "b"
 
     def test_constant_formulas(self):
-        x = FDVar("x")
-        assert self._solve(FTrue, {x: ("a",)}) == {x: "a"}
-        assert self._solve(FFalse, {x: ("a",)}) is None
+        x = sym("x")
+        assert self._solve([], {x: ("a",)}) == {x: "a"}
+        assert self._solve([()], {x: ("a",)}) is None
 
     def test_empty_domain_rejected(self):
-        x = FDVar("x")
+        x = sym("x")
         with pytest.raises(ValueError):
-            encode_formula(FTrue, {x: ()})
+            encode_formula([], {x: ()})
 
     def test_transitivity_through_equalities(self):
-        x, y, z = FDVar("x"), FDVar("y"), FDVar("z")
-        formula = fd_and(
-            VarVar(x, y), VarVar(y, z), VarConst(x, 1), fd_not(VarConst(z, 1))
-        )
+        x, y, z = sym("x"), sym("y"), sym("z")
+        clauses = [
+            ((AtomVV(x, y), True),),
+            ((AtomVV(y, z), True),),
+            ((AtomVC(x, 1), True),),
+            ((AtomVC(z, 1), False),),
+        ]
         domains = {v: (1, 2) for v in (x, y, z)}
-        assert self._solve(formula, domains) is None
+        assert self._solve(clauses, domains) is None
+
+    def test_one_literal_per_distinct_atom_one_clause_per_clause(self):
+        x, y = sym("x"), sym("y")
+        same = AtomVV(x, y)
+        clauses = [((same, True),), ((same, False), (AtomVC(x, "a"), False))]
+        cnf, _ = encode_formula(clauses, {x: ("a", "b"), y: ("a", "b")})
+        # 4 selectors + one x = y proposition; 2 × exactly-one of 2 values,
+        # 2 × 2 agreement clauses for x = y, and the 2 input clauses.
+        assert cnf.num_vars == 5
+        assert len(cnf) == 4 + 4 + 2
