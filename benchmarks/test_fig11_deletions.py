@@ -2,13 +2,16 @@
 
 Paper shape: all phases scale linearly with |C|; total deletion time is
 dominated by the XPath-evaluation phase; W1 (descendant axis) is the most
-expensive class.
+expensive class.  The XPath claim is checked on the paper's evaluator
+(seeding off): ours starts a leading ``//label[path = value]`` from the
+value's node.
 """
 
 import pytest
 
 from conftest import OPS_PER_CLASS, SIZES, fresh_updater
 from repro.bench.harness import PhaseAccumulator
+from repro.core.dag_eval import DagXPathEvaluator
 from repro.workloads.queries import make_workload
 
 
@@ -34,21 +37,35 @@ def test_deletion_workload(benchmark, cls, n_c):
 
 
 @pytest.mark.perf
-def test_deletion_dominated_by_xpath():
+def test_deletion_dominated_by_xpath(monkeypatch):
     """Paper: 'deletion time is dominated by XPath evaluation'.
 
-    Our Algorithm delete issues its point queries through the generic
-    Python SPJ evaluator, which is relatively more expensive than the
-    paper's compiled SQL, so the check allows translation to come close
-    — but XPath must remain a major component (documented deviation,
-    EXPERIMENTS.md Fig. 11(a)-(c)).
+    That is the shape of the paper's evaluator, whose leading ``//``
+    ranges over all of ``L``; here it is the evaluator with seeding
+    switched off.  Our Algorithm delete issues its point queries through
+    the generic Python SPJ evaluator, which is relatively more expensive
+    than the paper's compiled SQL, so the check allows translation to
+    come close — but XPath must remain a major component.  The product
+    evaluator starts W1's leading ``//cnode[key=N]`` from the key's node,
+    so its XPath phase costs less than the paper's and translation now
+    dominates (a deliberate deviation).  Measured xpath/translate on 2
+    shared Xeon cores, three runs each: product 0.36–0.42, seeding off
+    0.64–0.69; before seeding existed the product gave 0.31–0.75.
     """
-    updater, dataset = fresh_updater(SIZES[-1])
-    acc = PhaseAccumulator()
-    for cls in ("W1", "W2", "W3"):
-        for op in make_workload(dataset, "delete", cls, count=OPS_PER_CLASS):
-            acc.add(updater.apply_op(op))
-    assert acc.xpath > 0.5 * acc.translate
+
+    def deletions() -> PhaseAccumulator:
+        updater, dataset = fresh_updater(SIZES[-1])
+        acc = PhaseAccumulator()
+        for cls in ("W1", "W2", "W3"):
+            for op in make_workload(dataset, "delete", cls, count=OPS_PER_CLASS):
+                acc.add(updater.apply_op(op))
+        return acc
+
+    seeded = deletions()
+    monkeypatch.setattr(DagXPathEvaluator, "_seeded", lambda self, program: None)
+    paper = deletions()
+    assert paper.xpath > 0.5 * paper.translate
+    assert seeded.xpath < paper.xpath
 
 
 @pytest.mark.perf

@@ -28,6 +28,20 @@ its parents inside ``C(i-1)`` (child step) or inside the region (``//``
 step), and are derived from the contexts at the few nodes ``Ep`` and the
 side-effect walk visit.
 
+A query that opens with ``//label[leg = value and ...]`` (``leg`` zero
+or more label child steps) is *seeded* when ``evaluate`` runs at rest:
+DAG compression interns one node per (type, value), so the store's value
+index names the nodes holding ``value``, and walking up from them through
+the leg's steps in reverse gives the ``label`` nodes the leg holds at.
+The label step's context is those candidates, in the order the full step
+would list them, and the whole filter is tested only there — the pass no
+longer expands every node of ``L``.  ``Ep`` and the side-effect walk are
+unchanged: they read the ``//`` region (``L``), the filtered contexts,
+and the label level only at nodes that passed the filter — none of which
+seeding changes.  ``evaluate_from`` (the subscription
+engine's cached contexts) and the ``reach=None`` mid-batch path never
+seed.
+
 **Filters, on demand.**  The paper evaluates every filter
 sub-expression ``q`` at every node by dynamic programming over ``L``
 (children before parents): ``val(q, v)`` — does ``q`` hold at ``v`` —
@@ -101,6 +115,15 @@ class EvalResult:
     """``Ep(r)`` as (parent, child, parent_level) triples."""
     side_effects: set[int] = field(default_factory=set)
     contexts: list[list[int]] = field(default_factory=list)
+    """``C_0 .. C_k`` in document-like order, up to the first empty one
+    (the levels after it are empty and not listed).
+
+    Exact, except where :meth:`DagXPathEvaluator.evaluate` seeds a
+    leading ``//label[path = value]``: there ``contexts[2]``, the label
+    step's, holds only the candidates reached upward from the nodes
+    holding ``value`` — a subset of the unseeded ``C_2``, in its order.
+    Every later level is exact, since the filter keeps only nodes the
+    leg holds at."""
 
     @property
     def has_side_effects(self) -> bool:
@@ -153,7 +176,9 @@ class DagXPathEvaluator:
         if root is None:
             raise ValueError("store has no root")
         program = _compile(path)
-        match = self._top_down(program, self._filter_values(program), [root])
+        match = self._top_down(
+            program, self._filter_values(program), [root], self._seeded(program)
+        )
         result = match.result(path)
         if result.targets:
             result.ep = self._compute_ep(path, match, result.targets)
@@ -288,11 +313,49 @@ class DagXPathEvaluator:
     # Top-down pass: contexts and regions
     # ------------------------------------------------------------------
 
+    def _seeded(self, program: "_Program") -> list[int] | None:
+        """The label step's context of a seeded program, else ``None``.
+
+        ``//label[leg = value and ...]`` at rest: walk up from the nodes
+        holding ``value`` through the leg's steps in reverse to their
+        ``label`` parents — exactly the members of the unseeded ``C_2``
+        the leg holds at.  They are put in that context's order: by the
+        first parent in ``L``-reversed order, then by its child order.
+        The root and edge-less (planned, not yet attached) nodes have no
+        parent and are no step's children.
+        """
+        if program.seed is None or self.reach is None:
+            return None
+        label, leg, value = program.seed
+        store = self.store
+        parents_of, type_of = store.parents_of, store.type_of
+        chain = (label, *leg)
+        nodes = store.nodes_with_value(chain[-1], value)
+        for above in reversed(chain[:-1]):
+            nodes = {
+                p for n in nodes for p in parents_of(n) if type_of(p) == above
+            }
+        position = self.topo.position
+        by_first: dict[int, list[int]] = {}
+        for node in nodes:
+            parents = parents_of(node)
+            if parents:
+                by_first.setdefault(max(parents, key=position), []).append(node)
+        context: list[int] = []
+        for parent in sorted(by_first, key=position, reverse=True):
+            siblings = by_first[parent]
+            if len(siblings) > 1:
+                order = {c: i for i, c in enumerate(store.children_of(parent))}
+                siblings.sort(key=order.__getitem__)
+            context.extend(siblings)
+        return context
+
     def _top_down(
         self,
         program: "_Program",
         values: "_FilterValues | _LazyFilterValues",
         start: list[int],
+        seeded: list[int] | None = None,
     ) -> "_Match":
         store = self.store
         children_of = store.children_of
@@ -316,6 +379,8 @@ class DagXPathEvaluator:
                     current = self.topo.sort_nodes(region)
                     current.reverse()  # ancestors first: document-like
                 match.regions[level] = region
+            elif level == 2 and seeded is not None:
+                current = seeded  # the label step of a seeded program
             else:
                 label = op[1] if code == _LABEL else None
                 seen: set[int] = set()
@@ -488,10 +553,15 @@ class _Program:
       per-node sweep can run plans in list order.
     - ``lazy``: no filter path has a descendant op, so filter truth can
       be computed on demand by recursion over the plans.
+    - ``seed``: ``(label, leg labels, value)`` when the query opens with
+      ``//label[...]`` and the filter's top-level ``and`` has a
+      ``leg = value`` part over label child steps only (no ``*``, ``//``
+      or filter in it); no ``or`` / ``not`` at the top.  Else ``None``.
     """
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
+        self.seed: tuple[str, tuple[str, ...], str] | None = None
         self.units: list[tuple[str, int]] = []
         self.path_plans: list[tuple[list[tuple], str | None]] = []
         self.filter_plans: list[tuple] = []
@@ -598,7 +668,26 @@ def _compile(path: XPath) -> _Program:
     program.lazy = not any(
         op[0] == _DESCENDANT for ops, _ in program.path_plans for op in ops
     )
+    program.seed = _seed_plan(path.steps)
     return program
+
+
+def _seed_plan(steps: tuple) -> tuple[str, tuple[str, ...], str] | None:
+    """``_Program.seed`` of a query with these steps."""
+    if len(steps) < 3 or not (
+        isinstance(steps[0], DescendantStep)
+        and isinstance(steps[1], LabelStep)
+        and isinstance(steps[2], FilterStep)
+    ):
+        return None
+    filt = steps[2].filter
+    for part in filt.parts if isinstance(filt, FAnd) else (filt,):
+        if isinstance(part, ValueEq) and all(
+            isinstance(step, LabelStep) for step in part.path.steps
+        ):
+            leg = tuple(step.label for step in part.path.steps)
+            return steps[1].label, leg, part.value
+    return None
 
 
 def _compile_steps(path: XPath, program: _Program) -> list[tuple]:

@@ -455,4 +455,6 @@ class XMLViewUpdater:
             problems.append("reachability matrix differs from recomputation")
         if not self.topo.is_valid_for(self.reach.is_ancestor):
             problems.append("topological order invalid")
+        if not self.store.value_index_is_exact():
+            problems.append("value index differs from a rebuild from node_sem")
         return problems

@@ -11,6 +11,10 @@ kept three ways, all consistent:
   the rightmost child, matching the paper's insert semantics);
 - a parent set per node (the DAG evaluator and the maintenance
   algorithms walk edges upwards).
+
+PCDATA nodes are also indexed by ``(type, value_of)``, so the DAG
+evaluator can start a ``//label[path = value]`` from the nodes holding
+``value`` instead of from every node.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ from repro.atg.model import ATG
 from repro.errors import ReproError
 from repro.relational.database import Database
 from repro.relational.schema import AttrType, RelationSchema
+
+_NO_NODES: frozenset[int] = frozenset()
+
+
+def _text(sem: tuple) -> str:
+    """The XPath string value of a PCDATA node with this ``sem``."""
+    return str(sem[0]) if sem else ""
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,8 @@ class ViewStore:
             edge: set() for edge in atg.dtd.edges()
         }
         self.root_id: int | None = None
+        self._by_value: dict[tuple[str, str], set[int]] = {}
+        """``(type, value_of(node)) → nodes``, for PCDATA types only."""
 
     # -- node management -----------------------------------------------------------
 
@@ -103,13 +116,19 @@ class ViewStore:
             return node, False
         node = self._next_id
         self._next_id += 1
-        self._intern[key] = node
+        self._bind(node, element, sem)
+        return node, True
+
+    def _bind(self, node: int, element: str, sem: tuple) -> None:
+        """Install a new, edge-less ``node`` for ``(element, sem)``."""
+        self._intern[(element, sem)] = node
         self.node_type[node] = element
         self.node_sem[node] = sem
         self.gen.setdefault(element, {})[node] = sem
         self.children[node] = []
         self.parents[node] = set()
-        return node, True
+        if element in self._pcdata:
+            self._by_value.setdefault((element, _text(sem)), set()).add(node)
 
     def lookup(self, element: str, sem: tuple) -> int | None:
         """Existing id of ``(element, sem)``, or ``None``."""
@@ -128,6 +147,12 @@ class ViewStore:
         del self.gen[element][node]
         self.children.pop(node, None)
         self.parents.pop(node, None)
+        if element in self._pcdata:
+            key = (element, _text(sem))
+            holders = self._by_value[key]
+            holders.discard(node)
+            if not holders:
+                del self._by_value[key]
 
     def ensure_node(self, node: int, element: str, sem: tuple) -> bool:
         """Install ``(element, sem)`` under a *caller-chosen* id.
@@ -156,12 +181,7 @@ class ViewStore:
                 f"node id {node} is already bound to "
                 f"({self.node_type[node]}, {self.node_sem[node]!r})"
             )
-        self._intern[key] = node
-        self.node_type[node] = element
-        self.node_sem[node] = sem
-        self.gen.setdefault(element, {})[node] = sem
-        self.children[node] = []
-        self.parents[node] = set()
+        self._bind(node, element, sem)
         if node >= self._next_id:
             self._next_id = node + 1
         return True
@@ -188,11 +208,25 @@ class ViewStore:
     def value_of(self, node: int) -> str | None:
         """String value used by XPath value filters (PCDATA leaves)."""
         if self.node_type[node] in self._pcdata:
-            sem = self.node_sem[node]
-            if len(sem) >= 1:
-                return str(sem[0])
-            return ""
+            return _text(self.node_sem[node])
         return None
+
+    def nodes_with_value(
+        self, element: str, value: str
+    ) -> set[int] | frozenset[int]:
+        """The ``element`` nodes whose :meth:`value_of` is ``value``
+        (read-only; empty for a non-PCDATA ``element``)."""
+        return self._by_value.get((element, value), _NO_NODES)
+
+    def value_index_is_exact(self) -> bool:
+        """Whether the value index equals one rebuilt from ``node_sem``
+        (the consistency check's view of it)."""
+        rebuilt: dict[tuple[str, str], set[int]] = {}
+        for node, element in self.node_type.items():
+            if element in self._pcdata:
+                key = (element, _text(self.node_sem[node]))
+                rebuilt.setdefault(key, set()).add(node)
+        return rebuilt == self._by_value
 
     # -- edge management -----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The demand-driven evaluation order of ``DagXPathEvaluator``.
 
 ``evaluate`` answers no-``//`` filters on demand at the nodes the
-top-down pass consults; the paper's all-of-``L`` bottom-up sweep stays
-as the route for filters with a ``//`` inside them — and, here, as the
-reference every result is compared against.
+top-down pass consults, and starts a leading ``//label[path = value]``
+from the nodes holding ``value``.  The reference every result is
+compared against does neither: the paper's all-of-``L`` bottom-up sweep
+for every filter, and the label step over all of ``L``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,10 @@ from repro.atg.publisher import publish_store, unfold_to_tree
 from repro.bench.workload_gen import WorkloadSpec, generate_ops, make_header
 from repro.core import dag_eval
 from repro.core.dag_eval import DagXPathEvaluator
+from repro.dtd.parser import parse_dtd
 from repro.index import build_index
 from repro.core.topo import TopoOrder
+from repro.views.store import ViewStore
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.ast import (
     DescendantStep,
@@ -35,30 +39,117 @@ from repro.xpath.ast import (
     ValueEq,
     WildcardStep,
     XPath,
+    fand,
     normalize_steps,
 )
 from repro.xpath.parser import parse_xpath
 from repro.xpath.tree_eval import evaluate_on_tree
 
 
-class SweepingEvaluator(DagXPathEvaluator):
-    """The reference: every filter through the whole-``L`` bottom-up pass."""
+class UnseededEvaluator(DagXPathEvaluator):
+    """Never seeds: every label step expands its whole previous context."""
+
+    def _seeded(self, program):
+        return None
+
+
+class SweepingEvaluator(UnseededEvaluator):
+    """The reference: unseeded, and every filter through the whole-``L``
+    bottom-up pass."""
 
     def _filter_values(self, program, start=None):
         return self._bottom_up(program)
 
 
+# A view the generated ones never are: value nodes shared across parents
+# of several types, two sems with one string value (5 and "5"), an empty
+# sem, a ``sub/cnode/key`` chain for a multi-step leg, and candidates
+# whose first parents in ``L``-reversed order are not their lowest.
+_SHARED_DTD = """
+<!ELEMENT root (cnode*)>
+<!ELEMENT cnode (key, sub, tag)>
+<!ELEMENT sub (cnode*)>
+<!ELEMENT tag (key*)>
+"""
+
+
+def _shared_value_store() -> ViewStore:
+    store = ViewStore(SimpleNamespace(dtd=parse_dtd(_SHARED_DTD)))
+    ids: dict[str, int] = {}
+
+    def node(name: str, element: str, *sem) -> None:
+        ids[name] = store.intern(element, sem)[0]
+
+    node("root", "root")
+    for name in "abcdegh":
+        node(name, "cnode", name)
+    for name in ("sa", "sb", "sd"):
+        node(name, "sub", name)
+    for name in ("ta", "te"):
+        node(name, "tag", name)
+    node("k5", "key", 5)
+    node("k5s", "key", "5")
+    node("k0", "key")  # empty sem: value ""
+    node("k7", "key", 7)
+    node("k9", "key", 9)
+    edges = [
+        ("root", "e"), ("root", "a"), ("root", "d"),
+        ("a", "k5"), ("a", "sa"), ("a", "ta"),
+        ("sa", "c"), ("sa", "b"), ("sa", "g"),
+        ("b", "k5s"), ("b", "sb"),
+        ("sb", "h"), ("sb", "c"),
+        ("c", "k0"), ("h", "k0"),
+        ("d", "k7"), ("d", "sd"),
+        ("sd", "b"), ("sd", "g"),
+        ("g", "k9"),
+        ("e", "k5"), ("e", "te"),
+        ("ta", "k5"), ("ta", "k0"),
+        ("te", "k5s"),
+    ]
+    for parent, child in edges:
+        store.add_edge(ids[parent], ids[child])
+    store.root_id = ids["root"]
+    return store
+
+
 @functools.cache
-def _view(n_c: int, seed: int):
-    dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
-    store = publish_store(dataset.atg, dataset.db)
+def _view(key):
+    """(store, topo, M, unfolded tree) of ``(n_c, seed)`` or ``"shared"``."""
+    if key == "shared":
+        store = _shared_value_store()
+    else:
+        n_c, seed = key
+        dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
+        store = publish_store(dataset.atg, dataset.db)
     topo = TopoOrder.from_store(store)
     return store, topo, build_index(store, topo), unfold_to_tree(store)
 
 
+def _assert_agrees(got, want, path, reach) -> None:
+    """``got`` equals the unseeded ``want``: targets, ``Ep`` and ``S``
+    exactly; contexts exactly, except that a seeded label level (level
+    2) is a subset of the reference's, in its order.  A level past the
+    first empty one counts as empty."""
+    assert got.targets == want.targets, str(path)
+    assert got.ep == want.ep, str(path)
+    assert got.side_effects == want.side_effects, str(path)
+    levels = len(path.steps) + 1
+
+    def pad(contexts):
+        return list(contexts) + [[]] * (levels - len(contexts))
+
+    got_contexts, want_contexts = pad(got.contexts), pad(want.contexts)
+    if reach is not None and dag_eval._compile(path).seed is not None:
+        seeded, full = got_contexts.pop(2), want_contexts.pop(2)
+        kept = set(seeded)
+        assert seeded == [n for n in full if n in kept], str(path)
+        assert len(kept) == len(seeded)
+    assert got_contexts == want_contexts, str(path)
+
+
 # -- generated paths over the synthetic DTD ----------------------------------------
 
-LABELS = st.sampled_from(["cnode", "sub", "key", "val", "nosuch"])
+LABELS = st.sampled_from(["cnode", "sub", "key", "val", "tag", "nosuch"])
 VALUES = st.sampled_from(["", "1", "2", "5", "9", "17", "v3", "v9", "nosuch"])
 
 
@@ -96,37 +187,170 @@ FILTERS = st.recursive(
     max_leaves=5,
 )
 PATHS = _paths(FILTERS, 5)
-VIEWS = st.sampled_from([(24, 1), (24, 2), (40, 3)])
+VIEWS = st.sampled_from([(24, 1), (24, 2), (40, 3), "shared"])
 
 
 def _outcome(result):
     return result.targets, result.ep, result.side_effects, result.contexts
 
 
-@given(VIEWS, PATHS)
-@settings(max_examples=300, deadline=None)
-def test_demand_driven_equals_sweep_and_tree_oracle(view, path):
-    store, topo, reach, tree = _view(*view)
-    tree_ids = sorted({n.identity for n in evaluate_on_tree(path, tree)})
+def _check_against_reference(view, path):
+    store, topo, reach, tree = _view(view)
+    # repr orders sems that mix 5 and "5"
+    tree_ids = sorted({n.identity for n in evaluate_on_tree(path, tree)}, key=repr)
     for mode in ("insert", "delete"):
         expected = SweepingEvaluator(store, topo, reach).evaluate(path, mode)
         assert sorted(
-            (store.type_of(n), store.sem_of(n)) for n in expected.targets
+            ((store.type_of(n), store.sem_of(n)) for n in expected.targets),
+            key=repr,
         ) == tree_ids
         for index in (reach, None):  # None: regions walked from the store
             got = DagXPathEvaluator(store, topo, index).evaluate(path, mode)
-            assert _outcome(got) == _outcome(expected), (str(path), mode)
+            _assert_agrees(got, expected, path, index)
+
+
+@given(VIEWS, PATHS)
+@settings(max_examples=300, deadline=None)
+def test_demand_driven_equals_sweep_and_tree_oracle(view, path):
+    _check_against_reference(view, path)
 
 
 @given(VIEWS, PATHS, st.data())
 @settings(max_examples=100, deadline=None)
 def test_suffix_evaluation_equals_sweep(view, path, data):
     """``evaluate_from`` a mid-path context: same choice of filter values."""
-    store, topo, reach, _ = _view(*view)
+    store, topo, reach, _ = _view(view)
     start = sorted(data.draw(st.sets(st.sampled_from(topo.as_list()))))
     expected = SweepingEvaluator(store, topo, reach).evaluate_from(path, start)
     got = DagXPathEvaluator(store, topo, reach).evaluate_from(path, start)
     assert _outcome(got) == _outcome(expected)
+
+
+# -- the seeded step: a leading //label[path = value] -------------------------------
+
+
+def _leg_path(labels, bad=None, at=0):
+    """The label steps of a leg, with an optional non-label step in it."""
+    steps = [LabelStep(label) for label in labels]
+    if bad is not None:
+        steps.insert(min(at, len(steps)), bad)
+    return XPath(normalize_steps(steps))
+
+
+# (label, leg) chains each view holds, so that most seeds find nodes.
+HELD_CHAINS = {
+    "synthetic": [
+        ("cnode", ("key",)), ("cnode", ("val",)), ("sub", ("cnode", "key")),
+        ("sub", ("cnode", "val")), ("key", ()), ("val", ()),
+    ],
+    "shared": [
+        ("cnode", ("key",)), ("tag", ("key",)), ("sub", ("cnode", "key")),
+        ("cnode", ("tag", "key")), ("key", ()),
+    ],
+}
+BAD_STEPS = st.one_of(
+    st.just(WildcardStep()),
+    st.just(DescendantStep()),
+    LABELS.map(lambda label: FilterStep(LabelTest(label))),
+)
+# What follows the filter never starts with a filter step, which the
+# normal form would fuse into the leading one.
+SUFFIXES = _paths(FILTERS, 3).map(lambda path: path.steps).filter(
+    lambda steps: not steps or not isinstance(steps[0], FilterStep)
+)
+
+
+@st.composite
+def leading_descendant_paths(draw, view):
+    """``//label[filter]`` over ``view``, and whether it should seed.
+
+    Seeding: the filter's top-level ``and`` holds a ``leg = value`` part
+    over 0-2 label steps.  Not seeding: the leg under ``or`` / ``not``,
+    or a leg with a ``*``, ``//`` or filter step in it.  Half the values
+    are ones the view holds at the leg's last type.
+    """
+    store = _view(view)[0]
+    held_chains = HELD_CHAINS["shared" if view == "shared" else "synthetic"]
+    label, labels = draw(st.one_of(
+        st.sampled_from(held_chains),
+        st.tuples(LABELS, st.lists(LABELS, max_size=2)),
+    ))
+    last = labels[-1] if labels else label
+    held = sorted(
+        {store.value_of(n) for n in store.nodes() if store.type_of(n) == last}
+        - {None}
+    )
+    value = draw(st.sampled_from(held) if held and draw(st.booleans()) else VALUES)
+    leg = ValueEq(_leg_path(labels), value)
+    seedable = draw(st.booleans())
+    if seedable:
+        extras = draw(st.one_of(st.just([]), st.lists(FILTERS, max_size=2)))
+        at = draw(st.integers(0, len(extras)))
+        filt = fand(*extras[:at], leg, *extras[at:])
+    else:
+        bad = ValueEq(
+            _leg_path(labels, draw(BAD_STEPS), draw(st.integers(0, 2))), value
+        )
+        filt = draw(st.sampled_from([
+            FOr((leg, draw(FILTERS))), FOr((draw(FILTERS), leg)), FNot(leg),
+            bad, FAnd((bad, draw(LABELS.map(LabelTest)))),
+        ]))
+    steps = [DescendantStep(), LabelStep(label), FilterStep(filt)]
+    steps += draw(st.one_of(st.just(()), SUFFIXES))
+    return XPath(normalize_steps(steps)), seedable
+
+
+@given(VIEWS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_seeded_evaluation_equals_the_unseeded_reference(view, data):
+    path, seedable = data.draw(leading_descendant_paths(view))
+    assert (dag_eval._compile(path).seed is not None) == seedable, str(path)
+    _check_against_reference(view, path)
+    # evaluate_from never seeds: its contexts are the reference's, exactly
+    store, topo, reach, _ = _view(view)
+    assert _outcome(DagXPathEvaluator(store, topo, reach).evaluate_from(path)) \
+        == _outcome(UnseededEvaluator(store, topo, reach).evaluate_from(path))
+
+
+SHARED_VALUE_QUERIES = [
+    '//cnode[key=5]', '//cnode[key="5"]', '//cnode[key=5]/key',
+    '//cnode[key=5]/sub/cnode', '//cnode[key=5 and tag]/tag/key',
+    '//tag[key=5]', '//tag[key=""]/key', '//key[.=5]', '//key[.=""]',
+    '//cnode[key=""]', '//cnode[.=""]', '//cnode[sub/cnode/key=5]',
+    '//cnode[sub/cnode/key=""]//key', '//sub[cnode/key=9]',
+    '//sub[cnode/key=9]/cnode', '//cnode[key=9]', '//cnode[key=5]//cnode',
+    '//cnode[key=7]//cnode[key=5]', '//cnode[key=5 and sub/cnode/key=""]',
+    '//cnode[key=5 and not(tag)]', '//cnode[key=5 or key=7]',
+    '//cnode[key=nosuch]/sub', '//nosuch[key=5]',
+]
+
+
+@pytest.mark.parametrize("text", SHARED_VALUE_QUERIES)
+def test_seeded_evaluation_on_shared_values(text):
+    """Parents of several types, 5 and "5", an empty sem, and a
+    multi-step leg: the hand-built view against the reference."""
+    store, _, _, _ = _view("shared")
+    assert store.value_index_is_exact()
+    path = parse_xpath(text)
+    _check_against_reference("shared", path)
+
+
+def test_shared_value_view_has_what_the_generated_ones_lack():
+    store, topo, reach, _ = _view("shared")
+    shared = store.nodes_with_value("key", "5")
+    assert len(shared) == 2  # sems (5,) and ("5",)
+    assert {store.type_of(p) for n in shared for p in store.parents_of(n)} \
+        == {"cnode", "tag"}
+    assert len(store.nodes_with_value("key", "")) == 1
+    result = DagXPathEvaluator(store, topo, reach).evaluate(
+        parse_xpath("//cnode[key=5]/key")
+    )
+    assert len(result.targets) == 2 and result.side_effects  # tag parents
+    path = parse_xpath("//cnode[sub/cnode/key=5]")
+    seeded = DagXPathEvaluator(store, topo, reach).evaluate(path)
+    full = UnseededEvaluator(store, topo, reach).evaluate(path)
+    assert seeded.contexts[2] == seeded.targets == full.targets
+    assert len(seeded.targets) == 2 < len(full.contexts[2])
 
 
 # -- work tracks the contexts, not |V| ---------------------------------------------
@@ -146,6 +370,66 @@ def test_anchored_path_work_is_bounded_by_its_contexts():
     walked = sum(len(context) for context in result.contexts)
     assert len(calls) <= 2 * walked
     assert 2 * walked < store.num_nodes  # ... which is far below |V|
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["//cnode[key={k}]", "//cnode[key={k}]/sub", "//sub[cnode/key={k}]"],
+    ids=["cnode", "cnode-sub", "sub-leg"],
+)
+def test_seeded_step_work_is_bounded_by_its_targets(shape):
+    """A leading ``//cnode[key=N]`` expands the children of its
+    candidates, not of every node in ``L``."""
+    dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=1))
+    store = publish_store(dataset.atg, dataset.db)
+    topo = TopoOrder.from_store(store)
+    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+    calls = []
+    children_of = store.children_of
+    store.children_of = lambda node: calls.append(node) or children_of(node)
+    for key in (min(dataset.top_level), max(dataset.top_level), 10**9):
+        for mode in ("insert", "delete"):
+            calls.clear()
+            result = evaluator.evaluate(parse_xpath(shape.format(k=key)), mode)
+            assert len(calls) <= 4 * (len(result.targets) + 1), (key, mode)
+    assert len(topo) > 1000  # the pass it no longer makes
+
+
+def test_seeded_siblings_are_ordered_in_one_pass_over_their_parent():
+    """Candidates sharing one first parent are put in its child order by
+    one read of its children, not one scan per candidate: ``key=5`` is a
+    single node under every top-level ``cnode``."""
+    store = ViewStore(SimpleNamespace(dtd=parse_dtd(_SHARED_DTD)))
+    root = store.intern("root", ())[0]
+    key = store.intern("key", (5,))[0]
+    for i in range(400):
+        cnode = store.intern("cnode", (i,))[0]
+        store.add_edge(root, cnode)
+        store.add_edge(cnode, key)
+    store.root_id = root
+    topo = TopoOrder.from_store(store)
+    reach = build_index(store, topo)
+    reads = []
+
+    class Counted(list):
+        def index(self, item, *args):
+            at = super().index(item, *args)
+            reads.append(at + 1)
+            return at
+
+        def __iter__(self):
+            reads.append(len(self))
+            return super().__iter__()
+
+    children_of = store.children_of
+    store.children_of = lambda node: Counted(children_of(node))
+    path = parse_xpath("//cnode[key=5]")
+    result = DagXPathEvaluator(store, topo, reach).evaluate(path)
+    assert len(result.targets) == 400
+    assert sum(reads) <= 4 * len(result.targets)
+    store.children_of = children_of
+    want = UnseededEvaluator(store, topo, reach).evaluate(path)
+    _assert_agrees(result, want, path, reach)
 
 
 # -- the sweep survives only for // inside a filter --------------------------------
@@ -189,14 +473,14 @@ def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
 
 
 def test_mode_is_validated_even_when_nothing_is_selected():
-    store, topo, reach, _ = _view(24, 1)
+    store, topo, reach, _ = _view((24, 1))
     evaluator = DagXPathEvaluator(store, topo, reach)
     with pytest.raises(ValueError, match="bogus"):
         evaluator.evaluate(parse_xpath("nosuch"), mode="bogus")
 
 
 def test_one_evaluator_serves_concurrent_readers():
-    store, topo, reach, _ = _view(40, 3)
+    store, topo, reach, _ = _view((40, 3))
     evaluator = DagXPathEvaluator(store, topo, reach)
     texts = ["//cnode[key=17]//cnode", "cnode[sub/cnode]/sub/cnode//"]
     paths = [parse_xpath(text) for text in texts]
