@@ -3,7 +3,7 @@
 Paper shape: all phases scale linearly with |C|; total deletion time is
 dominated by the XPath-evaluation phase; W1 (descendant axis) is the most
 expensive class.  The XPath claim is checked on the paper's evaluator
-(seeding off): ours starts a leading ``//label[path = value]`` from the
+(seeding off): ours starts every ``label[path = value]`` step from the
 value's node.
 """
 
@@ -46,11 +46,14 @@ def test_deletion_dominated_by_xpath(monkeypatch):
     the generic Python SPJ evaluator, which is relatively more expensive
     than the paper's compiled SQL, so the check allows translation to
     come close — but XPath must remain a major component.  The product
-    evaluator starts W1's leading ``//cnode[key=N]`` from the key's node,
-    so its XPath phase costs less than the paper's and translation now
-    dominates (a deliberate deviation).  Measured xpath/translate on 2
-    shared Xeon cores, three runs each: product 0.36–0.42, seeding off
-    0.64–0.69; before seeding existed the product gave 0.31–0.75.
+    evaluator starts every value-filtered step from the value's node —
+    W1's leading ``//cnode[key=N]`` and the anchored ``cnode[key=N]``
+    steps of W2/W3 — so its XPath phase costs less than the paper's and
+    translation now dominates (a deliberate deviation).  Measured
+    xpath/translate on 2 shared Xeon cores, 28 runs each: product
+    0.20–0.28, seeding off 0.64–0.76 (one run at 0.22, a translate-phase
+    spike).  Seeding only the leading ``//`` gave 0.36–0.42; before
+    seeding existed the product gave 0.31–0.75.
     """
 
     def deletions() -> PhaseAccumulator:
@@ -62,7 +65,7 @@ def test_deletion_dominated_by_xpath(monkeypatch):
         return acc
 
     seeded = deletions()
-    monkeypatch.setattr(DagXPathEvaluator, "_seeded", lambda self, program: None)
+    monkeypatch.setattr(DagXPathEvaluator, "_seeds", lambda self, program: {})
     paper = deletions()
     assert paper.xpath > 0.5 * paper.translate
     assert seeded.xpath < paper.xpath

@@ -28,19 +28,21 @@ its parents inside ``C(i-1)`` (child step) or inside the region (``//``
 step), and are derived from the contexts at the few nodes ``Ep`` and the
 side-effect walk visit.
 
-A query that opens with ``//label[leg = value and ...]`` (``leg`` zero
-or more label child steps) is *seeded* when ``evaluate`` runs at rest:
-DAG compression interns one node per (type, value), so the store's value
-index names the nodes holding ``value``, and walking up from them through
-the leg's steps in reverse gives the ``label`` nodes the leg holds at.
-The label step's context is those candidates, in the order the full step
-would list them, and the whole filter is tested only there — the pass no
-longer expands every node of ``L``.  ``Ep`` and the side-effect walk are
-unchanged: they read the ``//`` region (``L``), the filtered contexts,
-and the label level only at nodes that passed the filter — none of which
-seeding changes.  ``evaluate_from`` (the subscription
-engine's cached contexts) and the ``reach=None`` mid-batch path never
-seed.
+Every value-filtered label step ``label[leg = value and ...]`` (``leg``
+zero or more label child steps) is *seeded* when ``evaluate`` runs at
+rest: DAG compression interns one node per (type, value), so the store's
+value index names the nodes holding ``value``, and walking up from them
+through the leg's steps in reverse gives the ``label`` nodes the leg
+holds at.  Those with a parent in the previous context (the region,
+after a ``//``) are the step's context, in the order the full step would
+list them, and the whole filter is tested only there — the pass no
+longer expands every child of the previous context (all of ``L`` after a
+leading ``//``; every child of the root for ``cnode[key=a]/...``).
+``Ep`` and the side-effect walk are unchanged: they read the regions,
+the filtered contexts, and a seeded label level only at nodes that
+passed its filter — none of which seeding changes.  ``evaluate_from``
+(the subscription engine's cached contexts) and the ``reach=None``
+mid-batch path never seed.
 
 **Filters, on demand.**  The paper evaluates every filter
 sub-expression ``q`` at every node by dynamic programming over ``L``
@@ -93,6 +95,8 @@ from repro.xpath.ast import (
 )
 
 _PathKey = tuple[XPath, str | None]
+#: A seeded label step: ``(label, leg labels, value)``.
+_Seed = tuple[str, tuple[str, ...], str]
 
 # Step op codes, shared by the query's own steps and its filter paths.
 _LABEL, _WILDCARD, _FILTER, _DESCENDANT = range(4)
@@ -118,12 +122,12 @@ class EvalResult:
     """``C_0 .. C_k`` in document-like order, up to the first empty one
     (the levels after it are empty and not listed).
 
-    Exact, except where :meth:`DagXPathEvaluator.evaluate` seeds a
-    leading ``//label[path = value]``: there ``contexts[2]``, the label
-    step's, holds only the candidates reached upward from the nodes
-    holding ``value`` — a subset of the unseeded ``C_2``, in its order.
-    Every later level is exact, since the filter keeps only nodes the
-    leg holds at."""
+    Exact, except at the levels :meth:`DagXPathEvaluator.evaluate`
+    seeds — every value-filtered ``label[path = value]`` step, at rest:
+    there ``contexts[i]`` holds only the candidates reached upward from
+    the nodes holding ``value`` — a subset of the unseeded ``C_i``, in
+    its order.  Every other level is exact, since the filter keeps only
+    nodes the leg holds at."""
 
     @property
     def has_side_effects(self) -> bool:
@@ -177,7 +181,7 @@ class DagXPathEvaluator:
             raise ValueError("store has no root")
         program = _compile(path)
         match = self._top_down(
-            program, self._filter_values(program), [root], self._seeded(program)
+            program, self._filter_values(program), [root], self._seeds(program)
         )
         result = match.result(path)
         if result.targets:
@@ -313,20 +317,27 @@ class DagXPathEvaluator:
     # Top-down pass: contexts and regions
     # ------------------------------------------------------------------
 
-    def _seeded(self, program: "_Program") -> list[int] | None:
-        """The label step's context of a seeded program, else ``None``.
+    def _seeds(self, program: "_Program") -> dict[int, _Seed]:
+        """The levels ``evaluate`` seeds: all of ``program.seeds`` at
+        rest, none while ``M`` is stale.  The one switch for seeding —
+        an override returning ``{}`` gives the paper's evaluator."""
+        return program.seeds if self.reach is not None else {}
 
-        ``//label[leg = value and ...]`` at rest: walk up from the nodes
-        holding ``value`` through the leg's steps in reverse to their
-        ``label`` parents — exactly the members of the unseeded ``C_2``
-        the leg holds at.  They are put in that context's order: by the
-        first parent in ``L``-reversed order, then by its child order.
-        The root and edge-less (planned, not yet attached) nodes have no
-        parent and are no step's children.
+    def _seed_context(
+        self, seed: _Seed, prev: list[int], region
+    ) -> list[int]:
+        """The context of a seeded ``label[leg = value and ...]`` step.
+
+        Walk up from the nodes holding ``value`` through the leg's steps
+        in reverse to their ``label`` parents, and keep those with a
+        parent in the previous context — ``region`` after a ``//`` step
+        (``None`` otherwise: the list ``prev``).  That is exactly the
+        members of the unseeded context the leg holds at, put in its
+        order: by their earliest parent in ``prev``'s order (``L``
+        reversed after a ``//``, so no rank over the region is built),
+        then by that parent's child order.
         """
-        if program.seed is None or self.reach is None:
-            return None
-        label, leg, value = program.seed
+        label, leg, value = seed
         store = self.store
         parents_of, type_of = store.parents_of, store.type_of
         chain = (label, *leg)
@@ -335,14 +346,18 @@ class DagXPathEvaluator:
             nodes = {
                 p for n in nodes for p in parents_of(n) if type_of(p) == above
             }
-        position = self.topo.position
+        if region is None:  # rank the list the unseeded step would walk
+            region = {u: i for i, u in enumerate(prev)}
+            key, earliest, backward = region.__getitem__, min, False
+        else:
+            key, earliest, backward = self.topo.position, max, True
         by_first: dict[int, list[int]] = {}
         for node in nodes:
-            parents = parents_of(node)
+            parents = [p for p in parents_of(node) if p in region]
             if parents:
-                by_first.setdefault(max(parents, key=position), []).append(node)
+                by_first.setdefault(earliest(parents, key=key), []).append(node)
         context: list[int] = []
-        for parent in sorted(by_first, key=position, reverse=True):
+        for parent in sorted(by_first, key=key, reverse=backward):
             siblings = by_first[parent]
             if len(siblings) > 1:
                 order = {c: i for i, c in enumerate(store.children_of(parent))}
@@ -355,7 +370,7 @@ class DagXPathEvaluator:
         program: "_Program",
         values: "_FilterValues | _LazyFilterValues",
         start: list[int],
-        seeded: list[int] | None = None,
+        seeds: dict[int, _Seed] | None = None,
     ) -> "_Match":
         store = self.store
         children_of = store.children_of
@@ -379,8 +394,10 @@ class DagXPathEvaluator:
                     current = self.topo.sort_nodes(region)
                     current.reverse()  # ancestors first: document-like
                 match.regions[level] = region
-            elif level == 2 and seeded is not None:
-                current = seeded  # the label step of a seeded program
+            elif seeds and level in seeds:
+                current = self._seed_context(
+                    seeds[level], current, match.regions.get(level - 1)
+                )
             else:
                 label = op[1] if code == _LABEL else None
                 seen: set[int] = set()
@@ -553,15 +570,15 @@ class _Program:
       per-node sweep can run plans in list order.
     - ``lazy``: no filter path has a descendant op, so filter truth can
       be computed on demand by recursion over the plans.
-    - ``seed``: ``(label, leg labels, value)`` when the query opens with
-      ``//label[...]`` and the filter's top-level ``and`` has a
-      ``leg = value`` part over label child steps only (no ``*``, ``//``
-      or filter in it); no ``or`` / ``not`` at the top.  Else ``None``.
+    - ``seeds``: level → ``(label, leg labels, value)`` for every value-
+      filtered label step: a ``label`` step whose filter's top-level
+      ``and`` has a ``leg = value`` part over label child steps only (no
+      ``*``, ``//`` or filter in it); no ``or`` / ``not`` at the top.
     """
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
-        self.seed: tuple[str, tuple[str, ...], str] | None = None
+        self.seeds: dict[int, _Seed] = {}
         self.units: list[tuple[str, int]] = []
         self.path_plans: list[tuple[list[tuple], str | None]] = []
         self.filter_plans: list[tuple] = []
@@ -668,26 +685,25 @@ def _compile(path: XPath) -> _Program:
     program.lazy = not any(
         op[0] == _DESCENDANT for ops, _ in program.path_plans for op in ops
     )
-    program.seed = _seed_plan(path.steps)
+    program.seeds = _seed_plan(path.steps)
     return program
 
 
-def _seed_plan(steps: tuple) -> tuple[str, tuple[str, ...], str] | None:
-    """``_Program.seed`` of a query with these steps."""
-    if len(steps) < 3 or not (
-        isinstance(steps[0], DescendantStep)
-        and isinstance(steps[1], LabelStep)
-        and isinstance(steps[2], FilterStep)
-    ):
-        return None
-    filt = steps[2].filter
-    for part in filt.parts if isinstance(filt, FAnd) else (filt,):
-        if isinstance(part, ValueEq) and all(
-            isinstance(step, LabelStep) for step in part.path.steps
-        ):
-            leg = tuple(step.label for step in part.path.steps)
-            return steps[1].label, leg, part.value
-    return None
+def _seed_plan(steps: tuple) -> dict[int, _Seed]:
+    """``_Program.seeds`` of a query with these steps."""
+    seeds: dict[int, _Seed] = {}
+    for level, (step, nxt) in enumerate(zip(steps, steps[1:]), start=1):
+        if not (isinstance(step, LabelStep) and isinstance(nxt, FilterStep)):
+            continue
+        filt = nxt.filter
+        for part in filt.parts if isinstance(filt, FAnd) else (filt,):
+            if isinstance(part, ValueEq) and all(
+                isinstance(leg_step, LabelStep) for leg_step in part.path.steps
+            ):
+                leg = tuple(leg_step.label for leg_step in part.path.steps)
+                seeds[level] = (step.label, leg, part.value)
+                break
+    return seeds
 
 
 def _compile_steps(path: XPath, program: _Program) -> list[tuple]:

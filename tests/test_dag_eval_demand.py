@@ -1,15 +1,16 @@
 """The demand-driven evaluation order of ``DagXPathEvaluator``.
 
 ``evaluate`` answers no-``//`` filters on demand at the nodes the
-top-down pass consults, and starts a leading ``//label[path = value]``
+top-down pass consults, and starts every ``label[path = value]`` step
 from the nodes holding ``value``.  The reference every result is
 compared against does neither: the paper's all-of-``L`` bottom-up sweep
-for every filter, and the label step over all of ``L``.
+for every filter, and every label step over all of its previous context.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from repro.dtd.parser import parse_dtd
 from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.views.store import ViewStore
+from repro.workloads.queries import make_query_set
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.ast import (
     DescendantStep,
@@ -46,11 +48,14 @@ from repro.xpath.parser import parse_xpath
 from repro.xpath.tree_eval import evaluate_on_tree
 
 
+def _no_seeds(self, program):
+    return {}
+
+
 class UnseededEvaluator(DagXPathEvaluator):
     """Never seeds: every label step expands its whole previous context."""
 
-    def _seeded(self, program):
-        return None
+    _seeds = _no_seeds
 
 
 class SweepingEvaluator(UnseededEvaluator):
@@ -64,7 +69,12 @@ class SweepingEvaluator(UnseededEvaluator):
 # A view the generated ones never are: value nodes shared across parents
 # of several types, two sems with one string value (5 and "5"), an empty
 # sem, a ``sub/cnode/key`` chain for a multi-step leg, and candidates
-# whose first parents in ``L``-reversed order are not their lowest.
+# whose first parents in ``L``-reversed order are not their lowest.  For
+# a seeded step below the root: ``cnode/sub`` is ``[sa, sd]``, and the
+# ``key=9`` cnodes are siblings under both, in a child order that is not
+# id order (g, j, i under sa; n, m under sd); i is under both, m also
+# under sb, outside that context, and h only under sb.  The root lists
+# e, a, d, which ``L`` reverses to a, d, e (``cnode/tag[key=5]``).
 _SHARED_DTD = """
 <!ELEMENT root (cnode*)>
 <!ELEMENT cnode (key, sub, tag)>
@@ -81,7 +91,7 @@ def _shared_value_store() -> ViewStore:
         ids[name] = store.intern(element, sem)[0]
 
     node("root", "root")
-    for name in "abcdegh":
+    for name in "abcdeghijmn":
         node(name, "cnode", name)
     for name in ("sa", "sb", "sd"):
         node(name, "sub", name)
@@ -95,13 +105,13 @@ def _shared_value_store() -> ViewStore:
     edges = [
         ("root", "e"), ("root", "a"), ("root", "d"),
         ("a", "k5"), ("a", "sa"), ("a", "ta"),
-        ("sa", "c"), ("sa", "b"), ("sa", "g"),
+        ("sa", "c"), ("sa", "b"), ("sa", "g"), ("sa", "j"), ("sa", "i"),
         ("b", "k5s"), ("b", "sb"),
-        ("sb", "h"), ("sb", "c"),
+        ("sb", "h"), ("sb", "c"), ("sb", "m"),
         ("c", "k0"), ("h", "k0"),
         ("d", "k7"), ("d", "sd"),
-        ("sd", "b"), ("sd", "g"),
-        ("g", "k9"),
+        ("sd", "b"), ("sd", "g"), ("sd", "n"), ("sd", "m"), ("sd", "i"),
+        ("g", "k9"), ("i", "k9"), ("j", "k9"), ("m", "k9"), ("n", "k9"),
         ("e", "k5"), ("e", "te"),
         ("ta", "k5"), ("ta", "k0"),
         ("te", "k5s"),
@@ -127,9 +137,9 @@ def _view(key):
 
 def _assert_agrees(got, want, path, reach) -> None:
     """``got`` equals the unseeded ``want``: targets, ``Ep`` and ``S``
-    exactly; contexts exactly, except that a seeded label level (level
-    2) is a subset of the reference's, in its order.  A level past the
-    first empty one counts as empty."""
+    exactly; contexts exactly, except that every seeded label level is a
+    subset of the reference's, in its order.  A level past the first
+    empty one counts as empty."""
     assert got.targets == want.targets, str(path)
     assert got.ep == want.ep, str(path)
     assert got.side_effects == want.side_effects, str(path)
@@ -139,12 +149,14 @@ def _assert_agrees(got, want, path, reach) -> None:
         return list(contexts) + [[]] * (levels - len(contexts))
 
     got_contexts, want_contexts = pad(got.contexts), pad(want.contexts)
-    if reach is not None and dag_eval._compile(path).seed is not None:
-        seeded, full = got_contexts.pop(2), want_contexts.pop(2)
-        kept = set(seeded)
-        assert seeded == [n for n in full if n in kept], str(path)
-        assert len(kept) == len(seeded)
-    assert got_contexts == want_contexts, str(path)
+    seeded_levels = dag_eval._compile(path).seeds if reach is not None else {}
+    for level, (have, full) in enumerate(zip(got_contexts, want_contexts)):
+        if level in seeded_levels:
+            kept = set(have)
+            assert have == [n for n in full if n in kept], (str(path), level)
+            assert len(kept) == len(have)
+        else:
+            assert have == full, (str(path), level)
 
 
 # -- generated paths over the synthetic DTD ----------------------------------------
@@ -226,7 +238,7 @@ def test_suffix_evaluation_equals_sweep(view, path, data):
     assert _outcome(got) == _outcome(expected)
 
 
-# -- the seeded step: a leading //label[path = value] -------------------------------
+# -- seeded steps: every label[path = value] ----------------------------------------
 
 
 def _leg_path(labels, bad=None, at=0):
@@ -253,34 +265,56 @@ BAD_STEPS = st.one_of(
     st.just(DescendantStep()),
     LABELS.map(lambda label: FilterStep(LabelTest(label))),
 )
+# What comes before the value-filtered step: the leading ``//``, child
+# steps, a ``*``, a ``//`` below the root, or (a quarter of the time) a
+# generated path.
+PREFIX_TEXTS = st.sampled_from([
+    "//", "cnode", "cnode/sub", "*", "cnode/*", "*/sub", "cnode//",
+    "//sub//", "cnode[key=5]/sub//", "//cnode[key=5]//",
+])
+GENERATED_PREFIXES = _paths(FILTERS, 3).map(lambda path: path.steps)
 # What follows the filter never starts with a filter step, which the
-# normal form would fuse into the leading one.
+# normal form would fuse into the seeded one.
 SUFFIXES = _paths(FILTERS, 3).map(lambda path: path.steps).filter(
     lambda steps: not steps or not isinstance(steps[0], FilterStep)
 )
 
 
 @st.composite
-def leading_descendant_paths(draw, view):
-    """``//label[filter]`` over ``view``, and whether it should seed.
+def value_filtered_paths(draw, view):
+    """``prefix/label[filter]/suffix`` over ``view``, the label step's
+    level, and whether that level should seed.
 
     Seeding: the filter's top-level ``and`` holds a ``leg = value`` part
     over 0-2 label steps.  Not seeding: the leg under ``or`` / ``not``,
-    or a leg with a ``*``, ``//`` or filter step in it.  Half the values
-    are ones the view holds at the leg's last type.
+    or a leg with a ``*``, ``//`` or filter step in it.  Three quarters
+    of the (label, leg) chains are ones the view holds below the prefix,
+    and three quarters of the values are ones the leg reaches from the
+    label step's unseeded context, so that most seeded levels are not
+    empty.
     """
-    store = _view(view)[0]
-    held_chains = HELD_CHAINS["shared" if view == "shared" else "synthetic"]
-    label, labels = draw(st.one_of(
-        st.sampled_from(held_chains),
-        st.tuples(LABELS, st.lists(LABELS, max_size=2)),
+
+    def mostly(likely, otherwise):
+        return draw(likely if draw(st.integers(0, 3)) else otherwise)
+
+    store, topo, reach, _ = _view(view)
+    prefix = normalize_steps(mostly(
+        PREFIX_TEXTS.map(lambda text: parse_xpath(text).steps),
+        GENERATED_PREFIXES,
     ))
-    last = labels[-1] if labels else label
-    held = sorted(
-        {store.value_of(n) for n in store.nodes() if store.type_of(n) == last}
-        - {None}
+    evaluator = UnseededEvaluator(store, topo, reach)
+
+    def reached(label, labels):
+        chain = (*prefix, *(LabelStep(a) for a in (label, *labels)))
+        return evaluator.evaluate(XPath(chain)).targets
+
+    chains = HELD_CHAINS["shared" if view == "shared" else "synthetic"]
+    label, labels = mostly(
+        st.sampled_from([c for c in chains if reached(*c)] or chains),
+        st.tuples(LABELS, st.lists(LABELS, max_size=2)),
     )
-    value = draw(st.sampled_from(held) if held and draw(st.booleans()) else VALUES)
+    held = sorted({store.value_of(n) for n in reached(label, labels)} - {None})
+    value = mostly(st.sampled_from(held), VALUES) if held else draw(VALUES)
     leg = ValueEq(_leg_path(labels), value)
     seedable = draw(st.booleans())
     if seedable:
@@ -295,16 +329,16 @@ def leading_descendant_paths(draw, view):
             FOr((leg, draw(FILTERS))), FOr((draw(FILTERS), leg)), FNot(leg),
             bad, FAnd((bad, draw(LABELS.map(LabelTest)))),
         ]))
-    steps = [DescendantStep(), LabelStep(label), FilterStep(filt)]
+    steps = [*prefix, LabelStep(label), FilterStep(filt)]
     steps += draw(st.one_of(st.just(()), SUFFIXES))
-    return XPath(normalize_steps(steps)), seedable
+    return XPath(normalize_steps(steps)), len(prefix) + 1, seedable
 
 
 @given(VIEWS, st.data())
 @settings(max_examples=300, deadline=None)
 def test_seeded_evaluation_equals_the_unseeded_reference(view, data):
-    path, seedable = data.draw(leading_descendant_paths(view))
-    assert (dag_eval._compile(path).seed is not None) == seedable, str(path)
+    path, level, seedable = data.draw(value_filtered_paths(view))
+    assert (level in dag_eval._compile(path).seeds) == seedable, str(path)
     _check_against_reference(view, path)
     # evaluate_from never seeds: its contexts are the reference's, exactly
     store, topo, reach, _ = _view(view)
@@ -322,16 +356,44 @@ SHARED_VALUE_QUERIES = [
     '//cnode[key=7]//cnode[key=5]', '//cnode[key=5 and sub/cnode/key=""]',
     '//cnode[key=5 and not(tag)]', '//cnode[key=5 or key=7]',
     '//cnode[key=nosuch]/sub', '//nosuch[key=5]',
+    # seeded below the root
+    'cnode/sub/cnode[key=9]', 'cnode/sub/cnode[key=9]/key',
+    'cnode/sub/cnode[key=""]', 'cnode/tag[key=5]', 'cnode/tag[key=5]/key',
+    'cnode[key=5]/sub/cnode[key=9]', 'cnode[key=7]/sub/cnode[key=9 and key]',
+    'cnode/*/cnode[key=9]', 'cnode/sub//cnode[key=9]', '//sub/cnode[key=9]',
+    '//cnode[key=7]//cnode[key=9]', 'cnode[key=5]/sub/cnode[sub/cnode/key=""]',
+    'cnode/sub/cnode[key=9]/sub/cnode[key=""]', 'cnode/sub/cnode[.=""]',
 ]
 
 
 @pytest.mark.parametrize("text", SHARED_VALUE_QUERIES)
 def test_seeded_evaluation_on_shared_values(text):
-    """Parents of several types, 5 and "5", an empty sem, and a
-    multi-step leg: the hand-built view against the reference."""
+    """Parents of several types, 5 and "5", an empty sem, a multi-step
+    leg, and seeded steps below the root: the hand-built view against
+    the reference."""
     store, _, _, _ = _view("shared")
     assert store.value_index_is_exact()
     path = parse_xpath(text)
+    _check_against_reference("shared", path)
+
+
+@pytest.mark.parametrize("text, levels", [
+    ("cnode/sub/cnode[key=9]", {3}),
+    ("cnode[key=5]/sub/cnode[key=9 and sub]", {1, 4}),
+    ("//cnode[key=7]//cnode[key=9]", {2, 5}),
+    ("cnode/*/cnode[sub/cnode/key=9]", {3}),
+    ("*[key=5]/sub/cnode[key=9]", {4}),
+    # must not seed: or / not at the top, * / // / a filter in the leg
+    ("cnode/sub/cnode[key=9 or key=5]", set()),
+    ("cnode/sub/cnode[not(key=9)]", set()),
+    ("cnode/sub/cnode[*/key=9]", set()),
+    ("cnode/sub/cnode[sub//key=9]", set()),
+    ("cnode/sub/cnode[sub[cnode]/cnode/key=9]", set()),
+    ("cnode[key=5]/sub/cnode[not(key=9) and sub]", {1}),
+])
+def test_which_levels_seed(text, levels):
+    path = parse_xpath(text)
+    assert set(dag_eval._compile(path).seeds) == levels
     _check_against_reference("shared", path)
 
 
@@ -351,6 +413,29 @@ def test_shared_value_view_has_what_the_generated_ones_lack():
     full = UnseededEvaluator(store, topo, reach).evaluate(path)
     assert seeded.contexts[2] == seeded.targets == full.targets
     assert len(seeded.targets) == 2 < len(full.contexts[2])
+
+    def names(nodes):
+        return [store.sem_of(n)[0] for n in nodes]
+
+    # Below the root: siblings under several parents of the previous
+    # context, in its order then child order; m enters through sd, h
+    # (only under sb) not at all.
+    path = parse_xpath("cnode/sub/cnode[key=9]")
+    seeded = DagXPathEvaluator(store, topo, reach).evaluate(path)
+    assert names(seeded.contexts[2]) == ["sa", "sd"]
+    assert names(seeded.contexts[3]) == ["g", "j", "i", "n", "m"]
+    assert seeded.contexts[3] == seeded.targets
+    assert names(
+        DagXPathEvaluator(store, topo, reach)
+        .evaluate(parse_xpath('cnode/sub/cnode[key=""]')).contexts[3]
+    ) == ["c"]
+    # The previous context's order is not L's: te comes first.
+    result = DagXPathEvaluator(store, topo, reach).evaluate(
+        parse_xpath("cnode/tag[key=5]")
+    )
+    assert names(result.contexts[1]) == ["e", "a", "d"]
+    assert names(result.targets) == ["te", "ta"]
+    assert names(topo.sort_nodes(result.targets)[::-1]) == ["ta", "te"]
 
 
 # -- work tracks the contexts, not |V| ---------------------------------------------
@@ -393,6 +478,78 @@ def test_seeded_step_work_is_bounded_by_its_targets(shape):
             result = evaluator.evaluate(parse_xpath(shape.format(k=key)), mode)
             assert len(calls) <= 4 * (len(result.targets) + 1), (key, mode)
     assert len(topo) > 1000  # the pass it no longer makes
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "cnode[key={a}]/sub/cnode[key={b}]",
+        "cnode[key={a} and sub/cnode]/sub/cnode[key={b}]",
+    ],
+    ids=["anchored", "anchored-and"],
+)
+def test_anchored_read_work_is_bounded_by_its_targets(shape):
+    """``cnode[key=a]/...`` expands the children of its candidates, not
+    every child of the root, and so does the ``cnode[key=b]`` below."""
+    dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=1))
+    store = publish_store(dataset.atg, dataset.db)
+    topo = TopoOrder.from_store(store)
+    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+    pairs = [
+        tuple(re.findall(r"key=(\d+)", query))
+        for query in make_query_set(dataset, count=16)
+        if not query.startswith("//") and query.endswith("]")
+    ]
+    assert pairs
+    a, b = pairs[0]
+    calls = []
+    children_of = store.children_of
+    store.children_of = lambda node: calls.append(node) or children_of(node)
+    hits = 0
+    for keys in (*pairs, (a, 10**9), (10**9, b)):
+        for mode in ("insert", "delete"):
+            calls.clear()
+            path = parse_xpath(shape.format(a=keys[0], b=keys[1]))
+            result = evaluator.evaluate(path, mode)
+            hits += bool(result.targets)
+            assert len(calls) <= 4 * (len(result.targets) + 1), (keys, mode)
+    assert hits == 2 * len(pairs)
+    assert len(store.children_of(store.root_id)) > 100  # what it skips
+
+
+def test_the_seeding_seam_turns_off_every_level(monkeypatch):
+    """``DagXPathEvaluator._seeds`` is the one switch the reference
+    evaluator and the ``perf`` checks override: returning ``{}`` from it
+    puts an anchored read back on every child of the root."""
+    store, topo, reach, _ = _view((40, 3))
+    top = [c for c in store.children_of(store.root_id)
+           if store.type_of(c) == "cnode"]
+    anchor = next(
+        store.value_of(c) for c in store.children_of(top[0])
+        if store.type_of(c) == "key"
+    )
+    path = parse_xpath(f"cnode[key={anchor}]/sub/cnode")
+    expanded: list[int] = []
+    children_of = store.children_of
+    monkeypatch.setattr(
+        store, "children_of",
+        lambda node: expanded.append(node) or children_of(node),
+    )
+
+    def walk(evaluator_class):
+        expanded.clear()
+        result = evaluator_class(store, topo, reach).evaluate(path, "delete")
+        return result, set(expanded)
+
+    seeded, seeded_walk = walk(DagXPathEvaluator)
+    assert seeded.targets and not set(top) <= seeded_walk
+    reference, reference_walk = walk(UnseededEvaluator)
+    assert set(top) <= reference_walk
+    monkeypatch.setattr(DagXPathEvaluator, "_seeds", _no_seeds)
+    patched, patched_walk = walk(DagXPathEvaluator)
+    assert set(top) <= patched_walk
+    assert _outcome(patched) == _outcome(reference)
+    _assert_agrees(seeded, reference, path, reach)
 
 
 def test_seeded_siblings_are_ordered_in_one_pass_over_their_parent():
