@@ -4,7 +4,7 @@ Per event the registry has two regimes:
 
 - **fine** — scan the edges against the per-step patterns of every
   standing subscription (``first_affected_step``: cost ∝ |edges| ×
-  |patterns|, rewarded with skips, cone refreshes and suffix restarts);
+  |patterns|, rewarded with skips);
 - **coarse** — skip the scan and fully re-evaluate every subscription
   (cost independent of |edges|).
 

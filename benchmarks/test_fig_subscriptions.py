@@ -6,10 +6,9 @@ updates has two strategies:
 - **evaluate-per-op** — after every committed op, re-run every query
   with ``service.xpath`` (what clients did before subscriptions);
 - **subscriptions** — register each query once; the engine consumes the
-  ΔV event of every commit and decides, once per query, the earliest
-  affected step ``k``: none — *skip*; else re-derive memberships inside
-  the event's cone or re-evaluate the *suffix* ``steps[k:]`` from the
-  cached ``C_k`` (``k = 0``, coarse events: a full evaluation).
+  ΔV event of every commit and decides, once per query, whether any
+  event edge can change a step's context: none — *skip*; else
+  re-evaluate the query from the root.
 
 Both strategies run the identical op stream over identically built
 views; the benchmark times only the query-maintenance side (the
@@ -17,14 +16,15 @@ registry's publish work plus every ``result()`` read vs the fresh
 evaluations), asserts result equality op by op, and checks the
 tentpole claim: **≥ 3× faster at the largest configured size** than
 evaluate-per-op on the paper's evaluator, whose leading ``//`` ranges
-over all of ``L`` (the unseeded evaluation the engine's ``evaluate_from``
-also runs).  ``service.xpath`` starts every ``label[path = value]`` step
-from the value's node — the anchored ``cnode[key=a]/...`` queries as
-well as the leading ``//`` ones; evaluate-per-op through it is timed on
-the same service and its ratio recorded, not asserted.  Measured on 2
-shared Xeon cores, ten runs: 3.8–5.8× with seeding off (asserted), and
-0.94–1.25× against the product's evaluate-per-op (2.2–3.1× when only a
-leading ``//`` was seeded).
+over all of ``L``.  ``service.xpath`` starts every ``label[path = value]``
+step from the value's node — the anchored ``cnode[key=a]/...`` queries
+as well as the leading ``//`` ones, and so does the engine's
+re-evaluation; evaluate-per-op through it is timed on the same service
+and its ratio recorded, not asserted.  Measured on 2 shared Xeon cores,
+ten runs: 6.0–19.1× with seeding off (asserted; eight runs 17–19×), and
+1.2–4.0× against the product's evaluate-per-op (eight runs 3.2–4.0×).
+Five runs of the engine that refreshed by event cone and step suffix on
+the unseeded evaluator measured 3.1–4.1× and 0.74–1.04×.
 Timings land in ``BENCH_index.json`` via ``conftest.record_bench``.
 """
 
@@ -123,7 +123,6 @@ def _measure(n_c: int) -> dict:
         "evaluate_per_op_seeded": seeded_seconds,
         "subscriptions": sub_seconds,
         "skips": stats["skips"],
-        "suffix_refreshes": stats["suffix_refreshes"],
         "full_refreshes": stats["full_refreshes"],
     }
 
@@ -133,7 +132,7 @@ def test_subscriptions_agree_and_record(n_c):
     measured = _measure(n_c)
     experiment = f"fig_subscriptions:n{n_c}"
     extra = {k: measured[k] for k in (
-        "ops", "queries", "skips", "suffix_refreshes", "full_refreshes",
+        "ops", "queries", "skips", "full_refreshes",
     )}
     record_bench(
         experiment, "bitset", "evaluate_per_op",
@@ -150,7 +149,7 @@ def test_subscriptions_agree_and_record(n_c):
     # The engine must actually prune: a silent degradation to
     # evaluate-per-op would keep equality but lose the point.
     assert measured["skips"] > 0
-    assert measured["suffix_refreshes"] > 0
+    assert measured["full_refreshes"] > 0
 
 
 def test_registrar_subscriptions_agree():
@@ -184,7 +183,6 @@ def test_registrar_subscriptions_agree():
         "fig_subscriptions:registrar", "bitset", "publish",
         stats["publish_seconds"],
         ops=len(stream), queries=len(subs), skips=stats["skips"],
-        suffix_refreshes=stats["suffix_refreshes"],
         full_refreshes=stats["full_refreshes"],
     )
     assert stats["skips"] > 0
@@ -211,6 +209,5 @@ def test_subscriptions_beat_evaluate_per_op_3x():
         f"(baseline {measured['evaluate_per_op']:.4f}s vs "
         f"subscriptions {measured['subscriptions']:.4f}s; "
         f"skips={measured['skips']} "
-        f"suffix={measured['suffix_refreshes']} "
         f"full={measured['full_refreshes']})"
     )

@@ -22,27 +22,30 @@ lookup.
 computed left to right.  A ``//`` step records its *region*
 (descendant-or-self closure of the previous context): all of ``L`` when
 the previous context is the root and ``M`` is at rest, otherwise fetched
-from ``M`` (or walked from the store while ``M`` is stale).  Nothing
-else is recorded: the parents through which a node entered ``Ci`` are
-its parents inside ``C(i-1)`` (child step) or inside the region (``//``
-step), and are derived from the contexts at the few nodes ``Ep`` and the
-side-effect walk visit.
+from ``M`` (or walked from the store while ``M`` is stale).  The region
+is listed in ``L``'s order only when the next step walks a list; a
+seeded next step reads its membership alone.  Nothing else is recorded:
+the parents through which a node entered ``Ci`` are its parents inside
+``C(i-1)`` (child step) or inside the region (``//`` step), and are
+derived from the contexts at the few nodes ``Ep`` and the side-effect
+walk visit.
 
 Every value-filtered label step ``label[leg = value and ...]`` (``leg``
-zero or more label child steps) is *seeded* when ``evaluate`` runs at
-rest: DAG compression interns one node per (type, value), so the store's
-value index names the nodes holding ``value``, and walking up from them
-through the leg's steps in reverse gives the ``label`` nodes the leg
-holds at.  Those with a parent in the previous context (the region,
-after a ``//``) are the step's context, in the order the full step would
-list them, and the whole filter is tested only there — the pass no
-longer expands every child of the previous context (all of ``L`` after a
-leading ``//``; every child of the root for ``cnode[key=a]/...``).
-``Ep`` and the side-effect walk are unchanged: they read the regions,
-the filtered contexts, and a seeded label level only at nodes that
-passed its filter — none of which seeding changes.  ``evaluate_from``
-(the subscription engine's cached contexts) and the ``reach=None``
-mid-batch path never seed.
+zero or more label child steps) is *seeded* at rest, by ``evaluate``
+and ``evaluate_from`` alike: DAG compression interns one node per
+(type, value), so the store's value index names the nodes holding
+``value``, and walking up from them through the leg's steps in reverse
+gives the ``label`` nodes the leg holds at.  Those with a parent in the
+previous context (the region, after a ``//``) are the step's context,
+in the order the full step would list them, and the whole filter is
+tested only there — the pass no longer expands every child of the
+previous context (all of ``L`` after a leading ``//``; every child of
+the root for ``cnode[key=a]/...``).  ``Ep`` and the side-effect walk are
+unchanged: they read the regions, the filtered contexts, and a seeded
+label level only at nodes that passed its filter — none of which
+seeding changes.  :func:`seed_plan` is the one statement of which steps
+seed; the subscription engine's dependency analysis reads it too.  The
+``reach=None`` mid-batch path never seeds.
 
 **Filters, on demand.**  The paper evaluates every filter
 sub-expression ``q`` at every node by dynamic programming over ``L``
@@ -52,8 +55,7 @@ descendant-or-self of ``v``.  Here ``val`` is memoised per call and
 computed only at the nodes the top-down pass asks about, recursing over
 the *plan* (bounded by ``|q|``), never over the data; only filters with
 a ``//`` inside them, whose ``desc`` tables would recurse over the
-possibly deep DAG, keep the paper's sweep — over ``L``, or over the
-descendant cone of the start context of a suffix evaluation.  Each
+possibly deep DAG, keep the paper's sweep over ``L``.  Each
 ``(q, v)`` pair is still computed at most once from its children's
 values, so the paper's ``O(|p|·|V|)`` bound holds as the worst case (a
 path whose contexts cover the view); a path anchored by selective steps
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.topo import TopoOrder
 from repro.index import ReachabilityIndex
@@ -95,18 +98,25 @@ from repro.xpath.ast import (
 )
 
 _PathKey = tuple[XPath, str | None]
-#: A seeded label step: ``(label, leg labels, value)``.
-_Seed = tuple[str, tuple[str, ...], str]
 
 # Step op codes, shared by the query's own steps and its filter paths.
 _LABEL, _WILDCARD, _FILTER, _DESCENDANT = range(4)
 
 _MODES = ("insert", "delete")
 
-#: Compiled programs kept per process (the subscription engine also
-#: compiles the step suffixes it re-evaluates).  Bounded so a long-lived
-#: service that sees ever-new paths cannot grow without limit.
+#: Compiled programs kept per process: one per distinct path read,
+#: written or subscribed.  Bounded so a long-lived service that sees
+#: ever-new paths cannot grow without limit.
 _PROGRAM_CACHE_SIZE = 1024
+
+
+class Seed(NamedTuple):
+    """A seeded label step ``label[leg = value and ...]``."""
+
+    label: str
+    part: ValueEq
+    """The ``leg = value`` conjunct of the step's filter it starts from
+    (``part.path`` is ``leg``, label steps only)."""
 
 
 @dataclass
@@ -118,16 +128,26 @@ class EvalResult:
     ep: list[tuple[int, int, int]] = field(default_factory=list)
     """``Ep(r)`` as (parent, child, parent_level) triples."""
     side_effects: set[int] = field(default_factory=set)
-    contexts: list[list[int]] = field(default_factory=list)
-    """``C_0 .. C_k`` in document-like order, up to the first empty one
-    (the levels after it are empty and not listed).
+    _match: "_Match | None" = field(default=None, repr=False, compare=False)
 
-    Exact, except at the levels :meth:`DagXPathEvaluator.evaluate`
-    seeds — every value-filtered ``label[path = value]`` step, at rest:
-    there ``contexts[i]`` holds only the candidates reached upward from
-    the nodes holding ``value`` — a subset of the unseeded ``C_i``, in
-    its order.  Every other level is exact, since the filter keeps only
-    nodes the leg holds at."""
+    @property
+    def contexts(self) -> list:
+        """Membership of ``C_0 .. C_k``, up to the first empty one (the
+        levels after it are empty and not listed): the region at a
+        ``//`` level — ``L`` itself after a leading ``//`` at rest, so
+        a live container, not a snapshot — and a set elsewhere, built
+        on first read.
+
+        Exact, except at the levels :func:`seed_plan` names, at rest:
+        there ``contexts[i]`` holds only the candidates reached upward
+        from the nodes holding the value — a subset of the unseeded
+        ``C_i``.  Every other level is exact, since the filter keeps
+        only nodes the leg holds at.  Order is not kept: ``targets`` is
+        the last level in document-like order."""
+        match = self._match
+        if match is None:
+            return []
+        return [match.members(level) for level in range(len(match.contexts))]
 
     @property
     def has_side_effects(self) -> bool:
@@ -176,59 +196,36 @@ class DagXPathEvaluator:
         'delete': the modified parents from ``Ep``)."""
         if mode not in _MODES:
             raise ValueError(f"unknown side-effect mode {mode!r}")
-        root = self.store.root_id
-        if root is None:
-            raise ValueError("store has no root")
-        program = _compile(path)
-        match = self._top_down(
-            program, self._filter_values(program), [root], self._seeds(program)
-        )
-        result = match.result(path)
+        result = self._top_down(path)
         if result.targets:
+            match = result._match
             result.ep = self._compute_ep(path, match, result.targets)
             self._detect_side_effects(result, match, mode)
         return result
 
-    def evaluate_from(
-        self, path: XPath, start: list[int] | None = None
-    ) -> EvalResult:
-        """Targets-and-contexts evaluation, optionally from a mid-path
-        context instead of the root.
-
-        The subscription engine's entry point: ``path`` may be a step
-        *suffix* of a subscribed query and ``start`` the cached context
-        the suffix re-evaluates from.  ``Ep`` and side-effect detection
-        need the root-anchored matched structure, so neither is computed
-        — ``result.ep`` / ``result.side_effects`` stay empty.
-        """
-        root = self.store.root_id
-        if start is None and root is None:
-            raise ValueError("store has no root")
-        context = [root] if start is None else list(start)
-        program = _compile(path)
-        values = self._filter_values(program, start)
-        return self._top_down(program, values, context).result(path)
+    def evaluate_from(self, path: XPath) -> EvalResult:
+        """Targets and contexts only: the subscription engine's entry
+        point.  Seeded like :meth:`evaluate`; ``Ep`` and side-effect
+        detection are not computed — ``result.ep`` /
+        ``result.side_effects`` stay empty."""
+        return self._top_down(path)
 
     # ------------------------------------------------------------------
     # Filters: on demand, or the bottom-up sweep
     # ------------------------------------------------------------------
 
     def _filter_values(
-        self, program: "_Program", start: list[int] | None = None
+        self, program: "_Program"
     ) -> "_FilterValues | _LazyFilterValues":
         """Filter truth for one evaluation, chosen from the plan alone.
 
         Filters without ``//`` inside them are answered on demand at the
         nodes the top-down pass consults; a plan with a descendant op
-        takes the bottom-up sweep — over the descendant cone of
-        ``start`` when one is given, else over all of ``L``.
+        takes the bottom-up sweep over all of ``L``.
         """
         if program.lazy:
             return _LazyFilterValues(program, self.store)
-        sweep = None
-        if start is not None:
-            sweep = self.topo.sort_nodes(self._closure(start))
-        return self._bottom_up(program, sweep)
+        return self._bottom_up(program)
 
     def _closure(self, nodes: list[int]):
         """``nodes ∪ desc(nodes)``: a MaskView from ``M`` (one union of
@@ -240,16 +237,11 @@ class DagXPathEvaluator:
             return set(nodes) | self.store.descendants_of(nodes)
         return reach.desc_mask_of_set(nodes).with_nodes(nodes)
 
-    def _bottom_up(
-        self, program: "_Program", sweep: list[int] | None = None
-    ) -> "_FilterValues":
-        """Evaluate every filter sub-expression at every swept node.
+    def _bottom_up(self, program: "_Program") -> "_FilterValues":
+        """Evaluate every filter sub-expression at every node.
 
         A single pass over ``L`` (children before parents) fills
         per-expression truth tables from the integer-indexed plans.
-        ``sweep`` restricts the pass to a descendant-closed node subset
-        in children-first order (suffix re-evaluation); ``None`` sweeps
-        the whole order.
         """
         values = _FilterValues(program)
         if not program.units:
@@ -261,7 +253,7 @@ class DagXPathEvaluator:
         ex_tables = values.ex_tables
         dsc_tables = values.dsc_tables
         f_tables = values.f_tables
-        for node in (self.topo if sweep is None else sweep):
+        for node in self.topo:
             # descendants (children) first
             children = children_of(node)
             for kind, index in program.units:
@@ -317,15 +309,13 @@ class DagXPathEvaluator:
     # Top-down pass: contexts and regions
     # ------------------------------------------------------------------
 
-    def _seeds(self, program: "_Program") -> dict[int, _Seed]:
-        """The levels ``evaluate`` seeds: all of ``program.seeds`` at
+    def _seeds(self, program: "_Program") -> dict[int, Seed]:
+        """The levels an evaluation seeds: all of ``program.seeds`` at
         rest, none while ``M`` is stale.  The one switch for seeding —
         an override returning ``{}`` gives the paper's evaluator."""
         return program.seeds if self.reach is not None else {}
 
-    def _seed_context(
-        self, seed: _Seed, prev: list[int], region
-    ) -> list[int]:
+    def _seed_context(self, seed: Seed, prev: list[int], region) -> list[int]:
         """The context of a seeded ``label[leg = value and ...]`` step.
 
         Walk up from the nodes holding ``value`` through the leg's steps
@@ -334,14 +324,14 @@ class DagXPathEvaluator:
         (``None`` otherwise: the list ``prev``).  That is exactly the
         members of the unseeded context the leg holds at, put in its
         order: by their earliest parent in ``prev``'s order (``L``
-        reversed after a ``//``, so no rank over the region is built),
-        then by that parent's child order.
+        reversed after a ``//``, so the region is neither listed nor
+        ranked), then by that parent's child order.
         """
-        label, leg, value = seed
+        label, part = seed
         store = self.store
         parents_of, type_of = store.parents_of, store.type_of
-        chain = (label, *leg)
-        nodes = store.nodes_with_value(chain[-1], value)
+        chain = (label, *(step.label for step in part.path.steps))
+        nodes = store.nodes_with_value(chain[-1], part.value)
         for above in reversed(chain[:-1]):
             nodes = {
                 p for n in nodes for p in parents_of(n) if type_of(p) == above
@@ -365,36 +355,40 @@ class DagXPathEvaluator:
             context.extend(siblings)
         return context
 
-    def _top_down(
-        self,
-        program: "_Program",
-        values: "_FilterValues | _LazyFilterValues",
-        start: list[int],
-        seeds: dict[int, _Seed] | None = None,
-    ) -> "_Match":
+    def _top_down(self, path: XPath) -> EvalResult:
+        """Targets and the matched structure (``result._match``)."""
         store = self.store
+        if store.root_id is None:
+            raise ValueError("store has no root")
+        program = _compile(path)
+        values = self._filter_values(program)
+        seeds = self._seeds(program)
         children_of = store.children_of
         type_of = store.type_of
-        match = _Match(program.steps, start)
-        current = start
+        current = [store.root_id]
+        match = _Match(program.steps, current)
         for level, op in enumerate(program.steps, start=1):
             code = op[0]
             if code == _FILTER:
                 holds, index = values.holds, op[1]
                 current = [u for u in current if holds(index, u)]
             elif code == _DESCENDANT:
-                if self.reach is not None and current == [store.root_id]:
-                    # At rest (the constructor's contract) L lists
-                    # exactly the root's descendants-or-self: no row
-                    # read, no sort.
-                    region = self.topo
+                # At rest (the constructor's contract) L lists exactly
+                # the root's descendants-or-self: no row read.
+                at_root = self.reach is not None and current == [store.root_id]
+                region = self.topo if at_root else self._closure(current)
+                match.regions[level] = region
+                if level + 1 in seeds:
+                    # The seeded step reads the region's membership and
+                    # ``L``'s positions only: the level is never listed.
+                    match.contexts.append(None)
+                    continue
+                if at_root:
                     current = list(self.topo.backward())
                 else:
-                    region = self._closure(current)
                     current = self.topo.sort_nodes(region)
                     current.reverse()  # ancestors first: document-like
-                match.regions[level] = region
-            elif seeds and level in seeds:
+            elif level in seeds:
                 current = self._seed_context(
                     seeds[level], current, match.regions.get(level - 1)
                 )
@@ -413,7 +407,7 @@ class DagXPathEvaluator:
             match.contexts.append(current)
             if not current:
                 break
-        return match
+        return EvalResult(path, targets=list(current), _match=match)
 
     def _compute_ep(
         self, path: XPath, match: "_Match", targets: list[int]
@@ -509,7 +503,8 @@ class DagXPathEvaluator:
 class _Match:
     """The matched structure of one evaluation, owned by the call.
 
-    ``contexts[i]`` is ``C_i`` in document-like order; ``regions[i]`` is
+    ``contexts[i]`` is ``C_i`` in document-like order, or ``None`` at a
+    ``//`` level a seeded step follows (never listed); ``regions[i]`` is
     the descendant-or-self closure a ``//`` step ``i`` ranges over (a
     set, a MaskView or ``L`` itself — only membership is used).  Level
     ``i`` means "member of ``C_i``"; for a ``//`` step the whole region
@@ -520,14 +515,9 @@ class _Match:
 
     def __init__(self, steps: list[tuple], start: list[int]):
         self.steps = steps
-        self.contexts: list[list[int]] = [start]
+        self.contexts: list[list[int] | None] = [start]
         self.regions: dict[int, object] = {}
         self._members: dict[int, object] = {}
-
-    def result(self, path: XPath) -> EvalResult:
-        return EvalResult(
-            path, targets=list(self.contexts[-1]), contexts=self.contexts
-        )
 
     def members(self, level: int):
         """``C_level`` as a membership container, built on first use."""
@@ -570,15 +560,12 @@ class _Program:
       per-node sweep can run plans in list order.
     - ``lazy``: no filter path has a descendant op, so filter truth can
       be computed on demand by recursion over the plans.
-    - ``seeds``: level → ``(label, leg labels, value)`` for every value-
-      filtered label step: a ``label`` step whose filter's top-level
-      ``and`` has a ``leg = value`` part over label child steps only (no
-      ``*``, ``//`` or filter in it); no ``or`` / ``not`` at the top.
+    - ``seeds``: :func:`seed_plan` of the query's steps.
     """
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
-        self.seeds: dict[int, _Seed] = {}
+        self.seeds: dict[int, Seed] = {}
         self.units: list[tuple[str, int]] = []
         self.path_plans: list[tuple[list[tuple], str | None]] = []
         self.filter_plans: list[tuple] = []
@@ -685,13 +672,18 @@ def _compile(path: XPath) -> _Program:
     program.lazy = not any(
         op[0] == _DESCENDANT for ops, _ in program.path_plans for op in ops
     )
-    program.seeds = _seed_plan(path.steps)
+    program.seeds = seed_plan(path.steps)
     return program
 
 
-def _seed_plan(steps: tuple) -> dict[int, _Seed]:
-    """``_Program.seeds`` of a query with these steps."""
-    seeds: dict[int, _Seed] = {}
+def seed_plan(steps: tuple) -> dict[int, Seed]:
+    """The levels an evaluation at rest seeds, for a query with these
+    steps: level ``i`` (the ``i``-th step, 1-based) for every ``label``
+    step followed by a filter whose top-level ``and`` has a
+    ``leg = value`` part over label child steps only (no ``*``, ``//``
+    or filter in it); no ``or`` / ``not`` at the top.  The first such
+    part is the one seeded from."""
+    seeds: dict[int, Seed] = {}
     for level, (step, nxt) in enumerate(zip(steps, steps[1:]), start=1):
         if not (isinstance(step, LabelStep) and isinstance(nxt, FilterStep)):
             continue
@@ -700,8 +692,7 @@ def _seed_plan(steps: tuple) -> dict[int, _Seed]:
             if isinstance(part, ValueEq) and all(
                 isinstance(leg_step, LabelStep) for leg_step in part.path.steps
             ):
-                leg = tuple(leg_step.label for leg_step in part.path.steps)
-                seeds[level] = (step.label, leg, part.value)
+                seeds[level] = Seed(step.label, part)
                 break
     return seeds
 

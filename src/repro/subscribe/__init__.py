@@ -8,9 +8,8 @@
   (``in_context`` / ``in_region``; without it the ``subscribed_durable``
   benchmark workload never skips an event);
 - :mod:`repro.subscribe.engine` — :class:`Subscription` and the
-  :class:`SubscriptionRegistry` the commit pipeline maintains: skip →
-  cone refresh (2.0x ``ops_per_s`` on the same workload) → re-evaluate
-  ``steps[k:]`` from the cached ``C_k``.
+  :class:`SubscriptionRegistry` the commit pipeline maintains: skip, or
+  re-evaluate from the root with the seeded evaluator.
 
 Public entry point: :meth:`repro.service.ViewService.subscribe`.
 """

@@ -17,15 +17,24 @@ derivation rests on three invariants of the store model:
 
 Given a :class:`~repro.subscribe.delta.ViewEvent`,
 :func:`first_affected_step` returns the earliest step whose patterns
-match an event edge — every context before it is guaranteed unchanged,
-so re-evaluation can restart with that step suffix — or ``None`` when
-the whole result is provably untouched.
+match an event edge, or ``None`` when the whole result is provably
+untouched: the subscription engine then skips the event, or re-evaluates
+the query from the root.
+
+The cached contexts the patterns are sharpened against come from the
+seeded evaluator (:func:`repro.core.dag_eval.seed_plan`): at a seeded
+level they hold only the candidates the seed leg ``leg = value`` holds
+at.  So that leg's patterns are matched without the context (an edge
+that adds or removes a node holding ``value`` can make a candidate of a
+node under any parent), and an empty seeded level is not proof of an
+unchanged result while such an edge is in the event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.dag_eval import seed_plan
 from repro.subscribe.delta import EdgeRecord, ViewEvent
 from repro.xpath.ast import (
     DescendantStep,
@@ -160,12 +169,33 @@ def _filter_patterns(
     raise TypeError(f"unknown filter {filt!r}")  # pragma: no cover
 
 
+class _EveryNode:
+    """The membership of a level that holds every node."""
+
+    __slots__ = ()
+
+    def __contains__(self, node: int) -> bool:
+        return True
+
+
+#: What the cache holds for a leading ``//`` level.  The evaluator's
+#: region there is ``L`` itself, a live container that a commit changes
+#: before the next decision reads it; every node the event touched was
+#: reachable from the root on one side of it or the other.
+EVERY_NODE = _EveryNode()
+
+
 @dataclass(frozen=True)
 class QueryProfile:
     """The per-step edge-dependency patterns of one subscribed path."""
 
     path: XPath
     per_step: tuple[tuple[EdgePattern, ...], ...]
+    seed_legs: dict[int, tuple[EdgePattern, ...]] = field(
+        default_factory=dict, compare=False
+    )
+    """Filter step index → the patterns of its seed leg, for the filter
+    of every seeded label step (matched without the context)."""
 
     @property
     def prunable(self) -> bool:
@@ -177,8 +207,11 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
     """Extract per-step dependencies; ``root_label`` (the DTD root's
     element type) tightens the parent constraint of the first step."""
     per_step: list[tuple[EdgePattern, ...]] = []
+    # A seeded level ``i`` is the ``i``-th step: its filter is step ``i``.
+    seeds = seed_plan(path.steps)
+    seed_legs: dict[int, tuple[EdgePattern, ...]] = {}
     ctx: CtxTypes = frozenset((root_label,)) if root_label else None
-    for step in path.steps:
+    for index, step in enumerate(path.steps):
         if isinstance(step, LabelStep):
             per_step.append(
                 tuple(_label_patterns(step.label, ctx, None, True))
@@ -191,12 +224,21 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
             per_step.append((REGION_EDGE,))
             ctx = None
         elif isinstance(step, FilterStep):
-            per_step.append(
-                tuple(_filter_patterns(step.filter, ctx, True))
-            )
+            seed = seeds.get(index)
+            filt = step.filter
+            patterns: list[EdgePattern] = []
+            for part in filt.parts if isinstance(filt, FAnd) else (filt,):
+                is_leg = seed is not None and part is seed.part
+                found = _filter_patterns(part, ctx, not is_leg)
+                if is_leg:
+                    seed_legs[index] = tuple(found)
+                patterns.extend(found)
+            per_step.append(tuple(patterns))
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown step {step!r}")
-    return QueryProfile(path=path, per_step=tuple(per_step))
+    return QueryProfile(
+        path=path, per_step=tuple(per_step), seed_legs=seed_legs
+    )
 
 
 def first_affected_step(
@@ -206,19 +248,21 @@ def first_affected_step(
 ) -> int | None:
     """Earliest step index whose context the event may change.
 
-    ``None`` means the subscription's result is provably unchanged;
-    ``0`` means nothing can be salvaged (re-evaluate from the root);
-    ``k`` means contexts ``C_0 .. C_k`` are intact and evaluation may
-    restart with the suffix ``steps[k:]`` from the cached ``C_k``.
-    Coarse events always invalidate everything.
+    ``None`` means the subscription's result is provably unchanged and
+    the event is skipped; any index means re-evaluate from the root
+    (``C_0 .. C_k`` are intact, but nothing restarts from them).
+    Coarse events always invalidate everything (``0``).
 
-    ``context_sets`` — the cached per-step context membership of the
+    ``context_sets`` — the cached per-level membership of the
     subscription's last evaluation (``context_sets[i]`` = members of
-    ``C_i``) — sharpens type matches with node membership: an edge can
-    only affect step ``k`` through a parent the relevant cached set
-    already contains.  The test is inductive and sound because steps
-    are scanned in order: by the time step ``k`` is consulted, no
-    earlier step matched, so its cached contexts are known-current.
+    ``C_i``, :attr:`~repro.core.dag_eval.EvalResult.contexts`) —
+    sharpens type matches with node membership: an edge can only affect
+    step ``k`` through a parent the relevant cached set already
+    contains.  The test is inductive and sound because steps are scanned
+    in order: by the time step ``k`` is consulted, no earlier step
+    matched, so its cached contexts are known-current.  A seeded level
+    holds only the seed leg's candidates, so the leg's patterns are not
+    sharpened (see :attr:`QueryProfile.seed_legs`).
     """
     if event.coarse:
         return 0
@@ -229,7 +273,11 @@ def first_affected_step(
             if not context_sets[index]:
                 # The (intact) context before this step is empty: this
                 # and every later step keep producing empty contexts,
-                # so the (empty) result cannot change.
+                # so the (empty) result cannot change — unless the
+                # level is seeded and a leg edge can make a candidate.
+                legs = profile.seed_legs.get(index, ())
+                if any(p.matches(rec) for p in legs for rec in event.edges):
+                    return index
                 return None
         for pattern in deps:
             for rec in event.edges:

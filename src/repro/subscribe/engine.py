@@ -7,45 +7,34 @@ the structured ΔV events every committed operation emits
 hands it one sealed event per write scope
 (:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
 entry point).  Per event, every standing subscription gets **one
-decision** — ``k = first_affected_step(profile, event, contexts)``
-(:mod:`repro.subscribe.deps`), the earliest step whose context the
-event's edges can change — and one of **three actions**:
+decision** — ``first_affected_step(profile, event, contexts)``
+(:mod:`repro.subscribe.deps`): can any event edge change any step's
+context? — and one of **two actions**:
 
-- **skip** (``k is None``) — no event edge intersects any step's
-  dependency map: the cached result is provably current; the ``skips``
-  counter, an empty delta and the generation tag are set on the spot;
-- **cone refresh** — contexts ``C_0 .. C_k`` are intact.  When no
-  filter of ``steps[k:]`` can have changed its truth and the event's
-  *cone* (the changed edges' children and their descendants) is smaller
-  than what re-running ``steps[k:]`` would restart over, memberships
-  are re-derived inside the cone only
-  (:meth:`SubscriptionRegistry._refresh_cone`): a leading-``//`` query,
-  whose step 0 every structural event affects, then costs what the
-  event touched;
-- **re-evaluation from** ``C_k`` — where the cone declines,
-  ``steps[k:]`` re-runs from the cached ``C_k``
-  (:meth:`SubscriptionRegistry._reevaluate`, the one caller of
-  :meth:`DagXPathEvaluator.evaluate_from` for a refresh).  ``k = 0`` is
-  the whole query from the root: coarse events (store rebuilds, or an
-  edge list past :data:`DEFAULT_COARSE_THRESHOLD`), an affected step 0,
-  or no cached contexts.  Counted as ``suffix_refreshes`` for ``k > 0``
-  (as every cone refresh is) and ``full_refreshes`` for ``k = 0``.
+- **skip** (``None``) — no event edge intersects any step's dependency
+  map: the cached result is provably current; the ``skips`` counter, an
+  empty delta and the generation tag are set on the spot;
+- **re-evaluate from the root** — anything else: one seeded
+  :meth:`DagXPathEvaluator.evaluate_from` of the whole query
+  (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
+  result and counted as ``full_refreshes``.  Coarse events (store
+  rebuilds, or an edge list past :data:`DEFAULT_COARSE_THRESHOLD`)
+  always take it.
 
-That is all there is, and each piece is there because switching it off
-was measured (``benchmarks/measurements/pr22/``, the ``BENCHMARK.json``
-workload ``subscribed_durable``: 32 subscriptions, ~365 ``ops_per_s``,
-``op_p50_ms`` ~3.2).  Without the cone refresh the workload runs 2.0x
-slower (~183 ``ops_per_s``, 8 full re-evaluations per commit).  Without
-the node-membership sharpening of ``first_affected_step``
-(``in_context`` / ``in_region`` in :mod:`~repro.subscribe.deps`) no
-event is ever skipped — ``skip_ratio`` 0.56 → 0, evaluations per op
-double — which the cone refresh absorbs down to 5% of ``op_p50_ms``,
-but every decision changes.  Restarting from ``C_k`` rather than from
-the root is what keeps an anchored query's downstream change a
-``suffix_refresh``.  What a type/value pattern index, a node-level
-watch index and a lazy skip ledger used to add in front of this
-decision bought nothing measurable at 32 or at 256 subscriptions once
-an evaluation cost 0.07 ms, so the decision is made once, per
+Nothing sits between the two, because the re-evaluation is the one
+every read runs: each ``label[leg = value]`` step starts from the
+value's node and a ``//`` level before one is never listed, so a refresh
+costs what its contexts touch.  Partial refreshes that restart from
+cached contexts measured no faster than that on the ``BENCHMARK.json``
+workload ``subscribed_durable`` (32 subscriptions; subscription time
+per commit 0.76 → 0.57 ms without them, on the same 1,000 commits and
+the same skips).  The node-membership sharpening of
+``first_affected_step`` (``in_context`` / ``in_region`` in
+:mod:`~repro.subscribe.deps`) is what makes a skip possible at all:
+without it no event on that workload is ever skipped (``skip_ratio``
+0.56 → 0).  A type/value pattern index, a node-level watch index and a
+lazy skip ledger in front of the decision bought nothing measurable at
+32 or at 256 subscriptions, so the decision is made once, per
 subscription, in the open.
 
 Alongside the full result set, each action derives the per-commit
@@ -75,41 +64,34 @@ from contextlib import nullcontext
 from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
+    EVERY_NODE,
     QueryProfile,
     first_affected_step,
     profile_query,
 )
-from repro.xpath.ast import (
-    DescendantStep,
-    FilterStep,
-    LabelStep,
-    XPath,
-)
+from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
 
 _STAT_KEYS = (
     "skips",
-    "suffix_refreshes",
     "full_refreshes",
     "fallback_refreshes",
     "coarse_fallbacks",
 )
 
-#: ``//`` as a one-step path: the descendant-or-self closure of a start
-#: context, ancestors first (:meth:`SubscriptionRegistry._refresh_cone`).
-_DESCENDANTS = XPath((DescendantStep(),))
-
 #: Above this many edges in one event, scanning every subscription's
 #: per-step patterns against every edge costs more than simply
 #: re-evaluating, so the registry degrades the event to coarse — a
 #: selection on the observable input size.  The default is calibrated
-#: by ``benchmarks/test_coarse_fallback.py`` and sits at the measured
-#: crossover: 256 worst-case (never-matching) edges at 16 standing
-#: queries — fine 1.9–2.0 vs coarse 2.1–2.3 ms at 64, 2.5–2.7 vs
-#: 2.2–2.4 ms at 256, 4.9–5.6 vs 2.2–2.3 ms at 1024
-#: (``benchmarks/measurements/pr22/``).  Real events match patterns and
-#: re-evaluate some queries either way, which only lowers the crossover.
-DEFAULT_COARSE_THRESHOLD = 256
+#: by ``benchmarks/test_coarse_fallback.py`` (best of five, 2 shared
+#: Xeon cores) and is the first power of two past the measured
+#: crossover of about 96 worst-case (never-matching) edges at 16
+#: standing queries: fine 0.55–0.59 vs coarse 0.65–0.71 ms at 64,
+#: 0.72–0.77 vs 0.67–0.70 ms at 96, 0.94–0.95 vs 0.67–0.71 ms at 128,
+#: 1.58–1.64 vs 0.67–0.70 ms at 256; 3.2–3.4 vs 0.43–0.45 ms at 1024 in
+#: a faster session.  Real events match patterns and re-evaluate some
+#: queries either way, which only lowers the crossover.
+DEFAULT_COARSE_THRESHOLD = 128
 
 
 class Subscription:
@@ -134,9 +116,9 @@ class Subscription:
         self._generation = -1
         self._nodes: tuple[int, ...] = ()
         self._delta: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-        self._contexts: list[set[int]] | None = None
-        """Membership of ``C_0 .. C_n`` as of ``_generation`` — what
-        events are pruned against and patched in place."""
+        self._contexts: list | None = None
+        """Membership of ``C_0 .. C_n`` as of ``_generation`` (the
+        evaluation's own containers) — what events are pruned against."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -212,8 +194,6 @@ class SubscriptionRegistry:
         handled as coarse (one full re-evaluation per subscription)
         instead of being scanned edge-by-edge against every pattern."""
         self.publish_seconds = 0.0
-        self._cone: tuple[ViewEvent, list[int], set[int]] | None = None
-        """The last maintained event's cone (see :meth:`_cone_of`)."""
 
     # -- registration ------------------------------------------------------------
 
@@ -302,137 +282,26 @@ class SubscriptionRegistry:
 
     def _apply_event(self, sub: Subscription, event: ViewEvent) -> None:
         """The decision and its action; callers hold ``sub._mutex``."""
-        k = first_affected_step(sub.profile, event, sub._contexts)
-        if k is None:
+        if first_affected_step(sub.profile, event, sub._contexts) is None:
             sub._stats["skips"] += 1
             sub._delta = ((), ())
         else:
             old = sub._nodes
-            cached = sub._contexts is not None and len(sub._contexts) > k
-            if cached and not event.coarse and self._refresh_cone(sub, k, event):
-                # ``k = 0`` too: a leading ``//`` sees every structural
-                # event, but the change is confined to the cone.
-                sub._stats["suffix_refreshes"] += 1
-            else:
-                k = k if cached else 0
-                self._reevaluate(sub, k)
-                sub._stats["suffix_refreshes" if k else "full_refreshes"] += 1
+            self._reevaluate(sub)
+            sub._stats["full_refreshes"] += 1
             sub._delta = _diff(old, sub._nodes)
         sub._generation = event.generation
 
-    def _reevaluate(self, sub: Subscription, k: int = 0) -> None:
-        """Re-run ``steps[k:]`` from the intact ``C_k``; ``k = 0`` is
-        the whole query from the root and needs no cached context."""
-        if k:
-            intact = sub._contexts[: k + 1]
-            path, start = XPath(sub.query.steps[k:]), list(intact[k])
-        else:
-            intact, path, start = [], sub.query, None
-        result = self.updater.evaluator().evaluate_from(path, start=start)
-        # ``result.contexts[0]`` is the start context: for a suffix that
-        # is ``C_k``, kept as it is.
-        fresh = result.contexts[1:] if k else result.contexts
-        sub._contexts = intact + [set(c) for c in fresh]
-        sub._nodes = tuple(sorted(result.targets))
-
-    def _refresh_cone(self, sub: Subscription, k: int, event: ViewEvent) -> bool:
-        """A suffix refresh restricted to the event's *cone*.
-
-        Whether a node belongs to a step context depends on the
-        root-to-node paths and on filter truth along them.  Every path
-        an event edge creates or destroys ends in the cone — the changed
-        edges' children and their descendants — so as long as no filter
-        of the suffix can have changed its truth, a node outside the
-        cone keeps its membership in every context.  Inside the cone,
-        membership is re-derived node by node from the parents,
-        ancestors first: in ``C_{j+1}`` iff a parent is in ``C_j``
-        (child step), iff the node is in ``C_j`` or a parent is in
-        ``C_{j+1}`` (``//``), iff in ``C_j`` and the filter holds there.
-        A leading-``//`` subscription's refresh then costs what the
-        event touched instead of one pass over every node.
-
-        Returns ``False`` — nothing modified — when the restriction does
-        not apply: an event edge matches a pattern of one of the
-        suffix's filter steps (truth may have changed outside the cone),
-        a cached context is missing, or the cone is no smaller than the
-        context an ordinary suffix refresh would restart from.
-        """
-        steps = sub.query.steps
-        contexts = sub._contexts
-        if len(contexts) != len(steps) + 1:
-            return False  # evaluation stopped at an empty context
-        for j in range(k, len(steps)):
-            if isinstance(steps[j], FilterStep) and any(
-                pattern.matches(rec)
-                for pattern in sub.profile.per_step[j]
-                for rec in event.edges
-            ):
-                return False
-        cone, stale = self._cone_of(event)
-        # What the ordinary refresh would restart over: a ``//`` step
-        # expands ``C_k`` to its closure ``C_{k+1}`` before anything else.
-        restart = k + 1 if isinstance(steps[k], DescendantStep) else k
-        if len(cone) >= len(contexts[restart]):
-            return False
-        store = self.updater.store
+    def _reevaluate(self, sub: Subscription) -> None:
+        """Evaluate the whole query from the root and cache its result
+        and per-level membership."""
         evaluator = self.updater.evaluator()
-        parents_of, type_of = store.parents_of, store.type_of
-        current = contexts[k]
-        for j in range(k, len(steps)):
-            step, old = steps[j], contexts[j + 1]
-            if isinstance(step, FilterStep):
-                inside = [node for node in cone if node in current]
-                if inside:
-                    inside = evaluator.evaluate_from(
-                        XPath((step,)), start=inside
-                    ).targets
-                members = set(inside)
-            elif isinstance(step, DescendantStep):
-                members = set()
-                for node in cone:
-                    if node in current or any(
-                        p in members or (p in old and p not in stale)
-                        for p in parents_of(node)
-                    ):
-                        members.add(node)
-            else:
-                label = step.label if isinstance(step, LabelStep) else None
-                members = {
-                    node
-                    for node in cone
-                    if (label is None or type_of(node) == label)
-                    and any(p in current for p in parents_of(node))
-                }
-            if j + 1 == len(steps) and old & stale != members:
-                sub._nodes = tuple(sorted((old - stale) | members))
-            old -= stale
-            old |= members
-            if not old:
-                # Like the evaluator: nothing follows an empty context.
-                del contexts[j + 2 :]
-                sub._nodes = ()
-                break
-            current = old
-        return True
-
-    def _cone_of(self, event: ViewEvent) -> tuple[list[int], set[int]]:
-        """``event``'s cone, ancestors first like every ``//`` context,
-        and the nodes whose memberships it leaves open: the cone plus
-        the changed edges' children that were collected (members of
-        nothing now).  Computed once per event, for all subscriptions."""
-        if self._cone is None or self._cone[0] is not event:
-            store = self.updater.store
-            touched = {rec.child for rec in event.edges}
-            live = [node for node in touched if store.has_node(node)]
-            cone = (
-                self.updater.evaluator()
-                .evaluate_from(_DESCENDANTS, start=live)
-                .targets
-                if live
-                else []
-            )
-            self._cone = (event, cone, touched.union(cone))
-        return self._cone[1], self._cone[2]
+        result = evaluator.evaluate_from(sub.query)
+        topo = evaluator.topo
+        sub._contexts = [
+            EVERY_NODE if level is topo else level for level in result.contexts
+        ]
+        sub._nodes = tuple(sorted(result.targets))
 
     # -- the read path --------------------------------------------------------------
 
@@ -480,6 +349,9 @@ class SubscriptionRegistry:
             "events_processed": int(self._m_events.value),
             "publish_seconds": self.publish_seconds,
             "coarse_threshold": self.coarse_threshold,
+            # ``benchmarks/e2e/worker.py`` reads this key; no action
+            # counts it since every refresh starts from the root.
+            "suffix_refreshes": 0,
             **totals,
         }
 

@@ -62,7 +62,7 @@ class SweepingEvaluator(UnseededEvaluator):
     """The reference: unseeded, and every filter through the whole-``L``
     bottom-up pass."""
 
-    def _filter_values(self, program, start=None):
+    def _filter_values(self, program):
         return self._bottom_up(program)
 
 
@@ -135,26 +135,30 @@ def _view(key):
     return store, topo, build_index(store, topo), unfold_to_tree(store)
 
 
+def _members(contexts) -> list[set[int]]:
+    """Per-level membership as plain sets (a region may be ``L`` itself
+    or a bitmask view)."""
+    return [set(level) for level in contexts]
+
+
 def _assert_agrees(got, want, path, reach) -> None:
-    """``got`` equals the unseeded ``want``: targets, ``Ep`` and ``S``
-    exactly; contexts exactly, except that every seeded label level is a
-    subset of the reference's, in its order.  A level past the first
-    empty one counts as empty."""
+    """``got`` equals the unseeded ``want``: targets (in order), ``Ep``
+    and ``S`` exactly; context membership exactly, except that every
+    seeded label level is a subset of the reference's.  A level past the
+    first empty one counts as empty."""
     assert got.targets == want.targets, str(path)
     assert got.ep == want.ep, str(path)
     assert got.side_effects == want.side_effects, str(path)
     levels = len(path.steps) + 1
 
     def pad(contexts):
-        return list(contexts) + [[]] * (levels - len(contexts))
+        return _members(contexts) + [set()] * (levels - len(contexts))
 
     got_contexts, want_contexts = pad(got.contexts), pad(want.contexts)
-    seeded_levels = dag_eval._compile(path).seeds if reach is not None else {}
+    seeded_levels = dag_eval.seed_plan(path.steps) if reach is not None else {}
     for level, (have, full) in enumerate(zip(got_contexts, want_contexts)):
         if level in seeded_levels:
-            kept = set(have)
-            assert have == [n for n in full if n in kept], (str(path), level)
-            assert len(kept) == len(have)
+            assert have <= full, (str(path), level)
         else:
             assert have == full, (str(path), level)
 
@@ -203,7 +207,10 @@ VIEWS = st.sampled_from([(24, 1), (24, 2), (40, 3), "shared"])
 
 
 def _outcome(result):
-    return result.targets, result.ep, result.side_effects, result.contexts
+    return (
+        result.targets, result.ep, result.side_effects,
+        _members(result.contexts),
+    )
 
 
 def _check_against_reference(view, path):
@@ -219,23 +226,19 @@ def _check_against_reference(view, path):
         for index in (reach, None):  # None: regions walked from the store
             got = DagXPathEvaluator(store, topo, index).evaluate(path, mode)
             _assert_agrees(got, expected, path, index)
+    # Every level's order shows in the targets of the prefix ending there.
+    for level in range(1, len(path.steps)):
+        prefix = XPath(path.steps[:level])
+        want = SweepingEvaluator(store, topo, reach).evaluate_from(prefix)
+        for index in (reach, None):
+            got = DagXPathEvaluator(store, topo, index).evaluate_from(prefix)
+            assert got.targets == want.targets, (str(path), level)
 
 
 @given(VIEWS, PATHS)
 @settings(max_examples=300, deadline=None)
 def test_demand_driven_equals_sweep_and_tree_oracle(view, path):
     _check_against_reference(view, path)
-
-
-@given(VIEWS, PATHS, st.data())
-@settings(max_examples=100, deadline=None)
-def test_suffix_evaluation_equals_sweep(view, path, data):
-    """``evaluate_from`` a mid-path context: same choice of filter values."""
-    store, topo, reach, _ = _view(view)
-    start = sorted(data.draw(st.sets(st.sampled_from(topo.as_list()))))
-    expected = SweepingEvaluator(store, topo, reach).evaluate_from(path, start)
-    got = DagXPathEvaluator(store, topo, reach).evaluate_from(path, start)
-    assert _outcome(got) == _outcome(expected)
 
 
 # -- seeded steps: every label[path = value] ----------------------------------------
@@ -340,10 +343,13 @@ def test_seeded_evaluation_equals_the_unseeded_reference(view, data):
     path, level, seedable = data.draw(value_filtered_paths(view))
     assert (level in dag_eval._compile(path).seeds) == seedable, str(path)
     _check_against_reference(view, path)
-    # evaluate_from never seeds: its contexts are the reference's, exactly
+    # evaluate_from seeds too: targets equal the reference's
     store, topo, reach, _ = _view(view)
-    assert _outcome(DagXPathEvaluator(store, topo, reach).evaluate_from(path)) \
-        == _outcome(UnseededEvaluator(store, topo, reach).evaluate_from(path))
+    _assert_agrees(
+        DagXPathEvaluator(store, topo, reach).evaluate_from(path),
+        SweepingEvaluator(store, topo, reach).evaluate_from(path),
+        path, reach,
+    )
 
 
 SHARED_VALUE_QUERIES = [
@@ -411,29 +417,31 @@ def test_shared_value_view_has_what_the_generated_ones_lack():
     path = parse_xpath("//cnode[sub/cnode/key=5]")
     seeded = DagXPathEvaluator(store, topo, reach).evaluate(path)
     full = UnseededEvaluator(store, topo, reach).evaluate(path)
-    assert seeded.contexts[2] == seeded.targets == full.targets
+    assert seeded.contexts[2] == set(seeded.targets)
+    assert seeded.targets == full.targets
     assert len(seeded.targets) == 2 < len(full.contexts[2])
 
     def names(nodes):
         return [store.sem_of(n)[0] for n in nodes]
+
+    def targets(text):
+        evaluator = DagXPathEvaluator(store, topo, reach)
+        return names(evaluator.evaluate(parse_xpath(text)).targets)
 
     # Below the root: siblings under several parents of the previous
     # context, in its order then child order; m enters through sd, h
     # (only under sb) not at all.
     path = parse_xpath("cnode/sub/cnode[key=9]")
     seeded = DagXPathEvaluator(store, topo, reach).evaluate(path)
-    assert names(seeded.contexts[2]) == ["sa", "sd"]
-    assert names(seeded.contexts[3]) == ["g", "j", "i", "n", "m"]
-    assert seeded.contexts[3] == seeded.targets
-    assert names(
-        DagXPathEvaluator(store, topo, reach)
-        .evaluate(parse_xpath('cnode/sub/cnode[key=""]')).contexts[3]
-    ) == ["c"]
+    assert targets("cnode/sub") == ["sa", "sd"]
+    assert names(seeded.targets) == ["g", "j", "i", "n", "m"]
+    assert seeded.contexts[3] == set(seeded.targets)
+    assert targets('cnode/sub/cnode[key=""]') == ["c"]
     # The previous context's order is not L's: te comes first.
     result = DagXPathEvaluator(store, topo, reach).evaluate(
         parse_xpath("cnode/tag[key=5]")
     )
-    assert names(result.contexts[1]) == ["e", "a", "d"]
+    assert targets("cnode") == ["e", "a", "d"]
     assert names(result.targets) == ["te", "ta"]
     assert names(topo.sort_nodes(result.targets)[::-1]) == ["ta", "te"]
 
@@ -517,6 +525,40 @@ def test_anchored_read_work_is_bounded_by_its_targets(shape):
     assert len(store.children_of(store.root_id)) > 100  # what it skips
 
 
+def test_descendant_levels_before_seeded_steps_are_never_listed(monkeypatch):
+    """``//cnode[key=a]//cnode[key=b]`` reads both ``//`` levels for
+    membership only: ``L`` is never iterated and no region is sorted,
+    by a read or by a subscription's evaluation."""
+    dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=1))
+    store = publish_store(dataset.atg, dataset.db)
+    topo = TopoOrder.from_store(store)
+    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+    paths = [
+        parse_xpath(query) for query in make_query_set(dataset, count=16)
+        if re.fullmatch(r"//cnode\[key=\d+\]//cnode\[key=\d+\]", query)
+    ]
+    assert paths
+    walks = []
+    for name in ("sort_nodes", "__iter__", "backward", "as_list"):
+        method = getattr(TopoOrder, name)
+        monkeypatch.setattr(
+            TopoOrder, name,
+            lambda self, *args, _name=name, _method=method:
+            walks.append(_name) or _method(self, *args),
+        )
+    results = [
+        (path, evaluate(path))
+        for path in paths
+        for evaluate in (evaluator.evaluate, evaluator.evaluate_from)
+    ]
+    assert walks == []
+    monkeypatch.undo()
+    assert any(result.targets for _, result in results)
+    reference = UnseededEvaluator(store, topo, evaluator.reach)
+    for path, result in results:
+        assert result.targets == reference.evaluate(path).targets
+
+
 def test_the_seeding_seam_turns_off_every_level(monkeypatch):
     """``DagXPathEvaluator._seeds`` is the one switch the reference
     evaluator and the ``perf`` checks override: returning ``{}`` from it
@@ -598,8 +640,8 @@ def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
     bottom_up = DagXPathEvaluator._bottom_up
     monkeypatch.setattr(
         DagXPathEvaluator, "_bottom_up",
-        lambda self, program, sweep=None: sweeps.append(program)
-        or bottom_up(self, program, sweep),
+        lambda self, program: sweeps.append(program)
+        or bottom_up(self, program),
     )
     spec = WorkloadSpec(
         workload="synthetic:60:1", ops=12, seed=1, pattern=pattern,
@@ -620,7 +662,7 @@ def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
         for query in header["queries"]:
             service.xpath(query)
     stats = service.subscriptions.stats()
-    assert stats["suffix_refreshes"] + stats["full_refreshes"] > 0
+    assert stats["full_refreshes"] > 0
     assert sweeps == []
     service.xpath("cnode[.//key=1]")  # positive control: // inside a filter
     assert len(sweeps) == 1

@@ -4,11 +4,13 @@ The acceptance contract: after *every* committed operation — single
 ops of every kind, batched lists, batch context managers, aborted
 plans, rejected ops, undo — every active subscription's ``result()``
 equals a fresh ``service.xpath()`` evaluation of the same path, while
-the per-step dependency analysis provably skips (or suffix-restarts)
-maintenance for unaffected queries.
+the per-step dependency analysis provably skips maintenance for
+unaffected queries and re-evaluates the rest from the root.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from index_seam import INDEX_CLASSES, substitute_index
 from repro.bench.workload_gen import WorkloadSpec, generate_ops, make_header
 from repro.core.dag_eval import DagXPathEvaluator
+from repro.core.topo import TopoOrder
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, open_view
 from repro.subscribe import (
@@ -25,7 +28,10 @@ from repro.subscribe import (
     first_affected_step,
     profile_query,
 )
-from repro.subscribe.deps import ANY_EDGE
+from repro.dtd.parser import parse_dtd
+from repro.index import build_index
+from repro.subscribe.deps import ANY_EDGE, EVERY_NODE
+from repro.views.store import ViewStore
 from repro.workloads import (
     REGISTRAR_QUERIES,
     make_query_set,
@@ -60,6 +66,41 @@ def assert_current(service, subs, tag=""):
             f"{tag}: subscription {sub.path!r} drifted: "
             f"{sub.result()} != fresh {fresh}"
         )
+
+
+def results(subs):
+    """Each subscription's result, by id: the ``before`` of
+    :func:`assert_refreshed`."""
+    return {sub.id: sub.result() for sub in subs}
+
+
+def as_sets(contexts, topo):
+    """Cached or fresh per-level membership, comparable: a leading
+    ``//`` level (``L`` itself, cached as :data:`EVERY_NODE`) stays
+    itself, every other level becomes a set."""
+    return [
+        EVERY_NODE if level is topo or level is EVERY_NODE else set(level)
+        for level in contexts
+    ]
+
+
+def assert_refreshed(service, subs, before=None, tag=""):
+    """Results, cached memberships — what the next event is pruned
+    against — and, given ``before`` (:func:`results` ahead of one
+    committed op), deltas equal a fresh ``evaluate_from``'s."""
+    evaluator = service.updater.evaluator()
+    for sub in subs:
+        fresh = evaluator.evaluate_from(sub.query)
+        now = tuple(sorted(fresh.targets))
+        assert sub.result() == now, (tag, sub.path)
+        if before is not None:
+            old, new = set(before[sub.id]), set(now)
+            assert sub.delta() == (
+                tuple(sorted(new - old)), tuple(sorted(old - new))
+            ), (tag, sub.path)
+        assert as_sets(sub._contexts, evaluator.topo) == as_sets(
+            fresh.contexts, evaluator.topo
+        ), f"{tag}: cached contexts of {sub.path!r} drifted"
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +273,19 @@ class TestRegistrarEquivalence:
         )
         assert sub.stats["skips"] == 1
         assert sub.stats["full_refreshes"] == 0
-        assert sub.stats["suffix_refreshes"] == 0
         # ...and the skip was sound:
         assert_current(service, [sub], "after skipped op")
 
-    def test_suffix_restart_used_for_downstream_changes(self):
+    def test_downstream_change_is_refreshed_from_the_root(self):
         service = registrar_service()
         sub = service.subscribe("course[cno=CS650]/prereq/course")
+        before = results([sub])
         service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         )
-        assert sub.stats["suffix_refreshes"] == 1
-        assert sub.stats["full_refreshes"] == 0
-        assert_current(service, [sub], "after suffix refresh")
+        assert sub.stats["full_refreshes"] == 1
+        assert sub.stats["skips"] == 0
+        assert_refreshed(service, [sub], before, "after downstream change")
 
     def test_close_stops_maintenance(self):
         service = registrar_service()
@@ -290,53 +331,28 @@ class TestRegistrarEquivalence:
 
     def test_stats_surface(self):
         service = registrar_service()
-        service.subscribe("//course")
+        sub = service.subscribe("//course")
         service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         )
         stats = service.stats()["subscriptions"]
         assert stats["subscriptions"] == 1
         assert stats["events_processed"] == 1
-        # A structural delete under a leading-// query is refreshed
-        # inside the event's cone, not re-evaluated from the root.
-        assert stats["full_refreshes"] == 0
-        assert stats["suffix_refreshes"] == 1
+        # A structural delete under a leading-// query is re-evaluated
+        # from the root; no action restarts from a cached context.
+        assert stats["full_refreshes"] == 1
+        assert stats["suffix_refreshes"] == 0
+        assert "suffix_refreshes" not in sub.stats
 
-    def test_unmatched_insert_is_patched_not_reevaluated(self):
-        """A structural insert that cannot produce result nodes touches
-        step 0 of a leading-``//`` query (its region is every node), but
-        the refresh looks only at the inserted subtree — no
-        from-the-root re-evaluation."""
+    def test_structural_stream_keeps_contexts_current(self):
+        """A leading-``//`` query over a structural stream: an insert
+        that adds no result node, one under another course, deletes, and
+        a delete whose subtree is garbage-collected.  Every event
+        reaches step 0 (its region is every node) and is one
+        re-evaluation; the result, delta and cached contexts stay
+        equal to a fresh evaluation's."""
         service = registrar_service()
         sub = service.subscribe("//student")
-        applied = cone_refreshes(service.subscriptions)
-        baseline = sub.result()
-        service.apply(InsertOp(".", "course", ("CS700", "Theory")))
-        assert applied == [sub.path]
-        assert sub.stats["suffix_refreshes"] == 1
-        assert sub.stats["full_refreshes"] == 0
-        assert sub.result() == baseline
-        assert_contexts_current(service, [sub], "after non-student insert")
-
-    def test_gc_delete_is_patched_not_reevaluated(self):
-        """Garbage-collected nodes are shed from the cached contexts as
-        the stale part of the event's cone."""
-        service = registrar_service()
-        service.apply(InsertOp(".", "course", ("CS700", "Theory")))
-        sub = service.subscribe("//student")
-        applied = cone_refreshes(service.subscriptions)
-        service.apply(DeleteOp("course[cno=CS700]"))
-        assert applied == [sub.path]
-        assert sub.stats["suffix_refreshes"] == 1
-        assert sub.stats["full_refreshes"] == 0
-        assert_contexts_current(service, [sub], "after GC delete")
-
-    def test_structural_stream_never_fully_reevaluates(self):
-        """Re-evaluation count over a mixed structural stream: every
-        event is a cone refresh — never a from-the-root re-eval."""
-        service = registrar_service()
-        sub = service.subscribe("//student")
-        applied = cone_refreshes(service.subscriptions)
         stream = [
             InsertOp(".", "course", ("CS700", "Theory")),
             InsertOp("course[cno=CS650]/prereq", "course",
@@ -345,31 +361,31 @@ class TestRegistrarEquivalence:
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),
             DeleteOp("course[cno=CS700]"),
         ]
+        unchanged = sub.result()
         for op in stream:
+            before = results([sub])
             outcome = service.apply(op)
             assert outcome.accepted
-            assert_contexts_current(service, [sub], f"after {op.kind}")
-        assert sub.stats["full_refreshes"] == 0
-        assert sub.stats["suffix_refreshes"] == len(applied) == len(stream)
+            assert_refreshed(service, [sub], before, f"after {op.kind}")
+        assert sub.result() == unchanged  # no op here adds a student
+        assert sub.stats["full_refreshes"] == len(stream)
         assert service.stats()["subscriptions"]["events_processed"] == len(
             stream
         )
 
     def test_student_insert_stays_current(self):
-        """An op that adds result nodes via a matching deeper step is a
-        cone refresh too: the new student enters ``C_1`` and the result
-        from inside the cone."""
+        """An op that adds result nodes via a matching deeper step: the
+        new student is in the refreshed result and its delta."""
         service = registrar_service()
         sub = service.subscribe("//student")
-        applied = cone_refreshes(service.subscriptions)
-        before = sub.result()
+        before = results([sub])
         service.apply(
             InsertOp("course[cno=CS240]/takenBy", "student", ("999", "Zed"))
         )
-        assert sub.result() != before
-        assert applied == [sub.path]
-        assert sub.stats["full_refreshes"] == 0
-        assert_contexts_current(service, [sub], "after student insert")
+        assert sub.result() != before[sub.id]
+        assert len(sub.delta()[0]) == 1
+        assert sub.stats["full_refreshes"] == 1
+        assert_refreshed(service, [sub], before, "after student insert")
 
     def test_stats_stay_monotonic_after_close(self):
         """Regression: closing a subscription used to subtract its
@@ -379,10 +395,10 @@ class TestRegistrarEquivalence:
         service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         )
-        before = service.subscriptions.stats()["suffix_refreshes"]
+        before = service.subscriptions.stats()["full_refreshes"]
         assert before == 1
         sub.close()
-        assert service.subscriptions.stats()["suffix_refreshes"] == before
+        assert service.subscriptions.stats()["full_refreshes"] == before
 
     def test_stats_property_hands_out_a_copy(self):
         """Regression: ``sub.stats`` used to be the registry's live
@@ -458,39 +474,13 @@ def test_synthetic_batched_sessions_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# Cone-restricted suffix refresh (``//`` subscriptions cost what changed)
+# Refresh oracles: ``//`` and seeded subscriptions over generated streams
 # ---------------------------------------------------------------------------
 
 
-def assert_contexts_current(service, subs, tag=""):
-    """The *cached contexts* — what the next event is pruned and patched
-    against — equal a fresh evaluation's, not just the result."""
-    evaluator = service.updater.evaluator()
-    for sub in subs:
-        fresh = evaluator.evaluate_from(sub.query)
-        assert sub.result() == tuple(sorted(fresh.targets)), (tag, sub.path)
-        assert sub._contexts == [set(c) for c in fresh.contexts], (
-            f"{tag}: cached contexts of {sub.path!r} drifted"
-        )
-
-
-def cone_refreshes(registry):
-    """Instrument ``registry``: count cone refreshes that applied."""
-    applied = []
-    original = registry._refresh_cone
-
-    def counting(sub, k, event):
-        done = original(sub, k, event)
-        if done:
-            applied.append(sub.path)
-        return done
-
-    registry._refresh_cone = counting
-    return applied
-
-
 def descendant_queries(dataset):
-    """``//`` in every position, over keys the synthetic view has."""
+    """``//`` in every position, and seeded steps below the root, over
+    keys the synthetic view has."""
     desc = make_query_set(dataset, count=8, descendant_fraction=1.0)[:4]
     a, b = desc[0].split("key=")[1].split("]")[0], 7
     return desc + [
@@ -501,71 +491,63 @@ def descendant_queries(dataset):
         f"//cnode[key={a}]/sub//cnode",
         f"//*[key={a}]//sub/*",
         f"//cnode[not(key={a})]/sub/cnode[key={b}]",
+        f"cnode/sub/cnode[key={a}]",
+        f"cnode[key={b}]/sub/cnode[key={a} and sub]",
     ]
 
 
 class TestConeRefresh:
+    """The streams the event-cone refresh was checked on, kept as the
+    oracle of the one refresh left: after every op the results, deltas
+    and cached memberships equal a fresh ``evaluate_from``.  They
+    include seeded levels whose value appears or disappears under a
+    parent that was not a candidate."""
+
     def test_descendant_subscriptions_track_a_mixed_stream(self):
         service, dataset = synthetic_service(n_c=120, seed=3)
         subs = [service.subscribe(q) for q in descendant_queries(dataset)]
-        applied = cone_refreshes(service.subscriptions)
         ops = []
-        for cls in ("W1", "W2", "W3"):
-            ops.extend(make_workload(dataset, "delete", cls, count=3))
+        for cls in ("W1", "W2", "W3"):  # inserts first: most are accepted
             ops.extend(make_workload(dataset, "insert", cls, count=3))
+            ops.extend(make_workload(dataset, "delete", cls, count=3))
         ops.extend(make_workload(dataset, "replace", "W2", count=3))
         ops.extend(make_workload(
             dataset, "insert", "W2", count=3, seed=9, new_key_fraction=1.0
         ))
         accepted = []
         for op in ops:
+            before = results(subs)
             outcome = service.apply(op)
             if outcome.accepted:
                 accepted.append(outcome)
-            assert_contexts_current(service, subs, f"after {op.kind} {op.path}")
+            else:
+                before = None  # no commit: the last delta stands
+            assert_refreshed(service, subs, before, f"after {op.kind}")
+        before = results(subs)
         service.undo(accepted[-1])
-        assert_contexts_current(service, subs, "after undo")
+        assert_refreshed(service, subs, before, "after undo")
         assert service.check_consistency() == []
-        assert len(applied) > len(accepted)  # most events, most queries
+        stats = service.subscriptions.stats()
+        assert stats["skips"] > 0
+        assert stats["full_refreshes"] > len(accepted)  # most events, most queries
 
     def test_batched_session_is_patched_from_the_coalesced_event(self):
+        """One coalesced event for the whole session: one decision, and
+        at most one refresh, per subscription."""
         service, dataset = synthetic_service(n_c=120, seed=3)
         subs = [service.subscribe(q) for q in descendant_queries(dataset)]
-        applied = cone_refreshes(service.subscriptions)
         deletes = make_workload(dataset, "delete", "W2", count=3)
         inserts = make_workload(
             dataset, "insert", "W2", count=3, new_key_fraction=0.0
         )
+        before = results(subs)
         with service.batch() as batch:
             for delete_op, insert_op in zip(deletes, inserts):
                 batch.apply(delete_op)
                 batch.apply(insert_op)
-        assert_contexts_current(service, subs, "after batch")
-        assert applied
-
-    def test_refresh_costs_the_cone_not_the_view(self):
-        """One shared-edge delete under a ``//a[..]//b[..]`` subscription:
-        the refresh looks at the nodes below the deleted edge, where a
-        suffix re-evaluation from ``C_1`` visits every node."""
-        service, dataset = synthetic_service(n_c=360, seed=42)
-        query = make_query_set(dataset, count=4)[0]
-        assert query.startswith("//")
-        sub = service.subscribe(query)
-        applied = cone_refreshes(service.subscriptions)
-        store = service.updater.store
-        (op,) = make_workload(dataset, "delete", "W2", count=1)
-        assert query.split("key=")[2].rstrip("]") not in op.path
-        visited = []
-        children_of = store.children_of
-        store.children_of = lambda node: visited.append(node) or children_of(node)
-        try:
-            assert service.apply(op).accepted
-        finally:
-            del store.children_of
-        assert applied == [sub.path]
-        assert sub.stats["suffix_refreshes"] == 1
-        assert len(visited) < len(store.node_type) // 4
-        assert_contexts_current(service, [sub], "after cone refresh")
+        assert_refreshed(service, subs, before, "after batch")
+        for sub in subs:
+            assert sub.stats["skips"] + sub.stats["full_refreshes"] == 1
 
     def test_emptied_context_truncates_like_a_fresh_evaluation(self):
         """Deleting the one edge a query passes through (its child stays
@@ -581,48 +563,43 @@ class TestConeRefresh:
         else:  # pragma: no cover - dataset invariant
             pytest.fail("no shared W2 target in the synthetic view")
         sub = service.subscribe(f"//{op.path}/key")
-        before = sub.result()
-        assert before
-        applied = cone_refreshes(service.subscriptions)
+        before = results([sub])
+        assert before[sub.id]
         outcome = service.apply(op)
         assert outcome.accepted
-        assert applied == [sub.path]
         assert sub.result() == ()
         assert len(sub._contexts) < len(sub.query.steps) + 1
-        assert_contexts_current(service, [sub], "after emptying")
+        assert_refreshed(service, [sub], before, "after emptying")
         # The shortened cache is refilled by an ordinary refresh.
+        emptied = results([sub])
         service.undo(outcome)
-        assert sub.result() == before
-        assert_contexts_current(service, [sub], "after undo")
+        assert sub.result() == before[sub.id]
+        assert_refreshed(service, [sub], emptied, "after undo")
 
-    def test_leading_descendant_queries_never_reevaluate_on_churn(self):
-        """The benchmark's ``subscribed_durable`` traffic in small: every
-        event of a generated churn stream affects step 0 of a
-        leading-``//`` subscription, and every one is a cone refresh."""
-        spec = WorkloadSpec(
-            workload="synthetic:200", ops=120, seed=5,
-            pattern="churn", key_skew=0.8,
-        )
-        atg, db = named_workload(spec.workload)
-        service = open_view(atg, db, config=ViewConfig(strict=False))
+    def test_seeded_value_appears_and_disappears_under_a_non_candidate(self):
+        """A shared course node moves under a ``prereq`` that was not a
+        candidate of the seeded level (empty, in the second query), and
+        out again: neither event may be skipped."""
+        service = registrar_service()
         subs = [
-            service.subscribe(path)
-            for path in (
-                "//cnode", "//cnode/sub/cnode", "//cnode[key=7]/sub/cnode"
-            )
+            service.subscribe("course/prereq[course/cno=CS240]"),
+            service.subscribe("course[cno=CS650]/prereq[course/cno=CS240]"),
         ]
-        for op in generate_ops(spec):
+        assert subs[1].result() == ()
+        for op in (
+            InsertOp("course[cno=CS650]/prereq", "course",
+                     ("CS240", "Data Structures")),
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS240]"),
+        ):
+            before = results(subs)
             assert service.apply(op).accepted
-            assert_current(service, subs, f"after {op}")
-        for sub in subs:
-            assert sub.stats["full_refreshes"] == 0, sub.path
+            assert all(sub.delta() != ((), ()) for sub in subs)
+            assert_refreshed(service, subs, before, f"after {op.kind}")
 
     def test_filter_hit_falls_back_to_the_ordinary_refresh(self):
-        """An event edge that can flip a suffix filter (here: the
-        collected node's ``key`` edge carries the compared value) may
-        change memberships outside the cone, so the restriction must
-        not be used; with step 0 (the ``//``) affected, the ordinary
-        refresh is a full re-evaluation."""
+        """An event edge that flips a filter (here: the collected node's
+        ``key`` edge carries the compared value) is one re-evaluation
+        from the root, like every refresh."""
         service, dataset = synthetic_service(n_c=120, seed=3)
         (insert,) = make_workload(
             dataset, "insert", "W2", count=1, new_key_fraction=1.0
@@ -630,37 +607,132 @@ class TestConeRefresh:
         assert service.apply(insert).accepted
         key = insert.sem[0]
         sub = service.subscribe(f"//cnode[key={key}]/sub/cnode")
-        applied = cone_refreshes(service.subscriptions)
+        before = results([sub])
         assert service.apply(
             DeleteOp(f"{insert.path}/cnode[key={key}]")
         ).accepted
         assert sub.stats["full_refreshes"] == 1
-        assert not applied
-        assert_contexts_current(service, [sub], "after fallback")
+        assert_refreshed(service, [sub], before, "after filter hit")
+
+
+# ---------------------------------------------------------------------------
+# Seeded levels: the decision over contexts that hold only candidates
+# ---------------------------------------------------------------------------
+
+_SEEDED_DTD = """
+<!ELEMENT root (cnode*)>
+<!ELEMENT cnode (key, sub, tag)>
+<!ELEMENT sub (cnode*)>
+<!ELEMENT tag (#PCDATA)>
+"""
+
+
+def seeded_store():
+    """root → a, b; a → key 1, sa; sa → c, d; c → key 9, tag; d → key 2,
+    tag; spare key 7 and tag nodes.  ``cnode/sub/cnode[key=9 and tag]``
+    seeds its level 3 from the key-9 node: only c is a candidate."""
+    store = ViewStore(SimpleNamespace(dtd=parse_dtd(_SEEDED_DTD)))
+    ids = {}
+    for name, element, sem in [
+        ("root", "root", ()), ("a", "cnode", ("a",)), ("b", "cnode", ("b",)),
+        ("sa", "sub", ("sa",)), ("c", "cnode", ("c",)), ("d", "cnode", ("d",)),
+        ("k1", "key", (1,)), ("k2", "key", (2,)), ("k7", "key", (7,)),
+        ("k9", "key", (9,)), ("tc", "tag", ("tc",)), ("td", "tag", ("td",)),
+        ("tx", "tag", ("tx",)),
+    ]:
+        ids[name] = store.intern(element, sem)[0]
+    for parent, child in [
+        ("root", "a"), ("root", "b"), ("a", "k1"), ("a", "sa"),
+        ("sa", "c"), ("sa", "d"), ("c", "k9"), ("c", "tc"),
+        ("d", "k2"), ("d", "td"),
+    ]:
+        store.add_edge(ids[parent], ids[child])
+    store.root_id = ids["root"]
+    return store, ids
+
+
+def edge(kind, store, ids, parent, child):
+    """The event record of one edge change in :func:`seeded_store`."""
+    p, c = ids[parent], ids[child]
+    return EdgeRecord(
+        kind, store.type_of(p), store.type_of(c), p, c,
+        child_value=store.value_of(c),
+    )
+
+
+class TestSeededLevelDecisions:
+    """``first_affected_step`` over seeded contexts, built by hand: a
+    seeded level holds the seed leg's candidates only, so the leg's
+    edges are matched under any parent; the other conjuncts keep their
+    membership test."""
+
+    def _decide(self, query, contexts, *records):
+        store, ids = seeded_store()
+        profile = profile_query(parse_xpath(query), "root")
+        event = ViewEvent(generation=1, edges=[
+            edge(kind, store, ids, parent, child)
+            for kind, parent, child in records
+        ])
+        members = [{ids[name] for name in level} for level in contexts]
+        return first_affected_step(profile, event, members)
+
+    QUERY = "cnode/sub/cnode[key=9 and tag]"
+    SEEDED = [["root"], ["a", "b"], ["sa"], ["c"], ["c"]]
+
+    def test_hand_built_contexts_are_the_seeded_ones(self):
+        store, ids = seeded_store()
+        topo = TopoOrder.from_store(store)
+        evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+        for query, contexts in [
+            (self.QUERY, self.SEEDED),
+            ("cnode/sub/cnode[key=7 and tag]", self.SEEDED[:3] + [[]]),
+        ]:
+            got = evaluator.evaluate_from(parse_xpath(query)).contexts
+            assert got == [{ids[name] for name in level} for level in contexts]
+
+    def test_leg_edge_under_a_non_candidate_reaches_the_filter(self):
+        # d holds key 2, not 9: it is no member of the seeded level, and
+        # gaining the key-9 node makes it one.
+        assert self._decide(
+            self.QUERY, self.SEEDED, ("insert", "d", "k9")
+        ) == 3
+
+    def test_emptied_seeded_level_with_a_leg_edge_is_not_skipped(self):
+        query = "cnode/sub/cnode[key=7 and tag]"
+        contexts = self.SEEDED[:3] + [[]]
+        assert self._decide(query, contexts, ("insert", "d", "k7")) == 3
+        # ...but an empty seeded level still skips what cannot fill it.
+        assert self._decide(query, contexts, ("insert", "d", "k9")) is None
+        assert self._decide(query, contexts, ("insert", "d", "tx")) is None
+
+    def test_other_conjunct_under_a_non_candidate_is_skipped(self):
+        assert self._decide(
+            self.QUERY, self.SEEDED, ("insert", "d", "tx")
+        ) is None
+        assert self._decide(
+            self.QUERY, self.SEEDED, ("delete", "c", "tc")
+        ) == 3
 
 
 # ---------------------------------------------------------------------------
 # Pinned decisions: which action each subscription takes per commit
 # ---------------------------------------------------------------------------
 
-#: ``(skips, suffix_refreshes, full_refreshes, fallback_refreshes)`` per
-#: header subscription of the stream below, recorded at ``3126a11`` (the
-#: engine with the pattern index, the watch index and the lazy skip
-#: ledger).  The engine must keep taking exactly these actions.
+#: ``(skips, full_refreshes, fallback_refreshes)`` per header
+#: subscription of the stream below.  The skips column was recorded at
+#: ``3126a11`` (the engine with the pattern index, the watch index and
+#: the lazy skip ledger) and has not moved since; every other event,
+#: once a suffix restart or a cone refresh, is a refresh from the root.
 PINNED_CHURN_DECISIONS = (
-    [(0, 60, 0, 0)] * 8
-    + [(60, 0, 0, 0), (0, 60, 0, 0), (58, 2, 0, 0), (60, 0, 0, 0)]
-    + [(0, 60, 0, 0), (58, 2, 0, 0), (43, 17, 0, 0), (0, 60, 0, 0)]
-    + [(58, 2, 0, 0), (58, 2, 0, 0), (0, 60, 0, 0), (60, 0, 0, 0)]
-    + [(60, 0, 0, 0), (56, 4, 0, 0)]
-    + [(60, 0, 0, 0)] * 4
-    + [(58, 2, 0, 0)]
-    + [(60, 0, 0, 0)] * 5
+    [(0, 60, 0)] * 8
+    + [(60, 0, 0), (0, 60, 0), (58, 2, 0), (60, 0, 0)]
+    + [(0, 60, 0), (58, 2, 0), (43, 17, 0), (0, 60, 0)]
+    + [(58, 2, 0), (58, 2, 0), (0, 60, 0), (60, 0, 0)]
+    + [(60, 0, 0), (56, 4, 0)]
+    + [(60, 0, 0)] * 4
+    + [(58, 2, 0)]
+    + [(60, 0, 0)] * 5
 )
-
-#: Of the 751 suffix refreshes above, the ones the cone restriction
-#: served; the other 256 re-ran ``steps[k:]`` from the cached ``C_k``.
-PINNED_CHURN_CONE_REFRESHES = 495
 
 
 class TestPinnedDecisions:
@@ -668,7 +740,7 @@ class TestPinnedDecisions:
         """The ``subscribed_durable`` shape in small: 32 header
         subscriptions over one generated churn stream.  Results stay
         current after every op, and the per-subscription action counts
-        and the number of cone refreshes equal the recorded literals."""
+        equal the recorded literals."""
         spec = WorkloadSpec(
             workload="synthetic:120", ops=60, seed=7,
             pattern="churn", key_skew=0.8, subscriptions=32,
@@ -679,17 +751,12 @@ class TestPinnedDecisions:
             service.subscribe(path)
             for path in make_header(spec)["subscriptions"]
         ]
-        applied = cone_refreshes(service.subscriptions)
         for op in generate_ops(spec):
             assert service.apply(op).accepted
             assert_current(service, subs, f"after {op}")
-        keys = (
-            "skips", "suffix_refreshes", "full_refreshes",
-            "fallback_refreshes",
-        )
+        keys = ("skips", "full_refreshes", "fallback_refreshes")
         decisions = [tuple(sub.stats[key] for key in keys) for sub in subs]
         assert decisions == PINNED_CHURN_DECISIONS
-        assert len(applied) == PINNED_CHURN_CONE_REFRESHES
 
     def test_unaffected_subscriptions_cost_no_evaluation(self, monkeypatch):
         """256 standing subscriptions, none of which the op can affect:
@@ -715,9 +782,9 @@ class TestPinnedDecisions:
         calls = []
         original = DagXPathEvaluator.evaluate_from
 
-        def counting(self, path, start=None):
+        def counting(self, path):
             calls.append(path)
-            return original(self, path, start)
+            return original(self, path)
 
         monkeypatch.setattr(DagXPathEvaluator, "evaluate_from", counting)
         assert service.apply(op).accepted
