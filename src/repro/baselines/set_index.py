@@ -1,20 +1,19 @@
-"""The reference reachability index: two mirrored dict-of-``set`` maps.
+"""The reference reachability index: a dict of ancestor ``set`` rows.
 
 The paper's matrix as first written, behind the
 :class:`~repro.index.base.ReachabilityIndex` interface and kept as the
 oracle :class:`~repro.index.bitset.BitsetReachabilityIndex` is validated
 against (the lockstep tests drive both; the product never constructs
 this one).  ``M`` is "physically stored" as the set of its set bits —
-two mutually consistent adjacency maps (node → ancestors, node →
-descendants), the in-memory equivalent of the paper's ``M(anc, desc)``
-relation.
+one adjacency map node → ancestors, the in-memory equivalent of the
+paper's ``M(anc, desc)`` relation read by its ``desc`` column.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.index._bits import MaskView, mask_of
+from repro.index._bits import Region, mask_of
 from repro.index.base import ReachabilityIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -23,13 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SetReachabilityIndex(ReachabilityIndex):
-    """Sparse reachability matrix with both-direction access."""
+    """Sparse reachability matrix of ancestor sets."""
 
-    __slots__ = ("_anc", "_desc", "_pairs")
+    __slots__ = ("_anc", "_pairs")
 
     def __init__(self) -> None:
         self._anc: dict[int, set[int]] = {}
-        self._desc: dict[int, set[int]] = {}
         self._pairs = 0
 
     # -- queries ------------------------------------------------------------------
@@ -38,15 +36,11 @@ class SetReachabilityIndex(ReachabilityIndex):
         """Proper ancestors of ``node`` (excludes the node itself)."""
         return set(self._anc.get(node, ()))
 
-    def desc(self, node: int) -> set[int]:
-        """Proper descendants of ``node`` (excludes the node itself)."""
-        return set(self._desc.get(node, ()))
-
     def is_ancestor(self, a: int, d: int) -> bool:
-        return d in self._desc.get(a, ())
+        return a in self._anc.get(d, ())
 
-    def desc_view(self, node: int):
-        return self._desc.get(node, frozenset())
+    def region(self, store: "ViewStore", nodes: list[int]) -> Region:
+        return Region(nodes, _RowMasks(self._anc), store)
 
     def __len__(self) -> int:
         return self._pairs
@@ -65,18 +59,6 @@ class SetReachabilityIndex(ReachabilityIndex):
                 out |= row
         return out
 
-    def desc_of_set(self, nodes: Iterable[int]) -> set[int]:
-        out: set[int] = set()
-        rows = self._desc
-        for node in nodes:
-            row = rows.get(node)
-            if row:
-                out |= row
-        return out
-
-    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
-        return MaskView(mask_of(self.desc_of_set(nodes)))
-
     # -- point mutation -----------------------------------------------------------
 
     def insert(self, anc: int, desc: int) -> bool:
@@ -84,7 +66,6 @@ class SetReachabilityIndex(ReachabilityIndex):
         if anc in bucket:
             return False
         bucket.add(anc)
-        self._desc.setdefault(anc, set()).add(desc)
         self._pairs += 1
         return True
 
@@ -93,31 +74,15 @@ class SetReachabilityIndex(ReachabilityIndex):
         if bucket is None or anc not in bucket:
             return False
         bucket.discard(anc)
-        self._desc.get(anc, set()).discard(desc)
         self._pairs -= 1
         return True
 
     def set_ancestors(self, node: int, ancestors: set[int]) -> None:
-        old = self._anc.get(node, set())
-        for anc in old - ancestors:
-            self._desc.get(anc, set()).discard(node)
-            self._pairs -= 1
-        for anc in ancestors - old:
-            self._desc.setdefault(anc, set()).add(node)
-            self._pairs += 1
+        self._pairs += len(ancestors) - len(self._anc.get(node, ()))
         self._anc[node] = set(ancestors)
-
-    def drop_node(self, node: int) -> None:
-        for anc in self._anc.pop(node, set()):
-            self._desc.get(anc, set()).discard(node)
-            self._pairs -= 1
-        for desc in self._desc.pop(node, set()):
-            self._anc.get(desc, set()).discard(node)
-            self._pairs -= 1
 
     def clear(self) -> None:
         self._anc.clear()
-        self._desc.clear()
         self._pairs = 0
 
     # -- bulk operations ------------------------------------------------------------
@@ -135,24 +100,29 @@ class SetReachabilityIndex(ReachabilityIndex):
             if ancestors:
                 self.set_ancestors(node, ancestors)
 
-    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
+    def add_closure_below(
+        self, store: "ViewStore", parents: Iterable[int], node: int
+    ) -> int:
         parents = list(parents)
         missing = set(parents) | self.anc_of_set(parents)
         missing -= self._anc.get(node, set())
         if not missing:
             return 0
         rows = self._anc
-        mirror = self._desc
         added = 0
-        for desc in {node} | self._desc.get(node, set()):
+        stack, seen = [node], {node}
+        while stack:
+            desc = stack.pop()
             row = rows.setdefault(desc, set())
             new = missing - row
             if not new:
                 continue
             row |= new
             added += len(new)
-            for anc in new:
-                mirror.setdefault(anc, set()).add(desc)
+            for child in store.children_of(desc):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
         self._pairs += added
         return added
 
@@ -170,9 +140,6 @@ class SetReachabilityIndex(ReachabilityIndex):
         removed = old - keep
         if not removed:
             return 0
-        mirror = self._desc
-        for anc in removed:
-            mirror.get(anc, set()).discard(node)
         rows[node] = old & keep
         self._pairs -= len(removed)
         return len(removed)
@@ -186,5 +153,14 @@ class SetReachabilityIndex(ReachabilityIndex):
             return mine == theirs
         return super().equals(other)
 
-    def _desc_keys(self) -> set[int]:
-        return set(self._desc)
+
+class _RowMasks:
+    """The ancestor sets read as bitmasks: what :class:`Region` ANDs."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[int, set[int]]):
+        self._rows = rows
+
+    def get(self, node: int, default: int = 0) -> int:
+        return mask_of(self._rows.get(node, ()))

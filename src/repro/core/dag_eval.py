@@ -21,10 +21,11 @@ lookup.
 **Top-down pass.**  The step contexts ``C0 ⊇ root, C1, ..., Cn`` are
 computed left to right.  A ``//`` step records its *region*
 (descendant-or-self closure of the previous context): all of ``L`` when
-the previous context is the root and ``M`` is at rest, otherwise fetched
-from ``M`` (or walked from the store while ``M`` is stale).  The region
-is listed in ``L``'s order only when the next step walks a list; a
-seeded next step reads its membership alone.  Nothing else is recorded:
+the previous context is the root and ``M`` is at rest, otherwise a view
+that tests a candidate's ancestor row in ``M`` (or a set walked from the
+store while ``M`` is stale).  The region is listed — a store walk — and
+put in ``L``'s order only when the next step walks a list; a seeded next
+step reads its membership alone.  Nothing else is recorded:
 the parents through which a node entered ``Ci`` are its parents inside
 ``C(i-1)`` (child step) or inside the region (``//`` step), and are
 derived from the contexts at the few nodes ``Ep`` and the side-effect
@@ -134,9 +135,11 @@ class EvalResult:
     def contexts(self) -> list:
         """Membership of ``C_0 .. C_k``, up to the first empty one (the
         levels after it are empty and not listed): the region at a
-        ``//`` level — ``L`` itself after a leading ``//`` at rest, so
-        a live container, not a snapshot — and a set elsewhere, built
-        on first read.
+        ``//`` level and a set elsewhere, built on first read.  At rest
+        a region is live — ``L`` itself after a leading ``//``, a
+        :class:`~repro.index._bits.Region` over ``M``'s rows otherwise —
+        so it answers as of the evaluation only until the next write;
+        ``set(level)`` is a snapshot.
 
         Exact, except at the levels :func:`seed_plan` names, at rest:
         there ``contexts[i]`` holds only the candidates reached upward
@@ -161,9 +164,11 @@ class DagXPathEvaluator:
     """Evaluator bound to one (store, topo, reachability) triple.
 
     ``reach`` may be ``None`` when the reachability index is stale or
-    absent (batched update sessions defer its repair): descendant
-    regions are then computed by walking the store's edges instead of
-    reading ``M`` rows — same results, higher per-query cost.
+    absent (batched update sessions defer its repair): a descendant
+    region is then a set walked from the store's edges, built whole
+    before the first membership test, where at rest a region answers
+    each test on the candidate's ancestor row in ``M`` — same results,
+    higher per-query cost.
 
     Passing a ``reach`` asserts the triple is *at rest*: ``M`` and ``L``
     are repaired and every node in ``L`` is reachable from the root (no
@@ -228,14 +233,15 @@ class DagXPathEvaluator:
         return self._bottom_up(program)
 
     def _closure(self, nodes: list[int]):
-        """``nodes ∪ desc(nodes)``: a MaskView from ``M`` (one union of
-        descendant rows, no per-node set), or a set from a store walk
+        """``nodes ∪ desc(nodes)``: a :class:`~repro.index._bits.Region`
+        over ``M`` (membership is one AND on the candidate's ancestor
+        row; only listing walks the store), or a set from a store walk
         when there is no ``M`` — consumers only need membership and
         iteration."""
         reach = self.reach
         if reach is None:
             return set(nodes) | self.store.descendants_of(nodes)
-        return reach.desc_mask_of_set(nodes).with_nodes(nodes)
+        return reach.region(self.store, nodes)
 
     def _bottom_up(self, program: "_Program") -> "_FilterValues":
         """Evaluate every filter sub-expression at every node.
@@ -506,7 +512,7 @@ class _Match:
     ``contexts[i]`` is ``C_i`` in document-like order, or ``None`` at a
     ``//`` level a seeded step follows (never listed); ``regions[i]`` is
     the descendant-or-self closure a ``//`` step ``i`` ranges over (a
-    set, a MaskView or ``L`` itself — only membership is used).  Level
+    set, a Region or ``L`` itself — only membership is used).  Level
     ``i`` means "member of ``C_i``"; for a ``//`` step the whole region
     lives at level ``i``.
     """

@@ -23,28 +23,33 @@ retrieval data structure", TCS 1986):
    ({c} ∪ desc(c))`` — a localized Algorithm Reach when ``c`` is new,
    and the whole shared region below ``c`` when it is not;
 2. cross pairs: the connecting edges ``(u, r_A)`` add ``anc*(r[[p]]) ×
-   ({r_A} ∪ desc(r_A))``, the lower set read from the root's row of
-   ``M`` (all of ``ST`` after part 1) and only the bits missing from
-   ``anc(r_A)`` written — none missing, nothing to do, which is valid
-   because ``anc(d) ⊇ anc(r_A) ∪ {r_A}`` for every ``d`` below ``r_A``;
+   ({r_A} ∪ desc(r_A))``, only the bits missing from ``anc(r_A)``
+   written — none missing, nothing to do, which is valid because
+   ``anc(d) ⊇ anc(r_A) ∪ {r_A}`` for every ``d`` below ``r_A``;
 3. ``L``: new nodes are placed just after their highest-positioned
    children (children-first processing makes this safe), then the new
    connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as in
-   the paper (lines 12–13).
+   the paper (lines 12–13), ``desc(r_A)`` tested on each candidate's
+   own ancestor row (:meth:`~repro.index.ReachabilityIndex.region`).
 
 A sharing insert (no new node) is one call, and it returns at once when
-the targets already reach ``r_A``.  All ``M`` writes go through the bulk
-operations of :class:`~repro.index.ReachabilityIndex`
+the targets already reach ``r_A``; otherwise it walks the store's edges
+below ``r_A``, and only below the rows it writes.  All ``M`` writes go
+through the bulk operations of :class:`~repro.index.ReachabilityIndex`
 (``add_closure_below``, ``retain_ancestors``), which the bitset index
 does whole rows per machine word.
 
 **Δ(M,L)delete** (after ``delete p``, with ``ΔV`` already applied):
 
 walks ``LR = desc-or-self(r[[p]])`` ancestors-first, recomputing each
-node's ancestor set from its surviving parents; nodes left with no
+node's ancestor row from its surviving parents; nodes left with no
 parents are condemned (``keep := false``), their outgoing edges become
-the garbage-collection feed ``Δ'V``, and they are dropped from ``L``,
-``M`` and the gen tables.
+the garbage-collection feed ``Δ'V``, and they are dropped from ``L``
+and the gen tables.  ``M`` needs nothing more: a condemned node's row
+was emptied by the walk, and no surviving row holds its bit, because a
+condemned parent is left out before any of its descendants is
+recomputed.  ``LR`` is a walk of the store: ``ΔV`` removed only edges
+*into* ``r[[p]]``, so what was below it still is.
 """
 
 from __future__ import annotations
@@ -130,10 +135,10 @@ def repair_topo_after_insert(
 ) -> int:
     """Repair ``L`` for the connecting edges ``(u, r_A)`` via ``swap``.
 
-    ``desc_root`` is any membership container over the *proper*
-    descendants of the subtree root (an ``M`` row view after the pair
-    update, or a store walk when ``M`` repair is deferred).  Returns the
-    number of nodes moved.
+    ``desc_root`` is any membership container over the descendants of
+    the subtree root (a :class:`~repro.index._bits.Region` over ``M``
+    after the pair update, or a store walk when ``M`` repair is
+    deferred).  Returns the number of nodes moved.
     """
     moved = 0
     for target in targets:
@@ -163,12 +168,14 @@ def maintain_insert(
     # ΔM part 1: the edges leaving the new nodes, ancestors first.
     for node in reversed(topo.sort_nodes(subtree.new_nodes)):
         for child in store.children_of(node):
-            report.added_pairs += reach.add_closure_below((node,), child)
-    # ΔM part 2: the connecting edges (u, r_A), below the root's row.
-    report.added_pairs += reach.add_closure_below(targets, subtree.root)
+            report.added_pairs += reach.add_closure_below(
+                store, (node,), child
+            )
+    # ΔM part 2: the connecting edges (u, r_A).
+    report.added_pairs += reach.add_closure_below(store, targets, subtree.root)
     if not placed:
         report.moved_nodes = repair_topo_after_insert(
-            topo, subtree, targets, reach.desc_view(subtree.root)
+            topo, subtree, targets, reach.region(store, [subtree.root])
         )
     return report
 
@@ -195,7 +202,7 @@ def maintain_delete(
     """
     report = DeleteMaintenance()
     targets = result if isinstance(result, list) else result.targets
-    affected = set(targets) | reach.desc_of_set(targets)
+    affected = set(targets) | store.descendants_of(targets)
     removed = 0
     condemned: list[int] = []  # ancestors first
     doomed: set[int] = set()
@@ -224,6 +231,5 @@ def maintain_delete(
         report.removed_nodes = condemned
         topo.remove_many(condemned)
         for node in condemned:
-            reach.drop_node(node)
             store.remove_node(node)
     return report

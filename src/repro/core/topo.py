@@ -23,11 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class TopoOrder:
-    """A maintained topological order over node ids."""
+    """A maintained topological order over node ids.
+
+    ``position(n)`` is ``_pos[n] - _base``: positions are stored against
+    a base, so a new front node (:meth:`insert_front`, every new leaf
+    of Δ(M,L)insert) lowers the base and writes its own entry only.
+    """
 
     def __init__(self, order: list[int] | None = None):
         self._list: list[int] = list(order) if order else []
         self._pos: dict[int, int] = {n: i for i, n in enumerate(self._list)}
+        self._base = 0
         if len(self._pos) != len(self._list):
             raise ReproError("duplicate nodes in topological order")
 
@@ -56,7 +62,7 @@ class TopoOrder:
 
     def position(self, node: int) -> int:
         try:
-            return self._pos[node]
+            return self._pos[node] - self._base
         except KeyError:
             raise ReproError(f"node {node} not in topological order") from None
 
@@ -67,8 +73,16 @@ class TopoOrder:
         return list(self._list)
 
     def sort_nodes(self, nodes) -> list[int]:
-        """Sort the given nodes by their position in ``L``."""
-        return sorted(nodes, key=self.position)
+        """Sort the given nodes by their position in ``L``.
+
+        Stored entries order like positions (they differ by the base),
+        so the sort keys on them directly."""
+        try:
+            return sorted(nodes, key=self._pos.__getitem__)
+        except KeyError as exc:
+            raise ReproError(
+                f"node {exc.args[0]} not in topological order"
+            ) from None
 
     # -- mutation ------------------------------------------------------------------
 
@@ -76,7 +90,7 @@ class TopoOrder:
         """Add a new node at the end (as an ancestor-most element)."""
         if node in self._pos:
             raise ReproError(f"node {node} already in topological order")
-        self._pos[node] = len(self._list)
+        self._pos[node] = len(self._list) + self._base
         self._list.append(node)
 
     def insert_front(self, node: int) -> None:
@@ -84,7 +98,8 @@ class TopoOrder:
         if node in self._pos:
             raise ReproError(f"node {node} already in topological order")
         self._list.insert(0, node)
-        self._reindex(0)
+        self._base -= 1
+        self._pos[node] = self._base
 
     def insert_at(self, node: int, index: int) -> None:
         """Insert a new node at position ``index``."""
@@ -118,7 +133,7 @@ class TopoOrder:
         for node in dead:
             if node not in self._pos:
                 raise ReproError(f"node {node} not in topological order")
-        start = min(self._pos[node] for node in dead)
+        start = min(self._pos[node] for node in dead) - self._base
         self._list = [n for n in self._list if n not in dead]
         for node in dead:
             del self._pos[node]
@@ -129,25 +144,28 @@ class TopoOrder:
 
         Precondition: ``u`` precedes ``v``.  Moves ``{v} ∪ (L[u:v] ∩
         desc(v))`` immediately before ``u``, preserving their relative
-        order.  Returns the number of nodes moved.
+        order.  ``descendants_of_v`` is asked once per segment node.
+        Returns the number of nodes moved.
         """
         pos_u = self.position(u)
         pos_v = self.position(v)
         if pos_v < pos_u:
             return 0
-        segment = self._list[pos_u : pos_v + 1]
-        moving = [n for n in segment if n == v or n in descendants_of_v]
-        staying = [n for n in segment if n != v and n not in descendants_of_v]
+        moving: list[int] = []
+        staying: list[int] = []
+        for n in self._list[pos_u:pos_v]:
+            (moving if n in descendants_of_v else staying).append(n)
+        moving.append(v)
         self._list[pos_u : pos_v + 1] = moving + staying
         self._reindex(pos_u, pos_v + 1)  # positions past v do not move
         return len(moving)
 
     def _reindex(self, start: int, stop: int | None = None) -> None:
-        if start == 0 and stop is None:
-            self._pos = dict(zip(self._list, range(len(self._list))))
-        else:
-            stop = len(self._list) if stop is None else stop
-            self._pos.update(zip(self._list[start:stop], range(start, stop)))
+        stop = len(self._list) if stop is None else stop
+        base = self._base
+        self._pos.update(
+            zip(self._list[start:stop], range(start + base, stop + base))
+        )
 
     # -- validation (test helper) ------------------------------------------------------
 

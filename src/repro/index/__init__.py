@@ -1,11 +1,11 @@
 """The reachability index (the paper's matrix ``M``).
 
-:class:`ReachabilityIndex` says *what* ``M`` answers (ancestor /
-descendant queries, Algorithm Reach, the Δ(M,L) bulk maintenance
-steps); :class:`BitsetReachabilityIndex` — a dict of ``int`` bitmask
-rows over dense node ids — is *how* it is stored, and the only
-implementation the product constructs.  :func:`build_index` runs
-Algorithm Reach over a store.
+:class:`ReachabilityIndex` says *what* ``M`` answers (ancestor rows,
+pair and descendant-region membership, Algorithm Reach, the Δ(M,L) bulk
+maintenance steps); :class:`BitsetReachabilityIndex` — a dict of
+``int`` ancestor-row bitmasks over dense node ids — is *how* it is
+stored, and the only implementation the product constructs.
+:func:`build_index` runs Algorithm Reach over a store.
 
 The interface is kept as the seam through which tests substitute the
 reference ``M`` is checked against,

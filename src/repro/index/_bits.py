@@ -1,15 +1,17 @@
-"""Bitmask helpers of the bitset index and the ``MaskView`` type.
+"""Bitmask helpers of the bitset index and the ``Region`` view.
 
 Bit ``k`` of a row means "node ``k`` is in the row".  The helpers that
 translate between bits and Python-level node sets live here, apart from
-the index class, because :meth:`ReachabilityIndex.desc_mask_of_set`
-returns a :class:`MaskView` on every implementation (the set-based
-reference builds one from its set form).
+the index class, together with :class:`Region`: the one descendant view
+``M`` offers, since it keeps ancestor rows only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.views.store import ViewStore
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -33,27 +35,34 @@ def mask_of(nodes: Iterable[int]) -> int:
     return mask
 
 
-class MaskView:
-    """Read-only set-like membership view over a bitmask row."""
+class Region:
+    """``S ∪ desc(S)`` as a membership view over ancestor rows.
 
-    __slots__ = ("_mask",)
+    ``x`` is a member iff ``x ∈ S`` or ``anc(x)`` meets ``S``: one AND
+    of the candidate's own row with ``mask(S)``, however large the
+    region.  Listing the region is a walk of the store's edges.  The
+    view reads the index and the store as they are when asked, so it
+    is valid until the next write; a caller that keeps membership
+    across writes takes ``set(region)``.
+    """
 
-    def __init__(self, mask: int):
-        self._mask = mask
+    __slots__ = ("nodes", "_mask", "_rows", "_store")
+
+    def __init__(
+        self, nodes: list[int], rows: dict[int, int], store: "ViewStore"
+    ):
+        self.nodes = nodes
+        self._mask = mask_of(nodes)
+        self._rows = rows
+        self._store = store
 
     def __contains__(self, node: int) -> bool:
-        return bool(self._mask >> node & 1)
+        mask = self._mask
+        return bool(mask >> node & 1 or self._rows.get(node, 0) & mask)
+
+    def __bool__(self) -> bool:
+        return bool(self.nodes)
 
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self._mask)
-
-    def __len__(self) -> int:
-        return self._mask.bit_count()
-
-    def with_nodes(self, nodes: Iterable[int]) -> "MaskView":
-        """A new view that also contains every node in ``nodes``.
-
-        The evaluator's region = ``start ∪ desc(start)`` union in one
-        big-int OR, without touching the (immutable) receiver.
-        """
-        return MaskView(self._mask | mask_of(nodes))
+        nodes = self.nodes
+        return iter(set(nodes) | self._store.descendants_of(nodes))

@@ -1,26 +1,31 @@
 """The reachability-index interface.
 
 A :class:`ReachabilityIndex` is the paper's matrix ``M``: the set of
-(ancestor, descendant) pairs of the DAG view, with O(1) membership and
-row access in both directions.  Every consumer (Algorithm Reach, the
-Δ(M,L) maintenance algorithms, the DAG XPath evaluator, the updater)
-talks to this interface only.  The product has one implementation,
-:class:`~repro.index.bitset.BitsetReachabilityIndex` (one
-arbitrary-precision ``int`` bitmask per row keyed by the store's dense
-node ids); the interface is the seam through which a test substitutes
-the reference it is checked against,
+(ancestor, descendant) pairs of the DAG view, stored as one *ancestor*
+row per node, with O(1) pair membership.  Every consumer (Algorithm
+Reach, the Δ(M,L) maintenance algorithms, the DAG XPath evaluator, the
+updater) talks to this interface only.  The product has one
+implementation, :class:`~repro.index.bitset.BitsetReachabilityIndex`
+(one arbitrary-precision ``int`` bitmask per row keyed by the store's
+dense node ids); the interface is the seam through which a test
+substitutes the reference it is checked against,
 :class:`repro.baselines.SetReachabilityIndex` (the paper's matrix as a
 dict of ``set`` rows).
 
+There is no descendant row.  Δ(M,L)delete recomputes ancestor rows
+only, so a transpose would cost one write per removed pair for nothing;
+a descendant set that must be listed is a walk of the store's edges,
+and a descendant membership question is answered on the candidate's
+own row by :meth:`ReachabilityIndex.region`.
+
 Besides the point queries/mutations the interface carries the *bulk*
 operations the hot loops are written against — ``recompute`` (Algorithm
-Reach), ``add_closure_below`` (Δ(M,L)insert), ``retain_ancestors``
-(Δ(M,L)delete) and ``anc_of_set`` / ``desc_of_set``
-/ ``desc_mask_of_set`` (region queries) — so an implementation does
-them in its own representation instead of per-pair calls.
+Reach), ``add_closure_below`` (Δ(M,L)insert) and ``retain_ancestors``
+(Δ(M,L)delete) — so an implementation does them in its own
+representation instead of per-pair calls.
 
-Row accessors (``anc``/``desc``/``anc_of_set``/``desc_of_set``) return
-**detached** sets: mutating the result never corrupts the index.
+Row accessors (``anc`` / ``anc_of_set``) return **detached** sets:
+mutating the result never corrupts the index.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.index._bits import MaskView
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.topo import TopoOrder
+    from repro.index._bits import Region
     from repro.views.store import ViewStore
 
 
@@ -45,10 +49,6 @@ class ReachabilityIndex(ABC):
     @abstractmethod
     def anc(self, node: int) -> set[int]:
         """Proper ancestors of ``node`` as a *detached* set."""
-
-    @abstractmethod
-    def desc(self, node: int) -> set[int]:
-        """Proper descendants of ``node`` as a *detached* set."""
 
     @abstractmethod
     def is_ancestor(self, a: int, d: int) -> bool:
@@ -66,32 +66,18 @@ class ReachabilityIndex(ABC):
     def anc_of_set(self, nodes: Iterable[int]) -> set[int]:
         """Union of proper ancestors over ``nodes`` (detached)."""
 
-    @abstractmethod
-    def desc_of_set(self, nodes: Iterable[int]) -> set[int]:
-        """Union of proper descendants over ``nodes`` (detached)."""
-
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, d = pair
         return self.is_ancestor(a, d)
 
     @abstractmethod
-    def desc_view(self, node: int):
-        """Read-only membership view of ``desc(node)``.
+    def region(self, store: "ViewStore", nodes: list[int]) -> "Region":
+        """``nodes ∪ desc(nodes)`` as a :class:`~repro.index._bits.Region`.
 
-        Unlike :meth:`desc` this may alias internals (it exists to
-        avoid materializing large rows for a membership test, e.g. the
-        ``swap`` repair of ``L``) — callers must not mutate it and must
-        not hold it across index mutations.
-        """
-
-    @abstractmethod
-    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
-        """Union of proper descendants over ``nodes`` as a
-        :class:`~repro.index._bits.MaskView`.
-
-        The mask-returning sibling of :meth:`desc_of_set` for consumers
-        that only need membership/iteration (the evaluator's region
-        unions).  Same detachment contract as :meth:`desc_of_set`.
+        Membership reads the candidate's ancestor row, iteration walks
+        ``store``.  The view is live: hold it only until the next write
+        to ``M`` or the store (the evaluator's ``//`` regions, the
+        ``swap`` repair of ``L``).
         """
 
     # -- point mutation -----------------------------------------------------------
@@ -109,10 +95,6 @@ class ReachabilityIndex(ABC):
         """Replace the ancestor set of ``node`` wholesale."""
 
     @abstractmethod
-    def drop_node(self, node: int) -> None:
-        """Remove every pair mentioning ``node``."""
-
-    @abstractmethod
     def clear(self) -> None:
         """Remove every pair."""
 
@@ -128,18 +110,22 @@ class ReachabilityIndex(ABC):
         """
 
     @abstractmethod
-    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
+    def add_closure_below(
+        self, store: "ViewStore", parents: Iterable[int], node: int
+    ) -> int:
         """Close ``M`` over the new edges ``(p, node)``, ``p`` in parents.
 
         Adds ``anc*(parents) × ({node} ∪ desc(node))``, where
         ``anc*(parents)`` is the parents and their ancestors — the
         edge-insertion step of Δ(M,L)insert.  Only the bits of
-        ``anc*(parents)`` missing from ``anc(node)`` are written: ``M``
-        is transitively closed, so every ``d`` in ``desc(node)`` already
-        has ``anc(node) ∪ {node}``, and when nothing is missing the call
-        returns at once.  The edges must not close a cycle (no parent in
-        ``{node} ∪ desc(node)``).  Never removes pairs; returns the
-        number of pairs newly added.
+        ``anc*(parents)`` missing from ``anc(node)`` are written, and
+        when nothing is missing the call returns at once.  Otherwise
+        the lower set is walked on ``store``'s edges from ``node``, and
+        only below the rows the call writes: ``M`` is closed along the
+        edges it already covers, so a row that holds every missing bit
+        has them below it too.  The edges must not close a cycle (no
+        parent in ``{node} ∪ desc(node)``).  Never removes pairs;
+        returns the number of pairs newly added.
         """
 
     @abstractmethod
@@ -158,36 +144,6 @@ class ReachabilityIndex(ABC):
         return len(self) == len(other) and set(self.pairs()) == set(
             other.pairs()
         )
-
-    def check_invariants(self) -> list[str]:
-        """Internal-consistency report (empty list = healthy).
-
-        Checks that the ancestor and descendant mirrors are exact
-        transposes and that ``len(self)`` equals the true pair count.
-        """
-        problems: list[str] = []
-        anc_pairs = set(self.pairs())
-        desc_pairs = {
-            (a, d)
-            for a in {p for p, _ in anc_pairs} | self._desc_keys()
-            for d in self.desc(a)
-        }
-        if anc_pairs != desc_pairs:
-            missing = sorted(anc_pairs - desc_pairs)[:5]
-            extra = sorted(desc_pairs - anc_pairs)[:5]
-            problems.append(
-                f"anc/desc mirrors disagree: desc missing {missing}, "
-                f"desc extra {extra}"
-            )
-        if len(self) != len(anc_pairs):
-            problems.append(
-                f"pair count {len(self)} != true count {len(anc_pairs)}"
-            )
-        return problems
-
-    @abstractmethod
-    def _desc_keys(self) -> set[int]:
-        """Nodes with a (possibly empty) stored descendant row."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} |M|={len(self)}>"

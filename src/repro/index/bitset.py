@@ -6,13 +6,13 @@ arbitrary-precision Python ``int`` whose bit ``k`` means "node ``k`` is
 in the row".  Row union is ``|``, membership is ``(mask >> k) & 1``,
 cardinality is ``int.bit_count()`` — all executed word-at-a-time in C,
 so the union-heavy hot loops (Algorithm Reach, the Δ(M,L) maintenance
-steps, region queries) run ~64 pairs per machine operation instead of
-one hash probe per pair.
+steps) run ~64 pairs per machine operation instead of one hash probe
+per pair.
 
-``recompute`` avoids per-pair work entirely: the ancestor rows are one
-backward DP sweep of mask unions, and the descendant mirror is the
-symmetric *forward* sweep (``desc(v) = ⋃_child {c} ∪ desc(c)``) rather
-than a transpose of the ancestor rows.
+Only ancestor rows are kept (``_anc[d]`` has bit ``a`` for every pair
+``(a, d)``).  Descendant sets are walked on the store's edges when they
+must be listed; a membership question — is ``x`` in ``S ∪ desc(S)`` —
+is one AND of ``x``'s own row (:class:`~repro.index._bits.Region`).
 
 Set-returning accessors materialize a Python set from the mask (O(row)),
 so point-query-heavy callers should prefer the bulk operations; the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.index._bits import MaskView, iter_bits, mask_of
+from repro.index._bits import Region, iter_bits, mask_of
 from repro.index.base import ReachabilityIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,13 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class BitsetReachabilityIndex(ReachabilityIndex):
-    """Reachability matrix with one ``int`` bitmask per row."""
+    """Reachability matrix with one ``int`` bitmask per ancestor row."""
 
-    __slots__ = ("_anc", "_desc", "_pairs")
+    __slots__ = ("_anc", "_pairs")
 
     def __init__(self) -> None:
         self._anc: dict[int, int] = {}
-        self._desc: dict[int, int] = {}
         self._pairs = 0
 
     # -- queries ------------------------------------------------------------------
@@ -48,15 +47,11 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         """Proper ancestors of ``node`` (excludes the node itself)."""
         return set(iter_bits(self._anc.get(node, 0)))
 
-    def desc(self, node: int) -> set[int]:
-        """Proper descendants of ``node`` (excludes the node itself)."""
-        return set(iter_bits(self._desc.get(node, 0)))
-
     def is_ancestor(self, a: int, d: int) -> bool:
-        return bool(self._desc.get(a, 0) >> d & 1)
+        return bool(self._anc.get(d, 0) >> a & 1)
 
-    def desc_view(self, node: int) -> MaskView:
-        return MaskView(self._desc.get(node, 0))
+    def region(self, store: "ViewStore", nodes: list[int]) -> Region:
+        return Region(nodes, self._anc, store)
 
     def __len__(self) -> int:
         return self._pairs
@@ -73,20 +68,6 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             mask |= rows.get(node, 0)
         return set(iter_bits(mask))
 
-    def desc_of_set(self, nodes: Iterable[int]) -> set[int]:
-        rows = self._desc
-        mask = 0
-        for node in nodes:
-            mask |= rows.get(node, 0)
-        return set(iter_bits(mask))
-
-    def desc_mask_of_set(self, nodes: Iterable[int]) -> MaskView:
-        rows = self._desc
-        mask = 0
-        for node in nodes:
-            mask |= rows.get(node, 0)
-        return MaskView(mask)
-
     # -- point mutation -----------------------------------------------------------
 
     def insert(self, anc: int, desc: int) -> bool:
@@ -95,7 +76,6 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         if row & bit:
             return False
         self._anc[desc] = row | bit
-        self._desc[anc] = self._desc.get(anc, 0) | (1 << desc)
         self._pairs += 1
         return True
 
@@ -104,53 +84,29 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         row = self._anc.get(desc, 0)
         if not row & bit:
             return False
-        self._set_row(self._anc, desc, row ^ bit)
-        self._set_row(self._desc, anc, self._desc.get(anc, 0) & ~(1 << desc))
+        self._set_row(desc, row ^ bit)
         self._pairs -= 1
         return True
 
     def set_ancestors(self, node: int, ancestors: set[int]) -> None:
         new = mask_of(ancestors)
-        old = self._anc.get(node, 0)
-        added = new & ~old
-        removed = old & ~new
-        if added or removed:
-            mirror = self._desc
-            bit = 1 << node
-            for anc in iter_bits(added):
-                mirror[anc] = mirror.get(anc, 0) | bit
-            for anc in iter_bits(removed):
-                self._set_row(mirror, anc, mirror.get(anc, 0) & ~bit)
-            self._pairs += added.bit_count() - removed.bit_count()
-        self._set_row(self._anc, node, new)
-
-    def drop_node(self, node: int) -> None:
-        bit = 1 << node
-        anc_row = self._anc.pop(node, 0)
-        for anc in iter_bits(anc_row):
-            self._set_row(self._desc, anc, self._desc.get(anc, 0) & ~bit)
-        desc_row = self._desc.pop(node, 0)
-        for desc in iter_bits(desc_row):
-            self._set_row(self._anc, desc, self._anc.get(desc, 0) & ~bit)
-        self._pairs -= anc_row.bit_count() + desc_row.bit_count()
+        self._pairs += new.bit_count() - self._anc.get(node, 0).bit_count()
+        self._set_row(node, new)
 
     def clear(self) -> None:
         self._anc.clear()
-        self._desc.clear()
         self._pairs = 0
 
-    @staticmethod
-    def _set_row(rows: dict[int, int], node: int, mask: int) -> None:
+    def _set_row(self, node: int, mask: int) -> None:
         """Store a row, keeping the no-empty-rows invariant."""
         if mask:
-            rows[node] = mask
+            self._anc[node] = mask
         else:
-            rows.pop(node, None)
+            self._anc.pop(node, None)
 
     # -- bulk operations ------------------------------------------------------------
 
     def recompute(self, store: "ViewStore", topo: "TopoOrder") -> None:
-        self.clear()
         anc: dict[int, int] = {}
         pairs = 0
         for node in topo.backward():  # ancestors first
@@ -160,19 +116,12 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             if mask:
                 anc[node] = mask
                 pairs += mask.bit_count()
-        # The mirror is the symmetric DP, not a transpose: children first.
-        desc: dict[int, int] = {}
-        for node in topo:
-            mask = 0
-            for child in store.children_of(node):
-                mask |= (1 << child) | desc.get(child, 0)
-            if mask:
-                desc[node] = mask
         self._anc = anc
-        self._desc = desc
         self._pairs = pairs
 
-    def add_closure_below(self, parents: Iterable[int], node: int) -> int:
+    def add_closure_below(
+        self, store: "ViewStore", parents: Iterable[int], node: int
+    ) -> int:
         rows = self._anc
         get = rows.get
         upper = 0
@@ -181,20 +130,22 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         missing = upper & ~get(node, 0)
         if not missing:
             return 0
-        lower = self._desc.get(node, 0) | (1 << node)
+        children_of = store.children_of
         added = 0
-        for desc in iter_bits(lower):
+        stack = [node]
+        seen = {node}
+        while stack:
+            desc = stack.pop()
             old = get(desc, 0)
             new = missing & ~old
-            if new:
-                rows[desc] = old | new
-                added += new.bit_count()
-        # The mirror OR is idempotent: bits already present were
-        # mirror-consistent before, so blanket-ORing the lower mask into
-        # every missing ancestor's row lands exactly on the new state.
-        mirror = self._desc
-        for anc in iter_bits(missing):
-            mirror[anc] = mirror.get(anc, 0) | lower
+            if not new:
+                continue  # closed below: its descendants hold it too
+            rows[desc] = old | new
+            added += new.bit_count()
+            for child in children_of(desc):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
         self._pairs += added
         return added
 
@@ -210,20 +161,7 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         removed = old & ~keep
         if not removed:
             return 0
-        self._set_row(rows, node, old & keep)
-        mirror = self._desc
-        mget = mirror.get
-        clear = ~(1 << node)
-        m = removed
-        while m:
-            low = m & -m
-            anc = low.bit_length() - 1
-            row = mget(anc, 0) & clear
-            if row:
-                mirror[anc] = row
-            else:
-                mirror.pop(anc, None)
-            m ^= low
+        self._set_row(node, old & keep)
         count = removed.bit_count()
         self._pairs -= count
         return count
@@ -236,6 +174,3 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             # are canonical.
             return self._anc == other._anc
         return super().equals(other)
-
-    def _desc_keys(self) -> set[int]:
-        return set(self._desc)

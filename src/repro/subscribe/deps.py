@@ -181,7 +181,8 @@ class _EveryNode:
 #: What the cache holds for a leading ``//`` level.  The evaluator's
 #: region there is ``L`` itself, a live container that a commit changes
 #: before the next decision reads it; every node the event touched was
-#: reachable from the root on one side of it or the other.
+#: reachable from the root on one side of it or the other.  The step's
+#: ``REGION_EDGE`` then matches every edge, so the cache ends here.
 EVERY_NODE = _EveryNode()
 
 

@@ -117,8 +117,9 @@ class Subscription:
         self._nodes: tuple[int, ...] = ()
         self._delta: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self._contexts: list | None = None
-        """Membership of ``C_0 .. C_n`` as of ``_generation`` (the
-        evaluation's own containers) — what events are pruned against."""
+        """Membership of ``C_0 .. C_n`` as of ``_generation``, up to a
+        leading ``//`` (:meth:`SubscriptionRegistry._reevaluate`) — what
+        events are pruned against."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -294,13 +295,23 @@ class SubscriptionRegistry:
 
     def _reevaluate(self, sub: Subscription) -> None:
         """Evaluate the whole query from the root and cache its result
-        and per-level membership."""
+        and per-level membership.
+
+        A ``//`` region is a live view of the index, so what is cached
+        must be a snapshot taken now.  A leading ``//`` is
+        :data:`EVERY_NODE`, and nothing after it is cached: that step's
+        region pattern matches every edge against it, so the levels
+        behind it are never consulted.  Any other region is listed."""
         evaluator = self.updater.evaluator()
         result = evaluator.evaluate_from(sub.query)
         topo = evaluator.topo
-        sub._contexts = [
-            EVERY_NODE if level is topo else level for level in result.contexts
-        ]
+        contexts: list = []
+        for level in result.contexts:
+            if level is topo:
+                contexts.append(EVERY_NODE)
+                break
+            contexts.append(level if isinstance(level, set) else set(level))
+        sub._contexts = contexts
         sub._nodes = tuple(sorted(result.targets))
 
     # -- the read path --------------------------------------------------------------

@@ -283,9 +283,9 @@ class ViewStore:
     def descendants_of(self, roots: Iterable[int]) -> set[int]:
         """Proper descendants of ``roots`` by edge walk (no index).
 
-        The slow-path equivalent of
-        :meth:`repro.index.ReachabilityIndex.desc_of_set`, used when the
-        reachability index is deferred (batched update sessions).
+        The one way to list a descendant set: ``M`` keeps ancestor rows
+        only (Δ(M,L)delete's ``LR``, a ``//`` region that must be
+        listed, every region while batched sessions defer ``M``).
         """
         seen: set[int] = set()
         stack = list(roots)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import SetReachabilityIndex
 from repro.index import BitsetReachabilityIndex
+from repro.views.store import ViewStore
 
 #: ``@pytest.mark.parametrize("index_class", INDEX_CLASSES)``.
 INDEX_CLASSES = [
@@ -40,3 +41,27 @@ def substitute_index(updater, index_class):
         updater.reach = index_class()
         updater.reach.recompute(updater.store, updater.topo)
     return updater
+
+
+class Edges:
+    """A store stand-in for the operations of ``M`` that walk edges
+    (``add_closure_below``, ``region``): a child map, walked by the
+    store's own ``descendants_of``."""
+
+    def __init__(self, children: dict[int, list[int]]):
+        self.children = children
+
+    @classmethod
+    def of_pairs(cls, index) -> "Edges":
+        """Every pair of ``index`` as an edge: the store of a lockstep
+        stream, where ``M`` is not the closure of any store."""
+        children: dict[int, list[int]] = {}
+        for a, d in sorted(index.pairs()):
+            children.setdefault(a, []).append(d)
+        return cls(children)
+
+    def children_of(self, node: int) -> list[int]:
+        return self.children.get(node, [])
+
+    def descendants_of(self, roots) -> set[int]:
+        return ViewStore.descendants_of(self, roots)

@@ -2,10 +2,10 @@
 
 Every mutation sequence must leave ``SetReachabilityIndex`` (the
 oracle, ``repro.baselines``) and ``BitsetReachabilityIndex`` (the one
-class the product constructs) ``equals()``-identical, with internally
-consistent mirrors; and an :class:`~repro.core.updater.XMLViewUpdater`
-must keep its ``M`` equal to the reference recomputed from its store
-after every operation.
+class the product constructs) ``equals()``-identical, with an exact
+pair count; and an :class:`~repro.core.updater.XMLViewUpdater` must
+keep its ``M`` equal to the reference recomputed from its store after
+every operation.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import pytest
 
 import repro
 import repro.index
-from index_seam import INDEX_CLASSES, reference_index
+from index_seam import INDEX_CLASSES, Edges, reference_index
 from repro.atg.publisher import publish_store
 from repro.baselines import SetReachabilityIndex, naive_reachability
 from repro.core.topo import TopoOrder
@@ -33,6 +33,15 @@ from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.ops import DeleteOp, InsertOp
 
 BOTH = (BitsetReachabilityIndex, SetReachabilityIndex)
+
+
+def _below(index, node):
+    """``desc(node)`` read off the pairs (``M`` keeps ancestor rows)."""
+    return {d for a, d in index.pairs() if a == node}
+
+
+def _count_is_exact(index):
+    return len(index) == len(set(index.pairs()))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +101,7 @@ class TestFactory:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: no internal-state aliasing from anc()/desc()
+# Satellite: no internal-state aliasing from anc()/anc_of_set()
 # ---------------------------------------------------------------------------
 
 
@@ -103,18 +112,16 @@ class TestNoAliasing:
         m.insert(1, 2)
         m.insert(1, 3)
         m.anc(2).add(99)
-        m.desc(1).discard(2)
         m.anc_of_set([2, 3]).clear()
-        m.desc_of_set([1]).add(7)
         assert m.anc(2) == {1}
-        assert m.desc(1) == {2, 3}
+        assert _below(m, 1) == {2, 3}
         assert len(m) == 2
-        assert m.check_invariants() == []
+        assert _count_is_exact(m)
 
     def test_missing_rows_are_detached_too(self, index_class):
         m = index_class()
         m.anc(5).add(1)  # rowless node: must not create shared state
-        m.desc(5).add(1)
+        m.anc_of_set([5]).add(1)
         assert m.anc(5) == set()
         assert len(m) == 0
 
@@ -131,43 +138,64 @@ class TestBulkOps:
         # part 1): its row is extended from its parents' rows.
         m = index_class()
         m.insert(1, 2)  # anc(2) = {1}
-        added = m.add_closure_below([2, 3], 4)
+        edges = Edges({1: [2]})
+        added = m.add_closure_below(edges, [2, 3], 4)
         # gains {2} ∪ anc(2) ∪ {3} ∪ anc(3) = {1, 2, 3}
         assert added == 3
         assert m.anc(4) == {1, 2, 3}
-        assert m.add_closure_below([2, 3], 4) == 0  # idempotent
-        assert m.check_invariants() == []
+        assert m.add_closure_below(edges, [2, 3], 4) == 0  # idempotent
+        assert _count_is_exact(m)
 
     def test_add_closure_below(self, index_class):
         # Edge (2, 10) over a closed M: anc*(2) × ({10} ∪ desc(10)).
         m = index_class()
         m.insert(1, 2)
         m.insert(10, 11)
-        assert m.add_closure_below([2], 10) == 4  # {1, 2} × {10, 11}
+        edges = Edges({1: [2], 2: [10], 10: [11]})
+        assert m.add_closure_below(edges, [2], 10) == 4  # {1, 2} × {10, 11}
         assert m.anc(10) == {1, 2} and m.anc(11) == {1, 2, 10}
-        assert m.desc(1) == {2, 10, 11} and m.desc(2) == {10, 11}
+        assert _below(m, 1) == {2, 10, 11} and _below(m, 2) == {10, 11}
         # Two parents at once: anc*(2) ∪ anc*(5) = {1, 2, 5}.
         m.insert(1, 5)
-        assert m.add_closure_below([2, 5], 12) == 3  # {1, 2, 5} × {12}
-        assert m.add_closure_below([2, 5], 12) == 0
-        assert m.add_closure_below([], 10) == 0
-        assert m.check_invariants() == []
+        assert m.add_closure_below(edges, [2, 5], 12) == 3  # {1, 2, 5} × {12}
+        assert m.add_closure_below(edges, [2, 5], 12) == 0
+        assert m.add_closure_below(edges, [], 10) == 0
+        assert _count_is_exact(m)
 
     def test_add_closure_below_early_out(self, index_class):
         # Every parent and its ancestors already reach the node: nothing
-        # below it is read, whatever its descendant rows say.
+        # below it is read, whatever the edges below it say.
         m = index_class()
         for a, d in [(1, 2), (1, 7), (2, 7), (7, 8), (1, 8), (2, 8)]:
             m.insert(a, d)
         before = sorted(m.pairs())
-        assert m.add_closure_below([2], 7) == 0
-        assert m.add_closure_below([1, 2], 7) == 0
+        edges = Edges({1: [2], 2: [7], 7: [8]})
+        assert m.add_closure_below(edges, [2], 7) == 0
+        assert m.add_closure_below(edges, [1, 2], 7) == 0
         assert sorted(m.pairs()) == before
         # One missing ancestor (3) is written below the node, and only it.
         m.insert(3, 2)
-        assert m.add_closure_below([2], 7) == 2  # (3,7) and (3,8)
+        edges.children[3] = [2]
+        assert m.add_closure_below(edges, [2], 7) == 2  # (3,7) and (3,8)
         assert m.anc(8) == {1, 2, 3, 7}
-        assert m.check_invariants() == []
+        assert _count_is_exact(m)
+
+    def test_add_closure_below_walks_only_below_written_rows(self, index_class):
+        # 9 already holds the missing ancestor 3 (through 4): the walk
+        # from 2 stops there and never reads 9's child.
+        m = index_class()
+        edges = Edges({1: [2], 2: [7], 3: [4], 4: [9], 7: [8, 9], 9: [10]})
+        closure = {2: {1}, 7: {1, 2}, 4: {3}, 8: {1, 2, 7},
+                   9: {1, 2, 3, 4, 7}, 10: {1, 2, 3, 4, 7, 9}}
+        for node, ancestors in closure.items():
+            m.set_ancestors(node, ancestors)
+        edges.children[3].append(2)
+        read = []
+        children_of = edges.children_of
+        edges.children_of = lambda node: read.append(node) or children_of(node)
+        assert m.add_closure_below(edges, [3], 2) == 3  # (3, 2), (3, 7), (3, 8)
+        assert sorted(read) == [2, 7, 8]
+        assert m.anc(10) == {1, 2, 3, 4, 7, 9}
 
     def test_retain_ancestors(self, index_class):
         m = index_class()
@@ -181,7 +209,7 @@ class TestBulkOps:
         assert m.retain_ancestors(9, [2]) == 0
         assert m.retain_ancestors(9, []) == 2  # no parents: row emptied
         assert m.anc(9) == set()
-        assert m.check_invariants() == []
+        assert _count_is_exact(m)
 
     def test_retain_never_adds(self, index_class):
         m = index_class()
@@ -190,14 +218,22 @@ class TestBulkOps:
         assert m.anc(7) == set()
 
     def test_desc_view_membership(self, index_class):
+        # The descendant view is ``region``: S ∪ desc(S), tested on the
+        # candidate's ancestor row and listed by the store's edges.
         m = index_class()
         m.insert(1, 2)
         m.insert(1, 3)
-        view = m.desc_view(1)
-        assert 2 in view and 3 in view and 4 not in view
-        assert sorted(view) == [2, 3]
-        assert len(view) == 2
-        assert len(m.desc_view(42)) == 0
+        m.insert(5, 6)
+        edges = Edges({1: [2, 3], 5: [6]})
+        view = m.region(edges, [1])
+        assert 1 in view and 2 in view and 3 in view
+        assert 4 not in view and 5 not in view and 6 not in view
+        assert sorted(view) == [1, 2, 3]
+        assert sorted(m.region(edges, [1, 5])) == [1, 2, 3, 5, 6]
+        assert 42 in m.region(edges, [42]) and 2 not in m.region(edges, [42])
+        assert not m.region(edges, []) and sorted(m.region(edges, [])) == []
+        m.insert(1, 7)  # the view is live: it reads rows when asked
+        assert 7 in view
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +254,21 @@ def _reference_pairs(ops):
             _, node, ancestors = op
             pairs = {(a, d) for (a, d) in pairs if d != node}
             pairs |= {(a, node) for a in ancestors}
-        else:  # drop_node
+        else:  # drop
             _, node = op
             pairs = {(a, d) for (a, d) in pairs if node not in (a, d)}
     return pairs
+
+
+def _apply(index, op):
+    """One op of a random stream; ``drop`` removes every pair that
+    mentions the node through the point interface."""
+    if op[0] == "drop":
+        for a, d in sorted(index.pairs()):
+            if op[1] in (a, d):
+                index.remove(a, d)
+    else:
+        getattr(index, op[0])(*op[1:])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -239,19 +286,19 @@ def test_random_interleavings_agree(seed):
             ancestors = set(rng.sample(nodes, rng.randrange(0, 8)))
             ops.append(("set_ancestors", rng.choice(nodes), ancestors))
         else:
-            ops.append(("drop_node", rng.choice(nodes)))
+            ops.append(("drop", rng.choice(nodes)))
 
     indexes = {cls.__name__: cls() for cls in BOTH}
     for i, op in enumerate(ops):
         for index in indexes.values():
-            getattr(index, op[0])(*op[1:])
+            _apply(index, op)
         if i % 97 == 0:  # periodic deep checks, cheap enough
             for index in indexes.values():
-                assert index.check_invariants() == []
+                assert _count_is_exact(index)
 
     expected = _reference_pairs(ops)
     for name, index in indexes.items():
-        assert index.check_invariants() == [], name
+        assert _count_is_exact(index), name
         assert len(index) == len(expected), name
         assert set(index.pairs()) == expected, name
     first, *rest = indexes.values()
@@ -278,7 +325,7 @@ def test_dense_id_reuse_after_drop_agrees(seed):
         ops.append(("set_ancestors", node, set(range(node))))
     recycled = rng.sample(nodes, 10)
     for node in recycled:
-        ops.append(("drop_node", node))
+        ops.append(("drop", node))
     for node in recycled:  # same ids, fresh (different) rows
         ancestors = set(rng.sample(nodes, rng.randrange(0, 12))) - {node}
         ops.append(("set_ancestors", node, ancestors))
@@ -289,10 +336,10 @@ def test_dense_id_reuse_after_drop_agrees(seed):
     indexes = {cls.__name__: cls() for cls in BOTH}
     for op in ops:
         for index in indexes.values():
-            getattr(index, op[0])(*op[1:])
+            _apply(index, op)
     expected = _reference_pairs(ops)
     for name, index in indexes.items():
-        assert index.check_invariants() == [], name
+        assert _count_is_exact(index), name
         assert set(index.pairs()) == expected, name
     first, *rest = indexes.values()
     for other in rest:
@@ -312,11 +359,11 @@ def test_build_index_matches_oracle(index_class):
     oracle = naive_reachability(store)  # per-node DFS, no Reach
     index = index_class()
     index.recompute(store, topo)
-    assert index.check_invariants() == []
+    assert _count_is_exact(index)
     assert index.equals(oracle) and oracle.equals(index)
     assert len(index) == len(oracle)
     root = store.root_id
-    assert index.desc(root) == set(store.nodes()) - {root}
+    assert _below(index, root) == set(store.nodes()) - {root}
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +409,5 @@ def test_updater_matches_reference_after_every_op(script):
         reference = reference_index(updater.store, updater.topo)
         assert updater.reach.equals(reference), op
         assert reference.equals(updater.reach), op
-        assert updater.reach.check_invariants() == []
         assert updater.check_consistency() == [], op
     assert accepted >= 3

@@ -2,15 +2,16 @@
 
 Hypothesis drives random streams of the full mutating ABC surface —
 ``insert`` / ``remove`` / ``set_ancestors`` / ``add_closure_below`` /
-``retain_ancestors`` / ``drop_node`` / ``recompute`` (Algorithm Reach
-over a random small DAG) — against ``BitsetReachabilityIndex`` in
-lockstep with the
+``retain_ancestors`` / ``recompute`` (Algorithm Reach over a random
+small DAG) — against ``BitsetReachabilityIndex`` in lockstep with the
 reference ``SetReachabilityIndex`` as the oracle.  After every
 operation the index must return the same value as the oracle, and after
-the stream answer every query — the set forms, ``desc_view`` and
-``desc_mask_of_set`` — the same way.  The Δ(M,L)delete sweep of
+the stream answer every query — the set forms, ``is_ancestor`` and
+``region`` membership — the same way.  The Δ(M,L)delete sweep of
 ``maintain_delete`` then runs over the same random DAG on both classes
-and must remove the same pairs and condemn the same nodes.
+and must remove the same pairs and condemn the same nodes.  Over random
+DAGs and random edge cuts and additions, ``region(store, S)`` must hold
+exactly ``S ∪ store.descendants_of(S)``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_seam import Edges
 from repro.baselines import SetReachabilityIndex
 from repro.core.maintenance import maintain_delete
 from repro.core.topo import TopoOrder
@@ -68,14 +70,13 @@ ops = st.lists(
         st.tuples(st.just("set_ancestors"), node, nodes),
         st.tuples(st.just("add_closure_below"), nodes, node),
         st.tuples(st.just("retain_ancestors"), node, nodes),
-        st.tuples(st.just("drop_node"), node),
         st.tuples(st.just("recompute"), dag_edges),
     ),
     max_size=30,
 )
 
 
-def _apply(index, op):
+def _apply(index, op, edges):
     kind, *rest = op
     if kind == "insert":
         a, d = rest
@@ -91,14 +92,13 @@ def _apply(index, op):
         # No cycle: a parent must not lie in {n} ∪ desc(n) (mirrors
         # real Δ(M,L)insert edges).
         return index.add_closure_below(
-            [p for p in parents if p != n and not index.is_ancestor(n, p)], n
+            edges,
+            [p for p in parents if p != n and not index.is_ancestor(n, p)],
+            n,
         )
     if kind == "retain_ancestors":
         n, parents = rest
         return index.retain_ancestors(n, [p for p in parents if p != n])
-    if kind == "drop_node":
-        index.drop_node(rest[0])
-        return None
     if kind == "recompute":
         index.recompute(*_dag_store(rest[0]))
         return None
@@ -112,23 +112,22 @@ def test_backends_agree_on_random_op_streams(ops, probe, dag, cut):
     index = BitsetReachabilityIndex()
 
     for op in ops:
-        expected = _apply(oracle, op)
-        got = _apply(index, op)
+        edges = Edges.of_pairs(oracle)
+        expected = _apply(oracle, op, edges)
+        got = _apply(index, op, edges)
         assert got == expected, (op, got, expected)
 
     assert index.equals(oracle), (_pairs(index), _pairs(oracle))
     assert oracle.equals(index)
-    assert len(index) == len(oracle)
-    assert index.check_invariants() == []
+    assert len(index) == len(oracle) == len(set(index.pairs()))
     for n in NODES:
         assert index.anc(n) == oracle.anc(n), n
-        assert index.desc(n) == oracle.desc(n), n
-        assert sorted(index.desc_view(n)) == sorted(oracle.desc_view(n)), n
     assert index.anc_of_set(probe) == oracle.anc_of_set(probe)
-    assert index.desc_of_set(probe) == oracle.desc_of_set(probe)
-    assert sorted(index.desc_mask_of_set(probe)) == sorted(
-        oracle.desc_mask_of_set(probe)
-    )
+    edges = Edges.of_pairs(oracle)
+    region, reference = index.region(edges, probe), oracle.region(edges, probe)
+    assert [n in region for n in NODES] == [n in reference for n in NODES]
+    assert set(region) == set(reference)
+    assert bool(region) == bool(reference) == bool(probe)
     for a in probe:
         for d in NODES:
             assert index.is_ancestor(a, d) == oracle.is_ancestor(a, d)
@@ -147,6 +146,48 @@ def test_backends_agree_on_random_op_streams(ops, probe, dag, cut):
         fresh = type(reach)()
         fresh.recompute(store, TopoOrder.from_store(store))
         assert reach.equals(fresh), (dag, removed_edges)
-        assert reach.check_invariants() == []
+        assert len(reach) == len(set(reach.pairs()))
     assert reports[0] == reports[1], (dag, removed_edges, reports)
     assert index.equals(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dag=dag_edges,
+    cut=st.lists(st.integers(0, 13)),
+    grow=dag_edges,
+    probes=st.lists(st.lists(dag_node, max_size=3), min_size=1, max_size=4),
+)
+def test_region_is_the_store_walk(dag, cut, grow, probes):
+    """``region(store, S)`` answers ``S ∪ desc(S)`` on the candidate's
+    ancestor row; it must agree with the store walk at every node, on
+    both classes, at rest and after edge cuts (the Δ(M,L)delete sweep)
+    and edge additions (``add_closure_below``)."""
+    for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
+        store, topo = _dag_store(dag)
+        reach = index_class()
+        reach.recompute(store, topo)
+
+        def check():
+            for probe in probes:
+                region = reach.region(store, probe)
+                walked = set(probe) | store.descendants_of(probe)
+                for n in range(DAG_NODES):
+                    assert (n in region) == (n in walked), (probe, n)
+                assert set(region) == walked
+                assert bool(region) == bool(probe)
+
+        check()
+        removed = sorted({dag[i] for i in cut if i < len(dag)})
+        for parent, child in removed:
+            store.remove_edge(parent, child)
+        maintain_delete(store, topo, reach, sorted({c for _, c in removed}))
+        check()
+        for parent, child in grow:  # smaller id to larger: never a cycle
+            if parent in store.node_type and child in store.node_type:
+                if store.add_edge(parent, child):
+                    reach.add_closure_below(store, [parent], child)
+        fresh = index_class()
+        fresh.recompute(store, TopoOrder.from_store(store))
+        assert reach.equals(fresh), (dag, removed, grow)
+        check()

@@ -40,6 +40,7 @@ from repro.workloads import (
 )
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.xpath.ast import DescendantStep
 from repro.xpath.parser import parse_xpath
 
 
@@ -77,11 +78,15 @@ def results(subs):
 def as_sets(contexts, topo):
     """Cached or fresh per-level membership, comparable: a leading
     ``//`` level (``L`` itself, cached as :data:`EVERY_NODE`) stays
-    itself, every other level becomes a set."""
-    return [
-        EVERY_NODE if level is topo or level is EVERY_NODE else set(level)
-        for level in contexts
-    ]
+    itself and ends the list (the engine caches nothing after it),
+    every other level becomes a set."""
+    levels = []
+    for level in contexts:
+        if level is topo or level is EVERY_NODE:
+            levels.append(EVERY_NODE)
+            break
+        levels.append(set(level))
+    return levels
 
 
 def assert_refreshed(service, subs, before=None, tag=""):
@@ -613,6 +618,48 @@ class TestConeRefresh:
         ).accepted
         assert sub.stats["full_refreshes"] == 1
         assert_refreshed(service, [sub], before, "after filter hit")
+
+    def test_non_leading_descendant_region_is_cached_as_of_its_evaluation(
+        self,
+    ):
+        """``course[cno=CS650]//course[cno=CS240]``: prunable, with a
+        ``//`` region under one course.  Writes move CS320 and CS240 out
+        of the region and back in, and one lands elsewhere.  Results,
+        deltas and cached memberships equal a fresh evaluation after
+        every op, and a cached region keeps the membership it was
+        evaluated with (the evaluator's region is a live view of
+        ``M``)."""
+        service = registrar_service()
+        sub = service.subscribe("course[cno=CS650]//course[cno=CS240]")
+        assert sub.profile.prunable
+        store = service.updater.store
+        cs320 = store.lookup("course", ("CS320", "Databases"))
+        level = 1 + next(
+            i for i, step in enumerate(sub.query.steps)
+            if isinstance(step, DescendantStep)
+        )
+        under_cs650 = "course[cno=CS650]/prereq"
+        ops = [
+            DeleteOp(f"{under_cs650}/course[cno=CS320]"),  # both leave
+            InsertOp(under_cs650, "course", ("CS240", "Data Structures")),
+            InsertOp(under_cs650, "course", ("CS320", "Databases")),
+            InsertOp("course[cno=CS500]/prereq", "course", ("CS990", "Far")),
+            DeleteOp(f"{under_cs650}/course[cno=CS240]"),  # still via CS320
+            DeleteOp(f"{under_cs650}/course[cno=CS320]"),  # now it leaves
+        ]
+        seen = []
+        for op in ops:
+            cached = sub._contexts
+            was_in = cs320 in cached[level]
+            before = results([sub])
+            assert service.apply(op).accepted, op
+            # The list cached before the op still answers as of then.
+            assert (cs320 in cached[level]) == was_in, op
+            assert_refreshed(service, [sub], before, f"after {op}")
+            seen.append((was_in, sub.result()))
+        assert {was_in for was_in, _ in seen} == {True, False}
+        assert {bool(result) for _, result in seen} == {True, False}
+        assert sub.stats["skips"] >= 1 and sub.stats["full_refreshes"] >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -299,11 +299,13 @@ class _CountingRows(dict):
 
 
 def _count_row_access(reach) -> Counter:
-    """Route every row access of ``reach`` through counters (both index
-    classes keep ``M`` as an ancestor and a descendant row dict)."""
+    """Route every row access of ``reach`` through counters: every row
+    dict the index keeps (both classes keep one, of ancestor rows)."""
     counts = Counter()
-    reach._anc = _CountingRows(reach._anc, counts)
-    reach._desc = _CountingRows(reach._desc, counts)
+    for name in type(reach).__slots__:
+        rows = getattr(reach, name)
+        if isinstance(rows, dict):
+            setattr(reach, name, _CountingRows(rows, counts))
     return counts
 
 
@@ -341,9 +343,9 @@ class TestInsertPaysForAddedPairs:
         report = maintain_insert(store, topo, reach, subtree, targets)
         assert report.added_pairs == 0
         assert counts["writes"] == 0
-        # One row per target and the root's two (ΔM reads its ancestors,
-        # the L repair its descendants), however large ST is.
-        assert counts["reads"] == len(targets) + 2
+        # One row per target and the root's (ΔM reads its ancestors),
+        # however large ST is; the L repair reads rows only for a swap.
+        assert counts["reads"] == len(targets) + 1
         assert sorted(reach.pairs()) == before
         assert_structures_match_recompute(store, topo, reach)
 
@@ -369,6 +371,26 @@ class TestInsertPaysForAddedPairs:
         cs500 = store.lookup("course", ("CS500", "Operating Systems"))
         cs240 = store.lookup("course", ("CS240", "Data Structures"))
         assert reach.is_ancestor(cs500, cs240)
+        assert_structures_match_recompute(store, topo, reach)
+
+
+class TestDeleteWritesAncestorRowsOnly:
+    def test_delete_writes_at_most_one_row_per_lr_node(self, indexed_env):
+        # Deleting CS320 everywhere collects its subtree: every node of
+        # LR loses ancestors, more pairs in all than LR has nodes.  Only
+        # ancestor rows are recomputed, so the pass writes at most one
+        # row per node of LR, not one per removed pair.
+        _, _, store, topo, reach, evaluator = indexed_env
+        result = evaluator.evaluate(
+            parse_xpath("//course[cno=CS320]"), mode="delete"
+        )
+        store.apply(xdelete(store, result))
+        lr = set(result.targets) | store.descendants_of(result.targets)
+        counts = _count_row_access(reach)
+        report = maintain_delete(store, topo, reach, result)
+        assert report.removed_nodes
+        assert report.removed_pairs > len(lr)
+        assert 0 < counts["writes"] <= len(lr)
         assert_structures_match_recompute(store, topo, reach)
 
 
