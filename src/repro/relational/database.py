@@ -5,7 +5,8 @@ key constraint on insertion — the paper's insertion translation relies on
 this ("a unique tuple ... needs to be inserted into the base relation R for
 each i due to the key constraint on R", proof of Theorem 2).
 :meth:`Table.lookup` is the one equality probe the SPJ evaluator and the
-view-update translators use; its hash indexes build themselves.
+view-update translators use, except that a probe binding the whole
+primary key is :meth:`Table.get`; the hash indexes build themselves.
 
 A :class:`Database` is a named collection of tables plus the
 :class:`RelationalDelta` machinery for applying/undoing group updates
@@ -133,7 +134,8 @@ class Table:
     def lookup(self, attrs: Sequence[str], values: Sequence) -> list[tuple]:
         """Rows whose ``attrs`` equal ``values``, in :meth:`rows` order.
 
-        The one equality probe of the relational layer: it reads the
+        The one equality probe of the relational layer (a probe on the
+        whole primary key is :meth:`get`): it reads the
         smallest single-attribute bucket among ``attrs`` (at least one)
         and filters it on the rest.  Which columns are indexed is thus
         worked out from the probes issued; there is no scan to fall back

@@ -116,6 +116,8 @@ class RelationSchema:
         self.key: tuple[str, ...] = key
         self._index = {attr.name: i for i, attr in enumerate(attrs)}
         self.key_indexes: tuple[int, ...] = tuple(self._index[k] for k in key)
+        # Immutable, and part of every SPJ plan-cache key: hash it once.
+        self._hash = hash((name, self.attributes, key))
 
     # -- attribute arithmetic -------------------------------------------------
 
@@ -198,4 +200,9 @@ class RelationSchema:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.attributes, self.key))
+        return self._hash
+
+    def __setstate__(self, state: dict) -> None:
+        # A string's hash differs between processes: re-take it on load.
+        self.__dict__.update(state)
+        self._hash = hash((self.name, self.attributes, self.key))

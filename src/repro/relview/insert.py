@@ -6,8 +6,12 @@ insertions ``ΔR`` via SAT, in five stages:
 1. **Templates.**  For every target edge, the equality closure of the
    edge view's selection condition propagates the known values (parent
    parameters, child semantic attributes, constants) into one tuple
-   template per base occurrence.  Key preservation guarantees the key
-   part is fully known; other cells become canonical variables
+   template per base occurrence.  The closure depends on the view alone,
+   so it is worked out once per view (:class:`_Skeleton`, cached on the
+   registry): each cell's class, which classes a constant or a visible
+   column fills, the key positions, and the view's static rejections.
+   A target only binds its visible values.  Key preservation guarantees
+   the key part is fully known; other cells become canonical variables
    (:class:`~repro.relview.symbolic.SymVar`).  Templates whose key
    already exists in the base table are filled from the stored row
    (``B_i`` in the appendix); the rest are the new tuples ``U_i``.
@@ -127,7 +131,7 @@ def translate_insertions(
     if not targets:
         return plan
 
-    templates, assertions = _build_templates(db, targets)
+    templates, assertions = _build_templates(registry, db, targets)
     plan.new_templates = [t for t in templates.values() if t.is_new]
     for target in targets:
         plan.target_rows.append((target.view.name, target.row))
@@ -214,8 +218,85 @@ def _resolve_targets(
     return targets
 
 
+class _Skeleton:
+    """What Algorithm insert's templates take from one edge view alone.
+
+    Every visible column is bound on every call, so which equality class
+    a constant or a visible value fills, and hence each cell's class and
+    whether it is known, depend on the view and the schemas only.
+
+    ``rejection`` says why every target of the view is rejected (a
+    non-equality condition, conflicting constants), else ``known`` maps
+    a class root to the view's constant for it, ``visible`` gives each
+    visible column with its class root, ``occurrences`` each base
+    occurrence's relation, alias, key positions and cells (class root,
+    filled or not, attribute, type), ``key_rejection`` the first key
+    cell no value fills, and ``row`` where each column of the target's
+    view row comes from.
+    """
+
+    def __init__(self, view: EdgeView, schemas: tuple) -> None:
+        query = view.query
+        classes = _UnionFind()
+        known: dict = {}
+        self.rejection: str | None = None
+        try:
+            for conjunct in query.where.conjuncts():
+                if isinstance(conjunct, Eq):
+                    left, right = conjunct.left, conjunct.right
+                    if isinstance(left, Col) and isinstance(right, Col):
+                        classes.union((left.alias, left.attr), (right.alias, right.attr))
+                        continue
+                    for col, const in ((left, right), (right, left)):
+                        if isinstance(col, Col) and isinstance(const, Const):
+                            item = (col.alias, col.attr)
+                            _learn(view, known, item, classes.find(item), const.value)
+                elif any(isinstance(c, Col) for c in conjunct.columns()):
+                    raise UpdateRejectedError(
+                        f"view {view.name} has a non-equality condition; "
+                        "insertion translation supports equality SPJ views"
+                    )
+        except UpdateRejectedError as rejected:
+            self.rejection = rejected.args[0]
+            return
+        self.known = known
+        self.visible: tuple[tuple[tuple[str, str], object], ...] = tuple(
+            ((col.alias, col.attr), classes.find((col.alias, col.attr)))
+            for _, col in query.project[: view.n_params + view.n_child]
+        )
+        filled = known.keys() | {root for _, root in self.visible}
+        self.occurrences: list[tuple[str, str, tuple[int, ...], tuple]] = []
+        self.key_rejection: str | None = None
+        for (relation, alias), schema in zip(query.tables, schemas):
+            cells = []
+            for attr in schema.attributes:
+                root = classes.find((alias, attr.name))
+                cells.append((root, root in filled, attr.name, attr.type))
+            for attr in schema.key:
+                if not cells[schema.index_of(attr)][1] and self.key_rejection is None:
+                    self.key_rejection = (
+                        f"cannot determine key attribute {relation}.{attr} "
+                        f"for a target edge of {view.name}"
+                    )
+            self.occurrences.append((relation, alias, schema.key_indexes, tuple(cells)))
+        position = dict(zip(query.aliases, schemas))
+        self.row: tuple[tuple[str, int], ...] = tuple(
+            (col.alias, position[col.alias].index_of(col.attr)) for _, col in query.project
+        )
+
+
+def _learn(view: EdgeView, known: dict, item: tuple, root, value) -> None:
+    """Record that ``item``'s class (``root``) holds ``value``."""
+    if root in known and known[root] != value:
+        raise UpdateRejectedError(
+            f"target edge of {view.name} is inconsistent: "
+            f"{item} must be both {known[root]!r} and {value!r}"
+        )
+    known[root] = value
+
+
 def _build_templates(
-    db: Database, targets: list[_TargetEdge]
+    registry: EdgeViewRegistry, db: Database, targets: list[_TargetEdge]
 ) -> tuple[dict[tuple[str, tuple], Template], list[Atom]]:
     """Build the tuple templates and the canonical assertions."""
     templates: dict[tuple[str, tuple], Template] = {}
@@ -223,91 +304,41 @@ def _build_templates(
 
     for target in targets:
         view = target.view
-        query = view.query
-        classes = _UnionFind()
-        known: dict = {}
+        schemas = tuple([db.schema(relation) for relation, _ in view.query.tables])
+        cached = (view.name, schemas)
+        skeleton = registry.skeletons.get(cached)
+        if skeleton is None:  # published whole, with one assignment
+            skeleton = registry.skeletons[cached] = _Skeleton(view, schemas)
+        if skeleton.rejection is not None:
+            raise UpdateRejectedError(skeleton.rejection)
+        known = dict(skeleton.known)
+        for (item, root), value in zip(
+            skeleton.visible, (*target.parent_params, *target.child_sem)
+        ):
+            _learn(view, known, item, root, value)
+        if skeleton.key_rejection is not None:
+            raise UpdateRejectedError(skeleton.key_rejection)
 
-        def learn(item, value) -> None:
-            root = classes.find(item)
-            if root in known and known[root] != value:
-                raise UpdateRejectedError(
-                    f"target edge of {view.name} is inconsistent: "
-                    f"{item} must be both {known[root]!r} and {value!r}"
-                )
-            known[root] = value
-
-        for conjunct in query.where.conjuncts():
-            if isinstance(conjunct, Eq):
-                left, right = conjunct.left, conjunct.right
-                if isinstance(left, Col) and isinstance(right, Col):
-                    classes.union((left.alias, left.attr), (right.alias, right.attr))
-                elif isinstance(left, Col) and isinstance(right, Const):
-                    learn((left.alias, left.attr), right.value)
-                elif isinstance(right, Col) and isinstance(left, Const):
-                    learn((right.alias, right.attr), left.value)
-            else:
-                if any(isinstance(c, Col) for c in conjunct.columns()):
-                    raise UpdateRejectedError(
-                        f"view {view.name} has a non-equality condition; "
-                        "insertion translation supports equality SPJ views"
-                    )
-        # Known values from the target's visible columns.
-        visible = list(target.parent_params) + list(target.child_sem)
-        for (name, col), value in zip(query.project, visible):
-            learn((col.alias, col.attr), value)
-
-        # One template per base occurrence.
-        row_cells: dict[str, list] = {}
-        for relation, alias in query.tables:
-            schema = db.schema(relation)
-            cells: list = []
-            for attr in schema.attribute_names:
-                root = classes.find((alias, attr))
-                if root in known:
-                    cells.append(known[root])
-                else:
-                    cells.append(root)  # placeholder, resolved below
-            row_cells[alias] = cells
-
-        # Determine keys; reject if a key cell is unknown.
-        alias_keys: dict[str, tuple] = {}
-        for relation, alias in query.tables:
-            schema = db.schema(relation)
-            key_values = []
-            for attr in schema.key:
-                value = row_cells[alias][schema.index_of(attr)]
-                if isinstance(value, tuple) and len(value) == 2 and isinstance(
-                    value[0], str
-                ):
-                    raise UpdateRejectedError(
-                        f"cannot determine key attribute {relation}.{attr} "
-                        f"for a target edge of {view.name}"
-                    )
-                key_values.append(value)
-            alias_keys[alias] = tuple(key_values)
-
-        # Replace unknown placeholders by canonical variables; merge with
-        # existing rows; record the conditions as assertions.
+        # Unknown cells become canonical variables or, where the key
+        # already exists, the stored row's values; the equalities among
+        # them are recorded as assertions.
         alias_values: dict[str, tuple] = {}
-        placeholder_var: dict = {}
-        for relation, alias in query.tables:
-            schema = db.schema(relation)
-            key = alias_keys[alias]
+        class_value: dict = {}
+        for relation, alias, key_indexes, cells in skeleton.occurrences:
+            key = tuple([known[cells[i][0]] for i in key_indexes])
             existing = db.table(relation).get(key)
             values: list = []
-            for index, attr in enumerate(schema.attribute_names):
-                cell = row_cells[alias][index]
-                if not _is_placeholder(cell):
-                    values.append(cell)
+            for index, (root, filled, attr, attr_type) in enumerate(cells):
+                if filled:
+                    values.append(known[root])
                     continue
                 if existing is not None:
                     # Fill from the stored row (B_i case); remember the
                     # binding so equalities to this class still apply.
                     value = existing[index]
                     values.append(value)
-                    root = cell
-                    if root in placeholder_var:
-                        result = make_atom(placeholder_var[root], value)
+                    if root in class_value:
+                        result = make_atom(class_value[root], value)
                         if result is False:
                             raise UpdateRejectedError(
                                 f"existing tuple {relation}{key} conflicts "
@@ -316,15 +347,12 @@ def _build_templates(
                         if result is not True:
                             assertions.append(result)
                     else:
-                        placeholder_var[root] = value
+                        class_value[root] = value
                     continue
-                root = cell
-                var = SymVar(
-                    relation, key, attr, schema.attribute(attr).type
-                )
-                bound = placeholder_var.get(root)
+                var = SymVar(relation, key, attr, attr_type)
+                bound = class_value.get(root)
                 if bound is None:
-                    placeholder_var[root] = var
+                    class_value[root] = var
                 else:
                     result = make_atom(bound, var)
                     if result is False:
@@ -359,23 +387,8 @@ def _build_templates(
                 alias_values[alias] = merged.values
 
         # Symbolic full view row of the target.
-        target.row = tuple(
-            alias_values[col.alias][
-                db.schema(query.relation_of(col.alias)).index_of(col.attr)
-            ]
-            for _, col in query.project
-        )
+        target.row = tuple(alias_values[alias][at] for alias, at in skeleton.row)
     return templates, assertions
-
-
-def _is_placeholder(cell) -> bool:
-    """Row cells start as union-find roots ((alias, attr) tuples)."""
-    return (
-        isinstance(cell, tuple)
-        and len(cell) == 2
-        and isinstance(cell[0], str)
-        and isinstance(cell[1], str)
-    )
 
 
 def _merge_templates(a: Template, b: Template) -> tuple[Template, list[Atom]]:

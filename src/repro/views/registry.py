@@ -138,6 +138,9 @@ class EdgeViewRegistry:
     def __init__(self, atg: ATG, views: dict[tuple[str, str], EdgeView]):
         self.atg = atg
         self._views = views
+        # (view name, schemas) -> Algorithm insert's template skeleton
+        # (repro.relview.insert._Skeleton), built on first use.
+        self.skeletons: dict[tuple, object] = {}
 
     def view(self, parent_type: str, child_type: str) -> EdgeView:
         try:

@@ -288,6 +288,20 @@ class TestOnePredicateEvaluator:
         ):
             query.evaluate(registrar)
 
+    @pytest.mark.parametrize("where", [Ne(Col("x", "nosuch"), Const(5)), TRUE])
+    def test_misspelt_column_raises_on_empty_tables(self, where):
+        """Columns are resolved when the join is planned, before any row
+        is read: an empty table no longer hides the misspelling."""
+        from repro.workloads.registrar import build_registrar
+
+        _, registrar = build_registrar(populate=False)
+        query = q([("course", "x")], [("cno", Col("x", "cno"))], where)
+        fixed = [] if where is not TRUE else [(Col("x", "nosuch"), 5)]
+        with pytest.raises(
+            SchemaError, match="relation 'course' has no attribute 'nosuch'"
+        ):
+            query.evaluate(registrar, fixed=fixed)
+
 
 class TestProvenance:
     def test_derivations_track_base_rows(self, db):
