@@ -7,9 +7,11 @@ unintended row.  The translator:
 1. builds tuple templates from the edge view's equality closure (the key
    parts are pinned by key preservation);
 2. sweeps every view for symbolic derivations that would be side effects;
-3. encodes the constraints into CNF and solves it (the service runs
-   DPLL; the last step runs WalkSAT, the paper's solver, on the same
-   kind of instance);
+3. decides the constraints in the equality domain: a union-find over
+   the atoms every target needs, each unknown no atom binds a fresh
+   value, and only clauses left over BOOL unknowns encoded into CNF for
+   DPLL (or WalkSAT, the paper's solver, which the last step selects);
+   the registrar has no BOOL column, so no instance here needs one;
 4. instantiates the templates from the model.
 
 The demo shows the machinery choosing ``dept ≠ 'CS'`` for a course that
@@ -41,13 +43,13 @@ def main() -> None:
     outcome = service.apply(
         InsertOp("//course[cno=CS240]/prereq", "course", ("CS101", "Intro"))
     )
-    print("  SAT instance:", outcome.stats.get("sat_vars"), "vars,",
-          outcome.stats.get("sat_clauses"), "clauses")
+    print("  BOOL residue for the SAT solver:", outcome.stats.get("sat_vars"),
+          "vars,", outcome.stats.get("sat_clauses"), "clauses")
     for op in outcome.delta_r:
         print(f"  ΔR: {op.kind} {op.relation}{op.row}")
     dept = db.table("course").get(("CS101",))[2]
-    print(f"  -> the solver chose dept={dept!r} (anything but 'CS', which "
-          "would surface CS101 at the root — a side effect)")
+    print(f"  -> dept={dept!r}: a fresh value, so not 'CS', which would "
+          "surface CS101 at the root — a side effect")
 
     # -- 2. new course at the root: dept is forced the other way ------------------
     print("\ninsert (course, CS700 'Theory') into . (the root)")
@@ -67,7 +69,8 @@ def main() -> None:
         print(f"  -> rejected: {exc}")
 
     # -- 4. the paper's solver on a fresh instance -----------------------------
-    print("\nthe same insertion as 1, translated with WalkSAT")
+    print("\nthe same insertion as 1, with WalkSAT selected (no residue: "
+          "'trivial')")
     atg, db = build_registrar()
     paper = open_view(atg, db).updater
     result = paper.evaluate_xpath("//course[cno=CS240]/prereq")

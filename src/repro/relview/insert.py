@@ -25,8 +25,9 @@ insertions ``ΔR`` via SAT, in five stages:
    extended along the join graph the view's ``SPJQuery`` worked out at
    construction — ``equalities`` says what to probe an alias on,
    ``conjunct_aliases`` which conditions a new binding completes — one
-   ``Table.lookup`` probe per alias, and the derivations and their atoms
-   are put in a canonical order).
+   ``Table.lookup`` probe per alias, every cell read at a position the
+   view's skeleton worked out once).  Derivations come in registry,
+   seed and row order, each with its atoms in conjunct order.
    Because view rows project every base key and new templates carry keys
    absent from ``I``, such a derivation can never equal an existing view
    row; it is benign iff it *is* one of the targets (per-position
@@ -34,37 +35,41 @@ insertions ``ΔR`` via SAT, in five stages:
    unconditional side effect rejects the update outright (case (a) in
    the paper).
 
-4. **SAT.**  The constraint is already CNF over equality atoms: each
-   assertion and each atom of a target's derivation is a unit clause,
-   each side-effect derivation one clause of negated atoms.  Variables
-   get finite domains: BOOL its two values, any other type the
-   constants its ``var = var`` component is compared with plus one
-   :class:`~repro.relview.symbolic.FreshToken` per component variable
-   (the variables equal to no constant take at most that many distinct
-   values, so the abstraction is sound and complete for equality
-   constraints).  :func:`~repro.sat.encode.encode_formula` turns the
-   clauses into CNF one for one, and DPLL decides it: complete,
-   deterministic, and cheap because the encoding's size depends on
-   ``|ΔV|`` and ``|Q|``, not on the database.  WalkSAT, the paper's
-   solver, stays selectable (``solver='walksat'``) for comparison; it
-   may give up on a satisfiable instance.
+4. **Solve, in the equality domain.**  The constraint is CNF over
+   equality atoms of two kinds only: a positive unit (an assertion, or
+   an atom of a target's derivation) and an all-negative clause (a
+   side effect).  Over an unbounded domain that is decided by the
+   equality classes of the units alone, as congruence closure decides
+   equality logic (Nelson & Oppen): a union-find merges ``a = b`` and
+   binds ``v = c`` (two constants on one class reject).  In the
+   *minimal model* every class no unit binds takes its own fresh value,
+   so a non-BOOL atom the units do not entail is false and its clause
+   holds; a clause all of whose atoms the units entail rejects.  Only a
+   BOOL unknown has too few values to be fresh: clauses left with
+   undecided BOOL atoms — the residue, where Theorem 2's NP-hardness
+   lives — go through :func:`~repro.sat.encode.encode_formula` over
+   ``(False, True)`` domains to DPLL, complete and deterministic, or
+   to WalkSAT, the paper's solver, under ``solver='walksat'`` (it may
+   give up on a satisfiable instance).  No dataset here has a BOOL
+   column, so their inserts never reach a solver.
 
-5. **ΔR.**  A model instantiates the new templates; fresh tokens decode
-   to values outside the active domain, numbered by the caller's
-   sequence (the updater owns one, so a result never depends on what
-   another view in the process did before).
+5. **ΔR.**  Each unknown of a new template takes its class's constant,
+   the residue's value, or its class's fresh value — outside the active
+   domain, one per class, minted in the unknowns' name order and
+   numbered by the caller's sequence (the updater owns one, so a result
+   never depends on what another view in the process did before).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import UpdateRejectedError
 from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
-from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType
 from repro.relview.keypres import _UnionFind
 from repro.relview.symbolic import (
@@ -72,7 +77,6 @@ from repro.relview.symbolic import (
     AtomVC,
     AtomVV,
     Derivation,
-    FreshToken,
     SymVar,
     Template,
     make_atom,
@@ -93,8 +97,12 @@ class InsertionPlan:
     target_rows: list[tuple[str, tuple]] = field(default_factory=list)
     """(view name, symbolic full row) of every target edge."""
     num_vars: int = 0
+    """Variables of the CNF the BOOL residue went to (0 without one)."""
     num_clauses: int = 0
+    """Clauses of that CNF (0 without one)."""
     solver: str = "none"
+    """``'dpll'`` / ``'walksat'`` when a residue went to that solver,
+    ``'trivial'`` when the equality classes decided everything."""
     derivations_checked: int = 0
 
 
@@ -126,6 +134,8 @@ def translate_insertions(
     Raises :class:`UpdateRejectedError` on definite side effects, on an
     unsatisfiable/unsolved encoding, or on inconsistent targets.
     """
+    if solver not in ("dpll", "walksat"):
+        raise ValueError(f"solver must be 'dpll' or 'walksat', got {solver!r}")
     plan = InsertionPlan()
     targets = _resolve_targets(registry, store, db, delta_v)
     if not targets:
@@ -149,20 +159,21 @@ def translate_insertions(
     plan.derivations_checked = len(derivations)
 
     target_rows = {(t.view.name, t.row) for t in targets}
-    clauses: list[AtomClause] = [((atom, True),) for atom in assertions]
+    units = assertions  # and every atom of a target's derivation
+    side_effects: list[Derivation] = []
     covered_targets: set[tuple[str, tuple]] = set()
     for derivation in derivations:
         key = (derivation.view_name, derivation.row)
         if key in target_rows:
             covered_targets.add(key)
-            clauses.extend(((atom, True),) for atom in derivation.atoms)
+            units.extend(derivation.atoms)
             continue
         if not derivation.atoms:
             raise UpdateRejectedError(
                 f"insertion causes an unconditional side effect on view "
                 f"{derivation.view_name}: row {derivation.row!r}"
             )
-        clauses.append(tuple((atom, False) for atom in derivation.atoms))
+        side_effects.append(derivation)
     missing = target_rows - covered_targets
     if missing:
         raise UpdateRejectedError(
@@ -170,14 +181,14 @@ def translate_insertions(
             "from the base data plus the new tuples"
         )
 
-    valuation = _solve(clauses, solver, plan)
-    if valuation is None:
+    classes = _solve(units, side_effects, solver, plan)
+    if classes is None:
         raise UpdateRejectedError(
             f"no side-effect-free instantiation found (solver: {plan.solver})"
         )
 
     concrete = _decode_valuation(
-        db, valuation, plan.new_templates,
+        db, classes, plan.new_templates,
         itertools.count(1) if fresh is None else fresh,
     )
     for template in plan.new_templates:
@@ -219,29 +230,64 @@ def _resolve_targets(
 
 
 class _Skeleton:
-    """What Algorithm insert's templates take from one edge view alone.
+    """What Algorithm insert takes from one edge view alone.
 
     Every visible column is bound on every call, so which equality class
     a constant or a visible value fills, and hence each cell's class and
-    whether it is known, depend on the view and the schemas only.
+    whether it is known, depend on the view and the schemas only; so do
+    the positions every column is read at.
 
-    ``rejection`` says why every target of the view is rejected (a
-    non-equality condition, conflicting constants), else ``known`` maps
-    a class root to the view's constant for it, ``visible`` gives each
-    visible column with its class root, ``occurrences`` each base
-    occurrence's relation, alias, key positions and cells (class root,
-    filled or not, attribute, type), ``key_rejection`` the first key
-    cell no value fills, and ``row`` where each column of the target's
-    view row comes from.
+    For the sweep (any view): ``row`` gives, per output column, the
+    alias and position it is read at, ``checks[alias]`` each equality
+    conjunct mentioning ``alias`` as ``(aliases it needs, left, right)``
+    and ``probes[alias]`` each equality ``alias`` can be probed on as
+    ``(attr, other)``, a term being ``(alias, position)`` or, for a
+    constant, ``(None, value)``.
+
+    For the templates (a target's view): ``rejection`` says why every
+    target of the view is rejected (a non-equality condition,
+    conflicting constants), else ``known`` maps a class root to the
+    view's constant for it, ``visible`` gives each visible column with
+    its class root, ``occurrences`` each base occurrence's relation,
+    alias, key positions and cells (class root, filled or not,
+    attribute, type), and ``key_rejection`` the first key cell no value
+    fills.
     """
 
     def __init__(self, view: EdgeView, schemas: tuple) -> None:
         query = view.query
+        position = {
+            alias: schema.index_of for (_, alias), schema in zip(query.tables, schemas)
+        }
+
+        def term(value) -> tuple:
+            if isinstance(value, Col):
+                return value.alias, position[value.alias](value.attr)
+            if isinstance(value, Const):
+                return None, value.value
+            raise UpdateRejectedError(f"unsupported term {value!r} in insertion sweep")
+
+        self.row: tuple[tuple, ...] = tuple(term(col) for _, col in query.project)
+        self.checks: dict[str, tuple] = {alias: () for alias in query.aliases}
+        for conjunct, needs in query.conjunct_aliases:
+            if isinstance(conjunct, Eq):
+                check = (needs, term(conjunct.left), term(conjunct.right))
+                for alias in needs:
+                    self.checks[alias] += (check,)
+        self.probes: dict[str, tuple] = {
+            alias: tuple(
+                (attr, term(other))
+                for attr, other in query.equalities[alias]
+                if isinstance(other, (Col, Const))
+            )
+            for alias in query.aliases
+        }
+
         classes = _UnionFind()
         known: dict = {}
         self.rejection: str | None = None
         try:
-            for conjunct in query.where.conjuncts():
+            for conjunct, _ in query.conjunct_aliases:
                 if isinstance(conjunct, Eq):
                     left, right = conjunct.left, conjunct.right
                     if isinstance(left, Col) and isinstance(right, Col):
@@ -279,10 +325,16 @@ class _Skeleton:
                         f"for a target edge of {view.name}"
                     )
             self.occurrences.append((relation, alias, schema.key_indexes, tuple(cells)))
-        position = dict(zip(query.aliases, schemas))
-        self.row: tuple[tuple[str, int], ...] = tuple(
-            (col.alias, position[col.alias].index_of(col.attr)) for _, col in query.project
-        )
+
+
+def _skeleton(registry: EdgeViewRegistry, db: Database, view: EdgeView) -> _Skeleton:
+    """``view``'s skeleton over ``db``'s schemas, built on first use."""
+    schemas = tuple([db.schema(relation) for relation, _ in view.query.tables])
+    cached = (view.name, schemas)
+    skeleton = registry.skeletons.get(cached)
+    if skeleton is None:  # published whole, with one assignment
+        skeleton = registry.skeletons[cached] = _Skeleton(view, schemas)
+    return skeleton
 
 
 def _learn(view: EdgeView, known: dict, item: tuple, root, value) -> None:
@@ -304,11 +356,7 @@ def _build_templates(
 
     for target in targets:
         view = target.view
-        schemas = tuple([db.schema(relation) for relation, _ in view.query.tables])
-        cached = (view.name, schemas)
-        skeleton = registry.skeletons.get(cached)
-        if skeleton is None:  # published whole, with one assignment
-            skeleton = registry.skeletons[cached] = _Skeleton(view, schemas)
+        skeleton = _skeleton(registry, db, view)
         if skeleton.rejection is not None:
             raise UpdateRejectedError(skeleton.rejection)
         known = dict(skeleton.known)
@@ -425,59 +473,49 @@ def _sweep_side_effects(
     for template in templates.values():
         if template.is_new:
             new_by_relation.setdefault(template.relation, []).append(template)
-    if not new_by_relation:
-        return []
     derivations: list[Derivation] = []
     for view in registry.views():
-        derivations.extend(_sweep_view(view, db, new_by_relation))
-    # The set is order-free; the list (like each derivation's atoms)
-    # feeds CNF clause order, hence the solver's search — its work, its
-    # model and the fresh values in ΔR.  Make it canonical.
-    derivations.sort(
-        key=lambda d: (d.view_name, repr(d.row), list(map(repr, d.atoms)))
-    )
+        if any(relation in new_by_relation for relation, _ in view.query.tables):
+            skeleton = _skeleton(registry, db, view)
+            _sweep_view(view, db, skeleton, new_by_relation, derivations)
     return derivations
 
 
 def _sweep_view(
     view: EdgeView,
     db: Database,
+    skeleton: _Skeleton,
     new_by_relation: dict[str, list[Template]],
-) -> list[Derivation]:
-    query = view.query
-    if not any(relation in new_by_relation for relation, _ in query.tables):
-        return []
-    out: list[Derivation] = []
-    for seed_pos, (relation, alias) in enumerate(query.tables):
+    out: list[Derivation],
+) -> None:
+    for seed_pos, (relation, alias) in enumerate(view.query.tables):
         for seed in new_by_relation.get(relation, ()):  # U at seed position
             partial: dict[str, tuple] = {alias: seed.values}
-            atoms = _alias_atoms(db, query, alias, partial)
-            if atoms is None:
-                continue
-            out.extend(
-                _extend(view, db, new_by_relation, seed_pos, partial, frozenset(atoms))
-            )
-    return out
+            atoms = _alias_atoms(skeleton, alias, partial)
+            if atoms is not None:
+                _extend(view, db, skeleton, new_by_relation, seed_pos, partial, atoms, out)
 
 
 def _extend(
     view: EdgeView,
     db: Database,
+    skeleton: _Skeleton,
     new_by_relation: dict[str, list[Template]],
     seed_pos: int,
     partial: dict[str, tuple],
-    atoms: frozenset[Atom],
-) -> list[Derivation]:
+    atoms: list[Atom],
+    out: list[Derivation],
+) -> None:
     """Nested-loop extension of a partial symbolic assignment."""
-    query = view.query
     remaining = [
         (i, rel, alias)
-        for i, (rel, alias) in enumerate(query.tables)
+        for i, (rel, alias) in enumerate(view.query.tables)
         if alias not in partial
     ]
     if not remaining:
-        row = tuple(_term_cell(db, query, partial, col) for _, col in query.project)
-        return [Derivation(view.name, row, tuple(sorted(atoms, key=repr)))]
+        row = tuple([partial[alias][at] for alias, at in skeleton.row])
+        out.append(Derivation(view.name, row, tuple(dict.fromkeys(atoms))))
+        return
     # Bind next an alias some equality ties to a concrete bound cell (or
     # a constant): its candidates are one probe.  Only a genuine cross
     # product is left to declaration order and a pass over its table.
@@ -487,14 +525,16 @@ def _extend(
     attrs: list[str] = []
     values: list[object] = []
     for entry in remaining:
-        for attr, other in query.equalities[entry[2]]:
-            if isinstance(other, Const) or (
-                isinstance(other, Col) and other.alias in partial
-            ):
-                cell = _term_cell(db, query, partial, other)
-                if not isinstance(cell, SymVar):
-                    attrs.append(attr)
-                    values.append(cell)
+        for attr, (source, at) in skeleton.probes[entry[2]]:
+            if source is None:
+                cell = at
+            elif source in partial:
+                cell = partial[source][at]
+            else:
+                continue
+            if not isinstance(cell, SymVar):
+                attrs.append(attr)
+                values.append(cell)
         if attrs:
             index, relation, alias = entry
             break
@@ -505,26 +545,19 @@ def _extend(
         candidates.extend(
             template.values for template in new_by_relation.get(relation, ())
         )
-    out: list[Derivation] = []
     for cells in candidates:
         trial = dict(partial)
         trial[alias] = cells
-        extra = _alias_atoms(db, query, alias, trial)
-        if extra is None:
-            continue
-        out.extend(
+        extra = _alias_atoms(skeleton, alias, trial)
+        if extra is not None:
             _extend(
-                view, db, new_by_relation, seed_pos, trial, atoms | frozenset(extra)
+                view, db, skeleton, new_by_relation, seed_pos, trial,
+                atoms + extra, out,
             )
-        )
-    return out
 
 
 def _alias_atoms(
-    db: Database,
-    query: SPJQuery,
-    alias: str,
-    partial: dict[str, tuple],
+    skeleton: _Skeleton, alias: str, partial: dict[str, tuple]
 ) -> list[Atom] | None:
     """Check/collect conditions that became fully bound by adding ``alias``.
 
@@ -532,14 +565,13 @@ def _alias_atoms(
     contributed by symbolic comparisons, in conjunct order.
     """
     atoms: list[Atom] = []
-    for conjunct, needs in query.conjunct_aliases:
-        if not isinstance(conjunct, Eq) or alias not in needs:
-            continue
+    for needs, (left, at_left), (right, at_right) in skeleton.checks[alias]:
         if not needs <= partial.keys():
             continue
-        left = _term_cell(db, query, partial, conjunct.left)
-        right = _term_cell(db, query, partial, conjunct.right)
-        result = make_atom(left, right)
+        result = make_atom(
+            at_left if left is None else partial[left][at_left],
+            at_right if right is None else partial[right][at_right],
+        )
         if result is False:
             return None
         if result is not True:
@@ -547,71 +579,117 @@ def _alias_atoms(
     return atoms
 
 
-def _term_cell(db: Database, query: SPJQuery, partial: dict[str, tuple], term):
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Col):
-        relation = query.relation_of(term.alias)
-        return partial[term.alias][db.schema(relation).index_of(term.attr)]
-    raise UpdateRejectedError(f"unsupported term {term!r} in insertion sweep")
+# ---------------------------------------------------------------------------
+# Stage 4: solve in the equality domain
+# ---------------------------------------------------------------------------
+
+_UNBOUND = object()
 
 
-# ---------------------------------------------------------------------------
-# Stage 4: SAT
-# ---------------------------------------------------------------------------
+class _Classes(_UnionFind):
+    """The equality classes of the unit atoms, and the constant each
+    bound class holds (``value``, by class root).  An equality joins
+    columns of one type, so a class's type is its root's."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.value: dict[SymVar, object] = {}
+
+    def assert_atom(self, atom: Atom) -> None:
+        """Merge the classes of a unit atom, or bind one to its constant."""
+        if isinstance(atom, AtomVV):
+            a, b = self.find(atom.a), self.find(atom.b)
+            if a == b:
+                return
+            self.union(a, b)
+            root = self.find(a)
+            value = self.value.pop(b if root == a else a, _UNBOUND)
+            if value is _UNBOUND:
+                return
+        else:
+            root, value = self.find(atom.var), atom.const
+        bound = self.value.setdefault(root, value)
+        if bound != value:
+            raise UpdateRejectedError(
+                f"the targets require one unknown to be both {bound!r} and "
+                f"{value!r} (at {atom})"
+            )
+
+    def status(self, atom: Atom) -> bool | Atom:
+        """``atom`` in the minimal model: its truth or, undecided, the atom
+        over finite-domain class roots the residue must decide."""
+        if isinstance(atom, AtomVC):
+            root = self.find(atom.var)
+            bound = self.value.get(root, _UNBOUND)
+            if bound is not _UNBOUND:
+                return bound == atom.const
+            if root.attr_type.is_finite and atom.const in root.attr_type.domain():
+                return AtomVC(root, atom.const)
+            return False  # the class's fresh value is no constant
+        a, b = self.find(atom.a), self.find(atom.b)
+        if a == b:
+            return True
+        value_a = self.value.get(a, _UNBOUND)
+        value_b = self.value.get(b, _UNBOUND)
+        if value_a is not _UNBOUND and value_b is not _UNBOUND:
+            return value_a == value_b
+        if not a.attr_type.is_finite:
+            return False  # a fresh value differs from every other value
+        if value_a is _UNBOUND and value_b is _UNBOUND:
+            return make_atom(a, b)
+        if value_a is _UNBOUND:
+            return AtomVC(a, value_b)
+        return AtomVC(b, value_a)
 
 
 def _solve(
-    clauses: list[AtomClause], solver: str, plan: InsertionPlan
-) -> dict[SymVar, object] | None:
-    """Encode and solve; return a valuation of the symbolic variables."""
-    if not clauses:
+    units: list[Atom],
+    side_effects: list[Derivation],
+    solver: str,
+    plan: InsertionPlan,
+) -> _Classes | None:
+    """Decide the clauses; ``None`` when the BOOL residue is unsatisfiable.
+
+    Raises :class:`UpdateRejectedError` when two constants meet on one
+    class or the units entail a side effect.
+    """
+    classes = _Classes()
+    for atom in units:
+        classes.assert_atom(atom)
+    residue: list[AtomClause] = []
+    for derivation in side_effects:
+        undecided: list[tuple[Atom, bool]] = []
+        for atom in derivation.atoms:
+            holds = classes.status(atom)
+            if holds is False:
+                break
+            if holds is not True:
+                undecided.append((holds, False))
+        else:
+            if not undecided:
+                raise UpdateRejectedError(
+                    f"insertion causes a side effect on view "
+                    f"{derivation.view_name}: the targets entail row "
+                    f"{derivation.row!r}"
+                )
+            residue.append(tuple(undecided))
+    if not residue:
         plan.solver = "trivial"
-        return {}
-    cnf, decode = encode_formula(
-        clauses, _build_domains([atom for clause in clauses for atom, _ in clause])
-    )
+        return classes
+    domains: dict[SymVar, tuple] = {}
+    for clause in residue:
+        for atom, _ in clause:
+            for var in (atom.var,) if isinstance(atom, AtomVC) else (atom.a, atom.b):
+                domains[var] = var.attr_type.domain()
+    cnf, decode = encode_formula(residue, domains)
     plan.num_vars = cnf.num_vars
     plan.num_clauses = len(cnf)
-    if solver == "dpll":
-        assignment = dpll_solve(cnf)
-    elif solver == "walksat":
-        assignment = walksat_solve(cnf)
-    else:
-        raise ValueError(f"solver must be 'dpll' or 'walksat', got {solver!r}")
     plan.solver = solver
-    return None if assignment is None else decode(assignment)
-
-
-def _build_domains(atoms: list[Atom]) -> dict[SymVar, tuple]:
-    """Finite abstraction: per-variable domains from the atom structure.
-
-    The ``var = var`` atoms group the variables into components.  A BOOL
-    variable ranges over its type; any other ranges over the constants
-    its component is compared with plus ``len(component)`` fresh tokens,
-    enough for every component variable to differ from every constant
-    and from each other.
-    """
-    classes = _UnionFind()
-    constants: dict[SymVar, set] = {}
-    for atom in atoms:
-        if isinstance(atom, AtomVC):
-            constants.setdefault(atom.var, set()).add(atom.const)
-        else:
-            classes.union(atom.a, atom.b)
-            constants.setdefault(atom.a, set())
-            constants.setdefault(atom.b, set())
-    components: dict[object, list[SymVar]] = {}
-    for var in sorted(constants, key=lambda v: v.name):
-        components.setdefault(classes.find(var), []).append(var)
-    domains: dict[SymVar, tuple] = {}
-    for component in components.values():
-        shared = sorted(set().union(*map(constants.get, component)), key=repr)
-        fresh = [FreshToken(component[0], i) for i in range(len(component))]
-        values = (*shared, *fresh)
-        for var in component:
-            domains[var] = (False, True) if var.attr_type is AttrType.BOOL else values
-    return domains
+    assignment = dpll_solve(cnf) if solver == "dpll" else walksat_solve(cnf)
+    if assignment is None:
+        return None
+    classes.value.update(decode(assignment))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -621,28 +699,27 @@ def _build_domains(atoms: list[Atom]) -> dict[SymVar, tuple]:
 
 def _decode_valuation(
     db: Database,
-    valuation: dict[SymVar, object],
+    classes: _Classes,
     new_templates: list[Template],
     fresh: Iterator[int],
 ) -> dict[SymVar, object]:
-    """Turn fresh tokens into concrete values outside the active domain.
+    """A value for every unknown of the new templates.
 
-    Fresh tokens are shared within an equality component, so two
-    variables assigned the *same* token must decode to the *same*
-    concrete value — otherwise an asserted ``var = var`` equality would
-    be silently broken.
+    A bound class gives its value; every other class gets one fresh
+    value outside the active domain, shared by its members so that an
+    asserted ``var = var`` equality holds.  Fresh values are minted in
+    the unknowns' :attr:`~SymVar.order`.
     """
+    unknowns = dict.fromkeys(v for t in new_templates for v in t.variables())
     concrete: dict[SymVar, object] = {}
-    token_values: dict[FreshToken, object] = {}
-    needed_vars = {v for t in new_templates for v in t.variables()}
-    for var in sorted(needed_vars, key=lambda v: v.name):
-        value = valuation.get(var)
-        if value is None:
-            value = _fresh_value(db, var, fresh)
-        elif isinstance(value, FreshToken):
-            if value not in token_values:
-                token_values[value] = _fresh_value(db, var, fresh)
-            value = token_values[value]
+    minted: dict[SymVar, object] = {}
+    for var in sorted(unknowns, key=attrgetter("order")):
+        root = classes.find(var)
+        value = classes.value.get(root, _UNBOUND)
+        if value is _UNBOUND:
+            value = minted.get(root, _UNBOUND)
+            if value is _UNBOUND:
+                value = minted[root] = _fresh_value(db, var, fresh)
         concrete[var] = value
     return concrete
 

@@ -7,49 +7,65 @@ variable no matter which target edge or derivation mentions it, which
 makes cross-edge consistency automatic.
 
 Conditions are clauses over equality atoms between variables and
-constants; they feed the CNF encoder (:mod:`repro.sat.encode`).
+constants.  Algorithm insert decides them in the equality domain and
+hands only what is left over BOOL unknowns to the CNF encoder
+(:mod:`repro.sat.encode`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.relational.schema import AttrType
 
 
-@dataclass(frozen=True)
 class SymVar:
-    """A canonical unknown: attribute ``attr`` of base tuple (relation, key)."""
+    """A canonical unknown: attribute ``attr`` of base tuple (relation, key).
 
-    relation: str
-    key: tuple
-    attr: str
-    attr_type: AttrType
+    Equal by its four fields.  ``name``, ``order`` and the hash are
+    worked out once: a variable is hashed on every dictionary probe of
+    the solve, and :class:`AttrType`'s hash is a Python-level call.
+    ``order`` is the total sort key unknowns are put in — by ``name``
+    first, then by the fields two distinct unknowns with one name
+    (``r.a_b_c.x`` for keys ``("a_b", "c")`` and ``("a", "b_c")``)
+    differ in, so no order depends on the hash seed.
+    """
 
-    @property
-    def name(self) -> str:
-        key_text = "_".join(str(k) for k in self.key)
-        return f"{self.relation}.{key_text}.{self.attr}"
+    __slots__ = ("relation", "key", "attr", "attr_type", "name", "order", "_hash")
+
+    def __init__(self, relation: str, key: tuple, attr: str, attr_type: AttrType):
+        self.relation = relation
+        self.key = key
+        self.attr = attr
+        self.attr_type = attr_type
+        self.name = f"{relation}.{'_'.join(map(str, key))}.{attr}"
+        self.order = (self.name, relation, repr(key), attr)
+        self._hash = hash((relation, key, attr))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SymVar):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.relation == other.relation
+            and self.key == other.key
+            and self.attr == other.attr
+            and self.attr_type is other.attr_type
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"SymVar(relation={self.relation!r}, key={self.key!r}, "
+            f"attr={self.attr!r}, attr_type={self.attr_type!r})"
+        )
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class FreshToken:
-    """Placeholder for "any value distinct from all constants".
-
-    The ``index``-th fresh value of the equality component whose first
-    variable (in name order) is ``var``.  It compares equal to no
-    constant, and is decoded to a concrete unused value at ΔR extraction
-    time.
-    """
-
-    var: SymVar
-    index: int = 0
-
-    def __str__(self) -> str:
-        return f"⋆{self.var.name}/{self.index}"
 
 
 # Atoms: at least one side is a SymVar.
@@ -85,8 +101,9 @@ def make_atom(left: object, right: object) -> Atom | bool:
     if left_var and right_var:
         if left == right:
             return True
-        a, b = sorted((left, right), key=lambda v: v.name)
-        return AtomVV(a, b)
+        if left.order <= right.order:
+            return AtomVV(left, right)
+        return AtomVV(right, left)
     if left_var:
         return AtomVC(left, right)
     if right_var:
@@ -119,12 +136,10 @@ class Derivation:
 
     ``row`` may contain variables; ``atoms`` is the conjunction of
     equality atoms under which the derivation actually produces the row,
-    without duplicates and in ``repr`` order (a set would hand the CNF
-    encoder a hash-seed-dependent literal order).
+    without duplicates, in the order the view's conjuncts produced them
+    (never in a set's order, which would follow the hash seed).
     """
 
     view_name: str
     row: tuple
     atoms: tuple[Atom, ...]
-    uses_new: bool = True
-    meta: dict = field(default_factory=dict)

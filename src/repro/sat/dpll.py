@@ -1,11 +1,12 @@
 """A complete DPLL SAT solver with unit propagation.
 
-The one solver insertion translation runs.  It is complete, so a
-rejection means UNSAT and never "gave up" (WalkSAT's failure mode), and
-deterministic, so a ΔR depends on nothing but its input.  Theorem 2
-makes the underlying problem NP-complete; a complete search is cheap
-only because the paper's encodings are small: their size depends on
-``|ΔV|`` and ``|Q|``, not on the database.
+The solver insertion translation hands its BOOL residue to (the
+clauses the equality classes leave undecided over BOOL unknowns).  It
+is complete, so a rejection means UNSAT and never "gave up" (WalkSAT's
+failure mode), and deterministic, so a ΔR depends on nothing but its
+input.  Theorem 2 makes the underlying problem NP-complete; a complete
+search is cheap only because the residues are small: their size depends
+on ``|ΔV|`` and ``|Q|``, not on the database.
 """
 
 from __future__ import annotations

@@ -11,14 +11,18 @@ pairs.  This module encodes such clauses as the paper does:
 - every variable ``v`` with domain ``{c1..ck}`` gets selector
   propositions ``p_{v=ci}`` under an exactly-one constraint (the paper's
   "x = c1 ∨ ... ∨ x = ck" plus the pairwise "(p̄ ∨ p̄')" clauses),
-  variables in name order;
+  variables in :attr:`~repro.relview.symbolic.SymVar.order`;
 - every distinct atom gets one literal: ``v = c`` is the selector of
   ``c`` (false when ``c`` is outside the domain), ``v = w`` one
   proposition equivalent to agreement on a common domain value;
 - every input clause becomes one CNF clause over those literals.
 
-Attributes over *infinite* domains get finite domains upstream
-(``repro.relview.insert._build_domains``).
+Algorithm insert decides atoms over *infinite* domains in the equality
+domain (:func:`repro.relview.insert._solve`) and encodes only what is
+left over BOOL unknowns, each with the domain ``(False, True)``;
+``tests/uncompiled.py`` keeps the finite abstraction that once gave every
+unknown a domain (its component's constants plus fresh tokens) as a
+test reference.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def encode_formula(
     """
     cnf = CNF()
     selectors: dict[SymVar, list[int]] = {}
-    for var in sorted(domains, key=lambda v: v.name):
+    for var in sorted(domains, key=lambda v: v.order):
         if not domains[var]:
             raise ValueError(f"variable {var} has an empty domain")
         selectors[var] = [cnf.new_var() for _ in domains[var]]

@@ -405,4 +405,5 @@ def test_one_skeleton_per_view(monkeypatch):
         InsertOp("course[cno='CS650']/takenBy", "student", ("S99", "new student"))
     )
     assert plan.state is PlanState.PLANNED
-    assert built == ["edge_prereq_course", "edge_takenBy_student"]
+    # A target's view first (stage 1), then every view the sweep reads.
+    assert built == ["edge_prereq_course", "edge_db_course", "edge_takenBy_student"]

@@ -4,8 +4,10 @@
 - the topological order invariant holds on random DAGs and after swaps;
 - DAG XPath evaluation equals tree evaluation after unfolding;
 - DPLL agrees with brute force on small random CNFs;
-- the atom-clause encoder is sound and complete over finite domains, and
-  the insertion translator's finite abstraction of INT variables is exact;
+- the atom-clause encoder is sound and complete over finite domains, the
+  paper's finite abstraction of INT variables (the reference in
+  ``tests/uncompiled.py``) is exact, and so is the insertion
+  translator's equality-domain solve over INT and BOOL unknowns;
 - random update sequences keep the incremental state consistent with a
   fresh republish (the ΔX(T) = σ(ΔR(I)) invariant).
 """
@@ -23,9 +25,10 @@ from repro.core.dag_eval import DagXPathEvaluator
 from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
+from repro.errors import UpdateRejectedError
 from repro.relational.schema import AttrType
-from repro.relview.insert import _build_domains
-from repro.relview.symbolic import AtomVC, AtomVV, FreshToken, SymVar
+from repro.relview.insert import InsertionPlan, _solve
+from repro.relview.symbolic import AtomVC, AtomVV, Derivation, SymVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula
@@ -34,6 +37,7 @@ from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
 from repro.xpath.tree_eval import evaluate_on_tree
 from repro.ops import DeleteOp, InsertOp
+from uncompiled import FreshToken, build_domains
 
 # ---------------------------------------------------------------------------
 # Random DAG stores (via the registrar schema: prereq edges over courses)
@@ -224,10 +228,10 @@ _INT_VARS = [SymVar("r", (k,), "n", AttrType.INT) for k in range(4)]
 def test_finite_abstraction_is_exact(clauses):
     """Over the integers, the clauses are satisfiable iff they are over the
     constants plus one extra integer per variable, iff DPLL finds a model
-    on ``_build_domains``' domains; a model, its fresh tokens made
+    on ``build_domains``' domains; a model, its fresh tokens made
     distinct integers, satisfies every clause."""
     atoms = [atom for clause in clauses for atom, _ in clause]
-    domains = _build_domains(atoms)
+    domains = build_domains(atoms)
     variables = [v for v in _INT_VARS if v in domains]
     universe = (1, 2, 3, *range(100, 100 + len(variables)))
     brute = any(
@@ -246,6 +250,74 @@ def test_finite_abstraction_is_exact(clauses):
             for var, value in decode(model).items()
         }
         assert clauses_hold(clauses, concrete)
+
+
+_BOOL_VARS = [SymVar("r", (k,), "f", AttrType.BOOL) for k in range(2)]
+
+
+@st.composite
+def insert_constraints(draw):
+    """Algorithm insert's two clause kinds over INT and BOOL unknowns:
+    0–4 positive units and 0–3 side effects of 1–3 negated atoms."""
+
+    def atom():
+        variables, constants = draw(st.sampled_from(
+            [(_INT_VARS[:3], (1, 2, 3)), (_BOOL_VARS, (False, True))]
+        ))
+        if draw(st.booleans()):
+            return AtomVC(
+                draw(st.sampled_from(variables)), draw(st.sampled_from(constants))
+            )
+        a, b = draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2))
+        return AtomVV(a, b) if a != b else AtomVC(a, constants[0])
+
+    units = draw(st.lists(st.builds(atom), max_size=4))
+    side_effects = draw(st.lists(
+        st.lists(st.builds(atom), min_size=1, max_size=3), max_size=3
+    ))
+    return units, side_effects
+
+
+@given(insert_constraints(), st.sampled_from(["dpll", "walksat"]))
+@settings(max_examples=120, deadline=None)
+def test_equality_domain_solve_is_exact(constraint, solver):
+    """Units plus negated clauses are satisfiable over the integers and
+    the booleans iff ``_solve`` accepts; the minimal model it returns —
+    every unbound non-BOOL class its own fresh integer, an unbound BOOL
+    class ``False`` unless the residue chose — satisfies every clause."""
+    units, negated = constraint
+    clauses = [((atom, True),) for atom in units] + [
+        tuple((atom, False) for atom in atoms) for atoms in negated
+    ]
+    variables = [*_INT_VARS[:3], *_BOOL_VARS]
+    universes = [(1, 2, 3, 100, 101, 102)] * 3 + [(False, True)] * 2
+    brute = any(
+        clauses_hold(clauses, dict(zip(variables, values)))
+        for values in itertools.product(*universes)
+    )
+    try:
+        classes = _solve(
+            units, [Derivation("v", (), tuple(atoms)) for atoms in negated],
+            solver, InsertionPlan(),
+        )
+    except UpdateRejectedError:
+        classes = None
+    if classes is None:
+        # WalkSAT may give up on a satisfiable residue; DPLL may not.
+        assert not brute or solver == "walksat"
+        return
+    assert brute
+    fresh: dict = {}
+    valuation = {}
+    for var in variables:
+        root = classes.find(var)
+        if root in classes.value:
+            valuation[var] = classes.value[root]
+        elif var.attr_type is AttrType.BOOL:
+            valuation[var] = False
+        else:
+            valuation[var] = fresh.setdefault(root, 100 + len(fresh))
+    assert clauses_hold(clauses, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ maintenance algorithms under randomized update sequences."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
 from repro.ops import DeleteOp, InsertOp
+import uncompiled
 
 
 @st.composite
@@ -164,8 +166,19 @@ def test_maintenance_equals_recompute_after_random_updates(spec, ops):
     assert updater.check_consistency() == []
 
 
+@contextmanager
+def _reference_solve():
+    """Stages 4-5 as the paper's finite-domain encoding + DPLL."""
+    with mock.patch.object(insert_module, "_solve", uncompiled.solve), \
+            mock.patch.object(
+                insert_module, "_decode_valuation", uncompiled.decode_valuation
+            ):
+        yield
+
+
 def _solved_cnfs(updater, ops):
-    """Plan each op; return (cnf, DPLL model) for every solve it ran."""
+    """Plan each op on the reference encoding; return (cnf, DPLL model)
+    for every solve it ran."""
     solves = []
 
     def spy(cnf):
@@ -173,7 +186,7 @@ def _solved_cnfs(updater, ops):
         solves.append((cnf, model))
         return model
 
-    with mock.patch.object(insert_module, "dpll_solve", spy):
+    with mock.patch.object(uncompiled, "dpll_solve", spy), _reference_solve():
         for op in ops:
             plan = updater.plan(op)
             if plan.state is PlanState.PLANNED:
@@ -194,33 +207,138 @@ def _check_solves(solves):
             assert walksat_solve(cnf, max_flips=2_000, max_restarts=3) is None
 
 
-@given(
-    registrar_instances(),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=6),
-            st.sampled_from(["new", "existing"]),
-            st.integers(min_value=0, max_value=6),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_dpll_models_satisfy_registrar_insertions(spec, inserts):
-    atg, db = build_instance(spec)
-    n_courses = spec[0]
-    updater = XMLViewUpdater(atg, db, strict=False)
+def _registrar_ops(n_courses, inserts):
     ops = []
     for index, (parent, kind, child) in enumerate(inserts):
         path = f"//course[cno=C{parent % n_courses:02d}]/prereq"
+        cno = f"C{child % n_courses:02d}"
         if kind == "new":
             ops.append(InsertOp(path, "course", (f"N{index:02d}", "new")))
-        else:
-            cno = f"C{child % n_courses:02d}"
+        elif kind == "existing":
             ops.append(InsertOp(path, "course", (cno, f"t{child % n_courses}")))
-    _check_solves(_solved_cnfs(updater, ops))
+        elif kind == "wrong_title":
+            ops.append(InsertOp(path, "course", (cno, "wrong")))
+        else:  # a new course at the root: the view's dept = 'CS' binds it
+            ops.append(InsertOp(".", "course", (f"R{index:02d}", "root")))
+    return ops
+
+
+_REGISTRAR_INSERTS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["new", "existing", "wrong_title", "root"]),
+        st.integers(min_value=0, max_value=6),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _outcomes(updater, ops):
+    """Accepted ops' ΔR (committed, so later ops see them) or a rejection."""
+    outcomes = []
+    for op in ops:
+        plan = updater.plan(op)
+        if plan.state is PlanState.PLANNED:
+            outcomes.append([(o.relation, o.row) for o in plan.delta_r])
+            plan.commit()
+        else:
+            outcomes.append(None)
+    return outcomes
+
+
+def _minimal_model_holds(units, side_effects, classes):
+    """Every unit holds and every side effect fails in the minimal model
+    (each unbound class its own fresh value)."""
+
+    def value(var):
+        root = classes.find(var)
+        return classes.value.get(root, ("fresh", root))
+
+    def holds(atom):
+        if isinstance(atom, insert_module.AtomVC):
+            return value(atom.var) == atom.const
+        return value(atom.a) == value(atom.b)
+
+    return all(map(holds, units)) and not any(
+        all(map(holds, derivation.atoms)) for derivation in side_effects
+    )
+
+
+def _assert_agrees_with_reference(build, ops):
+    """The equality-domain solve accepts and rejects what the reference
+    does, with the same ΔR, and its model satisfies every clause."""
+    solved = []
+    solve = insert_module._solve
+
+    def checked(units, side_effects, solver, plan):
+        solved.append(None)  # a rejection raises before the model exists
+        classes = solve(units, side_effects, solver, plan)
+        assert classes is not None  # no BOOL unknown: no residue to fail
+        assert _minimal_model_holds(units, side_effects, classes)
+        return classes
+
+    with mock.patch.object(insert_module, "_solve", checked):
+        got = _outcomes(XMLViewUpdater(*build(), strict=False), ops)
+    with _reference_solve():
+        want = _outcomes(XMLViewUpdater(*build(), strict=False), ops)
+    assert got == want
+    return len(solved)
+
+
+@given(registrar_instances(), _REGISTRAR_INSERTS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_equality_solve_agrees_with_reference_on_registrar_insertions(
+    spec, inserts
+):
+    _assert_agrees_with_reference(
+        lambda: build_instance(spec), _registrar_ops(spec[0], inserts)
+    )
+
+
+@given(
+    st.integers(min_value=30, max_value=80),
+    st.integers(min_value=0, max_value=50),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_equality_solve_agrees_with_reference_on_synthetic_insertions(
+    n_c, seed, parents
+):
+    config = SyntheticConfig(n_c=n_c, seed=seed)
+    dataset = build_synthetic(config)
+    store = XMLViewUpdater(dataset.atg, dataset.db, strict=False).store
+    keys = sorted(
+        store.sem_of(node)[0] for node in store.nodes()
+        if store.type_of(node) == "cnode"
+    )
+    ops = [
+        InsertOp(
+            f"//cnode[key={keys[parent % len(keys)]}]/sub", "cnode",
+            (n_c + 1 + i, "new"),
+        )
+        for i, parent in enumerate(parents)
+    ]
+
+    def build():
+        fresh = build_synthetic(config)
+        return fresh.atg, fresh.db
+
+    solved = _assert_agrees_with_reference(build, ops)
+    assert solved, "new-key insertions reach the solve"
+
+
+@given(registrar_instances(), _REGISTRAR_INSERTS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_dpll_models_satisfy_registrar_insertions(spec, inserts):
+    """The reference's CNF (the paper's encoding): every DPLL model
+    satisfies it, and where DPLL proves it UNSAT WalkSAT finds none."""
+    atg, db = build_instance(spec)
+    updater = XMLViewUpdater(atg, db, strict=False)
+    _check_solves(_solved_cnfs(updater, _registrar_ops(spec[0], inserts)))
 
 
 @given(
@@ -247,5 +365,5 @@ def test_dpll_models_satisfy_synthetic_insertions(n_c, seed, parents):
         for i, parent in enumerate(parents)
     ]
     solves = _solved_cnfs(updater, ops)
-    assert solves, "new-key insertions reach the solver"
+    assert solves, "new-key insertions reach the reference solver"
     _check_solves(solves)

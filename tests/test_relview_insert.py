@@ -233,81 +233,121 @@ class TestSweepFollowsTheJoinGraph:
 _CNF_SCRIPT = """
 from repro import InsertOp
 from repro.core.updater import XMLViewUpdater
-from repro.relview import insert as insert_module
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-solve = insert_module.dpll_solve
-
-def spy(cnf):
-    print(cnf.num_vars, [tuple(clause) for clause in cnf.clauses])
-    return solve(cnf)
-
-insert_module.dpll_solve = spy
 dataset = build_synthetic(SyntheticConfig(n_c=120, seed=1))
 updater = XMLViewUpdater(dataset.atg, dataset.db)
 op = InsertOp(
     f"//cnode[key={min(dataset.top_level)}]/sub", element="cnode", sem=(127, "fresh")
 )
-updater.plan(op).abort()
+plan = updater.plan(op)
+stats = plan.outcome.stats
+print(stats["sat_vars"], stats["sat_clauses"], [(o.relation, o.row) for o in plan.delta_r])
+plan.abort()
 """
 
 
 def test_new_key_insert_encodes_to_a_small_cnf(monkeypatch, capsys):
-    """The paper's direct encoding: one literal per distinct atom, one CNF
-    clause per clause of Algorithm insert, and ``len(component)`` fresh
-    tokens per component.  Through a formula tree, a Tseitin pass and two
-    spare tokens per component this insert took 39 variables and 135
-    clauses."""
-    import ast
-
+    """The paper's direct encoding of this insert (one literal per
+    distinct atom, one CNF clause per clause, ``len(component)`` fresh
+    tokens per component) is small: through a formula tree, a Tseitin
+    pass and two spare tokens per component it took 39 variables and 135
+    clauses.  In the equality domain it needs no CNF at all, and gives
+    the same ΔR."""
+    import uncompiled
     from repro.relview import insert as insert_module
 
-    # Restores the solver the script replaces with its spy.
-    monkeypatch.setattr(insert_module, "dpll_solve", insert_module.dpll_solve)
-    exec(_CNF_SCRIPT, {})
-    num_vars, clauses = capsys.readouterr().out.strip().split(" ", 1)
-    assert int(num_vars) <= 20
-    assert len(ast.literal_eval(clauses)) <= 40
+    def plan_it():
+        exec(_CNF_SCRIPT, {})
+        num_vars, num_clauses, delta = capsys.readouterr().out.split(" ", 2)
+        return int(num_vars), int(num_clauses), delta
+
+    num_vars, num_clauses, equality_delta = plan_it()
+    assert (num_vars, num_clauses) == (0, 0)
+    monkeypatch.setattr(insert_module, "_solve", uncompiled.solve)
+    monkeypatch.setattr(insert_module, "_decode_valuation", uncompiled.decode_valuation)
+    num_vars, num_clauses, reference_delta = plan_it()
+    assert 0 < num_vars <= 20
+    assert 0 < num_clauses <= 40
+    assert reference_delta == equality_delta
 
 
 def test_decode_keeps_a_constant_that_looks_like_a_fresh_token(env):
-    """Only a FreshToken becomes a fresh value: a model value is a real
-    constant whatever its text."""
+    """A bound class keeps its constant whatever its text; only an
+    unbound class gets a fresh value."""
     import itertools
 
     from repro.relational.schema import AttrType
-    from repro.relview.insert import _decode_valuation
-    from repro.relview.symbolic import FreshToken, SymVar, Template
+    from repro.relview.insert import _Classes, _decode_valuation
+    from repro.relview.symbolic import AtomVC, SymVar, Template
 
     _, db, _, _, _ = env
     title = SymVar("course", ("CS999",), "title", AttrType.STR)
     dept = SymVar("course", ("CS999",), "dept", AttrType.STR)
     template = Template("course", ("CS999",), ("CS999", title, dept), True)
-    lookalike = "__fresh_0__course.CS999.title"
-    valuation = {title: lookalike, dept: FreshToken(title, 0)}
-    concrete = _decode_valuation(db, valuation, [template], itertools.count(1))
-    assert concrete[title] == lookalike
+    classes = _Classes()
+    classes.assert_atom(AtomVC(title, "zz_fresh_1"))
+    concrete = _decode_valuation(db, classes, [template], itertools.count(1))
+    assert concrete[title] == "zz_fresh_1"
+    assert concrete[dept] == "zz_fresh_1"  # the sequence, checked on dept's column
     assert concrete[dept] not in {row[2] for row in db.table("course").rows()}
 
 
-def test_cnf_does_not_depend_on_the_hash_seed():
-    """A derivation's atoms are a set of dataclasses over strings; in set
-    order the clause order — and with it the solver's search (a seeded
-    WalkSAT run once took 8 ms to 4 s for one op of the e2e ``mixed``
-    pool) — varied with PYTHONHASHSEED."""
+def _run_under_hash_seeds(script, seeds=("1", "2", "3")):
     import os
     import subprocess
     import sys
 
     outputs = set()
-    for hash_seed in ("1", "2", "3"):
+    for hash_seed in seeds:
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         done = subprocess.run(
-            [sys.executable, "-c", _CNF_SCRIPT],
-            env=env, capture_output=True, text=True,
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip()
         outputs.add(done.stdout)
-    assert len(outputs) == 1
+    return outputs
+
+
+def test_cnf_does_not_depend_on_the_hash_seed():
+    """A derivation's atoms were once a set of dataclasses over strings; in
+    set order the clause order — and with it the solver's search (a
+    seeded WalkSAT run once took 8 ms to 4 s for one op of the e2e
+    ``mixed`` pool) — varied with PYTHONHASHSEED.  The CNF's size (0: no
+    BOOL unknown) and ΔR must not."""
+    (output,) = _run_under_hash_seeds(_CNF_SCRIPT)
+    assert output.startswith("0 0 [")
+
+
+_TWIN_NAMES_SCRIPT = """
+import itertools
+
+from repro.relational.database import Database
+from repro.relational.schema import AttrType, RelationSchema
+from repro.relview.insert import _Classes, _decode_valuation
+from repro.relview.symbolic import SymVar, Template
+
+S = AttrType.STR
+db = Database()
+db.create_table(RelationSchema("r", [("k1", S), ("k2", S), ("x", S)], ["k1", "k2"]))
+templates = [
+    Template("r", key, (*key, SymVar("r", key, "x", S)), True)
+    for key in (("a_b", "c"), ("a", "b_c"))
+]
+concrete = _decode_valuation(db, _Classes(), templates, itertools.count(1))
+print(sorted((var.key, value) for var, value in concrete.items()))
+"""
+
+
+def test_fresh_values_do_not_depend_on_the_hash_seed():
+    """Keys ``("a_b", "c")`` and ``("a", "b_c")`` both name their unknown
+    ``r.a_b_c.x``.  Unknowns sorted by name alone kept set order between
+    the two, so hash seeds 3 and 6 swapped ``zz_fresh_1`` and
+    ``zz_fresh_2`` against seed 1; :attr:`SymVar.order` breaks the tie
+    by the key."""
+    (output,) = _run_under_hash_seeds(_TWIN_NAMES_SCRIPT, seeds=("1", "3", "6"))
+    assert output.strip() == (
+        "[(('a', 'b_c'), 'zz_fresh_1'), (('a_b', 'c'), 'zz_fresh_2')]"
+    )

@@ -6,7 +6,6 @@ from repro.relational.schema import AttrType
 from repro.relview.symbolic import (
     AtomVC,
     AtomVV,
-    FreshToken,
     SymVar,
     Template,
     make_atom,
@@ -30,7 +29,21 @@ class TestSymVar:
     def test_identity_by_fields(self):
         assert var() == var()
         assert var(attr="c") != var(attr="b")
+        assert var(attr_type=AttrType.INT) != var()
         assert hash(var()) == hash(var())
+
+    def test_slotted_with_name_and_hash_taken_once(self):
+        v = var()
+        assert not hasattr(v, "__dict__")
+        assert v.name == "r.1.b" and hash(v) == hash(var())
+
+    def test_order_is_total_where_names_collide(self):
+        """Two unknowns of ``r(k1, k2, x)`` share the name ``r.a_b_c.x``."""
+        left = SymVar("r", ("a", "b_c"), "x", AttrType.STR)
+        right = SymVar("r", ("a_b", "c"), "x", AttrType.STR)
+        assert left.name == right.name and left != right
+        assert left.order < right.order
+        assert min(var(attr="z").order, var(attr="a").order)[0] == "r.1.a"
 
 
 class TestMakeAtom:
@@ -40,6 +53,11 @@ class TestMakeAtom:
         assert isinstance(atom, AtomVV)
         # normalized order regardless of argument order
         assert make_atom(b, a) == atom
+
+    def test_var_var_orders_twin_names_by_key(self):
+        left = SymVar("r", ("a", "b_c"), "x", AttrType.STR)
+        right = SymVar("r", ("a_b", "c"), "x", AttrType.STR)
+        assert make_atom(right, left) == make_atom(left, right) == AtomVV(left, right)
 
     def test_same_var_is_true(self):
         assert make_atom(var(), var()) is True
@@ -70,9 +88,3 @@ class TestTemplate:
         t = Template("r", (1,), (v,), is_new=True)
         with pytest.raises(KeyError):
             t.instantiate({})
-
-
-class TestFreshToken:
-    def test_rendering(self):
-        token = FreshToken(var(), 2)
-        assert "⋆" in str(token)

@@ -9,12 +9,23 @@
   skeleton-based ``_build_templates`` must give the same templates, the
   same assertions in the same order and the same target rows, and raise
   the same rejections.
+- :func:`solve` and :func:`decode_valuation` are stages 4-5 as the
+  paper's finite-domain encoding: every unknown of an atom gets a
+  domain (:func:`build_domains`: BOOL its two values, any other type the
+  constants of its ``var = var`` component plus one :class:`FreshToken`
+  per component variable), the clauses are encoded whole and DPLL (or
+  WalkSAT) decides them, and only a fresh token decodes to a fresh
+  value.  They take and give what ``_solve`` / ``_decode_valuation``
+  do, so a test swaps both into ``repro.relview.insert`` at once.  The
+  equality-domain solve must accept and reject the same insertions and
+  give the same ΔR.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import QueryError, UpdateRejectedError
 from repro.relational.conditions import (
@@ -30,9 +41,13 @@ from repro.relational.conditions import (
     _Comparison,
 )
 from repro.relational.query import Assignment, QueryResult
-from repro.relview.insert import _merge_templates
+from repro.relational.schema import AttrType
+from repro.relview.insert import _fresh_value, _merge_templates
 from repro.relview.keypres import _UnionFind
-from repro.relview.symbolic import Atom, SymVar, Template, make_atom
+from repro.relview.symbolic import Atom, AtomVC, SymVar, Template, make_atom
+from repro.sat.dpll import dpll_solve
+from repro.sat.encode import encode_formula
+from repro.sat.walksat import walksat_solve
 
 
 def interpret(query, db, bindings=None, *, fixed=(), with_derivations=False):
@@ -294,11 +309,99 @@ def _is_placeholder(cell) -> bool:
     )
 
 
-def _is_placeholder(cell) -> bool:
-    """Row cells start as union-find roots ((alias, attr) tuples)."""
-    return (
-        isinstance(cell, tuple)
-        and len(cell) == 2
-        and isinstance(cell[0], str)
-        and isinstance(cell[1], str)
+
+@dataclass(frozen=True)
+class FreshToken:
+    """Placeholder for "any value distinct from all constants".
+
+    The ``index``-th fresh value of the equality component whose first
+    variable (in name order) is ``var``.  It compares equal to no
+    constant, and is decoded to a concrete unused value at ΔR extraction
+    time.
+    """
+
+    var: SymVar
+    index: int = 0
+
+
+def clauses_of(units, side_effects):
+    """Algorithm insert's constraint as clauses of ``(atom, positive)``."""
+    return [((atom, True),) for atom in units] + [
+        tuple((atom, False) for atom in derivation.atoms)
+        for derivation in side_effects
+    ]
+
+
+def solve(units, side_effects, solver, plan):
+    """Encode and solve; return a valuation of the symbolic variables."""
+    clauses = clauses_of(units, side_effects)
+    if not clauses:
+        plan.solver = "trivial"
+        return {}
+    cnf, decode = encode_formula(
+        clauses, build_domains([atom for clause in clauses for atom, _ in clause])
     )
+    plan.num_vars = cnf.num_vars
+    plan.num_clauses = len(cnf)
+    if solver == "dpll":
+        assignment = dpll_solve(cnf)
+    else:
+        assignment = walksat_solve(cnf)
+    plan.solver = solver
+    return None if assignment is None else decode(assignment)
+
+
+def build_domains(atoms: list[Atom]) -> dict[SymVar, tuple]:
+    """Finite abstraction: per-variable domains from the atom structure.
+
+    The ``var = var`` atoms group the variables into components.  A BOOL
+    variable ranges over its type; any other ranges over the constants
+    its component is compared with plus ``len(component)`` fresh tokens,
+    enough for every component variable to differ from every constant
+    and from each other.
+    """
+    classes = _UnionFind()
+    constants: dict[SymVar, set] = {}
+    for atom in atoms:
+        if isinstance(atom, AtomVC):
+            constants.setdefault(atom.var, set()).add(atom.const)
+        else:
+            classes.union(atom.a, atom.b)
+            constants.setdefault(atom.a, set())
+            constants.setdefault(atom.b, set())
+    components: dict[object, list[SymVar]] = {}
+    for var in sorted(constants, key=lambda v: v.order):
+        components.setdefault(classes.find(var), []).append(var)
+    domains: dict[SymVar, tuple] = {}
+    for component in components.values():
+        shared = sorted(set().union(*map(constants.get, component)), key=repr)
+        fresh = [FreshToken(component[0], i) for i in range(len(component))]
+        values = (*shared, *fresh)
+        for var in component:
+            domains[var] = (False, True) if var.attr_type is AttrType.BOOL else values
+    return domains
+
+
+def decode_valuation(
+    db, valuation: dict, new_templates: list[Template], fresh: Iterator[int]
+) -> dict[SymVar, object]:
+    """Turn fresh tokens into concrete values outside the active domain.
+
+    Fresh tokens are shared within an equality component, so two
+    variables assigned the *same* token must decode to the *same*
+    concrete value — otherwise an asserted ``var = var`` equality would
+    be silently broken.
+    """
+    concrete: dict[SymVar, object] = {}
+    token_values: dict[FreshToken, object] = {}
+    needed_vars = {v for t in new_templates for v in t.variables()}
+    for var in sorted(needed_vars, key=lambda v: v.order):
+        value = valuation.get(var)
+        if value is None:
+            value = _fresh_value(db, var, fresh)
+        elif isinstance(value, FreshToken):
+            if value not in token_values:
+                token_values[value] = _fresh_value(db, var, fresh)
+            value = token_values[value]
+        concrete[var] = value
+    return concrete
