@@ -10,7 +10,8 @@ Three entry points:
 - :func:`publish_subtree` — publish ``ST(A, t)`` for an insertion: new
   nodes are interned into the main store's id space (gen_id is global)
   but *no edges are added to the store*; the caller decides (Xinsert) or
-  rolls back (:meth:`SubtreeResult.rollback`).
+  rolls back (:meth:`SubtreeResult.rollback`).  It costs what the insert
+  adds: the shared part of ``ST`` is never walked.
 - :func:`publish_tree` / :func:`unfold_to_tree` — the uncompressed tree,
   used by baselines and as the oracle in tests.  Unfolding detects
   cycles (a cyclic derivation has no finite tree).
@@ -100,29 +101,43 @@ def publish_store(atg: ATG, db: Database) -> ViewStore:
 class SubtreeResult:
     """Result of publishing ``ST(A, t)`` against the main store's id space.
 
+    Holds what this publish added, never the whole subtree: by the
+    subtree property an existing node's subtree is already published,
+    so ``ST`` is the new nodes plus the descendant-or-self closure of
+    :attr:`frontier`, and nothing here walks it.
+
     Attributes
     ----------
     root:
         id of the subtree root (``r_A`` in Algorithm Xinsert).
     new_nodes:
         ids interned by this publish (in creation order); they have no
-        edges in the main store yet.
+        edges in the main store yet.  Empty when the root already
+        existed.
     edges:
-        The subtree's internal edges ``E_A`` as
-        ``(parent_type, parent_id, child_type, child_id)``, restricted to
-        edges not already present in the main store (edges below an
-        already-interned node are shared and already stored).
-    node_count / edge_count:
-        |N_A| and |E_A| of the *full* subtree DAG (including shared parts).
+        The new nodes' edges ``E_A`` as
+        ``(parent_type, parent_id, child_type, child_id)``: the edges
+        this insert stores (edges below an already-interned node are
+        shared and already stored).
     """
 
     root: int
     new_nodes: list[int] = field(default_factory=list)
     edges: list[tuple[str, int, str, int]] = field(default_factory=list)
-    node_count: int = 0
-    edge_count: int = 0
-    all_nodes: set[int] = field(default_factory=set)
-    """Every node of the subtree DAG N_A, including shared regions."""
+
+    @property
+    def frontier(self) -> list[int]:
+        """The existing nodes ``ST`` reaches first: ``[root]`` when the
+        root already existed, else the distinct existing children the
+        new edges reach.  Every existing node of ``ST`` is in their
+        descendant-or-self closure, so a node lies inside ``ST`` iff it
+        is new or in that closure."""
+        if not self.new_nodes:
+            return [self.root]
+        new = set(self.new_nodes)
+        return list(dict.fromkeys(
+            child for *_, child in self.edges if child not in new
+        ))
 
     def rollback(self, store: ViewStore) -> None:
         """Remove the newly interned (still edge-less) nodes from the store.
@@ -147,26 +162,19 @@ def publish_subtree(
 ) -> SubtreeResult:
     """Publish ``ST(element, sem)``, interning nodes into ``store``.
 
-    Expansion stops at nodes that already exist in the store — their
-    subtrees are already published (subtree property), so their edges
-    are shared rather than recreated.
+    An existing root is returned as it is, without a walk: its subtree
+    is already published (subtree property).  Otherwise expansion
+    interns the new nodes and stops at nodes that already exist — their
+    subtrees are shared rather than recreated — so the cost is the new
+    nodes and their edges, never the shared part of ``ST``.
     """
     sem = tuple(sem)
     existing = store.lookup(element, sem)
     if existing is not None:
-        nodes, edge_count = _subtree_nodes(store, existing)
-        return SubtreeResult(
-            root=existing,
-            node_count=len(nodes),
-            edge_count=edge_count,
-            all_nodes=nodes,
-        )
-    result = SubtreeResult(root=-1)
+        return SubtreeResult(root=existing)
     root_id, _ = store.intern(element, sem)
-    result.root = root_id
-    result.new_nodes.append(root_id)
+    result = SubtreeResult(root=root_id, new_nodes=[root_id])
     worklist: list[int] = [root_id]
-    internal_nodes: set[int] = {root_id}
     while worklist:
         node = worklist.pop()
         node_type = store.type_of(node)
@@ -176,51 +184,10 @@ def publish_subtree(
         ):
             child_id, is_new = store.intern(child_type, child_sem)
             result.edges.append((node_type, node, child_type, child_id))
-            internal_nodes.add(child_id)
             if is_new:
                 result.new_nodes.append(child_id)
                 worklist.append(child_id)
-    nodes, edge_count = _subtree_nodes_from(store, result)
-    result.all_nodes = nodes
-    result.node_count, result.edge_count = len(nodes), edge_count
     return result
-
-
-def _subtree_nodes(store: ViewStore, root: int) -> tuple[set[int], int]:
-    """Nodes and edge count of the DAG under an existing node."""
-    seen = {root}
-    stack = [root]
-    edge_count = 0
-    while stack:
-        node = stack.pop()
-        for child in store.children_of(node):
-            edge_count += 1
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return seen, edge_count
-
-
-def _subtree_nodes_from(
-    store: ViewStore, result: SubtreeResult
-) -> tuple[set[int], int]:
-    """Nodes and edge count of ST including shared regions below new edges."""
-    seen: set[int] = {result.root}
-    edge_count = len(result.edges)
-    frontier: list[int] = []
-    for _, parent, _, child in result.edges:
-        seen.add(parent)
-        if child not in seen:
-            seen.add(child)
-            frontier.append(child)
-    while frontier:
-        node = frontier.pop()
-        for child in store.children_of(node):
-            edge_count += 1
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen, edge_count
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,12 @@ def _existing_key(dataset) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _stored_subtree_size(store, root: int) -> tuple[int, int]:
+    """|N_A| and |E_A| of the subtree DAG stored under ``root``."""
+    nodes = {root} | store.descendants_of([root])
+    return len(nodes), sum(len(store.children_of(n)) for n in nodes)
+
+
 def fig11h_vary_subtree(
     n_c: int = 1000,
     print_report: bool = True,
@@ -316,17 +322,22 @@ def fig11h_vary_subtree(
     assert target_key is not None
     path = f"{'//' if under_leaf else ''}cnode[key={target_key}]/sub"
     for layer, key in inserted.items():
-        row_c = dataset.db.table("C").get((key,))
+        sem = (key, dataset.db.table("C").get((key,))[4])
         updater_fresh, dataset_fresh = _updater_for(n_c)
         pairs_before = len(updater_fresh.reach)
-        outcome = updater_fresh.apply(InsertOp(path, "cnode", (key, row_c[4])))
+        # |ST| is the stored subtree under the inserted cnode, walked
+        # here outside the timed op: the insert itself never walks it.
+        st_nodes, st_edges = _stored_subtree_size(
+            updater_fresh.store, updater_fresh.store.lookup("cnode", sem)
+        )
+        outcome = updater_fresh.apply(InsertOp(path, "cnode", sem))
         acc = PhaseAccumulator()
         acc.add(outcome)
         rows.append(
             {
                 "layer": layer,
-                "st_nodes": outcome.stats.get("subtree_nodes", 0),
-                "st_edges": outcome.stats.get("subtree_edges", 0),
+                "st_nodes": st_nodes,
+                "st_edges": st_edges,
                 "pairs_added": len(updater_fresh.reach) - pairs_before,
                 "accepted": outcome.accepted,
                 **acc.as_row(),

@@ -232,12 +232,13 @@ class DagXPathEvaluator:
             return _LazyFilterValues(program, self.store)
         return self._bottom_up(program)
 
-    def _closure(self, nodes: list[int]):
+    def closure(self, nodes: list[int]):
         """``nodes ∪ desc(nodes)``: a :class:`~repro.index._bits.Region`
         over ``M`` (membership is one AND on the candidate's ancestor
         row; only listing walks the store), or a set from a store walk
         when there is no ``M`` — consumers only need membership and
-        iteration."""
+        iteration.  The one closure primitive: the ``//`` regions and
+        the insert plan's cycle check both ask it."""
         reach = self.reach
         if reach is None:
             return set(nodes) | self.store.descendants_of(nodes)
@@ -382,7 +383,7 @@ class DagXPathEvaluator:
                 # At rest (the constructor's contract) L lists exactly
                 # the root's descendants-or-self: no row read.
                 at_root = self.reach is not None and current == [store.root_id]
-                region = self.topo if at_root else self._closure(current)
+                region = self.topo if at_root else self.closure(current)
                 match.regions[level] = region
                 if level + 1 in seeds:
                     # The seeded step reads the region's membership and
@@ -460,6 +461,16 @@ class DagXPathEvaluator:
         structure; every incoming DAG edge that leaves the matched
         structure witnesses an occurrence the path did not select, and
         its source node joins ``S``.
+
+        The walk stops at a ``//`` level whose region is ``L`` itself
+        (``region is self.topo``: a ``//`` from the root, at rest), so it
+        never climbs the affected nodes' ancestors there.  Nothing is
+        lost.  At rest every node of the store is in ``L``, so every
+        parent of a node at that level is in the region and none joins
+        ``S`` from it.  The only node of the previous context is the
+        root (the region is ``L`` only when that context is
+        ``[root]``), which has no parents: the levels below contribute
+        nothing either.
         """
         if mode == "insert":
             last_level = len(match.contexts) - 1
@@ -483,6 +494,8 @@ class DagXPathEvaluator:
                 stack.append((node, level - 1))
             elif code == _DESCENDANT:
                 region = match.regions[level]
+                if region is self.topo:
+                    continue  # every parent is in L; only the root below
                 in_prev = node in match.members(level - 1)
                 for parent in parents_of(node):
                     if parent in region:

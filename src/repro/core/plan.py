@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.atg.publisher import SubtreeResult, publish_subtree
-from repro.core.dag_eval import EvalResult
+from repro.core.dag_eval import DagXPathEvaluator, EvalResult
 from repro.core.outcome import PlanState, SideEffectPolicy, UpdateOutcome
 from repro.core.translate import xdelete, xinsert
 from repro.errors import (
@@ -61,6 +61,8 @@ class UpdatePlan:
         self._inserts: list[tuple[SubtreeResult, list[int]]] = []
         #: Feed for Δ(M,L)delete: the deleted child nodes ``r[[p]]``.
         self._delete_targets: list[int] | None = None
+        #: The evaluator the selection ran on; the cycle check reuses it.
+        self._evaluator: DagXPathEvaluator | None = None
         self._generation = updater.generation
 
     # -- previews -----------------------------------------------------------------
@@ -134,7 +136,8 @@ class UpdatePlan:
         with outcome.timed("validate"):
             validate(parsed, *args)
         with outcome.timed("xpath"):
-            result = updater.evaluator().evaluate(parsed, mode=mode)
+            self._evaluator = updater.evaluator()
+            result = self._evaluator.evaluate(parsed, mode=mode)
         outcome.targets = list(result.targets)
         outcome.side_effects = set(result.side_effects)
         if not result.targets:
@@ -151,13 +154,21 @@ class UpdatePlan:
 
     def _publish(self, op: InsertOp | ReplaceOp, attach: list[int]):
         """Intern ``ST(element, sem)`` (Section 3.3), to hang off the
-        ``attach`` nodes; rejected when one of them lies inside it."""
+        ``attach`` nodes; rejected when one of them lies inside it.
+
+        ``attach`` nodes exist already, so one lies inside ``ST`` iff it
+        is in the closure of ``ST``'s frontier (its root, or the existing
+        nodes its new edges reach): one ancestor-row test per attach
+        point at rest, the store walk while ``M`` is stale.  ``ST`` is
+        never walked.
+        """
         updater = self.updater
         subtree = publish_subtree(
             updater.atg, updater.db, updater.store, op.element, op.sem
         )
         self._inserts.append((subtree, attach))
-        cyclic = [node for node in attach if node in subtree.all_nodes]
+        inside = self._evaluator.closure(subtree.frontier)
+        cyclic = [node for node in attach if node in inside]
         if cyclic:
             raise UpdateRejectedError(
                 f"{op.kind} of {op.element} {op.sem!r} under node(s) "
@@ -197,8 +208,8 @@ class UpdatePlan:
         outcome.stats.update(
             sat_vars=rplan.num_vars,
             sat_clauses=rplan.num_clauses,
-            subtree_nodes=subtree.node_count,
-            subtree_edges=subtree.edge_count,
+            subtree_nodes=len(subtree.new_nodes),
+            subtree_edges=len(subtree.edges),
             targets=len(result.targets),
         )
 
@@ -261,8 +272,8 @@ class UpdatePlan:
             attach_parents=len(parents),
             sat_vars=ins_plan.num_vars,
             sat_clauses=ins_plan.num_clauses,
-            subtree_nodes=subtree.node_count,
-            subtree_edges=subtree.edge_count,
+            subtree_nodes=len(subtree.new_nodes),
+            subtree_edges=len(subtree.edges),
         )
         self._delete_targets = sorted(set(result.targets))
 

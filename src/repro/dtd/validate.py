@@ -14,6 +14,8 @@ tests *are* applied, since they are purely structural.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.dtd.model import DTD
 from repro.errors import ValidationError
 from repro.xpath.ast import (
@@ -27,23 +29,41 @@ from repro.xpath.ast import (
     XPath,
 )
 
+#: Schema evaluations a validator keeps: one per distinct path it sees,
+#: bounded like the evaluator's compiled programs.
+_REACHABLE_CACHE_SIZE = 1024
+
 
 class StaticValidator:
     """Schema-level evaluator/validator bound to one DTD."""
 
     def __init__(self, dtd: DTD):
         self.dtd = dtd
+        # The DTD and a parsed path are immutable, so each distinct path
+        # is evaluated on the schema once per validator.
+        self._reachable = lru_cache(maxsize=_REACHABLE_CACHE_SIZE)(
+            self._evaluate
+        )
 
     # -- schema-level XPath evaluation --------------------------------------------
 
-    def reachable_types(self, path: XPath) -> tuple[set[str], set[tuple[str, str]]]:
+    def reachable_types(
+        self, path: XPath
+    ) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
         """Evaluate ``path`` on the DTD graph.
 
         Returns ``(final_types, last_edges)`` where ``final_types`` are
         the element types the path may reach, and ``last_edges`` the
         ``(parent_type, child_type)`` pairs through which the final types
-        may be reached (the schema analogue of ``Ep(r)``).
+        may be reached (the schema analogue of ``Ep(r)``).  Computed once
+        per path and shared by every later validation of it, hence
+        frozen.
         """
+        return self._reachable(path)
+
+    def _evaluate(
+        self, path: XPath
+    ) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
         states: set[str] = {self.dtd.root}
         last_edges: set[tuple[str, str]] = set()
         for step in path.steps:
@@ -84,7 +104,7 @@ class StaticValidator:
                 raise TypeError(f"unknown step {step!r}")
             if not states:
                 break
-        return states, last_edges
+        return frozenset(states), frozenset(last_edges)
 
     def _refine_by_labels(self, states: set[str], filt: Filter) -> set[str]:
         """Apply structural ``label()=A`` tests; other filters are kept."""
@@ -99,7 +119,7 @@ class StaticValidator:
 
     # -- update validation -----------------------------------------------------------
 
-    def validate_insert(self, path: XPath, subtree_type: str) -> set[str]:
+    def validate_insert(self, path: XPath, subtree_type: str) -> frozenset[str]:
         """Validate ``insert (subtree_type, t) into path``.
 
         Returns the possible parent types; raises
@@ -124,7 +144,7 @@ class StaticValidator:
             )
         return parents
 
-    def validate_delete(self, path: XPath) -> set[tuple[str, str]]:
+    def validate_delete(self, path: XPath) -> frozenset[tuple[str, str]]:
         """Validate ``delete path``.
 
         Returns the possible ``(parent_type, child_type)`` pairs; raises
@@ -152,7 +172,7 @@ class StaticValidator:
 
     def validate_replace(
         self, path: XPath, subtree_type: str
-    ) -> set[tuple[str, str]]:
+    ) -> frozenset[tuple[str, str]]:
         """Validate ``replace path with (subtree_type, t)``.
 
         The reached children must be deletable *and* the new subtree

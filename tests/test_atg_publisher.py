@@ -2,6 +2,7 @@
 
 import pytest
 
+import uncompiled
 from repro.atg.model import ATG, ProjectionRule, QueryRule
 from repro.atg.publisher import (
     publish_store,
@@ -9,8 +10,11 @@ from repro.atg.publisher import (
     publish_tree,
     unfold_to_tree,
 )
+from repro.core.dag_eval import DagXPathEvaluator
+from repro.core.topo import TopoOrder
 from repro.dtd.parser import parse_dtd
 from repro.errors import ATGError, CycleError
+from repro.index import build_index
 from repro.relational.conditions import Col
 from repro.relational.query import SPJQuery
 from repro.workloads.registrar import build_registrar
@@ -180,7 +184,26 @@ class TestPublishSubtree:
         )
         assert result.new_nodes == []
         assert result.edges == []
-        assert result.node_count > 1
+        assert result.frontier == [result.root]
+
+    def test_existing_subtree_is_not_walked(self, monkeypatch):
+        # CS240's stored subtree has more than one node, and reusing it
+        # reads none of its edges.
+        atg, db = build_registrar()
+        store = publish_store(atg, db)
+        cs240 = store.lookup("course", ("CS240", "Data Structures"))
+        assert len(store.descendants_of([cs240])) > 1
+        calls = []
+        for name in ("children_of", "parents_of", "descendants_of"):
+            original = getattr(store, name)
+            monkeypatch.setattr(
+                store, name,
+                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a),
+            )
+        result = publish_subtree(
+            atg, db, store, "course", ("CS240", "Data Structures")
+        )
+        assert result.root == cs240 and calls == []
 
     def test_new_subtree_interned_without_edges(self):
         atg, db = build_registrar()
@@ -211,18 +234,32 @@ class TestPublishSubtree:
         assert store.num_nodes == before
         assert store.lookup("course", ("CS999", "New")) is None
 
-    def test_all_nodes_closed_under_descendants(self):
+    def test_frontier_closure_covers_the_shared_region(self):
+        # ST(CS999) is new and shares CS240: every node of CS240's
+        # stored subtree is inside it, reached through the frontier, and
+        # the cycle check's closure sees exactly the old walk's nodes,
+        # from M at rest and from the store walk while M is stale.
         atg, db = build_registrar()
         store = publish_store(atg, db)
+        topo = TopoOrder.from_store(store)
+        reach = build_index(store, topo)
         db.insert("prereq", ("CS999", "CS240"))
         result = publish_subtree(atg, db, store, "course", ("CS999", "New"))
-        # CS240's whole stored subtree is inside all_nodes.
         cs240 = store.lookup("course", ("CS240", "Data Structures"))
-        stack = [cs240]
-        while stack:
-            node = stack.pop()
-            assert node in result.all_nodes
-            stack.extend(store.children_of(node))
+        assert result.frontier == [cs240]
+        walked, _ = uncompiled.subtree_nodes_from(store, result)
+        new = set(result.new_nodes)
+        for at_rest in (reach, None):
+            inside = DagXPathEvaluator(store, topo, at_rest).closure(
+                result.frontier
+            )
+            for node in store.nodes():
+                assert (node in new or node in inside) == (node in walked)
+            stack = [cs240]
+            while stack:
+                node = stack.pop()
+                assert node in inside
+                stack.extend(store.children_of(node))
 
 
 class TestPublishOverAnUnindexedDatabase:

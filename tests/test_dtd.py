@@ -233,6 +233,34 @@ class TestStaticValidation:
         )
         assert types == {"course"}
 
+    def test_reachable_types_computed_once_and_frozen(
+        self, registrar_dtd, monkeypatch
+    ):
+        # The cache is shared by every later validation of the path, so
+        # a caller must not be able to change what the next one reads.
+        validator = StaticValidator(registrar_dtd)
+        calls = []
+        child_types = registrar_dtd.child_types
+        monkeypatch.setattr(
+            registrar_dtd, "child_types",
+            lambda t: calls.append(t) or child_types(t),
+        )
+        path = parse_xpath("course[cno=CS650]/prereq")
+        parents = validator.validate_insert(path, "course")
+        computed = len(calls)
+        assert computed > 0
+        again = validator.validate_insert(parse_xpath("course[cno=CS650]/prereq"),
+                                          "course")
+        assert len(calls) == computed and again is parents
+        types, edges = validator.reachable_types(path)
+        with pytest.raises(AttributeError):
+            types.add("student")
+        with pytest.raises(AttributeError):
+            edges.clear()
+        assert validator.reachable_types(path) == (
+            frozenset({"prereq"}), frozenset({("course", "prereq")})
+        )
+
     def test_unknown_kind_rejected(self, registrar_dtd):
         with pytest.raises(ValidationError):
             validate_update(registrar_dtd, parse_xpath("."), "replace")

@@ -337,7 +337,8 @@ class TestInsertPaysForAddedPairs:
             indexed_env, "course[cno=CS650]/prereq",
             "course", ("CS240", "Data Structures"),
         )
-        assert subtree.new_nodes == [] and subtree.node_count > 5
+        st_nodes = {subtree.root} | store.descendants_of([subtree.root])
+        assert subtree.new_nodes == [] and len(st_nodes) > 5
         before = sorted(reach.pairs())
         counts = _count_row_access(reach)
         report = maintain_insert(store, topo, reach, subtree, targets)

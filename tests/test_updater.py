@@ -10,7 +10,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.xmltree.tree import tree_equal
-from repro.ops import DeleteOp, InsertOp
+from repro.ops import DeleteOp, InsertOp, ReplaceOp
 
 
 def assert_view_equals_republish(updater):
@@ -157,6 +157,58 @@ class TestInsertion:
                 "course",
                 ("CS320", "Databases"),
             ))
+        assert_view_equals_republish(u)
+
+    def test_insert_cycle_through_a_new_subtree_rejected(self, registrar):
+        """A new CS998 whose prereq is CS320, which holds CS240: its ST
+        reaches CS240's prereq through the shared existing child."""
+        atg, db = registrar
+        db.insert("prereq", ("CS998", "CS320"))
+        u = XMLViewUpdater(
+            atg, db, side_effect_policy=SideEffectPolicy.PROPAGATE
+        )
+        with pytest.raises(UpdateRejectedError, match="cycle"):
+            u.apply_op(InsertOp(
+                "//course[cno=CS240]/prereq", "course", ("CS998", "New")
+            ))
+        assert_view_equals_republish(u)
+
+    def test_replace_cycle_rejected(self, registrar):
+        """Replacing CS320 under CS650 with CS650 itself: ST(CS650)
+        contains the vacated parent, CS650's prereq."""
+        atg, db = registrar
+        u = XMLViewUpdater(
+            atg, db, side_effect_policy=SideEffectPolicy.PROPAGATE
+        )
+        with pytest.raises(UpdateRejectedError, match="cycle"):
+            u.apply_op(ReplaceOp(
+                "course[cno=CS650]/prereq/course[cno=CS320]",
+                "course",
+                ("CS650", "Advanced Databases"),
+            ))
+        assert_view_equals_republish(u)
+
+    def test_insert_cycle_rejected_while_m_is_stale(self, registrar):
+        """Inside a batch, CS500 goes under CS240 first; then CS240
+        under CS500 closes a cycle through that edge, which only the
+        store walk sees: ``M`` is not repaired until the flush."""
+        atg, db = registrar
+        u = XMLViewUpdater(
+            atg, db, side_effect_policy=SideEffectPolicy.PROPAGATE
+        )
+        with u.batch():
+            u.apply_op(InsertOp(
+                "//course[cno=CS240]/prereq",
+                "course",
+                ("CS500", "Operating Systems"),
+            ))
+            assert u.evaluator().reach is None
+            with pytest.raises(UpdateRejectedError, match="cycle"):
+                u.apply_op(InsertOp(
+                    "//course[cno=CS500]/prereq",
+                    "course",
+                    ("CS240", "Data Structures"),
+                ))
         assert_view_equals_republish(u)
 
     def test_insert_invalid_type_rejected(self, registrar_updater):

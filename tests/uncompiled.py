@@ -19,6 +19,14 @@
   do, so a test swaps both into ``repro.relview.insert`` at once.  The
   equality-domain solve must accept and reject the same insertions and
   give the same ΔR.
+- :func:`subtree_nodes` and :func:`subtree_nodes_from` are the
+  publisher's old walk of the whole ``ST(A, t)``, shared part included,
+  that the insert plan's cycle check read (``attach ∈ all_nodes``).  The
+  check on ``closure(subtree.frontier)`` must accept and reject the same
+  inserts.
+- :func:`detect_side_effects` is the side-effect walk without its stop
+  at a ``//`` level whose region is ``L``: it climbs every ancestor
+  there.  The evaluator's walk must give the same ``S``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
 
+from repro.core.dag_eval import _DESCENDANT, _FILTER
 from repro.errors import QueryError, UpdateRejectedError
 from repro.relational.conditions import (
     And,
@@ -405,3 +414,86 @@ def decode_valuation(
             value = token_values[value]
         concrete[var] = value
     return concrete
+
+
+def subtree_nodes(store, root: int) -> tuple[set[int], int]:
+    """Nodes and edge count of the DAG under an existing node."""
+    seen = {root}
+    stack = [root]
+    edge_count = 0
+    while stack:
+        node = stack.pop()
+        for child in store.children_of(node):
+            edge_count += 1
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen, edge_count
+
+
+def subtree_nodes_from(store, result) -> tuple[set[int], int]:
+    """Nodes and edge count of a new ST including shared regions below
+    its new edges (``result`` a ``SubtreeResult`` not yet attached)."""
+    seen: set[int] = {result.root}
+    edge_count = len(result.edges)
+    frontier: list[int] = []
+    for _, parent, _, child in result.edges:
+        seen.add(parent)
+        if child not in seen:
+            seen.add(child)
+            frontier.append(child)
+    while frontier:
+        node = frontier.pop()
+        for child in store.children_of(node):
+            edge_count += 1
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return seen, edge_count
+
+
+def detect_side_effects(evaluator, result, mode: str) -> set[int]:
+    """``S`` for an evaluated ``result`` (``evaluator.evaluate``'s), by
+    the walk that climbs every ancestor at every ``//`` level."""
+    match = result._match
+    if mode == "insert":
+        last_level = len(match.contexts) - 1
+        stack = [(v, last_level) for v in result.targets]
+    else:
+        stack = list(dict.fromkeys((u, lvl) for u, _, lvl in result.ep))
+    parents_of = evaluator.store.parents_of
+    steps = match.steps
+    seen: set[tuple[int, int]] = set()
+    S: set[int] = set()
+    while stack:
+        node, level = stack.pop()
+        if (node, level) in seen:
+            continue
+        seen.add((node, level))
+        if level <= 0:
+            continue
+        code = steps[level - 1][0]
+        if code == _FILTER:
+            stack.append((node, level - 1))
+        elif code == _DESCENDANT:
+            region = match.regions[level]
+            in_prev = node in match.members(level - 1)
+            for parent in parents_of(node):
+                if parent in region:
+                    stack.append((parent, level))
+                elif not in_prev:
+                    S.add(parent)
+            if in_prev:
+                stack.append((node, level - 1))
+        else:
+            matched = (
+                match.members(level - 1)
+                if node in match.members(level)
+                else ()
+            )
+            for parent in parents_of(node):
+                if parent in matched:
+                    stack.append((parent, level - 1))
+                else:
+                    S.add(parent)
+    return S
