@@ -57,9 +57,10 @@ def _event(service, n_edges: int) -> ViewEvent:
 
     Unmatched edge types never short-circuit: every edge is scanned
     against every pattern of every anchored subscription — the regime
-    the threshold guards against.  (The ``//`` subscriptions' region
-    pattern matches any edge type below the root, so they re-evaluate
-    in both regimes.)  The generation matches the current one so the
+    the threshold guards against.  (A leading ``//``'s region pattern
+    matches any edge under the root, so those subscriptions re-derive
+    their seeded level once per event, find it unchanged and go on
+    scanning.)  The generation matches the current one so the
     maintained subscriptions stay consistent for the next measurement.
     """
     return ViewEvent(

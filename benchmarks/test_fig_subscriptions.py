@@ -21,9 +21,12 @@ step from the value's node — the anchored ``cnode[key=a]/...`` queries
 as well as the leading ``//`` ones, and so does the engine's
 re-evaluation; evaluate-per-op through it is timed on the same service
 and its ratio recorded, not asserted.  Measured on 2 shared Xeon cores,
-ten runs: 6.0–19.1× with seeding off (asserted; eight runs 17–19×), and
-1.2–4.0× against the product's evaluate-per-op (eight runs 3.2–4.0×).
-Five runs of the engine that refreshed by event cone and step suffix on
+five runs: 21.1–40.9× with seeding off (asserted) and 3.8–7.3× against
+the product's evaluate-per-op, with the decision reading every level by
+membership (234 skips, 6 refreshes over the stream).  When
+a leading ``//`` and a filter chain's second edge still matched every
+event (119 skips, 121 refreshes), five runs measured 15.1–21.7× and
+2.7–4.4×; the engine that refreshed by event cone and step suffix on
 the unseeded evaluator measured 3.1–4.1× and 0.74–1.04×.
 Timings land in ``BENCH_index.json`` via ``conftest.record_bench``.
 """
@@ -42,8 +45,9 @@ from repro.workloads import REGISTRAR_QUERIES, make_query_set, make_workload
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-#: Standing queries per service; dominated by prunable anchored paths
-#: with a realistic share of never-prunable ``//`` queries.
+#: Standing queries per service: anchored paths with a realistic share
+#: of ``//`` queries (prunable too: their seeded levels and regions are
+#: re-read after each commit).
 N_QUERIES = 24
 OPS_PER_KIND = 4
 LARGEST = max(SIZES)

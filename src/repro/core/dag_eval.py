@@ -119,6 +119,9 @@ class Seed(NamedTuple):
     """The ``leg = value`` conjunct of the step's filter it starts from
     (``part.path`` is ``leg``, label steps only)."""
 
+    chain: tuple[str, ...]
+    """``label`` and the leg's labels, top down."""
+
 
 @dataclass
 class EvalResult:
@@ -322,6 +325,35 @@ class DagXPathEvaluator:
         an override returning ``{}`` gives the paper's evaluator."""
         return program.seeds if self.reach is not None else {}
 
+    def _leg_holders(self, seed: Seed):
+        """The ``label`` nodes the seed leg ``leg = value`` holds at: up
+        from the nodes holding ``value`` through the leg's steps in
+        reverse (read-only: may be the store's own value set)."""
+        store = self.store
+        parents_of, type_of = store.parents_of, store.type_of
+        *above, last = seed.chain
+        nodes = store.nodes_with_value(last, seed.part.value)
+        for label in reversed(above):
+            nodes = {
+                p for n in nodes for p in parents_of(n) if type_of(p) == label
+            }
+        return nodes
+
+    def seed_members(self, seed: Seed, context) -> set[int]:
+        """The members of a seeded step's context, unordered: the leg's
+        holders with a parent in ``context`` (the previous level's
+        membership, the region after a ``//``).  What
+        :meth:`_seed_context` lists; the subscription engine re-derives
+        a cached seeded level with it."""
+        parents_of = self.store.parents_of
+        members = set()
+        for node in self._leg_holders(seed):
+            for parent in parents_of(node):
+                if parent in context:
+                    members.add(node)
+                    break
+        return members
+
     def _seed_context(self, seed: Seed, prev: list[int], region) -> list[int]:
         """The context of a seeded ``label[leg = value and ...]`` step.
 
@@ -334,15 +366,9 @@ class DagXPathEvaluator:
         reversed after a ``//``, so the region is neither listed nor
         ranked), then by that parent's child order.
         """
-        label, part = seed
         store = self.store
-        parents_of, type_of = store.parents_of, store.type_of
-        chain = (label, *(step.label for step in part.path.steps))
-        nodes = store.nodes_with_value(chain[-1], part.value)
-        for above in reversed(chain[:-1]):
-            nodes = {
-                p for n in nodes for p in parents_of(n) if type_of(p) == above
-            }
+        parents_of = store.parents_of
+        nodes = self._leg_holders(seed)
         if region is None:  # rank the list the unseeded step would walk
             region = {u: i for i, u in enumerate(prev)}
             key, earliest, backward = region.__getitem__, min, False
@@ -711,7 +737,8 @@ def seed_plan(steps: tuple) -> dict[int, Seed]:
             if isinstance(part, ValueEq) and all(
                 isinstance(leg_step, LabelStep) for leg_step in part.path.steps
             ):
-                seeds[level] = Seed(step.label, part)
+                chain = (step.label, *(leg.label for leg in part.path.steps))
+                seeds[level] = Seed(step.label, part, chain)
                 break
     return seeds
 

@@ -4,8 +4,8 @@
   (:class:`ViewEvent` / :class:`EdgeRecord`);
 - :mod:`repro.subscribe.deps` — per-step dependency extraction from the
   XPath AST and the one decision made per event and subscription:
-  :func:`first_affected_step`, sharpened by cached-context membership
-  (``in_context`` / ``in_region``; without it the ``subscribed_durable``
+  :func:`first_affected_step`, sharpened by the membership of every
+  cached level after the commit (without it the ``subscribed_durable``
   benchmark workload never skips an event);
 - :mod:`repro.subscribe.engine` — :class:`Subscription` and the
   :class:`SubscriptionRegistry` the commit pipeline maintains: skip, or

@@ -21,20 +21,67 @@ match an event edge, or ``None`` when the whole result is provably
 untouched: the subscription engine then skips the event, or re-evaluates
 the query from the root.
 
-The cached contexts the patterns are sharpened against come from the
-seeded evaluator (:func:`repro.core.dag_eval.seed_plan`): at a seeded
-level they hold only the candidates the seed leg ``leg = value`` holds
-at.  So that leg's patterns are matched without the context (an edge
-that adds or removes a node holding ``value`` can make a candidate of a
-node under any parent), and an empty seeded level is not proof of an
-unchanged result while such an edge is in the event.
+**Membership at every level.**  The decision sharpens a type match with
+the cached levels of the subscription's last evaluation, read after the
+commit (:meth:`QueryProfile.snapshot` is the one rule of what is
+cached):
+
+- a listed level is a set: an edge can only change a child step's
+  output, or a filter at its members, through a parent the step's input
+  level holds — or, for the ``k``-th edge of a filter chain, a parent
+  with an ancestor exactly ``k − 1`` levels up in it
+  (:attr:`EdgePattern.depth`);
+- a ``//`` level is cached as its generating nodes (:class:`Closure`)
+  and re-derived on the post-commit ``M`` through
+  :meth:`~repro.core.dag_eval.DagXPathEvaluator.closure` — ``L`` itself
+  after a leading ``//`` is the closure of the root.  While ``M`` is
+  stale (``evaluator.reach is None``) such a level cannot be read, and
+  a decision that needs it re-evaluates;
+- a seeded level (:func:`repro.core.dag_eval.seed_plan`) holds only the
+  candidates the seed leg ``leg = value`` holds at.  When an edge
+  matches the steps that feed it (its label step, and the ``//`` before
+  that) or the leg, the level is re-derived once from the value index
+  (:meth:`~repro.core.dag_eval.DagXPathEvaluator.seed_members`, as the
+  evaluator seeds it) and compared with the cache: different means
+  re-evaluate; equal settles those steps and the leg's patterns, and
+  the decision goes on from the seeded filter's other conjuncts.
+
+The scan is inductive: when step ``i`` is consulted no earlier step
+matched (or its seeded level re-derived unchanged), so the cached
+``C_i`` is the post-commit ``C_i``.  Testing a parent's membership
+*after* the commit is sound for both edge kinds:
+
+- *Inserts.*  A node that enters a region (or a level ``k − 1`` below
+  a context member) does so along a post-commit path that holds an
+  inserted edge; every node on that path is in the post-commit region,
+  so that edge's parent is, and it triggers.
+- *Deletes under a live region.*  Let a node leave the region of ``G``
+  (``G`` unchanged).  On a pre-commit path from ``G`` to it, take the
+  deleted edge nearest ``G``: the path above it still exists, so its
+  parent is still in the region and it triggers.  So when a deleted
+  edge's parent has left the region, some deleted edge higher on the
+  same cut path still has its parent in the region.  After a leading
+  ``//`` followed by a seeded step the same holds for the seeded level
+  ``S1``: it is re-derived from the post-commit value index and region,
+  so an unchanged ``S1`` is proof enough however the region moved.
+- *Filter chains* (``k = 2``: ``n → p → c``, ``n ∈ C_i``).  If the
+  chain's second edge changed, ``p``'s post-commit parents include
+  ``n`` unless the first edge ``n → p`` was deleted in the same event;
+  then the first-edge pattern (``p``'s parent ``n ∈ C_i``) catches it.
+  For deeper edges the same holds for the deleted chain edge nearest
+  ``n``.
+
+A coalesced batch event lists every edge the batch touched (inserts
+are not cancelled against deletes), and no test reads the record's
+kind, so these arguments hold for it as they do for one op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.core.dag_eval import seed_plan
+from repro.core.dag_eval import Seed, seed_plan
 from repro.subscribe.delta import EdgeRecord, ViewEvent
 from repro.xpath.ast import (
     DescendantStep,
@@ -67,16 +114,16 @@ class EdgePattern:
     ``None`` = any value.  An event edge with an *unknown* child value
     always matches — pruning stays conservative."""
 
-    in_context: bool = False
-    """The relevant edges hang directly off the step's previous context
-    ``C_{k-1}`` (the step's own child edges; the *first* edge of a
-    filter chain): when the cached context is available, an edge whose
-    parent node is not a member cannot affect this step."""
+    depth: int | None = None
+    """How many levels below a member of the step's context ``C_i`` the
+    relevant edges' parent hangs: 0 for the step's own child edges and
+    a filter chain's first edge, ``k − 1`` for its ``k``-th.  ``None``:
+    anywhere (a seed leg's edges)."""
 
     in_region: bool = False
     """Descendant steps: the relevant edges hang off the step's own
-    cached *region* (its output context) — a descendant closure only
-    changes through an edge whose parent it already contains."""
+    *region* (its output level) — a descendant closure only changes
+    through an edge whose parent it contains."""
 
     def matches(self, rec: EdgeRecord) -> bool:
         """Whether ``rec`` could invalidate a step depending on this
@@ -100,28 +147,26 @@ REGION_EDGE = EdgePattern(None, None, in_region=True)
 
 
 def _label_patterns(
-    label: str, ctx: CtxTypes, values: frozenset | None, at_context: bool
+    label: str, ctx: CtxTypes, values: frozenset | None, depth: int | None
 ) -> list[EdgePattern]:
     if ctx is None:
-        return [EdgePattern(None, label, values, in_context=at_context)]
-    return [
-        EdgePattern(parent, label, values, in_context=at_context)
-        for parent in sorted(ctx)
-    ]
+        return [EdgePattern(None, label, values, depth)]
+    return [EdgePattern(parent, label, values, depth) for parent in sorted(ctx)]
 
 
 def _path_patterns(
     path: XPath,
     ctx: CtxTypes,
     terminal_values: frozenset | None,
-    at_context: bool,
+    depth: int | None,
 ) -> list[EdgePattern]:
     """Patterns of a filter-internal relative path.
 
     ``terminal_values`` restricts the final label's relevant child
     values (a ``p = "s"`` comparison); intermediate chain labels matter
-    for any value.  Only the chain's first edge hangs off the step
-    context (``at_context``); deeper edges can sit anywhere.
+    for any value.  The chain's ``k``-th edge hangs ``k − 1`` levels
+    below the path's start, which itself hangs ``depth`` levels below
+    the step context.
     """
     patterns: list[EdgePattern] = []
     last_label_index = path.last_child_step_index
@@ -132,13 +177,12 @@ def _path_patterns(
             values = (
                 terminal_values if index == last_label_index else None
             )
-            patterns.extend(
-                _label_patterns(step.label, ctx, values, at_context)
-            )
+            patterns.extend(_label_patterns(step.label, ctx, values, depth))
             ctx = frozenset((step.label,))
-            at_context = False
+            if depth is not None:
+                depth += 1
         elif isinstance(step, FilterStep):
-            patterns.extend(_filter_patterns(step.filter, ctx, at_context))
+            patterns.extend(_filter_patterns(step.filter, ctx, depth))
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown step {step!r}")
         if any(p == ANY_EDGE for p in patterns):
@@ -147,43 +191,48 @@ def _path_patterns(
 
 
 def _filter_patterns(
-    filt: Filter, ctx: CtxTypes, at_context: bool
+    filt: Filter, ctx: CtxTypes, depth: int | None
 ) -> list[EdgePattern]:
     if isinstance(filt, LabelTest):
         return []  # node types are immutable: never invalidated
     if isinstance(filt, ExistsPath):
-        return _path_patterns(filt.path, ctx, None, at_context)
+        return _path_patterns(filt.path, ctx, None, depth)
     if isinstance(filt, ValueEq):
         if not filt.path.steps:
             return []  # the context node's own value is immutable
-        return _path_patterns(
-            filt.path, ctx, frozenset((filt.value,)), at_context
-        )
+        return _path_patterns(filt.path, ctx, frozenset((filt.value,)), depth)
     if isinstance(filt, (FAnd, FOr)):
         patterns: list[EdgePattern] = []
         for part in filt.parts:
-            patterns.extend(_filter_patterns(part, ctx, at_context))
+            patterns.extend(_filter_patterns(part, ctx, depth))
         return patterns
     if isinstance(filt, FNot):
-        return _filter_patterns(filt.part, ctx, at_context)
+        return _filter_patterns(filt.part, ctx, depth)
     raise TypeError(f"unknown filter {filt!r}")  # pragma: no cover
 
 
-class _EveryNode:
-    """The membership of a level that holds every node."""
+@dataclass(frozen=True)
+class Closure:
+    """How the cache holds a ``//`` level: the nodes it is the
+    descendant-or-self closure of (the level before it).  The decision
+    re-derives its membership after the commit; nothing is listed."""
 
-    __slots__ = ()
+    nodes: set
 
-    def __contains__(self, node: int) -> bool:
-        return True
+    def __bool__(self) -> bool:
+        return bool(self.nodes)
 
 
-#: What the cache holds for a leading ``//`` level.  The evaluator's
-#: region there is ``L`` itself, a live container that a commit changes
-#: before the next decision reads it; every node the event touched was
-#: reachable from the root on one side of it or the other.  The step's
-#: ``REGION_EDGE`` then matches every edge, so the cache ends here.
-EVERY_NODE = _EveryNode()
+class SeededLevel(NamedTuple):
+    """A seeded level as the decision reads it."""
+
+    level: int
+    """The level; its filter is step ``level``."""
+    seed: Seed
+    legs: tuple[EdgePattern, ...]
+    """The seed leg's patterns, matched without the context."""
+    rest: tuple[EdgePattern, ...]
+    """The patterns of the filter's other conjuncts."""
 
 
 @dataclass(frozen=True)
@@ -192,16 +241,36 @@ class QueryProfile:
 
     path: XPath
     per_step: tuple[tuple[EdgePattern, ...], ...]
-    seed_legs: dict[int, tuple[EdgePattern, ...]] = field(
+    seeded: dict[int, SeededLevel] = field(
         default_factory=dict, compare=False
     )
-    """Filter step index → the patterns of its seed leg, for the filter
-    of every seeded label step (matched without the context)."""
+    """The first step feeding each seeded level (its label step, or the
+    ``//`` before that) → the level
+    (:func:`~repro.core.dag_eval.seed_plan`)."""
 
     @property
     def prunable(self) -> bool:
         """Whether any event can ever be skipped for this query."""
         return not any(ANY_EDGE in deps for deps in self.per_step)
+
+    def snapshot(self, contexts: list) -> list:
+        """What the cache keeps of an evaluation's per-level membership
+        (:attr:`~repro.core.dag_eval.EvalResult.contexts`): a ``//``
+        level as the :class:`Closure` of the level before it, every
+        other level as a set."""
+        steps = self.path.steps
+        levels: list = []
+        for level, members in enumerate(contexts):
+            if level and isinstance(steps[level - 1], DescendantStep):
+                before = levels[-1]
+                levels.append(
+                    before if isinstance(before, Closure) else Closure(before)
+                )
+            else:
+                levels.append(
+                    members if isinstance(members, set) else set(members)
+                )
+        return levels
 
 
 def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
@@ -210,16 +279,14 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
     per_step: list[tuple[EdgePattern, ...]] = []
     # A seeded level ``i`` is the ``i``-th step: its filter is step ``i``.
     seeds = seed_plan(path.steps)
-    seed_legs: dict[int, tuple[EdgePattern, ...]] = {}
+    seeded: dict[int, SeededLevel] = {}
     ctx: CtxTypes = frozenset((root_label,)) if root_label else None
     for index, step in enumerate(path.steps):
         if isinstance(step, LabelStep):
-            per_step.append(
-                tuple(_label_patterns(step.label, ctx, None, True))
-            )
+            per_step.append(tuple(_label_patterns(step.label, ctx, None, 0)))
             ctx = frozenset((step.label,))
         elif isinstance(step, WildcardStep):
-            per_step.append((EdgePattern(None, None, in_context=True),))
+            per_step.append((EdgePattern(None, None, depth=0),))
             ctx = None
         elif isinstance(step, DescendantStep):
             per_step.append((REGION_EDGE,))
@@ -227,25 +294,101 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
         elif isinstance(step, FilterStep):
             seed = seeds.get(index)
             filt = step.filter
-            patterns: list[EdgePattern] = []
+            legs: list[EdgePattern] = []
+            rest: list[EdgePattern] = []
             for part in filt.parts if isinstance(filt, FAnd) else (filt,):
-                is_leg = seed is not None and part is seed.part
-                found = _filter_patterns(part, ctx, not is_leg)
-                if is_leg:
-                    seed_legs[index] = tuple(found)
-                patterns.extend(found)
-            per_step.append(tuple(patterns))
+                if seed is not None and part is seed.part:
+                    legs.extend(_filter_patterns(part, ctx, None))
+                else:
+                    rest.extend(_filter_patterns(part, ctx, 0))
+            per_step.append((*legs, *rest))
+            if seed is not None:
+                start = index - 1  # the label step
+                if start and isinstance(path.steps[start - 1], DescendantStep):
+                    start -= 1
+                seeded[start] = SeededLevel(
+                    index, seed, tuple(legs), tuple(rest)
+                )
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown step {step!r}")
-    return QueryProfile(
-        path=path, per_step=tuple(per_step), seed_legs=seed_legs
-    )
+    return QueryProfile(path=path, per_step=tuple(per_step), seeded=seeded)
+
+
+class _Scan:
+    """One decision's reading of the cached levels after the commit.
+
+    A level resolves on first use: a set as cached, a :class:`Closure`
+    through ``evaluator.closure``; ``None`` when it cannot be read (a
+    ``//`` level while ``M`` is stale or with no evaluator, a level past
+    the cache, no cache at all), and then every type match counts."""
+
+    __slots__ = ("edges", "levels", "evaluator", "parents_of", "_regions")
+
+    def __init__(self, edges, levels: list | None, evaluator):
+        self.edges = edges
+        self.levels = levels
+        self.evaluator = evaluator
+        self.parents_of = (
+            evaluator.store.parents_of if evaluator is not None else None
+        )
+        self._regions: dict[int, object] = {}
+
+    def level(self, level: int):
+        """The membership of cached ``level`` after the commit."""
+        levels = self.levels
+        if levels is None or level >= len(levels):
+            return None
+        cached = levels[level]
+        if not isinstance(cached, Closure):
+            return cached
+        region = self._regions.get(level)
+        if region is None:
+            evaluator = self.evaluator
+            if evaluator is None or evaluator.reach is None:
+                return None
+            region = self._regions[level] = evaluator.closure(cached.nodes)
+        return region
+
+    def hits(self, patterns, index: int) -> bool:
+        """Whether an event edge matches one of step ``index``'s
+        ``patterns`` at a node the relevant cached level holds."""
+        for pattern in patterns:
+            resolved = False
+            for rec in self.edges:
+                if not pattern.matches(rec):
+                    continue
+                if not resolved:
+                    if pattern.in_region:
+                        scope, depth = self.level(index + 1), 0
+                    elif pattern.depth is not None:
+                        scope, depth = self.level(index), pattern.depth
+                    else:
+                        return True
+                    if scope is None or (depth and self.parents_of is None):
+                        return True
+                    resolved = True
+                if depth == 0:
+                    if rec.parent in scope:
+                        return True
+                elif _hangs_below(rec.parent, depth, scope, self.parents_of):
+                    return True
+        return False
+
+
+def _hangs_below(node: int, depth: int, scope, parents_of) -> bool:
+    """Whether ``node`` has an ancestor exactly ``depth`` levels up in
+    ``scope``."""
+    nodes = (node,)
+    for _ in range(depth):
+        nodes = {p for n in nodes for p in parents_of(n)}
+    return any(n in scope for n in nodes)
 
 
 def first_affected_step(
     profile: QueryProfile,
     event: ViewEvent,
-    context_sets: list | None = None,
+    levels: list | None = None,
+    evaluator=None,
 ) -> int | None:
     """Earliest step index whose context the event may change.
 
@@ -254,45 +397,58 @@ def first_affected_step(
     (``C_0 .. C_k`` are intact, but nothing restarts from them).
     Coarse events always invalidate everything (``0``).
 
-    ``context_sets`` — the cached per-level membership of the
-    subscription's last evaluation (``context_sets[i]`` = members of
-    ``C_i``, :attr:`~repro.core.dag_eval.EvalResult.contexts`) —
-    sharpens type matches with node membership: an edge can only affect
-    step ``k`` through a parent the relevant cached set already
-    contains.  The test is inductive and sound because steps are scanned
-    in order: by the time step ``k`` is consulted, no earlier step
-    matched, so its cached contexts are known-current.  A seeded level
-    holds only the seed leg's candidates, so the leg's patterns are not
-    sharpened (see :attr:`QueryProfile.seed_legs`).
+    ``levels`` — :meth:`QueryProfile.snapshot` of the subscription's
+    last evaluation — sharpens type matches with node membership, read
+    after the commit through ``evaluator`` (the post-commit
+    :class:`~repro.core.dag_eval.DagXPathEvaluator`; see the module
+    docstring for why that is sound).  Without ``levels`` every type
+    match counts.  An empty level ends the scan: every later level
+    stays empty, so the (empty) result cannot change.
     """
     if event.coarse:
         return 0
     if not event.edges:
         return None
-    for index, deps in enumerate(profile.per_step):
-        if context_sets is not None and index < len(context_sets):
-            if not context_sets[index]:
-                # The (intact) context before this step is empty: this
-                # and every later step keep producing empty contexts,
-                # so the (empty) result cannot change — unless the
-                # level is seeded and a leg edge can make a candidate.
-                legs = profile.seed_legs.get(index, ())
-                if any(p.matches(rec) for p in legs for rec in event.edges):
-                    return index
-                return None
-        for pattern in deps:
-            for rec in event.edges:
-                if not pattern.matches(rec):
-                    continue
-                if context_sets is not None:
-                    members = None
-                    if pattern.in_region:
-                        if index + 1 < len(context_sets):
-                            members = context_sets[index + 1]
-                    elif pattern.in_context:
-                        if index < len(context_sets):
-                            members = context_sets[index]
-                    if members is not None and rec.parent not in members:
-                        continue
+    per_step = profile.per_step
+    scan = _Scan(event.edges, levels, evaluator)
+    if levels is None:
+        for index, deps in enumerate(per_step):
+            if scan.hits(deps, index):
                 return index
+        return None
+    index = 0
+    while index < len(per_step):
+        if index < len(levels) and not levels[index]:
+            return None
+        group = profile.seeded.get(index)
+        if group is None:
+            if scan.hits(per_step[index], index):
+                return index
+            index += 1
+            continue
+        level = group.level
+        hit = next(
+            (
+                step for step in range(index, level)
+                if scan.hits(per_step[step], step)
+            ),
+            None,
+        )
+        if hit is None and scan.hits(group.legs, level):
+            hit = level
+        if hit is not None:
+            # Re-derive the seeded level from the value index.
+            context = scan.level(level - 1)
+            if (
+                context is None
+                or evaluator is None
+                or level >= len(levels)
+                or evaluator.seed_members(group.seed, context) != levels[level]
+            ):
+                return hit
+        if level < len(levels) and not levels[level]:
+            return None
+        if scan.hits(group.rest, level):
+            return level
+        index = level + 1
     return None

@@ -7,13 +7,14 @@ the structured ΔV events every committed operation emits
 hands it one sealed event per write scope
 (:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
 entry point).  Per event, every standing subscription gets **one
-decision** — ``first_affected_step(profile, event, contexts)``
+decision** — ``first_affected_step(profile, event, levels, evaluator)``
 (:mod:`repro.subscribe.deps`): can any event edge change any step's
 context? — and one of **two actions**:
 
-- **skip** (``None``) — no event edge intersects any step's dependency
-  map: the cached result is provably current; the ``skips`` counter, an
-  empty delta and the generation tag are set on the spot;
+- **skip** (``None``) — no event edge changes a level the cache holds,
+  read after the commit by membership: the cached result is provably
+  current; the ``skips`` counter, an empty delta and the generation tag
+  are set on the spot;
 - **re-evaluate from the root** — anything else: one seeded
   :meth:`DagXPathEvaluator.evaluate_from` of the whole query
   (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
@@ -29,13 +30,21 @@ cached contexts measured no faster than that on the ``BENCHMARK.json``
 workload ``subscribed_durable`` (32 subscriptions; subscription time
 per commit 0.76 → 0.57 ms without them, on the same 1,000 commits and
 the same skips).  The node-membership sharpening of
-``first_affected_step`` (``in_context`` / ``in_region`` in
-:mod:`~repro.subscribe.deps`) is what makes a skip possible at all:
-without it no event on that workload is ever skipped (``skip_ratio``
-0.56 → 0).  A type/value pattern index, a node-level watch index and a
-lazy skip ledger in front of the decision bought nothing measurable at
-32 or at 256 subscriptions, so the decision is made once, per
-subscription, in the open.
+``first_affected_step`` is what makes a skip possible at all: without
+it no event on that workload is ever skipped.  Every cached level is
+read by membership — a listed level as a set, a ``//`` level as the
+nodes it closes over, re-derived on the post-commit ``M``, a seeded
+level re-derived from the value index, a filter chain's deeper edges
+tested against their own ancestors — so a leading ``//`` path refreshes
+only when its seeded level or a region it reads moves.  On that
+workload's 1,000 commits this took the refreshes from 14,356 to 332
+(``skip_ratio`` 0.551 → 0.990; 201 of the 332 changed a result).  The
+decision's one post-commit evaluator is built once per event and
+shared by every subscription's decision and refresh.  A type/value
+pattern index, a node-level watch index and a lazy skip ledger in front
+of the decision bought nothing measurable at 32 or at 256
+subscriptions, so the decision is made once, per subscription, in the
+open.
 
 Alongside the full result set, each action derives the per-commit
 **result delta** from the old/new tuples the registry already holds:
@@ -64,7 +73,6 @@ from contextlib import nullcontext
 from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
-    EVERY_NODE,
     QueryProfile,
     first_affected_step,
     profile_query,
@@ -85,12 +93,16 @@ _STAT_KEYS = (
 #: selection on the observable input size.  The default is calibrated
 #: by ``benchmarks/test_coarse_fallback.py`` (best of five, 2 shared
 #: Xeon cores) and is the first power of two past the measured
-#: crossover of about 96 worst-case (never-matching) edges at 16
-#: standing queries: fine 0.55–0.59 vs coarse 0.65–0.71 ms at 64,
-#: 0.72–0.77 vs 0.67–0.70 ms at 96, 0.94–0.95 vs 0.67–0.71 ms at 128,
-#: 1.58–1.64 vs 0.67–0.70 ms at 256; 3.2–3.4 vs 0.43–0.45 ms at 1024 in
-#: a faster session.  Real events match patterns and re-evaluate some
-#: queries either way, which only lowers the crossover.
+#: crossover of 64–96 worst-case (never-matching) edges at 16 standing
+#: queries.  Reading every level by membership costs more per edge but
+#: skips the ``//`` queries that every event used to re-evaluate, and
+#: the crossover stayed where it was (three passes per commit, noisy
+#: host): fine 0.39–0.60 vs coarse 0.45–0.66 ms at 64, 0.54–0.93 vs
+#: 0.45–0.76 ms at 96, 0.69–1.17 vs 0.42–0.72 ms at 128, 1.22–1.86 vs
+#: 0.42–0.67 ms at 256, against 0.53–0.58 vs 0.60–0.74, 0.70–0.79 vs
+#: 0.62–0.72, 0.76–0.98 vs 0.62–0.68 and 0.98–1.60 vs 0.66–0.73 ms
+#: before.  Real events match patterns and re-evaluate some queries
+#: either way, which only lowers the crossover.
 DEFAULT_COARSE_THRESHOLD = 128
 
 
@@ -117,9 +129,12 @@ class Subscription:
         self._nodes: tuple[int, ...] = ()
         self._delta: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self._contexts: list | None = None
-        """Membership of ``C_0 .. C_n`` as of ``_generation``, up to a
-        leading ``//`` (:meth:`SubscriptionRegistry._reevaluate`) — what
-        events are pruned against."""
+        """``C_0 .. C_n`` as of ``_generation``, cached by
+        :meth:`QueryProfile.snapshot` — a set per listed level, a ``//``
+        level as the nodes it closes over, re-derived after each commit
+        — what events are pruned against; ``None`` after an evaluation
+        with ``M`` stale, which does not seed, so its levels cannot be
+        compared with re-derived seeded ones."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -271,9 +286,11 @@ class SubscriptionRegistry:
             )
             for sub in subs:
                 sub._stats["coarse_fallbacks"] += 1
+        # One post-commit evaluator decides and refreshes every query.
+        evaluator = self.updater.evaluator()
         for sub in subs:
             with sub._mutex:
-                self._apply_event(sub, event)
+                self._apply_event(sub, event, evaluator)
         self.publish_seconds += time.perf_counter() - start
         self._m_events.inc()
 
@@ -281,37 +298,35 @@ class SubscriptionRegistry:
     # by name in the class dict; the alias goes when that table is edited.
     handle = apply_batched
 
-    def _apply_event(self, sub: Subscription, event: ViewEvent) -> None:
+    def _apply_event(
+        self, sub: Subscription, event: ViewEvent, evaluator
+    ) -> None:
         """The decision and its action; callers hold ``sub._mutex``."""
-        if first_affected_step(sub.profile, event, sub._contexts) is None:
+        if first_affected_step(
+            sub.profile, event, sub._contexts, evaluator
+        ) is None:
             sub._stats["skips"] += 1
             sub._delta = ((), ())
         else:
             old = sub._nodes
-            self._reevaluate(sub)
+            self._reevaluate(sub, evaluator)
             sub._stats["full_refreshes"] += 1
             sub._delta = _diff(old, sub._nodes)
         sub._generation = event.generation
 
-    def _reevaluate(self, sub: Subscription) -> None:
+    def _reevaluate(self, sub: Subscription, evaluator=None) -> None:
         """Evaluate the whole query from the root and cache its result
-        and per-level membership.
-
-        A ``//`` region is a live view of the index, so what is cached
-        must be a snapshot taken now.  A leading ``//`` is
-        :data:`EVERY_NODE`, and nothing after it is cached: that step's
-        region pattern matches every edge against it, so the levels
-        behind it are never consulted.  Any other region is listed."""
-        evaluator = self.updater.evaluator()
+        and per-level membership (:meth:`QueryProfile.snapshot`: a
+        ``//`` region, a live view of ``M``, is kept as the nodes it
+        closes over and never listed)."""
+        if evaluator is None:
+            evaluator = self.updater.evaluator()
         result = evaluator.evaluate_from(sub.query)
-        topo = evaluator.topo
-        contexts: list = []
-        for level in result.contexts:
-            if level is topo:
-                contexts.append(EVERY_NODE)
-                break
-            contexts.append(level if isinstance(level, set) else set(level))
-        sub._contexts = contexts
+        sub._contexts = (
+            sub.profile.snapshot(result.contexts)
+            if evaluator.reach is not None
+            else None
+        )
         sub._nodes = tuple(sorted(result.targets))
 
     # -- the read path --------------------------------------------------------------

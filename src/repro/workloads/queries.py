@@ -24,9 +24,9 @@ straight into ``service.apply(op)`` — no per-kind dispatch.
 side: diverse XPath sets over the same datasets, used as standing
 queries by the subscription engine
 (:meth:`repro.service.ViewService.subscribe`) and its benchmarks —
-mostly value-anchored ``/``-paths whose per-step dependencies let the
-engine skip unrelated ops, plus a few ``//`` paths that always pay a
-re-evaluation.
+value-anchored paths whose per-step dependencies let the engine skip
+unrelated ops: ``/``-paths, and a few ``//`` paths whose seeded levels
+and regions the engine re-reads after each commit.
 """
 
 from __future__ import annotations
@@ -190,10 +190,11 @@ def make_query_set(
     """``count`` standing XPath queries over the synthetic dataset.
 
     Mirrors the W1/W2/W3 path shapes: roughly ``descendant_fraction``
-    of the queries are W1-style ``//`` paths (never prunable — every
-    structural change forces re-evaluation), the rest are W2/W3-style
-    anchored ``/`` paths over sampled (parent, child) key pairs, whose
-    value anchors make most unrelated updates skippable.
+    of the queries are W1-style ``//`` paths over sampled (ancestor,
+    descendant) key pairs, the rest are W2/W3-style anchored ``/`` paths
+    over sampled (parent, child) key pairs.  Their value anchors make
+    most unrelated updates skippable: a W1 path refreshes only when the
+    nodes holding its first key, or the region below them, move.
     """
     rng = random.Random(seed * 7919 + 11)
     pc_pairs = _parent_child_pairs(dataset, rng, count * 2)

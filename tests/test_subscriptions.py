@@ -30,7 +30,7 @@ from repro.subscribe import (
 )
 from repro.dtd.parser import parse_dtd
 from repro.index import build_index
-from repro.subscribe.deps import ANY_EDGE, EVERY_NODE
+from repro.subscribe.deps import ANY_EDGE, Closure
 from repro.views.store import ViewStore
 from repro.workloads import (
     REGISTRAR_QUERIES,
@@ -75,18 +75,16 @@ def results(subs):
     return {sub.id: sub.result() for sub in subs}
 
 
-def as_sets(contexts, topo):
-    """Cached or fresh per-level membership, comparable: a leading
-    ``//`` level (``L`` itself, cached as :data:`EVERY_NODE`) stays
-    itself and ends the list (the engine caches nothing after it),
-    every other level becomes a set."""
-    levels = []
-    for level in contexts:
-        if level is topo or level is EVERY_NODE:
-            levels.append(EVERY_NODE)
-            break
-        levels.append(set(level))
-    return levels
+def as_sets(levels, evaluator):
+    """Cached or fresh per-level membership as sets, read now: a cached
+    ``//`` level (a :class:`Closure` of the nodes it closes over) is
+    re-derived through ``evaluator.closure`` and listed, as a fresh
+    evaluation's live region (``L`` itself after a leading ``//``) is."""
+    return [
+        set(evaluator.closure(level.nodes))
+        if isinstance(level, Closure) else set(level)
+        for level in levels
+    ]
 
 
 def assert_refreshed(service, subs, before=None, tag=""):
@@ -103,9 +101,14 @@ def assert_refreshed(service, subs, before=None, tag=""):
             assert sub.delta() == (
                 tuple(sorted(new - old)), tuple(sorted(old - new))
             ), (tag, sub.path)
-        assert as_sets(sub._contexts, evaluator.topo) == as_sets(
-            fresh.contexts, evaluator.topo
+        assert as_sets(sub._contexts, evaluator) == as_sets(
+            fresh.contexts, evaluator
         ), f"{tag}: cached contexts of {sub.path!r} drifted"
+        # The one snapshot rule: every level is cached, a ``//`` level
+        # as the level before it, never listed.
+        assert sub._contexts == sub.profile.snapshot(fresh.contexts), (
+            f"{tag}: {sub.path!r} is not cached by the snapshot rule"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +142,21 @@ class TestDependencyAnalysis:
     def test_wildcard_steps_depend_on_their_context(self):
         profile = profile_query(parse_xpath("*/prereq"), "db")
         [pattern] = profile.per_step[0]
-        assert pattern.child is None and pattern.in_context
+        assert pattern.child is None and pattern.depth == 0
+
+    def test_a_filter_chains_kth_edge_hangs_k_minus_1_levels_down(self):
+        # ``sub/cnode/tag``: the chain's edges hang 0, 1 and 2 levels
+        # below the step's context; the seed leg's edges anywhere.
+        profile = profile_query(
+            parse_xpath("cnode[key=1 and sub/cnode/tag]"), "db"
+        )
+        depths = {(p.parent, p.child): p.depth for p in profile.per_step[1]}
+        assert depths == {
+            ("cnode", "key"): None,
+            ("cnode", "sub"): 0,
+            ("sub", "cnode"): 1,
+            ("cnode", "tag"): 2,
+        }
 
     def test_filter_path_wildcards_are_never_prunable(self):
         profile = profile_query(parse_xpath("course[.//project]"), "db")
@@ -619,16 +636,15 @@ class TestConeRefresh:
         assert sub.stats["full_refreshes"] == 1
         assert_refreshed(service, [sub], before, "after filter hit")
 
-    def test_non_leading_descendant_region_is_cached_as_of_its_evaluation(
-        self,
-    ):
+    def test_non_leading_descendant_region_is_read_live(self):
         """``course[cno=CS650]//course[cno=CS240]``: prunable, with a
         ``//`` region under one course.  Writes move CS320 and CS240 out
         of the region and back in, and one lands elsewhere.  Results,
         deltas and cached memberships equal a fresh evaluation after
-        every op, and a cached region keeps the membership it was
-        evaluated with (the evaluator's region is a live view of
-        ``M``)."""
+        every op.  The cache keeps the region as the nodes it closes
+        over, and those nodes, read on the post-commit ``M``, answer as
+        of the commit: the live-region contract the decision relies
+        on."""
         service = registrar_service()
         sub = service.subscribe("course[cno=CS650]//course[cno=CS240]")
         assert sub.profile.prunable
@@ -649,17 +665,24 @@ class TestConeRefresh:
         ]
         seen = []
         for op in ops:
-            cached = sub._contexts
-            was_in = cs320 in cached[level]
+            cached = sub._contexts[level]
+            assert isinstance(cached, Closure)
+            was_in = cs320 in service.updater.evaluator().closure(cached.nodes)
             before = results([sub])
             assert service.apply(op).accepted, op
-            # The list cached before the op still answers as of then.
-            assert (cs320 in cached[level]) == was_in, op
+            # The nodes cached before the op answer as of after it.
+            evaluator = service.updater.evaluator()
+            fresh = evaluator.evaluate_from(sub.query).contexts[level]
+            assert (cs320 in evaluator.closure(cached.nodes)) == (
+                cs320 in fresh
+            ), op
             assert_refreshed(service, [sub], before, f"after {op}")
             seen.append((was_in, sub.result()))
         assert {was_in for was_in, _ in seen} == {True, False}
         assert {bool(result) for _, result in seen} == {True, False}
-        assert sub.stats["skips"] >= 1 and sub.stats["full_refreshes"] >= 4
+        # Re-adding CS320, the far insert and dropping the direct CS240
+        # edge leave the seeded CS240 level as it was: three skips.
+        assert sub.stats["skips"] >= 3 and sub.stats["full_refreshes"] >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -766,15 +789,34 @@ class TestSeededLevelDecisions:
 # ---------------------------------------------------------------------------
 
 #: ``(skips, full_refreshes, fallback_refreshes)`` per header
-#: subscription of the stream below.  The skips column was recorded at
-#: ``3126a11`` (the engine with the pattern index, the watch index and
-#: the lazy skip ledger) and has not moved since; every other event,
-#: once a suffix restart or a cone refresh, is a refresh from the root.
-PINNED_CHURN_DECISIONS = (
+#: subscription of the stream below, as decided before every level was
+#: read by membership: a leading ``//`` cached nothing after it (the
+#: first eight, ``//cnode[key=a]//cnode[key=b]``, refreshed on every
+#: op), and a filter chain's second edge matched anywhere.  The skips
+#: column was recorded at ``3126a11`` (the engine with the pattern
+#: index, the watch index and the lazy skip ledger) and did not move
+#: until then.  Kept as the floor the current decisions must not sink
+#: below.
+PARENT_CHURN_DECISIONS = (
     [(0, 60, 0)] * 8
     + [(60, 0, 0), (0, 60, 0), (58, 2, 0), (60, 0, 0)]
     + [(0, 60, 0), (58, 2, 0), (43, 17, 0), (0, 60, 0)]
     + [(58, 2, 0), (58, 2, 0), (0, 60, 0), (60, 0, 0)]
+    + [(60, 0, 0), (56, 4, 0)]
+    + [(60, 0, 0)] * 4
+    + [(58, 2, 0)]
+    + [(60, 0, 0)] * 5
+)
+
+#: The same counts with every cached level decided by membership: the
+#: seeded level after a leading ``//`` is re-derived, a ``//`` region
+#: is read on the post-commit ``M``, and the ``sub/cnode`` edge of
+#: ``cnode[key=a and sub/cnode]`` is tested one level below ``a``.
+PINNED_CHURN_DECISIONS = (
+    [(60, 0, 0)] * 8
+    + [(60, 0, 0), (57, 3, 0), (60, 0, 0), (60, 0, 0)]
+    + [(60, 0, 0), (60, 0, 0), (43, 17, 0), (58, 2, 0)]
+    + [(60, 0, 0), (58, 2, 0), (58, 2, 0), (60, 0, 0)]
     + [(60, 0, 0), (56, 4, 0)]
     + [(60, 0, 0)] * 4
     + [(58, 2, 0)]
@@ -786,8 +828,10 @@ class TestPinnedDecisions:
     def test_churn_stream_decisions_are_pinned(self):
         """The ``subscribed_durable`` shape in small: 32 header
         subscriptions over one generated churn stream.  Results stay
-        current after every op, and the per-subscription action counts
-        equal the recorded literals."""
+        current after every op; per subscription, skips are no fewer
+        and full refreshes no more than :data:`PARENT_CHURN_DECISIONS`,
+        with no fallback; and the action counts equal the recorded
+        literals."""
         spec = WorkloadSpec(
             workload="synthetic:120", ops=60, seed=7,
             pattern="churn", key_skew=0.8, subscriptions=32,
@@ -803,6 +847,9 @@ class TestPinnedDecisions:
             assert_current(service, subs, f"after {op}")
         keys = ("skips", "full_refreshes", "fallback_refreshes")
         decisions = [tuple(sub.stats[key] for key in keys) for sub in subs]
+        for sub, now, floor in zip(subs, decisions, PARENT_CHURN_DECISIONS):
+            assert now[0] >= floor[0] and now[1] <= floor[1], sub.path
+            assert now[2] == 0, sub.path
         assert decisions == PINNED_CHURN_DECISIONS
 
     def test_unaffected_subscriptions_cost_no_evaluation(self, monkeypatch):
