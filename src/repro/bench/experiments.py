@@ -596,7 +596,8 @@ def ablation_minimal_delete(
     dels = make_workload(dataset, "delete", "W2", count=ops)
     rows = []
     for op in dels:
-        result = updater.xpath(op.path)
+        # Ep(r) is an update's: the paper-level evaluation computes it.
+        result = updater.updater.evaluate_xpath(op.path)
         if not result.targets:
             continue
         from repro.core.translate import xdelete

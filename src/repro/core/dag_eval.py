@@ -125,7 +125,13 @@ class Seed(NamedTuple):
 
 @dataclass
 class EvalResult:
-    """Outcome of evaluating an XPath on the DAG."""
+    """Outcome of evaluating an XPath on the DAG.
+
+    Every evaluation fills ``targets`` and ``contexts``.  ``ep`` and
+    ``side_effects`` are an update's (§3.2) and only
+    :meth:`DagXPathEvaluator.evaluate` fills them; a read
+    (:meth:`DagXPathEvaluator.evaluate_from`, hence ``ViewService.xpath``
+    and ``ReplicaView.xpath``) leaves both empty."""
 
     path: XPath
     targets: list[int] = field(default_factory=list)
@@ -212,10 +218,10 @@ class DagXPathEvaluator:
         return result
 
     def evaluate_from(self, path: XPath) -> EvalResult:
-        """Targets and contexts only: the subscription engine's entry
-        point.  Seeded like :meth:`evaluate`; ``Ep`` and side-effect
-        detection are not computed — ``result.ep`` /
-        ``result.side_effects`` stay empty."""
+        """Targets and contexts only: the read path's entry point (the
+        service and replica reads, and the subscription engine).  Seeded
+        like :meth:`evaluate`; ``Ep`` and side-effect detection are not
+        computed — ``result.ep`` / ``result.side_effects`` stay empty."""
         return self._top_down(path)
 
     # ------------------------------------------------------------------

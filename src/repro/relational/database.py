@@ -16,10 +16,11 @@ A :class:`Database` is a named collection of tables plus the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 from repro.errors import KeyConstraintError, SchemaError, UnknownRelationError
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import AttrType, RelationSchema
 
 
 class Table:
@@ -33,7 +34,8 @@ class Table:
         # and appended to / deleted from together with ``_rows``, every
         # bucket is a subsequence of ``rows()`` order with no sorting.
         self._indexes: dict[str, dict[object, dict[tuple, tuple]]] = {}
-        # attr -> the largest int the column has held (see int_ceiling).
+        # INT attr -> the largest value the column has held (see
+        # int_ceiling).
         self._int_ceilings: dict[str, int] = {}
 
     # -- size / membership ----------------------------------------------------
@@ -74,7 +76,7 @@ class Table:
             index.setdefault(row[self.schema.index_of(attr)], {})[key] = row
         for attr, ceiling in self._int_ceilings.items():
             value = row[self.schema.index_of(attr)]
-            if isinstance(value, int) and value > ceiling:
+            if value > ceiling:
                 self._int_ceilings[attr] = value
         return row
 
@@ -110,19 +112,21 @@ class Table:
     def _index(self, attr: str) -> dict[object, dict[tuple, tuple]]:
         """The hash index on ``attr``, built from :meth:`rows` when missing.
 
-        Published with one dict assignment once complete.  Callers hold
-        at least the read side of the service lock and every mutation
-        holds the write side, so two readers that both find the index
-        missing build equal ones and the later assignment wins — a
-        benign race (``tests/test_stress.py`` is the guard).
+        One pass, zipped with the primary keys ``_rows`` already holds
+        (same order), so no key is extracted again and every bucket
+        shares the key tuples.  Published with one dict assignment once
+        complete.  Callers hold at least the read side of the service
+        lock and every mutation holds the write side, so two readers
+        that both find the index missing build equal ones and the later
+        assignment wins — a benign race (``tests/test_stress.py`` is
+        the guard).
         """
         index = self._indexes.get(attr)
         if index is None:
             position = self.schema.index_of(attr)  # validates
-            key_of = self.schema.key_of
             index = {}
-            for row in self.rows():
-                index.setdefault(row[position], {})[key_of(row)] = row
+            for key, row in zip(self._rows, self.rows()):
+                index.setdefault(row[position], {})[key] = row
             self._indexes[attr] = index
         return index
 
@@ -160,21 +164,25 @@ class Table:
         ]
 
     def int_ceiling(self, attr: str) -> int:
-        """An int no smaller than any int ``attr`` holds (at least 0).
+        """An int no smaller than any value the INT column ``attr``
+        holds (at least 0); any other column raises
+        :class:`~repro.errors.SchemaError`.
 
-        The running maximum of the column: one pass over :meth:`rows` on
-        first use, raised by :meth:`insert` after that.  A delete never
-        lowers it — every value above it is still absent from the
+        The running maximum of the column: one ``max`` over :meth:`rows`
+        on first use, raised by :meth:`insert` after that.  A delete
+        never lowers it — every value above it is still absent from the
         column, which is all a caller minting fresh values needs.
         """
         ceiling = self._int_ceilings.get(attr)
         if ceiling is None:
             position = self.schema.index_of(attr)  # validates
-            ceiling = 0
-            for row in self.rows():
-                value = row[position]
-                if isinstance(value, int) and value > ceiling:
-                    ceiling = value
+            if self.schema.attributes[position].type is not AttrType.INT:
+                raise SchemaError(
+                    f"int_ceiling of non-INT attribute {attr!r} in "
+                    f"relation {self.schema.name!r}"
+                )
+            column = map(itemgetter(position), self.rows())
+            ceiling = max(max(column, default=0), 0)
             self._int_ceilings[attr] = ceiling
         return ceiling
 

@@ -289,10 +289,13 @@ class ReplicaView:
     def xpath(self, path: str | XPath) -> EvalResult:
         """Evaluate an XPath locally on the mirrored store.
 
-        Same evaluator as the writer's read path; the topological order
+        The writer's read path on the replica's store: targets and
+        contexts only (``ep`` / ``side_effects`` stay empty), through
+        :meth:`DagXPathEvaluator.evaluate_from`.  The topological order
         is rebuilt lazily after folds, and descendant regions walk edges
-        (no reachability index on replicas).  Results therefore match
-        the writer's at the same generation exactly.
+        (no reachability index on replicas), so nothing is seeded.
+        Targets therefore match the writer's at the same generation
+        exactly.
         """
         parsed = path if isinstance(path, XPath) else parse_xpath(path)
         with self._cond:
@@ -302,7 +305,7 @@ class ReplicaView:
                 self._topo = TopoOrder.from_store(self.store)
                 self._topo_dirty = False
             evaluator = DagXPathEvaluator(self.store, self._topo, None)
-            return evaluator.evaluate(parsed)
+            return evaluator.evaluate_from(parsed)
 
     def wait_for(self, generation: int, timeout: float | None = None) -> int:
         """Read-your-generation fencing: block until ``generation`` folded.

@@ -45,6 +45,7 @@ from repro.service.rwlock import RWLock
 from repro.subscribe.engine import Subscription, SubscriptionRegistry
 from repro.xmltree.tree import XMLNode
 from repro.xpath.ast import XPath
+from repro.xpath.parser import parse_xpath
 
 #: The façade's live levels: ``_levels()`` key → gauge (name, help).
 _LEVEL_GAUGES = {
@@ -365,16 +366,19 @@ class ViewService:
     # -- read path ----------------------------------------------------------------
 
     def xpath(self, path: str | XPath) -> EvalResult:
-        """Evaluate an XPath on the current view (no update)."""
+        """Evaluate an XPath on the current view (no update): ``r[[p]]``.
+
+        The result carries ``targets`` and ``contexts`` only.  ``Ep(r)``
+        and the side effects belong to an update and stay empty here;
+        ``plan(op)`` previews them for an op without applying it.
+        """
         start = time.perf_counter()
         try:
+            parsed = parse_xpath(path) if isinstance(path, str) else path
             with self._lock.read():
-                return self.updater.evaluate_xpath(path)
+                return self.updater.evaluator().evaluate_from(parsed)
         finally:
             self._m_xpath.observe(time.perf_counter() - start)
-
-    # Drop-in alias for code migrating from the updater surface.
-    evaluate_xpath = xpath
 
     def snapshot(self):
         """A durable, generation-stamped replication snapshot.

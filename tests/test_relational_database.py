@@ -105,6 +105,15 @@ class TestTable:
         with pytest.raises(SchemaError):
             table.int_ceiling("nope")
 
+    def test_int_ceiling_needs_an_int_column(self, table):
+        with pytest.raises(SchemaError):
+            table.int_ceiling("dept")
+
+    def test_index_buckets_share_the_primary_keys(self, table):
+        bucket = table._index("dept")["cs"]
+        stored = {key: key for key in table.keys()}
+        assert all(key is stored[key] for key in bucket)
+
     def test_int_ceiling_of_an_empty_table_is_zero(self):
         assert Table(emp_schema()).int_ceiling("id") == 0
 

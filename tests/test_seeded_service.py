@@ -4,8 +4,9 @@ Seeding a value-filtered ``label[path = value]`` step changes what the
 evaluator walks, never what an op does.  Each generated stream runs
 through a service, then again with ``DagXPathEvaluator._seeds`` patched
 to return ``{}`` (no level seeds): accept/reject and reason, targets,
-side effects, ΔV, ΔR, the store digest, subscription results and read
-results must be identical after every op.
+side effects, ΔV, ΔR, the store digest, subscription results, read
+targets, and the ``Ep`` and side effects an update at each read path
+would see must be identical after every op.
 
 The generator writes only ``//cnode[key=N]`` and ``//cnode[key=N]/sub``,
 so the streams are rewritten into other shapes, each listed with the
@@ -133,11 +134,17 @@ def _run(pattern: str, policy: str, stream: int) -> list:
     shown: list = []
 
     def observe() -> None:
-        results = [service.xpath(query) for query in reads]
+        # A read carries targets only; Ep and S are an update's, so they
+        # come from the evaluation an update's selection runs.
+        evaluator = service.updater.evaluator()
+        updates = [evaluator.evaluate(parse_xpath(query)) for query in reads]
         shown.append((
             service.store.digest(),
             [sub.result() for sub in subs],
-            [(r.targets, r.ep, sorted(r.side_effects)) for r in results],
+            [
+                (service.xpath(query).targets, r.ep, sorted(r.side_effects))
+                for query, r in zip(reads, updates)
+            ],
         ))
 
     for op in ops[:-_BATCH]:
@@ -173,6 +180,16 @@ def test_seeded_and_unseeded_services_agree(monkeypatch):
     monkeypatch.setattr(DagXPathEvaluator, "_seeds", lambda self, program: {})
     for case in CASES:
         assert _run(*case) == with_seed[case], case
+
+    # The reads' Ep was compared, not only empty lists.
+    observed = [
+        read
+        for shown in with_seed.values()
+        for entry in shown
+        if isinstance(entry, tuple)
+        for read in entry[2]
+    ]
+    assert any(ep for _, ep, _ in observed)
 
     # The streams held what the generator never emits.
     outcomes = [
