@@ -126,23 +126,27 @@ class SetReachabilityIndex(ReachabilityIndex):
         self._pairs += added
         return added
 
-    def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
+    def retain_below(
+        self, store: "ViewStore", order: Iterable[int]
+    ) -> tuple[int, list[int]]:
         rows = self._anc
-        keep: set[int] = set()
-        for parent in parents:
-            keep.add(parent)
-            row = rows.get(parent)
-            if row:
-                keep |= row
-        old = rows.get(node)
-        if not old:
-            return 0
-        removed = old - keep
-        if not removed:
-            return 0
-        rows[node] = old & keep
-        self._pairs -= len(removed)
-        return len(removed)
+        removed = 0
+        condemned: list[int] = []
+        doomed: set[int] = set()
+        for node in order:
+            keep: set[int] = set()
+            for parent in store.parents.get(node, set()) - doomed:
+                keep.add(parent)
+                keep |= rows.get(parent, set())
+            if not keep and node != store.root_id:
+                doomed.add(node)
+                condemned.append(node)
+            old = rows.get(node, set())
+            if not old <= keep:
+                removed += len(old - keep)
+                rows[node] = old & keep
+        self._pairs -= removed
+        return removed, condemned
 
     # -- management -----------------------------------------------------------------
 

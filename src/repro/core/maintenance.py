@@ -29,15 +29,16 @@ retrieval data structure", TCS 1986):
 3. ``L``: new nodes are placed just after their highest-positioned
    children (children-first processing makes this safe), then the new
    connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as in
-   the paper (lines 12–13), ``desc(r_A)`` tested on each candidate's
-   own ancestor row (:meth:`~repro.index.ReachabilityIndex.region`).
+   the paper (lines 12–13), the segment split into ``desc(r_A)`` and
+   the rest in one pass over the candidates' own ancestor rows
+   (:meth:`~repro.index._bits.Region.split`).
 
 A sharing insert (no new node) is one call, and it returns at once when
 the targets already reach ``r_A``; otherwise it walks the store's edges
 below ``r_A``, and only below the rows it writes.  All ``M`` writes go
 through the bulk operations of :class:`~repro.index.ReachabilityIndex`
-(``add_closure_below``, ``retain_ancestors``), which the bitset index
-does whole rows per machine word.
+(``add_closure_below``, ``retain_below``), which the bitset index does
+whole rows per machine word.
 
 **Δ(M,L)delete** (after ``delete p``, with ``ΔV`` already applied):
 
@@ -45,11 +46,15 @@ walks ``LR = desc-or-self(r[[p]])`` ancestors-first, recomputing each
 node's ancestor row from its surviving parents; nodes left with no
 parents are condemned (``keep := false``), their outgoing edges become
 the garbage-collection feed ``Δ'V``, and they are dropped from ``L``
-and the gen tables.  ``M`` needs nothing more: a condemned node's row
-was emptied by the walk, and no surviving row holds its bit, because a
-condemned parent is left out before any of its descendants is
-recomputed.  ``LR`` is a walk of the store: ``ΔV`` removed only edges
-*into* ``r[[p]]``, so what was below it still is.
+and the gen tables.  The walk is one bulk call,
+:meth:`~repro.index.ReachabilityIndex.retain_below`, which reads the
+parent rows and writes at most one row per node of ``LR``.  ``M`` needs
+nothing more: a condemned node's row was emptied by the walk, and no
+surviving row holds its bit, because a condemned parent is left out
+before any of its descendants is recomputed.  ``LR`` is a walk of the
+store: ``ΔV`` removed only edges *into* ``r[[p]]``, so what was below
+it still is.  ``L`` drops the condemned nodes in place and rewrites
+positions from the first of them on only.
 """
 
 from __future__ import annotations
@@ -195,27 +200,18 @@ def maintain_delete(
     and nodes.
 
     The ancestor-recomputation walk over ``LR = desc-or-self(r[[p]])``
-    goes ancestors-first: each node's ancestor row is recomputed from
-    its surviving parents, and a node left with no surviving parent is
+    is one :meth:`~repro.index.ReachabilityIndex.retain_below` call,
+    ancestors first: each node's ancestor row is recomputed from its
+    surviving parents, and a node left with no surviving parent is
     condemned (``keep := false``).  The store is only mutated after the
     walk.
     """
     report = DeleteMaintenance()
     targets = result if isinstance(result, list) else result.targets
     affected = set(targets) | store.descendants_of(targets)
-    removed = 0
-    condemned: list[int] = []  # ancestors first
-    doomed: set[int] = set()
-    for node in reversed(topo.sort_nodes(affected)):
-        parents = store.parents_of(node)
-        surviving = (
-            [p for p in parents if p not in doomed] if doomed else parents
-        )
-        removed += reach.retain_ancestors(node, surviving)
-        if not surviving and node != store.root_id:
-            doomed.add(node)
-            condemned.append(node)
-    report.removed_pairs = removed
+    report.removed_pairs, condemned = reach.retain_below(
+        store, reversed(topo.sort_nodes(affected))
+    )
     for node in condemned:  # ancestors first
         report.removed_info[node] = (
             store.type_of(node), store.value_of(node)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.errors import CycleError, ReproError
+from repro.index._bits import Region
 from repro.views.store import ViewStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,8 +27,12 @@ class TopoOrder:
     """A maintained topological order over node ids.
 
     ``position(n)`` is ``_pos[n] - _base``: positions are stored against
-    a base, so a new front node (:meth:`insert_front`, every new leaf
-    of Δ(M,L)insert) lowers the base and writes its own entry only.
+    a base, so every mutator rewrites the shorter side only.  A new node
+    below the middle (every new leaf of Δ(M,L)insert goes to the front)
+    lowers the base and rewrites the prefix before it; one at or past
+    the middle rewrites the suffix.  :meth:`remove_many` deletes its
+    slots in place and rewrites from the first of them on, and
+    :meth:`swap` the segment it reorders.
     """
 
     def __init__(self, order: list[int] | None = None):
@@ -95,66 +100,62 @@ class TopoOrder:
 
     def insert_front(self, node: int) -> None:
         """Add a new node at the front (as a descendant-most element)."""
-        if node in self._pos:
-            raise ReproError(f"node {node} already in topological order")
-        self._list.insert(0, node)
-        self._base -= 1
-        self._pos[node] = self._base
+        self.insert_at(node, 0)
 
     def insert_at(self, node: int, index: int) -> None:
-        """Insert a new node at position ``index``."""
+        """Insert a new node at position ``index``.
+
+        The shorter side moves: below the middle the base drops and the
+        prefix is rewritten, so ``min(index, len - index) + 1`` entries
+        change.
+        """
         if node in self._pos:
             raise ReproError(f"node {node} already in topological order")
         index = max(0, min(index, len(self._list)))
         self._list.insert(index, node)
-        self._reindex(index)
-
-    def remove(self, node: int) -> None:
-        """Remove a node.
-
-        Removal never invalidates the order of the remaining elements
-        (paper, Section 3.4).
-        """
-        pos = self.position(node)
-        del self._list[pos]
-        del self._pos[node]
-        self._reindex(pos)
+        if 2 * index < len(self._list) - 1:
+            self._base -= 1
+            self._reindex(0, index + 1)
+        else:
+            self._reindex(index)
 
     def remove_many(self, nodes: Iterable[int]) -> None:
-        """Remove several nodes with a single rebuild/reindex pass.
+        """Remove nodes; the survivors keep their relative order.
 
-        Equivalent to calling :meth:`remove` per node (removal never
-        invalidates the order of the survivors) but O(|L|) total
-        instead of O(|L|) per node.
+        Removal never invalidates the order (paper, Section 3.4).  The
+        dead slots are deleted in place, highest first, and only the
+        entries from the first dead position on are rewritten.
         """
         dead = set(nodes)
-        if not dead:
-            return
         for node in dead:
             if node not in self._pos:
                 raise ReproError(f"node {node} not in topological order")
-        start = min(self._pos[node] for node in dead) - self._base
-        self._list = [n for n in self._list if n not in dead]
-        for node in dead:
-            del self._pos[node]
-        self._reindex(start)
+        slots = sorted((self._pos.pop(node) - self._base for node in dead))
+        for slot in reversed(slots):
+            del self._list[slot]
+        if slots:
+            self._reindex(slots[0])
 
     def swap(self, u: int, v: int, descendants_of_v) -> int:
         """Repair ``L`` after inserting edge ``(u, v)``.
 
         Precondition: ``u`` precedes ``v``.  Moves ``{v} ∪ (L[u:v] ∩
         desc(v))`` immediately before ``u``, preserving their relative
-        order.  ``descendants_of_v`` is asked once per segment node.
-        Returns the number of nodes moved.
+        order.  A :class:`~repro.index._bits.Region` splits the segment
+        in one pass over its rows; any other container is asked once
+        per segment node.  Returns the number of nodes moved.
         """
         pos_u = self.position(u)
         pos_v = self.position(v)
         if pos_v < pos_u:
             return 0
-        moving: list[int] = []
-        staying: list[int] = []
-        for n in self._list[pos_u:pos_v]:
-            (moving if n in descendants_of_v else staying).append(n)
+        segment = self._list[pos_u:pos_v]
+        if isinstance(descendants_of_v, Region):
+            moving, staying = descendants_of_v.split(segment)
+        else:
+            moving, staying = [], []
+            for n in segment:
+                (moving if n in descendants_of_v else staying).append(n)
         moving.append(v)
         self._list[pos_u : pos_v + 1] = moving + staying
         self._reindex(pos_u, pos_v + 1)  # positions past v do not move

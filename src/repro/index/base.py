@@ -20,7 +20,7 @@ own row by :meth:`ReachabilityIndex.region`.
 
 Besides the point queries/mutations the interface carries the *bulk*
 operations the hot loops are written against — ``recompute`` (Algorithm
-Reach), ``add_closure_below`` (Δ(M,L)insert) and ``retain_ancestors``
+Reach), ``add_closure_below`` (Δ(M,L)insert) and ``retain_below``
 (Δ(M,L)delete) — so an implementation does them in its own
 representation instead of per-pair calls.
 
@@ -129,12 +129,17 @@ class ReachabilityIndex(ABC):
         """
 
     @abstractmethod
-    def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
-        """Drop ancestors of ``node`` not derivable from ``parents``.
+    def retain_below(
+        self, store: "ViewStore", order: Iterable[int]
+    ) -> tuple[int, list[int]]:
+        """Recompute the ancestor rows of ``order`` from their parents.
 
-        The per-node step of Δ(M,L)delete: keep only ``{p} ∪ anc(p)``
-        over the surviving parents.  Never adds pairs; returns the
-        number of pairs removed.
+        Δ(M,L)delete's sweep over ``LR``, given ancestors first: each
+        node keeps only ``{p} ∪ anc(p)`` over its parents (read from
+        ``store.parents``) that the sweep has not condemned, and a node
+        other than ``store.root_id`` left with no such parent is
+        condemned.  Never adds pairs; returns the number of pairs
+        removed and the condemned nodes in sweep order.
         """
 
     # -- management -----------------------------------------------------------------

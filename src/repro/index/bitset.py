@@ -149,22 +149,34 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         self._pairs += added
         return added
 
-    def retain_ancestors(self, node: int, parents: Iterable[int]) -> int:
+    def retain_below(
+        self, store: "ViewStore", order: Iterable[int]
+    ) -> tuple[int, list[int]]:
         rows = self._anc
         get = rows.get
-        old = get(node, 0)
-        if not old:
-            return 0
-        keep = 0
-        for parent in parents:
-            keep |= (1 << parent) | get(parent, 0)
-        removed = old & ~keep
-        if not removed:
-            return 0
-        self._set_row(node, old & keep)
-        count = removed.bit_count()
-        self._pairs -= count
-        return count
+        parents = store.parents.get
+        root = store.root_id
+        removed = 0
+        condemned: list[int] = []
+        doomed: set[int] = set()
+        for node in order:
+            keep = 0
+            for parent in parents(node, ()):
+                if parent not in doomed:
+                    keep |= get(parent, 0) | 1 << parent
+            if not keep and node != root:
+                doomed.add(node)
+                condemned.append(node)
+            old = get(node, 0)
+            row = old & keep
+            if row != old:
+                removed += (old ^ row).bit_count()
+                if row:
+                    rows[node] = row
+                else:
+                    rows.pop(node)
+        self._pairs -= removed
+        return removed, condemned
 
     # -- management -----------------------------------------------------------------
 

@@ -9,9 +9,13 @@ under a whole updater and not only next to one index.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines import SetReachabilityIndex
+from repro.core.topo import TopoOrder
+from repro.dtd.parser import parse_dtd
 from repro.index import BitsetReachabilityIndex
 from repro.views.store import ViewStore
 
@@ -43,10 +47,27 @@ def substitute_index(updater, index_class):
     return updater
 
 
+_DAG_DTD = parse_dtd("<!ELEMENT n (n*)>")
+
+
+def dag_store(size: int, edges) -> tuple[ViewStore, TopoOrder]:
+    """Nodes ``0..size-1`` (ids are the interning order, ``0`` the
+    root) joined by ``edges``, as a ViewStore plus its ``L``."""
+    store = ViewStore(SimpleNamespace(dtd=_DAG_DTD))
+    for i in range(size):
+        store.intern("n", (i,))
+    store.root_id = 0
+    for parent, child in edges:
+        store.add_edge(parent, child)
+    return store, TopoOrder.from_store(store)
+
+
 class Edges:
     """A store stand-in for the operations of ``M`` that walk edges
-    (``add_closure_below``, ``region``): a child map, walked by the
-    store's own ``descendants_of``."""
+    (``add_closure_below``, ``retain_below``, ``region``): a child map,
+    walked by the store's own ``descendants_of``, with no root."""
+
+    root_id = None
 
     def __init__(self, children: dict[int, list[int]]):
         self.children = children
@@ -62,6 +83,14 @@ class Edges:
 
     def children_of(self, node: int) -> list[int]:
         return self.children.get(node, [])
+
+    @property
+    def parents(self) -> dict[int, set[int]]:
+        parents: dict[int, set[int]] = {}
+        for parent, children in self.children.items():
+            for child in children:
+                parents.setdefault(child, set()).add(parent)
+        return parents
 
     def descendants_of(self, roots) -> set[int]:
         return ViewStore.descendants_of(self, roots)

@@ -202,20 +202,33 @@ class TestBulkOps:
         m.insert(1, 2)
         for anc in (1, 2, 3):
             m.insert(anc, 9)
-        removed = m.retain_ancestors(9, [2])
+        edges = Edges({1: [2], 2: [9]})
         # keep = {2} ∪ anc(2) = {1, 2}: pair (3, 9) goes
-        assert removed == 1
+        assert m.retain_below(edges, [9]) == (1, [])
         assert m.anc(9) == {1, 2}
-        assert m.retain_ancestors(9, [2]) == 0
-        assert m.retain_ancestors(9, []) == 2  # no parents: row emptied
+        assert m.retain_below(edges, [9]) == (0, [])
+        del edges.children[2]  # no parents: row emptied, 9 condemned
+        assert m.retain_below(edges, [9]) == (2, [9])
         assert m.anc(9) == set()
         assert _count_is_exact(m)
 
     def test_retain_never_adds(self, index_class):
         m = index_class()
         m.insert(5, 6)
-        assert m.retain_ancestors(7, [6]) == 0  # rowless node untouched
+        # rowless node untouched
+        assert m.retain_below(Edges({6: [7]}), [7]) == (0, [])
         assert m.anc(7) == set()
+
+    def test_retain_below_skips_condemned_parents(self, index_class):
+        # The edge (1, 2) is cut: 2 is condemned first, so 3 keeps only
+        # what its other parent 4 gives, in the same sweep.
+        m = index_class()
+        for anc, desc in ((1, 2), (1, 3), (2, 3), (4, 3)):
+            m.insert(anc, desc)
+        edges = Edges({2: [3], 4: [3]})
+        assert m.retain_below(edges, [2, 3]) == (3, [2])
+        assert m.anc(2) == set() and m.anc(3) == {4}
+        assert _count_is_exact(m)
 
     def test_desc_view_membership(self, index_class):
         # The descendant view is ``region``: S ∪ desc(S), tested on the
@@ -229,6 +242,7 @@ class TestBulkOps:
         assert 1 in view and 2 in view and 3 in view
         assert 4 not in view and 5 not in view and 6 not in view
         assert sorted(view) == [1, 2, 3]
+        assert view.split([4, 1, 3, 5, 2]) == ([1, 3, 2], [4, 5])
         assert sorted(m.region(edges, [1, 5])) == [1, 2, 3, 5, 6]
         assert 42 in m.region(edges, [42]) and 2 not in m.region(edges, [42])
         assert not m.region(edges, []) and sorted(m.region(edges, [])) == []

@@ -2,7 +2,7 @@
 
 Hypothesis drives random streams of the full mutating ABC surface —
 ``insert`` / ``remove`` / ``set_ancestors`` / ``add_closure_below`` /
-``retain_ancestors`` / ``recompute`` (Algorithm Reach over a random
+``retain_below`` / ``recompute`` (Algorithm Reach over a random
 small DAG) — against ``BitsetReachabilityIndex`` in lockstep with the
 reference ``SetReachabilityIndex`` as the oracle.  After every
 operation the index must return the same value as the oracle, and after
@@ -16,18 +16,14 @@ exactly ``S ∪ store.descendants_of(S)``.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_seam import Edges
+from index_seam import Edges, dag_store
 from repro.baselines import SetReachabilityIndex
 from repro.core.maintenance import maintain_delete
 from repro.core.topo import TopoOrder
-from repro.dtd.parser import parse_dtd
 from repro.index import BitsetReachabilityIndex
-from repro.views.store import ViewStore
 
 #: Node-id universe: small and non-contiguous, so dense-row backends
 #: must handle gaps and capacity growth past their initial allocation.
@@ -45,19 +41,6 @@ dag_edges = st.lists(
     max_size=14,
 ).map(lambda pairs: sorted({(min(e), max(e)) for e in pairs}))
 
-_DAG_DTD = parse_dtd("<!ELEMENT n (n*)>")
-
-
-def _dag_store(edges):
-    """``edges`` as a ViewStore (ids are the interning order) plus ``L``."""
-    store = ViewStore(SimpleNamespace(dtd=_DAG_DTD))
-    for i in range(DAG_NODES):
-        store.intern("n", (i,))
-    store.root_id = 0
-    for parent, child in edges:
-        store.add_edge(parent, child)
-    return store, TopoOrder.from_store(store)
-
 
 def _pairs(index):
     return sorted(index.pairs())
@@ -69,7 +52,7 @@ ops = st.lists(
         st.tuples(st.just("remove"), node, node),
         st.tuples(st.just("set_ancestors"), node, nodes),
         st.tuples(st.just("add_closure_below"), nodes, node),
-        st.tuples(st.just("retain_ancestors"), node, nodes),
+        st.tuples(st.just("retain_below"), nodes),
         st.tuples(st.just("recompute"), dag_edges),
     ),
     max_size=30,
@@ -96,11 +79,10 @@ def _apply(index, op, edges):
             [p for p in parents if p != n and not index.is_ancestor(n, p)],
             n,
         )
-    if kind == "retain_ancestors":
-        n, parents = rest
-        return index.retain_ancestors(n, [p for p in parents if p != n])
+    if kind == "retain_below":
+        return index.retain_below(edges, list(dict.fromkeys(rest[0])))
     if kind == "recompute":
-        index.recompute(*_dag_store(rest[0]))
+        index.recompute(*dag_store(DAG_NODES, rest[0]))
         return None
     raise AssertionError(f"unknown op {op!r}")  # pragma: no cover
 
@@ -137,7 +119,7 @@ def test_backends_agree_on_random_op_streams(ops, probe, dag, cut):
     targets = sorted({child for _, child in removed_edges})
     reports = []
     for reach in (index, oracle):
-        store, topo = _dag_store(dag)
+        store, topo = dag_store(DAG_NODES, dag)
         reach.recompute(store, topo)
         for parent, child in removed_edges:
             store.remove_edge(parent, child)
@@ -164,7 +146,7 @@ def test_region_is_the_store_walk(dag, cut, grow, probes):
     both classes, at rest and after edge cuts (the Δ(M,L)delete sweep)
     and edge additions (``add_closure_below``)."""
     for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
-        store, topo = _dag_store(dag)
+        store, topo = dag_store(DAG_NODES, dag)
         reach = index_class()
         reach.recompute(store, topo)
 
@@ -174,6 +156,9 @@ def test_region_is_the_store_walk(dag, cut, grow, probes):
                 walked = set(probe) | store.descendants_of(probe)
                 for n in range(DAG_NODES):
                     assert (n in region) == (n in walked), (probe, n)
+                inside = [n for n in range(DAG_NODES) if n in walked]
+                outside = [n for n in range(DAG_NODES) if n not in walked]
+                assert region.split(range(DAG_NODES)) == (inside, outside)
                 assert set(region) == walked
                 assert bool(region) == bool(probe)
 

@@ -29,6 +29,31 @@ def assert_topo_valid(topo, store):
             )
 
 
+class _CountingPositions(dict):
+    """``TopoOrder._pos`` that records every key it is written."""
+
+    def __init__(self, positions, written):
+        super().__init__(positions)
+        self.written = written
+
+    def __setitem__(self, node, position):
+        self.written.append(node)
+        super().__setitem__(node, position)
+
+    def update(self, pairs):
+        pairs = list(pairs)
+        self.written.extend(node for node, _ in pairs)
+        super().update(pairs)
+
+
+def _count_position_writes(topo) -> list[int]:
+    """Route ``topo``'s position writes through a recorder; returns the
+    list of nodes written, in order."""
+    written: list[int] = []
+    topo._pos = _CountingPositions(topo._pos, written)
+    return written
+
+
 class TestTopoOrder:
     def test_from_store_valid(self, store):
         topo = TopoOrder.from_store(store)
@@ -68,7 +93,7 @@ class TestTopoOrder:
         topo = TopoOrder([1, 2])
         topo.append(3)
         assert topo.as_list() == [1, 2, 3]
-        topo.remove(2)
+        topo.remove_many([2])
         assert topo.as_list() == [1, 3]
         assert topo.position(3) == 1
 
@@ -125,6 +150,32 @@ class TestTopoOrder:
         assert topo.as_list() == list(range(200))
         assert all(topo.position(n) == n for n in range(200))
 
+    @pytest.mark.parametrize("index", [0, 1, 37, 99, 100, 101, 163, 199, 200])
+    def test_insert_at_writes_the_shorter_side(self, index):
+        # Below the middle the base drops and the prefix is rewritten;
+        # from the middle on the suffix is.
+        topo = TopoOrder(list(range(200)))
+        written = _count_position_writes(topo)
+        topo.insert_at(1000, index)
+        assert 1000 in written
+        assert len(written) <= min(index, 200 - index) + 1
+        expected = list(range(index)) + [1000] + list(range(index, 200))
+        assert topo.as_list() == expected
+        assert [topo.position(n) for n in expected] == list(range(201))
+
+    def test_remove_many_writes_nothing_before_its_first_dead_position(self):
+        # The dead slots are deleted in place: the list is not rebuilt,
+        # and no position before the first dead one is rewritten.
+        topo = TopoOrder(list(range(200)))
+        slots = topo._list
+        written = _count_position_writes(topo)
+        topo.remove_many([150, 120, 180])
+        assert topo._list is slots
+        assert written and min(written) > 120
+        expected = [n for n in range(200) if n not in (120, 150, 180)]
+        assert topo.as_list() == expected
+        assert [topo.position(n) for n in expected] == list(range(197))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_positions_exact_under_random_mutators(self, seed):
         rng = random.Random(seed)
@@ -140,7 +191,7 @@ class TestTopoOrder:
             elif roll == 2:
                 topo.insert_at(next(fresh), rng.randrange(len(nodes) + 2))
             elif roll == 3 and len(nodes) > 2:
-                topo.remove(rng.choice(nodes))
+                topo.remove_many([rng.choice(nodes)])
             elif roll == 4 and len(nodes) > 4:
                 topo.remove_many(rng.sample(nodes, rng.randrange(1, 4)))
             elif roll >= 5 and len(nodes) > 1:

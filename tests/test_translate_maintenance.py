@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from index_seam import INDEX_CLASSES, reference_index, substitute_index
+import uncompiled
+from index_seam import (
+    INDEX_CLASSES,
+    dag_store,
+    reference_index,
+    substitute_index,
+)
 from repro.atg.publisher import publish_store, publish_subtree
 from repro.baselines.recompute import recompute_structures
 from repro.core.dag_eval import DagXPathEvaluator
@@ -376,11 +382,14 @@ class TestInsertPaysForAddedPairs:
 
 
 class TestDeleteWritesAncestorRowsOnly:
-    def test_delete_writes_at_most_one_row_per_lr_node(self, indexed_env):
+    def test_delete_writes_at_most_one_row_per_lr_node(
+        self, indexed_env, monkeypatch
+    ):
         # Deleting CS320 everywhere collects its subtree: every node of
         # LR loses ancestors, more pairs in all than LR has nodes.  Only
-        # ancestor rows are recomputed, so the pass writes at most one
-        # row per node of LR, not one per removed pair.
+        # ancestor rows are recomputed, all in the one bulk call, so the
+        # pass writes at most one row per node of LR, not one per
+        # removed pair, and no row outside that call.
         _, _, store, topo, reach, evaluator = indexed_env
         result = evaluator.evaluate(
             parse_xpath("//course[cno=CS320]"), mode="delete"
@@ -388,11 +397,60 @@ class TestDeleteWritesAncestorRowsOnly:
         store.apply(xdelete(store, result))
         lr = set(result.targets) | store.descendants_of(result.targets)
         counts = _count_row_access(reach)
+        bulk = type(reach).retain_below
+        swept: list[tuple[list[int], int]] = []
+
+        def retain_below(index, store, order):
+            order = list(order)
+            out = bulk(index, store, order)
+            swept.append((order, counts["writes"]))
+            return out
+
+        monkeypatch.setattr(type(reach), "retain_below", retain_below)
         report = maintain_delete(store, topo, reach, result)
+        [(order, writes)] = swept
+        assert sorted(order) == sorted(lr)
         assert report.removed_nodes
         assert report.removed_pairs > len(lr)
-        assert 0 < counts["writes"] <= len(lr)
+        assert 0 < writes == counts["writes"] <= len(lr)
         assert_structures_match_recompute(store, topo, reach)
+
+
+_dag = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+        lambda e: e[0] != e[1]
+    ),
+    max_size=30,
+).map(lambda pairs: sorted({(min(e), max(e)) for e in pairs}))
+
+
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+@settings(max_examples=80, deadline=None)
+@given(
+    dag=_dag,
+    cut=st.lists(st.integers(0, 29), max_size=6),
+    extra=st.lists(st.integers(0, 11), max_size=3),
+)
+def test_retain_below_matches_the_per_node_sweep(index_class, dag, cut, extra):
+    """Δ(M,L)delete's bulk sweep against one ``retain_ancestors`` per
+    node of ``LR`` (``tests/uncompiled.py``) on a random DAG store: cut
+    some edges, delete below their heads and a few other targets, and
+    get the same rows, removed-pair count and condemned order."""
+    outcomes = []
+    for sweep in (index_class.retain_below, uncompiled.retain_below):
+        store, topo = dag_store(12, dag)
+        reach = index_class()
+        reach.recompute(store, topo)
+        removed_edges = sorted({dag[i] for i in cut if i < len(dag)})
+        for parent, child in removed_edges:
+            store.remove_edge(parent, child)
+        targets = sorted({c for _, c in removed_edges} | set(extra))
+        lr = set(targets) | store.descendants_of(targets)
+        removed, condemned = sweep(
+            reach, store, reversed(topo.sort_nodes(lr))
+        )
+        outcomes.append((removed, condemned, dict(reach._anc), len(reach)))
+    assert outcomes[0] == outcomes[1], (dag, cut, extra)
 
 
 class _RecordingUpdater(XMLViewUpdater):

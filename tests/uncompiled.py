@@ -27,6 +27,11 @@
 - :func:`detect_side_effects` is the side-effect walk without its stop
   at a ``//`` level whose region is ``L``: it climbs every ancestor
   there.  The evaluator's walk must give the same ``S``.
+- :func:`retain_below` is Δ(M,L)delete's sweep as one
+  :func:`retain_ancestors` call per node of ``LR``, each with a list of
+  the surviving parents.  ``ReachabilityIndex.retain_below`` must leave
+  the same rows and report the same removed-pair count and condemned
+  nodes, in the same order.
 """
 
 from __future__ import annotations
@@ -497,3 +502,34 @@ def detect_side_effects(evaluator, result, mode: str) -> set[int]:
                 else:
                     S.add(parent)
     return S
+
+
+def retain_ancestors(reach, node: int, parents: Iterable[int]) -> int:
+    """Drop the ancestors of ``node`` not derivable from ``parents``:
+    keep ``{p} ∪ anc(p)`` over them, through the index's point
+    operations; returns the number of pairs removed."""
+    parents = list(parents)
+    old = reach.anc(node)
+    keep = set(parents) | reach.anc_of_set(parents)
+    removed = old - keep
+    if removed:
+        reach.set_ancestors(node, old & keep)
+    return len(removed)
+
+
+def retain_below(reach, store, order: Iterable[int]) -> tuple[int, list[int]]:
+    """Δ(M,L)delete's sweep as one :func:`retain_ancestors` per node of
+    ``order`` (ancestors first), each given the parents not condemned
+    earlier in the sweep; returns the pairs removed and the condemned
+    nodes in sweep order, as ``ReachabilityIndex.retain_below`` does."""
+    removed = 0
+    condemned: list[int] = []
+    doomed: set[int] = set()
+    for node in order:
+        parents = store.parents_of(node)
+        surviving = [p for p in parents if p not in doomed]
+        removed += retain_ancestors(reach, node, surviving)
+        if not surviving and node != store.root_id:
+            doomed.add(node)
+            condemned.append(node)
+    return removed, condemned
