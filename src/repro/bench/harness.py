@@ -27,18 +27,7 @@ class PhaseAccumulator:
     def add(self, outcome: UpdateOutcome) -> None:
         # Hot path (once per benchmark op): read the fields directly
         # rather than materializing the full to_dict() wire payload.
-        self._accumulate(outcome.timings, outcome.accepted)
-
-    def add_payload(self, payload: dict) -> None:
-        """Accumulate one ``UpdateOutcome.to_dict()`` payload.
-
-        The wire-dict twin of :meth:`add`: harnesses that read
-        ``BENCH_*.json`` records or ``repro.apply --json`` output feed
-        the same payloads through here.
-        """
-        self._accumulate(payload["timings"], payload["accepted"])
-
-    def _accumulate(self, timings: dict, accepted: bool) -> None:
+        timings = outcome.timings
         self.xpath += timings.get("validate", 0.0) + timings.get("xpath", 0.0)
         self.translate += (
             timings.get("translate_v", 0.0)
@@ -47,7 +36,7 @@ class PhaseAccumulator:
         )
         self.maintain += timings.get("maintain", 0.0)
         self.count += 1
-        if accepted:
+        if outcome.accepted:
             self.accepted += 1
         else:
             self.rejected += 1

@@ -5,8 +5,9 @@ key constraint on insertion — the paper's insertion translation relies on
 this ("a unique tuple ... needs to be inserted into the base relation R for
 each i due to the key constraint on R", proof of Theorem 2).
 :meth:`Table.lookup` is the one equality probe the SPJ evaluator and the
-view-update translators use, except that a probe binding the whole
-primary key is :meth:`Table.get`; the hash indexes build themselves.
+view-update translators use; a probe binding the whole primary key reads
+the keyed rows (:meth:`Table.get`), any other builds the hash indexes it
+needs.
 
 A :class:`Database` is a named collection of tables plus the
 :class:`RelationalDelta` machinery for applying/undoing group updates
@@ -29,6 +30,7 @@ class Table:
     def __init__(self, schema: RelationSchema):
         self.schema = schema
         self._rows: dict[tuple, tuple] = {}
+        self._key_attrs = frozenset(schema.key)
         # attr -> value -> {primary key: row}.  A bucket is a dict, not a
         # set, because a dict keeps insertion order: built from ``rows()``
         # and appended to / deleted from together with ``_rows``, every
@@ -138,13 +140,24 @@ class Table:
     def lookup(self, attrs: Sequence[str], values: Sequence) -> list[tuple]:
         """Rows whose ``attrs`` equal ``values``, in :meth:`rows` order.
 
-        The one equality probe of the relational layer (a probe on the
-        whole primary key is :meth:`get`): it reads the
-        smallest single-attribute bucket among ``attrs`` (at least one)
-        and filters it on the rest.  Which columns are indexed is thus
-        worked out from the probes issued; there is no scan to fall back
-        to — a caller with no equality iterates :meth:`rows` and says so.
+        The one equality probe of the relational layer.  A probe whose
+        ``attrs`` include the whole primary key, in any order, reads the
+        row from ``_rows`` like :meth:`get`, checks it on the rest and
+        builds no index.  Any other probe reads the smallest
+        single-attribute bucket among ``attrs`` (at least one) and
+        filters it on the rest.  Which columns are indexed is thus worked
+        out from the probes issued; there is no scan to fall back to — a
+        caller with no equality iterates :meth:`rows` and says so.
         """
+        key = self.schema.key
+        if self._key_attrs.issubset(attrs):
+            bound = dict(zip(attrs, values, strict=True))
+            row = self._rows.get(tuple([bound[a] for a in key]))
+            if row is None or len(attrs) > len(key) and not all(
+                row[self.schema.index_of(a)] == v for a, v in zip(attrs, values)
+            ):
+                return []
+            return [row]
         lead: dict[tuple, tuple] | None = None
         for attr, value in zip(attrs, values, strict=True):
             bucket = self._index(attr).get(value)

@@ -10,6 +10,7 @@ projection) so that the hot paths stay tuple-based.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,6 +117,9 @@ class RelationSchema:
         self.key: tuple[str, ...] = key
         self._index = {attr.name: i for i, attr in enumerate(attrs)}
         self.key_indexes: tuple[int, ...] = tuple(self._index[k] for k in key)
+        # Per column, the one type a value needs to pass validate_row
+        # without asking Attribute.accepts.
+        self._types: tuple[type, ...] = tuple(a.type.python_type for a in attrs)
         # Immutable, and part of every SPJ plan-cache key: hash it once.
         self._hash = hash((name, self.attributes, key))
 
@@ -147,12 +151,22 @@ class RelationSchema:
     # -- row helpers ----------------------------------------------------------
 
     def validate_row(self, row: tuple) -> tuple:
-        """Check arity and per-column types; return the row unchanged."""
+        """Check arity and per-column types; return the row unchanged.
+
+        A row whose every value has exactly its column's Python type
+        (``int`` / ``str`` / ``bool`` / ``float``) passes in one pass over
+        the row, with no call per cell.  Any other row is decided, and a
+        rejection worded, by :meth:`Attribute.accepts` cell by cell, so
+        an ``int`` in a FLOAT column or an ``int`` subclass in an INT one
+        is accepted and ``True`` in an INT column rejected as before.
+        """
         if len(row) != self.arity:
             raise SchemaError(
                 f"row arity {len(row)} != schema arity {self.arity} "
                 f"for relation {self.name!r}"
             )
+        if all(map(operator.is_, map(type, row), self._types)):
+            return row
         for attr, value in zip(self.attributes, row):
             if not attr.accepts(value):
                 raise SchemaError(

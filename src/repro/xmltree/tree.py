@@ -67,9 +67,6 @@ class XMLNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def descendants_or_self(self) -> Iterator["XMLNode"]:
-        return self.iter()
-
     def find_all(self, predicate: Callable[["XMLNode"], bool]) -> list["XMLNode"]:
         return [node for node in self.iter() if predicate(node)]
 

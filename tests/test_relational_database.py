@@ -73,6 +73,32 @@ class TestTable:
         with pytest.raises(ValueError):
             table.lookup(("dept", "id"), ("cs",))
 
+    def test_a_key_probe_reads_the_rows_and_builds_no_index(self, table):
+        assert table.lookup(("id",), (2,)) == [(2, "cs")]
+        assert table.lookup(("id",), (9,)) == []
+        assert table.lookup(("dept", "id"), ("cs", 2)) == [(2, "cs")]
+        assert table.lookup(("id", "dept"), (2, "math")) == []
+        assert table.lookup(("id", "id"), (2, 3)) == []
+        with pytest.raises(ValueError):
+            table.lookup(("id",), ())
+        assert table._indexes == {}
+        assert table.lookup(("dept",), ("cs",)) == [(1, "cs"), (2, "cs")]
+        assert list(table._indexes) == ["dept"]
+
+    def test_a_composite_key_probe_in_any_order(self):
+        table = Table(
+            RelationSchema(
+                "h", [("a", AttrType.INT), ("b", AttrType.INT)], ["a", "b"]
+            )
+        )
+        for row in ((1, 2), (1, 3), (2, 2)):
+            table.insert(row)
+        assert table.lookup(("b", "a"), (3, 1)) == [(1, 3)]
+        assert table.lookup(("a", "b"), (2, 3)) == []
+        assert table._indexes == {}
+        assert table.lookup(("a",), (1,)) == [(1, 2), (1, 3)]
+        assert list(table._indexes) == ["a"]
+
     def test_index_maintained_on_mutation(self, table):
         table.create_index(("dept",))
         table.insert((4, "cs"))

@@ -1,8 +1,13 @@
 """Unit tests for relation schemas and attribute typing."""
 
+import enum
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.relational.database import Database
 from repro.relational.schema import AttrType, Attribute, RelationSchema
 
 
@@ -145,3 +150,106 @@ class TestRelationSchema:
         assert hash(make_schema()) == hash(make_schema())
         other = RelationSchema("emp2", [("id", AttrType.INT)], ["id"])
         assert make_schema() != other
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+def reference_validate(schema, row):
+    """The per-cell check ``validate_row`` falls back to, as a reference."""
+    if len(row) != schema.arity:
+        raise SchemaError(
+            f"row arity {len(row)} != schema arity {schema.arity} "
+            f"for relation {schema.name!r}"
+        )
+    for attr, value in zip(schema.attributes, row):
+        if not attr.accepts(value):
+            raise SchemaError(
+                f"value {value!r} not valid for attribute "
+                f"{schema.name}.{attr.name} of type {attr.type.value}"
+            )
+    return row
+
+
+def _outcome(check, schema, row):
+    try:
+        return ("accepted", check(schema, row))
+    except SchemaError as exc:
+        return ("rejected", str(exc))
+
+
+cells = st.one_of(
+    st.integers(-5, 5),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.none(),
+    st.just(_Level.LOW),
+    st.text(max_size=3).map(_Name),
+)
+
+
+@st.composite
+def schemas_and_rows(draw):
+    types = draw(st.lists(st.sampled_from(list(AttrType)), min_size=1, max_size=4))
+    schema = RelationSchema("r", [(f"a{i}", t) for i, t in enumerate(types)], ["a0"])
+    n = len(types)
+    arity = draw(st.sampled_from([n, n, n - 1, n + 1]))
+    row = tuple(draw(st.lists(cells, min_size=arity, max_size=arity)))
+    return schema, row
+
+
+class TestValidateRowFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(schemas_and_rows())
+    def test_matches_the_per_cell_check(self, case):
+        schema, row = case
+        expected = _outcome(reference_validate, schema, row)
+        got = _outcome(RelationSchema.validate_row, schema, row)
+        assert got == expected
+        if got[0] == "accepted":
+            assert got[1] is row
+
+    def test_subclasses_and_widening_take_the_per_cell_check(self):
+        schema = RelationSchema(
+            "r",
+            [("i", AttrType.INT), ("f", AttrType.FLOAT), ("s", AttrType.STR)],
+            ["i"],
+        )
+        assert schema.validate_row((_Level.LOW, 3, _Name("x"))) == (1, 3, "x")
+        for row in ((True, 1.0, "x"), (1, False, "x"), (1, 1.0, None)):
+            with pytest.raises(SchemaError):
+                schema.validate_row(row)
+
+    def test_a_well_typed_row_asks_no_attribute(self, monkeypatch):
+        calls = []
+        accepts = Attribute.accepts
+        monkeypatch.setattr(
+            Attribute,
+            "accepts",
+            lambda self, value: calls.append(value) or accepts(self, value),
+        )
+        schema = RelationSchema(
+            "r",
+            [("i", AttrType.INT), ("s", AttrType.STR),
+             ("b", AttrType.BOOL), ("f", AttrType.FLOAT)],
+            ["i"],
+        )
+        db = Database()
+        db.create_table(schema)
+        db.insert_all("r", [(n, str(n), n % 2 == 0, n / 2) for n in range(50)])
+        assert calls == []
+        schema.validate_row((1, "a", True, 2))  # an int in a FLOAT column
+        assert len(calls) == 4
+
+    def test_load_state_rejects_a_bool_in_an_int_column(self):
+        db = Database()
+        db.create_table(make_schema())
+        state = {"tables": {"emp": [[1, "a", False], [True, "b", False]]}}
+        with pytest.raises(SchemaError, match="emp.id of type int"):
+            db.load_state(state)

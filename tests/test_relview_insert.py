@@ -217,6 +217,23 @@ class TestSweepFollowsTheJoinGraph:
         assert len(examined) <= 4 * (len(derivations) + len(plan.delta_r))
         plan.abort()
 
+    def test_a_churn_insert_probes_c_and_f_on_their_keys(self):
+        # The sweep binds C.c1 and F.f1 to the new key: a key probe reads
+        # the table's rows and builds no index on the key column (F.f5 is
+        # probed for a fresh value, so F gains that index).
+        from repro import ViewConfig, open_view
+        from repro.bench.workload_gen import WorkloadSpec, generate_ops
+        from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+        spec = WorkloadSpec(workload="synthetic:1000", ops=1, pattern="churn")
+        (op,) = generate_ops(spec)
+        assert op["op"] == "insert"
+        dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=42))
+        service = open_view(dataset.atg, dataset.db, config=ViewConfig(strict=False))
+        c, f = dataset.db.table("C"), dataset.db.table("F")
+        assert service.apply(op).accepted
+        assert "c1" not in c._indexes and "f1" not in f._indexes
+
     def test_table_declaration_order_does_not_change_delta_r(self):
         import itertools
 
