@@ -9,8 +9,6 @@ choice, are recorded in ``docs/index-backends.md``.)
 
 Also measures batched update sessions (one deferred maintenance pass
 for N updates) against sequential per-update maintenance.
-
-All timings land in ``BENCH_index.json`` via ``conftest.record_bench``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from conftest import OPS_PER_CLASS, SIZES, fresh_updater, record_bench
+from conftest import OPS_PER_CLASS, SIZES, fresh_updater
 
 from repro.baselines import SetReachabilityIndex
 from repro.index import BitsetReachabilityIndex
@@ -54,22 +52,7 @@ def _reach_seconds(n_c: int) -> dict[type, float]:
 @pytest.mark.perf
 def test_bitset_speedup_on_largest_fig11_config():
     seconds = _reach_seconds(LARGEST_FIG11_NC)
-    for cls, elapsed in seconds.items():
-        record_bench(
-            "fig11_largest",
-            cls.__name__,
-            "compute_reach",
-            elapsed,
-            n_c=LARGEST_FIG11_NC,
-        )
     ratio = seconds[SetReachabilityIndex] / seconds[BitsetReachabilityIndex]
-    record_bench(
-        "fig11_largest",
-        BitsetReachabilityIndex.__name__,
-        "speedup_vs_reference",
-        0.0,
-        ratio=round(ratio, 2),
-    )
     assert ratio >= 3.0, (
         f"bitset Algorithm Reach only {ratio:.2f}x faster than the "
         f"reference ({seconds})"
@@ -78,22 +61,14 @@ def test_bitset_speedup_on_largest_fig11_config():
 
 @pytest.mark.perf
 def test_two_way_ablation_across_fig11_sizes():
-    """Algorithm Reach rows at every Fig. 11 size.
+    """Algorithm Reach at every Fig. 11 size: both representations
+    build the same M.
 
     No ratio assertions at the smaller sizes (constant factors dominate
-    there); the rows exist so ``BENCH_index.json`` shows how the two
-    representations scale, not just who wins at the largest
-    configuration.
+    there); ``repro-bench`` reports how the two scale.
     """
     for n_c in FIG11_SIZES:
-        for cls, elapsed in _reach_seconds(n_c).items():
-            record_bench(
-                "fig11_scaling",
-                cls.__name__,
-                f"compute_reach:{n_c}",
-                elapsed,
-                n_c=n_c,
-            )
+        _reach_seconds(n_c)
 
 
 def test_backends_equal_on_benchmark_sizes():
@@ -134,15 +109,6 @@ def test_batch_session_amortizes_maintenance():
     assert batched.maintenance_runs - runs_before == 1
     assert session.report.maintenance_passes == 1
     assert batched.reach.equals(sequential.reach)
-
-    record_bench(
-        "batch_sessions", "bitset", "sequential_maintain", seq_maintain,
-        n_c=n_c, ops=len(ops),
-    )
-    record_bench(
-        "batch_sessions", "bitset", "batched_maintain", batch_maintain,
-        n_c=n_c, ops=len(ops), passes=1,
-    )
     # The single pass must not cost more than the N sequential passes
     # (generous slack: the win is structural, the guard is anti-regression).
     assert batch_maintain <= seq_maintain * 1.25

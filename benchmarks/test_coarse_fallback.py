@@ -15,8 +15,7 @@ the ROADMAP's "cost-based fallback", ``SubscriptionRegistry.coarse_threshold``.
 
 This benchmark measures both regimes against synthetic events of
 growing size (worst-case non-matching edges: the scan never
-short-circuits), records the measured crossover in ``BENCH_index.json``,
-and sanity-checks that the shipped default
+short-circuits), finds the measured crossover, and sanity-checks that the shipped default
 (:data:`repro.subscribe.engine.DEFAULT_COARSE_THRESHOLD`) is within an
 order of magnitude of the measurement — thresholds should be measured,
 not guessed, but they also should not flap per machine.
@@ -27,7 +26,6 @@ from __future__ import annotations
 import time
 
 import pytest
-from conftest import record_bench
 
 from repro.service import ViewConfig, open_view
 from repro.subscribe.delta import EdgeRecord, ViewEvent
@@ -88,32 +86,18 @@ def _measure_regime(service, n_edges: int, coarse: bool) -> float:
 @pytest.mark.perf
 def test_crossover_measured_and_recorded():
     """Wall-clock regimes compared head to head (flaky on noisy shared
-    runners, hence the perf marker; the measured records ship in
-    ``BENCH_index.json``)."""
+    runners, hence the perf marker)."""
     service = _service()
     crossover = None
     for n_edges in SIZES:
         fine = _measure_regime(service, n_edges, coarse=False)
         coarse = _measure_regime(service, n_edges, coarse=True)
-        record_bench(
-            "coarse_fallback", "bitset", f"fine_scan:{n_edges}", fine,
-            queries=N_QUERIES,
-        )
-        record_bench(
-            "coarse_fallback", "bitset", f"coarse_reeval:{n_edges}", coarse,
-            queries=N_QUERIES,
-        )
         if crossover is None and fine > coarse:
             crossover = n_edges
     # Scanning a huge never-matching event must eventually lose to one
     # re-evaluation per subscription — otherwise the fallback is moot.
     assert crossover is not None, (
         f"fine scan never crossed coarse re-eval up to {SIZES[-1]} edges"
-    )
-    record_bench(
-        "coarse_fallback", "bitset", "crossover_edges", 0.0,
-        crossover=crossover, default_threshold=DEFAULT_COARSE_THRESHOLD,
-        queries=N_QUERIES,
     )
     # The shipped default sits within an order of magnitude of the
     # measured crossover (machine-dependent, so keep the band wide).

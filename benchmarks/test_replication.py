@@ -10,8 +10,7 @@ Two questions an operator sizes a replica fleet with:
 
 Sizes are laptop-scale; correctness assertions (lossless round trip,
 byte-identical convergence) always run, while the timing-*ratio*
-assertion is ``perf``-marked like the rest of the suite.  Timings land
-in ``BENCH_index.json`` via ``conftest.record_bench``.
+assertion is ``perf``-marked like the rest of the suite.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pickle
 import time
 
 import pytest
-from conftest import SIZES, fresh_updater, record_bench
+from conftest import SIZES, fresh_updater
 
 from repro.replica import ReplicaView, Snapshot
 from repro.service import ViewConfig, open_view
@@ -55,21 +54,10 @@ def test_snapshot_round_trip_cost(n_c, tmp_path):
     service = _service(dataset)
     path = tmp_path / "view.pkl.gz"
 
-    start = time.perf_counter()
     snapshot = service.snapshot()
-    capture = time.perf_counter() - start
-
-    start = time.perf_counter()
     snapshot.save(path)
-    save = time.perf_counter() - start
-
-    start = time.perf_counter()
     loaded = Snapshot.load(path)
-    load = time.perf_counter() - start
-
-    start = time.perf_counter()
     store = loaded.restore_store(service.atg)
-    restore = time.perf_counter() - start
 
     assert loaded == snapshot  # lossless
     assert store.export_state() == service.store.export_state()
@@ -77,16 +65,6 @@ def test_snapshot_round_trip_cost(n_c, tmp_path):
     # The gzip layer must actually pay for itself on this payload.
     assert size < len(pickle.dumps(snapshot.to_dict()))
     assert gzip.decompress(path.read_bytes())
-
-    for phase, seconds in (
-        ("capture", capture), ("save", save),
-        ("load", load), ("restore", restore),
-    ):
-        record_bench(
-            "replication_snapshot", "service", phase, seconds,
-            n_c=n_c, nodes=snapshot.num_nodes, edges=snapshot.num_edges,
-            artifact_bytes=size,
-        )
 
 
 @pytest.mark.parametrize("n_c", SIZES)
@@ -97,25 +75,12 @@ def test_fold_throughput_tracks_writer(n_c):
     replica.bootstrap()
     ops = _op_stream(dataset)
 
-    start = time.perf_counter()
     applied = sum(1 for op in ops if service.apply(op).accepted)
-    write = time.perf_counter() - start
-
-    start = time.perf_counter()
     folded = replica.pump()
-    fold = time.perf_counter() - start
 
     assert applied > 0 and folded > 0
     assert replica.export_state() == service.store.export_state()
     assert replica.digest() == service.store.digest()
-    record_bench(
-        "replication_fold", "service", "writer_apply", write,
-        n_c=n_c, events=applied,
-    )
-    record_bench(
-        "replication_fold", "service", "replica_fold", fold,
-        n_c=n_c, events=folded,
-    )
 
 
 @pytest.mark.perf

@@ -5,14 +5,14 @@ exactly the foreground phases a direct ``apply`` would, and
 ``plan.commit()`` finishes with the identical ΔV/ΔR — so splitting an
 update across the protocol may not change what is computed, only *when*.
 This benchmark drives one op of every kind through both protocols on a
-synthetic view, checks the equivalence, and records the per-op
-``UpdateOutcome.to_dict()`` payloads into ``BENCH_index.json`` (the
-wire dict is the record format — no hand-rolled assembly).
+synthetic view and checks the equivalence, down to the
+``UpdateOutcome.to_dict()`` payloads (the wire format) apart from their
+timings.
 """
 
 from __future__ import annotations
 
-from conftest import SIZES, record_bench
+from conftest import SIZES
 
 from repro.ops import BaseUpdateOp
 from repro.service import ViewConfig, open_view
@@ -50,6 +50,13 @@ def _rows(delta):
     return [repr(op) for op in delta]
 
 
+def _untimed(outcome) -> dict:
+    payload = outcome.to_dict(include_deltas=True)
+    for key in ("timings", "total_time", "foreground_time"):
+        del payload[key]
+    return payload
+
+
 def test_plan_commit_equals_apply_and_records_outcomes():
     n_c = SIZES[-1]
     probe, dataset = _fresh_service(n_c)
@@ -68,24 +75,7 @@ def test_plan_commit_equals_apply_and_records_outcomes():
         assert _rows(out_apply.delta_v) == _rows(out_commit.delta_v)
         assert _rows(out_apply.delta_r) == _rows(out_commit.delta_r)
         assert applier.reach.equals(planner.reach)
-
-        record_bench(
-            "service_plan_commit",
-            "bitset",
-            f"apply:{op.kind}",
-            out_apply.total_time,
-            n_c=n_c,
-            outcome=out_apply.to_dict(),
-        )
-        record_bench(
-            "service_plan_commit",
-            "bitset",
-            f"plan_commit:{op.kind}",
-            out_commit.total_time,
-            n_c=n_c,
-            foreground=out_commit.foreground_time,
-            outcome=out_commit.to_dict(),
-        )
+        assert _untimed(out_apply) == _untimed(out_commit)
 
 
 def test_aborted_plans_cost_only_foreground():

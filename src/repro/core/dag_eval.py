@@ -52,15 +52,17 @@ seed; the subscription engine's dependency analysis reads it too.  The
 sub-expression ``q`` at every node by dynamic programming over ``L``
 (children before parents): ``val(q, v)`` — does ``q`` hold at ``v`` —
 and, behind a ``//``, ``desc(q, v)`` — does ``q`` hold at some
-descendant-or-self of ``v``.  Here ``val`` is memoised per call and
-computed only at the nodes the top-down pass asks about, recursing over
-the *plan* (bounded by ``|q|``), never over the data; only filters with
-a ``//`` inside them, whose ``desc`` tables would recurse over the
-possibly deep DAG, keep the paper's sweep over ``L``.  Each
-``(q, v)`` pair is still computed at most once from its children's
-values, so the paper's ``O(|p|·|V|)`` bound holds as the worst case (a
-path whose contexts cover the view); a path anchored by selective steps
-costs what its contexts touch.
+descendant-or-self of ``v``.  Here both are memoised per call and
+computed only at the nodes the top-down pass asks about: ``val`` by
+recursion over the *plan* (bounded by ``|q|``), never over the data, and
+``desc`` by a walk of the descendants-or-self with an explicit stack, so
+a deep DAG cannot exhaust Python's.  Each ``(q, v)`` pair is still
+computed at most once, so the paper's ``O(|p|·|V|)`` bound holds as the
+worst case (a path whose contexts cover the view); a path anchored by
+selective steps costs what its contexts touch — the top-down side of
+the trade-off Gottlob, Koch & Pichler describe for XPath.  The paper's
+sweep over ``L`` is kept as the test reference
+(``tests/uncompiled.py``).
 
 **Side-effect detection.**  The update affects node ``w`` (the selected
 node for insertions; the modified parent for deletions).  There is a side
@@ -225,21 +227,13 @@ class DagXPathEvaluator:
         return self._top_down(path)
 
     # ------------------------------------------------------------------
-    # Filters: on demand, or the bottom-up sweep
+    # Filters and closures
     # ------------------------------------------------------------------
 
-    def _filter_values(
-        self, program: "_Program"
-    ) -> "_FilterValues | _LazyFilterValues":
-        """Filter truth for one evaluation, chosen from the plan alone.
-
-        Filters without ``//`` inside them are answered on demand at the
-        nodes the top-down pass consults; a plan with a descendant op
-        takes the bottom-up sweep over all of ``L``.
-        """
-        if program.lazy:
-            return _LazyFilterValues(program, self.store)
-        return self._bottom_up(program)
+    def _filter_values(self, program: "_Program") -> "_FilterValues":
+        """Filter truth for one evaluation: every ``holds`` the top-down
+        pass asks is answered by the object returned here, on demand."""
+        return _FilterValues(program, self.store)
 
     def closure(self, nodes: list[int]):
         """``nodes ∪ desc(nodes)``: a :class:`~repro.index._bits.Region`
@@ -252,74 +246,6 @@ class DagXPathEvaluator:
         if reach is None:
             return set(nodes) | self.store.descendants_of(nodes)
         return reach.region(self.store, nodes)
-
-    def _bottom_up(self, program: "_Program") -> "_FilterValues":
-        """Evaluate every filter sub-expression at every node.
-
-        A single pass over ``L`` (children before parents) fills
-        per-expression truth tables from the integer-indexed plans.
-        """
-        values = _FilterValues(program)
-        if not program.units:
-            return values
-        store = self.store
-        children_of = store.children_of
-        type_of = store.type_of
-        value_of = store.value_of
-        ex_tables = values.ex_tables
-        dsc_tables = values.dsc_tables
-        f_tables = values.f_tables
-        for node in self.topo:
-            # descendants (children) first
-            children = children_of(node)
-            for kind, index in program.units:
-                if kind == "path":
-                    ops, value = program.path_plans[index]
-                    ex_rows = ex_tables[index]
-                    dsc_rows = dsc_tables[index]
-                    for i in range(len(ops), -1, -1):
-                        if i == len(ops):
-                            ex = True if value is None else (
-                                value_of(node) == value
-                            )
-                        else:
-                            op = ops[i]
-                            code = op[0]
-                            if code == _LABEL:
-                                nxt = ex_rows[i + 1]
-                                label = op[1]
-                                ex = any(
-                                    type_of(c) == label and nxt[c]
-                                    for c in children
-                                )
-                            elif code == _WILDCARD:
-                                nxt = ex_rows[i + 1]
-                                ex = any(nxt[c] for c in children)
-                            elif code == _FILTER:
-                                ex = (
-                                    f_tables[op[1]][node]
-                                    and ex_rows[i + 1][node]
-                                )
-                            else:  # descendant-or-self
-                                ex = dsc_rows[i + 1][node]
-                        ex_rows[i][node] = ex
-                        row = dsc_rows[i]
-                        row[node] = ex or any(row[c] for c in children)
-                else:
-                    op = program.filter_plans[index]
-                    code = op[0]
-                    if code == 0:  # label test
-                        result = type_of(node) == op[1]
-                    elif code == 1:  # exists/value path
-                        result = ex_tables[op[1]][0][node]
-                    elif code == 2:  # and
-                        result = all(f_tables[k][node] for k in op[1])
-                    elif code == 3:  # or
-                        result = any(f_tables[k][node] for k in op[1])
-                    else:  # code == 4: not
-                        result = not f_tables[op[1]][node]
-                    f_tables[index][node] = result
-        return values
 
     # ------------------------------------------------------------------
     # Top-down pass: contexts and regions
@@ -458,7 +384,8 @@ class DagXPathEvaluator:
           k-1;
         - ``//`` step: every in-region parent (level k, still inside the
           descendant segment) plus, for self-matches, the parents
-          through which the previous level was entered;
+          through which the previous level was entered, at the level
+          they sit at (:meth:`_Match.entry_parents`);
         - no such step (pure filter path): the targets have no parent
           edge (root selection), ``Ep = ∅``.
         Filters after ``k`` only narrow the target set.
@@ -469,15 +396,14 @@ class DagXPathEvaluator:
         level = k + 1  # contexts are 1-based w.r.t. steps
         parents_of = self.store.parents_of
         ep: list[tuple[int, int, int]] = []
-        # Parents reached by a // step are still inside its segment.
-        inside = match.steps[k][0] == _DESCENDANT
-        prev_context = match.members(level - 1) if inside else ()
+        self_match = match.steps[k][0] == _DESCENDANT
+        prev_context = match.members(level - 1) if self_match else ()
         for v in targets:
-            for u in match.entry_parents(level, v, parents_of):
-                ep.append((u, v, level if inside else level - 1))
+            at, parents = match.entry_parents(level, v, parents_of)
+            ep.extend((u, v, at) for u in parents)
             if v in prev_context:  # self-match of the // step
-                for u in match.entry_parents(level - 1, v, parents_of):
-                    ep.append((u, v, level - 1))
+                at, parents = match.entry_parents(level - 1, v, parents_of)
+                ep.extend((u, v, at) for u in parents)
         return ep
 
     # ------------------------------------------------------------------
@@ -580,21 +506,26 @@ class _Match:
             self._members[level] = members
         return members
 
-    def entry_parents(self, level: int, node: int, parents_of) -> list[int]:
-        """Sorted parents through which ``node ∈ C_level`` entered it:
-        its parents in the previous context (child step) or in the
-        region (``//`` step); filter levels pass the question down, and
-        the start context was entered through no edge."""
+    def entry_parents(
+        self, level: int, node: int, parents_of
+    ) -> tuple[int, list[int]]:
+        """The level of the parents through which ``node ∈ C_level``
+        entered it, and those parents sorted: its parents in the
+        previous context (child step: the level below) or in the region
+        (``//`` step: the region's own level); filter levels pass the
+        question down, and the start context was entered through no
+        edge."""
         steps = self.steps
         while level and steps[level - 1][0] == _FILTER:
             level -= 1
         if not level:
-            return []
+            return 0, []
         if steps[level - 1][0] == _DESCENDANT:
             inside = self.regions[level]
         else:
-            inside = self.members(level - 1)
-        return sorted(p for p in parents_of(node) if p in inside)
+            level -= 1
+            inside = self.members(level)
+        return level, sorted(p for p in parents_of(node) if p in inside)
 
 
 class _Program:
@@ -607,52 +538,29 @@ class _Program:
     - ``filter_plans[k]``: ``(0, label)`` label test, ``(1, path_index)``
       path existence (incl. value tests), ``(2, (k...))`` and,
       ``(3, (k...))`` or, ``(4, k)`` not.
-    - ``units``: the evaluation order — inner expressions first, so the
-      per-node sweep can run plans in list order.
-    - ``lazy``: no filter path has a descendant op, so filter truth can
-      be computed on demand by recursion over the plans.
     - ``seeds``: :func:`seed_plan` of the query's steps.
+
+    A plan only names plans compiled before it, so indices run inner
+    expressions first within each list.
     """
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
         self.seeds: dict[int, Seed] = {}
-        self.units: list[tuple[str, int]] = []
         self.path_plans: list[tuple[list[tuple], str | None]] = []
         self.filter_plans: list[tuple] = []
         self.path_index: dict[_PathKey, int] = {}
         self.filter_index: dict[Filter, int] = {}
-        self.lazy = True
 
 
 class _FilterValues:
-    """Per-node truth tables for every compiled expression."""
+    """Filter truth for one evaluation, memoised and computed on demand.
 
-    def __init__(self, program: _Program):
-        self.ex_tables = [
-            [dict() for _ in range(len(ops) + 1)]
-            for ops, _ in program.path_plans
-        ]
-        self.dsc_tables = [
-            [dict() for _ in range(len(ops) + 1)]
-            for ops, _ in program.path_plans
-        ]
-        self.f_tables = [dict() for _ in program.filter_plans]
-
-    def holds(self, index: int, node: int) -> bool:
-        """Truth of filter plan ``index`` at ``node`` (unswept: False)."""
-        return self.f_tables[index].get(node, False)
-
-
-class _LazyFilterValues:
-    """On-demand, memoized filter truth — for filters without ``//``.
-
-    Presents the same ``holds`` interface as :class:`_FilterValues` but
-    evaluates each (expression, node) pair only when the top-down pass
-    asks for it, recursing over the *plan* (bounded by the filter's step
-    count) rather than the data.  Plans containing descendant-or-self
-    ops would recurse over the possibly deep DAG, so those stay on the
-    bottom-up sweep (``_Program.lazy``).
+    Each (expression, node) pair is evaluated only when the top-down pass
+    asks for it, and at most once.  ``holds`` and ``_ex`` recurse over
+    the *plan* (bounded by the filter's size), never over the data: a
+    child step asks each child once, and a ``//`` op walks the
+    descendants-or-self with an explicit stack (:meth:`_below`).
     """
 
     def __init__(self, program: _Program, store: ViewStore):
@@ -667,6 +575,7 @@ class _LazyFilterValues:
         ]
 
     def holds(self, index: int, node: int) -> bool:
+        """Truth of filter plan ``index`` at ``node``."""
         memo = self._f_memo[index]
         cached = memo.get(node)
         if cached is not None:
@@ -687,6 +596,7 @@ class _LazyFilterValues:
         return result
 
     def _ex(self, pindex: int, i: int, node: int) -> bool:
+        """Does path plan ``pindex`` from op ``i`` on hold at ``node``?"""
         memo = self._ex_memo[pindex][i]
         cached = memo.get(node)
         if cached is not None:
@@ -699,8 +609,8 @@ class _LazyFilterValues:
             result = self.holds(ops[i][1], node) and self._ex(
                 pindex, i + 1, node
             )
-        elif ops[i][0] == _DESCENDANT:  # pragma: no cover - _Program.lazy
-            raise AssertionError("descendant plans require the bottom-up sweep")
+        elif ops[i][0] == _DESCENDANT:
+            return self._below(pindex, i, node, memo)
         else:
             label = ops[i][1] if ops[i][0] == _LABEL else None
             type_of = store.type_of
@@ -714,15 +624,49 @@ class _LazyFilterValues:
         memo[node] = result
         return result
 
+    def _below(self, pindex: int, i: int, node: int, memo: dict) -> bool:
+        """``desc(q, node)`` for the ``//`` op ``i``: does the rest of
+        the plan (op ``i + 1`` on) hold at some descendant-or-self of
+        ``node``?
+
+        A depth-first walk with an explicit stack, so a deep DAG cannot
+        exhaust Python's.  It keeps no table of its own: ``_ex`` at a
+        ``//`` op is exactly ``desc`` of the op after it, so ``memo`` is
+        op ``i``'s, and the walk settles every node it enters there —
+        false once its whole subtree is walked, true for the stack above
+        the first node where the rest holds.  Each node's children are
+        read at most once per op and evaluation.
+        """
+        ex = self._ex
+        children_of = self.store.children_of
+        rest = i + 1
+        if ex(pindex, rest, node):
+            memo[node] = True
+            return True
+        stack = [(node, iter(children_of(node)))]
+        while stack:
+            for child in stack[-1][1]:
+                found = memo.get(child)
+                if found is None:
+                    found = ex(pindex, rest, child)
+                    if not found:  # descend: settled when walked
+                        stack.append((child, iter(children_of(child))))
+                        break
+                    memo[child] = True
+                if found:
+                    for above, _ in stack:
+                        memo[above] = True
+                    return True
+            else:  # every child settled false
+                memo[stack.pop()[0]] = False
+        return False
+
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _compile(path: XPath) -> _Program:
     """The compiled program of ``path`` — shared, never mutated after."""
     program = _Program()
     program.steps = _compile_steps(path, program)
-    program.lazy = not any(
-        op[0] == _DESCENDANT for ops, _ in program.path_plans for op in ops
-    )
     program.seeds = seed_plan(path.steps)
     return program
 
@@ -774,7 +718,6 @@ def _compile_path(path: XPath, value: str | None, program: _Program) -> int:
     index = len(program.path_plans)
     program.path_plans.append((ops, value))
     program.path_index[key] = index
-    program.units.append(("path", index))
     return index
 
 
@@ -799,5 +742,4 @@ def _compile_filter(filt: Filter, program: _Program) -> int:
     index = len(program.filter_plans)
     program.filter_plans.append(plan)
     program.filter_index[filt] = index
-    program.units.append(("filter", index))
     return index

@@ -2,8 +2,9 @@
 
 ``L`` lists every distinct node of the DAG such that *u precedes v only
 if u is not an ancestor of v* — descendants come first, the root last.
-The bottom-up filter pass iterates ``L`` forward (children before
-parents); Algorithm Reach iterates it backward (parents before children).
+The paper's bottom-up filter pass iterates ``L`` forward (children
+before parents); Algorithm Reach iterates it backward (parents before
+children).
 
 The class also provides the primitive the maintenance algorithms build
 on: ``swap(u, v)`` (paper, Section 3.4) which, after inserting edge

@@ -5,8 +5,8 @@ definitions; this dataset pushes the recursion depth to its extreme —
 one long chain (optionally with short side branches), published through
 the registrar ATG.  It exercises:
 
-- the iterative (non-recursive) bottom-up pass of the DAG evaluator
-  (a recursive implementation would exhaust Python's stack);
+- the DAG evaluator's ``//`` inside a filter, answered by a walk with
+  an explicit stack (a recursive walk would exhaust Python's stack);
 - Algorithm Reach on a path graph (|M| = Θ(n²) pairs — the worst case
   for the matrix size);
 - maintenance after updates deep in the chain (swap distances, ancestor

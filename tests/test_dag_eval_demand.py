@@ -1,22 +1,28 @@
 """The demand-driven evaluation order of ``DagXPathEvaluator``.
 
-``evaluate`` answers no-``//`` filters on demand at the nodes the
-top-down pass consults, and starts every ``label[path = value]`` step
-from the nodes holding ``value``.  The reference every result is
-compared against does neither: the paper's all-of-``L`` bottom-up sweep
-for every filter, and every label step over all of its previous context.
+``evaluate`` answers every filter on demand at the nodes the top-down
+pass consults, a ``//`` inside one included, and starts every
+``label[path = value]`` step from the nodes holding ``value``.  The
+reference every result is compared against does neither: the paper's
+all-of-``L`` bottom-up sweep for every filter
+(``uncompiled.sweep_filters``), and every label step over all of its
+previous context.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 import re
 import sys
 import threading
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import uncompiled
 
 from repro import ViewConfig, op_from_dict, open_view
 from repro.atg.publisher import publish_store, unfold_to_tree
@@ -59,11 +65,27 @@ class UnseededEvaluator(DagXPathEvaluator):
 
 
 class SweepingEvaluator(UnseededEvaluator):
-    """The reference: unseeded, and every filter through the whole-``L``
-    bottom-up pass."""
+    """The reference: unseeded, and every filter answered from the
+    whole-``L`` bottom-up sweep, handed to the top-down pass through its
+    one filter seam, ``_filter_values``.  Every evaluation asserts that
+    it went through the seam: a reference the product no longer consults
+    would compare the evaluator with itself and still pass."""
 
     def _filter_values(self, program):
-        return self._bottom_up(program)
+        self.sweeps += 1
+        return uncompiled.sweep_filters(self, program)
+
+    def evaluate(self, path, mode="insert"):
+        return self._swept(super().evaluate, path, mode)
+
+    def evaluate_from(self, path):
+        return self._swept(super().evaluate_from, path)
+
+    def _swept(self, evaluate, *args):
+        self.sweeps = 0
+        result = evaluate(*args)
+        assert self.sweeps == 1, "the reference evaluation did not sweep"
+        return result
 
 
 # A view the generated ones never are: value nodes shared across parents
@@ -239,6 +261,63 @@ def _check_against_reference(view, path):
 @settings(max_examples=300, deadline=None)
 def test_demand_driven_equals_sweep_and_tree_oracle(view, path):
     _check_against_reference(view, path)
+
+
+def _tree_store(seed: int) -> ViewStore:
+    """A view in which every node has at most one parent: ``_SHARED_DTD``'s
+    shapes, ``cnode`` under ``root`` and ``sub``, with no node shared.
+    Key values repeat across distinct nodes (the sem carries a serial)."""
+    rng = random.Random(seed)
+    store = ViewStore(SimpleNamespace(dtd=parse_dtd(_SHARED_DTD)))
+    serial = itertools.count()
+
+    def child(parent: int, element: str, *value) -> int:
+        node = store.intern(element, (*value, next(serial)))[0]
+        store.add_edge(parent, node)
+        return node
+
+    def cnode(parent: int, depth: int) -> None:
+        node = child(parent, "cnode")
+        child(node, "key", rng.choice("1259"))
+        if depth and rng.random() < 0.8:
+            sub = child(node, "sub")
+            for _ in range(rng.randint(1, 3)):
+                cnode(sub, depth - 1)
+        if rng.random() < 0.5:
+            tag = child(node, "tag")
+            for _ in range(rng.randint(0, 2)):
+                child(tag, "key", rng.choice("59"))
+
+    store.root_id = store.intern("root", ())[0]
+    for _ in range(rng.randint(2, 4)):
+        cnode(store.root_id, 3)
+    return store
+
+
+@functools.cache
+def _tree_view(seed: int):
+    store = _tree_store(seed)
+    assert all(len(store.parents_of(n)) <= 1 for n in store.node_type)
+    topo = TopoOrder.from_store(store)
+    return store, topo, build_index(store, topo)
+
+
+@given(st.integers(0, 3), PATHS)
+@settings(max_examples=300, deadline=None)
+@example(0, parse_xpath("cnode/sub//"))
+@example(0, parse_xpath("//sub//"))
+@example(0, parse_xpath("cnode[sub]/sub//"))
+def test_a_view_without_sharing_has_no_side_effects(seed, path):
+    """With in-degree ≤ 1 every node has one occurrence, so no update
+    has an XML side effect: ``S = ∅`` for every path, in both modes,
+    with ``M`` and with regions walked from the store.  A trailing
+    ``//``'s self-matches enter ``Ep`` at the level their parents sit
+    at, which the side-effect walk starts from."""
+    store, topo, reach = _tree_view(seed)
+    for mode in ("insert", "delete"):
+        for index in (reach, None):
+            result = DagXPathEvaluator(store, topo, index).evaluate(path, mode)
+            assert result.side_effects == set(), (str(path), mode)
 
 
 # -- seeded steps: every label[path = value] ----------------------------------------
@@ -631,25 +710,20 @@ def test_seeded_siblings_are_ordered_in_one_pass_over_their_parent():
     _assert_agrees(result, want, path, reach)
 
 
-# -- the sweep survives only for // inside a filter --------------------------------
+# -- a // inside a filter is answered on demand too --------------------------------
 
 
 @pytest.mark.parametrize("pattern", ["mixed", "dense_dag", "churn"])
 def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
-    sweeps = []
-    bottom_up = DagXPathEvaluator._bottom_up
-    monkeypatch.setattr(
-        DagXPathEvaluator, "_bottom_up",
-        lambda self, program: sweeps.append(program)
-        or bottom_up(self, program),
-    )
+    """Every benchmark shape still evaluates, and no read — a benchmark
+    query, or a ``//`` inside a filter — makes the sweep's forward pass
+    over ``L``."""
     spec = WorkloadSpec(
         workload="synthetic:60:1", ops=12, seed=1, pattern=pattern,
         key_skew=0.8, subscriptions=8,
     )
     header = make_header(spec)
     ops = list(generate_ops(spec))
-    sweeps.clear()  # generation drives a shadow view through the same code
     dataset = build_synthetic(SyntheticConfig(n_c=60, seed=1))
     service = open_view(
         dataset.atg, dataset.db,
@@ -657,15 +731,70 @@ def test_no_sweep_on_the_benchmark_query_shapes(pattern, monkeypatch):
     )
     for query in header["subscriptions"]:
         service.subscribe(query)
+    passes = []
+    forward = TopoOrder.__iter__
+
+    def read(query):
+        monkeypatch.setattr(
+            TopoOrder, "__iter__",
+            lambda self: passes.append(query) or forward(self),
+        )
+        try:
+            return service.xpath(query)
+        finally:
+            monkeypatch.setattr(TopoOrder, "__iter__", forward)
+
     for op in ops:
         assert service.apply(op_from_dict(op)).accepted
         for query in header["queries"]:
-            service.xpath(query)
+            read(query)
     stats = service.subscriptions.stats()
     assert stats["full_refreshes"] > 0
-    assert sweeps == []
-    service.xpath("cnode[.//key=1]")  # positive control: // inside a filter
-    assert len(sweeps) == 1
+    assert read("cnode[.//key=1]").targets  # a // inside a filter
+    assert passes == []
+
+
+def test_descendant_filter_work_is_bounded_by_its_region():
+    """``//cnode[key=a]//cnode[.//key=b]`` reads children only inside
+    ``desc-or-self(cnode a)``, at most four times per node there (listing
+    the region, the ``cnode`` step, the ``//`` walk and the ``key`` step
+    below it): the whole-``L`` sweep read every node's."""
+    dataset = build_synthetic(SyntheticConfig(n_c=1000, seed=42))
+    store = publish_store(dataset.atg, dataset.db)
+    topo = TopoOrder.from_store(store)
+    evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+    pairs = [
+        re.findall(r"key=(\d+)", query)
+        for query in make_query_set(dataset, count=16)
+        if re.fullmatch(r"//cnode\[key=\d+\]//cnode\[key=\d+\]", query)
+    ]
+    assert pairs
+    calls = []
+    children_of = store.children_of
+    store.children_of = lambda node: calls.append(node) or children_of(node)
+    hits = 0
+    for a, b in pairs:
+        anchors = evaluator.evaluate_from(parse_xpath(f"//cnode[key={a}]")).targets
+        region = set(anchors) | store.descendants_of(anchors)
+        assert 4 * len(region) < len(topo)  # the bound excludes a pass over L
+        path = parse_xpath(f"//cnode[key={a}]//cnode[.//key={b}]")
+        for evaluate in (
+            functools.partial(evaluator.evaluate, path, "insert"),
+            functools.partial(evaluator.evaluate, path, "delete"),
+            functools.partial(evaluator.evaluate_from, path),
+        ):
+            calls.clear()
+            result = evaluate()
+            hits += bool(result.targets)
+            assert set(calls) <= region, (a, b)
+            assert len(calls) <= 4 * len(region), (a, b)
+    assert hits == 3 * len(pairs)
+    store.children_of = children_of
+    for a, b in pairs:
+        path = parse_xpath(f"//cnode[key={a}]//cnode[.//key={b}]")
+        assert evaluator.evaluate(path).targets == SweepingEvaluator(
+            store, topo, evaluator.reach
+        ).evaluate(path).targets
 
 
 # -- satellites ---------------------------------------------------------------------

@@ -31,13 +31,13 @@ from repro.ops import DeleteOp, InsertOp
 class TestXPathCompiler:
     def test_no_filters_empty_program(self):
         program = _compile(parse_xpath("a/b//c"))
-        assert program.units == []
+        assert program.filter_plans == []
         assert program.path_plans == []
 
     def test_value_filter_compiles_path_then_filter(self):
         program = _compile(parse_xpath("a[b=1]"))
-        kinds = [kind for kind, _ in program.units]
-        assert kinds == ["path", "filter"]
+        # the filter reads path plan 0, compiled before it
+        assert program.filter_plans == [(1, 0)]
         ops, value = program.path_plans[0]
         assert ops == [(0, "b")]
         assert value == "1"
@@ -49,12 +49,13 @@ class TestXPathCompiler:
 
     def test_nested_filter_dependency_order(self):
         program = _compile(parse_xpath("a[b[c=1]/d]"))
-        # the inner c=1 path+filter must appear before the outer b/d path
-        kinds = [kind for kind, _ in program.units]
-        assert kinds.index("filter") > kinds.index("path")
+        # the inner c=1 path and filter get index 0, before the outer
+        # b[...]/d path and filter that read them
+        assert program.path_plans[0] == ([(0, "c")], "1")
+        assert program.filter_plans == [(1, 0), (1, 1)]
         # outer path plan references the inner filter by index
-        outer_ops, _ = program.path_plans[-1]
-        assert any(op[0] == 2 for op in outer_ops)
+        outer_ops, _ = program.path_plans[1]
+        assert outer_ops == [(0, "b"), (2, 0), (0, "d")]
 
     def test_descendant_op(self):
         program = _compile(parse_xpath("a[//b]"))

@@ -1,5 +1,7 @@
 """Tests for store persistence round-trip, undo, and deep chains."""
 
+import sys
+
 import pytest
 
 from repro.atg.publisher import publish_store, unfold_to_tree
@@ -137,11 +139,20 @@ class TestDeepChains:
 
     def test_filter_propagates_up_the_chain(self):
         """A value filter satisfied only at the bottom must hold at the
-        top via // — the bottom-up pass walks the whole chain."""
-        atg, db = build_chain(depth=300)
-        updater = XMLViewUpdater(atg, db)
-        result = updater.evaluate_xpath("course[.//cno=K0299]")
-        assert len(result.targets) == 1  # the head K0000
+        top via // — the descendant walk goes down the whole chain, with
+        an explicit stack: 1,500 levels fit under a recursion limit of
+        200."""
+        for depth, limit in ((300, None), (1500, 200)):
+            atg, db = build_chain(depth=depth)
+            updater = XMLViewUpdater(atg, db)
+            path = f"course[.//cno=K{depth - 1:04d}]"
+            saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit or saved)
+            try:
+                result = updater.evaluate_xpath(path)
+            finally:
+                sys.setrecursionlimit(saved)
+            assert len(result.targets) == 1  # the head K0000
 
     def test_m_is_quadratic_on_chains(self):
         atg, db = build_chain(depth=100)

@@ -32,6 +32,12 @@
   the surviving parents.  ``ReachabilityIndex.retain_below`` must leave
   the same rows and report the same removed-pair count and condemned
   nodes, in the same order.
+- :func:`sweep_filters` is §3.2's dynamic programming over ``L``: every
+  filter sub-expression at every node, children before parents, into
+  :class:`SweptValues` tables, ``//`` inside a filter included.  The
+  evaluator's on-demand ``holds`` must give the same targets, ``Ep``,
+  ``S`` and contexts; a subclass returns the sweep from
+  ``DagXPathEvaluator._filter_values``.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from repro.core.dag_eval import _DESCENDANT, _FILTER
+from repro.core.dag_eval import _DESCENDANT, _FILTER, _LABEL, _WILDCARD
 from repro.errors import QueryError, UpdateRejectedError
 from repro.relational.conditions import (
     And,
@@ -533,3 +539,127 @@ def retain_below(reach, store, order: Iterable[int]) -> tuple[int, list[int]]:
             doomed.add(node)
             condemned.append(node)
     return removed, condemned
+
+
+def inner_first(program) -> list[tuple[str, int]]:
+    """Every plan of a compiled ``program`` as ``("path", j)`` /
+    ``("filter", k)``, each after the plans it reads."""
+    order: list[tuple[str, int]] = []
+    done: set[tuple[str, int]] = set()
+
+    def visit(unit: tuple[str, int]) -> None:
+        if unit in done:
+            return
+        done.add(unit)
+        kind, index = unit
+        if kind == "path":
+            reads = [("filter", op[1]) for op in program.path_plans[index][0]
+                     if op[0] == _FILTER]
+        else:
+            code, arg = program.filter_plans[index]
+            if code == 1:
+                reads = [("path", arg)]
+            elif code in (2, 3):
+                reads = [("filter", k) for k in arg]
+            elif code == 4:
+                reads = [("filter", arg)]
+            else:  # label test
+                reads = []
+        for read in reads:
+            visit(read)
+        order.append(unit)
+
+    for j in range(len(program.path_plans)):
+        visit(("path", j))
+    for k in range(len(program.filter_plans)):
+        visit(("filter", k))
+    return order
+
+
+class SweptValues:
+    """Per-node truth tables for every compiled expression."""
+
+    def __init__(self, program):
+        self.ex_tables = [
+            [dict() for _ in range(len(ops) + 1)]
+            for ops, _ in program.path_plans
+        ]
+        self.dsc_tables = [
+            [dict() for _ in range(len(ops) + 1)]
+            for ops, _ in program.path_plans
+        ]
+        self.f_tables = [dict() for _ in program.filter_plans]
+
+    def holds(self, index: int, node: int) -> bool:
+        """Truth of filter plan ``index`` at ``node`` (unswept: False)."""
+        return self.f_tables[index].get(node, False)
+
+
+def sweep_filters(evaluator, program) -> SweptValues:
+    """Evaluate every filter sub-expression at every node.
+
+    A single pass over ``L`` (children before parents) fills
+    per-expression truth tables from the integer-indexed plans.
+    """
+    values = SweptValues(program)
+    units = inner_first(program)
+    if not units:
+        return values
+    store = evaluator.store
+    children_of = store.children_of
+    type_of = store.type_of
+    value_of = store.value_of
+    ex_tables = values.ex_tables
+    dsc_tables = values.dsc_tables
+    f_tables = values.f_tables
+    for node in evaluator.topo:
+        # descendants (children) first
+        children = children_of(node)
+        for kind, index in units:
+            if kind == "path":
+                ops, value = program.path_plans[index]
+                ex_rows = ex_tables[index]
+                dsc_rows = dsc_tables[index]
+                for i in range(len(ops), -1, -1):
+                    if i == len(ops):
+                        ex = True if value is None else (
+                            value_of(node) == value
+                        )
+                    else:
+                        op = ops[i]
+                        code = op[0]
+                        if code == _LABEL:
+                            nxt = ex_rows[i + 1]
+                            label = op[1]
+                            ex = any(
+                                type_of(c) == label and nxt[c]
+                                for c in children
+                            )
+                        elif code == _WILDCARD:
+                            nxt = ex_rows[i + 1]
+                            ex = any(nxt[c] for c in children)
+                        elif code == _FILTER:
+                            ex = (
+                                f_tables[op[1]][node]
+                                and ex_rows[i + 1][node]
+                            )
+                        else:  # descendant-or-self
+                            ex = dsc_rows[i + 1][node]
+                    ex_rows[i][node] = ex
+                    row = dsc_rows[i]
+                    row[node] = ex or any(row[c] for c in children)
+            else:
+                op = program.filter_plans[index]
+                code = op[0]
+                if code == 0:  # label test
+                    result = type_of(node) == op[1]
+                elif code == 1:  # exists/value path
+                    result = ex_tables[op[1]][0][node]
+                elif code == 2:  # and
+                    result = all(f_tables[k][node] for k in op[1])
+                elif code == 3:  # or
+                    result = any(f_tables[k][node] for k in op[1])
+                else:  # code == 4: not
+                    result = not f_tables[op[1]][node]
+                f_tables[index][node] = result
+    return values
