@@ -2,9 +2,12 @@
 
 Per event the registry has two regimes:
 
-- **fine** — scan the edges against the per-step patterns of every
-  standing subscription (``first_affected_step``: cost ∝ |edges| ×
-  |patterns|, rewarded with skips);
+- **fine** — one digest of the event (its edges' parents, its edges by
+  type, and on demand one OR of the parents' ancestor rows), met
+  against every standing subscription's trigger summary; a
+  subscription it meets has its edges scanned against its per-step
+  patterns (``first_affected_step``: cost ∝ |edges| × |patterns|),
+  and either way the reward is skips;
 - **coarse** — skip the scan and fully re-evaluate every subscription
   (cost independent of |edges|).
 
@@ -53,13 +56,14 @@ def _service():
 def _event(service, n_edges: int) -> ViewEvent:
     """A fine event of ``n_edges`` worst-case (never-matching) edges.
 
-    Unmatched edge types never short-circuit: every edge is scanned
-    against every pattern of every anchored subscription — the regime
-    the threshold guards against.  (A leading ``//``'s region pattern
-    matches any edge under the root, so those subscriptions re-derive
-    their seeded level once per event, find it unchanged and go on
-    scanning.)  The generation matches the current one so the
-    maintained subscriptions stay consistent for the next measurement.
+    Unmatched edge types never short-circuit: every edge hangs off the
+    root, which every anchored subscription's summary lists, so each
+    of those scans every edge against every pattern — the regime the
+    threshold guards against.  (A leading ``//`` subscription's summary
+    holds only its legs' types and the nodes below its first seeded
+    level, so these events miss it and it is skipped without a scan.)
+    The generation matches the current one so the maintained
+    subscriptions stay consistent for the next measurement.
     """
     return ViewEvent(
         generation=service.updater.generation,

@@ -21,9 +21,12 @@ step from the value's node — the anchored ``cnode[key=a]/...`` queries
 as well as the leading ``//`` ones, and so does the engine's
 re-evaluation; evaluate-per-op through it is timed on the same service
 and its ratio reported, not asserted.  Measured on 2 shared Xeon cores,
-five runs: 21.1–40.9× with seeding off (asserted) and 3.8–7.3× against
-the product's evaluate-per-op, with the decision reading every level by
-membership (234 skips, 6 refreshes over the stream).  When
+five runs: 35.4–36.8× with seeding off (asserted) and 4.5–4.6× against
+the product's evaluate-per-op, with most decisions answered by the
+subscriptions' trigger summaries (234 skips, 6 refreshes over the
+stream); 24.1–27.3× and 3.2–3.8× on the same host with every decision
+scanned.  With the decision reading every level by membership, five
+earlier runs measured 21.1–40.9× and 3.8–7.3×.  When
 a leading ``//`` and a filter chain's second edge still matched every
 event (119 skips, 121 refreshes), five runs measured 15.1–21.7× and
 2.7–4.4×; the engine that refreshed by event cone and step suffix on

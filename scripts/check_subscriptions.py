@@ -19,12 +19,16 @@ view (``service.xml_tree()``), compared by node identity (type, ``$A``).
 The skip and refresh counts are printed per query shape — W1
 (``//cnode[key=a]//cnode[key=b]``), W3 (the ``and`` chain
 ``cnode[key=a and sub/cnode]/sub/cnode[key=b]``) and W2 (the other
-anchored paths).  The exit status is 1 when a subscription drifted, when
-a read disagreed with the tree oracle, or when the W1 or the W3 shape
+anchored paths) — with the decisions each shape's trigger summaries
+answered: every decision the engine did not hand to
+``first_affected_step`` (the script counts the calls by wrapping that
+function).  The exit status is 1 when a subscription drifted, when a
+read disagreed with the tree oracle, when the W1 or the W3 shape
 skipped no event (or has no subscription in the header): their
 decisions read the seeded level after a leading ``//`` and a filter
 chain's second edge by membership, and a stream that never skips them
-means that sharpening is gone.
+means that sharpening is gone; or when the summaries answered fewer
+than :data:`MIN_W2_ANSWERED` of the W2 decisions.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ except ImportError:  # pragma: no cover - checkout-only convenience
 
 from repro import ViewConfig, open_view
 from repro.bench.workload_gen import parse_header_line
+from repro.subscribe import engine
 from repro.workloads import named_workload
 from repro.xpath.parser import parse_xpath
 from repro.xpath.tree_eval import evaluate_on_tree
@@ -54,6 +59,10 @@ SHAPES = ("W1 //a//b", "W2", "W3 and-chain")
 
 #: Commits between two checks of the reads against the tree oracle.
 ORACLE_EVERY = 10
+
+#: The share of W2 decisions the trigger summaries must answer without
+#: ``first_affected_step``: an anchored path's summary is a few nodes.
+MIN_W2_ANSWERED = 0.8
 
 
 def shape_of(path: str) -> str:
@@ -110,6 +119,15 @@ def main(argv: list[str] | None = None) -> int:
     service = open_view(atg, db, config=ViewConfig(strict=False))
     paths = list(header["subscriptions"])
     subs = [service.subscribe(path) for path in paths]
+    shape_by_profile = {id(sub.profile): shape_of(sub.path) for sub in subs}
+    scans = dict.fromkeys(SHAPES, 0)
+    decide = engine.first_affected_step
+
+    def counted(profile, *rest):
+        scans[shape_by_profile[id(profile)]] += 1
+        return decide(profile, *rest)
+
+    engine.first_affected_step = counted
     writes = [
         (number, call)
         for number, call in enumerate(map(json.loads, lines[1:]), start=2)
@@ -143,12 +161,24 @@ def main(argv: list[str] | None = None) -> int:
           "equal to a fresh read after every commit")
     print(f"{oracle_checks} checks of every read against the tree oracle, "
           "all equal")
-    print("%-13s %5s %8s %8s" % ("shape", "subs", "skips", "full"))
+    print("%-13s %5s %8s %8s %9s %8s" % (
+        "shape", "subs", "skips", "full", "decisions", "summary"))
+    answered = {}
     for shape, (count, skips, full) in tally.items():
-        print("%-13s %5d %8d %8d" % (shape, count, skips, full))
+        answered[shape] = skips + full - scans[shape]
+        print("%-13s %5d %8d %8d %9d %8d" % (
+            shape, count, skips, full, skips + full, answered[shape]))
     silent = [shape for shape in (SHAPES[0], SHAPES[2]) if not tally[shape][1]]
     if silent:
         print(f"no skip recorded for: {', '.join(silent)}", file=sys.stderr)
+        return 1
+    w2_decisions = tally[SHAPES[1]][1] + tally[SHAPES[1]][2]
+    if answered[SHAPES[1]] < MIN_W2_ANSWERED * w2_decisions:
+        print(
+            f"the trigger summaries answered {answered[SHAPES[1]]} of "
+            f"{w2_decisions} W2 decisions (< {MIN_W2_ANSWERED:.0%})",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

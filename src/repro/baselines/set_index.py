@@ -59,6 +59,10 @@ class SetReachabilityIndex(ReachabilityIndex):
                 out |= row
         return out
 
+    def anc_or_self_mask(self, nodes: Iterable[int]) -> int:
+        nodes = set(nodes)
+        return mask_of(nodes | self.anc_of_set(nodes))
+
     # -- point mutation -----------------------------------------------------------
 
     def insert(self, anc: int, desc: int) -> bool:

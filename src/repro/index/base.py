@@ -24,8 +24,8 @@ Reach), ``add_closure_below`` (Δ(M,L)insert) and ``retain_below``
 (Δ(M,L)delete) — so an implementation does them in its own
 representation instead of per-pair calls.
 
-Row accessors (``anc`` / ``anc_of_set``) return **detached** sets:
-mutating the result never corrupts the index.
+Row accessors (``anc`` / ``anc_of_set`` / ``anc_or_self_mask``) return
+**detached** values: mutating the result never corrupts the index.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ class ReachabilityIndex(ABC):
     @abstractmethod
     def anc_of_set(self, nodes: Iterable[int]) -> set[int]:
         """Union of proper ancestors over ``nodes`` (detached)."""
+
+    @abstractmethod
+    def anc_or_self_mask(self, nodes: Iterable[int]) -> int:
+        """``nodes`` and all their ancestors as one bitmask (bit ``k``
+        set for node ``k``).  Whether any of them lies in ``S ∪
+        desc(S)`` is then one AND with ``mask(S)``: the subscription
+        engine asks it once per event for every standing query."""
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, d = pair

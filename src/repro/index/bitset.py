@@ -68,6 +68,13 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             mask |= rows.get(node, 0)
         return set(iter_bits(mask))
 
+    def anc_or_self_mask(self, nodes: Iterable[int]) -> int:
+        get = self._anc.get
+        mask = 0
+        for node in nodes:
+            mask |= 1 << node | get(node, 0)
+        return mask
+
     # -- point mutation -----------------------------------------------------------
 
     def insert(self, anc: int, desc: int) -> bool:

@@ -6,7 +6,8 @@
   XPath AST and the one decision made per event and subscription:
   :func:`first_affected_step`, sharpened by the membership of every
   cached level after the commit (without it the ``subscribed_durable``
-  benchmark workload never skips an event);
+  benchmark workload never skips an event), and the per-subscription
+  trigger summary that answers most decisions before it;
 - :mod:`repro.subscribe.engine` — :class:`Subscription` and the
   :class:`SubscriptionRegistry` the commit pipeline maintains: skip, or
   re-evaluate from the root with the seeded evaluator.

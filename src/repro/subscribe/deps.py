@@ -74,6 +74,35 @@ matched (or its seeded level re-derived unchanged), so the cached
 A coalesced batch event lists every edge the batch touched (inserts
 are not cancelled against deletes), and no test reads the record's
 kind, so these arguments hold for it as they do for one op.
+
+**A seeded level after a leading ``//``.**  When the steps feeding a
+seeded level are a step-0 ``//`` and its label step, the cached level
+before it is the closure of the root.  At rest (``M`` fresh, so the
+commit's garbage collection has run) that closure is every live node,
+so the seeded level ``S1`` is the set of the seed leg's holders other
+than the root.  The holders change only when an edge on a leg changes:
+a new holder is linked to its value through inserted leg edges, and a
+collected one loses its leg edges, which the event lists with the rest
+of the collection.  So while ``evaluator.reach`` is set, the feeding
+steps of such a level trigger nothing; only its legs re-derive it.
+After any other ``//`` the region is a real subset of ``L`` and an edge
+anywhere in it can move the level, so the rule is for step 0 alone.
+
+**The trigger summary.**  :meth:`QueryProfile.snapshot` also folds the
+scan above, at rest (worked out once per query as
+:attr:`QueryProfile.stages`), into a :class:`Triggers` over the cached
+levels, up to the first empty level as the scan stops there: ``exact``
+(the nodes of the listed levels the depth-0 patterns test a parent against),
+``closure`` (the generating nodes of every ``//`` level and the levels
+a chain's deeper edges hang below: an edge reaches such a level only
+if an ancestor-or-self of its parent is in the mask), and ``typed``
+(seed legs — an empty seeded level's too, since the scan reads them
+before it stops — and the patterns of levels past the cache).  The
+engine builds one :class:`EventDigest` per fine event at rest; a
+subscription whose summary it does not meet is one whose scan would
+find no hit, since every test the scan makes is one of these three,
+made coarser (any pattern's type, any depth).  So it is skipped without
+the scan.
 """
 
 from __future__ import annotations
@@ -82,6 +111,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.core.dag_eval import Seed, seed_plan
+from repro.index._bits import mask_of
 from repro.subscribe.delta import EdgeRecord, ViewEvent
 from repro.xpath.ast import (
     DescendantStep,
@@ -223,6 +253,80 @@ class Closure:
         return bool(self.nodes)
 
 
+class Triggers(NamedTuple):
+    """A snapshot's trigger summary: what an event must touch for
+    :func:`first_affected_step` to find anything at rest.  Every
+    membership test the scan would make up to the first empty level is
+    folded into ``exact`` or ``closure``; a pattern the scan decides by
+    type and value alone is kept in ``typed``."""
+
+    exact: int
+    """Bitmask of the listed-level nodes the depth-0 patterns test an
+    edge's parent against."""
+    closure: int
+    """Bitmask of the nodes whose closure can matter: the generating
+    nodes of every ``//`` level, and the levels a filter chain's deeper
+    edges hang below (at any depth: the test is conservative)."""
+    typed: tuple[EdgePattern, ...]
+    """Seed legs (an empty seeded level's too) and the patterns of
+    levels past the cache."""
+
+    def meets(self, digest: "EventDigest") -> bool:
+        """Whether the event ``digest`` describes can reach the cache;
+        ``False`` proves :func:`first_affected_step` would skip it."""
+        if self.exact & digest.parents:
+            return True
+        if any(map(digest.matches, self.typed)):
+            return True
+        return bool(self.closure and self.closure & digest.upward())
+
+
+class EventDigest:
+    """One fine event as the :class:`Triggers` read it, built once per
+    event after the commit: the mask of the edges' parents, the edges
+    by ``(parent_type, child_type)``, and — read at most once, and only
+    when a summary asks — the mask of those parents and all their
+    ancestors on the post-commit ``M``."""
+
+    __slots__ = ("parents", "_nodes", "_by_type", "_reach", "_upward")
+
+    def __init__(self, edges, reach):
+        by_type: dict[tuple[str, str], list[EdgeRecord]] = {}
+        nodes = set()
+        for rec in edges:
+            nodes.add(rec.parent)
+            by_type.setdefault((rec.parent_type, rec.child_type), []).append(
+                rec
+            )
+        self.parents = mask_of(nodes)
+        self._nodes = nodes
+        self._by_type = by_type
+        self._reach = reach
+        self._upward: int | None = None
+
+    def upward(self) -> int:
+        """The parents and their ancestors, as a bitmask."""
+        if self._upward is None:
+            self._upward = self._reach.anc_or_self_mask(self._nodes)
+        return self._upward
+
+    def matches(self, pattern: EdgePattern) -> bool:
+        """Whether an event edge matches ``pattern`` by type and value."""
+        if pattern.parent is not None and pattern.child is not None:
+            groups = (self._by_type.get((pattern.parent, pattern.child), ()),)
+        else:
+            groups = self._by_type.values()
+        return any(pattern.matches(rec) for group in groups for rec in group)
+
+
+class Snapshot(NamedTuple):
+    """What the subscription cache keeps of one evaluation
+    (:meth:`QueryProfile.snapshot`)."""
+
+    levels: list
+    triggers: Triggers
+
+
 class SeededLevel(NamedTuple):
     """A seeded level as the decision reads it."""
 
@@ -233,6 +337,10 @@ class SeededLevel(NamedTuple):
     """The seed leg's patterns, matched without the context."""
     rest: tuple[EdgePattern, ...]
     """The patterns of the filter's other conjuncts."""
+    leading: bool = False
+    """Whether the steps feeding the level are a step-0 ``//`` and its
+    label step: the level is then moved by its legs alone while ``M``
+    is fresh (see the module docstring)."""
 
 
 @dataclass(frozen=True)
@@ -247,17 +355,21 @@ class QueryProfile:
     """The first step feeding each seeded level (its label step, or the
     ``//`` before that) → the level
     (:func:`~repro.core.dag_eval.seed_plan`)."""
+    stages: tuple[tuple[int, tuple], ...] = field(default=(), compare=False)
+    """What :meth:`snapshot` folds into the :class:`Triggers` (see
+    :func:`_stages`)."""
 
     @property
     def prunable(self) -> bool:
         """Whether any event can ever be skipped for this query."""
         return not any(ANY_EDGE in deps for deps in self.per_step)
 
-    def snapshot(self, contexts: list) -> list:
+    def snapshot(self, contexts: list) -> Snapshot:
         """What the cache keeps of an evaluation's per-level membership
         (:attr:`~repro.core.dag_eval.EvalResult.contexts`): a ``//``
         level as the :class:`Closure` of the level before it, every
-        other level as a set."""
+        other level as a set; and the :class:`Triggers` of those
+        levels."""
         steps = self.path.steps
         levels: list = []
         for level, members in enumerate(contexts):
@@ -270,7 +382,79 @@ class QueryProfile:
                 levels.append(
                     members if isinstance(members, set) else set(members)
                 )
-        return levels
+        return Snapshot(levels, self._triggers(levels))
+
+    def _triggers(self, levels: list) -> Triggers:
+        """The trigger summary of ``levels``: :attr:`stages` read up to
+        the first empty level, as the scan stops there."""
+        exact = closure = 0
+        typed: list[EdgePattern] = []
+        count = len(levels)
+        for stop, tests in self.stages:
+            if stop < count and not levels[stop]:
+                break
+            for scope, by_closure, patterns in tests:
+                if scope >= count:
+                    typed.extend(patterns)
+                    continue
+                cached = levels[scope]
+                mask = mask_of(
+                    cached.nodes if isinstance(cached, Closure) else cached
+                )
+                if by_closure:
+                    closure |= mask
+                else:
+                    exact |= mask
+        return Triggers(exact, closure, tuple(typed))
+
+
+def _stages(
+    steps, per_step, seeded: dict[int, SeededLevel]
+) -> tuple[tuple[int, tuple], ...]:
+    """:func:`first_affected_step`'s scan at rest, worked out once per
+    query: one stage per level the scan may stop at, holding that level
+    and the tests the scan makes before the next such level, as
+    ``(scope, by_closure, patterns)`` — ``patterns`` are read against
+    cached level ``scope`` (by ancestor when ``by_closure``), or by
+    type and value alone when the cache holds no level ``scope`` (a
+    seed leg's scope is past any cache)."""
+    unscoped = len(steps) + 1
+
+    def stage(stop: int, scanned) -> tuple[int, tuple]:
+        tests: dict[tuple[int, bool], list[EdgePattern]] = {}
+        for index, patterns in scanned:
+            for pattern in patterns:
+                if pattern.in_region:
+                    key = (index + 1, True)
+                elif pattern.depth is None:
+                    key = (unscoped, False)
+                else:
+                    key = (index, bool(pattern.depth) or (
+                        index > 0
+                        and isinstance(steps[index - 1], DescendantStep)
+                    ))
+                tests.setdefault(key, []).append(pattern)
+        return stop, tuple(
+            (scope, by_closure, tuple(patterns))
+            for (scope, by_closure), patterns in tests.items()
+        )
+
+    stages = []
+    index = 0
+    while index < len(per_step):
+        group = seeded.get(index)
+        if group is None:
+            stages.append(stage(index, [(index, per_step[index])]))
+            index += 1
+            continue
+        level = group.level
+        feeding = [] if group.leading else [
+            (step, per_step[step]) for step in range(index, level)
+        ]
+        stages.append(stage(index, [*feeding, (level, group.legs)]))
+        stages.append(stage(level, [(level, group.rest)]))
+        index = level + 1
+    return tuple(stages)
 
 
 def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
@@ -303,15 +487,19 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
                     rest.extend(_filter_patterns(part, ctx, 0))
             per_step.append((*legs, *rest))
             if seed is not None:
-                start = index - 1  # the label step
+                start, leading = index - 1, False  # the label step
                 if start and isinstance(path.steps[start - 1], DescendantStep):
                     start -= 1
+                    leading = start == 0
                 seeded[start] = SeededLevel(
-                    index, seed, tuple(legs), tuple(rest)
+                    index, seed, tuple(legs), tuple(rest), leading
                 )
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown step {step!r}")
-    return QueryProfile(path=path, per_step=tuple(per_step), seeded=seeded)
+    return QueryProfile(
+        path=path, per_step=tuple(per_step), seeded=seeded,
+        stages=_stages(path.steps, per_step, seeded),
+    )
 
 
 class _Scan:
@@ -427,13 +615,20 @@ def first_affected_step(
             index += 1
             continue
         level = group.level
-        hit = next(
-            (
-                step for step in range(index, level)
-                if scan.hits(per_step[step], step)
-            ),
-            None,
-        )
+        if (
+            group.leading
+            and evaluator is not None
+            and evaluator.reach is not None
+        ):
+            hit = None  # at rest only a leg edge moves this level
+        else:
+            hit = next(
+                (
+                    step for step in range(index, level)
+                    if scan.hits(per_step[step], step)
+                ),
+                None,
+            )
         if hit is None and scan.hits(group.legs, level):
             hit = level
         if hit is not None:

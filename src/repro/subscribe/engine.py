@@ -11,10 +11,11 @@ decision** — ``first_affected_step(profile, event, levels, evaluator)``
 (:mod:`repro.subscribe.deps`): can any event edge change any step's
 context? — and one of **two actions**:
 
-- **skip** (``None``) — no event edge changes a level the cache holds,
-  read after the commit by membership: the cached result is provably
-  current; the ``skips`` counter, an empty delta and the generation tag
-  are set on the spot;
+- **skip** (``None``, or the event misses the subscription's trigger
+  summary) — no event edge changes a level the cache holds, read after
+  the commit by membership: the cached result is provably current; the
+  ``skips`` counter, an empty delta and the generation tag are set on
+  the spot;
 - **re-evaluate from the root** — anything else: one seeded
   :meth:`DagXPathEvaluator.evaluate_from` of the whole query
   (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
@@ -40,11 +41,25 @@ only when its seeded level or a region it reads moves.  On that
 workload's 1,000 commits this took the refreshes from 14,356 to 332
 (``skip_ratio`` 0.551 → 0.990; 201 of the 332 changed a result).  The
 decision's one post-commit evaluator is built once per event and
-shared by every subscription's decision and refresh.  A type/value
-pattern index, a node-level watch index and a lazy skip ledger in front
-of the decision bought nothing measurable at 32 or at 256
-subscriptions, so the decision is made once, per subscription, in the
-open.
+shared by every subscription's decision and refresh.
+
+Once refreshes were that rare, the decisions themselves were the cost:
+32,000 scans for 332 refreshes.  So each subscription keeps a trigger
+summary of its cache (:class:`~repro.subscribe.deps.Triggers`, built by
+:meth:`QueryProfile.snapshot` with the levels), each fine event at rest
+one :class:`~repro.subscribe.deps.EventDigest`, and a subscription
+whose summary the digest does not meet is skipped without the scan.
+On the same 1,000 commits the summaries took the scans from 32,000 to
+2,754 (W1 8,000 → 1,466, W2 18,000 → 356, W3 6,000 → 932) with the
+same skips and refreshes, and ``seed_members`` calls fell from 9,621 to
+1,621 once a seeded level after a leading ``//`` stopped re-deriving
+on every edge under the root; the workload's ``ops_per_s`` rose 1.17x
+(ten alternating pairs, all ten won).  A registry-level type/value pattern index,
+node-level watch index and lazy skip ledger in front of the decision
+had bought nothing measurable at 32 or at 256 subscriptions when a
+refresh followed 45% of the decisions; they stay out.  The summary is
+per subscription, read from the cache the decision reads, and the skip
+bookkeeping stays eager.
 
 Alongside the full result set, each action derives the per-commit
 **result delta** from the old/new tuples the registry already holds:
@@ -73,6 +88,7 @@ from contextlib import nullcontext
 from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
+    EventDigest,
     QueryProfile,
     first_affected_step,
     profile_query,
@@ -87,23 +103,24 @@ _STAT_KEYS = (
     "coarse_fallbacks",
 )
 
-#: Above this many edges in one event, scanning every subscription's
-#: per-step patterns against every edge costs more than simply
-#: re-evaluating, so the registry degrades the event to coarse — a
-#: selection on the observable input size.  The default is calibrated
-#: by ``benchmarks/test_coarse_fallback.py`` (best of five, 2 shared
-#: Xeon cores) and is the first power of two past the measured
-#: crossover of 64–96 worst-case (never-matching) edges at 16 standing
-#: queries.  Reading every level by membership costs more per edge but
-#: skips the ``//`` queries that every event used to re-evaluate, and
-#: the crossover stayed where it was (three passes per commit, noisy
-#: host): fine 0.39–0.60 vs coarse 0.45–0.66 ms at 64, 0.54–0.93 vs
-#: 0.45–0.76 ms at 96, 0.69–1.17 vs 0.42–0.72 ms at 128, 1.22–1.86 vs
-#: 0.42–0.67 ms at 256, against 0.53–0.58 vs 0.60–0.74, 0.70–0.79 vs
-#: 0.62–0.72, 0.76–0.98 vs 0.62–0.68 and 0.98–1.60 vs 0.66–0.73 ms
-#: before.  Real events match patterns and re-evaluate some queries
-#: either way, which only lowers the crossover.
-DEFAULT_COARSE_THRESHOLD = 128
+#: Above this many edges in one event, deciding every subscription
+#: against every edge costs more than simply re-evaluating, so the
+#: registry degrades the event to coarse — a selection on the
+#: observable input size.  The default is calibrated by
+#: ``benchmarks/test_coarse_fallback.py`` (best of five, 2 shared Xeon
+#: cores) and is the first power of two past the measured crossover of
+#: worst-case (never-matching) edges at 16 standing queries.  With the
+#: trigger summaries the four leading-``//`` queries skip such events
+#: without a scan, while each refresh also builds a summary, and the
+#: crossover moved from 64–96 to 128–160 edges (six passes per side,
+#: alternating, one host): fine vs coarse ms at 64 / 96 / 128 / 160
+#: edges read 0.50–0.54 vs 0.95–1.01, 0.71–0.76 vs 0.97–1.03,
+#: 0.92–0.97 vs 0.98–1.03 and 1.10–1.13 vs 0.95–1.03, against
+#: 0.70–0.72 vs 0.84–0.90, 0.98–1.04 vs 0.82–0.85, 1.25–1.32 vs
+#: 0.82–0.89 and 1.52–1.57 vs 0.82–0.88 before.  Real events match
+#: patterns and re-evaluate some queries either way, which only lowers
+#: the crossover.
+DEFAULT_COARSE_THRESHOLD = 256
 
 
 class Subscription:
@@ -135,6 +152,9 @@ class Subscription:
         — what events are pruned against; ``None`` after an evaluation
         with ``M`` stale, which does not seed, so its levels cannot be
         compared with re-derived seeded ones."""
+        self._triggers = None
+        """The :class:`~repro.subscribe.deps.Triggers` of ``_contexts``
+        (``None`` with them)."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -265,9 +285,13 @@ class SubscriptionRegistry:
         An event with more edges than :attr:`coarse_threshold` is
         coarsened first; then each standing subscription, under its
         mutex, takes the action :meth:`_apply_event` decides and ends at
-        the event's generation with a current result, delta and stats.
-        Cost per event: O(subscriptions × patterns × edges) for the
-        decisions — bounded by the threshold — plus the refreshes.
+        the event's generation with a current result, delta and stats;
+        one closed since the list was copied is left alone.  Cost per
+        fine event at rest: one digest (O(edges), and one OR of the
+        parents' ancestor rows if a summary asks), O(subscriptions ×
+        summary patterns) to meet the summaries, O(patterns × edges)
+        per subscription the digest meets — bounded by the threshold —
+        plus the refreshes.
 
         The caller (:class:`~repro.service.pipeline.CommitPipeline`)
         holds the write lock and passes the *sealed* event — one per
@@ -286,11 +310,18 @@ class SubscriptionRegistry:
             )
             for sub in subs:
                 sub._stats["coarse_fallbacks"] += 1
-        # One post-commit evaluator decides and refreshes every query.
+        # One post-commit evaluator decides and refreshes every query,
+        # and one digest of a fine event at rest meets every summary.
         evaluator = self.updater.evaluator()
+        digest = (
+            EventDigest(event.edges, evaluator.reach)
+            if not event.coarse and evaluator.reach is not None
+            else None
+        )
         for sub in subs:
             with sub._mutex:
-                self._apply_event(sub, event, evaluator)
+                if sub.active:  # not closed since the copy above
+                    self._apply_event(sub, event, evaluator, digest)
         self.publish_seconds += time.perf_counter() - start
         self._m_events.inc()
 
@@ -299,10 +330,18 @@ class SubscriptionRegistry:
     handle = apply_batched
 
     def _apply_event(
-        self, sub: Subscription, event: ViewEvent, evaluator
+        self, sub: Subscription, event: ViewEvent, evaluator, digest
     ) -> None:
-        """The decision and its action; callers hold ``sub._mutex``."""
-        if first_affected_step(
+        """The decision and its action; callers hold ``sub._mutex``.
+        Without ``digest`` (a coarse event, ``M`` stale) or a summary,
+        the decision is :func:`first_affected_step`; otherwise it runs
+        only when the event meets the subscription's summary."""
+        triggers = sub._triggers
+        if (
+            digest is not None
+            and triggers is not None
+            and not triggers.meets(digest)
+        ) or first_affected_step(
             sub.profile, event, sub._contexts, evaluator
         ) is None:
             sub._stats["skips"] += 1
@@ -322,11 +361,12 @@ class SubscriptionRegistry:
         if evaluator is None:
             evaluator = self.updater.evaluator()
         result = evaluator.evaluate_from(sub.query)
-        sub._contexts = (
-            sub.profile.snapshot(result.contexts)
-            if evaluator.reach is not None
-            else None
-        )
+        if evaluator.reach is not None:
+            sub._contexts, sub._triggers = sub.profile.snapshot(
+                result.contexts
+            )
+        else:
+            sub._contexts = sub._triggers = None
         sub._nodes = tuple(sorted(result.targets))
 
     # -- the read path --------------------------------------------------------------

@@ -105,6 +105,7 @@ def test_backends_agree_on_random_op_streams(ops, probe, dag, cut):
     for n in NODES:
         assert index.anc(n) == oracle.anc(n), n
     assert index.anc_of_set(probe) == oracle.anc_of_set(probe)
+    assert index.anc_or_self_mask(probe) == oracle.anc_or_self_mask(probe)
     edges = Edges.of_pairs(oracle)
     region, reference = index.region(edges, probe), oracle.region(edges, probe)
     assert [n in region for n in NODES] == [n in reference for n in NODES]

@@ -4,7 +4,9 @@
 result unchanged.  Every property here checks that claim directly: a
 skip implies that a fresh ``evaluate_from`` after the commit gives the
 cached result, and the cached levels (:meth:`QueryProfile.snapshot`)
-the next decision reads.
+the next decision reads.  A subscription's trigger summary skips an
+event without the scan, so wherever the event misses the summary the
+scan must skip it too.
 
 The store-level property builds small random DAGs over a
 ``cnode (key, sub, tag)`` schema and random event batches, applied to
@@ -33,6 +35,7 @@ from repro.index import build_index
 from repro.service import ViewConfig, open_view
 from repro.subscribe import EdgeRecord, ViewEvent, first_affected_step
 from repro.subscribe import profile_query
+from repro.subscribe.deps import EventDigest
 from repro.views.store import ViewStore
 from repro.workloads import make_query_set, make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
@@ -201,19 +204,24 @@ def assert_sound(world: World, batch) -> int:
     event = world.commit(batch)
     after = world.at_rest()
     world.evaluator = after
+    digest = EventDigest(event.edges, after.reach)
     skips = 0
-    for text, (profile, levels, targets) in cached.items():
+    for text, (profile, (levels, triggers), targets) in cached.items():
         decision = first_affected_step(profile, event, levels, after)
         stale = first_affected_step(
             profile, event, levels, world.at_rest(stale=True)
         )
         if stale is None:
             assert decision is None, (text, batch)
+        if not triggers.meets(digest):
+            assert decision is None, (text, batch)
         if decision is None:
             skips += 1
             fresh = after.evaluate_from(profile.path)
             assert sorted(fresh.targets) == targets, (text, batch)
-            assert profile.snapshot(fresh.contexts) == levels, (text, batch)
+            assert profile.snapshot(fresh.contexts) == (levels, triggers), (
+                text, batch,
+            )
     return skips
 
 

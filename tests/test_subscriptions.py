@@ -24,13 +24,15 @@ from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, open_view
 from repro.subscribe import (
     EdgeRecord,
+    SubscriptionRegistry,
     ViewEvent,
+    engine,
     first_affected_step,
     profile_query,
 )
 from repro.dtd.parser import parse_dtd
 from repro.index import build_index
-from repro.subscribe.deps import ANY_EDGE, Closure
+from repro.subscribe.deps import ANY_EDGE, Closure, EventDigest
 from repro.views.store import ViewStore
 from repro.workloads import (
     REGISTRAR_QUERIES,
@@ -105,10 +107,10 @@ def assert_refreshed(service, subs, before=None, tag=""):
             fresh.contexts, evaluator
         ), f"{tag}: cached contexts of {sub.path!r} drifted"
         # The one snapshot rule: every level is cached, a ``//`` level
-        # as the level before it, never listed.
-        assert sub._contexts == sub.profile.snapshot(fresh.contexts), (
-            f"{tag}: {sub.path!r} is not cached by the snapshot rule"
-        )
+        # as the level before it, never listed; the summary is theirs.
+        assert (sub._contexts, sub._triggers) == sub.profile.snapshot(
+            fresh.contexts
+        ), f"{tag}: {sub.path!r} is not cached by the snapshot rule"
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +423,35 @@ class TestRegistrarEquivalence:
         assert before == 1
         sub.close()
         assert service.subscriptions.stats()["full_refreshes"] == before
+
+    def test_a_subscription_closed_while_a_commit_decides_is_left_alone(
+        self, monkeypatch
+    ):
+        """Regression: the commit decides a copy of the subscription
+        list and ``close()`` takes no service lock, so B, closed from
+        inside A's decision, was still decided and refreshed after its
+        counters had been folded into the registry totals."""
+        service = registrar_service()
+        a = service.subscribe("course[cno=CS240]/takenBy/student")
+        b = service.subscribe("course[cno=CS650]/prereq/course")
+        apply_event = SubscriptionRegistry._apply_event
+
+        def closing(self, sub, *rest):
+            if sub is a:
+                b.close()
+            return apply_event(self, sub, *rest)
+
+        monkeypatch.setattr(SubscriptionRegistry, "_apply_event", closing)
+        generation, folded = b.generation, b.stats
+        assert service.apply(
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+        ).accepted
+        assert not b.active
+        assert b.generation == generation
+        assert b.stats == folded
+        assert a.stats["skips"] == 1
+        totals = service.subscriptions.stats()
+        assert (totals["skips"], totals["full_refreshes"]) == (1, 0)
 
     def test_stats_property_hands_out_a_copy(self):
         """Regression: ``sub.stats`` used to be the registry's live
@@ -783,6 +814,108 @@ class TestSeededLevelDecisions:
             self.QUERY, self.SEEDED, ("delete", "c", "tc")
         ) == 3
 
+    # After a leading ``//`` the seeded level is the leg's holders other
+    # than the root, at rest: only a leg edge moves it.
+
+    LEADING = "//cnode[key=1]//cnode[key=9]"
+
+    def _commit(self, query, new, changes, monkeypatch):
+        """Evaluate ``query`` on :func:`seeded_store`, intern the ``new``
+        ``(name, element)`` nodes, apply the ``(kind, parent, child)``
+        ``changes`` and collect what the root no longer reaches, with
+        the collected edges in the event; then decide at rest.  Returns
+        the decision, whether a fresh evaluation gives the cached
+        result, and the seeds ``seed_members`` was asked about."""
+        store, ids = seeded_store()
+        parsed = parse_xpath(query)
+        profile = profile_query(parsed, "root")
+        before = self._evaluator(store).evaluate_from(parsed)
+        levels, triggers = profile.snapshot(before.contexts)
+        for name, element in new:
+            ids[name] = store.intern(element, (name,))[0]
+        records = []
+        for kind, parent, child in changes:
+            p, c = ids[parent], ids[child]
+            if kind == "insert":
+                store.add_edge(p, c)
+            records.append(edge(kind, store, ids, parent, child))
+            if kind == "delete":
+                store.remove_edge(p, c)
+        live = store.reachable_from_root()
+        dead = [node for node in list(store.nodes()) if node not in live]
+        names = {node: name for name, node in ids.items()}
+        for node in dead:
+            for child in list(store.children_of(node)):
+                records.append(
+                    edge("delete", store, ids, names[node], names[child])
+                )
+                store.remove_edge(node, child)
+        for node in dead:
+            store.remove_node(node)
+        event = ViewEvent(generation=1, edges=records)
+        after = self._evaluator(store)
+        seeds = []
+        seed_members = DagXPathEvaluator.seed_members
+
+        def counting(self, seed, context):
+            seeds.append(seed)
+            return seed_members(self, seed, context)
+
+        monkeypatch.setattr(DagXPathEvaluator, "seed_members", counting)
+        decision = first_affected_step(profile, event, levels, after)
+        monkeypatch.undo()
+        if not triggers.meets(EventDigest(records, after.reach)):
+            assert decision is None
+        fresh = after.evaluate_from(parsed)
+        return decision, sorted(fresh.targets) == sorted(before.targets), seeds
+
+    @staticmethod
+    def _evaluator(store):
+        topo = TopoOrder.from_store(store)
+        return DagXPathEvaluator(store, topo, build_index(store, topo))
+
+    def test_leading_seed_refreshes_for_a_new_holder_under_an_unrelated_parent(
+        self, monkeypatch
+    ):
+        # e holds key 9 and hangs below b's new sub: no cached level
+        # lists either parent.
+        decision, same, _ = self._commit(
+            "//cnode[key=9]",
+            [("sb", "sub"), ("e", "cnode")],
+            [("insert", "b", "sb"), ("insert", "sb", "e"),
+             ("insert", "e", "k9")],
+            monkeypatch,
+        )
+        assert decision is not None and not same
+
+    def test_leading_seed_refreshes_when_its_holder_is_collected(
+        self, monkeypatch
+    ):
+        # Cutting sa → c collects c, and with it the c → key 9 edge.
+        decision, same, _ = self._commit(
+            "//cnode[key=9]", [], [("delete", "sa", "c")], monkeypatch
+        )
+        assert decision is not None and not same
+
+    def test_leading_seed_skips_a_second_parent_without_rederiving(
+        self, monkeypatch
+    ):
+        """c gains a parent below a: the leading group's level (the
+        key-1 holders) is not re-derived; the ``//`` after it is, and
+        finds c's level unchanged."""
+        profile = profile_query(parse_xpath(self.LEADING), "root")
+        leading, inner = (
+            profile.seeded[start].seed for start in sorted(profile.seeded)
+        )
+        decision, same, seeds = self._commit(
+            self.LEADING,
+            [("sa2", "sub")],
+            [("insert", "a", "sa2"), ("insert", "sa2", "c")],
+            monkeypatch,
+        )
+        assert decision is None and same
+        assert seeds == [inner] and leading not in seeds
+
 
 # ---------------------------------------------------------------------------
 # Pinned decisions: which action each subscription takes per commit
@@ -824,33 +957,63 @@ PINNED_CHURN_DECISIONS = (
 )
 
 
-class TestPinnedDecisions:
-    def test_churn_stream_decisions_are_pinned(self):
-        """The ``subscribed_durable`` shape in small: 32 header
-        subscriptions over one generated churn stream.  Results stay
-        current after every op; per subscription, skips are no fewer
-        and full refreshes no more than :data:`PARENT_CHURN_DECISIONS`,
-        with no fallback; and the action counts equal the recorded
-        literals."""
-        spec = WorkloadSpec(
-            workload="synthetic:120", ops=60, seed=7,
-            pattern="churn", key_skew=0.8, subscriptions=32,
-        )
-        atg, db = named_workload(spec.workload)
-        service = open_view(atg, db, config=ViewConfig(strict=False))
-        subs = [
-            service.subscribe(path)
-            for path in make_header(spec)["subscriptions"]
-        ]
+@pytest.fixture(scope="class")
+def pinned_churn():
+    """The ``subscribed_durable`` shape in small: 32 header
+    subscriptions over one generated churn stream (``synthetic:120``,
+    seed 7, 60 ops), checked current after every op.  Returns the
+    subscriptions and how many times each one's event was scanned by
+    ``first_affected_step``."""
+    spec = WorkloadSpec(
+        workload="synthetic:120", ops=60, seed=7,
+        pattern="churn", key_skew=0.8, subscriptions=32,
+    )
+    atg, db = named_workload(spec.workload)
+    service = open_view(atg, db, config=ViewConfig(strict=False))
+    subs = [
+        service.subscribe(path)
+        for path in make_header(spec)["subscriptions"]
+    ]
+    scans = []
+
+    def counting(profile, *rest):
+        scans.append(profile)
+        return first_affected_step(profile, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "first_affected_step", counting)
         for op in generate_ops(spec):
             assert service.apply(op).accepted
             assert_current(service, subs, f"after {op}")
+    return subs, scans
+
+
+class TestPinnedDecisions:
+    def test_churn_stream_decisions_are_pinned(self, pinned_churn):
+        """Per subscription of the pinned churn stream, skips are no
+        fewer and full refreshes no more than
+        :data:`PARENT_CHURN_DECISIONS`, with no fallback; and the action
+        counts equal the recorded literals."""
+        subs, _ = pinned_churn
         keys = ("skips", "full_refreshes", "fallback_refreshes")
         decisions = [tuple(sub.stats[key] for key in keys) for sub in subs]
         for sub, now, floor in zip(subs, decisions, PARENT_CHURN_DECISIONS):
             assert now[0] >= floor[0] and now[1] <= floor[1], sub.path
             assert now[2] == 0, sub.path
         assert decisions == PINNED_CHURN_DECISIONS
+
+    def test_churn_stream_scans_at_most_a_quarter_of_its_decisions(
+        self, pinned_churn
+    ):
+        """The trigger summaries answer most of the 32 × 60 decisions:
+        ``first_affected_step`` runs for at most a quarter of them (it
+        ran for every one before the summaries)."""
+        subs, scans = pinned_churn
+        decided = sum(
+            sub.stats["skips"] + sub.stats["full_refreshes"] for sub in subs
+        )
+        assert decided == 32 * 60
+        assert len(scans) <= decided // 4
 
     def test_unaffected_subscriptions_cost_no_evaluation(self, monkeypatch):
         """256 standing subscriptions, none of which the op can affect:

@@ -253,6 +253,8 @@ class TestReachabilityMatrix:
         m.insert(3, 4)
         assert m.anc_of_set([2, 4]) == {1, 3}
         assert m.anc_of_set([2, 5]) == {1}
+        assert m.anc_or_self_mask([2, 5]) == 1 << 1 | 1 << 2 | 1 << 5
+        assert m.anc_or_self_mask([]) == 0
 
     def test_pairs(self):
         m = BitsetReachabilityIndex()
