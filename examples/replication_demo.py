@@ -64,7 +64,6 @@ def replica_main(name, wal_dir, landed, digests_queue, reports):
     reports.put({
         "name": name,
         "generation": stats["generation"],
-        "events_folded": stats["events_folded"],
         "converged": writer_digests.get(stats["generation"])
         == replica.digest(),
     })
@@ -122,19 +121,18 @@ def run(wal_dir):
 
     for report in reports:
         print(f"{report['name']}: from_wal landed at generation "
-              f"{report['generation']}, {report['events_folded']} event(s) "
-              f"folded, digest matches the writer's: {report['converged']}")
-    total_folded = sum(r["events_folded"] for r in reports)
+              f"{report['generation']}, digest matches the writer's: "
+              f"{report['converged']}")
     if (
         not all(r["converged"] for r in reports)
         or reports[-1]["generation"] != final_generation
-        or total_folded == 0
+        # A mid-stream landing past the boot checkpoint replayed the log.
+        or reports[0]["generation"] == 0
     ):
         print("replication demo FAILED", file=sys.stderr)
         return 1
     print(f"replication demo OK: {len(reports)} replica process(es) "
-          f"bootstrapped from the WAL, byte-identical to the writer, "
-          f"{total_folded} event(s) folded")
+          f"bootstrapped from the WAL, byte-identical to the writer")
     return 0
 
 

@@ -10,8 +10,7 @@ unintended row.  The translator:
 3. decides the constraints in the equality domain: a union-find over
    the atoms every target needs, each unknown no atom binds a fresh
    value, and only clauses left over BOOL unknowns encoded into CNF for
-   DPLL (or WalkSAT, the paper's solver, which the last step selects);
-   the registrar has no BOOL column, so no instance here needs one;
+   DPLL; the registrar has no BOOL column, so no instance here needs one;
 4. instantiates the templates from the model.
 
 The demo shows the machinery choosing ``dept ≠ 'CS'`` for a course that
@@ -68,17 +67,14 @@ def main() -> None:
     except Exception as exc:
         print(f"  -> rejected: {exc}")
 
-    # -- 4. the paper's solver on a fresh instance -----------------------------
-    print("\nthe same insertion as 1, with WalkSAT selected (no residue: "
-          "'trivial')")
+    # -- 4. Algorithm insert on its own, on a fresh instance -----------------------
+    print("\nthe same insertion as 1, translated by Algorithm insert alone")
     atg, db = build_registrar()
-    paper = open_view(atg, db).updater
-    result = paper.evaluate_xpath("//course[cno=CS240]/prereq")
-    subtree = publish_subtree(atg, db, paper.store, "course", ("CS101", "Intro"))
-    delta_v = xinsert(paper.store, result.targets, subtree)
-    plan = translate_insertions(
-        paper.registry, paper.store, db, delta_v, solver="walksat"
-    )
+    fresh = open_view(atg, db).updater
+    result = fresh.evaluate_xpath("//course[cno=CS240]/prereq")
+    subtree = publish_subtree(atg, db, fresh.store, "course", ("CS101", "Intro"))
+    delta_v = xinsert(fresh.store, result.targets, subtree)
+    plan = translate_insertions(fresh.registry, fresh.store, db, delta_v)
     for op in plan.delta_r:
         print(f"  ΔR ({plan.solver}): {op.kind} {op.relation}{op.row}")
 

@@ -88,6 +88,7 @@ from repro.errors import (
     ReplicaError,
     ReplicaStaleError,
     ReproError,
+    ServiceClosedError,
     SideEffectError,
     SnapshotError,
     SnapshotMismatchError,
@@ -159,6 +160,7 @@ __all__ = [
     "DTD",
     "parse_dtd",
     "ReproError",
+    "ServiceClosedError",
     "SideEffectError",
     "UpdateRejectedError",
     "ValidationError",

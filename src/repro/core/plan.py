@@ -281,6 +281,7 @@ class UpdatePlan:
 
     def commit(self) -> UpdateOutcome:
         """Apply ΔR/ΔV and run the background Δ(M,L) maintenance."""
+        self.updater.check_writable()
         with self.updater.write_scope():
             if self.state is PlanState.REJECTED:
                 raise PlanError(

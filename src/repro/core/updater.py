@@ -39,7 +39,7 @@ from repro.core.plan import UpdatePlan
 from repro.core.session import BatchReport, UpdateSession
 from repro.core.topo import TopoOrder
 from repro.dtd.validate import StaticValidator
-from repro.errors import PlanError, ReproError, UpdateRejectedError
+from repro.errors import PlanError, ReproError, ServiceClosedError, UpdateRejectedError
 from repro.index import ReachabilityIndex, build_index
 from repro.ops import UpdateOperation
 from repro.relational.database import Database, RelationalDelta
@@ -66,6 +66,7 @@ class _NoSink:
 
     consuming = False
     delivering = False
+    closed = False
     scope = staticmethod(nullcontext)
 
 
@@ -172,7 +173,7 @@ class XMLViewUpdater:
             raise TypeError(
                 f"expected an update operation from repro.ops, got {op!r}"
             )
-        self._check_not_delivering()
+        self.check_writable()
         if self._outstanding_plan is not None:
             raise PlanError(
                 "another plan is outstanding; commit or abort it first"
@@ -215,7 +216,7 @@ class XMLViewUpdater:
         equivalent, ``apply_op(BaseUpdateOp.from_delta(delta_r))``, runs
         the same :meth:`propagate` body and the same one generation.)
         """
-        self._check_not_delivering()
+        self.check_writable()
         if self._outstanding_plan is not None:
             # Propagation would trip over the plan's pre-interned
             # (edge-less) nodes and corrupt the store irrecoverably.
@@ -231,7 +232,7 @@ class XMLViewUpdater:
 
     def rebuild(self) -> None:
         """Recompute the store, ``L`` and ``M`` from scratch (baseline)."""
-        self._check_not_delivering()
+        self.check_writable()
         self.store = publish_store(self.atg, self.db)
         self.rebuild_structures_only()
 
@@ -243,7 +244,7 @@ class XMLViewUpdater:
         """
         from repro.views.loader import load_structures
 
-        self._check_not_delivering()
+        self.check_writable()
         self.topo, self.reach = load_structures(self.store)
         self.finish_generation("rebuild", coarse=True)
 
@@ -271,11 +272,19 @@ class XMLViewUpdater:
         - ``sink.scope()`` — the context a plan's ``commit()`` /
           ``abort()`` runs in (the service's write section);
         - ``sink.delivering`` — true on a thread that is handing events
-          to consumers; mutating from there is rejected.
+          to consumers; mutating from there is rejected;
+        - ``sink.closed`` — true once the service is closed; every
+          mutation is rejected.
         """
         self._sink = sink
 
-    def _check_not_delivering(self) -> None:
+    def check_writable(self) -> None:
+        """Raise if the sink is closed or this thread is delivering."""
+        if self._sink.closed:
+            raise ServiceClosedError(
+                "the service is closed: reads and snapshot() still work, "
+                "writes do not"
+            )
         if self._sink.delivering:
             raise PlanError(
                 "cannot mutate the view from inside a changefeed "

@@ -87,6 +87,11 @@ class StalePlanError(PlanError):
     """
 
 
+class ServiceClosedError(ReproError):
+    """A write reached a ``ViewService`` after its ``close()`` (reads
+    and ``snapshot()`` still work)."""
+
+
 class CycleError(ReproError):
     """The published view graph contains a cycle (cannot unfold to a tree)."""
 

@@ -374,6 +374,11 @@ class Database:
             raise SchemaError(
                 f"database state names unknown relation(s): {unknown}"
             )
+        for name, rows in tables.items():
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) for row in rows
+            ):
+                raise SchemaError(f"database state rows of {name!r} must be lists")
         for name, table in self._tables.items():
             rows = tables.get(name, [])
             table._rows.clear()

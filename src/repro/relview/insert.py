@@ -48,10 +48,10 @@ insertions ``ΔR`` via SAT, in five stages:
    BOOL unknown has too few values to be fresh: clauses left with
    undecided BOOL atoms — the residue, where Theorem 2's NP-hardness
    lives — go through :func:`~repro.sat.encode.encode_formula` over
-   ``(False, True)`` domains to DPLL, complete and deterministic, or
-   to WalkSAT, the paper's solver, under ``solver='walksat'`` (it may
-   give up on a satisfiable instance).  No dataset here has a BOOL
-   column, so their inserts never reach a solver.
+   ``(False, True)`` domains to DPLL, complete and deterministic (the
+   paper's WalkSAT may give up on a satisfiable instance; it stays in
+   :mod:`repro.sat.walksat` for comparison).  No dataset here has a
+   BOOL column, so their inserts never reach a solver.
 
 5. **ΔR.**  Each unknown of a new template takes its class's constant,
    the residue's value, or its class's fresh value — outside the active
@@ -83,7 +83,6 @@ from repro.relview.symbolic import (
 )
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import AtomClause, encode_formula
-from repro.sat.walksat import walksat_solve
 from repro.views.registry import EdgeView, EdgeViewRegistry
 from repro.views.store import ViewDelta, ViewStore
 
@@ -101,8 +100,9 @@ class InsertionPlan:
     num_clauses: int = 0
     """Clauses of that CNF (0 without one)."""
     solver: str = "none"
-    """``'dpll'`` / ``'walksat'`` when a residue went to that solver,
-    ``'trivial'`` when the equality classes decided everything."""
+    """``'dpll'`` when a residue went to the solver, ``'trivial'`` when
+    the equality classes decided everything, ``'none'`` when nothing
+    needed deciding."""
     derivations_checked: int = 0
 
 
@@ -121,21 +121,16 @@ def translate_insertions(
     store: ViewStore,
     db: Database,
     delta_v: ViewDelta,
-    solver: str = "dpll",
     fresh: Iterator[int] | None = None,
 ) -> InsertionPlan:
     """Run Algorithm insert for the insertions in ``ΔV``.
 
-    ``solver`` is ``'dpll'`` (complete; what the updater runs) or
-    ``'walksat'`` (the paper's choice, kept for comparison; may give up
-    on satisfiable instances).  ``fresh`` numbers the fresh values ΔR
-    mints (default: a new sequence from 1).
+    ``fresh`` numbers the fresh values ΔR mints (default: a new
+    sequence from 1).
 
     Raises :class:`UpdateRejectedError` on definite side effects, on an
-    unsatisfiable/unsolved encoding, or on inconsistent targets.
+    unsatisfiable encoding, or on inconsistent targets.
     """
-    if solver not in ("dpll", "walksat"):
-        raise ValueError(f"solver must be 'dpll' or 'walksat', got {solver!r}")
     plan = InsertionPlan()
     targets = _resolve_targets(registry, store, db, delta_v)
     if not targets:
@@ -181,7 +176,7 @@ def translate_insertions(
             "from the base data plus the new tuples"
         )
 
-    classes = _solve(units, side_effects, solver, plan)
+    classes = _solve(units, side_effects, plan)
     if classes is None:
         raise UpdateRejectedError(
             f"no side-effect-free instantiation found (solver: {plan.solver})"
@@ -645,7 +640,6 @@ class _Classes(_UnionFind):
 def _solve(
     units: list[Atom],
     side_effects: list[Derivation],
-    solver: str,
     plan: InsertionPlan,
 ) -> _Classes | None:
     """Decide the clauses; ``None`` when the BOOL residue is unsatisfiable.
@@ -684,8 +678,8 @@ def _solve(
     cnf, decode = encode_formula(residue, domains)
     plan.num_vars = cnf.num_vars
     plan.num_clauses = len(cnf)
-    plan.solver = solver
-    assignment = dpll_solve(cnf) if solver == "dpll" else walksat_solve(cnf)
+    plan.solver = "dpll"
+    assignment = dpll_solve(cnf)
     if assignment is None:
         return None
     classes.value.update(decode(assignment))

@@ -3,10 +3,13 @@
 Two offline modes::
 
     # Inspect a snapshot artifact's envelope (no workload needed):
-    python -m repro.replica --inspect snapshots/view.pkl.gz
+    python -m repro.replica --inspect snapshots/view.json.gz
+
+    # A WAL checkpoint is a snapshot artifact too:
+    python -m repro.replica --inspect wal/ckpt-000000000042.gz
 
     # Serve reads from a local artifact:
-    python -m repro.replica --snapshot snapshots/view.pkl.gz \\
+    python -m repro.replica --snapshot snapshots/view.json.gz \\
         --workload registrar --query "course[cno=CS650]/prereq/course"
 
 The ``--workload`` flag names the view definition the replica constructs
@@ -15,7 +18,8 @@ embedded ATG fingerprint is verified against it at bootstrap.  A live
 replica is a library object (``ReplicaView(atg, service)``), and one
 that follows a writer from another process bootstraps from its WAL
 directory (``ReplicaView.from_wal``).  Exit status: 0 on success, 2 on
-usage/environment errors (unreadable artifact, fingerprint mismatch).
+usage/environment errors (unreadable artifact — a pickle-era file
+included, which is never unpickled — or a fingerprint mismatch).
 """
 
 from __future__ import annotations
@@ -27,16 +31,6 @@ from repro.errors import ReproError
 from repro.replica.snapshot import Snapshot
 from repro.replica.view import ReplicaView
 from repro.workloads import named_workload
-
-
-def _serve_queries(replica: ReplicaView, queries: list[str]) -> None:
-    """Print each query's sorted target ids at the current generation."""
-    for query in queries:
-        result = replica.xpath(query)
-        print(
-            f"[gen {replica.generation}] {query} -> "
-            f"{sorted(result.targets)}"
-        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,7 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         snapshot = Snapshot.load(args.snapshot)
         replica = ReplicaView.from_snapshot(atg, snapshot)
         print(snapshot.describe())
-        _serve_queries(replica, args.query)
+        for query in args.query:
+            targets = sorted(replica.xpath(query).targets)
+            print(f"[gen {replica.generation}] {query} -> {targets}")
         return 0
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)

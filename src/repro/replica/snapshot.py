@@ -8,12 +8,11 @@ service's :class:`~repro.service.config.ViewConfig` and provenance
 metadata.  A replica that restores the store and then folds
 ``changefeed(since=snapshot.generation)`` is gapless by construction.
 
-The artifact is a JSON-safe dict wrapped in a versioned envelope, so the
-same payload is a gzip-compressed pickle on disk (``save``/``load``, the
-``snapshots/*.pkl.gz`` discipline), the ``snapshot`` of every WAL
-checkpoint, and one JSON document (``to_json``/``from_json``).  The
-view definition (ATG) is deliberately **not** serialized — view
-definitions are code, not data — the artifact instead embeds
+The artifact is a versioned envelope in one encoding: sorted, compact
+JSON (``to_json``), gzip'd on disk (``to_bytes``, ``save``); a WAL
+checkpoint is such a file with the base rows in ``base``.  Nothing here
+unpickles.  The view definition (ATG) is deliberately **not** serialized
+— view definitions are code, not data — the artifact instead embeds
 :func:`atg_fingerprint` so a loader constructing its own ATG can verify
 it matches the writer's.
 """
@@ -23,9 +22,10 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import pickle
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 
 from repro.atg.model import ATG, ProjectionRule, QueryRule
 from repro.errors import (
@@ -38,7 +38,8 @@ from repro.views.store import ViewStore
 #: Version of the snapshot artifact envelope.  Bumped on incompatible
 #: layout changes; :meth:`Snapshot.from_dict` (and thus ``load``)
 #: refuses artifacts from a different version with a typed
-#: :class:`~repro.errors.SnapshotSchemaError`.
+#: :class:`~repro.errors.SnapshotSchemaError`.  An optional key
+#: (``base``) is additive and does not bump it.
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
@@ -92,6 +93,9 @@ class Snapshot:
     provenance:
         Capture metadata: ``created_at`` (UTC ISO-8601),
         ``library_version``, ``atg_fingerprint``, ``nodes``, ``edges``.
+    base:
+        The base rows (``Database.export_state()``) at ``generation``
+        in a WAL checkpoint; ``None`` in ``ViewService.snapshot()``.
     schema_version:
         The artifact envelope version (:data:`SNAPSHOT_SCHEMA_VERSION`).
     """
@@ -100,6 +104,7 @@ class Snapshot:
     store_state: dict
     config: dict
     provenance: dict = field(default_factory=dict)
+    base: dict | None = None
     schema_version: int = SNAPSHOT_SCHEMA_VERSION
 
     # -- capture ------------------------------------------------------------------
@@ -110,12 +115,14 @@ class Snapshot:
         store: ViewStore,
         generation: int,
         config: dict,
+        base: dict | None = None,
     ) -> "Snapshot":
-        """Snapshot ``store`` as of ``generation``.
+        """Snapshot ``store`` (and ``base``) as of ``generation``.
 
-        The caller (normally :meth:`ViewService.snapshot
-        <repro.service.facade.ViewService.snapshot>`, under its read
-        lock) guarantees the store is at rest at ``generation``.
+        The caller (:meth:`ViewService.snapshot
+        <repro.service.facade.ViewService.snapshot>` under its read
+        lock, or the WAL checkpoint under the write lock) guarantees
+        both are at rest at ``generation``.
         """
         from repro import __version__
 
@@ -130,28 +137,27 @@ class Snapshot:
                 "nodes": store.num_nodes,
                 "edges": store.num_edges,
             },
+            base=base,
         )
 
     # -- restore ------------------------------------------------------------------
 
-    def restore_store(self, atg: ATG, verify_fingerprint: bool = True) -> ViewStore:
+    def restore_store(self, atg: ATG) -> ViewStore:
         """Rebuild the captured :class:`ViewStore` against ``atg``.
 
-        ``verify_fingerprint=True`` (default) checks ``atg`` against the
-        embedded :func:`atg_fingerprint` first and raises
-        :class:`~repro.errors.SnapshotMismatchError` on a different view
-        definition — folding the writer's edge stream into the wrong
-        schema would diverge silently otherwise.
+        Checks ``atg`` against the embedded :func:`atg_fingerprint`
+        first and raises :class:`~repro.errors.SnapshotMismatchError` on
+        a different view definition — folding the writer's edge stream
+        into the wrong schema would diverge silently otherwise.
         """
-        if verify_fingerprint:
-            expected = self.provenance.get("atg_fingerprint")
-            actual = atg_fingerprint(atg)
-            if expected is not None and expected != actual:
-                raise SnapshotMismatchError(
-                    f"snapshot was captured from a view definition with "
-                    f"fingerprint {expected[:12]}..., but the supplied "
-                    f"ATG has fingerprint {actual[:12]}..."
-                )
+        expected = self.provenance.get("atg_fingerprint")
+        actual = atg_fingerprint(atg)
+        if expected is not None and expected != actual:
+            raise SnapshotMismatchError(
+                f"snapshot was captured from a view definition with "
+                f"fingerprint {str(expected)[:12]}..., but the supplied "
+                f"ATG has fingerprint {actual[:12]}..."
+            )
         return ViewStore.from_state(atg, self.store_state)
 
     # -- wire format --------------------------------------------------------------
@@ -165,6 +171,7 @@ class Snapshot:
             "store_state": self.store_state,
             "config": self.config,
             "provenance": self.provenance,
+            "base": self.base,
         }
 
     @classmethod
@@ -187,6 +194,7 @@ class Snapshot:
             store_state = payload["store_state"]
             config = payload["config"]
             provenance = payload.get("provenance", {})
+            base = payload.get("base")
         except KeyError as exc:
             raise SnapshotError(
                 f"snapshot envelope is missing required key {exc.args[0]!r}"
@@ -199,44 +207,72 @@ class Snapshot:
             ("store_state", store_state),
             ("config", config),
             ("provenance", provenance),
+            ("base", {} if base is None else base),
         ):
             if not isinstance(value, dict):
                 raise SnapshotError(
-                    f"snapshot key {key!r} must be an object, got {value!r}"
+                    f"snapshot key {key!r} must be an object, "
+                    f"got {str(value)[:80]}"
                 )
+        rows = store_state.get("children", [])
+        if not isinstance(store_state.get("nodes", []), list) or not (
+            isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == 2 for r in rows)
+            and all(isinstance(kids, list) for _, kids in rows)
+        ):
+            raise SnapshotError("snapshot store_state rows are malformed")
         return cls(
             generation=generation,
             store_state=store_state,
             config=config,
             provenance=provenance,
+            base=base,
         )
 
     def to_json(self) -> str:
-        """The envelope as one JSON document (sorted keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The envelope as one sorted, compact JSON document."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "Snapshot":
+    def from_json(cls, text: str | bytes) -> "Snapshot":
         """Decode :meth:`to_json` output (round-trip tested)."""
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SnapshotError(
                 f"snapshot is not valid JSON: {exc}"
             ) from None
         return cls.from_dict(payload)
 
+    def to_bytes(self) -> bytes:
+        """:meth:`to_json`, UTF-8 encoded and gzip-compressed."""
+        return gzip.compress(self.to_json().encode("utf-8"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Snapshot":
+        """Decode :meth:`to_bytes` output; never unpickles (a gzip'd
+        pickle, as releases up to 0.10 wrote, raises a typed error)."""
+        try:
+            text = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise SnapshotError(f"snapshot is not a gzip stream: {exc}") from None
+        if text.startswith(b"\x80"):  # pickle's PROTO opcode
+            raise SnapshotError(
+                "snapshot is a pickle-era artifact (gzip'd pickle); it is "
+                "never unpickled — re-capture it with this release"
+            )
+        return cls.from_json(text)
+
     # -- durable artifacts ---------------------------------------------------------
 
     def save(self, path) -> str:
-        """Write the artifact to ``path`` (gzip-compressed pickle).
+        """Write :meth:`to_bytes` to ``path``; returns it as a string.
 
-        Returns the path written, as a string.  The payload under the
-        compression is exactly :meth:`to_dict`, so artifacts survive
-        library upgrades as long as the envelope version matches.
+        The payload under the compression is exactly :meth:`to_dict`,
+        so artifacts survive library upgrades as long as the envelope
+        version matches.
         """
-        with gzip.open(path, "wb") as fh:
-            pickle.dump(self.to_dict(), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        Path(path).write_bytes(self.to_bytes())
         return str(path)
 
     @classmethod
@@ -248,13 +284,12 @@ class Snapshot:
         version raises :class:`~repro.errors.SnapshotSchemaError`.
         """
         try:
-            with gzip.open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+            data = Path(path).read_bytes()
+        except OSError as exc:
             raise SnapshotError(
                 f"cannot read snapshot artifact {path!s}: {exc}"
             ) from exc
-        return cls.from_dict(payload)
+        return cls.from_bytes(data)
 
     # -- convenience ---------------------------------------------------------------
 

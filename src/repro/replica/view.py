@@ -5,19 +5,9 @@ and keeps it converged with the writer by folding published
 :class:`~repro.subscribe.delta.ViewEvent` objects in generation order.
 The snapshot and the events come from the writer
 :class:`~repro.service.facade.ViewService` itself (``snapshot()``, then
-``changefeed(since=g)``) or from its WAL directory
-(:meth:`ReplicaView.from_wal`).  Folding one event:
-
-1. install every :class:`~repro.subscribe.delta.NodeRecord` (the
-   interning side channel — id ↔ ``(element, sem)`` bindings for nodes
-   the replica has never seen);
-2. apply every :class:`~repro.subscribe.delta.EdgeRecord` in order
-   (``add_edge`` appends rightmost exactly like the writer's, so child
-   order — XML document order — is reproduced, not approximated);
-3. mirror garbage collection: any touched non-root node left with no
-   incident edges is dropped, which is precisely the writer's at-rest
-   invariant (events record *every* edge removal, including the GC
-   pass's — see ``docs/event-schema.md``).
+``changefeed(since=g)``); a mirror of its WAL directory is what crash
+recovery rebuilds (:meth:`ReplicaView.from_wal`).  Both fold each event
+with :func:`~repro.replica.fold.fold_event`.
 
 Folding is strict — an event referencing unknown state raises
 :class:`~repro.errors.ReplicaDivergedError` rather than papering over a
@@ -102,46 +92,41 @@ class ReplicaView:
 
         No writer, no feed — the mirror is frozen at
         ``snapshot.generation``.  Useful for point-in-time queries over
-        a saved ``snapshots/*.pkl.gz`` artifact
+        a saved ``snapshots/*.json.gz`` artifact
         (``python -m repro.replica --snapshot PATH``).
         """
         replica = cls(atg, writer=None)
-        store = snapshot.restore_store(atg)
-        with replica._cond:
-            replica.store = store
-            replica.generation = snapshot.generation
-            replica.snapshots_loaded = 1
+        replica.store = snapshot.restore_store(atg)
+        replica.generation = snapshot.generation
+        replica.snapshots_loaded = 1
         return replica
 
     @classmethod
-    def from_wal(cls, atg: ATG, wal_dir: str, fs=None) -> "ReplicaView":
-        """An offline replica bootstrapped from a durable changefeed log.
+    def from_wal(cls, atg: ATG, wal_dir: str) -> "ReplicaView":
+        """An offline replica at a WAL directory's last durable generation.
 
-        Opens the WAL directory read-only (safe against a live writer:
-        no truncation, no cleanup), restores the newest checkpoint's
-        snapshot, and folds every logged event past it — landing the
-        mirror at the log's last durable generation without any writer
-        process running.  No writer, no feed; the mirror is frozen
-        there (:meth:`apply_event` folds anything the caller supplies).
+        Opens the log read-only (safe against a live writer: no
+        truncation, no cleanup) and runs crash recovery on the view
+        alone (:func:`~repro.wal.recover.recover_state`): the newest
+        checkpoint, then every logged event past it.  No writer, no
+        feed; the mirror is frozen there.
         """
-        from repro.replica.snapshot import Snapshot
         from repro.wal.log import WriteAheadLog
+        from repro.wal.recover import recover_state
 
-        wal = WriteAheadLog(str(wal_dir), readonly=True, fs=fs)
+        wal = WriteAheadLog(str(wal_dir), readonly=True)
         try:
-            payload = wal.latest_checkpoint()
-            if payload is None:
-                raise ReplicaError(
-                    f"WAL at {wal_dir} holds no checkpoint to "
-                    f"bootstrap from"
-                )
-            snapshot = Snapshot.from_dict(payload["state"]["snapshot"])
-            replica = cls.from_snapshot(atg, snapshot)
-            for event in wal.events_since(snapshot.generation):
-                replica.apply_event(event)
-            return replica
+            recovered = recover_state(atg, None, wal)
         finally:
             wal.close()
+        if recovered is None:
+            raise ReplicaError(
+                f"WAL at {wal_dir} holds no checkpoint to bootstrap from"
+            )
+        replica = cls(atg, writer=None)
+        replica.store, replica.generation = recovered
+        replica.snapshots_loaded = 1
+        return replica
 
     def bootstrap(self) -> int:
         """Fetch a snapshot, restore the store, attach the feed gaplessly.

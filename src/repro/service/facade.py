@@ -95,8 +95,7 @@ class ViewService:
         # publishing the view fresh from the base tables (whose node
         # ids would not match the logged event stream).
         self.wal = None
-        recovered_store = None
-        recovered_generation = 0
+        recovered = None
         if self.config.wal_dir is not None:
             from repro.wal.log import WriteAheadLog
             from repro.wal.recover import recover_state
@@ -111,8 +110,7 @@ class ViewService:
                 metrics=self.metrics_registry,
             )
             recovered = recover_state(atg, db, self.wal)
-            if recovered is not None:
-                recovered_store, recovered_generation = recovered
+        recovered_store, recovered_generation = recovered or (None, 0)
         self.updater = XMLViewUpdater(
             atg,
             db,
@@ -152,7 +150,7 @@ class ViewService:
             # floor point at a live checkpoint from generation 0.
             self.changefeeds.checkpoint_fn = self._wal_checkpoint
             self.changefeeds._ensure_attached()
-            if not self.wal.has_checkpoint:
+            if recovered is None:
                 self._wal_checkpoint()
 
     def _wal_checkpoint(self) -> None:
@@ -162,40 +160,33 @@ class ViewService:
         from :meth:`~repro.changefeed.hub.ChangefeedHub.stage`, or
         ``__init__`` calls it before the service is shared), so the
         store and base database are consistent at the current
-        generation.  The payload pairs the standard replication
-        :class:`~repro.replica.snapshot.Snapshot` with the base rows —
-        everything recovery needs to resume, and enough for
-        :meth:`~repro.replica.view.ReplicaView.from_wal` to bootstrap
-        offline.
+        generation.  The checkpoint is a replication snapshot whose
+        ``base`` holds the rows: what recovery resumes from, and what
+        :meth:`~repro.replica.view.ReplicaView.from_wal` bootstraps from.
         """
         from repro.replica.snapshot import Snapshot
 
-        snapshot = Snapshot.capture(
-            self.updater.store,
-            generation=self.updater.generation,
-            config=self.config.to_dict(),
-        )
         self.wal.write_checkpoint(
-            {
-                "snapshot": snapshot.to_dict(),
-                "db": self.updater.db.export_state(),
-            },
-            self.updater.generation,
+            Snapshot.capture(
+                self.updater.store,
+                generation=self.updater.generation,
+                config=self.config.to_dict(),
+                base=self.updater.db.export_state(),
+            )
         )
 
     def close(self) -> None:
-        """Flush and release the durable log, if any (idempotent).
+        """Stop taking writes; flush and release the durable log, if any.
 
-        A service without ``wal_dir`` has nothing to release; with one,
-        ``close()`` fsyncs the active segment per the fsync policy and
-        drops cached descriptors.  The log has no closed state: the
-        service stays readable, and a write after ``close()`` reopens
-        the segment, is logged under the same fsync policy and is
-        recovered like any other — it only lacks a final flush until
-        ``close()`` is called again, so treat the service as done.
+        Idempotent.  With ``wal_dir`` set, ``close()`` fsyncs the active
+        segment per the fsync policy and drops cached descriptors.  The
+        service stays readable (``xpath``, ``snapshot()``, ``stats()``),
+        and every later write raises
+        :class:`~repro.errors.ServiceClosedError`.
         """
-        if self.wal is not None:
-            with self._lock.write():
+        with self._lock.write():
+            self.pipeline.closed = True
+            if self.wal is not None:
                 self.wal.close()
 
     def __enter__(self) -> "ViewService":
@@ -387,7 +378,7 @@ class ViewService:
         the complete store state plus config and provenance metadata,
         captured under the read lock so it is consistent with one
         generation.  ``snapshot.save(path)`` /
-        ``Snapshot.load(path)`` round-trip it through a gzip-compressed
+        ``Snapshot.load(path)`` round-trip it through a gzip'd JSON
         file; a :class:`~repro.replica.ReplicaView` bootstraps from it
         and resumes the changefeed at ``snapshot.generation``.
 

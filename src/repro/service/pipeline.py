@@ -160,6 +160,7 @@ class CommitPipeline:
         self._turn = 0
         self.last: dict = {}
         """The most recent scope's timings (debug/benchmark aid)."""
+        self.closed = False  # set by ViewService.close(): writes raise
         updater.attach_sink(self)
 
     # -- the sink protocol (called by the updater) ---------------------------------

@@ -6,7 +6,7 @@ One :class:`WriteAheadLog` per WAL directory.  The layout::
       manifest.json        # which files are live, and the replay floor
       seg-00000001.wal     # sealed segment (length/CRC-framed records)
       seg-00000002.wal     # the active segment (appends go here)
-      ckpt-000000000042.gz # checkpoint: snapshot + base-db state at gen 42
+      ckpt-000000000042.gz # checkpoint: a snapshot file (base rows included)
 
 Every committed changefeed event is appended to the active segment as
 one framed record (:mod:`repro.wal.segment`) carrying the event's
@@ -37,18 +37,18 @@ a generation some live checkpoint covers.
 
 from __future__ import annotations
 
-import gzip
 import json
-import pickle
 
 from repro.errors import (
     ReplayGapError,
+    SnapshotError,
     WalCheckpointError,
     WalCorruptionError,
     WalError,
 )
 from repro.metrics.registry import MetricsRegistry
 from repro.relational.database import DeltaOp, RelationalDelta
+from repro.replica.snapshot import Snapshot
 from repro.subscribe.delta import ViewEvent
 from repro.wal.fs import OsFileSystem
 from repro.wal.segment import encode_record, read_segment
@@ -56,10 +56,6 @@ from repro.wal.segment import encode_record, read_segment
 #: Manifest envelope format tag / version.
 MANIFEST_FORMAT = "repro-wal"
 MANIFEST_VERSION = 1
-
-#: Checkpoint envelope format tag / version.
-CHECKPOINT_FORMAT = "repro-wal-checkpoint"
-CHECKPOINT_VERSION = 1
 
 #: The fsync policies (see ``docs/durability.md`` for the tradeoffs).
 FSYNC_POLICIES = ("always", "batch", "os")
@@ -410,19 +406,17 @@ class WriteAheadLog:
         """Whether the periodic-checkpoint interval has elapsed."""
         return self._since_checkpoint >= self.checkpoint_every
 
-    def write_checkpoint(self, state: dict, generation: int) -> None:
-        """Cut a checkpoint of ``state`` at ``generation``, then compact.
+    def write_checkpoint(self, snapshot: Snapshot) -> None:
+        """Cut a checkpoint at ``snapshot.generation``, then compact.
 
-        ``state`` is the service's JSON/pickle-safe base payload (the
-        snapshot envelope plus the base database's rows — see
-        :meth:`~repro.service.facade.ViewService` wiring); the WAL wraps
-        it in its own versioned envelope.  The checkpoint is fully
+        The file is ``snapshot.to_bytes()``, a snapshot file (the
+        service's carries the base rows in ``snapshot.base``), fully
         durable before the manifest references it; retention then drops
         checkpoints beyond ``keep_checkpoints``, advances the replay
-        floor to the oldest kept one, and deletes segments wholly below
-        the floor.
+        floor to the oldest kept one, and deletes segments below it.
         """
         self._check_writable()
+        generation = snapshot.generation
         if (
             self._checkpoints
             and self._checkpoints[-1]["generation"] == generation
@@ -431,21 +425,10 @@ class WriteAheadLog:
         if self.fsync_policy != "os":
             # The log tail must never trail a surviving checkpoint.
             self._fsync_active()
-        blob = gzip.compress(
-            pickle.dumps(
-                {
-                    "format": CHECKPOINT_FORMAT,
-                    "version": CHECKPOINT_VERSION,
-                    "generation": generation,
-                    "state": state,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        )
         name = self._checkpoint_name(generation)
         tmp = self._path(f"tmp-{name}")
         fs = self.fs
-        fs.write_bytes(tmp, blob)
+        fs.write_bytes(tmp, snapshot.to_bytes())
         if self.fsync_policy != "os":
             fs.fsync(tmp)
         fs.rename(tmp, self._path(name))
@@ -484,45 +467,32 @@ class WriteAheadLog:
             return True
         return any(entry["last"] >= generation for entry in self._sealed)
 
-    def latest_checkpoint(self) -> dict | None:
-        """The newest checkpoint's envelope (``None`` when none exist).
-
-        The returned dict carries ``generation`` and the caller's
-        ``state`` payload.  A checkpoint the manifest references but
-        cannot be read back raises
-        :class:`~repro.errors.WalCheckpointError`.
-        """
+    def latest_checkpoint(self) -> Snapshot | None:
+        """The newest checkpoint as a :class:`~repro.replica.snapshot.Snapshot`
+        (``None`` when none exist).  One that cannot be read or decoded
+        (a pickle-era file included), or whose generation is not the
+        manifest's, raises :class:`~repro.errors.WalCheckpointError`."""
         if not self._checkpoints:
             return None
         entry = self._checkpoints[-1]
         try:
-            payload = pickle.loads(
-                gzip.decompress(self.fs.read_bytes(self._path(entry["name"])))
+            snapshot = Snapshot.from_bytes(
+                self.fs.read_bytes(self._path(entry["name"]))
             )
-        except Exception as exc:
+        except (OSError, SnapshotError) as exc:
             raise WalCheckpointError(
                 f"checkpoint {entry['name']} (generation "
                 f"{entry['generation']}) cannot be read: {exc}"
             ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != CHECKPOINT_FORMAT
-            or payload.get("version") != CHECKPOINT_VERSION
-            or payload.get("generation") != entry["generation"]
-        ):
+        if snapshot.generation != entry["generation"]:
             raise WalCheckpointError(
                 f"checkpoint {entry['name']} does not match the manifest "
-                f"(expected {CHECKPOINT_FORMAT}/{CHECKPOINT_VERSION} at "
-                f"generation {entry['generation']})"
+                f"(it holds generation {snapshot.generation}, the manifest "
+                f"expects {entry['generation']})"
             )
-        return payload
+        return snapshot
 
     # -- replay -----------------------------------------------------------------------
-
-    @property
-    def has_checkpoint(self) -> bool:
-        """Whether the manifest references at least one checkpoint."""
-        return bool(self._checkpoints)
 
     @property
     def floor(self) -> int:

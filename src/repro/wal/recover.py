@@ -2,11 +2,11 @@
 
 The recovery sequence (also narrated in ``docs/durability.md``):
 
-1. load the newest checkpoint the manifest references — a full
-   :class:`~repro.replica.snapshot.Snapshot` of the view store plus the
-   base database's row state, both captured at one generation;
+1. load the newest checkpoint the manifest references — a
+   :class:`~repro.replica.snapshot.Snapshot` file whose ``base`` holds
+   the base database's rows at the store's generation;
 2. restore the store against the caller's ATG (fingerprint-verified)
-   and reload the base tables;
+   and reload the base tables (a read replica has none to reload);
 3. replay every logged record past the checkpoint generation, applying
    its ΔR to the base database and folding its event into the store
    with the replica's own :func:`~repro.replica.fold.fold_event` —
@@ -26,7 +26,6 @@ from repro.atg.model import ATG
 from repro.errors import WalError
 from repro.relational.database import Database
 from repro.replica.fold import fold_event
-from repro.replica.snapshot import Snapshot
 from repro.subscribe.delta import ViewEvent
 from repro.views.store import ViewStore
 from repro.wal.log import WriteAheadLog, decode_delta
@@ -34,30 +33,30 @@ from repro.wal.log import WriteAheadLog, decode_delta
 
 def recover_state(
     atg: ATG,
-    db: Database,
+    db: Database | None,
     wal: WriteAheadLog,
-    verify_fingerprint: bool = True,
 ) -> tuple[ViewStore, int] | None:
     """Rebuild the writer's store and base rows from an opened WAL.
 
     Mutates ``db`` in place (checkpoint rows, then replayed ΔRs) and
     returns ``(store, generation)`` — or ``None`` when the log holds no
     checkpoint yet, meaning the directory is fresh and the caller should
-    boot normally and cut the initial checkpoint itself.
+    boot normally and cut the initial checkpoint itself.  ``db=None``
+    rebuilds the store alone (:meth:`ReplicaView.from_wal
+    <repro.replica.view.ReplicaView.from_wal>`).
 
     A coarse record in the replay range raises :class:`WalError`: its
     edge list does not describe the change, and the writer checkpoints
     immediately after logging one precisely so that recovery never needs
     to replay past it (hitting this means that checkpoint was lost).
     """
-    payload = wal.latest_checkpoint()
-    if payload is None:
+    snapshot = wal.latest_checkpoint()
+    if snapshot is None:
         return None
-    state = payload["state"]
-    snapshot = Snapshot.from_dict(state["snapshot"])
-    store = snapshot.restore_store(atg, verify_fingerprint=verify_fingerprint)
-    db.load_state(state["db"])
-    generation = payload["generation"]
+    store = snapshot.restore_store(atg)
+    if db is not None:
+        db.load_state(snapshot.base or {})  # no rows: a typed SchemaError
+    generation = snapshot.generation
     for gen, record in wal.records_since(generation):
         event = ViewEvent.from_dict(record["event"])
         if event.coarse:
@@ -68,7 +67,7 @@ def recover_state(
                 f"cover it is missing"
             )
         delta = decode_delta(record.get("delta_r"))
-        if delta is not None:
+        if db is not None and delta is not None:
             db.apply(delta)
         fold_event(store, event)
         generation = gen

@@ -87,7 +87,7 @@ class TestRun:
     def test_snapshot_flag_writes_loadable_artifact(self, tmp_path, capsys):
         from repro.replica import Snapshot
 
-        path = tmp_path / "view.pkl.gz"
+        path = tmp_path / "view.json.gz"
         code = run(iter(OPS), workload="registrar", snapshot_path=str(path))
         out = capsys.readouterr().out
         assert code == 0

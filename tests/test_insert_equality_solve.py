@@ -3,7 +3,7 @@
 The units (assertions and the atoms of a target's derivation) form
 equality classes by union-find; a side effect is decided on the classes
 when it can be, and what is left over BOOL unknowns — the only unknowns
-with too few values to be fresh — goes to DPLL (or WalkSAT).  No bundled
+with too few values to be fresh — goes to DPLL.  No bundled
 dataset has a BOOL column, so the ATG below is built by hand: a course's
 ``retired`` flag decides which root list shows it, and a new course
 inserted as a prerequisite must not show up in any of them.
@@ -11,8 +11,11 @@ inserted as a prerequisite must not show up in any of them.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
+import uncompiled
 from repro import InsertOp, open_view
 from repro.atg.model import ATG, ProjectionRule, QueryRule
 from repro.atg.publisher import publish_subtree
@@ -93,17 +96,25 @@ class TestBoolResidue:
 
     @pytest.mark.parametrize("lists", [{"current": False}, {"retired": True, "current": False}])
     def test_walksat_agrees_with_dpll(self, lists):
+        """The product (DPLL on the BOOL residue) and the paper's
+        whole-constraint encoding solved by WalkSAT
+        (``uncompiled.solve(..., "walksat", ...)``) give one ΔR, or
+        both reject."""
         results = {}
-        for solver in ("dpll", "walksat"):
+        for solver, solving in (
+            ("dpll", nullcontext()),
+            ("walksat", uncompiled.reference_solve("walksat")),
+        ):
             atg, db = flag_view(lists)
             updater = open_view(atg, db).updater
             result = updater.evaluate_xpath(NEW_PREREQ.path)
             subtree = publish_subtree(atg, db, updater.store, "course", ("N",))
             delta_v = xinsert(updater.store, result.targets, subtree)
             try:
-                plan = translate_insertions(
-                    updater.registry, updater.store, db, delta_v, solver=solver
-                )
+                with solving:
+                    plan = translate_insertions(
+                        updater.registry, updater.store, db, delta_v
+                    )
             except UpdateRejectedError:
                 results[solver] = None
             else:
@@ -120,7 +131,7 @@ class TestUnionFindStage:
     def test_chained_equalities_share_one_class_and_its_constant(self):
         a, b, c = var("a"), var("b"), var("c")
         classes = _solve(
-            [AtomVV(a, b), AtomVV(b, c), AtomVC(c, "x")], [], "dpll", InsertionPlan()
+            [AtomVV(a, b), AtomVV(b, c), AtomVC(c, "x")], [], InsertionPlan()
         )
         assert classes.find(a) == classes.find(b) == classes.find(c)
         assert classes.value[classes.find(a)] == "x"
@@ -129,7 +140,7 @@ class TestUnionFindStage:
         a, b = var("a"), var("b")
         with pytest.raises(UpdateRejectedError, match="both 'x' and 'y'"):
             _solve(
-                [AtomVC(a, "x"), AtomVV(a, b), AtomVC(b, "y")], [], "dpll",
+                [AtomVC(a, "x"), AtomVV(a, b), AtomVC(b, "y")], [],
                 InsertionPlan(),
             )
 
@@ -144,7 +155,7 @@ class TestUnionFindStage:
         a, b = var("a"), var("b")
         entailed = Derivation("edge_db_r", ("row",), (AtomVV(a, b), AtomVC(a, "x")))
         with pytest.raises(UpdateRejectedError, match="edge_db_r.*'row'"):
-            _solve([AtomVV(a, b), AtomVC(b, "x")], [entailed], "dpll", InsertionPlan())
+            _solve([AtomVV(a, b), AtomVC(b, "x")], [entailed], InsertionPlan())
 
     def test_an_atom_the_units_do_not_entail_is_false(self):
         a, b = var("a"), var("b")
@@ -153,7 +164,7 @@ class TestUnionFindStage:
             Derivation("v", (), (AtomVC(a, "x"),)),
             Derivation("v", (), (AtomVV(a, b),)),
         ]
-        classes = _solve([], side_effects, "dpll", plan)
+        classes = _solve([], side_effects, plan)
         assert classes.value == {}
         assert (plan.solver, plan.num_vars, plan.num_clauses) == ("trivial", 0, 0)
 
@@ -169,7 +180,7 @@ class TestUnionFindStage:
             # ... nor equal to other
             Derivation("v", (), (AtomVV(flag, other),)),
         ]
-        classes = _solve([], side_effects, "dpll", plan)
+        classes = _solve([], side_effects, plan)
         assert plan.solver == "dpll" and plan.num_clauses > 0
         assert name not in classes.value
         assert classes.value[flag] is True and classes.value[other] is False

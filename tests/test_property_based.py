@@ -278,9 +278,9 @@ def insert_constraints(draw):
     return units, side_effects
 
 
-@given(insert_constraints(), st.sampled_from(["dpll", "walksat"]))
+@given(insert_constraints())
 @settings(max_examples=120, deadline=None)
-def test_equality_domain_solve_is_exact(constraint, solver):
+def test_equality_domain_solve_is_exact(constraint):
     """Units plus negated clauses are satisfiable over the integers and
     the booleans iff ``_solve`` accepts; the minimal model it returns —
     every unbound non-BOOL class its own fresh integer, an unbound BOOL
@@ -298,13 +298,12 @@ def test_equality_domain_solve_is_exact(constraint, solver):
     try:
         classes = _solve(
             units, [Derivation("v", (), tuple(atoms)) for atoms in negated],
-            solver, InsertionPlan(),
+            InsertionPlan(),
         )
     except UpdateRejectedError:
         classes = None
     if classes is None:
-        # WalkSAT may give up on a satisfiable residue; DPLL may not.
-        assert not brute or solver == "walksat"
+        assert not brute  # DPLL is complete
         return
     assert brute
     fresh: dict = {}

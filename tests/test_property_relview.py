@@ -3,7 +3,6 @@ maintenance algorithms under randomized update sequences."""
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -166,16 +165,6 @@ def test_maintenance_equals_recompute_after_random_updates(spec, ops):
     assert updater.check_consistency() == []
 
 
-@contextmanager
-def _reference_solve():
-    """Stages 4-5 as the paper's finite-domain encoding + DPLL."""
-    with mock.patch.object(insert_module, "_solve", uncompiled.solve), \
-            mock.patch.object(
-                insert_module, "_decode_valuation", uncompiled.decode_valuation
-            ):
-        yield
-
-
 def _solved_cnfs(updater, ops):
     """Plan each op on the reference encoding; return (cnf, DPLL model)
     for every solve it ran."""
@@ -186,7 +175,8 @@ def _solved_cnfs(updater, ops):
         solves.append((cnf, model))
         return model
 
-    with mock.patch.object(uncompiled, "dpll_solve", spy), _reference_solve():
+    with mock.patch.object(uncompiled, "dpll_solve", spy), \
+            uncompiled.reference_solve():
         for op in ops:
             plan = updater.plan(op)
             if plan.state is PlanState.PLANNED:
@@ -271,16 +261,16 @@ def _assert_agrees_with_reference(build, ops):
     solved = []
     solve = insert_module._solve
 
-    def checked(units, side_effects, solver, plan):
+    def checked(units, side_effects, plan):
         solved.append(None)  # a rejection raises before the model exists
-        classes = solve(units, side_effects, solver, plan)
+        classes = solve(units, side_effects, plan)
         assert classes is not None  # no BOOL unknown: no residue to fail
         assert _minimal_model_holds(units, side_effects, classes)
         return classes
 
     with mock.patch.object(insert_module, "_solve", checked):
         got = _outcomes(XMLViewUpdater(*build(), strict=False), ops)
-    with _reference_solve():
+    with uncompiled.reference_solve():
         want = _outcomes(XMLViewUpdater(*build(), strict=False), ops)
     assert got == want
     return len(solved)

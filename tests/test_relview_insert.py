@@ -1,7 +1,10 @@
 """Tests for Algorithm insert: templates, side-effect sweep, SAT, ΔR."""
 
+from contextlib import nullcontext
+
 import pytest
 
+import uncompiled
 from repro.atg.publisher import publish_store, publish_subtree
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.index import build_index
@@ -140,8 +143,13 @@ class TestNewSubtree:
         assert len(plan.new_templates) == 2  # course + prereq tuples
 
     def test_solver_modes_agree(self, env):
+        """The product's solve and the paper's encoding solved by
+        WalkSAT (``uncompiled.reference_solve("walksat")``) insert the
+        same edge."""
         atg, db, registry, store, _ = env
-        for solver in ("walksat", "dpll"):
+        for solving in (
+            uncompiled.reference_solve("walksat"), nullcontext()
+        ):
             atg2, db2 = build_registrar()
             registry2 = build_registry(atg2, db2)
             store2 = publish_store(atg2, db2)
@@ -155,9 +163,8 @@ class TestNewSubtree:
                 atg2, db2, store2, "course", ("CS904", "Solver")
             )
             delta_v = xinsert(store2, result.targets, subtree)
-            plan = translate_insertions(
-                registry2, store2, db2, delta_v, solver=solver
-            )
+            with solving:
+                plan = translate_insertions(registry2, store2, db2, delta_v)
             gains, losses = gained_rows(registry2, db2, plan.delta_r)
             assert len(gains["edge_prereq_course"]) == 1
             assert not gains["edge_db_course"]
@@ -264,16 +271,13 @@ plan.abort()
 """
 
 
-def test_new_key_insert_encodes_to_a_small_cnf(monkeypatch, capsys):
+def test_new_key_insert_encodes_to_a_small_cnf(capsys):
     """The paper's direct encoding of this insert (one literal per
     distinct atom, one CNF clause per clause, ``len(component)`` fresh
     tokens per component) is small: through a formula tree, a Tseitin
     pass and two spare tokens per component it took 39 variables and 135
     clauses.  In the equality domain it needs no CNF at all, and gives
     the same ΔR."""
-    import uncompiled
-    from repro.relview import insert as insert_module
-
     def plan_it():
         exec(_CNF_SCRIPT, {})
         num_vars, num_clauses, delta = capsys.readouterr().out.split(" ", 2)
@@ -281,9 +285,8 @@ def test_new_key_insert_encodes_to_a_small_cnf(monkeypatch, capsys):
 
     num_vars, num_clauses, equality_delta = plan_it()
     assert (num_vars, num_clauses) == (0, 0)
-    monkeypatch.setattr(insert_module, "_solve", uncompiled.solve)
-    monkeypatch.setattr(insert_module, "_decode_valuation", uncompiled.decode_valuation)
-    num_vars, num_clauses, reference_delta = plan_it()
+    with uncompiled.reference_solve("dpll"):
+        num_vars, num_clauses, reference_delta = plan_it()
     assert 0 < num_vars <= 20
     assert 0 < num_clauses <= 40
     assert reference_delta == equality_delta

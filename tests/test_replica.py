@@ -105,7 +105,7 @@ class TestSnapshotArtifact:
         service = registrar_service()
         service.apply(OPS[0])
         snapshot = service.snapshot()
-        path = tmp_path / "view.pkl.gz"
+        path = tmp_path / "view.json.gz"
         snapshot.save(path)
         assert Snapshot.load(path) == snapshot
 
@@ -136,7 +136,7 @@ class TestSnapshotArtifact:
             Snapshot.from_dict({"format": "something-else"})
         with pytest.raises(SnapshotError):
             Snapshot.from_dict({"format": "repro-snapshot"})  # no version
-        path = tmp_path / "garbage.pkl.gz"
+        path = tmp_path / "garbage.json.gz"
         path.write_bytes(b"not gzip at all")
         with pytest.raises(SnapshotError):
             Snapshot.load(path)
@@ -318,7 +318,7 @@ class TestReplicaFold:
         service = registrar_service()
         for op in OPS:
             service.apply(op)
-        path = tmp_path / "view.pkl.gz"
+        path = tmp_path / "view.json.gz"
         service.snapshot().save(path)
         replica = ReplicaView.from_snapshot(
             service.atg, Snapshot.load(path)
@@ -447,7 +447,7 @@ class TestReplicaCli:
     def test_inspect_and_snapshot_modes(self, tmp_path, capsys):
         service = registrar_service()
         service.apply(OPS[0])
-        path = str(tmp_path / "view.pkl.gz")
+        path = str(tmp_path / "view.json.gz")
         service.snapshot().save(path)
         assert replica_cli(["--inspect", path]) == 0
         assert "snapshot generation 1:" in capsys.readouterr().out

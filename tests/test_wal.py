@@ -9,6 +9,7 @@ tail, to silent truncation).
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 import os
@@ -18,12 +19,14 @@ import pytest
 
 from repro.errors import (
     ReplayGapError,
+    ServiceClosedError,
     WalCheckpointError,
     WalCorruptionError,
     WalError,
 )
 from repro.ops import DeleteOp, InsertOp
 from repro.relational.database import DeltaOp, RelationalDelta
+from repro.replica import Snapshot
 from repro.service import ViewConfig, open_view
 from repro.subscribe.delta import EdgeRecord, NodeRecord, ViewEvent
 from repro.wal import (
@@ -48,6 +51,12 @@ def make_event(generation: int, coarse: bool = False) -> ViewEvent:
             [DeltaOp("insert", "r", (f"k{generation}", "v"))]
         ),
     )
+
+
+def bare_snapshot(generation: int, **fields) -> Snapshot:
+    """A checkpoint payload with an empty store (the WAL only stores it)."""
+    fields.setdefault("store_state", {})
+    return Snapshot(generation=generation, config={}, **fields)
 
 
 def durable_wal(tmp_path, **kwargs) -> WriteAheadLog:
@@ -188,7 +197,7 @@ class TestLogLifecycle:
         for g in range(1, 25):
             wal.append(make_event(g))
             if wal.should_checkpoint():
-                wal.write_checkpoint({"state": g}, g)
+                wal.write_checkpoint(bare_snapshot(g))
         stats = wal.stats()
         assert len(stats["checkpoints"]) == 2
         oldest = stats["checkpoints"][0]["generation"]
@@ -209,14 +218,37 @@ class TestLogLifecycle:
     def test_checkpoint_envelope_roundtrip(self, tmp_path):
         wal = durable_wal(tmp_path)
         wal.append(make_event(1))
-        wal.write_checkpoint({"snapshot": {"deep": [1, 2]}, "db": {}}, 1)
-        ck = wal.latest_checkpoint()
-        assert ck["generation"] == 1
-        assert ck["state"] == {"snapshot": {"deep": [1, 2]}, "db": {}}
+        snapshot = bare_snapshot(
+            1,
+            store_state={"nodes": [], "children": [], "deep": [1, 2]},
+            base={"tables": {"r": [["k", 1.5, None, True]]}},
+        )
+        wal.write_checkpoint(snapshot)
+        assert wal.latest_checkpoint() == snapshot
+        # The checkpoint file is a snapshot file.
+        name = wal.stats()["checkpoints"][-1]["name"]
+        assert Snapshot.load(tmp_path / "wal" / name) == snapshot
         # Same-generation checkpoint is idempotent, not duplicated.
-        wal.write_checkpoint({"snapshot": {}, "db": {}}, 1)
+        wal.write_checkpoint(bare_snapshot(1))
         assert len(wal.stats()["checkpoints"]) == 1
+        assert wal.latest_checkpoint() == snapshot
         wal.close()
+
+    def test_service_checkpoint_is_a_snapshot_file_with_the_base_rows(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "wal")
+        service = registrar_service(path, wal_checkpoint_every=2)
+        service.apply(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
+        service.apply(InsertOp(".", "course", ("CS990", "Seminar")))
+        name = service.wal.stats()["checkpoints"][-1]["name"]
+        loaded = Snapshot.load(os.path.join(path, name))
+        assert loaded.generation == service.stats()["generation"]
+        assert loaded.base == service.db.export_state()
+        assert loaded.store_state == service.store.export_state()
+        # What the service hands out for replication carries no rows.
+        assert service.snapshot().base is None
+        service.close()
 
     def test_readonly_mode(self, tmp_path):
         wal = durable_wal(tmp_path)
@@ -227,7 +259,7 @@ class TestLogLifecycle:
         with pytest.raises(WalError, match="read-only"):
             ro.append(make_event(2))
         with pytest.raises(WalError, match="read-only"):
-            ro.write_checkpoint({}, 1)
+            ro.write_checkpoint(bare_snapshot(1))
         ro.close()
         with pytest.raises(WalError, match="not a WAL directory"):
             WriteAheadLog(str(tmp_path / "empty"), readonly=True)
@@ -244,6 +276,49 @@ class TestLogLifecycle:
         lazy.close()
         with pytest.raises(WalError, match="fsync policy"):
             WriteAheadLog(str(tmp_path / "x"), fsync="sometimes")
+
+    @pytest.mark.parametrize("durable", [True, False], ids=["wal", "no_wal"])
+    def test_writes_after_close_raise_and_reads_still_work(
+        self, tmp_path, durable
+    ):
+        path = str(tmp_path / "wal")
+        service = registrar_service(path) if durable else open_view(
+            *build_registrar(), config=ViewConfig(strict=False)
+        )
+        accepted = service.apply(
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+        )
+        generation = service.stats()["generation"]
+        digest = service.store.digest()
+        held = service.plan(InsertOp(".", "course", ("CS990", "Seminar")))
+        service.close()
+        new_course = InsertOp(".", "course", ("CS991", "Colloquium"))
+        writes = {
+            "apply": lambda: service.apply(new_course),
+            "apply a batch": lambda: service.apply([new_course]),
+            "plan": lambda: service.plan(new_course),
+            "commit a held plan": held.commit,
+            "undo": lambda: service.undo(accepted),
+            "apply_base_update": lambda: service.updater.apply_base_update(
+                RelationalDelta([DeltaOp("insert", "course", ("CS992", "X", "CS"))])
+            ),
+        }
+        for write in writes.values():
+            with pytest.raises(ServiceClosedError, match="closed"):
+                write()
+        held.abort()
+        service.close()  # idempotent
+        assert service.stats()["generation"] == generation
+        assert service.store.digest() == digest
+        assert service.snapshot().generation == generation
+        assert service.xpath("//course").targets
+        assert service.check_consistency() == []
+        if durable:
+            # Nothing reached the log after close().
+            recovered = _reopen(path)
+            assert recovered.stats()["generation"] == generation
+            assert recovered.store.digest() == digest
+            recovered.close()
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +483,7 @@ class TestCoarseRecords:
         plain = open_view(atg, db)
         wal = durable_wal(tmp_path, checkpoint_every=100)
         wal.write_checkpoint(
-            {
-                "snapshot": plain.snapshot().to_dict(),
-                "db": plain.db.export_state(),
-            },
-            0,
+            dataclasses.replace(plain.snapshot(), base=plain.db.export_state())
         )
         wal.append(ViewEvent(generation=1, coarse=True, reason="rebuild"))
         with pytest.raises(WalError, match="coarse"):

@@ -428,19 +428,19 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
         "commit_pipeline": True,
         "coarse_event_threshold": None,
     }
-    snapshot = Snapshot.capture(writer.store, generation=1, config=old_config)
+    snapshot = Snapshot.capture(
+        writer.store, generation=1, config=old_config, base=db.export_state()
+    )
     snapshot = dataclasses.replace(
         snapshot,
         provenance={**snapshot.provenance, "index_backend": "sets"},
     )
     wal = WriteAheadLog(wal_dir)
-    wal.write_checkpoint(
-        {"snapshot": snapshot.to_dict(), "db": db.export_state()}, 1
-    )
+    wal.write_checkpoint(snapshot)
     wal.close()
-    snapshot.save(str(tmp_path / "snap.pkl.gz"))
+    snapshot.save(str(tmp_path / "snap.json.gz"))
 
-    loaded = Snapshot.load(str(tmp_path / "snap.pkl.gz"))
+    loaded = Snapshot.load(str(tmp_path / "snap.json.gz"))
     assert loaded.config == old_config
     assert loaded.provenance["index_backend"] == "sets"
     for replica in (

@@ -42,9 +42,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
+from unittest import mock
 
 from repro.core.dag_eval import _DESCENDANT, _FILTER, _LABEL, _WILDCARD
 from repro.errors import QueryError, UpdateRejectedError
@@ -62,6 +64,7 @@ from repro.relational.conditions import (
 )
 from repro.relational.query import Assignment, QueryResult
 from repro.relational.schema import AttrType
+from repro.relview import insert as insert_module
 from repro.relview.insert import _fresh_value, _merge_templates
 from repro.relview.keypres import _UnionFind
 from repro.relview.symbolic import Atom, AtomVC, SymVar, Template, make_atom
@@ -369,6 +372,21 @@ def solve(units, side_effects, solver, plan):
         assignment = walksat_solve(cnf)
     plan.solver = solver
     return None if assignment is None else decode(assignment)
+
+
+@contextmanager
+def reference_solve(solver: str = "dpll"):
+    """Run Algorithm insert's stages 4-5 as the paper's finite-domain
+    encoding solved by ``solver`` (``'dpll'`` or ``'walksat'``) instead
+    of the product's equality-domain solve."""
+    def solve_with(units, side_effects, plan):
+        return solve(units, side_effects, solver, plan)
+
+    with mock.patch.object(insert_module, "_solve", solve_with), \
+            mock.patch.object(
+                insert_module, "_decode_valuation", decode_valuation
+            ):
+        yield
 
 
 def build_domains(atoms: list[Atom]) -> dict[SymVar, tuple]:
