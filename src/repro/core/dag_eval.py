@@ -13,10 +13,10 @@ the reachability matrix ``M``, the evaluator computes:
 
 Every entry point runs one pipeline, and the top-down pass drives it:
 
-**Compile.**  ``p`` is compiled once into integer-indexed plans — op
-codes for its steps, one plan per filter sub-expression — and cached per
-path (the AST is immutable), so a repeated query pays for a dictionary
-lookup.
+**Compile.**  ``p`` is compiled into integer-indexed plans — op codes
+for its steps, one plan per filter sub-expression — once per *shape*
+(:attr:`~repro.xpath.ast.XPath.shape`), and its constants are bound in:
+a repeated query pays for a dictionary lookup (the AST is immutable).
 
 **Top-down pass.**  The step contexts ``C0 ⊇ root, C1, ..., Cn`` are
 computed left to right.  A ``//`` step records its *region*
@@ -107,9 +107,8 @@ _LABEL, _WILDCARD, _FILTER, _DESCENDANT = range(4)
 
 _MODES = ("insert", "delete")
 
-#: Compiled programs kept per process: one per distinct path read,
-#: written or subscribed.  Bounded so a long-lived service that sees
-#: ever-new paths cannot grow without limit.
+#: Compiled programs kept per process, one per distinct shape and path:
+#: bounded, so ever-new paths cannot grow a long-lived service.
 _PROGRAM_CACHE_SIZE = 1024
 
 
@@ -420,12 +419,12 @@ class DagXPathEvaluator:
         structure witnesses an occurrence the path did not select, and
         its source node joins ``S``.
 
-        The walk stops at a ``//`` level whose region is ``L`` itself
+        The walk stops before a ``//`` level whose region is ``L`` itself
         (``region is self.topo``: a ``//`` from the root, at rest), so it
-        never climbs the affected nodes' ancestors there.  Nothing is
-        lost.  At rest every node of the store is in ``L``, so every
-        parent of a node at that level is in the region and none joins
-        ``S`` from it.  The only node of the previous context is the
+        never climbs, or lists, the affected nodes' ancestors.  Nothing is
+        lost.  At rest every node of the store is in ``L``: every parent
+        of a node at that level or the next is in the region, none joins
+        ``S`` from either.  The only node of the previous context is the
         root (the region is ``L`` only when that context is
         ``[root]``), which has no parents: the levels below contribute
         nothing either.
@@ -470,6 +469,8 @@ class DagXPathEvaluator:
                     if node in match.members(level)
                     else ()
                 )
+                if matched is self.topo:
+                    continue  # its parents are all in L, where the walk ends
                 for parent in parents_of(node):
                     if parent in matched:
                         stack.append((parent, level - 1))
@@ -551,6 +552,20 @@ class _Program:
         self.filter_plans: list[tuple] = []
         self.path_index: dict[_PathKey, int] = {}
         self.filter_index: dict[Filter, int] = {}
+
+    def bind(self, params: tuple[str, ...]) -> "_Program":
+        """This shape's program, ``params`` bound where constants live."""
+        program = _Program()
+        program.__dict__.update(self.__dict__)
+        program.path_plans = [
+            (ops, value if value is None else params[int(value)])
+            for ops, value in self.path_plans
+        ]
+        program.seeds = {
+            level: Seed(label, ValueEq(part.path, params[int(part.value)]), chain)
+            for level, (label, part, chain) in self.seeds.items()
+        }
+        return program
 
 
 class _FilterValues:
@@ -664,7 +679,9 @@ class _FilterValues:
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _compile(path: XPath) -> _Program:
-    """The compiled program of ``path`` — shared, never mutated after."""
+    """``path``'s program: its shape's, constants bound in (never mutated)."""
+    if path.shape is not None:
+        return _compile(path.shape).bind(path.params)
     program = _Program()
     program.steps = _compile_steps(path, program)
     program.seeds = seed_plan(path.steps)

@@ -10,12 +10,28 @@ the paper's evaluation section plots: one wall time per phase);
 from __future__ import annotations
 
 import enum
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from repro.relational.database import RelationalDelta
 from repro.views.store import ViewDelta
+
+
+class PhaseTimer:
+    """Adds a ``with`` body's wall time to ``timings[phase]``: the one phase
+    timer, behind ``UpdateOutcome.timed`` and ``CommitRecord.phase``."""
+
+    __slots__ = ("timings", "phase", "start")
+
+    def __init__(self, timings: dict[str, float], phase: str):
+        self.timings, self.phase = timings, phase
+
+    def __enter__(self) -> None:
+        self.start = perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        timings, phase = self.timings, self.phase
+        timings[phase] = timings.get(phase, 0.0) + perf_counter() - self.start
 
 
 class SideEffectPolicy(enum.Enum):
@@ -48,16 +64,9 @@ class UpdateOutcome:
         """Everything except the background maintenance phase."""
         return sum(t for k, t in self.timings.items() if k != "maintain")
 
-    @contextmanager
-    def timed(self, phase: str):
+    def timed(self, phase: str) -> PhaseTimer:
         """Add the wall time of the ``with`` body to ``timings[phase]``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[phase] = (
-                self.timings.get(phase, 0.0) + time.perf_counter() - start
-            )
+        return PhaseTimer(self.timings, phase)
 
     def to_dict(self, include_deltas: bool = False) -> dict:
         """A JSON-safe summary (wire format, bench records, CLI output).

@@ -29,8 +29,8 @@ from repro.xpath.ast import (
     XPath,
 )
 
-#: Schema evaluations a validator keeps: one per distinct path it sees,
-#: bounded like the evaluator's compiled programs.
+#: Schema evaluations a validator keeps: one per distinct path shape it
+#: sees, bounded like the evaluator's compiled programs.
 _REACHABLE_CACHE_SIZE = 1024
 
 
@@ -39,8 +39,8 @@ class StaticValidator:
 
     def __init__(self, dtd: DTD):
         self.dtd = dtd
-        # The DTD and a parsed path are immutable, so each distinct path
-        # is evaluated on the schema once per validator.
+        # The DTD and a parsed path are immutable, and constants are
+        # ignored, so each path shape is evaluated once per validator.
         self._reachable = lru_cache(maxsize=_REACHABLE_CACHE_SIZE)(
             self._evaluate
         )
@@ -56,10 +56,10 @@ class StaticValidator:
         the element types the path may reach, and ``last_edges`` the
         ``(parent_type, child_type)`` pairs through which the final types
         may be reached (the schema analogue of ``Ep(r)``).  Computed once
-        per path and shared by every later validation of it, hence
-        frozen.
+        per shape (:attr:`XPath.shape`: the path up to its constants) and
+        shared by every later validation of it, hence frozen.
         """
-        return self._reachable(path)
+        return self._reachable(path if path.shape is None else path.shape)
 
     def _evaluate(
         self, path: XPath

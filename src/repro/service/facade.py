@@ -85,6 +85,7 @@ class ViewService:
             "Update operations applied through the service, by kind "
             "and acceptance.",
         )
+        self._op_series: dict = {}  # (kind, accepted) -> series
         self._m_xpath = self.metrics_registry.histogram(
             "repro_xpath_seconds",
             "XPath read-path evaluation latency (lock wait included).",
@@ -255,10 +256,12 @@ class ViewService:
 
     def _count_op(self, outcome: UpdateOutcome) -> UpdateOutcome:
         """Account one applied op on the metrics surface (pass-through)."""
-        self._m_ops.labels(
-            kind=outcome.kind,
-            accepted="true" if outcome.accepted else "false",
-        ).inc()
+        key = (outcome.kind, outcome.accepted)
+        if key not in self._op_series:
+            self._op_series[key] = self._m_ops.labels(
+                kind=outcome.kind, accepted="true" if outcome.accepted else "false"
+            )
+        self._op_series[key].inc()
         return outcome
 
     def plan(self, op: UpdateOperation | dict) -> UpdatePlan:

@@ -34,9 +34,9 @@ seal → maintain → publish tail.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
+from time import perf_counter
 
+from repro.core.outcome import PhaseTimer
 from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.delta import ViewEvent, coalesce
 
@@ -69,26 +69,9 @@ class CommitRecord:
         ``lock_hold``)."""
         self._sealed = False
 
-    @property
-    def sealed(self) -> bool:
-        """Whether :meth:`seal` has run."""
-        return self._sealed
-
-    @property
-    def nodes(self):
-        """Node-interning records of the sealed event (wire side channel)."""
-        return self.event.nodes if self.event is not None else ()
-
-    @contextmanager
-    def phase(self, name: str):
+    def phase(self, name: str) -> PhaseTimer:
         """Time a code block into ``timings[name]`` (accumulating)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = (
-                self.timings.get(name, 0.0) + time.perf_counter() - start
-            )
+        return PhaseTimer(self.timings, name)
 
     def seal(self) -> ViewEvent | None:
         """Fold the collected events into one at-rest event.
@@ -191,9 +174,8 @@ class CommitPipeline:
 
     # -- the write scope -----------------------------------------------------------
 
-    @contextmanager
-    def scope(self):
-        """Open a staged write section; yields the :class:`CommitRecord`.
+    def scope(self) -> "_Scope":
+        """Open a staged write section; ``with`` gives the :class:`CommitRecord`.
 
         Acquire the write lock, run the body (plan + mutate), then —
         still under the lock — seal the record, run the registry's
@@ -207,42 +189,7 @@ class CommitPipeline:
         ``service.batch()``, a plan's ``commit()`` inside either) joins
         the outer record.
         """
-        local = self._local
-        if getattr(local, "depth", 0):
-            local.depth += 1
-            try:
-                yield local.record
-            finally:
-                local.depth -= 1
-            return
-        record = CommitRecord()
-        staged = None
-        ticket: int | None = None
-        wait_start = time.perf_counter()
-        try:
-            with self._lock.write():
-                acquired = time.perf_counter()
-                record.timings["lock_wait"] = acquired - wait_start
-                local.depth, local.record = 1, record
-                try:
-                    yield record
-                finally:
-                    local.depth, local.record = 0, None
-                    event = record.seal()
-                    if event is not None:
-                        with record.phase("maintain"):
-                            self.registry.apply_batched(event)
-                        staged = self.hub.stage(event)
-                        if staged is not None and staged.consumers:
-                            ticket = self._take_ticket()
-                    record.timings["lock_hold"] = (
-                        time.perf_counter() - acquired
-                    )
-        finally:
-            if ticket is not None:
-                with record.phase("publish"):
-                    self._publish(ticket, staged)
-            self._account(record)
+        return _Scope(self)
 
     # -- the publish phase (off the lock) --------------------------------------------
 
@@ -310,3 +257,57 @@ class CommitPipeline:
             },
             "last": dict(self.last),
         }
+
+
+class _Scope:
+    """One :meth:`CommitPipeline.scope` entry; ``record`` is ``None`` when it
+    joined an outer one."""
+
+    __slots__ = ("pipeline", "record", "acquired")
+
+    def __init__(self, pipeline: CommitPipeline):
+        self.pipeline, self.record = pipeline, None
+
+    def __enter__(self) -> CommitRecord:
+        pipeline = self.pipeline
+        local = pipeline._local
+        if getattr(local, "depth", 0):
+            local.depth += 1
+            return local.record
+        record = self.record = CommitRecord()
+        wait_start = perf_counter()
+        try:
+            pipeline._lock.acquire_write()
+        except BaseException:
+            pipeline._account(record)
+            raise
+        acquired = self.acquired = perf_counter()
+        record.timings["lock_wait"] = acquired - wait_start
+        local.depth, local.record = 1, record
+        return record
+
+    def __exit__(self, *exc) -> None:
+        pipeline, record = self.pipeline, self.record
+        local = pipeline._local
+        if record is None:
+            local.depth -= 1
+            return
+        staged = ticket = None
+        try:
+            try:
+                local.depth, local.record = 0, None
+                event = record.seal()
+                if event is not None:
+                    with record.phase("maintain"):
+                        pipeline.registry.apply_batched(event)
+                    staged = pipeline.hub.stage(event)
+                    if staged is not None and staged.consumers:
+                        ticket = pipeline._take_ticket()
+                record.timings["lock_hold"] = perf_counter() - self.acquired
+            finally:
+                pipeline._lock.release_write()
+        finally:
+            if ticket is not None:
+                with record.phase("publish"):
+                    pipeline._publish(ticket, staged)
+            pipeline._account(record)

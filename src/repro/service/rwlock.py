@@ -22,7 +22,6 @@ read-side ownership and raises :class:`RuntimeError` on the attempt.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 
 class RWLock:
@@ -44,6 +43,7 @@ class RWLock:
         self._writer_thread: threading.Thread | None = None
         self._writer_depth = 0
         self._writers_waiting = 0
+        self._shared, self._exclusive = _Held(self, True), _Held(self, False)
 
     def held_by_current_writer(self) -> bool:
         """Whether the calling thread owns the write side right now."""
@@ -124,24 +124,35 @@ class RWLock:
 
     # -- context managers --------------------------------------------------------
 
-    @contextmanager
-    def read(self):
+    def read(self) -> "_Held":
         """``with lock.read():`` — shared access as a context manager."""
-        if self.held_by_current_writer():
-            # The write owner already has exclusive access.
-            yield self
-            return
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+        return self._shared
 
-    @contextmanager
-    def write(self):
+    def write(self) -> "_Held":
         """``with lock.write():`` — exclusive access as a context manager."""
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+        return self._exclusive
+
+
+class _Held:
+    """What ``read()`` / ``write()`` return, one per side and stateless: a
+    thread owns the write side at exit iff it did at entry."""
+
+    __slots__ = ("lock", "shared")
+
+    def __init__(self, lock: RWLock, shared: bool):
+        self.lock, self.shared = lock, shared
+
+    def __enter__(self) -> RWLock:
+        lock = self.lock
+        if not self.shared:
+            lock.acquire_write()
+        elif not lock.held_by_current_writer():
+            lock.acquire_read()
+        return lock
+
+    def __exit__(self, *exc) -> None:
+        lock = self.lock
+        if not self.shared:
+            lock.release_write()
+        elif not lock.held_by_current_writer():
+            lock.release_read()

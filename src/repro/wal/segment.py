@@ -17,11 +17,12 @@ The reader draws exactly one distinction (see :func:`read_segment`):
 - an **incomplete** record at the end of the **last** segment is a
   *torn tail* — the only thing a crash mid-append can produce, since
   appends write a valid record front-to-back and a partial write is a
-  strict prefix — and is silently dropped (the commit was never
-  acknowledged);
-- any other failure — a CRC mismatch, a non-hex header, bytes *after*
-  the failed record, or any failure in a sealed segment — cannot be
-  explained by a crash and raises
+  strict prefix, its header lowercase hex — and is silently dropped
+  (the commit was never acknowledged);
+- any other failure — a CRC mismatch, a header that is not lowercase
+  hex (the writer's ``%08x``), bytes *after* the failed record, or any
+  failure in a sealed segment — cannot be explained by a crash and
+  raises
   :class:`~repro.errors.WalCorruptionError` naming the segment and
   offset.
 """
@@ -29,6 +30,7 @@ The reader draws exactly one distinction (see :func:`read_segment`):
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -39,6 +41,9 @@ FRAME_OVERHEAD = 17
 
 #: Header width (length + CRC, both 8 hex chars).
 _HEADER = 16
+
+#: What a header, or the prefix of one a crash left, may hold.
+_HEX = re.compile(rb"[0-9a-f]*")
 
 
 def encode_record(payload: dict) -> bytes:
@@ -77,36 +82,33 @@ def read_segment(
     pos = 0
     size = len(data)
     while pos < size:
-        failure = _try_decode(data, pos)
-        if failure is not None:
+        decoded = _try_decode(data, pos)
+        if isinstance(decoded, str):
             # A crash tears by writing a strict prefix of one valid
             # record at EOF; only an incomplete record that exhausts
             # the data qualifies as that tear.
-            incomplete = failure.startswith("incomplete")
+            incomplete = decoded.startswith("incomplete")
             if last and incomplete:
-                return records, TornTail(offset=pos, reason=failure)
+                return records, TornTail(offset=pos, reason=decoded)
             raise WalCorruptionError(
-                f"segment {name} is corrupt at byte {pos}: {failure}",
+                f"segment {name} is corrupt at byte {pos}: {decoded}",
                 segment=name,
                 offset=pos,
             )
-        length = int(data[pos:pos + 8], 16)
-        body = data[pos + _HEADER:pos + _HEADER + length]
-        records.append((pos, json.loads(body.decode("utf-8"))))
-        pos += _HEADER + length + 1
+        records.append((pos, decoded))
+        pos += _HEADER + int(data[pos:pos + 8], 16) + 1
     return records, None
 
 
-def _try_decode(data: bytes, pos: int) -> str | None:
-    """Why the record at ``pos`` cannot be decoded (``None`` = it can)."""
+def _try_decode(data: bytes, pos: int) -> dict | str:
+    """The payload of the record at ``pos``, or why it cannot be decoded."""
     header = data[pos:pos + _HEADER]
+    if _HEX.fullmatch(header) is None:
+        return "non-hex header"
     if len(header) < _HEADER:
         return f"incomplete header ({len(header)} of {_HEADER} bytes)"
-    try:
-        length = int(header[:8], 16)
-        crc = int(header[8:], 16)
-    except ValueError:
-        return "non-hex header"
+    length = int(header[:8], 16)
+    crc = int(header[8:], 16)
     end = pos + _HEADER + length
     if end + 1 > len(data):
         return (
@@ -120,8 +122,8 @@ def _try_decode(data: bytes, pos: int) -> str | None:
         return "CRC mismatch"
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         return f"body is not valid JSON ({exc})"
     if not isinstance(payload, dict):
         return f"body is not an object ({type(payload).__name__})"
-    return None
+    return payload

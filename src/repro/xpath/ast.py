@@ -8,7 +8,7 @@ evaluator memoizes truth values keyed by (filter-expression, node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -144,9 +144,37 @@ Filter = Union[LabelTest, ExistsPath, ValueEq, FAnd, FOr, FNot]
 
 @dataclass(frozen=True)
 class XPath:
-    """A normalized path: a tuple of steps."""
+    """A normalized path: a tuple of steps.
+
+    A parsed path with constants also has its *shape* (its ``k``-th
+    distinct constant replaced by ``"k"``) and ``params``, the constants:
+    ``shape.bind(params) == self``; ``==`` and ``hash`` ignore both.
+    """
 
     steps: tuple[Step, ...]
+    shape: "XPath | None" = field(default=None, compare=False, repr=False)
+    params: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Paths key the parse, schema and program caches: hash them once.
+        object.__setattr__(self, "_hash", hash(self.steps))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so the hash is taken afresh
+        return XPath, (self.steps, self.shape, self.params)
+
+    def bind(self, params: tuple[str, ...]) -> "XPath":
+        """This shape with placeholder ``k`` compared to ``params[k]``."""
+        if not params or FilterStep not in map(type, self.steps):
+            return self  # no filter, no constant
+        steps = tuple([
+            FilterStep(_bind(step.filter, params))
+            if type(step) is FilterStep else step
+            for step in self.steps
+        ])
+        return XPath(steps, self, params)
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -191,6 +219,18 @@ class XPath:
             if isinstance(step, FilterStep):
                 total += _filter_size(step.filter)
         return total
+
+
+def _bind(filt: Filter, params: tuple[str, ...]) -> Filter:
+    if isinstance(filt, ValueEq):
+        return ValueEq(filt.path.bind(params), params[int(filt.value)])
+    if isinstance(filt, ExistsPath):
+        return ExistsPath(filt.path.bind(params))
+    if isinstance(filt, (FAnd, FOr)):
+        return type(filt)(tuple([_bind(part, params) for part in filt.parts]))
+    if isinstance(filt, FNot):
+        return FNot(_bind(filt.part, params))
+    return filt  # a label test holds no constant
 
 
 def _filter_size(filt: Filter) -> int:

@@ -14,6 +14,11 @@ single-quoted literal may contain ``"`` and vice versa, and the
 delimiting quote itself may appear doubled — 'it''s' denotes the string
 ``it's``.  ``and``/``or``/``not(...)`` build Boolean filters;
 ``label()=A`` tests the context node's type.
+
+A text's ``=`` constants are lifted out with one regex, the remaining
+*shape* is parsed once per process and the constants are bound back in
+(:meth:`XPath.bind`): texts that differ only in their constants share
+one parse, one schema check and one compiled plan.
 """
 
 from __future__ import annotations
@@ -109,13 +114,38 @@ class _Tokens:
         return self.index >= len(self.items)
 
 
+# ``)=`` is ``label()=A``, whose name stays; any other ``=``, spaces and
+# all, precedes the constant ``c`` lifts (a string elsewhere fails both).
+_CONSTANT_RE = re.compile(
+    r"""\)\s*=|\s*=\s*(?P<c>"(?:[^"]|"")*"|'(?:[^']|'')*'"""
+    r"|[A-Za-z_][A-Za-z0-9_\-]*|\d+(?:\.\d+)?)"
+)
+
+
 @lru_cache(maxsize=1024)
 def parse_xpath(text: str) -> XPath:
     """Parse an XPath expression of the supported fragment.
 
     Memoised (bounded): services re-parse the same few path strings per
-    op, and the AST is immutable, so callers may share the result.
+    op, and the AST is immutable, so callers may share the result.  A
+    new text whose shape was parsed before costs the lift and a bind.
     """
+    params: dict[str, int] = {}
+
+    def lift(match: re.Match) -> str:  # the space ends the placeholder
+        if match["c"] is None:
+            return match[0]
+        value = _constant_value(match["c"])
+        return f"={params.setdefault(value, len(params))} "
+
+    try:
+        shape = _parse_shape(_CONSTANT_RE.sub(lift, text))
+    except XPathSyntaxError:
+        return _parse(text)  # raises, quoting the caller's text
+    return shape.bind(tuple(params))
+
+
+def _parse(text: str) -> XPath:
     tokens = _Tokens(text)
     path = _parse_path(tokens)
     if not tokens.done():
@@ -123,6 +153,12 @@ def parse_xpath(text: str) -> XPath:
             f"trailing tokens {tokens.items[tokens.index:]} in {text!r}"
         )
     return path
+
+
+#: The parse of a shape (placeholder ``k`` for the ``k``-th distinct
+#: constant): it differs from its texts only in constant tokens, and
+#: the parser takes any constant token where it takes one.
+_parse_shape = lru_cache(maxsize=1024)(_parse)
 
 
 def _parse_path(tokens: _Tokens) -> XPath:
@@ -276,14 +312,15 @@ def _parse_constant(tokens: _Tokens) -> str:
     if item is None:
         raise XPathSyntaxError(f"expected a constant in {tokens.text!r}")
     kind, value = item
-    if kind == "string":
+    if kind in ("string", "name", "number"):
         tokens.next()
-        # Standard XPath string semantics: the delimiting quote may
-        # appear inside the literal doubled ("" inside "..." and ''
-        # inside '...'); the other quote style needs no escape.
-        quote = value[0]
-        return value[1:-1].replace(quote + quote, quote)
-    if kind in ("name", "number"):
-        tokens.next()
-        return value
-    raise XPathSyntaxError(f"expected a constant but found {value!r}")
+        return _constant_value(value)
+    raise XPathSyntaxError(f"expected a constant, found {value!r} in {tokens.text!r}")
+
+
+def _constant_value(token: str) -> str:
+    """The string a constant token denotes (a delimiter inside is doubled)."""
+    quote = token[0]
+    if quote not in "\"'":
+        return token  # a bare name or number
+    return token[1:-1].replace(quote + quote, quote)

@@ -17,6 +17,12 @@ layers of evidence:
 - a committed seed corpus (``tests/data/snapshot_corpus/``): a harmless
   pickle-era file, a truncated gzip, and a JSON snapshot in the format
   of the release before ``base`` existed, which still loads.
+
+WAL segments get the same fuzz at their frame decoder
+(``read_segment(data, name, last)``): valid frames, cut, flipped or
+followed by other bytes, raise :class:`~repro.errors.WalCorruptionError`
+or decode, and only a lowercase-hex prefix of a frame is ever dropped
+as a torn tail.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import gzip
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,8 +42,14 @@ from hypothesis import strategies as st
 
 import repro
 from repro import DeleteOp, ReplicaView, Snapshot, ViewConfig, open_view
-from repro.errors import ReproError, SnapshotError, WalCheckpointError
+from repro.errors import (
+    ReproError,
+    SnapshotError,
+    WalCheckpointError,
+    WalCorruptionError,
+)
 from repro.wal import WriteAheadLog
+from repro.wal.segment import encode_record, read_segment
 from repro.workloads.registrar import build_registrar
 
 CORPUS = Path(__file__).parent / "data" / "snapshot_corpus"
@@ -282,6 +295,36 @@ def test_the_unbroken_envelope_decodes(checkpoint_wal):
     assert Snapshot.from_bytes(data).to_dict() == _ENVELOPE
     plant_checkpoint(wal_dir, data)
     assert wal.latest_checkpoint().base == _ENVELOPE["base"]
+
+
+@st.composite
+def _segments(draw) -> bytes:
+    """Valid frames followed by arbitrary bytes, then maybe one byte
+    changed and maybe cut short."""
+    payloads = st.dictionaries(st.text(max_size=4), _json_values, max_size=3)
+    data = b"".join(map(encode_record, draw(st.lists(payloads, max_size=3))))
+    data += draw(st.binary(max_size=24))
+    if data and draw(st.booleans()):
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+@given(data=_segments(), last=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_wal_frames_decode_or_raise_only_typed_errors(data, last):
+    try:
+        records, torn = read_segment(data, "seg-00000001.wal", last)
+    except WalCorruptionError:
+        return
+    offsets = [offset for offset, _ in records]
+    assert offsets == sorted(set(offsets))
+    assert all(isinstance(payload, dict) for _, payload in records)
+    if torn is not None:
+        assert last
+        assert re.fullmatch(rb"[0-9a-f]*", data[torn.offset:torn.offset + 16])
 
 
 # ---------------------------------------------------------------------------

@@ -878,10 +878,54 @@ def test_leading_descendant_ignores_uncollected_orphans():
     agrees_with_tree()
 
 
-def test_parse_and_compile_are_memoised_and_bounded():
-    text = "cnode[key=7]/sub/cnode"
-    assert parse_xpath(text) is parse_xpath(text)
-    assert parse_xpath.cache_info().maxsize is not None
-    path = parse_xpath(text)
-    assert dag_eval._compile(path) is dag_eval._compile(XPath(path.steps))
-    assert dag_eval._compile.cache_info().maxsize is not None
+def test_parse_and_compile_are_memoised_and_bounded(monkeypatch):
+    """One parse, one schema pass and one compile per shape; a text with
+    another constant only binds it; a repeated text is one cache probe
+    that returns the identical path and program; every cache is
+    bounded."""
+    from repro.dtd.validate import StaticValidator
+    from repro.xpath import parser
+
+    compiles, binds = [], []
+    seed_plan, bind = dag_eval.seed_plan, dag_eval._Program.bind
+    monkeypatch.setattr(
+        dag_eval, "seed_plan", lambda steps: compiles.append(steps) or seed_plan(steps)
+    )
+    monkeypatch.setattr(
+        dag_eval._Program, "bind",
+        lambda program, params: binds.append(params) or bind(program, params),
+    )
+    validator = StaticValidator(parse_dtd(
+        "<!ELEMENT memo (memo_k*, memo_sub*)> <!ELEMENT memo_sub (memo*)>"
+    ))
+    shapes = parser._parse_shape.cache_info().misses
+
+    first = parse_xpath("memo_sub/memo[memo_k=7]/memo_sub")
+    program = dag_eval._compile(first)
+    types = validator.reachable_types(first)
+    assert parser._parse_shape.cache_info().misses == shapes + 1
+    assert len(compiles) == 1 and binds == [("7",)]
+    assert validator._reachable.cache_info().misses == 1
+
+    second = parse_xpath("memo_sub/memo[memo_k = 'x''y']/memo_sub")
+    assert second == XPath(parser._parse(
+        "memo_sub/memo[memo_k = 'x''y']/memo_sub"
+    ).steps)
+    assert second.shape is first.shape and second.params == ("x'y",)
+    bound = dag_eval._compile(second)
+    assert validator.reachable_types(second) is types
+    assert parser._parse_shape.cache_info().misses == shapes + 1
+    assert len(compiles) == 1 and binds == [("7",), ("x'y",)]
+    assert validator._reachable.cache_info().misses == 1
+    assert bound.steps is program.steps
+    assert [value for _, value in bound.path_plans] == ["x'y"]
+
+    assert parse_xpath("memo_sub/memo[memo_k=7]/memo_sub") is first
+    assert dag_eval._compile(first) is program
+    assert len(compiles) == 1 and len(binds) == 2
+
+    for cache in (
+        parse_xpath, parser._parse_shape, dag_eval._compile,
+        validator._reachable,
+    ):
+        assert cache.cache_info().maxsize == 1024

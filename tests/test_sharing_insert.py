@@ -5,7 +5,8 @@ attach point lies in ``closure(subtree.frontier)``, and the side-effect
 walk stops at a ``//`` level whose region is ``L``.  Both are checked
 against the walks they replaced (``tests/uncompiled.py``) on random
 stores, and the plan's store traffic is pinned independent of |ST| and
-of the target's ancestor count.
+of the target's ancestor count; a hot target's parents are read once,
+by its seeded step, not again by the side-effect walk.
 """
 
 from __future__ import annotations
@@ -219,6 +220,45 @@ def test_sharing_insert_plan_is_independent_of_subtree_and_depth():
     base = _plan_store_calls(ancestors=2, st_cnodes=3)
     assert _plan_store_calls(ancestors=2, st_cnodes=12) == base  # 4x |ST|
     assert _plan_store_calls(ancestors=8, st_cnodes=3) == base  # 4x deeper
+
+
+def _parents_read(fan_in: int) -> int:
+    """Parents iterated in ``plan()`` of the sharing insert
+    ``//cnode[key=100]/sub`` <- cnode 200, where cnode 100 hangs under
+    ``fan_in`` root-child cnodes (a hot node of a dense DAG)."""
+    db = Database("fan-in")
+    for schema in synthetic_schemas():
+        db.create_table(schema)
+    filler = (0,) * 10
+    for key in [*range(1, fan_in + 1), 100, 200]:
+        db.insert("C", (key, 1, 2, 3, f"v{key}", int(key != 100), *filler))
+        db.insert("F", (key, 1, 2, 3, f"w{key}", 0, *filler))
+        if key <= fan_in:
+            db.insert("H", (key, 100))
+    updater = XMLViewUpdater(synthetic_atg(), db)
+    store, read = updater.store, [0]
+
+    class Counted(set):
+        def __iter__(self):
+            for node in set.__iter__(self):
+                read[0] += 1
+                yield node
+
+    original = store.parents_of
+    store.parents_of = lambda node: Counted(original(node))
+    hot = store.lookup("cnode", (100, "v100"))
+    assert len(original(hot)) == fan_in
+    plan = updater.plan(InsertOp("//cnode[key=100]/sub", "cnode", (200, "v200")))
+    assert plan.accepted and not plan.side_effects
+    plan.abort()
+    return read[0]
+
+
+def test_side_effect_walk_does_not_reread_a_hot_nodes_parents():
+    """The seeded step reads the hot node's parents once (to order its
+    context); the side-effect walk does not read them again, since they
+    all lie in ``L``, the leading ``//``'s region, where it stops."""
+    assert _parents_read(fan_in=8) - _parents_read(fan_in=2) == 6
 
 
 def test_stats_count_what_the_insert_adds():

@@ -30,12 +30,6 @@ from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 
-#: The one value ``stats()["index_backend"]`` takes — ``M`` has one
-#: implementation, the key stays for ``benchmarks/e2e/worker.py`` — and
-#: the id (``[bitset]``) the tests below have carried since there were
-#: three.
-BACKENDS = ["bitset"]
-
 QUERIES = (
     "course[cno=CS650]//course",
     "//course[cno=CS320]",
@@ -52,21 +46,18 @@ READERS = 2
 PULLERS = 2
 
 
-def _service(backend):
+def _service():
     atg, db = build_registrar()
-    service = open_view(
+    return open_view(
         atg,
         db,
         config=ViewConfig(side_effects="propagate", strict=False),
     )
-    assert service.stats()["index_backend"] == backend
-    return service
 
 
 @pytest.mark.stress
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_readers_and_consumers_race_a_committing_writer(backend):
-    service = _service(backend)
+def test_readers_and_consumers_race_a_committing_writer():
+    service = _service()
     subs = [service.subscribe(q) for q in QUERIES]
 
     errors: list[BaseException] = []

@@ -14,6 +14,7 @@ import gzip
 import json
 import os
 import time
+import zlib
 
 import pytest
 
@@ -126,6 +127,32 @@ class TestFraming:
         good = encode_record({"generation": 1})
         with pytest.raises(WalCorruptionError):
             read_segment(good + b"zzzz" + good, "seg", last=True)
+
+    @pytest.mark.parametrize("length", [
+        "0x{:06x}", " {:07x}", "+{:07x}", "0000_{:03x}", "{:08X}",
+    ], ids=["0x", "space", "plus", "underscore", "upper"])
+    def test_header_is_lowercase_hex_only(self, length):
+        """``int(..., 16)`` reads all of these; the writer emits none."""
+        body = b'{"generation":1,"pad":"abcdefghij"}'
+        assert len(body) > 16  # so "X" appears in "{:08X}"
+        crc = f"{zlib.crc32(body) & 0xFFFFFFFF:08x}".upper()
+        header = length.format(len(body)) + crc
+        forged = header.encode("ascii") + body + b"\n"
+        good = encode_record({"generation": 0})
+        for last in (False, True):
+            with pytest.raises(WalCorruptionError, match="non-hex header"):
+                read_segment(good + forged, "seg", last=last)
+
+    def test_short_tail_is_torn_only_when_hex(self):
+        """A crash leaves a prefix of a lowercase-hex header; anything
+        else at EOF is corruption, not a tear to drop."""
+        good = encode_record({"generation": 1})
+        records, torn = read_segment(good + good[:5], "seg", last=True)
+        assert len(records) == 1 and torn.offset == len(good)
+        for tail in (b"zzzz", b"0x", b" 00", b"0A"):
+            with pytest.raises(WalCorruptionError) as exc:
+                read_segment(good + tail, "seg", last=True)
+            assert exc.value.offset == len(good)
 
     def test_delta_codec_roundtrip(self):
         delta = RelationalDelta(
