@@ -22,22 +22,15 @@ chosen at creation time:
   :meth:`ChangefeedConsumer.events` drains without blocking, and
   iterating the consumer yields events until :meth:`close`.  Pull mode
   decouples the consumer's pace from the writer: queues are bounded at
-  twice the hub's retention window, and what happens at the bound is
-  the consumer's **backpressure policy**:
-
-  - ``backpressure='block_writer'`` (the default) — delivery waits up
-    to ``block_timeout`` seconds for the consumer to drain a slot; a
-    consumer still full after that is detached (overflow sets
-    :attr:`ChangefeedConsumer.error`; the queued backlog stays
-    drainable) rather than wedging the publisher forever.  On the
-    staged commit pipeline, delivery runs *outside* the writer's
-    critical section, so a blocked delivery delays the publisher — not
-    readers, and not the next writer's mutation.
-  - ``backpressure='drop_oldest'`` — the oldest queued event is
-    discarded to make room (counted on :attr:`ChangefeedConsumer.drops`
-    and the hub's ``drops`` stat) and the consumer stays attached; the
-    consumer must treat a generation gap between consecutive events as
-    "resync via ``changefeed(since=...)``" if it needs every event.
+  twice the hub's retention window, and at the bound delivery waits up
+  to :data:`DEFAULT_BLOCK_TIMEOUT` seconds for the consumer to drain a
+  slot; a consumer still full after that is detached (overflow sets
+  :attr:`ChangefeedConsumer.error`; the queued backlog stays
+  drainable) rather than wedging the publisher forever.  On the staged
+  commit pipeline, delivery runs *outside* the writer's critical
+  section, so a blocked delivery delays the publisher — not readers,
+  and not the next writer's mutation.  No event is ever dropped from a
+  queue: a consumer sees every event or is detached.
 
 Either way the consumer tracks :attr:`ChangefeedConsumer.generation` —
 the generation of the last event it has *taken* — which is exactly the
@@ -52,12 +45,9 @@ from collections import deque
 from repro.errors import ChangefeedError
 from repro.subscribe.delta import ViewEvent
 
-#: How long a ``block_writer`` delivery waits for queue space before
+#: How long a delivery to a full pull queue waits for space before
 #: giving up and detaching the consumer (seconds).
 DEFAULT_BLOCK_TIMEOUT = 1.0
-
-#: The recognized full-queue policies.
-BACKPRESSURE_POLICIES = ("block_writer", "drop_oldest")
 
 
 class ChangefeedConsumer:
@@ -66,14 +56,7 @@ class ChangefeedConsumer:
     def __init__(
         self, hub, on_event=None, generation: int = 0,
         max_pending: int = 0,
-        backpressure: str = "block_writer",
-        block_timeout: float | None = None,
     ):
-        if backpressure not in BACKPRESSURE_POLICIES:
-            raise ChangefeedError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {backpressure!r}"
-            )
         self._hub = hub
         self._callback = on_event
         self._queue: deque[ViewEvent] = deque()
@@ -83,13 +66,6 @@ class ChangefeedConsumer:
         """Pull-queue bound (0 = unbounded); the hub passes its
         retention window — beyond it, replay could not cover the
         backlog either, so the consumer is detached on overflow."""
-        self.backpressure = backpressure
-        """Full-queue policy: ``'block_writer'`` or ``'drop_oldest'``."""
-        self._block_timeout = (
-            DEFAULT_BLOCK_TIMEOUT if block_timeout is None else block_timeout
-        )
-        self.drops = 0
-        """Events this consumer discarded under ``'drop_oldest'``."""
         self.generation = generation
         """Generation of the last event taken (callback mode: delivered);
         pass as ``since=`` to resume after a disconnect."""
@@ -118,36 +94,30 @@ class ChangefeedConsumer:
             if self._closed:
                 return True
             if self._max_pending and len(self._queue) >= self._max_pending:
-                if self.backpressure == "drop_oldest":
-                    # Lossy consumer: sacrifice the oldest queued event
-                    # and stay attached.
-                    self._queue.popleft()
-                    self.drops += 1
-                    self._hub._on_drop()
-                else:
-                    # block_writer: give the consumer a chance to drain
-                    # a slot (next_event()/events() notify on take).
-                    self._hub._on_park()
-                    self._cond.wait_for(
-                        lambda: self._closed
-                        or len(self._queue) < self._max_pending,
-                        timeout=self._block_timeout,
+                # Give the consumer a chance to drain a slot
+                # (next_event()/events() notify on take).
+                self._hub._on_park()
+                timeout = DEFAULT_BLOCK_TIMEOUT
+                self._cond.wait_for(
+                    lambda: self._closed
+                    or len(self._queue) < self._max_pending,
+                    timeout=timeout,
+                )
+                if self._closed:
+                    return True
+                if len(self._queue) >= self._max_pending:
+                    self.error = ChangefeedError(
+                        f"pull consumer fell behind: {len(self._queue)} "
+                        f"events pending reached the queue bound of "
+                        f"{self._max_pending} "
+                        f"and no slot freed within "
+                        f"{timeout}s; drain the backlog, "
+                        f"then reattach with "
+                        f"changefeed(since=<last generation>)"
                     )
-                    if self._closed:
-                        return True
-                    if len(self._queue) >= self._max_pending:
-                        self.error = ChangefeedError(
-                            f"pull consumer fell behind: {len(self._queue)} "
-                            f"events pending reached the queue bound of "
-                            f"{self._max_pending} "
-                            f"and no slot freed within "
-                            f"{self._block_timeout}s; drain the backlog, "
-                            f"then reattach with "
-                            f"changefeed(since=<last generation>)"
-                        )
-                        self._closed = True
-                        self._cond.notify_all()
-                        overflowed = True
+                    self._closed = True
+                    self._cond.notify_all()
+                    overflowed = True
             if not overflowed:
                 self.delivered += 1
                 self._queue.append(event)
@@ -202,7 +172,7 @@ class ChangefeedConsumer:
                 return None
             event = self._queue.popleft()
             self.generation = event.generation
-            # A block_writer delivery may be parked on a full queue.
+            # A delivery may be parked on a full queue.
             self._cond.notify_all()
             return event
 
@@ -214,7 +184,7 @@ class ChangefeedConsumer:
             self._queue.clear()
             if drained:
                 self.generation = drained[-1].generation
-                # A block_writer delivery may be parked on a full queue.
+                # A delivery may be parked on a full queue.
                 self._cond.notify_all()
             return drained
 

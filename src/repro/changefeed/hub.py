@@ -84,14 +84,9 @@ class ChangefeedHub:
             "repro_consumer_overflows_total",
             "Pull consumers detached for exceeding their queue bound.",
         ).labels()
-        self._m_drops = metrics.counter(
-            "repro_consumer_drops_total",
-            "Events discarded by drop_oldest backpressure consumers.",
-        ).labels()
         self._m_parks = metrics.counter(
             "repro_consumer_parks_total",
-            "Deliveries parked waiting for a full pull queue to drain "
-            "(block_writer backpressure).",
+            "Deliveries parked waiting for a full pull queue to drain.",
         ).labels()
         self._m_callback_errors = metrics.counter(
             "repro_consumer_callback_errors_total",
@@ -152,8 +147,6 @@ class ChangefeedHub:
         self,
         since: int | None = None,
         on_event=None,
-        backpressure: str = "block_writer",
-        block_timeout: float | None = None,
     ) -> ChangefeedConsumer:
         """Attach a consumer, optionally replaying from ``since``.
 
@@ -161,9 +154,6 @@ class ChangefeedHub:
         :class:`~repro.service.facade.ViewService` façade does), which
         makes replay-then-live gapless: no commit can interleave between
         the replayed batch and the consumer joining the fan-out list.
-
-        ``backpressure``/``block_timeout`` set the pull consumer's
-        full-queue policy (see :class:`ChangefeedConsumer`).
         """
         self.validate_since(since)  # before the attach side effect
         self._ensure_attached()
@@ -193,8 +183,6 @@ class ChangefeedHub:
             # replay and detach the consumer it is creating.
             max_pending=max(2 * self.retention,
                             len(replayed) + self.retention),
-            backpressure=backpressure,
-            block_timeout=block_timeout,
         )
         for event in replayed:
             consumer._deliver(event)
@@ -262,14 +250,10 @@ class ChangefeedHub:
                 self._m_callback_errors.inc()
                 consumer.close()
 
-    # -- backpressure accounting (called by consumers) ----------------------------
-
-    def _on_drop(self) -> None:
-        """One event discarded by a ``drop_oldest`` consumer."""
-        self._m_drops.inc()
+    # -- full-queue accounting (called by consumers) ------------------------------
 
     def _on_park(self) -> None:
-        """One ``block_writer`` delivery parked on a full queue."""
+        """One delivery parked on a full pull queue."""
         self._m_parks.inc()
 
     # -- diagnostics ------------------------------------------------------------------
@@ -282,7 +266,6 @@ class ChangefeedHub:
             "events_published": int(self._m_published.value),
             "callback_errors": int(self._m_callback_errors.value),
             "overflows": int(self._m_overflows.value),
-            "drops": int(self._m_drops.value),
             "parks": int(self._m_parks.value),
             "retention": self.retention,
             "retained": len(self._buffer) if self._buffer else 0,

@@ -26,12 +26,15 @@ retrieval data structure", TCS 1986):
    ({r_A} ∪ desc(r_A))``, only the bits missing from ``anc(r_A)``
    written — none missing, nothing to do, which is valid because
    ``anc(d) ⊇ anc(r_A) ∪ {r_A}`` for every ``d`` below ``r_A``;
-3. ``L``: new nodes are placed just after their highest-positioned
-   children (children-first processing makes this safe), then the new
-   connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as in
-   the paper (lines 12–13), the segment split into ``desc(r_A)`` and
-   the rest in one pass over the candidates' own ancestor rows
-   (:meth:`~repro.index._bits.Region.split`).
+3. ``L`` (run first, before ``ΔM``, since it reads only the store):
+   new nodes are placed just after their highest-positioned children
+   (children-first processing makes this safe), then the new
+   connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as
+   in the paper (lines 12–13).  ``swap`` finds ``L[u:r_A] ∩
+   desc(r_A)`` by walking the store's edges down from ``r_A``, and the
+   walk stops at every node placed before ``u``: ``L`` already orders
+   every edge below ``r_A``, so nothing below such a node can be in
+   the segment.
 
 A sharing insert (no new node) is one call, and it returns at once when
 the targets already reach ``r_A``; otherwise it walks the store's edges
@@ -133,23 +136,25 @@ def place_new_nodes(
 
 
 def repair_topo_after_insert(
+    store: ViewStore,
     topo: TopoOrder,
     subtree: SubtreeResult,
     targets: list[int],
-    desc_root,
-) -> int:
-    """Repair ``L`` for the connecting edges ``(u, r_A)`` via ``swap``.
+) -> tuple[int, int]:
+    """The ``L`` half of Δ(M,L)insert; ``M`` is not read.
 
-    ``desc_root`` is any membership container over the descendants of
-    the subtree root (a :class:`~repro.index._bits.Region` over ``M``
-    after the pair update, or a store walk when ``M`` repair is
-    deferred).  Returns the number of nodes moved.
+    Places the new nodes (:func:`place_new_nodes`), then repairs each
+    connecting edge ``(u, r_A)`` with ``u`` before ``r_A`` by ``swap``,
+    whose walk below ``r_A`` reads the store's edges.  Returns the
+    nodes placed and the nodes moved.
     """
+    placed = place_new_nodes(store, topo, subtree)
     moved = 0
+    root = subtree.root
     for target in targets:
-        if topo.position(target) < topo.position(subtree.root):
-            moved += topo.swap(target, subtree.root, desc_root)
-    return moved
+        if topo.position(target) < topo.position(root):
+            moved += topo.swap(target, root, store.children_of)
+    return placed, moved
 
 
 def maintain_insert(
@@ -162,14 +167,15 @@ def maintain_insert(
 ) -> InsertMaintenance:
     """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``.
 
-    ``placed`` says the ``L`` steps already ran (a batch session does
-    them when it defers the repair: :func:`place_new_nodes`, then
-    :func:`repair_topo_after_insert` against a store walk), which
-    leaves the ``ΔM`` steps.
+    ``L`` is repaired first (:func:`repair_topo_after_insert`), then
+    ``M``.  ``placed`` says the ``L`` half already ran (a batch session
+    does it when it defers the repair), which leaves the ``ΔM`` steps.
     """
     report = InsertMaintenance()
     if not placed:
-        report.placed_nodes = place_new_nodes(store, topo, subtree)
+        report.placed_nodes, report.moved_nodes = repair_topo_after_insert(
+            store, topo, subtree, targets
+        )
     # ΔM part 1: the edges leaving the new nodes, ancestors first.
     for node in reversed(topo.sort_nodes(subtree.new_nodes)):
         for child in store.children_of(node):
@@ -178,10 +184,6 @@ def maintain_insert(
             )
     # ΔM part 2: the connecting edges (u, r_A).
     report.added_pairs += reach.add_closure_below(store, targets, subtree.root)
-    if not placed:
-        report.moved_nodes = repair_topo_after_insert(
-            topo, subtree, targets, reach.region(store, [subtree.root])
-        )
     return report
 
 

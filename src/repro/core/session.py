@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.atg.publisher import SubtreeResult
-from repro.core.maintenance import place_new_nodes, repair_topo_after_insert
+from repro.core.maintenance import repair_topo_after_insert
 from repro.errors import ReproError
 from repro.subscribe.delta import ViewEvent
 from repro.views.store import ViewDelta
@@ -42,9 +42,9 @@ class UpdateSession:
             updater.apply_op(DeleteOp("course[cno='CS240']/project"))
 
     Per accepted update the session does the *cheap* ``L`` work eagerly
-    (new-node placement and the paper's ``swap`` repair, with the
-    subtree's descendants taken from a store walk since ``M`` is
-    deferred) and queues the ``M`` repair; meanwhile the XPath evaluator
+    (new-node placement and the paper's ``swap`` repair, which read the
+    store's edges only, exactly as a single op does) and queues the
+    ``M`` repair; meanwhile the XPath evaluator
     derives descendant regions from the store's edges, so mid-batch
     queries and updates see correct results.  :meth:`flush` — called
     automatically on exit, even when the block raises — runs the
@@ -93,11 +93,9 @@ class UpdateSession:
         delete_targets: list[int] | None,
     ) -> None:
         """Take over one update's Δ(M,L) work: ``L`` now, ``M`` at flush."""
-        updater = self.updater
+        store, topo = self.updater.store, self.updater.topo
         for subtree, targets in inserts:
-            place_new_nodes(updater.store, updater.topo, subtree)
-            desc_root = updater.store.descendants_of([subtree.root])
-            repair_topo_after_insert(updater.topo, subtree, targets, desc_root)
+            repair_topo_after_insert(store, topo, subtree, targets)
             self._pending_inserts.append((subtree, list(targets)))
         self._pending_deletes.extend(delete_targets or ())
 

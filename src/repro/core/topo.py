@@ -9,19 +9,18 @@ children).
 The class also provides the primitive the maintenance algorithms build
 on: ``swap(u, v)`` (paper, Section 3.4) which, after inserting edge
 ``(u, v)`` when ``u`` currently precedes ``v``, moves ``v`` and the
-descendants of ``v`` lying between them to just before ``u``.
+descendants of ``v`` lying between them to just before ``u``.  ``L``
+answers to the store's edges alone: ``swap`` finds what moves by a walk
+of the children below ``v``, and :meth:`TopoOrder.is_valid_for` checks
+the order edge by edge; neither reads ``M``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import CycleError, ReproError
-from repro.index._bits import Region
 from repro.views.store import ViewStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index import ReachabilityIndex
 
 
 class TopoOrder:
@@ -33,7 +32,8 @@ class TopoOrder:
     lowers the base and rewrites the prefix before it; one at or past
     the middle rewrites the suffix.  :meth:`remove_many` deletes its
     slots in place and rewrites from the first of them on, and
-    :meth:`swap` the segment it reorders.
+    :meth:`swap` the segment it reorders, which it splits by a walk of
+    the store's children below ``v``.
     """
 
     def __init__(self, order: list[int] | None = None):
@@ -137,29 +137,35 @@ class TopoOrder:
         if slots:
             self._reindex(slots[0])
 
-    def swap(self, u: int, v: int, descendants_of_v) -> int:
+    def swap(
+        self, u: int, v: int, children_of: Callable[[int], Iterable[int]]
+    ) -> int:
         """Repair ``L`` after inserting edge ``(u, v)``.
 
         Precondition: ``u`` precedes ``v``.  Moves ``{v} ∪ (L[u:v] ∩
         desc(v))`` immediately before ``u``, preserving their relative
-        order.  A :class:`~repro.index._bits.Region` splits the segment
-        in one pass over its rows; any other container is asked once
-        per segment node.  Returns the number of nodes moved.
+        order.  ``desc(v)`` is walked through ``children_of``, and the
+        walk stops at any node placed before ``u``: ``L`` already orders
+        every edge below ``v``, so all of that node's descendants are
+        placed before ``u`` too.  Returns the number of nodes moved.
         """
-        pos_u = self.position(u)
-        pos_v = self.position(v)
-        if pos_v < pos_u:
+        start, stop = self.position(u), self.position(v)
+        if stop < start:
             return 0
-        segment = self._list[pos_u:pos_v]
-        if isinstance(descendants_of_v, Region):
-            moving, staying = descendants_of_v.split(segment)
-        else:
-            moving, staying = [], []
-            for n in segment:
-                (moving if n in descendants_of_v else staying).append(n)
+        pos, low = self._pos, start + self._base
+        below: set[int] = set()
+        stack = [v]
+        while stack:
+            for child in children_of(stack.pop()):
+                if pos[child] >= low and child not in below:
+                    below.add(child)
+                    stack.append(child)
+        segment = self._list[start:stop]
+        moving = [n for n in segment if n in below]
         moving.append(v)
-        self._list[pos_u : pos_v + 1] = moving + staying
-        self._reindex(pos_u, pos_v + 1)  # positions past v do not move
+        staying = [n for n in segment if n not in below]
+        self._list[start : stop + 1] = moving + staying
+        self._reindex(start, stop + 1)  # positions past v do not move
         return len(moving)
 
     def _reindex(self, start: int, stop: int | None = None) -> None:
@@ -171,19 +177,16 @@ class TopoOrder:
 
     # -- validation (test helper) ------------------------------------------------------
 
-    def is_valid_for(
-        self, is_ancestor: "Callable[[int, int], bool] | ReachabilityIndex"
-    ) -> bool:
-        """Check the invariant: u precedes v ⇒ u is not an ancestor of v.
+    def is_valid_for(self, store: ViewStore) -> bool:
+        """Check the invariant: every child of a node in ``L`` precedes it.
 
-        Accepts either an ``is_ancestor(u, v)`` predicate or a
-        :class:`~repro.index.ReachabilityIndex` directly.
+        One pass over the edges leaving ``L``'s nodes.  Nodes the store
+        interned without edges (a held plan's) need not be in ``L``.
         """
-        if not callable(is_ancestor):
-            is_ancestor = is_ancestor.is_ancestor
-        for i, u in enumerate(self._list):
-            for v in self._list[i + 1 :]:
-                if is_ancestor(u, v):
+        pos = self._pos
+        for node, at in pos.items():
+            for child in store.children_of(node):
+                if pos.get(child, at) >= at:
                     return False
         return True
 

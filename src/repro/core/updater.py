@@ -462,7 +462,7 @@ class XMLViewUpdater:
         fresh_reach = build_index(self.store, fresh_topo)
         if not self.reach.equals(fresh_reach):
             problems.append("reachability matrix differs from recomputation")
-        if not self.topo.is_valid_for(self.reach.is_ancestor):
+        if not self.topo.is_valid_for(self.store):
             problems.append("topological order invalid")
         if not self.store.value_index_is_exact():
             problems.append("value index differs from a rebuild from node_sem")

@@ -60,20 +60,6 @@ class Region:
         mask = self._mask
         return bool(mask >> node & 1 or self._rows.get(node, 0) & mask)
 
-    def split(self, nodes: Iterable[int]) -> tuple[list[int], list[int]]:
-        """``nodes`` as (members, the rest), each in the given order."""
-        seeds = set(self.nodes)
-        mask = self._mask
-        get = self._rows.get
-        inside: list[int] = []
-        outside: list[int] = []
-        for node in nodes:
-            if node in seeds or get(node, 0) & mask:
-                inside.append(node)
-            else:
-                outside.append(node)
-        return inside, outside
-
     def __bool__(self) -> bool:
         return bool(self.nodes)
 

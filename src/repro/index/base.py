@@ -84,7 +84,8 @@ class ReachabilityIndex(ABC):
         Membership reads the candidate's ancestor row, iteration walks
         ``store``.  The view is live: hold it only until the next write
         to ``M`` or the store (the evaluator's ``//`` regions, the
-        ``swap`` repair of ``L``).
+        subscription engine's closures).  ``L``'s repair does not use
+        it: ``swap`` walks the store's edges below its node.
         """
 
     # -- point mutation -----------------------------------------------------------

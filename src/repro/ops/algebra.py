@@ -251,7 +251,7 @@ def op_from_json(text: str) -> UpdateOperation:
     """Decode one operation from a JSON document."""
     try:
         payload = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise OpDecodeError(f"operation is not valid JSON: {exc}") from None
     return op_from_dict(payload)
 

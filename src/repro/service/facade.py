@@ -310,8 +310,6 @@ class ViewService:
         self,
         since: int | None = None,
         on_event=None,
-        backpressure: str = "block_writer",
-        block_timeout: float | None = None,
     ) -> ChangefeedConsumer:
         """Attach a consumer to this view's published event stream.
 
@@ -342,20 +340,14 @@ class ViewService:
         Without ``on_event`` the returned consumer is a pull handle:
         iterate it, or call ``next_event(timeout=...)`` / ``events()``;
         ``close()`` detaches.  Pull queues are bounded at twice the
-        retention window; what happens at the bound is the consumer's
-        ``backpressure`` policy: ``'block_writer'`` (default) makes
-        delivery wait up to ``block_timeout`` seconds for the consumer
-        to drain a slot and detaches it only if none frees up (the
-        backlog stays drainable; ``consumer.error`` explains how to
-        reattach), ``'drop_oldest'`` discards the oldest queued event
-        and keeps the consumer attached (lossy; counted in the hub's
-        ``drops`` stat).
+        retention window; at the bound delivery waits up to
+        :data:`~repro.changefeed.consumer.DEFAULT_BLOCK_TIMEOUT` seconds
+        for the consumer to drain a slot and detaches it only if none
+        frees up (the backlog stays drainable; ``consumer.error``
+        explains how to reattach).  No event is dropped.
         """
         with self._lock.write():
-            return self.changefeeds.open(
-                since=since, on_event=on_event,
-                backpressure=backpressure, block_timeout=block_timeout,
-            )
+            return self.changefeeds.open(since=since, on_event=on_event)
 
     # -- read path ----------------------------------------------------------------
 

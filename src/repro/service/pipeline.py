@@ -20,8 +20,8 @@ accounting:
 - **publish** — changefeed fan-out and consumer delivery run *after the
   write lock is released*, fenced by a ticket so concurrent writers
   publish in commit order.  Consumers therefore only ever see generation
-  ``g`` after maintenance for ``g`` completed, and a slow consumer
-  (``backpressure='block_writer'``) delays the *publisher*, not the
+  ``g`` after maintenance for ``g`` completed, and a slow pull consumer
+  (a full queue waits for it to drain) delays the *publisher*, not the
   whole critical section.
 
 The service façade installs one pipeline per view; every write goes

@@ -273,7 +273,7 @@ class ViewEvent:
         """Decode :meth:`to_json` output (round-trip tested)."""
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise EventDecodeError(f"event is not valid JSON: {exc}") from None
         return cls.from_dict(payload)
 

@@ -38,6 +38,8 @@ a generation some live checkpoint covers.
 from __future__ import annotations
 
 import json
+import re
+from typing import NoReturn
 
 from repro.errors import (
     ReplayGapError,
@@ -65,6 +67,70 @@ FSYNC_POLICIES = ("always", "batch", "os")
 BATCH_FSYNC_INTERVAL = 32
 
 _MANIFEST = "manifest.json"
+
+#: What the writer names its files (``seg-%08d.wal`` / ``ckpt-%012d.gz``);
+#: a manifest naming anything else is refused before a path is built.
+_SEGMENT_NAME = re.compile(r"seg-(\d{8,})\.wal")
+_CHECKPOINT_NAME = re.compile(r"ckpt-\d{12,}\.gz")
+
+
+def _parse_manifest(data: bytes) -> tuple[list[dict], str, list[dict], int]:
+    """The manifest's ``(sealed, active, checkpoints, floor)``, checked.
+
+    Every file name must be one the writer makes and every generation a
+    non-negative int; anything else raises
+    :class:`~repro.errors.WalCorruptionError` naming the manifest.
+    """
+
+    def refuse(what: str) -> NoReturn:
+        raise WalCorruptionError(
+            f"WAL manifest {what}", segment=_MANIFEST
+        ) from None
+
+    try:
+        manifest = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        refuse(f"is not valid JSON: {exc}")
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != MANIFEST_FORMAT
+        or manifest.get("version") != MANIFEST_VERSION
+    ):
+        refuse(
+            f"is not a {MANIFEST_FORMAT}/{MANIFEST_VERSION} manifest: "
+            f"{str(manifest)[:80]}"
+        )
+
+    def name(value, pattern: re.Pattern, key: str) -> str:
+        if not isinstance(value, str) or not pattern.fullmatch(value):
+            refuse(f"key {key!r} holds no file name of the log: {value!r:.80}")
+        return value
+
+    def generation(value, key: str) -> int:
+        if type(value) is not int or value < 0:
+            refuse(f"key {key!r} holds no generation: {value!r:.80}")
+        return value
+
+    def entries(key: str, pattern: re.Pattern, number: str) -> list[dict]:
+        value = manifest.get(key, [])
+        if not isinstance(value, list) or not all(
+            isinstance(entry, dict) for entry in value
+        ):
+            refuse(f"key {key!r} is not a list of objects: {value!r:.80}")
+        return [
+            {
+                "name": name(entry.get("name"), pattern, key),
+                number: generation(entry.get(number), key),
+            }
+            for entry in value
+        ]
+
+    return (
+        entries("sealed", _SEGMENT_NAME, "last"),
+        name(manifest.get("active"), _SEGMENT_NAME, "active"),
+        entries("checkpoints", _CHECKPOINT_NAME, "generation"),
+        generation(manifest.get("floor", 0), "floor"),
+    )
 
 
 def encode_delta(delta: RelationalDelta | None) -> list | None:
@@ -214,26 +280,9 @@ class WriteAheadLog:
             self._active = self._segment_name(1)
             self._write_manifest()
             return
-        try:
-            manifest = json.loads(fs.read_bytes(manifest_path))
-        except ValueError as exc:
-            raise WalCorruptionError(
-                f"WAL manifest is not valid JSON: {exc}", segment=_MANIFEST
-            ) from None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != MANIFEST_FORMAT
-            or manifest.get("version") != MANIFEST_VERSION
-        ):
-            raise WalCorruptionError(
-                f"not a {MANIFEST_FORMAT}/{MANIFEST_VERSION} manifest: "
-                f"{str(manifest)[:80]}",
-                segment=_MANIFEST,
-            )
-        self._sealed = list(manifest.get("sealed", []))
-        self._active = manifest["active"]
-        self._checkpoints = list(manifest.get("checkpoints", []))
-        self._floor = manifest.get("floor", 0)
+        self._sealed, self._active, self._checkpoints, self._floor = (
+            _parse_manifest(fs.read_bytes(manifest_path))
+        )
         if not self.readonly:
             self._remove_orphans()
         for entry in self._checkpoints:
@@ -388,11 +437,8 @@ class WriteAheadLog:
             {"name": self._active, "last": self._last_generation}
         )
         seq = max(
-            (
-                int(entry["name"][4:12])
-                for entry in (*self._sealed, {"name": self._active})
-            ),
-            default=0,
+            int(_SEGMENT_NAME.fullmatch(entry["name"]).group(1))
+            for entry in (*self._sealed, {"name": self._active})
         )
         self._active = self._segment_name(seq + 1)
         self._active_size = 0

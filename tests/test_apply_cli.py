@@ -6,9 +6,13 @@ named-workload resolver, and the failure exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.apply import main, run
 
 OPS = [
@@ -178,6 +182,23 @@ class TestMain:
         bad.write_text('{"op": "delete"\n')
         assert main([str(bad)]) == 2
         assert "bad input" in capsys.readouterr().err
+
+    def test_deeply_nested_line_is_bad_input(self, tmp_path):
+        """A line nested past the JSON decoder's recursion limit is
+        malformed input like any other: reported, exit status 2, no
+        traceback."""
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text("[" * 200_000 + "\n")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.apply", "--keep-going", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "bad input: line 1:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_op_kind_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -22,7 +22,14 @@ WAL segments get the same fuzz at their frame decoder
 (``read_segment(data, name, last)``): valid frames, cut, flipped or
 followed by other bytes, raise :class:`~repro.errors.WalCorruptionError`
 or decode, and only a lowercase-hex prefix of a frame is ever dropped
-as a torn tail.
+as a torn tail.  So does the WAL manifest (``WriteAheadLog(dir)``, read
+only and read-write), and so do the two wire decoders peers feed:
+``op_from_json`` / ``ops_from_jsonl`` and ``ViewEvent.from_json``
+(:class:`~repro.errors.OpDecodeError` /
+:class:`~repro.errors.EventDecodeError`, nesting past the JSON
+decoder's recursion limit included).  The corpus holds a deeply nested
+document, a JSON-lines op stream with one malformed line of each kind,
+and an event in the current wire form.
 """
 
 from __future__ import annotations
@@ -43,12 +50,17 @@ from hypothesis import strategies as st
 import repro
 from repro import DeleteOp, ReplicaView, Snapshot, ViewConfig, open_view
 from repro.errors import (
+    EventDecodeError,
+    OpDecodeError,
     ReproError,
     SnapshotError,
     WalCheckpointError,
     WalCorruptionError,
 )
+from repro.ops import InsertOp, op_from_dict, op_from_json, ops_from_jsonl
+from repro.subscribe.delta import ViewEvent
 from repro.wal import WriteAheadLog
+from repro.wal.log import MANIFEST_FORMAT, MANIFEST_VERSION
 from repro.wal.segment import encode_record, read_segment
 from repro.workloads.registrar import build_registrar
 
@@ -327,9 +339,198 @@ def test_wal_frames_decode_or_raise_only_typed_errors(data, last):
         assert re.fullmatch(rb"[0-9a-f]*", data[torn.offset:torn.offset + 16])
 
 
+#: What a WAL that rotated once and checkpointed writes.
+_MANIFEST = {
+    "format": MANIFEST_FORMAT,
+    "version": MANIFEST_VERSION,
+    "sealed": [{"name": "seg-00000001.wal", "last": 1}],
+    "active": "seg-00000002.wal",
+    "checkpoints": [{"name": "ckpt-000000000001.gz", "generation": 1}],
+    "floor": 1,
+}
+
+
+@st.composite
+def _broken_manifests(draw) -> dict:
+    """A valid manifest with one key dropped or retyped, or one entry of
+    ``sealed`` / ``checkpoints`` given another name or generation."""
+    key = draw(st.sampled_from(sorted(_MANIFEST)))
+    kind = draw(st.sampled_from(["drop", "retype", "entry"]))
+    if kind == "drop":
+        return {k: v for k, v in _MANIFEST.items() if k != key}
+    if kind == "retype":
+        return {**_MANIFEST, key: draw(_json_values)}
+    field = draw(st.sampled_from(["sealed", "checkpoints"]))
+    entry = dict(_MANIFEST[field][0])
+    entry[draw(st.sampled_from(sorted(entry)))] = draw(
+        _json_values | st.sampled_from(["../x", "/etc/passwd", "seg-1.wal"])
+    )
+    return {**_MANIFEST, field: [entry]}
+
+
+@given(data=st.one_of(
+    st.binary(max_size=128),
+    _json_values.map(lambda v: json.dumps(v).encode("utf-8")),
+    _broken_manifests().map(lambda v: json.dumps(v).encode("utf-8")),
+    st.integers(1, 3).map(lambda k: b"[" * (10 ** 5 * k)),
+))
+@settings(max_examples=200, deadline=None)
+def test_wal_manifest_decodes_or_raises_only_typed_errors(tmp_path_factory, data):
+    wal_dir = tmp_path_factory.mktemp("manifest")
+    (wal_dir / "manifest.json").write_bytes(data)
+    for readonly in (True, False):
+        try:
+            WriteAheadLog(str(wal_dir), readonly=readonly).close()
+        except ReproError:
+            pass
+    assert sorted(os.listdir(wal_dir)) == ["manifest.json"]
+
+
+def test_the_unbroken_manifest_opens(tmp_path):
+    """The fuzz's starting point is valid once its files exist."""
+    wal_dir = tmp_path / "wal"
+    wal_dir.mkdir()
+    (wal_dir / "manifest.json").write_text(json.dumps(_MANIFEST))
+    for entry in (*_MANIFEST["sealed"], *_MANIFEST["checkpoints"]):
+        (wal_dir / entry["name"]).write_bytes(b"")
+    wal = WriteAheadLog(str(wal_dir))
+    assert wal.floor == 1 and wal.last_generation == 1
+    wal.close()
+
+
+def _valid_wire() -> tuple[list[dict], list[dict]]:
+    """Ops of every kind and the events a registrar service published."""
+    atg, db = build_registrar()
+    service = open_view(atg, db, config=ViewConfig(strict=False))
+    events: list[ViewEvent] = []
+    service.changefeed(on_event=events.append)
+    ops = [
+        DELETE,
+        InsertOp("course[cno=CS650]/prereq", "course", ("CS700", "Theory")),
+    ]
+    for op in ops:
+        service.apply(op)
+    ops.append(op_from_dict({
+        "op": "base_update",
+        "ops": [["insert", "course", ["CS800", "Quantum", "CS"]]],
+    }))
+    ops.append(op_from_dict({
+        "op": "replace", "path": "course[cno=CS650]/prereq/course",
+        "element": "course", "sem": ["CS1", "t"],
+    }))
+    return [op.to_dict() for op in ops], [e.to_dict() for e in events]
+
+
+_OPS, _EVENTS = _valid_wire()
+
+
+@st.composite
+def _broken_wire(draw, valid: list[dict]) -> dict:
+    """One valid op or event with one key dropped or retyped."""
+    payload = dict(draw(st.sampled_from(valid)))
+    key = draw(st.sampled_from(sorted(payload)))
+    if draw(st.booleans()):
+        del payload[key]
+    else:
+        payload[key] = draw(_json_values)
+    return payload
+
+
+def _wire_texts(valid: list[dict]):
+    return st.one_of(
+        st.text(max_size=64),
+        _json_values.map(json.dumps),
+        _broken_wire(valid).map(json.dumps),
+        st.sampled_from(valid).map(json.dumps),
+        st.integers(1, 3).map(lambda k: "[" * (10 ** 5 * k)),
+        st.integers(1, 3).map(lambda k: '{"op": ' * (10 ** 5 * k)),
+    )
+
+
+@given(texts=st.lists(_wire_texts(_OPS), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_op_decoders_raise_only_typed_errors(texts):
+    for text in texts:
+        try:
+            op_from_json(text)
+        except OpDecodeError:
+            pass
+    lines = [text.replace("\n", " ") for text in texts]
+    bad: list[int] = []
+    decoded = list(ops_from_jsonl(
+        lines, on_error=lambda lineno, exc: bad.append(lineno) or True
+    ))
+    assert len(decoded) + len(bad) == sum(
+        1 for line in lines if line.strip() and not line.strip().startswith("#")
+    )
+    try:
+        list(ops_from_jsonl(lines))
+    except OpDecodeError as exc:
+        assert str(exc).startswith(f"line {bad[0]}: ")
+
+
+@given(text=_wire_texts(_EVENTS))
+@settings(max_examples=300, deadline=None)
+def test_event_decoder_raises_only_typed_errors(text):
+    try:
+        event = ViewEvent.from_json(text)
+    except EventDecodeError:
+        return
+    assert ViewEvent.from_json(event.to_json()) == event
+
+
+def test_the_unbroken_wire_decodes():
+    for payload in _OPS:
+        assert op_from_json(json.dumps(payload)).to_dict() == payload
+    for payload in _EVENTS:
+        assert ViewEvent.from_json(json.dumps(payload)).to_dict() == payload
+
+
 # ---------------------------------------------------------------------------
 # The seed corpus
 # ---------------------------------------------------------------------------
+
+
+def test_corpus_deep_nesting_is_a_typed_error_everywhere(tmp_path):
+    data = gzip.decompress((CORPUS / "deep_nesting.json.gz").read_bytes())
+    with pytest.raises(OpDecodeError, match="not valid JSON"):
+        op_from_json(data.decode())
+    with pytest.raises(OpDecodeError, match="^line 1: "):
+        list(ops_from_jsonl([data.decode()]))
+    with pytest.raises(EventDecodeError, match="not valid JSON"):
+        ViewEvent.from_json(data.decode())
+    with pytest.raises(SnapshotError):
+        Snapshot.from_bytes(gzip.compress(data))
+    wal_dir = tmp_path / "wal"
+    wal_dir.mkdir()
+    (wal_dir / "manifest.json").write_bytes(data)
+    with pytest.raises(WalCorruptionError, match="not valid JSON"):
+        WriteAheadLog(str(wal_dir))
+
+
+def test_corpus_op_stream_names_each_malformed_line():
+    with open(CORPUS / "ops_mixed.jsonl") as fh:
+        lines = fh.readlines()
+    bad: list[tuple[int, str]] = []
+    ops = list(ops_from_jsonl(
+        lines, on_error=lambda lineno, exc: bad.append((lineno, str(exc))) or True
+    ))
+    assert [op.to_json() for op in ops] == [line.strip() for line in lines[1:3]]
+    assert [lineno for lineno, _ in bad] == list(range(4, 12))
+    for (_, message), needle in zip(bad, [
+        "not valid JSON", "unknown operation kind", "missing the 'element'",
+        "field 'path'", "must be an object", "must be an object",
+        "(kind, relation, row)", "sem must be an array",
+    ]):
+        assert needle in message
+
+
+def test_corpus_event_in_the_current_wire_form_decodes():
+    text = (CORPUS / "event_wire.json").read_text()
+    event = ViewEvent.from_json(text)
+    assert event.generation == 1 and event.reason == "delete"
+    assert json.loads(event.to_json()) == json.loads(text)
+
 
 
 def test_corpus_pickle_era_file_is_refused():

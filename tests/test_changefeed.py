@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.changefeed import ReplayBuffer
+from repro.changefeed import ReplayBuffer, consumer
 from repro.errors import ChangefeedError, EventDecodeError, ReplayGapError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, open_view
@@ -283,7 +283,6 @@ class TestConsumerProtocol:
             "events_published": 1,
             "callback_errors": 0,
             "overflows": 0,
-            "drops": 0,
             "parks": 0,
             "retention": 256,
             "retained": 1,
@@ -310,11 +309,12 @@ class TestConsumerProtocol:
         assert service.changefeeds.stats()["events_published"] == 1
         assert service.check_consistency() == []
 
-    def test_lagging_pull_consumer_detached_at_queue_bound(self):
+    def test_lagging_pull_consumer_detached_at_queue_bound(self, monkeypatch):
         service = registrar_service(changefeed_retention=2)
-        # Pull, never drained; bound = 4.  A short block_timeout keeps
-        # the block_writer grace period from slowing the test down.
-        feed = service.changefeed(block_timeout=0.05)
+        # Pull, never drained; bound = 4.  A short block timeout keeps
+        # the full-queue grace period from slowing the test down.
+        monkeypatch.setattr(consumer, "DEFAULT_BLOCK_TIMEOUT", 0.05)
+        feed = service.changefeed()
         ops = [
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),
             InsertOp("course[cno=CS650]/prereq", "course",

@@ -4,9 +4,8 @@ What the phase split must and must not change:
 
 - ``service.stats()['pipeline']`` surfaces per-phase timings and lock
   wait/hold accounting; batches commit through one pipeline scope;
-- pull-consumer backpressure: ``block_writer`` parks the publisher until
-  the consumer drains (then detaches on timeout), ``drop_oldest``
-  sacrifices the oldest queued event and stays attached;
+- a full pull queue parks the publisher until the consumer drains (then
+  detaches it on timeout);
 - a ``close()`` racing a blocked ``next_event()`` wakes it with
   :class:`~repro.errors.ChangefeedError` instead of letting it time out
   (the changefeed close-race fix).
@@ -17,8 +16,7 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
+from repro.changefeed import consumer
 from repro.errors import ChangefeedError
 from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, open_view
@@ -106,31 +104,15 @@ class TestCommitPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Backpressure policies
+# A full pull queue
 # ---------------------------------------------------------------------------
 
 
 class TestBackpressure:
-    def test_unknown_policy_rejected(self):
-        service = registrar_service()
-        with pytest.raises(ChangefeedError):
-            service.changefeed(backpressure="shed_load")
-
-    def test_drop_oldest_stays_attached_across_overflow(self):
-        service = registrar_service(changefeed_retention=2)
-        feed = service.changefeed(backpressure="drop_oldest")  # bound 4
-        toggle(service, 6)
-        assert not feed.closed
-        assert feed.error is None
-        assert feed.drops == 2
-        assert service.changefeeds.stats()["drops"] == 2
-        assert service.changefeeds.stats()["overflows"] == 0
-        # The oldest events were sacrificed; the tail is intact.
-        assert [e.generation for e in feed.events()] == [3, 4, 5, 6]
-
-    def test_block_writer_waits_for_a_drain(self):
+    def test_block_writer_waits_for_a_drain(self, monkeypatch):
+        monkeypatch.setattr(consumer, "DEFAULT_BLOCK_TIMEOUT", 5.0)
         service = registrar_service(changefeed_retention=1)
-        feed = service.changefeed(block_timeout=5.0)  # bound 2
+        feed = service.changefeed()  # bound 2
         toggle(service, 2)  # queue full
 
         drained = []

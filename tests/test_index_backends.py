@@ -242,7 +242,6 @@ class TestBulkOps:
         assert 1 in view and 2 in view and 3 in view
         assert 4 not in view and 5 not in view and 6 not in view
         assert sorted(view) == [1, 2, 3]
-        assert view.split([4, 1, 3, 5, 2]) == ([1, 3, 2], [4, 5])
         assert sorted(m.region(edges, [1, 5])) == [1, 2, 3, 5, 6]
         assert 42 in m.region(edges, [42]) and 2 not in m.region(edges, [42])
         assert not m.region(edges, []) and sorted(m.region(edges, [])) == []

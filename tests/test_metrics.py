@@ -370,7 +370,7 @@ class TestExactness:
             == stats["subscriptions"]["events_processed"]
             == events
         )
-        for key in ("overflows", "drops", "parks", "callback_errors"):
+        for key in ("overflows", "parks", "callback_errors"):
             assert stats["changefeed"][key] == 0
             assert m[f"repro_consumer_{key}_total"] == 0.0
 

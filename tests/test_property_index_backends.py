@@ -157,9 +157,6 @@ def test_region_is_the_store_walk(dag, cut, grow, probes):
                 walked = set(probe) | store.descendants_of(probe)
                 for n in range(DAG_NODES):
                     assert (n in region) == (n in walked), (probe, n)
-                inside = [n for n in range(DAG_NODES) if n in walked]
-                outside = [n for n in range(DAG_NODES) if n not in walked]
-                assert region.split(range(DAG_NODES)) == (inside, outside)
                 assert set(region) == walked
                 assert bool(region) == bool(probe)
 

@@ -227,8 +227,8 @@ class TestSoak:
     def test_event_delivery_is_exact(self, soak):
         stats = soak.service.stats()["changefeed"]
         counters = soak.service.metrics()["counters"]
-        # Both consumers attached before the first write and the run
-        # used the default block_writer backpressure: nothing dropped.
+        # Both consumers attached before the first write and kept up:
+        # no queue overflowed.
         events = len(soak.pushed)
         assert soak.pulled.delivered == events
         assert counters["repro_events_published_total"] == events
@@ -236,9 +236,8 @@ class TestSoak:
         assert [e.generation for e in soak.pushed] == sorted(
             e.generation for e in soak.pushed
         )
-        for key in ("drops", "overflows"):
-            assert counters[f"repro_consumer_{key}_total"] == 0.0
-            assert stats[key] == 0
+        assert counters["repro_consumer_overflows_total"] == 0.0
+        assert stats["overflows"] == 0
 
     def test_wal_counters_are_exact(self, soak):
         wal = soak.service.stats()["wal"]

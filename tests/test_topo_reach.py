@@ -4,7 +4,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uncompiled
+from index_seam import dag_store
+from repro import InsertOp, open_view
 from repro.atg.publisher import publish_store
 from repro.baselines.naive_reach import naive_reachability, squaring_reachability
 from repro.index import BitsetReachabilityIndex, build_index
@@ -18,6 +23,11 @@ from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 def store():
     atg, db = build_registrar()
     return publish_store(atg, db)
+
+
+def children(edges: dict[int, list[int]]):
+    """A ``children_of`` over an explicit parent → children map."""
+    return lambda node: edges.get(node, ())
 
 
 def assert_topo_valid(topo, store):
@@ -117,14 +127,14 @@ class TestTopoOrder:
     def test_swap_moves_descendants(self):
         # L = [d, u, a, v]; edge (u, v) inserted; desc(v) = {d}.
         topo = TopoOrder([5, 1, 2, 3])  # u=1, v=3, d=5 not in segment
-        moved = topo.swap(1, 3, {5})
+        moved = topo.swap(1, 3, children({3: [5]}))
         # segment [1,2,3]: moving = [3], staying = [1,2]
         assert moved == 1
         assert topo.as_list() == [5, 3, 1, 2]
 
     def test_swap_moves_in_segment_descendants(self):
         topo = TopoOrder([1, 7, 2, 3])  # u=1, v=3, desc(v)={7}
-        moved = topo.swap(1, 3, {7})
+        moved = topo.swap(1, 3, children({3: [7]}))
         assert moved == 2
         assert topo.as_list() == [7, 3, 1, 2]
 
@@ -132,7 +142,7 @@ class TestTopoOrder:
         # Only [pos_u, pos_v] is reindexed; positions before and after
         # it must still be exact.
         topo = TopoOrder([8, 1, 7, 2, 3, 9, 4])  # u=1, v=3, desc(v)={7}
-        topo.swap(1, 3, {7})
+        topo.swap(1, 3, children({3: [7]}))
         assert topo.as_list() == [8, 7, 3, 1, 2, 9, 4]
         for index, node in enumerate(topo.as_list()):
             assert topo.position(node) == index
@@ -196,22 +206,97 @@ class TestTopoOrder:
                 topo.remove_many(rng.sample(nodes, rng.randrange(1, 4)))
             elif roll >= 5 and len(nodes) > 1:
                 u, v = sorted(rng.sample(nodes, 2), key=topo.position)
-                topo.swap(u, v, set(rng.sample(nodes, len(nodes) // 3)))
+                below = rng.sample(nodes, len(nodes) // 3)
+                edges = {v: [n for n in below if topo.precedes(n, v)]}
+                topo.swap(u, v, children(edges))
             for index, node in enumerate(topo.as_list()):
                 assert topo.position(node) == index
             assert len(topo._pos) == len(topo)
 
     def test_swap_noop_when_already_ordered(self):
         topo = TopoOrder([3, 1])
-        assert topo.swap(1, 3, set()) == 0
+        assert topo.swap(1, 3, children({})) == 0
         assert topo.as_list() == [3, 1]
 
     def test_is_valid_for(self, store):
         topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo)
-        assert topo.is_valid_for(reach.is_ancestor)
+        assert topo.is_valid_for(store)
         broken = TopoOrder(list(reversed(topo.as_list())))
-        assert not broken.is_valid_for(reach.is_ancestor)
+        assert not broken.is_valid_for(store)
+
+    def test_is_valid_for_catches_one_edge_out_of_order(self, store):
+        # Move a child to just after its lowest-placed parent: that one
+        # edge is out of order, every other edge still is in order.
+        topo = TopoOrder.from_store(store)
+        child = next(n for n in topo if len(store.parents_of(n)) > 1)
+        parent = min(store.parents_of(child), key=topo.position)
+        order = [n for n in topo if n != child]
+        order.insert(order.index(parent) + 1, child)
+        wrong = [
+            (p, c) for p in order for c in store.children_of(p)
+            if order.index(c) > order.index(p)
+        ]
+        assert wrong == [(parent, child)]
+        assert not TopoOrder(order).is_valid_for(store)
+
+    def test_is_valid_for_accepts_a_held_plans_nodes(self):
+        # A held plan interns its new nodes before it commits; they have
+        # no edges yet and are not in L.
+        atg, db = build_registrar()
+        service = open_view(atg, db)
+        plan = service.plan(InsertOp(".", "course", ("CS700", "Theory")))
+        updater = service.updater
+        assert updater.store.num_nodes > len(updater.topo)
+        assert updater.topo.is_valid_for(updater.store)
+        plan.abort()
+
+    def test_is_valid_for_is_one_pass_over_the_edges(self, store):
+        topo = TopoOrder.from_store(store)
+        calls = []
+        real = store.children_of
+        store.children_of = lambda node: calls.append(node) or real(node)
+        assert topo.is_valid_for(store)
+        assert sorted(calls) == sorted(topo)
+
+
+@st.composite
+def _dags(draw):
+    """A random DAG over ``0..n-1``, edges from the smaller id to the
+    larger, as (n, edges)."""
+    n = draw(st.integers(2, 24))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+    ))
+    return n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+
+
+@given(dag=_dags(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_swap_walk_matches_the_membership_reference(dag, data):
+    """After each new edge ``(u, v)`` with ``u`` before ``v`` that closes
+    no cycle, ``swap``'s bounded walk through ``store.children_of``
+    leaves the same list, positions and moved count as the reference
+    asking ``store.descendants_of([v])`` about every segment node."""
+    store, topo = dag_store(*dag)
+    reference = TopoOrder(topo.as_list())
+    for _ in range(data.draw(st.integers(1, 6))):
+        eligible = [
+            (u, v) for u in topo for v in topo
+            if topo.precedes(u, v)
+            and u not in store.descendants_of([v])
+        ]
+        if not eligible:
+            break
+        u, v = data.draw(st.sampled_from(eligible))
+        store.add_edge(u, v)
+        moved = topo.swap(u, v, store.children_of)
+        assert moved == uncompiled.swap(
+            reference, u, v, store.descendants_of([v])
+        )
+        assert topo.as_list() == reference.as_list()
+        assert [topo.position(n) for n in topo] == list(range(len(topo)))
+        assert [reference.position(n) for n in topo] == list(range(len(topo)))
+        assert topo.is_valid_for(store)
 
 
 class TestReachabilityMatrix:

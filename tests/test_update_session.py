@@ -5,16 +5,25 @@ but leaving the block runs exactly one deferred Δ(M,L) maintenance pass
 whose final state is ``equals()``-identical to sequential processing.
 """
 
+from unittest import mock
+
 import pytest
 
 from index_seam import INDEX_CLASSES, substitute_index
 from repro.baselines import SetReachabilityIndex
+from repro.core.session import UpdateSession
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import ReproError, UpdateRejectedError
 from repro.index import BitsetReachabilityIndex, build_index
+from repro.relational.database import Database
 from repro.workloads.queries import make_workload
 from repro.workloads.registrar import build_registrar
-from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    build_synthetic,
+    synthetic_atg,
+    synthetic_schemas,
+)
 from repro.ops import DeleteOp, InsertOp
 
 
@@ -71,7 +80,7 @@ def test_batched_deletions_one_pass_identical_state(index_class):
 
     # Final auxiliary structures are equals()-identical.
     assert batched.reach.equals(sequential.reach)
-    assert batched.topo.is_valid_for(batched.reach)
+    assert batched.topo.is_valid_for(batched.store)
     assert sorted(batched.store.nodes()) == sorted(sequential.store.nodes())
     assert batched.check_consistency() == []
 
@@ -278,3 +287,77 @@ def test_interleaved_batch_then_undo_backends_byte_identical():
         assert updater.reach.equals(build_index(updater.store, updater.topo))
         assert updater.reach.equals(reference.reach)
         assert list(updater.topo) == list(reference.topo)
+
+
+def _shared_chain_updater(k: int):
+    """A synthetic view with a root-child cnode 100 and a chain of ``k``
+    cnodes from cnode 200 (under root-child cnode 2000); ``L`` then
+    moves cnode 100's childless ``sub`` to just before cnode 200, so the
+    sharing insert ``//cnode[key=100]/sub`` <- cnode 200 must ``swap``
+    while everything below cnode 200 is already placed before the
+    target."""
+    db = Database("shared-chain")
+    for schema in synthetic_schemas():
+        db.create_table(schema)
+    filler = (0,) * 10
+    keys = [100, 2000, *range(200, 200 + k)]
+    for key in keys:
+        db.insert("C", (key, 1, 2, 3, f"v{key}", int(key in (100, 2000)), *filler))
+        db.insert("F", (key, 1, 2, 3, f"w{key}", 0, *filler))
+    for parent, child in zip(keys[1:], keys[2:]):
+        db.insert("H", (parent, child))
+    updater = XMLViewUpdater(synthetic_atg(), db, strict=False)
+    store, topo = updater.store, updater.topo
+    root = store.lookup("cnode", (200, "v200"))
+    (target,) = (
+        c for c in store.children_of(store.lookup("cnode", (100, "v100")))
+        if store.type_of(c) == "sub"
+    )
+    topo.remove_many([target])
+    topo.insert_at(target, topo.position(root))
+    assert topo.is_valid_for(store)
+    below = store.descendants_of([root])
+    assert len(below) == 4 * k - 1
+    assert max(map(topo.position, below)) < topo.position(target)
+    return updater, root, target
+
+
+def _deferred_store_calls(k: int) -> dict[str, int]:
+    """Store traffic of ``UpdateSession.defer`` for the batched sharing
+    insert of :func:`_shared_chain_updater`'s view."""
+    updater, root, target = _shared_chain_updater(k)
+    store = updater.store
+    calls = {"children_of": 0, "descendants_of": 0}
+    real_defer = UpdateSession.defer
+
+    def counted_defer(session, inserts, delete_targets):
+        for name in calls:
+            def counted(node, _real=getattr(store, name), _name=name):
+                calls[_name] += 1
+                return _real(node)
+            setattr(store, name, counted)
+        try:
+            return real_defer(session, inserts, delete_targets)
+        finally:
+            for name in calls:
+                delattr(store, name)
+
+    with mock.patch.object(UpdateSession, "defer", counted_defer):
+        with updater.batch() as session:
+            outcome = updater.apply_op(
+                InsertOp("//cnode[key=100]/sub", "cnode", (200, "v200"))
+            )
+            assert outcome.accepted and not outcome.stats["subtree_nodes"]
+            assert updater.topo.precedes(root, target)  # the swap ran
+    assert session.report.inserts == 1
+    assert updater.check_consistency() == []
+    return calls
+
+
+def test_batched_sharing_insert_walks_only_what_it_moves():
+    """The deferred ``L`` repair reads the store below ``r_A`` only as far
+    as ``L[u:r_A]``: no ``descendants_of``, and the ``swap`` walk's
+    ``children_of`` calls do not grow with the shared subtree."""
+    small = _deferred_store_calls(10)
+    assert small["descendants_of"] == 0
+    assert _deferred_store_calls(1000) == small

@@ -461,6 +461,91 @@ class TestCorruptionMatrix:
         with pytest.raises(WalCorruptionError, match="manifest"):
             _reopen(path)
 
+    def test_active_name_outside_the_directory_is_refused(self, tmp_path):
+        # Torn-tail repair truncates the active segment: a manifest that
+        # names a file outside the WAL directory must not reach it.
+        path = _wal_dir_with_history(tmp_path)
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"0123abcd")  # reads as a torn frame header
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.loads(open(manifest_path, "rb").read())
+        manifest["active"] = "../victim.txt"
+        open(manifest_path, "w").write(json.dumps(manifest))
+        with pytest.raises(WalCorruptionError, match="active") as exc:
+            WriteAheadLog(path)
+        assert exc.value.segment == "manifest.json"
+        assert victim.read_bytes() == b"0123abcd"
+
+    def test_checkpoint_name_outside_the_directory_is_refused(self, tmp_path):
+        # Compaction removes the checkpoints it drops.
+        path = _wal_dir_with_history(tmp_path)
+        outside = tmp_path / "x"
+        outside.write_bytes(b"keep")
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.loads(open(manifest_path, "rb").read())
+        manifest["checkpoints"][0]["name"] = "../x"
+        open(manifest_path, "w").write(json.dumps(manifest))
+        with pytest.raises(WalCorruptionError, match="checkpoints"):
+            WriteAheadLog(path, keep_checkpoints=1)
+        assert outside.read_bytes() == b"keep"
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("active"),
+        lambda m: m.update(active=7),
+        lambda m: m.update(active="seg-1.wal"),
+        lambda m: m.update(active="seg-00000001.wal/../../x"),
+        lambda m: m.update(sealed=[1]),
+        lambda m: m.update(sealed={"name": "seg-00000001.wal"}),
+        lambda m: m.update(sealed=[{"name": "seg-x.wal", "last": 1}]),
+        lambda m: m.update(sealed=[{"name": "seg-00000001.wal"}]),
+        lambda m: m.update(sealed=[{"name": "seg-00000001.wal", "last": -1}]),
+        lambda m: m.update(checkpoints=["x"]),
+        lambda m: m.update(checkpoints=[{"name": "ckpt-1.gz", "generation": 1}]),
+        lambda m: m.update(checkpoints=[
+            {"name": "ckpt-000000000001.gz", "generation": True}
+        ]),
+        lambda m: m.update(floor="0"),
+        lambda m: m.update(floor=-1),
+    ], ids=[
+        "no-active", "active-int", "active-short", "active-traversal",
+        "sealed-int", "sealed-object", "sealed-bad-name", "sealed-no-last",
+        "sealed-negative-last", "checkpoints-str", "checkpoint-short-name",
+        "checkpoint-bool-generation", "floor-str", "floor-negative",
+    ])
+    def test_malformed_manifest_raises_typed_error(self, tmp_path, edit):
+        path = str(tmp_path / "wal")
+        WriteAheadLog(path).close()
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.loads(open(manifest_path, "rb").read())
+        edit(manifest)
+        open(manifest_path, "w").write(json.dumps(manifest))
+        with pytest.raises(WalCorruptionError) as exc:
+            WriteAheadLog(path)
+        assert exc.value.segment == "manifest.json"
+
+    def test_deeply_nested_manifest_raises_typed_error(self, tmp_path):
+        path = str(tmp_path / "wal")
+        WriteAheadLog(path).close()
+        with open(os.path.join(path, "manifest.json"), "w") as fh:
+            fh.write("[" * 200_000)
+        with pytest.raises(WalCorruptionError) as exc:
+            WriteAheadLog(path)
+        assert exc.value.segment == "manifest.json"
+
+    def test_rotation_past_eight_digit_segment_numbers(self, tmp_path):
+        path = str(tmp_path / "wal")
+        WriteAheadLog(path).close()
+        manifest_path = os.path.join(path, "manifest.json")
+        manifest = json.loads(open(manifest_path, "rb").read())
+        manifest["active"] = "seg-99999999.wal"
+        open(manifest_path, "w").write(json.dumps(manifest))
+        open(os.path.join(path, "seg-99999999.wal"), "wb").close()
+        wal = WriteAheadLog(path, segment_bytes=1024)
+        wal._rotate()
+        assert wal._active == "seg-100000000.wal"
+        wal.close()
+        assert WriteAheadLog(path).last_generation == 0
+
     def test_orphan_files_cleaned_on_rw_open_only(self, tmp_path):
         path = _wal_dir_with_history(tmp_path)
         orphan = os.path.join(path, "tmp-ckpt-999.gz")

@@ -32,6 +32,10 @@
   the surviving parents.  ``ReachabilityIndex.retain_below`` must leave
   the same rows and report the same removed-pair count and condemned
   nodes, in the same order.
+- :func:`swap` is ``TopoOrder.swap`` asking a set of ``desc(v)`` about
+  every node of the segment ``L[u:v]``, instead of walking the store
+  below ``v``.  The walk must give the same list, positions and moved
+  count.
 - :func:`sweep_filters` is §3.2's dynamic programming over ``L``: every
   filter sub-expression at every node, children before parents, into
   :class:`SweptValues` tables, ``//`` inside a filter included.  The
@@ -557,6 +561,22 @@ def retain_below(reach, store, order: Iterable[int]) -> tuple[int, list[int]]:
             doomed.add(node)
             condemned.append(node)
     return removed, condemned
+
+
+def swap(topo, u: int, v: int, descendants_of_v) -> int:
+    """``topo.swap(u, v, ...)`` splitting ``L[u:v]`` by membership in
+    ``descendants_of_v``; returns the number of nodes moved."""
+    pos_u = topo.position(u)
+    pos_v = topo.position(v)
+    if pos_v < pos_u:
+        return 0
+    moving, staying = [], []
+    for n in topo._list[pos_u:pos_v]:
+        (moving if n in descendants_of_v else staying).append(n)
+    moving.append(v)
+    topo._list[pos_u : pos_v + 1] = moving + staying
+    topo._reindex(pos_u, pos_v + 1)
+    return len(moving)
 
 
 def inner_first(program) -> list[tuple[str, int]]:
