@@ -31,8 +31,8 @@ import time
 import pytest
 
 from repro.service import ViewConfig, open_view
-from repro.subscribe.delta import EdgeRecord, ViewEvent
 from repro.subscribe.engine import DEFAULT_COARSE_THRESHOLD
+from repro.views.events import EdgeRecord, ViewEvent
 from repro.workloads import make_query_set
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 

@@ -38,6 +38,7 @@ Quickstart::
     replica.xpath("course[cno=CS650]/prereq/course")
 """
 
+from repro._version import __version__
 from repro.atg import ATG, ProjectionRule, QueryRule, publish_store, publish_tree
 from repro.core import (
     DagXPathEvaluator,
@@ -105,7 +106,6 @@ from repro.relational import (
 from repro.views import ViewStore, build_registry
 from repro.xpath import parse_xpath
 
-__version__ = "0.10.0"
 
 __all__ = [
     "ATG",

@@ -37,7 +37,7 @@ from repro.core.topo import TopoOrder
 from repro.errors import ReproError
 from repro.index import ReachabilityIndex
 from repro.relational.database import Database, RelationalDelta
-from repro.subscribe.delta import (
+from repro.views.events import (
     EdgeRecord,
     NodeRecord,
     edge_records_from_delta,
@@ -60,7 +60,7 @@ class PropagationReport:
 
     edge_records: list[EdgeRecord] = field(default_factory=list)
     """Every edge change, typed and valued
-    (:class:`~repro.subscribe.delta.EdgeRecord`): the loss removals, the
+    (:class:`~repro.views.events.EdgeRecord`): the loss removals, the
     gain attachments, and the closing GC pass.  A complete description
     of the store mutation — base updates can therefore emit fine-grained
     events, extending the subscription engine's skip/suffix pruning to
@@ -71,7 +71,7 @@ class PropagationReport:
 
     node_records: list[NodeRecord] = field(default_factory=list)
     """Interning records for the insert-edge endpoints (the replication
-    side channel, :class:`~repro.subscribe.delta.NodeRecord`), captured
+    side channel, :class:`~repro.views.events.NodeRecord`), captured
     *before* the closing GC pass so endpoints collected in the same
     propagation are still described.  Populated only with
     ``want_records=True``, like :attr:`edge_records`."""

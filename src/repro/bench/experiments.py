@@ -17,8 +17,8 @@ from repro.baselines.recompute import recompute_structures
 from repro.baselines.set_index import SetReachabilityIndex
 from repro.baselines.tree_updater import TreeUpdater
 from repro.bench.harness import PhaseAccumulator, format_table
-from repro.core.topo import TopoOrder
-from repro.index import BitsetReachabilityIndex, build_index
+from repro.core.maintenance import load_structures
+from repro.index import BitsetReachabilityIndex
 from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, ViewService, open_view
 from repro.relview.delete import expand_view_deletions, translate_deletions
@@ -425,8 +425,7 @@ def ablation_reach(
         updater, _ = _updater_for(n_c)
         store = updater.store
         t0 = time.perf_counter()
-        topo = TopoOrder.from_store(store)
-        reach = build_index(store, topo)
+        _, reach = load_structures(store)
         t1 = time.perf_counter()
         squared = squaring_reachability(store)
         t2 = time.perf_counter()

@@ -50,6 +50,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, TextIO
 
+from repro._version import __version__
 from repro.errors import ReproError
 from repro.workloads.queries import make_query_set
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
@@ -395,8 +396,6 @@ def make_header(spec: WorkloadSpec, argv: list[str] | None = None) -> dict:
     ``queries`` a harness should issue as reads (scaled by
     ``read_ratio``) and the ``subscriptions`` it should keep standing.
     """
-    from repro import __version__
-
     dataset = _resolve_dataset(spec.workload)
     derived = max(spec.subscriptions, 4 if spec.read_ratio > 0 else 0)
     paths = make_query_set(dataset, count=derived, seed=spec.seed)

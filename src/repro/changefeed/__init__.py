@@ -15,8 +15,8 @@ scope:
   :class:`ReplayBuffer` with typed gap detection.
 
 Entry point: :meth:`repro.service.ViewService.changefeed`.  The event
-unit is the JSON-serializable :class:`~repro.subscribe.delta.ViewEvent`
-(schema version :data:`~repro.subscribe.delta.SCHEMA_VERSION`), specified
+unit is the JSON-serializable :class:`~repro.views.events.ViewEvent`
+(schema version :data:`~repro.views.events.SCHEMA_VERSION`), specified
 normatively in ``docs/event-schema.md``.
 """
 
@@ -24,7 +24,7 @@ from repro.changefeed.buffer import ReplayBuffer
 from repro.changefeed.consumer import ChangefeedConsumer
 from repro.changefeed.hub import DEFAULT_RETENTION, ChangefeedHub
 from repro.errors import ChangefeedError, EventDecodeError, ReplayGapError
-from repro.subscribe.delta import SCHEMA_VERSION, EdgeRecord, ViewEvent
+from repro.views.events import SCHEMA_VERSION, EdgeRecord, ViewEvent
 
 __all__ = [
     "ChangefeedConsumer",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import ReplayGapError
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
 
 
 class ReplayBuffer:

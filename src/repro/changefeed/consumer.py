@@ -43,7 +43,7 @@ import threading
 from collections import deque
 
 from repro.errors import ChangefeedError
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
 
 #: How long a delivery to a full pull queue waits for space before
 #: giving up and detaching the consumer (seconds).

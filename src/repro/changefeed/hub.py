@@ -34,7 +34,7 @@ from repro.changefeed.buffer import ReplayBuffer
 from repro.changefeed.consumer import ChangefeedConsumer
 from repro.errors import ChangefeedError, ReplayGapError
 from repro.metrics.registry import MetricsRegistry
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
 
 #: Default number of published events retained for replay.
 DEFAULT_RETENTION = 256

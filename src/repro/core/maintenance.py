@@ -67,8 +67,14 @@ from dataclasses import dataclass, field
 from repro.atg.publisher import SubtreeResult
 from repro.core.dag_eval import EvalResult
 from repro.core.topo import TopoOrder
-from repro.index import ReachabilityIndex
+from repro.index import ReachabilityIndex, build_index
 from repro.views.store import ViewDelta, ViewStore
+
+
+def load_structures(store: ViewStore) -> tuple[TopoOrder, ReachabilityIndex]:
+    """Build ``(L, M)`` for ``store`` from scratch."""
+    topo = TopoOrder.from_store(store)
+    return topo, build_index(store, topo)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp, UpdateOperati
 from repro.relational.database import RelationalDelta
 from repro.relview.delete import expand_view_deletions, translate_deletions
 from repro.relview.insert import translate_insertions
-from repro.subscribe.delta import edge_records_from_delta, node_records_for
+from repro.views.events import edge_records_from_delta, node_records_for
 from repro.views.store import ViewDelta
 from repro.xpath.parser import parse_xpath
 

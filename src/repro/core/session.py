@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 from repro.atg.publisher import SubtreeResult
 from repro.core.maintenance import repair_topo_after_insert
 from repro.errors import ReproError
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
 from repro.views.store import ViewDelta
 
 if TYPE_CHECKING:

@@ -30,20 +30,24 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 
+from repro.atg.incremental import propagate_base_update
 from repro.atg.model import ATG
 from repro.atg.publisher import SubtreeResult, publish_store, unfold_to_tree
 from repro.core.dag_eval import DagXPathEvaluator, EvalResult
-from repro.core.maintenance import DeleteMaintenance, maintain_delete, maintain_insert
+from repro.core.maintenance import (
+    DeleteMaintenance,
+    load_structures,
+    maintain_delete,
+    maintain_insert,
+)
 from repro.core.outcome import PlanState, SideEffectPolicy, UpdateOutcome
 from repro.core.plan import UpdatePlan
 from repro.core.session import BatchReport, UpdateSession
-from repro.core.topo import TopoOrder
 from repro.dtd.validate import StaticValidator
 from repro.errors import PlanError, ReproError, ServiceClosedError, UpdateRejectedError
-from repro.index import ReachabilityIndex, build_index
 from repro.ops import UpdateOperation
 from repro.relational.database import Database, RelationalDelta
-from repro.subscribe.delta import ViewEvent, coalesce, edge_records_from_delta
+from repro.views.events import ViewEvent, coalesce, edge_records_from_delta
 from repro.views.registry import EdgeViewRegistry, build_registry
 from repro.views.store import ViewStore
 from repro.xmltree.tree import XMLNode
@@ -115,8 +119,7 @@ class XMLViewUpdater:
         """Numbers the fresh values insertion translation mints (from 1)."""
         self.validator = StaticValidator(atg.dtd)
         self.store: ViewStore = store if store is not None else publish_store(atg, db)
-        self.topo: TopoOrder = TopoOrder.from_store(self.store)
-        self.reach: ReachabilityIndex = build_index(self.store, self.topo)
+        self.topo, self.reach = load_structures(self.store)
         self.registry: EdgeViewRegistry = build_registry(atg, db)
         self.maintenance_runs = 0
         """Number of Δ(M,L) repair passes run (batching amortizes them)."""
@@ -242,8 +245,6 @@ class XMLViewUpdater:
         Used after swapping in a store loaded from persistence
         (:func:`repro.views.loader.store_from_database`).
         """
-        from repro.views.loader import load_structures
-
         self.check_writable()
         self.topo, self.reach = load_structures(self.store)
         self.finish_generation("rebuild", coarse=True)
@@ -321,8 +322,6 @@ class XMLViewUpdater:
         ``V``, ``L`` and ``M`` incrementally.  The caller
         (:meth:`apply_base_update`, a committed ``BaseUpdateOp``)
         finishes the generation."""
-        from repro.atg.incremental import propagate_base_update
-
         if self._session is not None and self._session.pending:
             raise ReproError(
                 "cannot propagate a base update while a batch session has "
@@ -458,9 +457,7 @@ class XMLViewUpdater:
                 f"edge sets differ: missing={sorted(fresh_edges - edges)[:5]} "
                 f"extra={sorted(edges - fresh_edges)[:5]}"
             )
-        fresh_topo = TopoOrder.from_store(self.store)
-        fresh_reach = build_index(self.store, fresh_topo)
-        if not self.reach.equals(fresh_reach):
+        if not self.reach.equals(load_structures(self.store)[1]):
             problems.append("reachability matrix differs from recomputation")
         if not self.topo.is_valid_for(self.store):
             problems.append("topological order invalid")

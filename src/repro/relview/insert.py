@@ -12,7 +12,7 @@ insertions ``ΔR`` via SAT, in five stages:
    column fills, the key positions, and the view's static rejections.
    A target only binds its visible values.  Key preservation guarantees
    the key part is fully known; other cells become canonical variables
-   (:class:`~repro.relview.symbolic.SymVar`).  Templates whose key
+   (:class:`~repro.sat.atoms.SymVar`).  Templates whose key
    already exists in the base table are filled from the stored row
    (``B_i`` in the appendix); the rest are the new tuples ``U_i``.
 
@@ -72,15 +72,8 @@ from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
 from repro.relational.schema import AttrType
 from repro.relview.keypres import _UnionFind
-from repro.relview.symbolic import (
-    Atom,
-    AtomVC,
-    AtomVV,
-    Derivation,
-    SymVar,
-    Template,
-    make_atom,
-)
+from repro.relview.symbolic import Derivation, Template
+from repro.sat.atoms import Atom, AtomVC, AtomVV, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import AtomClause, encode_formula
 from repro.views.registry import EdgeView, EdgeViewRegistry

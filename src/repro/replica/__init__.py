@@ -4,7 +4,7 @@ The writer stays exactly what it was — one :class:`~repro.service.facade.ViewS
 maintaining the view incrementally — and a replica is its ΔV stream
 folded onto a snapshot, in two layers:
 
-- **snapshot protocol** (:mod:`repro.replica.snapshot`) —
+- **snapshot protocol** (:mod:`repro.views.snapshot`) —
   ``service.snapshot()`` produces a generation-stamped, schema-versioned
   :class:`Snapshot` artifact (the complete interned store state plus
   view config and provenance metadata) with a lossless gzip-compressed
@@ -12,8 +12,8 @@ folded onto a snapshot, in two layers:
 - **bootstrap + fold** (:mod:`repro.replica.view`) — a
   :class:`ReplicaView` loads a snapshot at generation ``g`` from its
   writer, attaches ``changefeed(since=g)`` gaplessly, folds each event's
-  :class:`~repro.subscribe.delta.EdgeRecord` list (with the
-  :class:`~repro.subscribe.delta.NodeRecord` interning side channel for
+  :class:`~repro.views.events.EdgeRecord` list (with the
+  :class:`~repro.views.events.NodeRecord` interning side channel for
   nodes unseen at snapshot time) into a full mirrored
   :class:`~repro.views.store.ViewStore`, and serves ``xpath()`` locally
   with read-your-generation fencing (``replica.wait_for(gen)``).
@@ -32,7 +32,7 @@ reads at a fenced generation return exactly what the writer would have
 returned at that generation.  See ``docs/replication.md``.
 """
 
-from repro.replica.snapshot import (
+from repro.views.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
     Snapshot,
     atg_fingerprint,

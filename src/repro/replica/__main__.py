@@ -28,8 +28,8 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.replica.snapshot import Snapshot
 from repro.replica.view import ReplicaView
+from repro.views.snapshot import Snapshot
 from repro.workloads import named_workload
 
 

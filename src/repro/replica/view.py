@@ -2,12 +2,12 @@
 
 A :class:`ReplicaView` owns a mirrored :class:`~repro.views.store.ViewStore`
 and keeps it converged with the writer by folding published
-:class:`~repro.subscribe.delta.ViewEvent` objects in generation order.
+:class:`~repro.views.events.ViewEvent` objects in generation order.
 The snapshot and the events come from the writer
 :class:`~repro.service.facade.ViewService` itself (``snapshot()``, then
 ``changefeed(since=g)``); a mirror of its WAL directory is what crash
 recovery rebuilds (:meth:`ReplicaView.from_wal`).  Both fold each event
-with :func:`~repro.replica.fold.fold_event`.
+with :func:`~repro.views.events.fold_event`.
 
 Folding is strict — an event referencing unknown state raises
 :class:`~repro.errors.ReplicaDivergedError` rather than papering over a
@@ -34,9 +34,10 @@ from repro.errors import (
     ReplicaError,
     ReplicaStaleError,
 )
-from repro.replica.fold import fold_event
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent, fold_event
 from repro.views.store import ViewStore
+from repro.wal.log import WriteAheadLog
+from repro.wal.recover import recover_state
 from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
 
@@ -111,9 +112,6 @@ class ReplicaView:
         checkpoint, then every logged event past it.  No writer, no
         feed; the mirror is frozen there.
         """
-        from repro.wal.log import WriteAheadLog
-        from repro.wal.recover import recover_state
-
         wal = WriteAheadLog(str(wal_dir), readonly=True)
         try:
             recovered = recover_state(atg, None, wal)

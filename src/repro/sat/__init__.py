@@ -8,6 +8,8 @@ unknowns, the finite-domain part where Theorem 2's NP-hardness lives,
 reach this package.  Walksat is a closed-source external binary, so
 everything here is reimplemented from scratch:
 
+- :mod:`repro.sat.atoms` — the equality atoms over canonical unknowns
+  that Algorithm insert's clauses are made of;
 - :mod:`repro.sat.cnf` — CNF formulas, literals, assignments;
 - :mod:`repro.sat.dpll` — a complete, deterministic DPLL solver with
   unit propagation and pure-literal elimination: the solver the BOOL

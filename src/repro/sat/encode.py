@@ -2,8 +2,8 @@
 
 Algorithm insert's constraint is already a conjunction of clauses over
 equality atoms between unknown attribute values and constants
-(:class:`~repro.relview.symbolic.AtomVC` ``var = const`` and
-:class:`~repro.relview.symbolic.AtomVV` ``a = b``): an assertion or a
+(:class:`~repro.sat.atoms.AtomVC` ``var = const`` and
+:class:`~repro.sat.atoms.AtomVV` ``a = b``): an assertion or a
 target's atom is a unit clause, and a side-effect derivation is one
 clause of negated atoms.  A clause is a tuple of ``(atom, positive)``
 pairs.  This module encodes such clauses as the paper does:
@@ -11,7 +11,7 @@ pairs.  This module encodes such clauses as the paper does:
 - every variable ``v`` with domain ``{c1..ck}`` gets selector
   propositions ``p_{v=ci}`` under an exactly-one constraint (the paper's
   "x = c1 ∨ ... ∨ x = ck" plus the pairwise "(p̄ ∨ p̄')" clauses),
-  variables in :attr:`~repro.relview.symbolic.SymVar.order`;
+  variables in :attr:`~repro.sat.atoms.SymVar.order`;
 - every distinct atom gets one literal: ``v = c`` is the selector of
   ``c`` (false when ``c`` is outside the domain), ``v = w`` one
   proposition equivalent to agreement on a common domain value;
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from repro.relview.symbolic import Atom, AtomVC, SymVar
+from repro.sat.atoms import Atom, AtomVC, SymVar
 from repro.sat.cnf import CNF
 
 AtomClause = tuple[tuple[Atom, bool], ...]

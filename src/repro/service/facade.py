@@ -43,6 +43,9 @@ from repro.service.config import ViewConfig
 from repro.service.pipeline import CommitPipeline
 from repro.service.rwlock import RWLock
 from repro.subscribe.engine import Subscription, SubscriptionRegistry
+from repro.views.snapshot import Snapshot
+from repro.wal.log import WriteAheadLog
+from repro.wal.recover import recover_state
 from repro.xmltree.tree import XMLNode
 from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
@@ -98,9 +101,6 @@ class ViewService:
         self.wal = None
         recovered = None
         if self.config.wal_dir is not None:
-            from repro.wal.log import WriteAheadLog
-            from repro.wal.recover import recover_state
-
             self.wal = WriteAheadLog(
                 self.config.wal_dir,
                 fsync=self.config.wal_fsync,
@@ -165,8 +165,6 @@ class ViewService:
         ``base`` holds the rows: what recovery resumes from, and what
         :meth:`~repro.replica.view.ReplicaView.from_wal` bootstraps from.
         """
-        from repro.replica.snapshot import Snapshot
-
         self.wal.write_checkpoint(
             Snapshot.capture(
                 self.updater.store,
@@ -313,7 +311,7 @@ class ViewService:
     ) -> ChangefeedConsumer:
         """Attach a consumer to this view's published event stream.
 
-        One JSON-serializable :class:`~repro.subscribe.delta.ViewEvent` per
+        One JSON-serializable :class:`~repro.views.events.ViewEvent` per
         committed generation observable at rest (batches arrive as one
         coalesced event), specified in ``docs/event-schema.md``.
 
@@ -369,7 +367,7 @@ class ViewService:
     def snapshot(self):
         """A durable, generation-stamped replication snapshot.
 
-        Returns a :class:`~repro.replica.snapshot.Snapshot` artifact —
+        Returns a :class:`~repro.views.snapshot.Snapshot` artifact —
         the complete store state plus config and provenance metadata,
         captured under the read lock so it is consistent with one
         generation.  ``snapshot.save(path)`` /
@@ -380,8 +378,6 @@ class ViewService:
         .. note:: Before 0.7.0 this method returned the unfolded XML
            tree; that read moved to :meth:`xml_tree`.
         """
-        from repro.replica.snapshot import Snapshot
-
         with self._lock.read():
             return Snapshot.capture(
                 self.updater.store,

@@ -10,7 +10,7 @@ accounting:
 - **plan** — the foreground phases (validate → ΔR), still under the
   write lock so the plan cannot go stale before its commit;
 - **mutate** — ΔR/ΔV application plus the Δ(M,L) repair; the emitted
-  :class:`~repro.subscribe.delta.ViewEvent` stream is collected into the
+  :class:`~repro.views.events.ViewEvent` stream is collected into the
   scope's :class:`CommitRecord`;
 - **maintain** — the record is sealed (one generation-stamped event per
   write scope) and the subscription registry runs its
@@ -38,7 +38,7 @@ from time import perf_counter
 
 from repro.core.outcome import PhaseTimer
 from repro.metrics.registry import MetricsRegistry
-from repro.subscribe.delta import ViewEvent, coalesce
+from repro.views.events import ViewEvent, coalesce
 
 #: The four pipeline phases, in commit order.
 PHASES = ("plan", "mutate", "maintain", "publish")

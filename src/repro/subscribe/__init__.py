@@ -1,7 +1,8 @@
 """Incrementally maintained XPath subscriptions (ΔV-driven).
 
-- :mod:`repro.subscribe.delta` — the structured per-commit event model
-  (:class:`ViewEvent` / :class:`EdgeRecord`);
+- the structured per-commit event model (:class:`ViewEvent` /
+  :class:`EdgeRecord`), defined below ``core`` in
+  :mod:`repro.views.events` and re-exported here;
 - :mod:`repro.subscribe.deps` — per-step dependency extraction from the
   XPath AST and the one decision made per event and subscription:
   :func:`first_affected_step`, sharpened by the membership of every
@@ -15,7 +16,13 @@
 Public entry point: :meth:`repro.service.ViewService.subscribe`.
 """
 
-from repro.subscribe.delta import (
+from repro.subscribe.deps import (
+    QueryProfile,
+    first_affected_step,
+    profile_query,
+)
+from repro.subscribe.engine import Subscription, SubscriptionRegistry
+from repro.views.events import (
     SCHEMA_VERSION,
     EdgeRecord,
     NodeRecord,
@@ -23,12 +30,6 @@ from repro.subscribe.delta import (
     coalesce,
     node_records_for,
 )
-from repro.subscribe.deps import (
-    QueryProfile,
-    first_affected_step,
-    profile_query,
-)
-from repro.subscribe.engine import Subscription, SubscriptionRegistry
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -15,7 +15,7 @@ derivation rests on three invariants of the store model:
 - a ``p = "s"`` comparison only feels edges into the terminal label of
   ``p`` whose child carries the compared value ``s``.
 
-Given a :class:`~repro.subscribe.delta.ViewEvent`,
+Given a :class:`~repro.views.events.ViewEvent`,
 :func:`first_affected_step` returns the earliest step whose patterns
 match an event edge, or ``None`` when the whole result is provably
 untouched: the subscription engine then skips the event, or re-evaluates
@@ -112,7 +112,7 @@ from typing import NamedTuple
 
 from repro.core.dag_eval import Seed, seed_plan
 from repro.index._bits import mask_of
-from repro.subscribe.delta import EdgeRecord, ViewEvent
+from repro.views.events import EdgeRecord, ViewEvent
 from repro.xpath.ast import (
     DescendantStep,
     ExistsPath,

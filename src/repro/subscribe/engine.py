@@ -3,7 +3,7 @@
 ``service.subscribe(path)`` evaluates ``path`` once, eagerly, and from
 then on the :class:`SubscriptionRegistry` keeps the result current from
 the structured ΔV events every committed operation emits
-(:mod:`repro.subscribe.delta`): the commit pipeline's maintain phase
+(:mod:`repro.views.events`): the commit pipeline's maintain phase
 hands it one sealed event per write scope
 (:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
 entry point).  Per event, every standing subscription gets **one
@@ -86,13 +86,13 @@ import time
 from contextlib import nullcontext
 
 from repro.metrics.registry import MetricsRegistry
-from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
     EventDigest,
     QueryProfile,
     first_affected_step,
     profile_query,
 )
+from repro.views.events import ViewEvent
 from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
 

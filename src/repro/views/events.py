@@ -1,14 +1,15 @@
-"""The structured ΔV event stream consumed by the subscription engine.
+"""The structured ΔV event stream: what every committed mutation says.
 
 Every committed mutation of a published view — foreground ΔV edge
 operations, the background Δ(M,L) repair's garbage collection, base
-update propagation — is described to subscribers as one
+update propagation — is described to the layers above ``core`` as one
 :class:`ViewEvent`: a generation-tagged list of :class:`EdgeRecord`
 changes, or a *coarse* event when the publisher cannot (or does not
-bother to) describe the change precisely.  Coarse events force a full
-re-evaluation of every subscription; fine-grained events let the
-per-step dependency analysis of :mod:`repro.subscribe.deps` skip or
-partially re-evaluate queries.
+bother to) describe the change precisely.  ``core`` builds the events;
+the subscription engine, the changefeed, the WAL and the replicas
+consume them.  Coarse events force a full re-evaluation of every
+subscription; fine-grained events let the per-step dependency analysis
+of :mod:`repro.subscribe.deps` skip or partially re-evaluate queries.
 
 Edges are the whole story for this XPath fragment: node types and
 string values are immutable once interned (gen_id), the root never
@@ -17,6 +18,11 @@ results can only move when an edge appears or disappears.  An
 :class:`EdgeRecord` therefore carries the edge's typed endpoints plus
 the child's PCDATA value (captured *before* garbage collection frees
 the node), which is what value-anchored pruning needs.
+
+:func:`fold_event` applies one event to a mirrored store.  Replicas
+(:class:`~repro.replica.view.ReplicaView`) and crash recovery
+(:mod:`repro.wal.recover`) both fold through it, so the two can never
+drift apart.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.errors import EventDecodeError
+from repro.errors import EventDecodeError, ReplicaDivergedError
 from repro.relational.database import RelationalDelta
 from repro.views.store import ViewDelta, ViewStore
 
@@ -342,3 +348,52 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
     if delta_ops:
         merged.delta_r = RelationalDelta(delta_ops)
     return merged
+
+
+def fold_event(store: ViewStore, event: ViewEvent) -> None:
+    """Apply one fine-grained event's records to ``store``, in place.
+
+    In order: install every :class:`NodeRecord` (the interning side
+    channel — id ↔ ``(element, sem)`` bindings for nodes the mirror has
+    never seen); apply every :class:`EdgeRecord` (``add_edge`` appends
+    rightmost exactly like the writer's, so child order — XML document
+    order — is reproduced, not approximated); then drop any touched
+    non-root node left with no incident edges, the writer's at-rest
+    invariant (events record *every* edge removal, the GC pass's
+    included — see ``docs/event-schema.md``).
+
+    Strict: an edge record referencing a node the store does not hold
+    raises :class:`~repro.errors.ReplicaDivergedError` rather than
+    papering over a gap.  The caller owns ordering (events must arrive
+    in generation order), locking, and the coarse-event policy — a
+    coarse event's edge list does not describe the change and must not
+    reach this function.
+    """
+    for rec in event.nodes:
+        store.ensure_node(rec.node, rec.element, rec.sem)
+    touched: set[int] = set()
+    for rec in event.edges:
+        if not store.has_node(rec.parent) or not store.has_node(rec.child):
+            raise ReplicaDivergedError(
+                f"event at generation {event.generation} references "
+                f"unknown node(s) {rec.parent}->{rec.child}; the "
+                f"mirror has drifted — re-bootstrap"
+            )
+        if rec.kind == "insert":
+            store.add_edge(rec.parent, rec.child)
+        else:
+            store.remove_edge(rec.parent, rec.child)
+        touched.add(rec.parent)
+        touched.add(rec.child)
+    # Mirror the writer's GC invariant: at rest, every non-root node has
+    # at least one incident edge.  Events record every edge removal (the
+    # GC pass's included), so any touched node left isolated here is
+    # exactly a node the writer collected.
+    for node in sorted(touched):
+        if (
+            node != store.root_id
+            and store.has_node(node)
+            and not store.children_of(node)
+            and not store.parents_of(node)
+        ):
+            store.remove_node(node)

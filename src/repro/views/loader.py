@@ -10,16 +10,10 @@ base data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.atg.model import ATG
 from repro.errors import ReproError
 from repro.relational.database import Database
 from repro.views.store import ViewStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.topo import TopoOrder
-    from repro.index import ReachabilityIndex
 
 
 def store_from_database(atg: ATG, db: Database) -> ViewStore:
@@ -74,13 +68,3 @@ def store_from_database(atg: ATG, db: Database) -> ViewStore:
     store.root_id = roots[0]
     return store
 
-
-def load_structures(
-    store: ViewStore,
-) -> "tuple[TopoOrder, ReachabilityIndex]":
-    """Build the auxiliary structures ``(L, M)`` for a (re)loaded store."""
-    from repro.core.topo import TopoOrder
-    from repro.index import build_index
-
-    topo = TopoOrder.from_store(store)
-    return topo, build_index(store, topo)

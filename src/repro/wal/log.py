@@ -50,8 +50,8 @@ from repro.errors import (
 )
 from repro.metrics.registry import MetricsRegistry
 from repro.relational.database import DeltaOp, RelationalDelta
-from repro.replica.snapshot import Snapshot
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
+from repro.views.snapshot import Snapshot
 from repro.wal.fs import OsFileSystem
 from repro.wal.segment import encode_record, read_segment
 
@@ -514,7 +514,7 @@ class WriteAheadLog:
         return any(entry["last"] >= generation for entry in self._sealed)
 
     def latest_checkpoint(self) -> Snapshot | None:
-        """The newest checkpoint as a :class:`~repro.replica.snapshot.Snapshot`
+        """The newest checkpoint as a :class:`~repro.views.snapshot.Snapshot`
         (``None`` when none exist).  One that cannot be read or decoded
         (a pickle-era file included), or whose generation is not the
         manifest's, raises :class:`~repro.errors.WalCheckpointError`."""

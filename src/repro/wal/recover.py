@@ -3,13 +3,13 @@
 The recovery sequence (also narrated in ``docs/durability.md``):
 
 1. load the newest checkpoint the manifest references — a
-   :class:`~repro.replica.snapshot.Snapshot` file whose ``base`` holds
+   :class:`~repro.views.snapshot.Snapshot` file whose ``base`` holds
    the base database's rows at the store's generation;
 2. restore the store against the caller's ATG (fingerprint-verified)
    and reload the base tables (a read replica has none to reload);
 3. replay every logged record past the checkpoint generation, applying
    its ΔR to the base database and folding its event into the store
-   with the replica's own :func:`~repro.replica.fold.fold_event` —
+   with :func:`~repro.views.events.fold_event`, as a replica does —
    recovery and replication rebuild state through the same code path;
 4. report the generation the replay landed on, which becomes the
    recovered service's version counter.
@@ -25,8 +25,7 @@ from __future__ import annotations
 from repro.atg.model import ATG
 from repro.errors import WalError
 from repro.relational.database import Database
-from repro.replica.fold import fold_event
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent, fold_event
 from repro.views.store import ViewStore
 from repro.wal.log import WriteAheadLog, decode_delta
 

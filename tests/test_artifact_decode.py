@@ -58,7 +58,7 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.ops import InsertOp, op_from_dict, op_from_json, ops_from_jsonl
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent
 from repro.wal import WriteAheadLog
 from repro.wal.log import MANIFEST_FORMAT, MANIFEST_VERSION
 from repro.wal.segment import encode_record, read_segment

@@ -27,7 +27,8 @@ from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
 from repro.relview.insert import InsertionPlan, _Classes, _solve, translate_insertions
-from repro.relview.symbolic import AtomVC, AtomVV, Derivation, SymVar
+from repro.relview.symbolic import Derivation
+from repro.sat.atoms import AtomVC, AtomVV, SymVar
 
 
 def flag_view(lists: dict[str, bool]) -> tuple[ATG, Database]:

@@ -209,8 +209,8 @@ class TestServiceSurface:
         # and two bare components share nothing.
         from repro.changefeed.hub import ChangefeedHub
         from repro.core.updater import XMLViewUpdater
-        from repro.subscribe.delta import ViewEvent
         from repro.subscribe.engine import SubscriptionRegistry
+        from repro.views.events import ViewEvent
         from repro.wal.log import WriteAheadLog
 
         atg, db = build_registrar()

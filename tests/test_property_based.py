@@ -28,7 +28,8 @@ from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import UpdateRejectedError
 from repro.relational.schema import AttrType
 from repro.relview.insert import InsertionPlan, _solve
-from repro.relview.symbolic import AtomVC, AtomVV, Derivation, SymVar
+from repro.relview.symbolic import Derivation
+from repro.sat.atoms import AtomVC, AtomVV, SymVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula

@@ -299,7 +299,8 @@ def test_decode_keeps_a_constant_that_looks_like_a_fresh_token(env):
 
     from repro.relational.schema import AttrType
     from repro.relview.insert import _Classes, _decode_valuation
-    from repro.relview.symbolic import AtomVC, SymVar, Template
+    from repro.relview.symbolic import Template
+    from repro.sat.atoms import AtomVC, SymVar
 
     _, db, _, _, _ = env
     title = SymVar("course", ("CS999",), "title", AttrType.STR)
@@ -347,7 +348,8 @@ import itertools
 from repro.relational.database import Database
 from repro.relational.schema import AttrType, RelationSchema
 from repro.relview.insert import _Classes, _decode_valuation
-from repro.relview.symbolic import SymVar, Template
+from repro.relview.symbolic import Template
+from repro.sat.atoms import SymVar
 
 S = AttrType.STR
 db = Database()

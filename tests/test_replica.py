@@ -43,7 +43,7 @@ from repro.replica import (
 from repro.replica.__main__ import main as replica_cli
 from repro.service import ViewConfig, open_view
 from repro.subscribe import NodeRecord, ViewEvent, coalesce
-from repro.subscribe.delta import EdgeRecord
+from repro.views.events import EdgeRecord
 from repro.views.store import ViewStore
 from repro.workloads import REGISTRAR_QUERIES
 from repro.workloads.bom import build_bom

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.relational.schema import AttrType
-from repro.relview.symbolic import AtomVC, AtomVV, SymVar
+from repro.sat.atoms import AtomVC, AtomVV, SymVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula

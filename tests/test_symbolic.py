@@ -3,13 +3,8 @@
 import pytest
 
 from repro.relational.schema import AttrType
-from repro.relview.symbolic import (
-    AtomVC,
-    AtomVV,
-    SymVar,
-    Template,
-    make_atom,
-)
+from repro.relview.symbolic import Template
+from repro.sat.atoms import AtomVC, AtomVV, SymVar, make_atom
 
 
 def var(attr="b", relation="r", key=(1,), attr_type=AttrType.STR):

@@ -29,7 +29,7 @@ from repro.ops import DeleteOp, InsertOp
 from repro.relational.database import DeltaOp, RelationalDelta
 from repro.replica import Snapshot
 from repro.service import ViewConfig, open_view
-from repro.subscribe.delta import EdgeRecord, NodeRecord, ViewEvent
+from repro.views.events import EdgeRecord, NodeRecord, ViewEvent
 from repro.wal import (
     FRAME_OVERHEAD,
     WriteAheadLog,

@@ -37,9 +37,8 @@ from faults import (
 from repro.errors import WalError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.replica import ReplicaView, Snapshot
-from repro.replica.fold import fold_event
 from repro.service import ViewConfig, open_view
-from repro.subscribe.delta import ViewEvent
+from repro.views.events import ViewEvent, fold_event
 from repro.wal import WriteAheadLog, decode_delta
 from repro.workloads.registrar import build_registrar
 

@@ -71,7 +71,8 @@ from repro.relational.schema import AttrType
 from repro.relview import insert as insert_module
 from repro.relview.insert import _fresh_value, _merge_templates
 from repro.relview.keypres import _UnionFind
-from repro.relview.symbolic import Atom, AtomVC, SymVar, Template, make_atom
+from repro.relview.symbolic import Template
+from repro.sat.atoms import Atom, AtomVC, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula
 from repro.sat.walksat import walksat_solve
