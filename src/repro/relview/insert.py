@@ -3,31 +3,47 @@
 Translates a group of view-row insertions ``ΔV`` into base-table
 insertions ``ΔR`` via SAT, in five stages:
 
-1. **Templates.**  For every target edge, the equality closure of the
-   edge view's selection condition propagates the known values (parent
-   parameters, child semantic attributes, constants) into one tuple
-   template per base occurrence.  The closure depends on the view alone,
-   so it is worked out once per view (:class:`_Skeleton`, cached on the
-   registry): each cell's class, which classes a constant or a visible
-   column fills, the key positions, and the view's static rejections.
-   A target only binds its visible values.  Key preservation guarantees
-   the key part is fully known; other cells become canonical variables
-   (:class:`~repro.sat.atoms.SymVar`).  Templates whose key
-   already exists in the base table are filled from the stored row
-   (``B_i`` in the appendix); the rest are the new tuples ``U_i``.
+Everything a target does not bind is prepared once — per view, per
+insertion *shape*, per sweep state — and a call only binds values, as
+``SPJQuery`` plans its join once per ``fixed`` shape.
+
+1. **Targets and templates.**  For every target edge, the equality
+   closure of the edge view's selection condition propagates the known
+   values (parent parameters, child semantic attributes, constants) into
+   one tuple template per base occurrence.  The closure depends on the
+   view alone, so it is worked out once per view (:class:`_Skeleton`,
+   cached on the registry): each cell's class, which classes a constant
+   or a visible column fills, the key slots, and the view's static
+   rejections.  Key preservation guarantees the key part is fully known,
+   so a target reads each occurrence's row once, by key
+   (:meth:`_Skeleton.read`), and those rows answer two questions: is
+   the edge already derivable (then nothing is inserted), and which
+   occurrences exist — the target's *shape*, which picks its
+   :class:`_TemplateProgram` (at most ``2^occurrences`` per view).  A
+   view whose condition is not equalities over columns and constants,
+   or whose key the skeleton cannot fill, asks the first question with
+   an SPJ run (``matching_rows``) instead; that is a property of the
+   view, fixed when its skeleton is built.  In the program, occurrences
+   whose key exists are the stored rows (``B_i`` in the appendix),
+   tested against the target's values; the rest are the new tuples
+   ``U_i``, whose unknown cells become canonical variables
+   (:class:`~repro.sat.atoms.SymVar`).
 
 2. **Canonical assertions.**  The conditions the templates must satisfy
-   to actually derive their target (atoms over variables) are asserted.
+   to actually derive their target (atoms over variables) are asserted,
+   in the order the program lists them.
 
 3. **Side-effect sweep.**  Every edge view is evaluated symbolically
    over ``I ∪ X`` restricted to derivations using at least one new
-   template (seed-position enumeration avoids duplicates; each seed is
-   extended along the join graph the view's ``SPJQuery`` worked out at
-   construction — ``equalities`` says what to probe an alias on,
-   ``conjunct_aliases`` which conditions a new binding completes — one
-   ``Table.lookup`` probe per alias, every cell read at a position the
-   view's skeleton worked out once).  Derivations come in registry,
-   seed and row order, each with its atoms in conjunct order.
+   template (seed-position enumeration avoids duplicates).  The sweep
+   is prepared per view, seed position and which of the seed's cells
+   are unknowns (:class:`_Admit`, :class:`_Step`): the alias order
+   along the join graph the view's ``SPJQuery`` worked out at
+   construction, each probe's terms (a whole-key probe reads one row),
+   and each conjunct as a test on two values or an atom over an
+   unknown; a conjunct the probe enforced is not tested again.
+   Derivations come in registry, seed and row order, each with its
+   atoms in conjunct order.
    Because view rows project every base key and new templates carry keys
    absent from ``I``, such a derivation can never equal an existing view
    row; it is benign iff it *is* one of the targets (per-position
@@ -102,10 +118,21 @@ class InsertionPlan:
 class _TargetEdge:
     """One ΔV insertion resolved against its edge view."""
 
-    def __init__(self, view: EdgeView, parent_params: tuple, child_sem: tuple):
+    def __init__(
+        self,
+        view: EdgeView,
+        parent_params: tuple,
+        child_sem: tuple,
+        skeleton: _Skeleton | None = None,
+        rows: tuple | None = None,
+    ):
         self.view = view
         self.parent_params = parent_params
         self.child_sem = child_sem
+        self.skeleton = skeleton
+        self.rows = rows
+        """The stored row of each occurrence (``None`` where its key is
+        absent), once read; see :meth:`_Skeleton.read`."""
         self.row: tuple | None = None  # symbolic full view row
 
 
@@ -195,6 +222,12 @@ def _resolve_targets(
     db: Database,
     delta_v: ViewDelta,
 ) -> list[_TargetEdge]:
+    """The ΔV insertions that are not derivable yet, deduplicated.
+
+    A keyed view (:attr:`_Skeleton.keyed`) reads each occurrence's row
+    once by key: the rows say whether the edge is derivable and, when it
+    is not, which template program the target runs.
+    """
     targets: list[_TargetEdge] = []
     seen: set[tuple[str, tuple, tuple]] = set()
     for op in delta_v.insertions():
@@ -211,9 +244,17 @@ def _resolve_targets(
         if dedup in seen:
             continue
         seen.add(dedup)
-        if view.matching_rows(db, parent_params, child_sem):
-            continue  # already derivable: set semantics, nothing to insert
-        targets.append(_TargetEdge(view, parent_params, child_sem))
+        skeleton = _skeleton(registry, db, view)
+        rows = None
+        if skeleton.keyed:
+            slots = (*parent_params, *child_sem, *skeleton.constants)
+            if skeleton.conflict(slots) is None:
+                rows = skeleton.read(db, slots)
+                if skeleton.derives(slots, rows):
+                    continue  # already derivable: set semantics, nothing to insert
+        elif view.matching_rows(db, parent_params, child_sem):
+            continue
+        targets.append(_TargetEdge(view, parent_params, child_sem, skeleton, rows))
     return targets
 
 
@@ -223,57 +264,78 @@ class _Skeleton:
     Every visible column is bound on every call, so which equality class
     a constant or a visible value fills, and hence each cell's class and
     whether it is known, depend on the view and the schemas only; so do
-    the positions every column is read at.
-
-    For the sweep (any view): ``row`` gives, per output column, the
-    alias and position it is read at, ``checks[alias]`` each equality
-    conjunct mentioning ``alias`` as ``(aliases it needs, left, right)``
-    and ``probes[alias]`` each equality ``alias`` can be probed on as
-    ``(attr, other)``, a term being ``(alias, position)`` or, for a
-    constant, ``(None, value)``.
+    the positions every column is read at.  A call binds ``slots``: the
+    visible values, then ``constants``.
 
     For the templates (a target's view): ``rejection`` says why every
-    target of the view is rejected (a non-equality condition,
-    conflicting constants), else ``known`` maps a class root to the
-    view's constant for it, ``visible`` gives each visible column with
-    its class root, ``occurrences`` each base occurrence's relation,
-    alias, key positions and cells (class root, filled or not,
-    attribute, type), and ``key_rejection`` the first key cell no value
-    fills.
+    target of the view is rejected (an unsupported term, a non-equality
+    condition, conflicting constants), else ``visible`` gives each
+    visible column with the visible column or constant its class held
+    before (what :meth:`conflict` compares), ``occurrences`` each base
+    occurrence's relation, key slots and cells (slot of a filled cell,
+    else -1; attribute; type), and ``key_rejection`` the first key cell
+    no value fills.  The view is ``keyed`` when neither rejects and its
+    condition is equalities between columns and constants only: then a
+    target reads its rows by key (:meth:`read`) and :meth:`derives`
+    answers whether it is derivable, the question an SPJ run answers
+    for any other view.  ``programs`` holds a :class:`_TemplateProgram`
+    per shape (which occurrences' keys exist), built on first use.
+
+    For the sweep (any view but one with an ``unsupported`` term):
+    ``row`` gives, per output column, the alias and position it is read
+    at, ``checks[alias]`` each equality conjunct mentioning ``alias`` as
+    ``(conjunct index, aliases it needs, left, right)`` and
+    ``probes[alias]`` each equality ``alias`` can be probed on as
+    ``(attr, other, conjunct index)``, a term being ``(alias,
+    position)`` or, for the ``i``-th constant, ``(None, i)``.  ``seeds``
+    holds the prepared sweep per (seed position, seed's unknown mask).
     """
 
     def __init__(self, view: EdgeView, schemas: tuple) -> None:
         query = view.query
+        self.view_name = view.name
+        self.aliases = query.aliases
+        self.relations = tuple(relation for relation, _ in query.tables)
+        self.keyed = False
+        self.programs: dict[tuple, _TemplateProgram] = {}
+        self.seeds: dict[tuple, _Admit] = {}
         position = {
             alias: schema.index_of for (_, alias), schema in zip(query.tables, schemas)
         }
+        constants: list = []
 
         def term(value) -> tuple:
             if isinstance(value, Col):
                 return value.alias, position[value.alias](value.attr)
             if isinstance(value, Const):
-                return None, value.value
+                constants.append(value.value)
+                return None, len(constants) - 1
             raise UpdateRejectedError(f"unsupported term {value!r} in insertion sweep")
 
         self.row: tuple[tuple, ...] = tuple(term(col) for _, col in query.project)
         self.checks: dict[str, tuple] = {alias: () for alias in query.aliases}
-        for conjunct, needs in query.conjunct_aliases:
-            if isinstance(conjunct, Eq):
-                check = (needs, term(conjunct.left), term(conjunct.right))
+        self.probes: dict[str, tuple] = {alias: () for alias in query.aliases}
+        self.rejection: str | None = None
+        self.unsupported: str | None = None
+        try:
+            for index, (conjunct, needs) in enumerate(query.conjunct_aliases):
+                if not isinstance(conjunct, Eq):
+                    continue
+                left, right = term(conjunct.left), term(conjunct.right)
                 for alias in needs:
-                    self.checks[alias] += (check,)
-        self.probes: dict[str, tuple] = {
-            alias: tuple(
-                (attr, term(other))
-                for attr, other in query.equalities[alias]
-                if isinstance(other, (Col, Const))
-            )
-            for alias in query.aliases
-        }
+                    self.checks[alias] += ((index, needs, left, right),)
+                for this, other in ((conjunct.left, right), (conjunct.right, left)):
+                    if isinstance(this, Col):
+                        self.probes[this.alias] += ((this.attr, other, index),)
+        except UpdateRejectedError as rejected:
+            self.rejection = self.unsupported = rejected.args[0]
+            return
+        self.schemas = schemas
+        self.constants = tuple(constants)
 
         classes = _UnionFind()
         known: dict = {}
-        self.rejection: str | None = None
+        keyed = True
         try:
             for conjunct, _ in query.conjunct_aliases:
                 if isinstance(conjunct, Eq):
@@ -281,6 +343,7 @@ class _Skeleton:
                     if isinstance(left, Col) and isinstance(right, Col):
                         classes.union((left.alias, left.attr), (right.alias, right.attr))
                         continue
+                    keyed &= isinstance(left, Col) or isinstance(right, Col)
                     for col, const in ((left, right), (right, left)):
                         if isinstance(col, Col) and isinstance(const, Const):
                             item = (col.alias, col.attr)
@@ -290,34 +353,124 @@ class _Skeleton:
                         f"view {view.name} has a non-equality condition; "
                         "insertion translation supports equality SPJ views"
                     )
+                else:
+                    keyed = False
         except UpdateRejectedError as rejected:
             self.rejection = rejected.args[0]
             return
-        self.known = known
-        self.visible: tuple[tuple[tuple[str, str], object], ...] = tuple(
-            ((col.alias, col.attr), classes.find((col.alias, col.attr)))
-            for _, col in query.project[: view.n_params + view.n_child]
+
+        # A constant learnt before a later union moved its class's root
+        # fills no cell (as in the templates); only an SPJ run still
+        # tests it.
+        keyed &= all(classes.find(root) == root for root in known)
+        # The slot a class's value is read from: its last visible column
+        # (what _learn leaves in ``known``), else its constant.
+        n_visible = view.n_params + view.n_child
+        slot_of: dict = {}
+        for root, value in known.items():
+            slot_of[root] = n_visible + len(constants)
+            constants.append(value)
+        self.constants = tuple(constants)
+        visible = []
+        for index, (_, col) in enumerate(query.project[:n_visible]):
+            item = (col.alias, col.attr)
+            root = classes.find(item)
+            visible.append((index, item, slot_of.get(root)))
+            slot_of[root] = index
+        self.visible: tuple[tuple[int, tuple, int | None], ...] = tuple(
+            entry for entry in visible if entry[2] is not None
         )
-        filled = known.keys() | {root for _, root in self.visible}
-        self.occurrences: list[tuple[str, str, tuple[int, ...], tuple]] = []
+
+        occurrences = []
+        roots: list[list] = []
         self.key_rejection: str | None = None
         for (relation, alias), schema in zip(query.tables, schemas):
             cells = []
+            roots.append([])
             for attr in schema.attributes:
                 root = classes.find((alias, attr.name))
-                cells.append((root, root in filled, attr.name, attr.type))
+                roots[-1].append(root)
+                cells.append((slot_of.get(root, -1), attr.name, attr.type))
             for attr in schema.key:
-                if not cells[schema.index_of(attr)][1] and self.key_rejection is None:
+                if cells[schema.index_of(attr)][0] < 0 and self.key_rejection is None:
                     self.key_rejection = (
                         f"cannot determine key attribute {relation}.{attr} "
                         f"for a target edge of {view.name}"
                     )
-            self.occurrences.append((relation, alias, schema.key_indexes, tuple(cells)))
+            key_slots = tuple(cells[i][0] for i in schema.key_indexes)
+            occurrences.append((relation, key_slots, tuple(cells)))
+        self.occurrences: tuple[tuple[str, tuple, tuple], ...] = tuple(occurrences)
+        self.roots = roots
+        self.keyed = keyed and self.key_rejection is None
+
+        # Derivable, once every occurrence's row is read by its key: each
+        # filled cell outside the key holds its slot, each other class
+        # one value.
+        filled: list[tuple[int, int, int]] = []
+        same: list[tuple[int, int, int, int]] = []
+        first: dict = {}
+        for o, ((_, _, cells), schema) in enumerate(zip(occurrences, schemas)):
+            for at, (slot, _, _) in enumerate(cells):
+                if slot >= 0:
+                    if at not in schema.key_indexes:
+                        filled.append((o, at, slot))
+                    continue
+                root = roots[o][at]
+                if root in first:
+                    same.append((o, at, *first[root]))
+                else:
+                    first[root] = (o, at)
+        self._filled = tuple(filled)
+        self._same = tuple(same)
+
+    def conflict(self, slots: tuple) -> str | None:
+        """Why a visible value contradicts another or a constant."""
+        for index, item, before in self.visible:
+            if slots[before] != slots[index]:
+                return (
+                    f"target edge of {self.view_name} is inconsistent: "
+                    f"{item} must be both {slots[before]!r} and {slots[index]!r}"
+                )
+        return None
+
+    def read(self, db: Database, slots: tuple) -> tuple:
+        """Each occurrence's stored row, by its key, or ``None``."""
+        return tuple([
+            db.table(relation).get(tuple([slots[s] for s in key_slots]))
+            for relation, key_slots, _ in self.occurrences
+        ])
+
+    def derives(self, slots: tuple, rows: tuple) -> bool:
+        """Whether ``rows`` (from :meth:`read`) derive the edge."""
+        if None in rows:
+            return False
+        for o, at, slot in self._filled:
+            if rows[o][at] != slots[slot]:
+                return False
+        for o, at, other, other_at in self._same:
+            if rows[o][at] != rows[other][other_at]:
+                return False
+        return True
+
+    def program(self, shape: tuple) -> _TemplateProgram:
+        """The template program of ``shape``, built on first use."""
+        program = self.programs.get(shape)
+        if program is None:  # published whole, with one assignment
+            program = self.programs[shape] = _TemplateProgram(self, shape)
+        return program
+
+    def seed(self, seed_pos: int, mask: int) -> _Admit:
+        """The prepared sweep from a new template of mask ``mask`` at
+        ``seed_pos``, built on first use."""
+        admit = self.seeds.get((seed_pos, mask))
+        if admit is None:  # published whole, with one assignment
+            admit = self.seeds[seed_pos, mask] = _Admit(self, ((seed_pos, mask),))
+        return admit
 
 
 def _skeleton(registry: EdgeViewRegistry, db: Database, view: EdgeView) -> _Skeleton:
     """``view``'s skeleton over ``db``'s schemas, built on first use."""
-    schemas = tuple([db.schema(relation) for relation, _ in view.query.tables])
+    schemas = tuple([db.table(relation).schema for relation, _ in view.query.tables])
     cached = (view.name, schemas)
     skeleton = registry.skeletons.get(cached)
     if skeleton is None:  # published whole, with one assignment
@@ -335,95 +488,133 @@ def _learn(view: EdgeView, known: dict, item: tuple, root, value) -> None:
     known[root] = value
 
 
+class _TemplateProgram:
+    """Stages 1–2 of one target, for one view and one *shape*: which of
+    its occurrences' keys already exist.
+
+    The shape fixes, for every unfilled cell, whether the first cell of
+    its class met before it (in occurrence and cell order) is a stored
+    value or an unknown, so every step is decided here.  An existing
+    occurrence (``B_i`` in the appendix) tests its cells against earlier
+    stored cells of their classes (``tests``), asserts them equal to
+    earlier unknowns (``atoms``) and checks its filled cells against
+    the target's values (``agree``).  A new occurrence (``U_i``) makes a
+    :class:`SymVar` for each unfilled cell (``cells``) and asserts it
+    equal to its class's earlier cell, in cell order (``atoms``).  A
+    template for a base tuple an earlier occurrence or target already
+    made is merged with it (:func:`_merge_templates`).
+    """
+
+    def __init__(self, skeleton: _Skeleton, shape: tuple) -> None:
+        first: dict = {}  # class root -> (occurrence, position) of its first cell
+        steps = []
+        for o, ((relation, key_slots, cells), exists) in enumerate(
+            zip(skeleton.occurrences, shape)
+        ):
+            tests, atoms, agree = [], [], []
+            for at, (slot, _, _) in enumerate(cells):
+                if slot >= 0:
+                    if at not in skeleton.schemas[o].key_indexes:  # read by key
+                        agree.append((at, slot))
+                    continue
+                root = skeleton.roots[o][at]
+                earlier = first.setdefault(root, (o, at))
+                if earlier == (o, at):
+                    continue
+                earlier_unknown = not shape[earlier[0]]
+                if not exists:
+                    atoms.append((*earlier, at, earlier_unknown))
+                elif earlier_unknown:
+                    atoms.append((*earlier, at))
+                else:
+                    tests.append((*earlier, at))
+            if exists:
+                steps.append((relation, key_slots, True, None, tuple(tests), tuple(atoms), tuple(agree)))
+            else:
+                steps.append((relation, key_slots, False, cells, (), tuple(atoms), ()))
+        self.steps: tuple = tuple(steps)
+        occurrence = {alias: o for o, alias in enumerate(skeleton.aliases)}
+        self.row = tuple((occurrence[alias], at) for alias, at in skeleton.row)
+
+    def run(
+        self,
+        view_name: str,
+        slots: tuple,
+        rows: tuple,
+        templates: dict[tuple[str, tuple], Template],
+        assertions: list[Atom],
+    ) -> tuple:
+        """Add this target's templates and assertions; its symbolic row."""
+        local: list[tuple] = []  # each occurrence's cells
+        merged: list[tuple] = []  # the same after merging with templates
+        for o, (relation, key_slots, exists, cells, tests, atoms, agree) in enumerate(
+            self.steps
+        ):
+            key = tuple([slots[s] for s in key_slots])
+            if exists:
+                values = rows[o]
+                local.append(values)
+                for other, other_at, at in tests:
+                    if local[other][other_at] != values[at]:
+                        raise UpdateRejectedError(
+                            f"existing tuple {relation}{key} conflicts "
+                            f"with a target edge of {view_name}"
+                        )
+                for other, other_at, at in atoms:
+                    assertions.append(AtomVC(local[other][other_at], values[at]))
+                for at, slot in agree:
+                    if slots[slot] != values[at]:
+                        raise UpdateRejectedError(
+                            f"target edge of {view_name} requires "
+                            f"{relation}{key} to hold {slots[slot]!r} but it "
+                            f"holds {values[at]!r}"
+                        )
+            else:
+                values = tuple([
+                    slots[slot] if slot >= 0 else SymVar(relation, key, attr, attr_type)
+                    for slot, attr, attr_type in cells
+                ])
+                local.append(values)
+                for other, other_at, at, earlier_unknown in atoms:
+                    if earlier_unknown:
+                        atom = make_atom(local[other][other_at], values[at])
+                        if atom is not True:
+                            assertions.append(atom)
+                    else:
+                        assertions.append(AtomVC(values[at], local[other][other_at]))
+            template = Template(relation, key, values, is_new=not exists)
+            prior = templates.get((relation, key))
+            if prior is None:
+                templates[relation, key] = template
+            else:
+                template, extra = _merge_templates(prior, template)
+                templates[relation, key] = template
+                assertions.extend(extra)
+            merged.append(template.values)
+        return tuple([merged[o][at] for o, at in self.row])
+
+
 def _build_templates(
     registry: EdgeViewRegistry, db: Database, targets: list[_TargetEdge]
 ) -> tuple[dict[tuple[str, tuple], Template], list[Atom]]:
     """Build the tuple templates and the canonical assertions."""
     templates: dict[tuple[str, tuple], Template] = {}
     assertions: list[Atom] = []
-
     for target in targets:
-        view = target.view
-        skeleton = _skeleton(registry, db, view)
-        if skeleton.rejection is not None:
-            raise UpdateRejectedError(skeleton.rejection)
-        known = dict(skeleton.known)
-        for (item, root), value in zip(
-            skeleton.visible, (*target.parent_params, *target.child_sem)
-        ):
-            _learn(view, known, item, root, value)
-        if skeleton.key_rejection is not None:
-            raise UpdateRejectedError(skeleton.key_rejection)
-
-        # Unknown cells become canonical variables or, where the key
-        # already exists, the stored row's values; the equalities among
-        # them are recorded as assertions.
-        alias_values: dict[str, tuple] = {}
-        class_value: dict = {}
-        for relation, alias, key_indexes, cells in skeleton.occurrences:
-            key = tuple([known[cells[i][0]] for i in key_indexes])
-            existing = db.table(relation).get(key)
-            values: list = []
-            for index, (root, filled, attr, attr_type) in enumerate(cells):
-                if filled:
-                    values.append(known[root])
-                    continue
-                if existing is not None:
-                    # Fill from the stored row (B_i case); remember the
-                    # binding so equalities to this class still apply.
-                    value = existing[index]
-                    values.append(value)
-                    if root in class_value:
-                        result = make_atom(class_value[root], value)
-                        if result is False:
-                            raise UpdateRejectedError(
-                                f"existing tuple {relation}{key} conflicts "
-                                f"with a target edge of {view.name}"
-                            )
-                        if result is not True:
-                            assertions.append(result)
-                    else:
-                        class_value[root] = value
-                    continue
-                var = SymVar(relation, key, attr, attr_type)
-                bound = class_value.get(root)
-                if bound is None:
-                    class_value[root] = var
-                else:
-                    result = make_atom(bound, var)
-                    if result is False:
-                        raise UpdateRejectedError(
-                            f"conflicting bindings for {var} in {view.name}"
-                        )
-                    if result is not True:
-                        assertions.append(result)
-                values.append(var)
-            if existing is not None:
-                # Concrete cells must agree with the stored row.
-                for index, cell in enumerate(values):
-                    if not isinstance(cell, SymVar) and cell != existing[index]:
-                        raise UpdateRejectedError(
-                            f"target edge of {view.name} requires "
-                            f"{relation}{key} to hold {cell!r} but it holds "
-                            f"{existing[index]!r}"
-                        )
-                values = list(existing)
-            alias_values[alias] = tuple(values)
-            tpl_key = (relation, key)
-            template = Template(
-                relation, key, tuple(values), is_new=existing is None
-            )
-            prior = templates.get(tpl_key)
-            if prior is None:
-                templates[tpl_key] = template
-            else:
-                merged, extra = _merge_templates(prior, template)
-                templates[tpl_key] = merged
-                assertions.extend(extra)
-                alias_values[alias] = merged.values
-
-        # Symbolic full view row of the target.
-        target.row = tuple(alias_values[alias][at] for alias, at in skeleton.row)
+        skeleton = target.skeleton or _skeleton(registry, db, target.view)
+        slots = (*target.parent_params, *target.child_sem, *skeleton.constants)
+        rows = target.rows
+        if rows is None:  # not read by _resolve_targets: nothing checked yet
+            if skeleton.rejection is not None:
+                raise UpdateRejectedError(skeleton.rejection)
+            conflict = skeleton.conflict(slots)
+            if conflict is not None:
+                raise UpdateRejectedError(conflict)
+            if skeleton.key_rejection is not None:
+                raise UpdateRejectedError(skeleton.key_rejection)
+            rows = target.rows = skeleton.read(db, slots)
+        program = skeleton.program(tuple([row is not None for row in rows]))
+        target.row = program.run(skeleton.view_name, slots, rows, templates, assertions)
     return templates, assertions
 
 
@@ -457,114 +648,207 @@ def _sweep_side_effects(
     templates: dict[tuple[str, tuple], Template],
 ) -> list[Derivation]:
     """Every symbolic derivation (of any view) using ≥1 new template."""
-    new_by_relation: dict[str, list[Template]] = {}
+    new_by_relation: dict[str, list[tuple[tuple, int]]] = {}
     for template in templates.values():
         if template.is_new:
-            new_by_relation.setdefault(template.relation, []).append(template)
+            mask = sum([
+                1 << at for at, cell in enumerate(template.values)
+                if isinstance(cell, SymVar)
+            ])
+            new_by_relation.setdefault(template.relation, []).append(
+                (template.values, mask)
+            )
     derivations: list[Derivation] = []
     for view in registry.views():
         if any(relation in new_by_relation for relation, _ in view.query.tables):
             skeleton = _skeleton(registry, db, view)
-            _sweep_view(view, db, skeleton, new_by_relation, derivations)
+            if skeleton.unsupported is not None:
+                raise UpdateRejectedError(skeleton.unsupported)
+            sweep = _Sweep(skeleton.view_name, db, new_by_relation, derivations)
+            for seed_pos, relation in enumerate(skeleton.relations):
+                for values, mask in new_by_relation.get(relation, ()):
+                    skeleton.seed(seed_pos, mask).run(
+                        (skeleton.constants, values), [], sweep
+                    )
     return derivations
 
 
-def _sweep_view(
-    view: EdgeView,
-    db: Database,
-    skeleton: _Skeleton,
-    new_by_relation: dict[str, list[Template]],
-    out: list[Derivation],
-) -> None:
-    for seed_pos, (relation, alias) in enumerate(view.query.tables):
-        for seed in new_by_relation.get(relation, ()):  # U at seed position
-            partial: dict[str, tuple] = {alias: seed.values}
-            atoms = _alias_atoms(skeleton, alias, partial)
-            if atoms is not None:
-                _extend(view, db, skeleton, new_by_relation, seed_pos, partial, atoms, out)
+class _Sweep:
+    """What one view's sweep reads and writes: the database, the new
+    templates per relation as ``(values, unknown mask)``, the output."""
+
+    __slots__ = ("view_name", "db", "new_by_relation", "out")
+
+    def __init__(self, view_name, db, new_by_relation, out):
+        self.view_name = view_name
+        self.db = db
+        self.new_by_relation = new_by_relation
+        self.out = out
 
 
-def _extend(
-    view: EdgeView,
-    db: Database,
-    skeleton: _Skeleton,
-    new_by_relation: dict[str, list[Template]],
-    seed_pos: int,
-    partial: dict[str, tuple],
-    atoms: list[Atom],
-    out: list[Derivation],
-) -> None:
-    """Nested-loop extension of a partial symbolic assignment."""
-    remaining = [
-        (i, rel, alias)
-        for i, (rel, alias) in enumerate(view.query.tables)
-        if alias not in partial
-    ]
-    if not remaining:
-        row = tuple([partial[alias][at] for alias, at in skeleton.row])
-        out.append(Derivation(view.name, row, tuple(dict.fromkeys(atoms))))
-        return
-    # Bind next an alias some equality ties to a concrete bound cell (or
-    # a constant): its candidates are one probe.  Only a genuine cross
-    # product is left to declaration order and a pass over its table.
-    # The join of SPJQuery.evaluate over the same ``query.equalities``,
-    # except that a variable cell is no probe.
-    index, relation, alias = remaining[0]
-    attrs: list[str] = []
-    values: list[object] = []
-    for entry in remaining:
-        for attr, (source, at) in skeleton.probes[entry[2]]:
-            if source is None:
-                cell = at
-            elif source in partial:
-                cell = partial[source][at]
-            else:
-                continue
-            if not isinstance(cell, SymVar):
-                attrs.append(attr)
-                values.append(cell)
-        if attrs:
-            index, relation, alias = entry
-            break
-    table = db.table(relation)
-    candidates = table.lookup(attrs, values) if attrs else list(table.rows())
-    if index > seed_pos:
-        # Positions after the seed may also take new templates (U again).
-        candidates.extend(
-            template.values for template in new_by_relation.get(relation, ())
-        )
-    for cells in candidates:
-        trial = dict(partial)
-        trial[alias] = cells
-        extra = _alias_atoms(skeleton, alias, trial)
-        if extra is not None:
-            _extend(
-                view, db, skeleton, new_by_relation, seed_pos, trial,
-                atoms + extra, out,
-            )
+class _Admit:
+    """Admits a candidate row for the alias a sweep binds last.
 
-
-def _alias_atoms(
-    skeleton: _Skeleton, alias: str, partial: dict[str, tuple]
-) -> list[Atom] | None:
-    """Check/collect conditions that became fully bound by adding ``alias``.
-
-    Returns ``None`` when a concrete condition fails; otherwise the atoms
-    contributed by symbolic comparisons, in conjunct order.
+    Prepared per *state*: which aliases are bound, in order, and which
+    cells of each are unknowns (a bit mask; 0 for a stored row).  The
+    state decides every equality conjunct the new alias completes — a
+    test when both sides are values, an atom when one is an unknown —
+    except those the probe that found the candidate already enforced
+    (``enforced``, conjunct indexes), and what comes next: the next
+    alias's :class:`_Step` or, once every alias is bound, where each
+    output column is read (``row``).  ``bound`` holds the constants,
+    then each bound alias's cells; a term is ``(index into bound,
+    position)``.
     """
-    atoms: list[Atom] = []
-    for needs, (left, at_left), (right, at_right) in skeleton.checks[alias]:
-        if not needs <= partial.keys():
-            continue
-        result = make_atom(
-            at_left if left is None else partial[left][at_left],
-            at_right if right is None else partial[right][at_right],
-        )
-        if result is False:
-            return None
-        if result is not True:
-            atoms.append(result)
-    return atoms
+
+    __slots__ = ("tests", "atoms", "row", "step")
+
+    def __init__(
+        self, skeleton: _Skeleton, state: tuple, enforced: frozenset = frozenset()
+    ) -> None:
+        aliases = skeleton.aliases
+        at_of = {aliases[a]: i + 1 for i, (a, _) in enumerate(state)}
+        mask_of = {aliases[a]: mask for a, mask in state}
+
+        def source(term: tuple) -> tuple[tuple[int, int], bool]:
+            alias, at = term
+            if alias is None:
+                return (0, at), False
+            return (at_of[alias], at), bool(mask_of[alias] >> at & 1)
+
+        tests, atoms = [], []
+        for index, needs, left, right in skeleton.checks[aliases[state[-1][0]]]:
+            if index in enforced or not needs <= at_of.keys():
+                continue
+            (left, left_unknown), (right, right_unknown) = source(left), source(right)
+            if left_unknown and right_unknown:
+                atoms.append((left, right, True))
+            elif left_unknown:
+                atoms.append((left, right, False))
+            elif right_unknown:
+                atoms.append((right, left, False))
+            else:
+                tests.append((left, right))
+        self.tests = tuple(tests)
+        self.atoms = tuple(atoms)
+        self.row = self.step = None
+        remaining = [a for a, alias in enumerate(aliases) if alias not in at_of]
+        if not remaining:
+            self.row = tuple(source(term)[0] for term in skeleton.row)
+            return
+        # Bind next an alias some equality ties to a value (a stored cell
+        # or a constant): its candidates are one probe.  Only a genuine
+        # cross product is left to declaration order and a pass over its
+        # table.  The join of SPJQuery.evaluate over the same equalities,
+        # except that an unknown cell is no probe.
+        for alias in remaining:
+            probe = [
+                (attr, source(other)[0], index)
+                for attr, other, index in skeleton.probes[aliases[alias]]
+                if (other[0] is None or other[0] in at_of) and not source(other)[1]
+            ]
+            if probe:
+                break
+        else:
+            alias = remaining[0]
+        self.step = _Step(skeleton, state, alias, probe)
+
+    def run(self, bound: tuple, atoms: list, sweep: _Sweep) -> None:
+        """Extend ``bound`` (its last row the candidate) if it passes."""
+        for (a, at), (b, bt) in self.tests:
+            if bound[a][at] != bound[b][bt]:
+                return
+        if self.atoms:
+            atoms = atoms.copy()
+            for (a, at), (b, bt), both_unknown in self.atoms:
+                if both_unknown:
+                    atom = make_atom(bound[a][at], bound[b][bt])
+                    if atom is not True:
+                        atoms.append(atom)
+                else:
+                    atoms.append(AtomVC(bound[a][at], bound[b][bt]))
+        if self.step is None:
+            sweep.out.append(Derivation(
+                sweep.view_name,
+                tuple([bound[a][at] for a, at in self.row]),
+                tuple(dict.fromkeys(atoms)),
+            ))
+        else:
+            self.step.extend(bound, atoms, sweep)
+
+
+class _Step:
+    """The next alias of a prepared sweep and how its candidates are found.
+
+    ``probe`` lists ``(attr, term, conjunct index)``; empty for a cross
+    product.  A probe that binds the whole primary key reads one row
+    (``key``: the key's terms; ``rest``: ``(position, term)`` of every
+    other probed attribute).  Stored candidates are admitted by
+    ``probed``, which skips the conjuncts the probe enforced; at a
+    position after the seed the new templates are candidates too, each
+    admitted by ``admits[its unknown mask]``.
+    """
+
+    __slots__ = ("skeleton", "state", "alias", "relation", "attrs", "sources",
+                 "key", "rest", "enforced", "after_seed", "probed", "admits")
+
+    def __init__(self, skeleton: _Skeleton, state: tuple, alias: int, probe: list):
+        self.skeleton = skeleton
+        self.state = state
+        self.alias = alias
+        self.relation = skeleton.relations[alias]
+        self.attrs = tuple(attr for attr, _, _ in probe) or None
+        self.sources = tuple(source for _, source, _ in probe)
+        self.enforced = frozenset(index for _, _, index in probe)
+        self.key = self.rest = None
+        schema = skeleton.schemas[alias]
+        if self.attrs is not None and set(schema.key) <= set(self.attrs):
+            first = [self.attrs.index(attr) for attr in schema.key]
+            self.key = tuple(self.sources[i] for i in first)
+            self.rest = tuple(
+                (schema.index_of(attr), source)
+                for i, (attr, source) in enumerate(zip(self.attrs, self.sources))
+                if i not in first
+            )
+        self.after_seed = alias > state[0][0]
+        self.probed: _Admit | None = None
+        self.admits: dict[int, _Admit] = {}
+
+    def extend(self, bound: tuple, atoms: list, sweep: _Sweep) -> None:
+        table = sweep.db.table(self.relation)
+        if self.key is not None:
+            row = table.get(tuple([bound[a][at] for a, at in self.key]))
+            if row is None:
+                candidates = ()
+            else:
+                candidates = (row,)
+                for position, (a, at) in self.rest:
+                    if row[position] != bound[a][at]:
+                        candidates = ()
+                        break
+        elif self.attrs is None:
+            candidates = list(table.rows())
+        else:
+            candidates = table.lookup(
+                self.attrs, [bound[a][at] for a, at in self.sources]
+            )
+        if candidates:
+            admit = self.probed
+            if admit is None:  # published whole, with one assignment
+                admit = self.probed = _Admit(
+                    self.skeleton, (*self.state, (self.alias, 0)), self.enforced
+                )
+            for cells in candidates:
+                admit.run((*bound, cells), atoms, sweep)
+        if self.after_seed:
+            # Positions after the seed may also take new templates (U again).
+            for values, mask in sweep.new_by_relation.get(self.relation, ()):
+                admit = self.admits.get(mask)
+                if admit is None:  # published whole, with one assignment
+                    admit = self.admits[mask] = _Admit(
+                        self.skeleton, (*self.state, (self.alias, mask))
+                    )
+                admit.run((*bound, values), atoms, sweep)
 
 
 # ---------------------------------------------------------------------------

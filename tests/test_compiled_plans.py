@@ -1,20 +1,23 @@
-"""The compiled SPJ join and Algorithm insert's template skeleton.
+"""The compiled SPJ join and Algorithm insert's prepared programs.
 
 ``SPJQuery.evaluate`` plans its join once per ``fixed`` shape and per
-schemas, and ``_build_templates`` derives what it needs from an edge view
-once per view; a call only binds values.  Both are checked here against
-the per-call code they replaced (``uncompiled.py``), and their caches
-are counted through the seams that fill them.
+schemas; Algorithm insert derives what it needs from an edge view once
+per view (``_Skeleton``), its templates once per insertion shape and its
+sweep once per seed shape; a call only binds values.  Both are checked
+here against the per-call code they replaced (``uncompiled.py``), and
+their caches are counted through the seams that fill them.
 """
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import plan as plan_module
 from repro.core.updater import PlanState, XMLViewUpdater
 from repro.errors import QueryError, SchemaError, UpdateRejectedError
 from repro.ops import InsertOp
@@ -24,7 +27,10 @@ from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
 from repro.relview import insert as insert_module
 from repro.relview.insert import _build_templates, _TargetEdge
-from repro.views.registry import EdgeView, EdgeViewRegistry
+from repro.relview.symbolic import Template
+from repro.sat.atoms import SymVar
+from repro.views.registry import EdgeView, EdgeViewRegistry, build_registry
+from repro.workloads import named_workload
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
@@ -218,49 +224,100 @@ def _checked_build_templates(registry, db, targets):
     return templates, assertions
 
 
+def _summary(plan):
+    return (
+        [(op.kind, op.relation, op.row) for op in plan.delta_r],
+        plan.target_rows,
+        plan.new_templates,
+        plan.derivations_checked,
+        plan.solver,
+        plan.num_vars,
+        plan.num_clauses,
+    )
+
+
+def _checked_translate(registry, store, db, delta_v, fresh=None):
+    """``translate_insertions`` against the per-call reference stages
+    (``uncompiled.reference_insert``) on the same state and the same
+    fresh-value sequence: the same ``InsertionPlan`` or the same
+    rejection."""
+    fresh, reference_fresh = itertools.tee(itertools.count(1) if fresh is None else fresh)
+    translate = insert_module.translate_insertions
+    try:
+        with uncompiled.reference_insert():
+            expected = translate(registry, store, db, delta_v, reference_fresh)
+    except UpdateRejectedError as rejected:
+        with pytest.raises(UpdateRejectedError) as raised:
+            translate(registry, store, db, delta_v, fresh)
+        assert str(raised.value) == str(rejected)
+        raise
+    plan = translate(registry, store, db, delta_v, fresh)
+    assert _summary(plan) == _summary(expected)
+    return plan
+
+
 def _plan_all(updater, ops):
-    """Plan and commit ``ops`` with every ``_build_templates`` checked;
-    return how many calls were checked."""
+    """Plan and commit ``ops`` with every translation checked; return
+    how many translations were checked and how many of them rejected."""
     calls = []
 
-    def checked(*args):
-        calls.append(1)
-        return _checked_build_templates(*args)
+    def checked(*args, **kwargs):
+        calls.append("rejected")
+        plan = _checked_translate(*args, **kwargs)
+        calls[-1] = "planned"
+        return plan
 
-    with mock.patch.object(insert_module, "_build_templates", checked):
+    with mock.patch.object(plan_module, "translate_insertions", checked):
         for op in ops:
             plan = updater.plan(op)
             if plan.state is PlanState.PLANNED:
                 plan.commit()
-    return len(calls)
+    return len(calls), calls.count("rejected")
 
 
 @given(
     registrar_instances(),
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=6),
-            st.sampled_from(["new", "existing", "retitled"]),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from(
+                ["new", "existing", "retitled", "new student", "student", "renamed"]
+            ),
             st.integers(min_value=0, max_value=6),
         ),
         min_size=1,
         max_size=4,
     ),
 )
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_skeleton_templates_agree_on_registrar_insertions(spec, inserts):
+    """Whole translations against the per-call reference: new, shared
+    and conflicting courses and students, under one parent or, with
+    ``//prereq``, under every course at once (one target per parent, the
+    child's templates merged)."""
     atg, db = build_instance(spec)
     n_courses = spec[0]
     ops = []
     for index, (parent, kind, child) in enumerate(inserts):
-        path = f"//course[cno=C{parent % n_courses:02d}]/prereq"
+        course = f"//course[cno=C{parent % n_courses:02d}]"
         cno = f"C{child % n_courses:02d}"
-        sem = {
-            "new": (f"N{index:02d}", "new"),
-            "existing": (cno, f"t{child % n_courses}"),
-            "retitled": (cno, "another title"),  # conflicts with the stored row
-        }[kind]
-        ops.append(InsertOp(path, "course", sem))
+        if kind in ("new", "existing", "retitled"):
+            path = "//prereq" if parent == 7 else f"{course}/prereq"
+            sem = {
+                "new": (f"N{index:02d}", "new"),
+                "existing": (cno, f"t{child % n_courses}"),
+                "retitled": (cno, "another title"),  # conflicts with the stored row
+            }[kind]
+            ops.append(InsertOp(path, "course", sem))
+        else:
+            path = "//takenBy" if parent == 7 else f"{course}/takenBy"
+            ssn = f"S{child % 4:02d}"
+            sem = {
+                "new student": (f"T{index:02d}", "new"),
+                "student": (ssn, f"n{child % 4}"),
+                "renamed": (ssn, "another name"),
+            }[kind]
+            ops.append(InsertOp(path, "student", sem))
     _plan_all(XMLViewUpdater(atg, db, strict=False), ops)
 
 
@@ -271,7 +328,8 @@ def test_skeleton_templates_agree_on_registrar_insertions(spec, inserts):
 )
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_skeleton_templates_agree_on_synthetic_insertions(n_c, seed, parents):
-    """New-key and existing-key inserts under ``//cnode[key=k]/sub``."""
+    """Whole translations against the per-call reference: new-key and
+    existing-key inserts under ``//cnode[key=k]/sub``."""
     dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
     updater = XMLViewUpdater(dataset.atg, dataset.db, strict=False)
     store = updater.store
@@ -291,7 +349,73 @@ def test_skeleton_templates_agree_on_synthetic_insertions(n_c, seed, parents):
                 if store.type_of(n) == "cnode" and store.sem_of(n)[0] == child
             )
             ops.append(InsertOp(path, "cnode", store.sem_of(node)))
-    assert _plan_all(updater, ops) > 0
+    checked, _ = _plan_all(updater, ops)
+    assert checked > 0
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A registry of equality views over ``r(a, b, s)`` / ``t(c, d, u)``
+    (1–3 aliases, self-joins, column and constant terms, now and then a
+    non-equality the sweep ignores) and new templates of both relations
+    whose non-key cells may be unknowns."""
+    views = {}
+    for index in range(draw(st.integers(1, 2))):
+        relations = draw(st.lists(st.sampled_from(["r", "t"]), min_size=1, max_size=3))
+        tables = [(relation, f"x{i}") for i, relation in enumerate(relations)]
+        columns = {
+            attr_type: [
+                Col(alias, attr.name)
+                for relation, alias in tables
+                for attr in _SCHEMAS[relation].attributes
+                if attr.type is attr_type
+            ]
+            for attr_type in _VALUES
+        }
+        conjuncts = []
+        for attr_type in draw(st.lists(st.sampled_from(list(_VALUES)), max_size=4)):
+            left = draw(st.sampled_from(columns[attr_type]))
+            right = draw(st.one_of(
+                st.sampled_from(columns[attr_type]),
+                st.sampled_from(columns[attr_type]),  # twice: joins are the point
+                _VALUES[attr_type].map(Const),
+            ))
+            conjuncts.append(draw(st.sampled_from([Eq, Eq, Eq, Ne]))(left, right))
+        outputs = draw(st.lists(
+            st.sampled_from(columns[AttrType.INT] + columns[AttrType.STR]),
+            min_size=1, max_size=3,
+        ))
+        query = SPJQuery(
+            f"v{index}", tables, [(f"o{i}", col) for i, col in enumerate(outputs)],
+            And(*conjuncts),
+        )
+        views["p", f"v{index}"] = EdgeView("p", f"v{index}", query, (), (), {})
+    templates = {}
+    for relation in draw(st.lists(st.sampled_from(["r", "t"]), min_size=1, max_size=3)):
+        schema = _SCHEMAS[relation]
+        key = (draw(st.integers(6, 7)),)
+        values = key + tuple(
+            SymVar(relation, key, attr.name, attr.type)
+            if draw(st.integers(0, 2)) else draw(_VALUES[attr.type])
+            for attr in schema.attributes[1:]
+        )
+        templates.setdefault((relation, key), Template(relation, key, values, True))
+    return EdgeViewRegistry(None, views), templates
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(database=_databases(), case=_sweep_cases())
+def test_the_prepared_sweep_agrees_with_the_per_call_sweep(database, case):
+    """The same derivations, in the same order, with the same atoms in
+    the same order — joins between two unknowns, stored rows against an
+    unknown cell, probes a conjunct does not reach."""
+    registry, templates = case
+    expected = uncompiled.sweep_side_effects(registry, database, templates)
+    assert insert_module._sweep_side_effects(registry, database, templates) == expected
+    # Again, from the prepared programs.
+    assert insert_module._sweep_side_effects(registry, database, templates) == expected
 
 
 def _view(name, tables, project, where, n_params=1):
@@ -383,6 +507,34 @@ def test_each_rejection_keeps_its_message(view, parent_params, child_sem, messag
     with pytest.raises(UpdateRejectedError) as raised:
         _build_templates(registry, database, [target])
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("workload", ["registrar", "bom", "synthetic:120"])
+def test_a_key_read_answers_what_matching_rows_answers(workload):
+    """Whether an edge is derivable, read off each occurrence's row by
+    key, against the SPJ run it replaced: every pairing of a view's
+    parent parameters with its children, and each child once more with
+    its last semantic value changed."""
+    atg, db = named_workload(workload)
+    registry = build_registry(atg, db)
+    asked = derivable = 0
+    for view in registry.views():
+        skeleton = insert_module._skeleton(registry, db, view)
+        assert skeleton.keyed
+        visible = [view.visible(row) for row in view.evaluate(db).rows]
+        params = sorted({p for p, _ in visible})[:12]
+        children = sorted({c for _, c in visible})[:12]
+        children += [(*c[:-1], "another") for c in children if len(c) > 1]
+        for p, c in itertools.product(params, children):
+            slots = (*p, *c, *skeleton.constants)
+            expected = bool(view.matching_rows(db, p, c))
+            read = skeleton.conflict(slots) is None and skeleton.derives(
+                slots, skeleton.read(db, slots)
+            )
+            assert read == expected, (view.name, p, c)
+            asked += 1
+            derivable += expected
+    assert 0 < derivable < asked
 
 
 def test_one_skeleton_per_view(monkeypatch):

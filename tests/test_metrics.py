@@ -240,53 +240,56 @@ class TestServiceSurface:
 # -- exactness against facts observed from outside -------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestExactness:
-    def _loaded_service(self, backend, tmp_path):
-        """A WAL-backed, subscribed service after four write scopes
-        (three accepted ops, one rejected) and two reads, plus what the
-        test saw from outside while driving it."""
-        wal_dir = str(tmp_path / "wal")
-        dataset = build_synthetic(SyntheticConfig(n_c=80, seed=5))
-        fs = CrashPointFS(wal_dir, count_fsync=True)  # counts, never crashes
-        service = open_view(
-            dataset.atg,
-            dataset.db,
-            config=ViewConfig(
-                strict=False,
-                wal_dir=wal_dir,
-                wal_fsync="always",
-            ),
-            wal_fs=fs,
-        )
-        assert service.stats()["index_backend"] == backend
-        service.subscribe("//cnode")
-        pulled = service.changefeed()
-        pushed = []
-        service.changefeed(on_event=pushed.append)
-        keys = sorted(
-            service.store.node_sem[n][0]
-            for n in service.xpath("//cnode").targets
-        )
-        ops = [
-            InsertOp(f"//cnode[key={keys[0]}]/sub", "cnode", (9001, "w1")),
-            DeleteOp(f"//cnode[key={keys[1]}]"),
-            ReplaceOp(f"//cnode[key={keys[2]}]", "cnode", (9002, "w2")),
-            DeleteOp("//cnode[key=123456]"),  # rejected: selects nothing
-        ]
-        start = time.perf_counter()
-        outcomes = [service.apply(op) for op in ops]  # one scope each
-        elapsed = time.perf_counter() - start
-        service.xpath("//cnode")
-        service.xpath("//cnode/sub")
-        return SimpleNamespace(
-            service=service, scopes=len(ops), outcomes=outcomes,
-            pulled=pulled, pushed=pushed, elapsed=elapsed,
-            wal_dir=wal_dir, fs=fs,
-        )
+def _loaded_service(tmp_path, backend=BACKENDS[0]):
+    """A WAL-backed, subscribed service after four write scopes
+    (three accepted ops, one rejected) and two reads, plus what the
+    test saw from outside while driving it."""
+    wal_dir = str(tmp_path / "wal")
+    dataset = build_synthetic(SyntheticConfig(n_c=80, seed=5))
+    fs = CrashPointFS(wal_dir, count_fsync=True)  # counts, never crashes
+    service = open_view(
+        dataset.atg,
+        dataset.db,
+        config=ViewConfig(
+            strict=False,
+            wal_dir=wal_dir,
+            wal_fsync="always",
+        ),
+        wal_fs=fs,
+    )
+    assert service.stats()["index_backend"] == backend
+    service.subscribe("//cnode")
+    pulled = service.changefeed()
+    pushed = []
+    service.changefeed(on_event=pushed.append)
+    keys = sorted(
+        service.store.node_sem[n][0]
+        for n in service.xpath("//cnode").targets
+    )
+    ops = [
+        InsertOp(f"//cnode[key={keys[0]}]/sub", "cnode", (9001, "w1")),
+        DeleteOp(f"//cnode[key={keys[1]}]"),
+        ReplaceOp(f"//cnode[key={keys[2]}]", "cnode", (9002, "w2")),
+        DeleteOp("//cnode[key=123456]"),  # rejected: selects nothing
+    ]
+    start = time.perf_counter()
+    outcomes = [service.apply(op) for op in ops]  # one scope each
+    elapsed = time.perf_counter() - start
+    service.xpath("//cnode")
+    service.xpath("//cnode/sub")
+    return SimpleNamespace(
+        service=service, scopes=len(ops), outcomes=outcomes,
+        pulled=pulled, pushed=pushed, elapsed=elapsed,
+        wal_dir=wal_dir, fs=fs,
+    )
 
-    def test_commits_match_pipeline_stats(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
+
+class TestCountersAreExact:
+    """Counters against what the test saw from outside: commits, ops,
+    events and WAL operations."""
+
+    def test_commits_match_pipeline_stats(self, tmp_path):
+        run = _loaded_service(tmp_path)
         m = run.service.metrics()["counters"]
         pipeline = run.service.stats()["pipeline"]
         accepted = sum(1 for o in run.outcomes if o.accepted)
@@ -300,8 +303,8 @@ class TestExactness:
         assert type(pipeline["commits"]) is int
         assert type(pipeline["records_sealed"]) is int
 
-    def test_ops_counter_matches_outcomes(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
+    def test_ops_counter_matches_outcomes(self, tmp_path):
+        run = _loaded_service(tmp_path)
         m = run.service.metrics()["counters"]
         for kind in ("insert", "delete", "replace"):
             for accepted in ("true", "false"):
@@ -313,6 +316,64 @@ class TestExactness:
                     and o.accepted == (accepted == "true")
                 )
                 assert m.get(series, 0.0) == expected, series
+
+    def test_event_counters_match_hub_and_registry(self, tmp_path):
+        run = _loaded_service(tmp_path)
+        m = run.service.metrics()["counters"]
+        stats = run.service.stats()
+        events = len(run.pushed)
+        assert run.pulled.delivered == events
+        assert [e.generation for e in run.pulled.events()] == [
+            e.generation for e in run.pushed
+        ]
+        assert (
+            m["repro_events_published_total"]
+            == stats["changefeed"]["events_published"]
+            == events
+        )
+        assert (
+            m["repro_subscription_events_total"]
+            == stats["subscriptions"]["events_processed"]
+            == events
+        )
+        for key in ("overflows", "parks", "callback_errors"):
+            assert stats["changefeed"][key] == 0
+            assert m[f"repro_consumer_{key}_total"] == 0.0
+
+    def test_wal_counters_match_stats(self, tmp_path):
+        run = _loaded_service(tmp_path)
+        m = run.service.metrics()["counters"]
+        wal = run.service.stats()["wal"]
+        count = run.fs.count  # operations seen at the WAL's fs seam
+        appends = count("append", "seg-")
+        assert appends == len(run.pushed)  # one record per published event
+        assert appends == len(run.service.wal.records_since(0))
+        assert m["repro_wal_records_total"] == wal["records_appended"] == appends
+        # wal_fsync="always": one segment fsync per append.
+        assert m["repro_wal_fsyncs_total"] == wal["fsyncs"] == appends
+        assert count("fsync", "seg-") == appends
+        # Checkpoints land by renaming tmp-ckpt-* into place (here only
+        # the initial one); segments are what the directory holds.
+        cuts = count("rename", "tmp-ckpt-")
+        assert m["repro_wal_checkpoints_total"] == wal["checkpoints_written"]
+        assert wal["checkpoints_written"] == cuts == 1
+        files = os.listdir(run.wal_dir)
+        segments = [f for f in files if f.startswith("seg-")]
+        assert len([f for f in files if f.startswith("ckpt-")]) == cuts
+        assert wal["segments"] == len(segments) == 1
+        with open(os.path.join(run.wal_dir, "manifest.json")) as fh:
+            active = json.load(fh)["active"]
+        assert m["repro_wal_rotations_total"] == wal["rotations"]
+        assert wal["rotations"] == int(active[4:12]) - 1 == 0
+        assert m["repro_wal_bytes_total"] == sum(
+            os.path.getsize(os.path.join(run.wal_dir, f)) for f in segments
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestExactness:
+    def _loaded_service(self, backend, tmp_path):
+        return _loaded_service(tmp_path, backend)
 
     def test_phase_histogram_counts(self, backend, tmp_path):
         run = self._loaded_service(backend, tmp_path)
@@ -349,58 +410,6 @@ class TestExactness:
         seconds = pipeline["phase_seconds"]
         assert hold == pytest.approx(
             seconds["plan"] + seconds["mutate"] + seconds["maintain"]
-        )
-
-    def test_event_counters_match_hub_and_registry(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
-        m = run.service.metrics()["counters"]
-        stats = run.service.stats()
-        events = len(run.pushed)
-        assert run.pulled.delivered == events
-        assert [e.generation for e in run.pulled.events()] == [
-            e.generation for e in run.pushed
-        ]
-        assert (
-            m["repro_events_published_total"]
-            == stats["changefeed"]["events_published"]
-            == events
-        )
-        assert (
-            m["repro_subscription_events_total"]
-            == stats["subscriptions"]["events_processed"]
-            == events
-        )
-        for key in ("overflows", "parks", "callback_errors"):
-            assert stats["changefeed"][key] == 0
-            assert m[f"repro_consumer_{key}_total"] == 0.0
-
-    def test_wal_counters_match_stats(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
-        m = run.service.metrics()["counters"]
-        wal = run.service.stats()["wal"]
-        count = run.fs.count  # operations seen at the WAL's fs seam
-        appends = count("append", "seg-")
-        assert appends == len(run.pushed)  # one record per published event
-        assert appends == len(run.service.wal.records_since(0))
-        assert m["repro_wal_records_total"] == wal["records_appended"] == appends
-        # wal_fsync="always": one segment fsync per append.
-        assert m["repro_wal_fsyncs_total"] == wal["fsyncs"] == appends
-        assert count("fsync", "seg-") == appends
-        # Checkpoints land by renaming tmp-ckpt-* into place (here only
-        # the initial one); segments are what the directory holds.
-        cuts = count("rename", "tmp-ckpt-")
-        assert m["repro_wal_checkpoints_total"] == wal["checkpoints_written"]
-        assert wal["checkpoints_written"] == cuts == 1
-        files = os.listdir(run.wal_dir)
-        segments = [f for f in files if f.startswith("seg-")]
-        assert len([f for f in files if f.startswith("ckpt-")]) == cuts
-        assert wal["segments"] == len(segments) == 1
-        with open(os.path.join(run.wal_dir, "manifest.json")) as fh:
-            active = json.load(fh)["active"]
-        assert m["repro_wal_rotations_total"] == wal["rotations"]
-        assert wal["rotations"] == int(active[4:12]) - 1 == 0
-        assert m["repro_wal_bytes_total"] == sum(
-            os.path.getsize(os.path.join(run.wal_dir, f)) for f in segments
         )
 
     def test_xpath_histogram_counts_reads(self, backend, tmp_path):

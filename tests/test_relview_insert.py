@@ -203,11 +203,11 @@ class TestSweepFollowsTheJoinGraph:
         from repro.relview import insert as insert_module
 
         examined = []
-        alias_atoms = insert_module._alias_atoms
+        admit = insert_module._Admit.run
         monkeypatch.setattr(
-            insert_module,
-            "_alias_atoms",
-            lambda *args: examined.append(1) or alias_atoms(*args),
+            insert_module._Admit,
+            "run",
+            lambda *args: examined.append(1) or admit(*args),
         )
         captured = []
         sweep = insert_module._sweep_side_effects
@@ -252,6 +252,125 @@ class TestSweepFollowsTheJoinGraph:
             deltas.add(tuple(sorted((op.relation, op.row) for op in plan.delta_r)))
             plan.abort()
         assert len(deltas) == 1
+
+
+class TestPreparedOncePerShape:
+    """Algorithm insert is prepared per insertion shape: a call binds
+    values, reads each target row once by key and builds no atom over
+    two values."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Count SPJ runs, ``Table.get`` calls and ``make_atom`` calls
+        of every translation, the sweep's apart from the rest."""
+        import collections
+
+        from repro.core import plan as plan_module
+        from repro.relational.database import Table
+        from repro.relational.query import SPJQuery
+        from repro.relview import insert as insert_module
+
+        counts = collections.Counter()
+        phase = ["outside"]
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[phase[0], name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        def phased(name, function):
+            def wrapper(*args, **kwargs):
+                previous, phase[0] = phase[0], name
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    phase[0] = previous
+            return wrapper
+
+        monkeypatch.setattr(SPJQuery, "evaluate", counted("evaluate", SPJQuery.evaluate))
+        monkeypatch.setattr(Table, "get", counted("get", Table.get))
+        monkeypatch.setattr(
+            insert_module, "make_atom", counted("make_atom", insert_module.make_atom)
+        )
+        monkeypatch.setattr(
+            plan_module, "translate_insertions",
+            phased("outside the sweep", plan_module.translate_insertions),
+        )
+        monkeypatch.setattr(
+            insert_module, "_sweep_side_effects",
+            phased("sweep", insert_module._sweep_side_effects),
+        )
+        return counts
+
+    def test_a_sharing_insert_runs_no_spj_and_reads_each_row_once(self, monkeypatch):
+        from repro import InsertOp
+        from repro.core.updater import PlanState, XMLViewUpdater
+        from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+        dataset = build_synthetic(SyntheticConfig(n_c=600, seed=1))
+        updater = XMLViewUpdater(dataset.atg, dataset.db)
+        store = updater.store
+        parent = min(dataset.top_level)
+        cnodes = [n for n in store.nodes() if store.type_of(n) == "cnode"]
+        (node,) = [n for n in cnodes if store.sem_of(n)[0] == parent]
+        below = {c for sub in store.children_of(node) for c in store.children_of(sub)}
+        shared = next(
+            store.sem_of(n) for n in cnodes if n != node and n not in below
+        )
+        counts = self._counting(monkeypatch)
+        plan = updater.plan(
+            InsertOp(f"//cnode[key={parent}]/sub", element="cnode", sem=shared)
+        )
+        assert plan.state is PlanState.PLANNED
+        assert [(op.relation, op.row) for op in plan.delta_r] == [
+            ("H", (parent, shared[0]))
+        ]
+        # H, C and F: one read each, by key, to learn that the edge is
+        # new and that C and F exist.
+        assert counts["outside the sweep", "get"] == 3
+        assert not any(
+            counts[phase, name]
+            for phase in ("outside the sweep", "sweep")
+            for name in ("evaluate", "make_atom")
+        )
+        plan.abort()
+
+    def test_a_dense_dag_stream_prepares_each_shape_once(self, monkeypatch):
+        from repro.bench.workload_gen import WorkloadSpec, generate_ops
+        from repro.relview import insert as insert_module
+        from repro.service import ViewConfig, open_view
+        from repro.workloads import named_workload
+
+        spec = WorkloadSpec(workload="synthetic:300", ops=400, seed=7, pattern="dense_dag")
+        ops = list(generate_ops(spec))
+        prepared = []
+
+        def recorded(cls, key_of):
+            init = cls.__init__
+
+            def wrapper(self, skeleton, *args):
+                prepared.append((cls.__name__, id(skeleton), key_of(*args)))
+                init(self, skeleton, *args)
+            return wrapper
+
+        monkeypatch.setattr(
+            insert_module._TemplateProgram, "__init__",
+            recorded(insert_module._TemplateProgram, lambda shape: shape),
+        )
+        monkeypatch.setattr(
+            insert_module._Admit, "__init__",
+            recorded(insert_module._Admit, lambda state, enforced=(): (state, enforced)),
+        )
+        atg, db = named_workload(spec.workload)
+        service = open_view(atg, db, config=ViewConfig(strict=False))
+        for op in ops:
+            assert service.apply(op).accepted
+        assert len(prepared) == len(set(prepared))
+        # Bounded by the view's shape, not by the 400 ops.
+        programs = [p for p in prepared if p[0] == "_TemplateProgram"]
+        assert 0 < len(programs) <= 2 ** 3
+        assert len(prepared) - len(programs) <= 16
 
 
 _CNF_SCRIPT = """

@@ -4,11 +4,18 @@
   the alias order, resolves every column by name and dispatches every
   conjunct on each call.  The compiled plan must give the same rows in
   the same order and the same derivations.
-- :func:`build_templates` is Algorithm insert's stage 1 rebuilding the
-  equality closure of the view's condition for every target.  The
-  skeleton-based ``_build_templates`` must give the same templates, the
-  same assertions in the same order and the same target rows, and raise
-  the same rejections.
+- :func:`resolve_targets`, :func:`build_templates` and
+  :func:`sweep_side_effects` are Algorithm insert's resolve step and
+  stages 1-3 as per-call code: an SPJ run (``matching_rows``) tells
+  whether a target is derivable, the equality closure of the view's
+  condition is rebuilt for every target, and the sweep picks each next
+  alias and its probe per partial assignment, copying it per candidate.
+  :func:`reference_insert` swaps the three into
+  ``repro.relview.insert``; the prepared programs must give the same
+  ``InsertionPlan`` (ΔR with its fresh values, templates, target
+  rows, derivations) and raise the same rejections, and
+  ``_build_templates`` alone the same templates and assertions, in the
+  same order.
 - :func:`solve` and :func:`decode_valuation` are stages 4-5 as the
   paper's finite-domain encoding: every unknown of an atom gets a
   domain (:func:`build_domains`: BOOL its two values, any other type the
@@ -69,9 +76,9 @@ from repro.relational.conditions import (
 from repro.relational.query import Assignment, QueryResult
 from repro.relational.schema import AttrType
 from repro.relview import insert as insert_module
-from repro.relview.insert import _fresh_value, _merge_templates
+from repro.relview.insert import _fresh_value, _merge_templates, _TargetEdge
 from repro.relview.keypres import _UnionFind
-from repro.relview.symbolic import Template
+from repro.relview.symbolic import Derivation, Template
 from repro.sat.atoms import Atom, AtomVC, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula
@@ -335,6 +342,174 @@ def _is_placeholder(cell) -> bool:
         and isinstance(cell[0], str)
         and isinstance(cell[1], str)
     )
+
+
+def resolve_targets(registry, store, db, delta_v):
+    """The ΔV insertions not derivable yet: one ``matching_rows`` SPJ
+    run per distinct edge."""
+    targets = []
+    seen = set()
+    for op in delta_v.insertions():
+        if not registry.has_view(op.parent_type, op.child_type):
+            continue  # projection edge: derived, no base backing needed
+        view = registry.view(op.parent_type, op.child_type)
+        parent_sem = store.sem_of(op.parent)
+        signature = registry.atg.signature(op.parent_type)
+        parent_params = tuple(
+            parent_sem[signature.index(p)] for p in view.param_names
+        )
+        child_sem = store.sem_of(op.child)
+        dedup = (view.name, parent_params, child_sem)
+        if dedup in seen:
+            continue
+        seen.add(dedup)
+        if view.matching_rows(db, parent_params, child_sem):
+            continue  # already derivable: set semantics, nothing to insert
+        targets.append(_TargetEdge(view, parent_params, child_sem))
+    return targets
+
+
+class _SweepLayout:
+    """Where the sweep reads one view's cells, worked out per call:
+    ``row`` per output column, ``checks[alias]`` each equality conjunct
+    mentioning ``alias`` as ``(aliases it needs, left, right)``,
+    ``probes[alias]`` each equality ``alias`` can be probed on as
+    ``(attr, other)``; a term is ``(alias, position)`` or, for a
+    constant, ``(None, value)``."""
+
+    def __init__(self, view, db):
+        query = view.query
+        position = {
+            alias: db.schema(relation).index_of for relation, alias in query.tables
+        }
+
+        def term(value):
+            if isinstance(value, Col):
+                return value.alias, position[value.alias](value.attr)
+            if isinstance(value, Const):
+                return None, value.value
+            raise UpdateRejectedError(f"unsupported term {value!r} in insertion sweep")
+
+        self.row = tuple(term(col) for _, col in query.project)
+        self.checks = {alias: () for alias in query.aliases}
+        for conjunct, needs in query.conjunct_aliases:
+            if isinstance(conjunct, Eq):
+                check = (needs, term(conjunct.left), term(conjunct.right))
+                for alias in needs:
+                    self.checks[alias] += (check,)
+        self.probes = {
+            alias: tuple(
+                (attr, term(other))
+                for attr, other in query.equalities[alias]
+                if isinstance(other, (Col, Const))
+            )
+            for alias in query.aliases
+        }
+
+
+def sweep_side_effects(registry, db, templates):
+    """Every symbolic derivation (of any view) using ≥1 new template."""
+    new_by_relation = {}
+    for template in templates.values():
+        if template.is_new:
+            new_by_relation.setdefault(template.relation, []).append(template)
+    derivations = []
+    for view in registry.views():
+        if any(relation in new_by_relation for relation, _ in view.query.tables):
+            layout = _SweepLayout(view, db)
+            for seed_pos, (relation, alias) in enumerate(view.query.tables):
+                for seed in new_by_relation.get(relation, ()):  # U at seed position
+                    partial = {alias: seed.values}
+                    atoms = _alias_atoms(layout, alias, partial)
+                    if atoms is not None:
+                        _extend(
+                            view, db, layout, new_by_relation, seed_pos, partial,
+                            atoms, derivations,
+                        )
+    return derivations
+
+
+def _extend(view, db, layout, new_by_relation, seed_pos, partial, atoms, out):
+    """Nested-loop extension of a partial symbolic assignment."""
+    remaining = [
+        (i, rel, alias)
+        for i, (rel, alias) in enumerate(view.query.tables)
+        if alias not in partial
+    ]
+    if not remaining:
+        row = tuple([partial[alias][at] for alias, at in layout.row])
+        out.append(Derivation(view.name, row, tuple(dict.fromkeys(atoms))))
+        return
+    # Bind next an alias some equality ties to a concrete bound cell (or
+    # a constant); only a genuine cross product is left to declaration
+    # order and a pass over its table.
+    index, relation, alias = remaining[0]
+    attrs = []
+    values = []
+    for entry in remaining:
+        for attr, (source, at) in layout.probes[entry[2]]:
+            if source is None:
+                cell = at
+            elif source in partial:
+                cell = partial[source][at]
+            else:
+                continue
+            if not isinstance(cell, SymVar):
+                attrs.append(attr)
+                values.append(cell)
+        if attrs:
+            index, relation, alias = entry
+            break
+    table = db.table(relation)
+    candidates = table.lookup(attrs, values) if attrs else list(table.rows())
+    if index > seed_pos:
+        # Positions after the seed may also take new templates (U again).
+        candidates.extend(
+            template.values for template in new_by_relation.get(relation, ())
+        )
+    for cells in candidates:
+        trial = dict(partial)
+        trial[alias] = cells
+        extra = _alias_atoms(layout, alias, trial)
+        if extra is not None:
+            _extend(
+                view, db, layout, new_by_relation, seed_pos, trial,
+                atoms + extra, out,
+            )
+
+
+def _alias_atoms(layout, alias, partial):
+    """The atoms of the conditions that adding ``alias`` fully bound, in
+    conjunct order; ``None`` when a concrete one fails."""
+    atoms = []
+    for needs, (left, at_left), (right, at_right) in layout.checks[alias]:
+        if not needs <= partial.keys():
+            continue
+        result = make_atom(
+            at_left if left is None else partial[left][at_left],
+            at_right if right is None else partial[right][at_right],
+        )
+        if result is False:
+            return None
+        if result is not True:
+            atoms.append(result)
+    return atoms
+
+
+@contextmanager
+def reference_insert():
+    """Run Algorithm insert's resolve step and stages 1-3 as the per-call
+    code above instead of the product's prepared programs; stages 4-5
+    and `translate_insertions` itself are the product's."""
+    with mock.patch.object(insert_module, "_resolve_targets", resolve_targets), \
+            mock.patch.object(
+                insert_module, "_build_templates",
+                lambda registry, db, targets: build_templates(db, targets),
+            ), \
+            mock.patch.object(
+                insert_module, "_sweep_side_effects", sweep_side_effects
+            ):
+        yield
 
 
 
