@@ -3,11 +3,13 @@
     python3 post_verify.py CHECKOUT > post_verify_<side>.txt
 
 Applies each pool stream's writes (reads skipped) to a fresh
-`ViewService(ViewConfig(strict=False, verify_each_update=True))` of
-CHECKOUT, one stream per process: every committed generation is checked
-against a republish (`XMLViewUpdater._post_verify`, which raises on a
-discrepancy), and `check_consistency()` runs once more at the end.  One
-line per stream: ops, accepted, rows of ΔR, fresh values minted.
+`ViewService(ViewConfig(strict=False))` of CHECKOUT, one stream per
+process: after every write the state is checked against a republish
+(`check_consistency()`; the stream stops with an error line on a
+discrepancy), and once more at the end.  One line per stream: ops,
+accepted, rows of ΔR, fresh values minted.  (Up to 0.10 the per-write
+check was `ViewConfig(verify_each_update=True)`, which raised inside
+the commit.)
 """
 import json, subprocess, sys
 
@@ -28,10 +30,13 @@ with open(path, encoding='utf-8') as handle:
     header = json.loads(handle.readline())
     calls = [json.loads(line) for line in handle if '"read"' not in line]
 atg, db = named_workload(header['params']['workload'])
-service = open_view(atg, db, config=ViewConfig(strict=False, verify_each_update=True))
+service = open_view(atg, db, config=ViewConfig(strict=False))
 ops = accepted = rows = fresh = 0
 for call in calls:
     outcome = service.apply(op_from_dict(call))
+    problems = service.check_consistency()
+    if problems:
+        raise SystemExit(f'write {ops}: ' + '; '.join(problems))
     ops += 1; accepted += outcome.accepted
     for op in outcome.delta_r or ():
         rows += 1

@@ -23,8 +23,7 @@ from repro.workloads.registrar import build_registrar
 
 
 def describe(event: ViewEvent) -> str:
-    shape = "coarse" if event.coarse else f"{len(event.edges)} edge(s)"
-    return f"gen {event.generation:>2}  {event.reason:<12} {shape}"
+    return f"gen {event.generation:>2}  {event.reason:<12} {len(event.edges)} edge(s)"
 
 
 def main():

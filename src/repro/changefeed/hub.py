@@ -68,8 +68,7 @@ class ChangefeedHub:
         self.checkpoint_fn = None
         """Callback (set by the façade) that cuts a WAL checkpoint of
         the writer's current state; invoked under the writer's critical
-        section when the log's interval elapses or a coarse event is
-        staged."""
+        section when the log's interval elapses."""
         self._members = threading.Lock()
         self._consumers: list[ChangefeedConsumer] = []
         self._buffer: ReplayBuffer | None = None
@@ -216,14 +215,10 @@ class ChangefeedHub:
         self._buffer.append(event)
         if self.wal is not None:
             self.wal.append(event)
-            if event.coarse or self.wal.should_checkpoint():
-                # Coarse events are not replayable (their edge list does
-                # not describe the change), so a checkpoint lands right
-                # behind them; otherwise the periodic interval decides.
+            if self.wal.should_checkpoint() and self.checkpoint_fn is not None:
                 # Still inside the writer's critical section: the store
                 # and base database are at rest at this generation.
-                if self.checkpoint_fn is not None:
-                    self.checkpoint_fn()
+                self.checkpoint_fn()
         self._m_published.inc()
         with self._members:
             consumers = list(self._consumers)

@@ -18,7 +18,7 @@ separately), and the modules follow them:
    update or — :mod:`repro.core.session` — once per batch.
 
 Every committed mutation (a plan's commit, a base update — the reverse
-pipeline —, a rebuild, a session flush) ends in the one tail
+pipeline —, a session flush) ends in the one tail
 :meth:`XMLViewUpdater.finish_generation`: the only place the generation
 advances on success and the only place a commit event is built.  What
 an update reports is :mod:`repro.core.outcome`; this module re-exports
@@ -106,7 +106,6 @@ class XMLViewUpdater:
         db: Database,
         side_effect_policy: SideEffectPolicy = SideEffectPolicy.ABORT,
         strict: bool = True,
-        verify_each_update: bool = False,
         store: ViewStore | None = None,
         generation: int = 0,
     ):
@@ -114,7 +113,6 @@ class XMLViewUpdater:
         self.db = db
         self.policy = side_effect_policy
         self.strict = strict
-        self.verify_each_update = verify_each_update
         self.fresh_sequence = itertools.count(1)
         """Numbers the fresh values insertion translation mints (from 1)."""
         self.validator = StaticValidator(atg.dtd)
@@ -232,22 +230,6 @@ class XMLViewUpdater:
             "base_update", report.edge_records, report.node_records, delta_r
         )
         return report
-
-    def rebuild(self) -> None:
-        """Recompute the store, ``L`` and ``M`` from scratch (baseline)."""
-        self.check_writable()
-        self.store = publish_store(self.atg, self.db)
-        self.rebuild_structures_only()
-
-    def rebuild_structures_only(self) -> None:
-        """Recompute ``L`` and ``M`` for the *current* store.
-
-        Used after swapping in a store loaded from persistence
-        (:func:`repro.views.loader.store_from_database`).
-        """
-        self.check_writable()
-        self.topo, self.reach = load_structures(self.store)
-        self.finish_generation("rebuild", coarse=True)
 
     # -- the commit-event seam (the layers above) -----------------------------------
 
@@ -382,20 +364,18 @@ class XMLViewUpdater:
     def finish_generation(
         self, reason: str, edges=(), nodes=(),
         delta_r: RelationalDelta | None = None, *,
-        gc: DeleteMaintenance | None = None, coarse: bool = False, held=(),
+        gc: DeleteMaintenance | None = None, held=(),
     ) -> None:
         """A generation finished: the one tail of every committed mutation.
 
-        Advances the generation, runs the optional post-verification
-        and — only when someone consumes events — builds the
-        :class:`ViewEvent` (``edges`` plus the GC edges of ``gc``) and
-        routes it: held by the open session while its repairs are
-        pending (the store's edges are current but ``M`` is not), else
-        emitted — after the ``held`` events a session flush releases,
-        as one event, at rest.
+        Advances the generation and — only when someone consumes events —
+        builds the :class:`ViewEvent` (``edges`` plus the GC edges of
+        ``gc``) and routes it: held by the open session while its
+        repairs are pending (the store's edges are current but ``M`` is
+        not), else emitted — after the ``held`` events a session flush
+        releases, as one event, at rest.
         """
         self._version += 1
-        self._post_verify()
         if not self._sink.consuming:
             return
         edges = list(edges)
@@ -403,25 +383,12 @@ class XMLViewUpdater:
             edges += edge_records_from_delta(self.store, gc.gc_delta, gc.removed_info)
         event = ViewEvent(
             generation=self._version, edges=edges, nodes=list(nodes),
-            coarse=coarse, reason=reason, delta_r=delta_r,
+            reason=reason, delta_r=delta_r,
         )
         if self._session is not None and self._session.pending:
             self._session.events.append(event)
         else:
             self._sink.emit(coalesce([*held, event]) if held else event)
-
-    def _post_verify(self) -> None:
-        """Optional paranoia (``verify_each_update``; tests only, O(|V|)
-        per update): verify state against a republish."""
-        if not self.verify_each_update:
-            return
-        if self._session is not None and self._session.pending:
-            return  # M/L deliberately stale; the session verifies at flush
-        problems = self.check_consistency()
-        if problems:
-            raise ReproError(
-                "post-update verification failed: " + "; ".join(problems)
-            )
 
     def check_consistency(self) -> list[str]:
         """Verify the incremental state against a fresh republish.

@@ -221,9 +221,9 @@ class SnapshotMismatchError(SnapshotError):
 class ReplicaStaleError(ReplicaError):
     """The replica can no longer fold the feed and must re-bootstrap.
 
-    Raised when a coarse event arrives (the edge list does not describe
-    the change — e.g. a store rebuild) or when the feed was lost past the
-    retention window.  Recovery is always the same: fetch a fresh
+    Raised when a coarse event is folded (its edge list does not
+    describe the change) or when bootstrapping kept trailing the
+    writer's replay floor.  Recovery is always the same: fetch a fresh
     snapshot and re-attach (``ReplicaView.bootstrap()``).
     """
 

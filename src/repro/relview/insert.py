@@ -86,6 +86,7 @@ from typing import Iterator
 from repro.errors import UpdateRejectedError
 from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
+from repro.relational.query import _compile_predicate
 from repro.relational.schema import AttrType
 from repro.relview.keypres import _UnionFind
 from repro.relview.symbolic import Derivation, Template
@@ -267,15 +268,19 @@ class _Skeleton:
     the positions every column is read at.  A call binds ``slots``: the
     visible values, then ``constants``.
 
+    A column-free conjunct is decided here, once: a true one is dropped,
+    and a false one makes the view ``empty`` (it derives no edge), so
+    every target is rejected and the sweep skips the view.
+
     For the templates (a target's view): ``rejection`` says why every
-    target of the view is rejected (an unsupported term, a non-equality
-    condition, conflicting constants), else ``visible`` gives each
-    visible column with the visible column or constant its class held
+    target of the view is rejected (an unsupported term, a false or
+    non-equality condition, conflicting constants), else ``visible``
+    gives each visible column with the visible column or constant its class held
     before (what :meth:`conflict` compares), ``occurrences`` each base
     occurrence's relation, key slots and cells (slot of a filled cell,
     else -1; attribute; type), and ``key_rejection`` the first key cell
-    no value fills.  The view is ``keyed`` when neither rejects and its
-    condition is equalities between columns and constants only: then a
+    no value fills.  The view is ``keyed`` when neither rejects (its
+    condition is then equalities between columns and constants): a
     target reads its rows by key (:meth:`read`) and :meth:`derives`
     answers whether it is derivable, the question an SPJ run answers
     for any other view.  ``programs`` holds a :class:`_TemplateProgram`
@@ -297,6 +302,7 @@ class _Skeleton:
         self.aliases = query.aliases
         self.relations = tuple(relation for relation, _ in query.tables)
         self.keyed = False
+        self.constants: tuple = ()
         self.programs: dict[tuple, _TemplateProgram] = {}
         self.seeds: dict[tuple, _Admit] = {}
         position = {
@@ -317,9 +323,18 @@ class _Skeleton:
         self.probes: dict[str, tuple] = {alias: () for alias in query.aliases}
         self.rejection: str | None = None
         self.unsupported: str | None = None
+        self.empty = False
         try:
+            for conjunct, needs in query.conjunct_aliases:
+                if not needs and not _holds(conjunct):
+                    self.empty = True
+                    self.rejection = (
+                        f"view {view.name} derives no edge: its condition "
+                        f"{conjunct} is false"
+                    )
+                    return
             for index, (conjunct, needs) in enumerate(query.conjunct_aliases):
-                if not isinstance(conjunct, Eq):
+                if not needs or not isinstance(conjunct, Eq):
                     continue
                 left, right = term(conjunct.left), term(conjunct.right)
                 for alias in needs:
@@ -335,34 +350,29 @@ class _Skeleton:
 
         classes = _UnionFind()
         known: dict = {}
-        keyed = True
+        learnt: list[tuple[tuple, object]] = []
         try:
-            for conjunct, _ in query.conjunct_aliases:
-                if isinstance(conjunct, Eq):
-                    left, right = conjunct.left, conjunct.right
-                    if isinstance(left, Col) and isinstance(right, Col):
-                        classes.union((left.alias, left.attr), (right.alias, right.attr))
-                        continue
-                    keyed &= isinstance(left, Col) or isinstance(right, Col)
-                    for col, const in ((left, right), (right, left)):
-                        if isinstance(col, Col) and isinstance(const, Const):
-                            item = (col.alias, col.attr)
-                            _learn(view, known, item, classes.find(item), const.value)
-                elif any(isinstance(c, Col) for c in conjunct.columns()):
+            for conjunct, needs in query.conjunct_aliases:
+                if not needs:
+                    continue  # true: decided above
+                if not isinstance(conjunct, Eq):
                     raise UpdateRejectedError(
                         f"view {view.name} has a non-equality condition; "
                         "insertion translation supports equality SPJ views"
                     )
+                left, right = conjunct.left, conjunct.right
+                if isinstance(left, Col) and isinstance(right, Col):
+                    classes.union((left.alias, left.attr), (right.alias, right.attr))
                 else:
-                    keyed = False
+                    col, const = (left, right) if isinstance(left, Col) else (right, left)
+                    learnt.append(((col.alias, col.attr), const.value))
+            # Constants after every union, so each fills its class's root.
+            for item, value in learnt:
+                _learn(view, known, item, classes.find(item), value)
         except UpdateRejectedError as rejected:
             self.rejection = rejected.args[0]
             return
 
-        # A constant learnt before a later union moved its class's root
-        # fills no cell (as in the templates); only an SPJ run still
-        # tests it.
-        keyed &= all(classes.find(root) == root for root in known)
         # The slot a class's value is read from: its last visible column
         # (what _learn leaves in ``known``), else its constant.
         n_visible = view.n_params + view.n_child
@@ -401,7 +411,7 @@ class _Skeleton:
             occurrences.append((relation, key_slots, tuple(cells)))
         self.occurrences: tuple[tuple[str, tuple, tuple], ...] = tuple(occurrences)
         self.roots = roots
-        self.keyed = keyed and self.key_rejection is None
+        self.keyed = self.key_rejection is None
 
         # Derivable, once every occurrence's row is read by its key: each
         # filled cell outside the key holds its slot, each other class
@@ -476,6 +486,17 @@ def _skeleton(registry: EdgeViewRegistry, db: Database, view: EdgeView) -> _Skel
     if skeleton is None:  # published whole, with one assignment
         skeleton = registry.skeletons[cached] = _Skeleton(view, schemas)
     return skeleton
+
+
+def _holds(conjunct) -> bool:
+    """A column-free conjunct's truth value, as an SPJ run decides it."""
+
+    def constant(term):
+        if not isinstance(term, Const):
+            raise UpdateRejectedError(f"unsupported term {term!r} in insertion sweep")
+        return lambda bound, slots: term.value
+
+    return _compile_predicate(conjunct, constant)((), [])
 
 
 def _learn(view: EdgeView, known: dict, item: tuple, root, value) -> None:
@@ -662,6 +683,8 @@ def _sweep_side_effects(
     for view in registry.views():
         if any(relation in new_by_relation for relation, _ in view.query.tables):
             skeleton = _skeleton(registry, db, view)
+            if skeleton.empty:
+                continue
             if skeleton.unsupported is not None:
                 raise UpdateRejectedError(skeleton.unsupported)
             sweep = _Sweep(skeleton.view_name, db, new_by_relation, derivations)

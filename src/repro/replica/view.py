@@ -11,10 +11,10 @@ with :func:`~repro.views.events.fold_event`.
 
 Folding is strict — an event referencing unknown state raises
 :class:`~repro.errors.ReplicaDivergedError` rather than papering over a
-gap — and coarse events (store rebuilds) raise
-:class:`~repro.errors.ReplicaStaleError`; :meth:`ReplicaView.pump` and
-the background fold loop answer both by re-bootstrapping from a fresh
-snapshot.  Reads run the same
+gap, and :meth:`ReplicaView.pump` and the background fold loop answer it
+by re-bootstrapping from a fresh snapshot.  A coarse event (one whose
+edges do not describe its change; the writer publishes none) raises
+:class:`~repro.errors.ReplicaStaleError`.  Reads run the same
 :class:`~repro.core.dag_eval.DagXPathEvaluator` as the writer, against a
 lazily rebuilt topological order (no reachability index — descendant
 regions fall back to edge walks, the writer's own mid-batch strategy).
@@ -199,11 +199,11 @@ class ReplicaView:
             return True
 
     def _fold(self, event: ViewEvent) -> bool:
-        """:meth:`apply_event`, answering a stale or diverged mirror with
-        a fresh :meth:`bootstrap` (which counts as advancing)."""
+        """:meth:`apply_event`, answering a diverged mirror with a fresh
+        :meth:`bootstrap` (which counts as advancing)."""
         try:
             return self.apply_event(event)
-        except (ReplicaStaleError, ReplicaDivergedError):
+        except ReplicaDivergedError:
             self.bootstrap()
             return True
 
@@ -212,8 +212,8 @@ class ReplicaView:
 
         ``timeout`` is the per-event wait passed to the feed; ``0.0``
         drains without blocking.  Returns the number of events folded.
-        Staleness and divergence are handled like the background loop:
-        re-bootstrap from a fresh snapshot.
+        Divergence is handled like the background loop: re-bootstrap
+        from a fresh snapshot.
         """
         folded = 0
         while True:
@@ -229,9 +229,9 @@ class ReplicaView:
     def start(self) -> threading.Thread:
         """Fold the feed on a daemon thread until :meth:`close`.
 
-        Staleness and divergence trigger a re-bootstrap; a terminal
-        error (a failed re-bootstrap included) lands on :attr:`error`
-        and stops the loop.  Returns the thread.
+        Divergence triggers a re-bootstrap; any other error (a failed
+        re-bootstrap included) lands on :attr:`error` and stops the
+        loop.  Returns the thread.
         """
         if self.store is None:
             self.bootstrap()

@@ -2,7 +2,7 @@
 
 :class:`ViewConfig` consolidates the knobs that were previously
 scattered over the :class:`~repro.core.updater.XMLViewUpdater`
-constructor (side-effect policy, strictness, per-update verification)
+constructor (side-effect policy, strictness)
 and the service's own (changefeed retention, the WAL) into a single
 frozen, serializable dataclass — the shape a deployment config or a
 service registry wants.  Nothing selects a SAT solver or seeds an RNG:
@@ -31,9 +31,6 @@ class ViewConfig:
     strict:
         When True (default) rejections raise; when False they come back
         as unaccepted outcomes (the benchmark setting).
-    verify_each_update:
-        Re-verify against a republish after every update (tests only —
-        O(|V|) per update).
     changefeed_retention:
         How many published events the changefeed's replay buffer keeps
         (``service.changefeed(since=...)`` can resume from any retained
@@ -64,7 +61,6 @@ class ViewConfig:
 
     side_effects: str = "abort"
     strict: bool = True
-    verify_each_update: bool = False
     changefeed_retention: int = DEFAULT_RETENTION
     wal_dir: str | None = None
     wal_fsync: str = "batch"

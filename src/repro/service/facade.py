@@ -117,7 +117,6 @@ class ViewService:
             db,
             side_effect_policy=self.config.policy,
             strict=self.config.strict,
-            verify_each_update=self.config.verify_each_update,
             store=recovered_store,
             # New commits extend the logged generation sequence.
             generation=recovered_generation,

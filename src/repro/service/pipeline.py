@@ -26,9 +26,9 @@ accounting:
 
 The service façade installs one pipeline per view; every write goes
 through it.  An event emitted with no scope open on the thread — the
-updater driven around the façade (``service.updater.rebuild()``, a bare
-``apply_base_update``) — gets a scope of its own, so it takes the same
-seal → maintain → publish tail.
+updater driven around the façade (a bare ``apply_base_update``) — gets
+a scope of its own, so it takes the same seal → maintain → publish
+tail.
 """
 
 from __future__ import annotations

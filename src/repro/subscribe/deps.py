@@ -583,7 +583,6 @@ def first_affected_step(
     ``None`` means the subscription's result is provably unchanged and
     the event is skipped; any index means re-evaluate from the root
     (``C_0 .. C_k`` are intact, but nothing restarts from them).
-    Coarse events always invalidate everything (``0``).
 
     ``levels`` — :meth:`QueryProfile.snapshot` of the subscription's
     last evaluation — sharpens type matches with node membership, read
@@ -593,8 +592,6 @@ def first_affected_step(
     match counts.  An empty level ends the scan: every later level
     stays empty, so the (empty) result cannot change.
     """
-    if event.coarse:
-        return 0
     if not event.edges:
         return None
     per_step = profile.per_step

@@ -19,9 +19,9 @@ context? — and one of **two actions**:
 - **re-evaluate from the root** — anything else: one seeded
   :meth:`DagXPathEvaluator.evaluate_from` of the whole query
   (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
-  result and counted as ``full_refreshes``.  Coarse events (store
-  rebuilds, or an edge list past :data:`DEFAULT_COARSE_THRESHOLD`)
-  always take it.
+  result and counted as ``full_refreshes``.  An event with more edges
+  than :data:`DEFAULT_COARSE_THRESHOLD` always takes it, undecided
+  (the cost fallback, counted as ``coarse_fallbacks``).
 
 Nothing sits between the two, because the re-evaluation is the one
 every read runs: each ``label[leg = value]`` step starts from the
@@ -105,8 +105,8 @@ _STAT_KEYS = (
 
 #: Above this many edges in one event, deciding every subscription
 #: against every edge costs more than simply re-evaluating, so the
-#: registry degrades the event to coarse — a selection on the
-#: observable input size.  The default is calibrated by
+#: registry re-evaluates every subscription without deciding — a
+#: selection on the observable input size.  The default is calibrated by
 #: ``benchmarks/test_coarse_fallback.py`` (best of five, 2 shared Xeon
 #: cores) and is the first power of two past the measured crossover of
 #: worst-case (never-matching) edges at 16 standing queries.  With the
@@ -226,9 +226,9 @@ class SubscriptionRegistry:
         self._ids = itertools.count(1)
         self._closed_totals: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
         self.coarse_threshold = DEFAULT_COARSE_THRESHOLD
-        """Cost-based fallback: events carrying more edges than this are
-        handled as coarse (one full re-evaluation per subscription)
-        instead of being scanned edge-by-edge against every pattern."""
+        """Cost-based fallback: events carrying more edges than this
+        cost one full re-evaluation per subscription instead of being
+        scanned edge-by-edge against every pattern."""
         self.publish_seconds = 0.0
 
     # -- registration ------------------------------------------------------------
@@ -282,12 +282,12 @@ class SubscriptionRegistry:
     def apply_batched(self, event: ViewEvent) -> None:
         """The pipeline's maintain phase: every subscription, one action.
 
-        An event with more edges than :attr:`coarse_threshold` is
-        coarsened first; then each standing subscription, under its
-        mutex, takes the action :meth:`_apply_event` decides and ends at
-        the event's generation with a current result, delta and stats;
-        one closed since the list was copied is left alone.  Cost per
-        fine event at rest: one digest (O(edges), and one OR of the
+        Each standing subscription, under its mutex, takes the action
+        :meth:`_apply_event` decides — a re-evaluation, undecided, when
+        the event has more edges than :attr:`coarse_threshold` — and
+        ends at the event's generation with a current result, delta and
+        stats; one closed since the list was copied is left alone.  Cost
+        per event at rest: one digest (O(edges), and one OR of the
         parents' ancestor rows if a summary asks), O(subscriptions ×
         summary patterns) to meet the summaries, O(patterns × edges)
         per subscription the digest meets — bounded by the threshold —
@@ -302,26 +302,21 @@ class SubscriptionRegistry:
         if not subs:
             return
         start = time.perf_counter()
-        if not event.coarse and len(event.edges) > self.coarse_threshold:
-            event = ViewEvent(
-                generation=event.generation,
-                coarse=True,
-                reason=f"cost_fallback({event.reason})",
-            )
-            for sub in subs:
-                sub._stats["coarse_fallbacks"] += 1
+        fallback = len(event.edges) > self.coarse_threshold
         # One post-commit evaluator decides and refreshes every query,
-        # and one digest of a fine event at rest meets every summary.
+        # and one digest of an event at rest meets every summary.
         evaluator = self.updater.evaluator()
         digest = (
             EventDigest(event.edges, evaluator.reach)
-            if not event.coarse and evaluator.reach is not None
+            if not fallback and evaluator.reach is not None
             else None
         )
         for sub in subs:
             with sub._mutex:
                 if sub.active:  # not closed since the copy above
-                    self._apply_event(sub, event, evaluator, digest)
+                    if fallback:
+                        sub._stats["coarse_fallbacks"] += 1
+                    self._apply_event(sub, event, evaluator, digest, fallback)
         self.publish_seconds += time.perf_counter() - start
         self._m_events.inc()
 
@@ -330,20 +325,24 @@ class SubscriptionRegistry:
     handle = apply_batched
 
     def _apply_event(
-        self, sub: Subscription, event: ViewEvent, evaluator, digest
+        self, sub: Subscription, event: ViewEvent, evaluator, digest,
+        fallback: bool,
     ) -> None:
         """The decision and its action; callers hold ``sub._mutex``.
-        Without ``digest`` (a coarse event, ``M`` stale) or a summary,
-        the decision is :func:`first_affected_step`; otherwise it runs
-        only when the event meets the subscription's summary."""
+        Under the cost ``fallback`` nothing is decided (re-evaluate).
+        Without ``digest`` (``M`` stale) or a summary, the decision is
+        :func:`first_affected_step`; otherwise it runs only when the
+        event meets the subscription's summary."""
         triggers = sub._triggers
-        if (
-            digest is not None
-            and triggers is not None
-            and not triggers.meets(digest)
-        ) or first_affected_step(
-            sub.profile, event, sub._contexts, evaluator
-        ) is None:
+        if not fallback and (
+            (
+                digest is not None
+                and triggers is not None
+                and not triggers.meets(digest)
+            )
+            or first_affected_step(sub.profile, event, sub._contexts, evaluator)
+            is None
+        ):
             sub._stats["skips"] += 1
             sub._delta = ((), ())
         else:

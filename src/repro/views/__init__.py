@@ -13,7 +13,6 @@ views that the Section-4 translation algorithms reason over.
 
 from repro.views.store import ViewStore, ViewDelta, EdgeOp
 from repro.views.registry import EdgeView, EdgeViewRegistry, build_registry
-from repro.views.loader import store_from_database
 
 __all__ = [
     "ViewStore",
@@ -22,5 +21,4 @@ __all__ = [
     "EdgeView",
     "EdgeViewRegistry",
     "build_registry",
-    "store_from_database",
 ]

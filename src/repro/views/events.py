@@ -4,12 +4,10 @@ Every committed mutation of a published view — foreground ΔV edge
 operations, the background Δ(M,L) repair's garbage collection, base
 update propagation — is described to the layers above ``core`` as one
 :class:`ViewEvent`: a generation-tagged list of :class:`EdgeRecord`
-changes, or a *coarse* event when the publisher cannot (or does not
-bother to) describe the change precisely.  ``core`` builds the events;
-the subscription engine, the changefeed, the WAL and the replicas
-consume them.  Coarse events force a full re-evaluation of every
-subscription; fine-grained events let the per-step dependency analysis
-of :mod:`repro.subscribe.deps` skip or partially re-evaluate queries.
+changes, edge by edge.  ``core`` builds the events; the subscription
+engine, the changefeed, the WAL and the replicas consume them, and the
+per-step dependency analysis of :mod:`repro.subscribe.deps` lets a
+subscription skip an event its query cannot see.
 
 Edges are the whole story for this XPath fragment: node types and
 string values are immutable once interned (gen_id), the root never
@@ -210,9 +208,10 @@ class ViewEvent:
     tolerates payloads without it."""
 
     coarse: bool = False
-    """True when ``edges`` does not fully describe the change (a store
-    rebuild, or an event the subscription engine's cost-based fallback
-    widened): every subscription must fully re-evaluate."""
+    """True when ``edges`` does not describe the change.  Every event
+    this package publishes is fine (``False``); the flag stays in the
+    frozen wire format, and the decoding consumers (WAL recovery, a
+    replica's fold) refuse an event that sets it."""
 
     reason: str = ""
 
@@ -331,7 +330,6 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
     delta_ops: list = []
     for event in events:
         merged.generation = max(merged.generation, event.generation)
-        merged.coarse = merged.coarse or event.coarse
         merged.edges.extend(event.edges)
         for rec in event.nodes:
             if rec.node not in seen_nodes:
@@ -365,9 +363,9 @@ def fold_event(store: ViewStore, event: ViewEvent) -> None:
     Strict: an edge record referencing a node the store does not hold
     raises :class:`~repro.errors.ReplicaDivergedError` rather than
     papering over a gap.  The caller owns ordering (events must arrive
-    in generation order), locking, and the coarse-event policy — a
-    coarse event's edge list does not describe the change and must not
-    reach this function.
+    in generation order) and locking, and refuses a coarse event: its
+    edge list does not describe the change and must not reach this
+    function.
     """
     for rec in event.nodes:
         store.ensure_node(rec.node, rec.element, rec.sem)

@@ -467,7 +467,7 @@ class WriteAheadLog:
             self._checkpoints
             and self._checkpoints[-1]["generation"] == generation
         ):
-            return  # idempotent (e.g. a coarse event right after a cut)
+            return  # idempotent: one checkpoint per generation
         if self.fsync_policy != "os":
             # The log tail must never trail a surviving checkpoint.
             self._fsync_active()

@@ -45,9 +45,8 @@ def recover_state(
     <repro.replica.view.ReplicaView.from_wal>`).
 
     A coarse record in the replay range raises :class:`WalError`: its
-    edge list does not describe the change, and the writer checkpoints
-    immediately after logging one precisely so that recovery never needs
-    to replay past it (hitting this means that checkpoint was lost).
+    edge list does not describe the change, so it cannot be replayed
+    (the writer logs none; one in a log is damage or a foreign writer).
     """
     snapshot = wal.latest_checkpoint()
     if snapshot is None:
@@ -62,8 +61,7 @@ def recover_state(
             raise WalError(
                 f"cannot replay the coarse record at generation {gen} "
                 f"(reason={event.reason!r}): its edge list does not "
-                f"describe the change and the checkpoint that should "
-                f"cover it is missing"
+                f"describe the change"
             )
         delta = decode_delta(record.get("delta_r"))
         if db is not None and delta is not None:

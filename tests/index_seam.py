@@ -38,8 +38,8 @@ def substitute_index(updater, index_class):
 
     Every consumer reads ``updater.reach`` through the interface at the
     time it needs it, so swapping the attribute right after construction
-    swaps the implementation for the updater's whole life (only
-    ``rebuild_structures_only`` builds a new index).
+    swaps the implementation for the updater's whole life (nothing
+    builds a new index after construction).
     """
     if not isinstance(updater.reach, index_class):
         updater.reach = index_class()

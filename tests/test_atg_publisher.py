@@ -264,7 +264,7 @@ class TestPublishSubtree:
 
 class TestPublishOverAnUnindexedDatabase:
     """Nobody prepares a database for publishing: ``publish_store(atg,
-    db)`` alone is how ``rebuild``, ``check_consistency`` and most tests
+    db)`` alone is how ``check_consistency`` and most tests
     get a view, and opening an updater must not depend on whether
     publishing or the registry comes first."""
 

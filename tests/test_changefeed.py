@@ -20,15 +20,17 @@ import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.changefeed import ReplayBuffer, consumer
 from repro.errors import ChangefeedError, EventDecodeError, ReplayGapError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
+from repro.relational.database import RelationalDelta
 from repro.service import ViewConfig, open_view
 from repro.subscribe import SCHEMA_VERSION, EdgeRecord, ViewEvent
 from repro.workloads import REGISTRAR_QUERIES
 from repro.workloads.registrar import build_registrar
+
+from registrar_streams import apply_item, registrar_streams
 
 
 def registrar_service(**config):
@@ -451,12 +453,14 @@ class TestReplay:
         service.apply(InsertOp(".", "course", ("CS805", "Five")))
         assert sealed() == 1
 
-    def test_rebuild_from_callback_is_rejected(self):
+    def test_base_update_from_callback_is_rejected(self):
         from repro.errors import PlanError
 
         service = registrar_service()
+        delta = RelationalDelta()
+        delta.insert("enroll", ("S01", "CS320"))
         feed = service.changefeed(
-            on_event=lambda event: service.updater.rebuild()
+            on_event=lambda event: service.updater.apply_base_update(delta)
         )
         outcome = service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
@@ -556,41 +560,6 @@ class TestReplay:
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def registrar_streams(draw):
-    courses = ("CS650", "CS320", "CS240", "CS700", "CS800")
-    ops = []
-    for position in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(
-            ("insert", "delete", "replace", "base", "batch", "abort")
-        ))
-        cno = draw(st.sampled_from(courses))
-        other = draw(st.sampled_from(courses))
-        insert = InsertOp(
-            f"//course[cno={cno}]/prereq", "course",
-            (other, f"Title {other}"),
-        )
-        delete = DeleteOp(f"//course[cno={cno}]/prereq/course")
-        if kind == "insert":
-            ops.append(insert)
-        elif kind == "delete":
-            ops.append(delete)
-        elif kind == "replace":
-            ops.append(ReplaceOp(
-                f"//course[cno={cno}]/prereq/course", "course",
-                (other, f"Title {other}"),
-            ))
-        elif kind == "base":
-            ops.append(BaseUpdateOp(ops=(
-                ("insert", "course", (f"X{cno}{position}", "Fresh", "CS")),
-            )))
-        elif kind == "batch":
-            ops.append([insert, delete])
-        else:
-            ops.append(("abort", insert))
-    return ops
-
-
 @given(registrar_streams())
 @settings(
     max_examples=20,
@@ -617,12 +586,7 @@ def test_resume_from_every_generation_reconstructs_results(stream):
     service.changefeed(on_event=on_event)
 
     for item in stream:
-        if isinstance(item, tuple) and item[0] == "abort":
-            plan = service.plan(item[1])
-            if plan.accepted:
-                plan.abort()
-        else:
-            service.apply(item)
+        apply_item(service, item)
 
     final = {s.id: s.result() for s in subs}
     for sub in subs:

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.atg.model import ATG, QueryRule
 from repro.core import plan as plan_module
 from repro.core.updater import PlanState, XMLViewUpdater
 from repro.errors import QueryError, SchemaError, UpdateRejectedError
 from repro.ops import InsertOp
+from repro.service import open_view
 from repro.relational.conditions import And, Col, Const, Eq, Ne, Param
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery
@@ -357,7 +359,8 @@ def test_skeleton_templates_agree_on_synthetic_insertions(n_c, seed, parents):
 def _sweep_cases(draw):
     """A registry of equality views over ``r(a, b, s)`` / ``t(c, d, u)``
     (1–3 aliases, self-joins, column and constant terms, now and then a
-    non-equality the sweep ignores) and new templates of both relations
+    non-equality the sweep ignores or a column-free conjunct it decides)
+    and new templates of both relations
     whose non-key cells may be unknowns."""
     views = {}
     for index in range(draw(st.integers(1, 2))):
@@ -381,6 +384,8 @@ def _sweep_cases(draw):
                 _VALUES[attr_type].map(Const),
             ))
             conjuncts.append(draw(st.sampled_from([Eq, Eq, Eq, Ne]))(left, right))
+        if draw(st.integers(0, 5)) == 0:  # a column-free conjunct
+            conjuncts.append(Eq(Const(1), Const(draw(st.integers(1, 2)))))
         outputs = draw(st.lists(
             st.sampled_from(columns[AttrType.INT] + columns[AttrType.STR]),
             min_size=1, max_size=3,
@@ -433,6 +438,9 @@ def _view(name, tables, project, where, n_params=1):
     )
 
 
+_NEW_PREREQ = InsertOp(
+    "course[cno=CS650]/prereq", "course", ("CS240", "Data Structures")
+)
 _R_ONLY = [("r", "r")]
 _R_S = [("r", "r"), ("s", "s")]
 _R_KEYED = [("pa", Col("r", "a")), ("b", Col("r", "b")), ("k_r_a", Col("r", "a"))]
@@ -507,6 +515,83 @@ def test_each_rejection_keeps_its_message(view, parent_params, child_sem, messag
     with pytest.raises(UpdateRejectedError) as raised:
         _build_templates(registry, database, [target])
     assert str(raised.value) == message
+
+
+def _registrar_with_prereq_conjunct(conjunct):
+    """The registrar view with ``conjunct`` added to its prereq rule."""
+    atg, db = build_registrar()
+    query = atg.rules["prereq", "course"].query
+    rules = dict(atg.rules)
+    rules["prereq", "course"] = QueryRule("prereq", "course", SPJQuery(
+        query.name, query.tables, query.project,
+        And(*query.where.conjuncts(), conjunct),
+    ))
+    signatures = {element: atg.signature(element) for element in atg.dtd.types}
+    return ATG(atg.dtd, signatures, list(rules.values())), db
+
+
+def test_a_false_constant_conjunct_rejects_every_target():
+    """``1 = 2`` names no column: the view derives no edge, so no insert
+    under ``prereq`` can be translated."""
+    service = open_view(*_registrar_with_prereq_conjunct(Eq(Const(1), Const(2))))
+    assert not service.xpath("course[cno=CS650]/prereq/course").targets
+    with pytest.raises(UpdateRejectedError, match="derives no edge"):
+        with uncompiled.reference_insert():
+            service.apply(_NEW_PREREQ)
+    with pytest.raises(UpdateRejectedError, match="derives no edge"):
+        service.apply(_NEW_PREREQ)
+    assert service.check_consistency() == []
+
+
+def test_a_true_constant_conjunct_is_dropped():
+    service = open_view(*_registrar_with_prereq_conjunct(Eq(Const(1), Const(1))))
+    registry = service.updater.registry
+    view = registry.view("prereq", "course")
+    assert insert_module._skeleton(registry, service.db, view).keyed
+    outcome = service.apply(_NEW_PREREQ)
+    assert [(op.relation, op.row) for op in outcome.delta_r] == [
+        ("prereq", ("CS650", "CS240"))
+    ]
+    assert service.check_consistency() == []
+
+
+def test_the_sweep_skips_a_view_that_derives_nothing():
+    database = _two_tables()
+    view = _view("never", _R_ONLY, _R_KEYED, Eq(Const(1), Const(2)))
+    registry = EdgeViewRegistry(None, {("p", "never"): view})
+    key = (7,)
+    templates = {
+        ("r", key): Template("r", key, (7, SymVar("r", key, "b", AttrType.STR)), True)
+    }
+    assert uncompiled.sweep_side_effects(registry, database, templates) == []
+    assert insert_module._sweep_side_effects(registry, database, templates) == []
+
+
+@pytest.mark.parametrize("where", [
+    pytest.param(
+        And(Eq(Col("r", "a"), Const(9)), Eq(Col("r", "a"), Col("s", "c"))),
+        id="constant-first",
+    ),
+    pytest.param(
+        And(Eq(Col("r", "a"), Col("s", "c")), Eq(Col("r", "a"), Const(9))),
+        id="union-first",
+    ),
+])
+def test_a_constant_fills_its_class_in_either_conjunct_order(where):
+    """The constant reaches both key cells whichever conjunct comes
+    first: a union after it moves its class's root."""
+    view = _view("ordered", _R_S, [
+        ("pb", Col("r", "b")), ("d", Col("s", "d")),
+        ("k_r_a", Col("r", "a")), ("k_s_c", Col("s", "c")),
+    ], where)
+    database = _two_tables()
+    registry = EdgeViewRegistry(None, {("p", "ordered"): view})
+    targets = [_TargetEdge(view, ("x",), ("w",))]
+    templates, _ = _checked_build_templates(registry, database, targets)
+    assert [template.values for template in templates.values()] == [
+        (9, "x"), (9, "w")
+    ]
+    assert insert_module._skeleton(registry, database, view).keyed
 
 
 @pytest.mark.parametrize("workload", ["registrar", "bom", "synthetic:120"])

@@ -130,16 +130,17 @@ class TestMultiTargetInsert:
 class TestVerifyEachUpdate:
     def test_verification_passes_on_correct_updates(self):
         atg, db = build_registrar()
-        updater = XMLViewUpdater(atg, db, verify_each_update=True)
+        updater = XMLViewUpdater(atg, db)
         out = updater.apply_op(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         assert out.accepted
+        assert updater.check_consistency() == []
 
     def test_verification_catches_corruption(self):
-        from repro.errors import ReproError
-
         atg, db = build_registrar()
-        updater = XMLViewUpdater(atg, db, verify_each_update=True)
+        updater = XMLViewUpdater(atg, db)
         # Corrupt the base data behind the updater's back.
         db.insert("course", ("CS999", "Phantom", "CS"))
-        with pytest.raises(ReproError, match="verification failed"):
-            updater.apply_op(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
+        updater.apply_op(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
+        problems = updater.check_consistency()
+        assert problems[0].startswith("node sets differ: missing=")
+        assert "('course', ('CS999', 'Phantom'))" in problems[0]

@@ -66,9 +66,11 @@ class TestFactory:
         for package in (repro, repro.index):
             for retired in ("BACKENDS", "make_index", "resolve_backend"):
                 assert not hasattr(package, retired)
-        assert len(dataclasses.fields(ViewConfig)) == 9
+        assert len(dataclasses.fields(ViewConfig)) == 8
         with pytest.raises(TypeError, match="index_backend"):
             ViewConfig(index_backend="sets")
+        with pytest.raises(TypeError, match="verify_each_update"):
+            ViewConfig(verify_each_update=True)
         with pytest.raises(
             ReproError, match=r"unknown ViewConfig field\(s\).*index_backend"
         ):

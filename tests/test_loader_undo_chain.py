@@ -1,14 +1,15 @@
-"""Tests for store persistence round-trip, undo, and deep chains."""
+"""Tests for the store's relational coding and snapshot reload, undo,
+and deep chains."""
 
 import sys
 
 import pytest
 
-from repro.atg.publisher import publish_store, unfold_to_tree
+from repro.atg.publisher import publish_store
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.errors import ReproError, UpdateRejectedError
 from repro.relational.sqlite_backend import dump_to_sqlite, load_from_sqlite
-from repro.views.loader import store_from_database
+from repro.views.snapshot import Snapshot
 from repro.workloads.chains import build_chain
 from repro.workloads.registrar import build_registrar
 from repro.xmltree.tree import tree_equal
@@ -16,63 +17,70 @@ from repro.ops import DeleteOp, InsertOp
 
 
 class TestStoreRoundtrip:
-    def test_memory_roundtrip(self):
-        atg, db = build_registrar()
-        store = publish_store(atg, db)
-        reloaded = store_from_database(atg, store.to_database())
-        assert reloaded.num_nodes == store.num_nodes
-        assert reloaded.num_edges == store.num_edges
-        assert tree_equal(unfold_to_tree(store), unfold_to_tree(reloaded))
+    """A store is reloaded one way, from a snapshot
+    (``Snapshot.restore_store``); ``ViewStore.to_database`` is the
+    relational coding of §2.3 that SQL reads (``gen_A`` / ``edge_A_B``)."""
 
-    def test_child_order_preserved(self):
+    def test_memory_roundtrip(self):
+        """The coding's tables hold exactly the store's nodes and edges."""
         atg, db = build_registrar()
         store = publish_store(atg, db)
         view_db = store.to_database()
-        reloaded = store_from_database(atg, view_db)
+        gen = {
+            (name[len("gen_"):], row[0], row[1:])
+            for name in view_db.table_names() if name.startswith("gen_")
+            for row in view_db.rows(name)
+        }
+        edges = {
+            (parent, child)
+            for name in view_db.table_names() if name.startswith("edge_")
+            for parent, child, _ in view_db.rows(name)
+        }
+        assert gen == {(store.type_of(n), n, store.sem_of(n)) for n in store.nodes()}
+        assert edges == {edge for pairs in store.edges.values() for edge in pairs}
+
+    def test_child_order_preserved(self):
+        """An edge row's position is its child's place among the
+        parent's children (XML document order)."""
+        atg, db = build_registrar()
+        store = publish_store(atg, db)
+        view_db = store.to_database()
+        children: dict[int, list] = {}
+        for name in view_db.table_names():
+            if name.startswith("edge_"):
+                for parent, child, position in view_db.rows(name):
+                    children.setdefault(parent, []).append((position, child))
         for node in store.nodes():
-            mine = [store.sem_of(c) for c in store.children_of(node)]
-            other = reloaded.lookup(store.type_of(node), store.sem_of(node))
-            theirs = [
-                reloaded.sem_of(c) for c in reloaded.children_of(other)
-            ]
-            assert mine == theirs
+            listed = [child for _, child in sorted(children.get(node, []))]
+            assert listed == store.children_of(node)
 
     def test_sqlite_roundtrip(self):
         atg, db = build_registrar()
-        store = publish_store(atg, db)
-        view_db = store.to_database()
+        view_db = publish_store(atg, db).to_database()
         conn = dump_to_sqlite(view_db)
         schemas = [view_db.schema(n) for n in view_db.table_names()]
         back = load_from_sqlite(conn, schemas)
-        reloaded = store_from_database(atg, back)
-        assert tree_equal(unfold_to_tree(store), unfold_to_tree(reloaded))
+        for name in view_db.table_names():
+            assert sorted(back.rows(name)) == sorted(view_db.rows(name))
 
     def test_missing_table_rejected(self):
+        """A snapshot whose store state lacks its node table restores
+        nothing."""
         atg, db = build_registrar()
-        store = publish_store(atg, db)
-        view_db = store.to_database()
-        from repro.relational.database import Database
-
-        partial = Database()
-        for name in view_db.table_names():
-            if name == "gen_course":
-                continue
-            partial.create_table(view_db.schema(name))
-            for row in view_db.rows(name):
-                partial.insert(name, row)
-        with pytest.raises(ReproError):
-            store_from_database(atg, partial)
+        snapshot = Snapshot.capture(publish_store(atg, db), 0, config={})
+        del snapshot.store_state["nodes"]
+        with pytest.raises(ReproError, match="malformed store state"):
+            snapshot.restore_store(atg)
 
     def test_reloaded_store_is_updatable(self):
-        """A reloaded store backs a working updater."""
+        """A restored store backs a working updater."""
         atg, db = build_registrar()
         original = XMLViewUpdater(atg, db)
-        reloaded_store = store_from_database(
-            atg, original.store.to_database()
+        snapshot = Snapshot.from_bytes(
+            Snapshot.capture(original.store, 0, config={}).to_bytes()
         )
-        updater = XMLViewUpdater(atg, db)
-        updater.store = reloaded_store
-        updater.rebuild_structures_only()
+        updater = XMLViewUpdater(atg, db, store=snapshot.restore_store(atg))
+        assert updater.store.digest() == original.store.digest()
         out = updater.apply_op(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         assert out.accepted
         assert updater.check_consistency() == []

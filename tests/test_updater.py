@@ -297,12 +297,6 @@ class TestEvaluateOnly:
         assert len(result.targets) == 4
         assert u.store.num_nodes == before
 
-    def test_rebuild(self, registrar_updater):
-        u = registrar_updater
-        u.apply_op(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
-        u.rebuild()
-        assert_view_equals_republish(u)
-
 
 class TestBOMDomain:
     def test_publish_and_query(self, bom):

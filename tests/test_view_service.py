@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.updater import PlanState
+from repro.core.updater import PlanState, SideEffectPolicy
 from repro.errors import PlanError, ReproError, StalePlanError
 from repro.ops import BaseUpdateOp, DeleteOp, InsertOp, ReplaceOp
 from repro.service import ViewConfig, ViewService, open_view
@@ -234,6 +234,17 @@ class TestAbort:
         assert planned.reach.equals(fresh.reach)
 
 
+def _overtaken_by_a_flush(service, op):
+    """A plan of ``op`` prepared inside a batch session: the session's
+    flush, a later generation, leaves it stale."""
+    with service.batch() as batch:
+        # The session's repair is pending until the flush.
+        batch.apply(InsertOp(".", "course", ("CS888", "Logic")))
+        plan = service.updater.plan(op)
+    assert plan.state is PlanState.PLANNED
+    return plan
+
+
 class TestPlanProtocol:
     def test_only_one_outstanding_plan(self):
         service = registrar_service()
@@ -264,13 +275,7 @@ class TestPlanProtocol:
 
     def test_intervening_session_flush_staleness(self):
         service = registrar_service(side_effects="propagate")
-        plan = service.plan(REGISTRAR_OPS[0])
-        plan.abort()
-        # A flushed batch session bumps the version...
-        service.apply([InsertOp(".", "course", ("CS888", "Logic"))])
-        # ...so a plan prepared before it must refuse to commit.
-        stale = service.plan(REGISTRAR_OPS[1])
-        service.updater.rebuild()  # any later mutation
+        stale = _overtaken_by_a_flush(service, REGISTRAR_OPS[1])
         with pytest.raises(StalePlanError):
             stale.commit()
 
@@ -311,8 +316,9 @@ class TestPlanProtocol:
         "another plan is outstanding" until someone aborted a plan that
         could never commit."""
         service = registrar_service(side_effects="propagate")
-        stale = service.plan(InsertOp(".", "course", ("CS700", "Theory")))
-        service.updater.rebuild()  # the view moved on under the plan
+        stale = _overtaken_by_a_flush(
+            service, InsertOp(".", "course", ("CS700", "Theory"))
+        )
         with pytest.raises(StalePlanError):
             stale.commit()
         # Rolled back exactly as abort() would have.
@@ -468,8 +474,6 @@ class TestViewConfig:
                 ViewConfig(**retired)
 
     def test_policy_mapping(self):
-        from repro.core.updater import SideEffectPolicy
-
         assert ViewConfig().policy is SideEffectPolicy.ABORT
         assert (
             ViewConfig(side_effects="propagate").policy
@@ -477,9 +481,9 @@ class TestViewConfig:
         )
 
     def test_config_reaches_the_updater(self):
-        service = registrar_service(strict=False, verify_each_update=True)
+        service = registrar_service(strict=False, side_effects="propagate")
         assert service.updater.strict is False
-        assert service.updater.verify_each_update is True
+        assert service.updater.policy is SideEffectPolicy.PROPAGATE
 
 
 class TestReadWriteUpgrade:

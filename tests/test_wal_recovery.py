@@ -403,15 +403,15 @@ class TestKillNine:
 
 
 # ---------------------------------------------------------------------------
-# Artifacts written before the config lost four fields and ``M`` its backends
+# Artifacts written before the config lost five fields and ``M`` its backends
 # ---------------------------------------------------------------------------
 
 
 def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
     """A snapshot / WAL checkpoint as releases up to 0.10 wrote it —
     ``config`` carrying ``commit_pipeline``,
-    ``capture_closure_deltas``, ``coarse_event_threshold`` and
-    ``index_backend: "sets"``, the provenance carrying ``index_backend``
+    ``capture_closure_deltas``, ``coarse_event_threshold``,
+    ``verify_each_update`` and ``index_backend: "sets"``, the provenance carrying ``index_backend``
     too — recovers and bootstraps a replica: the fields are carried as
     data, never decoded."""
     wal_dir = str(tmp_path / "wal")
@@ -426,6 +426,7 @@ def test_checkpoint_with_retired_config_fields_still_loads(tmp_path):
         "capture_closure_deltas": "auto",
         "commit_pipeline": True,
         "coarse_event_threshold": None,
+        "verify_each_update": False,
     }
     snapshot = Snapshot.capture(
         writer.store, generation=1, config=old_config, base=db.export_state()

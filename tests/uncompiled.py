@@ -182,6 +182,28 @@ def interpret(query, db, bindings=None, *, fixed=(), with_derivations=False):
 
 
 
+def _false_conjunct(query):
+    """The first column-free conjunct of ``query`` that is false, else
+    ``None`` (decided as :func:`interpret` decides it)."""
+
+    def holds(pred) -> bool:
+        if isinstance(pred, _Comparison):
+            try:
+                return pred.evaluate(pred.left.value, pred.right.value)
+            except TypeError:
+                return False
+        if isinstance(pred, And):
+            return all(holds(part) for part in pred.parts)
+        if isinstance(pred, Or):
+            return any(holds(part) for part in pred.parts)
+        return not holds(pred.part)  # Not
+
+    for conjunct, needs in query.conjunct_aliases:
+        if not needs and not holds(conjunct):
+            return conjunct
+    return None
+
+
 def build_templates(db, targets):
     """Build the tuple templates and the canonical assertions."""
     templates: dict[tuple[str, tuple], Template] = {}
@@ -202,21 +224,30 @@ def build_templates(db, targets):
                 )
             known[root] = value
 
+        false = _false_conjunct(query)
+        if false is not None:
+            raise UpdateRejectedError(
+                f"view {view.name} derives no edge: its condition {false} is false"
+            )
+        constants = []
         for conjunct in query.where.conjuncts():
             if isinstance(conjunct, Eq):
                 left, right = conjunct.left, conjunct.right
                 if isinstance(left, Col) and isinstance(right, Col):
                     classes.union((left.alias, left.attr), (right.alias, right.attr))
                 elif isinstance(left, Col) and isinstance(right, Const):
-                    learn((left.alias, left.attr), right.value)
+                    constants.append(((left.alias, left.attr), right.value))
                 elif isinstance(right, Col) and isinstance(left, Const):
-                    learn((right.alias, right.attr), left.value)
+                    constants.append(((right.alias, right.attr), left.value))
             else:
                 if any(isinstance(c, Col) for c in conjunct.columns()):
                     raise UpdateRejectedError(
                         f"view {view.name} has a non-equality condition; "
                         "insertion translation supports equality SPJ views"
                     )
+        # After every union: a constant fills its class's final root.
+        for item, value in constants:
+            learn(item, value)
         # Known values from the target's visible columns.
         visible = list(target.parent_params) + list(target.child_sem)
         for (name, col), value in zip(query.project, visible):
@@ -415,6 +446,8 @@ def sweep_side_effects(registry, db, templates):
             new_by_relation.setdefault(template.relation, []).append(template)
     derivations = []
     for view in registry.views():
+        if _false_conjunct(view.query) is not None:
+            continue  # the view derives no edge
         if any(relation in new_by_relation for relation, _ in view.query.tables):
             layout = _SweepLayout(view, db)
             for seed_pos, (relation, alias) in enumerate(view.query.tables):
