@@ -1,10 +1,11 @@
-"""One function per paper artifact (see DESIGN.md §3 for the index).
+"""One function per paper artifact: Fig. 10(b), Fig. 11(a)–(h), Table 1
+and the ablations A-1–A-5.
 
 Each function is pure measurement: it builds its dataset(s), runs the
 workload, and returns structured rows; ``print_report=True`` renders the
 paper-shaped table.  Absolute numbers are environment-bound; the *shape*
-(linearity, class ordering, crossovers) is what EXPERIMENTS.md compares
-against the paper.
+(linearity, class ordering, crossovers) is what the ``benchmarks/test_*``
+modules assert against the paper.
 """
 
 from __future__ import annotations
@@ -12,19 +13,25 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from benchmarks.paper.harness import PhaseAccumulator, format_table
+from repro.atg.publisher import publish_tree
+from repro.baselines.minimal import (
+    minimal_deletion_exact,
+    minimal_deletion_greedy,
+)
 from repro.baselines.naive_reach import squaring_reachability
 from repro.baselines.recompute import recompute_structures
 from repro.baselines.set_index import SetReachabilityIndex
-from repro.baselines.tree_updater import TreeUpdater
-from repro.bench.harness import PhaseAccumulator, format_table
 from repro.core.maintenance import load_structures
 from repro.index import BitsetReachabilityIndex
 from repro.ops import DeleteOp, InsertOp
 from repro.service import ViewConfig, ViewService, open_view
 from repro.relview.delete import expand_view_deletions, translate_deletions
-from repro.relview.minimal import minimal_deletion_exact, minimal_deletion_greedy
 from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.xmltree.tree import tree_size
+from repro.xpath.parser import parse_xpath
+from repro.xpath.tree_eval import evaluate_on_tree
 
 DEFAULT_SIZES = (300, 1000, 3000)
 CLASSES = ("W1", "W2", "W3")
@@ -61,9 +68,9 @@ def fig10b_dataset_stats(
         tree_nodes = None
         if n_c <= 300:
             try:
-                tree_nodes = TreeUpdater(
-                    dataset.atg, dataset.db, max_nodes=2_000_000
-                ).size
+                tree_nodes = tree_size(
+                    publish_tree(dataset.atg, dataset.db, max_nodes=2_000_000)
+                )
             except Exception:
                 tree_nodes = None
         rows.append(
@@ -498,11 +505,11 @@ def ablation_dag_vs_tree(
         dag_result = updater.xpath(path)
         t1 = time.perf_counter()
         try:
-            tree = TreeUpdater(dataset.atg, dataset.db, max_nodes=2_000_000)
+            tree = publish_tree(dataset.atg, dataset.db, max_nodes=2_000_000)
             t2 = time.perf_counter()
-            tree_nodes = tree.evaluate(path)
+            tree_nodes = evaluate_on_tree(parse_xpath(path), tree)
             t3 = time.perf_counter()
-            tree_size_val: object = tree.size
+            tree_size_val: object = tree_size(tree)
             tree_publish = t2 - t1
             tree_eval = t3 - t2
             tree_hits = len(tree_nodes)

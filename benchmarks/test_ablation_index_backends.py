@@ -22,8 +22,9 @@ from repro.baselines import SetReachabilityIndex
 from repro.index import BitsetReachabilityIndex
 from repro.workloads.queries import make_workload
 
-#: The Fig. 11 |C| configurations (bench/experiments.py DEFAULT_SIZES);
-#: the largest is big enough that M rows span many machine words.
+#: The Fig. 11 |C| configurations (``DEFAULT_SIZES`` of
+#: ``benchmarks/paper/experiments.py``); the largest is big enough that M
+#: rows span many machine words.
 FIG11_SIZES = (300, 1000, 3000)
 LARGEST_FIG11_NC = FIG11_SIZES[-1]
 
@@ -65,7 +66,7 @@ def test_two_way_ablation_across_fig11_sizes():
     build the same M.
 
     No ratio assertions at the smaller sizes (constant factors dominate
-    there); ``repro-bench`` reports how the two scale.
+    there); ``python -m benchmarks.paper`` reports how the two scale.
     """
     for n_c in FIG11_SIZES:
         _reach_seconds(n_c)

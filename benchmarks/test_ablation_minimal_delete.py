@@ -11,7 +11,7 @@ import pytest
 from conftest import fresh_updater
 from repro.core.translate import xdelete
 from repro.relview.delete import expand_view_deletions, translate_deletions
-from repro.relview.minimal import (
+from repro.baselines.minimal import (
     minimal_deletion_exact,
     minimal_deletion_greedy,
 )

@@ -10,7 +10,7 @@ value's node.
 import pytest
 
 from conftest import OPS_PER_CLASS, SIZES, fresh_updater
-from repro.bench.harness import PhaseAccumulator
+from benchmarks.paper.harness import PhaseAccumulator
 from repro.core.dag_eval import DagXPathEvaluator
 from repro.workloads.queries import make_workload
 

@@ -8,7 +8,7 @@ fraction of insertions is rejected (the paper reports 78% solver success).
 import pytest
 
 from conftest import OPS_PER_CLASS, SIZES, fresh_updater
-from repro.bench.harness import PhaseAccumulator
+from benchmarks.paper.harness import PhaseAccumulator
 from repro.workloads.queries import make_workload
 
 

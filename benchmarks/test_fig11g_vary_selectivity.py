@@ -8,7 +8,7 @@ database point queries); the insertion coding time stays roughly flat.
 import pytest
 
 from conftest import fresh_updater
-from repro.bench.experiments import fig11g_vary_selectivity
+from benchmarks.paper.experiments import fig11g_vary_selectivity
 from repro.ops import InsertOp
 
 N_C = 360
@@ -17,7 +17,7 @@ FANOUTS = (1, 2, 4)
 
 @pytest.mark.parametrize("fanout", FANOUTS)
 def test_insert_fanout(benchmark, fanout):
-    from repro.bench.experiments import _existing_key, _keys_with_children
+    from benchmarks.paper.experiments import _existing_key, _keys_with_children
 
     def setup():
         updater, dataset = fresh_updater(N_C)

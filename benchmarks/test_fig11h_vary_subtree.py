@@ -15,7 +15,7 @@ still grows with |ST| when the insert does add pairs (``under_leaf``:
 import pytest
 
 from conftest import fresh_updater
-from repro.bench.experiments import fig11h_vary_subtree
+from benchmarks.paper.experiments import fig11h_vary_subtree
 from repro.ops import InsertOp
 
 N_C = 360

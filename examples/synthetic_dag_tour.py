@@ -10,10 +10,11 @@ Run:  python examples/synthetic_dag_tour.py [n_c]
 
 import sys
 
-from repro.baselines.tree_updater import TreeUpdater
+from repro.atg.publisher import publish_tree
 from repro.service import ViewConfig, open_view
 from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.xmltree.tree import tree_size
 
 
 def main(n_c: int = 500) -> None:
@@ -39,9 +40,9 @@ def main(n_c: int = 500) -> None:
 
     if n_c <= 300:
         try:
-            tree = TreeUpdater(dataset.atg, db, max_nodes=2_000_000)
-            print(f"uncompressed tree: {tree.size} nodes "
-                  f"({tree.size / store.num_nodes:.0f}x the DAG)")
+            size = tree_size(publish_tree(dataset.atg, db, max_nodes=2_000_000))
+            print(f"uncompressed tree: {size} nodes "
+                  f"({size / store.num_nodes:.0f}x the DAG)")
         except Exception:
             print("uncompressed tree: > 2M nodes (exponential blowup)")
 

@@ -22,24 +22,7 @@ from dataclasses import dataclass
 from repro.relational.conditions import Col, Eq
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[object, object] = {}
-
-    def find(self, item: object) -> object:
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
+from repro.relview.insert import _UnionFind
 
 
 @dataclass

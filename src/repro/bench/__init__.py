@@ -1,36 +1,8 @@
-"""Benchmark harness regenerating the paper's tables and figures.
+"""The workload generator behind ``repro-bench generate``.
 
-:mod:`repro.bench.experiments` has one function per paper artifact
-(Fig. 10(b), Fig. 11(a)–(h), Table 1) plus the ablations; each returns
-structured rows and can print them in the paper's layout.  The
-``benchmarks/`` directory wires them into pytest-benchmark;
-``python -m repro.bench`` runs everything standalone and prints the
-report used to fill EXPERIMENTS.md.
+:mod:`repro.bench.workload_gen` writes reproducible op-stream JSONL with
+a provenance header (see ``docs/observability.md``); the end-to-end
+benchmark and ``python -m repro.apply`` read what it writes.  The
+paper's figures and tables are experiments about the package, not part
+of it: ``python -m benchmarks.paper`` regenerates them from a checkout.
 """
-
-from repro.bench.harness import PhaseAccumulator, format_table
-from repro.bench.experiments import (
-    ablation_chain_depth,
-    ablation_dag_vs_tree,
-    ablation_minimal_delete,
-    ablation_reach,
-    fig10b_dataset_stats,
-    fig11_series,
-    fig11g_vary_selectivity,
-    fig11h_vary_subtree,
-    table1_incremental_vs_recompute,
-)
-
-__all__ = [
-    "PhaseAccumulator",
-    "format_table",
-    "fig10b_dataset_stats",
-    "fig11_series",
-    "fig11g_vary_selectivity",
-    "fig11h_vary_subtree",
-    "table1_incremental_vs_recompute",
-    "ablation_reach",
-    "ablation_chain_depth",
-    "ablation_dag_vs_tree",
-    "ablation_minimal_delete",
-]

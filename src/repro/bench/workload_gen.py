@@ -52,8 +52,9 @@ from typing import Iterator, TextIO
 
 from repro._version import __version__
 from repro.errors import ReproError
+from repro.workloads import synthetic_config
 from repro.workloads.queries import make_query_set
-from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.workloads.synthetic import build_synthetic
 
 #: Format version of the provenance header (bump on layout changes).
 STREAM_VERSION = 1
@@ -89,6 +90,7 @@ class WorkloadSpec:
     new_key_fraction: float = 0.2
 
     def __post_init__(self):
+        synthetic_config(self.workload)  # a name the generator can build
         if self.ops < 0:
             raise ReproError(f"ops must be >= 0, got {self.ops!r}")
         if self.pattern not in PATTERNS:
@@ -368,23 +370,7 @@ _PATTERN_FNS = {
 
 
 def _resolve_dataset(workload: str):
-    head, _, rest = workload.partition(":")
-    if head != "synthetic":
-        raise ReproError(
-            f"the workload generator targets the synthetic evaluation "
-            f"dataset; got {workload!r} (use synthetic[:n_c[:seed]])"
-        )
-    args = [a for a in rest.split(":") if a] if rest else []
-    try:
-        n_c = int(args[0]) if args else 300
-        seed = int(args[1]) if len(args) > 1 else 42
-    except ValueError:
-        raise ReproError(
-            f"bad numeric parameter in workload name {workload!r}"
-        ) from None
-    return build_synthetic(SyntheticConfig(n_c=n_c, seed=seed))
-
-
+    return build_synthetic(synthetic_config(workload))
 
 
 def make_header(spec: WorkloadSpec, argv: list[str] | None = None) -> dict:

@@ -1,31 +1,25 @@
 """Relational view updates under key preservation (paper, Section 4).
 
-- :mod:`repro.relview.keypres` — the key-preservation condition on SPJ
-  views (Section 4.1), checked via the equality closure of the selection
-  condition;
 - :mod:`repro.relview.delete` — Algorithm delete (Fig. 9): PTIME
   translation of group view deletions to base-table deletions
   (Theorem 1);
-- :mod:`repro.relview.minimal` — the (NP-complete, Theorem 3) minimal
-  view deletion problem: exact small-instance solver + greedy set-cover
-  heuristic;
 - :mod:`repro.relview.insert` — Algorithm insert (Section 4.3 +
   Appendix A): tuple templates, symbolic evaluation over the U/A/B
-  partitions, side-effect encoding, SAT solving, and ``ΔR`` extraction.
+  partitions, side-effect encoding, SAT solving, and ``ΔR`` extraction;
+- :mod:`repro.relview.symbolic` — the tuple templates and derivations
+  Algorithm insert evaluates symbolically.
+
+The §4.1 key-preservation checker and Theorem 3's minimal deletion are
+comparators, not steps of the pipeline: they live in
+:mod:`repro.baselines`.
 """
 
-from repro.relview.keypres import is_key_preserving, key_preservation_report
 from repro.relview.delete import translate_deletions, DeletionPlan
 from repro.relview.insert import translate_insertions, InsertionPlan
-from repro.relview.minimal import minimal_deletion_exact, minimal_deletion_greedy
 
 __all__ = [
-    "is_key_preserving",
-    "key_preservation_report",
     "translate_deletions",
     "DeletionPlan",
     "translate_insertions",
     "InsertionPlan",
-    "minimal_deletion_exact",
-    "minimal_deletion_greedy",
 ]

@@ -88,7 +88,6 @@ from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
 from repro.relational.query import _compile_predicate
 from repro.relational.schema import AttrType
-from repro.relview.keypres import _UnionFind
 from repro.relview.symbolic import Derivation, Template
 from repro.sat.atoms import Atom, AtomVC, AtomVV, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
@@ -879,6 +878,24 @@ class _Step:
 # ---------------------------------------------------------------------------
 
 _UNBOUND = object()
+
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self._parent: dict[object, object] = {}
+
+    def find(self, item: object) -> object:
+        parent = self._parent.setdefault(item, item)
+        if parent == item:
+            return item
+        root = self.find(parent)
+        self._parent[item] = root
+        return root
+
+    def union(self, a: object, b: object) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[ra] = rb
 
 
 class _Classes(_UnionFind):

@@ -16,6 +16,7 @@ the registrar ATG.  It exercises:
 from __future__ import annotations
 
 from repro.atg.model import ATG
+from repro.errors import ReproError
 from repro.relational.database import Database
 from repro.workloads.registrar import registrar_atg, registrar_schemas
 
@@ -29,6 +30,8 @@ def build_chain(
     interval; ``students`` enrolls that many students in the chain head
     (shared leaf subtrees at maximum depth distance).
     """
+    if depth < 1:
+        raise ReproError(f"a chain needs depth >= 1, got {depth!r}")
     db = Database("chain")
     for schema in registrar_schemas():
         db.create_table(schema)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.atg.model import ATG, ProjectionRule, QueryRule
 from repro.dtd.parser import parse_dtd
+from repro.errors import ReproError
 from repro.relational.conditions import And, Col, Const, Eq, Param
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery
@@ -73,6 +74,11 @@ class SyntheticConfig:
     instances are shared, matching Fig. 10(b)."""
 
     def __post_init__(self) -> None:
+        if self.n_c < 2:
+            raise ReproError(
+                f"a synthetic dataset needs n_c >= 2 (two layers of one "
+                f"C tuple), got {self.n_c!r}"
+            )
         if self.n_c < self.layers * 2:
             self.layers = max(2, self.n_c // 2)
 

@@ -6,8 +6,9 @@ It serves two purposes:
 - ground truth for the two-pass DAG evaluator
   (:mod:`repro.core.dag_eval`) — after unfolding a DAG to a tree, both
   must select the same set of ``(type, $A)`` node identities;
-- the engine behind the uncompressed-tree baseline
-  (:mod:`repro.baselines.tree_updater`) used in the ablation benchmarks.
+- the engine behind the uncompressed-tree baseline (over
+  :func:`repro.atg.publisher.publish_tree`) used in the ablation
+  benchmarks.
 """
 
 from __future__ import annotations

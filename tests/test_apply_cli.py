@@ -210,6 +210,14 @@ class TestMain:
         assert main([str(ops_file), "--workload", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "workload", ["synthetic:-3", "synthetic:1", "chain:0", "chain:-2"]
+    )
+    def test_unbuildable_workload_exits_2(self, ops_file, capsys, workload):
+        assert main([str(ops_file), "--workload", workload]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and ">= " in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["/no/such/file.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Tests for the benchmark harness utilities."""
 
-from repro.bench.harness import PhaseAccumulator, format_table
+from benchmarks.paper.harness import PhaseAccumulator, format_table
 from repro.core.updater import UpdateOutcome
 
 

@@ -3,12 +3,15 @@ cross-module consistency, and the baselines."""
 
 import random
 
+from repro.atg.publisher import publish_tree
 from repro.baselines.naive_reach import squaring_reachability
 from repro.baselines.recompute import recompute_structures
-from repro.baselines.tree_updater import TreeUpdater
 from repro.core.updater import XMLViewUpdater
 from repro.workloads.queries import make_workload
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+from repro.xmltree.tree import tree_size
+from repro.xpath.parser import parse_xpath
+from repro.xpath.tree_eval import evaluate_on_tree
 from repro.ops import DeleteOp, InsertOp
 
 
@@ -72,21 +75,22 @@ class TestBaselines:
     def test_tree_updater_matches_dag_counts(self):
         dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
         updater = XMLViewUpdater(dataset.atg, dataset.db)
-        tree = TreeUpdater(dataset.atg, dataset.db)
-        assert tree.size >= updater.store.num_nodes
+        tree = publish_tree(dataset.atg, dataset.db)
+        assert tree_size(tree) >= updater.store.num_nodes
         dag_hits = len(updater.evaluate_xpath("//cnode").targets)
-        tree_hits = len({n.identity for n in tree.evaluate("//cnode")})
+        tree_hits = len(
+            {n.identity for n in evaluate_on_tree(parse_xpath("//cnode"), tree)}
+        )
         assert dag_hits == tree_hits
 
     def test_tree_republish_reflects_base_update(self):
         dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
-        tree = TreeUpdater(dataset.atg, dataset.db)
         key = min(dataset.top_level)
-        before = len(tree.evaluate(f"cnode[key={key}]"))
+        path = parse_xpath(f"cnode[key={key}]")
+        before = len(evaluate_on_tree(path, publish_tree(dataset.atg, dataset.db)))
         assert before == 1
         dataset.db.table("C").delete_by_key((key,))
-        tree.republish()
-        assert tree.evaluate(f"cnode[key={key}]") == []
+        assert evaluate_on_tree(path, publish_tree(dataset.atg, dataset.db)) == []
 
     def test_squaring_matches_reach_on_synthetic(self):
         dataset = build_synthetic(SyntheticConfig(n_c=60, seed=8))
@@ -103,7 +107,7 @@ class TestBaselines:
 
 class TestBenchHarnessSmoke:
     def test_fig10b(self):
-        from repro.bench.experiments import fig10b_dataset_stats
+        from benchmarks.paper.experiments import fig10b_dataset_stats
 
         rows = fig10b_dataset_stats(sizes=(60,), print_report=False)
         assert rows[0]["C"] == 60
@@ -111,7 +115,7 @@ class TestBenchHarnessSmoke:
         assert rows[0]["M_pairs"] > 0
 
     def test_fig11_delete(self):
-        from repro.bench.experiments import fig11_series
+        from benchmarks.paper.experiments import fig11_series
 
         rows = fig11_series(
             "delete", classes=("W2",), sizes=(60,), ops_per_class=2,
@@ -120,7 +124,7 @@ class TestBenchHarnessSmoke:
         assert rows and rows[0]["total_s"] > 0
 
     def test_fig11_insert(self):
-        from repro.bench.experiments import fig11_series
+        from benchmarks.paper.experiments import fig11_series
 
         rows = fig11_series(
             "insert", classes=("W2",), sizes=(60,), ops_per_class=2,
@@ -129,7 +133,7 @@ class TestBenchHarnessSmoke:
         assert rows and rows[0]["ops"] == 2
 
     def test_fig11g(self):
-        from repro.bench.experiments import fig11g_vary_selectivity
+        from benchmarks.paper.experiments import fig11g_vary_selectivity
 
         rows = fig11g_vary_selectivity(
             n_c=60, fanouts=(1, 2), print_report=False
@@ -137,7 +141,7 @@ class TestBenchHarnessSmoke:
         assert len(rows) >= 2
 
     def test_fig11h(self):
-        from repro.bench.experiments import fig11h_vary_subtree
+        from benchmarks.paper.experiments import fig11h_vary_subtree
 
         rows = fig11h_vary_subtree(n_c=60, print_report=False)
         assert rows
@@ -145,7 +149,7 @@ class TestBenchHarnessSmoke:
         assert sizes == sorted(sizes)  # deeper layers root smaller STs
 
     def test_table1(self):
-        from repro.bench.experiments import table1_incremental_vs_recompute
+        from benchmarks.paper.experiments import table1_incremental_vs_recompute
 
         rows = table1_incremental_vs_recompute(
             sizes=(60,), ops=2, print_report=False
@@ -153,7 +157,7 @@ class TestBenchHarnessSmoke:
         assert rows[0]["recompute_M_s"] > 0
 
     def test_ablations(self):
-        from repro.bench.experiments import (
+        from benchmarks.paper.experiments import (
             ablation_dag_vs_tree,
             ablation_minimal_delete,
             ablation_reach,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import _write_csv
+from benchmarks.paper.__main__ import _write_csv
 from repro.core.dag_eval import _compile
 from repro.relational.conditions import (
     And,

@@ -7,7 +7,7 @@ from repro.relational.conditions import Col, Eq
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
-from repro.relview.keypres import is_key_preserving, make_key_preserving
+from repro.baselines.keypres import is_key_preserving, make_key_preserving
 from repro.workloads.registrar import build_registrar
 
 

@@ -17,6 +17,13 @@ it names and everything inside it, unless a longer name covers that.
 The ``Layer map`` table of ``docs/architecture.md`` lists the same
 layers.
 
+The same graph decides what belongs in ``src/``: every module outside
+``repro.baselines`` (the references tests compare against) has a
+*product caller* — another such module, or a runnable file under
+``examples/`` or ``scripts/`` — unless it is an entry point or listed
+in :data:`NO_PRODUCT_CALLER` with its reason.  Code that only tests or
+the paper's experiments (``benchmarks/paper``) run lives beside them.
+
 The scan reads syntax trees, so it cannot see the order package
 ``__init__`` modules run in; CI imports every module first, in a fresh
 interpreter, for that.
@@ -56,6 +63,19 @@ LAYERS = (
 
 _LAYER = {name: level for level, names in enumerate(LAYERS) for name in names}
 
+#: Product modules with no product caller, each with the reason it stays.
+NO_PRODUCT_CALLER = {
+    "repro.core.explain": "only tests call it; ROADMAP item 5 gives it a "
+    "caller or deletes it",
+    "repro.sat.walksat": "benchmarks/e2e/trace.py pins walksat_solve at this "
+    "path; tests' reference_solve runs the paper's solver through it",
+    "repro.replica.snapshot": "benchmarks/e2e/trace.py patches Snapshot.capture "
+    "at this path",
+}
+
+#: Where a caller outside ``src/repro`` counts: the runnable files.
+CALLER_DIRS = ("examples", "scripts")
+
 
 def module_name(path: Path, src: Path = SRC) -> str:
     """``repro.a.b`` for ``src/repro/a/b.py`` (a package by its ``__init__``)."""
@@ -91,12 +111,13 @@ def _typing_only(tree: ast.AST) -> set[int]:
 
 def imports_of(
     module: str, source: str, modules: set[str], package: bool = False
-) -> list[tuple[int, str]]:
-    """``(line, target)`` of every runtime import of a ``repro`` module.
+) -> list[tuple[int, str, str]]:
+    """``(line, target, name)`` of every runtime import of a ``repro`` module.
 
-    ``from P import x`` targets ``P.x`` when that is a module, else
-    ``P``; relative imports resolve against ``module`` (a package's
-    ``__init__`` when ``package``).
+    ``from P import x`` targets ``P.x`` when that is a module, else ``P``
+    with ``name`` ``x``; every other import has ``name`` ``""``.
+    Relative imports resolve against ``module`` (a package's ``__init__``
+    when ``package``).
     """
     tree = ast.parse(source)
     skip = _typing_only(tree)
@@ -105,7 +126,7 @@ def imports_of(
         if id(node) in skip:
             continue
         if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
+            targets = [(alias.name, "") for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
@@ -113,33 +134,42 @@ def imports_of(
                 anchor = anchor[: len(anchor) - node.level + package]
                 base = ".".join(anchor + ([base] if base else []))
             targets = [
-                f"{base}.{alias.name}"
-                if f"{base}.{alias.name}" in modules else base
+                (f"{base}.{alias.name}", "")
+                if f"{base}.{alias.name}" in modules else (base, alias.name)
                 for alias in node.names
             ]
         else:
             continue
-        for target in targets:
+        for target, name in targets:
             if target.split(".")[0] == "repro":
-                found.append((node.lineno, target))
+                found.append((node.lineno, target, name))
     return sorted(set(found))
 
 
-def import_graph(src: Path = SRC) -> dict[str, list[tuple[int, str]]]:
-    """Every module of ``src`` → ``(line, module)`` of its repro imports."""
-    paths = {module_name(path, src): path for path in sorted(src.rglob("*.py"))}
-    graph = {}
-    for module, path in paths.items():
-        edges = []
-        for line, target in imports_of(
-            module, path.read_text(encoding="utf-8"), set(paths),
-            package=path.name == "__init__.py",
-        ):
-            while target not in paths:  # `import repro.x.name` of a non-module
-                target = target.rpartition(".")[0]
-            edges.append((line, target))
-        graph[module] = edges
-    return graph
+def module_paths(src: Path = SRC) -> dict[str, Path]:
+    """Every module of ``src`` → its file."""
+    return {module_name(path, src): path for path in sorted(src.rglob("*.py"))}
+
+
+def edges_of(
+    module: str, path: Path, paths: dict[str, Path]
+) -> list[tuple[int, str, str]]:
+    """``(line, module, name)`` of the ``repro`` modules ``path`` imports."""
+    edges = []
+    for line, target, name in imports_of(
+        module, path.read_text(encoding="utf-8"), set(paths),
+        package=path.name == "__init__.py",
+    ):
+        while target not in paths:  # `import repro.x.name` of a non-module
+            target, name = target.rpartition(".")[0], ""
+        edges.append((line, target, name))
+    return edges
+
+
+def import_graph(src: Path = SRC) -> dict[str, list[tuple[int, str, str]]]:
+    """Every module of ``src`` → ``(line, module, name)`` of its repro imports."""
+    paths = module_paths(src)
+    return {module: edges_of(module, path, paths) for module, path in paths.items()}
 
 
 def upward_imports(graph) -> list[str]:
@@ -148,7 +178,7 @@ def upward_imports(graph) -> list[str]:
     for module, edges in graph.items():
         if layer_of(module) is None:
             found.append(f"{module}: not in LAYERS")
-        for line, target in edges:
+        for line, target, *_ in edges:
             if (layer_of(target) or 0) > (layer_of(module) or 0):
                 found.append(
                     f"{module}:{line} -> {target} (layer "
@@ -160,7 +190,7 @@ def upward_imports(graph) -> list[str]:
 def cycles(graph) -> list[list[str]]:
     """The strongly connected components with more than one module
     (or an import of itself), each sorted (Tarjan, iteratively)."""
-    succ = {m: sorted({t for _, t in edges}) for m, edges in graph.items()}
+    succ = {m: sorted({edge[1] for edge in edges}) for m, edges in graph.items()}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
@@ -201,6 +231,59 @@ def cycles(graph) -> list[list[str]]:
     return sorted(found)
 
 
+def only_reexports(source: str) -> bool:
+    """Whether a module is nothing but a docstring, imports and ``__all__``."""
+    return all(
+        isinstance(stmt, (ast.Import, ast.ImportFrom))
+        or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        or (
+            isinstance(stmt, ast.Assign)
+            and [ast.unparse(t) for t in stmt.targets] == ["__all__"]
+        )
+        for stmt in ast.parse(source).body
+    )
+
+
+def is_entry_point(module: str) -> bool:
+    """``repro`` itself, ``python -m repro.apply`` and every ``__main__``."""
+    return module in ("repro", "repro.apply") or module.endswith(".__main__")
+
+
+def uncalled(graph, packages: set[str], silent: set[str], outside=None) -> list[str]:
+    """The modules of ``graph`` outside ``repro.baselines`` nothing calls.
+
+    A name imported from a package (one of ``packages``) resolves to
+    the module its ``__init__`` took it from, through every re-export.
+    ``silent`` are the packages whose ``__init__`` only re-exports: it
+    calls nothing and holds nothing to call.  ``outside`` adds callers
+    from outside ``src`` (the files of :data:`CALLER_DIRS`).  A module
+    of ``repro.baselines`` is not a caller, and neither is a module of
+    itself; entry points need no caller.
+    """
+    exported = {
+        (package, name): target
+        for package in packages
+        for _, target, name in graph[package]
+        if name
+    }
+    called = set()
+    for caller, edges in [*graph.items(), *(outside or {}).items()]:
+        if caller in silent or layer_of(caller) == _LAYER["baselines"]:
+            continue
+        for _, target, name in edges:
+            while (target, name) in exported:
+                target = exported[target, name]
+            if target != caller:
+                called.add(target)
+    return sorted(
+        module for module in graph
+        if module not in called
+        and module not in silent
+        and not is_entry_point(module)
+        and layer_of(module) != _LAYER["baselines"]
+    )
+
+
 def test_the_scan_resolves_every_import_form():
     modules = {"repro", "repro.sat", "repro.sat.encode", "repro.core", "repro.core.topo"}
     source = (
@@ -217,11 +300,12 @@ def test_the_scan_resolves_every_import_form():
         "'''import repro.service'''  # import repro.service\n"
     )
     assert imports_of("repro.core.plan", source, modules) == [
-        (2, "repro.core.topo"), (3, "repro.sat"), (3, "repro.sat.encode"),
-        (4, "repro.core.topo"), (8, "repro.errors"), (10, "repro"),
+        (2, "repro.core.topo", ""), (3, "repro.sat", "CNF"),
+        (3, "repro.sat.encode", ""), (4, "repro.core.topo", ""),
+        (8, "repro.errors", ""), (10, "repro", "__version__"),
     ]
     assert imports_of("repro.core", "from .topo import X", modules, package=True) == [
-        (1, "repro.core.topo")
+        (1, "repro.core.topo", "X")
     ]
 
 
@@ -250,6 +334,53 @@ def test_cycles_finds_every_component():
         "d": [(1, "d")], "e": [(1, "a")],
     }
     assert cycles(graph) == [["a", "b", "c"], ["d"]]
+
+
+def test_a_caller_is_found_through_reexports():
+    graph = {
+        "repro.p": [(1, "repro.p.a", "f"), (2, "repro.p.b", "g")],
+        "repro.p.a": [],
+        "repro.p.b": [],
+        "repro.q": [(1, "repro.p", "f")],
+        "repro.baselines.r": [(1, "repro.p.b", "")],
+        "repro.q.__main__": [],
+    }
+    # p only re-exports (not a caller of b); a baseline is no caller.
+    assert uncalled(graph, {"repro.p"}, {"repro.p"}) == ["repro.p.b", "repro.q"]
+    outside = {"examples/x.py": [(3, "repro.q", ""), (4, "repro.p", "g")]}
+    assert uncalled(graph, {"repro.p"}, {"repro.p"}, outside) == []
+    # A package with code of its own calls what it imports, and a name
+    # it defines resolves to it.
+    graph["repro.q"] = [(1, "repro.p", "h")]
+    assert uncalled(graph, {"repro.p"}, set()) == ["repro.q"]
+
+
+def test_only_reexports_reads_the_module_body():
+    assert only_reexports('"""Doc."""\nfrom a import b\n__all__ = ["b"]\n')
+    assert not only_reexports("from a import b\ndef f():\n    return b\n")
+
+
+def test_every_product_module_has_a_product_caller():
+    paths = module_paths()
+    packages = {m for m, path in paths.items() if path.name == "__init__.py"}
+    silent = {
+        m for m in packages
+        if only_reexports(paths[m].read_text(encoding="utf-8"))
+    }
+    outside = {
+        path.relative_to(ROOT).as_posix(): edges_of(
+            ".".join(path.relative_to(ROOT).with_suffix("").parts), path, paths
+        )
+        for folder in CALLER_DIRS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    found = uncalled(import_graph(), packages, silent, outside)
+    assert found == sorted(NO_PRODUCT_CALLER), (
+        "a module of src/repro with no product caller belongs beside its "
+        "callers (tests, benchmarks/paper) or in NO_PRODUCT_CALLER with its "
+        f"reason: {sorted(set(found) - set(NO_PRODUCT_CALLER))}; listed but "
+        f"called: {sorted(set(NO_PRODUCT_CALLER) - set(found))}"
+    )
 
 
 def test_no_module_imports_a_higher_layer():

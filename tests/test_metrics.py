@@ -34,13 +34,6 @@ from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
-#: The one value ``stats()["index_backend"]`` takes — ``M`` has one
-#: implementation, the key stays for ``benchmarks/e2e/worker.py`` — and
-#: the id (``[bitset]``) the tests below have carried since there were
-#: three.
-BACKENDS = ["bitset"]
-
-
 # -- registry primitives -----------------------------------------------------------
 
 
@@ -240,7 +233,7 @@ class TestServiceSurface:
 # -- exactness against facts observed from outside -------------------------------
 
 
-def _loaded_service(tmp_path, backend=BACKENDS[0]):
+def _loaded_service(tmp_path):
     """A WAL-backed, subscribed service after four write scopes
     (three accepted ops, one rejected) and two reads, plus what the
     test saw from outside while driving it."""
@@ -257,7 +250,9 @@ def _loaded_service(tmp_path, backend=BACKENDS[0]):
         ),
         wal_fs=fs,
     )
-    assert service.stats()["index_backend"] == backend
+    # ``M`` has one implementation; the key stays for
+    # ``benchmarks/e2e/worker.py``, which reads it.
+    assert service.stats()["index_backend"] == "bitset"
     service.subscribe("//cnode")
     pulled = service.changefeed()
     pushed = []
@@ -370,13 +365,12 @@ class TestCountersAreExact:
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestExactness:
-    def _loaded_service(self, backend, tmp_path):
-        return _loaded_service(tmp_path, backend)
+class TestHistogramsAndExposition:
+    """Histograms against the pipeline's totals and the reads the test
+    made; the exposition and ``stats()`` under the same load."""
 
-    def test_phase_histogram_counts(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
+    def test_phase_histogram_counts(self, tmp_path):
+        run = _loaded_service(tmp_path)
         m = run.service.metrics()["histograms"]
         seconds = run.service.stats()["pipeline"]["phase_seconds"]
         # plan and mutate are timed in every scope, maintain only where
@@ -394,8 +388,8 @@ class TestExactness:
         # measured around its four applies.
         assert sum(seconds.values()) <= run.elapsed
 
-    def test_lock_histograms_match_pipeline_totals(self, backend, tmp_path):
-        run = self._loaded_service(backend, tmp_path)
+    def test_lock_histograms_match_pipeline_totals(self, tmp_path):
+        run = _loaded_service(tmp_path)
         m = run.service.metrics()["histograms"]
         pipeline = run.service.stats()["pipeline"]
         assert m["repro_lock_wait_seconds"]["count"] == run.scopes
@@ -412,8 +406,8 @@ class TestExactness:
             seconds["plan"] + seconds["mutate"] + seconds["maintain"]
         )
 
-    def test_xpath_histogram_counts_reads(self, backend, tmp_path):
-        service = self._loaded_service(backend, tmp_path).service
+    def test_xpath_histogram_counts_reads(self, tmp_path):
+        service = _loaded_service(tmp_path).service
         before = service.metrics()["histograms"]["repro_xpath_seconds"][
             "count"
         ]
@@ -427,16 +421,16 @@ class TestExactness:
             service.metrics()["histograms"]["repro_xpath_seconds"]["sum"]
         )
 
-    def test_exposition_valid_under_load(self, backend, tmp_path):
-        service = self._loaded_service(backend, tmp_path).service
+    def test_exposition_valid_under_load(self, tmp_path):
+        service = _loaded_service(tmp_path).service
         assert validate_exposition(service.metrics_text()) == []
 
-    def test_stats_read_adds_no_series(self, backend, tmp_path):
+    def test_stats_read_adds_no_series(self, tmp_path):
         fresh = registrar_service()
         idle = fresh.metrics_text()
         fresh.stats()
         assert fresh.metrics_text() == idle
-        service = self._loaded_service(backend, tmp_path).service
+        service = _loaded_service(tmp_path).service
         before = service.metrics_text()
         service.stats()
         assert service.metrics_text() == before

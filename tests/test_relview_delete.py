@@ -11,8 +11,8 @@ from repro.errors import UpdateRejectedError
 from repro.relational.conditions import Col, Eq
 from repro.relational.query import SPJQuery
 from repro.relview.delete import expand_view_deletions, translate_deletions
-from repro.relview.keypres import is_key_preserving, key_preservation_report
-from repro.relview.minimal import minimal_deletion_exact, minimal_deletion_greedy
+from repro.baselines.keypres import is_key_preserving, key_preservation_report
+from repro.baselines.minimal import minimal_deletion_exact, minimal_deletion_greedy
 from repro.views.registry import build_registry
 from repro.workloads.registrar import build_registrar
 from repro.xpath.parser import parse_xpath

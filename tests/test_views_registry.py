@@ -4,7 +4,7 @@ import pytest
 
 from repro.atg.publisher import publish_store
 from repro.errors import ATGError
-from repro.relview.keypres import is_key_preserving
+from repro.baselines.keypres import is_key_preserving
 from repro.views.registry import build_registry
 from repro.workloads.registrar import build_registrar
 

@@ -195,6 +195,23 @@ class TestSkew:
 
 
 class TestCLI:
+    @pytest.mark.parametrize(
+        "workload", ["synthetic:-3", "synthetic:1", "synthetic:abc", "bom"]
+    )
+    def test_unbuildable_workload_exits_2_before_writing(
+        self, workload, tmp_path, capsys
+    ):
+        from repro.bench.workload_gen import main
+
+        out = tmp_path / "stream.jsonl"
+        assert main(["--workload", workload, "--ops", "3"]) == 2
+        assert main(["--workload", workload, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.count("error: ") == 2
+        assert "Traceback" not in captured.err
+
     def _generate(self, tmp_path, *extra):
         out = tmp_path / "stream.jsonl"
         result = subprocess.run(

@@ -6,7 +6,7 @@ from repro.atg.publisher import publish_store
 from repro.core.updater import XMLViewUpdater
 from repro.errors import ReproError
 from repro.ops import DeleteOp, InsertOp, ReplaceOp, op_from_json
-from repro.workloads import named_workload
+from repro.workloads import build_chain, named_workload
 from repro.workloads.bom import build_bom
 from repro.workloads.queries import make_workload
 from repro.workloads.registrar import build_registrar
@@ -167,3 +167,29 @@ class TestNamedWorkload:
     def test_bad_parameter_rejected(self):
         with pytest.raises(ReproError, match="bad numeric"):
             named_workload("synthetic:tiny")
+
+    @pytest.mark.parametrize(
+        "name", ["synthetic:1", "synthetic:0", "synthetic:-3", "chain:0", "chain:-2"]
+    )
+    def test_unbuildable_size_rejected(self, name):
+        with pytest.raises(ReproError, match=">= "):
+            named_workload(name)
+
+    def test_builders_reject_unbuildable_sizes(self):
+        with pytest.raises(ReproError, match="n_c >= 2"):
+            SyntheticConfig(n_c=1)
+        with pytest.raises(ReproError, match="depth >= 1"):
+            build_chain(depth=0)
+        assert build_synthetic(SyntheticConfig(n_c=2)).db.size() > 0
+        assert build_chain(depth=1)[1].size() == 1
+
+    def test_one_synthetic_name_parser(self):
+        from repro.workloads import synthetic_config
+
+        assert synthetic_config("synthetic") == SyntheticConfig(n_c=300, seed=42)
+        assert synthetic_config("synthetic:60:5") == SyntheticConfig(n_c=60, seed=5)
+        for name in ("bom", "synthetic:1:2:3"):
+            with pytest.raises(ReproError, match="not a synthetic workload"):
+                synthetic_config(name)
+        with pytest.raises(ReproError, match="bad numeric"):
+            synthetic_config("synthetic:abc")

@@ -76,8 +76,12 @@ from repro.relational.conditions import (
 from repro.relational.query import Assignment, QueryResult
 from repro.relational.schema import AttrType
 from repro.relview import insert as insert_module
-from repro.relview.insert import _fresh_value, _merge_templates, _TargetEdge
-from repro.relview.keypres import _UnionFind
+from repro.relview.insert import (
+    _fresh_value,
+    _merge_templates,
+    _TargetEdge,
+    _UnionFind,
+)
 from repro.relview.symbolic import Derivation, Template
 from repro.sat.atoms import Atom, AtomVC, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
