@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark mirrors one paper artifact (see DESIGN.md §3).  Sizes are
-laptop-scale; the assertions check the *shape* of the results (linearity,
+Every benchmark mirrors one paper artifact of §5 (Fig. 10(b), Fig. 11,
+Table 1 and the ablations; ``benchmarks/paper/experiments.py`` has one
+function per artifact).  Sizes are laptop-scale; the assertions check the *shape* of the results (linearity,
 who wins, orderings), not absolute times.
 
 Nothing here writes a file: the gated ledger is ``BENCHMARK.json`` /

@@ -5,8 +5,8 @@ Per event the registry has two regimes:
 - **fine** — one digest of the event (its edges' parents, its edges by
   type, and on demand one OR of the parents' ancestor rows), met
   against every standing subscription's trigger summary; a
-  subscription it meets has its edges scanned against its per-step
-  patterns (``first_affected_step``: cost ∝ |edges| × |patterns|),
+  subscription it meets has its edges scanned against its stages'
+  patterns (``affects``: cost ∝ |edges| × |patterns|),
   and either way the reward is skips;
 - **coarse** — skip the scan and fully re-evaluate every subscription
   (cost independent of |edges|).

@@ -48,8 +48,8 @@ from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 #: Standing queries per service: anchored paths with a realistic share
-#: of ``//`` queries (prunable too: their seeded levels and regions are
-#: re-read after each commit).
+#: of ``//`` queries (these skip events too: their seeded levels and
+#: regions are re-read after each commit).
 N_QUERIES = 24
 OPS_PER_KIND = 4
 LARGEST = max(SIZES)

@@ -9,21 +9,22 @@ Usage::
     python scripts/check_subscriptions.py stream.jsonl
 
 Reads a ``repro-bench generate`` stream (a file path, or ``-`` for
-stdin): the provenance header names the workload and carries the
-``subscriptions`` to stand up.  Every write is applied through the
-service; after each one, every subscription's ``result()`` must equal
-``service.xpath(path)``.  Every 10th commit, and after the last one,
-every fresh read is also checked against an oracle outside the DAG
-evaluator: ``repro.xpath.tree_eval.evaluate_on_tree`` over the unfolded
-view (``service.xml_tree()``), compared by node identity (type, ``$A``).
-The skip and refresh counts are printed per query shape — W1
-(``//cnode[key=a]//cnode[key=b]``), W3 (the ``and`` chain
-``cnode[key=a and sub/cnode]/sub/cnode[key=b]``) and W2 (the other
-anchored paths) — with the decisions each shape's trigger summaries
-answered: every decision the engine did not hand to
-``first_affected_step`` (the script counts the calls by wrapping that
-function).  The exit status is 1 when a subscription drifted, when a
-read disagreed with the tree oracle, when the W1 or the W3 shape
+stdin): the provenance header names the workload, carries the
+``subscriptions`` to stand up and the ``batch_size``.  The writes are
+applied in ``service.apply([...])`` groups of that size, one commit and
+one coalesced event each; after each commit, every subscription's
+``result()`` must equal ``service.xpath(path)``.  Every 10th commit,
+and after the last one, every fresh read is also checked against an
+oracle outside the DAG evaluator: ``repro.xpath.tree_eval.evaluate_on_tree``
+over the unfolded view (``service.xml_tree()``), compared by node
+identity (type, ``$A``).  The skip and refresh counts are printed per
+query shape — W1 (``//cnode[key=a]//cnode[key=b]``), W3 (the ``and``
+chain ``cnode[key=a and sub/cnode]/sub/cnode[key=b]``) and W2 (the
+other anchored paths) — with the decisions each shape's trigger
+summaries answered: every decision the engine did not hand to
+``affects`` (the script counts the calls by wrapping that function).
+The exit status is 1 when a subscription drifted, when a read
+disagreed with the tree oracle, when the W1 or the W3 shape
 skipped no event (or has no subscription in the header): their
 decisions read the seeded level after a leading ``//`` and a filter
 chain's second edge by membership, and a stream that never skips them
@@ -61,7 +62,7 @@ SHAPES = ("W1 //a//b", "W2", "W3 and-chain")
 ORACLE_EVERY = 10
 
 #: The share of W2 decisions the trigger summaries must answer without
-#: ``first_affected_step``: an anchored path's summary is a few nodes.
+#: ``affects``: an anchored path's summary is a few nodes.
 MIN_W2_ANSWERED = 0.8
 
 
@@ -121,21 +122,26 @@ def main(argv: list[str] | None = None) -> int:
     subs = [service.subscribe(path) for path in paths]
     shape_by_profile = {id(sub.profile): shape_of(sub.path) for sub in subs}
     scans = dict.fromkeys(SHAPES, 0)
-    decide = engine.first_affected_step
+    decide = engine.affects
 
     def counted(profile, *rest):
         scans[shape_by_profile[id(profile)]] += 1
         return decide(profile, *rest)
 
-    engine.first_affected_step = counted
+    engine.affects = counted
     writes = [
         (number, call)
         for number, call in enumerate(map(json.loads, lines[1:]), start=2)
         if call.get("op") != "read"
     ]
+    size = header["params"]["batch_size"]
+    groups = [
+        writes[start:start + size] for start in range(0, len(writes), size)
+    ]
     oracle_checks = 0
-    for commits, (number, call) in enumerate(writes, start=1):
-        service.apply(call)
+    for commits, group in enumerate(groups, start=1):
+        service.apply([call for _, call in group])
+        number = group[-1][0]
         for sub in subs:
             fresh = tuple(sorted(service.xpath(sub.path).targets))
             if sub.result() != fresh:
@@ -145,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 1
-        if commits % ORACLE_EVERY == 0 or commits == len(writes):
+        if commits % ORACLE_EVERY == 0 or commits == len(groups):
             oracle_checks += 1
             mismatch = tree_mismatch(service, paths)
             if mismatch is not None:
@@ -157,8 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         counts[0] += 1
         counts[1] += sub.stats["skips"]
         counts[2] += sub.stats["full_refreshes"]
-    print(f"{len(writes)} commits, {len(subs)} subscriptions, every result "
-          "equal to a fresh read after every commit")
+    print(f"{len(writes)} writes in {len(groups)} commits of up to {size}, "
+          f"{len(subs)} subscriptions, every result equal to a fresh read "
+          "after every commit")
     print(f"{oracle_checks} checks of every read against the tree oracle, "
           "all equal")
     print("%-13s %5s %8s %8s %9s %8s" % (

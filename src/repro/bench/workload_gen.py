@@ -526,7 +526,8 @@ def main(argv: list[str] | None = None) -> int:
             new_key_fraction=args.new_key_fraction,
         )
         recorded = ["generate", *(argv if argv is not None else [])]
-        records = generate_records(spec, argv=recorded)
+        # Every record first: a run that fails writes nothing at all.
+        records = list(generate_records(spec, argv=recorded))
         if args.out == "-":
             count = write_stream(records, sys.stdout)
         else:

@@ -59,10 +59,3 @@ class CNF:
             ):
                 return False
         return True
-
-    def to_dimacs(self) -> str:
-        """Serialize in DIMACS format (diagnostics / interop)."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines)

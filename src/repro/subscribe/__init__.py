@@ -5,10 +5,11 @@
   :mod:`repro.views.events` and re-exported here;
 - :mod:`repro.subscribe.deps` — per-step dependency extraction from the
   XPath AST and the one decision made per event and subscription:
-  :func:`first_affected_step`, sharpened by the membership of every
-  cached level after the commit (without it the ``subscribed_durable``
-  benchmark workload never skips an event), and the per-subscription
-  trigger summary that answers most decisions before it;
+  :func:`affects`, one walk over the query's stages that reads every
+  cached level by membership after the commit (without that the
+  ``subscribed_durable`` benchmark workload never skips an event), and
+  the per-subscription trigger summary folded from the same stages,
+  which answers most decisions before the walk;
 - :mod:`repro.subscribe.engine` — :class:`Subscription` and the
   :class:`SubscriptionRegistry` the commit pipeline maintains: skip, or
   re-evaluate from the root with the seeded evaluator.
@@ -18,7 +19,7 @@ Public entry point: :meth:`repro.service.ViewService.subscribe`.
 
 from repro.subscribe.deps import (
     QueryProfile,
-    first_affected_step,
+    affects,
     profile_query,
 )
 from repro.subscribe.engine import Subscription, SubscriptionRegistry
@@ -39,7 +40,7 @@ __all__ = [
     "coalesce",
     "node_records_for",
     "QueryProfile",
-    "first_affected_step",
+    "affects",
     "profile_query",
     "Subscription",
     "SubscriptionRegistry",

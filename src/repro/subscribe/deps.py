@@ -15,16 +15,18 @@ derivation rests on three invariants of the store model:
 - a ``p = "s"`` comparison only feels edges into the terminal label of
   ``p`` whose child carries the compared value ``s``.
 
-Given a :class:`~repro.views.events.ViewEvent`,
-:func:`first_affected_step` returns the earliest step whose patterns
-match an event edge, or ``None`` when the whole result is provably
-untouched: the subscription engine then skips the event, or re-evaluates
-the query from the root.
+Given a :class:`~repro.views.events.ViewEvent`, :func:`affects` answers
+whether the event may change the subscription's result; when it cannot,
+the subscription engine skips the event, and otherwise re-evaluates the
+query from the root.
 
 **Membership at every level.**  The decision sharpens a type match with
 the cached levels of the subscription's last evaluation, read after the
 commit (:meth:`QueryProfile.snapshot` is the one rule of what is
-cached):
+cached).  Both ends are at rest: the pipeline emits events only once
+``M`` is repaired, and the engine keeps no cache of an evaluation made
+while ``M`` is stale (mid-batch), so such a subscription is
+re-evaluated on its next event without a decision.
 
 - a listed level is a set: an edge can only change a child step's
   output, or a filter at its members, through a parent the step's input
@@ -34,9 +36,7 @@ cached):
 - a ``//`` level is cached as its generating nodes (:class:`Closure`)
   and re-derived on the post-commit ``M`` through
   :meth:`~repro.core.dag_eval.DagXPathEvaluator.closure` — ``L`` itself
-  after a leading ``//`` is the closure of the root.  While ``M`` is
-  stale (``evaluator.reach is None``) such a level cannot be read, and
-  a decision that needs it re-evaluates;
+  after a leading ``//`` is the closure of the root;
 - a seeded level (:func:`repro.core.dag_eval.seed_plan`) holds only the
   candidates the seed leg ``leg = value`` holds at.  When an edge
   matches the steps that feed it (its label step, and the ``//`` before
@@ -46,9 +46,15 @@ cached):
   re-evaluate; equal settles those steps and the leg's patterns, and
   the decision goes on from the seeded filter's other conjuncts.
 
-The scan is inductive: when step ``i`` is consulted no earlier step
-matched (or its seeded level re-derived unchanged), so the cached
-``C_i`` is the post-commit ``C_i``.  Testing a parent's membership
+**One walk.**  These tests are worked out once per query, as
+:attr:`QueryProfile.stages`: one :class:`Stage` per level the walk may
+stop at (every step's input level, a seeded level and the first step
+feeding it), holding the tests made before the next such level and the
+seeded level a hit re-derives.  :func:`affects` walks them and stops
+at the first empty cached level, since every later level stays empty.
+The walk is inductive: when a stage is read no earlier stage hit (or
+its seeded level re-derived unchanged), so the cached levels it reads
+are the post-commit ones.  Testing a parent's membership
 *after* the commit is sound for both edge kinds:
 
 - *Inserts.*  A node that enters a region (or a level ``k − 1`` below
@@ -83,26 +89,24 @@ so the seeded level ``S1`` is the set of the seed leg's holders other
 than the root.  The holders change only when an edge on a leg changes:
 a new holder is linked to its value through inserted leg edges, and a
 collected one loses its leg edges, which the event lists with the rest
-of the collection.  So while ``evaluator.reach`` is set, the feeding
-steps of such a level trigger nothing; only its legs re-derive it.
+of the collection.  So the feeding steps of such a level trigger
+nothing (:attr:`SeededLevel.leading`); only its legs re-derive it.
 After any other ``//`` the region is a real subset of ``L`` and an edge
 anywhere in it can move the level, so the rule is for step 0 alone.
 
 **The trigger summary.**  :meth:`QueryProfile.snapshot` also folds the
-scan above, at rest (worked out once per query as
-:attr:`QueryProfile.stages`), into a :class:`Triggers` over the cached
-levels, up to the first empty level as the scan stops there: ``exact``
+same stages into a :class:`Triggers` over the cached levels, up to the
+first empty level as the walk stops there: ``exact``
 (the nodes of the listed levels the depth-0 patterns test a parent against),
 ``closure`` (the generating nodes of every ``//`` level and the levels
 a chain's deeper edges hang below: an edge reaches such a level only
 if an ancestor-or-self of its parent is in the mask), and ``typed``
-(seed legs — an empty seeded level's too, since the scan reads them
+(seed legs — an empty seeded level's too, since the walk reads them
 before it stops — and the patterns of levels past the cache).  The
-engine builds one :class:`EventDigest` per fine event at rest; a
-subscription whose summary it does not meet is one whose scan would
-find no hit, since every test the scan makes is one of these three,
-made coarser (any pattern's type, any depth).  So it is skipped without
-the scan.
+engine builds one :class:`EventDigest` per event; a subscription whose
+summary it does not meet is one whose walk would find no hit, since
+every test of a stage is one of these three, made coarser (any
+pattern's type, any depth).  So it is skipped without the walk.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ class EdgePattern:
     def matches(self, rec: EdgeRecord) -> bool:
         """Whether ``rec`` could invalidate a step depending on this
         pattern (type/value test only; node-membership sharpening is the
-        caller's job — see :func:`first_affected_step`)."""
+        caller's job — see :func:`affects`)."""
         if self.parent is not None and rec.parent_type != self.parent:
             return False
         if self.child is not None and rec.child_type != self.child:
@@ -255,10 +259,10 @@ class Closure:
 
 class Triggers(NamedTuple):
     """A snapshot's trigger summary: what an event must touch for
-    :func:`first_affected_step` to find anything at rest.  Every
-    membership test the scan would make up to the first empty level is
-    folded into ``exact`` or ``closure``; a pattern the scan decides by
-    type and value alone is kept in ``typed``."""
+    :func:`affects` to find anything.  Every membership test of the
+    stages up to the first empty level is folded into ``exact`` or
+    ``closure``; a pattern decided by type and value alone is kept in
+    ``typed``."""
 
     exact: int
     """Bitmask of the listed-level nodes the depth-0 patterns test an
@@ -273,7 +277,7 @@ class Triggers(NamedTuple):
 
     def meets(self, digest: "EventDigest") -> bool:
         """Whether the event ``digest`` describes can reach the cache;
-        ``False`` proves :func:`first_affected_step` would skip it."""
+        ``False`` proves :func:`affects` would answer no."""
         if self.exact & digest.parents:
             return True
         if any(map(digest.matches, self.typed)):
@@ -282,9 +286,9 @@ class Triggers(NamedTuple):
 
 
 class EventDigest:
-    """One fine event as the :class:`Triggers` read it, built once per
-    event after the commit: the mask of the edges' parents, the edges
-    by ``(parent_type, child_type)``, and — read at most once, and only
+    """One event as the :class:`Triggers` read it, built once per event
+    at rest: the mask of the edges' parents, the edges by
+    ``(parent_type, child_type)``, and — read at most once, and only
     when a summary asks — the mask of those parents and all their
     ancestors on the post-commit ``M``."""
 
@@ -339,8 +343,22 @@ class SeededLevel(NamedTuple):
     """The patterns of the filter's other conjuncts."""
     leading: bool = False
     """Whether the steps feeding the level are a step-0 ``//`` and its
-    label step: the level is then moved by its legs alone while ``M``
-    is fresh (see the module docstring)."""
+    label step: the level is then moved by its legs alone (see the
+    module docstring)."""
+
+
+class Stage(NamedTuple):
+    """One stop of the decision's walk (see the module docstring)."""
+
+    stop: int
+    """The cached level that ends the walk when it is empty."""
+    seeded: SeededLevel | None
+    """The seeded level a hit re-derives; ``None``: a hit affects."""
+    tests: tuple[tuple[int, bool, tuple[EdgePattern, ...]], ...]
+    """``(scope, by_closure, patterns)``: ``patterns`` are read against
+    cached level ``scope`` (by ancestor when ``by_closure``), or by type
+    and value alone when the cache holds no level ``scope`` (a seed
+    leg's scope is past any cache)."""
 
 
 @dataclass(frozen=True)
@@ -355,14 +373,9 @@ class QueryProfile:
     """The first step feeding each seeded level (its label step, or the
     ``//`` before that) → the level
     (:func:`~repro.core.dag_eval.seed_plan`)."""
-    stages: tuple[tuple[int, tuple], ...] = field(default=(), compare=False)
-    """What :meth:`snapshot` folds into the :class:`Triggers` (see
-    :func:`_stages`)."""
-
-    @property
-    def prunable(self) -> bool:
-        """Whether any event can ever be skipped for this query."""
-        return not any(ANY_EDGE in deps for deps in self.per_step)
+    stages: tuple[Stage, ...] = field(default=(), compare=False)
+    """The decision's walk (:func:`_stages`): what :func:`affects`
+    reads and :meth:`snapshot` folds into the :class:`Triggers`."""
 
     def snapshot(self, contexts: list) -> Snapshot:
         """What the cache keeps of an evaluation's per-level membership
@@ -386,11 +399,11 @@ class QueryProfile:
 
     def _triggers(self, levels: list) -> Triggers:
         """The trigger summary of ``levels``: :attr:`stages` read up to
-        the first empty level, as the scan stops there."""
+        the first empty level, as the walk stops there."""
         exact = closure = 0
         typed: list[EdgePattern] = []
         count = len(levels)
-        for stop, tests in self.stages:
+        for stop, _, tests in self.stages:
             if stop < count and not levels[stop]:
                 break
             for scope, by_closure, patterns in tests:
@@ -410,17 +423,16 @@ class QueryProfile:
 
 def _stages(
     steps, per_step, seeded: dict[int, SeededLevel]
-) -> tuple[tuple[int, tuple], ...]:
-    """:func:`first_affected_step`'s scan at rest, worked out once per
-    query: one stage per level the scan may stop at, holding that level
-    and the tests the scan makes before the next such level, as
-    ``(scope, by_closure, patterns)`` — ``patterns`` are read against
-    cached level ``scope`` (by ancestor when ``by_closure``), or by
-    type and value alone when the cache holds no level ``scope`` (a
-    seed leg's scope is past any cache)."""
+) -> tuple[Stage, ...]:
+    """The decision's walk, worked out once per query: one stage per
+    step, stopping at its input level, except around a seeded level —
+    there the feeding steps and the seed leg make one stage that stops
+    at the first feeding step's level and re-derives the seeded level
+    on a hit, and the filter's other conjuncts one that stops at the
+    seeded level."""
     unscoped = len(steps) + 1
 
-    def stage(stop: int, scanned) -> tuple[int, tuple]:
+    def stage(stop: int, scanned, group: SeededLevel | None = None) -> Stage:
         tests: dict[tuple[int, bool], list[EdgePattern]] = {}
         for index, patterns in scanned:
             for pattern in patterns:
@@ -434,10 +446,10 @@ def _stages(
                         and isinstance(steps[index - 1], DescendantStep)
                     ))
                 tests.setdefault(key, []).append(pattern)
-        return stop, tuple(
+        return Stage(stop, group, tuple(
             (scope, by_closure, tuple(patterns))
             for (scope, by_closure), patterns in tests.items()
-        )
+        ))
 
     stages = []
     index = 0
@@ -451,7 +463,7 @@ def _stages(
         feeding = [] if group.leading else [
             (step, per_step[step]) for step in range(index, level)
         ]
-        stages.append(stage(index, [*feeding, (level, group.legs)]))
+        stages.append(stage(index, [*feeding, (level, group.legs)], group))
         stages.append(stage(level, [(level, group.rest)]))
         index = level + 1
     return tuple(stages)
@@ -503,62 +515,51 @@ def profile_query(path: XPath, root_label: str | None = None) -> QueryProfile:
 
 
 class _Scan:
-    """One decision's reading of the cached levels after the commit.
+    """One decision's reading of the cached levels after the commit: a
+    level resolves on first use, a set as cached, a :class:`Closure`
+    through ``evaluator.closure`` on the post-commit ``M``."""
 
-    A level resolves on first use: a set as cached, a :class:`Closure`
-    through ``evaluator.closure``; ``None`` when it cannot be read (a
-    ``//`` level while ``M`` is stale or with no evaluator, a level past
-    the cache, no cache at all), and then every type match counts."""
+    __slots__ = ("edges", "levels", "evaluator", "_regions")
 
-    __slots__ = ("edges", "levels", "evaluator", "parents_of", "_regions")
-
-    def __init__(self, edges, levels: list | None, evaluator):
+    def __init__(self, edges, levels: list, evaluator):
         self.edges = edges
         self.levels = levels
         self.evaluator = evaluator
-        self.parents_of = (
-            evaluator.store.parents_of if evaluator is not None else None
-        )
         self._regions: dict[int, object] = {}
 
     def level(self, level: int):
         """The membership of cached ``level`` after the commit."""
-        levels = self.levels
-        if levels is None or level >= len(levels):
-            return None
-        cached = levels[level]
+        cached = self.levels[level]
         if not isinstance(cached, Closure):
             return cached
         region = self._regions.get(level)
         if region is None:
-            evaluator = self.evaluator
-            if evaluator is None or evaluator.reach is None:
-                return None
-            region = self._regions[level] = evaluator.closure(cached.nodes)
+            region = self._regions[level] = self.evaluator.closure(
+                cached.nodes
+            )
         return region
 
-    def hits(self, patterns, index: int) -> bool:
-        """Whether an event edge matches one of step ``index``'s
-        ``patterns`` at a node the relevant cached level holds."""
+    def hits(self, scope: int, patterns) -> bool:
+        """Whether an event edge matches one of ``patterns`` at a node
+        cached level ``scope`` holds — at any node when the cache holds
+        no level ``scope``."""
+        members = None
         for pattern in patterns:
-            resolved = False
+            depth = 0 if pattern.in_region else pattern.depth
             for rec in self.edges:
                 if not pattern.matches(rec):
                     continue
-                if not resolved:
-                    if pattern.in_region:
-                        scope, depth = self.level(index + 1), 0
-                    elif pattern.depth is not None:
-                        scope, depth = self.level(index), pattern.depth
-                    else:
+                if members is None:
+                    if scope >= len(self.levels):
                         return True
-                    if scope is None or (depth and self.parents_of is None):
-                        return True
-                    resolved = True
+                    members = self.level(scope)
                 if depth == 0:
-                    if rec.parent in scope:
+                    if rec.parent in members:
                         return True
-                elif _hangs_below(rec.parent, depth, scope, self.parents_of):
+                elif _hangs_below(
+                    rec.parent, depth, members,
+                    self.evaluator.store.parents_of,
+                ):
                     return True
         return False
 
@@ -572,75 +573,33 @@ def _hangs_below(node: int, depth: int, scope, parents_of) -> bool:
     return any(n in scope for n in nodes)
 
 
-def first_affected_step(
-    profile: QueryProfile,
-    event: ViewEvent,
-    levels: list | None = None,
-    evaluator=None,
-) -> int | None:
-    """Earliest step index whose context the event may change.
+def affects(
+    profile: QueryProfile, event: ViewEvent, levels: list, evaluator
+) -> bool:
+    """Whether ``event`` may change the result whose levels are cached.
 
-    ``None`` means the subscription's result is provably unchanged and
-    the event is skipped; any index means re-evaluate from the root
-    (``C_0 .. C_k`` are intact, but nothing restarts from them).
-
-    ``levels`` — :meth:`QueryProfile.snapshot` of the subscription's
-    last evaluation — sharpens type matches with node membership, read
-    after the commit through ``evaluator`` (the post-commit
-    :class:`~repro.core.dag_eval.DagXPathEvaluator`; see the module
-    docstring for why that is sound).  Without ``levels`` every type
-    match counts.  An empty level ends the scan: every later level
-    stays empty, so the (empty) result cannot change.
+    ``levels`` is :meth:`QueryProfile.snapshot` of the subscription's
+    last evaluation at rest, read after the commit through
+    ``evaluator``, the post-commit
+    :class:`~repro.core.dag_eval.DagXPathEvaluator` at rest (see the
+    module docstring for why that is sound).  The walk over
+    :attr:`QueryProfile.stages` answers no at the first empty cached
+    level, since every later level stays empty; a hit in a seeded stage
+    re-derives that level once and goes on when it did not change; any
+    other hit answers yes.
     """
-    if not event.edges:
-        return None
-    per_step = profile.per_step
     scan = _Scan(event.edges, levels, evaluator)
-    if levels is None:
-        for index, deps in enumerate(per_step):
-            if scan.hits(deps, index):
-                return index
-        return None
-    index = 0
-    while index < len(per_step):
-        if index < len(levels) and not levels[index]:
-            return None
-        group = profile.seeded.get(index)
-        if group is None:
-            if scan.hits(per_step[index], index):
-                return index
-            index += 1
+    count = len(levels)
+    for stop, seeded, tests in profile.stages:
+        if stop < count and not levels[stop]:
+            return False
+        if not any(scan.hits(scope, patterns) for scope, _, patterns in tests):
             continue
-        level = group.level
-        if (
-            group.leading
-            and evaluator is not None
-            and evaluator.reach is not None
-        ):
-            hit = None  # at rest only a leg edge moves this level
-        else:
-            hit = next(
-                (
-                    step for step in range(index, level)
-                    if scan.hits(per_step[step], step)
-                ),
-                None,
-            )
-        if hit is None and scan.hits(group.legs, level):
-            hit = level
-        if hit is not None:
-            # Re-derive the seeded level from the value index.
-            context = scan.level(level - 1)
-            if (
-                context is None
-                or evaluator is None
-                or level >= len(levels)
-                or evaluator.seed_members(group.seed, context) != levels[level]
-            ):
-                return hit
-        if level < len(levels) and not levels[level]:
-            return None
-        if scan.hits(group.rest, level):
-            return level
-        index = level + 1
-    return None
+        if seeded is None:
+            return True
+        level = seeded.level
+        if level >= count or evaluator.seed_members(
+            seeded.seed, scan.level(level - 1)
+        ) != levels[level]:
+            return True
+    return False

@@ -6,59 +6,61 @@ the structured ΔV events every committed operation emits
 (:mod:`repro.views.events`): the commit pipeline's maintain phase
 hands it one sealed event per write scope
 (:meth:`SubscriptionRegistry.apply_batched`, the only maintenance
-entry point).  Per event, every standing subscription gets **one
-decision** — ``first_affected_step(profile, event, levels, evaluator)``
-(:mod:`repro.subscribe.deps`): can any event edge change any step's
-context? — and one of **two actions**:
+entry point), always at rest.  Per event, every standing subscription
+gets **one decision** — ``affects(profile, event, levels, evaluator)``
+(:mod:`repro.subscribe.deps`): can any event edge change the result? —
+and one of **two actions**:
 
-- **skip** (``None``, or the event misses the subscription's trigger
-  summary) — no event edge changes a level the cache holds, read after
-  the commit by membership: the cached result is provably current; the
+- **skip** (no, or the event misses the subscription's trigger summary)
+  — no event edge changes a level the cache holds, read after the
+  commit by membership: the cached result is provably current; the
   ``skips`` counter, an empty delta and the generation tag are set on
   the spot;
 - **re-evaluate from the root** — anything else: one seeded
   :meth:`DagXPathEvaluator.evaluate_from` of the whole query
   (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
-  result and counted as ``full_refreshes``.  An event with more edges
-  than :data:`DEFAULT_COARSE_THRESHOLD` always takes it, undecided
-  (the cost fallback, counted as ``coarse_fallbacks``).
+  result and counted as ``full_refreshes``.  Two cases take it
+  undecided: an event with more edges than
+  :data:`DEFAULT_COARSE_THRESHOLD` (the cost fallback, counted as
+  ``coarse_fallbacks``), and a subscription whose last evaluation ran
+  while ``M`` was stale (read or subscribed mid-batch), which keeps no
+  cache to decide on.
 
-Nothing sits between the two, because the re-evaluation is the one
-every read runs: each ``label[leg = value]`` step starts from the
-value's node and a ``//`` level before one is never listed, so a refresh
-costs what its contexts touch.  Partial refreshes that restart from
-cached contexts measured no faster than that on the ``BENCHMARK.json``
-workload ``subscribed_durable`` (32 subscriptions; subscription time
-per commit 0.76 → 0.57 ms without them, on the same 1,000 commits and
-the same skips).  The node-membership sharpening of
-``first_affected_step`` is what makes a skip possible at all: without
-it no event on that workload is ever skipped.  Every cached level is
-read by membership — a listed level as a set, a ``//`` level as the
-nodes it closes over, re-derived on the post-commit ``M``, a seeded
-level re-derived from the value index, a filter chain's deeper edges
-tested against their own ancestors — so a leading ``//`` path refreshes
-only when its seeded level or a region it reads moves.  On that
-workload's 1,000 commits this took the refreshes from 14,356 to 332
-(``skip_ratio`` 0.551 → 0.990; 201 of the 332 changed a result).  The
-decision's one post-commit evaluator is built once per event and
-shared by every subscription's decision and refresh.
+Nothing sits between the two, because the re-evaluation is the one every
+read runs: each ``label[leg = value]`` step starts from the value's node
+and a ``//`` level before one is never listed, so a refresh costs what
+its contexts touch.  Partial refreshes that restart from cached contexts
+measured no faster than that on the ``BENCHMARK.json`` workload
+``subscribed_durable`` (32 subscriptions; subscription time per commit
+0.76 → 0.57 ms without them, on the same 1,000 commits and the same
+skips).  The node-membership sharpening of the decision is what makes a
+skip possible at all: without it no event on that workload is ever
+skipped.  Every cached level is read by membership — a listed level as a
+set, a ``//`` level as the nodes it closes over, re-derived on the
+post-commit ``M``, a seeded level re-derived from the value index, a
+filter chain's deeper edges tested against their own ancestors — so a
+leading ``//`` path refreshes only when its seeded level or a region it
+reads moves.  On that workload's 1,000 commits this took the refreshes
+from 14,356 to 332 (``skip_ratio`` 0.551 → 0.990; 201 of the 332 changed
+a result).  The decision's one post-commit evaluator is built once per
+event and shared by every subscription's decision and refresh.
 
 Once refreshes were that rare, the decisions themselves were the cost:
 32,000 scans for 332 refreshes.  So each subscription keeps a trigger
-summary of its cache (:class:`~repro.subscribe.deps.Triggers`, built by
-:meth:`QueryProfile.snapshot` with the levels), each fine event at rest
-one :class:`~repro.subscribe.deps.EventDigest`, and a subscription
-whose summary the digest does not meet is skipped without the scan.
+summary of its cache (:class:`~repro.subscribe.deps.Triggers`, folded by
+:meth:`QueryProfile.snapshot` from the stages the decision walks), each
+event one :class:`~repro.subscribe.deps.EventDigest`, and a subscription
+whose summary the digest does not meet is skipped without the walk.
 On the same 1,000 commits the summaries took the scans from 32,000 to
-2,754 (W1 8,000 → 1,466, W2 18,000 → 356, W3 6,000 → 932) with the
-same skips and refreshes, and ``seed_members`` calls fell from 9,621 to
-1,621 once a seeded level after a leading ``//`` stopped re-deriving
-on every edge under the root; the workload's ``ops_per_s`` rose 1.17x
-(ten alternating pairs, all ten won).  A registry-level type/value pattern index,
-node-level watch index and lazy skip ledger in front of the decision
-had bought nothing measurable at 32 or at 256 subscriptions when a
-refresh followed 45% of the decisions; they stay out.  The summary is
-per subscription, read from the cache the decision reads, and the skip
+2,754 (W1 8,000 → 1,466, W2 18,000 → 356, W3 6,000 → 932) with the same
+skips and refreshes, and ``seed_members`` calls fell from 9,621 to 1,621 once
+a seeded level after a leading ``//`` stopped re-deriving on every edge
+under the root; the workload's ``ops_per_s`` rose 1.17x (ten alternating
+pairs, all ten won).  A registry-level type/value pattern index,
+node-level watch index and lazy skip ledger in front of the decision had
+bought nothing measurable at 32 or at 256 subscriptions when a refresh
+followed 45% of the decisions; they stay out.  The summary is per
+subscription, read from the cache the decision reads, and the skip
 bookkeeping stays eager.
 
 Alongside the full result set, each action derives the per-commit
@@ -89,7 +91,7 @@ from repro.metrics.registry import MetricsRegistry
 from repro.subscribe.deps import (
     EventDigest,
     QueryProfile,
-    first_affected_step,
+    affects,
     profile_query,
 )
 from repro.views.events import ViewEvent
@@ -149,9 +151,8 @@ class Subscription:
         """``C_0 .. C_n`` as of ``_generation``, cached by
         :meth:`QueryProfile.snapshot` — a set per listed level, a ``//``
         level as the nodes it closes over, re-derived after each commit
-        — what events are pruned against; ``None`` after an evaluation
-        with ``M`` stale, which does not seed, so its levels cannot be
-        compared with re-derived seeded ones."""
+        — what events are decided against; ``None`` after an evaluation
+        with ``M`` stale (see :meth:`SubscriptionRegistry._reevaluate`)."""
         self._triggers = None
         """The :class:`~repro.subscribe.deps.Triggers` of ``_contexts``
         (``None`` with them)."""
@@ -287,7 +288,7 @@ class SubscriptionRegistry:
         the event has more edges than :attr:`coarse_threshold` — and
         ends at the event's generation with a current result, delta and
         stats; one closed since the list was copied is left alone.  Cost
-        per event at rest: one digest (O(edges), and one OR of the
+        per event: one digest (O(edges), and one OR of the
         parents' ancestor rows if a summary asks), O(subscriptions ×
         summary patterns) to meet the summaries, O(patterns × edges)
         per subscription the digest meets — bounded by the threshold —
@@ -295,28 +296,28 @@ class SubscriptionRegistry:
 
         The caller (:class:`~repro.service.pipeline.CommitPipeline`)
         holds the write lock and passes the *sealed* event — one per
-        write scope, batches already coalesced.
+        write scope, batches already coalesced — at rest: ``M`` is
+        repaired, so the evaluator built here reads it.
         """
         with self._members:
             subs = list(self._subs)
         if not subs:
             return
         start = time.perf_counter()
-        fallback = len(event.edges) > self.coarse_threshold
         # One post-commit evaluator decides and refreshes every query,
-        # and one digest of an event at rest meets every summary.
+        # and one digest of the event meets every summary.
         evaluator = self.updater.evaluator()
         digest = (
             EventDigest(event.edges, evaluator.reach)
-            if not fallback and evaluator.reach is not None
+            if len(event.edges) <= self.coarse_threshold
             else None
         )
         for sub in subs:
             with sub._mutex:
                 if sub.active:  # not closed since the copy above
-                    if fallback:
+                    if digest is None:
                         sub._stats["coarse_fallbacks"] += 1
-                    self._apply_event(sub, event, evaluator, digest, fallback)
+                    self._apply_event(sub, event, evaluator, digest)
         self.publish_seconds += time.perf_counter() - start
         self._m_events.inc()
 
@@ -325,23 +326,19 @@ class SubscriptionRegistry:
     handle = apply_batched
 
     def _apply_event(
-        self, sub: Subscription, event: ViewEvent, evaluator, digest,
-        fallback: bool,
+        self, sub: Subscription, event: ViewEvent, evaluator, digest
     ) -> None:
         """The decision and its action; callers hold ``sub._mutex``.
-        Under the cost ``fallback`` nothing is decided (re-evaluate).
-        Without ``digest`` (``M`` stale) or a summary, the decision is
-        :func:`first_affected_step`; otherwise it runs only when the
-        event meets the subscription's summary."""
-        triggers = sub._triggers
-        if not fallback and (
-            (
-                digest is not None
-                and triggers is not None
-                and not triggers.meets(digest)
+        Without a ``digest`` (the cost fallback) or a cache nothing is
+        decided (re-evaluate); otherwise :func:`affects` runs only when
+        the event meets the subscription's summary."""
+        if (
+            digest is not None
+            and sub._contexts is not None
+            and not (
+                sub._triggers.meets(digest)
+                and affects(sub.profile, event, sub._contexts, evaluator)
             )
-            or first_affected_step(sub.profile, event, sub._contexts, evaluator)
-            is None
         ):
             sub._stats["skips"] += 1
             sub._delta = ((), ())
@@ -356,7 +353,10 @@ class SubscriptionRegistry:
         """Evaluate the whole query from the root and cache its result
         and per-level membership (:meth:`QueryProfile.snapshot`: a
         ``//`` region, a live view of ``M``, is kept as the nodes it
-        closes over and never listed)."""
+        closes over and never listed).  An evaluation with ``M`` stale
+        (mid-batch) does not seed, so its levels are not the ones a
+        decision re-derives: it keeps no cache, and the next event
+        re-evaluates the subscription without a decision."""
         if evaluator is None:
             evaluator = self.updater.evaluator()
         result = evaluator.evaluate_from(sub.query)

@@ -158,13 +158,6 @@ class EdgeViewRegistry:
     def views(self) -> list[EdgeView]:
         return [self._views[k] for k in sorted(self._views)]
 
-    def base_relations(self) -> set[str]:
-        out: set[str] = set()
-        for view in self._views.values():
-            for relation, _ in view.query.tables:
-                out.add(relation)
-        return out
-
 
 def build_registry(atg: ATG, db: Database) -> EdgeViewRegistry:
     """Derive the closed-form edge view for every starred ATG rule."""

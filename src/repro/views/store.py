@@ -320,9 +320,6 @@ class ViewStore:
     def in_degree(self, node: int) -> int:
         return len(self.parents.get(node, ()))
 
-    def out_degree(self, node: int) -> int:
-        return len(self.children.get(node, ()))
-
     def sharing_rate(self) -> float:
         """Fraction of nodes with more than one parent (subtree sharing)."""
         if not self.node_type:

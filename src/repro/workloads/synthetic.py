@@ -10,7 +10,7 @@ The paper's generator (reconstructed from its prose):
 - ``CU`` is a 100M-tuple universe guaranteeing that ``h2`` always joins.
   **Substitution:** we draw ``h2`` from C's own key space instead of
   materializing CU — the only property the paper uses is that the join
-  never dangles, which holds by construction (see DESIGN.md §5).
+  never dangles, which holds by construction.
 
 The recursive view (Fig. 10(a)): the root lists *top-level* C nodes; a C
 node's ``sub`` recursively embeds the C nodes reachable through ``H``,

@@ -10,7 +10,7 @@ semantics well-defined.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 class XMLNode:
@@ -66,9 +66,6 @@ class XMLNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def find_all(self, predicate: Callable[["XMLNode"], bool]) -> list["XMLNode"]:
-        return [node for node in self.iter() if predicate(node)]
 
     def child_by_tag(self, tag: str) -> "XMLNode | None":
         for child in self.children:

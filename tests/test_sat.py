@@ -53,12 +53,6 @@ class TestCNF:
         assert not cnf.is_satisfied_by({a: True, b: True, c: False})
         assert not cnf.is_satisfied_by({a: False, b: False, c: False})
 
-    def test_dimacs(self):
-        cnf = make_cnf([(1, -2)])
-        text = cnf.to_dimacs()
-        assert text.splitlines()[0] == "p cnf 2 1"
-        assert "1 -2 0" in text
-
 
 class TestDPLL:
     def test_trivial_sat(self):

@@ -1,7 +1,7 @@
 """Soundness differential of the subscription decision.
 
-``first_affected_step`` skips an event only when it can prove the
-result unchanged.  Every property here checks that claim directly: a
+``affects`` answers no (the engine skips the event) only when it can
+prove the result unchanged.  Every property here checks that claim directly: a
 skip implies that a fresh ``evaluate_from`` after the commit gives the
 cached result, and the cached levels (:meth:`QueryProfile.snapshot`)
 the next decision reads.  A subscription's trigger summary skips an
@@ -18,13 +18,15 @@ or a candidate's parent edge is cut), and change a filter chain's
 second edge together with the edge above it.  The service-level
 property replays generated W1–W3 writes on the synthetic view, one op
 at a time and inside batch sessions (with a mid-batch read, which
-evaluates with ``M`` stale).
+evaluates with ``M`` stale, keeps no cache and is refreshed at the
+flush without a decision).
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,7 @@ from repro.core.topo import TopoOrder
 from repro.dtd.parser import parse_dtd
 from repro.index import build_index
 from repro.service import ViewConfig, open_view
-from repro.subscribe import EdgeRecord, ViewEvent, first_affected_step
+from repro.subscribe import EdgeRecord, ViewEvent, affects, engine
 from repro.subscribe import profile_query
 from repro.subscribe.deps import EventDigest
 from repro.views.store import ViewStore
@@ -141,10 +143,9 @@ class World:
             store.remove_node(node)
         return records
 
-    def at_rest(self, stale: bool = False) -> DagXPathEvaluator:
+    def at_rest(self) -> DagXPathEvaluator:
         topo = TopoOrder.from_store(self.store)
-        reach = None if stale else build_index(self.store, topo)
-        return DagXPathEvaluator(self.store, topo, reach)
+        return DagXPathEvaluator(self.store, topo, build_index(self.store, topo))
 
     def commit(self, toggles) -> ViewEvent:
         """Flip each named edge in turn, then collect: the event lists
@@ -207,15 +208,10 @@ def assert_sound(world: World, batch) -> int:
     digest = EventDigest(event.edges, after.reach)
     skips = 0
     for text, (profile, (levels, triggers), targets) in cached.items():
-        decision = first_affected_step(profile, event, levels, after)
-        stale = first_affected_step(
-            profile, event, levels, world.at_rest(stale=True)
-        )
-        if stale is None:
-            assert decision is None, (text, batch)
+        decision = affects(profile, event, levels, after)
         if not triggers.meets(digest):
-            assert decision is None, (text, batch)
-        if decision is None:
+            assert not decision, (text, batch)
+        if not decision:
             skips += 1
             fresh = after.evaluate_from(profile.path)
             assert sorted(fresh.targets) == targets, (text, batch)
@@ -315,10 +311,28 @@ def test_service_skips_are_sound_at_rest_and_in_batches(seed, writes, mode):
             assert_skips_were_sound(service, subs, before)
     else:
         before = _skip_counts(subs)
-        with service.batch() as batch:
-            for position, op in enumerate(ops):
-                batch.apply(op)
-                if mode == "batch_with_read" and position == 0:
-                    subs[seed % len(subs)].result()  # M is stale here
+        read = subs[seed % len(subs)]
+        stale_read = False
+        decided = []
+
+        def counting(profile, *rest):
+            decided.append(profile)
+            return affects(profile, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "affects", counting)
+            with service.batch() as batch:
+                for position, op in enumerate(ops):
+                    batch.apply(op)
+                    if mode == "batch_with_read" and position == 0:
+                        read.result()  # M is stale here
+                        stale_read = read.stats["fallback_refreshes"] == 1
+        if stale_read:
+            # Evaluated mid-batch, it kept no cache: the flush refreshed
+            # it without a decision.
+            assert read.stats["full_refreshes"] == 1, read.path
+            assert all(
+                profile is not read.profile for profile in decided
+            ), read.path
         assert_skips_were_sound(service, subs, before)
     assert service.check_consistency() == []

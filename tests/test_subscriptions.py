@@ -27,8 +27,8 @@ from repro.subscribe import (
     EdgeRecord,
     SubscriptionRegistry,
     ViewEvent,
+    affects,
     engine,
-    first_affected_step,
     profile_query,
 )
 from repro.dtd.parser import parse_dtd
@@ -124,7 +124,7 @@ class TestDependencyAnalysis:
         profile = profile_query(
             parse_xpath("course[cno=CS650]/prereq/course"), "db"
         )
-        assert profile.prunable
+        assert not any(ANY_EDGE in deps for deps in profile.per_step)
         # Step 0 only feels (db -> course) edges.
         assert {(p.parent, p.child) for p in profile.per_step[0]} == {
             ("db", "course")
@@ -163,7 +163,7 @@ class TestDependencyAnalysis:
 
     def test_filter_path_wildcards_are_never_prunable(self):
         profile = profile_query(parse_xpath("course[.//project]"), "db")
-        assert not profile.prunable
+        assert ANY_EDGE in profile.per_step[1]
         assert any(ANY_EDGE in deps for deps in profile.per_step)
 
     def test_label_test_and_own_value_never_invalidate(self):
@@ -173,42 +173,68 @@ class TestDependencyAnalysis:
         )
         assert profile.per_step[1] == ()
 
-    def _event(self, *edges):
-        return ViewEvent(generation=1, edges=[
-            EdgeRecord("delete", p, c, 0, 1, child_value=v)
-            for p, c, v in edges
-        ])
+    # Registrar view nodes, as ``(element, sem)``.
+    CS240 = ("course", ("CS240", "Data Structures"))
+    CS500 = ("course", ("CS500", "Operating Systems"))
+    CS240_CNO = ("cno", ("CS240",))
+    CS650_CNO = ("cno", ("CS650",))
+    CS650_PREREQ = ("prereq", ("CS650",))
+    CS320_TAKEN_BY = ("takenBy", ("CS320",))
+    ADA = ("student", ("S01", "Ada"))
+
+    def _decide(self, path, *changes, values=True):
+        """Evaluate ``path`` on the registrar view, apply the
+        ``(kind, parent, child)`` edge changes to its store and decide
+        their event at rest; ``values=False`` leaves the records'
+        child values unknown."""
+        service = registrar_service()
+        store = service.updater.store
+        profile = profile_query(parse_xpath(path), "db")
+        levels, _ = profile.snapshot(
+            service.updater.evaluator().evaluate_from(profile.path).contexts
+        )
+        records = []
+        for kind, parent, child in changes:
+            p, c = store.lookup(*parent), store.lookup(*child)
+            if kind == "insert":
+                store.add_edge(p, c)
+            else:
+                store.remove_edge(p, c)
+            records.append(EdgeRecord(
+                kind, store.type_of(p), store.type_of(c), p, c,
+                child_value=store.value_of(c) if values else None,
+            ))
+        topo = TopoOrder.from_store(store)
+        after = DagXPathEvaluator(store, topo, build_index(store, topo))
+        event = ViewEvent(generation=1, edges=records)
+        return affects(profile, event, levels, after)
 
     def test_unrelated_edge_is_skipped(self):
-        profile = profile_query(
-            parse_xpath("course[cno=CS650]/prereq/course"), "db"
+        assert not self._decide(
+            "course[cno=CS650]/prereq/course",
+            ("insert", self.CS320_TAKEN_BY, self.ADA),
         )
-        event = self._event(("takenBy", "student", None))
-        assert first_affected_step(profile, event) is None
 
     def test_value_anchor_prunes_other_values(self):
-        profile = profile_query(
-            parse_xpath("course[cno=CS650]/prereq/course"), "db"
+        path = "course[cno=CS650]/prereq/course"
+        assert not self._decide(
+            path, ("insert", self.CS500, self.CS240_CNO)
         )
-        other = self._event(("course", "cno", "CS240"))
-        assert first_affected_step(profile, other) is None
-        hit = self._event(("course", "cno", "CS650"))
-        assert first_affected_step(profile, hit) == 1
-        unknown = self._event(("course", "cno", None))
-        assert first_affected_step(profile, unknown) == 1  # conservative
+        # CS240 gains the CS650 cno: the seeded level gains CS240.
+        hit = ("insert", self.CS240, self.CS650_CNO)
+        assert self._decide(path, hit)
+        assert self._decide(path, hit, values=False)  # conservative
 
     def test_suffix_restart_index(self):
-        profile = profile_query(
-            parse_xpath("course[cno=CS650]/prereq/course"), "db"
+        # A (prereq -> course) change only meets the last step, under
+        # the cached prereq level.
+        assert self._decide(
+            "course[cno=CS650]/prereq/course",
+            ("insert", self.CS650_PREREQ, self.CS500),
         )
-        # A (prereq -> course) change only affects the last step: the
-        # cached contexts up to the prereq level stay valid.
-        event = self._event(("prereq", "course", None))
-        assert first_affected_step(profile, event) == 3
 
     def test_empty_event_touches_nothing(self):
-        profile = profile_query(parse_xpath("//course"), "db")
-        assert first_affected_step(profile, ViewEvent(generation=1)) is None
+        assert not self._decide("//course")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +310,36 @@ class TestRegistrarEquivalence:
         )
         plan.commit()
         assert_current(service, subs, "after plan commit")
+
+    def test_every_event_the_registry_receives_is_at_rest(self, monkeypatch):
+        """The decision reads ``M``: every commit path hands its event
+        to ``apply_batched`` after the repair, a batch's at its flush."""
+        service = registrar_service()
+        service.subscribe("course[cno=CS650]/prereq/course")
+        received = []
+        apply_batched = SubscriptionRegistry.apply_batched
+
+        def at_rest(registry, event):
+            received.append(registry.updater.evaluator().reach is not None)
+            return apply_batched(registry, event)
+
+        monkeypatch.setattr(SubscriptionRegistry, "apply_batched", at_rest)
+        single = service.apply(
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+        )
+        service.apply([
+            InsertOp(".", "course", ("CS700", "Theory")),
+            InsertOp(".", "course", ("CS710", "Logic")),
+        ])
+        with service.batch() as batch:
+            batch.apply(InsertOp(".", "course", ("CS800", "Quantum")))
+            batch.apply(DeleteOp("course[cno=CS800]"))
+        service.plan(InsertOp(".", "course", ("CS900", "Graphs"))).commit()
+        service.apply(BaseUpdateOp(ops=(
+            ("insert", "course", ("CS777", "Compilers", "CS")),
+        )))
+        service.undo(single)
+        assert received == [True] * 6
 
     def test_unrelated_ops_are_skipped_not_reevaluated(self):
         service = registrar_service()
@@ -674,7 +730,7 @@ class TestConeRefresh:
         on."""
         service = registrar_service()
         sub = service.subscribe("course[cno=CS650]//course[cno=CS240]")
-        assert sub.profile.prunable
+        assert not any(ANY_EDGE in deps for deps in sub.profile.per_step)
         store = service.updater.store
         cs320 = store.lookup("course", ("CS320", "Databases"))
         level = 1 + next(
@@ -758,20 +814,27 @@ def edge(kind, store, ids, parent, child):
 
 
 class TestSeededLevelDecisions:
-    """``first_affected_step`` over seeded contexts, built by hand: a
-    seeded level holds the seed leg's candidates only, so the leg's
-    edges are matched under any parent; the other conjuncts keep their
+    """``affects`` over seeded contexts, built by hand: a seeded level
+    holds the seed leg's candidates only, so the leg's edges are
+    matched under any parent; the other conjuncts keep their
     membership test."""
 
     def _decide(self, query, contexts, *records):
+        """Decide the ``records`` over the hand-built ``contexts``,
+        applied to :func:`seeded_store` and read at rest."""
         store, ids = seeded_store()
         profile = profile_query(parse_xpath(query), "root")
+        for kind, parent, child in records:
+            if kind == "insert":
+                store.add_edge(ids[parent], ids[child])
+            else:
+                store.remove_edge(ids[parent], ids[child])
         event = ViewEvent(generation=1, edges=[
             edge(kind, store, ids, parent, child)
             for kind, parent, child in records
         ])
         members = [{ids[name] for name in level} for level in contexts]
-        return first_affected_step(profile, event, members)
+        return affects(profile, event, members, self._evaluator(store))
 
     QUERY = "cnode/sub/cnode[key=9 and tag]"
     SEEDED = [["root"], ["a", "b"], ["sa"], ["c"], ["c"]]
@@ -783,6 +846,7 @@ class TestSeededLevelDecisions:
         for query, contexts in [
             (self.QUERY, self.SEEDED),
             ("cnode/sub/cnode[key=7 and tag]", self.SEEDED[:3] + [[]]),
+            ("cnode/sub/cnode[key=7 and tag]/tag", self.SEEDED[:3] + [[]]),
         ]:
             got = evaluator.evaluate_from(parse_xpath(query)).contexts
             assert got == [{ids[name] for name in level} for level in contexts]
@@ -790,25 +854,22 @@ class TestSeededLevelDecisions:
     def test_leg_edge_under_a_non_candidate_reaches_the_filter(self):
         # d holds key 2, not 9: it is no member of the seeded level, and
         # gaining the key-9 node makes it one.
-        assert self._decide(
-            self.QUERY, self.SEEDED, ("insert", "d", "k9")
-        ) == 3
+        assert self._decide(self.QUERY, self.SEEDED, ("insert", "d", "k9"))
 
     def test_emptied_seeded_level_with_a_leg_edge_is_not_skipped(self):
         query = "cnode/sub/cnode[key=7 and tag]"
         contexts = self.SEEDED[:3] + [[]]
-        assert self._decide(query, contexts, ("insert", "d", "k7")) == 3
+        assert self._decide(query, contexts, ("insert", "d", "k7"))
         # ...but an empty seeded level still skips what cannot fill it.
-        assert self._decide(query, contexts, ("insert", "d", "k9")) is None
-        assert self._decide(query, contexts, ("insert", "d", "tx")) is None
+        assert not self._decide(query, contexts, ("insert", "d", "k9"))
+        assert not self._decide(query, contexts, ("insert", "d", "tx"))
+        # ...nor what a step past it reads: the walk stops there.
+        later = query + "/tag"
+        assert not self._decide(later, contexts, ("insert", "d", "tx"))
 
     def test_other_conjunct_under_a_non_candidate_is_skipped(self):
-        assert self._decide(
-            self.QUERY, self.SEEDED, ("insert", "d", "tx")
-        ) is None
-        assert self._decide(
-            self.QUERY, self.SEEDED, ("delete", "c", "tc")
-        ) == 3
+        assert not self._decide(self.QUERY, self.SEEDED, ("insert", "d", "tx"))
+        assert self._decide(self.QUERY, self.SEEDED, ("delete", "c", "tc"))
 
     # After a leading ``//`` the seeded level is the leg's holders other
     # than the root, at rest: only a leg edge moves it.
@@ -858,10 +919,10 @@ class TestSeededLevelDecisions:
             return seed_members(self, seed, context)
 
         monkeypatch.setattr(DagXPathEvaluator, "seed_members", counting)
-        decision = first_affected_step(profile, event, levels, after)
+        decision = affects(profile, event, levels, after)
         monkeypatch.undo()
         if not triggers.meets(EventDigest(records, after.reach)):
-            assert decision is None
+            assert not decision
         fresh = after.evaluate_from(parsed)
         return decision, sorted(fresh.targets) == sorted(before.targets), seeds
 
@@ -882,7 +943,7 @@ class TestSeededLevelDecisions:
              ("insert", "e", "k9")],
             monkeypatch,
         )
-        assert decision is not None and not same
+        assert decision and not same
 
     def test_leading_seed_refreshes_when_its_holder_is_collected(
         self, monkeypatch
@@ -891,7 +952,7 @@ class TestSeededLevelDecisions:
         decision, same, _ = self._commit(
             "//cnode[key=9]", [], [("delete", "sa", "c")], monkeypatch
         )
-        assert decision is not None and not same
+        assert decision and not same
 
     def test_leading_seed_skips_a_second_parent_without_rederiving(
         self, monkeypatch
@@ -909,7 +970,7 @@ class TestSeededLevelDecisions:
             [("insert", "a", "sa2"), ("insert", "sa2", "c")],
             monkeypatch,
         )
-        assert decision is None and same
+        assert not decision and same
         assert seeds == [inner] and leading not in seeds
 
 
@@ -958,8 +1019,8 @@ def pinned_churn():
     """The ``subscribed_durable`` shape in small: 32 header
     subscriptions over one generated churn stream (``synthetic:120``,
     seed 7, 60 ops), checked current after every op.  Returns the
-    subscriptions and how many times each one's event was scanned by
-    ``first_affected_step``."""
+    subscriptions and how many times each one's event was walked by
+    ``affects``."""
     spec = WorkloadSpec(
         workload="synthetic:120", ops=60, seed=7,
         pattern="churn", key_skew=0.8, subscriptions=32,
@@ -974,10 +1035,10 @@ def pinned_churn():
 
     def counting(profile, *rest):
         scans.append(profile)
-        return first_affected_step(profile, *rest)
+        return affects(profile, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "first_affected_step", counting)
+        patch.setattr(engine, "affects", counting)
         for op in generate_ops(spec):
             assert service.apply(op).accepted
             assert_current(service, subs, f"after {op}")
@@ -1002,7 +1063,7 @@ class TestPinnedDecisions:
         self, pinned_churn
     ):
         """The trigger summaries answer most of the 32 × 60 decisions:
-        ``first_affected_step`` runs for at most a quarter of them (it
+        ``affects`` runs for at most a quarter of them (it
         ran for every one before the summaries)."""
         subs, scans = pinned_churn
         decided = sum(

@@ -52,10 +52,6 @@ class TestClosure:
         assert relation == "prereq"
         assert [attr for _, attr in slots] == ["cno1", "cno2"]
 
-    def test_base_relations(self, setup):
-        _, _, registry, _ = setup
-        assert registry.base_relations() == {"course", "prereq", "enroll", "student"}
-
 
 class TestEvaluation:
     def test_edges_match_store(self, setup):

@@ -212,6 +212,24 @@ class TestCLI:
         assert captured.err.count("error: ") == 2
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("workload", ["synthetic:10", "synthetic:16"])
+    def test_a_stream_that_fails_midway_writes_nothing(
+        self, workload, tmp_path, capsys
+    ):
+        """The ``mixed`` deletes empty these views of keys a few ops in:
+        the run fails with nothing on stdout and no file, not with a
+        truncated stream behind a valid header."""
+        from repro.bench.workload_gen import main
+
+        out = tmp_path / "stream.jsonl"
+        args = ["--workload", workload, "--ops", "3"]
+        assert main(args) == 2
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.count("emptied the view of cnode keys") == 2
+
     def _generate(self, tmp_path, *extra):
         out = tmp_path / "stream.jsonl"
         result = subprocess.run(

@@ -36,10 +36,6 @@ class TestTree:
     def test_tree_size(self):
         assert tree_size(build()) == 4
 
-    def test_find_all(self):
-        tree = build()
-        assert len(tree.find_all(lambda n: n.tag == "a")) == 2
-
     def test_child_by_tag(self):
         tree = build()
         assert tree.child_by_tag("a").sem == ("1",)
