@@ -533,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
                 count = write_stream(records, handle)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:  # OSError: ``--out`` cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

@@ -1,11 +1,30 @@
 """Algorithm insert (paper, Section 4.3 and Appendix A).
 
 Translates a group of view-row insertions ``ΔV`` into base-table
-insertions ``ΔR`` via SAT, in five stages:
+insertions ``ΔR`` via SAT, in the five stages below.
 
-Everything a target does not bind is prepared once — per view, per
-insertion *shape*, per sweep state — and a call only binds values, as
-``SPJQuery`` plans its join once per ``fixed`` shape.
+Everything a call does not bind is prepared once, as ``SPJQuery`` plans
+its join once per ``fixed`` shape.  A call resolves its targets (each
+occurrence's row read once, by key) and so learns its *insertion
+shape*: each target's view, which of its occurrences exist, and which
+of them read one stored row (a shared child under several parents).  The
+first call of a shape runs stages 1–4 over *traced* values
+(:class:`_Traced`: each visible value and stored cell stands for its
+position, and every comparison the stages make between two of them is
+recorded with its outcome; templates and target rows are looked up by
+their values, :func:`_untraced`) and keeps the result as the shape's
+:class:`_InsertionProgram`: the new templates and target rows over
+positions, which equality class each unknown is in and which position
+binds it, the fresh-value order, and every sweep probe the key reads do
+not answer (on a new-key insert under a ``sub``, ``H`` by ``h2 = new
+key``).  Every later call of the shape whose values compare as the
+traced ones did, and whose probes still find no row, only binds its
+values, runs those probes, builds its unknowns and mints its fresh
+values; one whose values compare otherwise is prepared again, and its
+program replaces the shape's.  One whose probe finds a row is
+translated by its own preparation and keeps nothing, as is a rejected
+call.  Per view and per sweep state, the stages reuse what they
+prepared before:
 
 1. **Targets and templates.**  For every target edge, the equality
    closure of the edge view's selection condition propagates the known
@@ -51,7 +70,7 @@ insertion *shape*, per sweep state — and a call only binds values, as
    unconditional side effect rejects the update outright (case (a) in
    the paper).
 
-4. **Solve, in the equality domain.**  The constraint is CNF over
+4. **Solve, in the equality domain**, once per program.  The constraint is CNF over
    equality atoms of two kinds only: a positive unit (an assertion, or
    an atom of a target's derivation) and an all-negative clause (a
    side effect).  Over an unbounded domain that is decided by the
@@ -69,18 +88,18 @@ insertion *shape*, per sweep state — and a call only binds values, as
    :mod:`repro.sat.walksat` for comparison).  No dataset here has a
    BOOL column, so their inserts never reach a solver.
 
-5. **ΔR.**  Each unknown of a new template takes its class's constant,
-   the residue's value, or its class's fresh value — outside the active
-   domain, one per class, minted in the unknowns' name order and
-   numbered by the caller's sequence (the updater owns one, so a result
-   never depends on what another view in the process did before).
+5. **ΔR**, per call, in the program.  Each unknown of a new template
+   takes its class's bound value, the residue's value, or its class's
+   fresh value — outside the active domain, one per class, minted in the
+   unknowns' :attr:`~repro.sat.atoms.SymVar.order` and numbered by the
+   caller's sequence (the updater owns one, so a result never depends on
+   what another view in the process did before).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import UpdateRejectedError
@@ -133,6 +152,9 @@ class _TargetEdge:
         self.rows = rows
         """The stored row of each occurrence (``None`` where its key is
         absent), once read; see :meth:`_Skeleton.read`."""
+        self.slots: tuple | None = None
+        """The visible values, then the skeleton's constants, traced, as
+        the templates read them (set by :func:`_prepare`)."""
         self.row: tuple | None = None  # symbolic full view row
 
 
@@ -151,64 +173,25 @@ def translate_insertions(
     Raises :class:`UpdateRejectedError` on definite side effects, on an
     unsatisfiable encoding, or on inconsistent targets.
     """
-    plan = InsertionPlan()
     targets = _resolve_targets(registry, store, db, delta_v)
     if not targets:
-        return plan
-
-    templates, assertions = _build_templates(registry, db, targets)
-    plan.new_templates = [t for t in templates.values() if t.is_new]
-    for target in targets:
-        plan.target_rows.append((target.view.name, target.row))
-
-    if not plan.new_templates:
-        # Everything already present: targets must hold unconditionally.
-        for atom in assertions:
-            raise UpdateRejectedError(
-                f"target requires condition {atom} but no new tuple can "
-                "carry it"
-            )
-        return plan
-
-    derivations = _sweep_side_effects(registry, db, templates)
-    plan.derivations_checked = len(derivations)
-
-    target_rows = {(t.view.name, t.row) for t in targets}
-    units = assertions  # and every atom of a target's derivation
-    side_effects: list[Derivation] = []
-    covered_targets: set[tuple[str, tuple]] = set()
-    for derivation in derivations:
-        key = (derivation.view_name, derivation.row)
-        if key in target_rows:
-            covered_targets.add(key)
-            units.extend(derivation.atoms)
-            continue
-        if not derivation.atoms:
-            raise UpdateRejectedError(
-                f"insertion causes an unconditional side effect on view "
-                f"{derivation.view_name}: row {derivation.row!r}"
-            )
-        side_effects.append(derivation)
-    missing = target_rows - covered_targets
-    if missing:
-        raise UpdateRejectedError(
-            f"targets {sorted(m[0] for m in missing)} are not derivable "
-            "from the base data plus the new tuples"
-        )
-
-    classes = _solve(units, side_effects, plan)
-    if classes is None:
-        raise UpdateRejectedError(
-            f"no side-effect-free instantiation found (solver: {plan.solver})"
-        )
-
-    concrete = _decode_valuation(
-        db, classes, plan.new_templates,
-        itertools.count(1) if fresh is None else fresh,
-    )
-    for template in plan.new_templates:
-        plan.delta_r.insert(template.relation, template.instantiate(concrete))
-    return plan
+        return InsertionPlan()
+    values, layout = _values(targets)
+    bound = shape = None
+    if all(target.rows is not None for target in targets):
+        first, *rest = targets
+        shape = (layout[0], *zip([t.skeleton for t in rest], layout[1:]))
+        program = first.skeleton.insertions.get(shape)
+        if program is not None:
+            bound = program.bind(db, values)
+    if bound is None:
+        program = _prepare(registry, db, targets, values)
+        if shape is not None and program.cacheable:
+            # Published whole, with one assignment; it replaces a program
+            # whose guards this call failed.
+            targets[0].skeleton.insertions[shape] = program
+        bound = values + program.constants
+    return program.run(db, bound, itertools.count(1) if fresh is None else fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +227,61 @@ def _resolve_targets(
         if dedup in seen:
             continue
         seen.add(dedup)
-        skeleton = _skeleton(registry, db, view)
-        rows = None
-        if skeleton.keyed:
-            slots = (*parent_params, *child_sem, *skeleton.constants)
-            if skeleton.conflict(slots) is None:
-                rows = skeleton.read(db, slots)
-                if skeleton.derives(slots, rows):
-                    continue  # already derivable: set semantics, nothing to insert
-        elif view.matching_rows(db, parent_params, child_sem):
-            continue
-        targets.append(_TargetEdge(view, parent_params, child_sem, skeleton, rows))
+        target = _target(registry, db, view, parent_params, child_sem)
+        if target is not None:
+            targets.append(target)
     return targets
+
+
+def _target(
+    registry: EdgeViewRegistry,
+    db: Database,
+    view: EdgeView,
+    parent_params: tuple,
+    child_sem: tuple,
+) -> _TargetEdge | None:
+    """The edge as a target, or ``None`` when it is derivable already."""
+    skeleton = _skeleton(registry, db, view)
+    rows = None
+    if skeleton.keyed:
+        slots = (*parent_params, *child_sem, *skeleton.constants)
+        if skeleton.conflict(slots) is None:
+            rows = skeleton.read(db, slots)
+            if skeleton.derives(slots, rows):
+                return None  # set semantics: nothing to insert
+    elif view.matching_rows(db, parent_params, child_sem):
+        return None
+    return _TargetEdge(view, parent_params, child_sem, skeleton, rows)
+
+
+def _values(targets: list[_TargetEdge]) -> tuple[list, list[tuple]]:
+    """A call's values, as its program binds them, and its row layout.
+
+    The values are each target's visible values, then the cells of each
+    stored row it read that no earlier occurrence read: a base tuple read
+    twice (one shared child under several parents) is one set of values.
+    The layout gives, per target and occurrence, -1 where no row was
+    read, 0 where a row was read first, else the number (from 1) of the
+    first read of the same row.
+    """
+    values: list = []
+    layout: list[tuple] = []
+    number: dict[int, int] = {}  # by the row's identity
+    for target in targets:
+        values += target.parent_params
+        values += target.child_sem
+        codes = []
+        for row in target.rows or ():
+            if row is None:
+                codes.append(-1)
+            elif id(row) in number:
+                codes.append(number[id(row)])
+            else:
+                number[id(row)] = len(number) + 1
+                codes.append(0)
+                values += row
+        layout.append(tuple(codes))
+    return values, layout
 
 
 class _Skeleton:
@@ -283,7 +309,9 @@ class _Skeleton:
     target reads its rows by key (:meth:`read`) and :meth:`derives`
     answers whether it is derivable, the question an SPJ run answers
     for any other view.  ``programs`` holds a :class:`_TemplateProgram`
-    per shape (which occurrences' keys exist), built on first use.
+    per shape (which occurrences' keys exist), built on first use, and
+    ``insertions`` the :class:`_InsertionProgram` of each insertion shape
+    whose first target is this view's.
 
     For the sweep (any view but one with an ``unsupported`` term):
     ``row`` gives, per output column, the alias and position it is read
@@ -304,6 +332,7 @@ class _Skeleton:
         self.constants: tuple = ()
         self.programs: dict[tuple, _TemplateProgram] = {}
         self.seeds: dict[tuple, _Admit] = {}
+        self.insertions: dict[tuple, _InsertionProgram] = {}
         position = {
             alias: schema.index_of for (_, alias), schema in zip(query.tables, schemas)
         }
@@ -603,36 +632,31 @@ class _TemplateProgram:
                     else:
                         assertions.append(AtomVC(values[at], local[other][other_at]))
             template = Template(relation, key, values, is_new=not exists)
-            prior = templates.get((relation, key))
+            name = (relation, _untraced(key))
+            prior = templates.get(name)
             if prior is None:
-                templates[relation, key] = template
+                templates[name] = template
             else:
                 template, extra = _merge_templates(prior, template)
-                templates[relation, key] = template
+                templates[name] = template
                 assertions.extend(extra)
             merged.append(template.values)
         return tuple([merged[o][at] for o, at in self.row])
 
 
 def _build_templates(
-    registry: EdgeViewRegistry, db: Database, targets: list[_TargetEdge]
+    targets: list[_TargetEdge],
 ) -> tuple[dict[tuple[str, tuple], Template], list[Atom]]:
-    """Build the tuple templates and the canonical assertions."""
+    """Build the tuple templates and the canonical assertions of traced
+    targets (see :func:`_prepare`)."""
     templates: dict[tuple[str, tuple], Template] = {}
     assertions: list[Atom] = []
     for target in targets:
-        skeleton = target.skeleton or _skeleton(registry, db, target.view)
-        slots = (*target.parent_params, *target.child_sem, *skeleton.constants)
-        rows = target.rows
-        if rows is None:  # not read by _resolve_targets: nothing checked yet
-            if skeleton.rejection is not None:
-                raise UpdateRejectedError(skeleton.rejection)
-            conflict = skeleton.conflict(slots)
-            if conflict is not None:
-                raise UpdateRejectedError(conflict)
-            if skeleton.key_rejection is not None:
-                raise UpdateRejectedError(skeleton.key_rejection)
-            rows = target.rows = skeleton.read(db, slots)
+        skeleton, slots, rows = target.skeleton, target.slots, target.rows
+        if rows is None:  # _target read no row: the view or the values reject
+            raise UpdateRejectedError(
+                skeleton.rejection or skeleton.conflict(slots) or skeleton.key_rejection
+            )
         program = skeleton.program(tuple([row is not None for row in rows]))
         target.row = program.run(skeleton.view_name, slots, rows, templates, assertions)
     return templates, assertions
@@ -666,9 +690,10 @@ def _sweep_side_effects(
     registry: EdgeViewRegistry,
     db: Database,
     templates: dict[tuple[str, tuple], Template],
+    sweep: _Sweep,
 ) -> list[Derivation]:
     """Every symbolic derivation (of any view) using ≥1 new template."""
-    new_by_relation: dict[str, list[tuple[tuple, int]]] = {}
+    new_by_relation = sweep.new_by_relation
     for template in templates.values():
         if template.is_new:
             mask = sum([
@@ -678,7 +703,6 @@ def _sweep_side_effects(
             new_by_relation.setdefault(template.relation, []).append(
                 (template.values, mask)
             )
-    derivations: list[Derivation] = []
     for view in registry.views():
         if any(relation in new_by_relation for relation, _ in view.query.tables):
             skeleton = _skeleton(registry, db, view)
@@ -686,26 +710,68 @@ def _sweep_side_effects(
                 continue
             if skeleton.unsupported is not None:
                 raise UpdateRejectedError(skeleton.unsupported)
-            sweep = _Sweep(skeleton.view_name, db, new_by_relation, derivations)
+            sweep.view_name = skeleton.view_name
+            constants = tuple([sweep.tape.constant(value) for value in skeleton.constants])
             for seed_pos, relation in enumerate(skeleton.relations):
                 for values, mask in new_by_relation.get(relation, ()):
-                    skeleton.seed(seed_pos, mask).run(
-                        (skeleton.constants, values), [], sweep
-                    )
-    return derivations
+                    skeleton.seed(seed_pos, mask).run((constants, values), [], sweep)
+    return sweep.out
 
 
 class _Sweep:
-    """What one view's sweep reads and writes: the database, the new
-    templates per relation as ``(values, unknown mask)``, the output."""
+    """What a sweep reads and writes: the database, the preparation's
+    tape, the rows the call's key reads found (``known``, by relation and
+    the identities of the key's traced values; ``None`` for a new
+    template's key), the new templates per relation as ``(values, unknown
+    mask)``, the view being swept and the derivations found so far."""
 
-    __slots__ = ("view_name", "db", "new_by_relation", "out")
+    __slots__ = ("db", "tape", "known", "new_by_relation", "view_name", "out")
 
-    def __init__(self, view_name, db, new_by_relation, out):
-        self.view_name = view_name
+    def __init__(self, db: Database, tape: _Tape, known: dict) -> None:
         self.db = db
-        self.new_by_relation = new_by_relation
-        self.out = out
+        self.tape = tape
+        self.known = known
+        self.new_by_relation: dict[str, list[tuple[tuple, int]]] = {}
+        self.view_name = ""
+        self.out: list[Derivation] = []
+
+    def candidates(self, step: _Step, bound: tuple):
+        """The stored rows ``step``'s probe finds for ``bound``.
+
+        A whole-key probe on a key the call read (the same traced values)
+        answers from that read.  Every other probe is put on the tape and
+        run; a probe on a value no call binds (a cell of a row a probe
+        found) or one that finds a row makes the tape hold for this call
+        only.  The rows found enter as traced constants, so every value
+        the stages meet is traced and compares and hashes as the others.
+        """
+        if step.key is not None:
+            key = (step.relation, *[id(bound[a][at]) for a, at in step.key])
+            if key in self.known:
+                row = self.known[key]
+                if row is None:
+                    return ()
+                for position, (a, at) in step.rest:
+                    if row[position] != bound[a][at]:
+                        return ()
+                return (row,)
+        probe = [bound[a][at] for a, at in step.sources]
+        if all(isinstance(value, _Traced) for value in probe):
+            self.tape.probes.append(
+                (step.relation, step.attrs, tuple([value.index for value in probe]))
+            )
+        else:
+            self.tape.static = False
+        table = self.db.table(step.relation)
+        if step.attrs is None:
+            rows = list(table.rows())
+        else:
+            rows = table.lookup(step.attrs, [getattr(v, "value", v) for v in probe])
+        if rows:
+            self.tape.static = False
+            constant = self.tape.constant
+            rows = [tuple([constant(value) for value in row]) for row in rows]
+        return rows
 
 
 class _Admit:
@@ -837,23 +903,7 @@ class _Step:
         self.admits: dict[int, _Admit] = {}
 
     def extend(self, bound: tuple, atoms: list, sweep: _Sweep) -> None:
-        table = sweep.db.table(self.relation)
-        if self.key is not None:
-            row = table.get(tuple([bound[a][at] for a, at in self.key]))
-            if row is None:
-                candidates = ()
-            else:
-                candidates = (row,)
-                for position, (a, at) in self.rest:
-                    if row[position] != bound[a][at]:
-                        candidates = ()
-                        break
-        elif self.attrs is None:
-            candidates = list(table.rows())
-        else:
-            candidates = table.lookup(
-                self.attrs, [bound[a][at] for a, at in self.sources]
-            )
+        candidates = sweep.candidates(self, bound)
         if candidates:
             admit = self.probed
             if admit is None:  # published whole, with one assignment
@@ -1004,35 +1054,367 @@ def _solve(
 
 
 # ---------------------------------------------------------------------------
-# Stage 5: decode
+# The insertion program: stages 1-4 once per shape, stage 5 per call
 # ---------------------------------------------------------------------------
 
 
-def _decode_valuation(
-    db: Database,
-    classes: _Classes,
-    new_templates: list[Template],
-    fresh: Iterator[int],
-) -> dict[SymVar, object]:
-    """A value for every unknown of the new templates.
+class _Tape:
+    """What a preparation learnt about the values it ran on.
 
-    A bound class gives its value; every other class gets one fresh
-    value outside the active domain, shared by its members so that an
-    asserted ``var = var`` equality holds.  Fresh values are minted in
-    the unknowns' :attr:`~SymVar.order`.
+    ``values`` are the call's values (see :func:`_values`), ``constants``
+    the views' constants the stages compared and the cells of any row a
+    sweep probe found; a :class:`_Traced` value's ``index`` points into the
+    two, in that order.  ``guards`` holds every comparison between two
+    values not both constants, with its outcome, ``keyed`` the index of
+    every value a template or a target row was looked up by (see
+    :func:`_untraced`), and ``probes`` every probe of the sweep that the
+    call's key reads do not answer, as ``(relation, attrs or None for a
+    pass over the table, value indexes)``.  ``static`` is false once a
+    probe found a row or a value no call binds was compared: then what
+    the stages did holds for this call only.
     """
-    unknowns = dict.fromkeys(v for t in new_templates for v in t.variables())
-    concrete: dict[SymVar, object] = {}
-    minted: dict[SymVar, object] = {}
-    for var in sorted(unknowns, key=attrgetter("order")):
-        root = classes.find(var)
-        value = classes.value.get(root, _UNBOUND)
-        if value is _UNBOUND:
-            value = minted.get(root, _UNBOUND)
-            if value is _UNBOUND:
-                value = minted[root] = _fresh_value(db, var, fresh)
-        concrete[var] = value
-    return concrete
+
+    def __init__(self, values: list) -> None:
+        self.values = values
+        self.constants: list = []
+        self._interned: dict[tuple, _Traced] = {}
+        self.guards: dict[tuple[int, int], bool] = {}
+        self.keyed: set[int] = set()
+        self.probes: list[tuple] = []
+        self.static = True
+
+    def traced(self, index: int) -> _Traced:
+        return _Traced(self.values[index], index, self)
+
+    def constant(self, value) -> _Traced:
+        """``value`` as a traced constant, one object per value."""
+        traced = self._interned.get((type(value), value))
+        if traced is None:
+            index = len(self.values) + len(self.constants)
+            traced = self._interned[type(value), value] = _Traced(value, index, self)
+            self.constants.append(value)
+        return traced
+
+    def compared(self, a: int, b: int, outcome: bool) -> None:
+        n = len(self.values)
+        if a != b and (a < n or b < n):
+            self.guards[a, b] = outcome
+
+
+class _Traced:
+    """A value of the call a preparation runs on, in place of the value.
+
+    It compares, prints and formats as its value does, and records each
+    comparison on its :class:`_Tape`.  Its hash is constant, so a
+    dictionary or set of them compares every pair it could confuse: no
+    outcome is decided by a hash the next call's values would change.
+    The lookups whose count grows with the targets' (the templates by
+    key, the target rows) go by the values instead (:func:`_untraced`).
+    """
+
+    __slots__ = ("value", "index", "tape")
+
+    def __init__(self, value, index: int, tape: _Tape) -> None:
+        self.value = value
+        self.index = index
+        self.tape = tape
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if isinstance(other, _Traced):
+            outcome = self.value == other.value
+            self.tape.compared(self.index, other.index, outcome)
+            return outcome
+        if isinstance(other, SymVar):
+            return False
+        self.tape.static = False  # a value of a domain the residue reads
+        return self.value == other
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+
+def _untraced(cells: tuple) -> tuple:
+    """``cells`` with each traced value's own value, to look up by.
+
+    A dictionary of them decides by the equalities among those values
+    alone, one hash each, where traced ones would be compared pairwise;
+    each value's position goes on its tape (``keyed``), and a program
+    checks the equalities among them whole (:func:`_partition`).
+    """
+    out = []
+    for cell in cells:
+        if isinstance(cell, _Traced):
+            cell.tape.keyed.add(cell.index)
+            cell = cell.value
+        out.append(cell)
+    return tuple(out)
+
+
+def _prepare(
+    registry: EdgeViewRegistry,
+    db: Database,
+    targets: list[_TargetEdge],
+    values: list,
+) -> _InsertionProgram:
+    """Stages 1–4 over this call's values, traced: its program.
+
+    Every value of the call (visible values, stored cells) and every
+    constant enters the stages as a :class:`_Traced`, so the templates,
+    assertions, sweep and solve are worked out once over positions, and
+    the tape records each comparison they depended on and each value
+    they looked up by.  A stored row
+    carries its key's traced values at its key cells: a probe by those
+    values is the read that found it.  Rejections raise here, with the
+    messages the values give.
+    """
+    tape = _Tape(values)
+    traced: list[_TargetEdge] = []
+    known: dict[tuple, tuple | None] = {}
+    read: dict[int, tuple] = {}  # each row's traced cells, by its identity
+    index = 0
+    for target in targets:
+        skeleton = target.skeleton
+        n_visible = len(target.parent_params) + len(target.child_sem)
+        visible = [tape.traced(index + i) for i in range(n_visible)]
+        index += n_visible
+        slots = (*visible, *[tape.constant(value) for value in skeleton.constants])
+        rows = None
+        if target.rows is not None:
+            rows = []
+            for (relation, key_slots, _), schema, row in zip(
+                skeleton.occurrences, skeleton.schemas, target.rows
+            ):
+                key = tuple([slots[s] for s in key_slots])
+                if row is not None:
+                    cells = read.get(id(row))
+                    if cells is None:  # a first read, as _values lays it out
+                        cells = [tape.traced(index + at) for at in range(len(row))]
+                        index += len(row)
+                        for at, value in zip(schema.key_indexes, key):
+                            cells[at] = value
+                        cells = read[id(row)] = tuple(cells)
+                    row = cells
+                rows.append(row)
+                known[relation, *map(id, key)] = row
+        copy = _TargetEdge(
+            target.view, tuple(visible[: len(target.parent_params)]),
+            tuple(visible[len(target.parent_params):]), skeleton, rows,
+        )
+        copy.slots = slots
+        traced.append(copy)
+
+    plan = InsertionPlan()
+    templates, assertions = _build_templates(traced)
+    plan.new_templates = [t for t in templates.values() if t.is_new]
+    for target in traced:
+        plan.target_rows.append((target.view.name, target.row))
+    target_rows = {(name, _untraced(row)) for name, row in plan.target_rows}
+    classes = _Classes()
+    if not plan.new_templates:
+        # Everything already present: targets must hold unconditionally.
+        for atom in assertions:
+            raise UpdateRejectedError(
+                f"target requires condition {atom} but no new tuple can "
+                "carry it"
+            )
+    else:
+        derivations = _sweep_side_effects(registry, db, templates, _Sweep(db, tape, known))
+        plan.derivations_checked = len(derivations)
+        units = assertions  # and every atom of a target's derivation
+        side_effects: list[Derivation] = []
+        covered: set[tuple[str, tuple]] = set()
+        for derivation in derivations:
+            key = (derivation.view_name, _untraced(derivation.row))
+            if key in target_rows:
+                covered.add(key)
+                units.extend(derivation.atoms)
+                continue
+            if not derivation.atoms:
+                raise UpdateRejectedError(
+                    f"insertion causes an unconditional side effect on view "
+                    f"{derivation.view_name}: row {derivation.row!r}"
+                )
+            side_effects.append(derivation)
+        missing = target_rows - covered
+        if missing:
+            raise UpdateRejectedError(
+                f"targets {sorted(m[0] for m in missing)} are not derivable "
+                "from the base data plus the new tuples"
+            )
+        classes = _solve(units, side_effects, plan)
+        if classes is None:
+            raise UpdateRejectedError(
+                f"no side-effect-free instantiation found (solver: {plan.solver})"
+            )
+    return _InsertionProgram(tape, plan, classes)
+
+
+class _InsertionProgram:
+    """Algorithm insert for one insertion shape, as a call runs it.
+
+    A shape is each target's view, which of its occurrences exist and
+    which of them read one stored row (:func:`_values`), in target order;
+    :func:`_prepare` works out the rest once, over positions.  A call's
+    values are one list (see :class:`_Tape`), and :meth:`bind` checks
+    that they compare as the prepared ones did (``guards``: pairs, at
+    least one of them never looked up by; ``partition``: which of those,
+    ``keyed``, are equal) and that every probe the sweep could not answer
+    from the key reads (``probes``) still finds no row.  Then :meth:`run` only
+    builds: the unknowns (``unknowns``: relation, key, attribute, type),
+    the new templates (``templates``: relation, key, cells) and target
+    rows over positions (``rows``; a key is the positions of one of
+    ``keys``), and ΔR, where each unknown takes its class's bound value
+    or the fresh value minted for its class (``classes``: bound position
+    or ``None``, class), minting in ``order`` — the unknowns'
+    :attr:`~SymVar.order`, fixed by the shape while no two new templates
+    share a relation, else sorted per call.
+    """
+
+    def __init__(self, tape: _Tape, plan: InsertionPlan, classes: _Classes) -> None:
+        # Taken first: the comparisons below only re-read what they decided.
+        keyed = tape.keyed.copy()
+        self.guards = tuple(
+            (a, b, outcome) for (a, b), outcome in tape.guards.items()
+            if a not in keyed or b not in keyed
+        )
+        self.keyed = tuple(sorted(keyed))
+        self.partition = _partition(tape.values + tape.constants, self.keyed)
+        # Numbered by identity: a new template's variables are distinct
+        # objects, and dictionaries of variables hash each one in Python.
+        unknowns: list[SymVar] = [
+            cell for t in plan.new_templates for cell in t.values
+            if isinstance(cell, SymVar)
+        ]
+        number = {id(var): u for u, var in enumerate(unknowns)}
+        roots: dict[SymVar, int] = {}
+        of_class = []
+        for var in unknowns:
+            root = classes.find(var)
+            value = classes.value.get(root, _UNBOUND)
+            if value is not _UNBOUND and not isinstance(value, _Traced):
+                value = tape.constant(value)  # a BOOL value the residue chose
+            of_class.append((
+                None if value is _UNBOUND else value.index,
+                roots.setdefault(root, len(roots)),
+            ))
+        n = len(tape.values) + len(tape.constants)
+
+        def position(cell) -> int:
+            if not isinstance(cell, SymVar):
+                return cell.index
+            u = number.get(id(cell))
+            if u is None:  # a target row holds the variable a merge replaced
+                u = unknowns.index(cell)
+            return n + u
+
+        self.constants = list(tape.constants)
+        self.probes = tuple(tape.probes)
+        self.cacheable = tape.static and plan.solver != "dpll"
+        self.scalars = {
+            "num_vars": plan.num_vars,
+            "num_clauses": plan.num_clauses,
+            "solver": plan.solver,
+            "derivations_checked": plan.derivations_checked,
+        }
+        keys: dict[tuple, int] = {}
+        key_of: dict[int, int] = {}  # by the key tuple's identity
+
+        def key(cells: tuple) -> int:
+            k = key_of.get(id(cells))
+            if k is None:
+                positions = tuple([cell.index for cell in cells])
+                k = key_of[id(cells)] = keys.setdefault(positions, len(keys))
+            return k
+
+        self.unknowns = tuple(
+            (var.relation, key(var.key), var.attr, var.attr_type) for var in unknowns
+        )
+        self.templates = tuple(
+            (t.relation, key(t.key), tuple([position(cell) for cell in t.values]))
+            for t in plan.new_templates
+        )
+        self.keys = tuple(keys)
+        self.classes = tuple(of_class)
+        self.rows = tuple(
+            (name, tuple([position(cell) for cell in row]))
+            for name, row in plan.target_rows
+        )
+        # Names are "relation.key.attr": with one new template per
+        # relation and no "." in a relation's name, "relation." decides
+        # between relations and the attribute within one, whatever the key.
+        relations = [t.relation for t in plan.new_templates]
+        self.order: tuple[int, ...] | None = None
+        if len(set(relations)) == len(relations) and not any("." in r for r in relations):
+            self.order = tuple(sorted(
+                range(len(unknowns)),
+                key=lambda u: (unknowns[u].relation + ".", unknowns[u].attr),
+            ))
+
+    def bind(self, db: Database, values: list) -> list | None:
+        """``values`` and the constants, if this program is the call's."""
+        bound = values + self.constants
+        for a, b, outcome in self.guards:
+            if (bound[a] == bound[b]) is not outcome:
+                return None
+        if _partition(bound, self.keyed) != self.partition:
+            return None
+        for relation, attrs, sources in self.probes:
+            table = db.table(relation)
+            if attrs is None:
+                if len(table):
+                    return None
+            elif table.lookup(attrs, [bound[i] for i in sources]):
+                return None
+        return bound
+
+    def run(self, db: Database, bound: list, fresh: Iterator[int]) -> InsertionPlan:
+        """The call's plan: its unknowns, templates and target rows, and ΔR."""
+        plan = InsertionPlan(**self.scalars)
+        n = len(bound)
+        keys = [tuple([bound[i] for i in key]) for key in self.keys]
+        unknowns = [
+            SymVar(relation, keys[key], attr, attr_type)
+            for relation, key, attr, attr_type in self.unknowns
+        ]
+        cells = bound + unknowns
+        plan.new_templates = [
+            Template(relation, keys[key], tuple([cells[i] for i in values]), True)
+            for relation, key, values in self.templates
+        ]
+        plan.target_rows = [
+            (name, tuple([cells[i] for i in row])) for name, row in self.rows
+        ]
+        if unknowns:
+            order = self.order
+            if order is None:
+                order = sorted(range(len(unknowns)), key=lambda u: unknowns[u].order)
+            minted: dict[int, object] = {}
+            for u in order:
+                source, root = self.classes[u]
+                if source is not None:
+                    cells[n + u] = bound[source]
+                    continue
+                value = minted.get(root, _UNBOUND)
+                if value is _UNBOUND:
+                    value = minted[root] = _fresh_value(db, unknowns[u], fresh)
+                cells[n + u] = value
+        for relation, _, values in self.templates:
+            plan.delta_r.insert(relation, tuple([cells[i] for i in values]))
+        return plan
+
+
+def _partition(values: list, positions: tuple) -> tuple:
+    """Which of ``positions`` hold equal values: each one's first equal."""
+    first: dict = {}
+    return tuple([first.setdefault(values[i], i) for i in positions])
 
 
 def _fresh_value(db: Database, var: SymVar, fresh: Iterator[int]):
@@ -1043,16 +1425,21 @@ def _fresh_value(db: Database, var: SymVar, fresh: Iterator[int]):
     not hold: the sequence restarts with every updater (a recovered
     service, a second view over the same database), the column does not.
     """
-    if var.attr_type is AttrType.BOOL:
+    attr_type = var.attr_type
+    if attr_type is _INT:
+        return db.table(var.relation).int_ceiling(var.attr) + 1_000_000 + next(fresh)
+    if attr_type is _BOOL:
         return False
     table = db.table(var.relation)
-    if var.attr_type is AttrType.INT:
-        return table.int_ceiling(var.attr) + 1_000_000 + next(fresh)
     while True:
         seq = next(fresh)
-        if var.attr_type is AttrType.FLOAT:
+        if attr_type is _FLOAT:
             value = 1e12 + seq
         else:
             value = f"zz_fresh_{seq}"
         if not table.lookup([var.attr], [value]):
             return value
+
+
+# An enum member read off its class costs a lookup each time.
+_INT, _BOOL, _FLOAT = AttrType.INT, AttrType.BOOL, AttrType.FLOAT

@@ -18,25 +18,37 @@ from repro.relational.schema import AttrType
 class SymVar:
     """A canonical unknown: attribute ``attr`` of base tuple (relation, key).
 
-    Equal by its four fields.  ``name``, ``order`` and the hash are
-    worked out once: a variable is hashed on every dictionary probe of
-    the solve, and :class:`AttrType`'s hash is a Python-level call.
-    ``order`` is the total sort key unknowns are put in — by ``name``
-    first, then by the fields two distinct unknowns with one name
-    (``r.a_b_c.x`` for keys ``("a_b", "c")`` and ``("a", "b_c")``)
+    Equal by its four fields.  The hash is worked out once: a variable
+    is hashed on every dictionary probe of the solve, and
+    :class:`AttrType`'s hash is a Python-level call.  ``name`` and
+    ``order`` are worked out on first use, since a prepared insertion
+    makes its variables on every call and sorts them only when it is
+    prepared.  ``order`` is the total sort key unknowns are put in — by
+    ``name`` first, then by the fields two distinct unknowns with one
+    name (``r.a_b_c.x`` for keys ``("a_b", "c")`` and ``("a", "b_c")``)
     differ in, so no order depends on the hash seed.
     """
 
-    __slots__ = ("relation", "key", "attr", "attr_type", "name", "order", "_hash")
+    __slots__ = ("relation", "key", "attr", "attr_type", "_order", "_hash")
 
     def __init__(self, relation: str, key: tuple, attr: str, attr_type: AttrType):
         self.relation = relation
         self.key = key
         self.attr = attr
         self.attr_type = attr_type
-        self.name = f"{relation}.{'_'.join(map(str, key))}.{attr}"
-        self.order = (self.name, relation, repr(key), attr)
+        self._order = None
         self._hash = hash((relation, key, attr))
+
+    @property
+    def name(self) -> str:
+        return f"{self.relation}.{'_'.join(map(str, self.key))}.{self.attr}"
+
+    @property
+    def order(self) -> tuple:
+        order = self._order
+        if order is None:
+            order = self._order = (self.name, self.relation, repr(self.key), self.attr)
+        return order
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -28,7 +28,7 @@ from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
 from repro.relview import insert as insert_module
-from repro.relview.insert import _build_templates, _TargetEdge
+from repro.relview.insert import _TargetEdge
 from repro.relview.symbolic import Template
 from repro.sat.atoms import SymVar
 from repro.views.registry import EdgeView, EdgeViewRegistry, build_registry
@@ -207,23 +207,44 @@ class TestPlanCache:
 # ---------------------------------------------------------------------------
 
 
-def _checked_build_templates(registry, db, targets):
-    """``_build_templates`` and the per-call reference on copies of the
-    same targets: the same templates, assertions (in order), target rows
-    and rejections."""
-    copies = [_TargetEdge(t.view, t.parent_params, t.child_sem) for t in targets]
+def _checked_prepare(registry, db, view, parent_params, child_sem):
+    """The product's program for one target edge and the per-call
+    reference on it: the same new templates and target row, or the same
+    rejection.  Returns the program's plan (its unknowns not minted)."""
+    copy = _TargetEdge(view, parent_params, child_sem)
     try:
-        expected = uncompiled.build_templates(db, copies)
+        templates, _ = uncompiled.build_templates(db, [copy])
     except UpdateRejectedError as rejected:
         with pytest.raises(UpdateRejectedError) as raised:
-            _build_templates(registry, db, targets)
+            _prepared(registry, db, view, parent_params, child_sem)
         assert str(raised.value) == str(rejected)
         raise
-    templates, assertions = _build_templates(registry, db, targets)
-    assert list(templates.items()) == list(expected[0].items())
-    assert assertions == expected[1]
-    assert [t.row for t in targets] == [t.row for t in copies]
-    return templates, assertions
+    plan = _prepared(registry, db, view, parent_params, child_sem)
+    assert plan.new_templates == [t for t in templates.values() if t.is_new]
+    assert plan.target_rows == [(view.name, copy.row)]
+    return plan
+
+
+def _prepared(registry, db, view, parent_params, child_sem):
+    target = insert_module._target(registry, db, view, parent_params, child_sem)
+    values, _ = insert_module._values([target])
+    program = insert_module._prepare(registry, db, [target], values)
+    return program.run(db, values + program.constants, itertools.count(1))
+
+
+def _sweep(registry, db, templates):
+    """The product's sweep of ``templates``, as a preparation runs it:
+    every value traced (here as a constant of the tape)."""
+    tape = insert_module._Tape([])
+    traced = {
+        name: Template(template.relation, template.key, tuple(
+            cell if isinstance(cell, SymVar) else tape.constant(cell)
+            for cell in template.values
+        ), template.is_new)
+        for name, template in templates.items()
+    }
+    sweep = insert_module._Sweep(db, tape, {})
+    return insert_module._sweep_side_effects(registry, db, traced, sweep)
 
 
 def _summary(plan):
@@ -246,8 +267,9 @@ def _checked_translate(registry, store, db, delta_v, fresh=None):
     fresh, reference_fresh = itertools.tee(itertools.count(1) if fresh is None else fresh)
     translate = insert_module.translate_insertions
     try:
-        with uncompiled.reference_insert():
-            expected = translate(registry, store, db, delta_v, reference_fresh)
+        expected = uncompiled.translate_insertions(
+            registry, store, db, delta_v, reference_fresh
+        )
     except UpdateRejectedError as rejected:
         with pytest.raises(UpdateRejectedError) as raised:
             translate(registry, store, db, delta_v, fresh)
@@ -418,9 +440,9 @@ def test_the_prepared_sweep_agrees_with_the_per_call_sweep(database, case):
     unknown cell, probes a conjunct does not reach."""
     registry, templates = case
     expected = uncompiled.sweep_side_effects(registry, database, templates)
-    assert insert_module._sweep_side_effects(registry, database, templates) == expected
+    assert _sweep(registry, database, templates) == expected
     # Again, from the prepared programs.
-    assert insert_module._sweep_side_effects(registry, database, templates) == expected
+    assert _sweep(registry, database, templates) == expected
 
 
 def _view(name, tables, project, where, n_params=1):
@@ -507,13 +529,12 @@ _R_KEYED = [("pa", Col("r", "a")), ("b", Col("r", "b")), ("k_r_a", Col("r", "a")
 def test_each_rejection_keeps_its_message(view, parent_params, child_sem, message):
     database = _two_tables()
     registry = EdgeViewRegistry(None, {("p", view.child_type): view})
-    target = _TargetEdge(view, parent_params, child_sem)
     with pytest.raises(UpdateRejectedError) as raised:
-        _checked_build_templates(registry, database, [target])
+        _checked_prepare(registry, database, view, parent_params, child_sem)
     assert str(raised.value) == message
     # Again, from the cached skeleton.
     with pytest.raises(UpdateRejectedError) as raised:
-        _build_templates(registry, database, [target])
+        _prepared(registry, database, view, parent_params, child_sem)
     assert str(raised.value) == message
 
 
@@ -564,7 +585,7 @@ def test_the_sweep_skips_a_view_that_derives_nothing():
         ("r", key): Template("r", key, (7, SymVar("r", key, "b", AttrType.STR)), True)
     }
     assert uncompiled.sweep_side_effects(registry, database, templates) == []
-    assert insert_module._sweep_side_effects(registry, database, templates) == []
+    assert _sweep(registry, database, templates) == []
 
 
 @pytest.mark.parametrize("where", [
@@ -586,9 +607,8 @@ def test_a_constant_fills_its_class_in_either_conjunct_order(where):
     ], where)
     database = _two_tables()
     registry = EdgeViewRegistry(None, {("p", "ordered"): view})
-    targets = [_TargetEdge(view, ("x",), ("w",))]
-    templates, _ = _checked_build_templates(registry, database, targets)
-    assert [template.values for template in templates.values()] == [
+    plan = _checked_prepare(registry, database, view, ("x",), ("w",))
+    assert [template.values for template in plan.new_templates] == [
         (9, "x"), (9, "w")
     ]
     assert insert_module._skeleton(registry, database, view).keyed

@@ -1,6 +1,6 @@
 """ΔR byte for byte against a recorded translator.
 
-``tests/data/delta_r_golden.jsonl`` holds three short generated streams
+``tests/data/delta_r_golden.jsonl`` holds five short generated streams
 (fixed seeds) and, per op, what the service answered: ``accepted``, the
 rejection reason, the ΔR ops in order (fresh values included) and the
 size of the CNF a BOOL residue went to (``sat_vars`` / ``sat_clauses``).
@@ -30,6 +30,8 @@ STREAMS = (
     WorkloadSpec(workload="synthetic:200", ops=80, seed=4701, pattern="churn"),
     WorkloadSpec(workload="synthetic:300", ops=80, seed=4702, pattern="dense_dag"),
     WorkloadSpec(workload="synthetic:600", ops=60, seed=4703, pattern="mixed"),
+    WorkloadSpec(workload="synthetic:200", ops=60, seed=4704, pattern="deep_chain"),
+    WorkloadSpec(workload="synthetic:300", ops=60, seed=4705, pattern="replace_storm"),
 )
 
 

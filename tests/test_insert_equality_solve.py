@@ -26,7 +26,8 @@ from repro.relational.conditions import And, Col, Const, Eq, Param
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
-from repro.relview.insert import InsertionPlan, _Classes, _solve, translate_insertions
+from repro.relview import insert as insert_module
+from repro.relview.insert import InsertionPlan, _Classes, _solve
 from repro.relview.symbolic import Derivation
 from repro.sat.atoms import AtomVC, AtomVV, SymVar
 
@@ -113,7 +114,7 @@ class TestBoolResidue:
             delta_v = xinsert(updater.store, result.targets, subtree)
             try:
                 with solving:
-                    plan = translate_insertions(
+                    plan = insert_module.translate_insertions(
                         updater.registry, updater.store, db, delta_v
                     )
             except UpdateRejectedError:

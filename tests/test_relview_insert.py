@@ -11,6 +11,7 @@ from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xinsert
 from repro.errors import UpdateRejectedError
+from repro.relview import insert as insert_module
 from repro.relview.insert import translate_insertions
 from repro.views.registry import build_registry
 from repro.views.store import ViewDelta
@@ -164,7 +165,9 @@ class TestNewSubtree:
             )
             delta_v = xinsert(store2, result.targets, subtree)
             with solving:
-                plan = translate_insertions(registry2, store2, db2, delta_v)
+                plan = insert_module.translate_insertions(
+                    registry2, store2, db2, delta_v
+                )
             gains, losses = gained_rows(registry2, db2, plan.delta_r)
             assert len(gains["edge_prereq_course"]) == 1
             assert not gains["edge_db_course"]
@@ -412,25 +415,17 @@ def test_new_key_insert_encodes_to_a_small_cnf(capsys):
 
 
 def test_decode_keeps_a_constant_that_looks_like_a_fresh_token(env):
-    """A bound class keeps its constant whatever its text; only an
-    unbound class gets a fresh value."""
-    import itertools
-
-    from repro.relational.schema import AttrType
-    from repro.relview.insert import _Classes, _decode_valuation
-    from repro.relview.symbolic import Template
-    from repro.sat.atoms import AtomVC, SymVar
-
-    _, db, _, _, _ = env
-    title = SymVar("course", ("CS999",), "title", AttrType.STR)
-    dept = SymVar("course", ("CS999",), "dept", AttrType.STR)
-    template = Template("course", ("CS999",), ("CS999", title, dept), True)
-    classes = _Classes()
-    classes.assert_atom(AtomVC(title, "zz_fresh_1"))
-    concrete = _decode_valuation(db, classes, [template], itertools.count(1))
-    assert concrete[title] == "zz_fresh_1"
-    assert concrete[dept] == "zz_fresh_1"  # the sequence, checked on dept's column
-    assert concrete[dept] not in {row[2] for row in db.table("course").rows()}
+    """A value the call binds keeps its text, however fresh it looks;
+    only an unknown gets a fresh value, checked on its own column."""
+    _, db, registry, store, _ = env
+    delta_v = delta_for_insert(
+        env, "course[cno=CS650]/prereq", "course", ("CS999", "zz_fresh_1")
+    )
+    for translate in (translate_insertions, uncompiled.translate_insertions):
+        plan = translate(registry, store, db, delta_v)
+        (row,) = [op.row for op in plan.delta_r if op.relation == "course"]
+        assert row == ("CS999", "zz_fresh_1", "zz_fresh_1")
+    assert "zz_fresh_1" not in {row[2] for row in db.table("course").rows()}
 
 
 def _run_under_hash_seeds(script, seeds=("1", "2", "3")):
@@ -466,9 +461,10 @@ import itertools
 
 from repro.relational.database import Database
 from repro.relational.schema import AttrType, RelationSchema
-from repro.relview.insert import _Classes, _decode_valuation
+from repro.relview.insert import _Classes
 from repro.relview.symbolic import Template
 from repro.sat.atoms import SymVar
+from uncompiled import decode_classes
 
 S = AttrType.STR
 db = Database()
@@ -477,7 +473,7 @@ templates = [
     Template("r", key, (*key, SymVar("r", key, "x", S)), True)
     for key in (("a_b", "c"), ("a", "b_c"))
 ]
-concrete = _decode_valuation(db, _Classes(), templates, itertools.count(1))
+concrete = decode_classes(db, _Classes(), templates, itertools.count(1))
 print(sorted((var.key, value) for var, value in concrete.items()))
 """
 

@@ -230,6 +230,19 @@ class TestCLI:
         assert not out.exists()
         assert captured.err.count("emptied the view of cnode keys") == 2
 
+    def test_an_unopenable_out_path_exits_2_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        from repro.bench.workload_gen import main
+
+        out = tmp_path / "missing" / "stream.jsonl"
+        assert main(["--workload", "synthetic:60", "--ops", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
     def _generate(self, tmp_path, *extra):
         out = tmp_path / "stream.jsonl"
         result = subprocess.run(

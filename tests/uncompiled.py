@@ -4,28 +4,30 @@
   the alias order, resolves every column by name and dispatches every
   conjunct on each call.  The compiled plan must give the same rows in
   the same order and the same derivations.
-- :func:`resolve_targets`, :func:`build_templates` and
-  :func:`sweep_side_effects` are Algorithm insert's resolve step and
-  stages 1-3 as per-call code: an SPJ run (``matching_rows``) tells
-  whether a target is derivable, the equality closure of the view's
-  condition is rebuilt for every target, and the sweep picks each next
-  alias and its probe per partial assignment, copying it per candidate.
-  :func:`reference_insert` swaps the three into
-  ``repro.relview.insert``; the prepared programs must give the same
-  ``InsertionPlan`` (ΔR with its fresh values, templates, target
-  rows, derivations) and raise the same rejections, and
-  ``_build_templates`` alone the same templates and assertions, in the
-  same order.
+- :func:`translate_insertions` is Algorithm insert with every stage run
+  per call, as it ran before each insertion shape became one prepared
+  program: :func:`resolve_targets`, :func:`build_templates` and
+  :func:`sweep_side_effects` are the resolve step and stages 1-3 (an
+  SPJ run, ``matching_rows``, tells whether a target is derivable, the
+  equality closure of the view's condition is rebuilt for every target,
+  and the sweep picks each next alias and its probe per partial
+  assignment, copying it per candidate), then the product's
+  equality-domain ``_solve`` and :func:`decode_classes` (stage 5: every
+  unknown's class value or a fresh value, minted in ``SymVar.order``).
+  :func:`reference_insert` swaps it in for the product's
+  ``translate_insertions``; the programs must give the same
+  ``InsertionPlan`` (ΔR with its fresh values, templates, target rows,
+  derivations) and raise the same rejections, and one target's program
+  the new templates and target row :func:`build_templates` gives.
 - :func:`solve` and :func:`decode_valuation` are stages 4-5 as the
   paper's finite-domain encoding: every unknown of an atom gets a
   domain (:func:`build_domains`: BOOL its two values, any other type the
   constants of its ``var = var`` component plus one :class:`FreshToken`
   per component variable), the clauses are encoded whole and DPLL (or
   WalkSAT) decides them, and only a fresh token decodes to a fresh
-  value.  They take and give what ``_solve`` / ``_decode_valuation``
-  do, so a test swaps both into ``repro.relview.insert`` at once.  The
-  equality-domain solve must accept and reject the same insertions and
-  give the same ΔR.
+  value.  :func:`reference_solve` runs :func:`translate_insertions` with
+  them in place of ``_solve`` and :func:`decode_classes`.  The product
+  must accept and reject the same insertions and give the same ΔR.
 - :func:`subtree_nodes` and :func:`subtree_nodes_from` are the
   publisher's old walk of the whole ``ST(A, t)``, shared part included,
   that the insert plan's cycle check read (``attach ∈ all_nodes``).  The
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+import itertools
 from itertools import repeat
 from typing import Iterable, Iterator
 from unittest import mock
@@ -75,8 +78,11 @@ from repro.relational.conditions import (
 )
 from repro.relational.query import Assignment, QueryResult
 from repro.relational.schema import AttrType
+from repro.core import plan as plan_module
 from repro.relview import insert as insert_module
 from repro.relview.insert import (
+    _UNBOUND,
+    InsertionPlan,
     _fresh_value,
     _merge_templates,
     _TargetEdge,
@@ -533,21 +539,116 @@ def _alias_atoms(layout, alias, partial):
     return atoms
 
 
+def translate_insertions(
+    registry, store, db, delta_v, fresh=None, *, solve=None, decode=None
+):
+    """Algorithm insert with every stage run per call: the reference the
+    product's insertion programs are checked against.
+
+    Stages 1-3 are the per-call code above; stage 4 is ``solve(units,
+    side_effects, plan)`` (default: the product's equality-domain
+    ``_solve``) and stage 5 ``decode(db, solved, new_templates,
+    fresh)`` (default: :func:`decode_classes`).
+    """
+    solve = solve or insert_module._solve
+    decode = decode or decode_classes
+    plan = InsertionPlan()
+    targets = resolve_targets(registry, store, db, delta_v)
+    if not targets:
+        return plan
+
+    templates, assertions = build_templates(db, targets)
+    plan.new_templates = [t for t in templates.values() if t.is_new]
+    for target in targets:
+        plan.target_rows.append((target.view.name, target.row))
+
+    if not plan.new_templates:
+        # Everything already present: targets must hold unconditionally.
+        for atom in assertions:
+            raise UpdateRejectedError(
+                f"target requires condition {atom} but no new tuple can "
+                "carry it"
+            )
+        return plan
+
+    derivations = sweep_side_effects(registry, db, templates)
+    plan.derivations_checked = len(derivations)
+
+    target_rows = {(t.view.name, t.row) for t in targets}
+    units = assertions  # and every atom of a target's derivation
+    side_effects: list[Derivation] = []
+    covered_targets: set[tuple[str, tuple]] = set()
+    for derivation in derivations:
+        key = (derivation.view_name, derivation.row)
+        if key in target_rows:
+            covered_targets.add(key)
+            units.extend(derivation.atoms)
+            continue
+        if not derivation.atoms:
+            raise UpdateRejectedError(
+                f"insertion causes an unconditional side effect on view "
+                f"{derivation.view_name}: row {derivation.row!r}"
+            )
+        side_effects.append(derivation)
+    missing = target_rows - covered_targets
+    if missing:
+        raise UpdateRejectedError(
+            f"targets {sorted(m[0] for m in missing)} are not derivable "
+            "from the base data plus the new tuples"
+        )
+
+    solved = solve(units, side_effects, plan)
+    if solved is None:
+        raise UpdateRejectedError(
+            f"no side-effect-free instantiation found (solver: {plan.solver})"
+        )
+
+    concrete = decode(
+        db, solved, plan.new_templates,
+        itertools.count(1) if fresh is None else fresh,
+    )
+    for template in plan.new_templates:
+        plan.delta_r.insert(template.relation, template.instantiate(concrete))
+    return plan
+
+
+def decode_classes(db, classes, new_templates, fresh):
+    """A value for every unknown of the new templates.
+
+    A bound class gives its value; every other class gets one fresh
+    value outside the active domain, shared by its members so that an
+    asserted ``var = var`` equality holds.  Fresh values are minted in
+    the unknowns' :attr:`~SymVar.order`.
+    """
+    unknowns = dict.fromkeys(v for t in new_templates for v in t.variables())
+    concrete: dict[SymVar, object] = {}
+    minted: dict[SymVar, object] = {}
+    for var in sorted(unknowns, key=lambda v: v.order):
+        root = classes.find(var)
+        value = classes.value.get(root, _UNBOUND)
+        if value is _UNBOUND:
+            value = minted.get(root, _UNBOUND)
+            if value is _UNBOUND:
+                value = minted[root] = _fresh_value(db, var, fresh)
+        concrete[var] = value
+    return concrete
+
+
 @contextmanager
-def reference_insert():
-    """Run Algorithm insert's resolve step and stages 1-3 as the per-call
-    code above instead of the product's prepared programs; stages 4-5
-    and `translate_insertions` itself are the product's."""
-    with mock.patch.object(insert_module, "_resolve_targets", resolve_targets), \
-            mock.patch.object(
-                insert_module, "_build_templates",
-                lambda registry, db, targets: build_templates(db, targets),
-            ), \
-            mock.patch.object(
-                insert_module, "_sweep_side_effects", sweep_side_effects
-            ):
+def _translating(translate):
+    """``translate`` in place of the product's ``translate_insertions``,
+    for the updater and for callers that look it up on its module."""
+    with mock.patch.object(plan_module, "translate_insertions", translate), \
+            mock.patch.object(insert_module, "translate_insertions", translate):
         yield
 
+
+@contextmanager
+def reference_insert():
+    """Run Algorithm insert as :func:`translate_insertions`, every stage
+    per call, instead of the product's prepared insertion programs."""
+    with _translating(translate_insertions):
+        yield
 
 
 @dataclass(frozen=True)
@@ -593,16 +694,19 @@ def solve(units, side_effects, solver, plan):
 
 @contextmanager
 def reference_solve(solver: str = "dpll"):
-    """Run Algorithm insert's stages 4-5 as the paper's finite-domain
-    encoding solved by ``solver`` (``'dpll'`` or ``'walksat'``) instead
-    of the product's equality-domain solve."""
-    def solve_with(units, side_effects, plan):
-        return solve(units, side_effects, solver, plan)
+    """Run Algorithm insert as :func:`translate_insertions` with stages
+    4-5 the paper's finite-domain encoding solved by ``solver``
+    (``'dpll'`` or ``'walksat'``) instead of the equality-domain solve."""
+    def translate(registry, store, db, delta_v, fresh=None):
+        return translate_insertions(
+            registry, store, db, delta_v, fresh,
+            solve=lambda units, side_effects, plan: solve(
+                units, side_effects, solver, plan
+            ),
+            decode=decode_valuation,
+        )
 
-    with mock.patch.object(insert_module, "_solve", solve_with), \
-            mock.patch.object(
-                insert_module, "_decode_valuation", decode_valuation
-            ):
+    with _translating(translate):
         yield
 
 
