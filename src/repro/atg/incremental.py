@@ -34,7 +34,6 @@ from repro.atg.model import ATG
 from repro.atg.publisher import publish_subtree
 from repro.core.maintenance import maintain_delete, maintain_insert
 from repro.core.topo import TopoOrder
-from repro.errors import ReproError
 from repro.index import ReachabilityIndex
 from repro.relational.database import Database, RelationalDelta
 from repro.views.events import (
@@ -122,7 +121,7 @@ def propagate_base_update(
             # The edge survives if another derivation still exists.
             if view.matching_rows(db, params, child_sem):
                 continue
-            for parent in _matching_parents(atg, store, view, params):
+            for parent in _matching_parents(store, view, params):
                 if store.remove_edge(parent, child):
                     report.edges_removed.append((parent, child))
                     removed_children.append(child)
@@ -149,7 +148,7 @@ def propagate_base_update(
         progress = False
         remaining: list[tuple[EdgeView, tuple, tuple]] = []
         for view, params, child_sem in pending:
-            parents = _matching_parents(atg, store, view, params)
+            parents = _matching_parents(store, view, params)
             if not parents:
                 remaining.append((view, params, child_sem))
                 continue
@@ -232,16 +231,12 @@ def _referencing_rows(
 
 
 def _matching_parents(
-    atg: ATG, store: ViewStore, view: EdgeView, params: tuple
+    store: ViewStore, view: EdgeView, params: tuple
 ) -> list[int]:
     """Existing parent nodes whose semantic attribute matches ``params``."""
-    signature = atg.signature(view.parent_type)
-    try:
-        indexes = [signature.index(p) for p in view.param_names]
-    except ValueError as exc:  # pragma: no cover - registry validates
-        raise ReproError(str(exc)) from exc
+    params_of = view.params_of
     out = []
     for node, sem in store.gen.get(view.parent_type, {}).items():
-        if tuple(sem[i] for i in indexes) == params:
+        if params_of(sem) == params:
             out.append(node)
     return sorted(out)

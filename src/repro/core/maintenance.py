@@ -56,8 +56,11 @@ nothing more: a condemned node's row was emptied by the walk, and no
 surviving row holds its bit, because a condemned parent is left out
 before any of its descendants is recomputed.  ``LR`` is a walk of the
 store: ``ΔV`` removed only edges *into* ``r[[p]]``, so what was below
-it still is.  ``L`` drops the condemned nodes in place and rewrites
-positions from the first of them on only.
+it still is.  The condemned nodes leave the store in one pass
+(:meth:`~repro.views.store.ViewStore.collect`, which unlinks their
+out-edges and returns them as ``Δ'V``) and ``L`` in one
+:meth:`~repro.core.topo.TopoOrder.remove_many`, which tombstones their
+slots and rewrites no surviving position.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ def maintain_delete(
     ancestors first: each node's ancestor row is recomputed from its
     surviving parents, and a node left with no surviving parent is
     condemned (``keep := false``).  The store is only mutated after the
-    walk.
+    walk, by one :meth:`~repro.views.store.ViewStore.collect`.
     """
     report = DeleteMaintenance()
     targets = result if isinstance(result, list) else result.targets
@@ -220,20 +223,11 @@ def maintain_delete(
     report.removed_pairs, condemned = reach.retain_below(
         store, reversed(topo.sort_nodes(affected))
     )
-    for node in condemned:  # ancestors first
-        report.removed_info[node] = (
-            store.type_of(node), store.value_of(node)
-        )
-        for child in list(store.children_of(node)):
-            report.gc_delta.delete(
-                store.type_of(node), store.type_of(child), node, child
-            )
-
-    # Apply Δ'V and drop the condemned nodes from every structure.
-    store.apply(report.gc_delta)
-    if condemned:
+    if condemned:  # ancestors first
+        info = report.removed_info
+        for node in condemned:
+            info[node] = (store.type_of(node), store.value_of(node))
+        report.gc_delta = store.collect(condemned)
         report.removed_nodes = condemned
         topo.remove_many(condemned)
-        for node in condemned:
-            store.remove_node(node)
     return report

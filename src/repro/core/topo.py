@@ -26,20 +26,26 @@ from repro.views.store import ViewStore
 class TopoOrder:
     """A maintained topological order over node ids.
 
-    ``position(n)`` is ``_pos[n] - _base``: positions are stored against
-    a base, so every mutator rewrites the shorter side only.  A new node
-    below the middle (every new leaf of Δ(M,L)insert goes to the front)
-    lowers the base and rewrites the prefix before it; one at or past
-    the middle rewrites the suffix.  :meth:`remove_many` deletes its
-    slots in place and rewrites from the first of them on, and
-    :meth:`swap` the segment it reorders, which it splits by a walk of
-    the store's children below ``v``.
+    ``position(n)`` is ``_pos[n] - _base``, ``n``'s slot in ``_list``:
+    positions are stored against a base, so every mutator rewrites the
+    shorter side only.  A new node below the middle (every new leaf of
+    Δ(M,L)insert goes to the front) lowers the base and rewrites the
+    prefix before it; one at or past the middle rewrites the suffix.
+    :meth:`swap` rewrites the segment it reorders, which it splits by a
+    walk of the store's children below ``v``.  :meth:`remove_many`
+    leaves a tombstone (``None``) in each dead slot and rewrites no
+    position; the tombstones are compacted away, with one rewrite of
+    every position, once they fill an eighth of the slots (so a swap's
+    or an insertion's rewrite crosses few of them).  So positions
+    order like ``L`` and index its slots, but are ranks only while no
+    tombstone is left; iteration skips the tombstones.
     """
 
     def __init__(self, order: list[int] | None = None):
-        self._list: list[int] = list(order) if order else []
+        self._list: list[int | None] = list(order) if order else []
         self._pos: dict[int, int] = {n: i for i, n in enumerate(self._list)}
         self._base = 0
+        self._dead = 0  # tombstoned slots in _list
         if len(self._pos) != len(self._list):
             raise ReproError("duplicate nodes in topological order")
 
@@ -53,10 +59,12 @@ class TopoOrder:
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._list)
+        return len(self._list) - self._dead
 
     def __iter__(self) -> Iterator[int]:
         """Forward iteration: descendants before ancestors."""
+        if self._dead:
+            return (n for n in self._list if n is not None)
         return iter(self._list)
 
     def __contains__(self, node: int) -> bool:
@@ -64,9 +72,13 @@ class TopoOrder:
 
     def backward(self) -> Iterator[int]:
         """Backward iteration: ancestors before descendants."""
+        if self._dead:
+            return (n for n in reversed(self._list) if n is not None)
         return reversed(self._list)
 
     def position(self, node: int) -> int:
+        """``node``'s slot: positions order like ``L`` (they are ranks
+        while no removal has left a tombstone)."""
         try:
             return self._pos[node] - self._base
         except KeyError:
@@ -76,7 +88,7 @@ class TopoOrder:
         return self.position(u) < self.position(v)
 
     def as_list(self) -> list[int]:
-        return list(self._list)
+        return list(self)
 
     def sort_nodes(self, nodes) -> list[int]:
         """Sort the given nodes by their position in ``L``.
@@ -104,7 +116,7 @@ class TopoOrder:
         self.insert_at(node, 0)
 
     def insert_at(self, node: int, index: int) -> None:
-        """Insert a new node at position ``index``.
+        """Insert a new node at position (slot) ``index``.
 
         The shorter side moves: below the middle the base drops and the
         prefix is rewritten, so ``min(index, len - index) + 1`` entries
@@ -123,19 +135,24 @@ class TopoOrder:
     def remove_many(self, nodes: Iterable[int]) -> None:
         """Remove nodes; the survivors keep their relative order.
 
-        Removal never invalidates the order (paper, Section 3.4).  The
-        dead slots are deleted in place, highest first, and only the
-        entries from the first dead position on are rewritten.
+        Removal never invalidates the order (paper, Section 3.4).  Each
+        dead slot keeps a tombstone and no position is rewritten, until
+        the tombstones fill an eighth of the slots: then one compaction
+        drops them all and rewrites every position.
         """
         dead = set(nodes)
+        pos = self._pos
         for node in dead:
-            if node not in self._pos:
+            if node not in pos:
                 raise ReproError(f"node {node} not in topological order")
-        slots = sorted((self._pos.pop(node) - self._base for node in dead))
-        for slot in reversed(slots):
-            del self._list[slot]
-        if slots:
-            self._reindex(slots[0])
+        slots, base = self._list, self._base
+        for node in dead:
+            slots[pos.pop(node) - base] = None
+        self._dead += len(dead)
+        if 8 * self._dead >= len(slots):
+            slots[:] = [n for n in slots if n is not None]
+            self._base = self._dead = 0
+            self._reindex(0)
 
     def swap(
         self, u: int, v: int, children_of: Callable[[int], Iterable[int]]
@@ -174,6 +191,8 @@ class TopoOrder:
         self._pos.update(
             zip(self._list[start:stop], range(start + base, stop + base))
         )
+        if self._dead:
+            self._pos.pop(None, None)  # a tombstone in the range
 
     # -- validation (test helper) ------------------------------------------------------
 

@@ -51,11 +51,7 @@ def expand_view_deletions(
     out: list[tuple[EdgeView, tuple]] = []
     for op in delta_v.deletions():
         view = registry.view(op.parent_type, op.child_type)
-        parent_sem = store.sem_of(op.parent)
-        parent_signature = registry.atg.signature(op.parent_type)
-        parent_params = tuple(
-            parent_sem[parent_signature.index(p)] for p in view.param_names
-        )
+        parent_params = view.params_of(store.sem_of(op.parent))
         child_sem = store.sem_of(op.child)
         rows = view.matching_rows(db, parent_params, child_sem)
         if not rows:
@@ -88,6 +84,9 @@ def translate_deletions(
         doomed.setdefault(view.name, set()).add(row)
 
     chosen: dict[tuple[str, tuple], tuple] = {}  # (relation, key) -> base row
+    # (relation, key) -> verdict: ΔV and I are fixed for the call, so a
+    # source shared by several view rows is decided once.
+    verdicts: dict[tuple[str, tuple], bool] = {}
 
     for view, row in deletions:
         plan.view_rows.append((view.name, row))
@@ -97,12 +96,18 @@ def translate_deletions(
             base_row = db.table(relation).get(key)
             if base_row is None:
                 continue  # already deleted by an earlier choice in ΔR
-            if (relation, key) in chosen:
-                selected = (relation, key)
+            source = (relation, key)
+            if source in chosen:
+                selected = source
                 break
-            if _is_side_effect_free(registry, db, relation, key, doomed):
-                selected = (relation, key)
-                chosen[(relation, key)] = base_row
+            free = verdicts.get(source)
+            if free is None:
+                free = verdicts[source] = _is_side_effect_free(
+                    registry, db, relation, key, doomed
+                )
+            if free:
+                selected = source
+                chosen[source] = base_row
                 break
         if selected is None:
             raise UpdateRejectedError(
@@ -128,11 +133,9 @@ def _is_side_effect_free(
     Checks, for every view and every occurrence (alias) of the relation
     in it, that all referencing view rows are in ``ΔV``.
     """
-    for view in registry.views():
-        for alias, (rel, _) in view.key_layout.items():
-            if rel != relation:
-                continue
-            for row in view.rows_referencing(db, alias, key):
-                if row not in doomed.get(view.name, ()):
-                    return False
+    for view, alias in registry.occurrences(relation):
+        kept = doomed.get(view.name, ())
+        for row in view.rows_referencing(db, alias, key):
+            if row not in kept:
+                return False
     return True

@@ -217,11 +217,7 @@ def _resolve_targets(
         if not registry.has_view(op.parent_type, op.child_type):
             continue  # projection edge: derived, no base backing needed
         view = registry.view(op.parent_type, op.child_type)
-        parent_sem = store.sem_of(op.parent)
-        signature = registry.atg.signature(op.parent_type)
-        parent_params = tuple(
-            parent_sem[signature.index(p)] for p in view.param_names
-        )
+        parent_params = view.params_of(store.sem_of(op.parent))
         child_sem = store.sem_of(op.child)
         dedup = (view.name, parent_params, child_sem)
         if dedup in seen:
@@ -507,12 +503,21 @@ class _Skeleton:
 
 
 def _skeleton(registry: EdgeViewRegistry, db: Database, view: EdgeView) -> _Skeleton:
-    """``view``'s skeleton over ``db``'s schemas, built on first use."""
+    """``view``'s skeleton over ``db``'s schemas, built on first use.
+
+    A table's schema is fixed when the table is created, so the view's
+    last lookup answers a call on the same database; another database
+    looks its schemas up, and a different schema misses."""
+    name = view.name
+    last = registry.last_skeleton.get(name)
+    if last is not None and last[0] is db:
+        return last[1]
     schemas = tuple([db.table(relation).schema for relation, _ in view.query.tables])
-    cached = (view.name, schemas)
+    cached = (name, schemas)
     skeleton = registry.skeletons.get(cached)
     if skeleton is None:  # published whole, with one assignment
         skeleton = registry.skeletons[cached] = _Skeleton(view, schemas)
+    registry.last_skeleton[name] = (db, skeleton)
     return skeleton
 
 

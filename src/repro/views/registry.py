@@ -58,6 +58,10 @@ class EdgeView:
     key_layout:
         ``alias → (relation, [(output_index, attr), ...])`` describing
         where each base occurrence's key lives in an output row.
+    param_slots:
+        Where each of ``param_names`` sits in a parent's semantic
+        attributes (the parent type's signature); :func:`build_registry`
+        resolves them once per view.
     """
 
     parent_type: str
@@ -66,12 +70,17 @@ class EdgeView:
     param_names: tuple[str, ...]
     child_columns: tuple[str, ...]
     key_layout: dict[str, tuple[str, list[tuple[int, str]]]]
+    param_slots: tuple[int, ...] = ()
 
     # -- row accessors ------------------------------------------------------------
 
     @property
     def name(self) -> str:
         return f"edge_{self.parent_type}_{self.child_type}"
+
+    def params_of(self, parent_sem: tuple) -> tuple:
+        """The parameter values a parent node with ``parent_sem`` binds."""
+        return tuple([parent_sem[i] for i in self.param_slots])
 
     @property
     def n_params(self) -> int:
@@ -142,6 +151,15 @@ class EdgeViewRegistry:
         # and the programs it prepares (repro.relview.insert._Skeleton),
         # built on first use.
         self.skeletons: dict[tuple, object] = {}
+        # view name -> (database, skeleton) of the view's last lookup:
+        # a database's table schemas are fixed once its tables exist.
+        self.last_skeleton: dict[str, tuple] = {}
+        # relation -> every (view, alias) occurrence of it, in views()
+        # order: what Algorithm delete's side-effect test reads.
+        self._occurrences: dict[str, list[tuple[EdgeView, str]]] = {}
+        for view in self.views():
+            for alias, (relation, _) in view.key_layout.items():
+                self._occurrences.setdefault(relation, []).append((view, alias))
 
     def view(self, parent_type: str, child_type: str) -> EdgeView:
         try:
@@ -157,6 +175,10 @@ class EdgeViewRegistry:
 
     def views(self) -> list[EdgeView]:
         return [self._views[k] for k in sorted(self._views)]
+
+    def occurrences(self, relation: str) -> list[tuple[EdgeView, str]]:
+        """Every ``(view, alias)`` whose alias ranges over ``relation``."""
+        return self._occurrences.get(relation, [])
 
 
 def build_registry(atg: ATG, db: Database) -> EdgeViewRegistry:
@@ -220,6 +242,7 @@ def _close_rule(atg: ATG, db: Database, rule: QueryRule) -> EdgeView:
         param_names=tuple(params),
         child_columns=atg.signature(rule.child),
         key_layout=key_layout,
+        param_slots=tuple(atg.signature(rule.parent).index(p) for p in params),
     )
 
 

@@ -33,6 +33,35 @@ def reference_index(store, topo) -> SetReachabilityIndex:
     return reference
 
 
+def assert_same_reads(store, product, reference):
+    """Every read of ``M`` the product answers, against the reference:
+    the pairs, |M|, and per text leaf (a node with a PCDATA value) its
+    row, its pair bits, its ancestors-or-self mask and its membership in
+    regions, with the element nodes' membership too."""
+    assert set(product.pairs()) == set(reference.pairs())
+    assert len(product) == len(reference)
+    assert product.equals(reference) and reference.equals(product)
+    nodes = sorted(store.nodes())
+    leaves = [node for node in nodes if store.value_of(node) is not None]
+    elements = [node for node in nodes if store.value_of(node) is None]
+    for leaf in leaves:
+        ancestors = reference.anc(leaf)
+        assert product.anc(leaf) == ancestors
+        for node in elements[:: max(1, len(elements) // 12)]:
+            assert product.is_ancestor(node, leaf) == (node in ancestors)
+        assert product.anc_or_self_mask([leaf]) == reference.anc_or_self_mask(
+            [leaf]
+        )
+    assert product.anc_of_set(leaves) == reference.anc_of_set(leaves)
+    starts = [store.root_id, *elements[:: max(1, len(elements) // 6)]]
+    for start in starts:
+        mine = product.region(store, [start])
+        theirs = reference.region(store, [start])
+        assert [node in mine for node in nodes] == [
+            node in theirs for node in nodes
+        ]
+
+
 def substitute_index(updater, index_class):
     """Make ``updater`` keep ``M`` in an ``index_class`` from here on.
 

@@ -664,3 +664,31 @@ def test_one_skeleton_per_view(monkeypatch):
     assert plan.state is PlanState.PLANNED
     # A target's view first (stage 1), then every view the sweep reads.
     assert built == ["edge_prereq_course", "edge_db_course", "edge_takenBy_student"]
+
+
+def test_a_skeleton_lookup_reads_no_schema_and_a_schema_change_misses():
+    """A view's skeleton is found again without rebuilding its schemas
+    tuple; another database with equal schemas shares it, and one whose
+    schema differs gets its own."""
+    atg, db = build_registrar()
+    registry = build_registry(atg, db)
+    view = registry.view("prereq", "course")
+    first = insert_module._skeleton(registry, db, view)
+    asked = []
+    table = db.table
+    db.table = lambda name: asked.append(name) or table(name)
+    assert insert_module._skeleton(registry, db, view) is first
+    assert asked == []
+    del db.table
+    assert insert_module._skeleton(registry, db.copy(), view) is first
+    reordered = Database("reordered")
+    for name in db.table_names():
+        schema = db.schema(name)
+        attributes = schema.attributes
+        if name == "course":
+            attributes = tuple(reversed(attributes))
+        reordered.create_table(RelationSchema(name, attributes, schema.key))
+    second = insert_module._skeleton(registry, reordered, view)
+    assert second is not first
+    assert insert_module._skeleton(registry, reordered, view) is second
+    assert insert_module._skeleton(registry, db, view) is first

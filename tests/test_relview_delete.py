@@ -187,3 +187,46 @@ class TestMinimalDeletion:
         rows = deletions_for(env, "//student[ssn=S02]")
         with pytest.raises(ValueError):
             minimal_deletion_exact(registry, db, rows, max_sources=0)
+
+
+class TestEachSourceDecidedOnce:
+    """Over one call, the side-effect test of a deletable source is run
+    once: the ``C`` / ``F`` rows of a cnode with several parents are the
+    sources of every one of its view rows."""
+
+    @staticmethod
+    def _delete_cnode(monkeypatch, key):
+        from repro.views.registry import EdgeView
+        from repro.workloads.synthetic import SyntheticConfig, build_synthetic
+
+        dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
+        registry = build_registry(dataset.atg, dataset.db)
+        store = publish_store(dataset.atg, dataset.db)
+        topo = TopoOrder.from_store(store)
+        evaluator = DagXPathEvaluator(store, topo, build_index(store, topo))
+        node = next(n for n, sem in store.gen["cnode"].items() if sem[0] == key)
+        result = evaluator.evaluate(parse_xpath(f"//cnode[key={key}]"), mode="delete")
+        deletions = expand_view_deletions(
+            registry, store, dataset.db, xdelete(store, result)
+        )
+        calls = []
+        real = EdgeView.rows_referencing
+
+        def rows_referencing(view, db, alias, source):
+            calls.append((view.name, alias, source))
+            return real(view, db, alias, source)
+
+        monkeypatch.setattr(EdgeView, "rows_referencing", rows_referencing)
+        plan = translate_deletions(registry, dataset.db, deletions)
+        return store.parents_of(node), deletions, plan, calls
+
+    def test_three_parents_ask_each_source_once(self, monkeypatch):
+        parents, deletions, plan, calls = self._delete_cnode(monkeypatch, 36)
+        assert len(parents) == len(deletions) == 3
+        # The cnode's own C and F rows are not side-effect free (a view
+        # row outside ΔV references them), so every row falls through to
+        # its own H row — and C and F are asked about once each.
+        assert sorted(relation for relation, _ in plan.chosen_sources) == ["H"] * 3
+        asked = [(alias, source) for _, alias, source in calls]
+        assert ("c", (36,)) in asked and ("f", (36,)) in asked
+        assert len(calls) == len(set(calls)) == 7

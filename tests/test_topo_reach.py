@@ -39,6 +39,17 @@ def assert_topo_valid(topo, store):
             )
 
 
+def assert_slots_exact(topo):
+    """Every position is its node's slot, positions order like ``L``,
+    and the tombstones are the only other slots."""
+    nodes = topo.as_list()
+    assert [topo._list[topo.position(n)] for n in nodes] == nodes
+    positions = [topo.position(n) for n in nodes]
+    assert positions == sorted(set(positions))
+    assert topo._list.count(None) == len(topo._list) - len(nodes)
+    assert 8 * (len(topo._list) - len(nodes)) < max(len(topo._list), 1)
+
+
 class _CountingPositions(dict):
     """``TopoOrder._pos`` that records every key it is written."""
 
@@ -104,8 +115,9 @@ class TestTopoOrder:
         topo.append(3)
         assert topo.as_list() == [1, 2, 3]
         topo.remove_many([2])
-        assert topo.as_list() == [1, 3]
-        assert topo.position(3) == 1
+        assert topo.as_list() == [1, 3] == list(topo)
+        assert len(topo) == 2 and topo.precedes(1, 3)
+        assert_slots_exact(topo)
 
     def test_insert_front_and_at(self):
         topo = TopoOrder([1, 2])
@@ -174,17 +186,47 @@ class TestTopoOrder:
         assert [topo.position(n) for n in expected] == list(range(201))
 
     def test_remove_many_writes_nothing_before_its_first_dead_position(self):
-        # The dead slots are deleted in place: the list is not rebuilt,
-        # and no position before the first dead one is rewritten.
+        # The dead slots keep tombstones: the list is not rebuilt, and
+        # no position is rewritten, before the first dead one or after.
         topo = TopoOrder(list(range(200)))
         slots = topo._list
         written = _count_position_writes(topo)
         topo.remove_many([150, 120, 180])
         assert topo._list is slots
-        assert written and min(written) > 120
+        assert written == []
         expected = [n for n in range(200) if n not in (120, 150, 180)]
-        assert topo.as_list() == expected
-        assert [topo.position(n) for n in expected] == list(range(197))
+        assert topo.as_list() == expected == list(topo)
+        assert list(topo.backward()) == expected[::-1]
+        assert len(topo) == 197
+        assert_slots_exact(topo)
+
+    def test_remove_many_compacts_when_tombstones_fill_an_eighth(self):
+        topo = TopoOrder(list(range(40)))
+        written = _count_position_writes(topo)
+        topo.remove_many([1, 3, 5, 7])
+        assert written == [] and topo._list.count(None) == 4
+        topo.remove_many([9])  # 5 of 40 slots dead: one compaction
+        survivors = [n for n in range(40) if n not in (1, 3, 5, 7, 9)]
+        assert topo._list == survivors
+        assert sorted(written) == survivors
+        assert [topo.position(n) for n in topo] == list(range(35))
+        # The next mutation starts from the compacted slots.
+        topo.insert_at(100, 3)
+        assert topo.as_list() == survivors[:3] + [100] + survivors[3:]
+        assert_slots_exact(topo)
+
+    def test_mutators_skip_tombstones(self):
+        # swap and insert_at work on slots: a tombstone stays in place
+        # in the segment's unmoved part, and positions keep ordering L.
+        tail = list(range(20, 40))
+        topo = TopoOrder([8, 1, 6, 7, 2, 3, 9, 4, *tail])
+        topo.remove_many([6])
+        assert topo._list.count(None) == 1
+        topo.swap(1, 3, children({3: [7]}))
+        assert topo.as_list() == [8, 7, 3, 1, 2, 9, 4, *tail]
+        topo.insert_at(5, topo.position(2))
+        assert topo.as_list() == [8, 7, 3, 1, 5, 2, 9, 4, *tail]
+        assert_slots_exact(topo)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_positions_exact_under_random_mutators(self, seed):
@@ -209,8 +251,7 @@ class TestTopoOrder:
                 below = rng.sample(nodes, len(nodes) // 3)
                 edges = {v: [n for n in below if topo.precedes(n, v)]}
                 topo.swap(u, v, children(edges))
-            for index, node in enumerate(topo.as_list()):
-                assert topo.position(node) == index
+            assert_slots_exact(topo)
             assert len(topo._pos) == len(topo)
 
     def test_swap_noop_when_already_ordered(self):

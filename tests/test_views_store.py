@@ -4,6 +4,7 @@ import pytest
 
 from repro.atg.publisher import publish_store
 from repro.errors import ReproError
+from repro.views.store import ViewDelta
 from repro.workloads.registrar import build_registrar
 
 
@@ -82,6 +83,48 @@ class TestEdges:
 
     def test_size_accounting(self, store):
         assert store.size == store.num_nodes + store.num_edges
+
+
+class TestCollect:
+    @staticmethod
+    def _cut_student(store):
+        """Cut S02 from its parents: it and its unshared leaves are a
+        set closed under parents, as Δ(M,L)delete condemns them."""
+        s02 = store.lookup("student", ("S02", "Grace"))
+        for parent in list(store.parents_of(s02)):
+            store.remove_edge(parent, s02)
+        leaves = [c for c in store.children_of(s02) if store.parents_of(c) == {s02}]
+        assert leaves
+        return [s02, *leaves]
+
+    def test_collect_equals_applying_its_delta_edge_by_edge(self, monkeypatch):
+        atg, db = build_registrar()
+        mine, theirs = publish_store(atg, db), publish_store(atg, db)
+        nodes = self._cut_student(mine)
+        assert self._cut_student(theirs) == nodes
+        expected = [
+            ("delete", theirs.type_of(n), theirs.type_of(c), n, c)
+            for n in nodes for c in theirs.children_of(n)
+        ]
+        gc = ViewDelta()
+        for op in expected:
+            gc.delete(*op[1:])
+        theirs.apply(gc)
+        for node in nodes:
+            theirs.remove_node(node)
+
+        def refused(*args):
+            raise AssertionError("collect re-applied an edge")
+
+        monkeypatch.setattr(type(mine), "remove_edge", refused)
+        delta = mine.collect(nodes)
+        assert [
+            (op.kind, op.parent_type, op.child_type, op.parent, op.child)
+            for op in delta
+        ] == expected
+        assert not any(mine.has_node(n) for n in nodes)
+        assert mine.digest() == theirs.digest()
+        assert mine.export_state() == theirs.export_state()
 
 
 class TestReachability:
