@@ -119,6 +119,7 @@ class SetReachabilityIndex(ReachabilityIndex):
             desc = stack.pop()
             row = rows.setdefault(desc, set())
             new = missing - row
+            new.discard(desc)  # never a row's own node
             if not new:
                 continue
             row |= new

@@ -132,8 +132,9 @@ class ReachabilityIndex(ABC):
         only below the rows the call writes: ``M`` is closed along the
         edges it already covers, so a row that holds every missing bit
         has them below it too.  The edges must not close a cycle (no
-        parent in ``{node} ∪ desc(node)``).  Never removes pairs;
-        returns the number of pairs newly added.
+        parent in ``{node} ∪ desc(node)``), and no row gets its own
+        node, which a batch's stale rows could name as an ancestor of a
+        parent.  Never removes pairs; returns the number of pairs added.
         """
 
     @abstractmethod

@@ -145,6 +145,8 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             desc = stack.pop()
             old = get(desc, 0)
             new = missing & ~old
+            if new >> desc & 1:  # never a row's own bit
+                new ^= 1 << desc
             if not new:
                 continue  # closed below: its descendants hold it too
             rows[desc] = old | new

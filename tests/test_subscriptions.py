@@ -33,7 +33,7 @@ from repro.subscribe import (
 )
 from repro.dtd.parser import parse_dtd
 from repro.index import build_index
-from repro.subscribe.deps import ANY_EDGE, Closure, EventDigest
+from repro.subscribe.deps import ANY_EDGE, Closure, EventDigest, Triggers
 from repro.views.store import ViewStore
 from repro.workloads import (
     REGISTRAR_QUERIES,
@@ -482,18 +482,19 @@ class TestRegistrarEquivalence:
         """Regression: the commit decides a copy of the subscription
         list and ``close()`` takes no service lock, so B, closed from
         inside A's decision, was still decided and refreshed after its
-        counters had been folded into the registry totals."""
+        counters had been folded into the registry totals.  A's
+        decision is its summary's (the event misses it)."""
         service = registrar_service()
         a = service.subscribe("course[cno=CS240]/takenBy/student")
         b = service.subscribe("course[cno=CS650]/prereq/course")
-        apply_event = SubscriptionRegistry._apply_event
+        meets = Triggers.meets
 
-        def closing(self, sub, *rest):
-            if sub is a:
+        def closing(triggers, digest):
+            if triggers is a._triggers:
                 b.close()
-            return apply_event(self, sub, *rest)
+            return meets(triggers, digest)
 
-        monkeypatch.setattr(SubscriptionRegistry, "_apply_event", closing)
+        monkeypatch.setattr(Triggers, "meets", closing)
         generation, folded = b.generation, b.stats
         assert service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")

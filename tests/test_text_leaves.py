@@ -22,6 +22,7 @@ from repro import DeleteOp, InsertOp, open_view
 from repro.atg.model import ATG, QueryRule
 from repro.baselines import SetReachabilityIndex
 from repro.core import maintenance
+from repro.core import updater as updater_module
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.dtd.parser import parse_dtd
 from repro.index import BitsetReachabilityIndex
@@ -165,6 +166,36 @@ def test_shared_text_leaves_match_the_reference_in_lockstep(groups):
     for growth, added, removed in product.repairs:
         assert growth == added - removed
     assert product.check_consistency() == []
+
+
+def test_a_batch_insert_repair_writes_no_self_pair(monkeypatch):
+    """A batch repairs its inserts before its delete pass, on rows that
+    still hold the pairs of the edge it deleted: the sharing insert's
+    closure reads a stale ancestor path through a node below it.
+    Between the two passes no row holds its own node, in the product
+    and in the reference, and their reports agree."""
+    between = []
+    maintain_delete = updater_module.maintain_delete
+
+    def checked(store, topo, reach, targets):
+        between.append([a for a, d in reach.pairs() if a == d])
+        return maintain_delete(store, topo, reach, targets)
+
+    monkeypatch.setattr(updater_module, "maintain_delete", checked)
+    reports = []
+    for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
+        updater = _updater(index_class)
+        stream = _SharedValStream(updater)
+        for draw in [("new", 3, 5), ("new", 8, 13), ("new", 1, 21)]:
+            _run(updater, stream, [draw])
+        _run(updater, stream, [("delete", 5, 0), ("share", 11, 1)])
+        (growth, added, removed) = updater.repairs[-1]
+        assert added > 0 and removed > 0 and growth == added - removed
+        assert updater.check_consistency() == []
+        reports.append(updater.repairs)
+    assert len(between) == 2
+    assert between == [[], []]
+    assert reports[0] == reports[1]
 
 
 def test_a_delete_counts_the_pairs_its_text_leaves_lose():

@@ -51,6 +51,13 @@
   evaluator's on-demand ``holds`` must give the same targets, ``Ep``,
   ``S`` and contexts; a subclass returns the sweep from
   ``DagXPathEvaluator._filter_values``.
+- :func:`reference_triggers` and :func:`reference_meets` are a
+  subscription's trigger summary as it was before its typed patterns
+  were folded into keys: the patterns kept as a tuple and matched one by
+  one against the event's edges of their type pair
+  (:class:`ReferenceDigest`; every edge for a pattern that leaves a
+  type open).  ``Triggers.meets`` must give the same answer on every
+  summary and event.
 """
 
 from __future__ import annotations
@@ -93,6 +100,7 @@ from repro.sat.atoms import Atom, AtomVC, SymVar, make_atom
 from repro.sat.dpll import dpll_solve
 from repro.sat.encode import encode_formula
 from repro.sat.walksat import walksat_solve
+from repro.subscribe.deps import Closure
 
 
 def interpret(query, db, bindings=None, *, fixed=(), with_derivations=False):
@@ -1018,3 +1026,74 @@ def sweep_filters(evaluator, program) -> SweptValues:
                     result = not f_tables[op[1]][node]
                 f_tables[index][node] = result
     return values
+
+
+# ---------------------------------------------------------------------------
+# The trigger summary, pattern by pattern
+# ---------------------------------------------------------------------------
+
+
+class ReferenceDigest:
+    """An event as the pattern-by-pattern summary reads it: the mask of
+    the edges' parents, the edges by ``(parent_type, child_type)``, and
+    the parents' ancestors read once on ``M``."""
+
+    def __init__(self, edges, reach):
+        self.by_type: dict = {}
+        nodes = set()
+        for rec in edges:
+            nodes.add(rec.parent)
+            self.by_type.setdefault(
+                (rec.parent_type, rec.child_type), []
+            ).append(rec)
+        self.parents = sum(1 << node for node in nodes)
+        self._nodes = nodes
+        self._reach = reach
+        self._upward = None
+
+    def upward(self) -> int:
+        if self._upward is None:
+            self._upward = self._reach.anc_or_self_mask(self._nodes)
+        return self._upward
+
+    def matches(self, pattern) -> bool:
+        if pattern.parent is not None and pattern.child is not None:
+            groups = (self.by_type.get((pattern.parent, pattern.child), ()),)
+        else:
+            groups = self.by_type.values()
+        return any(pattern.matches(rec) for group in groups for rec in group)
+
+
+def reference_triggers(profile, levels) -> tuple[int, int, tuple]:
+    """``(exact, closure, typed)`` of ``levels``: ``profile.stages``
+    read up to the first empty level, every pattern past the cache kept
+    in ``typed``."""
+    exact = closure = 0
+    typed: list = []
+    count = len(levels)
+    for stop, _, tests in profile.stages:
+        if stop < count and not levels[stop]:
+            break
+        for scope, by_closure, patterns in tests:
+            if scope >= count:
+                typed.extend(patterns)
+                continue
+            cached = levels[scope]
+            nodes = cached.nodes if isinstance(cached, Closure) else cached
+            mask = sum(1 << node for node in set(nodes))
+            if by_closure:
+                closure |= mask
+            else:
+                exact |= mask
+    return exact, closure, tuple(typed)
+
+
+def reference_meets(triggers, digest: ReferenceDigest) -> bool:
+    """Whether the event ``digest`` describes meets ``triggers`` (from
+    :func:`reference_triggers`), one typed pattern at a time."""
+    exact, closure, typed = triggers
+    if exact & digest.parents:
+        return True
+    if any(map(digest.matches, typed)):
+        return True
+    return bool(closure and closure & digest.upward())
