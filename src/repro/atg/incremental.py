@@ -21,9 +21,11 @@ Given a group base update ``ΔR``:
    new subtree whose nodes are parents for further pending gains, so
    gains are processed with a worklist until no progress (rows whose
    parents never materialize are unreachable and correctly ignored);
-4. **maintain** ``M`` and ``L`` with the paper's incremental algorithms
-   (Δ(M,L)insert per attachment, one Δ(M,L)delete pass for all removals,
-   which also garbage-collects unreachable remains).
+4. **maintain** ``M`` and ``L`` with the paper's incremental algorithms:
+   ``L`` per attachment as it is made, then one
+   :func:`~repro.core.maintenance.repair` of ``M`` — the Δ(M,L)delete
+   pass for all removals first (it also garbage-collects unreachable
+   remains), then every attachment's ``ΔM``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.atg.model import ATG
 from repro.atg.publisher import publish_subtree
-from repro.core.maintenance import maintain_delete, maintain_insert
+from repro.core.maintenance import repair, repair_topo_after_insert
 from repro.core.topo import TopoOrder
 from repro.index import ReachabilityIndex
 from repro.relational.database import Database, RelationalDelta
@@ -139,6 +141,7 @@ def propagate_base_update(
 
     # -- 3. gains: attach under existing parents, to a fixpoint ----------------
     pending: list[tuple[EdgeView, tuple, tuple]] = []
+    attachments = []
     for view in registry.views():
         for row in sorted(gained[view.name]):
             params, child_sem = view.visible(row)
@@ -185,9 +188,8 @@ def propagate_base_update(
                             child_value=store.value_of(subtree.root),
                         ))
             if attach_targets or subtree.new_nodes:
-                maintain_insert(
-                    store, topo, reach, subtree, attach_targets
-                )
+                repair_topo_after_insert(store, topo, subtree, attach_targets)
+                attachments.append((subtree, attach_targets))
         pending = remaining
     report.unreachable_gains = len(pending)
 
@@ -197,9 +199,11 @@ def propagate_base_update(
     if want_records:
         report.node_records = node_records_for(store, report.edge_records)
 
-    # -- 4. one delete-maintenance pass for all removals -----------------------
-    if removed_children:
-        gc = maintain_delete(store, topo, reach, sorted(set(removed_children)))
+    # -- 4. one repair of M: the delete pass, then the attachments' ΔM ---------
+    gc = repair(
+        store, topo, reach, attachments, sorted(set(removed_children))
+    )
+    if gc is not None:
         report.nodes_collected = len(gc.removed_nodes)
         if want_records:
             report.edge_records.extend(

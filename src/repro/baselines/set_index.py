@@ -24,11 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SetReachabilityIndex(ReachabilityIndex):
     """Sparse reachability matrix of ancestor sets."""
 
-    __slots__ = ("_anc", "_pairs")
+    __slots__ = ("_anc",)
 
     def __init__(self) -> None:
         self._anc: dict[int, set[int]] = {}
-        self._pairs = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -43,7 +42,7 @@ class SetReachabilityIndex(ReachabilityIndex):
         return Region(nodes, _RowMasks(self._anc), store)
 
     def __len__(self) -> int:
-        return self._pairs
+        return sum(map(len, self._anc.values()))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for desc_node, ancestors in self._anc.items():
@@ -70,7 +69,6 @@ class SetReachabilityIndex(ReachabilityIndex):
         if anc in bucket:
             return False
         bucket.add(anc)
-        self._pairs += 1
         return True
 
     def remove(self, anc: int, desc: int) -> bool:
@@ -78,16 +76,13 @@ class SetReachabilityIndex(ReachabilityIndex):
         if bucket is None or anc not in bucket:
             return False
         bucket.discard(anc)
-        self._pairs -= 1
         return True
 
     def set_ancestors(self, node: int, ancestors: set[int]) -> None:
-        self._pairs += len(ancestors) - len(self._anc.get(node, ()))
         self._anc[node] = set(ancestors)
 
     def clear(self) -> None:
         self._anc.clear()
-        self._pairs = 0
 
     # -- bulk operations ------------------------------------------------------------
 
@@ -106,36 +101,30 @@ class SetReachabilityIndex(ReachabilityIndex):
 
     def add_closure_below(
         self, store: "ViewStore", parents: Iterable[int], node: int
-    ) -> int:
+    ) -> None:
         parents = list(parents)
         missing = set(parents) | self.anc_of_set(parents)
         missing -= self._anc.get(node, set())
         if not missing:
-            return 0
+            return
         rows = self._anc
-        added = 0
         stack, seen = [node], {node}
         while stack:
             desc = stack.pop()
             row = rows.setdefault(desc, set())
             new = missing - row
-            new.discard(desc)  # never a row's own node
             if not new:
                 continue
             row |= new
-            added += len(new)
             for child in store.children_of(desc):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
-        self._pairs += added
-        return added
 
     def retain_below(
         self, store: "ViewStore", order: Iterable[int]
-    ) -> tuple[int, list[int]]:
+    ) -> list[int]:
         rows = self._anc
-        removed = 0
         condemned: list[int] = []
         doomed: set[int] = set()
         for node in order:
@@ -148,10 +137,8 @@ class SetReachabilityIndex(ReachabilityIndex):
                 condemned.append(node)
             old = rows.get(node, set())
             if not old <= keep:
-                removed += len(old - keep)
                 rows[node] = old & keep
-        self._pairs -= removed
-        return removed, condemned
+        return condemned
 
     # -- management -----------------------------------------------------------------
 

@@ -23,7 +23,7 @@
 from repro.core.topo import TopoOrder
 from repro.core.dag_eval import DagXPathEvaluator, EvalResult
 from repro.core.translate import xinsert, xdelete
-from repro.core.maintenance import maintain_insert, maintain_delete
+from repro.core.maintenance import maintain_delete, repair
 from repro.core.updater import (
     BatchReport,
     PlanState,
@@ -40,8 +40,8 @@ __all__ = [
     "EvalResult",
     "xinsert",
     "xdelete",
-    "maintain_insert",
     "maintain_delete",
+    "repair",
     "XMLViewUpdater",
     "UpdateOutcome",
     "UpdatePlan",

@@ -2,12 +2,21 @@
 
 Both algorithms run "in the background" in the paper's framework: they do
 not gate the user-visible update, but the structures must be consistent
-before the next update is processed.  The updater invokes them right
-after applying ``ΔV`` and times them separately (the benchmarks report
-this phase on its own, as the paper's plots do).  Batched update
-sessions (:meth:`repro.core.updater.XMLViewUpdater.batch`) split the
-insert side: the ``L`` steps eagerly per update, the ``ΔM`` steps
-(``placed=True``) in one deferred repair for the whole batch.
+before the next update is processed.  ``L`` is repaired when an insert is
+applied (:func:`repair_topo_after_insert`); ``M`` by one :func:`repair`
+per update, per batch flush (:mod:`repro.core.session`) and per base
+update (:mod:`repro.atg.incremental`), which runs the delete pass first
+and the insertions' ``ΔM`` after it (DRed's order: Gupta, Mumick &
+Subrahmanian, SIGMOD 1993).
+
+**Why no row is read stale.**  ``ΔV`` removes only edges into the delete
+targets, so below the last cut edge of any ancestor path the path is
+intact and ends in ``LR = desc-or-self(targets)``: a row outside ``LR``
+holds true ancestors only.  The delete pass rebuilds every row of ``LR``
+from its surviving parents, ancestors first, and adds no bit.  After it
+every row is a subset of the closure of the final store, so none holds
+a condemned node or its own, and the insertions close ``M`` over the
+edges they added that are still in the store, reading only such rows.
 
 **Δ(M,L)insert** (after ``insert (A, t) into p``) pays for the pairs
 the insert adds, not for the size of ``ST(A, t)``.  DAG compression
@@ -26,15 +35,14 @@ retrieval data structure", TCS 1986):
    ({r_A} ∪ desc(r_A))``, only the bits missing from ``anc(r_A)``
    written — none missing, nothing to do, which is valid because
    ``anc(d) ⊇ anc(r_A) ∪ {r_A}`` for every ``d`` below ``r_A``;
-3. ``L`` (run first, before ``ΔM``, since it reads only the store):
-   new nodes are placed just after their highest-positioned children
-   (children-first processing makes this safe), then the new
-   connecting edges ``(u, r_A)`` are repaired with ``swap`` exactly as
-   in the paper (lines 12–13).  ``swap`` finds ``L[u:r_A] ∩
-   desc(r_A)`` by walking the store's edges down from ``r_A``, and the
-   walk stops at every node placed before ``u``: ``L`` already orders
-   every edge below ``r_A``, so nothing below such a node can be in
-   the segment.
+3. ``L`` (it reads only the store): new nodes are placed just after
+   their highest-positioned children (children-first processing makes
+   this safe), then the new connecting edges ``(u, r_A)`` are repaired
+   with ``swap`` exactly as in the paper (lines 12–13).  ``swap`` finds
+   ``L[u:r_A] ∩ desc(r_A)`` by walking the store's edges down from
+   ``r_A``, and the walk stops at every node placed before ``u``: ``L``
+   already orders every edge below ``r_A``, so nothing below such a
+   node can be in the segment.
 
 A sharing insert (no new node) is one call, and it returns at once when
 the targets already reach ``r_A``; otherwise it walks the store's edges
@@ -45,18 +53,16 @@ whole rows per machine word.
 
 **Δ(M,L)delete** (after ``delete p``, with ``ΔV`` already applied):
 
-walks ``LR = desc-or-self(r[[p]])`` ancestors-first, recomputing each
-node's ancestor row from its surviving parents; nodes left with no
-parents are condemned (``keep := false``), their outgoing edges become
-the garbage-collection feed ``Δ'V``, and they are dropped from ``L``
-and the gen tables.  The walk is one bulk call,
+walks ``LR`` ancestors-first, recomputing each node's ancestor row from
+its surviving parents; nodes left with no parents are condemned
+(``keep := false``), their outgoing edges become the garbage-collection
+feed ``Δ'V``, and they are dropped from ``L`` and the gen tables.  The
+walk is one bulk call,
 :meth:`~repro.index.ReachabilityIndex.retain_below`, which reads the
-parent rows and writes at most one row per node of ``LR``.  ``M`` needs
-nothing more: a condemned node's row was emptied by the walk, and no
-surviving row holds its bit, because a condemned parent is left out
-before any of its descendants is recomputed.  ``LR`` is a walk of the
-store: ``ΔV`` removed only edges *into* ``r[[p]]``, so what was below
-it still is.  The condemned nodes leave the store in one pass
+parent rows and writes at most one row per node of ``LR``.  A condemned
+node's row is emptied by the walk, and no surviving row holds its bit,
+because a condemned parent is left out before any of its descendants is
+recomputed.  The condemned nodes leave the store in one pass
 (:meth:`~repro.views.store.ViewStore.collect`, which unlinks their
 out-edges and returns them as ``Δ'V``) and ``L`` in one
 :meth:`~repro.core.topo.TopoOrder.remove_many`, which tombstones their
@@ -68,7 +74,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.atg.publisher import SubtreeResult
-from repro.core.dag_eval import EvalResult
 from repro.core.topo import TopoOrder
 from repro.index import ReachabilityIndex, build_index
 from repro.views.store import ViewDelta, ViewStore
@@ -81,19 +86,9 @@ def load_structures(store: ViewStore) -> tuple[TopoOrder, ReachabilityIndex]:
 
 
 @dataclass
-class InsertMaintenance:
-    """Report of a Δ(M,L)insert run."""
-
-    added_pairs: int = 0
-    moved_nodes: int = 0
-    placed_nodes: int = 0
-
-
-@dataclass
 class DeleteMaintenance:
     """Report of a Δ(M,L)delete run."""
 
-    removed_pairs: int = 0
     gc_delta: ViewDelta = field(default_factory=ViewDelta)
     removed_nodes: list[int] = field(default_factory=list)
     removed_info: dict[int, tuple[str, str | None]] = field(
@@ -106,14 +101,13 @@ class DeleteMaintenance:
 
 def place_new_nodes(
     store: ViewStore, topo: TopoOrder, subtree: SubtreeResult
-) -> int:
+) -> None:
     """The ``L`` placement step of Δ(M,L)insert: slot the new nodes in.
 
     The subtree may be a DAG with diamonds, so creation order is not
     reliably children-first; compute a children-first order over the
     new nodes (Kahn on the new-node subgraph) and place each node
-    immediately after its highest-positioned child.  Returns the number
-    of nodes placed.
+    immediately after its highest-positioned child.
     """
     new_set = set(subtree.new_nodes)
     pending = {
@@ -141,7 +135,6 @@ def place_new_nodes(
             topo.insert_at(node, pos + 1)
         else:
             topo.insert_front(node)
-    return len(placed_order)
 
 
 def repair_topo_after_insert(
@@ -149,66 +142,77 @@ def repair_topo_after_insert(
     topo: TopoOrder,
     subtree: SubtreeResult,
     targets: list[int],
-) -> tuple[int, int]:
+) -> None:
     """The ``L`` half of Δ(M,L)insert; ``M`` is not read.
 
     Places the new nodes (:func:`place_new_nodes`), then repairs each
     connecting edge ``(u, r_A)`` with ``u`` before ``r_A`` by ``swap``,
-    whose walk below ``r_A`` reads the store's edges.  Returns the
-    nodes placed and the nodes moved.
+    whose walk below ``r_A`` reads the store's edges.
     """
-    placed = place_new_nodes(store, topo, subtree)
-    moved = 0
+    place_new_nodes(store, topo, subtree)
     root = subtree.root
     for target in targets:
         if topo.position(target) < topo.position(root):
-            moved += topo.swap(target, root, store.children_of)
-    return placed, moved
+            topo.swap(target, root, store.children_of)
+
+
+def repair(
+    store: ViewStore,
+    topo: TopoOrder,
+    reach: ReachabilityIndex,
+    inserts: list[tuple[SubtreeResult, list[int]]],
+    delete_targets: list[int] | None,
+) -> DeleteMaintenance | None:
+    """The one Δ(M,L) repair of ``M``, for an update, a batch or a base
+    update.  Call *after* ``store.apply(ΔV)`` and, for every insert,
+    :func:`repair_topo_after_insert`.
+
+    The delete pass runs first, then the insertions' ``ΔM``, so every
+    row they read is a subset of the final closure (module docstring).
+    Returns the delete pass's report (commit events need its GC ΔV), or
+    ``None`` without delete targets.
+    """
+    gc = None
+    if delete_targets:
+        gc = maintain_delete(store, topo, reach, delete_targets)
+    if inserts:
+        maintain_insert(store, topo, reach, inserts)
+    return gc
 
 
 def maintain_insert(
     store: ViewStore,
     topo: TopoOrder,
     reach: ReachabilityIndex,
-    subtree: SubtreeResult,
-    targets: list[int],
-    placed: bool = False,
-) -> InsertMaintenance:
-    """Algorithm Δ(M,L)insert.  Call *after* ``store.apply(ΔV)``.
-
-    ``L`` is repaired first (:func:`repair_topo_after_insert`), then
-    ``M``.  ``placed`` says the ``L`` half already ran (a batch session
-    does it when it defers the repair), which leaves the ``ΔM`` steps.
-    """
-    report = InsertMaintenance()
-    if not placed:
-        report.placed_nodes, report.moved_nodes = repair_topo_after_insert(
-            store, topo, subtree, targets
-        )
-    # ΔM part 1: the edges leaving the new nodes, ancestors first.
-    for node in reversed(topo.sort_nodes(subtree.new_nodes)):
-        for child in store.children_of(node):
-            report.added_pairs += reach.add_closure_below(
-                store, (node,), child
-            )
-    # ΔM part 2: the connecting edges (u, r_A).
-    report.added_pairs += reach.add_closure_below(store, targets, subtree.root)
-    return report
+    inserts: list[tuple[SubtreeResult, list[int]]],
+) -> None:
+    """The ``ΔM`` half of Δ(M,L)insert, after :func:`repair`'s delete
+    pass: each insert's new nodes' out-edges, ancestors first, then its
+    connecting edges ``(u, r_A)``.  A node the pass condemned has left
+    the store, and a target whose edge to ``r_A`` a later op removed is
+    not ``r_A``'s parent: all are skipped."""
+    live = store.has_node
+    for subtree, targets in inserts:
+        new = [node for node in subtree.new_nodes if live(node)]
+        for node in reversed(topo.sort_nodes(new)):
+            for child in store.children_of(node):
+                reach.add_closure_below(store, (node,), child)
+        parents = store.parents_of(subtree.root)  # none once condemned
+        attached = [t for t in targets if t in parents]
+        if attached:
+            reach.add_closure_below(store, attached, subtree.root)
 
 
 def maintain_delete(
     store: ViewStore,
     topo: TopoOrder,
     reach: ReachabilityIndex,
-    result: "EvalResult | list[int]",
+    targets: list[int],
 ) -> DeleteMaintenance:
-    """Algorithm Δ(M,L)delete.  Call *after* ``store.apply(ΔV)``.
-
-    ``result`` is either the evaluation result or a bare list of the
-    deleted child nodes (``r[[p]]``) — the algorithm only needs the
-    targets.  Returns the garbage-collection feed ``Δ'V`` (already
-    applied to the store) together with the removed reachability pairs
-    and nodes.
+    """Algorithm Δ(M,L)delete over the deleted child nodes ``targets``
+    (``r[[p]]``).  Call *after* ``store.apply(ΔV)``.  Returns the
+    garbage-collection feed ``Δ'V`` (already applied to the store) and
+    the removed nodes.
 
     The ancestor-recomputation walk over ``LR = desc-or-self(r[[p]])``
     is one :meth:`~repro.index.ReachabilityIndex.retain_below` call,
@@ -218,11 +222,8 @@ def maintain_delete(
     walk, by one :meth:`~repro.views.store.ViewStore.collect`.
     """
     report = DeleteMaintenance()
-    targets = result if isinstance(result, list) else result.targets
     affected = set(targets) | store.descendants_of(targets)
-    report.removed_pairs, condemned = reach.retain_below(
-        store, reversed(topo.sort_nodes(affected))
-    )
+    condemned = reach.retain_below(store, reversed(topo.sort_nodes(affected)))
     if condemned:  # ancestors first
         info = report.removed_info
         for node in condemned:

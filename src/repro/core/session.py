@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.atg.publisher import SubtreeResult
-from repro.core.maintenance import repair_topo_after_insert
 from repro.errors import ReproError
 from repro.views.events import ViewEvent
 from repro.views.store import ViewDelta
@@ -24,8 +23,6 @@ class BatchReport:
 
     inserts: int = 0
     deletes: int = 0
-    added_pairs: int = 0
-    removed_pairs: int = 0
     removed_nodes: list[int] = field(default_factory=list)
     gc_delta: ViewDelta = field(default_factory=ViewDelta)
     maintenance_passes: int = 0
@@ -41,18 +38,18 @@ class UpdateSession:
             updater.apply_op(DeleteOp("course[cno='CS650']/prereq/course[cno='CS320']"))
             updater.apply_op(DeleteOp("course[cno='CS240']/project"))
 
-    Per accepted update the session does the *cheap* ``L`` work eagerly
+    Per accepted update the updater does the *cheap* ``L`` work eagerly
     (new-node placement and the paper's ``swap`` repair, which read the
-    store's edges only, exactly as a single op does) and queues the
-    ``M`` repair; meanwhile the XPath evaluator
+    store's edges only, exactly as a single op does) and the session
+    queues the ``M`` repair; meanwhile the XPath evaluator
     derives descendant regions from the store's edges, so mid-batch
     queries and updates see correct results.  :meth:`flush` — called
     automatically on exit, even when the block raises — runs the
     updater's one repair pass (:meth:`XMLViewUpdater.repair`) over
-    everything queued.  Convergence to the closure of the final store
-    does not depend on replay interleaving: every false pair a stale
-    row can contribute has its descendant below some deleted target, so
-    the closing delete pass recomputes it.  Deferred garbage collection
+    everything queued.  It converges to the closure of the final store
+    whatever the order of the batch's ops: its delete pass runs first
+    and leaves every row a subset of that closure, so the insertions'
+    ``ΔM`` never reads a stale row.  Deferred garbage collection
     means a subtree deleted and re-inserted within one batch is shared
     instead of republished (the paper's gen_id interning).
     """
@@ -92,11 +89,11 @@ class UpdateSession:
         inserts: list[tuple[SubtreeResult, list[int]]],
         delete_targets: list[int] | None,
     ) -> None:
-        """Take over one update's Δ(M,L) work: ``L`` now, ``M`` at flush."""
-        store, topo = self.updater.store, self.updater.topo
-        for subtree, targets in inserts:
-            repair_topo_after_insert(store, topo, subtree, targets)
-            self._pending_inserts.append((subtree, list(targets)))
+        """Queue one update's ``M`` repair (its ``L`` is repaired) for
+        :meth:`flush`."""
+        self._pending_inserts.extend(
+            (subtree, list(targets)) for subtree, targets in inserts
+        )
         self._pending_deletes.extend(delete_targets or ())
 
     # -- the single deferred repair ------------------------------------------------
@@ -113,11 +110,10 @@ class UpdateSession:
         )
         self.report = report
         start = time.perf_counter()
-        report.added_pairs, gc = self.updater.repair(
-            self._pending_inserts, sorted(set(self._pending_deletes)), placed=True
+        gc = self.updater.repair(
+            self._pending_inserts, sorted(set(self._pending_deletes))
         )
         if gc is not None:
-            report.removed_pairs = gc.removed_pairs
             report.removed_nodes = gc.removed_nodes
             report.gc_delta = gc.gc_delta
         self._pending_inserts.clear()

@@ -37,8 +37,8 @@ from repro.core.dag_eval import DagXPathEvaluator, EvalResult
 from repro.core.maintenance import (
     DeleteMaintenance,
     load_structures,
-    maintain_delete,
-    maintain_insert,
+    repair,
+    repair_topo_after_insert,
 )
 from repro.core.outcome import PlanState, SideEffectPolicy, UpdateOutcome
 from repro.core.plan import UpdatePlan
@@ -322,39 +322,27 @@ class XMLViewUpdater:
         inserts: list[tuple[SubtreeResult, list[int]]],
         delete_targets: list[int] | None,
     ) -> DeleteMaintenance | None:
-        """One update's Δ(M,L) phase: repaired now, or handed to the open
-        batch session (then there is no delete report yet)."""
+        """One update's Δ(M,L) phase: ``L`` now, then ``M`` repaired now
+        or handed to the open batch session (then there is no delete
+        report yet)."""
+        for subtree, targets in inserts:
+            repair_topo_after_insert(self.store, self.topo, subtree, targets)
         if self._session is not None:
             self._session.defer(inserts, delete_targets)
             return None
-        return self.repair(inserts, delete_targets)[1]
+        return self.repair(inserts, delete_targets)
 
     def repair(
         self,
         inserts: list[tuple[SubtreeResult, list[int]]],
         delete_targets: list[int] | None,
-        placed: bool = False,
-    ) -> tuple[int, DeleteMaintenance | None]:
-        """The one Δ(M,L) repair pass, for one update or a whole batch.
-
-        Insert repairs first (pure pair additions), then a single delete
-        pass that removes stale pairs and garbage-collects — so replace
-        and batches converge to the closure of the final store — then
-        the accounting.  ``placed``: the ``L`` half of the insert repairs
-        already ran (a session does it at deferral), only ``ΔM`` is left.
-        Returns the pairs added and the delete pass's report (commit
-        events need its GC ΔV).
-        """
-        added, gc = 0, None
-        for subtree, targets in inserts:
-            done = maintain_insert(
-                self.store, self.topo, self.reach, subtree, targets, placed
-            )
-            added += done.added_pairs
-        if delete_targets:
-            gc = maintain_delete(self.store, self.topo, self.reach, delete_targets)
+    ) -> DeleteMaintenance | None:
+        """The one ``M`` repair pass (:func:`repro.core.maintenance.repair`,
+        delete pass first) for one update or a whole batch; returns the
+        delete pass's report (commit events need its GC ΔV)."""
+        gc = repair(self.store, self.topo, self.reach, inserts, delete_targets)
         self.maintenance_runs += 1
-        return added, gc
+        return gc
 
     def abandon_generation(self) -> None:
         """A commit raised mid-apply: ``I``/``V`` may have partially

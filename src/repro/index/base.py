@@ -56,7 +56,8 @@ class ReachabilityIndex(ABC):
 
     @abstractmethod
     def __len__(self) -> int:
-        """|M|: number of set bits (stored (anc, desc) pairs)."""
+        """|M|: the stored (anc, desc) pairs, summed over the rows on
+        demand (no write keeps a count; no timed path reads it)."""
 
     @abstractmethod
     def pairs(self) -> Iterator[tuple[int, int]]:
@@ -120,7 +121,7 @@ class ReachabilityIndex(ABC):
     @abstractmethod
     def add_closure_below(
         self, store: "ViewStore", parents: Iterable[int], node: int
-    ) -> int:
+    ) -> None:
         """Close ``M`` over the new edges ``(p, node)``, ``p`` in parents.
 
         Adds ``anc*(parents) × ({node} ∪ desc(node))``, where
@@ -132,23 +133,23 @@ class ReachabilityIndex(ABC):
         only below the rows the call writes: ``M`` is closed along the
         edges it already covers, so a row that holds every missing bit
         has them below it too.  The edges must not close a cycle (no
-        parent in ``{node} ∪ desc(node)``), and no row gets its own
-        node, which a batch's stale rows could name as an ancestor of a
-        parent.  Never removes pairs; returns the number of pairs added.
+        parent in ``{node} ∪ desc(node)``), and every row read must be a
+        subset of the store's closure, as Δ(M,L)'s delete-first repair
+        leaves them; then no row gets its own node.  Never removes pairs.
         """
 
     @abstractmethod
     def retain_below(
         self, store: "ViewStore", order: Iterable[int]
-    ) -> tuple[int, list[int]]:
+    ) -> list[int]:
         """Recompute the ancestor rows of ``order`` from their parents.
 
         Δ(M,L)delete's sweep over ``LR``, given ancestors first: each
         node keeps only ``{p} ∪ anc(p)`` over its parents (read from
         ``store.parents``) that the sweep has not condemned, and a node
         other than ``store.root_id`` left with no such parent is
-        condemned.  Never adds pairs; returns the number of pairs
-        removed and the condemned nodes in sweep order.
+        condemned.  Never adds pairs; returns the condemned nodes in
+        sweep order.
         """
 
     # -- management -----------------------------------------------------------------

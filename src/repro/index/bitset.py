@@ -35,11 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class BitsetReachabilityIndex(ReachabilityIndex):
     """Reachability matrix with one ``int`` bitmask per ancestor row."""
 
-    __slots__ = ("_anc", "_pairs")
+    __slots__ = ("_anc",)
 
     def __init__(self) -> None:
         self._anc: dict[int, int] = {}
-        self._pairs = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -54,7 +53,7 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         return Region(nodes, self._anc, store)
 
     def __len__(self) -> int:
-        return self._pairs
+        return sum(row.bit_count() for row in self._anc.values())
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for desc_node, mask in self._anc.items():
@@ -83,7 +82,6 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         if row & bit:
             return False
         self._anc[desc] = row | bit
-        self._pairs += 1
         return True
 
     def remove(self, anc: int, desc: int) -> bool:
@@ -92,17 +90,13 @@ class BitsetReachabilityIndex(ReachabilityIndex):
         if not row & bit:
             return False
         self._set_row(desc, row ^ bit)
-        self._pairs -= 1
         return True
 
     def set_ancestors(self, node: int, ancestors: set[int]) -> None:
-        new = mask_of(ancestors)
-        self._pairs += new.bit_count() - self._anc.get(node, 0).bit_count()
-        self._set_row(node, new)
+        self._set_row(node, mask_of(ancestors))
 
     def clear(self) -> None:
         self._anc.clear()
-        self._pairs = 0
 
     def _set_row(self, node: int, mask: int) -> None:
         """Store a row, keeping the no-empty-rows invariant."""
@@ -115,20 +109,17 @@ class BitsetReachabilityIndex(ReachabilityIndex):
 
     def recompute(self, store: "ViewStore", topo: "TopoOrder") -> None:
         anc: dict[int, int] = {}
-        pairs = 0
         for node in topo.backward():  # ancestors first
             mask = 0
             for parent in store.parents_of(node):
                 mask |= (1 << parent) | anc.get(parent, 0)
             if mask:
                 anc[node] = mask
-                pairs += mask.bit_count()
         self._anc = anc
-        self._pairs = pairs
 
     def add_closure_below(
         self, store: "ViewStore", parents: Iterable[int], node: int
-    ) -> int:
+    ) -> None:
         rows = self._anc
         get = rows.get
         upper = 0
@@ -136,36 +127,29 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             upper |= (1 << parent) | get(parent, 0)
         missing = upper & ~get(node, 0)
         if not missing:
-            return 0
+            return
         children_of = store.children_of
-        added = 0
         stack = [node]
         seen = {node}
         while stack:
             desc = stack.pop()
             old = get(desc, 0)
             new = missing & ~old
-            if new >> desc & 1:  # never a row's own bit
-                new ^= 1 << desc
             if not new:
                 continue  # closed below: its descendants hold it too
             rows[desc] = old | new
-            added += new.bit_count()
             for child in children_of(desc):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
-        self._pairs += added
-        return added
 
     def retain_below(
         self, store: "ViewStore", order: Iterable[int]
-    ) -> tuple[int, list[int]]:
+    ) -> list[int]:
         rows = self._anc
         get = rows.get
         parents = store.parents.get
         root = store.root_id
-        removed = 0
         condemned: list[int] = []
         doomed: set[int] = set()
         for node in order:
@@ -179,13 +163,11 @@ class BitsetReachabilityIndex(ReachabilityIndex):
             old = get(node, 0)
             row = old & keep
             if row != old:
-                removed += (old ^ row).bit_count()
                 if row:
                     rows[node] = row
                 else:
                     rows.pop(node)
-        self._pairs -= removed
-        return removed, condemned
+        return condemned
 
     # -- management -----------------------------------------------------------------
 

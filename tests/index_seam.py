@@ -62,6 +62,33 @@ def assert_same_reads(store, product, reference):
         ]
 
 
+def store_ancestors(store, node: int) -> set[int]:
+    """``node``'s proper ancestors in the store's current edges."""
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        for parent in store.parents.get(stack.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return seen
+
+
+class StaleReadCheckingIndex(SetReachabilityIndex):
+    """The reference, asserting that Δ(M,L)insert reads no stale row:
+    before each ``add_closure_below`` every parent's row must be a
+    subset of that parent's ancestors in the store's current closure."""
+
+    __slots__ = ()
+
+    def add_closure_below(self, store, parents, node):
+        parents = list(parents)
+        for parent in parents:
+            stale = self.anc(parent) - store_ancestors(store, parent)
+            assert not stale, f"row {parent} holds non-ancestors {stale}"
+        return super().add_closure_below(store, parents, node)
+
+
 def substitute_index(updater, index_class):
     """Make ``updater`` keep ``M`` in an ``index_class`` from here on.
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from index_seam import StaleReadCheckingIndex, reference_index, substitute_index
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.relational.database import RelationalDelta
 from repro.workloads.registrar import build_registrar
@@ -103,6 +104,25 @@ class TestDeletePropagation:
         delta.insert("student", ("S09", "Barbara"))
         delta.insert("enroll", ("S09", "CS650"))
         updater.apply_base_update(delta)
+        assert updater.check_consistency() == []
+
+    def test_reversed_prereq_reads_no_stale_row(self, updater):
+        """Cut CS650 → CS320 and add CS320 → CS650 in one base update.
+        CS650 is attached under CS320's prereq, whose row held CS650
+        through the cut edge until the delete pass: the checking
+        reference holds, and ``M`` ends exact."""
+        updater = substitute_index(updater, StaleReadCheckingIndex)
+        delta = RelationalDelta()
+        delta.delete("prereq", ("CS650", "CS320"))
+        delta.insert("prereq", ("CS320", "CS650"))
+        report = updater.apply_base_update(delta)
+        assert report.edges_added and report.edges_removed
+        store, reach = updater.store, updater.reach
+        cs650 = store.lookup("course", ("CS650", "Advanced Databases"))
+        cs320 = store.lookup("course", ("CS320", "Databases"))
+        assert reach.is_ancestor(cs320, cs650)
+        assert not reach.is_ancestor(cs650, cs320)
+        assert reach.equals(reference_index(store, updater.topo))
         assert updater.check_consistency() == []
 
     def test_empty_delta_noop(self, updater):

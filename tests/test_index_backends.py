@@ -44,6 +44,22 @@ def _count_is_exact(index):
     return len(index) == len(set(index.pairs()))
 
 
+def _added(index, store, parents, node) -> int:
+    """The pairs one ``add_closure_below`` adds, read off |M| before
+    and after (the call returns nothing)."""
+    before = len(index)
+    assert index.add_closure_below(store, parents, node) is None
+    return len(index) - before
+
+
+def _retained(index, store, order) -> tuple[int, list[int]]:
+    """The pairs one ``retain_below`` removes, read off |M| before and
+    after, and the nodes it condemns (what it returns)."""
+    before = len(index)
+    condemned = index.retain_below(store, order)
+    return before - len(index), condemned
+
+
 # ---------------------------------------------------------------------------
 # One product class; the retired knob fails typed
 # ---------------------------------------------------------------------------
@@ -141,11 +157,11 @@ class TestBulkOps:
         m = index_class()
         m.insert(1, 2)  # anc(2) = {1}
         edges = Edges({1: [2]})
-        added = m.add_closure_below(edges, [2, 3], 4)
+        added = _added(m, edges, [2, 3], 4)
         # gains {2} ∪ anc(2) ∪ {3} ∪ anc(3) = {1, 2, 3}
         assert added == 3
         assert m.anc(4) == {1, 2, 3}
-        assert m.add_closure_below(edges, [2, 3], 4) == 0  # idempotent
+        assert _added(m, edges, [2, 3], 4) == 0  # idempotent
         assert _count_is_exact(m)
 
     def test_add_closure_below(self, index_class):
@@ -154,14 +170,14 @@ class TestBulkOps:
         m.insert(1, 2)
         m.insert(10, 11)
         edges = Edges({1: [2], 2: [10], 10: [11]})
-        assert m.add_closure_below(edges, [2], 10) == 4  # {1, 2} × {10, 11}
+        assert _added(m, edges, [2], 10) == 4  # {1, 2} × {10, 11}
         assert m.anc(10) == {1, 2} and m.anc(11) == {1, 2, 10}
         assert _below(m, 1) == {2, 10, 11} and _below(m, 2) == {10, 11}
         # Two parents at once: anc*(2) ∪ anc*(5) = {1, 2, 5}.
         m.insert(1, 5)
-        assert m.add_closure_below(edges, [2, 5], 12) == 3  # {1, 2, 5} × {12}
-        assert m.add_closure_below(edges, [2, 5], 12) == 0
-        assert m.add_closure_below(edges, [], 10) == 0
+        assert _added(m, edges, [2, 5], 12) == 3  # {1, 2, 5} × {12}
+        assert _added(m, edges, [2, 5], 12) == 0
+        assert _added(m, edges, [], 10) == 0
         assert _count_is_exact(m)
 
     def test_add_closure_below_early_out(self, index_class):
@@ -172,13 +188,13 @@ class TestBulkOps:
             m.insert(a, d)
         before = sorted(m.pairs())
         edges = Edges({1: [2], 2: [7], 7: [8]})
-        assert m.add_closure_below(edges, [2], 7) == 0
-        assert m.add_closure_below(edges, [1, 2], 7) == 0
+        assert _added(m, edges, [2], 7) == 0
+        assert _added(m, edges, [1, 2], 7) == 0
         assert sorted(m.pairs()) == before
         # One missing ancestor (3) is written below the node, and only it.
         m.insert(3, 2)
         edges.children[3] = [2]
-        assert m.add_closure_below(edges, [2], 7) == 2  # (3,7) and (3,8)
+        assert _added(m, edges, [2], 7) == 2  # (3,7) and (3,8)
         assert m.anc(8) == {1, 2, 3, 7}
         assert _count_is_exact(m)
 
@@ -195,7 +211,7 @@ class TestBulkOps:
         read = []
         children_of = edges.children_of
         edges.children_of = lambda node: read.append(node) or children_of(node)
-        assert m.add_closure_below(edges, [3], 2) == 3  # (3, 2), (3, 7), (3, 8)
+        assert _added(m, edges, [3], 2) == 3  # (3, 2), (3, 7), (3, 8)
         assert sorted(read) == [2, 7, 8]
         assert m.anc(10) == {1, 2, 3, 4, 7, 9}
 
@@ -206,11 +222,11 @@ class TestBulkOps:
             m.insert(anc, 9)
         edges = Edges({1: [2], 2: [9]})
         # keep = {2} ∪ anc(2) = {1, 2}: pair (3, 9) goes
-        assert m.retain_below(edges, [9]) == (1, [])
+        assert _retained(m, edges, [9]) == (1, [])
         assert m.anc(9) == {1, 2}
-        assert m.retain_below(edges, [9]) == (0, [])
+        assert _retained(m, edges, [9]) == (0, [])
         del edges.children[2]  # no parents: row emptied, 9 condemned
-        assert m.retain_below(edges, [9]) == (2, [9])
+        assert _retained(m, edges, [9]) == (2, [9])
         assert m.anc(9) == set()
         assert _count_is_exact(m)
 
@@ -218,7 +234,7 @@ class TestBulkOps:
         m = index_class()
         m.insert(5, 6)
         # rowless node untouched
-        assert m.retain_below(Edges({6: [7]}), [7]) == (0, [])
+        assert _retained(m, Edges({6: [7]}), [7]) == (0, [])
         assert m.anc(7) == set()
 
     def test_retain_below_skips_condemned_parents(self, index_class):
@@ -228,7 +244,7 @@ class TestBulkOps:
         for anc, desc in ((1, 2), (1, 3), (2, 3), (4, 3)):
             m.insert(anc, desc)
         edges = Edges({2: [3], 4: [3]})
-        assert m.retain_below(edges, [2, 3]) == (3, [2])
+        assert _retained(m, edges, [2, 3]) == (3, [2])
         assert m.anc(2) == set() and m.anc(3) == {4}
         assert _count_is_exact(m)
 

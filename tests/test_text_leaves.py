@@ -5,8 +5,9 @@ DAG compression makes one leaf of every equal value, so a ``val`` can
 sit under many cnodes and goes only with its last parent.  These tests
 hold the product to the reference that stores every row as a set
 (:class:`repro.baselines.SetReachabilityIndex`) on streams whose text
-leaves are shared, and delete a shared ``#PCDATA`` child of a starred
-production parent by parent.
+leaves are shared, with base updates that cut and reverse edges, and
+delete a shared ``#PCDATA`` child of a starred production parent by
+parent.
 """
 
 from __future__ import annotations
@@ -17,18 +18,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from index_seam import assert_same_reads, reference_index, substitute_index
+from index_seam import (
+    StaleReadCheckingIndex,
+    assert_same_reads,
+    reference_index,
+    substitute_index,
+)
 from repro import DeleteOp, InsertOp, open_view
 from repro.atg.model import ATG, QueryRule
 from repro.baselines import SetReachabilityIndex
 from repro.core import maintenance
-from repro.core import updater as updater_module
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.dtd.parser import parse_dtd
 from repro.index import BitsetReachabilityIndex
 from repro.ops import ReplaceOp
 from repro.relational.conditions import And, Col, Eq, Param
-from repro.relational.database import Database
+from repro.relational.database import Database, RelationalDelta
 from repro.relational.query import SPJQuery
 from repro.relational.schema import AttrType, RelationSchema
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
@@ -39,20 +44,26 @@ from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 # ---------------------------------------------------------------------------
 
 
+def _exact(updater) -> bool:
+    """``M`` is the reference closure of the store, and no row holds
+    its own node."""
+    reach = updater.reach
+    return reach.equals(reference_index(updater.store, updater.topo)) and all(
+        a != d for a, d in reach.pairs()
+    )
+
+
 class _Recording(XMLViewUpdater):
-    """Records every repair pass: (growth of |M|, pairs added, pairs
-    removed)."""
+    """Records, after every repair pass, whether ``M`` is exact."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.repairs: list[tuple[int, int, int]] = []
+        self.repairs: list[bool] = []
 
-    def repair(self, inserts, delete_targets, placed=False):
-        before = len(self.reach)
-        added, gc = super().repair(inserts, delete_targets, placed)
-        removed = gc.removed_pairs if gc is not None else 0
-        self.repairs.append((len(self.reach) - before, added, removed))
-        return added, gc
+    def repair(self, *args, **kwargs):
+        gc = super().repair(*args, **kwargs)
+        self.repairs.append(_exact(self))
+        return gc
 
 
 def _updater(index_class):
@@ -67,8 +78,10 @@ def _updater(index_class):
 class _SharedValStream:
     """Resolves drawn op shapes against a synthetic view whose new
     cnodes take the ``val`` of a live one, so a ``val`` leaf sits under
-    several cnodes: sharing and new-key inserts, deletes, replaces, and
-    re-inserts of collected keys."""
+    several cnodes: sharing and new-key inserts, deletes, replaces,
+    re-inserts of collected keys, and base updates of ``H`` (a cnode's
+    ``sub`` edges) that cut an edge, link two cnodes or reverse an
+    edge."""
 
     def __init__(self, updater):
         self.updater = updater
@@ -84,6 +97,8 @@ class _SharedValStream:
         live = self.live()
         if not live:
             return None
+        if kind in ("cut", "link", "reverse"):
+            return self.base_update(kind, live, a, b)
         parent = live[a % len(live)]
         if kind == "delete":
             return DeleteOp(f"//cnode[key={parent}]")
@@ -110,18 +125,79 @@ class _SharedValStream:
             )
         return InsertOp(f"//cnode[key={parent}]/sub", "cnode", sem)
 
+    def base_update(self, kind, live, a, b) -> RelationalDelta | None:
+        """A ``ΔR`` on ``H``: delete an edge's row, insert a row between
+        two cnodes that closes no cycle, or both for one edge reversed."""
+        store = self.updater.store
+        node = {key: store.lookup("cnode", self.sems[key]) for key in live}
+        delta = RelationalDelta()
+        if kind == "link":
+            up, down = live[a % len(live)], live[b % len(live)]
+            if up == down or _reaches(store, node[down], node[up]) or any(
+                node[down] in store.children_of(sub)
+                for sub in store.children_of(node[up])
+            ):
+                return None
+            delta.insert("H", (up, down))
+            return delta
+        edges = [
+            (key, sub, store.sem_of(child)[0])
+            for key in live
+            for sub in store.children_of(node[key])
+            if store.type_of(sub) == "sub"
+            for child in store.children_of(sub)
+        ]
+        if not edges:
+            return None
+        up, sub, down = edges[a % len(edges)]
+        delta.delete("H", (up, down))
+        if kind == "reverse":
+            if _reaches(store, node[up], node[down], cut=(sub, node[down])):
+                return None  # another path: the reversed edge would close a cycle
+            delta.insert("H", (down, up))
+        return delta
+
+
+def _reaches(store, start, goal, cut=None) -> bool:
+    """Whether ``goal`` is below ``start`` in the store, without the
+    edge ``cut``."""
+    stack, seen = [start], {start}
+    while stack:
+        parent = stack.pop()
+        for child in store.children_of(parent):
+            if child == goal and (parent, child) != cut:
+                return True
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
 
 _draw = st.tuples(
     st.sampled_from(("share", "new", "delete", "reinsert", "replace")),
     st.integers(0, 10_000),
     st.integers(0, 10_000),
 )
+_base = st.tuples(
+    st.sampled_from(("cut", "link", "reverse")),
+    st.integers(0, 10_000),
+    st.integers(0, 10_000),
+)
+#: A group is one op, a batch of ops, or one base update.
+_groups = st.lists(
+    st.one_of(
+        st.lists(_draw, min_size=1, max_size=4), _base.map(lambda d: [d])
+    ),
+    max_size=6,
+)
 
 
 def _run(updater, stream, group):
     if len(group) == 1:
         op = stream.op(*group[0])
-        if op is not None:
+        if isinstance(op, RelationalDelta):
+            updater.apply_base_update(op)
+        elif op is not None:
             updater.apply_op(op)
         return
     with updater.batch():
@@ -131,23 +207,36 @@ def _run(updater, stream, group):
                 updater.apply_op(op)
 
 
-@settings(max_examples=30, deadline=None)
-@given(groups=st.lists(st.lists(_draw, min_size=1, max_size=4), max_size=6))
-# A batch whose sharing insert is repaired while M still holds the
-# deleted edge's pairs: the walk hands a stale own bit down, which the
-# delete pass then removes.
-@example(groups=[[("delete", 5, 0), ("share", 11, 1)]])
-def test_shared_text_leaves_match_the_reference_in_lockstep(groups):
-    """Both updaters take the same ops (single ones and batches): after
-    each, the product's reads equal the reference's and a fresh
-    Algorithm Reach's, and the repairs report the same pair counts."""
-    product, reference = _updater(BitsetReachabilityIndex), _updater(
-        SetReachabilityIndex
-    )
-    streams = _SharedValStream(product), _SharedValStream(reference)
+def _seeded(index_class):
+    """An updater on ``index_class`` whose view has a ``val`` under
+    several cnodes, and its stream."""
+    updater = _updater(index_class)
+    stream = _SharedValStream(updater)
     for draw in [("new", 3, 5), ("new", 8, 13), ("new", 1, 21)]:
-        _run(product, streams[0], [draw])
-        _run(reference, streams[1], [draw])
+        _run(updater, stream, [draw])
+    return updater, stream
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups=_groups)
+# A batch that cuts an edge and then shares a subtree below the cut:
+# repaired insert first, its closure would read rows that still hold
+# the cut edge's pairs.
+@example(groups=[[("delete", 5, 0), ("share", 11, 1)]])
+# A base update that reverses an edge: attached first, the reversed
+# edge's closure would read its new parent's stale row.
+@example(groups=[[("reverse", 3, 0)]])
+# Batches that collect the target of their own insert, and its new nodes.
+@example(groups=[[("share", 7, 3), ("delete", 7, 0)]])
+@example(groups=[[("new", 7, 3), ("delete", 7, 0)]])
+def test_shared_text_leaves_match_the_reference_in_lockstep(groups):
+    """Both updaters take the same ops (single ones, batches and base
+    updates); the reference checks that Δ(M,L)insert reads no stale
+    row.  After each, the product's reads equal the reference's, both
+    equal a fresh Algorithm Reach's, and no row holds its own node."""
+    (product, first), (reference, second) = _seeded(
+        BitsetReachabilityIndex
+    ), _seeded(StaleReadCheckingIndex)
     store = product.store
     shared = [
         leaf for leaf in store.nodes()
@@ -155,64 +244,66 @@ def test_shared_text_leaves_match_the_reference_in_lockstep(groups):
     ]
     assert shared  # a val under several cnodes
     for group in groups:
-        _run(product, streams[0], group)
-        _run(reference, streams[1], group)
+        _run(product, first, group)
+        _run(reference, second, group)
         store = product.store
         assert store.digest() == reference.store.digest()
         assert product.topo.as_list() == reference.topo.as_list()
         assert_same_reads(store, product.reach, reference.reach)
-        assert reference.reach.equals(reference_index(store, product.topo))
-        assert product.repairs == reference.repairs
-    for growth, added, removed in product.repairs:
-        assert growth == added - removed
+        assert _exact(product) and _exact(reference)
+    assert all(product.repairs) and all(reference.repairs)
     assert product.check_consistency() == []
 
 
 def test_a_batch_insert_repair_writes_no_self_pair(monkeypatch):
-    """A batch repairs its inserts before its delete pass, on rows that
-    still hold the pairs of the edge it deleted: the sharing insert's
-    closure reads a stale ancestor path through a node below it.
-    Between the two passes no row holds its own node, in the product
-    and in the reference, and their reports agree."""
+    """A batch that cuts an edge and then shares a subtree below the
+    cut: its repair runs the delete pass first, so between the two
+    passes no row holds its own node, in the product and in the
+    reference, and both end with the same pairs, some gained and some
+    lost."""
     between = []
-    maintain_delete = updater_module.maintain_delete
+    maintain_insert = maintenance.maintain_insert
 
-    def checked(store, topo, reach, targets):
+    def checked(store, topo, reach, inserts):
         between.append([a for a, d in reach.pairs() if a == d])
-        return maintain_delete(store, topo, reach, targets)
+        return maintain_insert(store, topo, reach, inserts)
 
-    monkeypatch.setattr(updater_module, "maintain_delete", checked)
-    reports = []
+    pairs = []
     for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
-        updater = _updater(index_class)
-        stream = _SharedValStream(updater)
-        for draw in [("new", 3, 5), ("new", 8, 13), ("new", 1, 21)]:
-            _run(updater, stream, [draw])
+        updater, stream = _seeded(index_class)
+        before = set(updater.reach.pairs())
+        monkeypatch.setattr(maintenance, "maintain_insert", checked)
         _run(updater, stream, [("delete", 5, 0), ("share", 11, 1)])
-        (growth, added, removed) = updater.repairs[-1]
-        assert added > 0 and removed > 0 and growth == added - removed
+        monkeypatch.undo()
+        after = set(updater.reach.pairs())
+        assert after - before and before - after
+        assert updater.repairs[-1]
         assert updater.check_consistency() == []
-        reports.append(updater.repairs)
+        pairs.append(after)
     assert len(between) == 2
     assert between == [[], []]
-    assert reports[0] == reports[1]
+    assert pairs[0] == pairs[1]
 
 
 def test_a_delete_counts_the_pairs_its_text_leaves_lose():
-    """Cutting a cnode from its only parent: the sweep's count includes
-    the pairs of the collected ``key`` / ``val`` leaves, as the
-    reference's does."""
-    counts = []
+    """Cutting a cnode from its only parent: the sweep removes the
+    pairs of the collected ``key`` / ``val`` leaves and adds none, as
+    the reference's does."""
+    lost = []
     for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
         updater = _updater(index_class)
         stream = _SharedValStream(updater)
-        before = len(updater.reach)
+        store = updater.store
+        leaves = {n for n in store.nodes() if store.value_of(n) is not None}
+        before = set(updater.reach.pairs())
         updater.apply_op(stream.op("delete", 5, 0))
-        (growth, added, removed), = updater.repairs
-        assert growth == -removed and added == 0
-        assert before - len(updater.reach) == removed
-        counts.append(removed)
-    assert counts[0] == counts[1] > 0
+        assert updater.repairs == [True]
+        after = set(updater.reach.pairs())
+        collected = {n for n in leaves if not store.has_node(n)}
+        assert collected and after <= before
+        assert {(a, d) for a, d in before if d in collected} <= before - after
+        lost.append(before - after)
+    assert lost[0] == lost[1]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +387,7 @@ def test_sharing_an_item_adds_its_pairs_with_the_edge(lists):
 @pytest.mark.parametrize("index_class", [BitsetReachabilityIndex, SetReachabilityIndex])
 def test_retain_below_condemns_an_orphaned_leaf(index_class):
     """A target leaf whose last edge ``ΔV`` removed is condemned by the
-    sweep, which counts the pairs the edge gave it (its list and the
+    sweep, which removes the pairs the edge gave it (its list and the
     root): ``M`` still covered the edge until the repair."""
     service = open_view(*list_view())
     updater = substitute_index(service.updater, index_class)
@@ -307,7 +398,7 @@ def test_retain_below_condemns_an_orphaned_leaf(index_class):
     store.remove_edge(parent, a)
     assert len(reach) == before and reach.is_ancestor(parent, a)
     report = maintenance.maintain_delete(store, topo, reach, [a])
-    assert report.removed_nodes == [a] and report.removed_pairs == 2
+    assert report.removed_nodes == [a]
     assert len(reach) == before - 2
     assert not store.has_node(a) and a not in topo
     assert reach.equals(reference_index(store, topo))

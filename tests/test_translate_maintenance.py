@@ -17,7 +17,11 @@ from index_seam import (
 from repro.atg.publisher import publish_store, publish_subtree
 from repro.baselines.recompute import recompute_structures
 from repro.core.dag_eval import DagXPathEvaluator
-from repro.core.maintenance import maintain_delete, maintain_insert
+from repro.core.maintenance import (
+    maintain_delete,
+    repair,
+    repair_topo_after_insert,
+)
 from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.index import build_index
 from repro.core.topo import TopoOrder
@@ -36,6 +40,12 @@ def env():
     reach = build_index(store, topo)
     evaluator = DagXPathEvaluator(store, topo, reach)
     return atg, db, store, topo, reach, evaluator
+
+
+def maintain_insert(store, topo, reach, subtree, targets):
+    """Δ(M,L)insert for one applied insert: ``L``, then ``M``."""
+    repair_topo_after_insert(store, topo, subtree, targets)
+    repair(store, topo, reach, [(subtree, targets)], None)
 
 
 def assert_structures_match_recompute(store, topo, reach):
@@ -188,9 +198,12 @@ class TestMaintainInsert:
         subtree = publish_subtree(atg, db, store, "course", ("CS902", "N"))
         delta = xinsert(store, result.targets, subtree)
         store.apply(delta)
-        report = maintain_insert(store, topo, reach, subtree, result.targets)
-        assert report.placed_nodes == len(subtree.new_nodes)
-        assert report.added_pairs > 0
+        before = len(reach), len(topo)
+        maintain_insert(store, topo, reach, subtree, result.targets)
+        assert all(node in topo for node in subtree.new_nodes)
+        assert len(topo) == before[1] + len(subtree.new_nodes)
+        assert len(reach) > before[0]
+        assert reach.equals(reference_index(store, topo))
 
 
 class TestMaintainDelete:
@@ -199,7 +212,7 @@ class TestMaintainDelete:
         result = evaluator.evaluate(parse_xpath(path_text), mode="delete")
         delta = xdelete(store, result)
         store.apply(delta)
-        report = maintain_delete(store, topo, reach, result)
+        report = maintain_delete(store, topo, reach, result.targets)
         return store, topo, reach, report
 
     def test_delete_shared_child_keeps_subtree(self, env):
@@ -219,7 +232,7 @@ class TestMaintainDelete:
         )
         delta = xdelete(store, result)
         store.apply(delta)
-        report = maintain_delete(store, topo, reach, result)
+        report = maintain_delete(store, topo, reach, result.targets)
         assert store.lookup("student", ("S03", "Edsger")) is None
         assert len(report.removed_nodes) == 3  # student + ssn + name
         assert_structures_match_recompute(store, topo, reach)
@@ -233,7 +246,7 @@ class TestMaintainDelete:
         )
         delta = xdelete(store, result)
         store.apply(delta)
-        maintain_delete(store, topo, reach, result)
+        maintain_delete(store, topo, reach, result.targets)
         assert store.lookup("course", ("CS320", "Databases")) is None
         assert store.lookup("student", ("S02", "Grace")) is not None
         assert store.lookup("cno", ("CS320",)) is None
@@ -262,7 +275,7 @@ class TestMaintainDelete:
         )
         delta = xdelete(store, result)
         store.apply(delta)
-        maintain_delete(store, topo, reach, result)
+        maintain_delete(store, topo, reach, result.targets)
         s02 = store.lookup("student", ("S02", "Grace"))
         taken_500 = store.lookup("takenBy", ("CS500",))
         taken_320 = store.lookup("takenBy", ("CS320",))
@@ -347,8 +360,7 @@ class TestInsertPaysForAddedPairs:
         assert subtree.new_nodes == [] and len(st_nodes) > 5
         before = sorted(reach.pairs())
         counts = _count_row_access(reach)
-        report = maintain_insert(store, topo, reach, subtree, targets)
-        assert report.added_pairs == 0
+        maintain_insert(store, topo, reach, subtree, targets)
         assert counts["writes"] == 0
         # One row per target and the root's (ΔM reads its ancestors),
         # however large ST is; the L repair reads rows only for a swap.
@@ -372,8 +384,8 @@ class TestInsertPaysForAddedPairs:
             child not in new for n in new for child in store.children_of(n)
         )
         before = len(reach)
-        report = maintain_insert(store, topo, reach, subtree, targets)
-        assert report.added_pairs == len(reach) - before > 0
+        maintain_insert(store, topo, reach, subtree, targets)
+        assert len(reach) > before
         assert reach.equals(reference_index(store, topo))
         cs500 = store.lookup("course", ("CS500", "Operating Systems"))
         cs240 = store.lookup("course", ("CS240", "Data Structures"))
@@ -407,11 +419,12 @@ class TestDeleteWritesAncestorRowsOnly:
             return out
 
         monkeypatch.setattr(type(reach), "retain_below", retain_below)
-        report = maintain_delete(store, topo, reach, result)
+        before = len(reach)
+        report = maintain_delete(store, topo, reach, result.targets)
         [(order, writes)] = swept
         assert sorted(order) == sorted(lr)
         assert report.removed_nodes
-        assert report.removed_pairs > len(lr)
+        assert before - len(reach) > len(lr)
         assert 0 < writes == counts["writes"] <= len(lr)
         assert_structures_match_recompute(store, topo, reach)
 
@@ -435,7 +448,7 @@ def test_retain_below_matches_the_per_node_sweep(index_class, dag, cut, extra):
     """Δ(M,L)delete's bulk sweep against one ``retain_ancestors`` per
     node of ``LR`` (``tests/uncompiled.py``) on a random DAG store: cut
     some edges, delete below their heads and a few other targets, and
-    get the same rows, removed-pair count and condemned order."""
+    get the same rows, |M| and condemned order."""
     outcomes = []
     for sweep in (index_class.retain_below, uncompiled.retain_below):
         store, topo = dag_store(12, dag)
@@ -446,27 +459,25 @@ def test_retain_below_matches_the_per_node_sweep(index_class, dag, cut, extra):
             store.remove_edge(parent, child)
         targets = sorted({c for _, c in removed_edges} | set(extra))
         lr = set(targets) | store.descendants_of(targets)
-        removed, condemned = sweep(
-            reach, store, reversed(topo.sort_nodes(lr))
-        )
-        outcomes.append((removed, condemned, dict(reach._anc), len(reach)))
+        condemned = sweep(reach, store, reversed(topo.sort_nodes(lr)))
+        outcomes.append((condemned, dict(reach._anc), len(reach)))
     assert outcomes[0] == outcomes[1], (dag, cut, extra)
 
 
 class _RecordingUpdater(XMLViewUpdater):
-    """Records every repair pass: (growth of |M|, pairs the insert
-    repairs report, pairs the delete pass reports)."""
+    """Records, after every repair pass, whether ``M`` equals the
+    reference closure of the store."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.repairs: list[tuple[int, int, int]] = []
+        self.repairs: list[bool] = []
 
-    def repair(self, inserts, delete_targets, placed=False):
-        before = len(self.reach)
-        added, gc = super().repair(inserts, delete_targets, placed)
-        removed = gc.removed_pairs if gc is not None else 0
-        self.repairs.append((len(self.reach) - before, added, removed))
-        return added, gc
+    def repair(self, inserts, delete_targets):
+        gc = super().repair(inserts, delete_targets)
+        self.repairs.append(
+            self.reach.equals(reference_index(self.store, self.topo))
+        )
+        return gc
 
 
 def _recording_updater(atg, db, index_class):
@@ -478,8 +489,7 @@ def _recording_updater(atg, db, index_class):
 
 def _assert_exact(updater):
     assert updater.reach.equals(reference_index(updater.store, updater.topo))
-    for growth, added, removed in updater.repairs:
-        assert growth == added - removed, updater.repairs
+    assert all(updater.repairs), updater.repairs
 
 
 @pytest.mark.parametrize("index_class", INDEX_CLASSES)
@@ -494,8 +504,8 @@ def _assert_exact(updater):
             "//course[cno=CS500 or cno=CS650]/prereq",
             "course", ("CS240", "Data Structures"),
         ),
-        # The insert repair runs while M still holds the deleted edge's
-        # pairs; the closing delete pass settles them.
+        # The delete pass drops the cut edge's pairs before the insert
+        # repair reads any row.
         ReplaceOp(
             "course[cno=CS650]/prereq/course[cno=CS320]",
             "course", ("CS240", "Data Structures"),
@@ -527,7 +537,8 @@ def test_batch_insert_then_delete_ancestor_of_shared_region(
     # under CS650 they are there through CS320), then cut CS320 — an
     # ancestor of the region — from CS650, then flush.
     updater = _recording_updater(*build_registrar(), index_class)
-    with updater.batch() as session:
+    before = set(updater.reach.pairs())
+    with updater.batch():
         assert updater.apply_op(InsertOp(
             f"course[cno={attach_under}]/prereq",
             "course", ("CS240", "Data Structures"),
@@ -535,12 +546,41 @@ def test_batch_insert_then_delete_ancestor_of_shared_region(
         assert updater.apply_op(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         ).accepted
-    assert session.report.removed_pairs > 0
+    assert before - set(updater.reach.pairs())  # the delete pass removed pairs
     _assert_exact(updater)
     assert updater.check_consistency() == []
     cs650 = updater.store.lookup("course", ("CS650", "Advanced Databases"))
     cs240 = updater.store.lookup("course", ("CS240", "Data Structures"))
     assert updater.reach.is_ancestor(cs650, cs240) == (attach_under == "CS650")
+
+
+@pytest.mark.parametrize("index_class", INDEX_CLASSES)
+@pytest.mark.parametrize(
+    "cut", ["course[cno=CS500]/prereq/course[cno={}]", "course[cno=CS500]"],
+    ids=["the-inserted-edge", "its-target"],
+)
+@pytest.mark.parametrize(
+    "sem", [("CS240", "Data Structures"), ("CS960", "Fresh")],
+    ids=["shared", "new"],
+)
+def test_batch_insert_whose_edge_the_batch_removes(index_class, cut, sem):
+    # Attach a course under CS500, then cut that very edge, or collect
+    # CS500 with its prereq (the insert's target), in the same batch.
+    # The shared CS240 survives at the root, and its row must not gain
+    # CS500's side through an edge the store no longer holds; the new
+    # CS960's nodes are collected before any ΔM would read them.
+    updater = _recording_updater(*build_registrar(), index_class)
+    (prereq,) = updater.evaluate_xpath("course[cno=CS500]/prereq").targets
+    with updater.batch():
+        assert updater.apply_op(
+            InsertOp("course[cno=CS500]/prereq", "course", sem)
+        ).accepted
+        assert updater.apply_op(DeleteOp(cut.format(sem[0]))).accepted
+    _assert_exact(updater)
+    assert updater.check_consistency() == []
+    course = updater.store.lookup("course", sem)
+    assert (course is None) == (sem[0] == "CS960")
+    assert course is None or prereq not in updater.reach.anc(course)
 
 
 class _Stream:
@@ -589,8 +629,8 @@ _draw = st.tuples(
 @given(groups=st.lists(st.lists(_draw, min_size=1, max_size=4), max_size=6))
 def test_insert_repairs_exact_on_generated_streams(index_class, groups):
     """After every op (a group of one) or batch flush (a longer group),
-    ``M`` equals the reference closure of the store, and every repair
-    pass's pair counts add up to the growth of |M|."""
+    every repair pass leaves ``M`` equal to the reference closure of the
+    store."""
     dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
     updater = _recording_updater(dataset.atg, dataset.db, index_class)
     stream = _Stream(updater)

@@ -39,8 +39,7 @@
 - :func:`retain_below` is Δ(M,L)delete's sweep as one
   :func:`retain_ancestors` call per node of ``LR``, each with a list of
   the surviving parents.  ``ReachabilityIndex.retain_below`` must leave
-  the same rows and report the same removed-pair count and condemned
-  nodes, in the same order.
+  the same rows and condemn the same nodes, in the same order.
 - :func:`swap` is ``TopoOrder.swap`` asking a set of ``desc(v)`` about
   every node of the segment ``L[u:v]``, instead of walking the store
   below ``v``.  The walk must give the same list, positions and moved
@@ -857,35 +856,32 @@ def detect_side_effects(evaluator, result, mode: str) -> set[int]:
     return S
 
 
-def retain_ancestors(reach, node: int, parents: Iterable[int]) -> int:
+def retain_ancestors(reach, node: int, parents: Iterable[int]) -> None:
     """Drop the ancestors of ``node`` not derivable from ``parents``:
     keep ``{p} ∪ anc(p)`` over them, through the index's point
-    operations; returns the number of pairs removed."""
+    operations."""
     parents = list(parents)
     old = reach.anc(node)
     keep = set(parents) | reach.anc_of_set(parents)
-    removed = old - keep
-    if removed:
+    if old - keep:
         reach.set_ancestors(node, old & keep)
-    return len(removed)
 
 
-def retain_below(reach, store, order: Iterable[int]) -> tuple[int, list[int]]:
+def retain_below(reach, store, order: Iterable[int]) -> list[int]:
     """Δ(M,L)delete's sweep as one :func:`retain_ancestors` per node of
     ``order`` (ancestors first), each given the parents not condemned
-    earlier in the sweep; returns the pairs removed and the condemned
-    nodes in sweep order, as ``ReachabilityIndex.retain_below`` does."""
-    removed = 0
+    earlier in the sweep; returns the condemned nodes in sweep order, as
+    ``ReachabilityIndex.retain_below`` does."""
     condemned: list[int] = []
     doomed: set[int] = set()
     for node in order:
         parents = store.parents_of(node)
         surviving = [p for p in parents if p not in doomed]
-        removed += retain_ancestors(reach, node, surviving)
+        retain_ancestors(reach, node, surviving)
         if not surviving and node != store.root_id:
             doomed.add(node)
             condemned.append(node)
-    return removed, condemned
+    return condemned
 
 
 def swap(topo, u: int, v: int, descendants_of_v) -> int:
