@@ -7,7 +7,9 @@ keeps its own modules; ``sys.modules`` is switched to a copy's set
 before every call into it), opens one service per copy for every
 stream of an e2e run of WORKLOAD (the streams ``run.py`` would apply
 for SEED and SECONDS, generated by CHANGE's ``benchmarks/e2e``), and
-applies every op to both, alternating which copy goes first.  Both
+applies every op to both, alternating which copy goes first within
+each op kind: ``read_mostly`` writes every tenth op, so alternating by
+op index would run every write on the same copy first.  Both
 services have the stream's subscriptions; a durable workload writes a
 WAL per copy.  So the two copies see the same machine at the same
 moments, and the ratio of their loop times is free of the drift that
@@ -200,8 +202,10 @@ def main() -> None:
         if split:
             gc.disable()
         order = [runs["parent"], runs["change"]]
-        for index, call in enumerate(calls):
-            for side in order if index % 2 == 0 else order[::-1]:
+        turns: dict = {}
+        for call in calls:
+            turn = turns[call["op"]] = turns.get(call["op"], -1) + 1
+            for side in order if turn % 2 == 0 else order[::-1]:
                 side.call(call)
         gc.enable()
         a, b = runs["parent"], runs["change"]

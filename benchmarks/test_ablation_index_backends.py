@@ -7,8 +7,9 @@ configurations: the bitset index must be ≥3× faster at the largest.
 (The end-to-end runs of whole updaters on each, which settled the
 choice, are recorded in ``docs/index-backends.md``.)
 
-Also measures batched update sessions (one deferred maintenance pass
-for N updates) against sequential per-update maintenance.
+Also times a batch of N deletions against the same deletions applied
+one by one: a batch runs each op's repair at its commit, so its whole
+wall must stay that of its ops.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from conftest import OPS_PER_CLASS, SIZES, fresh_updater
 
 from repro.baselines import SetReachabilityIndex
 from repro.index import BitsetReachabilityIndex
+from repro.service import ViewConfig, open_view
 from repro.workloads.queries import make_workload
+from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 #: The Fig. 11 |C| configurations (``DEFAULT_SIZES`` of
 #: ``benchmarks/paper/experiments.py``); the largest is big enough that M
@@ -84,32 +87,40 @@ def test_backends_equal_on_benchmark_sizes():
         assert updater.reach.equals(reference), f"diverged at n_c={n_c}"
 
 
-@pytest.mark.perf
-def test_batch_session_amortizes_maintenance():
-    """One deferred pass for N deletions: same state, fewer repairs."""
-    n_c = SIZES[-1]
-    ops = None
+def _service(n_c: int):
+    dataset = build_synthetic(SyntheticConfig(n_c=n_c, seed=42))
+    service = open_view(
+        dataset.atg, dataset.db,
+        config=ViewConfig(side_effects="propagate", strict=False),
+    )
+    return service, dataset
 
-    sequential, dataset = fresh_updater(n_c)
+
+@pytest.mark.perf
+def test_a_batch_costs_what_its_ops_cost_one_by_one():
+    """N deletions one by one and as one batch: the same final state,
+    and the batch's whole wall (every op's plan, commit and repair) at
+    most 1.25x the one-by-one wall, best of three each."""
+    n_c = SIZES[-1]
+    _, dataset = _service(n_c)
     ops = [
         op
         for cls in ("W1", "W2", "W3")
         for op in make_workload(dataset, "delete", cls, count=OPS_PER_CLASS)
     ]
-    seq_maintain = 0.0
-    for op in ops:
-        seq_maintain += sequential.apply_op(op).timings.get("maintain", 0.0)
-
-    batched, _ = fresh_updater(n_c)
-    runs_before = batched.maintenance_runs
-    with batched.batch() as session:
-        for op in ops:
-            batched.apply_op(op)
-    batch_maintain = session.report.seconds
-
-    assert batched.maintenance_runs - runs_before == 1
-    assert session.report.maintenance_passes == 1
-    assert batched.reach.equals(sequential.reach)
-    # The single pass must not cost more than the N sequential passes
-    # (generous slack: the win is structural, the guard is anti-regression).
-    assert batch_maintain <= seq_maintain * 1.25
+    walls = {"one by one": float("inf"), "batch": float("inf")}
+    for _ in range(3):
+        sequential, _ = _service(n_c)
+        start = time.perf_counter()
+        single = [sequential.apply(op).accepted for op in ops]
+        walls["one by one"] = min(
+            walls["one by one"], time.perf_counter() - start
+        )
+        batched, _ = _service(n_c)
+        start = time.perf_counter()
+        batch = [outcome.accepted for outcome in batched.apply(ops)]
+        walls["batch"] = min(walls["batch"], time.perf_counter() - start)
+        assert batch == single
+        assert batched.store.digest() == sequential.store.digest()
+        assert batched.reach.equals(sequential.reach)
+    assert walls["batch"] <= walls["one by one"] * 1.25, walls

@@ -125,12 +125,12 @@ def test_fallback_keeps_results_correct_at_scale():
     service.subscriptions.coarse_threshold = 8
     subs = [service.subscribe(q) for q in make_query_set(dataset, count=8)]
     ops = make_workload(dataset, "delete", "W2", count=6)
-    service.apply(ops)  # one batch: a wide coalesced flush event
+    service.apply(ops)  # one batch: a wide coalesced event
     stats = service.subscriptions.stats()
     for sub in subs:
         assert sub.result() == tuple(
             sorted(service.xpath(sub.path).targets)
         )
-    # The coalesced flush event exceeds the configured threshold, so the
+    # The coalesced event exceeds the configured threshold, so the
     # fallback must actually have engaged — for every subscription.
     assert stats["coarse_fallbacks"] == len(subs), stats

@@ -46,7 +46,7 @@ def op_stream():
         ReplaceOp("course[cno=CS650]/prereq/course[cno=CS500]",
                   "course", ("CS700", "Theory")),
         BaseUpdateOp(ops=(("insert", "course", ("CS901", "Seminar", "CS")),)),
-        [  # one batched session -> one coalesced event
+        [  # one batch -> one coalesced event
             InsertOp("course[cno=CS240]/prereq", "course",
                      ("CS902", "Colloquium")),
             DeleteOp("course[cno=CS240]/prereq/course[cno=CS120]"),

@@ -47,7 +47,6 @@ from repro.core import (
     TopoOrder,
     UpdateOutcome,
     UpdatePlan,
-    UpdateSession,
     XMLViewUpdater,
 )
 from repro.ops import (
@@ -119,7 +118,6 @@ __all__ = [
     "UpdateOutcome",
     "UpdatePlan",
     "PlanState",
-    "UpdateSession",
     "XMLViewUpdater",
     "UpdateOperation",
     "InsertOp",

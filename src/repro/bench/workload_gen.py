@@ -26,7 +26,7 @@ Tunable axes (all recorded in the header):
   can stand up readers and standing subscriptions matching the stream
   (the op lines stay pure writes: the apply CLI has no read op);
 - **batch shape** — ``batch_size`` tells the harness how many
-  consecutive ops to group per ``service.batch()`` session;
+  consecutive ops to group per ``service.batch()`` write scope;
 - **adversarial patterns** — named generators stressing a specific
   subsystem (:data:`PATTERNS`): ``deep_chain`` (ever-deeper insertion
   chains — recursion depth, |M| growth), ``dense_dag`` (sharing inserts
@@ -494,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--batch-size", type=int, default=1, dest="batch_size",
-        help="ops per service.batch() session for harnesses that "
+        help="ops per service.batch() write scope for harnesses that "
         "batch; recorded in the header (default: 1)",
     )
     parser.add_argument(

@@ -23,8 +23,8 @@ class ReplayBuffer:
     """Bounded FIFO of published events, indexed by generation.
 
     Generations are strictly increasing but need not be dense: a batch
-    publishes one coalesced event carrying the flush generation, and a
-    failed commit bumps the version without publishing.  Replay
+    publishes one coalesced event carrying its last op's generation, and
+    a failed commit bumps the version without publishing.  Replay
     semantics therefore use generation *ordering*, never arithmetic:
     ``since(g)`` returns every retained event with generation > ``g``.
     """

@@ -9,9 +9,9 @@ into the stable public feed.  It registers nowhere: the pipeline calls
   (or at construction of a durable service), and lasts for the life of
   the service — it must be continuous for replay to be trustworthy, and
   until then nobody consumes events, so none are built;
-- consumers see exactly one event per committed generation that was
-  observable at rest: a batch arrives as the one coalesced event its
-  session emitted at flush;
+- consumers see exactly one event per write scope that committed
+  something: a batch arrives as the one coalesced event of its ops, at
+  its last op's generation;
 - every published event lands in the generation-indexed
   :class:`~repro.changefeed.buffer.ReplayBuffer` *before* fan-out, so a
   consumer attached with ``since=`` can never miss an event between its

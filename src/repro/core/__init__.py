@@ -16,8 +16,7 @@
   :mod:`repro.core.updater` (:class:`XMLViewUpdater`: owner of ``V``,
   ``L``, ``M``, generation and sink — apply, the Δ(M,L) repair pass,
   base-update propagation, the one generation-finished tail),
-  :mod:`repro.core.session` (:class:`UpdateSession`: Section 3.4's
-  repair once per batch), :mod:`repro.core.outcome` (the report).
+  :mod:`repro.core.outcome` (the report).
 """
 
 from repro.core.topo import TopoOrder
@@ -25,12 +24,10 @@ from repro.core.dag_eval import DagXPathEvaluator, EvalResult
 from repro.core.translate import xinsert, xdelete
 from repro.core.maintenance import maintain_delete, repair
 from repro.core.updater import (
-    BatchReport,
     PlanState,
     SideEffectPolicy,
     UpdateOutcome,
     UpdatePlan,
-    UpdateSession,
     XMLViewUpdater,
 )
 
@@ -46,7 +43,5 @@ __all__ = [
     "UpdateOutcome",
     "UpdatePlan",
     "PlanState",
-    "UpdateSession",
-    "BatchReport",
     "SideEffectPolicy",
 ]

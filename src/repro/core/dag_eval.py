@@ -23,7 +23,7 @@ computed left to right.  A ``//`` step records its *region*
 (descendant-or-self closure of the previous context): all of ``L`` when
 the previous context is the root and ``M`` is at rest, otherwise a view
 that tests a candidate's ancestor row in ``M`` (or a set walked from the
-store while ``M`` is stale).  The region is listed — a store walk — and
+store on a replica, which keeps no ``M``).  The region is listed — a store walk — and
 put in ``L``'s order only when the next step walks a list; a seeded next
 step reads its membership alone.  Nothing else is recorded:
 the parents through which a node entered ``Ci`` are its parents inside
@@ -46,7 +46,7 @@ unchanged: they read the regions, the filtered contexts, and a seeded
 label level only at nodes that passed its filter — none of which
 seeding changes.  :func:`seed_plan` is the one statement of which steps
 seed; the subscription engine's dependency analysis reads it too.  The
-``reach=None`` mid-batch path never seeds.
+``reach=None`` path of a replica never seeds.
 
 **Filters, on demand.**  The paper evaluates every filter
 sub-expression ``q`` at every node by dynamic programming over ``L``
@@ -173,19 +173,18 @@ class EvalResult:
 class DagXPathEvaluator:
     """Evaluator bound to one (store, topo, reachability) triple.
 
-    ``reach`` may be ``None`` when the reachability index is stale or
-    absent (batched update sessions defer its repair): a descendant
+    ``reach`` is ``None`` on a replica, which keeps no ``M``
+    (:meth:`~repro.replica.view.ReplicaView.xpath`): a descendant
     region is then a set walked from the store's edges, built whole
-    before the first membership test, where at rest a region answers
-    each test on the candidate's ancestor row in ``M`` — same results,
-    higher per-query cost.
+    before the first membership test, where with ``M`` a region answers
+    each test on the candidate's ancestor row — same results, higher
+    per-query cost.
 
     Passing a ``reach`` asserts the triple is *at rest*: ``M`` and ``L``
     are repaired and every node in ``L`` is reachable from the root (no
-    deleted subtree is waiting for garbage collection).  A ``//`` from
-    the root then ranges over ``L`` itself.  While collection is
-    pending — ``XMLViewUpdater.evaluator`` knows — pass ``None``, or
-    the orphans still listed in ``L`` would be selected.
+    deleted subtree is waiting for garbage collection), which holds
+    after every commit.  A ``//`` from the root then ranges over ``L``
+    itself.
 
     An evaluation keeps its state in per-call objects, so one evaluator
     can serve concurrent readers of an unchanging view.
@@ -252,7 +251,7 @@ class DagXPathEvaluator:
 
     def _seeds(self, program: "_Program") -> dict[int, Seed]:
         """The levels an evaluation seeds: all of ``program.seeds`` at
-        rest, none while ``M`` is stale.  The one switch for seeding —
+        rest, none without ``M`` (a replica).  The one switch for seeding —
         an override returning ``{}`` gives the paper's evaluator."""
         return program.seeds if self.reach is not None else {}
 

@@ -4,8 +4,8 @@ Both algorithms run "in the background" in the paper's framework: they do
 not gate the user-visible update, but the structures must be consistent
 before the next update is processed.  ``L`` is repaired when an insert is
 applied (:func:`repair_topo_after_insert`); ``M`` by one :func:`repair`
-per update, per batch flush (:mod:`repro.core.session`) and per base
-update (:mod:`repro.atg.incremental`), which runs the delete pass first
+per update and per base update (:mod:`repro.atg.incremental`), at its
+commit, which runs the delete pass first
 and the insertions' ``ΔM`` after it (DRed's order: Gupta, Mumick &
 Subrahmanian, SIGMOD 1993).
 

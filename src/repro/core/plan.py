@@ -159,8 +159,7 @@ class UpdatePlan:
         ``attach`` nodes exist already, so one lies inside ``ST`` iff it
         is in the closure of ``ST``'s frontier (its root, or the existing
         nodes its new edges reach): one ancestor-row test per attach
-        point at rest, the store walk while ``M`` is stale.  ``ST`` is
-        never walked.
+        point.  ``ST`` is never walked.
         """
         updater = self.updater
         subtree = publish_subtree(

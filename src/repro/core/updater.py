@@ -14,15 +14,15 @@ separately), and the modules follow them:
    completed by ``commit()`` / ``abort()``;
 5. **apply** — ``ΔR`` on the base database, ``ΔV`` on the store;
 6. **maintain** — Δ(M,L)insert / Δ(M,L)delete plus gen-table GC
-   (Section 3.4, "background" work): :meth:`XMLViewUpdater.repair`, per
-   update or — :mod:`repro.core.session` — once per batch.
+   (Section 3.4, "background" work): :meth:`XMLViewUpdater.repair`,
+   once per update, before the next one is planned.
 
-Every committed mutation (a plan's commit, a base update — the reverse
-pipeline —, a session flush) ends in the one tail
+Every committed mutation (a plan's commit or a base update — the
+reverse pipeline) ends in the one tail
 :meth:`XMLViewUpdater.finish_generation`: the only place the generation
 advances on success and the only place a commit event is built.  What
 an update reports is :mod:`repro.core.outcome`; this module re-exports
-those names, ``UpdatePlan`` and ``UpdateSession``.
+those names and ``UpdatePlan``.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from repro.core.maintenance import (
 )
 from repro.core.outcome import PlanState, SideEffectPolicy, UpdateOutcome
 from repro.core.plan import UpdatePlan
-from repro.core.session import BatchReport, UpdateSession
 from repro.dtd.validate import StaticValidator
-from repro.errors import PlanError, ReproError, ServiceClosedError, UpdateRejectedError
+from repro.errors import PlanError, ServiceClosedError, UpdateRejectedError
 from repro.ops import UpdateOperation
 from repro.relational.database import Database, RelationalDelta
-from repro.views.events import ViewEvent, coalesce, edge_records_from_delta
+from repro.views.events import ViewEvent, edge_records_from_delta
 from repro.views.registry import EdgeViewRegistry, build_registry
 from repro.views.store import ViewStore
 from repro.xmltree.tree import XMLNode
@@ -55,12 +54,10 @@ from repro.xpath.ast import XPath
 from repro.xpath.parser import parse_xpath
 
 __all__ = [
-    "BatchReport",
     "PlanState",
     "SideEffectPolicy",
     "UpdateOutcome",
     "UpdatePlan",
-    "UpdateSession",
     "XMLViewUpdater",
 ]
 
@@ -120,8 +117,7 @@ class XMLViewUpdater:
         self.topo, self.reach = load_structures(self.store)
         self.registry: EdgeViewRegistry = build_registry(atg, db)
         self.maintenance_runs = 0
-        """Number of Δ(M,L) repair passes run (batching amortizes them)."""
-        self._session: UpdateSession | None = None
+        """Number of Δ(M,L) repair passes run (one per committed view update)."""
         self._outstanding_plan: UpdatePlan | None = None
         self._version = generation
         """Bumped on every committed mutation; guards stale plans."""
@@ -140,15 +136,9 @@ class XMLViewUpdater:
         return self.evaluator().evaluate(parsed)
 
     def evaluator(self) -> DagXPathEvaluator:
-        """A read-only evaluator bound to the current state.
-
-        While a batch session has repairs pending, ``M`` is stale; pass
-        ``reach=None`` so descendant regions come from the store walk.
-        """
-        dirty = self._session is not None and self._session.pending
-        return DagXPathEvaluator(
-            self.store, self.topo, None if dirty else self.reach
-        )
+        """A read-only evaluator bound to the current state: ``M`` is
+        repaired by every commit, so it is always at rest here."""
+        return DagXPathEvaluator(self.store, self.topo, self.reach)
 
     def apply_op(self, op: UpdateOperation) -> UpdateOutcome:
         """Translate and apply one typed update operation.
@@ -184,14 +174,6 @@ class XMLViewUpdater:
         if plan.state is PlanState.PLANNED:
             self._outstanding_plan = plan
         return plan
-
-    def batch(self) -> UpdateSession:
-        """A batched update session (the paper's "background" mode):
-        inside ``with updater.batch():`` updates apply at once, their
-        ``M`` repair runs once, on exit — see :class:`UpdateSession`.
-        One session can be open at a time (entering a second raises).
-        """
-        return UpdateSession(self)
 
     def undo(self, outcome: UpdateOutcome):
         """Undo an accepted update by propagating the inverted ``ΔR``.
@@ -250,8 +232,8 @@ class XMLViewUpdater:
           when false no :class:`ViewEvent` (and none of the typed
           records that feed one) is constructed;
         - ``sink.emit(event)`` — receives each at-rest event, one per
-          committed generation observable at rest (a batch session
-          emits one, at flush);
+          committed generation (a service batch is one scope, whose
+          events the sink coalesces);
         - ``sink.scope()`` — the context a plan's ``commit()`` /
           ``abort()`` runs in (the service's write section);
         - ``sink.delivering`` — true on a thread that is handing events
@@ -277,7 +259,7 @@ class XMLViewUpdater:
                 "thread or use a pull-mode changefeed consumer"
             )
 
-    # -- the plan / session seam (repro.core.plan, repro.core.session) --------------
+    # -- the plan seam (repro.core.plan) ----------------------------------------------
 
     @property
     def consuming(self) -> bool:
@@ -293,22 +275,11 @@ class XMLViewUpdater:
         if self._outstanding_plan is plan:
             self._outstanding_plan = None
 
-    def bind_session(self, session: UpdateSession | None) -> None:
-        """``session`` opens — one at a time — or (``None``) the open one closes."""
-        if session is not None and self._session is not None:
-            raise ReproError("an update session is already active")
-        self._session = session
-
     def propagate(self, delta_r: RelationalDelta):
         """The base-update body: apply ``ΔR`` to ``I``, re-synchronize
         ``V``, ``L`` and ``M`` incrementally.  The caller
         (:meth:`apply_base_update`, a committed ``BaseUpdateOp``)
         finishes the generation."""
-        if self._session is not None and self._session.pending:
-            raise ReproError(
-                "cannot propagate a base update while a batch session has "
-                "pending maintenance; flush the session first"
-            )
         # The report types every edge change (losses, gains, GC), so base
         # updates are fine-grained events too; the per-edge records cost
         # lookups per change, paid only when someone consumes the event.
@@ -322,14 +293,9 @@ class XMLViewUpdater:
         inserts: list[tuple[SubtreeResult, list[int]]],
         delete_targets: list[int] | None,
     ) -> DeleteMaintenance | None:
-        """One update's Δ(M,L) phase: ``L`` now, then ``M`` repaired now
-        or handed to the open batch session (then there is no delete
-        report yet)."""
+        """One update's Δ(M,L) phase: ``L``, then ``M``, at once."""
         for subtree, targets in inserts:
             repair_topo_after_insert(self.store, self.topo, subtree, targets)
-        if self._session is not None:
-            self._session.defer(inserts, delete_targets)
-            return None
         return self.repair(inserts, delete_targets)
 
     def repair(
@@ -338,8 +304,8 @@ class XMLViewUpdater:
         delete_targets: list[int] | None,
     ) -> DeleteMaintenance | None:
         """The one ``M`` repair pass (:func:`repro.core.maintenance.repair`,
-        delete pass first) for one update or a whole batch; returns the
-        delete pass's report (commit events need its GC ΔV)."""
+        delete pass first) for one update; returns the delete pass's
+        report (commit events need its GC ΔV)."""
         gc = repair(self.store, self.topo, self.reach, inserts, delete_targets)
         self.maintenance_runs += 1
         return gc
@@ -352,16 +318,13 @@ class XMLViewUpdater:
     def finish_generation(
         self, reason: str, edges=(), nodes=(),
         delta_r: RelationalDelta | None = None, *,
-        gc: DeleteMaintenance | None = None, held=(),
+        gc: DeleteMaintenance | None = None,
     ) -> None:
         """A generation finished: the one tail of every committed mutation.
 
         Advances the generation and — only when someone consumes events —
         builds the :class:`ViewEvent` (``edges`` plus the GC edges of
-        ``gc``) and routes it: held by the open session while its
-        repairs are pending (the store's edges are current but ``M`` is
-        not), else emitted — after the ``held`` events a session flush
-        releases, as one event, at rest.
+        ``gc``) and emits it, at rest: ``M`` and ``L`` are repaired.
         """
         self._version += 1
         if not self._sink.consuming:
@@ -369,14 +332,10 @@ class XMLViewUpdater:
         edges = list(edges)
         if gc is not None:
             edges += edge_records_from_delta(self.store, gc.gc_delta, gc.removed_info)
-        event = ViewEvent(
+        self._sink.emit(ViewEvent(
             generation=self._version, edges=edges, nodes=list(nodes),
             reason=reason, delta_r=delta_r,
-        )
-        if self._session is not None and self._session.pending:
-            self._session.events.append(event)
-        else:
-            self._sink.emit(coalesce([*held, event]) if held else event)
+        ))
 
     def check_consistency(self) -> list[str]:
         """Verify the incremental state against a fresh republish.

@@ -82,8 +82,8 @@ class StalePlanError(PlanError):
     """The view changed between ``plan()`` and ``commit()``.
 
     A plan captures ΔV/ΔR against one store snapshot; any intervening
-    mutation (another update, a base-table propagation, a batch flush)
-    invalidates it.  Re-plan against the current state.
+    mutation (another update, a base-table propagation, a failed
+    commit) invalidates it.  Re-plan against the current state.
     """
 
 

@@ -140,8 +140,8 @@ class ReplaceOp(UpdateOperation):
     Composite semantics: the nodes selected by ``path`` are deleted (as
     :class:`DeleteOp`) and ``ST(element, sem)`` is attached at the same
     parents the deleted nodes hung off — one foreground pass, one ΔV/ΔR,
-    one background Δ(M,L) repair (insert repairs replayed first, then a
-    closing delete pass, exactly the batch-session ordering).
+    one background Δ(M,L) repair (the delete pass, then the insert's
+    ``ΔM``, as every repair runs them).
     """
 
     path: str

@@ -17,7 +17,7 @@ edges do not describe its change; the writer publishes none) raises
 :class:`~repro.errors.ReplicaStaleError`.  Reads run the same
 :class:`~repro.core.dag_eval.DagXPathEvaluator` as the writer, against a
 lazily rebuilt topological order (no reachability index — descendant
-regions fall back to edge walks, the writer's own mid-batch strategy).
+regions are edge walks of the store, and no step is seeded).
 """
 
 from __future__ import annotations

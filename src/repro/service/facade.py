@@ -11,8 +11,8 @@ readers–writer lock.
 Two write protocols:
 
 - ``service.apply(op)`` — translate + apply in one call; a list of ops
-  routes through one batched :class:`~repro.core.updater.UpdateSession`
-  (one deferred Δ(M,L) repair for the whole batch);
+  is one write scope (one lock hold, one coalesced event) in which each
+  op commits, and repairs ``M`` and ``L``, as a single op does;
 - ``plan = service.plan(op)`` — run the paper's foreground phases only,
   inspect ``plan.targets`` / ``plan.side_effects`` / ``plan.delta_v`` /
   ``plan.delta_r`` / ``plan.timings``, then ``plan.commit()`` (identical
@@ -35,9 +35,9 @@ from repro.core.updater import (
     UpdatePlan,
     XMLViewUpdater,
 )
-from repro.errors import PlanError, ReproError
+from repro.errors import ReproError
 from repro.metrics import MetricsRegistry, render_prometheus
-from repro.ops import BaseUpdateOp, UpdateOperation, op_from_dict
+from repro.ops import UpdateOperation, op_from_dict
 from repro.relational.database import Database
 from repro.service.config import ViewConfig
 from repro.service.pipeline import CommitPipeline
@@ -206,13 +206,12 @@ class ViewService:
 
         Accepts op instances or their wire dicts.  A single op returns
         its :class:`UpdateOutcome`; a list returns the outcome list and
-        routes through one batched update session, so the whole batch
-        pays a single deferred Δ(M,L) repair.  ``BaseUpdateOp`` cannot
-        ride in a batch (base propagation needs ``M``/``L`` repaired,
-        which the session defers) — apply it on its own.
+        runs in one :meth:`batch` scope: each op is planned and committed
+        as a single op is, ``BaseUpdateOp`` included, and subscribers,
+        the changefeed and the WAL see one coalesced event.
 
-        Under ``strict`` config a rejected op raises out of the batch
-        after the session flushes; the already-committed outcomes (whose
+        Under ``strict`` config a rejected op raises out of the batch;
+        the ops before it stay committed, and their outcomes (whose
         ``delta_r`` feeds :meth:`undo`) ride on the exception as
         ``exc.batch_outcomes``.
         """
@@ -228,25 +227,14 @@ class ViewService:
                     return self._count_op(plan.outcome)
                 return self._count_op(plan.commit())
         ops = [self._decode(item) for item in op]
-        base = [o for o in ops if isinstance(o, BaseUpdateOp)]
-        if base:
-            raise PlanError(
-                "a batched apply cannot contain base updates (the batch "
-                "session defers the M/L repair base propagation needs); "
-                "apply them individually"
-            )
         outcomes: list[UpdateOutcome] = []
-        with self.pipeline.scope():
+        with self.batch() as batch:
             try:
-                with self.updater.batch():
-                    for decoded in ops:
-                        outcomes.append(
-                            self._count_op(self.updater.apply_op(decoded))
-                        )
+                for decoded in ops:
+                    outcomes.append(self._count_op(batch.apply(decoded)))
             except ReproError as exc:
-                # Ops before the failure are committed (the session has
-                # flushed); hand their outcomes to the caller for
-                # inspection or undo.
+                # Ops before the failure are committed; hand their
+                # outcomes to the caller for inspection or undo.
                 exc.batch_outcomes = outcomes
                 raise
         return outcomes
@@ -280,10 +268,11 @@ class ViewService:
 
     @contextmanager
     def batch(self):
-        """Exclusive batched session: N applies, one Δ(M,L) repair."""
+        """One write scope for many ops: ``with service.batch() as batch:``
+        holds the write lock throughout, ``batch.apply(op)`` commits each
+        op as a single op does, and the scope's events leave it as one."""
         with self.pipeline.scope():
-            with self.updater.batch() as session:
-                yield _BatchHandle(self.updater, session)
+            yield _BatchHandle(self.updater)
 
     # -- subscriptions -------------------------------------------------------------
 
@@ -488,7 +477,7 @@ class ViewService:
 
     @property
     def maintenance_runs(self) -> int:
-        """Δ(M,L) repair passes run so far (batching amortizes them)."""
+        """Δ(M,L) repair passes run so far (one per committed view update)."""
         return self.updater.maintenance_runs
 
     def xml_tree(self) -> XMLNode:
@@ -508,9 +497,8 @@ class ViewService:
 class _BatchHandle:
     """What ``with service.batch() as batch:`` yields."""
 
-    def __init__(self, updater: XMLViewUpdater, session):
+    def __init__(self, updater: XMLViewUpdater):
         self._updater = updater
-        self.session = session
 
     def apply(self, op: UpdateOperation | dict) -> UpdateOutcome:
         return self._updater.apply_op(ViewService._decode(op))

@@ -61,7 +61,7 @@ class CommitRecord:
         """Generation of the sealed event (-1 until sealed non-empty)."""
         self.events: list[ViewEvent] = []
         """Events collected while the scope was open, in emit order
-        (usually one; a scope spanning several flushes has more)."""
+        (one per committed op: a batch's scope has several)."""
         self.event: ViewEvent | None = None
         """The sealed, coalesced event (``None`` = nothing published)."""
         self.timings: dict[str, float] = {}
@@ -182,8 +182,8 @@ class CommitPipeline:
         batched maintenance and stage changefeed fan-out; release the
         lock and deliver to consumers in ticket (= commit) order.  The
         seal/maintain/publish tail runs even when the body raises
-        (a strict-mode batch failure has already flushed its session and
-        emitted the flush event before the exception propagates).
+        (a strict-mode batch failure publishes the ops committed before
+        it).
 
         Reentrant per thread: a nested scope (``service.apply`` inside
         ``service.batch()``, a plan's ``commit()`` inside either) joins

@@ -1,7 +1,7 @@
 """A write-preferring readers–writer lock for the view service.
 
 Readers (``service.xpath()``, ``service.xml_tree()``) share the view;
-writers (``apply``, ``plan``/``commit``, batch sessions) get exclusive
+writers (``apply``, ``plan``/``commit``, batches) get exclusive
 access — including during the "background" Δ(M,L) maintenance phase, so
 a reader can never observe a store whose ``M``/``L`` repair is mid-step.
 Write preference keeps a steady stream of readers from starving

@@ -23,10 +23,8 @@ query from the root.
 **Membership at every level.**  The decision sharpens a type match with
 the cached levels of the subscription's last evaluation, read after the
 commit (:meth:`QueryProfile.snapshot` is the one rule of what is
-cached).  Both ends are at rest: the pipeline emits events only once
-``M`` is repaired, and the engine keeps no cache of an evaluation made
-while ``M`` is stale (mid-batch), so such a subscription is
-re-evaluated on its next event without a decision.
+cached).  Both ends are at rest: every commit repairs ``M`` before the
+next op is planned, and the pipeline emits events only after that.
 
 - a listed level is a set: an edge can only change a child step's
   output, or a filter at its members, through a parent the step's input
@@ -79,7 +77,15 @@ are the post-commit ones.  Testing a parent's membership
 
 A coalesced batch event lists every edge the batch touched (inserts
 are not cancelled against deletes), and no test reads the record's
-kind, so these arguments hold for it as they do for one op.
+kind, so these arguments hold for it as they do for one op.  A cache
+taken inside the batch (a read or a subscription between two of its
+ops) is decided against the whole batch's event all the same.  The
+edges committed before the cache was taken are already in it, and
+the arguments need only that the event holds every edge changed since
+the cache: the decision is a disjunction over the event's edges, and a
+seeded level is compared with its re-derivation whichever edge asked
+for it.  So those earlier edges can only add hits, and a hit costs a
+re-evaluation, never a stale result.
 
 **A seeded level after a leading ``//``.**  When the steps feeding a
 seeded level are a step-0 ``//`` and its label step, the cached level

@@ -19,12 +19,10 @@ and one of **two actions**:
 - **re-evaluate from the root** — anything else: one seeded
   :meth:`DagXPathEvaluator.evaluate_from` of the whole query
   (:meth:`SubscriptionRegistry._reevaluate`), diffed against the cached
-  result and counted as ``full_refreshes``.  Two cases take it
+  result and counted as ``full_refreshes``.  One case takes it
   undecided: an event with more edges than
   :data:`DEFAULT_COARSE_THRESHOLD` (the cost fallback, counted as
-  ``coarse_fallbacks``), and a subscription whose last evaluation ran
-  while ``M`` was stale (read or subscribed mid-batch), which keeps no
-  cache to decide on.
+  ``coarse_fallbacks``).
 
 Nothing sits between the two, because the re-evaluation is the one every
 read runs: each ``label[leg = value]`` step starts from the value's node
@@ -87,11 +85,12 @@ the same pruning applies to the reverse pipeline.
 Every subscription is generation-tagged with the updater's version
 counter.  :meth:`Subscription.result` compares tags before answering
 and falls back to a full re-evaluation on any mismatch — a missed or
-not-yet-emitted event (e.g. reading mid-batch) degrades to
-correct-but-slower, never to stale data.  Maintenance runs inside the
-writer's critical section (the service write lock) and takes each
-subscription's mutex around its action; ``result()`` takes the read
-side and the same mutex; ``_members`` guards the subscription list.
+not-yet-emitted event (e.g. reading mid-batch, before the batch's one
+event is sealed) degrades to correct-but-slower, never to stale data.
+Maintenance runs inside the writer's critical section (the service
+write lock) and takes each subscription's mutex around its action;
+``result()`` takes the read side and the same mutex; ``_members``
+guards the subscription list.
 """
 
 from __future__ import annotations
@@ -168,11 +167,11 @@ class Subscription:
         """``C_0 .. C_n`` as of ``_generation``, cached by
         :meth:`QueryProfile.snapshot` — a set per listed level, a ``//``
         level as the nodes it closes over, re-derived after each commit
-        — what events are decided against; ``None`` after an evaluation
-        with ``M`` stale (see :meth:`SubscriptionRegistry._reevaluate`)."""
+        — what events are decided against; set by the evaluation
+        :meth:`SubscriptionRegistry.subscribe` runs before it lists the
+        subscription."""
         self._triggers = None
-        """The :class:`~repro.subscribe.deps.Triggers` of ``_contexts``
-        (``None`` with them)."""
+        """The :class:`~repro.subscribe.deps.Triggers` of ``_contexts``."""
 
     @property
     def stats(self) -> dict[str, int]:
@@ -337,10 +336,9 @@ class SubscriptionRegistry:
             with sub._mutex:
                 if not sub.active:  # closed since the copy above
                     continue
-                triggers = sub._triggers
                 if digest is None:
                     sub._stats["coarse_fallbacks"] += 1
-                elif triggers is not None and not triggers.meets(digest):
+                elif not sub._triggers.meets(digest):
                     # A summary miss: the walk would find no hit.
                     sub._stats["skips"] += 1
                     sub._delta = _NO_DELTA
@@ -359,14 +357,10 @@ class SubscriptionRegistry:
     ) -> None:
         """The decision and its action for an event that meets the
         subscription's summary; callers hold ``sub._mutex``.  Without a
-        ``digest`` (the cost fallback) or a cache nothing is decided
-        (re-evaluate); otherwise :func:`affects` decides."""
-        if (
-            digest is not None
-            and sub._contexts is not None
-            and not affects(
-                sub.profile, event, sub._contexts, evaluator, digest
-            )
+        ``digest`` (the cost fallback) nothing is decided (re-evaluate);
+        otherwise :func:`affects` decides."""
+        if digest is not None and not affects(
+            sub.profile, event, sub._contexts, evaluator, digest
         ):
             sub._stats["skips"] += 1
             sub._delta = _NO_DELTA
@@ -381,19 +375,11 @@ class SubscriptionRegistry:
         """Evaluate the whole query from the root and cache its result
         and per-level membership (:meth:`QueryProfile.snapshot`: a
         ``//`` region, a live view of ``M``, is kept as the nodes it
-        closes over and never listed).  An evaluation with ``M`` stale
-        (mid-batch) does not seed, so its levels are not the ones a
-        decision re-derives: it keeps no cache, and the next event
-        re-evaluates the subscription without a decision."""
+        closes over and never listed)."""
         if evaluator is None:
             evaluator = self.updater.evaluator()
         result = evaluator.evaluate_from(sub.query)
-        if evaluator.reach is not None:
-            sub._contexts, sub._triggers = sub.profile.snapshot(
-                result.contexts
-            )
-        else:
-            sub._contexts = sub._triggers = None
+        sub._contexts, sub._triggers = sub.profile.snapshot(result.contexts)
         sub._nodes = tuple(sorted(result.targets))
 
     # -- the read path --------------------------------------------------------------

@@ -217,12 +217,12 @@ class ViewEvent:
 
     delta_r: RelationalDelta | None = None
     """The base-table group update ``ΔR`` this commit applied (``None``
-    when the commit touched no relations — e.g. a batch flush's GC-only
-    event).  Engine-internal and deliberately absent from the wire
-    format (:meth:`to_dict`): consumers see only the view-side ΔV, but
-    the durable changefeed log (:mod:`repro.wal`) persists it alongside
-    each event so crash recovery can restore the base database ``I`` in
-    lockstep with the view."""
+    when the commit touched no relations).  Engine-internal and
+    deliberately absent from the wire format (:meth:`to_dict`):
+    consumers see only the view-side ΔV, but the durable changefeed log
+    (:mod:`repro.wal`) persists it alongside each event so crash
+    recovery can restore the base database ``I`` in lockstep with the
+    view."""
 
     # -- the frozen public wire format (docs/event-schema.md) -------------------
 
@@ -318,8 +318,8 @@ def edge_records_from_delta(
 def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
     """Merge an event sequence into one (latest generation wins).
 
-    Used when a batch session flushes: the per-op events it held plus
-    the flush's own GC event collapse into a single event carrying the
+    Used when a write scope seals: the per-op events of a batch (each
+    with its own GC edges) collapse into a single event carrying the
     union of the edge changes.  Membership pruning only needs the set of
     touched (label, value) coordinates, so concatenation — without
     cancelling an insert against a later delete — is sound, merely
@@ -337,9 +337,9 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
                 merged.nodes.append(rec)
         if event.delta_r is not None:
             # ΔR ops concatenate in commit order (a batch's per-op
-            # events each carry their own ΔR; the flush event carries
-            # none), so replaying the merged delta reproduces
-            # the batch's base-table effect exactly.
+            # events each carry their own ΔR), so replaying the
+            # merged delta reproduces the batch's base-table effect
+            # exactly.
             delta_ops.extend(event.delta_r.ops)
         if event.reason:
             merged.reason = event.reason
@@ -351,14 +351,21 @@ def coalesce(events: Iterable[ViewEvent]) -> ViewEvent:
 def fold_event(store: ViewStore, event: ViewEvent) -> None:
     """Apply one fine-grained event's records to ``store``, in place.
 
-    In order: install every :class:`NodeRecord` (the interning side
-    channel — id ↔ ``(element, sem)`` bindings for nodes the mirror has
-    never seen); apply every :class:`EdgeRecord` (``add_edge`` appends
+    In order: apply every :class:`EdgeRecord` (``add_edge`` appends
     rightmost exactly like the writer's, so child order — XML document
-    order — is reproduced, not approximated); then drop any touched
-    non-root node left with no incident edges, the writer's at-rest
-    invariant (events record *every* edge removal, the GC pass's
-    included — see ``docs/event-schema.md``).
+    order — is reproduced, not approximated), installing each
+    :class:`NodeRecord` (the interning side channel — id ↔ ``(element,
+    sem)`` bindings for nodes the mirror has never seen) when an edge
+    first names its node, and any record no edge names after them; then
+    drop any touched non-root node left with no incident edges, the
+    writer's at-rest invariant (events record *every* edge removal, the
+    GC pass's included — see ``docs/event-schema.md``).
+
+    A record is installed late because a batch's event can collect a
+    node and re-intern its ``(element, sem)`` under a new id: by the
+    time an edge names the new id, the edges that collected the old
+    holder have been folded, so a holder left with no edges is removed
+    first (:func:`_install`).
 
     Strict: an edge record referencing a node the store does not hold
     raises :class:`~repro.errors.ReplicaDivergedError` rather than
@@ -367,10 +374,12 @@ def fold_event(store: ViewStore, event: ViewEvent) -> None:
     edge list does not describe the change and must not reach this
     function.
     """
-    for rec in event.nodes:
-        store.ensure_node(rec.node, rec.element, rec.sem)
+    pending = {rec.node: rec for rec in event.nodes}
     touched: set[int] = set()
     for rec in event.edges:
+        for node in (rec.parent, rec.child):
+            if node in pending:
+                _install(store, pending.pop(node))
         if not store.has_node(rec.parent) or not store.has_node(rec.child):
             raise ReplicaDivergedError(
                 f"event at generation {event.generation} references "
@@ -383,6 +392,8 @@ def fold_event(store: ViewStore, event: ViewEvent) -> None:
             store.remove_edge(rec.parent, rec.child)
         touched.add(rec.parent)
         touched.add(rec.child)
+    for rec in pending.values():
+        _install(store, rec)
     # Mirror the writer's GC invariant: at rest, every non-root node has
     # at least one incident edge.  Events record every edge removal (the
     # GC pass's included), so any touched node left isolated here is
@@ -395,3 +406,19 @@ def fold_event(store: ViewStore, event: ViewEvent) -> None:
             and not store.parents_of(node)
         ):
             store.remove_node(node)
+
+
+def _install(store: ViewStore, rec: NodeRecord) -> None:
+    """Bind ``rec`` in ``store``, first removing an edge-less other
+    holder of its ``(element, sem)``: the event collected that node
+    before re-interning the pair.  A holder with edges is a conflict,
+    and :meth:`~repro.views.store.ViewStore.ensure_node` raises."""
+    holder = store.lookup(rec.element, rec.sem)
+    if (
+        holder is not None
+        and holder != rec.node
+        and not store.children_of(holder)
+        and not store.parents_of(holder)
+    ):
+        store.remove_node(holder)
+    store.ensure_node(rec.node, rec.element, rec.sem)

@@ -313,7 +313,7 @@ class ViewStore:
 
         The one way to list a descendant set: ``M`` keeps ancestor rows
         only (Δ(M,L)delete's ``LR``, a ``//`` region that must be
-        listed, every region while batched sessions defer ``M``).
+        listed, every region of a replica, which keeps no ``M``).
         """
         seen: set[int] = set()
         stack = list(roots)

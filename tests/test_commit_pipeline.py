@@ -85,7 +85,7 @@ class TestCommitPipeline:
             batch.apply(INSERT)
         stats = service.stats()["pipeline"]
         assert stats["commits"] == 1
-        # One coalesced event at the flush generation.
+        # One coalesced event, at the last op's generation.
         events = feed.events()
         assert len(events) == 1
         assert events[0].generation == service.stats()["generation"]

@@ -836,46 +836,40 @@ def test_one_evaluator_serves_concurrent_readers():
     assert agreed == [rounds, rounds]  # a raising reader falls short too
 
 
-def test_leading_descendant_ignores_uncollected_orphans():
+def test_no_orphan_outlives_its_op_in_a_batch():
     """``//`` from the root ranges over ``L`` itself — sound only at
-    rest.  Mid-session, deleted subtrees sit uncollected in the store
-    and in ``L``; the updater must hand out a ``reach=None`` evaluator
-    (store walk from the root) until the flush has collected them."""
-    from repro.core.updater import SideEffectPolicy, XMLViewUpdater
+    rest.  Inside a batch each delete collects what it condemns at its
+    own commit, so ``L`` never holds an orphan and every ``//`` read
+    between two ops agrees with the unfolded tree."""
     from repro.workloads.queries import make_workload
 
     dataset = build_synthetic(SyntheticConfig(n_c=60, seed=7))
-    updater = XMLViewUpdater(
+    service = open_view(
         dataset.atg, dataset.db,
-        side_effect_policy=SideEffectPolicy.PROPAGATE, strict=False,
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
+    store = service.store
     queries = ["//cnode", "//key", "//cnode[sub/cnode]/key", "//sub//val"]
 
     def agrees_with_tree():
-        tree = unfold_to_tree(updater.store)
+        tree = unfold_to_tree(store)
         for text in queries:
-            got = updater.evaluate_xpath(text).targets
+            got = service.xpath(text).targets
             want = {n.identity for n in evaluate_on_tree(parse_xpath(text), tree)}
             assert len(got) == len(set(got))
-            store = updater.store
             assert {(store.type_of(n), store.sem_of(n)) for n in got} == want, text
             assert len(got) == len(want), text
 
-    with updater.batch():
+    shrank = 0
+    with service.batch() as batch:
         for op in make_workload(dataset, "delete", "W2", count=6):
-            updater.apply_op(op)
-        live = updater.store.descendants_of([updater.store.root_id])
-        orphans = set(updater.topo) - live - {updater.store.root_id}
-        assert orphans, "the session should hold uncollected nodes"
-        assert updater.evaluator().reach is None
-        agrees_with_tree()
-        # What the precondition guards against: the at-rest shortcut
-        # over a triple that is not at rest selects the orphans.
-        stale = DagXPathEvaluator(updater.store, updater.topo, updater.reach)
-        assert orphans & set(stale.evaluate(parse_xpath("//")).targets)
-    assert updater.evaluator().reach is updater.reach
-    assert set(updater.topo) == live | {updater.store.root_id}
-    agrees_with_tree()
+            before = store.num_nodes
+            batch.apply(op)
+            shrank += store.num_nodes < before
+            live = store.descendants_of([store.root_id])
+            assert set(service.topo) == live | {store.root_id}
+            agrees_with_tree()
+    assert shrank, "some delete in the batch should collect nodes"
 
 
 def test_parse_and_compile_are_memoised_and_bounded(monkeypatch):

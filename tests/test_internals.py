@@ -129,18 +129,17 @@ class TestEngineSeam:
     OWNERS = {
         "updater": "core/updater.py",
         "plan": "core/plan.py",
-        "session": "core/session.py",
     }
 
     def test_no_private_access_outside_the_owning_module(self):
-        """The updater's, the plan's and the session's private state
-        each belong to the module defining the class; everything else —
-        the other ``repro.core`` modules included — goes through named
-        methods (``generation``, ``attach_sink`` and the sink protocol
-        above; ``write_scope``, ``release_plan``, ``maintain``,
-        ``finish_generation``, ... between plan, session and updater)."""
+        """The updater's and the plan's private state each belong to
+        the module defining the class; everything else — the other
+        ``repro.core`` modules included — goes through named methods
+        (``generation``, ``attach_sink`` and the sink protocol above;
+        ``write_scope``, ``release_plan``, ``maintain``,
+        ``finish_generation``, ... between plan and updater)."""
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        reach_in = re.compile(r"\b(updater|plan|session)\._[a-z]\w*")
+        reach_in = re.compile(r"\b(updater|plan)\._[a-z]\w*")
         hits = [
             f"{path.relative_to(src)}:{number}: {line.strip()}"
             for path in sorted(src.rglob("*.py"))

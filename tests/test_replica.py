@@ -44,9 +44,10 @@ from repro.service import ViewConfig, open_view
 from repro.subscribe import NodeRecord, ViewEvent, coalesce
 from repro.views.events import EdgeRecord
 from repro.views.store import ViewStore
-from repro.workloads import REGISTRAR_QUERIES
+from repro.workloads import REGISTRAR_QUERIES, synthetic_config
 from repro.workloads.bom import build_bom
 from repro.workloads.registrar import build_registrar
+from repro.workloads.synthetic import build_synthetic
 
 from registrar_streams import apply_item, registrar_streams
 
@@ -350,6 +351,60 @@ class TestReplicaFold:
         assert stats["generation"] == 0
         assert stats["snapshots_loaded"] == 1
         assert stats["running"] is False
+
+
+# ---------------------------------------------------------------------------
+# A batch that collects a node and re-interns its (element, sem)
+# ---------------------------------------------------------------------------
+
+#: On ``synthetic:120:0`` deleting ``//cnode[key=1]`` collects the cnode,
+#: and inserting its ``(element, sem)`` under cnode 2 interns it again,
+#: under a new id.
+COLLECT = DeleteOp("//cnode[key=1]")
+REINTERN = InsertOp("//cnode[key=2]/sub", "cnode", (1, "v1"))
+
+
+def synthetic_service(**config):
+    dataset = build_synthetic(synthetic_config("synthetic:120:0"))
+    config.setdefault("side_effects", "propagate")
+    return open_view(dataset.atg, dataset.db, config=ViewConfig(**config))
+
+
+class TestCollectAndReintern:
+    def test_a_coalesced_event_folds_into_a_snapshot_replica(self):
+        """The coalesced event's record for the new id comes while the
+        old holder is still bound in the snapshot; the fold installs it
+        once the edges that collected the old holder are folded."""
+        service = synthetic_service()
+        snapshot = service.snapshot()
+        holder = service.store.lookup("cnode", (1, "v1"))
+        assert holder is not None
+        events = []
+        service.changefeed(on_event=events.append)
+        service.apply(COLLECT)
+        assert service.store.lookup("cnode", (1, "v1")) is None
+        service.apply(REINTERN)
+        assert service.store.lookup("cnode", (1, "v1")) not in (None, holder)
+        assert len(events) == 2
+        replica = ReplicaView.from_snapshot(service.atg, snapshot)
+        assert replica.apply_event(coalesce(events))
+        assert replica.export_state() == service.store.export_state()
+        assert replica.digest() == service.store.digest()
+
+    def test_a_batch_recovers_from_its_log(self, tmp_path):
+        """One batch, one logged event: reopening the log recovers the
+        writer's state."""
+        service = synthetic_service(wal_dir=str(tmp_path))
+        with service.batch() as batch:
+            assert batch.apply(COLLECT).accepted
+            assert batch.apply(REINTERN).accepted
+        service.close()
+        recovered = synthetic_service(wal_dir=str(tmp_path))
+        assert recovered.stats()["generation"] == service.stats()["generation"]
+        assert recovered.store.digest() == service.store.digest()
+        replica = ReplicaView.from_wal(service.atg, str(tmp_path))
+        assert replica.digest() == service.store.digest()
+        recovered.close()
 
 
 # ---------------------------------------------------------------------------

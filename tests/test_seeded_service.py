@@ -20,7 +20,7 @@ occurrences), every child of A (multi-target), B after ``*`` and after a
 ``//`` below the root.
 ``//sub/cnode[key=N]`` keeps the negative: its leading ``sub`` step is
 not seeded, only the ``cnode`` one.  The last ops go in as one batch,
-whose mid-session evaluations take the ``reach=None`` path.
+whose ops are planned on a repaired ``M`` and so seeded too.
 """
 
 from __future__ import annotations

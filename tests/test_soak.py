@@ -60,7 +60,7 @@ def run_soak(tmp_path, spec: WorkloadSpec, readers: int = 2) -> SoakRun:
     """Generate ``spec``'s stream and drive a durable service with it.
 
     The writer applies ops grouped by the header's ``batch_size``
-    (batches route through one ``service.batch()`` session each) while
+    (each batch is one ``service.apply([...])`` write scope) while
     ``readers`` threads evaluate the header's derived query set
     concurrently; a pull consumer and a callback consumer ride the
     changefeed throughout.  Reader exceptions propagate.
@@ -167,22 +167,12 @@ def soak(request, tmp_path_factory):
 class TestSoak:
     def test_generated_ops_accepted(self, soak):
         # The generator's shadow view guarantees a clean stream under
-        # *sequential* application.  A batched session defers its one
-        # Δ(M,L) repair to the end, so mid-batch side-effect and cycle
-        # analysis runs against pre-batch reachability and can
-        # legitimately reject a handful of ops the sequential shadow
-        # accepted — any other rejection reason is a real bug.
+        # sequential application, and a batch applies its ops exactly
+        # so (each op's repair runs at its commit): every batch size
+        # accepts every op.
         assert len(soak.outcomes) == soak.header["params"]["ops"]
         rejected = [o.reason for o in soak.outcomes if not o.accepted]
-        if soak.header["params"]["batch_size"] == 1:
-            assert rejected == []
-        else:
-            deferred_repair = ("side effects", "infinite", "cycle")
-            assert all(
-                any(marker in reason for marker in deferred_repair)
-                for reason in rejected
-            ), rejected
-            assert len(rejected) <= len(soak.outcomes) // 10, rejected
+        assert rejected == []
 
     def test_subscriptions_converged(self, soak):
         for path, sub in soak.subs.items():

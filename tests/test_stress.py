@@ -78,7 +78,7 @@ def test_readers_and_consumers_race_a_committing_writer():
         try:
             for i in range(COMMITS):
                 if i % 5 == 4:
-                    # A batch commits once, at the flush generation;
+                    # A batch publishes once, at its last op's generation;
                     # it toggles CS320 out and back (or vice versa),
                     # leaving `present` unchanged.
                     first, second = (

@@ -17,16 +17,16 @@ the seeded level after a leading ``//`` (a key appears or disappears,
 or a candidate's parent edge is cut), and change a filter chain's
 second edge together with the edge above it.  The service-level
 property replays generated W1–W3 writes on the synthetic view, one op
-at a time and inside batch sessions (with a mid-batch read, which
-evaluates with ``M`` stale, keeps no cache and is refreshed at the
-flush without a decision).
+at a time and inside batches (with a mid-batch read, which keeps a
+cache taken between two ops, on the ``M`` the first one repaired; the
+batch's one event, which also lists the edges committed before the
+read, is decided against it).
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,7 @@ from repro.core.topo import TopoOrder
 from repro.dtd.parser import parse_dtd
 from repro.index import build_index
 from repro.service import ViewConfig, open_view
-from repro.subscribe import EdgeRecord, ViewEvent, affects, engine
+from repro.subscribe import EdgeRecord, ViewEvent, affects
 from repro.subscribe import profile_query
 from repro.subscribe.deps import EventDigest
 from repro.views.store import ViewStore
@@ -253,7 +253,7 @@ def test_the_generated_batches_reach_every_decision():
 
 
 # ---------------------------------------------------------------------------
-# The service: single ops and batch sessions over the synthetic view
+# The service: single ops and batches over the synthetic view
 # ---------------------------------------------------------------------------
 
 
@@ -312,27 +312,20 @@ def test_service_skips_are_sound_at_rest_and_in_batches(seed, writes, mode):
     else:
         before = _skip_counts(subs)
         read = subs[seed % len(subs)]
-        stale_read = False
-        decided = []
-
-        def counting(profile, *rest):
-            decided.append(profile)
-            return affects(profile, *rest)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "affects", counting)
-            with service.batch() as batch:
-                for position, op in enumerate(ops):
-                    batch.apply(op)
-                    if mode == "batch_with_read" and position == 0:
-                        read.result()  # M is stale here
-                        stale_read = read.stats["fallback_refreshes"] == 1
-        if stale_read:
-            # Evaluated mid-batch, it kept no cache: the flush refreshed
-            # it without a decision.
-            assert read.stats["full_refreshes"] == 1, read.path
-            assert all(
-                profile is not read.profile for profile in decided
+        mid_batch_read = False
+        with service.batch() as batch:
+            for position, op in enumerate(ops):
+                batch.apply(op)
+                if mode == "batch_with_read" and position == 0:
+                    read.result()  # between two ops: keeps a cache
+                    mid_batch_read = read.stats["fallback_refreshes"] == 1
+        if mid_batch_read:
+            # The batch's event met that cache like any other: skipped
+            # or re-evaluated, never refreshed undecided, and current.
+            assert read.stats["coarse_fallbacks"] == 0, read.path
+            assert read.generation == service.updater.generation, read.path
+            assert read._nodes == tuple(
+                sorted(service.xpath(read.path).targets)
             ), read.path
         assert_skips_were_sound(service, subs, before)
     assert service.check_consistency() == []

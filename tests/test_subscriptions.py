@@ -284,10 +284,10 @@ class TestRegistrarEquivalence:
         with service.batch() as batch:
             batch.apply(InsertOp(".", "course", ("CS800", "Quantum")))
             # Mid-batch reads fall back to a full re-evaluation (the
-            # generation tag mismatches while maintenance is pending).
+            # generation tag mismatches until the batch's one event).
             assert_current(service, subs, "mid-batch")
             batch.apply(DeleteOp("course[cno=CS800]"))
-        assert_current(service, subs, "after batch flush")
+        assert_current(service, subs, "after batch")
         assert service.check_consistency() == []
 
     def test_aborted_and_rejected_plans_change_nothing(self):
@@ -313,14 +313,18 @@ class TestRegistrarEquivalence:
 
     def test_every_event_the_registry_receives_is_at_rest(self, monkeypatch):
         """The decision reads ``M``: every commit path hands its event
-        to ``apply_batched`` after the repair, a batch's at its flush."""
+        to ``apply_batched`` after the repair, a batch's after its last
+        op's."""
         service = registrar_service()
         service.subscribe("course[cno=CS650]/prereq/course")
         received = []
         apply_batched = SubscriptionRegistry.apply_batched
 
         def at_rest(registry, event):
-            received.append(registry.updater.evaluator().reach is not None)
+            updater = registry.updater
+            received.append(
+                updater.reach.equals(build_index(updater.store, updater.topo))
+            )
             return apply_batched(registry, event)
 
         monkeypatch.setattr(SubscriptionRegistry, "apply_batched", at_rest)
@@ -568,13 +572,18 @@ def test_synthetic_batched_sessions_equivalence():
     inserts = make_workload(
         dataset, "insert", "W2", count=3, new_key_fraction=0.0
     )
-    # Interleave inside one session: one flush, one coalesced event.
+    # Interleave inside one batch: a repair per accepted op, one
+    # coalesced event.
     runs_before = service.maintenance_runs
+    events_before = service.subscriptions.stats()["events_processed"]
     with service.batch() as batch:
-        for delete_op, insert_op in zip(deletes, inserts):
-            batch.apply(delete_op)
-            batch.apply(insert_op)
-    assert service.maintenance_runs - runs_before == 1
+        accepted = [
+            batch.apply(op).accepted
+            for pair in zip(deletes, inserts)
+            for op in pair
+        ]
+    assert service.maintenance_runs - runs_before == sum(accepted)
+    assert service.subscriptions.stats()["events_processed"] == events_before + 1
     assert_current(service, subs, "after interleaved batch")
     assert service.check_consistency() == []
 
@@ -638,7 +647,7 @@ class TestConeRefresh:
         assert stats["full_refreshes"] > len(accepted)  # most events, most queries
 
     def test_batched_session_is_patched_from_the_coalesced_event(self):
-        """One coalesced event for the whole session: one decision, and
+        """One coalesced event for the whole batch: one decision, and
         at most one refresh, per subscription."""
         service, dataset = synthetic_service(n_c=120, seed=3)
         subs = [service.subscribe(q) for q in descendant_queries(dataset)]
@@ -1127,10 +1136,9 @@ class TestPinnedDecisions:
 def test_random_streams_keep_subscriptions_current(stream, batched):
     service = registrar_service()
     subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
-    batchable = [op for op in stream if not isinstance(op, BaseUpdateOp)]
-    if batched and len(batchable) >= 2:
+    if batched and len(stream) >= 2:
         try:
-            service.apply(batchable)
+            service.apply(stream)
         except Exception:
             pass  # rejected mid-batch under strict=False cannot raise,
             # but keep the property total
@@ -1263,9 +1271,8 @@ def test_random_stream_deltas_compose(stream, batched):
     subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
     previous = {sub.id: set(sub.result()) for sub in subs}
     previous["generation"] = max(sub.generation for sub in subs)
-    batchable = [op for op in stream if not isinstance(op, BaseUpdateOp)]
-    if batched and len(batchable) >= 2:
-        service.apply(batchable)
+    if batched and len(stream) >= 2:
+        service.apply(stream)
         assert_deltas_compose(service, subs, previous, "after random batch")
     else:
         for op in stream:

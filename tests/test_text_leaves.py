@@ -5,13 +5,14 @@ DAG compression makes one leaf of every equal value, so a ``val`` can
 sit under many cnodes and goes only with its last parent.  These tests
 hold the product to the reference that stores every row as a set
 (:class:`repro.baselines.SetReachabilityIndex`) on streams whose text
-leaves are shared, with base updates that cut and reverse edges, and
-delete a shared ``#PCDATA`` child of a starred production parent by
-parent.
+leaves are shared, in batches and with base updates that cut and
+reverse edges, and delete a shared ``#PCDATA`` child of a starred
+production parent by parent.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from itertools import count
 
 import pytest
@@ -24,11 +25,10 @@ from index_seam import (
     reference_index,
     substitute_index,
 )
-from repro import DeleteOp, InsertOp, open_view
+from repro import BaseUpdateOp, DeleteOp, InsertOp, ViewConfig, open_view
 from repro.atg.model import ATG, QueryRule
 from repro.baselines import SetReachabilityIndex
 from repro.core import maintenance
-from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.dtd.parser import parse_dtd
 from repro.index import BitsetReachabilityIndex
 from repro.ops import ReplaceOp
@@ -53,26 +53,30 @@ def _exact(updater) -> bool:
     )
 
 
-class _Recording(XMLViewUpdater):
-    """Records, after every repair pass, whether ``M`` is exact."""
+def _service(index_class):
+    """A service on ``index_class`` whose updater records, after every
+    repair pass of a view update, whether ``M`` is exact
+    (``updater.repairs``)."""
+    dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
+    service = open_view(
+        dataset.atg, dataset.db,
+        config=ViewConfig(side_effects="propagate", strict=False),
+    )
+    updater = substitute_index(service.updater, index_class)
+    updater.repairs = []
+    repair = updater.repair
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.repairs: list[bool] = []
-
-    def repair(self, *args, **kwargs):
-        gc = super().repair(*args, **kwargs)
-        self.repairs.append(_exact(self))
+    def recorded(*args):
+        gc = repair(*args)
+        updater.repairs.append(_exact(updater))
         return gc
+
+    updater.repair = recorded
+    return service
 
 
 def _updater(index_class):
-    dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
-    updater = _Recording(
-        dataset.atg, dataset.db,
-        side_effect_policy=SideEffectPolicy.PROPAGATE, strict=False,
-    )
-    return substitute_index(updater, index_class)
+    return _service(index_class).updater
 
 
 class _SharedValStream:
@@ -183,38 +187,31 @@ _base = st.tuples(
     st.integers(0, 10_000),
     st.integers(0, 10_000),
 )
-#: A group is one op, a batch of ops, or one base update.
+#: A group is one op or base update, or a batch of them.
 _groups = st.lists(
-    st.one_of(
-        st.lists(_draw, min_size=1, max_size=4), _base.map(lambda d: [d])
-    ),
-    max_size=6,
+    st.lists(st.one_of(_draw, _base), min_size=1, max_size=4), max_size=6
 )
 
 
-def _run(updater, stream, group):
-    if len(group) == 1:
-        op = stream.op(*group[0])
-        if isinstance(op, RelationalDelta):
-            updater.apply_base_update(op)
-        elif op is not None:
-            updater.apply_op(op)
-        return
-    with updater.batch():
+def _run(service, stream, group):
+    """Apply ``group``: one op on its own, several in one batch."""
+    with service.batch() if len(group) > 1 else nullcontext():
         for draw in group:
             op = stream.op(*draw)
+            if isinstance(op, RelationalDelta):
+                op = BaseUpdateOp.from_delta(op)
             if op is not None:
-                updater.apply_op(op)
+                service.apply(op)
 
 
 def _seeded(index_class):
-    """An updater on ``index_class`` whose view has a ``val`` under
+    """A service on ``index_class`` whose view has a ``val`` under
     several cnodes, and its stream."""
-    updater = _updater(index_class)
-    stream = _SharedValStream(updater)
+    service = _service(index_class)
+    stream = _SharedValStream(service.updater)
     for draw in [("new", 3, 5), ("new", 8, 13), ("new", 1, 21)]:
-        _run(updater, stream, [draw])
-    return updater, stream
+        _run(service, stream, [draw])
+    return service, stream
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,16 +248,16 @@ def test_shared_text_leaves_match_the_reference_in_lockstep(groups):
         assert product.topo.as_list() == reference.topo.as_list()
         assert_same_reads(store, product.reach, reference.reach)
         assert _exact(product) and _exact(reference)
-    assert all(product.repairs) and all(reference.repairs)
+    assert all(product.updater.repairs) and all(reference.updater.repairs)
     assert product.check_consistency() == []
 
 
 def test_a_batch_insert_repair_writes_no_self_pair(monkeypatch):
-    """A batch that cuts an edge and then shares a subtree below the
-    cut: its repair runs the delete pass first, so between the two
-    passes no row holds its own node, in the product and in the
-    reference, and both end with the same pairs, some gained and some
-    lost."""
+    """A base update that reverses an edge: one repair over its lists —
+    the cut edge's delete target and the reversed edge's attachment —
+    runs the delete pass first, so between the two passes no row holds
+    its own node, in the product and in the reference, and both end
+    with the same pairs, some gained and some lost."""
     between = []
     maintain_insert = maintenance.maintain_insert
 
@@ -270,15 +267,17 @@ def test_a_batch_insert_repair_writes_no_self_pair(monkeypatch):
 
     pairs = []
     for index_class in (BitsetReachabilityIndex, SetReachabilityIndex):
-        updater, stream = _seeded(index_class)
-        before = set(updater.reach.pairs())
+        service, stream = _seeded(index_class)
+        delta = stream.op("reverse", 3, 0)
+        assert delta is not None
+        before = set(service.reach.pairs())
         monkeypatch.setattr(maintenance, "maintain_insert", checked)
-        _run(updater, stream, [("delete", 5, 0), ("share", 11, 1)])
+        service.apply(BaseUpdateOp.from_delta(delta))
         monkeypatch.undo()
-        after = set(updater.reach.pairs())
+        after = set(service.reach.pairs())
         assert after - before and before - after
-        assert updater.repairs[-1]
-        assert updater.check_consistency() == []
+        assert _exact(service.updater)
+        assert service.check_consistency() == []
         pairs.append(after)
     assert len(between) == 2
     assert between == [[], []]

@@ -22,11 +22,11 @@ from repro.core.maintenance import (
     repair,
     repair_topo_after_insert,
 )
-from repro.core.updater import SideEffectPolicy, XMLViewUpdater
 from repro.index import build_index
 from repro.core.topo import TopoOrder
 from repro.core.translate import xdelete, xinsert
 from repro.ops import DeleteOp, InsertOp, ReplaceOp
+from repro.service import ViewConfig, open_view
 from repro.workloads.registrar import build_registrar
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 from repro.xpath.parser import parse_xpath
@@ -464,27 +464,30 @@ def test_retain_below_matches_the_per_node_sweep(index_class, dag, cut, extra):
     assert outcomes[0] == outcomes[1], (dag, cut, extra)
 
 
-class _RecordingUpdater(XMLViewUpdater):
-    """Records, after every repair pass, whether ``M`` equals the
-    reference closure of the store."""
+def _recording_service(atg, db, index_class):
+    """A service on ``index_class`` whose updater records, after every
+    repair pass, whether ``M`` equals the reference closure of the
+    store (``updater.repairs``)."""
+    service = open_view(
+        atg, db, config=ViewConfig(side_effects="propagate", strict=False)
+    )
+    updater = substitute_index(service.updater, index_class)
+    updater.repairs = []
+    repair = updater.repair
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.repairs: list[bool] = []
-
-    def repair(self, inserts, delete_targets):
-        gc = super().repair(inserts, delete_targets)
-        self.repairs.append(
-            self.reach.equals(reference_index(self.store, self.topo))
+    def recorded(inserts, delete_targets):
+        gc = repair(inserts, delete_targets)
+        updater.repairs.append(
+            updater.reach.equals(reference_index(updater.store, updater.topo))
         )
         return gc
 
+    updater.repair = recorded
+    return service
+
 
 def _recording_updater(atg, db, index_class):
-    updater = _RecordingUpdater(
-        atg, db, side_effect_policy=SideEffectPolicy.PROPAGATE, strict=False
-    )
-    return substitute_index(updater, index_class)
+    return _recording_service(atg, db, index_class).updater
 
 
 def _assert_exact(updater):
@@ -535,15 +538,16 @@ def test_batch_insert_then_delete_ancestor_of_shared_region(
 ):
     # Attach the shared CS240 region (under CS500 its pairs are missing;
     # under CS650 they are there through CS320), then cut CS320 — an
-    # ancestor of the region — from CS650, then flush.
-    updater = _recording_updater(*build_registrar(), index_class)
+    # ancestor of the region — from CS650, in one batch.
+    service = _recording_service(*build_registrar(), index_class)
+    updater = service.updater
     before = set(updater.reach.pairs())
-    with updater.batch():
-        assert updater.apply_op(InsertOp(
+    with service.batch() as batch:
+        assert batch.apply(InsertOp(
             f"course[cno={attach_under}]/prereq",
             "course", ("CS240", "Data Structures"),
         )).accepted
-        assert updater.apply_op(
+        assert batch.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
         ).accepted
     assert before - set(updater.reach.pairs())  # the delete pass removed pairs
@@ -569,13 +573,14 @@ def test_batch_insert_whose_edge_the_batch_removes(index_class, cut, sem):
     # The shared CS240 survives at the root, and its row must not gain
     # CS500's side through an edge the store no longer holds; the new
     # CS960's nodes are collected before any ΔM would read them.
-    updater = _recording_updater(*build_registrar(), index_class)
-    (prereq,) = updater.evaluate_xpath("course[cno=CS500]/prereq").targets
-    with updater.batch():
-        assert updater.apply_op(
+    service = _recording_service(*build_registrar(), index_class)
+    updater = service.updater
+    (prereq,) = service.xpath("course[cno=CS500]/prereq").targets
+    with service.batch() as batch:
+        assert batch.apply(
             InsertOp("course[cno=CS500]/prereq", "course", sem)
         ).accepted
-        assert updater.apply_op(DeleteOp(cut.format(sem[0]))).accepted
+        assert batch.apply(DeleteOp(cut.format(sem[0]))).accepted
     _assert_exact(updater)
     assert updater.check_consistency() == []
     course = updater.store.lookup("course", sem)
@@ -628,22 +633,18 @@ _draw = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(groups=st.lists(st.lists(_draw, min_size=1, max_size=4), max_size=6))
 def test_insert_repairs_exact_on_generated_streams(index_class, groups):
-    """After every op (a group of one) or batch flush (a longer group),
-    every repair pass leaves ``M`` equal to the reference closure of the
+    """After every op (a group of one) or batch (a longer group), every
+    repair pass leaves ``M`` equal to the reference closure of the
     store."""
     dataset = build_synthetic(SyntheticConfig(n_c=40, seed=5))
-    updater = _recording_updater(dataset.atg, dataset.db, index_class)
+    service = _recording_service(dataset.atg, dataset.db, index_class)
+    updater = service.updater
     stream = _Stream(updater)
     for group in groups:
-        if len(group) == 1:
-            op = stream.op(*group[0])
-            if op is not None:
-                updater.apply_op(op)
-        else:
-            with updater.batch():
-                for draw in group:
-                    op = stream.op(*draw)
-                    if op is not None:
-                        updater.apply_op(op)
+        with service.batch() as batch:
+            for draw in group:
+                op = stream.op(*draw)
+                if op is not None:
+                    batch.apply(op)
         _assert_exact(updater)
     assert updater.check_consistency() == []

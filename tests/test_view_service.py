@@ -234,15 +234,28 @@ class TestAbort:
         assert planned.reach.equals(fresh.reach)
 
 
-def _overtaken_by_a_flush(service, op):
-    """A plan of ``op`` prepared inside a batch session: the session's
-    flush, a later generation, leaves it stale."""
-    with service.batch() as batch:
-        # The session's repair is pending until the flush.
-        batch.apply(InsertOp(".", "course", ("CS888", "Logic")))
-        plan = service.updater.plan(op)
+def _overtaken(service, op):
+    """A plan of ``op`` left stale by a later generation: no public path
+    advances one while a plan is outstanding, so the failed-commit path
+    does (``abandon_generation``)."""
+    plan = service.plan(op)
     assert plan.state is PlanState.PLANNED
+    service.updater.abandon_generation()
     return plan
+
+
+def _repair_raises_once(service):
+    """Make the next commit fail in its maintain phase: the updater's
+    repair runs, then raises, once."""
+    updater = service.updater
+    real = updater.repair
+
+    def failing(*args):
+        del updater.repair
+        real(*args)
+        raise ReproError("injected repair failure")
+
+    updater.repair = failing
 
 
 class TestPlanProtocol:
@@ -275,7 +288,7 @@ class TestPlanProtocol:
 
     def test_intervening_session_flush_staleness(self):
         service = registrar_service(side_effects="propagate")
-        stale = _overtaken_by_a_flush(service, REGISTRAR_OPS[1])
+        stale = _overtaken(service, REGISTRAR_OPS[1])
         with pytest.raises(StalePlanError):
             stale.commit()
 
@@ -299,12 +312,11 @@ class TestPlanProtocol:
         """Regression: a commit-time error used to leave the internal
         plan outstanding forever, blocking every subsequent write."""
         service = registrar_service(side_effects="propagate")
-        with pytest.raises(ReproError):
-            with service.batch() as batch:
-                batch.apply(DeleteOp(
-                    "course[cno=CS650]/prereq/course[cno=CS320]"
-                ))  # session now has pending maintenance...
-                batch.apply(REGISTRAR_OPS[3])  # ...so a base update fails
+        _repair_raises_once(service)
+        with pytest.raises(ReproError, match="injected"):
+            service.apply(DeleteOp(
+                "course[cno=CS650]/prereq/course[cno=CS320]"
+            ))
         # The updater is not wedged: planning and applying still work.
         out = service.apply(InsertOp(".", "course", ("CS700", "Theory")))
         assert out.accepted
@@ -316,7 +328,7 @@ class TestPlanProtocol:
         "another plan is outstanding" until someone aborted a plan that
         could never commit."""
         service = registrar_service(side_effects="propagate")
-        stale = _overtaken_by_a_flush(
+        stale = _overtaken(
             service, InsertOp(".", "course", ("CS700", "Theory"))
         )
         with pytest.raises(StalePlanError):
@@ -335,12 +347,12 @@ class TestPlanProtocol:
     def test_failed_plan_cannot_be_aborted(self):
         service = registrar_service(side_effects="propagate")
         with service.batch() as batch:
-            batch.apply(DeleteOp(
+            plan = service.plan(DeleteOp(
                 "course[cno=CS650]/prereq/course[cno=CS320]"
-            ))  # make the session's maintenance pending
-            plan = service.updater.plan(REGISTRAR_OPS[3])
-            with pytest.raises(ReproError):
-                plan.commit()  # base update with session pending: fails
+            ))
+            _repair_raises_once(service)
+            with pytest.raises(ReproError, match="injected"):
+                plan.commit()
             assert plan.state is PlanState.FAILED
             with pytest.raises(PlanError, match="failed"):
                 plan.abort()
@@ -389,12 +401,17 @@ class TestPlanProtocol:
         service.undo(done[0])
         assert service.check_consistency() == []
 
-    def test_batched_base_update_rejected_upfront(self):
+    def test_batched_base_update_rides_in_the_batch(self):
+        """A base update in a list is applied like any other op, in
+        order, on the ``M`` the op before it repaired."""
         service = registrar_service()
-        with pytest.raises(PlanError, match="batched apply"):
-            service.apply([REGISTRAR_OPS[0], REGISTRAR_OPS[3]])
-        # Nothing was applied: the first op is still available.
-        assert service.apply(REGISTRAR_OPS[0]).accepted
+        fresh = registrar_service()
+        outcomes = service.apply([REGISTRAR_OPS[0], REGISTRAR_OPS[3]])
+        assert [o.accepted for o in outcomes] == [True, True]
+        for op in (REGISTRAR_OPS[0], REGISTRAR_OPS[3]):
+            fresh.apply(op)
+        assert service.store.digest() == fresh.store.digest()
+        assert service.check_consistency() == []
 
 
 class TestApply:
@@ -410,6 +427,7 @@ class TestApply:
     def test_apply_list_routes_through_one_batch(self):
         service = registrar_service(side_effects="propagate")
         runs_before = service.maintenance_runs
+        commits_before = service.stats()["pipeline"]["commits"]
         outcomes = service.apply(
             [
                 DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),
@@ -419,7 +437,9 @@ class TestApply:
             ]
         )
         assert [o.accepted for o in outcomes] == [True, True, True]
-        assert service.maintenance_runs - runs_before == 1  # one flush
+        # One write scope; each op repaired at its own commit.
+        assert service.stats()["pipeline"]["commits"] == commits_before + 1
+        assert service.maintenance_runs - runs_before == 3
         assert service.check_consistency() == []
 
     def test_batch_context_manager(self):
@@ -431,7 +451,7 @@ class TestApply:
             )
             out2 = batch.apply(InsertOp(".", "course", ("CS700", "Theory")))
         assert out1.accepted and out2.accepted
-        assert service.maintenance_runs - runs_before == 1
+        assert service.maintenance_runs - runs_before == 2
         assert service.check_consistency() == []
 
     def test_reads(self):
